@@ -26,6 +26,12 @@
 #   make fuzz-engines      - 1000 seeded random queries through the row
 #                            engine, the columnar engine and a brute-force
 #                            oracle; failing queries land in FUZZ_CORPUS
+#   make perfbench         - the repo's layered benchmark (BENCHMARK.json):
+#                            every workload, end-to-end + per-layer metrics,
+#                            written under .perfbench_out/ (perfbench/README.md)
+#   make perfbench-compare A=<dir|result.json> B=<dir|result.json>
+#                          - judge change B against parent A by the
+#                            BENCHMARK.json bounds
 #   make bench             - every benchmark at reduced scale
 #   make docs-check        - markdown link check over README + docs/, as in CI
 #   make example           - the parallel+resume runtime demo
@@ -58,7 +64,7 @@ FUZZ_CORPUS ?= $(shell mktemp -d /tmp/repro-fuzz-corpus.XXXXXX)
 # value only needs to match between coordinator and workers).
 REPRO_QUEUE_SECRET ?= local-bench-secret
 
-.PHONY: test lint typecheck docs-check bench-smoke bench-parallel bench-distributed bench-distributed-tcp bench-progress bench-executor bench-plan-serving fuzz-engines bench example
+.PHONY: test lint typecheck docs-check bench-smoke bench-parallel bench-distributed bench-distributed-tcp bench-progress bench-executor bench-plan-serving fuzz-engines perfbench perfbench-compare bench example
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -112,6 +118,12 @@ bench-plan-serving:
 fuzz-engines:
 	REPRO_FUZZ_COUNT=1000 REPRO_FUZZ_CORPUS=$(FUZZ_CORPUS) \
 	$(PYTHON) -m pytest tests/test_fuzz_engines.py -q
+
+perfbench:
+	$(PYTHON) -m perfbench run
+
+perfbench-compare:
+	$(PYTHON) -m perfbench compare $(A) $(B)
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q

@@ -7,11 +7,11 @@ or randomly, tuples processed, spill bytes.  The timing model converts that
 work profile into a deterministic simulated latency whose cold-vs-hot cache
 behaviour reproduces the measurement-protocol findings of Sections 7.3/8.6.
 
-Two interchangeable engines implement the operators (see ``docs/EXECUTOR.md``):
-the straightforward row engine (:class:`ExecutionEngine`, the correctness
-oracle) and the late-materializing columnar engine
-(:class:`ColumnarExecutionEngine`, the default).  :func:`create_engine` picks
-one by kind; both produce byte-identical results and simulated timings.
+Two interchangeable engines run the one operator set on two intermediate-result
+representations (see ``docs/EXECUTOR.md``): the straightforward row engine
+(:class:`ExecutionEngine`, the reference) and the late-materializing columnar
+engine (:class:`ColumnarExecutionEngine`, the default).  :func:`create_engine`
+picks one by kind; both produce byte-identical results and simulated timings.
 """
 
 from repro.executor.operators import OperatorMetrics, Relation

@@ -1,58 +1,39 @@
-"""The columnar execution engine: batch operators with late materialization.
+"""The columnar representation: lazy lineages and progressive filtering.
 
-This module is the performance half of the executor.  It evaluates exactly the
-same physical plans as the row engine in :mod:`repro.executor.engine` and is
-required to produce **byte-identical** results, cardinalities, operator
-metrics and (therefore) simulated timings — the equivalence is enforced by the
-property suite in ``tests/test_columnar.py``.  What changes is only how much
-real work the host machine performs:
+This module is the performance half of the executor.  It runs exactly the
+operators of :mod:`repro.executor.operators` — there is no second copy of
+them — on a different intermediate-result representation, so results,
+cardinalities, operator metrics and (therefore) simulated timings are
+**byte-identical** to the row engine's by construction; the differential
+suites in ``tests/test_columnar.py`` and ``tests/test_fuzz_engines.py`` hold
+the two representations to it.  What changes is only how much real work the
+host machine performs:
 
 * **Late materialization.**  A :class:`ColumnarBatch` does not store one row-id
   array per base-table alias the way :class:`~repro.executor.operators.Relation`
   does.  Instead each alias keeps a :class:`_Lineage`: the row ids produced by
   its scan plus a chain of positional indirection arrays appended by every
-  join/filter above it.  Joins and selections only *record* positions; actual
+  join/filter above it.  ``pair``/``select`` only *record* positions; actual
   row ids are composed lazily (and cached) the first time a column of that
-  alias is needed.  The row engine's ``_combine`` — gathering every alias's
-  array at every join — disappears entirely.
-* **Progressive filtering.**  Successive scan filters are evaluated on the
-  shrinking set of surviving rows rather than on the full column, using the
-  subset property of :func:`repro.optimizer.cardinality._evaluate_filter_mask`
+  alias is needed.  The row representation's eager gather of every alias's
+  array at every join disappears entirely.
+* **Progressive filtering.**  ``surviving`` evaluates successive filters on
+  the shrinking set of surviving rows rather than on the full column, using
+  the subset property of :func:`repro.optimizer.cardinality.evaluate_filter_mask`
   (``mask(column[rows]) == mask(column)[rows]``).
-* **Vectorized expansion.**  Ragged per-key ranges in join matching and index
-  probes expand through :func:`repro.storage.index.ragged_ranges` instead of a
-  Python loop.
-
-None of this may change observable behaviour.  The operators below charge the
-buffer pool with the *same calls in the same order* and compute metrics with
-the *same arithmetic* as their row counterparts, because metrics describe the
-simulated plan work — which is fixed by plan semantics — not the physical
-shortcuts taken here.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from repro.catalog.statistics import NULL_SENTINEL
 from repro.errors import ExecutionError
 from repro.executor.engine import ExecutionEngine
-from repro.executor.operators import (
-    OperatorMetrics,
-    _index_lookup,
-    _orient_predicate,
-    charge_join_type,
-    cross_product_positions,
-    evaluate_filter_mask,
-    gather_rows,
-    index_nestloop_inner,
-    join_match_positions,
-    null_extend_positions,
-    take_rows,
-)
-from repro.plans.physical import JoinNode, ScanNode, ScanType
-from repro.sql.binder import BoundQuery
-from repro.storage.buffer_pool import BufferPool
+from repro.executor.operators import gather_rows, take_rows
+from repro.optimizer.cardinality import evaluate_filter_mask
+from repro.sql.binder import BoundQuery, FilterPredicate
 from repro.storage.database import Database
 
 
@@ -92,11 +73,11 @@ class _Lineage:
 class ColumnarBatch:
     """Intermediate result of the columnar engine.
 
-    Presents the same surface the engine's shared finalization layers use on
-    :class:`~repro.executor.operators.Relation` — ``size``, ``aliases``,
-    ``select``, ``fetch`` and a ``rows`` mapping — but stores per-alias
-    :class:`_Lineage` objects and materializes row ids lazily, caching each
-    alias's composed array on first use.
+    Presents the same surface the shared operators and finalization layers
+    use on :class:`~repro.executor.operators.Relation` — ``size``, ``aliases``,
+    ``select``, ``fetch``, a ``rows`` mapping and the four representation
+    methods — but stores per-alias :class:`_Lineage` objects and materializes
+    row ids lazily, caching each alias's composed array on first use.
     """
 
     __slots__ = ("_lineages", "_size", "_materialized")
@@ -150,9 +131,7 @@ class ColumnarBatch:
     def select(self, positions: np.ndarray) -> "ColumnarBatch":
         """Keep only the tuples at ``positions`` — O(aliases), no gathers."""
         positions = np.asarray(positions, dtype=np.int64)
-        lineages = {
-            alias: self._extended(alias, positions) for alias in self._lineages
-        }
+        lineages = {alias: self._extended(alias, positions) for alias in self._lineages}
         return ColumnarBatch(lineages, int(positions.size))
 
     def fetch(
@@ -162,319 +141,61 @@ class ColumnarBatch:
         data = database.table_data(query.table_of(alias))
         return gather_rows(data, column, self.row_ids(alias))
 
-    # -- constructors --------------------------------------------------------
+    # -- representation methods (mirroring Relation) --------------------------
     @staticmethod
     def from_scan(alias: str, row_ids: np.ndarray) -> "ColumnarBatch":
         """Single-alias batch over the row ids a scan produced."""
         row_ids = np.asarray(row_ids, dtype=np.int64)
         return ColumnarBatch({alias: _Lineage(row_ids)}, int(row_ids.size))
 
-    @staticmethod
-    def join(
-        left: "ColumnarBatch",
-        right: "ColumnarBatch",
-        left_pos: np.ndarray,
-        right_pos: np.ndarray,
+    def pair(
+        self, right: "ColumnarBatch", left_pos: np.ndarray, right_pos: np.ndarray
     ) -> "ColumnarBatch":
-        """Batch pairing ``left[left_pos[i]]`` with ``right[right_pos[i]]``.
+        """Batch pairing ``self[left_pos[i]]`` with ``right[right_pos[i]]``.
 
-        Only records the position arrays in each side's lineage — the lazy
-        replacement for the row engine's per-alias ``_combine`` gathers.
+        Lazy: only records the position arrays in each side's lineage.
         """
-        lineages: dict[str, _Lineage] = {}
-        for alias in left._lineages:
-            lineages[alias] = left._extended(alias, left_pos)
+        lineages = {alias: self._extended(alias, left_pos) for alias in self._lineages}
         for alias in right._lineages:
             lineages[alias] = right._extended(alias, right_pos)
         return ColumnarBatch(lineages, int(left_pos.size))
 
-    @staticmethod
-    def join_with_base(
-        left: "ColumnarBatch",
-        alias: str,
-        row_ids: np.ndarray,
-        left_pos: np.ndarray,
+    def pair_with_scan(
+        self, positions: np.ndarray, alias: str, row_ids: np.ndarray
     ) -> "ColumnarBatch":
-        """Batch pairing ``left[left_pos[i]]`` with base row ``row_ids[i]``.
+        """Batch pairing ``self[positions[i]]`` with base row ``row_ids[i]`` of ``alias``.
 
-        Used by the index nested loop, whose inner side arrives as freshly
-        probed base-table row ids rather than an existing batch.
+        The index nested loop's inner side: freshly probed row ids start a
+        lineage of their own, with no indirection to compose later.
         """
-        lineages = {
-            existing: left._extended(existing, left_pos) for existing in left._lineages
-        }
+        lineages = {existing: self._extended(existing, positions) for existing in self._lineages}
         lineages[alias] = _Lineage(np.asarray(row_ids, dtype=np.int64))
-        return ColumnarBatch(lineages, int(left_pos.size))
+        return ColumnarBatch(lineages, int(positions.size))
 
+    @staticmethod
+    def surviving(
+        data, predicates: Sequence[FilterPredicate], row_ids: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Positions into ``row_ids`` (``None``: the whole table) passing every predicate.
 
-# ---------------------------------------------------------------------------
-# Operators
-# ---------------------------------------------------------------------------
-
-def columnar_scan(
-    database: Database,
-    query: BoundQuery,
-    node: ScanNode,
-    buffer_pool: BufferPool,
-) -> tuple[ColumnarBatch, OperatorMetrics]:
-    """Scan with progressive filtering; accounting identical to ``execute_scan``.
-
-    The row engine evaluates every filter over the full column and conjoins
-    the masks; here only the first (or the index-driving) filter sees full
-    data and each later filter is evaluated on the gathered codes of the rows
-    still alive.  CPU charges stay those of the full-column evaluation — the
-    simulated scan always reads every tuple.
-    """
-    metrics = OperatorMetrics()
-    data = database.table_data(node.table)
-    row_count = data.row_count
-    metrics.tuples_in = row_count
-
-    if row_count == 0:
-        return ColumnarBatch.from_scan(node.alias, np.empty(0, dtype=np.int64)), metrics
-
-    driving_filter = None
-    if node.index_column is not None:
-        for predicate in node.filters:
-            if predicate.column == node.index_column and predicate.op in (
-                "=", "<", "<=", ">", ">=", "between", "in",
-            ):
-                driving_filter = predicate
+        Progressive: only the first predicate can see a full column; each
+        later one is evaluated on the gathered codes of the rows still alive.
+        """
+        positions: np.ndarray | None = None
+        for predicate in predicates:
+            if positions is None:
+                alive = row_ids
+            elif positions.size:
+                alive = positions if row_ids is None else row_ids[positions]
+            else:
                 break
-
-    if node.scan_type is ScanType.SEQ or driving_filter is None:
-        access = buffer_pool.access_pages(node.table, data.page_count, sequential=True)
-        metrics.pages_hit += access.hits
-        metrics.seq_pages_read += access.misses
-        row_ids: np.ndarray | None = None
-        for predicate in node.filters:
-            if row_ids is None:
-                row_ids = np.nonzero(evaluate_filter_mask(data, predicate))[0]
-            elif row_ids.size:
-                subset = data.gather(predicate.column, row_ids)
-                row_ids = row_ids[evaluate_filter_mask(data, predicate, subset)]
-            metrics.cpu_ops += row_count
-        if row_ids is None:
-            row_ids = np.arange(row_count, dtype=np.int64)
-    else:
-        index = database.index(node.table, node.index_column)
-        if index is None:
-            raise ExecutionError(
-                f"plan requires an index on {node.table}.{node.index_column} that does not exist"
-            )
-        lookup = _index_lookup(index, data, driving_filter)
-        metrics.index_pages += lookup.index_pages
-        matched = lookup.row_ids
-        heap_pages = min(matched.size, data.page_count)
-        sequential = node.scan_type is ScanType.BITMAP
-        if node.scan_type is ScanType.TID:
-            heap_pages = min(1, data.page_count)
-        access = buffer_pool.access_fraction(
-            node.table, data.page_count, heap_pages / max(data.page_count, 1), sequential=sequential
-        )
-        metrics.pages_hit += access.hits
-        if sequential:
-            metrics.seq_pages_read += access.misses
-        else:
-            metrics.random_pages_read += access.misses
-        # The row engine charges every non-driving filter against the full
-        # matched set; keep that charge while filtering progressively.
-        charge = int(matched.size)
-        row_ids = matched
-        for predicate in node.filters:
-            if predicate is driving_filter:
-                continue
-            if row_ids.size:
-                subset = data.gather(predicate.column, row_ids)
-                row_ids = row_ids[evaluate_filter_mask(data, predicate, subset)]
-            metrics.cpu_ops += charge
-
-    metrics.tuples_out = int(row_ids.size)
-    metrics.cpu_ops += int(row_ids.size)
-    return ColumnarBatch.from_scan(node.alias, row_ids), metrics
-
-
-def columnar_join(
-    database: Database,
-    query: BoundQuery,
-    node: JoinNode,
-    left: ColumnarBatch,
-    right: ColumnarBatch,
-    buffer_pool: BufferPool,
-    work_mem_bytes: int,
-) -> tuple[ColumnarBatch, OperatorMetrics]:
-    """Join two batches; accounting identical to ``execute_join``.
-
-    Only the primary predicate's two key columns are materialized; the match
-    itself and the pairing of all carried aliases are positional.
-    """
-    metrics = OperatorMetrics()
-    metrics.tuples_in = left.size + right.size
-
-    if not node.predicates:
-        left_pos, right_pos = cross_product_positions(left.size, right.size)
-        result = ColumnarBatch.join(left, right, left_pos, right_pos)
-        metrics.cpu_ops += max(left.size * right.size, 1)
-        metrics.tuples_out = result.size
-        return result, metrics
-
-    primary = node.predicates[0]
-    left_alias, left_column, right_alias, right_column = _orient_predicate(primary, left, right)
-
-    left_values = left.fetch(database, query, left_alias, left_column)
-    right_values = right.fetch(database, query, right_alias, right_column)
-
-    left_pos, right_pos = join_match_positions(left_values, right_values)
-    # SQL semantics: NULL never equals NULL (see execute_join).
-    if left_pos.size:
-        not_null = left_values[left_pos] != NULL_SENTINEL
-        left_pos = left_pos[not_null]
-        right_pos = right_pos[not_null]
-
-    charge_join_type(database, node, left.size, right.size, work_mem_bytes, metrics)
-
-    result = ColumnarBatch.join(left, right, left_pos, right_pos)
-
-    for predicate in node.predicates[1:]:
-        la, lc, ra, rc = _orient_predicate(predicate, left, right)
-        lvals = result.fetch(database, query, la, lc)
-        rvals = result.fetch(database, query, ra, rc)
-        keep = (lvals == rvals) & (lvals != NULL_SENTINEL)
-        metrics.cpu_ops += result.size
-        result = result.select(np.nonzero(keep)[0])
-
-    metrics.tuples_out = result.size
-    metrics.cpu_ops += result.size
-    return result, metrics
-
-
-def columnar_outer_join(
-    database: Database,
-    query: BoundQuery,
-    node: JoinNode,
-    left: ColumnarBatch,
-    right: ColumnarBatch,
-    buffer_pool: BufferPool,
-    work_mem_bytes: int,
-) -> tuple[ColumnarBatch, OperatorMetrics]:
-    """Outer join two batches; accounting identical to ``execute_outer_join``.
-
-    Secondary ON predicates filter the matched positions *before* NULL
-    extension (they are part of the join condition, not post-join filters),
-    then :func:`~repro.executor.operators.null_extend_positions` appends the
-    unmatched tuples with ``NULL_ROW_ID`` on the absent side — the same shared
-    helper, and therefore the same row order, as the row engine.  The batch
-    built from the extended positions keeps the virtual row id lazily in its
-    lineage chains; ``fetch`` decodes it to the NULL sentinel on demand.
-    """
-    metrics = OperatorMetrics()
-    metrics.tuples_in = left.size + right.size
-
-    if not node.predicates:
-        raise ExecutionError("outer join requires at least one join predicate")
-
-    primary = node.predicates[0]
-    left_alias, left_column, right_alias, right_column = _orient_predicate(primary, left, right)
-
-    left_values = left.fetch(database, query, left_alias, left_column)
-    right_values = right.fetch(database, query, right_alias, right_column)
-
-    left_pos, right_pos = join_match_positions(left_values, right_values)
-    # NULL never equals NULL — and a NULL-extended left tuple from an earlier
-    # outer fold carries sentinel keys, so it simply re-extends here.
-    if left_pos.size:
-        not_null = left_values[left_pos] != NULL_SENTINEL
-        left_pos = left_pos[not_null]
-        right_pos = right_pos[not_null]
-
-    for predicate in node.predicates[1:]:
-        la, lc, ra, rc = _orient_predicate(predicate, left, right)
-        lvals = left.fetch(database, query, la, lc)[left_pos]
-        rvals = right.fetch(database, query, ra, rc)[right_pos]
-        keep = (lvals == rvals) & (lvals != NULL_SENTINEL)
-        metrics.cpu_ops += int(left_pos.size)
-        left_pos = left_pos[keep]
-        right_pos = right_pos[keep]
-
-    charge_join_type(database, node, left.size, right.size, work_mem_bytes, metrics)
-
-    left_pos, right_pos = null_extend_positions(
-        node.join_kind, left.size, right.size, left_pos, right_pos
-    )
-    result = ColumnarBatch.join(left, right, left_pos, right_pos)
-
-    metrics.tuples_out = result.size
-    metrics.cpu_ops += result.size
-    return result, metrics
-
-
-def columnar_index_nestloop(
-    database: Database,
-    query: BoundQuery,
-    node: JoinNode,
-    left: ColumnarBatch,
-    buffer_pool: BufferPool,
-) -> tuple[ColumnarBatch, OperatorMetrics]:
-    """Index nested loop; accounting identical to ``execute_index_nestloop``."""
-    resolved = index_nestloop_inner(database, node)
-    if resolved is None:
-        raise ExecutionError("join cannot be executed as an index nested loop")
-    inner_scan, index, column, probe = resolved
-    metrics = OperatorMetrics()
-    metrics.tuples_in = left.size
-
-    outer_alias, outer_column = probe.other(inner_scan.alias)
-    outer_keys = left.fetch(database, query, outer_alias, outer_column)
-
-    probe_positions, matched_rows, index_pages = index.probe_many(outer_keys)
-    metrics.index_pages += index_pages
-    metrics.cpu_ops += left.size
-    if probe_positions.size:
-        not_null = outer_keys[probe_positions] != NULL_SENTINEL
-        probe_positions = probe_positions[not_null]
-        matched_rows = matched_rows[not_null]
-
-    data = database.table_data(inner_scan.table)
-    heap_pages = min(int(matched_rows.size), data.page_count)
-    access = buffer_pool.access_fraction(
-        inner_scan.table, data.page_count, heap_pages / max(data.page_count, 1), sequential=False
-    )
-    metrics.pages_hit += access.hits
-    metrics.random_pages_read += access.misses
-
-    # Inner-scan filters: progressive subset evaluation, row-engine charges.
-    charge = int(matched_rows.size)
-    for predicate in inner_scan.filters:
-        if matched_rows.size:
-            subset = data.gather(predicate.column, matched_rows)
-            keep = evaluate_filter_mask(data, predicate, subset)
-            matched_rows = matched_rows[keep]
-            probe_positions = probe_positions[keep]
-        metrics.cpu_ops += charge
-
-    result = ColumnarBatch.join_with_base(left, inner_scan.alias, matched_rows, probe_positions)
-
-    # Every join predicate except the probe becomes a post-join filter (see
-    # execute_index_nestloop for why none may be skipped).
-    for predicate in node.predicates:
-        if predicate is probe:
-            continue
-        if (
-            predicate.left_alias not in result.aliases
-            or predicate.right_alias not in result.aliases
-        ):
-            raise ExecutionError(
-                f"join predicate {predicate} does not connect the joined relations"
-            )
-        lvals = result.fetch(database, query, predicate.left_alias, predicate.left_column)
-        rvals = result.fetch(database, query, predicate.right_alias, predicate.right_column)
-        keep_mask = (lvals == rvals) & (lvals != NULL_SENTINEL)
-        metrics.cpu_ops += result.size
-        result = result.select(np.nonzero(keep_mask)[0])
-
-    metrics.tuples_out = result.size
-    metrics.cpu_ops += result.size
-    return result, metrics
+            codes = None if alive is None else data.gather(predicate.column, alive)
+            passing = np.nonzero(evaluate_filter_mask(data, predicate, codes))[0]
+            positions = passing if positions is None else positions[passing]
+        if positions is None:
+            size = data.row_count if row_ids is None else len(row_ids)
+            positions = np.arange(size, dtype=np.int64)
+        return positions
 
 
 # ---------------------------------------------------------------------------
@@ -482,47 +203,13 @@ def columnar_index_nestloop(
 # ---------------------------------------------------------------------------
 
 class ColumnarExecutionEngine(ExecutionEngine):
-    """Drop-in engine running the columnar operators above.
+    """The shared engine and operators, run on :class:`ColumnarBatch`.
 
-    Everything outside the four operator hooks — timing, timeouts, sort,
-    aggregation, projection, EXPLAIN row counts — is inherited unchanged from
-    :class:`~repro.executor.engine.ExecutionEngine`, which is exactly what
-    guarantees the two engines can only diverge inside the operators (where
-    the equivalence suite pins them together).
+    Everything — the plan walk, the operators and their charges, timing,
+    timeouts, sort, aggregation, projection, EXPLAIN row counts — is inherited
+    from :class:`~repro.executor.engine.ExecutionEngine`; only the
+    representation differs.
     """
 
     kind = "columnar"
-
-    def _outer_join_node(self, query: BoundQuery, node: JoinNode, left, right):
-        """LEFT/FULL outer join with lazy NULL-extended lineages."""
-        return columnar_outer_join(
-            self.database,
-            query,
-            node,
-            left,
-            right,
-            self.database.buffer_pool,
-            self.config.work_mem,
-        )
-
-    def _scan_node(self, query: BoundQuery, node: ScanNode):
-        """Evaluate one base-table scan columnar-style."""
-        return columnar_scan(self.database, query, node, self.database.buffer_pool)
-
-    def _join_node(self, query: BoundQuery, node: JoinNode, left, right):
-        """Join two batches positionally."""
-        return columnar_join(
-            self.database,
-            query,
-            node,
-            left,
-            right,
-            self.database.buffer_pool,
-            self.config.work_mem,
-        )
-
-    def _index_nestloop_node(self, query: BoundQuery, node: JoinNode, left):
-        """Probe the inner index per outer tuple, pairing lazily."""
-        return columnar_index_nestloop(
-            self.database, query, node, left, self.database.buffer_pool
-        )
+    batch_type = ColumnarBatch

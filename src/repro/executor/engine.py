@@ -5,11 +5,16 @@ against the columnar storage (charging the buffer pool on the way), applies
 sort/aggregate decorations and returns an :class:`ExecutionResult` holding the
 query output, per-node actual row counts, the accumulated work profile and the
 simulated execution time.
+
+There is one plan walk and one operator set (:mod:`repro.executor.operators`)
+for both engines; an engine is this class plus a ``batch_type`` — the
+intermediate-result representation its scans produce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,7 +28,6 @@ from repro.executor.operators import (
     execute_join,
     execute_outer_join,
     execute_scan,
-    fetch_column,
     index_nestloop_inner,
 )
 from repro.executor.timing import TimingModel
@@ -37,6 +41,9 @@ from repro.plans.physical import (
 )
 from repro.sql.binder import BoundQuery
 from repro.storage.database import Database
+
+if TYPE_CHECKING:
+    from repro.executor.operators import Batch
 
 
 @dataclass
@@ -60,20 +67,21 @@ class ExecutionResult:
 class ExecutionEngine:
     """Evaluates physical plans against a :class:`Database`.
 
-    This is the *row* engine: intermediate results materialize one row-id
-    array per base-table alias at every operator.  It is deliberately kept
-    simple — it doubles as the correctness oracle the equivalence test suite
-    holds the optimized :class:`~repro.executor.columnar.ColumnarExecutionEngine`
-    against.  Subclasses swap execution strategies by overriding the
-    ``_scan_node`` / ``_join_node`` / ``_index_nestloop_node`` /
-    ``_outer_join_node`` operator hooks;
-    everything above them (timing, timeout handling, sort/aggregate/projection
-    finalization, EXPLAIN row accounting) is shared and must stay
-    byte-identical across engines.
+    This is the *row* engine: intermediate results are
+    :class:`~repro.executor.operators.Relation` objects, materializing one
+    row-id array per base-table alias at every operator.  It is deliberately
+    kept simple — it is the reference the differential suites compare the
+    optimized :class:`~repro.executor.columnar.ColumnarExecutionEngine`
+    against.  A subclass swaps the representation by setting ``batch_type``
+    and nothing else: the plan walk, the operators and their charges, timing,
+    timeout handling, sort/aggregate/projection finalization and EXPLAIN row
+    accounting are all shared.
     """
 
     #: Engine-kind name reported by :func:`create_engine` round-trips.
     kind = "row"
+    #: Intermediate-result representation the scans of this engine produce.
+    batch_type: type[Batch] = Relation
 
     def __init__(
         self,
@@ -134,45 +142,6 @@ class ExecutionEngine:
             timed_out=timed_out,
         )
 
-    # -------------------------------------------------------------- operator hooks
-    # Engines override these four methods to swap execution strategies.  Each
-    # returns ``(relation, metrics)`` exactly like the operator functions in
-    # :mod:`repro.executor.operators`; the shared recursion below does the
-    # metric merging and per-node row accounting.
-    def _scan_node(self, query: BoundQuery, node: ScanNode):
-        """Evaluate one base-table scan."""
-        return execute_scan(self.database, query, node, self.database.buffer_pool)
-
-    def _join_node(self, query: BoundQuery, node: JoinNode, left: Relation, right: Relation):
-        """Join two materialized inputs."""
-        return execute_join(
-            self.database,
-            query,
-            node,
-            left,
-            right,
-            self.database.buffer_pool,
-            self.config.work_mem,
-        )
-
-    def _index_nestloop_node(self, query: BoundQuery, node: JoinNode, left: Relation):
-        """Probe the inner side of ``node`` per outer tuple via its index."""
-        return execute_index_nestloop(
-            self.database, query, node, left, self.database.buffer_pool
-        )
-
-    def _outer_join_node(self, query: BoundQuery, node: JoinNode, left: Relation, right: Relation):
-        """LEFT/FULL outer join: inner matching plus NULL-extended unmatched rows."""
-        return execute_outer_join(
-            self.database,
-            query,
-            node,
-            left,
-            right,
-            self.database.buffer_pool,
-            self.config.work_mem,
-        )
-
     # ------------------------------------------------------------------ recursion
     def _evaluate(
         self,
@@ -180,28 +149,25 @@ class ExecutionEngine:
         node: PlanNode,
         total_metrics: OperatorMetrics,
         node_rows: dict[int, int],
-    ) -> Relation:
+    ) -> Batch:
         if isinstance(node, ScanNode):
-            relation, metrics = self._scan_node(query, node)
+            relation, metrics = execute_scan(self.database, node, self.batch_type)
             total_metrics.merge(metrics)
             node_rows[id(node)] = relation.size
             return relation
         if isinstance(node, JoinNode):
             assert node.left is not None and node.right is not None
             left = self._evaluate(query, node.left, total_metrics, node_rows)
-            if index_nestloop_inner(self.database, node) is not None:
+            inner = index_nestloop_inner(self.database, node)
+            if inner is not None:
                 # Parameterized inner index scan: the inner relation is probed
                 # per outer tuple instead of being materialized.
-                relation, metrics = self._index_nestloop_node(query, node, left)
-                total_metrics.merge(metrics)
+                relation, metrics = execute_index_nestloop(self.database, query, node, left, inner)
                 node_rows[id(node.right)] = relation.size
-                node_rows[id(node)] = relation.size
-                return relation
-            right = self._evaluate(query, node.right, total_metrics, node_rows)
-            if node.join_kind is not JoinKind.INNER:
-                relation, metrics = self._outer_join_node(query, node, left, right)
             else:
-                relation, metrics = self._join_node(query, node, left, right)
+                right = self._evaluate(query, node.right, total_metrics, node_rows)
+                join = execute_join if node.join_kind is JoinKind.INNER else execute_outer_join
+                relation, metrics = join(self.database, query, node, left, right, self.config.work_mem)
             total_metrics.merge(metrics)
             node_rows[id(node)] = relation.size
             return relation
@@ -220,21 +186,21 @@ class ExecutionEngine:
             return relation
         raise ExecutionError(f"cannot execute node type {type(node).__name__}")
 
-    def _sort_relation(self, query: BoundQuery, relation: Relation, node: SortNode) -> Relation:
+    def _sort_relation(self, query: BoundQuery, relation: Batch, node: SortNode) -> Batch:
         """Order ``relation`` by the node's sort keys (stable lexsort)."""
         if relation.size == 0 or not node.sort_keys:
             return relation
         keys = []
         for alias, column in reversed(node.sort_keys):
             if alias in relation.aliases:
-                keys.append(fetch_column(self.database, query, relation, alias, column))
+                keys.append(relation.fetch(self.database, query, alias, column))
         if not keys:
             return relation
         order = np.lexsort(tuple(keys))
         return relation.select(order)
 
     # -------------------------------------------------------------------- results
-    def _finalize(self, query: BoundQuery, plan: PlanNode, relation: Relation) -> list[tuple]:
+    def _finalize(self, query: BoundQuery, plan: PlanNode, relation: Batch) -> list[tuple]:
         """Compute the SELECT-list output from the final relation."""
         statement = query.statement
         if statement is None:
@@ -252,7 +218,7 @@ class ExecutionEngine:
             row.append(self._scalar_aggregate(query, relation, item))
         return [tuple(row)]
 
-    def _scalar_aggregate(self, query: BoundQuery, relation: Relation, item) -> object:
+    def _scalar_aggregate(self, query: BoundQuery, relation: Batch, item) -> object:
         """Evaluate one aggregate select-item over the whole relation."""
         if item.function == "count" and item.column is None:
             return relation.size
@@ -261,7 +227,7 @@ class ExecutionEngine:
         alias = item.column.alias or query.aliases[0]
         if alias not in relation.aliases or relation.size == 0:
             return None
-        values = fetch_column(self.database, query, relation, alias, item.column.column)
+        values = relation.fetch(self.database, query, alias, item.column.column)
         values = values[values != NULL_SENTINEL]
         if values.size == 0:
             return None
@@ -278,16 +244,14 @@ class ExecutionEngine:
             return data.decode(item.column.column, int(values.max()))
         raise ExecutionError(f"unsupported aggregate {item.function!r}")
 
-    def _grouped_aggregates(self, query: BoundQuery, relation: Relation, statement) -> list[tuple]:
+    def _grouped_aggregates(self, query: BoundQuery, relation: Batch, statement) -> list[tuple]:
         """Evaluate GROUP BY output: one row per distinct group-key combination."""
         if relation.size == 0:
             return []
         group_columns = []
         for col in statement.group_by:
             alias = col.alias or query.aliases[0]
-            group_columns.append(
-                fetch_column(self.database, query, relation, alias, col.column)
-            )
+            group_columns.append(relation.fetch(self.database, query, alias, col.column))
         stacked = np.stack(group_columns, axis=1)
         _, inverse = np.unique(stacked, axis=0, return_inverse=True)
         rows = []
@@ -307,7 +271,7 @@ class ExecutionEngine:
             rows.append(tuple(key) + tuple(aggregates))
         return rows
 
-    def _project_rows(self, query: BoundQuery, relation: Relation, statement) -> list[tuple]:
+    def _project_rows(self, query: BoundQuery, relation: Batch, statement) -> list[tuple]:
         """Decode the SELECT list for a plain (non-aggregate) projection."""
         limit = statement.limit if statement.limit is not None else min(relation.size, 1000)
         size = min(relation.size, limit)
@@ -320,7 +284,7 @@ class ExecutionEngine:
                 continue
             alias = item.column.alias or query.aliases[0]
             data = self.database.table_data(query.table_of(alias))
-            values = fetch_column(self.database, query, relation, alias, item.column.column)[:size]
+            values = relation.fetch(self.database, query, alias, item.column.column)[:size]
             columns.append(data.decode_many(item.column.column, values))
         return [tuple(col[i] for col in columns) for i in range(size)]
 

@@ -1,29 +1,40 @@
 """Vectorized physical operators and their work accounting.
 
-A :class:`Relation` is the intermediate result format: for every base-table
-alias it holds an equal-length array of row ids, so a join result is a set of
-row-id tuples and column values are fetched lazily when a predicate or an
-aggregate needs them.
+The four operators — scan, join, outer join, index nested loop — are written
+**once**, against the surface both intermediate-result representations share:
+``size``, ``aliases``, ``fetch``, ``select`` plus the four representation
+methods ``from_scan``, ``pair``, ``pair_with_scan`` and ``surviving``.  Every
+buffer-pool charge and every line of :class:`OperatorMetrics` arithmetic
+exists in exactly one place; the engines differ only in the representation
+they run on: :class:`Relation` here (per-alias row-id arrays, gathered eagerly
+at every join) or the lazy :class:`~repro.executor.columnar.ColumnarBatch`.
 
-Every operator returns both the resulting :class:`Relation` and an
-:class:`OperatorMetrics` record describing the work performed, which the
-timing model converts into simulated milliseconds.
+Every operator returns the resulting batch and an :class:`OperatorMetrics`
+record of the work performed, which the timing model converts into simulated
+milliseconds.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from repro.catalog.statistics import NULL_SENTINEL
 from repro.errors import ExecutionError
-from repro.optimizer.cardinality import _evaluate_filter_mask as evaluate_filter_mask
+from repro.optimizer.cardinality import evaluate_filter_mask
 from repro.plans.physical import JoinKind, JoinNode, JoinType, ScanNode, ScanType
-from repro.sql.binder import BoundQuery, JoinPredicate
-from repro.storage.buffer_pool import BufferPool
+from repro.sql.binder import BoundQuery, FilterPredicate, JoinPredicate
 from repro.storage.database import Database
 from repro.storage.index import ragged_ranges
+
+if TYPE_CHECKING:
+    from repro.executor.columnar import ColumnarBatch
+
+    #: Either intermediate-result representation (annotation only).
+    Batch = Union["Relation", "ColumnarBatch"]
 
 #: Virtual row id of a NULL-extended outer-join tuple.  Distinct from any
 #: stored row: fetching it yields :data:`NULL_SENTINEL` for every column, so
@@ -130,30 +141,52 @@ class Relation:
     def fetch(
         self, database: Database, query: BoundQuery, alias: str, column: str
     ) -> np.ndarray:
-        """Column values of ``alias.column`` for every tuple of this relation.
-
-        The engine's shared finalization layers (sort, aggregate, projection)
-        go through this hook, so an intermediate-result representation with a
-        different materialization strategy (the columnar engine's
-        :class:`~repro.executor.columnar.ColumnarBatch`) only has to override
-        ``fetch``/``select`` to plug in.
-        """
+        """Column values of ``alias.column`` for every tuple of this relation."""
         if alias not in self.rows:
             raise ExecutionError(f"relation does not contain alias {alias!r}")
         data = database.table_data(query.table_of(alias))
         return gather_rows(data, column, self.rows[alias])
 
+    # -- representation methods (mirrored by ColumnarBatch) ------------------
     @staticmethod
-    def from_row_ids(alias: str, row_ids: np.ndarray) -> "Relation":
-        """Single-alias relation over the given base-table row ids."""
+    def from_scan(alias: str, row_ids: np.ndarray) -> "Relation":
+        """Single-alias relation over the row ids a scan produced."""
         return Relation(rows={alias: np.asarray(row_ids, dtype=np.int64)})
 
+    def pair(
+        self, right: "Relation", left_pos: np.ndarray, right_pos: np.ndarray
+    ) -> "Relation":
+        """Relation pairing ``self[left_pos[i]]`` with ``right[right_pos[i]]``.
 
-def fetch_column(
-    database: Database, query: BoundQuery, relation: Relation, alias: str, column: str
-) -> np.ndarray:
-    """Column values of ``alias.column`` for every tuple of ``relation``."""
-    return relation.fetch(database, query, alias, column)
+        Eager: every carried alias's row ids are gathered here.
+        """
+        return Relation(rows={**self.select(left_pos).rows, **right.select(right_pos).rows})
+
+    def pair_with_scan(self, positions: np.ndarray, alias: str, row_ids: np.ndarray) -> "Relation":
+        """Relation pairing ``self[positions[i]]`` with base row ``row_ids[i]`` of ``alias``.
+
+        The index nested loop's inner side: freshly probed row ids that need
+        no re-indexing, unlike a :meth:`pair` with ``from_scan(alias, row_ids)``.
+        """
+        rows = self.select(positions).rows
+        rows[alias] = np.asarray(row_ids, dtype=np.int64)
+        return Relation(rows=rows)
+
+    @staticmethod
+    def surviving(
+        data, predicates: Sequence[FilterPredicate], row_ids: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Positions into ``row_ids`` (``None``: the whole table) passing every predicate.
+
+        Reference strategy: each predicate is evaluated over the full stored
+        column and the masks are conjoined.
+        """
+        size = data.row_count if row_ids is None else len(row_ids)
+        mask = np.ones(size, dtype=bool)
+        for predicate in predicates:
+            full_mask = evaluate_filter_mask(data, predicate)
+            mask &= full_mask if row_ids is None else full_mask[row_ids]
+        return np.nonzero(mask)[0]
 
 
 def join_match_positions(
@@ -188,19 +221,21 @@ def join_match_positions(
 # ---------------------------------------------------------------------------
 
 def execute_scan(
-    database: Database,
-    query: BoundQuery,
-    node: ScanNode,
-    buffer_pool: BufferPool,
-) -> tuple[Relation, OperatorMetrics]:
-    """Evaluate a scan node: apply its filters and account for page accesses."""
+    database: Database, node: ScanNode, batch_type: type[Batch]
+) -> tuple[Batch, OperatorMetrics]:
+    """Evaluate a scan node: apply its filters and account for page accesses.
+
+    CPU charges are those of evaluating every filter over every candidate
+    tuple — the simulated scan always reads them all — however few rows
+    ``batch_type.surviving`` actually touches.
+    """
     metrics = OperatorMetrics()
     data = database.table_data(node.table)
     row_count = data.row_count
     metrics.tuples_in = row_count
 
     if row_count == 0:
-        return Relation.from_row_ids(node.alias, np.empty(0, dtype=np.int64)), metrics
+        return batch_type.from_scan(node.alias, np.empty(0, dtype=np.int64)), metrics
 
     driving_filter = None
     if node.index_column is not None:
@@ -212,14 +247,14 @@ def execute_scan(
                 break
 
     if node.scan_type is ScanType.SEQ or driving_filter is None:
-        access = buffer_pool.access_pages(node.table, data.page_count, sequential=True)
+        access = database.buffer_pool.access_pages(node.table, data.page_count, sequential=True)
         metrics.pages_hit += access.hits
         metrics.seq_pages_read += access.misses
-        mask = np.ones(row_count, dtype=bool)
-        for predicate in node.filters:
-            mask &= evaluate_filter_mask(data, predicate)
-            metrics.cpu_ops += row_count
-        row_ids = np.nonzero(mask)[0]
+        if node.filters:
+            row_ids = batch_type.surviving(data, node.filters)
+            metrics.cpu_ops += row_count * len(node.filters)
+        else:
+            row_ids = np.arange(row_count, dtype=np.int64)
     else:
         index = database.index(node.table, node.index_column)
         if index is None:
@@ -228,14 +263,14 @@ def execute_scan(
             )
         lookup = _index_lookup(index, data, driving_filter)
         metrics.index_pages += lookup.index_pages
-        matched = lookup.row_ids
+        row_ids = lookup.row_ids
         # Heap accesses: one page per matched tuple for an index scan (random),
         # page-sorted batched accesses for a bitmap heap scan (sequential-ish).
-        heap_pages = min(matched.size, data.page_count)
+        heap_pages = min(row_ids.size, data.page_count)
         sequential = node.scan_type is ScanType.BITMAP
         if node.scan_type is ScanType.TID:
             heap_pages = min(1, data.page_count)
-        access = buffer_pool.access_fraction(
+        access = database.buffer_pool.access_fraction(
             node.table, data.page_count, heap_pages / max(data.page_count, 1), sequential=sequential
         )
         metrics.pages_hit += access.hits
@@ -243,19 +278,15 @@ def execute_scan(
             metrics.seq_pages_read += access.misses
         else:
             metrics.random_pages_read += access.misses
-        # Remaining filters are applied only to the matched tuples.
-        mask = np.ones(matched.size, dtype=bool)
-        for predicate in node.filters:
-            if predicate is driving_filter:
-                continue
-            full_mask = evaluate_filter_mask(data, predicate)
-            mask &= full_mask[matched]
-            metrics.cpu_ops += matched.size
-        row_ids = matched[mask]
+        # Remaining filters are applied (and charged) only to the matched tuples.
+        remaining = [predicate for predicate in node.filters if predicate is not driving_filter]
+        if remaining:
+            metrics.cpu_ops += int(row_ids.size) * len(remaining)
+            row_ids = row_ids[batch_type.surviving(data, remaining, row_ids)]
 
     metrics.tuples_out = int(row_ids.size)
     metrics.cpu_ops += int(row_ids.size)
-    return Relation.from_row_ids(node.alias, row_ids), metrics
+    return batch_type.from_scan(node.alias, row_ids), metrics
 
 
 def _index_lookup(index, data, predicate):
@@ -319,17 +350,14 @@ def index_nestloop_inner(database: Database, node: JoinNode):
 
 
 def execute_index_nestloop(
-    database: Database,
-    query: BoundQuery,
-    node: JoinNode,
-    left: Relation,
-    buffer_pool: BufferPool,
-) -> tuple[Relation, OperatorMetrics]:
-    """Evaluate a nested loop whose inner side is an index probe into a base table."""
-    resolved = index_nestloop_inner(database, node)
-    if resolved is None:
-        raise ExecutionError("join cannot be executed as an index nested loop")
-    inner_scan, index, column, probe = resolved
+    database: Database, query: BoundQuery, node: JoinNode, left: Batch, inner: tuple
+) -> tuple[Batch, OperatorMetrics]:
+    """Evaluate a nested loop whose inner side is an index probe into a base table.
+
+    ``inner`` is the ``(scan, index, column, probe)`` tuple
+    :func:`index_nestloop_inner` resolved for ``node``.
+    """
+    inner_scan, index, _, probe = inner
     metrics = OperatorMetrics()
     metrics.tuples_in = left.size
 
@@ -337,7 +365,7 @@ def execute_index_nestloop(
     # on ``probe``'s inner column, so probing it with any other predicate's
     # outer values would match unrelated rows.
     outer_alias, outer_column = probe.other(inner_scan.alias)
-    outer_keys = fetch_column(database, query, left, outer_alias, outer_column)
+    outer_keys = left.fetch(database, query, outer_alias, outer_column)
 
     probe_positions, matched_rows, index_pages = index.probe_many(outer_keys)
     metrics.index_pages += index_pages
@@ -351,23 +379,20 @@ def execute_index_nestloop(
     data = database.table_data(inner_scan.table)
     # Heap accesses for the matched inner tuples (random page reads).
     heap_pages = min(int(matched_rows.size), data.page_count)
-    access = buffer_pool.access_fraction(
+    access = database.buffer_pool.access_fraction(
         inner_scan.table, data.page_count, heap_pages / max(data.page_count, 1), sequential=False
     )
     metrics.pages_hit += access.hits
     metrics.random_pages_read += access.misses
 
-    # Apply the inner scan's own filters to the matched tuples.
-    keep = np.ones(matched_rows.size, dtype=bool)
-    for predicate in inner_scan.filters:
-        full_mask = evaluate_filter_mask(data, predicate)
-        keep &= full_mask[matched_rows]
-        metrics.cpu_ops += matched_rows.size
-    probe_positions = probe_positions[keep]
-    matched_rows = matched_rows[keep]
+    # The inner scan's own filters apply (and are charged) to the matched tuples.
+    if inner_scan.filters:
+        metrics.cpu_ops += int(matched_rows.size) * len(inner_scan.filters)
+        keep = left.surviving(data, inner_scan.filters, matched_rows)
+        probe_positions = probe_positions[keep]
+        matched_rows = matched_rows[keep]
 
-    result = _combine(left, Relation.from_row_ids(inner_scan.alias, matched_rows),
-                      probe_positions, np.arange(matched_rows.size, dtype=np.int64))
+    result = left.pair_with_scan(probe_positions, inner_scan.alias, matched_rows)
 
     # Every join predicate except the probe becomes a post-join filter —
     # including a predicate at position 0 that the probe did not enforce, and
@@ -383,63 +408,77 @@ def execute_index_nestloop(
             raise ExecutionError(
                 f"join predicate {predicate} does not connect the joined relations"
             )
-        lvals = fetch_column(database, query, result, predicate.left_alias, predicate.left_column)
-        rvals = fetch_column(database, query, result, predicate.right_alias, predicate.right_column)
-        keep_mask = (lvals == rvals) & (lvals != NULL_SENTINEL)
-        metrics.cpu_ops += result.size
-        result = result.select(np.nonzero(keep_mask)[0])
+        result = _filter_joined(database, query, result, predicate, metrics)
 
     metrics.tuples_out = result.size
     metrics.cpu_ops += result.size
     return result, metrics
 
 
-def execute_join(
-    database: Database,
-    query: BoundQuery,
-    node: JoinNode,
-    left: Relation,
-    right: Relation,
-    buffer_pool: BufferPool,
-    work_mem_bytes: int,
-) -> tuple[Relation, OperatorMetrics]:
-    """Evaluate a join node over already-materialized child relations."""
-    metrics = OperatorMetrics()
-    metrics.tuples_in = left.size + right.size
+def _match_primary(
+    database: Database, query: BoundQuery, node: JoinNode, left: Batch, right: Batch
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matching ``(left, right)`` positions under the node's first predicate.
 
-    if not node.predicates:
-        result = _cross_product(left, right)
-        metrics.cpu_ops += max(left.size * right.size, 1)
-        metrics.tuples_out = result.size
-        return result, metrics
-
-    primary = node.predicates[0]
-    left_alias, left_column, right_alias, right_column = _orient_predicate(primary, left, right)
-
-    left_values = fetch_column(database, query, left, left_alias, left_column)
-    right_values = fetch_column(database, query, right, right_alias, right_column)
-
+    SQL semantics: NULL never equals NULL.  Both sides of a join can carry
+    NULLs (nullable foreign keys, NULL-extended tuples of an earlier outer
+    join), and the sentinel encoding would otherwise happily match them
+    against each other.
+    """
+    left_alias, left_column, right_alias, right_column = _orient_predicate(
+        node.predicates[0], left, right
+    )
+    left_values = left.fetch(database, query, left_alias, left_column)
+    right_values = right.fetch(database, query, right_alias, right_column)
     left_pos, right_pos = join_match_positions(left_values, right_values)
-    # SQL semantics: NULL never equals NULL.  Both sides of a join can carry
-    # NULLs (nullable foreign keys), and the sentinel encoding would otherwise
-    # happily match them against each other.
     if left_pos.size:
         not_null = left_values[left_pos] != NULL_SENTINEL
         left_pos = left_pos[not_null]
         right_pos = right_pos[not_null]
+    return left_pos, right_pos
 
+
+def _filter_joined(
+    database: Database,
+    query: BoundQuery,
+    result: Batch,
+    predicate: JoinPredicate,
+    metrics: OperatorMetrics,
+) -> Batch:
+    """Keep the tuples of a joined ``result`` satisfying one more equi-predicate."""
+    lvals = result.fetch(database, query, predicate.left_alias, predicate.left_column)
+    rvals = result.fetch(database, query, predicate.right_alias, predicate.right_column)
+    keep = (lvals == rvals) & (lvals != NULL_SENTINEL)
+    metrics.cpu_ops += result.size
+    return result.select(np.nonzero(keep)[0])
+
+
+def execute_join(
+    database: Database,
+    query: BoundQuery,
+    node: JoinNode,
+    left: Batch,
+    right: Batch,
+    work_mem_bytes: int,
+) -> tuple[Batch, OperatorMetrics]:
+    """Evaluate an inner join node over already-evaluated children."""
+    metrics = OperatorMetrics()
+    metrics.tuples_in = left.size + right.size
+
+    if not node.predicates:
+        result = left.pair(right, *cross_product_positions(left.size, right.size))
+        metrics.cpu_ops += max(left.size * right.size, 1)
+        metrics.tuples_out = result.size
+        return result, metrics
+
+    left_pos, right_pos = _match_primary(database, query, node, left, right)
     charge_join_type(database, node, left.size, right.size, work_mem_bytes, metrics)
-
-    result = _combine(left, right, left_pos, right_pos)
+    result = left.pair(right, left_pos, right_pos)
 
     # Additional predicates between the same two sides are applied as filters.
     for predicate in node.predicates[1:]:
-        la, lc, ra, rc = _orient_predicate(predicate, left, right)
-        lvals = fetch_column(database, query, result, la, lc)
-        rvals = fetch_column(database, query, result, ra, rc)
-        keep = (lvals == rvals) & (lvals != NULL_SENTINEL)
-        metrics.cpu_ops += result.size
-        result = result.select(np.nonzero(keep)[0])
+        _orient_predicate(predicate, left, right)  # must connect the two inputs
+        result = _filter_joined(database, query, result, predicate, metrics)
 
     metrics.tuples_out = result.size
     metrics.cpu_ops += result.size
@@ -477,12 +516,11 @@ def execute_outer_join(
     database: Database,
     query: BoundQuery,
     node: JoinNode,
-    left: Relation,
-    right: Relation,
-    buffer_pool: BufferPool,
+    left: Batch,
+    right: Batch,
     work_mem_bytes: int,
-) -> tuple[Relation, OperatorMetrics]:
-    """Evaluate a LEFT or FULL outer join over materialized child relations.
+) -> tuple[Batch, OperatorMetrics]:
+    """Evaluate a LEFT or FULL outer join over already-evaluated children.
 
     Matching is identical to the inner join (NULL keys never match), but all
     secondary ON predicates are applied positionally *before* NULL extension
@@ -495,24 +533,12 @@ def execute_outer_join(
     if not node.predicates:
         raise ExecutionError("outer join requires at least one join predicate")
 
-    primary = node.predicates[0]
-    left_alias, left_column, right_alias, right_column = _orient_predicate(primary, left, right)
-
-    left_values = fetch_column(database, query, left, left_alias, left_column)
-    right_values = fetch_column(database, query, right, right_alias, right_column)
-
-    left_pos, right_pos = join_match_positions(left_values, right_values)
-    # NULL never equals NULL — and a NULL-extended left tuple from an earlier
-    # outer fold carries sentinel keys, so it simply re-extends here.
-    if left_pos.size:
-        not_null = left_values[left_pos] != NULL_SENTINEL
-        left_pos = left_pos[not_null]
-        right_pos = right_pos[not_null]
+    left_pos, right_pos = _match_primary(database, query, node, left, right)
 
     for predicate in node.predicates[1:]:
         la, lc, ra, rc = _orient_predicate(predicate, left, right)
-        lvals = fetch_column(database, query, left, la, lc)[left_pos]
-        rvals = fetch_column(database, query, right, ra, rc)[right_pos]
+        lvals = left.fetch(database, query, la, lc)[left_pos]
+        rvals = right.fetch(database, query, ra, rc)[right_pos]
         keep = (lvals == rvals) & (lvals != NULL_SENTINEL)
         metrics.cpu_ops += int(left_pos.size)
         left_pos = left_pos[keep]
@@ -523,7 +549,7 @@ def execute_outer_join(
     left_pos, right_pos = null_extend_positions(
         node.join_kind, left.size, right.size, left_pos, right_pos
     )
-    result = _combine(left, right, left_pos, right_pos)
+    result = left.pair(right, left_pos, right_pos)
 
     metrics.tuples_out = result.size
     metrics.cpu_ops += result.size
@@ -575,7 +601,7 @@ def charge_join_type(
 
 
 def _orient_predicate(
-    predicate: JoinPredicate, left: Relation, right: Relation
+    predicate: JoinPredicate, left: Batch, right: Batch
 ) -> tuple[str, str, str, str]:
     """Return (left_alias, left_column, right_alias, right_column) oriented to the inputs."""
     if predicate.left_alias in left.aliases and predicate.right_alias in right.aliases:
@@ -593,17 +619,6 @@ def _orient_predicate(
             predicate.left_column,
         )
     raise ExecutionError(f"join predicate {predicate} does not connect the two inputs")
-
-
-def _combine(
-    left: Relation, right: Relation, left_pos: np.ndarray, right_pos: np.ndarray
-) -> Relation:
-    rows: dict[str, np.ndarray] = {}
-    for alias, ids in left.rows.items():
-        rows[alias] = take_rows(ids, left_pos)
-    for alias, ids in right.rows.items():
-        rows[alias] = take_rows(ids, right_pos)
-    return Relation(rows=rows)
 
 
 #: Safety cap on materialized cross-product size (tuples).  Plans that exceed
@@ -626,8 +641,3 @@ def cross_product_positions(left_size: int, right_size: int) -> tuple[np.ndarray
     left_pos = np.repeat(np.arange(left_size, dtype=np.int64), right_size)
     right_pos = np.tile(np.arange(right_size, dtype=np.int64), left_size)
     return left_pos, right_pos
-
-
-def _cross_product(left: Relation, right: Relation) -> Relation:
-    left_pos, right_pos = cross_product_positions(left.size, right.size)
-    return _combine(left, right, left_pos, right_pos)

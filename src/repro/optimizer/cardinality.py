@@ -223,7 +223,7 @@ class CardinalityEstimator:
             return 0
         mask = np.ones(data.row_count, dtype=bool)
         for predicate in query.filters_for(alias):
-            mask &= _evaluate_filter_mask(data, predicate)
+            mask &= evaluate_filter_mask(data, predicate)
         return int(mask.sum())
 
     def estimation_error(self, query: BoundQuery, alias: str) -> float:
@@ -233,7 +233,7 @@ class CardinalityEstimator:
         return max(estimated / true, true / estimated)
 
 
-def _evaluate_filter_mask(
+def evaluate_filter_mask(
     data, predicate: FilterPredicate, column: np.ndarray | None = None
 ) -> np.ndarray:
     """Boolean mask of rows satisfying one filter (shared with the executor).

@@ -418,6 +418,11 @@ class TestEngineSelection:
         assert create_engine(db).kind == "columnar"
         assert row.kind == "row"
 
+    def test_columnar_engine_is_the_row_engine_on_another_representation(self):
+        """Charge parity by construction: no operator or plan-walk override to drift."""
+        defined = {name for name in vars(ColumnarExecutionEngine) if not name.startswith("__")}
+        assert defined == {"kind", "batch_type"}
+
     def test_create_engine_rejects_unknown_kind(self):
         db = _tiny_database()
         with pytest.raises(ExecutionError, match="unknown engine kind"):

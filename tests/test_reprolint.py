@@ -4,8 +4,7 @@ Each rule family gets a bad fixture (every violation caught, at the right
 rule id) and a good fixture (zero false positives on the idioms the codebase
 actually uses).  On top of the snippets, two anchor tests pin the linter to
 the live tree: ``src/`` must lint clean with the project config, and a copy
-of the real columnar engine with one buffer-pool charge removed must fail
-PAR — the acceptance contract of the rule.
+of the real ``netqueue.py`` with an unverified unpickle added must fail SEC.
 """
 
 import json
@@ -19,7 +18,6 @@ if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
 from tools.reprolint import LintConfig, default_config, lint_paths  # noqa: E402
-from tools.reprolint.config import ParityPair  # noqa: E402
 from tools.reprolint.engine import lint_file  # noqa: E402
 from tools.reprolint.findings import RULE_CATALOG  # noqa: E402
 
@@ -119,89 +117,9 @@ class TestConcRules:
         assert lint_file(FIXTURES / "conc_good.py", self.CONFIG) == []
 
 
-class TestParRules:
-    def par_config(self, columnar_name: str) -> LintConfig:
-        return LintConfig(
-            par_row_module="*/reprolint_fixtures/par_row.py",
-            par_columnar_module=f"*/reprolint_fixtures/{columnar_name}",
-            par_pairs=(
-                ParityPair("scan", "execute_scan", "columnar_scan"),
-                ParityPair("join", "execute_join", "columnar_join"),
-            ),
-        )
-
-    def lint_pair(self, columnar_name: str):
-        files = [FIXTURES / "par_row.py", FIXTURES / columnar_name]
-        return lint_paths(files, self.par_config(columnar_name))
-
-    def test_mirrored_pair_is_clean(self):
-        assert self.lint_pair("par_col_ok.py") == []
-
-    def test_removed_charge_and_drifted_arguments_both_fail(self):
-        findings = self.lint_pair("par_col_deparified.py")
-        assert rules_of(findings) == ["PAR301", "PAR301"]
-        by_op = {finding.message.split("'")[1]: finding.message for finding in findings}
-        assert "missing charge" in by_op["scan"]  # dropped access_fraction
-        assert "access_fraction" in by_op["scan"]
-        assert "charge_join_type" in by_op["join"]  # swapped argument order
-        assert "right_size, left_size" in by_op["join"]
-
-    def test_renamed_operator_fails_par302(self):
-        findings = self.lint_pair("par_col_missing.py")
-        assert "PAR302" in rules_of(findings)
-        assert any("columnar_scan" in finding.message for finding in findings)
-
-    def outer_par_config(self, columnar_name: str) -> LintConfig:
-        """The fixture config extended with the outer-join operator pair."""
-        base = self.par_config(columnar_name)
-        return LintConfig(
-            par_row_module=base.par_row_module,
-            par_columnar_module=base.par_columnar_module,
-            par_pairs=base.par_pairs
-            + (ParityPair("outer_join", "execute_outer_join", "columnar_outer_join"),),
-        )
-
-    def test_outer_join_pair_is_clean_when_mirrored(self):
-        files = [FIXTURES / "par_row.py", FIXTURES / "par_col_ok.py"]
-        assert lint_paths(files, self.outer_par_config("par_col_ok.py")) == []
-
-    def test_outer_join_charge_divergence_fails_par301(self):
-        """Swapping the charge's operand sizes in the outer join alone trips PAR."""
-        files = [FIXTURES / "par_row.py", FIXTURES / "par_col_outer_bad.py"]
-        findings = lint_paths(files, self.outer_par_config("par_col_outer_bad.py"))
-        assert rules_of(findings) == ["PAR301"]
-        assert "outer_join" in findings[0].message
-        assert "charge_join_type" in findings[0].message
-        # Without the outer pair configured, the same drifted fixture passes —
-        # the divergence lives only in the newly paired operator.
-        assert lint_paths(files, self.par_config("par_col_outer_bad.py")) == []
-
-    def test_half_missing_engine_pair_is_reported(self):
-        config = self.par_config("par_col_ok.py")
-        findings = lint_paths([FIXTURES / "par_row.py"], config)
-        assert rules_of(findings) == ["PAR302"]
-        assert "incomplete" in findings[0].message
-
-
 class TestLiveCodebase:
     def test_src_is_clean_under_the_project_config(self):
         assert lint_paths([REPO_ROOT / "src"], default_config()) == []
-
-    def test_removing_a_buffer_pool_charge_from_one_engine_fails_par(self, tmp_path):
-        """The acceptance contract: de-parify the real columnar engine, PAR trips."""
-        executor = tmp_path / "repro" / "executor"
-        executor.mkdir(parents=True)
-        shutil.copy(REPO_ROOT / "src" / "repro" / "executor" / "operators.py", executor)
-        columnar = (REPO_ROOT / "src" / "repro" / "executor" / "columnar.py").read_text()
-        needle = "access = buffer_pool.access_pages(node.table, data.page_count, sequential=True)"
-        assert needle in columnar, "columnar scan charge moved; update this test"
-        (executor / "columnar.py").write_text(
-            columnar.replace(needle, "access = _no_charge()", 1), encoding="utf-8"
-        )
-        findings = lint_paths([tmp_path], default_config())
-        assert "PAR301" in rules_of(findings)
-        par = next(finding for finding in findings if finding.rule == "PAR301")
-        assert "scan" in par.message and "access_pages" in par.message
 
     def test_unverified_network_unpickle_fails_sec(self, tmp_path):
         """A new pickle.loads dropped into netqueue.py fails SEC201 and SEC202."""

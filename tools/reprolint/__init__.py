@@ -1,12 +1,11 @@
 """reprolint: AST-based invariant linter for the reproduction.
 
 The runtime test suite proves the headline guarantees — byte-identical
-results across serial/parallel/distributed sweeps and across the row and
-columnar engines, HMAC verification *before* ``pickle.loads`` on network
-bytes, deterministic seeded replay — but only for the code paths a test
-happens to execute.  ``reprolint`` re-states four of those guarantees as
-compile-time rules over the source itself, so a regression fails ``make
-lint`` (and the CI lint job) before any test runs:
+results across serial/parallel/distributed sweeps, HMAC verification *before*
+``pickle.loads`` on network bytes, deterministic seeded replay — but only for
+the code paths a test happens to execute.  ``reprolint`` re-states three of
+those guarantees as compile-time rules over the source itself, so a
+regression fails ``make lint`` (and the CI lint job) before any test runs:
 
 * **DET** — no wall-clock or unseeded randomness in deterministic paths
   (:mod:`tools.reprolint.det`).
@@ -15,8 +14,6 @@ lint`` (and the CI lint job) before any test runs:
   (:mod:`tools.reprolint.sec`).
 * **CONC** — lock-owning classes mutate shared ``self._*`` state only under
   their lock (:mod:`tools.reprolint.conc`).
-* **PAR** — the row and columnar engines issue identical buffer-pool charge
-  calls in identical order (:mod:`tools.reprolint.par`).
 
 Run it as ``python -m tools.reprolint src`` (see :mod:`tools.reprolint.cli`
 for ``--json`` and the exit-code contract).  Rule catalog, the invariant each

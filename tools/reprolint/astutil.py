@@ -53,17 +53,6 @@ def qualname_of(node: ast.AST) -> str:
     return ".".join(reversed(parts))
 
 
-def calls_in_order(tree: ast.AST) -> list[ast.Call]:
-    """Every ``ast.Call`` under ``tree`` in source order.
-
-    ``ast.walk`` is breadth-first; rules that care about call *sequence*
-    (PAR) need position order instead.
-    """
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
-    calls.sort(key=lambda call: (call.lineno, call.col_offset))
-    return calls
-
-
 def statements_before_on_path(node: ast.AST) -> list[ast.stmt]:
     """Statements that execute before ``node`` on every structured path.
 

@@ -22,8 +22,8 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
         prog="python -m tools.reprolint",
-        description="AST-based invariant linter: determinism, pickle-taint, "
-        "lock-guard and engine-parity rules (docs/STATIC_ANALYSIS.md).",
+        description="AST-based invariant linter: determinism, pickle-taint "
+        "and lock-guard rules (docs/STATIC_ANALYSIS.md).",
     )
     parser.add_argument(
         "paths",

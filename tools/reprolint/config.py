@@ -10,7 +10,7 @@ out).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -19,15 +19,6 @@ def path_matches(path: Path | str, patterns: tuple[str, ...]) -> bool:
     """Whether ``path`` (any absolute/relative spelling) matches a pattern."""
     posix = Path(path).as_posix()
     return any(fnmatch(posix, pattern) for pattern in patterns)
-
-
-@dataclass(frozen=True)
-class ParityPair:
-    """One operator implemented by both engines, paired for the PAR rule."""
-
-    operator: str
-    row_function: str
-    columnar_function: str
 
 
 @dataclass(frozen=True)
@@ -45,15 +36,6 @@ class LintConfig:
     sec_verified_paths: tuple[str, ...] = ()
     #: CONC: modules whose lock-owning classes are audited.
     conc_paths: tuple[str, ...] = ()
-    #: PAR: the two engine modules (path patterns locating them among the
-    #: scanned files) and the operator pairs extracted from each.
-    par_row_module: str | None = None
-    par_columnar_module: str | None = None
-    par_pairs: tuple[ParityPair, ...] = ()
-    #: PAR: the buffer-pool charge calls whose sequence must match.
-    par_charge_calls: frozenset[str] = frozenset(
-        {"access_pages", "access_fraction", "charge_join_type"}
-    )
     #: Directories never descended into.
     skip_dirs: frozenset[str] = frozenset({"__pycache__", ".git", ".venv", "node_modules"})
     #: Files skipped entirely (fixtures shipped inside the tool's own tests).
@@ -75,18 +57,6 @@ def _entry_matches(
     return any(fnmatch(posix, pattern) and qualname == name for pattern, name in entries)
 
 
-@dataclass
-class ParitySpec:
-    """Resolved PAR inputs: the two module files plus the pair list."""
-
-    row_path: Path
-    columnar_path: Path
-    pairs: tuple[ParityPair, ...]
-    charge_calls: frozenset[str] = field(
-        default_factory=lambda: frozenset({"access_pages", "access_fraction", "charge_join_type"})
-    )
-
-
 def default_config() -> LintConfig:
     """The project configuration: the invariants this repository documents.
 
@@ -101,9 +71,6 @@ def default_config() -> LintConfig:
       HMAC-verifies before unpickling — enforced structurally by SEC202).
     * CONC audits the whole runtime package; the lock-owning classes today
       are ``QueueServer``, ``SweepProgress`` and ``PlanCache``.
-    * PAR pairs the four operators of ``executor/operators.py`` with their
-      ``executor/columnar.py`` counterparts, pinning the "identical calls in
-      identical order" oracle contract from ``docs/EXECUTOR.md``.
     """
     return LintConfig(
         det_paths=(
@@ -129,13 +96,5 @@ def default_config() -> LintConfig:
         ),
         sec_verified_paths=("*/repro/runtime/netqueue.py",),
         conc_paths=("*/repro/runtime/*.py",),
-        par_row_module="*/repro/executor/operators.py",
-        par_columnar_module="*/repro/executor/columnar.py",
-        par_pairs=(
-            ParityPair("scan", "execute_scan", "columnar_scan"),
-            ParityPair("join", "execute_join", "columnar_join"),
-            ParityPair("index_nestloop", "execute_index_nestloop", "columnar_index_nestloop"),
-            ParityPair("outer_join", "execute_outer_join", "columnar_outer_join"),
-        ),
         skip_paths=("*/tests/reprolint_fixtures/*",),
     )

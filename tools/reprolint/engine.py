@@ -1,11 +1,10 @@
 """The lint driver: file discovery, rule dispatch, suppressions.
 
 ``lint_paths`` walks the given files/directories, parses each ``*.py`` once,
-attaches parent links, runs the per-file rule families (DET, SEC, CONC),
-then resolves and runs the cross-module PAR check.  Per-line suppressions —
-``# reprolint: disable=RULE[,RULE...]`` with a rule id, a family (``DET``)
-or ``all`` — are honoured last, so a suppressed line still costs the
-analysis but never the build.
+attaches parent links and runs the per-file rule families (DET, SEC, CONC).
+Per-line suppressions — ``# reprolint: disable=RULE[,RULE...]`` with a rule
+id, a family (``DET``) or ``all`` — are honoured last, so a suppressed line
+still costs the analysis but never the build.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ import ast
 import re
 from pathlib import Path
 
-from tools.reprolint import conc, det, par, sec
+from tools.reprolint import conc, det, sec
 from tools.reprolint.astutil import attach_parents
-from tools.reprolint.config import LintConfig, ParitySpec, path_matches
+from tools.reprolint.config import LintConfig, path_matches
 from tools.reprolint.findings import Finding
 
 #: ``# reprolint: disable=DET101,SEC`` (case-sensitive ids, spaces tolerated).
@@ -75,39 +74,6 @@ def lint_file(path: Path, config: LintConfig) -> list[Finding]:
     return [finding for finding in findings if not is_suppressed(finding, suppressions)]
 
 
-def resolve_parity_spec(files: list[Path], config: LintConfig) -> ParitySpec | list[Finding] | None:
-    """Locate the configured engine pair among the scanned files.
-
-    Returns a :class:`ParitySpec` when both modules are present, a PAR302
-    finding list when exactly one is (an engine module vanished), and
-    ``None`` when neither is in scope (e.g. linting an unrelated subtree).
-    """
-    if config.par_row_module is None or config.par_columnar_module is None or not config.par_pairs:
-        return None
-    row = [path for path in files if path_matches(path, (config.par_row_module,))]
-    col = [path for path in files if path_matches(path, (config.par_columnar_module,))]
-    if not row and not col:
-        return None
-    if not row or not col:
-        present = (row or col)[0]
-        missing = config.par_row_module if not row else config.par_columnar_module
-        return [
-            Finding(
-                str(present),
-                1,
-                0,
-                "PAR302",
-                f"engine pair incomplete: no scanned file matches {missing!r}",
-            )
-        ]
-    return ParitySpec(
-        row_path=row[0],
-        columnar_path=col[0],
-        pairs=config.par_pairs,
-        charge_calls=config.par_charge_calls,
-    )
-
-
 def lint_paths(paths: list[Path | str], config: LintConfig | None = None) -> list[Finding]:
     """Lint files/directories; returns every unsuppressed finding, sorted."""
     from tools.reprolint.config import default_config
@@ -117,19 +83,4 @@ def lint_paths(paths: list[Path | str], config: LintConfig | None = None) -> lis
     findings: list[Finding] = []
     for path in files:
         findings.extend(lint_file(path, config))
-    parity = resolve_parity_spec(files, config)
-    if isinstance(parity, ParitySpec):
-        parity_findings = par.check_parity(parity)
-        suppressions = {
-            str(module): line_suppressions(module.read_text(encoding="utf-8"))
-            for module in (parity.row_path, parity.columnar_path)
-            if module.exists()
-        }
-        findings.extend(
-            finding
-            for finding in parity_findings
-            if not is_suppressed(finding, suppressions.get(finding.path, {}))
-        )
-    elif isinstance(parity, list):
-        findings.extend(parity)
     return sorted(findings, key=Finding.sort_key)

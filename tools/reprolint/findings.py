@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: Rule id -> one-line description.  The first three characters of an id are
-#: its family (DET/SEC/CONC/PAR); ``E999`` is the parse-failure pseudo-rule.
+#: its family (DET/SEC/CONC); ``E999`` is the parse-failure pseudo-rule.
 RULE_CATALOG: dict[str, str] = {
     "DET101": "wall-clock read (time.time/time.time_ns) in a deterministic path",
     "DET102": "calendar-clock read (datetime.now/utcnow/today, date.today) in a deterministic path",
@@ -22,13 +22,8 @@ RULE_CATALOG: dict[str, str] = {
     "SEC202": "network-reachable pickle.loads not dominated by a signature-verify gate in the same function",
     "CONC401": "lock-owning class mutates a shared self._* attribute outside 'with self._lock'",
     "CONC402": "lock-owning class reads a mutated self._* attribute outside 'with self._lock'",
-    "PAR301": "row/columnar engine buffer-pool charge sequences diverge for a paired operator",
-    "PAR302": "operator function missing from one side of a row/columnar engine pair",
     "E999": "file could not be parsed",
 }
-
-#: Rule families recognised by ``# reprolint: disable=<FAMILY>``.
-FAMILIES = ("DET", "SEC", "CONC", "PAR")
 
 
 @dataclass(frozen=True)
