@@ -26,6 +26,10 @@
 #   make fuzz-engines      - 1000 seeded random queries through the row
 #                            engine, the columnar engine and a brute-force
 #                            oracle; failing queries land in FUZZ_CORPUS
+#   make golden-plans      - re-record tests/golden/plan_digests.json (sha256 of
+#                            every pickled JOB/ext-JOB/STACK/random plan under
+#                            each hint/config variant); only for a change that
+#                            alters plans on purpose
 #   make perfbench         - the repo's layered benchmark (BENCHMARK.json):
 #                            every workload, end-to-end + per-layer metrics,
 #                            written under .perfbench_out/ (perfbench/README.md)
@@ -64,7 +68,7 @@ FUZZ_CORPUS ?= $(shell mktemp -d /tmp/repro-fuzz-corpus.XXXXXX)
 # value only needs to match between coordinator and workers).
 REPRO_QUEUE_SECRET ?= local-bench-secret
 
-.PHONY: test lint typecheck docs-check bench-smoke bench-parallel bench-distributed bench-distributed-tcp bench-progress bench-executor bench-plan-serving fuzz-engines perfbench perfbench-compare bench example
+.PHONY: test lint typecheck docs-check bench-smoke bench-parallel bench-distributed bench-distributed-tcp bench-progress bench-executor bench-plan-serving fuzz-engines golden-plans perfbench perfbench-compare bench example
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -118,6 +122,9 @@ bench-plan-serving:
 fuzz-engines:
 	REPRO_FUZZ_COUNT=1000 REPRO_FUZZ_CORPUS=$(FUZZ_CORPUS) \
 	$(PYTHON) -m pytest tests/test_fuzz_engines.py -q
+
+golden-plans:
+	$(PYTHON) tools/record_plan_digests.py
 
 perfbench:
 	$(PYTHON) -m perfbench run

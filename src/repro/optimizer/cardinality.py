@@ -35,8 +35,6 @@ class CardinalityEstimator:
 
     def __init__(self, database: Database) -> None:
         self._db = database
-        # Cache keyed by (query name or id, frozenset of aliases).
-        self._subset_cache: dict[tuple[int, frozenset[str]], float] = {}
 
     # ------------------------------------------------------------------ helpers
     def _stats_for(self, query: BoundQuery, alias: str, column: str) -> ColumnStatistics | None:
@@ -158,28 +156,32 @@ class CardinalityEstimator:
         left_rows: float,
         right_rows: float,
         predicates: Iterable[JoinPredicate],
+        selectivities: dict[JoinPredicate, float] | None = None,
     ) -> float:
-        """Estimated output rows of joining two inputs over ``predicates``."""
+        """Estimated output rows of joining two inputs over ``predicates``.
+
+        ``selectivities`` memoises :meth:`join_selectivity` per predicate; it
+        must not outlive the planning call that owns it (statistics change).
+        """
+        if selectivities is None:
+            selectivities = {}
         rows = max(left_rows, MIN_ROWS) * max(right_rows, MIN_ROWS)
         for predicate in predicates:
-            rows *= self.join_selectivity(query, predicate)
+            selectivity = selectivities.get(predicate)
+            if selectivity is None:
+                selectivity = selectivities[predicate] = self.join_selectivity(query, predicate)
+            rows *= selectivity
         return max(rows, MIN_ROWS)
 
-    def outer_join_rows(
-        self,
-        query: BoundQuery,
-        join_kind: str,
-        left_rows: float,
-        right_rows: float,
-        predicates: Iterable[JoinPredicate],
-    ) -> float:
+    @staticmethod
+    def outer_join_rows(join_kind: str, left_rows: float, right_rows: float, inner: float) -> float:
         """Estimated output rows of a LEFT or FULL outer join.
 
-        The inner-match estimate is extended by the unmatched probe rows
-        (both sides for FULL), mirroring PostgreSQL's calc_joinrel_size
-        lower bounds: a LEFT join emits at least ``left_rows`` rows.
+        The inner-match estimate ``inner`` (:meth:`join_rows`) is extended by
+        the unmatched probe rows (both sides for FULL), mirroring PostgreSQL's
+        calc_joinrel_size lower bounds: a LEFT join emits at least
+        ``left_rows`` rows.
         """
-        inner = self.join_rows(query, left_rows, right_rows, predicates)
         rows = inner + max(left_rows - inner, 0.0)
         if join_kind == "full":
             rows += max(right_rows - inner, 0.0)
@@ -195,20 +197,16 @@ class CardinalityEstimator:
         alias_set = frozenset(aliases)
         if not alias_set:
             return 0.0
-        key = (id(query), alias_set)
-        cached = self._subset_cache.get(key)
-        if cached is not None:
-            return cached
         rows = 1.0
-        for alias in alias_set:
-            rows *= self.base_rows(query, alias)
+        # FROM-list order, so the product does not depend on set iteration order.
+        for alias in query.aliases:
+            if alias in alias_set:
+                rows *= self.base_rows(query, alias)
         for predicate in query.joins:
             a, b = predicate.aliases()
             if a in alias_set and b in alias_set:
                 rows *= self.join_selectivity(query, predicate)
-        rows = max(rows, MIN_ROWS)
-        self._subset_cache[key] = rows
-        return rows
+        return max(rows, MIN_ROWS)
 
     # ------------------------------------------------------------------- truth
     def true_base_rows(self, query: BoundQuery, alias: str) -> int:

@@ -10,8 +10,8 @@ costs, sort costs and a work_mem spill penalty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from repro.config import PAGE_SIZE_BYTES, PostgresConfig
 from repro.errors import HintError, OptimizerError
@@ -23,6 +23,8 @@ from repro.storage.database import Database
 
 #: Deterministic ordering of join types for tie-breaking.
 JOIN_TYPE_ORDER: tuple[JoinType, ...] = (JoinType.HASH, JoinType.MERGE, JoinType.NESTED_LOOP)
+#: FULL joins have no nested-loop implementation (as in PostgreSQL).
+_FULL_JOIN_TYPES: tuple[JoinType, ...] = (JoinType.HASH, JoinType.MERGE)
 
 #: Deterministic ordering of scan types for tie-breaking.
 SCAN_TYPE_ORDER: tuple[ScanType, ...] = (
@@ -31,6 +33,7 @@ SCAN_TYPE_ORDER: tuple[ScanType, ...] = (
     ScanType.BITMAP,
     ScanType.TID,
 )
+_SCAN_RANK = {scan_type: rank for rank, scan_type in enumerate(SCAN_TYPE_ORDER)}
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,34 @@ class OperatorEnables:
         return allowed
 
 
+@dataclass
+class PlanningContext:
+    """What one planning call works out once instead of once per candidate.
+
+    Valid for one ``(query, hints)`` pair and the statistics of the moment:
+    ``BoundQuery`` is mutable, ``ANALYZE`` changes statistics and one
+    ``CostModel`` serves concurrent planner threads, so a context is a local
+    of the call that created it (:meth:`CostModel.planning_context`) and is
+    never stored on anything shared.
+    """
+
+    enables: OperatorEnables
+    #: Join types costed when no hint forces one, in :data:`JOIN_TYPE_ORDER`.
+    join_types: tuple[JoinType, ...]
+    #: Cheapest scan per alias.
+    scans: dict[str, ScanNode] = field(default_factory=dict)
+    #: Memo of ``CardinalityEstimator.join_rows``.
+    join_selectivity: dict[JoinPredicate, float] = field(default_factory=dict)
+    #: Tuple width in bytes per alias set.
+    row_width: dict[frozenset[str], float] = field(default_factory=dict)
+
+
 class CostModel:
-    """Estimates the cost of scans, joins and whole plans."""
+    """Estimates the cost of scans, joins and whole plans.
+
+    The planning methods take an optional trailing :class:`PlanningContext`;
+    without one they create a context of their own and run the same code.
+    """
 
     def __init__(
         self,
@@ -99,6 +128,11 @@ class CostModel:
             mergejoin=pick(toggles.mergejoin, cfg.enable_mergejoin),
         )
 
+    def planning_context(self, hints: HintSet = NO_HINTS) -> PlanningContext:
+        """A fresh context for one planning call under ``hints``."""
+        enables = self.resolve_enables(hints)
+        return PlanningContext(enables, tuple(enables.allowed_join_types()) or JOIN_TYPE_ORDER)
+
     # -------------------------------------------------------------------- scans
     def _table_geometry(self, query: BoundQuery, alias: str) -> tuple[float, float]:
         """(row_count, page_count) of the base relation behind ``alias``."""
@@ -124,10 +158,10 @@ class CostModel:
         return best, best_sel
 
     def candidate_scans(
-        self, query: BoundQuery, alias: str, hints: HintSet = NO_HINTS
+        self, query: BoundQuery, alias: str, hints: HintSet = NO_HINTS, context: PlanningContext | None = None
     ) -> list[ScanNode]:
         """All allowed scan alternatives for one alias, with estimates attached."""
-        enables = self.resolve_enables(hints)
+        enables = (context or self.planning_context(hints)).enables
         forced = hints.scan_method_for(alias)
         table = query.table_of(alias)
         filters = tuple(query.filters_for(alias))
@@ -141,14 +175,9 @@ class CostModel:
         candidates: list[ScanNode] = []
 
         def add(scan_type: ScanType, cost: float, index_column: str | None = None) -> None:
-            node = ScanNode(
-                alias=alias,
-                table=table,
-                scan_type=scan_type,
-                filters=filters,
-                index_column=index_column,
-            ).with_estimates(out_rows, cost)
-            candidates.append(node)  # type: ignore[arg-type]
+            candidates.append(
+                ScanNode(float(out_rows), float(cost), alias, table, scan_type, filters, index_column)
+            )
 
         # Sequential scan: always considered (PostgreSQL keeps it as fallback,
         # `enable_seqscan=off` only disables it via a cost penalty).
@@ -209,18 +238,33 @@ class CostModel:
             add(ScanType.SEQ, seq_cost)
         return candidates
 
-    def best_scan(self, query: BoundQuery, alias: str, hints: HintSet = NO_HINTS) -> ScanNode:
+    def best_scan(
+        self, query: BoundQuery, alias: str, hints: HintSet = NO_HINTS, context: PlanningContext | None = None
+    ) -> ScanNode:
         """Cheapest allowed scan for an alias (honouring forced scan methods)."""
-        candidates = self.candidate_scans(query, alias, hints)
-        order = {stype: i for i, stype in enumerate(SCAN_TYPE_ORDER)}
-        return min(candidates, key=lambda n: (n.estimated_cost, order[n.scan_type]))
+        if context is None:
+            context = self.planning_context(hints)
+        scan = context.scans.get(alias)
+        if scan is None:
+            scan = context.scans[alias] = min(
+                self.candidate_scans(query, alias, hints, context),
+                key=lambda n: (n.estimated_cost, _SCAN_RANK[n.scan_type]),
+            )
+        elif scan.alias is not alias:
+            # ``str`` identity is part of a plan's pickle (one object is
+            # written once) and GEQO's aliases have two origins: keep the caller's.
+            scan = replace(scan, alias=alias)
+        return scan
 
     # --------------------------------------------------------------------- joins
-    def _row_width(self, aliases: Iterable[str], query: BoundQuery) -> float:
-        width = 0.0
-        for alias in aliases:
-            width += self._db.schema.table(query.table_of(alias)).row_width_bytes
-        return max(width, 8.0)
+    def _row_width(self, aliases: frozenset[str], query: BoundQuery, context: PlanningContext) -> float:
+        width = context.row_width.get(aliases)
+        if width is None:
+            width = 0.0
+            for alias in aliases:
+                width += self._db.schema.table(query.table_of(alias)).row_width_bytes
+            width = context.row_width[aliases] = max(width, 8.0)
+        return width
 
     def _inner_index(self, query: BoundQuery, plan: PlanNode, predicates: Sequence[JoinPredicate]):
         """Index usable for an index nested-loop into ``plan`` (a base scan), if any."""
@@ -234,83 +278,88 @@ class CostModel:
                     return index, column
         return None, None
 
-    def join_cost(
-        self,
-        query: BoundQuery,
-        join_type: JoinType,
-        left: PlanNode,
-        right: PlanNode,
-        predicates: Sequence[JoinPredicate],
-    ) -> float:
-        """Total cost (including input costs) of joining ``left`` and ``right``."""
+    def _cheapest_join(
+        self, query: BoundQuery, join_types: Sequence[JoinType], left: PlanNode, right: PlanNode,
+        predicates: Sequence[JoinPredicate], join_kind: JoinKind, context: PlanningContext,
+    ) -> tuple[JoinType, tuple[float, float]]:
+        """``(join type, (output rows, total cost))`` of the cheapest of ``join_types``.
+
+        Costs include the input costs.  All types share one ``join_rows``
+        estimate; ``join_types`` must be in :data:`JOIN_TYPE_ORDER`, so that
+        on a cost tie the earlier type wins.  For LEFT/FULL kinds the
+        inner-match estimate is extended by the NULL-extended unmatched rows,
+        each costing one ``cpu_tuple_cost``.
+        """
         cfg = self.config
         left_rows = max(left.estimated_rows, 1.0)
         right_rows = max(right.estimated_rows, 1.0)
         left_cost = max(left.estimated_cost, 0.0)
         right_cost = max(right.estimated_cost, 0.0)
-        out_rows = self.estimator.join_rows(query, left_rows, right_rows, predicates)
+        matched = self.estimator.join_rows(query, left_rows, right_rows, predicates, context.join_selectivity)
         cross_penalty = 0.0 if predicates else left_rows * right_rows * cfg.cpu_operator_cost
+        rows = matched  # the inner-match estimate
+        if join_kind is not JoinKind.INNER:
+            rows = self.estimator.outer_join_rows(join_kind.value.lower(), left_rows, right_rows, matched)
 
-        if join_type is JoinType.HASH:
-            inner_bytes = right_rows * self._row_width(right.aliases, query)
-            spill = inner_bytes > cfg.work_mem
-            cost = (
-                left_cost
-                + right_cost
-                + right_rows * cfg.cpu_operator_cost * 1.5  # build
-                + left_rows * cfg.cpu_operator_cost  # probe
-                + out_rows * cfg.cpu_tuple_cost
-                + cross_penalty
-            )
-            if spill:
-                spill_pages = inner_bytes / PAGE_SIZE_BYTES
-                cost += 2.0 * spill_pages * cfg.seq_page_cost
-            return cost
-
-        if join_type is JoinType.MERGE:
-            def sort_cost(rows: float, already_sorted: bool) -> float:
-                if already_sorted or rows <= 1:
-                    return 0.0
-                return rows * math.log2(max(rows, 2.0)) * cfg.cpu_operator_cost * 2.0
-
-            left_sorted = self._is_sorted_on_join_key(left, predicates)
-            right_sorted = self._is_sorted_on_join_key(right, predicates)
-            cost = (
-                left_cost
-                + right_cost
-                + sort_cost(left_rows, left_sorted)
-                + sort_cost(right_rows, right_sorted)
-                + (left_rows + right_rows) * cfg.cpu_operator_cost
-                + out_rows * cfg.cpu_tuple_cost
-                + cross_penalty
-            )
-            return cost
-
-        if join_type is JoinType.NESTED_LOOP:
-            index, _column = self._inner_index(query, right, predicates)
-            if index is not None and isinstance(right, ScanNode):
-                probe_cost = (
-                    float(index.height) * cfg.random_page_cost * 0.5
-                    + cfg.cpu_index_tuple_cost
-                    + max(right_rows / max(float(index.entry_count), 1.0), 1.0) * cfg.cpu_tuple_cost
-                )
-                cost = (
-                    left_cost
-                    + left_rows * probe_cost
-                    + out_rows * cfg.cpu_tuple_cost
-                )
-            else:
-                # Materialized nested loop: the inner is evaluated once and
-                # re-scanned from memory for every outer tuple.
+        best_type: JoinType | None = None
+        best_cost = math.inf
+        for join_type in join_types:
+            if join_type is JoinType.HASH:
+                inner_bytes = right_rows * self._row_width(right.aliases, query, context)
                 cost = (
                     left_cost
                     + right_cost
-                    + left_rows * right_rows * cfg.cpu_operator_cost
-                    + out_rows * cfg.cpu_tuple_cost
+                    + right_rows * cfg.cpu_operator_cost * 1.5  # build
+                    + left_rows * cfg.cpu_operator_cost  # probe
+                    + matched * cfg.cpu_tuple_cost
+                    + cross_penalty
                 )
-            return cost + cross_penalty
+                if inner_bytes > cfg.work_mem:
+                    spill_pages = inner_bytes / PAGE_SIZE_BYTES
+                    cost += 2.0 * spill_pages * cfg.seq_page_cost
+            elif join_type is JoinType.MERGE:
+                cost = (
+                    left_cost
+                    + right_cost
+                    + self._sort_cost(left, left_rows, predicates)
+                    + self._sort_cost(right, right_rows, predicates)
+                    + (left_rows + right_rows) * cfg.cpu_operator_cost
+                    + matched * cfg.cpu_tuple_cost
+                    + cross_penalty
+                )
+            elif join_type is JoinType.NESTED_LOOP:
+                index, _column = self._inner_index(query, right, predicates)
+                if index is not None:
+                    probe_cost = (
+                        float(index.height) * cfg.random_page_cost * 0.5
+                        + cfg.cpu_index_tuple_cost
+                        + max(right_rows / max(float(index.entry_count), 1.0), 1.0) * cfg.cpu_tuple_cost
+                    )
+                    cost = left_cost + left_rows * probe_cost + matched * cfg.cpu_tuple_cost
+                else:
+                    # Materialized nested loop: the inner is evaluated once and
+                    # re-scanned from memory for every outer tuple.
+                    cost = (
+                        left_cost
+                        + right_cost
+                        + left_rows * right_rows * cfg.cpu_operator_cost
+                        + matched * cfg.cpu_tuple_cost
+                    )
+                cost += cross_penalty
+            else:
+                raise OptimizerError(f"unknown join type {join_type!r}")
+            if join_kind is not JoinKind.INNER:
+                cost += max(rows - matched, 0.0) * cfg.cpu_tuple_cost
+            if best_type is None or cost < best_cost:
+                best_type, best_cost = join_type, cost
+        assert best_type is not None
+        return best_type, (rows, best_cost)
 
-        raise OptimizerError(f"unknown join type {join_type!r}")
+    def _sort_cost(self, plan: PlanNode, rows: float, predicates: Sequence[JoinPredicate]) -> float:
+        """Cost of sorting a merge-join input (free when an index scan delivers the order)."""
+        if rows <= 1 or self._is_sorted_on_join_key(plan, predicates):
+            return 0.0
+        return rows * math.log2(max(rows, 2.0)) * self.config.cpu_operator_cost * 2.0
 
     def _is_sorted_on_join_key(self, plan: PlanNode, predicates: Sequence[JoinPredicate]) -> bool:
         if not isinstance(plan, ScanNode) or plan.scan_type is not ScanType.INDEX:
@@ -320,6 +369,14 @@ class CostModel:
                 return True
         return False
 
+    def join_cost(
+        self, query: BoundQuery, join_type: JoinType, left: PlanNode, right: PlanNode,
+        predicates: Sequence[JoinPredicate],
+    ) -> float:
+        """Total cost (including input costs) of joining ``left`` and ``right``."""
+        context = self.planning_context()
+        return self._cheapest_join(query, (join_type,), left, right, predicates, JoinKind.INNER, context)[1][1]
+
     def join_node(
         self,
         query: BoundQuery,
@@ -328,73 +385,40 @@ class CostModel:
         right: PlanNode,
         predicates: Sequence[JoinPredicate] | None = None,
         join_kind: JoinKind = JoinKind.INNER,
+        estimates: tuple[float, float] | None = None,
     ) -> JoinNode:
         """Build a join node of a specific type with estimates attached.
 
-        For LEFT/FULL kinds the inner-match estimates are extended by the
-        NULL-extended unmatched rows: extra output rows beyond the inner
-        estimate cost one ``cpu_tuple_cost`` each.
+        ``estimates`` is the ``(rows, cost)`` the caller already worked out
+        for this join (:meth:`best_join` costs its candidates as numbers and
+        builds only the winner); without it they are derived here.
         """
         if predicates is None:
             predicates = query.joins_between(left.aliases, right.aliases)
-        left_rows = max(left.estimated_rows, 1.0)
-        right_rows = max(right.estimated_rows, 1.0)
-        cost = self.join_cost(query, join_type, left, right, predicates)
-        rows = self.estimator.join_rows(query, left_rows, right_rows, predicates)
-        if join_kind is not JoinKind.INNER:
-            out_rows = self.estimator.outer_join_rows(
-                query, join_kind.value.lower(), left_rows, right_rows, predicates
-            )
-            cost += max(out_rows - rows, 0.0) * self.config.cpu_tuple_cost
-            rows = out_rows
-        node = JoinNode(
-            join_type=join_type,
-            left=left,
-            right=right,
-            predicates=tuple(predicates),
-            join_kind=join_kind,
-        )
-        return node.with_estimates(rows, cost)  # type: ignore[return-value]
+        if estimates is None:
+            context = self.planning_context()
+            estimates = self._cheapest_join(query, (join_type,), left, right, predicates, join_kind, context)[1]
+        rows, cost = estimates
+        return JoinNode(float(rows), float(cost), join_type, left, right, tuple(predicates), join_kind)
 
     def best_join(
-        self,
-        query: BoundQuery,
-        left: PlanNode,
-        right: PlanNode,
-        hints: HintSet = NO_HINTS,
-        predicates: Sequence[JoinPredicate] | None = None,
+        self, query: BoundQuery, left: PlanNode, right: PlanNode, hints: HintSet = NO_HINTS,
+        predicates: Sequence[JoinPredicate] | None = None, context: PlanningContext | None = None,
     ) -> JoinNode:
         """Cheapest allowed join between two sub-plans (considering both orientations
         only for the inner/outer-sensitive operators via the caller's symmetry)."""
+        if context is None:
+            context = self.planning_context(hints)
         if predicates is None:
             predicates = query.joins_between(left.aliases, right.aliases)
-        enables = self.resolve_enables(hints)
-        forced = hints.join_method_for(left.aliases | right.aliases)
-        if forced is not None:
-            allowed = [forced]
-        else:
-            allowed = enables.allowed_join_types()
-            if not allowed:
-                allowed = list(JOIN_TYPE_ORDER)
-        best: JoinNode | None = None
-        order = {jtype: i for i, jtype in enumerate(JOIN_TYPE_ORDER)}
-        for join_type in allowed:
-            node = self.join_node(query, join_type, left, right, predicates)
-            if best is None or (node.estimated_cost, order[node.join_type]) < (
-                best.estimated_cost,
-                order[best.join_type],
-            ):
-                best = node
-        assert best is not None
-        return best
+        forced = hints.join_method_for(left.aliases | right.aliases) if hints.join_methods else None
+        join_types = context.join_types if forced is None else (forced,)
+        join_type, estimates = self._cheapest_join(query, join_types, left, right, predicates, JoinKind.INNER, context)
+        return self.join_node(query, join_type, left, right, predicates, estimates=estimates)
 
     def best_outer_join(
-        self,
-        query: BoundQuery,
-        edge: OuterJoinEdge,
-        left: PlanNode,
-        right: PlanNode,
-        hints: HintSet = NO_HINTS,
+        self, query: BoundQuery, edge: OuterJoinEdge, left: PlanNode, right: PlanNode,
+        hints: HintSet = NO_HINTS, context: PlanningContext | None = None,
     ) -> JoinNode:
         """Cheapest allowed outer join folding ``edge`` onto ``left``.
 
@@ -403,12 +427,10 @@ class CostModel:
         HASH and MERGE (as in PostgreSQL); a hint forcing NESTED_LOOP on a
         FULL edge fails loudly instead of silently degrading.
         """
+        if context is None:
+            context = self.planning_context(hints)
         join_kind = JoinKind.LEFT if edge.join_type == "left" else JoinKind.FULL
-        kind_allowed = (
-            list(JOIN_TYPE_ORDER)
-            if join_kind is JoinKind.LEFT
-            else [JoinType.HASH, JoinType.MERGE]
-        )
+        kind_allowed = JOIN_TYPE_ORDER if join_kind is JoinKind.LEFT else _FULL_JOIN_TYPES
         forced = hints.join_method_for(left.aliases | right.aliases)
         if forced is not None:
             if forced not in kind_allowed:
@@ -416,25 +438,11 @@ class CostModel:
                     f"join method {forced.value!r} is not supported for "
                     f"{join_kind.value.upper()} JOIN {edge.nullable_alias!r}"
                 )
-            allowed = [forced]
+            join_types: Sequence[JoinType] = (forced,)
         else:
-            enables = self.resolve_enables(hints)
-            allowed = [t for t in enables.allowed_join_types() if t in kind_allowed]
-            if not allowed:
-                allowed = kind_allowed
-        best: JoinNode | None = None
-        order = {jtype: i for i, jtype in enumerate(JOIN_TYPE_ORDER)}
-        for join_type in allowed:
-            node = self.join_node(
-                query, join_type, left, right, edge.predicates, join_kind=join_kind
-            )
-            if best is None or (node.estimated_cost, order[node.join_type]) < (
-                best.estimated_cost,
-                order[best.join_type],
-            ):
-                best = node
-        assert best is not None
-        return best
+            join_types = [t for t in context.join_types if t in kind_allowed] or kind_allowed
+        join_type, estimates = self._cheapest_join(query, join_types, left, right, edge.predicates, join_kind, context)
+        return self.join_node(query, join_type, left, right, edge.predicates, join_kind, estimates)
 
     # ---------------------------------------------------------------------- plans
     def plan_cost(self, plan: PlanNode) -> float:

@@ -17,13 +17,16 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Sequence
 
-import networkx as nx
-
 from repro.errors import OptimizerError
-from repro.optimizer.cost_model import CostModel
+from repro.optimizer.cost_model import CostModel, PlanningContext
 from repro.plans.hints import HintSet, NO_HINTS
 from repro.plans.physical import JoinNode, PlanNode
 from repro.sql.binder import BoundQuery
+
+#: Most relations :class:`DPEnumerator` takes on: 2^n subsets become
+#: impractical in pure Python beyond it, and the planner routes larger
+#: queries to GEQO or, with GEQO disabled, to :func:`greedy_plan`.
+DP_MAX_RELATIONS = 12
 
 
 def require_inner_only(query: BoundQuery, caller: str) -> None:
@@ -41,18 +44,12 @@ def require_inner_only(query: BoundQuery, caller: str) -> None:
         )
 
 
-def _connected(graph: nx.Graph, aliases: frozenset[str]) -> bool:
-    if len(aliases) <= 1:
-        return True
-    sub = graph.subgraph(aliases)
-    return nx.is_connected(sub)
-
-
 def left_deep_plan_from_order(
     query: BoundQuery,
     cost_model: CostModel,
     order: Sequence[str],
     hints: HintSet = NO_HINTS,
+    context: PlanningContext | None = None,
 ) -> PlanNode:
     """Build a left-deep plan joining relations in the given order.
 
@@ -66,17 +63,17 @@ def left_deep_plan_from_order(
     missing = set(order) - set(query.aliases)
     if missing:
         raise OptimizerError(f"join order references unknown aliases {sorted(missing)}")
-    plan: PlanNode = cost_model.best_scan(query, order[0], hints)
+    if context is None:
+        context = cost_model.planning_context(hints)
+    plan: PlanNode = cost_model.best_scan(query, order[0], hints, context)
     for alias in order[1:]:
-        right = cost_model.best_scan(query, alias, hints)
-        plan = cost_model.best_join(query, plan, right, hints)
+        right = cost_model.best_scan(query, alias, hints, context)
+        plan = cost_model.best_join(query, plan, right, hints, context=context)
     return plan
 
 
 def greedy_plan(
-    query: BoundQuery,
-    cost_model: CostModel,
-    hints: HintSet = NO_HINTS,
+    query: BoundQuery, cost_model: CostModel, hints: HintSet = NO_HINTS, context: PlanningContext | None = None
 ) -> PlanNode:
     """Greedy enumeration: repeatedly merge the cheapest joinable pair of sub-plans.
 
@@ -84,35 +81,37 @@ def greedy_plan(
     dynamic programming is infeasible and GEQO is disabled.
     """
     require_inner_only(query, "greedy_plan")
-    plans: list[PlanNode] = [cost_model.best_scan(query, alias, hints) for alias in query.aliases]
+    if context is None:
+        context = cost_model.planning_context(hints)
+    plans: list[PlanNode] = [
+        cost_model.best_scan(query, alias, hints, context) for alias in query.aliases
+    ]
     if not plans:
         raise OptimizerError("query has no relations")
     while len(plans) > 1:
-        connected_pairs: list[tuple[int, int]] = []
-        all_pairs: list[tuple[int, int]] = []
-        for i, j in combinations(range(len(plans)), 2):
-            all_pairs.append((i, j))
-            if query.joins_between(plans[i].aliases, plans[j].aliases):
-                connected_pairs.append((i, j))
-        candidates = connected_pairs or all_pairs
+        pairs = [
+            (i, j, query.joins_between(plans[i].aliases, plans[j].aliases))
+            for i, j in combinations(range(len(plans)), 2)
+        ]
         best_pair: tuple[int, int] | None = None
         best_join: JoinNode | None = None
-        for i, j in candidates:
-            predicates = query.joins_between(plans[i].aliases, plans[j].aliases)
-            join = cost_model.best_join(query, plans[i], plans[j], hints, predicates)
+        # Pairs connected by a predicate; cross products only when there is none.
+        for i, j, predicates in [pair for pair in pairs if pair[2]] or pairs:
+            join = cost_model.best_join(query, plans[i], plans[j], hints, predicates, context)
             if best_join is None or join.estimated_cost < best_join.estimated_cost:
                 best_join = join
                 best_pair = (i, j)
         assert best_pair is not None and best_join is not None
-        i, j = best_pair
-        remaining = [p for k, p in enumerate(plans) if k not in (i, j)]
-        remaining.append(best_join)
-        plans = remaining
+        plans = [p for k, p in enumerate(plans) if k not in best_pair]
+        plans.append(best_join)
     return plans[0]
 
 
 class DPEnumerator:
-    """System-R style dynamic programming over connected relation subsets."""
+    """System-R style dynamic programming over connected relation subsets.
+
+    Relation subsets are integer bitmasks over the FROM-list positions.
+    """
 
     def __init__(self, cost_model: CostModel, consider_bushy: bool | None = None) -> None:
         self.cost_model = cost_model
@@ -120,87 +119,91 @@ class DPEnumerator:
             consider_bushy = cost_model.config.enable_bushy_plans
         self.consider_bushy = consider_bushy
 
-    def plan(self, query: BoundQuery, hints: HintSet = NO_HINTS) -> PlanNode:
+    def plan(
+        self, query: BoundQuery, hints: HintSet = NO_HINTS, context: PlanningContext | None = None
+    ) -> PlanNode:
         """Return the cheapest plan found by dynamic programming."""
         require_inner_only(query, "DPEnumerator")
-        aliases = list(query.aliases)
+        aliases = query.aliases
         n = len(aliases)
         if n == 0:
             raise OptimizerError("query has no relations")
-        if n == 1:
-            return self.cost_model.best_scan(query, aliases[0], hints)
-        if n > 14:
-            # 2^n subsets becomes impractical in pure Python; callers should
-            # route such queries to GEQO or the greedy enumerator.
+        if n > DP_MAX_RELATIONS:
             raise OptimizerError(
                 f"dynamic programming over {n} relations is not supported; use GEQO"
             )
+        cost_model = self.cost_model
+        if context is None:
+            context = cost_model.planning_context(hints)
 
-        graph = query.join_graph()
-        fully_connected = query.is_connected()
-        index_of = {alias: i for i, alias in enumerate(aliases)}
+        bit_of = {alias: 1 << i for i, alias in enumerate(aliases)}
+        best: dict[int, PlanNode] = {
+            bit_of[alias]: cost_model.best_scan(query, alias, hints, context) for alias in aliases
+        }
+        # Every join predicate beside the mask of the two aliases it connects
+        # (``query.joins`` order, the order predicates take inside a node).
+        edges = [(bit_of[j.left_alias] | bit_of[j.right_alias], j) for j in query.joins]
+        neighbours = dict.fromkeys(best, 0)
+        for edge_mask, join in edges:
+            neighbours[bit_of[join.left_alias]] |= edge_mask
+            neighbours[bit_of[join.right_alias]] |= edge_mask
 
-        best: dict[int, PlanNode] = {}
-        for alias in aliases:
-            mask = 1 << index_of[alias]
-            best[mask] = self.cost_model.best_scan(query, alias, hints)
-
-        def mask_aliases(mask: int) -> frozenset[str]:
-            return frozenset(aliases[i] for i in range(n) if mask & (1 << i))
-
-        for size in range(2, n + 1):
-            for combo in combinations(range(n), size):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                subset = mask_aliases(mask)
-                if fully_connected and not _connected(graph, subset):
-                    continue
-                best_plan: PlanNode | None = None
-                # Enumerate proper, non-empty splits of the subset.
-                sub = (mask - 1) & mask
-                seen_connected_split = False
-                candidates: list[tuple[int, int]] = []
-                while sub:
-                    other = mask ^ sub
-                    if sub in best and other in best:
-                        candidates.append((sub, other))
-                    sub = (sub - 1) & mask
-                # First pass: splits connected by at least one join predicate.
-                for sub_mask, other_mask in candidates:
-                    if not self.consider_bushy and bin(other_mask).count("1") != 1:
-                        # Left-deep only: the inner (right) input must be a base
-                        # relation.  Both orientations of every split are
-                        # enumerated, so no plans are lost.
-                        continue
-                    left = best[sub_mask]
-                    right = best[other_mask]
-                    predicates = query.joins_between(left.aliases, right.aliases)
-                    if not predicates:
-                        continue
-                    seen_connected_split = True
-                    join = self.cost_model.best_join(query, left, right, hints, predicates)
-                    if best_plan is None or join.estimated_cost < best_plan.estimated_cost:
-                        best_plan = join
-                # Second pass (only if necessary): allow cross products.
-                if best_plan is None and not seen_connected_split:
-                    for sub_mask, other_mask in candidates:
-                        if not self.consider_bushy:
-                            if bin(sub_mask).count("1") != 1 and bin(other_mask).count("1") != 1:
-                                continue
-                        left = best[sub_mask]
-                        right = best[other_mask]
-                        join = self.cost_model.best_join(query, left, right, hints, [])
-                        if best_plan is None or join.estimated_cost < best_plan.estimated_cost:
-                            best_plan = join
-                if best_plan is not None:
-                    best[mask] = best_plan
+        def connected(mask: int) -> bool:
+            reached = frontier = mask & -mask
+            while frontier:
+                bit = frontier & -frontier
+                grown = neighbours[bit] & mask & ~reached
+                reached |= grown
+                frontier = (frontier ^ bit) | grown
+            return reached == mask
 
         full_mask = (1 << n) - 1
+        fully_connected = connected(full_mask)
+        left_deep_only = not self.consider_bushy
+
+        # Increasing masks: every proper subset of a mask is a smaller integer.
+        for mask in range(3, full_mask + 1):
+            if mask & (mask - 1) == 0 or (fully_connected and not connected(mask)):
+                continue
+            # Proper, non-empty splits of the subset into two planned halves.
+            splits: list[tuple[int, int]] = []
+            sub = (mask - 1) & mask
+            while sub:
+                if sub in best and mask ^ sub in best:
+                    splits.append((sub, mask ^ sub))
+                sub = (sub - 1) & mask
+            inside = [edge for edge in edges if edge[0] & mask == edge[0]]
+            best_plan: PlanNode | None = None
+            # First pass: splits connected by at least one join predicate.
+            seen_connected_split = False
+            for sub, other in splits:
+                if left_deep_only and other.bit_count() != 1:
+                    # Left-deep only: the inner (right) input must be a base
+                    # relation.  Both orientations of every split are
+                    # enumerated, so no plans are lost.
+                    continue
+                predicates = [j for edge_mask, j in inside if edge_mask & sub and edge_mask & other]
+                if not predicates:
+                    continue
+                seen_connected_split = True
+                join = cost_model.best_join(query, best[sub], best[other], hints, predicates, context)
+                if best_plan is None or join.estimated_cost < best_plan.estimated_cost:
+                    best_plan = join
+            # Second pass (only if necessary): allow cross products.
+            if not seen_connected_split:
+                for sub, other in splits:
+                    if left_deep_only and sub.bit_count() != 1 and other.bit_count() != 1:
+                        continue
+                    join = cost_model.best_join(query, best[sub], best[other], hints, [], context)
+                    if best_plan is None or join.estimated_cost < best_plan.estimated_cost:
+                        best_plan = join
+            if best_plan is not None:
+                best[mask] = best_plan
+
         if full_mask not in best:
             # The join graph is disconnected in a way the DP table did not
             # cover; fall back to the greedy enumerator.
-            return greedy_plan(query, self.cost_model, hints)
+            return greedy_plan(query, cost_model, hints, context)
         return best[full_mask]
 
 
@@ -221,6 +224,7 @@ def enumerate_join_trees(
     and every yielded core shape is wrapped by the pinned outer folds in
     syntax order (the nullable side always on the right).
     """
+    context = cost_model.planning_context(hints)
     if query.outer_edges:
         core_query = query.core_query()
         for core_plan in enumerate_join_trees(
@@ -228,8 +232,8 @@ def enumerate_join_trees(
         ):
             plan = core_plan
             for edge in query.outer_edges:
-                right = cost_model.best_scan(query, edge.nullable_alias, hints)
-                plan = cost_model.best_outer_join(query, edge, plan, right, hints)
+                right = cost_model.best_scan(query, edge.nullable_alias, hints, context)
+                plan = cost_model.best_outer_join(query, edge, plan, right, hints, context)
             yield plan
         return
 
@@ -242,7 +246,7 @@ def enumerate_join_trees(
     if n == 0:
         raise OptimizerError("query has no relations")
 
-    scans = {alias: cost_model.best_scan(query, alias, hints) for alias in aliases}
+    scans = {alias: cost_model.best_scan(query, alias, hints, context) for alias in aliases}
 
     def build(subset: frozenset[str]) -> Iterator[PlanNode]:
         if len(subset) == 1:
@@ -265,10 +269,10 @@ def enumerate_join_trees(
                     continue
                 for left_plan in build(left_set):
                     for right_plan in build(right_set):
-                        yield cost_model.best_join(query, left_plan, right_plan, hints, predicates)
+                        yield cost_model.best_join(query, left_plan, right_plan, hints, predicates, context)
                         # Also yield the mirrored orientation: inner/outer roles
                         # matter for nested-loop and hash joins.
-                        yield cost_model.best_join(query, right_plan, left_plan, hints, predicates)
+                        yield cost_model.best_join(query, right_plan, left_plan, hints, predicates, context)
 
     yield from build(frozenset(aliases))
 

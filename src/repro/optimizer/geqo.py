@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import OptimizerError
-from repro.optimizer.cost_model import CostModel
+from repro.optimizer.cost_model import CostModel, PlanningContext
 from repro.optimizer.enumeration import left_deep_plan_from_order, require_inner_only
 from repro.plans.hints import HintSet, NO_HINTS
 from repro.plans.physical import PlanNode
@@ -46,10 +46,6 @@ class GeqoEnumerator:
         self.parameters = parameters or GeqoParameters()
 
     # ------------------------------------------------------------------ helpers
-    def _fitness(self, query: BoundQuery, order: list[str], hints: HintSet) -> tuple[float, PlanNode]:
-        plan = left_deep_plan_from_order(query, self.cost_model, order, hints)
-        return plan.estimated_cost, plan
-
     @staticmethod
     def _order_crossover(rng: random.Random, parent_a: list[str], parent_b: list[str]) -> list[str]:
         """Order crossover (OX): keep a slice of parent A, fill the rest from B."""
@@ -106,28 +102,51 @@ class GeqoEnumerator:
         return population
 
     # --------------------------------------------------------------------- search
-    def plan(self, query: BoundQuery, hints: HintSet = NO_HINTS) -> PlanNode:
+    def plan(
+        self, query: BoundQuery, hints: HintSet = NO_HINTS, context: PlanningContext | None = None
+    ) -> PlanNode:
         """Run the genetic search and return the best plan found."""
         require_inner_only(query, "GeqoEnumerator")
         aliases = list(query.aliases)
         if not aliases:
             raise OptimizerError("query has no relations")
+        cost_model = self.cost_model
+        if context is None:
+            context = cost_model.planning_context(hints)
         if len(aliases) == 1:
-            return self.cost_model.best_scan(query, aliases[0], hints)
+            return cost_model.best_scan(query, aliases[0], hints, context)
+
+        # Individuals share join-order prefixes and a left-deep plan's cost
+        # depends on its order alone: memoise every prefix costed in this
+        # search, as a trie ``alias -> (prefix plan, longer prefixes)``.
+        prefixes: dict = {}
+
+        def fitness(order: list[str]) -> float:
+            plan: PlanNode | None = None
+            longer = prefixes
+            for alias in order:
+                known = longer.get(alias)
+                if known is None:
+                    extended: PlanNode = cost_model.best_scan(query, alias, hints, context)
+                    if plan is not None:
+                        extended = cost_model.best_join(query, plan, extended, hints, context=context)
+                    known = longer[alias] = (extended, {})
+                plan, longer = known
+            assert plan is not None
+            return plan.estimated_cost
 
         params = self.parameters
         # Seed from a stable digest of the alias set: builtin hash() is salted
         # per process and would make plans differ across processes/runs.
         rng = random.Random(params.seed ^ stable_seed(*sorted(aliases), bits=32))
-        population = self._seeded_orders(query, rng, params.population_size)
-        scored: list[tuple[float, list[str], PlanNode]] = []
-        for order in population:
-            cost, plan = self._fitness(query, order, hints)
-            scored.append((cost, order, plan))
+        scored: list[tuple[float, list[str]]] = [
+            (fitness(order), order)
+            for order in self._seeded_orders(query, rng, params.population_size)
+        ]
         scored.sort(key=lambda item: item[0])
 
         for _generation in range(params.generations):
-            next_population: list[tuple[float, list[str], PlanNode]] = scored[:2]  # elitism
+            next_population = scored[:2]  # elitism
             while len(next_population) < params.population_size:
                 parent_a = self._tournament(rng, scored)
                 parent_b = self._tournament(rng, scored)
@@ -137,16 +156,16 @@ class GeqoEnumerator:
                     child = list(parent_a)
                 if rng.random() < params.mutation_rate:
                     child = self._swap_mutation(rng, child)
-                cost, plan = self._fitness(query, child, hints)
-                next_population.append((cost, child, plan))
+                next_population.append((fitness(child), child))
             next_population.sort(key=lambda item: item[0])
             scored = next_population[: params.population_size]
 
-        return scored[0][2]
+        # Memoised prefixes carry the alias ``str`` objects of the order that
+        # reached them first, and ``str`` identity is part of a plan's pickle:
+        # build the winner from its own order list.
+        return left_deep_plan_from_order(query, cost_model, scored[0][1], hints, context)
 
-    def _tournament(
-        self, rng: random.Random, scored: list[tuple[float, list[str], PlanNode]]
-    ) -> list[str]:
+    def _tournament(self, rng: random.Random, scored: list[tuple[float, list[str]]]) -> list[str]:
         contenders = rng.sample(scored, min(self.parameters.tournament_size, len(scored)))
         contenders.sort(key=lambda item: item[0])
         return contenders[0][1]

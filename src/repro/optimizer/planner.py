@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from repro.config import GB, PostgresConfig
 from repro.errors import OptimizerError
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.cost_model import CostModel
+from repro.optimizer.cost_model import CostModel, PlanningContext
 from repro.optimizer.enumeration import (
+    DP_MAX_RELATIONS,
     DPEnumerator,
     greedy_plan,
     left_deep_plan_from_order,
@@ -142,36 +143,42 @@ class Planner:
 
     def _plan_core(self, query: BoundQuery, hints: HintSet) -> tuple[str, PlanNode]:
         n = query.num_relations
+        # One context per call, handed down and dropped on return: the query
+        # object, the statistics and this planner are all shared and mutable.
+        context = self.cost_model.planning_context(hints)
         if n == 1:
-            return STRATEGY_DP, self.cost_model.best_scan(query, query.aliases[0], hints)
+            return STRATEGY_DP, self.cost_model.best_scan(query, query.aliases[0], hints, context)
 
         if query.outer_edges:
-            return self._plan_with_outer_edges(query, hints)
+            return self._plan_with_outer_edges(query, hints, context)
 
         if hints.forces_join_order and len(hints.leading) == n:
-            plan = self._plan_forced_order(query, hints)
+            # ``best_join`` honours the hint's per-join methods.
+            plan = left_deep_plan_from_order(query, self.cost_model, hints.leading, hints, context)
             return STRATEGY_FORCED, plan
 
         if hints.leading and not hints.join_order_exact:
-            plan = self._plan_with_leading_prefix(query, hints)
+            plan = self._plan_with_leading_prefix(query, hints, context)
             return STRATEGY_GREEDY, plan
 
         if self.config.join_collapse_limit <= 1:
             order = query.aliases
-            plan = left_deep_plan_from_order(query, self.cost_model, order, hints)
+            plan = left_deep_plan_from_order(query, self.cost_model, order, hints, context)
             return STRATEGY_COLLAPSED, plan
 
         if self.config.geqo_enabled_for(n):
-            return STRATEGY_GEQO, self._geqo.plan(query, hints)
+            return STRATEGY_GEQO, self._geqo.plan(query, hints, context)
 
-        if n > 12:
+        if n > DP_MAX_RELATIONS:
             # GEQO is disabled but exhaustive DP over this many relations is
             # impractical in pure Python; fall back to the greedy enumerator.
-            return STRATEGY_GREEDY, greedy_plan(query, self.cost_model, hints)
+            return STRATEGY_GREEDY, greedy_plan(query, self.cost_model, hints, context)
 
-        return STRATEGY_DP, self._dp.plan(query, hints)
+        return STRATEGY_DP, self._dp.plan(query, hints, context)
 
-    def _plan_with_outer_edges(self, query: BoundQuery, hints: HintSet) -> tuple[str, PlanNode]:
+    def _plan_with_outer_edges(
+        self, query: BoundQuery, hints: HintSet, context: PlanningContext
+    ) -> tuple[str, PlanNode]:
         """Plan the freely reorderable inner core, then fold the outer edges.
 
         Outer-join edges pin their operand order, so they never enter the
@@ -184,30 +191,14 @@ class Planner:
         core_hints = split_leading_for_outer(hints, query.core_aliases, outer_order)
         strategy, plan = self._plan_core(query.core_query(), core_hints)
         for edge in query.outer_edges:
-            right = self.cost_model.best_scan(query, edge.nullable_alias, hints)
-            plan = self.cost_model.best_outer_join(query, edge, plan, right, hints)
+            right = self.cost_model.best_scan(query, edge.nullable_alias, hints, context)
+            plan = self.cost_model.best_outer_join(query, edge, plan, right, hints, context)
         return strategy, plan
 
-    def _plan_forced_order(self, query: BoundQuery, hints: HintSet) -> PlanNode:
-        """Build a plan that follows an exact, hint-provided left-deep join order."""
-        plan: PlanNode = self.cost_model.best_scan(query, hints.leading[0], hints)
-        for alias in hints.leading[1:]:
-            right = self.cost_model.best_scan(query, alias, hints)
-            predicates = query.joins_between(plan.aliases, right.aliases)
-            forced_join = hints.join_method_for(plan.aliases | right.aliases)
-            if forced_join is not None:
-                plan = self.cost_model.join_node(query, forced_join, plan, right, predicates)
-            else:
-                plan = self.cost_model.best_join(query, plan, right, hints, predicates)
-        return plan
-
-    def _plan_with_leading_prefix(self, query: BoundQuery, hints: HintSet) -> PlanNode:
+    def _plan_with_leading_prefix(self, query: BoundQuery, hints: HintSet, context: PlanningContext) -> PlanNode:
         """Honour a HybridQO-style prefix hint, then extend greedily."""
         prefix = list(hints.leading)
-        plan: PlanNode = self.cost_model.best_scan(query, prefix[0], hints)
-        for alias in prefix[1:]:
-            right = self.cost_model.best_scan(query, alias, hints)
-            plan = self.cost_model.best_join(query, plan, right, hints)
+        plan = left_deep_plan_from_order(query, self.cost_model, prefix, hints, context)
         remaining = [alias for alias in query.aliases if alias not in prefix]
         while remaining:
             best_alias = None
@@ -218,8 +209,8 @@ class Planner:
                 if query.joins_between(plan.aliases, {alias})
             ] or remaining
             for alias in connected:
-                right = self.cost_model.best_scan(query, alias, hints)
-                join = self.cost_model.best_join(query, plan, right, hints)
+                right = self.cost_model.best_scan(query, alias, hints, context)
+                join = self.cost_model.best_join(query, plan, right, hints, context=context)
                 if best_join is None or join.estimated_cost < best_join.estimated_cost:
                     best_join = join
                     best_alias = alias

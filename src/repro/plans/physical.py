@@ -57,7 +57,27 @@ class PlanNode:
 
     @property
     def aliases(self) -> frozenset[str]:
+        """Base-relation aliases below this node.
+
+        Memoised under a ``_repro_*`` key (nodes are immutable, the optimizer
+        asks once per join considered); :meth:`__getstate__` strips it, so a
+        plan pickles to the same bytes whether or not it was ever asked.
+        """
+        try:
+            return self.__dict__["_repro_aliases"]
+        except KeyError:
+            aliases = self.__dict__["_repro_aliases"] = self._aliases()
+            return aliases
+
+    def _aliases(self) -> frozenset[str]:
         raise NotImplementedError
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_repro_aliases" in state:
+            state = state.copy()
+            del state["_repro_aliases"]
+        return state
 
     def children(self) -> tuple["PlanNode", ...]:
         return ()
@@ -107,8 +127,7 @@ class ScanNode(PlanNode):
         if self.scan_type in (ScanType.INDEX, ScanType.BITMAP, ScanType.TID) and not self.index_column:
             raise PlanError(f"{self.scan_type.value} on {self.alias!r} requires an index column")
 
-    @property
-    def aliases(self) -> frozenset[str]:
+    def _aliases(self) -> frozenset[str]:
         return frozenset({self.alias})
 
     def label(self) -> str:
@@ -133,18 +152,17 @@ class JoinNode(PlanNode):
             raise PlanError("join node requires both children")
         if self.join_kind is not JoinKind.INNER and not self.predicates:
             raise PlanError(f"{self.join_kind.value} join requires at least one predicate")
-        overlap = self.left.aliases & self.right.aliases
-        if overlap:
-            raise PlanError(f"join children share aliases {sorted(overlap)}")
+        left, right = self.left.aliases, self.right.aliases
+        if not left.isdisjoint(right):
+            raise PlanError(f"join children share aliases {sorted(left & right)}")
         for predicate in self.predicates:
-            sides = {predicate.left_alias, predicate.right_alias}
-            if not (sides & self.left.aliases and sides & self.right.aliases):
+            a, b = predicate.left_alias, predicate.right_alias
+            if not ((a in left and b in right) or (a in right and b in left)):
                 raise PlanError(
                     f"join predicate {predicate} does not connect the two children"
                 )
 
-    @property
-    def aliases(self) -> frozenset[str]:
+    def _aliases(self) -> frozenset[str]:
         assert self.left is not None and self.right is not None
         return self.left.aliases | self.right.aliases
 
@@ -180,8 +198,7 @@ class SortNode(PlanNode):
         if self.child is None:
             raise PlanError("sort node requires a child")
 
-    @property
-    def aliases(self) -> frozenset[str]:
+    def _aliases(self) -> frozenset[str]:
         assert self.child is not None
         return self.child.aliases
 
@@ -206,8 +223,7 @@ class AggregateNode(PlanNode):
         if self.child is None:
             raise PlanError("aggregate node requires a child")
 
-    @property
-    def aliases(self) -> frozenset[str]:
+    def _aliases(self) -> frozenset[str]:
         assert self.child is not None
         return self.child.aliases
 

@@ -1,9 +1,15 @@
 """Tests for cardinality estimation, the cost model, enumeration, GEQO and the planner."""
 
+import json
+import pickle
+import sys
+import threading
+from pathlib import Path
 from random import Random
 
 import pytest
 
+from repro.catalog.imdb import generate_imdb
 from repro.config import SIMULATION_CONFIG
 from repro.errors import OptimizerError
 from repro.optimizer.cardinality import CardinalityEstimator
@@ -26,6 +32,7 @@ from repro.optimizer.planner import (
 )
 from repro.plans.hints import HintSet, OperatorToggles
 from repro.plans.physical import (
+    JoinNode,
     JoinType,
     ScanType,
     plan_join_nodes,
@@ -33,7 +40,14 @@ from repro.plans.physical import (
     strip_decorations,
 )
 from repro.plans.properties import is_left_deep, join_order_of
+from repro.runtime.plan_cache import PlanCache
 from repro.sql.binder import bind_sql
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from tools import record_plan_digests  # noqa: E402
 
 THREE_WAY = (
     "SELECT COUNT(*) FROM title AS t, movie_keyword AS mk, keyword AS k "
@@ -97,6 +111,29 @@ class TestCardinality:
         a = estimator.rows_for(q, {"t", "mk", "k"})
         b = estimator.rows_for(q, {"k", "mk", "t"})
         assert a == b
+
+    def test_distinct_queries_never_share_a_subset_estimate(self, imdb_db):
+        """Regression: estimates were cached by ``id(query)``, which a later query reuses."""
+        estimator = CardinalityEstimator(imdb_db)
+        unfiltered = THREE_WAY.replace(" AND k.keyword = 'sequel'", "")
+        expected = [
+            CardinalityEstimator(imdb_db).rows_for(bind_sql(sql, imdb_db.schema), {"k", "mk"})
+            for sql in (THREE_WAY, unfiltered)
+        ]
+        assert expected[0] < expected[1]
+        for round_ in range(20):
+            # Each query is collected before the next is bound, so CPython
+            # hands the next one the same address more often than not.
+            query = bind_sql((THREE_WAY, unfiltered)[round_ % 2], imdb_db.schema)
+            assert estimator.rows_for(query, {"k", "mk"}) == expected[round_ % 2]
+            del query
+
+    def test_subset_estimate_follows_a_mutated_query(self, imdb_db):
+        estimator = CardinalityEstimator(imdb_db)
+        query = bind_sql(THREE_WAY, imdb_db.schema)
+        filtered = estimator.rows_for(query, {"k", "mk"})
+        query.filters = [f for f in query.filters if f.alias != "k"]
+        assert estimator.rows_for(query, {"k", "mk"}) > filtered
 
 
 class TestCostModel:
@@ -401,3 +438,150 @@ class TestPlanner:
         slow = small_cache.plan_with_info(big.bound).planning_time_ms
         fast = large_cache.plan_with_info(big.bound).planning_time_ms
         assert slow > fast
+
+
+def _pickles(planner: Planner, queries) -> list[bytes]:
+    return [pickle.dumps(planner.plan(query)) for query in queries]
+
+
+class TestGoldenPlans:
+    """Plans are pinned byte for byte: ``tests/golden/plan_digests.json``.
+
+    Recorded by ``tools/record_plan_digests.py`` (``make golden-plans``) at
+    the last commit that changed plans on purpose.
+    """
+
+    def test_every_plan_digest_matches_the_recording(self, imdb_db, stack_db):
+        document = json.loads(record_plan_digests.GOLDEN_PATH.read_text(encoding="utf-8"))
+        assert document["pickle_protocol"] == record_plan_digests.PICKLE_PROTOCOL
+        recorded = document["digests"]
+        assert sum(len(entry) for entry in recorded.values()) > 3000
+        planned = record_plan_digests.plan_digests({"imdb": imdb_db, "stack": stack_db})
+        assert planned.keys() == recorded.keys()
+        changed = [
+            (query, variant, recorded[query][variant], planned[query].get(variant))
+            for query in recorded
+            for variant in recorded[query]
+            if planned[query].get(variant) != recorded[query][variant]
+        ]
+        assert not changed, f"{len(changed)} plans changed, first: {changed[:5]}"
+
+    def test_recording_reaches_every_strategy(self):
+        document = json.loads(record_plan_digests.GOLDEN_PATH.read_text(encoding="utf-8"))
+        strategies = {
+            digest[2]
+            for entry in document["digests"].values()
+            for digest in entry.values()
+            if digest[0] != "error"
+        }
+        assert strategies == {
+            STRATEGY_DP, STRATEGY_GEQO, STRATEGY_GREEDY, STRATEGY_FORCED, "from-order"
+        }
+
+
+class TestCostTies:
+    """Equal costs resolve by ``JOIN_TYPE_ORDER`` and by the first-enumerated split."""
+
+    #: Every cost term multiplies one of these: all candidates cost 0.0.
+    FREE = SIMULATION_CONFIG.with_overrides(
+        seq_page_cost=0.0,
+        random_page_cost=0.0,
+        cpu_tuple_cost=0.0,
+        cpu_index_tuple_cost=0.0,
+        cpu_operator_cost=0.0,
+    )
+
+    def test_tied_join_types_resolve_by_join_type_order(self, imdb_db, queries):
+        model = CostModel(imdb_db, self.FREE)
+        q = queries["three"]
+        left, right = model.best_scan(q, "t"), model.best_scan(q, "mk")
+        for join_type in JoinType:
+            assert model.join_cost(q, join_type, left, right, q.joins_between({"t"}, {"mk"})) == 0.0
+        assert model.best_join(q, left, right).join_type is JoinType.HASH
+        no_hash = HintSet(toggles=OperatorToggles(hashjoin=False))
+        assert model.best_join(q, left, right, no_hash).join_type is JoinType.MERGE
+        only_nestloop = HintSet(toggles=OperatorToggles(hashjoin=False, mergejoin=False))
+        assert model.best_join(q, left, right, only_nestloop).join_type is JoinType.NESTED_LOOP
+
+    def test_tied_splits_resolve_to_the_first_enumerated(self, imdb_db, queries):
+        # FROM t, mk, k: of the full set's splits {mk,k}|{t} is enumerated
+        # first, and of {mk,k} the split {k}|{mk}.
+        plan = DPEnumerator(CostModel(imdb_db, self.FREE)).plan(queries["three"])
+        assert plan.estimated_cost == 0.0
+        assert isinstance(plan, JoinNode) and isinstance(plan.left, JoinNode)
+        assert (plan.left.left.alias, plan.left.right.alias, plan.right.alias) == ("k", "mk", "t")
+        assert {join.join_type for join in plan_join_nodes(plan)} == {JoinType.HASH}
+
+
+class TestPlanningContext:
+    """A planning context lives for one call: nothing it memoises may leak."""
+
+    def test_replanning_a_mutated_query_sees_the_mutation(self, imdb_db):
+        planner = Planner(imdb_db, plan_cache=PlanCache())
+        query = bind_sql(THREE_WAY, imdb_db.schema, name="mutated")
+        with_filter = planner.plan(query)
+        query.filters = [f for f in query.filters if f.alias != "k"]
+        # The plan cache keys on a fingerprint memoised on the query object,
+        # which a mutation does not refresh: hence a fresh cache.
+        planner.plan_cache = PlanCache()
+        replanned = planner.plan(query)
+        fresh = Planner(imdb_db, plan_cache=PlanCache()).plan(
+            bind_sql(THREE_WAY.replace(" AND k.keyword = 'sequel'", ""), imdb_db.schema, name="mutated")
+        )
+        assert pickle.dumps(replanned) == pickle.dumps(fresh)
+        assert pickle.dumps(replanned) != pickle.dumps(with_filter)
+
+    def test_estimates_are_fresh_after_analyze_on_changed_data(self):
+        database = generate_imdb(scale=0.05, seed=3, config=SIMULATION_CONFIG)
+        planner = Planner(database)
+        query = bind_sql(THREE_WAY, database.schema, name="analyzed")
+
+        def title_rows(plan) -> float:
+            return next(s.estimated_rows for s in plan_scan_nodes(plan) if s.alias == "t")
+
+        before = title_rows(planner.plan(query))
+        database._tables["title"] = database.table_data("title").sample_rows(0.25, seed=1)
+        database.run_analyze()
+        planner.invalidate_cached_plans()
+        after = planner.plan(query)
+        assert title_rows(after) < 0.5 * before
+        assert pickle.dumps(after) == pickle.dumps(Planner(database).plan(query))
+
+    def test_threads_sharing_a_planner_produce_the_serial_plans(self, imdb_db, job_workload):
+        bound = [q.bound for q in job_workload]
+        dp = [q for q in bound if 9 <= q.num_relations < SIMULATION_CONFIG.geqo_threshold]
+        geqo = [q for q in bound if q.num_relations >= SIMULATION_CONFIG.geqo_threshold]
+        queries = dp[:10] + geqo[:6]
+        assert len(queries) == 16
+        serial = _pickles(Planner(imdb_db, plan_cache=PlanCache()), queries)
+        shared = Planner(imdb_db, plan_cache=PlanCache())
+        results: dict[int, list[bytes]] = {}
+
+        def work(index: int) -> None:
+            results[index] = _pickles(shared, queries[index::4])
+
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for index in range(4):
+            assert results[index] == serial[index::4]
+
+    def test_alias_memo_never_enters_the_pickled_state(self, imdb_db, queries):
+        plan = Planner(imdb_db).plan(queries["five"])
+        received = pickle.loads(pickle.dumps(plan))
+        assert all("_repro_aliases" not in node.__dict__ for node in received.walk())
+        untouched = pickle.dumps(received)
+        assert received.aliases == plan.aliases == frozenset(queries["five"].aliases)
+        for node in received.walk():
+            assert node.aliases
+        assert "_repro_aliases" in received.__dict__
+        assert pickle.dumps(received) == untouched
+        assert pickle.loads(untouched) == plan
