@@ -72,6 +72,10 @@ class Planner:
     ) -> None:
         self.database = database
         self.config = config or database.config
+        # Rendered once: the config is frozen and assigned only here, and every
+        # cache key carries this (a sha256 over every knob) — not memoised on
+        # the config object, which rides along in pickled task payloads.
+        self._config_fingerprint = self.config.fingerprint()
         self.estimator = CardinalityEstimator(database)
         self.cost_model = CostModel(database, self.config, self.estimator)
         self._dp = DPEnumerator(self.cost_model)
@@ -100,7 +104,7 @@ class Planner:
         after it (and vice versa).  The serving layer uses this to probe the
         cache without planning.
         """
-        return self.plan_cache.key_for(query, self.config, hints, self._cache_scope)
+        return self.plan_cache.key_for(query, self._config_fingerprint, hints, self._cache_scope)
 
     def invalidate_cached_plans(self) -> int:
         """Retire every cached plan of this planner's scope (bump-on-change).
@@ -116,14 +120,23 @@ class Planner:
         """Plan a query and return the physical plan (no metadata)."""
         return self.plan_with_info(query, hints).plan
 
-    def plan_with_info(self, query: BoundQuery, hints: HintSet = NO_HINTS) -> PlannerResult:
-        """Plan a query and return the plan plus planning metadata."""
+    def plan_with_info(
+        self, query: BoundQuery, hints: HintSet = NO_HINTS, cache_key: tuple | None = None
+    ) -> PlannerResult:
+        """Plan a query and return the plan plus planning metadata.
+
+        ``cache_key`` is this request's :meth:`cache_key` when the caller has
+        already built it to probe the cache (the serving layer): the lookup
+        and the store then use that key — and the generation inside it —
+        instead of fingerprinting the request a second time.
+        """
         hints.validate(query.aliases)
         n = query.num_relations
         if n == 0:
             raise OptimizerError("cannot plan a query without relations")
 
-        cache_key = self.cache_key(query, hints)
+        if cache_key is None:
+            cache_key = self.cache_key(query, hints)
         cached = self.plan_cache.get(cache_key)
         if cached is not None:
             return cached

@@ -40,9 +40,6 @@ scales with the hardware:
 
 from repro.runtime.fingerprint import (
     canonical_query_text,
-    config_fingerprint,
-    hints_fingerprint,
-    plan_request_key,
     query_fingerprint,
     stable_hash,
     stable_seed,
@@ -117,9 +114,6 @@ __all__ = [
     "parse_queue_url",
     "resolve_queue_secret",
     "canonical_query_text",
-    "config_fingerprint",
-    "hints_fingerprint",
-    "plan_request_key",
     "query_fingerprint",
     "stable_hash",
     "stable_seed",

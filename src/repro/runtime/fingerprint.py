@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.config import PostgresConfig
-from repro.plans.hints import HintSet
 from repro.sql.binder import BoundQuery
 
 #: Attribute used to memoize a query's fingerprint on the bound object.
@@ -81,20 +79,3 @@ def query_fingerprint(query: BoundQuery) -> str:
     fingerprint = stable_hash(canonical_query_text(query))
     setattr(query, _QUERY_FP_ATTR, fingerprint)
     return fingerprint
-
-
-def config_fingerprint(config: PostgresConfig) -> str:
-    """Content fingerprint of a DBMS configuration (every knob participates)."""
-    return config.fingerprint()
-
-
-def hints_fingerprint(hints: HintSet) -> str:
-    """Content fingerprint of a hint set (display name excluded)."""
-    return hints.fingerprint()
-
-
-def plan_request_key(
-    query: BoundQuery, config: PostgresConfig, hints: HintSet
-) -> tuple[str, str, str]:
-    """The full cache key of one planning request."""
-    return (query_fingerprint(query), config_fingerprint(config), hints_fingerprint(hints))

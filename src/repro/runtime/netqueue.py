@@ -10,12 +10,27 @@ frame, and the server persists them into the coordinator's local (possibly
 sharded) result store.  Workers therefore need no path in common with the
 coordinator: a sweep can span hosts that share nothing but a network route.
 
-Wire protocol — one request frame and one response frame per connection::
+Wire protocol — a connection carries any number of request/response frame
+pairs, strictly alternating (no pipelining)::
 
     unsigned: MAGIC b"RQ" | length (4 bytes, big endian) | pickle(payload)
     signed:   MAGIC b"RS" | length (4 bytes, big endian)
               | HMAC-SHA256(secret, header + payload) (32 bytes) | pickle(payload)
     error:    MAGIC b"RE" | length (4 bytes, big endian) | utf-8 message
+
+Connection lifetime (:class:`FrameServer` / :class:`FrameClient`, the one
+transport under the work queue and the plan server): the server answers frames
+on a connection until the peer hangs up, a frame fails authentication (``RE``
+frame, then close — nothing more is read from that peer), a verified frame
+cannot be unpickled (signed ``kind: "protocol"`` error, then close) or
+``SERVER_TIMEOUT_S`` passes without a complete next frame, trickled or idle.
+The client keeps its socket and serialises its callers on it.  A kept socket
+the server has meanwhile closed fails the next request with a connection error
+before any response byte; the client then reconnects and resends **once**,
+outside the ``retries`` budget (ops tolerate a second delivery, as retries
+always required).  Connect failures, and failures once a response began, spend
+``retries`` with backoff.  :meth:`FrameServer.close` also shuts down every live
+connection: clients of a closed server read EOF, reconnect and are refused.
 
 Leases are tracked server-side with ``time.monotonic()``: claim, renew and
 expiry all read one clock on one host, so the cross-host clock-skew hazards
@@ -39,6 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import logging
 import os
 import pickle
 import socket
@@ -46,11 +62,19 @@ import socketserver
 import struct
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import ExperimentError
 from repro.runtime.result_store import ResultStore
-from repro.runtime.workqueue import QueueStats, ResultUpload, StolenTask, TaskClaim, plan_steal
+from repro.runtime.workqueue import (
+    QueueStats,
+    ResultUpload,
+    StolenTask,
+    TaskClaim,
+    parse_queue_url,
+    plan_steal,
+)
 
 #: Frame header: magic + payload length.
 MAGIC = b"RQ"
@@ -79,24 +103,26 @@ MAX_ERROR_BYTES = 4096
 #: per-frame deadline below bounds how long such a read can be strung out.)
 MAX_AUTH_DRAIN_BYTES = 1024 * 1024
 
-#: Server-side deadline for receiving one complete frame: a peer that
-#: trickles bytes (or stalls mid-frame) releases its handler thread — and
-#: whatever buffer it accumulated — after this long, instead of pinning both
-#: for the life of the sweep.  A deadline, not a per-recv timeout: trickling
-#: one byte every few seconds does not reset it.
+#: Server-side deadline for a connection's next complete frame: a peer that
+#: trickles bytes, stalls mid-frame or sits idle releases its handler thread —
+#: and the buffer it accumulated — after this long, not at the sweep's end.  A
+#: deadline, not a per-recv timeout: a byte every few seconds does not reset it.
 SERVER_TIMEOUT_S = 30.0
 
-#: Default client-side socket timeout (connect + one request/response pair).
+#: Default client-side socket timeout (connect, and each send/recv of a pair).
 CLIENT_TIMEOUT_S = 30.0
 
 #: Environment variable carrying the shared frame-signing secret.
 QUEUE_SECRET_ENV = "REPRO_QUEUE_SECRET"
 
-#: Default transient-connection retry budget of :class:`NetWorkQueue` — a
+#: Default transient-connection retry budget of :class:`FrameClient` — a
 #: refused/reset connection is retried with exponential backoff this many
-#: times before it is treated as a dead coordinator.
+#: times before it is treated as a dead server.
 CLIENT_RETRIES = 3
 CLIENT_BACKOFF_S = 0.2
+
+#: Operational messages only; never read back, so logging cannot reach a result.
+_log = logging.getLogger("repro.runtime")
 
 
 class FrameAuthError(ConnectionError):
@@ -216,6 +242,210 @@ def recv_frame(
     raise ConnectionError(f"bad queue frame magic {magic!r}")
 
 
+class FrameServer(socketserver.ThreadingTCPServer):
+    """Threaded TCP endpoint of the frame codec; ``dispatch(request, peer)`` answers.
+
+    One daemon thread per connection loops ``recv_frame`` → ``dispatch`` →
+    ``send_frame`` until the connection ends (module docstring).  The codec's
+    promises — verify before unpickling, a deadline per frame, plain text for
+    a peer that fails authentication — are enforced here for every server.
+    """
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(
+        self, address: tuple[str, int], dispatch: Callable[[object, str], dict],
+        secret: str | bytes | None, name: str, backlog: int = 5,
+    ) -> None:
+        self._dispatch = dispatch
+        #: Frame-signing secret (explicit, else REPRO_QUEUE_SECRET, else off).
+        self.secret = resolve_queue_secret(secret)
+        self._name = name
+        self._lock = threading.Lock()
+        self._live: set[socket.socket] = set()
+        self._closed = False
+        self._counters = {"connections": 0, "auth_rejects": 0, "errors": 0}
+        # ``listen()`` reads this during activation: the accept queue is
+        # bounded before the first client can connect.
+        self.request_queue_size = backlog
+        super().__init__(address, None)  # finish_request below is the handler
+        self.host, self.port = self.server_address[:2]
+        #: The address clients connect to.
+        self.url = f"tcp://{'127.0.0.1' if self.host in ('0.0.0.0', '::') else self.host}:{self.port}"
+        self._thread = threading.Thread(target=self.serve_forever, name=name, daemon=True)
+        self._thread.start()
+
+    def counters(self) -> dict[str, int]:
+        """Accepted ``connections``, ``auth_rejects`` and unloadable-frame ``errors``."""
+        with self._lock:
+            return dict(self._counters)
+
+    def close(self) -> None:
+        """Stop accepting and drop every live connection (idempotent): a handler
+        blocked in ``recv`` reads EOF, one busy in ``dispatch`` fails its send,
+        so nobody is served on by the threads of a server its owner shut down."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True  # a connection accepted from here on is dropped unserved
+        self.shutdown()
+        self.server_close()
+        with self._lock:
+            live = list(self._live)
+        for sock in live:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)  # its own thread closes it
+            except OSError:
+                pass
+        self._thread.join(timeout=10)
+
+    def finish_request(self, sock: socket.socket, address: tuple) -> None:
+        """Serve one accepted connection on its own thread (socketserver hook)."""
+        with self._lock:
+            if self._closed:
+                return
+            self._live.add(sock)
+            self._counters["connections"] += 1
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            while self._serve_frame(sock, address[0] if address else "unknown"):
+                pass
+        finally:
+            with self._lock:
+                self._live.discard(sock)
+
+    def _serve_frame(self, sock: socket.socket, peer: str) -> bool:
+        """Answer the connection's next frame; ``False`` ends the connection."""
+        # One deadline for the next frame, idle wait included: a trickling or
+        # silent peer cannot pin this thread (or its growing buffer) for good.
+        deadline = time.monotonic() + SERVER_TIMEOUT_S
+        keep = True
+        try:
+            request = recv_frame(sock, secret=self.secret, deadline=deadline)
+        except FrameAuthError as exc:
+            # Plain text (a misconfigured peer learns why it is turned away),
+            # never a pickled response, and nothing more is read from this peer.
+            with self._lock:
+                self._counters["auth_rejects"] += 1
+            _log.warning("%s: rejected a frame from %s: %s", self._name, peer, exc)
+            try:
+                send_error_frame(sock, f"{self._name} rejected the frame: {exc}")
+            except OSError:
+                pass
+            return False
+        except (QueueAuthError, OSError) as exc:
+            # The peer hanging up between frames is how every connection ends.
+            if time.monotonic() >= deadline:
+                _log.info("%s: dropped %s at the frame deadline: %s", self._name, peer, exc)
+            return False
+        except Exception as exc:
+            # Only ``pickle.loads`` raises anything else, and only after
+            # verification: an authentic frame, truncated or of an unknown class.
+            with self._lock:
+                self._counters["errors"] += 1
+            _log.warning("%s: unloadable frame from %s: %r", self._name, peer, exc)
+            error = f"verified frame cannot be unpickled: {type(exc).__name__}: {exc}"
+            response, keep = {"ok": False, "kind": "protocol", "error": error}, False
+        else:
+            try:
+                response = self._dispatch(request, peer)
+            except Exception as exc:  # surface server-side errors to the caller
+                _log.exception("%s: dispatch failed for %s", self._name, peer)
+                response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        try:
+            send_frame(sock, response, secret=self.secret)
+        except OSError:
+            return False
+        return keep
+
+
+class FrameClient:
+    """One kept connection to a :class:`FrameServer`, shared by its callers.
+
+    Base of :class:`NetWorkQueue` and :class:`~repro.runtime.planclient.
+    PlanClient`: the socket, the lock that keeps two callers' frames from
+    interleaving on it (a worker's heartbeat thread and main loop share one
+    client), the resend rule and the retry policy (module docstring).
+    """
+
+    def __init__(
+        self, url: str, timeout_s: float = CLIENT_TIMEOUT_S, secret: str | bytes | None = None,
+        retries: int = CLIENT_RETRIES, backoff_s: float = CLIENT_BACKOFF_S,
+    ) -> None:
+        address = parse_queue_url(url)
+        if address.scheme != "tcp":
+            raise ExperimentError(f"{type(self).__name__} needs a tcp:// url, got {url!r}")
+        if retries < 0:
+            raise ExperimentError(f"{type(self).__name__}.retries must be >= 0")
+        self.host, self.port = address.host, address.port
+        self.timeout_s = timeout_s
+        self.secret = resolve_queue_secret(secret)
+        self.retries = int(retries)
+        self.backoff_s = float(backoff_s)
+        self._lock = threading.Lock()
+        self._sock: socket.socket | None = None
+
+    def close(self) -> None:
+        """Drop the kept connection (the next request reconnects)."""
+        with self._lock:
+            sock, self._sock = self._sock, None
+        if sock is not None:
+            sock.close()
+
+    def exchange(self, request: object) -> object:
+        """One frame pair on the kept socket (connecting if there is none).
+
+        A kept socket that fails with a connection error before the first
+        response byte was closed under us: reconnect and resend once.  Any
+        other failure drops the socket and goes to :meth:`request`'s budget.
+        """
+        with self._lock:
+            sock, self._sock = self._sock, None  # an exception below leaves none kept
+            try:
+                if sock is not None:
+                    try:
+                        send_frame(sock, request, secret=self.secret)
+                        if not sock.recv(1, socket.MSG_PEEK):
+                            raise ConnectionError("server closed the kept connection")
+                    except ConnectionError:
+                        sock.close()
+                        sock = None
+                if sock is None:
+                    sock = socket.create_connection((self.host, self.port), timeout=self.timeout_s)
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    send_frame(sock, request, secret=self.secret)
+                response = recv_frame(sock, secret=self.secret)
+            except BaseException:
+                if sock is not None:
+                    sock.close()
+                raise
+            self._sock = sock
+        return response
+
+    def request(self, request: object) -> object:
+        """:meth:`exchange`, retrying ``OSError`` ``retries`` times with backoff.
+
+        One refused connection — the server's listen socket bouncing during a
+        restart — must not read as a dead server.  :class:`QueueAuthError` is
+        not an ``OSError``: a mis-keyed secret propagates at once.
+        """
+        delay = self.backoff_s
+        retries_left = self.retries
+        while True:
+            try:
+                return self.exchange(request)
+            except OSError:
+                if retries_left <= 0:
+                    raise
+                retries_left -= 1
+                time.sleep(delay)
+                delay *= 2
+
+    def describe(self) -> str:
+        return f"{type(self).__name__}(tcp://{self.host}:{self.port})"
+
+
 @dataclass
 class _Lease:
     """One claimed task: who holds it and when the lease runs out (monotonic)."""
@@ -223,40 +453,6 @@ class _Lease:
     worker_id: str
     deadline: float
     payload: object
-
-
-class _FrameHandler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised through the client
-        secret = self.server.queue._secret
-        # One deadline for the whole request frame: a peer that trickles
-        # bytes cannot pin this thread (or its growing buffer) indefinitely.
-        deadline = time.monotonic() + SERVER_TIMEOUT_S
-        try:
-            request = recv_frame(self.request, secret=secret, deadline=deadline)
-        except FrameAuthError as exc:
-            # The peer failed authentication: answer with a plain-text error
-            # frame (telling a legitimate-but-misconfigured worker why it is
-            # being turned away) and never a pickled response.
-            try:
-                send_error_frame(self.request, f"queue server rejected the frame: {exc}")
-            except OSError:
-                pass
-            return
-        except (QueueAuthError, ConnectionError, OSError, pickle.UnpicklingError):
-            return
-        try:
-            response = self.server.queue._dispatch(request)
-        except Exception as exc:  # surface server-side errors to the caller
-            response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        try:
-            send_frame(self.request, response, secret=secret)
-        except OSError:
-            pass
-
-
-class _ThreadedTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
 
 
 class QueueServer:
@@ -287,8 +483,6 @@ class QueueServer:
         self.lease_timeout_s = float(lease_timeout_s)
         self.hungry_ttl_s = float(hungry_ttl_s)
         self.result_store = result_store
-        #: Frame-signing secret (explicit, else REPRO_QUEUE_SECRET, else off).
-        self._secret = resolve_queue_secret(secret)
         self._lock = threading.Lock()
         #: Shared root pool (unsharded enqueues + re-queued expired leases).
         self._pending: dict[str, object] = {}
@@ -301,30 +495,15 @@ class QueueServer:
         self._failed: dict[str, str] = {}
         self._worker_done: dict[str, int] = {}
         self._stop = False
-        self._server = _ThreadedTCPServer((host, port), _FrameHandler)
-        self._server.queue = self
-        self.host, self.port = self._server.server_address[:2]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="repro-queue-server", daemon=True
+        self._server = FrameServer(
+            (host, port), lambda request, peer: self._dispatch(request), secret,
+            name="repro-queue-server",
         )
-        self._thread.start()
-        self._closed = False
-
-    @property
-    def url(self) -> str:
-        """The ``tcp://host:port`` address workers connect to."""
-        host = "127.0.0.1" if self.host in ("0.0.0.0", "::") else self.host
-        return f"tcp://{host}:{self.port}"
+        self.host, self.port, self.url = self._server.host, self._server.port, self._server.url
 
     def close(self) -> None:
-        """Stop serving and release the socket (idempotent)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=10)
+        """Stop serving, drop every worker connection, release the socket (idempotent)."""
+        self._server.close()
 
     # ------------------------------------------------------------------ coordinator
     def enqueue(self, task_id: str, payload: object, shard: int | None = None) -> None:
@@ -462,18 +641,13 @@ class QueueServer:
         return min(candidates, key=lambda pair: pair[0])
 
     def renew(self, claim: TaskClaim) -> None:
-        self._renew_id(claim.task_id)
-
-    def _renew_id(self, task_id: str) -> None:
         with self._lock:
-            lease = self._claims.get(task_id)
+            lease = self._claims.get(claim.task_id)
             if lease is not None:
                 lease.deadline = time.monotonic() + self.lease_timeout_s
 
     def ack(self, claim: TaskClaim, worker_id: str, result: ResultUpload | None = None) -> None:
-        self._ack_id(claim.task_id, worker_id, result)
-
-    def _ack_id(self, task_id: str, worker_id: str, result: ResultUpload | None) -> None:
+        task_id = claim.task_id
         if result is not None and self.result_store is not None:
             # Persist before marking done: a "done" task whose result was lost
             # would make the coordinator's final store load fail.  Store writes
@@ -493,12 +667,9 @@ class QueueServer:
                 self._worker_done[worker_id] = self._worker_done.get(worker_id, 0) + 1
 
     def fail(self, claim: TaskClaim, worker_id: str, error: str) -> None:
-        self._fail_id(claim.task_id, worker_id, error)
-
-    def _fail_id(self, task_id: str, worker_id: str, error: str) -> None:
         with self._lock:
-            self._claims.pop(task_id, None)
-            self._failed[task_id] = error
+            self._claims.pop(claim.task_id, None)
+            self._failed[claim.task_id] = error
 
     # ------------------------------------------------------------------ inspection
     def pending_ids(self) -> set[str]:
@@ -553,118 +724,59 @@ class QueueServer:
         if not isinstance(request, dict) or "op" not in request:
             return {"ok": False, "error": "malformed queue request"}
         op = request["op"]
+        # Wire callers name the task by id; the methods below are the ones the
+        # in-process coordinator calls with the claim itself.
+        named = TaskClaim(str(request.get("task_id", "")), payload=None)
+        worker_id = str(request.get("worker_id", "unknown"))
         if op == "claim":
             shard = request.get("shard")
-            claim = self.claim(
-                str(request.get("worker_id", "unknown")),
-                shard=int(shard) if shard is not None else None,
-            )
+            claim = self.claim(worker_id, shard=int(shard) if shard is not None else None)
             if claim is None:
                 return {"ok": True, "task_id": None, "payload": None}
             return {"ok": True, "task_id": claim.task_id, "payload": claim.payload}
         if op == "renew":
-            self._renew_id(str(request.get("task_id", "")))
+            self.renew(named)
             return {"ok": True}
         if op == "ack":
             result = request.get("result")
             if result is not None and not isinstance(result, ResultUpload):
                 return {"ok": False, "error": "ack result must be a ResultUpload"}
-            self._ack_id(
-                str(request.get("task_id", "")), str(request.get("worker_id", "unknown")), result
-            )
+            self.ack(named, worker_id, result)
             return {"ok": True}
         if op == "fail":
-            self._fail_id(
-                str(request.get("task_id", "")),
-                str(request.get("worker_id", "unknown")),
-                str(request.get("error", "unknown error")),
-            )
+            self.fail(named, worker_id, str(request.get("error", "unknown error")))
             return {"ok": True}
         if op == "poll":
             with self._lock:
                 return {"ok": True, "stop": self._stop, "pending": len(self._pending)}
         if op == "stats":
-            stats = self.stats()
-            return {
-                "ok": True,
-                "pending": stats.pending,
-                "claimed": stats.claimed,
-                "done": stats.done,
-                "failed": stats.failed,
-                "shard_pending": list(stats.shard_pending),
-            }
+            return {"ok": True, "stats": self.stats()}
         if op == "worker_counts":
             return {"ok": True, "workers": self.worker_done_counts()}
         return {"ok": False, "error": f"unknown queue op {op!r}"}
 
 
-class NetWorkQueue:
-    """Worker-side client of a :class:`QueueServer` (one frame per connection).
+class NetWorkQueue(FrameClient):
+    """Worker-side client of a :class:`QueueServer` over one kept connection.
 
     Implements the :class:`~repro.runtime.workqueue.WorkerQueueTransport`
-    surface.  Transient socket errors (a refused connection during a
-    coordinator restart, a dropped SYN) are retried ``retries`` times with
-    exponential backoff; only after the budget is exhausted is the
-    coordinator treated as gone — then ``claim`` returns ``None`` and
+    surface.  Only once :meth:`FrameClient.request`'s retry budget is spent
+    is the coordinator treated as gone — then ``claim`` returns ``None`` and
     ``stop_requested`` returns ``True``, so orphaned workers drain out
     instead of erroring or polling forever (any half-finished task's lease
-    has died with the server anyway).  An *authentication* rejection is
-    never retried and never reads as stop: it raises :class:`QueueAuthError`
-    so a mis-keyed worker fails loudly.
+    has died with the server anyway).  An *authentication* rejection never
+    reads as stop: :class:`QueueAuthError` makes a mis-keyed worker fail loudly.
     """
 
     wants_results = True
 
-    def __init__(
-        self,
-        url: str,
-        timeout_s: float = CLIENT_TIMEOUT_S,
-        secret: str | bytes | None = None,
-        retries: int = CLIENT_RETRIES,
-        backoff_s: float = CLIENT_BACKOFF_S,
-    ) -> None:
-        from repro.runtime.workqueue import parse_queue_url
-
-        address = parse_queue_url(url)
-        if address.scheme != "tcp":
-            raise ExperimentError(f"NetWorkQueue needs a tcp:// url, got {url!r}")
-        if retries < 0:
-            raise ExperimentError("NetWorkQueue.retries must be >= 0")
-        self.host, self.port = address.host, address.port
-        self.timeout_s = timeout_s
-        self.secret = resolve_queue_secret(secret)
-        self.retries = int(retries)
-        self.backoff_s = float(backoff_s)
-
-    def _request_once(self, request: dict) -> dict:
-        with socket.create_connection((self.host, self.port), timeout=self.timeout_s) as sock:
-            send_frame(sock, request, secret=self.secret)
-            response = recv_frame(sock, secret=self.secret)
+    def _request(self, request: dict) -> dict:
+        """One request/response pair; a server-side rejection raises."""
+        response = self.request(request)
         if not isinstance(response, dict) or not response.get("ok"):
             error = response.get("error", "malformed response") if isinstance(response, dict) else response
             raise ExperimentError(f"queue server at {self.host}:{self.port} rejected {request.get('op')!r}: {error}")
         return response
-
-    def _request(self, request: dict) -> dict:
-        """One request/response pair, retrying transient socket failures.
-
-        Retries are bounded and only cover ``OSError`` (connection refused or
-        reset, timeouts): a single refused connection mid-sweep — e.g. the
-        coordinator's listen socket bouncing during a restart — used to read
-        as a stop signal and drain every worker.  :class:`QueueAuthError` and
-        server-side rejections propagate immediately.
-        """
-        delay = self.backoff_s
-        for attempt in range(self.retries + 1):
-            try:
-                return self._request_once(request)
-            except QueueAuthError:
-                raise  # misconfigured secret: retrying cannot help
-            except OSError:
-                if attempt == self.retries:
-                    raise
-                time.sleep(delay)
-                delay *= 2
 
     def claim(self, worker_id: str, shard: int | None = None) -> TaskClaim | None:
         request = {"op": "claim", "worker_id": worker_id}
@@ -672,8 +784,6 @@ class NetWorkQueue:
             request["shard"] = shard
         try:
             response = self._request(request)
-        except QueueAuthError:
-            raise
         except OSError:
             return None  # server gone; stop_requested() tells the loop to exit
         if response["task_id"] is None:
@@ -689,20 +799,16 @@ class NetWorkQueue:
             pass  # a missed heartbeat at worst expires the lease
 
     def ack(self, claim: TaskClaim, worker_id: str, result: ResultUpload | None = None) -> None:
-        try:
-            self._request(
-                {"op": "ack", "task_id": claim.task_id, "worker_id": worker_id, "result": result}
-            )
-        except OSError:
-            pass  # server gone: the lease expires and someone else re-runs it
+        self._report({"op": "ack", "task_id": claim.task_id, "worker_id": worker_id, "result": result})
 
     def fail(self, claim: TaskClaim, worker_id: str, error: str) -> None:
+        self._report({"op": "fail", "task_id": claim.task_id, "worker_id": worker_id, "error": error})
+
+    def _report(self, request: dict) -> None:
         try:
-            self._request(
-                {"op": "fail", "task_id": claim.task_id, "worker_id": worker_id, "error": error}
-            )
+            self._request(request)
         except OSError:
-            pass
+            pass  # server gone: the lease expires and someone else re-runs it
 
     def stop_requested(self) -> bool:
         try:
@@ -711,20 +817,8 @@ class NetWorkQueue:
             return True  # unreachable coordinator == sweep over for this worker
 
     def stats(self) -> QueueStats:
-        response = self._request({"op": "stats"})
-        return QueueStats(
-            pending=response["pending"],
-            claimed=response["claimed"],
-            done=response["done"],
-            failed=response["failed"],
-            shard_pending=tuple(
-                (int(shard), int(count)) for shard, count in response.get("shard_pending", [])
-            ),
-        )
+        return self._request({"op": "stats"})["stats"]
 
     def worker_done_counts(self) -> dict[str, int]:
         response = self._request({"op": "worker_counts"})
         return {str(worker): int(count) for worker, count in response.get("workers", {}).items()}
-
-    def describe(self) -> str:
-        return f"NetWorkQueue(tcp://{self.host}:{self.port})"

@@ -29,9 +29,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.config import PostgresConfig
 from repro.plans.hints import HintSet
-from repro.runtime.fingerprint import plan_request_key
+from repro.runtime.fingerprint import query_fingerprint
 from repro.sql.binder import BoundQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner imports us)
@@ -112,19 +111,28 @@ class PlanCache:
     def key_for(
         self,
         query: BoundQuery,
-        config: PostgresConfig,
+        config_fingerprint: str,
         hints: HintSet,
         scope: str = "",
     ) -> tuple:
         """Full cache key of one planning request.
 
-        ``scope`` disambiguates everything the request fingerprints cannot
+        ``config_fingerprint`` is the planning configuration's
+        ``PostgresConfig.fingerprint()``.  ``scope`` disambiguates everything the request fingerprints cannot
         see — the planner passes a digest of its database identity and GEQO
         parameters, so one cache can serve many planners.  The scope's
         current generation (see :meth:`invalidate_scope`) is embedded in the
         key, so a bump retires every earlier entry without touching them.
         """
-        return (*plan_request_key(query, config, hints), scope, self.generation(scope))
+        return (
+            query_fingerprint(query), config_fingerprint, hints.fingerprint(),
+            scope, self.generation(scope),
+        )
+
+    @staticmethod
+    def key_generation(key: tuple) -> int:
+        """The generation a :meth:`key_for` key was built under (its last component)."""
+        return key[-1]
 
     def generation(self, scope: str = "") -> int:
         """Current effective generation of ``scope`` (global + per-scope)."""

@@ -11,8 +11,8 @@ nothing.
 Failure taxonomy, deliberately three-way:
 
 * **Transient transport errors** (refused connection during a server restart,
-  a dropped SYN) are retried with exponential backoff, like
-  :class:`~repro.runtime.netqueue.NetWorkQueue`.
+  a dropped SYN) are retried with exponential backoff — the shared
+  :meth:`~repro.runtime.netqueue.FrameClient.request` policy.
 * **Admission-control rejections** raise :class:`repro.errors.PlanRejected`
   carrying the server's ``retry_after_s`` hint.  They are *not* retried
   internally by default — backpressure is the caller's signal to slow down,
@@ -24,7 +24,6 @@ Failure taxonomy, deliberately three-way:
 
 from __future__ import annotations
 
-import socket
 import time
 from dataclasses import dataclass, field
 
@@ -36,10 +35,7 @@ from repro.runtime.netqueue import (
     CLIENT_BACKOFF_S,
     CLIENT_RETRIES,
     CLIENT_TIMEOUT_S,
-    QueueAuthError,
-    recv_frame,
-    resolve_queue_secret,
-    send_frame,
+    FrameClient,
 )
 
 
@@ -69,8 +65,8 @@ class ServedPlan:
     round_trip_ms: float = field(default=0.0, compare=False)
 
 
-class PlanClient:
-    """Blocking client; one request/response frame pair per connection."""
+class PlanClient(FrameClient):
+    """Blocking client; all requests share one kept connection."""
 
     def __init__(
         self,
@@ -82,30 +78,18 @@ class PlanClient:
         backoff_s: float = CLIENT_BACKOFF_S,
         reject_retries: int = 0,
     ) -> None:
-        from repro.runtime.workqueue import parse_queue_url
-
-        address = parse_queue_url(url)
-        if address.scheme != "tcp":
-            raise ExperimentError(f"PlanClient needs a tcp:// url, got {url!r}")
-        if retries < 0 or reject_retries < 0:
-            raise ExperimentError("PlanClient retry budgets must be >= 0")
-        self.host, self.port = address.host, address.port
+        super().__init__(url, timeout_s, secret, retries, backoff_s)
+        if reject_retries < 0:
+            raise ExperimentError("PlanClient.reject_retries must be >= 0")
         self.client_id = client_id
-        self.timeout_s = timeout_s
-        self.secret = resolve_queue_secret(secret)
-        self.retries = int(retries)
-        self.backoff_s = float(backoff_s)
         self.reject_retries = int(reject_retries)
 
     # ------------------------------------------------------------------ transport
     def _request_once(self, request: dict) -> dict:
-        with socket.create_connection((self.host, self.port), timeout=self.timeout_s) as sock:
-            send_frame(sock, request, secret=self.secret)
-            response = recv_frame(sock, secret=self.secret)
+        """One answered request (transport retries included), errors raised."""
+        response = self.request(request)
         if not isinstance(response, dict):
-            raise PlanServiceError(
-                f"plan server at {self.host}:{self.port} sent a malformed response"
-            )
+            raise PlanServiceError(f"plan server at {self.host}:{self.port} sent a malformed response")
         if response.get("rejected"):
             raise PlanRejected(
                 str(response.get("error", "plan server at capacity")),
@@ -119,31 +103,21 @@ class PlanClient:
         return response
 
     def _request(self, request: dict) -> dict:
-        """One request, retrying transient transport failures (never auth).
+        """:meth:`_request_once`, re-sent while the server answers "busy".
 
         Backpressure rejections have their own (default-zero) budget,
         separate from the transport budget: a server that is alive-but-busy
         is a different situation from one that is unreachable.
         """
-        delay = self.backoff_s
-        transports_left = self.retries
         rejects_left = self.reject_retries
         while True:
             try:
                 return self._request_once(request)
-            except QueueAuthError:
-                raise  # mis-keyed secret: retrying cannot help, fail loudly
             except PlanRejected as exc:
                 if rejects_left <= 0:
                     raise
                 rejects_left -= 1
                 time.sleep(exc.retry_after_s)
-            except OSError:
-                if transports_left <= 0:
-                    raise
-                transports_left -= 1
-                time.sleep(delay)
-                delay *= 2
 
     # ------------------------------------------------------------------ operations
     def plan(

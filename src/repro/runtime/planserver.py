@@ -51,12 +51,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import pickle
-import socketserver
 import sys
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from repro.config import PostgresConfig
@@ -69,14 +67,7 @@ from repro.errors import (
 )
 from repro.optimizer.planner import Planner, PlannerResult
 from repro.plans.hints import HintSet, NO_HINTS
-from repro.runtime.netqueue import (
-    FrameAuthError,
-    SERVER_TIMEOUT_S,
-    recv_frame,
-    resolve_queue_secret,
-    send_error_frame,
-    send_frame,
-)
+from repro.runtime.netqueue import FrameServer
 from repro.runtime.plan_cache import PlanCache
 from repro.sql.binder import BoundQuery, bind_sql
 from repro.storage.database import Database
@@ -113,7 +104,8 @@ class PlanServerStats:
     shared :class:`~repro.runtime.plan_cache.PlanCache` counter snapshot
     (hits/misses/evictions/invalidations/hit_rate); ``generations`` maps each
     served cache scope to its current generation, so a client can observe an
-    invalidation bump without planning anything.
+    invalidation bump without planning anything.  ``connections`` (accepted
+    so far) against ``served`` shows how many requests a connection carries.
     """
 
     uptime_s: float
@@ -123,6 +115,7 @@ class PlanServerStats:
     auth_rejects: int
     errors: int
     inflight: int
+    connections: int = 0
     clients: dict[str, int] = field(default_factory=dict)
     cache: dict[str, float] = field(default_factory=dict)
     generations: dict[str, int] = field(default_factory=dict)
@@ -138,6 +131,7 @@ class PlanServerStats:
             "auth_rejects": self.auth_rejects,
             "errors": self.errors,
             "inflight": self.inflight,
+            "connections": self.connections,
             "clients": dict(sorted(self.clients.items())),
             "cache": self.cache,
             "generations": dict(sorted(self.generations.items())),
@@ -158,45 +152,6 @@ class PlanServerStats:
         )
 
 
-class _PlanFrameHandler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised through the client
-        server: "PlanServer" = self.server.plan_server
-        deadline = time.monotonic() + SERVER_TIMEOUT_S
-        try:
-            request = recv_frame(self.request, secret=server._secret, deadline=deadline)
-        except FrameAuthError as exc:
-            # Authentication failed while the payload was still opaque bytes:
-            # count it, answer loudly in plain text, never unpickle.
-            server._count_auth_reject()
-            try:
-                send_error_frame(self.request, f"plan server rejected the frame: {exc}")
-            except OSError:
-                pass
-            return
-        except (ConnectionError, OSError, pickle.UnpicklingError):
-            return
-        peer = self.client_address[0] if self.client_address else "unknown"
-        try:
-            response = server._dispatch(request, peer)
-        except Exception as exc:  # surface server-side bugs to the caller
-            response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        try:
-            send_frame(self.request, response, secret=server._secret)
-        except OSError:
-            pass
-
-
-class _PlanTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address: tuple[str, int], backlog: int) -> None:
-        # ``listen(backlog)`` reads this during activation: the accept queue
-        # is bounded before the first client can connect.
-        self.request_queue_size = backlog
-        super().__init__(address, _PlanFrameHandler)
-
-
 class PlanServer:
     """Optimizer-as-a-service over the authenticated frame codec.
 
@@ -207,8 +162,9 @@ class PlanServer:
     planner (planners are cheap; the cache is the shared asset), keyed by
     config fingerprint.
 
-    Wire protocol — one signed request frame, one signed response frame per
-    connection, payloads are dicts with an ``"op"`` key:
+    Wire protocol — signed request/response frame pairs, any number per
+    connection (:class:`~repro.runtime.netqueue.FrameServer`), payloads are
+    dicts with an ``"op"`` key:
 
     ``{"op": "plan", "sql": str, "hints": HintSet?, "config": PostgresConfig?,
     "client": str?}``
@@ -216,6 +172,8 @@ class PlanServer:
         "planning_time_ms": float, "estimated_cost": float,
         "estimated_rows": float, "cache_hit": bool, "server_latency_ms":
         float, "generation": int}`` — or a reject/error dict (below).
+        ``generation`` is the one the plan was looked up (and, on a miss,
+        stored) under, even if an ``invalidate`` landed meanwhile.
     ``{"op": "stats"}``
         → ``{"ok": True, "stats": <PlanServerStats.to_dict()>}``.
     ``{"op": "invalidate"}``
@@ -252,8 +210,6 @@ class PlanServer:
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.max_client_inflight = int(max_client_inflight)
         self.max_total_inflight = int(max_total_inflight)
-        #: Frame-signing secret (explicit, else REPRO_QUEUE_SECRET, else off).
-        self._secret = resolve_queue_secret(secret)
         self._lock = threading.Lock()
         #: Cache-miss planning runs inside this critical section: concurrent
         #: misses of the same key collapse into one planning pass, and the
@@ -261,54 +217,31 @@ class PlanServer:
         self._plan_lock = threading.Lock()
         #: One planner per distinct request configuration, sharing the cache.
         self._planners: dict[str, Planner] = {}
+        #: SQL text → binding, LRU-bounded by ``plan_cache.max_entries``.  Binding
+        #: reads the text and this server's fixed schema, never statistics, so
+        #: ``invalidate`` leaves it alone.  Shared by handler threads: read-only.
+        self._bound: OrderedDict[str, BoundQuery] = OrderedDict()
         self._inflight: dict[str, int] = {}
         self._total_inflight = 0
         self._served = 0
         self._planned = 0
         self._rejected = 0
-        self._auth_rejects = 0
         self._errors = 0
         self._client_served: dict[str, int] = {}
         self._latencies_ms: deque[float] = deque(maxlen=latency_window)
         self._started = time.monotonic()
-        self._default_planner = self._make_planner(None)
-        self._server = _PlanTCPServer((host, port), backlog)
-        self._server.plan_server = self
-        self.host, self.port = self._server.server_address[:2]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="repro-plan-server", daemon=True
+        self._default_planner = Planner(database, plan_cache=self.plan_cache)
+        self._server = FrameServer(
+            (host, port), self._dispatch, secret, name="repro-plan-server", backlog=backlog
         )
-        self._thread.start()
-        self._closed = False
+        self.host, self.port, self.url = self._server.host, self._server.port, self._server.url
 
     # ------------------------------------------------------------------ lifecycle
-    @property
-    def url(self) -> str:
-        """The ``tcp://host:port`` address clients connect to."""
-        host = "127.0.0.1" if self.host in ("0.0.0.0", "::") else self.host
-        return f"tcp://{host}:{self.port}"
-
     def close(self) -> None:
-        """Stop serving and release the socket (idempotent)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=10)
-
-    def __enter__(self) -> "PlanServer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        """Stop serving, drop every client connection, release the socket (idempotent)."""
+        self._server.close()
 
     # ------------------------------------------------------------------ planners
-    def _make_planner(self, config: PostgresConfig | None) -> Planner:
-        planner = Planner(self.database, config=config, plan_cache=self.plan_cache)
-        return planner
-
     def _planner_for(self, config: PostgresConfig | None) -> Planner:
         """The planner serving ``config`` (the database default for ``None``)."""
         if config is None:
@@ -321,7 +254,7 @@ class PlanServer:
         # Built outside the stats lock (planner construction walks the
         # catalog); a racing duplicate is discarded — planners are stateless
         # per call and share the cache, so either instance serves identically.
-        planner = self._make_planner(config)
+        planner = Planner(self.database, config=config, plan_cache=self.plan_cache)
         with self._lock:
             return self._planners.setdefault(fingerprint, planner)
 
@@ -357,8 +290,6 @@ class PlanServer:
     def _serve_plan(self, request: dict, peer: str) -> dict:
         client = str(request.get("client") or peer)
         if not self._admit(client):
-            with self._lock:
-                self._rejected += 1
             return {
                 "ok": False,
                 "rejected": True,
@@ -397,12 +328,12 @@ class PlanServer:
         if config is not None and not isinstance(config, PostgresConfig):
             return {"ok": False, "error": "plan request 'config' must be a PostgresConfig", "kind": "protocol"}
         try:
-            query = bind_sql(sql, self.database.schema)
+            query = self._bind(sql)
         except SQLError as exc:
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}", "kind": "sql"}
         planner = self._planner_for(config)
         try:
-            result, cache_hit = self._plan_single_flight(planner, query, hints)
+            result, cache_hit, generation = self._plan_single_flight(planner, query, hints)
         except (HintError, OptimizerError) as exc:
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}", "kind": "planning"}
         if not cache_hit:
@@ -416,36 +347,53 @@ class PlanServer:
             "estimated_cost": result.estimated_cost,
             "estimated_rows": result.estimated_rows,
             "cache_hit": cache_hit,
-            "generation": self.plan_cache.generation(planner.cache_scope),
+            "generation": generation,
         }
+
+    def _bind(self, sql: str) -> BoundQuery:
+        """``bind_sql`` once per distinct text; a text that fails to bind raises every time."""
+        with self._lock:
+            query = self._bound.get(sql)
+            if query is not None:
+                self._bound.move_to_end(sql)
+                return query
+        query = bind_sql(sql, self.database.schema)
+        with self._lock:
+            self._bound[sql] = query
+            while len(self._bound) > self.plan_cache.max_entries:
+                self._bound.popitem(last=False)
+        return query
 
     def _plan_single_flight(
         self, planner: Planner, query: BoundQuery, hints: HintSet
-    ) -> tuple[PlannerResult, bool]:
-        """Plan via the shared cache; misses run in the planning critical section.
+    ) -> tuple[PlannerResult, bool, int]:
+        """Plan via the shared cache: ``(result, cache hit, generation)``.
 
-        ``peek`` routes the request without touching hit/miss counters — the
-        single ``Planner.plan_with_info`` call below is the one ``get`` that
-        accounts it, so stats requests always equal hits + misses.  A miss
-        re-peeks inside the lock: a concurrent client may have planned the
-        same key while this one waited, turning the miss into a hit
-        (single-flight).  An invalidation bump between peek and plan just
-        changes the key — the request re-plans against the new generation.
+        One key per request: ``peek`` routes on it without touching hit/miss
+        counters and the one ``plan_with_info`` call does, under the same key,
+        the one ``get`` that accounts the request (requests == hits + misses).
+        A miss re-peeks inside the planning lock: a concurrent client may have
+        planned the key meanwhile (single-flight).  A bump after the key was
+        built makes the request miss and plan under the key's pre-bump
+        generation, which it reports: never a label newer than the lookup.
         """
         key = planner.cache_key(query, hints)
+        generation = PlanCache.key_generation(key)
         if self.plan_cache.peek(key) is not None:
-            return planner.plan_with_info(query, hints), True
+            return planner.plan_with_info(query, hints, key), True, generation
         with self._plan_lock:
             cache_hit = self.plan_cache.peek(key) is not None
-            return planner.plan_with_info(query, hints), cache_hit
+            return planner.plan_with_info(query, hints, key), cache_hit, generation
 
     # ------------------------------------------------------------ admission
     def _admit(self, client: str) -> bool:
-        """Reserve an in-flight slot; ``False`` means reject (limits reached)."""
+        """Reserve an in-flight slot; ``False`` means reject (limits reached, counted)."""
         with self._lock:
-            if self._total_inflight >= self.max_total_inflight:
-                return False
-            if self._inflight.get(client, 0) >= self.max_client_inflight:
+            if (
+                self._total_inflight >= self.max_total_inflight
+                or self._inflight.get(client, 0) >= self.max_client_inflight
+            ):
+                self._rejected += 1
                 return False
             self._inflight[client] = self._inflight.get(client, 0) + 1
             self._total_inflight += 1
@@ -460,13 +408,10 @@ class PlanServer:
                 self._inflight[client] = remaining
             self._total_inflight = max(0, self._total_inflight - 1)
 
-    def _count_auth_reject(self) -> None:
-        with self._lock:
-            self._auth_rejects += 1
-
     # ------------------------------------------------------------------ stats
     def stats(self) -> PlanServerStats:
         """A consistent stats snapshot (counters read under the lock)."""
+        transport = self._server.counters()
         with self._lock:
             samples = sorted(self._latencies_ms)
             latency: dict[str, float] = {"count": float(len(samples))}
@@ -483,9 +428,10 @@ class PlanServer:
                 served=self._served,
                 planned=self._planned,
                 rejected=self._rejected,
-                auth_rejects=self._auth_rejects,
-                errors=self._errors,
+                auth_rejects=transport["auth_rejects"],
+                errors=self._errors + transport["errors"],
                 inflight=self._total_inflight,
+                connections=transport["connections"],
                 clients=dict(self._client_served),
                 cache=self.plan_cache.stats_snapshot().snapshot(),
                 generations={
@@ -545,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
         max_client_inflight=args.max_client_inflight,
         max_total_inflight=args.max_total_inflight,
     )
-    auth = "hmac" if server._secret is not None else "OFF (set REPRO_QUEUE_SECRET)"
+    auth = "hmac" if server._server.secret is not None else "OFF (set REPRO_QUEUE_SECRET)"
     print(json.dumps({"url": server.url, "database": database.name, "auth": auth}), flush=True)
     try:
         while True:

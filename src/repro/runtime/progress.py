@@ -22,6 +22,7 @@ use (and the coordinator's final end-of-sweep snapshot).
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 from collections.abc import Callable
@@ -38,6 +39,8 @@ from repro.runtime.workqueue import QueueStats, WorkerQueueTransport
 #: propagate, not read as "queue idle"; :class:`QueueAuthError` is re-raised
 #: explicitly because a mis-keyed worker has to fail loudly.
 _POLL_ERRORS = (OSError, ExperimentError)
+
+_log = logging.getLogger("repro.runtime")
 
 #: Interval used when a callback is installed but no interval was configured.
 DEFAULT_PROGRESS_INTERVAL_S = 5.0
@@ -187,15 +190,15 @@ class SweepProgress:
                 workers = counts()
             except QueueAuthError:
                 raise  # authentication failures must stay loud
-            except _POLL_ERRORS:  # reachable stats but not counts: degrade, counted
-                workers = {}
+            except _POLL_ERRORS as exc:  # reachable stats but not counts: degrade, counted
+                _log.warning("progress: worker counts unavailable: %r", exc)
                 errors += 1
         stolen = 0
         if self._stolen is not None:
             try:
                 stolen = int(self._stolen())
-            except _POLL_ERRORS:
-                stolen = 0
+            except _POLL_ERRORS as exc:
+                _log.warning("progress: stolen-task counter unavailable: %r", exc)
                 errors += 1
         now = self._clock()
         with self._lock:
@@ -242,17 +245,17 @@ class SweepProgress:
                 self.poll_once()
             except QueueAuthError:
                 raise  # mis-keyed secret: fail loudly, never read as idle
-            except _POLL_ERRORS:
+            except _POLL_ERRORS as exc:
                 # A *transport* failure (queue torn down mid-shutdown, a
                 # transient socket error) must never kill the reporter — the
                 # next interval tries again, and stop() ends the loop.  The
-                # skipped poll is tallied so the next snapshot's
-                # ``stats_errors`` reveals it; any other exception (a genuine
-                # bug, an authentication rejection) propagates and takes the
-                # thread down with a traceback instead of reading as idle.
+                # skipped poll is logged and tallied into the next snapshot's
+                # ``stats_errors``; any other exception (a genuine bug, an
+                # authentication rejection) takes the thread down with a
+                # traceback instead of reading as idle.
+                _log.warning("progress: poll skipped, queue unreachable: %r", exc)
                 with self._lock:
                     self._poll_errors += 1
-                continue
 
     def start(self) -> "SweepProgress":
         """Start the background polling thread (idempotent)."""
