@@ -89,11 +89,8 @@ def _measure_config(
         planned = planner.plan_with_info(query.bound)
         db.drop_caches()
         # One warm-up run, then `hot_samples` measured hot-cache runs.
-        engine.execute(query.bound, planned.plan)
-        samples[query.query_id] = [
-            engine.execute(query.bound, planned.plan).execution_time_ms
-            for _ in range(hot_samples)
-        ]
+        runs = engine.runs(query.bound, planned.plan, 1 + hot_samples)
+        samples[query.query_id] = [result.execution_time_ms for result in runs][1:]
     return samples
 
 

@@ -101,23 +101,22 @@ class ExecutionProtocol:
         executions: int | None = None,
         timeout_ms: float | None = None,
     ) -> MeasuredQuery:
-        """Execute an already-built plan ``executions`` times and record all runs."""
-        runs = executions or self.executions_per_query
+        """Execute an already-built plan ``executions`` times (``None``: the
+        default; below 1 is rejected) over one data pass, and record all runs."""
+        count = self.executions_per_query if executions is None else executions
+        runs = self.engine.runs(query, plan, count, timeout_ms)
         if self.cold_start:
             self.database.drop_caches()
         times: list[float] = []
-        timed_out = False
-        for _ in range(runs):
-            result = self.engine.execute(query, plan, timeout_ms=timeout_ms)
+        for result in runs:
             times.append(result.execution_time_ms)
             if result.timed_out:
-                timed_out = True
                 break
         return MeasuredQuery(
             query_id=query.name or "",
             planning_time_ms=planning_time_ms,
             execution_times_ms=times,
-            timed_out=timed_out,
+            timed_out=result.timed_out,
         )
 
     def measure_query(
@@ -161,10 +160,8 @@ class ExecutionProtocol:
         self.database.drop_caches()
         for query in queries:
             planned = self.planner.plan_with_info(query.bound)
-            times = []
-            for _ in range(executions):
-                result = self.engine.execute(query.bound, planned.plan)
-                times.append(result.execution_time_ms)
+            runs = self.engine.runs(query.bound, planned.plan, executions)
+            times = [result.execution_time_ms for result in runs]
             measurements.append(
                 RobustnessMeasurement(query_id=query.query_id, execution_times_ms=times)
             )

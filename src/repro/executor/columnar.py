@@ -26,6 +26,7 @@ host machine performs:
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import getitem
 
 import numpy as np
 
@@ -44,30 +45,34 @@ class _Lineage:
     tuple of position arrays: ``chain[0]`` indexes into ``base``, ``chain[1]``
     indexes into ``chain[0]``, and so on.  The materialized row ids are
     ``base[chain[0][chain[1][...]]]`` — composed right to left so every
-    intermediate array already has the (small) final size.  Composition goes
-    through :func:`~repro.executor.operators.take_rows`, so the virtual
-    ``NULL_ROW_ID`` positions outer joins record propagate instead of
-    wrapping around to the last element.
+    intermediate array already has the (small) final size.  ``null_extended``
+    says some chain element may hold the virtual ``NULL_ROW_ID`` positions an
+    outer join records; composition then goes through
+    :func:`~repro.executor.operators.take_rows`, so they propagate instead of
+    wrapping around to the last element.  Inner-only plans leave it clear and
+    index directly, without a ``positions < 0`` scan per re-index.
     """
 
-    __slots__ = ("base", "chain")
+    __slots__ = ("base", "chain", "null_extended")
 
-    def __init__(self, base: np.ndarray, chain: tuple[np.ndarray, ...] = ()) -> None:
+    def __init__(self, base: np.ndarray, chain: tuple[np.ndarray, ...] = (), null_extended: bool = False) -> None:
         self.base = base
         self.chain = chain
+        self.null_extended = null_extended
 
-    def extend(self, positions: np.ndarray) -> "_Lineage":
+    def extend(self, positions: np.ndarray, null_extended: bool) -> "_Lineage":
         """Lineage after selecting ``positions`` from the current tuples."""
-        return _Lineage(self.base, self.chain + (positions,))
+        return _Lineage(self.base, self.chain + (positions,), self.null_extended or null_extended)
 
     def materialize(self) -> np.ndarray:
         """Compose the indirection chain into concrete base-table row ids."""
         if not self.chain:
             return self.base
+        take = take_rows if self.null_extended else getitem
         acc = self.chain[-1]
         for positions in reversed(self.chain[:-1]):
-            acc = take_rows(positions, acc)
-        return take_rows(self.base, acc)
+            acc = take(positions, acc)
+        return take(self.base, acc)
 
 
 class ColumnarBatch:
@@ -115,7 +120,7 @@ class ColumnarBatch:
         self._materialized[alias] = materialized
         return materialized
 
-    def _extended(self, alias: str, positions: np.ndarray) -> _Lineage:
+    def _extended(self, alias: str, positions: np.ndarray, null_extended: bool) -> _Lineage:
         """Lineage of ``alias`` after selecting ``positions``.
 
         When this batch already materialized the alias (someone fetched one of
@@ -125,13 +130,13 @@ class ColumnarBatch:
         """
         materialized = self._materialized.get(alias)
         if materialized is not None:
-            return _Lineage(materialized, (positions,))
-        return self._lineages[alias].extend(positions)
+            return _Lineage(materialized, (positions,), null_extended)
+        return self._lineages[alias].extend(positions, null_extended)
 
     def select(self, positions: np.ndarray) -> "ColumnarBatch":
         """Keep only the tuples at ``positions`` — O(aliases), no gathers."""
         positions = np.asarray(positions, dtype=np.int64)
-        lineages = {alias: self._extended(alias, positions) for alias in self._lineages}
+        lineages = {alias: self._extended(alias, positions, False) for alias in self._lineages}
         return ColumnarBatch(lineages, int(positions.size))
 
     def fetch(
@@ -149,15 +154,16 @@ class ColumnarBatch:
         return ColumnarBatch({alias: _Lineage(row_ids)}, int(row_ids.size))
 
     def pair(
-        self, right: "ColumnarBatch", left_pos: np.ndarray, right_pos: np.ndarray
+        self, right: "ColumnarBatch", left_pos: np.ndarray, right_pos: np.ndarray, null_extended: bool = True
     ) -> "ColumnarBatch":
         """Batch pairing ``self[left_pos[i]]`` with ``right[right_pos[i]]``.
 
-        Lazy: only records the position arrays in each side's lineage.
+        Lazy: only records the position arrays in each side's lineage, flagged
+        as possibly holding ``NULL_ROW_ID`` unless ``null_extended=False``.
         """
-        lineages = {alias: self._extended(alias, left_pos) for alias in self._lineages}
+        lineages = {alias: self._extended(alias, left_pos, null_extended) for alias in self._lineages}
         for alias in right._lineages:
-            lineages[alias] = right._extended(alias, right_pos)
+            lineages[alias] = right._extended(alias, right_pos, null_extended)
         return ColumnarBatch(lineages, int(left_pos.size))
 
     def pair_with_scan(
@@ -168,7 +174,7 @@ class ColumnarBatch:
         The index nested loop's inner side: freshly probed row ids start a
         lineage of their own, with no indirection to compose later.
         """
-        lineages = {existing: self._extended(existing, positions) for existing in self._lineages}
+        lineages = {existing: self._extended(existing, positions, False) for existing in self._lineages}
         lineages[alias] = _Lineage(np.asarray(row_ids, dtype=np.int64))
         return ColumnarBatch(lineages, int(positions.size))
 

@@ -1,10 +1,13 @@
 """The execution engine: evaluates physical plans end to end.
 
-``ExecutionEngine.execute`` walks a plan bottom-up, evaluates every operator
-against the columnar storage (charging the buffer pool on the way), applies
-sort/aggregate decorations and returns an :class:`ExecutionResult` holding the
-query output, per-node actual row counts, the accumulated work profile and the
-simulated execution time.
+An execution is a **data pass** — walk the plan bottom-up, evaluate every
+operator against the columnar storage, apply sort/aggregate decorations, and
+keep as an :class:`Evaluation` the output, per-node actual row counts, the
+pool-independent work profile and the ordered page accesses — and a **charge**
+— replay those accesses through the buffer pool, draw the timing noise, build
+the :class:`ExecutionResult`.  ``ExecutionEngine.execute`` is always both;
+``ExecutionEngine.runs`` hands the first run's evaluation to the later runs, so
+k executions of one plan cost one data pass and k charges (docs/EXECUTOR.md).
 
 There is one plan walk and one operator set (:mod:`repro.executor.operators`)
 for both engines; an engine is this class plus a ``batch_type`` — the
@@ -13,6 +16,7 @@ intermediate-result representation its scans produce.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -20,9 +24,10 @@ import numpy as np
 
 from repro.catalog.statistics import NULL_SENTINEL
 from repro.config import PostgresConfig
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ExperimentError
 from repro.executor.operators import (
     OperatorMetrics,
+    PageAccess,
     Relation,
     execute_index_nestloop,
     execute_join,
@@ -46,6 +51,26 @@ if TYPE_CHECKING:
     from repro.executor.operators import Batch
 
 
+@dataclass(eq=False)
+class Evaluation:
+    """What one data pass over a plan computed: all that its runs have in common.
+
+    Finalized output only, never a batch.  ``metrics`` lacks the pool-dependent
+    counters; ``accesses`` is what a run replays, in plan-walk order, to obtain
+    them (both stop at the operator that raised, if one did).  A local of one
+    repeat loop: nothing stores, pickles or looks one up.
+    """
+
+    engine: "ExecutionEngine"
+    query: BoundQuery
+    plan: PlanNode
+    rows: list[tuple] = field(default_factory=list)
+    metrics: OperatorMetrics = field(default_factory=OperatorMetrics)
+    node_actual_rows: dict[int, int] = field(default_factory=dict)
+    accesses: list[PageAccess] = field(default_factory=list)
+    error: str | None = None
+
+
 @dataclass
 class ExecutionResult:
     """Outcome of executing one physical plan."""
@@ -57,6 +82,8 @@ class ExecutionResult:
     node_actual_rows: dict[int, int] = field(default_factory=dict)
     timed_out: bool = False
     error: str | None = None
+    #: The data pass this run charged; hand it to ``execute`` to run again.
+    evaluation: Evaluation | None = field(default=None, repr=False, compare=False)
 
     @property
     def succeeded(self) -> bool:
@@ -99,73 +126,102 @@ class ExecutionEngine:
         query: BoundQuery,
         plan: PlanNode,
         timeout_ms: float | None = None,
+        evaluation: Evaluation | None = None,
     ) -> ExecutionResult:
-        """Execute ``plan`` for ``query``.
+        """Execute ``plan`` for ``query``: one data pass (unless handed one) and one charge.
 
         ``timeout_ms`` overrides the configured ``statement_timeout_ms``.  A
         simulated time above the timeout marks the result as timed out (with
         the execution time clamped to the timeout), matching how the
-        benchmarking framework treats cancelled statements.
+        benchmarking framework treats cancelled statements.  ``evaluation`` is
+        the ``result.evaluation`` of an earlier run of this very ``plan`` and
+        ``query`` on this engine; the run then only charges.
         """
-        effective_timeout = (
-            timeout_ms if timeout_ms is not None else self.config.statement_timeout_ms
-        )
-        total_metrics = OperatorMetrics()
-        node_rows: dict[int, int] = {}
-        try:
-            relation = self._evaluate(query, plan, total_metrics, node_rows)
-            rows = self._finalize(query, plan, relation)
-        except ExecutionError as exc:
-            # Pathological plans (e.g. giant cross products) abort; the
-            # framework reports them like statement timeouts.
-            elapsed = effective_timeout if effective_timeout and effective_timeout > 0 else 60_000.0
-            return ExecutionResult(
-                rows=[],
-                row_count=0,
-                execution_time_ms=float(elapsed),
-                metrics=total_metrics,
-                node_actual_rows=node_rows,
-                timed_out=True,
-                error=str(exc),
-            )
+        if evaluation is None:
+            evaluation = Evaluation(self, query, plan)
+            try:
+                relation = self._evaluate(query, plan, evaluation)
+                evaluation.rows = self._finalize(query, plan, relation)
+            except ExecutionError as exc:
+                # Pathological plans (e.g. giant cross products) abort; the
+                # framework reports them like statement timeouts.
+                evaluation.error = str(exc)
+        elif evaluation.engine is not self or evaluation.query is not query or evaluation.plan is not plan:
+            raise ExecutionError("evaluation belongs to another engine, query or plan")
+        return self._charge(evaluation, timeout_ms)
 
-        execution_time = self.timing.execution_time_ms(total_metrics)
-        timed_out = bool(effective_timeout and effective_timeout > 0 and execution_time > effective_timeout)
-        if timed_out:
-            execution_time = float(effective_timeout)
+    def runs(
+        self, query: BoundQuery, plan: PlanNode, count: int, timeout_ms: float | None = None
+    ) -> Iterator[ExecutionResult]:
+        """``count`` successive executions of one plan, sharing one data pass.
+
+        The one repeat loop of the measurement protocols; a caller that stops
+        at a timeout breaks out of the iteration.
+        """
+        if count < 1:
+            raise ExperimentError(f"a plan is executed at least once, not {count} times")
+        return self._successive(query, plan, count, timeout_ms)
+
+    def _successive(self, query, plan, count, timeout_ms) -> Iterator[ExecutionResult]:
+        evaluation = None
+        for _ in range(count):
+            result = self.execute(query, plan, timeout_ms, evaluation)
+            evaluation = result.evaluation
+            yield result
+
+    def _charge(self, evaluation: Evaluation, timeout_ms: float | None) -> ExecutionResult:
+        """One run: replay the accesses in recorded order (the pool is an LRU), then time it.
+        An aborted evaluation draws no noise; every other run draws one normal, after charging."""
+        timeout = timeout_ms if timeout_ms is not None else self.config.statement_timeout_ms
+        metrics = evaluation.metrics.copy()
+        access_pages = self.database.buffer_pool.access_pages
+        for relation, n_pages, sequential in evaluation.accesses:
+            access = access_pages(relation, n_pages, sequential=sequential)
+            metrics.pages_hit += access.hits
+            if sequential:
+                metrics.seq_pages_read += access.misses
+            else:
+                metrics.random_pages_read += access.misses
+        if evaluation.error is not None:
+            execution_time, timed_out = (float(timeout) if timeout and timeout > 0 else 60_000.0), True
+        else:
+            execution_time = self.timing.execution_time_ms(metrics)
+            timed_out = bool(timeout and timeout > 0 and execution_time > timeout)
+            if timed_out:
+                execution_time = float(timeout)
         return ExecutionResult(
-            rows=rows,
-            row_count=len(rows),
+            rows=list(evaluation.rows),
+            row_count=len(evaluation.rows),
             execution_time_ms=execution_time,
-            metrics=total_metrics,
-            node_actual_rows=node_rows,
+            metrics=metrics,
+            node_actual_rows=dict(evaluation.node_actual_rows),
             timed_out=timed_out,
+            error=evaluation.error,
+            evaluation=evaluation,
         )
 
     # ------------------------------------------------------------------ recursion
-    def _evaluate(
-        self,
-        query: BoundQuery,
-        node: PlanNode,
-        total_metrics: OperatorMetrics,
-        node_rows: dict[int, int],
-    ) -> Batch:
+    def _evaluate(self, query: BoundQuery, node: PlanNode, evaluation: Evaluation) -> Batch:
+        total_metrics, node_rows = evaluation.metrics, evaluation.node_actual_rows
         if isinstance(node, ScanNode):
-            relation, metrics = execute_scan(self.database, node, self.batch_type)
+            relation, metrics, access = execute_scan(self.database, node, self.batch_type)
+            if access is not None:
+                evaluation.accesses.append(access)
             total_metrics.merge(metrics)
             node_rows[id(node)] = relation.size
             return relation
         if isinstance(node, JoinNode):
             assert node.left is not None and node.right is not None
-            left = self._evaluate(query, node.left, total_metrics, node_rows)
+            left = self._evaluate(query, node.left, evaluation)
             inner = index_nestloop_inner(self.database, node)
             if inner is not None:
                 # Parameterized inner index scan: the inner relation is probed
                 # per outer tuple instead of being materialized.
-                relation, metrics = execute_index_nestloop(self.database, query, node, left, inner)
+                relation, metrics, access = execute_index_nestloop(self.database, query, node, left, inner)
+                evaluation.accesses.append(access)
                 node_rows[id(node.right)] = relation.size
             else:
-                right = self._evaluate(query, node.right, total_metrics, node_rows)
+                right = self._evaluate(query, node.right, evaluation)
                 join = execute_join if node.join_kind is JoinKind.INNER else execute_outer_join
                 relation, metrics = join(self.database, query, node, left, right, self.config.work_mem)
             total_metrics.merge(metrics)
@@ -173,14 +229,14 @@ class ExecutionEngine:
             return relation
         if isinstance(node, SortNode):
             assert node.child is not None
-            relation = self._evaluate(query, node.child, total_metrics, node_rows)
+            relation = self._evaluate(query, node.child, evaluation)
             relation = self._sort_relation(query, relation, node)
             total_metrics.sort_rows += relation.size
             node_rows[id(node)] = relation.size
             return relation
         if isinstance(node, AggregateNode):
             assert node.child is not None
-            relation = self._evaluate(query, node.child, total_metrics, node_rows)
+            relation = self._evaluate(query, node.child, evaluation)
             total_metrics.cpu_ops += relation.size
             node_rows[id(node)] = relation.size
             return relation

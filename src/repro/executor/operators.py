@@ -4,20 +4,23 @@ The four operators — scan, join, outer join, index nested loop — are written
 **once**, against the surface both intermediate-result representations share:
 ``size``, ``aliases``, ``fetch``, ``select`` plus the four representation
 methods ``from_scan``, ``pair``, ``pair_with_scan`` and ``surviving``.  Every
-buffer-pool charge and every line of :class:`OperatorMetrics` arithmetic
+recorded page access and every line of :class:`OperatorMetrics` arithmetic
 exists in exactly one place; the engines differ only in the representation
 they run on: :class:`Relation` here (per-alias row-id arrays, gathered eagerly
 at every join) or the lazy :class:`~repro.executor.columnar.ColumnarBatch`.
 
 Every operator returns the resulting batch and an :class:`OperatorMetrics`
-record of the work performed, which the timing model converts into simulated
-milliseconds.
+record of the pool-independent work performed.  Operators never touch the
+buffer pool: the two that read heap pages also return the :data:`PageAccess`
+they would make, which the engine replays once per run (docs/EXECUTOR.md,
+"Data pass vs charge") — so an operator that raises has recorded nothing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -27,6 +30,7 @@ from repro.errors import ExecutionError
 from repro.optimizer.cardinality import evaluate_filter_mask
 from repro.plans.physical import JoinKind, JoinNode, JoinType, ScanNode, ScanType
 from repro.sql.binder import BoundQuery, FilterPredicate, JoinPredicate
+from repro.storage.buffer_pool import BufferPool
 from repro.storage.database import Database
 from repro.storage.index import ragged_ranges
 
@@ -41,6 +45,9 @@ if TYPE_CHECKING:
 #: NULL-extended output is never conflated with stored NULLs at the storage
 #: layer (no sentinel is ever written into a table).
 NULL_ROW_ID = -1
+
+#: One heap access an operator would make: ``(relation, n_pages, sequential)``.
+PageAccess = tuple[str, int, bool]
 
 
 def gather_rows(data, column: str, row_ids: np.ndarray) -> np.ndarray:
@@ -134,9 +141,15 @@ class Relation:
         """Base-table aliases whose rows this relation carries."""
         return frozenset(self.rows)
 
+    def _taken(self, positions: np.ndarray, null_extended: bool) -> dict[str, np.ndarray]:
+        """Every alias's row ids at ``positions``; these index directly, without
+        :func:`take_rows`' scan, unless they may hold :data:`NULL_ROW_ID`."""
+        take = take_rows if null_extended else getitem
+        return {alias: take(ids, positions) for alias, ids in self.rows.items()}
+
     def select(self, positions: np.ndarray) -> "Relation":
         """Keep only the tuples at ``positions`` (positional indices)."""
-        return Relation(rows={alias: take_rows(ids, positions) for alias, ids in self.rows.items()})
+        return Relation(rows=self._taken(positions, False))
 
     def fetch(
         self, database: Database, query: BoundQuery, alias: str, column: str
@@ -154,13 +167,15 @@ class Relation:
         return Relation(rows={alias: np.asarray(row_ids, dtype=np.int64)})
 
     def pair(
-        self, right: "Relation", left_pos: np.ndarray, right_pos: np.ndarray
+        self, right: "Relation", left_pos: np.ndarray, right_pos: np.ndarray, null_extended: bool = True
     ) -> "Relation":
         """Relation pairing ``self[left_pos[i]]`` with ``right[right_pos[i]]``.
 
-        Eager: every carried alias's row ids are gathered here.
+        Eager: every carried alias's row ids are gathered here.  Positions may
+        hold :data:`NULL_ROW_ID` (an outer join's) unless ``null_extended=False``.
         """
-        return Relation(rows={**self.select(left_pos).rows, **right.select(right_pos).rows})
+        left = self._taken(left_pos, null_extended)
+        return Relation(rows={**left, **right._taken(right_pos, null_extended)})
 
     def pair_with_scan(self, positions: np.ndarray, alias: str, row_ids: np.ndarray) -> "Relation":
         """Relation pairing ``self[positions[i]]`` with base row ``row_ids[i]`` of ``alias``.
@@ -168,7 +183,7 @@ class Relation:
         The index nested loop's inner side: freshly probed row ids that need
         no re-indexing, unlike a :meth:`pair` with ``from_scan(alias, row_ids)``.
         """
-        rows = self.select(positions).rows
+        rows = self._taken(positions, False)
         rows[alias] = np.asarray(row_ids, dtype=np.int64)
         return Relation(rows=rows)
 
@@ -222,8 +237,8 @@ def join_match_positions(
 
 def execute_scan(
     database: Database, node: ScanNode, batch_type: type[Batch]
-) -> tuple[Batch, OperatorMetrics]:
-    """Evaluate a scan node: apply its filters and account for page accesses.
+) -> tuple[Batch, OperatorMetrics, PageAccess | None]:
+    """Evaluate a scan node: apply its filters and record its heap access.
 
     CPU charges are those of evaluating every filter over every candidate
     tuple — the simulated scan always reads them all — however few rows
@@ -235,7 +250,7 @@ def execute_scan(
     metrics.tuples_in = row_count
 
     if row_count == 0:
-        return batch_type.from_scan(node.alias, np.empty(0, dtype=np.int64)), metrics
+        return batch_type.from_scan(node.alias, np.empty(0, dtype=np.int64)), metrics, None
 
     driving_filter = None
     if node.index_column is not None:
@@ -247,9 +262,7 @@ def execute_scan(
                 break
 
     if node.scan_type is ScanType.SEQ or driving_filter is None:
-        access = database.buffer_pool.access_pages(node.table, data.page_count, sequential=True)
-        metrics.pages_hit += access.hits
-        metrics.seq_pages_read += access.misses
+        access = (node.table, data.page_count, True)
         if node.filters:
             row_ids = batch_type.surviving(data, node.filters)
             metrics.cpu_ops += row_count * len(node.filters)
@@ -270,14 +283,7 @@ def execute_scan(
         sequential = node.scan_type is ScanType.BITMAP
         if node.scan_type is ScanType.TID:
             heap_pages = min(1, data.page_count)
-        access = database.buffer_pool.access_fraction(
-            node.table, data.page_count, heap_pages / max(data.page_count, 1), sequential=sequential
-        )
-        metrics.pages_hit += access.hits
-        if sequential:
-            metrics.seq_pages_read += access.misses
-        else:
-            metrics.random_pages_read += access.misses
+        access = _heap_access(node.table, data.page_count, heap_pages, sequential)
         # Remaining filters are applied (and charged) only to the matched tuples.
         remaining = [predicate for predicate in node.filters if predicate is not driving_filter]
         if remaining:
@@ -286,7 +292,12 @@ def execute_scan(
 
     metrics.tuples_out = int(row_ids.size)
     metrics.cpu_ops += int(row_ids.size)
-    return batch_type.from_scan(node.alias, row_ids), metrics
+    return batch_type.from_scan(node.alias, row_ids), metrics, access
+
+
+def _heap_access(table: str, page_count: int, heap_pages: int, sequential: bool) -> PageAccess:
+    """Access to ``heap_pages`` of a table's pages, counted the way the pool rounds them."""
+    return table, BufferPool.fraction_pages(page_count, heap_pages / max(page_count, 1)), sequential
 
 
 def _index_lookup(index, data, predicate):
@@ -351,13 +362,25 @@ def index_nestloop_inner(database: Database, node: JoinNode):
 
 def execute_index_nestloop(
     database: Database, query: BoundQuery, node: JoinNode, left: Batch, inner: tuple
-) -> tuple[Batch, OperatorMetrics]:
+) -> tuple[Batch, OperatorMetrics, PageAccess]:
     """Evaluate a nested loop whose inner side is an index probe into a base table.
 
     ``inner`` is the ``(scan, index, column, probe)`` tuple
     :func:`index_nestloop_inner` resolved for ``node``.
     """
     inner_scan, index, _, probe = inner
+    # Every join predicate except the probe becomes a post-join filter —
+    # including a predicate at position 0 that the probe did not enforce, and
+    # predicates between two outer-side aliases.  Skipping any of them would
+    # silently drop a join condition and produce wrong rows.  A malformed plan
+    # is rejected here, before any work is done or recorded.
+    joined = left.aliases | {inner_scan.alias}
+    post_filters = [predicate for predicate in node.predicates if predicate is not probe]
+    for predicate in post_filters:
+        if predicate.left_alias not in joined or predicate.right_alias not in joined:
+            raise ExecutionError(
+                f"join predicate {predicate} does not connect the joined relations"
+            )
     metrics = OperatorMetrics()
     metrics.tuples_in = left.size
 
@@ -379,11 +402,7 @@ def execute_index_nestloop(
     data = database.table_data(inner_scan.table)
     # Heap accesses for the matched inner tuples (random page reads).
     heap_pages = min(int(matched_rows.size), data.page_count)
-    access = database.buffer_pool.access_fraction(
-        inner_scan.table, data.page_count, heap_pages / max(data.page_count, 1), sequential=False
-    )
-    metrics.pages_hit += access.hits
-    metrics.random_pages_read += access.misses
+    access = _heap_access(inner_scan.table, data.page_count, heap_pages, False)
 
     # The inner scan's own filters apply (and are charged) to the matched tuples.
     if inner_scan.filters:
@@ -394,25 +413,12 @@ def execute_index_nestloop(
 
     result = left.pair_with_scan(probe_positions, inner_scan.alias, matched_rows)
 
-    # Every join predicate except the probe becomes a post-join filter —
-    # including a predicate at position 0 that the probe did not enforce, and
-    # predicates between two outer-side aliases.  Skipping any of them would
-    # silently drop a join condition and produce wrong rows.
-    for predicate in node.predicates:
-        if predicate is probe:
-            continue
-        if (
-            predicate.left_alias not in result.aliases
-            or predicate.right_alias not in result.aliases
-        ):
-            raise ExecutionError(
-                f"join predicate {predicate} does not connect the joined relations"
-            )
+    for predicate in post_filters:
         result = _filter_joined(database, query, result, predicate, metrics)
 
     metrics.tuples_out = result.size
     metrics.cpu_ops += result.size
-    return result, metrics
+    return result, metrics, access
 
 
 def _match_primary(
@@ -466,14 +472,14 @@ def execute_join(
     metrics.tuples_in = left.size + right.size
 
     if not node.predicates:
-        result = left.pair(right, *cross_product_positions(left.size, right.size))
+        result = left.pair(right, *cross_product_positions(left.size, right.size), null_extended=False)
         metrics.cpu_ops += max(left.size * right.size, 1)
         metrics.tuples_out = result.size
         return result, metrics
 
     left_pos, right_pos = _match_primary(database, query, node, left, right)
     charge_join_type(database, node, left.size, right.size, work_mem_bytes, metrics)
-    result = left.pair(right, left_pos, right_pos)
+    result = left.pair(right, left_pos, right_pos, null_extended=False)
 
     # Additional predicates between the same two sides are applied as filters.
     for predicate in node.predicates[1:]:
@@ -549,7 +555,7 @@ def execute_outer_join(
     left_pos, right_pos = null_extend_positions(
         node.join_kind, left.size, right.size, left_pos, right_pos
     )
-    result = left.pair(right, left_pos, right_pos)
+    result = left.pair(right, left_pos, right_pos, null_extended=True)
 
     metrics.tuples_out = result.size
     metrics.cpu_ops += result.size

@@ -17,7 +17,6 @@ import numpy as np
 from repro.config import PostgresConfig
 from repro.encoding.plan_encoding import PlanTreeEncoder
 from repro.encoding.query_encoding import QueryEncoder
-from repro.errors import ExperimentError
 from repro.executor.engine import ExecutionResult, create_engine
 from repro.ml.tree_models import TreeConvolutionEncoder, TreeLSTMEncoder
 from repro.optimizer.planner import Planner, PlannerResult
@@ -153,22 +152,16 @@ class LQOEnvironment:
         """
         if runs is None:
             runs = self.evaluation_runs_per_plan
-        if runs <= 0:
-            raise ExperimentError("must execute a plan at least once")
+        successive = self.engine.runs(query, plan, runs, timeout_ms)
         if cold_start:
             self.database.drop_caches()
         times: list[float] = []
-        timed_out = False
-        result: ExecutionResult | None = None
-        for _ in range(runs):
-            result = self.engine.execute(query, plan, timeout_ms=timeout_ms)
+        for result in successive:
             self.executed_plan_count += 1
             times.append(result.execution_time_ms)
             if result.timed_out:
-                timed_out = True
                 break
-        assert result is not None
-        return MeasuredExecution(execution_times_ms=times, timed_out=timed_out, result=result)
+        return MeasuredExecution(execution_times_ms=times, timed_out=result.timed_out, result=result)
 
     def training_latency(
         self,

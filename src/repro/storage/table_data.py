@@ -12,6 +12,7 @@ simulated I/O based on page counts derived from row counts and widths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -67,9 +68,9 @@ class TableData:
             return 0
         return len(next(iter(self.columns.values())))
 
-    @property
+    @cached_property
     def page_count(self) -> int:
-        """Number of 8 KB heap pages the table would occupy on disk."""
+        """Number of 8 KB heap pages the table would occupy on disk (columns keep their length)."""
         rows_per_page = max(1, PAGE_SIZE_BYTES // max(self.table.row_width_bytes, 1))
         return max(1, -(-self.row_count // rows_per_page))
 
