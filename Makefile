@@ -30,12 +30,21 @@
 #                            every pickled JOB/ext-JOB/STACK/random plan under
 #                            each hint/config variant); only for a change that
 #                            alters plans on purpose
+#   make golden-searches   - re-record tests/golden/lqo_search_digests.json (plan
+#                            encodings, and the plans and scored candidate
+#                            matrices of neo/balsa/rtos/leon on a fixed split);
+#                            only for a change that alters them on purpose
 #   make perfbench         - the repo's layered benchmark (BENCHMARK.json):
 #                            every workload, end-to-end + per-layer metrics,
 #                            written under .perfbench_out/ (perfbench/README.md)
 #   make perfbench-compare A=<dir|result.json> B=<dir|result.json>
 #                          - judge change B against parent A by the
 #                            BENCHMARK.json bounds
+#   make perfbench-pairs A=<rev|dir> B=<rev|dir> W=<workload> [N=5]
+#                          - N alternating runs of one workload at parent A and
+#                            change B (git revisions, checked out as temporary
+#                            worktrees, or checkout directories): per-metric
+#                            medians, pairs won and the compare verdict
 #   make bench             - every benchmark at reduced scale
 #   make docs-check        - markdown link check over README + docs/, as in CI
 #   make example           - the parallel+resume runtime demo
@@ -68,7 +77,7 @@ FUZZ_CORPUS ?= $(shell mktemp -d /tmp/repro-fuzz-corpus.XXXXXX)
 # value only needs to match between coordinator and workers).
 REPRO_QUEUE_SECRET ?= local-bench-secret
 
-.PHONY: test lint typecheck docs-check bench-smoke bench-parallel bench-distributed bench-distributed-tcp bench-progress bench-executor bench-plan-serving fuzz-engines golden-plans perfbench perfbench-compare bench example
+.PHONY: test lint typecheck docs-check bench-smoke bench-parallel bench-distributed bench-distributed-tcp bench-progress bench-executor bench-plan-serving fuzz-engines golden-plans golden-searches perfbench perfbench-compare perfbench-pairs bench example
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -126,11 +135,18 @@ fuzz-engines:
 golden-plans:
 	$(PYTHON) tools/record_plan_digests.py
 
+golden-searches:
+	$(PYTHON) tools/record_lqo_digests.py
+
 perfbench:
 	$(PYTHON) -m perfbench run
 
 perfbench-compare:
 	$(PYTHON) -m perfbench compare $(A) $(B)
+
+N ?= 5
+perfbench-pairs:
+	$(PYTHON) tools/perfbench_pairs.py $(A) $(B) --workload $(W) --pairs $(N)
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q

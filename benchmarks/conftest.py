@@ -1,7 +1,8 @@
 """Benchmark harness configuration.
 
 Every benchmark regenerates one table or figure of the paper at a reduced,
-laptop-friendly scale (see DESIGN.md §4 for the experiment index).  Set the
+laptop-friendly scale (the experiment index is the "Paper ↔ code crosswalk" of
+docs/ARCHITECTURE.md).  Set the
 environment variables ``REPRO_BENCH_SCALE`` (database scale factor) and
 ``REPRO_BENCH_FULL=1`` (full experiment grids) for larger runs.
 

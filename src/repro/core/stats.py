@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 @dataclass(frozen=True)
@@ -37,6 +36,10 @@ def mann_whitney_u_test(
     sample_b = np.asarray(sample_b, dtype=float)
     if sample_a.size == 0 or sample_b.size == 0:
         return MannWhitneyResult(statistic=0.0, p_value=1.0, alternative=alternative)
+    # Imported here: ``scipy.stats`` costs 0.6 s and every worker, plan server
+    # and driver imports this module on its way to its first operation.
+    from scipy import stats as scipy_stats
+
     result = scipy_stats.mannwhitneyu(sample_a, sample_b, alternative=alternative)
     return MannWhitneyResult(
         statistic=float(result.statistic),

@@ -78,31 +78,28 @@ class PlanTreeEncoder:
         return len(_JOIN_TYPES) + len(_SCAN_TYPES) + self._n_tables + 4
 
     # -- encoding ------------------------------------------------------------------
-    def encode_node(self, node: PlanNode) -> PlanNodeFeatures:
-        join_onehot = np.zeros(len(_JOIN_TYPES), dtype=np.float32)
-        scan_onehot = np.zeros(len(_SCAN_TYPES), dtype=np.float32)
-        table_onehot = np.zeros(self._n_tables, dtype=np.float32)
-        is_join = 0.0
-        is_scan = 0.0
+    def node_vector(self, node: PlanNode) -> np.ndarray:
+        """Feature vector of one scan or join node (its children do not enter)."""
+        n_join, n_scan = len(_JOIN_TYPES), len(_SCAN_TYPES)
+        vector = np.zeros(self.node_feature_size, dtype=np.float32)
         if isinstance(node, JoinNode):
-            join_onehot[_JOIN_TYPES.index(node.join_type)] = 1.0
-            is_join = 1.0
+            vector[_JOIN_TYPES.index(node.join_type)] = 1.0
+            vector[-2] = 1.0  # is_join
         elif isinstance(node, ScanNode):
-            scan_onehot[_SCAN_TYPES.index(node.scan_type)] = 1.0
-            is_scan = 1.0
+            vector[n_join + _SCAN_TYPES.index(node.scan_type)] = 1.0
+            vector[-1] = 1.0  # is_scan
             if self.include_table_identity:
                 index = self._table_index.get(node.table)
                 if index is None:
                     raise EncodingError(f"plan references unknown table {node.table!r}")
-                table_onehot[index] = 1.0
-        rows = max(node.estimated_rows, 1.0)
-        cost = max(node.estimated_cost, 1.0)
-        tail = np.asarray(
-            [np.log1p(rows) / 20.0, np.log1p(cost) / 20.0, is_join, is_scan],
-            dtype=np.float32,
-        )
-        vector = np.concatenate([join_onehot, scan_onehot, table_onehot, tail])
-        return PlanNodeFeatures(vector=vector, label=node.label())
+                vector[n_join + n_scan + index] = 1.0
+        vector[-4] = np.log1p(max(node.estimated_rows, 1.0)) / 20.0
+        vector[-3] = np.log1p(max(node.estimated_cost, 1.0)) / 20.0
+        return vector
+
+    def encode_node(self, node: PlanNode) -> PlanNodeFeatures:
+        """:meth:`node_vector` together with the node's EXPLAIN label."""
+        return PlanNodeFeatures(vector=self.node_vector(node), label=node.label())
 
     def encode(self, plan: PlanNode) -> EncodedPlanTree:
         """Encode the scan/join core of a plan into a feature tree."""

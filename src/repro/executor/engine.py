@@ -43,6 +43,7 @@ from repro.plans.physical import (
     PlanNode,
     ScanNode,
     SortNode,
+    validate_plan,
 )
 from repro.sql.binder import BoundQuery
 from repro.storage.database import Database
@@ -133,11 +134,17 @@ class ExecutionEngine:
         ``timeout_ms`` overrides the configured ``statement_timeout_ms``.  A
         simulated time above the timeout marks the result as timed out (with
         the execution time clamped to the timeout), matching how the
-        benchmarking framework treats cancelled statements.  ``evaluation`` is
+        benchmarking framework treats cancelled statements.  A ``plan`` that
+        does not cover exactly the query's relations raises
+        :class:`~repro.errors.PlanError`.  ``evaluation`` is
         the ``result.evaluation`` of an earlier run of this very ``plan`` and
         ``query`` on this engine; the run then only charges.
         """
         if evaluation is None:
+            # A plan over other relations would run and return some other
+            # query's rows: refuse it here, outside the ``try`` — it is a
+            # caller's defect, not a pathological plan to report as a timeout.
+            validate_plan(plan, query.aliases)
             evaluation = Evaluation(self, query, plan)
             try:
                 relation = self._evaluate(query, plan, evaluation)

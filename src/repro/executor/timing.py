@@ -1,13 +1,13 @@
 """Conversion of executor work profiles into simulated latencies.
 
 The timing model is the substitution for wall-clock ``EXPLAIN ANALYZE``
-measurements on a real PostgreSQL server (see DESIGN.md §2).  Latency is a
-deterministic function of the work an operator performed — buffer-pool hits,
-sequential and random page reads, per-tuple CPU, sorting and spilling — plus a
-small seeded measurement noise.  Because page *misses* are much more expensive
-than hits, repeated executions of the same query converge from a cold-cache
-latency to a stable hot-cache latency, reproducing the behaviour the paper
-studies in Sections 7.3 and 8.6 (Figure 7).
+measurements on a real PostgreSQL server (see docs/ARCHITECTURE.md,
+"Determinism").  Latency is a deterministic function of the work an operator
+performed — buffer-pool hits, sequential and random page reads, per-tuple CPU,
+sorting and spilling — plus a small seeded measurement noise.  Because page
+*misses* are much more expensive than hits, repeated executions of the same
+query converge from a cold-cache latency to a stable hot-cache latency,
+reproducing the behaviour the paper studies in Sections 7.3 and 8.6 (Figure 7).
 """
 
 from __future__ import annotations

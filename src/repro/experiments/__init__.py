@@ -2,8 +2,9 @@
 
 Every module exposes a ``run(...)`` function returning structured results and
 a ``main()`` that prints the corresponding table/series in plain text.  The
-mapping to the paper is listed in DESIGN.md §4 and EXPERIMENTS.md records the
-measured outcomes next to the paper's reported shapes.
+mapping to the paper is the "Paper ↔ code crosswalk" of docs/ARCHITECTURE.md;
+each benchmark under ``benchmarks/`` states the paper's reported shape beside
+what it asserts.
 """
 
 from repro.experiments import common

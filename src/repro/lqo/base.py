@@ -18,7 +18,8 @@ from repro.config import PostgresConfig
 from repro.encoding.plan_encoding import PlanTreeEncoder
 from repro.encoding.query_encoding import QueryEncoder
 from repro.executor.engine import ExecutionResult, create_engine
-from repro.ml.tree_models import TreeConvolutionEncoder, TreeLSTMEncoder
+from repro.ml.tree_models import TreeConvolutionEncoder, TreeEncoder, TreeLSTMEncoder
+from repro.optimizer.cost_model import PlanningContext
 from repro.optimizer.planner import Planner, PlannerResult
 from repro.plans.hints import NO_HINTS, HintSet
 from repro.plans.physical import JoinNode, PlanNode, ScanNode, strip_decorations
@@ -109,9 +110,15 @@ class LQOEnvironment:
         self.executed_plan_count = 0
 
     # ------------------------------------------------------------------- planning
-    def plan_with_hints(self, query: BoundQuery, hints: HintSet = NO_HINTS) -> PlannerResult:
-        """Plan a query through the simulated DBMS planner (optionally hinted)."""
-        return self.planner.plan_with_info(query, hints)
+    def plan_with_hints(
+        self, query: BoundQuery, hints: HintSet = NO_HINTS, context: PlanningContext | None = None
+    ) -> PlannerResult:
+        """Plan a query through the simulated DBMS planner (optionally hinted).
+
+        ``context`` is the caller's planning context for ``query`` when it
+        plans it under many hint sets that the context serves.
+        """
+        return self.planner.plan_with_info(query, hints, context=context)
 
     def hinted_planning_time_ms(self, query: BoundQuery) -> float:
         """Simulated planning time when an LQO hands the DBMS a fully hinted plan."""
@@ -179,9 +186,13 @@ class LQOEnvironment:
     def query_vector(self, query: BoundQuery) -> np.ndarray:
         return self.query_encoder.encode_vector(query).astype(np.float64)
 
+    def tree_encoder(self, use_lstm: bool = False) -> TreeEncoder:
+        """The plan encoder behind :meth:`plan_vector`, for a search that
+        composes each join from the states of the subplans it already holds."""
+        return self.tree_lstm if use_lstm else self.tree_conv
+
     def plan_vector(self, plan: PlanNode, use_lstm: bool = False) -> np.ndarray:
-        encoder = self.tree_lstm if use_lstm else self.tree_conv
-        return encoder.encode_plan(plan)
+        return self.tree_encoder(use_lstm).encode_plan(plan)
 
     def query_plan_vector(self, query: BoundQuery, plan: PlanNode, use_lstm: bool = False) -> np.ndarray:
         return np.concatenate([self.query_vector(query), self.plan_vector(plan, use_lstm)])

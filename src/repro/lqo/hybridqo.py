@@ -19,6 +19,7 @@ import numpy as np
 from repro.lqo.base import BaseOptimizer, LQOEnvironment, PlannedQuery, TrainingReport
 from repro.ml.nn import MLPRegressor
 from repro.ml.replay import Experience, ReplayBuffer
+from repro.optimizer.cost_model import PlanningContext
 from repro.optimizer.planner import PlannerResult
 from repro.plans.hints import NO_HINTS, HintSet
 from repro.sql.binder import BoundQuery
@@ -68,18 +69,18 @@ class HybridQOOptimizer(BaseOptimizer):
         self._model = MLPRegressor(input_size=env.query_plan_vector_size, seed=seed + 11)
 
     # ------------------------------------------------------------------ MCTS
-    def _rollout_cost(self, query: BoundQuery, prefix: tuple[str, ...]) -> float:
+    def _rollout_cost(self, query: BoundQuery, prefix: tuple[str, ...], context: PlanningContext) -> float:
         """Cost of completing a prefix greedily (the MCTS reward signal)."""
         hints = HintSet.from_leading_prefix(prefix) if prefix else NO_HINTS
-        result = self.env.plan_with_hints(query, hints)
+        result = self.env.plan_with_hints(query, hints, context)
         return float(result.plan.estimated_cost)
 
-    def _candidate_prefixes(self, query: BoundQuery) -> list[tuple[str, ...]]:
+    def _candidate_prefixes(self, query: BoundQuery, context: PlanningContext) -> list[tuple[str, ...]]:
         """Run MCTS over join-order prefixes and return the most visited ones."""
         aliases = list(query.aliases)
         max_len = min(self.prefix_length, len(aliases))
         root = _MCTSNode(())
-        baseline = self._rollout_cost(query, ())
+        baseline = self._rollout_cost(query, (), context)
 
         def expandable(node: _MCTSNode) -> list[str]:
             remaining = [a for a in aliases if a not in node.prefix]
@@ -112,7 +113,7 @@ class HybridQOOptimizer(BaseOptimizer):
                 )
                 path.append(node)
             # Simulation: relative cost improvement over the unhinted plan.
-            cost = self._rollout_cost(query, node.prefix)
+            cost = self._rollout_cost(query, node.prefix, context)
             reward = float(np.clip((baseline - cost) / max(baseline, 1e-6), -1.0, 1.0))
             # Backpropagation.
             for visited in path:
@@ -136,12 +137,17 @@ class HybridQOOptimizer(BaseOptimizer):
 
     def _candidate_plans(self, query: BoundQuery) -> list[tuple[HintSet, PlannerResult]]:
         """Turn MCTS prefixes into hints and plan each candidate through the DBMS."""
-        candidates: list[tuple[HintSet, PlannerResult]] = [(NO_HINTS, self.env.plan_with_hints(query))]
-        for prefix in self._candidate_prefixes(query):
+        # The query is planned some 45 times (rollouts + candidates) under
+        # hints that differ in ``leading`` alone: one context serves them all.
+        context = self.env.planner.cost_model.planning_context()
+        candidates: list[tuple[HintSet, PlannerResult]] = [
+            (NO_HINTS, self.env.plan_with_hints(query, NO_HINTS, context))
+        ]
+        for prefix in self._candidate_prefixes(query, context):
             if not prefix:
                 continue
             hints = HintSet.from_leading_prefix(prefix, name=f"lead:{'-'.join(prefix)}")
-            candidates.append((hints, self.env.plan_with_hints(query, hints)))
+            candidates.append((hints, self.env.plan_with_hints(query, hints, context)))
         return candidates
 
     # ------------------------------------------------------------------ training

@@ -21,9 +21,57 @@ import numpy as np
 from repro.lqo.base import BaseOptimizer, LQOEnvironment, PlannedQuery, TrainingReport
 from repro.ml.nn import PairwiseRanker
 from repro.plans.hints import BAO_HINT_SETS
-from repro.plans.physical import PlanNode
-from repro.sql.binder import BoundQuery
+from repro.plans.physical import PlanNode, validate_plan
+from repro.sql.binder import BoundQuery, JoinPredicate
 from repro.workloads.workload import BenchmarkQuery
+
+
+#: A subplan a search holds, with its encoder state beside it (``None`` while
+#: the ranker is untrained and candidates are ranked by cost).
+Subplan = tuple[PlanNode, object]
+
+
+class _RankedSearch:
+    """What one search over one query works out once: a planning context, the
+    query's encoding and, beside every subplan, that subplan's encoder state —
+    so a candidate join costs and encodes one new node."""
+
+    def __init__(self, env: LQOEnvironment, ranker: PairwiseRanker, query: BoundQuery) -> None:
+        self.query = query
+        self.ranker = ranker
+        self.cost_model = env.planner.cost_model
+        self.context = self.cost_model.planning_context()
+        self.encoder = env.tree_encoder() if ranker.is_trained else None
+        self.query_vector = env.query_vector(query) if ranker.is_trained else None
+
+    def _with_state(self, plan: PlanNode, left: object = None, right: object = None) -> Subplan:
+        return plan, None if self.encoder is None else self.encoder.node_state(plan, left, right)
+
+    def scan(self, alias: str) -> Subplan:
+        return self._with_state(self.cost_model.best_scan(self.query, alias, context=self.context))
+
+    def join(
+        self, left: Subplan, right: Subplan, predicates: list[JoinPredicate] | None = None
+    ) -> Subplan:
+        plan = self.cost_model.best_join(
+            self.query, left[0], right[0], predicates=predicates, context=self.context
+        )
+        return self._with_state(plan, left[1], right[1])
+
+    def scores(self, candidates: list[Subplan]) -> np.ndarray:
+        """Rank candidates: learned score when trained, else cost estimates."""
+        if self.encoder is None:
+            return np.asarray([plan.estimated_cost for plan, _ in candidates])
+        matrix = np.vstack(
+            [np.concatenate([self.query_vector, self.encoder.readout(state)]) for _, state in candidates]
+        )
+        return self.ranker.score(matrix)
+
+    def top(self, candidates: list[Subplan], keep: int) -> list[Subplan]:
+        return [candidates[i] for i in np.argsort(self.scores(candidates))[:keep]]
+
+    def best(self, candidates: list[Subplan]) -> PlanNode:
+        return candidates[int(np.argmin(self.scores(candidates)))][0]
 
 
 class LeonOptimizer(BaseOptimizer):
@@ -53,15 +101,6 @@ class LeonOptimizer(BaseOptimizer):
     def _features(self, query: BoundQuery, plan: PlanNode) -> np.ndarray:
         return self.env.query_plan_vector(query, plan)
 
-    def _score(self, query: BoundQuery, plans: list[PlanNode]) -> np.ndarray:
-        """Rank candidate plans: learned score when trained, else cost estimates."""
-        if not plans:
-            return np.empty(0)
-        if self._ranker.is_trained:
-            matrix = np.vstack([self._features(query, plan) for plan in plans])
-            return self._ranker.score(matrix)
-        return np.asarray([plan.estimated_cost for plan in plans])
-
     # ------------------------------------------------------------------ training
     def _candidate_plans_for_training(self, query: BenchmarkQuery) -> list[PlanNode]:
         """Diverse candidate plans: the DBMS plan, hint-set plans and random orders."""
@@ -80,10 +119,12 @@ class LeonOptimizer(BaseOptimizer):
         for arm in BAO_HINT_SETS[1:4]:
             add(self.env.plan_with_hints(query.bound, arm).plan)
         aliases = list(query.bound.aliases)
+        cost_model = self.env.planner.cost_model
+        context = cost_model.planning_context()
         for _ in range(2):
             order = list(aliases)
             self._rng.shuffle(order)
-            add(left_deep_plan_from_order(query.bound, self.env.planner.cost_model, order))
+            add(left_deep_plan_from_order(query.bound, cost_model, order, context=context))
         return plans
 
     def fit(self, train_queries: list[BenchmarkQuery]) -> TrainingReport:
@@ -117,86 +158,73 @@ class LeonOptimizer(BaseOptimizer):
         return self._timed_fit(body, train_queries)
 
     # ------------------------------------------------------------------ inference
-    def _dp_enumerate(self, query: BoundQuery) -> PlanNode:
+    def _dp_enumerate(self, query: BoundQuery, search: _RankedSearch) -> PlanNode | None:
         """DP over connected subsets keeping the top-k ranked candidates per class."""
-        cost_model = self.env.planner.cost_model
         aliases = list(query.aliases)
-        index_of = {alias: i for i, alias in enumerate(aliases)}
         n = len(aliases)
-        table: dict[int, list[PlanNode]] = {}
-        for alias in aliases:
-            table[1 << index_of[alias]] = [cost_model.best_scan(query, alias)]
-
+        table: dict[int, list[Subplan]] = {
+            1 << i: [search.scan(alias)] for i, alias in enumerate(aliases)
+        }
         for size in range(2, n + 1):
             for combo in combinations(range(n), size):
                 mask = 0
                 for i in combo:
                     mask |= 1 << i
-                candidates: list[PlanNode] = []
+                candidates: list[Subplan] = []
                 sub = (mask - 1) & mask
                 while sub:
                     other = mask ^ sub
                     if sub in table and other in table:
                         for left in table[sub]:
                             for right in table[other]:
-                                predicates = query.joins_between(left.aliases, right.aliases)
-                                if not predicates:
-                                    continue
-                                candidates.append(
-                                    cost_model.best_join(query, left, right, predicates=predicates)
-                                )
+                                predicates = query.joins_between(left[0].aliases, right[0].aliases)
+                                if predicates:
+                                    candidates.append(search.join(left, right, predicates))
                     sub = (sub - 1) & mask
                 if candidates:
-                    scores = self._score(query, candidates)
-                    order = np.argsort(scores)[: self.candidates_per_class]
-                    table[mask] = [candidates[i] for i in order]
+                    table[mask] = search.top(candidates, self.candidates_per_class)
+        finalists = table.get((1 << n) - 1)
+        return search.best(finalists) if finalists else None
 
-        full_mask = (1 << n) - 1
-        if full_mask in table:
-            finalists = table[full_mask]
-            scores = self._score(query, finalists)
-            return finalists[int(np.argmin(scores))]
-        return self.env.plan_with_hints(query).plan
-
-    def _beam_search(self, query: BoundQuery) -> PlanNode:
+    def _beam_search(self, query: BoundQuery, search: _RankedSearch) -> PlanNode | None:
         """Ranked beam search over left-deep orders for very large queries."""
-        cost_model = self.env.planner.cost_model
         aliases = list(query.aliases)
-        beams: list[PlanNode] = [cost_model.best_scan(query, alias) for alias in aliases]
-        scores = self._score(query, beams)
-        order = np.argsort(scores)[: self.beam_width]
-        beams = [beams[i] for i in order]
+        scans = {alias: search.scan(alias) for alias in aliases}
+        beams = search.top(list(scans.values()), self.beam_width)
         for _ in range(len(aliases) - 1):
-            expansions: list[PlanNode] = []
+            expansions: list[Subplan] = []
             for beam in beams:
-                remaining = [alias for alias in aliases if alias not in beam.aliases]
+                remaining = [alias for alias in aliases if alias not in beam[0].aliases]
                 connected = [
-                    alias for alias in remaining if query.joins_between(beam.aliases, {alias})
+                    alias for alias in remaining if query.joins_between(beam[0].aliases, {alias})
                 ] or remaining
-                for alias in connected:
-                    right = cost_model.best_scan(query, alias)
-                    expansions.append(cost_model.best_join(query, beam, right))
+                expansions += [search.join(beam, scans[alias]) for alias in connected]
             if not expansions:
                 break
-            scores = self._score(query, expansions)
-            order = np.argsort(scores)[: self.beam_width]
-            beams = [expansions[i] for i in order]
-        complete = [plan for plan in beams if plan.aliases == frozenset(aliases)]
-        if complete:
-            scores = self._score(query, complete)
-            return complete[int(np.argmin(scores))]
-        return self.env.plan_with_hints(query).plan
+            beams = search.top(expansions, self.beam_width)
+        complete = [beam for beam in beams if beam[0].aliases == frozenset(aliases)]
+        return search.best(complete) if complete else None
+
+    def _strategy(self, query: BoundQuery) -> str:
+        return "ranked-dp" if query.num_relations <= self.max_dp_relations else "ranked-beam"
+
+    def search_plan(self, query: BoundQuery) -> PlanNode:
+        """Ranked DP for small queries, a ranked beam for large ones."""
+        search = _RankedSearch(self.env, self._ranker, query)
+        if self._strategy(query) == "ranked-dp":
+            plan = self._dp_enumerate(query, search)
+        else:
+            plan = self._beam_search(query, search)
+        if plan is None:
+            plan = self.env.plan_with_hints(query).plan
+        validate_plan(plan, query.aliases)
+        return plan
 
     def plan_query(self, query: BenchmarkQuery) -> PlannedQuery:
         def body(q: BenchmarkQuery):
-            if q.bound.num_relations <= self.max_dp_relations:
-                plan = self._dp_enumerate(q.bound)
-                strategy = "ranked-dp"
-            else:
-                plan = self._beam_search(q.bound)
-                strategy = "ranked-beam"
+            plan = self.search_plan(q.bound)
             hints = self.env.hints_from_plan(q.bound, plan)
             planning_time = self.env.hinted_planning_time_ms(q.bound)
-            return plan, hints, planning_time, {"strategy": strategy}
+            return plan, hints, planning_time, {"strategy": self._strategy(q.bound)}
 
         return self._timed_inference(body, query)

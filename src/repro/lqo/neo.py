@@ -9,10 +9,11 @@ from the expert (PostgreSQL's plans and their measured latencies) and then
 iterates: plan the training queries with the current model, execute the plans,
 add the observations to the replay buffer, retrain.
 
-Simplifications relative to the original (documented in DESIGN.md): the join
-method of each candidate join is chosen by the cost model rather than by the
-network, and the value network scores the newly formed sub-plan (plus the
-query encoding) rather than the full forest of remaining sub-plans.
+Simplifications relative to the original (docs/ARCHITECTURE.md, "The LQO search
+loop"): the join method of each candidate join is chosen by the cost model
+rather than by the network, and the value network scores the newly formed
+sub-plan (plus the query encoding) rather than the full forest of remaining
+sub-plans.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 from repro.lqo.base import BaseOptimizer, LQOEnvironment, PlannedQuery, TrainingReport
 from repro.ml.nn import MLPRegressor
 from repro.ml.replay import Experience, ReplayBuffer
-from repro.plans.physical import PlanNode, ScanNode
+from repro.optimizer.cost_model import PlanningContext
+from repro.plans.physical import PlanNode, ScanNode, validate_plan
 from repro.sql.binder import BoundQuery
 from repro.workloads.workload import BenchmarkQuery
 
@@ -73,34 +75,36 @@ class NeoOptimizer(BaseOptimizer):
         self._model.fit(features, targets, epochs=50, seed=self.seed + seed_offset)
 
     # ------------------------------------------------------------------- search
-    def _candidate_joins(self, query: BoundQuery, subplans: list[PlanNode]):
+    def _candidate_joins(
+        self, query: BoundQuery, subplans: list[PlanNode], context: PlanningContext
+    ) -> list[tuple[PlanNode, int, int]]:
+        """``(join, left index, right index)`` of every join the next step may take."""
         cost_model = self.env.planner.cost_model
+        pairs = list(combinations(range(len(subplans)), 2))
+        if self.left_deep_only:
+            # Left-deep: once a join exists it is the one tree that grows, so
+            # only pairs containing it are candidates (scan-scan pairs would
+            # start a second tree that no left-deep step can merge).
+            grown = [k for k, plan in enumerate(subplans) if not isinstance(plan, ScanNode)]
+            if grown:
+                pairs = [pair for pair in pairs if grown[0] in pair]
+        linked = [
+            (i, j, query.joins_between(subplans[i].aliases, subplans[j].aliases)) for i, j in pairs
+        ]
         candidates = []
-        connected = []
-        for i, j in combinations(range(len(subplans)), 2):
-            predicates = query.joins_between(subplans[i].aliases, subplans[j].aliases)
-            if predicates:
-                connected.append((i, j, predicates))
-        pairs = connected
-        if not pairs:
-            pairs = [
-                (i, j, [])
-                for i, j in combinations(range(len(subplans)), 2)
-            ]
-        for i, j, predicates in pairs:
+        # Pairs connected by a predicate; cross products only when there is none.
+        for i, j, predicates in [link for link in linked if link[2]] or linked:
+            orientations = [(i, j), (j, i)]
             if self.left_deep_only:
-                orientations = []
-                if isinstance(subplans[j], ScanNode):
-                    orientations.append((i, j))
-                if isinstance(subplans[i], ScanNode):
-                    orientations.append((j, i))
-                if not orientations:
-                    continue
-            else:
-                orientations = [(i, j), (j, i)]
+                # The right input of a left-deep join is a base relation.
+                orientations = [
+                    (left, right) for left, right in orientations
+                    if isinstance(subplans[right], ScanNode)
+                ]
             for left_index, right_index in orientations:
                 join = cost_model.best_join(
-                    query, subplans[left_index], subplans[right_index], predicates=predicates
+                    query, subplans[left_index], subplans[right_index],
+                    predicates=predicates, context=context,
                 )
                 candidates.append((join, left_index, right_index))
         return candidates
@@ -108,32 +112,37 @@ class NeoOptimizer(BaseOptimizer):
     def search_plan(self, query: BoundQuery) -> PlanNode:
         """Greedy bottom-up construction guided by the value network."""
         cost_model = self.env.planner.cost_model
-        subplans: list[PlanNode] = [cost_model.best_scan(query, a) for a in query.aliases]
-        if len(subplans) == 1:
-            return subplans[0]
-        query_vector = self.env.query_vector(query)
+        # One planning context and one encoder state per subplan, both locals
+        # of this search: a step costs and encodes only the joins it adds.
+        context = cost_model.planning_context()
+        subplans: list[PlanNode] = [
+            cost_model.best_scan(query, alias, context=context) for alias in query.aliases
+        ]
+        trained = self._model.is_trained
+        if trained:
+            encoder = self.env.tree_encoder(self.use_lstm_encoder)
+            states = [encoder.node_state(scan) for scan in subplans]
+            query_vector = self.env.query_vector(query)
         while len(subplans) > 1:
-            candidates = self._candidate_joins(query, subplans)
-            if not candidates:
-                break
-            if self._model.is_trained:
+            candidates = self._candidate_joins(query, subplans, context)
+            if trained:
+                joined = [
+                    encoder.node_state(join, states[left_index], states[right_index])
+                    for join, left_index, right_index in candidates
+                ]
                 matrix = np.vstack(
-                    [
-                        np.concatenate(
-                            [query_vector, self.env.plan_vector(join, self.use_lstm_encoder)]
-                        )
-                        for join, _, _ in candidates
-                    ]
+                    [np.concatenate([query_vector, encoder.readout(state)]) for state in joined]
                 )
                 scores = self._model.predict(matrix)
             else:
                 scores = np.asarray([join.estimated_cost for join, _, _ in candidates])
             best = int(np.argmin(scores))
             join, left_index, right_index = candidates[best]
-            subplans = [
-                plan for k, plan in enumerate(subplans) if k not in (left_index, right_index)
-            ]
-            subplans.append(join)
+            kept = [k for k in range(len(subplans)) if k not in (left_index, right_index)]
+            subplans = [subplans[k] for k in kept] + [join]
+            if trained:
+                states = [states[k] for k in kept] + [joined[best]]
+        validate_plan(subplans[0], query.aliases)
         return subplans[0]
 
     # -------------------------------------------------------------------- timeouts

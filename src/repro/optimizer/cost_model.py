@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.config import PAGE_SIZE_BYTES, PostgresConfig
 from repro.errors import HintError, OptimizerError
 from repro.optimizer.cardinality import CardinalityEstimator
-from repro.plans.hints import HintSet, NO_HINTS
+from repro.plans.hints import HintSet, NO_HINTS, OperatorToggles
 from repro.plans.physical import JoinKind, JoinNode, JoinType, PlanNode, ScanNode, ScanType
 from repro.sql.binder import BoundQuery, FilterPredicate, JoinPredicate, OuterJoinEdge
 from repro.storage.database import Database
@@ -73,24 +73,37 @@ class OperatorEnables:
 
 @dataclass
 class PlanningContext:
-    """What one planning call works out once instead of once per candidate.
+    """What planning one query works out once instead of once per candidate.
 
-    Valid for one ``(query, hints)`` pair and the statistics of the moment:
-    ``BoundQuery`` is mutable, ``ANALYZE`` changes statistics and one
-    ``CostModel`` serves concurrent planner threads, so a context is a local
-    of the call that created it (:meth:`CostModel.planning_context`) and is
+    What it memoises depends on the query, the statistics of the moment and
+    the two hint parts recorded below — the operator toggles and the forced
+    scan methods — but **not** on ``leading`` or ``join_methods``.  So one
+    context serves every planning call and every search step over one query
+    whose hints agree on those two parts (:meth:`serves`): the planner makes
+    one per call, an LQO search one per ``(query, search)``, HybridQO one per
+    query for all of its prefix hints.  ``BoundQuery`` is mutable, ``ANALYZE``
+    changes statistics and one ``CostModel`` serves concurrent planner
+    threads, so a context is a local of whoever created it
+    (:meth:`CostModel.planning_context`), handed down and dropped on return —
     never stored on anything shared.
     """
 
     enables: OperatorEnables
     #: Join types costed when no hint forces one, in :data:`JOIN_TYPE_ORDER`.
     join_types: tuple[JoinType, ...]
+    #: The hint parts this context was made for.
+    toggles: OperatorToggles
+    scan_methods: Mapping[str, ScanType]
     #: Cheapest scan per alias.
     scans: dict[str, ScanNode] = field(default_factory=dict)
     #: Memo of ``CardinalityEstimator.join_rows``.
     join_selectivity: dict[JoinPredicate, float] = field(default_factory=dict)
     #: Tuple width in bytes per alias set.
     row_width: dict[frozenset[str], float] = field(default_factory=dict)
+
+    def serves(self, hints: HintSet) -> bool:
+        """Whether plans under ``hints`` may be costed with this context."""
+        return self.toggles == hints.toggles and self.scan_methods == hints.scan_methods
 
 
 class CostModel:
@@ -129,9 +142,10 @@ class CostModel:
         )
 
     def planning_context(self, hints: HintSet = NO_HINTS) -> PlanningContext:
-        """A fresh context for one planning call under ``hints``."""
+        """A fresh context for planning one query under ``hints``."""
         enables = self.resolve_enables(hints)
-        return PlanningContext(enables, tuple(enables.allowed_join_types()) or JOIN_TYPE_ORDER)
+        join_types = tuple(enables.allowed_join_types()) or JOIN_TYPE_ORDER
+        return PlanningContext(enables, join_types, hints.toggles, hints.scan_methods)
 
     # -------------------------------------------------------------------- scans
     def _table_geometry(self, query: BoundQuery, alias: str) -> tuple[float, float]:
@@ -401,6 +415,19 @@ class CostModel:
         rows, cost = estimates
         return JoinNode(float(rows), float(cost), join_type, left, right, tuple(predicates), join_kind)
 
+    def best_join_estimates(
+        self, query: BoundQuery, left: PlanNode, right: PlanNode, hints: HintSet,
+        predicates: Sequence[JoinPredicate], context: PlanningContext,
+    ) -> tuple[JoinType, tuple[float, float]]:
+        """``(join type, (rows, cost))`` of the node :meth:`best_join` would build.
+
+        For callers that compare many candidate joins and keep one: cost them
+        as numbers, then hand the winner's to :meth:`join_node`.
+        """
+        forced = hints.join_method_for(left.aliases | right.aliases) if hints.join_methods else None
+        join_types = context.join_types if forced is None else (forced,)
+        return self._cheapest_join(query, join_types, left, right, predicates, JoinKind.INNER, context)
+
     def best_join(
         self, query: BoundQuery, left: PlanNode, right: PlanNode, hints: HintSet = NO_HINTS,
         predicates: Sequence[JoinPredicate] | None = None, context: PlanningContext | None = None,
@@ -411,9 +438,7 @@ class CostModel:
             context = self.planning_context(hints)
         if predicates is None:
             predicates = query.joins_between(left.aliases, right.aliases)
-        forced = hints.join_method_for(left.aliases | right.aliases) if hints.join_methods else None
-        join_types = context.join_types if forced is None else (forced,)
-        join_type, estimates = self._cheapest_join(query, join_types, left, right, predicates, JoinKind.INNER, context)
+        join_type, estimates = self.best_join_estimates(query, left, right, hints, predicates, context)
         return self.join_node(query, join_type, left, right, predicates, estimates=estimates)
 
     def best_outer_join(

@@ -121,7 +121,8 @@ class Planner:
         return self.plan_with_info(query, hints).plan
 
     def plan_with_info(
-        self, query: BoundQuery, hints: HintSet = NO_HINTS, cache_key: tuple | None = None
+        self, query: BoundQuery, hints: HintSet = NO_HINTS, cache_key: tuple | None = None,
+        context: PlanningContext | None = None,
     ) -> PlannerResult:
         """Plan a query and return the plan plus planning metadata.
 
@@ -129,6 +130,11 @@ class Planner:
         already built it to probe the cache (the serving layer): the lookup
         and the store then use that key — and the generation inside it —
         instead of fingerprinting the request a second time.
+
+        ``context`` is the caller's :class:`PlanningContext` for ``query``
+        when it plans the query many times (HybridQO's prefix hints); without
+        one the same code runs on a fresh context.  One that does not serve
+        ``hints`` raises :class:`OptimizerError`.
         """
         hints.validate(query.aliases)
         n = query.num_relations
@@ -141,7 +147,7 @@ class Planner:
         if cached is not None:
             return cached
 
-        strategy, core = self._plan_core(query, hints)
+        strategy, core = self._plan_core(query, hints, context)
         core = self._add_decorations(query, core)
         planning_time = self._simulated_planning_time_ms(query, strategy)
         result = PlannerResult(
@@ -154,11 +160,20 @@ class Planner:
         self.plan_cache.put(cache_key, result)
         return result
 
-    def _plan_core(self, query: BoundQuery, hints: HintSet) -> tuple[str, PlanNode]:
+    def _plan_core(
+        self, query: BoundQuery, hints: HintSet, context: PlanningContext | None = None
+    ) -> tuple[str, PlanNode]:
         n = query.num_relations
-        # One context per call, handed down and dropped on return: the query
-        # object, the statistics and this planner are all shared and mutable.
-        context = self.cost_model.planning_context(hints)
+        # One context, handed down and dropped on return (the caller's, when
+        # it brought one): the query object, the statistics and this planner
+        # are all shared and mutable.
+        if context is None:
+            context = self.cost_model.planning_context(hints)
+        elif not context.serves(hints):
+            raise OptimizerError(
+                "planning context was made for other operator toggles or scan methods "
+                f"than hint set {hints.name or '<anonymous>'!r} carries"
+            )
         if n == 1:
             return STRATEGY_DP, self.cost_model.best_scan(query, query.aliases[0], hints, context)
 
@@ -202,7 +217,9 @@ class Planner:
         """
         outer_order = [edge.nullable_alias for edge in query.outer_edges]
         core_hints = split_leading_for_outer(hints, query.core_aliases, outer_order)
-        strategy, plan = self._plan_core(query.core_query(), core_hints)
+        # The core keeps the aliases, filters and inner predicates of its
+        # query, and ``core_hints`` differs in ``leading`` only: same context.
+        strategy, plan = self._plan_core(query.core_query(), core_hints, context)
         for edge in query.outer_edges:
             right = self.cost_model.best_scan(query, edge.nullable_alias, hints, context)
             plan = self.cost_model.best_outer_join(query, edge, plan, right, hints, context)
@@ -210,26 +227,25 @@ class Planner:
 
     def _plan_with_leading_prefix(self, query: BoundQuery, hints: HintSet, context: PlanningContext) -> PlanNode:
         """Honour a HybridQO-style prefix hint, then extend greedily."""
+        cost_model = self.cost_model
         prefix = list(hints.leading)
-        plan = left_deep_plan_from_order(query, self.cost_model, prefix, hints, context)
+        plan = left_deep_plan_from_order(query, cost_model, prefix, hints, context)
         remaining = [alias for alias in query.aliases if alias not in prefix]
         while remaining:
-            best_alias = None
-            best_join = None
-            connected = [
-                alias
-                for alias in remaining
-                if query.joins_between(plan.aliases, {alias})
-            ] or remaining
-            for alias in connected:
-                right = self.cost_model.best_scan(query, alias, hints, context)
-                join = self.cost_model.best_join(query, plan, right, hints, context=context)
-                if best_join is None or join.estimated_cost < best_join.estimated_cost:
-                    best_join = join
-                    best_alias = alias
-            assert best_alias is not None and best_join is not None
-            plan = best_join
-            remaining.remove(best_alias)
+            links = [(alias, query.joins_between(plan.aliases, (alias,))) for alias in remaining]
+            # Candidates are costed as numbers; only the step's winner is built.
+            best: tuple | None = None
+            for alias, predicates in [link for link in links if link[1]] or links:
+                right = cost_model.best_scan(query, alias, hints, context)
+                join_type, estimates = cost_model.best_join_estimates(
+                    query, plan, right, hints, predicates, context
+                )
+                if best is None or estimates[1] < best[4][1]:
+                    best = (alias, join_type, right, predicates, estimates)
+            assert best is not None
+            alias, join_type, right, predicates, estimates = best
+            plan = cost_model.join_node(query, join_type, plan, right, predicates, estimates=estimates)
+            remaining.remove(alias)
         return plan
 
     # -------------------------------------------------------------- decorations

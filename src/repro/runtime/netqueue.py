@@ -495,6 +495,10 @@ class QueueServer:
         self._failed: dict[str, str] = {}
         self._worker_done: dict[str, int] = {}
         self._stop = False
+        #: Raised by what the coordinator's loop acts on (an ack, a failure, a
+        #: shard going hungry), lowered by :meth:`wait_for_change`.
+        self._changed = False
+        self._change = threading.Condition(self._lock)
         self._server = FrameServer(
             (host, port), lambda request, peer: self._dispatch(request), secret,
             name="repro-queue-server",
@@ -616,6 +620,8 @@ class QueueServer:
             if task_id is None:
                 if shard is not None:
                     self._hungry[shard] = time.monotonic()
+                    self._changed = True
+                    self._change.notify_all()
                 return None
             payload = bucket.pop(task_id)
             self._claims[task_id] = _Lease(
@@ -665,11 +671,15 @@ class QueueServer:
             if task_id not in self._done:
                 self._done.add(task_id)
                 self._worker_done[worker_id] = self._worker_done.get(worker_id, 0) + 1
+            self._changed = True
+            self._change.notify_all()
 
     def fail(self, claim: TaskClaim, worker_id: str, error: str) -> None:
         with self._lock:
             self._claims.pop(claim.task_id, None)
             self._failed[claim.task_id] = error
+            self._changed = True
+            self._change.notify_all()
 
     # ------------------------------------------------------------------ inspection
     def pending_ids(self) -> set[str]:
@@ -700,6 +710,17 @@ class QueueServer:
         now = time.monotonic()
         with self._lock:
             return any(lease.deadline >= now for lease in self._claims.values())
+
+    def wait_for_change(self, timeout_s: float) -> None:
+        """Return on an ack, failure or hungry mark, or after ``timeout_s``.
+
+        One that arrived since the previous call returns at once: the caller
+        was checking state meanwhile and may have read it before the change.
+        """
+        with self._lock:
+            if not self._changed:
+                self._change.wait(timeout_s)
+            self._changed = False
 
     def stats(self) -> QueueStats:
         with self._lock:

@@ -57,7 +57,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -79,7 +78,8 @@ from repro.storage.spec import DatabaseSpec
 from repro.workloads import build_workload, is_registered_workload
 from repro.workloads.workload import Workload
 
-#: Seconds between coordinator polls of the distributed queue state.
+#: Longest the coordinator waits between polls of the distributed queue state
+#: (``QueueTransport.wait_for_change`` returns sooner when a worker acts).
 COORDINATOR_POLL_S = 0.2
 
 
@@ -664,7 +664,7 @@ class ParallelExperimentRunner:
                     f"{codes}) with {len(remaining)} task(s) unfinished; worker logs are "
                     f"under {log_dir}"
                 )
-            time.sleep(COORDINATOR_POLL_S)
+            queue.wait_for_change(COORDINATOR_POLL_S)
 
     @staticmethod
     def _spawn_worker(

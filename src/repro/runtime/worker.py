@@ -48,6 +48,12 @@ from repro.runtime.workqueue import (
 )
 
 
+#: First sleep of an idle worker; each further empty-handed claim doubles it up
+#: to the poll interval, and a successful claim starts over.  Work handed over
+#: mid-sweep (a steal, a re-queued lease) is picked up in tens of milliseconds
+#: while a long-idle worker polls no more often than it always did.
+IDLE_BACKOFF_START_S = 0.01
+
 #: Serializes every line this process writes to stdout/stderr: the progress
 #: reporter thread and the claim loop share the streams, and two concurrent
 #: ``print``s can tear a JSON snapshot line mid-write otherwise.
@@ -130,6 +136,8 @@ def _worker_loop(
 ) -> int:
     completed = 0
     idle_since = time.monotonic()
+    first_sleep_s = min(IDLE_BACKOFF_START_S, poll_interval_s)
+    sleep_s = first_sleep_s
     while max_tasks is None or completed < max_tasks:
         claim = queue.claim(worker_id, shard=shard)
         if claim is None:
@@ -137,9 +145,11 @@ def _worker_loop(
                 break
             if idle_timeout_s is not None and time.monotonic() - idle_since > idle_timeout_s:
                 break
-            time.sleep(poll_interval_s)
+            time.sleep(sleep_s)
+            sleep_s = min(2.0 * sleep_s, poll_interval_s)
             continue
         idle_since = time.monotonic()
+        sleep_s = first_sleep_s
         stop_heartbeat = threading.Event()
         beat = threading.Thread(
             target=_heartbeat, args=(queue, claim, stop_heartbeat, lease_renew_s), daemon=True
@@ -190,7 +200,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--worker-id", default=None, help="identity written into ack markers "
                         "(default: <hostname>-<pid>)")
     parser.add_argument("--poll-interval", type=float, default=0.2, metavar="S",
-                        help="seconds between claim attempts when idle (default 0.2)")
+                        help="longest pause between claim attempts when idle; the pause "
+                        "starts at 10 ms and doubles up to this (default 0.2)")
     parser.add_argument("--idle-timeout", type=float, default=None, metavar="S",
                         help="exit after this many idle seconds (default: wait for the stop signal)")
     parser.add_argument("--max-tasks", type=int, default=None, metavar="N",

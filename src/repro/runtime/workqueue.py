@@ -211,6 +211,14 @@ class QueueTransport(WorkerQueueTransport, Protocol):
 
     def has_live_claims(self) -> bool: ...
 
+    def wait_for_change(self, timeout_s: float) -> None:
+        """Block until a worker changed the queue's state, ``timeout_s`` at most.
+
+        The coordinator's pause between polls.  A transport that sees its
+        workers' operations returns early on an ack, a failure or a starving
+        shard; one that cannot (a shared directory) sleeps the interval out.
+        """
+
     def stats(self) -> "QueueStats": ...
 
     def close(self) -> None: ...
@@ -646,6 +654,10 @@ class WorkQueue:
             failed=sum(1 for _ in self._dir(FAILED).glob("*.json")),
             shard_pending=shard_pending,
         )
+
+    def wait_for_change(self, timeout_s: float) -> None:
+        """Sleep the interval out: a directory does not announce its renames."""
+        time.sleep(timeout_s)
 
     def close(self) -> None:
         """Nothing to release: the file transport holds no connections."""

@@ -10,9 +10,7 @@ and all query encoders consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from repro.catalog.schema import Schema
 from repro.errors import BindingError
@@ -25,6 +23,9 @@ from repro.sql.ast import (
     NullFilter,
     SelectStatement,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Normalized filter operators used across the planner and executor.
 FILTER_OPS = (
@@ -237,6 +238,10 @@ class BoundQuery:
     # -- join graph --------------------------------------------------------------
     def join_graph(self) -> nx.Graph:
         """Undirected alias-level join graph with predicates on the edges."""
+        # Imported here: only GEQO's seeding asks for the graph, and every
+        # process that binds a query would pay networkx's 0.1 s otherwise.
+        import networkx as nx
+
         graph = nx.Graph()
         for relation in self.relations:
             graph.add_node(relation.alias, table=relation.table)
@@ -250,6 +255,8 @@ class BoundQuery:
 
     def is_connected(self) -> bool:
         """Whether the join graph connects every relation (no cross products needed)."""
+        import networkx as nx
+
         graph = self.join_graph()
         if graph.number_of_nodes() <= 1:
             return True

@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -30,6 +31,7 @@ from repro.runtime.result_store import ResultStore, ShardedResultStore, TaskKey
 from repro.runtime.workqueue import (
     QueueTransport,
     ResultUpload,
+    TaskClaim,
     WorkerQueueTransport,
     WorkQueue,
     parse_queue_url,
@@ -651,6 +653,145 @@ class TestNetQueue:
                 client._request({"op": "frobnicate"})
         finally:
             server.close()
+
+
+class _ScriptedQueue:
+    """A worker transport on a fake clock: a task appears and the stop is
+    written at scripted times, and every operation is logged with its time."""
+
+    wants_results = False
+
+    def __init__(self, clock: dict, task_at: float | None, stop_at: float) -> None:
+        self.clock, self.task_at, self.stop_at = clock, task_at, stop_at
+        self.claims_at: list[float] = []
+        self.acked: list[str] = []
+
+    def claim(self, worker_id, shard=None):
+        self.claims_at.append(self.clock["now"])
+        if self.task_at is not None and self.clock["now"] >= self.task_at:
+            self.task_at = None
+            return TaskClaim("t-0", payload="payload")
+        return None
+
+    def stop_requested(self):
+        return self.clock["now"] >= self.stop_at
+
+    def renew(self, claim):
+        pass
+
+    def ack(self, claim, worker_id, result=None):
+        self.acked.append(claim.task_id)
+
+    def fail(self, claim, worker_id, error):  # pragma: no cover - nothing fails here
+        raise AssertionError(error)
+
+
+class TestWorkerIdleBackoff:
+    """An idle worker sleeps 10 ms, then twice as long each time up to the
+    poll interval; a claim starts it over.  It never sleeps longer than the
+    poll interval, so a stop written while it sleeps is seen within one."""
+
+    @staticmethod
+    def drain(monkeypatch, queue: _ScriptedQueue, clock: dict, poll_interval_s: float) -> list[float]:
+        from repro.runtime import worker
+
+        sleeps: list[float] = []
+
+        def sleep(seconds: float) -> None:
+            sleeps.append(seconds)
+            clock["now"] += seconds
+
+        monkeypatch.setattr(worker.time, "sleep", sleep)
+        monkeypatch.setattr(worker.time, "monotonic", lambda: clock["now"])
+        completed = worker._worker_loop(
+            queue, "w", poll_interval_s, None, None, 5.0, None,
+            lambda payload: None, lambda payload: None,
+        )
+        assert completed == len(queue.acked)
+        return sleeps
+
+    def test_sleep_doubles_up_to_the_poll_interval_and_a_claim_resets_it(self, monkeypatch):
+        clock = {"now": 0.0}
+        queue = _ScriptedQueue(clock, task_at=1.0, stop_at=2.0)
+        sleeps = self.drain(monkeypatch, queue, clock, poll_interval_s=0.2)
+        assert queue.acked == ["t-0"]
+        ramp = [0.01, 0.02, 0.04, 0.08, 0.16, 0.2]
+        assert sleeps[:8] == pytest.approx(ramp + [0.2, 0.2])
+        claimed = next(i for i, at in enumerate(queue.claims_at) if at >= 1.0)
+        # Every sleep before the claim is one of the ramp, the ones after it start over.
+        assert sleeps[claimed:claimed + 6] == pytest.approx(ramp)
+        assert max(sleeps) == pytest.approx(0.2)
+
+    def test_stop_written_during_a_sleep_is_seen_within_the_poll_interval(self, monkeypatch):
+        for stop_at in (0.005, 0.333, 1.234, 7.0):
+            clock = {"now": 0.0}
+            queue = _ScriptedQueue(clock, task_at=None, stop_at=stop_at)
+            sleeps = self.drain(monkeypatch, queue, clock, poll_interval_s=0.2)
+            assert stop_at <= clock["now"] <= stop_at + 0.2
+            assert max(sleeps) <= 0.2
+
+    def test_poll_interval_below_the_first_sleep_caps_every_sleep(self, monkeypatch):
+        clock = {"now": 0.0}
+        queue = _ScriptedQueue(clock, task_at=None, stop_at=0.05)
+        assert set(self.drain(monkeypatch, queue, clock, poll_interval_s=0.004)) == {0.004}
+
+
+class TestWaitForChange:
+    """The coordinator's pause: the TCP queue ends it on an ack, a failure or
+    a hungry shard; the file queue sleeps it out."""
+
+    def test_queue_server_returns_on_ack_fail_and_hungry_mark(self):
+        server = QueueServer(lease_timeout_s=30)
+        try:
+            started = time.monotonic()
+            server.wait_for_change(0.05)  # nothing happened: the full timeout
+            assert time.monotonic() - started >= 0.04
+            for act in ("ack", "fail", "hungry"):
+                server.enqueue(f"t-{act}", "payload", shard=0)
+                claim = server.claim("w", shard=0)
+                timer = threading.Timer(0.05, {
+                    "ack": lambda: server.ack(claim, "w"),
+                    "fail": lambda: server.fail(claim, "w", "boom"),
+                    "hungry": lambda: server.claim("w", shard=1),
+                }[act])
+                timer.start()
+                started = time.monotonic()
+                server.wait_for_change(5.0)
+                waited = time.monotonic() - started
+                timer.join(timeout=5)
+                assert not timer.is_alive() and waited < 2.0, act
+            # A change that lands while the coordinator is busy is not lost ...
+            server.fail(claim, "w", "again")
+            started = time.monotonic()
+            server.wait_for_change(5.0)
+            assert time.monotonic() - started < 2.0
+            # ... and is consumed by the call that saw it.
+            started = time.monotonic()
+            server.wait_for_change(0.05)
+            assert time.monotonic() - started >= 0.04
+        finally:
+            server.close()
+
+    def test_a_claim_that_finds_work_does_not_wake_the_coordinator(self):
+        server = QueueServer(lease_timeout_s=30)
+        try:
+            server.enqueue("t-0", "payload", shard=0)
+            assert server.claim("w", shard=0) is not None
+            assert server.claim("w") is None  # unpinned and empty-handed: no hungry mark
+            started = time.monotonic()
+            server.wait_for_change(0.05)
+            assert time.monotonic() - started >= 0.04
+        finally:
+            server.close()
+
+    def test_file_queue_sleeps_the_interval_out(self, tmp_path):
+        queue = WorkQueue(tmp_path / "q")
+        queue.enqueue("t-0", {"x": 1})
+        claim = queue.claim("w")
+        queue.ack(claim, "w")
+        started = time.monotonic()
+        queue.wait_for_change(0.05)
+        assert time.monotonic() - started >= 0.04
 
 
 class TestQueueUrlParsing:

@@ -7,11 +7,12 @@ import pytest
 
 from repro.catalog.schema import Column, ForeignKey, Index, Schema, Table
 from repro.catalog.statistics import NULL_SENTINEL
-from repro.executor.engine import ExecutionEngine
+from repro.errors import PlanError
+from repro.executor.engine import ExecutionEngine, create_engine
 from repro.executor.explain import explain_analyze, explain_analyze_text, explain_plan
 from repro.executor.operators import OperatorMetrics, join_match_positions
 from repro.executor.timing import TimingModel
-from repro.config import SIMULATION_CONFIG
+from repro.config import ENGINE_KINDS, SIMULATION_CONFIG
 from repro.optimizer.enumeration import enumerate_join_trees, left_deep_plan_from_order
 from repro.optimizer.planner import Planner
 from repro.plans.hints import HintSet, OperatorToggles
@@ -140,6 +141,34 @@ class TestCorrectness:
         )
         result = engine.execute(query, planner.plan(query))
         assert result.rows[0][0] == 0
+
+
+class TestPlanCoverage:
+    """A plan over other relations than the query's is refused, not run."""
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_partial_plan_is_refused_before_any_page_is_read(self, imdb_db, kind):
+        engine = create_engine(imdb_db, kind=kind)
+        cost_model = Planner(imdb_db).cost_model
+        query = bind_sql(COUNT_QUERY, imdb_db.schema)
+        partial = left_deep_plan_from_order(query, cost_model, ["t", "mk"])
+        imdb_db.drop_caches()
+        before = imdb_db.buffer_pool.snapshot()
+        for plan in (partial, partial.left, partial.right):
+            with pytest.raises(PlanError, match=r"missing=\['k'"):
+                engine.execute(query, plan)
+            with pytest.raises(PlanError, match="missing="):
+                next(engine.runs(query, plan, 3))
+        assert imdb_db.buffer_pool.snapshot() == before
+        # The sub-plan is a complete plan of the sub-query it answers.
+        sub_query = bind_sql(
+            "SELECT COUNT(*) FROM title AS t, movie_keyword AS mk "
+            "WHERE t.id = mk.movie_id AND t.production_year > 2000",
+            imdb_db.schema,
+        )
+        assert engine.execute(sub_query, partial).succeeded
+        with pytest.raises(PlanError, match=r"extra=\['k'\]"):
+            engine.execute(sub_query, left_deep_plan_from_order(query, cost_model, ["t", "mk", "k"]))
 
 
 class TestCacheAndTiming:

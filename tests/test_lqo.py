@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import PlanError
 from repro.lqo import available_methods, create_optimizer, method_info
 from repro.lqo.base import LQOEnvironment
 from repro.plans.hints import BAO_HINT_SETS
@@ -117,12 +118,34 @@ class TestNeoAndBalsa:
         # Cost-model bootstrap does not execute any plan.
         assert report.executed_plans == 0
 
-    def test_rtos_is_left_deep(self, shared_env, small_split):
+    def test_rtos_is_left_deep(self, shared_env, small_split, job_workload):
+        """Every JOB query, untrained (ranked by cost) and trained: the plan
+        covers the query and is left-deep.  (Scan-scan pairs used to stay
+        candidates beside a join, leaving two join subplans that no left-deep
+        step can merge: ``search_plan`` returned the first, a partial plan.)"""
         train, test = small_split
-        rtos = create_optimizer("rtos", shared_env, training_iterations=0)
-        rtos.fit(train)
-        planned = rtos.plan_query(test[0])
-        assert is_left_deep(planned.plan)
+        untrained = create_optimizer("rtos", shared_env, training_iterations=0)
+        trained = create_optimizer("rtos", shared_env, training_iterations=0)
+        trained.fit(train)
+        assert trained._model.is_trained and not untrained._model.is_trained
+        assert len(job_workload.queries) == 113
+        for rtos in (untrained, trained):
+            for query in job_workload.queries:
+                plan = rtos.search_plan(query.bound)
+                assert plan.aliases == frozenset(query.bound.aliases), query.query_id
+                assert is_left_deep(plan), query.query_id
+        planned = trained.plan_query(test[0])
+        assert is_left_deep(planned.plan) and planned.hints.forces_join_order
+
+    def test_a_search_that_ends_in_a_partial_plan_raises(self, shared_env, job_workload, monkeypatch):
+        neo = create_optimizer("neo", shared_env)
+        query = job_workload.by_id("2a").bound
+        monkeypatch.setattr(
+            neo, "_candidate_joins",
+            lambda query, subplans, context: [(subplans[0], 0, 1)],  # "joins" by dropping a relation
+        )
+        with pytest.raises(PlanError, match="missing="):
+            neo.search_plan(query)
 
 
 class TestLeonHybridLero:

@@ -1,6 +1,9 @@
 """Tests for the experiment runtime: fingerprints, plan cache, result store, parallel runner."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -721,3 +724,32 @@ class TestDeterministicTiming:
 
     def test_wall_clock_mode_still_default(self):
         assert ExperimentConfig().deterministic_timing is False
+
+
+class TestImportHygiene:
+    """A worker, a coordinator and a plan server reach their first operation
+    without importing what only a report or GEQO's seeding needs: ``scipy.stats``
+    (0.6 s) and ``networkx`` (0.1 s) load inside the functions that use them."""
+
+    def test_runtime_entry_points_import_neither_scipy_stats_nor_networkx(self):
+        script = (
+            "import sys\n"
+            "import repro.runtime.worker, repro.runtime.parallel, repro.runtime.planserver\n"
+            "print(sorted(m for m in sys.modules if m == 'networkx' or m.startswith('scipy')))\n"
+            "from repro.core.stats import mann_whitney_u_test\n"
+            "assert mann_whitney_u_test([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]).p_value < 1.0\n"
+            "from repro.catalog.imdb import imdb_schema\n"
+            "from repro.sql.binder import bind_sql\n"
+            "query = bind_sql('SELECT COUNT(*) FROM title AS t, movie_keyword AS mk "
+            "WHERE t.id = mk.movie_id', imdb_schema())\n"
+            "assert query.is_connected()\n"
+            "print(sorted(m for m in ('scipy.stats', 'networkx') if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        before, after = done.stdout.splitlines()
+        assert before == "[]"
+        assert after == "['networkx', 'scipy.stats']"
