@@ -28,7 +28,9 @@
 #                            oracle; failing queries land in FUZZ_CORPUS
 #   make golden-plans      - re-record tests/golden/plan_digests.json (sha256 of
 #                            every pickled JOB/ext-JOB/STACK/random plan under
-#                            each hint/config variant); only for a change that
+#                            each hint/config variant) and
+#                            plan_digests_job_scale1.json (JOB on the perfbench
+#                            database, job_spec(1.0)); only for a change that
 #                            alters plans on purpose
 #   make golden-searches   - re-record tests/golden/lqo_search_digests.json (plan
 #                            encodings, and the plans and scored candidate

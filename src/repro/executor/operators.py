@@ -210,7 +210,8 @@ def join_match_positions(
     """Positions of matching pairs between two value arrays (inner equi-join).
 
     Implemented with a sort + binary search, which handles duplicates on both
-    sides and keeps everything vectorized.
+    sides and keeps everything vectorized.  Raises :class:`ExecutionError`
+    before expanding more than :data:`MAX_CROSS_PRODUCT_TUPLES` matches.
     """
     left_values = np.asarray(left_values, dtype=np.int64)
     right_values = np.asarray(right_values, dtype=np.int64)
@@ -226,6 +227,10 @@ def join_match_positions(
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
+    if total > MAX_CROSS_PRODUCT_TUPLES:
+        raise ExecutionError(
+            f"equi-join of {total} matching tuples exceeds the executor's materialization cap"
+        )
     left_positions = np.repeat(np.arange(left_values.size, dtype=np.int64), counts)
     right_positions = order[ragged_ranges(lo, hi)]
     return left_positions, right_positions
@@ -390,7 +395,7 @@ def execute_index_nestloop(
     outer_alias, outer_column = probe.other(inner_scan.alias)
     outer_keys = left.fetch(database, query, outer_alias, outer_column)
 
-    probe_positions, matched_rows, index_pages = index.probe_many(outer_keys)
+    probe_positions, matched_rows, index_pages = index.probe_many(outer_keys, MAX_CROSS_PRODUCT_TUPLES)
     metrics.index_pages += index_pages
     metrics.cpu_ops += left.size
     # NULL outer keys must not match NULL entries in the inner index.
@@ -627,9 +632,10 @@ def _orient_predicate(
     raise ExecutionError(f"join predicate {predicate} does not connect the two inputs")
 
 
-#: Safety cap on materialized cross-product size (tuples).  Plans that exceed
-#: it are aborted and surface as timeouts in the benchmarking framework, which
-#: is also how such pathological plans behave on a real system.
+#: Safety cap on the tuples one join materializes — a cross product, an
+#: equi-join's matches or an index probe's — checked before allocating them.
+#: Plans that exceed it are aborted and surface as timeouts in the benchmarking
+#: framework, which is also how such pathological plans behave on a real system.
 MAX_CROSS_PRODUCT_TUPLES = 20_000_000
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.config import PAGE_SIZE_BYTES, PostgresConfig
 from repro.errors import HintError, OptimizerError
@@ -35,6 +35,11 @@ SCAN_TYPE_ORDER: tuple[ScanType, ...] = (
 )
 _SCAN_RANK = {scan_type: rank for rank, scan_type in enumerate(SCAN_TYPE_ORDER)}
 
+# Enum members as module constants: ``JoinType.HASH`` is an attribute lookup
+# on the enum class, and the join formula runs once per candidate join.
+_HASH, _MERGE, _NESTED_LOOP = JoinType.HASH, JoinType.MERGE, JoinType.NESTED_LOOP
+_INNER = JoinKind.INNER
+
 
 @dataclass(frozen=True)
 class OperatorEnables:
@@ -47,18 +52,6 @@ class OperatorEnables:
     nestloop: bool
     hashjoin: bool
     mergejoin: bool
-
-    def allowed_scan_types(self) -> list[ScanType]:
-        allowed = []
-        if self.seqscan:
-            allowed.append(ScanType.SEQ)
-        if self.indexscan:
-            allowed.append(ScanType.INDEX)
-        if self.bitmapscan:
-            allowed.append(ScanType.BITMAP)
-        if self.tidscan:
-            allowed.append(ScanType.TID)
-        return allowed
 
     def allowed_join_types(self) -> list[JoinType]:
         allowed = []
@@ -98,12 +91,34 @@ class PlanningContext:
     scans: dict[str, ScanNode] = field(default_factory=dict)
     #: Memo of ``CardinalityEstimator.join_rows``.
     join_selectivity: dict[JoinPredicate, float] = field(default_factory=dict)
-    #: Tuple width in bytes per alias set.
+    #: Tuple width in bytes per alias set (the sum of its tables' widths).
     row_width: dict[frozenset[str], float] = field(default_factory=dict)
+    #: ``(table, column) -> (fixed cost per index probe, index entries)``, ``None`` without an index.
+    index_probes: dict[tuple[str, str], tuple[float, float] | None] = field(default_factory=dict)
 
     def serves(self, hints: HintSet) -> bool:
         """Whether plans under ``hints`` may be costed with this context."""
         return self.toggles == hints.toggles and self.scan_methods == hints.scan_methods
+
+
+class JoinInput(NamedTuple):
+    """What costing a join reads of one of its inputs.
+
+    The enumerators keep one per sub-plan and compare candidate joins as
+    numbers, building :class:`JoinNode` objects only for the plan they
+    return; :meth:`CostModel.join_input` makes one from a plan node, so a
+    node and the record made for it cost every join alike.
+    """
+
+    #: Estimated rows and total cost, clamped to ``>= 1`` and ``>= 0``.
+    rows: float
+    cost: float
+    #: Tuple width in bytes: a sum of integer byte counts, exact in any order.
+    width: float
+    #: Cost of sorting the input for a merge join (free when a scan delivers the order).
+    sort_cost: float
+    #: The input itself when it is a base-relation scan (index order, index nested loop).
+    scan: ScanNode | None
 
 
 class CostModel:
@@ -271,125 +286,141 @@ class CostModel:
         return scan
 
     # --------------------------------------------------------------------- joins
-    def _row_width(self, aliases: frozenset[str], query: BoundQuery, context: PlanningContext) -> float:
+    def _input(self, rows: float, cost: float, width: float, scan: ScanNode | None) -> JoinInput:
+        rows = max(rows, 1.0)
+        sort_cost = rows * math.log2(max(rows, 2.0)) * self.config.cpu_operator_cost * 2.0 if rows > 1 else 0.0
+        return JoinInput(rows, max(cost, 0.0), width, sort_cost, scan)
+
+    def join_input(self, query: BoundQuery, plan: PlanNode, context: PlanningContext) -> JoinInput:
+        """The record :meth:`cheapest_join` costs ``plan`` by as a join input."""
+        aliases = plan.aliases
         width = context.row_width.get(aliases)
         if width is None:
             width = 0.0
             for alias in aliases:
                 width += self._db.schema.table(query.table_of(alias)).row_width_bytes
-            width = context.row_width[aliases] = max(width, 8.0)
-        return width
+            context.row_width[aliases] = width
+        return self._input(
+            plan.estimated_rows, plan.estimated_cost, width, plan if isinstance(plan, ScanNode) else None
+        )
 
-    def _inner_index(self, query: BoundQuery, plan: PlanNode, predicates: Sequence[JoinPredicate]):
-        """Index usable for an index nested-loop into ``plan`` (a base scan), if any."""
-        if not isinstance(plan, ScanNode):
-            return None, None
+    def joined_input(self, left: JoinInput, right: JoinInput, estimates: tuple[float, float]) -> JoinInput:
+        """The record of the join of ``left`` and ``right`` estimated at ``(rows, cost)``:
+        equal to :meth:`join_input` of the node :meth:`join_node` builds for it."""
+        rows, cost = estimates
+        return self._input(rows, cost, left.width + right.width, None)
+
+    def join_types_for(
+        self, hints: HintSet, aliases: frozenset[str], context: PlanningContext
+    ) -> tuple[JoinType, ...]:
+        """The join types costed for the join producing ``aliases``: the hint's forced one, else all allowed."""
+        forced = hints.join_method_for(aliases) if hints.join_methods else None
+        return context.join_types if forced is None else (forced,)
+
+    def _index_probe(
+        self, scan: ScanNode, predicates: Sequence[JoinPredicate], context: PlanningContext
+    ) -> tuple[float, float] | None:
+        """``(fixed cost per probe, index entries)`` of an index nested loop into ``scan``.
+
+        The index is that of the first predicate (in ``predicates`` order) on
+        an indexed column of ``scan``; ``None`` when there is none.
+        """
+        alias = scan.alias
+        probes = context.index_probes
         for predicate in predicates:
-            if predicate.involves(plan.alias):
-                column = predicate.column_for(plan.alias)
-                index = self._db.index(plan.table, column)
-                if index is not None:
-                    return index, column
-        return None, None
+            if predicate.involves(alias):
+                key = (scan.table, predicate.column_for(alias))
+                if key in probes:
+                    probe = probes[key]
+                else:
+                    index = self._db.index(*key)
+                    cfg = self.config
+                    probe = probes[key] = None if index is None else (
+                        float(index.height) * cfg.random_page_cost * 0.5 + cfg.cpu_index_tuple_cost,
+                        max(float(index.entry_count), 1.0),
+                    )
+                if probe is not None:
+                    return probe
+        return None
 
-    def _cheapest_join(
-        self, query: BoundQuery, join_types: Sequence[JoinType], left: PlanNode, right: PlanNode,
+    def cheapest_join(
+        self, query: BoundQuery, join_types: Sequence[JoinType], left: JoinInput, right: JoinInput,
         predicates: Sequence[JoinPredicate], join_kind: JoinKind, context: PlanningContext,
     ) -> tuple[JoinType, tuple[float, float]]:
         """``(join type, (output rows, total cost))`` of the cheapest of ``join_types``.
 
-        Costs include the input costs.  All types share one ``join_rows``
-        estimate; ``join_types`` must be in :data:`JOIN_TYPE_ORDER`, so that
-        on a cost tie the earlier type wins.  For LEFT/FULL kinds the
-        inner-match estimate is extended by the NULL-extended unmatched rows,
-        each costing one ``cpu_tuple_cost``.
+        The one join cost formula.  Costs include the input costs.  All types
+        share one ``join_rows`` estimate; ``join_types`` must be in
+        :data:`JOIN_TYPE_ORDER`, so that on a cost tie the earlier type wins.
+        For LEFT/FULL kinds the inner-match estimate is extended by the
+        NULL-extended unmatched rows, each costing one ``cpu_tuple_cost``.
         """
         cfg = self.config
-        left_rows = max(left.estimated_rows, 1.0)
-        right_rows = max(right.estimated_rows, 1.0)
-        left_cost = max(left.estimated_cost, 0.0)
-        right_cost = max(right.estimated_cost, 0.0)
+        cpu_operator_cost = cfg.cpu_operator_cost
+        cpu_tuple_cost = cfg.cpu_tuple_cost
+        left_rows, left_cost, _, left_sort_cost, left_scan = left
+        right_rows, right_cost, right_width, right_sort_cost, right_scan = right
         matched = self.estimator.join_rows(query, left_rows, right_rows, predicates, context.join_selectivity)
-        cross_penalty = 0.0 if predicates else left_rows * right_rows * cfg.cpu_operator_cost
+        cross_penalty = 0.0 if predicates else left_rows * right_rows * cpu_operator_cost
         rows = matched  # the inner-match estimate
-        if join_kind is not JoinKind.INNER:
+        outer = join_kind is not _INNER
+        if outer:
             rows = self.estimator.outer_join_rows(join_kind.value.lower(), left_rows, right_rows, matched)
 
         best_type: JoinType | None = None
         best_cost = math.inf
         for join_type in join_types:
-            if join_type is JoinType.HASH:
-                inner_bytes = right_rows * self._row_width(right.aliases, query, context)
+            if join_type is _HASH:
+                inner_bytes = right_rows * max(right_width, 8.0)
                 cost = (
                     left_cost
                     + right_cost
-                    + right_rows * cfg.cpu_operator_cost * 1.5  # build
-                    + left_rows * cfg.cpu_operator_cost  # probe
-                    + matched * cfg.cpu_tuple_cost
+                    + right_rows * cpu_operator_cost * 1.5  # build
+                    + left_rows * cpu_operator_cost  # probe
+                    + matched * cpu_tuple_cost
                     + cross_penalty
                 )
                 if inner_bytes > cfg.work_mem:
                     spill_pages = inner_bytes / PAGE_SIZE_BYTES
                     cost += 2.0 * spill_pages * cfg.seq_page_cost
-            elif join_type is JoinType.MERGE:
+            elif join_type is _MERGE:
+                if left_scan is not None and _is_sorted_on_join_key(left_scan, predicates):
+                    left_sort_cost = 0.0
+                if right_scan is not None and _is_sorted_on_join_key(right_scan, predicates):
+                    right_sort_cost = 0.0
                 cost = (
                     left_cost
                     + right_cost
-                    + self._sort_cost(left, left_rows, predicates)
-                    + self._sort_cost(right, right_rows, predicates)
-                    + (left_rows + right_rows) * cfg.cpu_operator_cost
-                    + matched * cfg.cpu_tuple_cost
+                    + left_sort_cost
+                    + right_sort_cost
+                    + (left_rows + right_rows) * cpu_operator_cost
+                    + matched * cpu_tuple_cost
                     + cross_penalty
                 )
-            elif join_type is JoinType.NESTED_LOOP:
-                index, _column = self._inner_index(query, right, predicates)
-                if index is not None:
-                    probe_cost = (
-                        float(index.height) * cfg.random_page_cost * 0.5
-                        + cfg.cpu_index_tuple_cost
-                        + max(right_rows / max(float(index.entry_count), 1.0), 1.0) * cfg.cpu_tuple_cost
-                    )
-                    cost = left_cost + left_rows * probe_cost + matched * cfg.cpu_tuple_cost
+            elif join_type is _NESTED_LOOP:
+                probe = None if right_scan is None else self._index_probe(right_scan, predicates, context)
+                if probe is not None:
+                    fixed_probe_cost, index_entries = probe
+                    probe_cost = fixed_probe_cost + max(right_rows / index_entries, 1.0) * cpu_tuple_cost
+                    cost = left_cost + left_rows * probe_cost + matched * cpu_tuple_cost
                 else:
                     # Materialized nested loop: the inner is evaluated once and
                     # re-scanned from memory for every outer tuple.
                     cost = (
                         left_cost
                         + right_cost
-                        + left_rows * right_rows * cfg.cpu_operator_cost
-                        + matched * cfg.cpu_tuple_cost
+                        + left_rows * right_rows * cpu_operator_cost
+                        + matched * cpu_tuple_cost
                     )
                 cost += cross_penalty
             else:
                 raise OptimizerError(f"unknown join type {join_type!r}")
-            if join_kind is not JoinKind.INNER:
-                cost += max(rows - matched, 0.0) * cfg.cpu_tuple_cost
+            if outer:
+                cost += max(rows - matched, 0.0) * cpu_tuple_cost
             if best_type is None or cost < best_cost:
                 best_type, best_cost = join_type, cost
         assert best_type is not None
         return best_type, (rows, best_cost)
-
-    def _sort_cost(self, plan: PlanNode, rows: float, predicates: Sequence[JoinPredicate]) -> float:
-        """Cost of sorting a merge-join input (free when an index scan delivers the order)."""
-        if rows <= 1 or self._is_sorted_on_join_key(plan, predicates):
-            return 0.0
-        return rows * math.log2(max(rows, 2.0)) * self.config.cpu_operator_cost * 2.0
-
-    def _is_sorted_on_join_key(self, plan: PlanNode, predicates: Sequence[JoinPredicate]) -> bool:
-        if not isinstance(plan, ScanNode) or plan.scan_type is not ScanType.INDEX:
-            return False
-        for predicate in predicates:
-            if predicate.involves(plan.alias) and predicate.column_for(plan.alias) == plan.index_column:
-                return True
-        return False
-
-    def join_cost(
-        self, query: BoundQuery, join_type: JoinType, left: PlanNode, right: PlanNode,
-        predicates: Sequence[JoinPredicate],
-    ) -> float:
-        """Total cost (including input costs) of joining ``left`` and ``right``."""
-        context = self.planning_context()
-        return self._cheapest_join(query, (join_type,), left, right, predicates, JoinKind.INNER, context)[1][1]
 
     def join_node(
         self,
@@ -411,7 +442,10 @@ class CostModel:
             predicates = query.joins_between(left.aliases, right.aliases)
         if estimates is None:
             context = self.planning_context()
-            estimates = self._cheapest_join(query, (join_type,), left, right, predicates, join_kind, context)[1]
+            estimates = self.cheapest_join(
+                query, (join_type,), self.join_input(query, left, context),
+                self.join_input(query, right, context), predicates, join_kind, context,
+            )[1]
         rows, cost = estimates
         return JoinNode(float(rows), float(cost), join_type, left, right, tuple(predicates), join_kind)
 
@@ -424,9 +458,14 @@ class CostModel:
         For callers that compare many candidate joins and keep one: cost them
         as numbers, then hand the winner's to :meth:`join_node`.
         """
-        forced = hints.join_method_for(left.aliases | right.aliases) if hints.join_methods else None
-        join_types = context.join_types if forced is None else (forced,)
-        return self._cheapest_join(query, join_types, left, right, predicates, JoinKind.INNER, context)
+        join_types = (
+            self.join_types_for(hints, left.aliases | right.aliases, context)
+            if hints.join_methods else context.join_types
+        )
+        return self.cheapest_join(
+            query, join_types, self.join_input(query, left, context), self.join_input(query, right, context),
+            predicates, JoinKind.INNER, context,
+        )
 
     def best_join(
         self, query: BoundQuery, left: PlanNode, right: PlanNode, hints: HintSet = NO_HINTS,
@@ -466,14 +505,13 @@ class CostModel:
             join_types: Sequence[JoinType] = (forced,)
         else:
             join_types = [t for t in context.join_types if t in kind_allowed] or kind_allowed
-        join_type, estimates = self._cheapest_join(query, join_types, left, right, edge.predicates, join_kind, context)
+        join_type, estimates = self.cheapest_join(
+            query, join_types, self.join_input(query, left, context), self.join_input(query, right, context),
+            edge.predicates, join_kind, context,
+        )
         return self.join_node(query, join_type, left, right, edge.predicates, join_kind, estimates)
 
     # ---------------------------------------------------------------------- plans
-    def plan_cost(self, plan: PlanNode) -> float:
-        """Total estimated cost of a plan (already attached by construction)."""
-        return float(plan.estimated_cost)
-
     def recost_plan(self, query: BoundQuery, plan: PlanNode) -> PlanNode:
         """Re-derive estimates for an externally constructed plan tree.
 
@@ -500,3 +538,13 @@ class CostModel:
         if not children:
             return plan
         raise OptimizerError(f"cannot re-cost node type {type(plan).__name__}")
+
+
+def _is_sorted_on_join_key(scan: ScanNode, predicates: Sequence[JoinPredicate]) -> bool:
+    """Whether ``scan`` is an index scan delivering a join key's order (no sort for a merge join)."""
+    if scan.scan_type is not ScanType.INDEX:
+        return False
+    for predicate in predicates:
+        if predicate.involves(scan.alias) and predicate.column_for(scan.alias) == scan.index_column:
+            return True
+    return False

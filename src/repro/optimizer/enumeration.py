@@ -7,7 +7,7 @@ exhaustive join-tree enumeration.
 * :func:`greedy_plan` — a cheap greedy enumerator used when dynamic
   programming would be too expensive and GEQO is disabled.
 * :func:`left_deep_plan_from_order` — builds a plan for an explicit join
-  order; shared by the GEQO fitness function, hint handling and several LQOs.
+  order; shared by GEQO's winner, hint handling and several LQOs.
 * :func:`enumerate_join_trees` — exhaustively enumerates all join-tree shapes
   of a (small) query; used by the Section 8.7 bushy-vs-left-deep study.
 """
@@ -15,13 +15,13 @@ exhaustive join-tree enumeration.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.errors import OptimizerError
-from repro.optimizer.cost_model import CostModel, PlanningContext
+from repro.optimizer.cost_model import CostModel, JoinInput, PlanningContext
 from repro.plans.hints import HintSet, NO_HINTS
-from repro.plans.physical import JoinNode, PlanNode
-from repro.sql.binder import BoundQuery
+from repro.plans.physical import JoinKind, JoinType, PlanNode, ScanNode
+from repro.sql.binder import BoundQuery, JoinPredicate
 
 #: Most relations :class:`DPEnumerator` takes on: 2^n subsets become
 #: impractical in pure Python beyond it, and the planner routes larger
@@ -78,39 +78,72 @@ def greedy_plan(
     """Greedy enumeration: repeatedly merge the cheapest joinable pair of sub-plans.
 
     Produces bushy plans when beneficial.  Used for very large queries when
-    dynamic programming is infeasible and GEQO is disabled.
+    dynamic programming is infeasible and GEQO is disabled.  Candidates are
+    costed as numbers; join nodes are built for the returned plan only.
     """
     require_inner_only(query, "greedy_plan")
     if context is None:
         context = cost_model.planning_context(hints)
-    plans: list[PlanNode] = [
-        cost_model.best_scan(query, alias, hints, context) for alias in query.aliases
-    ]
-    if not plans:
+    # A sub-plan is (aliases, costing record, recipe): a scan, or the
+    # (left recipe, right recipe, predicates) of a join.
+    parts: list[tuple[frozenset[str], JoinInput, object]] = []
+    for alias in query.aliases:
+        scan = cost_model.best_scan(query, alias, hints, context)
+        parts.append((scan.aliases, cost_model.join_input(query, scan, context), scan))
+    if not parts:
         raise OptimizerError("query has no relations")
-    while len(plans) > 1:
+    while len(parts) > 1:
         pairs = [
-            (i, j, query.joins_between(plans[i].aliases, plans[j].aliases))
-            for i, j in combinations(range(len(plans)), 2)
+            (i, j, query.joins_between(parts[i][0], parts[j][0]))
+            for i, j in combinations(range(len(parts)), 2)
         ]
-        best_pair: tuple[int, int] | None = None
-        best_join: JoinNode | None = None
+        best: tuple | None = None
         # Pairs connected by a predicate; cross products only when there is none.
         for i, j, predicates in [pair for pair in pairs if pair[2]] or pairs:
-            join = cost_model.best_join(query, plans[i], plans[j], hints, predicates, context)
-            if best_join is None or join.estimated_cost < best_join.estimated_cost:
-                best_join = join
-                best_pair = (i, j)
-        assert best_pair is not None and best_join is not None
-        plans = [p for k, p in enumerate(plans) if k not in best_pair]
-        plans.append(best_join)
-    return plans[0]
+            join_types = cost_model.join_types_for(hints, parts[i][0] | parts[j][0], context)
+            _join_type, estimates = cost_model.cheapest_join(
+                query, join_types, parts[i][1], parts[j][1], predicates, JoinKind.INNER, context
+            )
+            if best is None or estimates[1] < best[0][1]:
+                best = (estimates, i, j, predicates)
+        assert best is not None
+        estimates, i, j, predicates = best
+        (left_aliases, left, left_recipe), (right_aliases, right, right_recipe) = parts[i], parts[j]
+        parts = [part for k, part in enumerate(parts) if k not in (i, j)]
+        parts.append((
+            left_aliases | right_aliases,
+            cost_model.joined_input(left, right, estimates),
+            (left_recipe, right_recipe, predicates),
+        ))
+
+    def build(recipe) -> PlanNode:
+        if isinstance(recipe, ScanNode):
+            return recipe
+        left, right, predicates = recipe
+        return cost_model.best_join(query, build(left), build(right), hints, predicates, context)
+
+    return build(parts[0][2])
+
+
+class DPEntry(NamedTuple):
+    """The cheapest plan of one relation subset in the DP table."""
+
+    input: JoinInput
+    #: ``None`` for a base relation (``input.scan`` is its plan).
+    join_type: JoinType | None = None
+    #: Masks of the winning split's outer and inner halves.
+    left: int = 0
+    right: int = 0
+    predicates: Sequence[JoinPredicate] = ()
 
 
 class DPEnumerator:
     """System-R style dynamic programming over connected relation subsets.
 
     Relation subsets are integer bitmasks over the FROM-list positions.
+    :meth:`search` fills the table with numbers (a :class:`JoinInput` and
+    the winning split per subset); :meth:`plan` then builds the join nodes
+    of the cheapest full plan, top-down, through ``best_join``.
     """
 
     def __init__(self, cost_model: CostModel, consider_bushy: bool | None = None) -> None:
@@ -124,8 +157,7 @@ class DPEnumerator:
     ) -> PlanNode:
         """Return the cheapest plan found by dynamic programming."""
         require_inner_only(query, "DPEnumerator")
-        aliases = query.aliases
-        n = len(aliases)
+        n = len(query.aliases)
         if n == 0:
             raise OptimizerError("query has no relations")
         if n > DP_MAX_RELATIONS:
@@ -135,11 +167,39 @@ class DPEnumerator:
         cost_model = self.cost_model
         if context is None:
             context = cost_model.planning_context(hints)
+        table = self.search(query, hints, context)
+        full_mask = (1 << n) - 1
+        if full_mask not in table:
+            # The join graph is disconnected in a way the DP table did not
+            # cover; fall back to the greedy enumerator.
+            return greedy_plan(query, cost_model, hints, context)
 
+        def build(mask: int) -> PlanNode:
+            entry = table[mask]
+            if entry.join_type is None:
+                assert entry.input.scan is not None
+                return entry.input.scan
+            # ``best_join`` stays the one route by which a returned join is built.
+            return cost_model.best_join(
+                query, build(entry.left), build(entry.right), hints, entry.predicates, context
+            )
+
+        return build(full_mask)
+
+    def search(self, query: BoundQuery, hints: HintSet, context: PlanningContext) -> dict[int, DPEntry]:
+        """The DP table: the cheapest entry of every planned subset (bit ``i`` is ``query.aliases[i]``)."""
+        cost_model = self.cost_model
+        cheapest_join = cost_model.cheapest_join
+        aliases = query.aliases
+        n = len(aliases)
         bit_of = {alias: 1 << i for i, alias in enumerate(aliases)}
-        best: dict[int, PlanNode] = {
-            bit_of[alias]: cost_model.best_scan(query, alias, hints, context) for alias in aliases
+        best: dict[int, DPEntry] = {
+            bit_of[alias]: DPEntry(
+                cost_model.join_input(query, cost_model.best_scan(query, alias, hints, context), context)
+            )
+            for alias in aliases
         }
+        inputs = {mask: entry.input for mask, entry in best.items()}
         # Every join predicate beside the mask of the two aliases it connects
         # (``query.joins`` order, the order predicates take inside a node).
         edges = [(bit_of[j.left_alias] | bit_of[j.right_alias], j) for j in query.joins]
@@ -160,6 +220,7 @@ class DPEnumerator:
         full_mask = (1 << n) - 1
         fully_connected = connected(full_mask)
         left_deep_only = not self.consider_bushy
+        inner = JoinKind.INNER
 
         # Increasing masks: every proper subset of a mask is a smaller integer.
         for mask in range(3, full_mask + 1):
@@ -169,42 +230,52 @@ class DPEnumerator:
             splits: list[tuple[int, int]] = []
             sub = (mask - 1) & mask
             while sub:
-                if sub in best and mask ^ sub in best:
+                if sub in inputs and mask ^ sub in inputs:
                     splits.append((sub, mask ^ sub))
                 sub = (sub - 1) & mask
             inside = [edge for edge in edges if edge[0] & mask == edge[0]]
-            best_plan: PlanNode | None = None
-            # First pass: splits connected by at least one join predicate.
-            seen_connected_split = False
+            # A forced join method depends on the subset, not on the split.
+            join_types = context.join_types
+            if hints.join_methods:
+                members = frozenset(alias for alias in aliases if bit_of[alias] & mask)
+                join_types = cost_model.join_types_for(hints, members, context)
+            winner: tuple | None = None
+            # First pass: splits connected by at least one join predicate;
+            # both orientations of a split share one predicate list.
+            crossing: dict[int, list[JoinPredicate]] = {}
             for sub, other in splits:
                 if left_deep_only and other.bit_count() != 1:
                     # Left-deep only: the inner (right) input must be a base
                     # relation.  Both orientations of every split are
                     # enumerated, so no plans are lost.
                     continue
-                predicates = [j for edge_mask, j in inside if edge_mask & sub and edge_mask & other]
+                predicates = crossing.get(other)
+                if predicates is None:
+                    predicates = crossing[sub] = [
+                        j for edge_mask, j in inside if edge_mask & sub and edge_mask & other
+                    ]
                 if not predicates:
                     continue
-                seen_connected_split = True
-                join = cost_model.best_join(query, best[sub], best[other], hints, predicates, context)
-                if best_plan is None or join.estimated_cost < best_plan.estimated_cost:
-                    best_plan = join
+                join_type, estimates = cheapest_join(
+                    query, join_types, inputs[sub], inputs[other], predicates, inner, context
+                )
+                if winner is None or estimates[1] < winner[1][1]:
+                    winner = (join_type, estimates, sub, other, predicates)
             # Second pass (only if necessary): allow cross products.
-            if not seen_connected_split:
+            if winner is None:
                 for sub, other in splits:
                     if left_deep_only and sub.bit_count() != 1 and other.bit_count() != 1:
                         continue
-                    join = cost_model.best_join(query, best[sub], best[other], hints, [], context)
-                    if best_plan is None or join.estimated_cost < best_plan.estimated_cost:
-                        best_plan = join
-            if best_plan is not None:
-                best[mask] = best_plan
-
-        if full_mask not in best:
-            # The join graph is disconnected in a way the DP table did not
-            # cover; fall back to the greedy enumerator.
-            return greedy_plan(query, cost_model, hints, context)
-        return best[full_mask]
+                    join_type, estimates = cheapest_join(
+                        query, join_types, inputs[sub], inputs[other], [], inner, context
+                    )
+                    if winner is None or estimates[1] < winner[1][1]:
+                        winner = (join_type, estimates, sub, other, [])
+            if winner is not None:
+                join_type, estimates, sub, other, predicates = winner
+                record = inputs[mask] = cost_model.joined_input(inputs[sub], inputs[other], estimates)
+                best[mask] = DPEntry(record, join_type, sub, other, predicates)
+        return best
 
 
 def enumerate_join_trees(

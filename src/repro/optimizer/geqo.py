@@ -17,10 +17,10 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import OptimizerError
-from repro.optimizer.cost_model import CostModel, PlanningContext
+from repro.optimizer.cost_model import CostModel, JoinInput, PlanningContext
 from repro.optimizer.enumeration import left_deep_plan_from_order, require_inner_only
 from repro.plans.hints import HintSet, NO_HINTS
-from repro.plans.physical import PlanNode
+from repro.plans.physical import JoinKind, PlanNode
 from repro.runtime.fingerprint import stable_seed
 from repro.sql.binder import BoundQuery
 
@@ -54,8 +54,8 @@ class GeqoEnumerator:
             return list(parent_a)
         i, j = sorted(rng.sample(range(n), 2))
         child: list[str | None] = [None] * n
-        child[i:j + 1] = parent_a[i:j + 1]
-        fill = [alias for alias in parent_b if alias not in child[i:j + 1]]
+        kept = child[i:j + 1] = parent_a[i:j + 1]
+        fill = [alias for alias in parent_b if alias not in kept]
         position = 0
         for k in range(n):
             if child[k] is None:
@@ -77,17 +77,18 @@ class GeqoEnumerator:
         """Initial population: random permutations plus one connectivity-aware order."""
         aliases = list(query.aliases)
         population = []
-        graph = query.join_graph()
+        neighbours = query.alias_adjacency()
         # One "breadth-first from the most connected relation" individual gives
         # the search a sensible starting point, as PostgreSQL's GEQO does with
-        # its heuristic initialization.
+        # its heuristic initialization.  A self-join predicate counts twice
+        # towards a relation's degree.
         if aliases:
-            start = max(aliases, key=lambda a: graph.degree(a))
+            start = max(aliases, key=lambda a: len(neighbours[a]) + (a in neighbours[a]))
             visited = [start]
             frontier = [start]
             while frontier:
                 node = frontier.pop(0)
-                for neighbor in sorted(graph.neighbors(node)):
+                for neighbor in sorted(neighbours[node]):
                     if neighbor not in visited:
                         visited.append(neighbor)
                         frontier.append(neighbor)
@@ -118,22 +119,43 @@ class GeqoEnumerator:
 
         # Individuals share join-order prefixes and a left-deep plan's cost
         # depends on its order alone: memoise every prefix costed in this
-        # search, as a trie ``alias -> (prefix plan, longer prefixes)``.
+        # search, as a trie ``alias -> (prefix record, prefix mask, longer
+        # prefixes)``.  Candidates are numbers; the winner alone is built.
+        bit_of = {alias: 1 << i for i, alias in enumerate(aliases)}
+        scan_inputs = {
+            alias: cost_model.join_input(query, cost_model.best_scan(query, alias, hints, context), context)
+            for alias in aliases
+        }
+        # Per alias, the predicates touching it beside the mask of their two
+        # aliases, in ``query.joins`` order.
+        edges = [(bit_of.get(j.left_alias, 0) | bit_of.get(j.right_alias, 0), j) for j in query.joins]
+        edges_of = {alias: [edge for edge in edges if edge[0] & bit] for alias, bit in bit_of.items()}
+        cheapest_join = cost_model.cheapest_join
         prefixes: dict = {}
 
         def fitness(order: list[str]) -> float:
-            plan: PlanNode | None = None
+            record: JoinInput | None = None
+            mask = 0
             longer = prefixes
             for alias in order:
                 known = longer.get(alias)
                 if known is None:
-                    extended: PlanNode = cost_model.best_scan(query, alias, hints, context)
-                    if plan is not None:
-                        extended = cost_model.best_join(query, plan, extended, hints, context=context)
-                    known = longer[alias] = (extended, {})
-                plan, longer = known
-            assert plan is not None
-            return plan.estimated_cost
+                    bit = bit_of[alias]
+                    extended = scan_inputs[alias]
+                    if record is not None:
+                        predicates = [j for edge_mask, j in edges_of[alias] if edge_mask & mask]
+                        join_types = context.join_types
+                        if hints.join_methods:
+                            members = frozenset(a for a in aliases if bit_of[a] & (mask | bit))
+                            join_types = cost_model.join_types_for(hints, members, context)
+                        _join_type, estimates = cheapest_join(
+                            query, join_types, record, extended, predicates, JoinKind.INNER, context
+                        )
+                        extended = cost_model.joined_input(record, extended, estimates)
+                    known = longer[alias] = (extended, mask | bit, {})
+                record, mask, longer = known
+            assert record is not None
+            return record.cost
 
         params = self.parameters
         # Seed from a stable digest of the alias set: builtin hash() is salted
@@ -160,9 +182,8 @@ class GeqoEnumerator:
             next_population.sort(key=lambda item: item[0])
             scored = next_population[: params.population_size]
 
-        # Memoised prefixes carry the alias ``str`` objects of the order that
-        # reached them first, and ``str`` identity is part of a plan's pickle:
-        # build the winner from its own order list.
+        # The trie holds numbers, and ``str`` identity is part of a plan's
+        # pickle: build the winner from its own order list.
         return left_deep_plan_from_order(query, cost_model, scored[0][1], hints, context)
 
     def _tournament(self, rng: random.Random, scored: list[tuple[float, list[str]]]) -> list[str]:

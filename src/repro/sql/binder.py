@@ -10,7 +10,7 @@ and all query encoders consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.catalog.schema import Schema
 from repro.errors import BindingError
@@ -23,9 +23,6 @@ from repro.sql.ast import (
     NullFilter,
     SelectStatement,
 )
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 #: Normalized filter operators used across the planner and executor.
 FILTER_OPS = (
@@ -236,31 +233,32 @@ class BoundQuery:
         return out
 
     # -- join graph --------------------------------------------------------------
-    def join_graph(self) -> nx.Graph:
-        """Undirected alias-level join graph with predicates on the edges."""
-        # Imported here: only GEQO's seeding asks for the graph, and every
-        # process that binds a query would pay networkx's 0.1 s otherwise.
-        import networkx as nx
+    def alias_adjacency(self) -> dict[str, set[str]]:
+        """Neighbours of every alias in the join graph, keyed in FROM order.
 
-        graph = nx.Graph()
-        for relation in self.relations:
-            graph.add_node(relation.alias, table=relation.table)
+        A self-join predicate makes an alias its own neighbour.
+        """
+        adjacency: dict[str, set[str]] = {alias: set() for alias in self.aliases}
         for join in self.joins:
             a, b = join.aliases()
-            if graph.has_edge(a, b):
-                graph[a][b]["predicates"].append(join)
-            else:
-                graph.add_edge(a, b, predicates=[join])
-        return graph
+            adjacency.setdefault(a, set()).add(b)
+            adjacency.setdefault(b, set()).add(a)
+        return adjacency
 
     def is_connected(self) -> bool:
         """Whether the join graph connects every relation (no cross products needed)."""
-        import networkx as nx
-
-        graph = self.join_graph()
-        if graph.number_of_nodes() <= 1:
+        adjacency = self.alias_adjacency()
+        if len(adjacency) <= 1:
             return True
-        return nx.is_connected(graph)
+        start = next(iter(adjacency))
+        reached = {start}
+        frontier = [start]
+        while frontier:
+            for neighbour in adjacency[frontier.pop()]:
+                if neighbour not in reached:
+                    reached.add(neighbour)
+                    frontier.append(neighbour)
+        return len(reached) == len(adjacency)
 
     def adjacency_matrix(self) -> list[list[int]]:
         """Alias-ordered 0/1 adjacency matrix of the join graph (query encoding)."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.errors import ExecutionError, StorageError
 
 #: Number of index entries that fit on one simulated index page.
 INDEX_ENTRIES_PER_PAGE = 256
@@ -127,13 +127,16 @@ class OrderedIndex:
         leaf_pages = max(1, -(-(hi_idx - lo_idx) // INDEX_ENTRIES_PER_PAGE))
         return IndexLookupResult(row_ids=rows, index_pages=self.height + leaf_pages - 1)
 
-    def probe_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    def probe_many(
+        self, keys: np.ndarray, max_matches: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, int]:
         """Vectorized index nested-loop probe.
 
         For every key in ``keys`` find all matching row ids.  Returns
         ``(probe_positions, matched_row_ids, index_pages)`` where
         ``probe_positions[i]`` is the position in ``keys`` that produced
-        ``matched_row_ids[i]``.
+        ``matched_row_ids[i]``.  More than ``max_matches`` matches raise
+        :class:`~repro.errors.ExecutionError` before any is materialized.
         """
         keys = np.asarray(keys, dtype=np.int64)
         if keys.size == 0 or self.entry_count == 0:
@@ -143,6 +146,10 @@ class OrderedIndex:
         hi = np.searchsorted(self._sorted_values, keys, side="right")
         counts = hi - lo
         total = int(counts.sum())
+        if max_matches is not None and total > max_matches:
+            raise ExecutionError(
+                f"index probe of {total} matching tuples exceeds the executor's materialization cap"
+            )
         probe_positions = np.repeat(np.arange(keys.size, dtype=np.int64), counts)
         if total:
             matched = self._row_ids[ragged_ranges(lo, hi)]

@@ -1,24 +1,27 @@
 """Tests for the execution engine: correctness, cache behaviour, timing, EXPLAIN."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.catalog.schema import Column, ForeignKey, Index, Schema, Table
 from repro.catalog.statistics import NULL_SENTINEL
-from repro.errors import PlanError
+from repro.errors import ExecutionError, PlanError
+from repro.executor import operators
 from repro.executor.engine import ExecutionEngine, create_engine
 from repro.executor.explain import explain_analyze, explain_analyze_text, explain_plan
-from repro.executor.operators import OperatorMetrics, join_match_positions
+from repro.executor.operators import OperatorMetrics, index_nestloop_inner, join_match_positions
 from repro.executor.timing import TimingModel
 from repro.config import ENGINE_KINDS, SIMULATION_CONFIG
 from repro.optimizer.enumeration import enumerate_join_trees, left_deep_plan_from_order
 from repro.optimizer.planner import Planner
 from repro.plans.hints import HintSet, OperatorToggles
-from repro.plans.physical import ScanType
+from repro.plans.physical import JoinType, ScanType
 from repro.sql.binder import bind_sql
 from repro.storage.database import Database
+from repro.storage.index import OrderedIndex
 from repro.storage.table_data import TableData
 
 COUNT_QUERY = (
@@ -523,6 +526,61 @@ class TestNestedLoopOracle:
         result = tiny_engine.execute(query, planner.plan(query))
         got = {int(row[0]): int(row[1]) for row in result.rows}
         assert got == expected
+
+
+class TestMaterializationCap:
+    """A join that would expand past ``MAX_CROSS_PRODUCT_TUPLES`` fails as an
+    ``ExecutionError`` before allocating the expansion, never as a host ``MemoryError``."""
+
+    #: 2,000 equal keys on both sides: 4,000,000 matches, 32 MB per position array.
+    KEYS = 2_000
+    MATCHES = KEYS * KEYS
+
+    def _peak_bytes(self, call) -> int:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExecutionError, match="materialization cap"):
+                call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_equi_join_expansion_is_refused_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(operators, "MAX_CROSS_PRODUCT_TUPLES", 1_000)
+        keys = np.zeros(self.KEYS, dtype=np.int64)
+        peak = self._peak_bytes(lambda: join_match_positions(keys, keys))
+        assert peak < self.MATCHES * 8 // 10
+
+    def test_index_probe_expansion_is_refused_before_allocation(self):
+        index = OrderedIndex("t", "c", np.zeros(self.KEYS, dtype=np.int64))
+        keys = np.zeros(self.KEYS, dtype=np.int64)
+        peak = self._peak_bytes(lambda: index.probe_many(keys, max_matches=1_000))
+        assert peak < self.MATCHES * 8 // 10
+        assert index.probe_many(keys[:2], max_matches=self.KEYS * 2)[1].size == self.KEYS * 2
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_oversized_join_is_an_aborted_run_in_both_representations(self, imdb_db, kind, monkeypatch):
+        query = bind_sql(
+            "SELECT COUNT(*) FROM title AS t, movie_keyword AS mk WHERE t.id = mk.movie_id",
+            imdb_db.schema,
+        )
+        cost_model = Planner(imdb_db).cost_model
+        pair = frozenset({"t", "mk"})
+        plans = {
+            join_type: left_deep_plan_from_order(
+                query, cost_model, ["t", "mk"], HintSet(join_methods={pair: join_type})
+            )
+            for join_type in (JoinType.HASH, JoinType.NESTED_LOOP)
+        }
+        assert index_nestloop_inner(imdb_db, plans[JoinType.NESTED_LOOP]) is not None
+        engine = create_engine(imdb_db, kind=kind)
+        uncapped = {join_type: engine.execute(query, plan) for join_type, plan in plans.items()}
+        assert all(result.succeeded for result in uncapped.values())
+        monkeypatch.setattr(operators, "MAX_CROSS_PRODUCT_TUPLES", 10)
+        for join_type, plan in plans.items():
+            result = engine.execute(query, plan)
+            assert result.timed_out and not result.rows, join_type
+            assert "materialization cap" in result.evaluation.error, join_type
 
 
 class TestExplain:

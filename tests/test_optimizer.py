@@ -12,6 +12,7 @@ import pytest
 from repro.catalog.imdb import generate_imdb
 from repro.config import SIMULATION_CONFIG
 from repro.errors import OptimizerError
+from repro.experiments.common import job_spec
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.enumeration import (
@@ -30,7 +31,7 @@ from repro.optimizer.planner import (
     STRATEGY_GREEDY,
     Planner,
 )
-from repro.plans.hints import HintSet, OperatorToggles
+from repro.plans.hints import BAO_HINT_SETS, NO_HINTS, HintSet, OperatorToggles
 from repro.plans.physical import (
     JoinNode,
     JoinType,
@@ -188,9 +189,9 @@ class TestCostModel:
         q = queries["five"]
         left = model.best_scan(q, "mk")
         right = model.best_scan(q, "mc")
-        hash_cost = model.join_cost(q, JoinType.HASH, left, right, q.joins_between({"mk"}, {"mc"}))
-        nl_cost = model.join_cost(q, JoinType.NESTED_LOOP, left, right, [])
-        assert hash_cost < nl_cost
+        hash_join = model.join_node(q, JoinType.HASH, left, right, q.joins_between({"mk"}, {"mc"}))
+        nested_loop = model.join_node(q, JoinType.NESTED_LOOP, left, right, [])
+        assert hash_join.estimated_cost < nested_loop.estimated_cost
 
     def test_recost_plan_preserves_structure(self, imdb_db, queries):
         model = CostModel(imdb_db)
@@ -445,18 +446,15 @@ def _pickles(planner: Planner, queries) -> list[bytes]:
 
 
 class TestGoldenPlans:
-    """Plans are pinned byte for byte: ``tests/golden/plan_digests.json``.
+    """Plans are pinned byte for byte: ``tests/golden/plan_digests.json`` and,
+    on the benchmark's database, ``tests/golden/plan_digests_job_scale1.json``.
 
     Recorded by ``tools/record_plan_digests.py`` (``make golden-plans``) at
     the last commit that changed plans on purpose.
     """
 
-    def test_every_plan_digest_matches_the_recording(self, imdb_db, stack_db):
-        document = json.loads(record_plan_digests.GOLDEN_PATH.read_text(encoding="utf-8"))
-        assert document["pickle_protocol"] == record_plan_digests.PICKLE_PROTOCOL
-        recorded = document["digests"]
-        assert sum(len(entry) for entry in recorded.values()) > 3000
-        planned = record_plan_digests.plan_digests({"imdb": imdb_db, "stack": stack_db})
+    @staticmethod
+    def _assert_unchanged(recorded: dict, planned: dict) -> None:
         assert planned.keys() == recorded.keys()
         changed = [
             (query, variant, recorded[query][variant], planned[query].get(variant))
@@ -465,6 +463,25 @@ class TestGoldenPlans:
             if planned[query].get(variant) != recorded[query][variant]
         ]
         assert not changed, f"{len(changed)} plans changed, first: {changed[:5]}"
+
+    def test_every_plan_digest_matches_the_recording(self, imdb_db, stack_db):
+        document = json.loads(record_plan_digests.GOLDEN_PATH.read_text(encoding="utf-8"))
+        assert document["pickle_protocol"] == record_plan_digests.PICKLE_PROTOCOL
+        recorded = document["digests"]
+        assert sum(len(entry) for entry in recorded.values()) > 3000
+        self._assert_unchanged(recorded, record_plan_digests.plan_digests({"imdb": imdb_db, "stack": stack_db}))
+
+    def test_job_plans_at_the_benchmark_scale_match_the_recording(self):
+        document = json.loads(record_plan_digests.BENCH_GOLDEN_PATH.read_text(encoding="utf-8"))
+        assert document["pickle_protocol"] == record_plan_digests.PICKLE_PROTOCOL
+        spec = job_spec(record_plan_digests.BENCH_SCALE)
+        assert document["databases"] == {"imdb": {"scale": spec.scale, "seed": spec.seed}}
+        recorded = document["digests"]
+        assert len(recorded) == 113
+        planned = record_plan_digests.plan_digests(
+            {"imdb": record_plan_digests.build_bench_database()}, record_plan_digests.BENCH_WORKLOADS
+        )
+        self._assert_unchanged(recorded, planned)
 
     def test_recording_reaches_every_strategy(self):
         document = json.loads(record_plan_digests.GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -495,8 +512,11 @@ class TestCostTies:
         model = CostModel(imdb_db, self.FREE)
         q = queries["three"]
         left, right = model.best_scan(q, "t"), model.best_scan(q, "mk")
+        predicates = q.joins_between({"t"}, {"mk"})
         for join_type in JoinType:
-            assert model.join_cost(q, join_type, left, right, q.joins_between({"t"}, {"mk"})) == 0.0
+            forced = HintSet(join_methods={frozenset({"t", "mk"}): join_type})
+            estimates = model.best_join_estimates(q, left, right, forced, predicates, model.planning_context(forced))
+            assert estimates[0] is join_type and estimates[1][1] == 0.0
         assert model.best_join(q, left, right).join_type is JoinType.HASH
         no_hash = HintSet(toggles=OperatorToggles(hashjoin=False))
         assert model.best_join(q, left, right, no_hash).join_type is JoinType.MERGE
@@ -511,6 +531,107 @@ class TestCostTies:
         assert isinstance(plan, JoinNode) and isinstance(plan.left, JoinNode)
         assert (plan.left.left.alias, plan.left.right.alias, plan.right.alias) == ("k", "mk", "t")
         assert {join.join_type for join in plan_join_nodes(plan)} == {JoinType.HASH}
+
+
+class TestPlanOverNumbers:
+    """The enumerators compare candidates as :class:`JoinInput` records and
+    build join nodes only for the plan they return, costing both alike."""
+
+    CONFIGS = {
+        "default": SIMULATION_CONFIG,
+        "geqo=off": SIMULATION_CONFIG.with_overrides(geqo=False),
+    }
+
+    def test_only_the_returned_joins_are_built(self, imdb_db, job_workload, monkeypatch):
+        built = 0
+        join_node = CostModel.join_node
+
+        def counted(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return join_node(self, *args, **kwargs)
+
+        monkeypatch.setattr(CostModel, "join_node", counted)
+        strategies = set()
+        for config in self.CONFIGS.values():
+            planner = Planner(imdb_db, config)
+            for query in job_workload:
+                # Some JOB texts repeat: a cached plan would build nothing.
+                planner.plan_cache = PlanCache()
+                built = 0
+                result = planner.plan_with_info(query.bound)
+                assert built == len(plan_join_nodes(result.plan)), (query.query_id, result.strategy)
+                strategies.add(result.strategy)
+        assert strategies == {STRATEGY_DP, STRATEGY_GEQO, STRATEGY_GREEDY}
+
+    def test_a_node_and_its_record_cost_every_join_alike(self, imdb_db, job_workload):
+        """Every join of every returned plan: the node's estimates are what
+        ``best_join_estimates`` gives its children, and the record joined from
+        the children's records is the record made from the node."""
+        joins = 0
+        for config in self.CONFIGS.values():
+            planner = Planner(imdb_db, config, plan_cache=PlanCache())
+            model = planner.cost_model
+            for query in job_workload:
+                context = model.planning_context()
+                for node in plan_join_nodes(planner.plan(query.bound)):
+                    left = model.join_input(query.bound, node.left, context)
+                    right = model.join_input(query.bound, node.right, context)
+                    estimates = (node.estimated_rows, node.estimated_cost)
+                    assert model.best_join_estimates(
+                        query.bound, node.left, node.right, NO_HINTS, node.predicates, context
+                    ) == (node.join_type, estimates)
+                    assert model.joined_input(left, right, estimates) == model.join_input(
+                        query.bound, node, context
+                    )
+                    joins += 1
+        assert joins > 1500
+
+    def test_every_enumerator_honours_a_join_method_forced_per_subset(self, imdb_db, queries):
+        q = queries["five"]
+        model = CostModel(imdb_db)
+        enumerators = {
+            "dp": DPEnumerator(model).plan,
+            "geqo": GeqoEnumerator(model).plan,
+            "greedy": lambda query, hints: greedy_plan(query, model, hints),
+        }
+        for name, plan in enumerators.items():
+            free = plan_join_nodes(plan(q, NO_HINTS))
+            assert any(node.join_type is not JoinType.NESTED_LOOP for node in free), name
+            forced = HintSet(join_methods={node.aliases: JoinType.NESTED_LOOP for node in free})
+            joins = plan_join_nodes(plan(q, forced))
+            assert all(node.join_type is JoinType.NESTED_LOOP for node in joins if node.aliases in forced.join_methods)
+            assert any(node.aliases in forced.join_methods for node in joins), name
+
+    @pytest.mark.parametrize("hints", (NO_HINTS, *BAO_HINT_SETS), ids=lambda hints: hints.name or "none")
+    def test_dp_records_are_the_estimates_of_the_returned_nodes(self, imdb_db, job_workload, hints):
+        """For every join of every DP plan, ``best_join_estimates`` from the
+        nodes equals, bit for bit, the record DP kept for that split."""
+        planner = Planner(imdb_db, plan_cache=PlanCache())
+        model = planner.cost_model
+        dp = DPEnumerator(model)
+        checked = 0
+        for query in job_workload:
+            result = planner.plan_with_info(query.bound, hints)
+            if result.strategy != STRATEGY_DP:
+                continue
+            bound = query.bound
+            context = model.planning_context(hints)
+            table = dp.search(bound, hints, context)
+            bit_of = {alias: 1 << i for i, alias in enumerate(bound.aliases)}
+
+            def mask_of(node) -> int:
+                return sum(bit_of[alias] for alias in node.aliases)
+
+            for node in plan_join_nodes(result.plan):
+                entry = table[mask_of(node)]
+                assert (entry.left, entry.right) == (mask_of(node.left), mask_of(node.right))
+                assert list(node.predicates) == list(entry.predicates)
+                estimates = model.best_join_estimates(bound, node.left, node.right, hints, node.predicates, context)
+                assert estimates == (entry.join_type, (entry.input.rows, entry.input.cost))
+                assert estimates[1] == (node.estimated_rows, node.estimated_cost)
+                checked += 1
+        assert checked > 500
 
 
 class TestPlanningContext:

@@ -728,8 +728,9 @@ class TestDeterministicTiming:
 
 class TestImportHygiene:
     """A worker, a coordinator and a plan server reach their first operation
-    without importing what only a report or GEQO's seeding needs: ``scipy.stats``
-    (0.6 s) and ``networkx`` (0.1 s) load inside the functions that use them."""
+    without importing what only a report needs: ``scipy.stats`` (0.6 s) loads
+    inside the functions that use it.  ``networkx`` is not a dependency: the
+    join graph is an alias adjacency built from the query's predicates."""
 
     def test_runtime_entry_points_import_neither_scipy_stats_nor_networkx(self):
         script = (
@@ -738,11 +739,14 @@ class TestImportHygiene:
             "print(sorted(m for m in sys.modules if m == 'networkx' or m.startswith('scipy')))\n"
             "from repro.core.stats import mann_whitney_u_test\n"
             "assert mann_whitney_u_test([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]).p_value < 1.0\n"
-            "from repro.catalog.imdb import imdb_schema\n"
-            "from repro.sql.binder import bind_sql\n"
-            "query = bind_sql('SELECT COUNT(*) FROM title AS t, movie_keyword AS mk "
-            "WHERE t.id = mk.movie_id', imdb_schema())\n"
+            "from repro.config import SIMULATION_CONFIG\n"
+            "from repro.catalog.imdb import generate_imdb\n"
+            "from repro.optimizer.planner import Planner\n"
+            "from repro.workloads import build_job_workload\n"
+            "database = generate_imdb(scale=0.02, seed=1, config=SIMULATION_CONFIG)\n"
+            "query = next(q.bound for q in build_job_workload(database.schema) if q.num_relations == 17)\n"
             "assert query.is_connected()\n"
+            "assert Planner(database).plan_with_info(query).used_geqo\n"
             "print(sorted(m for m in ('scipy.stats', 'networkx') if m in sys.modules))\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -752,4 +756,4 @@ class TestImportHygiene:
         assert done.returncode == 0, done.stderr
         before, after = done.stdout.splitlines()
         assert before == "[]"
-        assert after == "['networkx', 'scipy.stats']"
+        assert after == "['scipy.stats']"

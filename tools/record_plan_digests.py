@@ -7,11 +7,15 @@ hints, every Bao arm, a forced join order, a leading-prefix hint,
 ``join_collapse_limit=1`` and ``geqo=off`` — which together reach DP, GEQO,
 greedy, forced-order, from-order and the outer-join fold.
 
-The file pins plans *bytes*, not just plan shapes, so it is recorded from the
-parent commit of any PR that must not change plans, and re-recorded
+A second file pins the JOB plans under the same variants on ``job_spec(1.0)``,
+the database perfbench's ``job_cold_path`` and ``serve_miss`` plan on, whose
+statistics the 0.25-scale test database never shows the planner.
+
+The files pin plans *bytes*, not just plan shapes, so they are recorded from
+the parent commit of any PR that must not change plans, and re-recorded
 (``make golden-plans``) only by a PR that changes plans on purpose::
 
-    PYTHONPATH=src python tools/record_plan_digests.py [--out FILE]
+    PYTHONPATH=src python tools/record_plan_digests.py [--out FILE] [--bench-out FILE]
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.catalog.imdb import generate_imdb
 from repro.catalog.stack import generate_stack
 from repro.config import SIMULATION_CONFIG, PostgresConfig
 from repro.errors import ReproError
+from repro.experiments.common import job_spec
 from repro.optimizer.planner import Planner
 from repro.plans.hints import BAO_HINT_SETS, NO_HINTS, HintSet
 from repro.plans.physical import JoinType
@@ -36,6 +41,7 @@ from repro.storage.database import Database
 from repro.workloads import build_workload
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "tests" / "golden" / "plan_digests.json"
+BENCH_GOLDEN_PATH = GOLDEN_PATH.with_name("plan_digests_job_scale1.json")
 
 #: Pinned so the digests do not move with the interpreter's default protocol.
 PICKLE_PROTOCOL = 4
@@ -47,6 +53,10 @@ STACK_ARGS = {"scale": 0.25, "seed": 11}
 #: ``(workload name, database key)`` in recording order.
 WORKLOADS = (("job", "imdb"), ("ext_job", "imdb"), ("random", "imdb"), ("stack", "stack"))
 
+#: Scale of the benchmark database (``job_spec``: the JOB drivers' IMDB seed).
+BENCH_SCALE = 1.0
+BENCH_WORKLOADS = (("job", "imdb"),)
+
 
 def build_databases() -> dict[str, Database]:
     """The two test databases, built exactly as the session fixtures build them."""
@@ -54,6 +64,11 @@ def build_databases() -> dict[str, Database]:
         "imdb": generate_imdb(config=SIMULATION_CONFIG, **IMDB_ARGS),
         "stack": generate_stack(config=SIMULATION_CONFIG, **STACK_ARGS),
     }
+
+
+def build_bench_database() -> Database:
+    """The IMDB instance of perfbench's ``job_cold_path`` and ``serve_miss``."""
+    return job_spec(BENCH_SCALE).build()
 
 
 def variants(query: BoundQuery) -> Iterator[tuple[str, dict, HintSet]]:
@@ -81,11 +96,13 @@ def digest_of(planner: Planner, query: BoundQuery, hints: HintSet) -> list:
     return [hashlib.sha256(blob).hexdigest(), result.planning_time_ms, result.strategy]
 
 
-def plan_digests(databases: dict[str, Database]) -> dict[str, dict[str, list]]:
-    """``{"<workload>/<query id>": {variant label: digest}}`` over all four workloads."""
+def plan_digests(
+    databases: dict[str, Database], workloads: tuple[tuple[str, str], ...] = WORKLOADS
+) -> dict[str, dict[str, list]]:
+    """``{"<workload>/<query id>": {variant label: digest}}`` over ``workloads``."""
     digests: dict[str, dict[str, list]] = {}
     planners: dict[tuple[str, PostgresConfig], Planner] = {}
-    for workload_name, db_key in WORKLOADS:
+    for workload_name, db_key in workloads:
         database = databases[db_key]
         for query in build_workload(workload_name, database.schema).queries:
             entry = digests[f"{workload_name}/{query.query_id}"] = {}
@@ -98,20 +115,32 @@ def plan_digests(databases: dict[str, Database]) -> dict[str, dict[str, list]]:
     return digests
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=GOLDEN_PATH)
-    args = parser.parse_args(argv)
-    digests = plan_digests(build_databases())
-    header = {"pickle_protocol": PICKLE_PROTOCOL, "databases": {"imdb": IMDB_ARGS, "stack": STACK_ARGS}}
+def write_digests(path: Path, databases: dict, digests: dict[str, dict[str, list]]) -> None:
+    header = {"pickle_protocol": PICKLE_PROTOCOL, "databases": databases}
     # One query per line, so a re-recording diffs query by query.
     lines = [f"{json.dumps(key)}: {json.dumps(entry)}" for key, entry in digests.items()]
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
         json.dumps(header)[:-1] + ', "digests": {\n' + ",\n".join(lines) + "\n}}\n", encoding="utf-8"
     )
     plans = sum(len(entry) for entry in digests.values())
-    print(f"recorded {plans} plan digests for {len(digests)} queries in {args.out}")
+    print(f"recorded {plans} plan digests for {len(digests)} queries in {path}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=GOLDEN_PATH)
+    parser.add_argument("--bench-out", type=Path, default=BENCH_GOLDEN_PATH)
+    args = parser.parse_args(argv)
+    write_digests(
+        args.out, {"imdb": IMDB_ARGS, "stack": STACK_ARGS}, plan_digests(build_databases())
+    )
+    bench = job_spec(BENCH_SCALE)
+    write_digests(
+        args.bench_out,
+        {"imdb": {"scale": bench.scale, "seed": bench.seed}},
+        plan_digests({"imdb": build_bench_database()}, BENCH_WORKLOADS),
+    )
     return 0
 
 
