@@ -82,7 +82,7 @@ REPRO_QUEUE_SECRET ?= local-bench-secret
 .PHONY: test lint typecheck docs-check bench-smoke bench-parallel bench-distributed bench-distributed-tcp bench-progress bench-executor bench-plan-serving fuzz-engines golden-plans golden-searches perfbench perfbench-compare perfbench-pairs bench example
 
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=15
 
 lint:
 	ruff check .

@@ -25,6 +25,12 @@ GB = 1024 * MB
 #: Size of one simulated heap/index page in bytes (PostgreSQL default).
 PAGE_SIZE_BYTES = 8 * KB
 
+#: The planner cost constants of :class:`PostgresConfig`.
+_COST_CONSTANTS = (
+    "seq_page_cost", "random_page_cost", "cpu_tuple_cost", "cpu_index_tuple_cost",
+    "cpu_operator_cost", "parallel_setup_cost", "parallel_tuple_cost",
+)
+
 
 @dataclass(frozen=True)
 class PostgresConfig:
@@ -83,6 +89,15 @@ class PostgresConfig:
     host_ram: int = 64 * GB
 
     # ----------------------------------------------------------------------
+    def __post_init__(self) -> None:
+        # PostgreSQL's GUC minimum for each is 0.  The planner relies on it:
+        # every join cost term is >= 0, which makes its cost bound exact
+        # (``CostModel.join_cost_bound``).
+        for name in _COST_CONSTANTS:
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"PostgresConfig.{name} must be >= 0, got {value!r}")
+
     @property
     def shared_buffer_pages(self) -> int:
         """Number of 8 KB pages the buffer pool can hold."""

@@ -422,6 +422,21 @@ class CostModel:
         assert best_type is not None
         return best_type, (rows, best_cost)
 
+    def join_cost_bound(self, left: JoinInput, right: JoinInput) -> float:
+        """A lower bound on the cost :meth:`cheapest_join` gives any inner join of ``left`` to ``right``.
+
+        Every join type costs ``left.cost + right.cost`` plus terms that are
+        never negative, except the index nested loop into a scan, which pays
+        ``left.rows`` probes of at least ``cpu_tuple_cost`` each instead of
+        ``right.cost``.  The bound holds bit for bit, not just in real
+        arithmetic: every term is ``>= 0`` (:class:`PostgresConfig` rejects
+        negative cost constants) and IEEE addition and multiplication are
+        monotone, so adding a term never lowers a running sum.
+        """
+        if right.scan is None:
+            return left.cost + right.cost
+        return left.cost + min(right.cost, left.rows * self.config.cpu_tuple_cost)
+
     def join_node(
         self,
         query: BoundQuery,

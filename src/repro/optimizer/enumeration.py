@@ -1,11 +1,12 @@
-"""Join-order enumeration: System-R dynamic programming, greedy fallback and
-exhaustive join-tree enumeration.
+"""Join-order enumeration: dynamic programming over connected pairs, greedy
+merging and exhaustive join-tree enumeration.
 
-* :class:`DPEnumerator` — the classical bottom-up dynamic programming over
-  connected sub-sets of relations, considering bushy trees when the
-  configuration allows them.
-* :func:`greedy_plan` — a cheap greedy enumerator used when dynamic
-  programming would be too expensive and GEQO is disabled.
+* :class:`DPEnumerator` — bottom-up dynamic programming over the connected
+  subgraph / complement pairs of the join graph (DPccp), considering bushy
+  trees when the configuration allows them.
+* :func:`greedy_plan` — a cheap greedy enumerator for the queries dynamic
+  programming does not take (:meth:`DPEnumerator.accepts`) when GEQO is
+  disabled.
 * :func:`left_deep_plan_from_order` — builds a plan for an explicit join
   order; shared by GEQO's winner, hint handling and several LQOs.
 * :func:`enumerate_join_trees` — exhaustively enumerates all join-tree shapes
@@ -14,7 +15,9 @@ exhaustive join-tree enumeration.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from repro.errors import OptimizerError
@@ -23,10 +26,15 @@ from repro.plans.hints import HintSet, NO_HINTS
 from repro.plans.physical import JoinKind, JoinType, PlanNode, ScanNode
 from repro.sql.binder import BoundQuery, JoinPredicate
 
-#: Most relations :class:`DPEnumerator` takes on: 2^n subsets become
-#: impractical in pure Python beyond it, and the planner routes larger
-#: queries to GEQO or, with GEQO disabled, to :func:`greedy_plan`.
-DP_MAX_RELATIONS = 12
+#: Most relations :class:`DPEnumerator` takes on over a connected join graph:
+#: JOB's largest queries.  Its work grows with the graph's connected pairs
+#: (44,097 for JOB's 17-relation queries), not with the 3^n subset splits.
+DP_MAX_RELATIONS = 17
+#: Most relations it takes on over a disconnected join graph.  DP then runs
+#: over the complete graph, whose pairs do grow as 3^n / 2 (about 2.6·10^5
+#: at 12 relations, 6.4·10^7 at 17).  The planner routes larger queries to
+#: GEQO or, with GEQO disabled, to :func:`greedy_plan`.
+DP_MAX_DISCONNECTED_RELATIONS = 12
 
 
 def require_inner_only(query: BoundQuery, caller: str) -> None:
@@ -77,8 +85,8 @@ def greedy_plan(
 ) -> PlanNode:
     """Greedy enumeration: repeatedly merge the cheapest joinable pair of sub-plans.
 
-    Produces bushy plans when beneficial.  Used for very large queries when
-    dynamic programming is infeasible and GEQO is disabled.  Candidates are
+    Produces bushy plans when beneficial.  Used for the queries dynamic
+    programming does not take when GEQO is disabled.  Candidates are
     costed as numbers; join nodes are built for the returned plan only.
     """
     require_inner_only(query, "greedy_plan")
@@ -125,6 +133,67 @@ def greedy_plan(
     return build(parts[0][2])
 
 
+def connected_pairs(adjacent: Sequence[int]) -> dict[int, list[int]]:
+    """Every connected-subgraph / complement pair of a graph, grouped by union (DPccp).
+
+    ``adjacent[i]`` is the bitmask of the nodes joined to node ``i``.  A pair
+    is two disjoint connected node sets with an edge between them; each
+    unordered pair is listed once, by the half that holds the union's lowest
+    node: ``{first | second: [first, ...]}``.  The enumeration is
+    Moerkotte & Neumann's DPccp (VLDB 2006): its work is proportional to the
+    pairs found, where walking every subset's splits costs Θ(3^n).
+    """
+
+    # A connected set is grown again as a complement of each of its partners.
+    reach_of: dict[int, int] = {}
+
+    def neighbourhood(group: int) -> int:
+        reach = reach_of.get(group)
+        if reach is None:
+            reach = 0
+            rest = group
+            while rest:
+                low = rest & -rest
+                reach |= adjacent[low.bit_length() - 1]
+                rest ^= low
+            reach = reach_of[group] = reach & ~group
+        return reach
+
+    def grown(start: int, excluded: int) -> list[int]:
+        """``start`` and every connected superset of it avoiding ``excluded``, each once."""
+        found = [start]
+        stack = [(start, excluded)]
+        while stack:
+            group, excluded = stack.pop()
+            frontier = neighbourhood(group) & ~excluded
+            # A later extension never re-adds a node of this frontier: that
+            # superset is reached from here, by a subset of the frontier.
+            excluded |= frontier
+            extension = frontier
+            while extension:
+                found.append(group | extension)
+                stack.append((group | extension, excluded))
+                extension = (extension - 1) & frontier
+        return found
+
+    pairs: dict[int, list[int]] = {}
+    for node in reversed(range(len(adjacent))):
+        start = 1 << node
+        # Connected sets whose lowest node is ``node``.
+        for first in grown(start, (start << 1) - 1):
+            # Complements avoid ``first`` and every node up to its lowest, and
+            # are found from their lowest neighbour of ``first`` only.
+            excluded = first | (((first & -first) << 1) - 1)
+            frontier = neighbourhood(first) & ~excluded
+            rest = frontier
+            while rest:
+                top = 1 << (rest.bit_length() - 1)
+                rest ^= top
+                for second in grown(top, excluded | (frontier & ((top << 1) - 1))):
+                    pairs.setdefault(first | second, []).append(first)
+    return pairs
+
+
 class DPEntry(NamedTuple):
     """The cheapest plan of one relation subset in the DP table."""
 
@@ -138,7 +207,7 @@ class DPEntry(NamedTuple):
 
 
 class DPEnumerator:
-    """System-R style dynamic programming over connected relation subsets.
+    """Dynamic programming over the connected pairs of the join graph (DPccp).
 
     Relation subsets are integer bitmasks over the FROM-list positions.
     :meth:`search` fills the table with numbers (a :class:`JoinInput` and
@@ -152,27 +221,27 @@ class DPEnumerator:
             consider_bushy = cost_model.config.enable_bushy_plans
         self.consider_bushy = consider_bushy
 
+    @staticmethod
+    def accepts(query: BoundQuery) -> bool:
+        """Whether :meth:`plan` takes ``query``: :data:`DP_MAX_RELATIONS` over a
+        connected join graph, :data:`DP_MAX_DISCONNECTED_RELATIONS` otherwise."""
+        n = len(query.aliases)
+        return 0 < n <= DP_MAX_DISCONNECTED_RELATIONS or (n <= DP_MAX_RELATIONS and query.is_connected())
+
     def plan(
         self, query: BoundQuery, hints: HintSet = NO_HINTS, context: PlanningContext | None = None
     ) -> PlanNode:
         """Return the cheapest plan found by dynamic programming."""
         require_inner_only(query, "DPEnumerator")
-        n = len(query.aliases)
-        if n == 0:
-            raise OptimizerError("query has no relations")
-        if n > DP_MAX_RELATIONS:
+        if not self.accepts(query):
             raise OptimizerError(
-                f"dynamic programming over {n} relations is not supported; use GEQO"
+                f"dynamic programming does not take this join graph of {len(query.aliases)} relations "
+                "(DPEnumerator.accepts); use GEQO or greedy_plan"
             )
         cost_model = self.cost_model
         if context is None:
             context = cost_model.planning_context(hints)
         table = self.search(query, hints, context)
-        full_mask = (1 << n) - 1
-        if full_mask not in table:
-            # The join graph is disconnected in a way the DP table did not
-            # cover; fall back to the greedy enumerator.
-            return greedy_plan(query, cost_model, hints, context)
 
         def build(mask: int) -> PlanNode:
             entry = table[mask]
@@ -184,12 +253,23 @@ class DPEnumerator:
                 query, build(entry.left), build(entry.right), hints, entry.predicates, context
             )
 
-        return build(full_mask)
+        return build((1 << len(query.aliases)) - 1)
 
     def search(self, query: BoundQuery, hints: HintSet, context: PlanningContext) -> dict[int, DPEntry]:
-        """The DP table: the cheapest entry of every planned subset (bit ``i`` is ``query.aliases[i]``)."""
+        """The DP table: the cheapest entry of every planned subset (bit ``i`` is ``query.aliases[i]``).
+
+        The planned subsets are the connected ones of the join graph, or of
+        the complete graph when the join graph is disconnected (cross
+        products then join its components).  A subset's candidates are both
+        orientations of each of its :func:`connected_pairs` joined by a
+        predicate, or — when none is — of every pair as a cross product.
+        They are costed in ascending order of :meth:`CostModel.join_cost_bound`
+        until a bound exceeds the cheapest cost found: no candidate left
+        could beat it, or tie it.  A tie goes to the larger outer mask.
+        """
         cost_model = self.cost_model
         cheapest_join = cost_model.cheapest_join
+        join_cost_bound = cost_model.join_cost_bound
         aliases = query.aliases
         n = len(aliases)
         bit_of = {alias: 1 << i for i, alias in enumerate(aliases)}
@@ -203,78 +283,64 @@ class DPEnumerator:
         # Every join predicate beside the mask of the two aliases it connects
         # (``query.joins`` order, the order predicates take inside a node).
         edges = [(bit_of[j.left_alias] | bit_of[j.right_alias], j) for j in query.joins]
-        neighbours = dict.fromkeys(best, 0)
-        for edge_mask, join in edges:
-            neighbours[bit_of[join.left_alias]] |= edge_mask
-            neighbours[bit_of[join.right_alias]] |= edge_mask
-
-        def connected(mask: int) -> bool:
-            reached = frontier = mask & -mask
-            while frontier:
-                bit = frontier & -frontier
-                grown = neighbours[bit] & mask & ~reached
-                reached |= grown
-                frontier = (frontier ^ bit) | grown
-            return reached == mask
-
-        full_mask = (1 << n) - 1
-        fully_connected = connected(full_mask)
+        if query.is_connected():
+            adjacent = [0] * n
+            for join in query.joins:
+                left, right = bit_of[join.left_alias], bit_of[join.right_alias]
+                adjacent[left.bit_length() - 1] |= right
+                adjacent[right.bit_length() - 1] |= left
+        else:
+            adjacent = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
         left_deep_only = not self.consider_bushy
-        inner = JoinKind.INNER
+        inner_join = JoinKind.INNER
+        by_bound = itemgetter(0)
 
+        pairs = connected_pairs(adjacent)
         # Increasing masks: every proper subset of a mask is a smaller integer.
-        for mask in range(3, full_mask + 1):
-            if mask & (mask - 1) == 0 or (fully_connected and not connected(mask)):
-                continue
-            # Proper, non-empty splits of the subset into two planned halves.
-            splits: list[tuple[int, int]] = []
-            sub = (mask - 1) & mask
-            while sub:
-                if sub in inputs and mask ^ sub in inputs:
-                    splits.append((sub, mask ^ sub))
-                sub = (sub - 1) & mask
+        for mask in sorted(pairs):
+            firsts = pairs[mask]
             inside = [edge for edge in edges if edge[0] & mask == edge[0]]
             # A forced join method depends on the subset, not on the split.
             join_types = context.join_types
             if hints.join_methods:
                 members = frozenset(alias for alias in aliases if bit_of[alias] & mask)
                 join_types = cost_model.join_types_for(hints, members, context)
-            winner: tuple | None = None
-            # First pass: splits connected by at least one join predicate;
-            # both orientations of a split share one predicate list.
-            crossing: dict[int, list[JoinPredicate]] = {}
-            for sub, other in splits:
-                if left_deep_only and other.bit_count() != 1:
-                    # Left-deep only: the inner (right) input must be a base
-                    # relation.  Both orientations of every split are
-                    # enumerated, so no plans are lost.
-                    continue
-                predicates = crossing.get(other)
-                if predicates is None:
-                    predicates = crossing[sub] = [
-                        j for edge_mask, j in inside if edge_mask & sub and edge_mask & other
-                    ]
-                if not predicates:
-                    continue
-                join_type, estimates = cheapest_join(
-                    query, join_types, inputs[sub], inputs[other], predicates, inner, context
-                )
-                if winner is None or estimates[1] < winner[1][1]:
-                    winner = (join_type, estimates, sub, other, predicates)
-            # Second pass (only if necessary): allow cross products.
-            if winner is None:
-                for sub, other in splits:
-                    if left_deep_only and sub.bit_count() != 1 and other.bit_count() != 1:
+            # (bound, outer mask, inner mask, predicates); both orientations
+            # of a pair share one predicate list.
+            candidates: list[tuple[float, int, int, list[JoinPredicate]]] = []
+            for first in firsts:
+                second = mask ^ first
+                predicates = [j for edge_mask, j in inside if edge_mask & first and edge_mask & second]
+                if predicates:
+                    for outer, inner in ((first, second), (second, first)):
+                        # Left-deep only: the inner input must be a base relation.
+                        if not left_deep_only or inner.bit_count() == 1:
+                            bound = join_cost_bound(inputs[outer], inputs[inner])
+                            candidates.append((bound, outer, inner, predicates))
+            if not candidates:
+                # No pair is joined by a predicate: cross products.
+                for first in firsts:
+                    second = mask ^ first
+                    if left_deep_only and first.bit_count() != 1 and second.bit_count() != 1:
                         continue
-                    join_type, estimates = cheapest_join(
-                        query, join_types, inputs[sub], inputs[other], [], inner, context
-                    )
-                    if winner is None or estimates[1] < winner[1][1]:
-                        winner = (join_type, estimates, sub, other, [])
-            if winner is not None:
-                join_type, estimates, sub, other, predicates = winner
-                record = inputs[mask] = cost_model.joined_input(inputs[sub], inputs[other], estimates)
-                best[mask] = DPEntry(record, join_type, sub, other, predicates)
+                    for outer, inner in ((first, second), (second, first)):
+                        candidates.append((join_cost_bound(inputs[outer], inputs[inner]), outer, inner, []))
+            candidates.sort(key=by_bound)
+            best_cost, best_outer = math.inf, 0
+            winner: tuple = ()
+            for bound, outer, inner, predicates in candidates:
+                if bound > best_cost:
+                    break
+                join_type, estimates = cheapest_join(
+                    query, join_types, inputs[outer], inputs[inner], predicates, inner_join, context
+                )
+                cost = estimates[1]
+                if cost < best_cost or (cost == best_cost and outer > best_outer):
+                    best_cost, best_outer = cost, outer
+                    winner = (join_type, estimates, outer, inner, predicates)
+            join_type, estimates, outer, inner, predicates = winner
+            record = inputs[mask] = cost_model.joined_input(inputs[outer], inputs[inner], estimates)
+            best[mask] = DPEntry(record, join_type, outer, inner, predicates)
         return best
 
 

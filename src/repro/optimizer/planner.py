@@ -24,12 +24,7 @@ from repro.config import GB, PostgresConfig
 from repro.errors import OptimizerError
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost_model import CostModel, PlanningContext
-from repro.optimizer.enumeration import (
-    DP_MAX_RELATIONS,
-    DPEnumerator,
-    greedy_plan,
-    left_deep_plan_from_order,
-)
+from repro.optimizer.enumeration import DPEnumerator, greedy_plan, left_deep_plan_from_order
 from repro.optimizer.geqo import GeqoEnumerator, GeqoParameters
 from repro.plans.hints import HintSet, NO_HINTS, split_leading_for_outer
 from repro.plans.physical import AggregateNode, PlanNode, SortNode
@@ -197,7 +192,7 @@ class Planner:
         if self.config.geqo_enabled_for(n):
             return STRATEGY_GEQO, self._geqo.plan(query, hints, context)
 
-        if n > DP_MAX_RELATIONS:
+        if not self._dp.accepts(query):
             # GEQO is disabled but exhaustive DP over this many relations is
             # impractical in pure Python; fall back to the greedy enumerator.
             return STRATEGY_GREEDY, greedy_plan(query, self.cost_model, hints, context)

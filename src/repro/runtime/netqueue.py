@@ -273,8 +273,26 @@ class FrameServer(socketserver.ThreadingTCPServer):
         self.host, self.port = self.server_address[:2]
         #: The address clients connect to.
         self.url = f"tcp://{'127.0.0.1' if self.host in ('0.0.0.0', '::') else self.host}:{self.port}"
-        self._thread = threading.Thread(target=self.serve_forever, name=name, daemon=True)
+        self._thread = threading.Thread(target=self._accept_loop, name=name, daemon=True)
         self._thread.start()
+
+    def _accept_loop(self) -> None:
+        """Hand every accepted connection to a thread of its own, until :meth:`close`.
+
+        A blocking ``accept`` instead of ``serve_forever``'s poll: shutting
+        the listening socket down fails the ``accept`` at once, where the
+        poll would notice a shutdown request only at its next 0.5 s tick.
+        """
+        while True:
+            try:
+                sock, address = self.socket.accept()
+            except OSError:
+                return
+            try:
+                self.process_request(sock, address)
+            except Exception:  # no handler thread: drop this connection, keep accepting
+                _log.exception("%s: could not serve %s", self._name, address)
+                self.shutdown_request(sock)
 
     def counters(self) -> dict[str, int]:
         """Accepted ``connections``, ``auth_rejects`` and unloadable-frame ``errors``."""
@@ -289,7 +307,11 @@ class FrameServer(socketserver.ThreadingTCPServer):
             if self._closed:
                 return
             self._closed = True  # a connection accepted from here on is dropped unserved
-        self.shutdown()
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)  # fails the accept loop's accept()
+        except OSError:
+            pass
+        self._thread.join(timeout=10)
         self.server_close()
         with self._lock:
             live = list(self._live)
@@ -298,7 +320,6 @@ class FrameServer(socketserver.ThreadingTCPServer):
                 sock.shutdown(socket.SHUT_RDWR)  # its own thread closes it
             except OSError:
                 pass
-        self._thread.join(timeout=10)
 
     def finish_request(self, sock: socket.socket, address: tuple) -> None:
         """Serve one accepted connection on its own thread (socketserver hook)."""
@@ -498,6 +519,8 @@ class QueueServer:
         #: Raised by what the coordinator's loop acts on (an ack, a failure, a
         #: shard going hungry), lowered by :meth:`wait_for_change`.
         self._changed = False
+        #: Notified on every such change, and on what an idle worker waits
+        #: for (:meth:`wait_for_work`): an enqueue, a re-queue, a steal, a stop.
         self._change = threading.Condition(self._lock)
         self._server = FrameServer(
             (host, port), lambda request, peer: self._dispatch(request), secret,
@@ -518,6 +541,7 @@ class QueueServer:
                 if shard < 0:
                     raise ExperimentError(f"queue shard must be >= 0, got {shard}")
                 self._shard_pending.setdefault(shard, {})[task_id] = payload
+            self._change.notify_all()
 
     def requeue_expired(self) -> list[str]:
         """Re-queue every claim whose lease deadline (monotonic) has passed.
@@ -531,6 +555,8 @@ class QueueServer:
             expired = sorted(tid for tid, lease in self._claims.items() if lease.deadline < now)
             for task_id in expired:
                 self._pending[task_id] = self._claims.pop(task_id).payload
+            if expired:
+                self._change.notify_all()
         return expired
 
     def rebalance(self) -> list[StolenTask]:
@@ -563,6 +589,8 @@ class QueueServer:
                     target[name] = self._shard_pending[source].pop(name)
                     moved.append(StolenTask(name, source, hungry_shard))
                 del self._hungry[hungry_shard]
+            if moved:
+                self._change.notify_all()
         return moved
 
     def discard_failure(self, task_id: str) -> bool:
@@ -591,6 +619,7 @@ class QueueServer:
     def write_stop(self) -> None:
         with self._lock:
             self._stop = True
+            self._change.notify_all()
 
     def clear_stop(self) -> None:
         with self._lock:
@@ -718,9 +747,18 @@ class QueueServer:
         was checking state meanwhile and may have read it before the change.
         """
         with self._lock:
-            if not self._changed:
-                self._change.wait(timeout_s)
+            self._change.wait_for(lambda: self._changed, timeout_s)
             self._changed = False
+
+    def wait_for_work(self, timeout_s: float, shard: int | None = None) -> None:
+        """Return once a claim for ``shard`` would find a task or stop is written, or after ``timeout_s``.
+
+        An idle worker's pause between claims.  Waiting on a condition of the
+        state, not on a notification, loses nothing that landed between the
+        worker's empty-handed claim and this call.
+        """
+        with self._lock:
+            self._change.wait_for(lambda: self._stop or self._pick_locked(shard)[0] is not None, timeout_s)
 
     def stats(self) -> QueueStats:
         with self._lock:
@@ -770,6 +808,12 @@ class QueueServer:
         if op == "poll":
             with self._lock:
                 return {"ok": True, "stop": self._stop, "pending": len(self._pending)}
+        if op == "wait":
+            shard = request.get("shard")
+            # Bounded like any frame: a handler thread never waits past the server's deadline.
+            timeout_s = max(0.0, min(float(request.get("timeout_s", 0.0)), SERVER_TIMEOUT_S))
+            self.wait_for_work(timeout_s, int(shard) if shard is not None else None)
+            return {"ok": True}
         if op == "stats":
             return {"ok": True, "stats": self.stats()}
         if op == "worker_counts":
@@ -836,6 +880,16 @@ class NetWorkQueue(FrameClient):
             return bool(self._request({"op": "poll"})["stop"])
         except OSError:
             return True  # unreachable coordinator == sweep over for this worker
+
+    def wait_for_work(self, timeout_s: float, shard: int | None = None) -> None:
+        """:meth:`QueueServer.wait_for_work` on the coordinator: back as soon as
+        there is work or a stop, not after a fixed sleep."""
+        # Half the socket timeout at most, so the answer always beats the recv timeout.
+        request = {"op": "wait", "timeout_s": min(timeout_s, 0.5 * self.timeout_s), "shard": shard}
+        try:
+            self._request(request)
+        except OSError:
+            pass  # server gone: the next claim and stop_requested() end the loop
 
     def stats(self) -> QueueStats:
         return self._request({"op": "stats"})["stats"]

@@ -48,10 +48,12 @@ from repro.runtime.workqueue import (
 )
 
 
-#: First sleep of an idle worker; each further empty-handed claim doubles it up
-#: to the poll interval, and a successful claim starts over.  Work handed over
-#: mid-sweep (a steal, a re-queued lease) is picked up in tens of milliseconds
-#: while a long-idle worker polls no more often than it always did.
+#: First wait of an idle worker; each further empty-handed claim doubles it up
+#: to the poll interval, and a successful claim starts over.  On the file
+#: queue, which must be polled, work handed over mid-sweep (a steal, a
+#: re-queued lease) is picked up in tens of milliseconds while a long-idle
+#: worker polls no more often than it always did.  The TCP queue ends a wait
+#: as soon as there is work or a stop (``wait_for_work``).
 IDLE_BACKOFF_START_S = 0.01
 
 #: Serializes every line this process writes to stdout/stderr: the progress
@@ -145,7 +147,7 @@ def _worker_loop(
                 break
             if idle_timeout_s is not None and time.monotonic() - idle_since > idle_timeout_s:
                 break
-            time.sleep(sleep_s)
+            queue.wait_for_work(sleep_s, shard)
             sleep_s = min(2.0 * sleep_s, poll_interval_s)
             continue
         idle_since = time.monotonic()

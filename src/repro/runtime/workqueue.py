@@ -184,6 +184,14 @@ class WorkerQueueTransport(Protocol):
 
     def stop_requested(self) -> bool: ...
 
+    def wait_for_work(self, timeout_s: float, shard: int | None = None) -> None:
+        """An idle worker's pause between claims, ``timeout_s`` at most.
+
+        A transport that sees the queue change returns as soon as a claim
+        for ``shard`` would find a task or a stop is written; one that cannot
+        (a shared directory) sleeps the interval out.
+        """
+
 
 @runtime_checkable
 class QueueTransport(WorkerQueueTransport, Protocol):
@@ -657,6 +665,10 @@ class WorkQueue:
 
     def wait_for_change(self, timeout_s: float) -> None:
         """Sleep the interval out: a directory does not announce its renames."""
+        time.sleep(timeout_s)
+
+    def wait_for_work(self, timeout_s: float, shard: int | None = None) -> None:
+        """Sleep the interval out, as :meth:`wait_for_change` does."""
         time.sleep(timeout_s)
 
     def close(self) -> None:

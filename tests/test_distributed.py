@@ -676,6 +676,9 @@ class _ScriptedQueue:
     def stop_requested(self):
         return self.clock["now"] >= self.stop_at
 
+    def wait_for_work(self, timeout_s, shard=None):
+        time.sleep(timeout_s)  # the file queue's wait, on the scripted clock
+
     def renew(self, claim):
         pass
 
@@ -792,6 +795,75 @@ class TestWaitForChange:
         started = time.monotonic()
         queue.wait_for_change(0.05)
         assert time.monotonic() - started >= 0.04
+
+
+class TestWaitForWork:
+    """An idle worker's pause: the TCP queue ends it as soon as a claim would
+    find a task or a stop is written; the file queue sleeps it out."""
+
+    @staticmethod
+    def waited(wait, act=None) -> float:
+        timer = threading.Timer(0.05, act) if act is not None else None
+        if timer is not None:
+            timer.start()
+        started = time.monotonic()
+        wait()
+        elapsed = time.monotonic() - started
+        if timer is not None:
+            timer.join(timeout=5)
+            assert not timer.is_alive()
+        return elapsed
+
+    def test_queue_server_returns_on_enqueue_requeue_steal_and_stop(self):
+        server = QueueServer(lease_timeout_s=0.05)
+        client = NetWorkQueue(server.url, retries=0)
+        try:
+            assert self.waited(lambda: client.wait_for_work(0.1)) >= 0.09  # nothing to claim
+            assert self.waited(lambda: client.wait_for_work(5.0), lambda: server.enqueue("t-0", "p")) < 2.0
+            assert self.waited(lambda: client.wait_for_work(5.0)) < 1.0  # work already there
+            assert client.claim("w") is not None
+            time.sleep(0.1)  # the lease runs out
+            assert self.waited(lambda: client.wait_for_work(5.0), server.requeue_expired) < 2.0
+            assert client.claim("w") is not None
+            # Shard 1 starves while shard 0 holds two tasks: a steal feeds it.
+            server.enqueue("t-1", "p", shard=0)
+            server.enqueue("t-2", "p", shard=0)
+            assert client.claim("w", shard=1) is None
+            assert self.waited(lambda: client.wait_for_work(5.0, shard=1), server.rebalance) < 2.0
+            assert client.claim("w", shard=1).task_id == "t-2"
+            assert client.claim("w", shard=1) is None
+            assert self.waited(lambda: client.wait_for_work(5.0, shard=1), server.write_stop) < 2.0
+        finally:
+            client.close()
+            server.close()
+
+    def test_work_on_another_shard_does_not_end_the_wait(self):
+        server = QueueServer(lease_timeout_s=30)
+        try:
+            waited = self.waited(lambda: server.wait_for_work(0.2, shard=1), lambda: server.enqueue("t", "p", shard=0))
+            assert waited >= 0.19
+        finally:
+            server.close()
+
+    def test_file_queue_sleeps_the_interval_out(self, tmp_path):
+        queue = WorkQueue(tmp_path / "q")
+        queue.enqueue("t-0", {"x": 1})
+        assert self.waited(lambda: queue.wait_for_work(0.05)) >= 0.04
+
+    def test_closing_an_idle_server_is_immediate(self):
+        """No accept-loop poll to wait out, with or without a kept connection."""
+        from repro.catalog.imdb import generate_imdb
+        from repro.runtime.planserver import PlanServer
+
+        queue = QueueServer()
+        kept = NetWorkQueue(queue.url, retries=0)
+        assert kept.stop_requested() is False
+        servers = {"queue": queue, "plan": PlanServer(generate_imdb(scale=0.02, seed=1))}
+        for name, server in servers.items():
+            started = time.monotonic()
+            server.close()
+            assert time.monotonic() - started < 0.05, name
+        kept.close()
 
 
 class TestQueueUrlParsing:
