@@ -259,38 +259,3 @@ def analyze_table(
         page_count=page_count,
         columns=stats,
     )
-
-
-def scaled_statistics(stats: TableStatistics, scale: float) -> TableStatistics:
-    """Return table statistics scaled to ``scale`` times the original rows.
-
-    This is a cheap approximation used by the covariate-shift experiment to
-    model what PostgreSQL's statistics would look like after deleting or
-    adding rows without re-running a full ANALYZE over raw data.
-    """
-    if scale <= 0:
-        raise CatalogError("scale must be positive")
-    new_rows = max(0, int(round(stats.row_count * scale)))
-    new_pages = max(1, int(round(stats.page_count * scale)))
-    new_columns: dict[str, ColumnStatistics] = {}
-    for name, col in stats.columns.items():
-        new_columns[name] = ColumnStatistics(
-            column=col.column,
-            ctype=col.ctype,
-            row_count=new_rows,
-            null_frac=col.null_frac,
-            n_distinct=max(1, int(round(col.n_distinct * min(scale, 1.0))))
-            if col.n_distinct
-            else 0,
-            min_value=col.min_value,
-            max_value=col.max_value,
-            mcv_values=col.mcv_values.copy(),
-            mcv_fractions=col.mcv_fractions.copy(),
-            histogram_bounds=col.histogram_bounds.copy(),
-        )
-    return TableStatistics(
-        table=stats.table,
-        row_count=new_rows,
-        page_count=new_pages,
-        columns=new_columns,
-    )

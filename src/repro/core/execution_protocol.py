@@ -17,13 +17,12 @@ import numpy as np
 from repro.errors import ExperimentError
 from repro.executor.engine import ExecutionEngine, create_engine
 from repro.optimizer.planner import Planner
-from repro.plans.hints import NO_HINTS, HintSet
 from repro.plans.physical import PlanNode
 from repro.sql.binder import BoundQuery
 from repro.storage.database import Database
 from repro.storage.registry import resolve_database
 from repro.storage.spec import DatabaseSpec
-from repro.workloads.workload import BenchmarkQuery, Workload
+from repro.workloads.workload import Workload
 
 #: The paper's recommended number of repeated executions.
 DEFAULT_EXECUTIONS = 3
@@ -118,25 +117,6 @@ class ExecutionProtocol:
             execution_times_ms=times,
             timed_out=result.timed_out,
         )
-
-    def measure_query(
-        self,
-        query: BenchmarkQuery,
-        hints: HintSet = NO_HINTS,
-        executions: int | None = None,
-        timeout_ms: float | None = None,
-    ) -> MeasuredQuery:
-        """Plan a query with the classical optimizer (optionally hinted) and measure it."""
-        planned = self.planner.plan_with_info(query.bound, hints)
-        measured = self.measure_plan(
-            query.bound,
-            planned.plan,
-            planning_time_ms=planned.planning_time_ms,
-            executions=executions,
-            timeout_ms=timeout_ms,
-        )
-        measured.query_id = query.query_id
-        return measured
 
     # ------------------------------------------------------------------ robustness
     def robustness_study(

@@ -164,22 +164,6 @@ def workload_summary(results: list[MethodRunResult]) -> list[dict[str, object]]:
     return [result.summary_row() for result in results]
 
 
-def geometric_mean_speedup(
-    baseline: MethodRunResult, contender: MethodRunResult
-) -> float:
-    """Geometric mean of per-query end-to-end speedups of ``contender`` over ``baseline``."""
-    ratios = []
-    for timing in baseline.timings:
-        try:
-            other = contender.timing_for(timing.query_id)
-        except KeyError:
-            continue
-        ratios.append(max(timing.end_to_end_ms, 1e-6) / max(other.end_to_end_ms, 1e-6))
-    if not ratios:
-        return 1.0
-    return float(np.exp(np.mean(np.log(ratios))))
-
-
 def mean_end_to_end_ms(results: list[MethodRunResult]) -> float:
     """Mean total end-to-end workload time across several runs of the same method."""
     if not results:

@@ -52,15 +52,6 @@ class ExecutionError(ReproError):
     """The executor failed while running a physical plan."""
 
 
-class QueryTimeoutError(ExecutionError):
-    """Simulated execution exceeded the configured statement timeout."""
-
-    def __init__(self, message: str, elapsed_ms: float, timeout_ms: float) -> None:
-        super().__init__(message)
-        self.elapsed_ms = elapsed_ms
-        self.timeout_ms = timeout_ms
-
-
 class EncodingError(ReproError):
     """A query or plan could not be featurized for an ML model."""
 

@@ -20,7 +20,7 @@ from repro.config import SIMULATION_CONFIG, PostgresConfig, RuntimeConfig
 from repro.storage.database import Database
 from repro.storage.registry import get_process_registry
 from repro.storage.spec import DatabaseSpec
-from repro.workloads import build_ext_job_workload, build_job_workload, build_stack_workload
+from repro.workloads import build_job_workload, build_stack_workload
 from repro.workloads.workload import Workload
 
 #: Default database scale used by the experiment drivers and benchmarks.
@@ -92,15 +92,6 @@ def stack_context(scale: float | None = None, seed: int = 1337) -> BenchmarkCont
     database = get_process_registry().get(spec)
     return BenchmarkContext(
         database=database, workload=build_stack_workload(database.schema), spec=spec
-    )
-
-
-def ext_job_context(scale: float | None = None, seed: int = 42) -> BenchmarkContext:
-    """Synthetic IMDB plus the Ext-JOB-style workload (GROUP BY / ORDER BY)."""
-    spec = job_spec(scale, seed)
-    database = get_process_registry().get(spec)
-    return BenchmarkContext(
-        database=database, workload=build_ext_job_workload(database.schema), spec=spec
     )
 
 

@@ -138,10 +138,6 @@ class LQOEnvironment:
         """Deterministic stand-in for wall-clock training time (Figure 6 axis)."""
         return 0.002 * executed_plans + 0.0005 * n_queries + 0.001 * max(iterations, 0)
 
-    def recost(self, query: BoundQuery, plan: PlanNode) -> PlanNode:
-        """Attach planner estimates to an externally constructed plan."""
-        return self.planner.cost_model.recost_plan(query, plan)
-
     # ------------------------------------------------------------------ execution
     def execute_plan(
         self,

@@ -187,27 +187,6 @@ class CardinalityEstimator:
             rows += max(right_rows - inner, 0.0)
         return max(rows, MIN_ROWS)
 
-    def rows_for(self, query: BoundQuery, aliases: Iterable[str]) -> float:
-        """Estimated result size of the sub-query restricted to ``aliases``.
-
-        Computed as the product of filtered base cardinalities times the
-        selectivity of every join predicate fully contained in the subset —
-        the textbook (and PostgreSQL) formulation.
-        """
-        alias_set = frozenset(aliases)
-        if not alias_set:
-            return 0.0
-        rows = 1.0
-        # FROM-list order, so the product does not depend on set iteration order.
-        for alias in query.aliases:
-            if alias in alias_set:
-                rows *= self.base_rows(query, alias)
-        for predicate in query.joins:
-            a, b = predicate.aliases()
-            if a in alias_set and b in alias_set:
-                rows *= self.join_selectivity(query, predicate)
-        return max(rows, MIN_ROWS)
-
     # ------------------------------------------------------------------- truth
     def true_base_rows(self, query: BoundQuery, alias: str) -> int:
         """Exact filtered cardinality of a base relation (used by ablations).

@@ -526,34 +526,6 @@ class CostModel:
         )
         return self.join_node(query, join_type, left, right, edge.predicates, join_kind, estimates)
 
-    # ---------------------------------------------------------------------- plans
-    def recost_plan(self, query: BoundQuery, plan: PlanNode) -> PlanNode:
-        """Re-derive estimates for an externally constructed plan tree.
-
-        Used when a learned optimizer builds a plan structurally (e.g. from its
-        own search) and estimates need to be attached for encoding/EXPLAIN.
-        """
-        if isinstance(plan, ScanNode):
-            fresh = self.candidate_scans(query, plan.alias)
-            for candidate in fresh:
-                if candidate.scan_type is plan.scan_type and candidate.index_column == plan.index_column:
-                    return candidate
-            # Scan type no longer available: keep structure, recompute rows.
-            rows = self.estimator.base_rows(query, plan.alias)
-            return plan.with_estimates(rows, fresh[0].estimated_cost)
-        if isinstance(plan, JoinNode):
-            assert plan.left is not None and plan.right is not None
-            left = self.recost_plan(query, plan.left)
-            right = self.recost_plan(query, plan.right)
-            return self.join_node(
-                query, plan.join_type, left, right, plan.predicates or None,
-                join_kind=plan.join_kind,
-            )
-        children = plan.children()
-        if not children:
-            return plan
-        raise OptimizerError(f"cannot re-cost node type {type(plan).__name__}")
-
 
 def _is_sorted_on_join_key(scan: ScanNode, predicates: Sequence[JoinPredicate]) -> bool:
     """Whether ``scan`` is an index scan delivering a join key's order (no sort for a merge join)."""

@@ -412,28 +412,3 @@ def enumerate_join_trees(
                         yield cost_model.best_join(query, right_plan, left_plan, hints, predicates, context)
 
     yield from build(frozenset(aliases))
-
-
-def count_join_tree_shapes(n_relations: int) -> int:
-    """Number of ordered binary join trees over ``n`` distinct relations.
-
-    Equals ``n! * Catalan(n - 1)`` — the quantity behind the paper's remark
-    that there are far more bushy than left-deep plans.
-    """
-    if n_relations <= 0:
-        return 0
-    catalan = 1
-    for i in range(2, n_relations):
-        catalan = catalan * (n_relations - 1 + i) // i
-    factorial = 1
-    for i in range(2, n_relations + 1):
-        factorial *= i
-    return factorial * catalan
-
-
-def count_left_deep_orders(n_relations: int) -> int:
-    """Number of left-deep join orders (simply ``n!``)."""
-    total = 1
-    for i in range(2, n_relations + 1):
-        total *= i
-    return total

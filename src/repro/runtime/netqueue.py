@@ -2,8 +2,9 @@
 
 The file-based :class:`~repro.runtime.workqueue.WorkQueue` assumes every
 worker mounts the coordinator's filesystem.  This module drops that
-assumption: the coordinator runs a :class:`QueueServer` — the in-memory queue
-state behind a threaded TCP server — and workers talk to it through a
+assumption: the coordinator runs a :class:`QueueServer` — the same queue state
+machine (:class:`~repro.runtime.workqueue.BucketQueue`) over in-memory
+buckets, behind a threaded TCP server — and workers talk to it through a
 :class:`NetWorkQueue` client.  Finished results travel *back* over the socket
 as a :class:`~repro.runtime.workqueue.ResultUpload` attached to the ack
 frame, and the server persists them into the coordinator's local (possibly
@@ -63,17 +64,16 @@ import struct
 import threading
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from repro.errors import ExperimentError
 from repro.runtime.result_store import ResultStore
 from repro.runtime.workqueue import (
+    PENDING,
+    BucketQueue,
     QueueStats,
     ResultUpload,
-    StolenTask,
     TaskClaim,
     parse_queue_url,
-    plan_steal,
 )
 
 #: Frame header: magic + payload length.
@@ -467,24 +467,15 @@ class FrameClient:
         return f"{type(self).__name__}(tcp://{self.host}:{self.port})"
 
 
-@dataclass
-class _Lease:
-    """One claimed task: who holds it and when the lease runs out (monotonic)."""
-
-    worker_id: str
-    deadline: float
-    payload: object
-
-
-class QueueServer:
+class QueueServer(BucketQueue):
     """Coordinator-side work queue served over TCP.
 
-    Implements the full :class:`~repro.runtime.workqueue.QueueTransport`
-    surface: the coordinator calls the methods directly (in process), workers
-    reach the same state through :class:`NetWorkQueue`.  All state lives in
-    memory under one lock; results uploaded with acks are persisted into
-    ``result_store`` before the task is marked done, so a task is only ever
-    "done" once its result is safely on the coordinator's disk.
+    The :class:`~repro.runtime.workqueue.BucketQueue` state machine over
+    in-memory buckets: each maps task ids to ``[value, stamp]`` with
+    ``time.monotonic()`` stamps, every primitive runs under one lock, and the
+    lock's condition wakes ``wait_for_change`` and ``wait_for_work``.  The
+    coordinator calls the methods in process; workers reach the same state
+    through :class:`NetWorkQueue`.
     """
 
     #: Net workers share no filesystem: acks must carry the result.
@@ -499,28 +490,11 @@ class QueueServer:
         secret: str | bytes | None = None,
         hungry_ttl_s: float = 30.0,
     ) -> None:
-        if lease_timeout_s <= 0:
-            raise ExperimentError("QueueServer.lease_timeout_s must be positive")
-        self.lease_timeout_s = float(lease_timeout_s)
-        self.hungry_ttl_s = float(hungry_ttl_s)
+        super().__init__(lease_timeout_s, hungry_ttl_s)
         self.result_store = result_store
-        self._lock = threading.Lock()
-        #: Shared root pool (unsharded enqueues + re-queued expired leases).
-        self._pending: dict[str, object] = {}
-        #: Per-shard pending partitions (tasks with shard affinity).
-        self._shard_pending: dict[int, dict[str, object]] = {}
-        #: Last empty-handed preferred-shard claim, per shard (monotonic).
-        self._hungry: dict[int, float] = {}
-        self._claims: dict[str, _Lease] = {}
-        self._done: set[str] = set()
-        self._failed: dict[str, str] = {}
-        self._worker_done: dict[str, int] = {}
-        self._stop = False
-        #: Raised by what the coordinator's loop acts on (an ack, a failure, a
-        #: shard going hungry), lowered by :meth:`wait_for_change`.
-        self._changed = False
-        #: Notified on every such change, and on what an idle worker waits
-        #: for (:meth:`wait_for_work`): an enqueue, a re-queue, a steal, a stop.
+        self._lock = threading.RLock()
+        self._buckets: dict[str, dict[str, list]] = {}
+        #: Notified on every state change a waiter may be waiting for.
         self._change = threading.Condition(self._lock)
         self._server = FrameServer(
             (host, port), lambda request, peer: self._dispatch(request), secret,
@@ -532,251 +506,76 @@ class QueueServer:
         """Stop serving, drop every worker connection, release the socket (idempotent)."""
         self._server.close()
 
-    # ------------------------------------------------------------------ coordinator
-    def enqueue(self, task_id: str, payload: object, shard: int | None = None) -> None:
-        with self._lock:
-            if shard is None:
-                self._pending[task_id] = payload
-            else:
-                if shard < 0:
-                    raise ExperimentError(f"queue shard must be >= 0, got {shard}")
-                self._shard_pending.setdefault(shard, {})[task_id] = payload
-            self._change.notify_all()
-
-    def requeue_expired(self) -> list[str]:
-        """Re-queue every claim whose lease deadline (monotonic) has passed.
-
-        Expired claims return to the shared *root* pool rather than their
-        original shard: the shard's own worker may be the one that died, and
-        the root pool is claimable by every worker.
-        """
-        now = time.monotonic()
-        with self._lock:
-            expired = sorted(tid for tid, lease in self._claims.items() if lease.deadline < now)
-            for task_id in expired:
-                self._pending[task_id] = self._claims.pop(task_id).payload
-            if expired:
-                self._change.notify_all()
-        return expired
-
-    def rebalance(self) -> list[StolenTask]:
-        """Steal pending work for starving shards (mirrors ``WorkQueue.rebalance``).
-
-        Moves tasks between in-memory pending partitions under the lock, so a
-        task is claimable from exactly one partition at any instant; the
-        stolen-to shard's hungry mark is consumed by the move.
-        """
-        now = time.monotonic()
-        moved: list[StolenTask] = []
-        with self._lock:
-            for hungry_shard in sorted(self._hungry):
-                if now - self._hungry[hungry_shard] > self.hungry_ttl_s:
-                    del self._hungry[hungry_shard]  # stale signal: nobody is waiting
-                    continue
-                if self._shard_pending.get(hungry_shard):
-                    del self._hungry[hungry_shard]  # shard has work again
-                    continue
-                plan = plan_steal({
-                    shard: sorted(bucket)
-                    for shard, bucket in self._shard_pending.items()
-                    if shard != hungry_shard
-                })
-                if plan is None:
-                    continue  # nothing to steal; keep the mark for the next sweep
-                source, names = plan
-                target = self._shard_pending.setdefault(hungry_shard, {})
-                for name in names:
-                    target[name] = self._shard_pending[source].pop(name)
-                    moved.append(StolenTask(name, source, hungry_shard))
-                del self._hungry[hungry_shard]
-            if moved:
-                self._change.notify_all()
-        return moved
-
-    def discard_failure(self, task_id: str) -> bool:
-        with self._lock:
-            return self._failed.pop(task_id, None) is not None
-
-    def reset(self) -> int:
-        with self._lock:
-            removed = (
-                len(self._pending)
-                + sum(len(bucket) for bucket in self._shard_pending.values())
-                + len(self._claims)
-                + len(self._done)
-                + len(self._failed)
-            )
-            self._pending.clear()
-            self._shard_pending.clear()
-            self._hungry.clear()
-            self._claims.clear()
-            self._done.clear()
-            self._failed.clear()
-            self._worker_done.clear()
-            self._stop = False
-        return removed
-
-    def write_stop(self) -> None:
-        with self._lock:
-            self._stop = True
-            self._change.notify_all()
-
-    def clear_stop(self) -> None:
-        with self._lock:
-            self._stop = False
-
-    def stop_requested(self) -> bool:
-        with self._lock:
-            return self._stop
-
-    # ------------------------------------------------------------------ worker ops
-    def claim(self, worker_id: str, shard: int | None = None) -> TaskClaim | None:
-        """Pop one pending task (lowest id first, file-queue parity).
-
-        With a preferred ``shard``: that shard's partition first, then the
-        shared root pool — never other shards; a fully empty scan records the
-        shard as hungry so the coordinator's :meth:`rebalance` steals work
-        over.  Without one, the globally lowest task id across every partition
-        wins.
-        """
-        if shard is not None and shard < 0:
-            # Mirror the file transport: a misconfigured worker must fail
-            # fast, not register a phantom partition that rebalance would
-            # steal live tasks into (stranding them for every pinned worker).
-            raise ExperimentError(f"queue shard must be >= 0, got {shard}")
-        with self._lock:
-            task_id, bucket = self._pick_locked(shard)
-            if task_id is None:
-                if shard is not None:
-                    self._hungry[shard] = time.monotonic()
-                    self._changed = True
-                    self._change.notify_all()
-                return None
-            payload = bucket.pop(task_id)
-            self._claims[task_id] = _Lease(
-                worker_id=worker_id,
-                deadline=time.monotonic() + self.lease_timeout_s,
-                payload=payload,
-            )
-        return TaskClaim(task_id=task_id, payload=payload)
-
-    def _pick_locked(self, shard: int | None) -> tuple[str | None, dict | None]:
-        """The (task id, owning bucket) a claim should take; caller holds the lock."""
-        if shard is not None:
-            bucket = self._shard_pending.get(shard)
-            if bucket:
-                return min(bucket), bucket
-            if self._pending:
-                return min(self._pending), self._pending
-            return None, None
-        buckets = [self._pending, *self._shard_pending.values()]
-        candidates = [(min(bucket), bucket) for bucket in buckets if bucket]
-        if not candidates:
-            return None, None
-        return min(candidates, key=lambda pair: pair[0])
-
-    def renew(self, claim: TaskClaim) -> None:
-        with self._lock:
-            lease = self._claims.get(claim.task_id)
-            if lease is not None:
-                lease.deadline = time.monotonic() + self.lease_timeout_s
-
     def ack(self, claim: TaskClaim, worker_id: str, result: ResultUpload | None = None) -> None:
-        task_id = claim.task_id
+        """Persist the uploaded result, then mark the task done.
+
+        Persist first: a "done" task whose result was lost would make the
+        coordinator's final store load fail.  Store writes are atomic, and
+        double uploads after a lease expiry rewrite the same bytes, so no lock
+        is needed around the filesystem write.
+        """
         if result is not None and self.result_store is not None:
-            # Persist before marking done: a "done" task whose result was lost
-            # would make the coordinator's final store load fail.  Store writes
-            # are atomic, and double uploads after a lease expiry rewrite the
-            # same bytes, so no lock is needed around the filesystem write.
             self.result_store.save_raw(result.key, result.result, result.fingerprint)
-        with self._lock:
-            self._claims.pop(task_id, None)
-            # A zombie worker may ack a task that was already re-queued (and
-            # possibly re-claimed): the result is identical either way, so the
-            # ack wins and the duplicate pending/claimed entry is dropped.
-            self._pending.pop(task_id, None)
-            for bucket in self._shard_pending.values():
-                bucket.pop(task_id, None)
-            if task_id not in self._done:
-                self._done.add(task_id)
-                self._worker_done[worker_id] = self._worker_done.get(worker_id, 0) + 1
-            self._changed = True
-            self._change.notify_all()
-
-    def fail(self, claim: TaskClaim, worker_id: str, error: str) -> None:
-        with self._lock:
-            self._claims.pop(claim.task_id, None)
-            self._failed[claim.task_id] = error
-            self._changed = True
-            self._change.notify_all()
-
-    # ------------------------------------------------------------------ inspection
-    def pending_ids(self) -> set[str]:
-        with self._lock:
-            ids = set(self._pending)
-            for bucket in self._shard_pending.values():
-                ids.update(bucket)
-            return ids
-
-    def claimed_ids(self) -> set[str]:
-        with self._lock:
-            return set(self._claims)
-
-    def done_ids(self) -> set[str]:
-        with self._lock:
-            return set(self._done)
-
-    def failed_tasks(self) -> dict[str, str]:
-        with self._lock:
-            return dict(self._failed)
-
-    def worker_done_counts(self) -> dict[str, int]:
-        """Completed-task counts per worker id (from the acks received)."""
-        with self._lock:
-            return dict(self._worker_done)
-
-    def has_live_claims(self) -> bool:
-        now = time.monotonic()
-        with self._lock:
-            return any(lease.deadline >= now for lease in self._claims.values())
-
-    def wait_for_change(self, timeout_s: float) -> None:
-        """Return on an ack, failure or hungry mark, or after ``timeout_s``.
-
-        One that arrived since the previous call returns at once: the caller
-        was checking state meanwhile and may have read it before the change.
-        """
-        with self._lock:
-            self._change.wait_for(lambda: self._changed, timeout_s)
-            self._changed = False
-
-    def wait_for_work(self, timeout_s: float, shard: int | None = None) -> None:
-        """Return once a claim for ``shard`` would find a task or stop is written, or after ``timeout_s``.
-
-        An idle worker's pause between claims.  Waiting on a condition of the
-        state, not on a notification, loses nothing that landed between the
-        worker's empty-handed claim and this call.
-        """
-        with self._lock:
-            self._change.wait_for(lambda: self._stop or self._pick_locked(shard)[0] is not None, timeout_s)
-
-    def stats(self) -> QueueStats:
-        with self._lock:
-            shard_pending = tuple(
-                (shard, len(bucket))
-                for shard, bucket in sorted(self._shard_pending.items())
-                if bucket
-            )
-            return QueueStats(
-                pending=len(self._pending) + sum(count for _, count in shard_pending),
-                claimed=len(self._claims),
-                done=len(self._done),
-                failed=len(self._failed),
-                shard_pending=shard_pending,
-            )
+        super().ack(claim, worker_id)
 
     def describe(self) -> str:
         return f"QueueServer({self.url}, {self.stats().describe()})"
+
+    # ------------------------------------------------------------------ storage primitives
+    def _names(self, bucket: str) -> list[str]:
+        with self._lock:
+            return sorted(self._buckets.get(bucket, ()))
+
+    def _shards(self) -> list[int]:
+        with self._lock:
+            return sorted(
+                int(bucket.rpartition("-")[2]) for bucket in self._buckets if bucket.startswith(f"{PENDING}/")
+            )
+
+    def _move(self, source: str, target: str, name: str) -> bool:
+        with self._lock:
+            entry = self._buckets.get(source, {}).pop(name, None)
+            if entry is None:
+                return False
+            self._buckets.setdefault(target, {})[name] = entry
+            return True
+
+    def _put(self, bucket: str, name: str, value: object = None) -> None:
+        with self._lock:
+            self._buckets.setdefault(bucket, {})[name] = [value, time.monotonic()]
+
+    def _load(self, bucket: str, name: str) -> object:
+        with self._lock:
+            return self._buckets.get(bucket, {})[name][0]
+
+    def _drop(self, bucket: str, name: str) -> bool:
+        with self._lock:
+            return self._buckets.get(bucket, {}).pop(name, None) is not None
+
+    def _touch(self, bucket: str, name: str) -> bool:
+        with self._lock:
+            entry = self._buckets.get(bucket, {}).get(name)
+            if entry is not None:
+                entry[1] = time.monotonic()
+            return entry is not None
+
+    def _stamp(self, bucket: str, name: str) -> float | None:
+        with self._lock:
+            entry = self._buckets.get(bucket, {}).get(name)
+            return None if entry is None else entry[1]
+
+    def _now(self) -> float:
+        return time.monotonic()
+
+    def _wait(self, ready: Callable[[], bool], timeout_s: float) -> None:
+        with self._lock:
+            self._change.wait_for(ready, timeout_s)
+
+    def _notify(self, change: bool = False) -> None:
+        with self._lock:
+            if change:
+                self._changed = True
+            self._change.notify_all()
 
     # ------------------------------------------------------------------ wire
     def _dispatch(self, request: object) -> dict:
@@ -806,8 +605,7 @@ class QueueServer:
             self.fail(named, worker_id, str(request.get("error", "unknown error")))
             return {"ok": True}
         if op == "poll":
-            with self._lock:
-                return {"ok": True, "stop": self._stop, "pending": len(self._pending)}
+            return {"ok": True, "stop": self.stop_requested(), "pending": len(self._names(PENDING))}
         if op == "wait":
             shard = request.get("shard")
             # Bounded like any frame: a handler thread never waits past the server's deadline.

@@ -59,16 +59,21 @@ def _sanitize(part: str) -> str:
 
 
 def atomic_write_bytes(path: Path, blob: bytes) -> None:
-    """Write ``blob`` to ``path`` atomically (write-to-temp + rename).
+    """Write ``blob`` to ``path`` atomically and durably (write-to-temp + rename).
 
     Readers either see the previous content or the full new content, never a
     torn mix — the invariant every store file, queue task file and ack marker
-    relies on.  The temp file is cleaned up on any failure.
+    relies on.  The temp file is fsynced before the rename and the directory
+    after it, so a host crash cannot leave a done marker beside a torn result
+    or lose a rename already acted on.  The temp file is cleaned up on any
+    failure.
     """
     fd, tmp_name = tempfile.mkstemp(prefix=path.stem + ".", suffix=".tmp", dir=str(path.parent))
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(blob)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -76,6 +81,11 @@ def atomic_write_bytes(path: Path, blob: bytes) -> None:
         except OSError:
             pass
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 @dataclass(frozen=True)

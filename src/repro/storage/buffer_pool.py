@@ -112,14 +112,8 @@ class BufferPool:
     @staticmethod
     def fraction_pages(total_pages: int, fraction: float) -> int:
         """Pages ``fraction`` of a relation comes to: the one place that clamps and rounds
-        (banker's), so the executor's recorded accesses ask for what :meth:`access_fraction` would."""
+        (banker's) the page counts index and bitmap scans record."""
         return int(round(total_pages * min(max(fraction, 0.0), 1.0)))
-
-    def access_fraction(
-        self, relation: str, total_pages: int, fraction: float, sequential: bool = True
-    ) -> PageAccessResult:
-        """Access a fraction of a relation's pages (used by index/bitmap scans)."""
-        return self.access_pages(relation, self.fraction_pages(total_pages, fraction), sequential=sequential)
 
     # -- management ------------------------------------------------------------
     def invalidate(self, relation: str | None = None) -> None:

@@ -13,7 +13,7 @@ from repro.catalog.datagen import (
 )
 from repro.catalog.imdb import MOVIE_RELATED_TABLES, imdb_schema
 from repro.catalog.schema import Column, ColumnType, ForeignKey, Schema, Table
-from repro.catalog.statistics import NULL_SENTINEL, analyze_column, analyze_table, scaled_statistics
+from repro.catalog.statistics import NULL_SENTINEL, analyze_column, analyze_table
 from repro.catalog.stack import stack_schema
 from repro.errors import CatalogError
 
@@ -168,14 +168,6 @@ class TestStatistics:
         table = imdb_db.schema.table("kind_type")
         with pytest.raises(CatalogError):
             analyze_table(table, {"id": np.arange(3), "kind": np.arange(4)})
-
-    def test_scaled_statistics_halves_rows(self, imdb_db):
-        stats = imdb_db.statistics("title")
-        scaled = scaled_statistics(stats, 0.5)
-        assert scaled.row_count == pytest.approx(stats.row_count * 0.5, abs=1)
-        assert scaled.column("production_year").min_value == stats.column("production_year").min_value
-        with pytest.raises(CatalogError):
-            scaled_statistics(stats, 0.0)
 
 
 class TestGeneratedDatabases:

@@ -6,7 +6,7 @@ import pytest
 from repro.core.ablations import geqo_ablation, plan_shape_analysis, scan_type_ablation
 from repro.core.execution_protocol import ExecutionProtocol
 from repro.core.experiment import ExperimentConfig, ExperimentRunner
-from repro.core.metrics import MethodRunResult, QueryTiming, geometric_mean_speedup
+from repro.core.metrics import QueryTiming
 from repro.core.report import bullet_list, format_key_values, format_table, to_markdown
 from repro.core.splits import DatasetSplit, SplitSampling, generate_split, generate_splits
 from repro.core.stats import (
@@ -68,9 +68,11 @@ class TestSplits:
 
 
 class TestExecutionProtocol:
-    def test_measure_query_three_runs(self, imdb_db, job_workload):
+    def test_measure_plan_three_runs(self, imdb_db, job_workload):
         protocol = ExecutionProtocol(imdb_db)
-        measured = protocol.measure_query(job_workload.by_id("1a"))
+        query = job_workload.by_id("1a").bound
+        planned = protocol.planner.plan_with_info(query)
+        measured = protocol.measure_plan(query, planned.plan, planned.planning_time_ms)
         assert len(measured.execution_times_ms) == 3
         assert measured.reported_execution_ms <= measured.first_execution_ms * 1.1
 
@@ -138,15 +140,6 @@ class TestMetricsAndStats:
         timing = QueryTiming("q", "m", inference_time_ms=1.0, planning_time_ms=2.0, execution_time_ms=3.0)
         assert timing.end_to_end_ms == 6.0
         assert timing.pre_execution_ms == 3.0
-
-    def test_geometric_mean_speedup(self):
-        base = MethodRunResult("postgres", "s", "w", timings=[
-            QueryTiming("a", "postgres", 0, 1, 9), QueryTiming("b", "postgres", 0, 1, 19),
-        ])
-        other = MethodRunResult("x", "s", "w", timings=[
-            QueryTiming("a", "x", 0, 1, 4), QueryTiming("b", "x", 0, 1, 9),
-        ])
-        assert geometric_mean_speedup(base, other) == pytest.approx(2.0, rel=0.01)
 
     def test_mann_whitney_detects_difference(self):
         rng = np.random.default_rng(0)

@@ -17,8 +17,6 @@ from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.enumeration import (
     DPEnumerator,
-    count_join_tree_shapes,
-    count_left_deep_orders,
     enumerate_join_trees,
     greedy_plan,
     left_deep_plan_from_order,
@@ -99,43 +97,6 @@ class TestCardinality:
         for predicate in q.joins:
             assert 0.0 < estimator.join_selectivity(q, predicate) <= 1.0
 
-    def test_rows_for_monotone_in_subset(self, imdb_db, queries):
-        estimator = CardinalityEstimator(imdb_db)
-        q = queries["five"]
-        pair = estimator.rows_for(q, {"t", "mk"})
-        assert pair >= 1.0
-        assert estimator.rows_for(q, {"t"}) == pytest.approx(estimator.base_rows(q, "t"))
-
-    def test_subset_cache_returns_same_value(self, imdb_db, queries):
-        estimator = CardinalityEstimator(imdb_db)
-        q = queries["five"]
-        a = estimator.rows_for(q, {"t", "mk", "k"})
-        b = estimator.rows_for(q, {"k", "mk", "t"})
-        assert a == b
-
-    def test_distinct_queries_never_share_a_subset_estimate(self, imdb_db):
-        """Regression: estimates were cached by ``id(query)``, which a later query reuses."""
-        estimator = CardinalityEstimator(imdb_db)
-        unfiltered = THREE_WAY.replace(" AND k.keyword = 'sequel'", "")
-        expected = [
-            CardinalityEstimator(imdb_db).rows_for(bind_sql(sql, imdb_db.schema), {"k", "mk"})
-            for sql in (THREE_WAY, unfiltered)
-        ]
-        assert expected[0] < expected[1]
-        for round_ in range(20):
-            # Each query is collected before the next is bound, so CPython
-            # hands the next one the same address more often than not.
-            query = bind_sql((THREE_WAY, unfiltered)[round_ % 2], imdb_db.schema)
-            assert estimator.rows_for(query, {"k", "mk"}) == expected[round_ % 2]
-            del query
-
-    def test_subset_estimate_follows_a_mutated_query(self, imdb_db):
-        estimator = CardinalityEstimator(imdb_db)
-        query = bind_sql(THREE_WAY, imdb_db.schema)
-        filtered = estimator.rows_for(query, {"k", "mk"})
-        query.filters = [f for f in query.filters if f.alias != "k"]
-        assert estimator.rows_for(query, {"k", "mk"}) > filtered
-
 
 class TestCostModel:
     def test_best_scan_prefers_index_for_selective_filter(self, imdb_db, queries):
@@ -193,14 +154,6 @@ class TestCostModel:
         nested_loop = model.join_node(q, JoinType.NESTED_LOOP, left, right, [])
         assert hash_join.estimated_cost < nested_loop.estimated_cost
 
-    def test_recost_plan_preserves_structure(self, imdb_db, queries):
-        model = CostModel(imdb_db)
-        q = queries["three"]
-        plan = left_deep_plan_from_order(q, model, ["k", "mk", "t"])
-        recosted = model.recost_plan(q, plan)
-        assert join_order_of(recosted) == join_order_of(plan)
-        assert recosted.estimated_cost > 0
-
 
 class TestEnumeration:
     def test_left_deep_plan_covers_all_aliases(self, imdb_db, queries):
@@ -249,12 +202,6 @@ class TestEnumeration:
         model = CostModel(imdb_db)
         with pytest.raises(OptimizerError):
             list(enumerate_join_trees(queries["five"], model, max_relations=3))
-
-    def test_shape_counting_formulas(self):
-        assert count_left_deep_orders(3) == 6
-        assert count_join_tree_shapes(2) == 2
-        assert count_join_tree_shapes(3) == 12
-        assert count_join_tree_shapes(4) > count_left_deep_orders(4)
 
 
 class TestGeqo:

@@ -7,6 +7,7 @@ the live tree: ``src/`` must lint clean with the project config, and a copy
 of the real ``netqueue.py`` with an unverified unpickle added must fail SEC.
 """
 
+import ast
 import json
 import shutil
 import subprocess
@@ -18,6 +19,8 @@ if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
 from tools.reprolint import LintConfig, default_config, lint_paths  # noqa: E402
+from tools.reprolint.astutil import attach_parents, qualname_of  # noqa: E402
+from tools.reprolint.config import path_matches  # noqa: E402
 from tools.reprolint.engine import lint_file  # noqa: E402
 from tools.reprolint.findings import RULE_CATALOG  # noqa: E402
 
@@ -137,6 +140,24 @@ class TestLiveCodebase:
             if "recv_fast" in finding.message
         ]
         assert sorted(rules_of(findings)) == ["SEC201", "SEC202"]
+
+    def test_every_allowlist_entry_names_a_live_function(self):
+        """A renamed function must not leave a silent, stale allowlist entry."""
+        config = default_config()
+        sources = sorted((REPO_ROOT / "src").rglob("*.py"))
+        for pattern, qualname in config.det_allow + config.sec_allow:
+            defined: set[str] = set()
+            matched = [path for path in sources if path_matches(path, (pattern,))]
+            for path in matched:
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                attach_parents(tree)
+                defined.update(
+                    qualname_of(node.body[0])
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
+            assert matched, f"allowlist pattern {pattern} matches no src/ file"
+            assert qualname in defined, f"allowlist entry {qualname} is defined in no {pattern} file"
 
 
 class TestCli:

@@ -89,7 +89,7 @@ def default_config() -> LintConfig:
         sec_allow=(
             # Task files are written by the coordinator into the queue
             # directory; the shared filesystem is the trust boundary.
-            ("*/repro/runtime/workqueue.py", "WorkQueue._claim_first"),
+            ("*/repro/runtime/workqueue.py", "WorkQueue._load"),
             # The one sanctioned network unpickler; SEC202 additionally
             # proves each call is behind an authentication gate.
             ("*/repro/runtime/netqueue.py", "recv_frame"),
