@@ -20,7 +20,9 @@ import numpy as np
 
 from repro.catalog.schema import Schema
 from repro.errors import EncodingError
-from repro.plans.physical import JoinNode, JoinType, PlanNode, ScanNode, ScanType, strip_decorations
+from repro.plans.physical import (
+    JoinCandidate, JoinNode, JoinType, PlanNode, ScanNode, ScanType, strip_decorations,
+)
 
 _JOIN_TYPES = (JoinType.NESTED_LOOP, JoinType.HASH, JoinType.MERGE)
 _SCAN_TYPES = (ScanType.SEQ, ScanType.INDEX, ScanType.BITMAP, ScanType.TID)
@@ -78,14 +80,26 @@ class PlanTreeEncoder:
         return len(_JOIN_TYPES) + len(_SCAN_TYPES) + self._n_tables + 4
 
     # -- encoding ------------------------------------------------------------------
-    def node_vector(self, node: PlanNode) -> np.ndarray:
+    def join_vector(self, join_type: JoinType, rows: float, cost: float) -> np.ndarray:
+        """Feature vector of a join from the three numbers an encoder reads of it.
+
+        The record entry of :meth:`node_vector`: a search encodes a candidate
+        join it has costed but not built through it, and every join node
+        goes through it too.
+        """
+        vector = np.zeros(self.node_feature_size, dtype=np.float32)
+        vector[_JOIN_TYPES.index(join_type)] = 1.0
+        vector[-2] = 1.0  # is_join
+        self._set_estimates(vector, rows, cost)
+        return vector
+
+    def node_vector(self, node: PlanNode | JoinCandidate) -> np.ndarray:
         """Feature vector of one scan or join node (its children do not enter)."""
+        if isinstance(node, (JoinNode, JoinCandidate)):
+            return self.join_vector(node.join_type, node.estimated_rows, node.estimated_cost)
         n_join, n_scan = len(_JOIN_TYPES), len(_SCAN_TYPES)
         vector = np.zeros(self.node_feature_size, dtype=np.float32)
-        if isinstance(node, JoinNode):
-            vector[_JOIN_TYPES.index(node.join_type)] = 1.0
-            vector[-2] = 1.0  # is_join
-        elif isinstance(node, ScanNode):
+        if isinstance(node, ScanNode):
             vector[n_join + _SCAN_TYPES.index(node.scan_type)] = 1.0
             vector[-1] = 1.0  # is_scan
             if self.include_table_identity:
@@ -93,22 +107,25 @@ class PlanTreeEncoder:
                 if index is None:
                     raise EncodingError(f"plan references unknown table {node.table!r}")
                 vector[n_join + n_scan + index] = 1.0
-        vector[-4] = np.log1p(max(node.estimated_rows, 1.0)) / 20.0
-        vector[-3] = np.log1p(max(node.estimated_cost, 1.0)) / 20.0
+        self._set_estimates(vector, node.estimated_rows, node.estimated_cost)
         return vector
 
-    def encode_node(self, node: PlanNode) -> PlanNodeFeatures:
+    @staticmethod
+    def _set_estimates(vector: np.ndarray, rows: float, cost: float) -> None:
+        vector[-4] = np.log1p(max(rows, 1.0)) / 20.0
+        vector[-3] = np.log1p(max(cost, 1.0)) / 20.0
+
+    def encode_node(self, node: PlanNode | JoinCandidate) -> PlanNodeFeatures:
         """:meth:`node_vector` together with the node's EXPLAIN label."""
         return PlanNodeFeatures(vector=self.node_vector(node), label=node.label())
 
-    def encode(self, plan: PlanNode) -> EncodedPlanTree:
-        """Encode the scan/join core of a plan into a feature tree."""
-        core = strip_decorations(plan)
-        return self._encode_recursive(core)
+    def encode(self, plan: PlanNode | JoinCandidate) -> EncodedPlanTree:
+        """Encode the scan/join core of a plan — or a candidate join over two plans — into a feature tree."""
+        return self._encode_recursive(strip_decorations(plan))
 
-    def _encode_recursive(self, node: PlanNode) -> EncodedPlanTree:
+    def _encode_recursive(self, node: PlanNode | JoinCandidate) -> EncodedPlanTree:
         features = self.encode_node(node)
-        if isinstance(node, JoinNode):
+        if isinstance(node, (JoinNode, JoinCandidate)):
             assert node.left is not None and node.right is not None
             return EncodedPlanTree(
                 features=features.vector,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.catalog.schema import Schema
-from repro.errors import EncodingError
+from repro.errors import EncodingError, StorageError
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.sql.binder import BoundQuery
 from repro.storage.database import Database
@@ -129,7 +129,7 @@ class QueryEncoder:
         data = self._db.table_data(table)
         try:
             code = float(data.encode(predicate.column, predicate.values[0]))
-        except Exception:  # unknown literal: encode mid-range
+        except StorageError:  # a literal the column cannot encode: mid-range
             return 0.5
         span = col.max_value - col.min_value
         return float(np.clip((code - col.min_value) / span, 0.0, 1.0))

@@ -15,26 +15,39 @@ often competitive.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.lqo.base import BaseOptimizer, LQOEnvironment, PlannedQuery, TrainingReport
 from repro.ml.nn import PairwiseRanker
+from repro.optimizer.cost_model import JoinInput
 from repro.plans.hints import BAO_HINT_SETS
-from repro.plans.physical import PlanNode, validate_plan
+from repro.plans.physical import JoinCandidate, PlanNode, validate_plan
 from repro.sql.binder import BoundQuery, JoinPredicate
 from repro.workloads.workload import BenchmarkQuery
 
 
-#: A subplan a search holds, with its encoder state beside it (``None`` while
-#: the ranker is untrained and candidates are ranked by cost).
-Subplan = tuple[PlanNode, object]
+class _Held(NamedTuple):
+    """What a search keeps beside a subplan."""
+
+    #: One bit per alias of ``query.aliases`` it covers.
+    mask: int
+    record: JoinInput
+    #: Its encoder state; ``None`` while the ranker is untrained and ranks by cost.
+    state: object
+
+
+#: A subplan a search holds — a built plan, or a candidate join it has costed
+#: but not built — with what it keeps beside it.
+Subplan = tuple[PlanNode | JoinCandidate, _Held]
 
 
 class _RankedSearch:
     """What one search over one query works out once: a planning context, the
-    query's encoding and, beside every subplan, that subplan's encoder state —
-    so a candidate join costs and encodes one new node."""
+    query's encoding and, beside every subplan, that subplan's alias mask,
+    join-input record and encoder state — so a candidate join costs and
+    encodes one new node, as a record.  Only the candidates it keeps are built."""
 
     def __init__(self, env: LQOEnvironment, ranker: PairwiseRanker, query: BoundQuery) -> None:
         self.query = query
@@ -43,32 +56,48 @@ class _RankedSearch:
         self.context = self.cost_model.planning_context()
         self.encoder = env.tree_encoder() if ranker.is_trained else None
         self.query_vector = env.query_vector(query) if ranker.is_trained else None
+        self.bit_of = bit_of = {alias: 1 << i for i, alias in enumerate(query.aliases)}
+        # Every join predicate beside the mask of its two aliases, in ``query.joins`` order.
+        self._edges = [(bit_of.get(j.left_alias, 0) | bit_of.get(j.right_alias, 0), j) for j in query.joins]
 
-    def _with_state(self, plan: PlanNode, left: object = None, right: object = None) -> Subplan:
-        return plan, None if self.encoder is None else self.encoder.node_state(plan, left, right)
+    def predicates(self, left_mask: int, right_mask: int) -> list[JoinPredicate]:
+        """``query.joins_between`` the aliases of two disjoint masks."""
+        return [j for edge_mask, j in self._edges if edge_mask & left_mask and edge_mask & right_mask]
 
     def scan(self, alias: str) -> Subplan:
-        return self._with_state(self.cost_model.best_scan(self.query, alias, context=self.context))
+        scan = self.cost_model.best_scan(self.query, alias, context=self.context)
+        state = None if self.encoder is None else self.encoder.node_state(scan)
+        return scan, _Held(self.bit_of[alias], self.cost_model.join_input(self.query, scan, self.context), state)
 
-    def join(
-        self, left: Subplan, right: Subplan, predicates: list[JoinPredicate] | None = None
-    ) -> Subplan:
-        plan = self.cost_model.best_join(
-            self.query, left[0], right[0], predicates=predicates, context=self.context
+    def join(self, left: Subplan, right: Subplan, predicates: list[JoinPredicate]) -> Subplan:
+        (left_plan, left_held), (right_plan, right_held) = left, right
+        join = self.cost_model.candidate_join(
+            self.query, left_plan, right_plan, left_held.record, right_held.record, predicates, self.context
         )
-        return self._with_state(plan, left[1], right[1])
+        record = self.cost_model.joined_input(
+            left_held.record, right_held.record, (join.estimated_rows, join.estimated_cost)
+        )
+        state = None if self.encoder is None else self.encoder.node_state(join, left_held.state, right_held.state)
+        return join, _Held(left_held.mask | right_held.mask, record, state)
 
     def scores(self, candidates: list[Subplan]) -> np.ndarray:
         """Rank candidates: learned score when trained, else cost estimates."""
         if self.encoder is None:
             return np.asarray([plan.estimated_cost for plan, _ in candidates])
         matrix = np.vstack(
-            [np.concatenate([self.query_vector, self.encoder.readout(state)]) for _, state in candidates]
+            [np.concatenate([self.query_vector, self.encoder.readout(held.state)]) for _, held in candidates]
         )
         return self.ranker.score(matrix)
 
     def top(self, candidates: list[Subplan], keep: int) -> list[Subplan]:
-        return [candidates[i] for i in np.argsort(self.scores(candidates))[:keep]]
+        """The ``keep`` best-ranked candidates, built."""
+        kept = []
+        for i in np.argsort(self.scores(candidates))[:keep]:
+            plan, held = candidates[i]
+            if isinstance(plan, JoinCandidate):
+                plan = self.cost_model.build_join(self.query, plan)
+            kept.append((plan, held))
+        return kept
 
     def best(self, candidates: list[Subplan]) -> PlanNode:
         return candidates[int(np.argmin(self.scores(candidates)))][0]
@@ -175,10 +204,10 @@ class LeonOptimizer(BaseOptimizer):
                 while sub:
                     other = mask ^ sub
                     if sub in table and other in table:
-                        for left in table[sub]:
-                            for right in table[other]:
-                                predicates = query.joins_between(left[0].aliases, right[0].aliases)
-                                if predicates:
+                        predicates = search.predicates(sub, other)
+                        if predicates:
+                            for left in table[sub]:
+                                for right in table[other]:
                                     candidates.append(search.join(left, right, predicates))
                     sub = (sub - 1) & mask
                 if candidates:
@@ -194,15 +223,18 @@ class LeonOptimizer(BaseOptimizer):
         for _ in range(len(aliases) - 1):
             expansions: list[Subplan] = []
             for beam in beams:
-                remaining = [alias for alias in aliases if alias not in beam[0].aliases]
-                connected = [
-                    alias for alias in remaining if query.joins_between(beam[0].aliases, {alias})
-                ] or remaining
-                expansions += [search.join(beam, scans[alias]) for alias in connected]
+                mask = beam[1].mask
+                links = [
+                    (alias, search.predicates(mask, bit))
+                    for alias, bit in search.bit_of.items() if not bit & mask
+                ]
+                connected = [link for link in links if link[1]] or links
+                expansions += [search.join(beam, scans[alias], predicates) for alias, predicates in connected]
             if not expansions:
                 break
             beams = search.top(expansions, self.beam_width)
-        complete = [beam for beam in beams if beam[0].aliases == frozenset(aliases)]
+        everything = (1 << len(aliases)) - 1
+        complete = [beam for beam in beams if beam[1].mask == everything]
         return search.best(complete) if complete else None
 
     def _strategy(self, query: BoundQuery) -> str:

@@ -32,7 +32,7 @@ from typing import Any
 
 from repro.encoding.plan_encoding import EncodedPlanTree, PlanTreeEncoder
 from repro.errors import ModelError
-from repro.plans.physical import PlanNode
+from repro.plans.physical import JoinCandidate, PlanNode
 
 
 class TreeEncoder:
@@ -54,8 +54,13 @@ class TreeEncoder:
         """The plan vector of the tree whose root has ``state``."""
         raise NotImplementedError
 
-    def node_state(self, node: PlanNode, left: Any = None, right: Any = None) -> Any:
-        """State of a scan or join node whose children's states are known."""
+    def node_state(self, node: PlanNode | JoinCandidate, left: Any = None, right: Any = None) -> Any:
+        """State of a scan or join node whose children's states are known.
+
+        A :class:`JoinCandidate` — a join costed but not built — composes to
+        the state of the node it would build: both go through
+        :meth:`PlanTreeEncoder.join_vector`.
+        """
         return self.compose(self.plan_encoder.node_vector(node), left, right)
 
     def encode_tree(self, tree: EncodedPlanTree) -> np.ndarray:

@@ -17,7 +17,7 @@ from repro.config import PAGE_SIZE_BYTES, PostgresConfig
 from repro.errors import HintError, OptimizerError
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.plans.hints import HintSet, NO_HINTS, OperatorToggles
-from repro.plans.physical import JoinKind, JoinNode, JoinType, PlanNode, ScanNode, ScanType
+from repro.plans.physical import JoinCandidate, JoinKind, JoinNode, JoinType, PlanNode, ScanNode, ScanType
 from repro.sql.binder import BoundQuery, FilterPredicate, JoinPredicate, OuterJoinEdge
 from repro.storage.database import Database
 
@@ -494,6 +494,29 @@ class CostModel:
             predicates = query.joins_between(left.aliases, right.aliases)
         join_type, estimates = self.best_join_estimates(query, left, right, hints, predicates, context)
         return self.join_node(query, join_type, left, right, predicates, estimates=estimates)
+
+    def candidate_join(
+        self, query: BoundQuery, left: PlanNode, right: PlanNode, left_input: JoinInput, right_input: JoinInput,
+        predicates: Sequence[JoinPredicate], context: PlanningContext,
+    ) -> JoinCandidate:
+        """The join :meth:`best_join` would build without hints, costed from the
+        children's records and left unbuilt.
+
+        For searches that cost many candidate joins and keep few: they keep
+        the :class:`JoinInput` of every sub-plan they hold and build the
+        candidates they keep with :meth:`build_join`.
+        """
+        join_type, (rows, cost) = self.cheapest_join(
+            query, context.join_types, left_input, right_input, predicates, JoinKind.INNER, context
+        )
+        return JoinCandidate(float(rows), float(cost), join_type, left, right, tuple(predicates))
+
+    def build_join(self, query: BoundQuery, candidate: JoinCandidate) -> JoinNode:
+        """The node of a :meth:`candidate_join`: the one :meth:`best_join` builds."""
+        return self.join_node(
+            query, candidate.join_type, candidate.left, candidate.right, candidate.predicates,
+            estimates=(candidate.estimated_rows, candidate.estimated_cost),
+        )
 
     def best_outer_join(
         self, query: BoundQuery, edge: OuterJoinEdge, left: PlanNode, right: PlanNode,

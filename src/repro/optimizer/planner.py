@@ -81,8 +81,11 @@ class Planner:
         # safely shareable across planners, repetitions and ablations (any
         # knob, hint or database change maps to a different key).
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
+        # A database built from a spec is identified by it: name and row count
+        # alone are the same at every data seed of one generator and scale.
+        spec = database.spec.fingerprint() if database.spec is not None else ""
         self._cache_scope = hashlib.sha256(
-            f"{database.name}:{database.total_rows()}|{self._geqo.parameters!r}".encode("utf-8")
+            f"{database.name}:{database.total_rows()}:{spec}|{self._geqo.parameters!r}".encode("utf-8")
         ).hexdigest()[:16]
 
     # ------------------------------------------------------------------ caching

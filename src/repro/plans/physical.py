@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.errors import PlanError
 from repro.sql.binder import FilterPredicate, JoinPredicate
@@ -175,7 +175,7 @@ class JoinNode(PlanNode):
         return not self.predicates
 
     def label(self) -> str:
-        preds = " AND ".join(str(p) for p in self.predicates) or "<cross product>"
+        preds = _predicate_text(self.predicates)
         if self.join_kind is JoinKind.INNER:
             operator = self.join_type.value
         elif self.join_type is JoinType.NESTED_LOOP:
@@ -185,6 +185,30 @@ class JoinNode(PlanNode):
             base = self.join_type.value.removesuffix(" Join")
             operator = f"{base} {self.join_kind.value} Join"
         return f"{operator} on {preds}"
+
+
+class JoinCandidate(NamedTuple):
+    """An inner join of two built sub-plans, costed but not built.
+
+    What a search compares candidate joins by: its fields read like those of
+    :class:`JoinNode`, so plan encoders encode both alike, and
+    :meth:`~repro.optimizer.cost_model.CostModel.build_join` turns the
+    candidates a search keeps into nodes.
+    """
+
+    estimated_rows: float
+    estimated_cost: float
+    join_type: JoinType
+    left: PlanNode
+    right: PlanNode
+    predicates: tuple[JoinPredicate, ...]
+
+    def label(self) -> str:
+        return f"{self.join_type.value} on {_predicate_text(self.predicates)}"
+
+
+def _predicate_text(predicates: Sequence[JoinPredicate]) -> str:
+    return " AND ".join(str(p) for p in predicates) or "<cross product>"
 
 
 @dataclass(frozen=True)

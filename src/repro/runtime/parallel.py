@@ -134,19 +134,37 @@ class SpecTaskPayload:
 #: database-spec fingerprint): an N-task grid rebinds the workload once per
 #: worker process instead of once per task, mirroring the database registry.
 _WORKER_WORKLOADS: dict[tuple[str, str], Workload] = {}
-_WORKER_WORKLOADS_LOCK = threading.Lock()
-_WORKER_WORKLOADS_MAX = 32
+#: Per-process plan caches, keyed by (database-spec fingerprint, capacity):
+#: every task a worker runs on one database plans through one cache, so a
+#: cell re-plans nothing an earlier cell of the process planned.  Planning is
+#: a pure function of the cache key, so a hit changes no result byte.
+_WORKER_PLAN_CACHES: dict[tuple[str, int], PlanCache] = {}
+_WORKER_LOCK = threading.Lock()
+#: Entries either memo holds before it starts over.
+_WORKER_MEMO_MAX = 32
+
+
+def _worker_plan_cache(payload: SpecTaskPayload) -> PlanCache:
+    """This process's plan cache for the payload's database."""
+    key = (payload.spec.fingerprint(), payload.plan_cache_entries)
+    with _WORKER_LOCK:
+        cache = _WORKER_PLAN_CACHES.get(key)
+        if cache is None:
+            if len(_WORKER_PLAN_CACHES) >= _WORKER_MEMO_MAX:
+                _WORKER_PLAN_CACHES.clear()
+            cache = _WORKER_PLAN_CACHES[key] = PlanCache(payload.plan_cache_entries)
+        return cache
 
 
 def _worker_workload(payload: SpecTaskPayload, database: Database) -> Workload:
     """Rebuild (or reuse) and validate the payload's workload in this process."""
     key = (payload.workload_name, payload.spec.fingerprint())
-    with _WORKER_WORKLOADS_LOCK:
+    with _WORKER_LOCK:
         workload = _WORKER_WORKLOADS.get(key)
     if workload is None:
         workload = build_workload(payload.workload_name, database.schema)
-        with _WORKER_WORKLOADS_LOCK:
-            if len(_WORKER_WORKLOADS) >= _WORKER_WORKLOADS_MAX:
+        with _WORKER_LOCK:
+            if len(_WORKER_WORKLOADS) >= _WORKER_MEMO_MAX:
                 _WORKER_WORKLOADS.clear()
             workload = _WORKER_WORKLOADS.setdefault(key, workload)
     if workload.fingerprint() != payload.workload_fingerprint:
@@ -193,6 +211,7 @@ def _execute_payload(payload: SpecTaskPayload) -> tuple[MethodRunResult, "Parall
         ),
         result_store=store,
     )
+    runner.plan_cache = _worker_plan_cache(payload)
     return runner._run_or_resume(payload.task), runner
 
 
@@ -299,6 +318,10 @@ class ParallelExperimentRunner:
                     skip_existing=self.runtime_config.skip_existing,
                 )
         self.result_store = result_store
+        #: The one plan cache every task this runner runs in-process plans
+        #: through.  A zero capacity genuinely disables caching (``put()`` is
+        #: a no-op); ``None`` would fall back to one default cache per planner.
+        self.plan_cache = PlanCache(self.runtime_config.plan_cache_entries)
         #: Called with every :class:`ProgressSnapshot` a distributed sweep's
         #: reporter takes (periodic plus the final end-of-sweep snapshot).
         self.progress_callback = progress_callback
@@ -346,7 +369,9 @@ class ParallelExperimentRunner:
 
         ``with_config`` shares the immutable table data, indexes and
         statistics but allocates a fresh, empty buffer pool — the task starts
-        cold regardless of what other tasks (or earlier grids) executed.
+        cold regardless of what other tasks (or earlier grids) executed.  The
+        plan cache is the runner's: what the task plans does not depend on
+        what is cached, only how fast it plans.
         """
         task_db = self.database.with_config(self.db_config)
         return ExperimentRunner(
@@ -354,9 +379,7 @@ class ParallelExperimentRunner:
             self.workload,
             config=self.db_config,
             experiment_config=self.experiment_config.with_seed(task.task_seed),
-            # A zero-capacity cache genuinely disables caching (put() is a
-            # no-op); passing None would fall back to the planner's default.
-            plan_cache=PlanCache(self.runtime_config.plan_cache_entries),
+            plan_cache=self.plan_cache,
         )
 
     def run_task(self, task: ExperimentTask) -> MethodRunResult:

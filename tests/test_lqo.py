@@ -141,8 +141,8 @@ class TestNeoAndBalsa:
         neo = create_optimizer("neo", shared_env)
         query = job_workload.by_id("2a").bound
         monkeypatch.setattr(
-            neo, "_candidate_joins",
-            lambda query, subplans, context: [(subplans[0], 0, 1)],  # "joins" by dropping a relation
+            neo.env.planner.cost_model, "build_join",
+            lambda query, join: join.left,  # "joins" by dropping a relation
         )
         with pytest.raises(PlanError, match="missing="):
             neo.search_plan(query)

@@ -2,8 +2,10 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -13,9 +15,11 @@ from repro.core.metrics import MethodRunResult, QueryTiming
 from repro.core.report import store_report, summary_rows_from_store
 from repro.core.splits import DatasetSplit, SplitSampling
 from repro.errors import ExperimentError
+from repro.lqo.base import LQOEnvironment
 from repro.optimizer.planner import Planner
 from repro.plans.hints import HintSet, OperatorToggles
 from repro.plans.physical import JoinType
+from repro.runtime import parallel
 from repro.runtime.fingerprint import query_fingerprint, stable_seed
 from repro.runtime.parallel import ParallelExperimentRunner
 from repro.runtime.plan_cache import PlanCache
@@ -180,6 +184,28 @@ class TestPlanCache:
         Planner(imdb_db, plan_cache=cache).plan_with_info(query)
         Planner(half, plan_cache=cache).plan_with_info(query)
         assert cache.stats.misses == 2 and cache.stats.hits == 0
+
+    def test_cache_scoped_by_database_spec(self):
+        """Two data seeds of one generator and scale have the same name and row
+        count but other data: a planner over the second must miss."""
+        first, second = (
+            get_process_registry().get(DatabaseSpec.create("imdb", scale=0.05, seed=seed, config=SIMULATION_CONFIG))
+            for seed in (42, 43)
+        )
+        assert (first.name, first.total_rows()) == (second.name, second.total_rows())
+        cache = PlanCache()
+        query = bind_sql(THREE_WAY, first.schema)
+        Planner(first, plan_cache=cache).plan_with_info(query)
+        Planner(second, plan_cache=cache).plan_with_info(query)
+        assert cache.stats.misses == 2 and cache.stats.hits == 0
+        Planner(first, plan_cache=cache).plan_with_info(query)
+        assert cache.stats.hits == 1
+
+    def test_a_pickled_cache_arrives_empty_with_its_capacity(self, imdb_db):
+        cache = PlanCache(max_entries=7)
+        Planner(imdb_db, plan_cache=cache).plan_with_info(bind_sql(THREE_WAY, imdb_db.schema))
+        copy = pickle.loads(pickle.dumps(cache))
+        assert len(cache) == 1 and len(copy) == 0 and copy.max_entries == 7
 
     def test_cache_scoped_by_geqo_parameters(self, imdb_db):
         from repro.optimizer.geqo import GeqoParameters
@@ -558,6 +584,81 @@ class TestParallelRunner:
         assert runner.result_store is not None
         runner.run_grid(("postgres",), grid_splits[:1])
         assert runner.result_store.stored_count == 1
+
+
+class TestOnePlanCachePerRunner:
+    """Every task a runner — or a worker process — runs plans through one cache."""
+
+    CONFIG = ExperimentConfig(
+        optimizer_kwargs={"neo": {"training_iterations": 1}, "balsa": {"training_iterations": 1}},
+    )
+
+    @pytest.fixture(scope="class")
+    def split(self, job_workload):
+        return DatasetSplit(
+            workload_name=job_workload.name,
+            sampling=SplitSampling.RANDOM,
+            split_index=0,
+            train_ids=("1a", "1b", "2a", "2b", "3a", "6a", "6b", "17a", "32a"),
+            test_ids=("1c", "2c"),
+        )
+
+    def test_a_cell_does_not_depend_on_what_the_cache_holds(self, imdb_db, job_workload, split, tmp_path):
+        """[neo, balsa] on one runner, [balsa, neo] on one runner and each cell
+        on a fresh runner store the same bytes."""
+        stores = {}
+        for label, runs in (
+            ("neo, balsa", [("neo", "balsa")]),
+            ("balsa, neo", [("balsa", "neo")]),
+            ("fresh runners", [("neo",), ("balsa",)]),
+        ):
+            for methods in runs:
+                runner = ParallelExperimentRunner(
+                    imdb_db,
+                    job_workload,
+                    experiment_config=self.CONFIG,
+                    runtime_config=RuntimeConfig(workers=1, store_dir=str(tmp_path / label)),
+                )
+                for method in methods:
+                    runner.run_grid((method,), [split])
+            store = ResultStore(tmp_path / label)
+            stores[label] = {path.name: path.read_bytes() for path in store.completed_files()}
+        assert len(stores["neo, balsa"]) == 2
+        assert stores["neo, balsa"] == stores["balsa, neo"] == stores["fresh runners"]
+
+    def test_balsa_after_neo_plans_from_the_cache(self, imdb_db, job_workload, split, monkeypatch):
+        """Balsa's cost-model bootstrap plans every training query; neo planned them first."""
+        runner = ParallelExperimentRunner(
+            imdb_db, job_workload, experiment_config=self.CONFIG, runtime_config=RuntimeConfig(workers=1)
+        )
+        runner.run_grid(("neo",), [split])
+        before = runner.plan_cache.stats_snapshot()
+        planned = []
+        plan_with_hints = LQOEnvironment.plan_with_hints
+
+        def counted(env, query, *args, **kwargs):
+            planned.append(query)
+            return plan_with_hints(env, query, *args, **kwargs)
+
+        monkeypatch.setattr(LQOEnvironment, "plan_with_hints", counted)
+        runner.run_grid(("balsa",), [split])
+        after = runner.plan_cache.stats_snapshot()
+        assert len(planned) == len(split.train_ids)
+        assert after.hits - before.hits == len(planned) and after.misses == before.misses
+
+    def test_a_worker_process_keeps_one_cache_per_database(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_WORKER_PLAN_CACHES", {})
+        spec, workload, split = _spec_grid_parts(0.2)
+        runner = ParallelExperimentRunner(spec, workload, experiment_config=GRID_CONFIG)
+        first, second = (runner.spec_payload(task) for task in runner.tasks_for(("postgres",), [split], repeats=2))
+        _, first_runner = parallel._execute_payload(first)
+        cache = first_runner.plan_cache
+        assert cache.stats.misses == len(split.test_ids) and cache.stats.hits == 0
+        _, second_runner = parallel._execute_payload(second)
+        assert second_runner.plan_cache is cache and cache.stats.hits == len(split.test_ids)
+        other_spec = parallel._worker_plan_cache(replace(first, spec=spec.with_seed(8)))
+        disabled = parallel._worker_plan_cache(replace(first, plan_cache_entries=0))
+        assert len({id(cache), id(other_spec), id(disabled)}) == 3 and disabled.max_entries == 0
 
 
 def _spec_grid_parts(scale: float):

@@ -8,6 +8,8 @@ from repro.encoding.plan_encoding import PlanTreeEncoder
 from repro.encoding.query_encoding import QueryEncoder
 from repro.errors import EncodingError, WorkloadError
 from repro.optimizer.planner import Planner
+from repro.sql.binder import bind_sql
+from repro.storage.table_data import TableData
 from repro.workloads import build_ext_job_workload
 from repro.workloads.job import JOB_FAMILY_SIZES
 from repro.workloads.stack import STACK_VARIANTS_PER_FAMILY
@@ -121,6 +123,20 @@ class TestQueryEncoder:
         encoder = QueryEncoder(imdb_db)
         with pytest.raises(EncodingError):
             encoder.encode(stack_workload.queries[0].bound)
+
+    def test_a_literal_the_column_cannot_encode_scales_to_mid_range(self, imdb_db, monkeypatch):
+        encoder = QueryEncoder(imdb_db)
+        sql = "SELECT COUNT(*) FROM title AS t WHERE t.production_year = {}"
+        known, unknown = (bind_sql(sql.format(literal), imdb_db.schema) for literal in ("2005", "'soon'"))
+        assert encoder._scaled_literal(known, known.filters[0]) != 0.5
+        assert encoder._scaled_literal(unknown, unknown.filters[0]) == 0.5
+
+        def broken(self, name, value):
+            raise TypeError("a bug in the encoder, not an unknown literal")
+
+        monkeypatch.setattr(TableData, "encode", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            encoder._scaled_literal(known, known.filters[0])
 
 
 class TestPlanEncoder:
