@@ -20,7 +20,7 @@ from repro.experiments.common import distributed_runtime, job_context
 from repro.optimizer.planner import Planner
 from repro.runtime.parallel import ParallelExperimentRunner
 from repro.runtime.plan_cache import PlanCache
-from repro.runtime.result_store import ResultStore, ShardedResultStore
+from repro.runtime.result_store import ResultStore
 
 #: Number of repeated planning passes over the workload (ablation-style reuse).
 PLANNING_PASSES = 5
@@ -206,7 +206,7 @@ def test_distributed_workqueue_equivalent_to_serial(benchmark, bench_scale, tmp_
     assert a == b
 
     store = runner.result_store
-    assert isinstance(store, ShardedResultStore)
+    assert store.shard_count == 4
     merged = store.merge(tmp_path / "merged")
     for task in runner.tasks_for(methods, [split]):
         merged.load(runner.task_key(task), runner.task_fingerprint(task))
@@ -215,9 +215,9 @@ def test_distributed_workqueue_equivalent_to_serial(benchmark, bench_scale, tmp_
 
 
 def test_distributed_secured_tcp_with_progress_telemetry(benchmark, bench_scale, tmp_path, monkeypatch):
-    """An HMAC-authenticated tcp:// sweep with work stealing and live progress
-    telemetry: byte-identical to serial, at least one snapshot emitted, and
-    the telemetry overhead rides inside the measured sweep."""
+    """An HMAC-authenticated tcp:// sweep with live progress telemetry:
+    byte-identical to serial, at least one snapshot emitted, and the
+    telemetry overhead rides inside the measured sweep."""
     monkeypatch.setenv("REPRO_QUEUE_SECRET", "bench-progress-secret")
     context = job_context(bench_scale)
     split = generate_split(context.workload, SplitSampling.RANDOM, seed=0)
@@ -256,5 +256,5 @@ def test_distributed_secured_tcp_with_progress_telemetry(benchmark, bench_scale,
     json.loads(final.to_json())
     print()
     print(f"secured tcp sweep of {len(a)} tasks byte-identical to serial; "
-          f"{len(snapshots)} snapshot(s), {runner._distributed_stolen} stolen; "
+          f"{len(snapshots)} snapshot(s); "
           f"final: {final.describe()}")

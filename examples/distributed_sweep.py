@@ -5,10 +5,10 @@ Exercises the full multi-host runtime on one machine:
 1. A coordinator fans a reduced Figure-4-style grid out through the work
    queue onto ``REPRO_BENCH_WORKERS`` (default 2) local worker processes,
    with live progress telemetry (a machine-readable snapshot every
-   ``REPRO_BENCH_PROGRESS`` seconds, default 2) and coordinator-side work
-   stealing between queue shards.  With ``REPRO_BENCH_TRANSPORT=file``
-   (default) the queue is a directory on a shared filesystem and the workers
-   write the **sharded** result store themselves; with
+   ``REPRO_BENCH_PROGRESS`` seconds, default 2).  With
+   ``REPRO_BENCH_TRANSPORT=file`` (default) the queue is a directory on a
+   shared filesystem and the workers write the **sharded** result store
+   themselves; with
    ``REPRO_BENCH_TRANSPORT=tcp`` the coordinator serves the queue over a
    socket, no queue/store directory is shared at all, and workers upload
    results back inside their ack frames.  With ``REPRO_QUEUE_SECRET`` set,
@@ -16,7 +16,9 @@ Exercises the full multi-host runtime on one machine:
    client *without* the secret is rejected before anything is unpickled.
 2. Once both workers are mid-task, one of them is SIGKILLed — its lease stops
    being renewed, the coordinator's expiry sweep re-queues its claim, and the
-   surviving worker finishes the grid.
+   surviving worker finishes the grid.  On the file transport the queue
+   directory is then checked to hold only ``pending/``, ``claimed/``,
+   ``done/``, ``failed/`` and the worker logs.
 3. The same sweep runs again: everything resumes from the store, nothing is
    recomputed (asserted via stored-file mtimes).
 4. The shards are merged into a flat store at ``<store>-merged``, every task
@@ -92,6 +94,17 @@ def assert_unauthenticated_client_rejected(runner: ParallelExperimentRunner) -> 
         print(f"unauthenticated client rejected as expected: {exc}")
         return True
     raise AssertionError("a client without REPRO_QUEUE_SECRET was accepted by the queue server")
+
+
+def assert_one_pending_pool(queue_root: Path) -> None:
+    """The file queue's directories after a sweep: its four buckets and the
+    worker logs, with every pending task in one flat pool."""
+    found = {path.name for path in queue_root.iterdir() if path.is_dir()}
+    expected = {"pending", "claimed", "done", "failed", "workers"}
+    assert found <= expected, f"unexpected directories in {queue_root}: {sorted(found - expected)}"
+    nested = [path.name for path in (queue_root / "pending").iterdir() if path.is_dir()]
+    assert not nested, f"pending/ holds subdirectories {nested}: tasks must share one pool"
+    print(f"file queue layout: {sorted(found)}, one pending pool")
 
 
 def kill_one_worker_mid_sweep(
@@ -187,9 +200,10 @@ def main(store_dir: str | None = None) -> None:
     )
     print(f"first sweep survived the kill in {time.perf_counter() - start:.1f} s; "
           f"{runner._distributed_requeued} expired claim(s) re-queued; "
-          f"{runner._distributed_stolen} pending task(s) stolen between shards; "
           f"{store.describe()}")
     assert runner._distributed_requeued >= 1, "the dead worker's claim was never re-queued"
+    if transport == "file":
+        assert_one_pending_pool(store.root / "queue")
 
     # --- progress telemetry: at least one valid machine-readable snapshot ---
     assert snapshots, "the sweep emitted no progress snapshot"
@@ -225,9 +239,8 @@ def main(store_dir: str | None = None) -> None:
     # --- merge + serial equivalence ----------------------------------------
     merged_dir = str(Path(store_dir).with_name(Path(store_dir).name + "-merged"))
     merged = store.merge(merged_dir)
-    manifest = store.manifest()
-    print(f"merged {len(files_before)} results from {manifest['shard_count']} shards "
-          f"into {merged_dir} ({len(manifest['context_fingerprints'])} context fingerprint(s))")
+    print(f"merged {len(files_before)} results from {store.manifest()['shard_count']} shards "
+          f"into {merged_dir}")
     serial = ParallelExperimentRunner(
         context.dispatch_source,
         context.workload,

@@ -314,10 +314,12 @@ class RuntimeConfig:
         skip_existing: when a result store is configured, completed (method,
             split, seed) tasks found in the store are loaded instead of re-run
             (PostBOUND-style resume semantics).
-        shard_count: with ``store_dir`` set, a value > 0 builds a
-            :class:`~repro.runtime.result_store.ShardedResultStore` with that
-            many shard directories (required layout for contention-free
-            multi-host writes); ``0`` keeps the flat single-directory layout.
+        shard_count: with ``store_dir`` set, a value > 0 partitions the
+            :class:`~repro.runtime.result_store.ResultStore` over that many
+            shard directories (contention-free multi-host writes); ``0``
+            keeps the flat single-directory layout.  The store's manifest
+            pins the count: reopening it with another raises.  Only results
+            are sharded — every worker claims from one pending pool.
         queue_dir: work-queue directory of distributed execution; ``None``
             defaults to ``<store root>/queue``.
         queue_url: transport of the distributed work queue.  ``None`` or a
@@ -334,13 +336,6 @@ class RuntimeConfig:
             *failed* task (transient errors: OOM-killed imports, flaky I/O)
             before the sweep is aborted; the final error reports the attempt
             count.  ``0`` fails the sweep on the first failure marker.
-        work_stealing: with ``shard_count > 0``, tasks are enqueued into the
-            queue shard their result routes to and each local worker prefers
-            one shard; when enabled (the default) the coordinator's poll loop
-            *steals* pending tasks from loaded shards into shards whose
-            worker went hungry, so unlucky shard assignment never strands an
-            idle worker.  Results are unaffected either way (task identity,
-            not placement, determines every result byte).
         progress_interval_s: emit a machine-readable
             :class:`~repro.runtime.progress.ProgressSnapshot` from the
             coordinator every this many seconds during a distributed sweep
@@ -365,7 +360,6 @@ class RuntimeConfig:
     queue_url: str | None = None
     lease_timeout_s: float = 60.0
     task_retries: int = 1
-    work_stealing: bool = True
     progress_interval_s: float | None = None
     queue_secret: str | None = None
 

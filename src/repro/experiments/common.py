@@ -113,14 +113,14 @@ def distributed_runtime(
     queue_url: str | None = None,
     lease_timeout_s: float = 60.0,
     task_retries: int = 1,
-    work_stealing: bool = True,
     progress_interval_s: float | None = None,
     queue_secret: str | None = None,
 ) -> RuntimeConfig:
     """Runtime configuration of a multi-host distributed sweep.
 
-    The sweep writes a :class:`~repro.runtime.result_store.ShardedResultStore`
-    under ``store_dir`` (so concurrent writers never contend on one directory)
+    The sweep writes a :class:`~repro.runtime.result_store.ResultStore` with
+    ``shard_count`` shard directories under ``store_dir`` (so concurrent
+    writers never contend on one directory)
     and coordinates through a work queue.  By default that queue is file based
     at ``<store_dir>/queue`` and every worker host must mount the store's
     filesystem; pass ``queue_url="tcp://host:port"`` (port ``0`` for an
@@ -132,14 +132,12 @@ def distributed_runtime(
     Failed tasks are retried up to ``task_retries`` times before the sweep
     aborts.
 
-    Tasks are enqueued with shard affinity matching the store shard their
-    result routes to, and the coordinator *steals* pending work for starving
-    shards unless ``work_stealing`` is disabled.  ``progress_interval_s``
-    emits a machine-readable progress snapshot every that many seconds (also
-    delivered to ``ParallelExperimentRunner``'s ``progress_callback``).  On an
-    untrusted
-    network, set ``queue_secret`` (or export ``REPRO_QUEUE_SECRET`` on every
-    host): TCP frames are then HMAC-signed and verified before unpickling.
+    Workers claim from one pending pool, lowest task id first.
+    ``progress_interval_s`` emits a machine-readable progress snapshot every
+    that many seconds (also delivered to ``ParallelExperimentRunner``'s
+    ``progress_callback``).  On an untrusted network, set ``queue_secret``
+    (or export ``REPRO_QUEUE_SECRET`` on every host): TCP frames are then
+    HMAC-signed and verified before unpickling.
     """
     return RuntimeConfig(
         workers=workers,
@@ -150,7 +148,6 @@ def distributed_runtime(
         queue_url=queue_url,
         lease_timeout_s=lease_timeout_s,
         task_retries=task_retries,
-        work_stealing=work_stealing,
         progress_interval_s=progress_interval_s,
         queue_secret=queue_secret,
     )

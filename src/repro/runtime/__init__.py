@@ -8,14 +8,14 @@ scales with the hardware:
 * :mod:`repro.runtime.plan_cache` — a shared LRU :class:`PlanCache` for
   planner results, wired into :class:`repro.optimizer.planner.Planner`.
 * :mod:`repro.runtime.result_store` — a resumable JSON :class:`ResultStore`
-  with PostBOUND-style skip-existing semantics, and the
-  :class:`ShardedResultStore` that partitions results over N shard
-  directories for contention-free multi-host writes (with ``merge`` /
-  ``compact`` back to a flat store).
+  with PostBOUND-style skip-existing semantics; with ``shard_count > 0`` it
+  partitions results over N shard directories for contention-free
+  multi-host writes (``merge`` copies them into a flat store).
 * :mod:`repro.runtime.workqueue` — the :class:`QueueTransport` protocol and
-  its file-based implementation, :class:`WorkQueue` (atomic-rename claims,
-  lease heartbeats against the filesystem's own clock, dead-worker re-queue),
-  coordinating distributed sweeps over a shared filesystem.
+  its file-based implementation, :class:`WorkQueue` (one pending pool claimed
+  lowest id first by atomic rename, lease heartbeats against the
+  filesystem's own clock, dead-worker re-queue), coordinating distributed
+  sweeps over a shared filesystem.
 * :mod:`repro.runtime.netqueue` — the TCP implementation: a coordinator-side
   :class:`QueueServer` plus the :class:`NetWorkQueue` worker client, with
   results uploaded back in the ack frame — no shared filesystem required —
@@ -52,13 +52,12 @@ from repro.runtime.netqueue import (
 )
 from repro.runtime.plan_cache import CacheStats, PlanCache
 from repro.runtime.progress import ProgressSnapshot, SweepProgress
-from repro.runtime.result_store import ResultStore, ShardedResultStore, TaskKey
+from repro.runtime.result_store import ResultStore, TaskKey
 from repro.runtime.workqueue import (
     QueueAddress,
     QueueStats,
     QueueTransport,
     ResultUpload,
-    StolenTask,
     TaskClaim,
     WorkerQueueTransport,
     WorkQueue,
@@ -104,8 +103,6 @@ __all__ = [
     "QueueTransport",
     "ResultStore",
     "ResultUpload",
-    "ShardedResultStore",
-    "StolenTask",
     "SweepProgress",
     "TaskClaim",
     "TaskKey",

@@ -7,9 +7,9 @@ machine (:class:`~repro.runtime.workqueue.BucketQueue`) over in-memory
 buckets, behind a threaded TCP server — and workers talk to it through a
 :class:`NetWorkQueue` client.  Finished results travel *back* over the socket
 as a :class:`~repro.runtime.workqueue.ResultUpload` attached to the ack
-frame, and the server persists them into the coordinator's local (possibly
-sharded) result store.  Workers therefore need no path in common with the
-coordinator: a sweep can span hosts that share nothing but a network route.
+frame, and the server persists them into the coordinator's local result
+store.  Workers therefore need no path in common with the coordinator: a
+sweep can span hosts that share nothing but a network route.
 
 Wire protocol — a connection carries any number of request/response frame
 pairs, strictly alternating (no pipelining)::
@@ -68,7 +68,6 @@ from collections.abc import Callable
 from repro.errors import ExperimentError
 from repro.runtime.result_store import ResultStore
 from repro.runtime.workqueue import (
-    PENDING,
     BucketQueue,
     QueueStats,
     ResultUpload,
@@ -488,9 +487,8 @@ class QueueServer(BucketQueue):
         lease_timeout_s: float = 60.0,
         result_store: ResultStore | None = None,
         secret: str | bytes | None = None,
-        hungry_ttl_s: float = 30.0,
     ) -> None:
-        super().__init__(lease_timeout_s, hungry_ttl_s)
+        super().__init__(lease_timeout_s)
         self.result_store = result_store
         self._lock = threading.RLock()
         self._buckets: dict[str, dict[str, list]] = {}
@@ -525,12 +523,6 @@ class QueueServer(BucketQueue):
     def _names(self, bucket: str) -> list[str]:
         with self._lock:
             return sorted(self._buckets.get(bucket, ()))
-
-    def _shards(self) -> list[int]:
-        with self._lock:
-            return sorted(
-                int(bucket.rpartition("-")[2]) for bucket in self._buckets if bucket.startswith(f"{PENDING}/")
-            )
 
     def _move(self, source: str, target: str, name: str) -> bool:
         with self._lock:
@@ -587,8 +579,7 @@ class QueueServer(BucketQueue):
         named = TaskClaim(str(request.get("task_id", "")), payload=None)
         worker_id = str(request.get("worker_id", "unknown"))
         if op == "claim":
-            shard = request.get("shard")
-            claim = self.claim(worker_id, shard=int(shard) if shard is not None else None)
+            claim = self.claim(worker_id)
             if claim is None:
                 return {"ok": True, "task_id": None, "payload": None}
             return {"ok": True, "task_id": claim.task_id, "payload": claim.payload}
@@ -605,12 +596,11 @@ class QueueServer(BucketQueue):
             self.fail(named, worker_id, str(request.get("error", "unknown error")))
             return {"ok": True}
         if op == "poll":
-            return {"ok": True, "stop": self.stop_requested(), "pending": len(self._names(PENDING))}
+            return {"ok": True, "stop": self.stop_requested()}
         if op == "wait":
-            shard = request.get("shard")
             # Bounded like any frame: a handler thread never waits past the server's deadline.
             timeout_s = max(0.0, min(float(request.get("timeout_s", 0.0)), SERVER_TIMEOUT_S))
-            self.wait_for_work(timeout_s, int(shard) if shard is not None else None)
+            self.wait_for_work(timeout_s)
             return {"ok": True}
         if op == "stats":
             return {"ok": True, "stats": self.stats()}
@@ -641,12 +631,9 @@ class NetWorkQueue(FrameClient):
             raise ExperimentError(f"queue server at {self.host}:{self.port} rejected {request.get('op')!r}: {error}")
         return response
 
-    def claim(self, worker_id: str, shard: int | None = None) -> TaskClaim | None:
-        request = {"op": "claim", "worker_id": worker_id}
-        if shard is not None:
-            request["shard"] = shard
+    def claim(self, worker_id: str) -> TaskClaim | None:
         try:
-            response = self._request(request)
+            response = self._request({"op": "claim", "worker_id": worker_id})
         except OSError:
             return None  # server gone; stop_requested() tells the loop to exit
         if response["task_id"] is None:
@@ -679,11 +666,11 @@ class NetWorkQueue(FrameClient):
         except OSError:
             return True  # unreachable coordinator == sweep over for this worker
 
-    def wait_for_work(self, timeout_s: float, shard: int | None = None) -> None:
+    def wait_for_work(self, timeout_s: float) -> None:
         """:meth:`QueueServer.wait_for_work` on the coordinator: back as soon as
         there is work or a stop, not after a fixed sleep."""
         # Half the socket timeout at most, so the answer always beats the recv timeout.
-        request = {"op": "wait", "timeout_s": min(timeout_s, 0.5 * self.timeout_s), "shard": shard}
+        request = {"op": "wait", "timeout_s": min(timeout_s, 0.5 * self.timeout_s)}
         try:
             self._request(request)
         except OSError:

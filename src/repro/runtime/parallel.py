@@ -39,8 +39,7 @@ fresh results are persisted as they arrive.
   claimable task files, launches ``workers`` local worker processes
   (``python -m repro.runtime.worker``), and any number of additional workers
   on other hosts sharing the store's filesystem can drain the same queue,
-  persisting results into the shared — typically
-  :class:`~repro.runtime.result_store.ShardedResultStore` — store.  With
+  persisting results into the shared (typically sharded) result store.  With
   ``RuntimeConfig.queue_url = "tcp://host:port"`` the coordinator instead
   serves the queue over a socket (:class:`~repro.runtime.netqueue.QueueServer`)
   and workers need no filesystem in common with it: they claim over TCP and
@@ -70,7 +69,7 @@ from repro.errors import ExperimentError
 from repro.runtime.fingerprint import stable_seed
 from repro.runtime.plan_cache import PlanCache
 from repro.runtime.progress import DEFAULT_PROGRESS_INTERVAL_S, ProgressSnapshot, SweepProgress
-from repro.runtime.result_store import ResultStore, ShardedResultStore, TaskKey
+from repro.runtime.result_store import ResultStore, TaskKey
 from repro.runtime.workqueue import QueueAddress, QueueTransport, WorkQueue, parse_queue_url
 from repro.storage.database import Database
 from repro.storage.registry import get_process_registry, resolve_database
@@ -181,24 +180,15 @@ def _worker_workload(payload: SpecTaskPayload, database: Database) -> Workload:
     return workload
 
 
-def _payload_store(payload: SpecTaskPayload) -> ResultStore | None:
-    """Open the payload's result store with the layout the coordinator used."""
-    if payload.store_root is None:
-        return None
-    if payload.store_shards:
-        return ShardedResultStore(
-            payload.store_root,
-            shard_count=payload.store_shards,
-            skip_existing=payload.skip_existing,
-        )
-    return ResultStore(payload.store_root, skip_existing=payload.skip_existing)
-
-
 def _execute_payload(payload: SpecTaskPayload) -> tuple[MethodRunResult, "ParallelExperimentRunner"]:
     """Run one payload in this process; returns the result and its runner."""
     database = get_process_registry().get(payload.spec)
     workload = _worker_workload(payload, database)
-    store = _payload_store(payload)
+    # The store opens with the coordinator's layout (its manifest checks that).
+    store = (
+        None if payload.store_root is None
+        else ResultStore(payload.store_root, payload.skip_existing, payload.store_shards)
+    )
     runner = ParallelExperimentRunner(
         database,
         workload,
@@ -304,19 +294,9 @@ class ParallelExperimentRunner:
         # results would embed scheduling-dependent wall clocks and the
         # serial-equivalence guarantee (and any resume) would be meaningless.
         self.experiment_config = replace(base, deterministic_timing=True)
-        self.runtime_config = runtime_config or RuntimeConfig()
-        if result_store is None and self.runtime_config.store_dir is not None:
-            if self.runtime_config.shard_count > 0:
-                result_store = ShardedResultStore(
-                    self.runtime_config.store_dir,
-                    shard_count=self.runtime_config.shard_count,
-                    skip_existing=self.runtime_config.skip_existing,
-                )
-            else:
-                result_store = ResultStore(
-                    self.runtime_config.store_dir,
-                    skip_existing=self.runtime_config.skip_existing,
-                )
+        self.runtime_config = config = runtime_config or RuntimeConfig()
+        if result_store is None and config.store_dir is not None:
+            result_store = ResultStore(config.store_dir, config.skip_existing, config.shard_count)
         self.result_store = result_store
         #: The one plan cache every task this runner runs in-process plans
         #: through.  A zero capacity genuinely disables caching (``put()`` is
@@ -330,8 +310,9 @@ class ParallelExperimentRunner:
         self._distributed_procs: list[subprocess.Popen] = []
         #: Number of expired claims the most recent distributed sweep re-queued.
         self._distributed_requeued = 0
-        #: Number of pending tasks the coordinator's work-stealing rebalance
-        #: moved between shards in the most recent distributed sweep.
+        #: Tasks the most recent distributed sweep put into the shared pending
+        #: pool, where any worker takes them (perfbench reports it as
+        #: ``runtime.stolen_tasks``).
         self._distributed_stolen = 0
         #: Coordinator-side queue transport of the most recent distributed
         #: sweep (observability: live ``stats()`` for progress reporting).
@@ -455,7 +436,7 @@ class ParallelExperimentRunner:
             store_root=str(store.root) if store is not None else None,
             skip_existing=store.skip_existing if store else True,
             task=task,
-            store_shards=store.shard_count if isinstance(store, ShardedResultStore) else 0,
+            store_shards=store.shard_count if store else 0,
         )
 
     def run_tasks(self, tasks: list[ExperimentTask]) -> list[MethodRunResult]:
@@ -485,12 +466,6 @@ class ParallelExperimentRunner:
         return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-task")
 
     # ------------------------------------------------------------------ distributed
-    @property
-    def _queue_shard_count(self) -> int:
-        """Queue shards mirror the result store's shards (0 = unsharded)."""
-        store = self.result_store
-        return store.shard_count if isinstance(store, ShardedResultStore) else 0
-
     def _open_coordinator_queue(
         self, store: ResultStore
     ) -> tuple[QueueTransport, str, Path, bool]:
@@ -520,11 +495,7 @@ class ParallelExperimentRunner:
             )
             return server, server.url, store.root / "worker-logs", True
         queue_root = Path(address.path) if address.path is not None else store.root / "queue"
-        queue = WorkQueue(
-            queue_root,
-            lease_timeout_s=config.lease_timeout_s,
-            shard_count=self._queue_shard_count,
-        )
+        queue = WorkQueue(queue_root, lease_timeout_s=config.lease_timeout_s)
         return queue, str(queue_root), queue_root / "workers", False
 
     def _run_distributed(self, tasks: list[ExperimentTask]) -> list[MethodRunResult]:
@@ -559,7 +530,6 @@ class ParallelExperimentRunner:
         self._distributed_requeued = 0
         self._distributed_stolen = 0
         self._distributed_progress = None
-        shard_count = self._queue_shard_count
         procs: list[subprocess.Popen] = []
         reporter: SweepProgress | None = None
         try:
@@ -575,7 +545,6 @@ class ParallelExperimentRunner:
             # any earlier sweep that used the same queue directory.
             sweep_id = os.urandom(4).hex()
             payloads: dict[str, SpecTaskPayload] = {}
-            shards: dict[str, int | None] = {}
             for index, (task, key, fingerprint) in enumerate(keyed):
                 if store.skip_existing and store.exists(key, fingerprint):
                     continue  # resume: already stored, never hits the queue
@@ -586,31 +555,18 @@ class ParallelExperimentRunner:
                     # create) a store of their own — the transport carries the
                     # result back instead.
                     payload = replace(payload, store_root=None, store_shards=0)
+                # Ids sort in grid order, the order workers claim them in.
                 task_id = f"{sweep_id}-{index:04d}"
                 payloads[task_id] = payload
-                # Queue shard = result shard: a file-transport worker pinned
-                # to this shard claims exactly the tasks whose results it will
-                # write into the matching store shard directory.
-                shards[task_id] = key.shard_index(shard_count) if shard_count else None
-            for task_id, payload in payloads.items():
-                queue.enqueue(task_id, payload, shard=shards[task_id])
+                queue.enqueue(task_id, payload)
+            self._distributed_stolen = len(payloads)
 
-            if payloads:
-                # Workers are pinned to shards only when the coordinator will
-                # steal for them: a pinned worker whose shard holds no tasks
-                # would otherwise starve with no rebalance to feed it.
-                pin_shards = shard_count if config.work_stealing else 0
-                procs = [
-                    self._spawn_worker(
-                        worker_target,
-                        index,
-                        config.lease_timeout_s,
-                        log_dir,
-                        shard=index % pin_shards if pin_shards else None,
-                        secret=config.queue_secret,
-                    )
-                    for index in range(min(config.workers, len(payloads)))
-                ]
+            procs = [
+                self._spawn_worker(
+                    worker_target, index, config.lease_timeout_s, log_dir, secret=config.queue_secret
+                )
+                for index in range(min(config.workers, len(payloads)))
+            ]
             self._distributed_procs = procs
             if config.progress_interval_s is not None or self.progress_callback is not None:
                 reporter = SweepProgress(
@@ -618,7 +574,6 @@ class ParallelExperimentRunner:
                     total=len(payloads),
                     interval_s=config.progress_interval_s or DEFAULT_PROGRESS_INTERVAL_S,
                     callback=self.progress_callback,
-                    stolen=lambda: self._distributed_stolen,
                 )
                 self._distributed_progress = reporter
                 if payloads and config.progress_interval_s is not None:
@@ -632,12 +587,6 @@ class ParallelExperimentRunner:
         finally:
             if reporter is not None:
                 reporter.stop()
-                try:
-                    # The end-of-sweep snapshot: even a sweep shorter than the
-                    # interval emits at least one complete observation.
-                    reporter.poll_once()
-                except Exception:  # pragma: no cover - queue already torn down
-                    pass
             queue.write_stop()
             for proc in procs:
                 try:
@@ -648,8 +597,12 @@ class ParallelExperimentRunner:
             # Close only after every local worker exited: remote workers that
             # poll a vanished TCP server treat it as a stop request anyway.
             queue.close()
-        if isinstance(store, ShardedResultStore):
-            store.refresh_manifest()
+            if reporter is not None:
+                # The end-of-sweep snapshot: even a sweep shorter than the
+                # interval emits at least one complete observation.  Both
+                # transports still answer ``stats()`` in process once closed,
+                # and no worker is left running if the callback raises.
+                reporter.poll_or_skip()
         return [store.load(key, fingerprint) for _, key, fingerprint in keyed]
 
     def _await_queue(
@@ -669,10 +622,6 @@ class ParallelExperimentRunner:
                 queue, remaining, payloads, retries_used, self.runtime_config.task_retries
             )
             self._distributed_requeued += len(queue.requeue_expired())
-            if self.runtime_config.work_stealing:
-                # Feed starving shards from loaded ones (no-op while every
-                # preferred-shard worker still finds work where it looks).
-                self._distributed_stolen += len(queue.rebalance())
             if (
                 procs
                 and all(proc.poll() is not None for proc in procs)
@@ -695,15 +644,12 @@ class ParallelExperimentRunner:
         index: int,
         lease_timeout_s: float,
         log_dir: Path | None = None,
-        shard: int | None = None,
         secret: str | None = None,
     ) -> subprocess.Popen:
         """Launch one local queue worker against a queue directory or tcp:// url.
 
-        ``shard`` pins the worker's claim preference to one queue shard (the
-        coordinator's rebalance steals work over when it starves); ``secret``
-        is exported as ``REPRO_QUEUE_SECRET`` — environment, never argv, so it
-        cannot leak through a process listing.
+        ``secret`` is exported as ``REPRO_QUEUE_SECRET`` — environment, never
+        argv, so it cannot leak through a process listing.
         """
         target_text = str(target)
         if log_dir is None:
@@ -738,8 +684,6 @@ class ParallelExperimentRunner:
             # within one lease timeout.
             str(max(10.0 * lease_timeout_s, 300.0)),
         ]
-        if shard is not None:
-            command += ["--shard", str(shard)]
         with open(log_dir / f"local-{index}.log", "ab") as log:
             return subprocess.Popen(command, stdout=log, stderr=subprocess.STDOUT, env=env)
 

@@ -3,9 +3,9 @@
 A multi-hour sweep coordinated through a work queue used to be a black box:
 the only signals were worker log lines and the final result store.  This
 module turns the queue's own bookkeeping into a periodic, machine-readable
-:class:`ProgressSnapshot` — tasks pending/claimed/done/failed, per-shard
-backlog, per-worker completion counts, overall and recent throughput, and an
-ETA — without adding any new coordination state: everything is derived from
+:class:`ProgressSnapshot` — tasks pending/claimed/done/failed, per-worker
+completion counts, overall and recent throughput, and an ETA — without
+adding any new coordination state: everything is derived from
 :meth:`~repro.runtime.workqueue.QueueTransport.stats` (directory counts on
 the file queue, one locked read on the TCP server) plus the per-worker ack
 counts both transports already record.
@@ -16,7 +16,8 @@ coordinator, ``--progress`` on ``python -m repro.runtime.worker``), hands
 each snapshot to an optional callback (``ParallelExperimentRunner``'s
 ``progress_callback``), and keeps the history for post-hoc inspection.
 ``poll_once()`` is the same computation without the thread, for deterministic
-use (and the coordinator's final end-of-sweep snapshot).
+use; ``poll_or_skip()`` is the thread's tolerant variant, which the
+coordinator also uses for its final end-of-sweep snapshot.
 """
 
 from __future__ import annotations
@@ -70,8 +71,6 @@ class ProgressSnapshot:
     recent_throughput_per_s: float
     eta_s: float | None
     workers: dict[str, int] = field(default_factory=dict)
-    shard_pending: tuple[tuple[int, int], ...] = ()
-    stolen: int = 0
     #: Cumulative transport errors the reporter swallowed while polling
     #: (failed ``stats()``/``worker_done_counts()`` calls).  A nonzero count
     #: distinguishes "the queue is idle" from "the reporter cannot see the
@@ -97,8 +96,6 @@ class ProgressSnapshot:
             "recent_throughput_per_s": round(self.recent_throughput_per_s, 4),
             "eta_s": None if self.eta_s is None else round(self.eta_s, 1),
             "workers": dict(sorted(self.workers.items())),
-            "shard_pending": [list(pair) for pair in self.shard_pending],
-            "stolen": self.stolen,
             "stats_errors": self.stats_errors,
         }
 
@@ -123,8 +120,6 @@ class ProgressSnapshot:
         if self.workers:
             busiest = ", ".join(f"{w}:{n}" for w, n in sorted(self.workers.items()))
             parts.append(f"workers {busiest}")
-        if self.stolen:
-            parts.append(f"{self.stolen} stolen")
         if self.stats_errors:
             parts.append(f"{self.stats_errors} stats errors")
         return " | ".join(parts)
@@ -134,10 +129,9 @@ class SweepProgress:
     """Periodic reporter over one queue transport.
 
     ``queue`` needs only the worker-side surface (``stats`` — and, when
-    available, ``worker_done_counts``); ``stolen`` is an optional callable
-    reporting how many tasks the coordinator's rebalance sweep has moved so
-    far.  The polling thread never takes the sweep down: a poll that fails
-    (e.g. the TCP server vanishing mid-shutdown) is skipped.
+    available, ``worker_done_counts``).  The polling thread never takes the
+    sweep down: a poll that fails (e.g. the TCP server vanishing mid-shutdown)
+    is skipped.
     """
 
     def __init__(
@@ -147,7 +141,6 @@ class SweepProgress:
         interval_s: float = DEFAULT_PROGRESS_INTERVAL_S,
         callback: Callable[[ProgressSnapshot], None] | None = None,
         clock: Callable[[], float] = time.monotonic,
-        stolen: Callable[[], int] | None = None,
     ) -> None:
         if interval_s <= 0:
             raise ExperimentError("SweepProgress.interval_s must be positive")
@@ -158,7 +151,6 @@ class SweepProgress:
         self.interval_s = float(interval_s)
         self.callback = callback
         self._clock = clock
-        self._stolen = stolen
         self._lock = threading.Lock()
         self._started_at = clock()
         self._last_at = self._started_at
@@ -176,8 +168,8 @@ class SweepProgress:
     def poll_once(self) -> ProgressSnapshot:
         """Take one snapshot now (raises if the queue is unreachable).
 
-        Transport failures of the *secondary* reads (worker counts, stolen
-        counter) degrade to empty values and are tallied into the snapshot's
+        A transport failure of the *secondary* read (worker counts)
+        degrades to an empty value and is tallied into the snapshot's
         ``stats_errors``; anything else — an ``AttributeError`` from a
         refactor, a mis-keyed :class:`QueueAuthError` — propagates.
         """
@@ -192,13 +184,6 @@ class SweepProgress:
                 raise  # authentication failures must stay loud
             except _POLL_ERRORS as exc:  # reachable stats but not counts: degrade, counted
                 _log.warning("progress: worker counts unavailable: %r", exc)
-                errors += 1
-        stolen = 0
-        if self._stolen is not None:
-            try:
-                stolen = int(self._stolen())
-            except _POLL_ERRORS as exc:
-                _log.warning("progress: stolen-task counter unavailable: %r", exc)
                 errors += 1
         now = self._clock()
         with self._lock:
@@ -228,8 +213,6 @@ class SweepProgress:
                 recent_throughput_per_s=recent,
                 eta_s=eta,
                 workers=workers,
-                shard_pending=stats.shard_pending,
-                stolen=stolen,
                 stats_errors=self._poll_errors,
             )
             self.snapshots.append(snapshot)
@@ -239,23 +222,30 @@ class SweepProgress:
             self.callback(snapshot)
         return snapshot
 
+    def poll_or_skip(self) -> ProgressSnapshot | None:
+        """:meth:`poll_once`, but a transport failure skips the snapshot.
+
+        A *transport* failure (queue torn down mid-shutdown, a transient
+        socket error) is logged and tallied into the next snapshot's
+        ``stats_errors`` and returns ``None``; any other exception (a genuine
+        bug, a raising callback, an authentication rejection) propagates
+        instead of reading as idle.
+        """
+        try:
+            return self.poll_once()
+        except QueueAuthError:
+            raise  # mis-keyed secret: fail loudly, never read as idle
+        except _POLL_ERRORS as exc:
+            _log.warning("progress: poll skipped, queue unreachable: %r", exc)
+            with self._lock:
+                self._poll_errors += 1
+            return None
+
     def _run(self) -> None:
+        # A skipped poll never kills the reporter: the next interval tries
+        # again, and stop() ends the loop.
         while not self._stop.wait(self.interval_s):
-            try:
-                self.poll_once()
-            except QueueAuthError:
-                raise  # mis-keyed secret: fail loudly, never read as idle
-            except _POLL_ERRORS as exc:
-                # A *transport* failure (queue torn down mid-shutdown, a
-                # transient socket error) must never kill the reporter — the
-                # next interval tries again, and stop() ends the loop.  The
-                # skipped poll is logged and tallied into the next snapshot's
-                # ``stats_errors``; any other exception (a genuine bug, an
-                # authentication rejection) takes the thread down with a
-                # traceback instead of reading as idle.
-                _log.warning("progress: poll skipped, queue unreachable: %r", exc)
-                with self._lock:
-                    self._poll_errors += 1
+            self.poll_or_skip()
 
     def start(self) -> "SweepProgress":
         """Start the background polling thread (idempotent)."""

@@ -15,11 +15,11 @@ fingerprint does not match the requesting context is treated as missing —
 stale results from an earlier configuration can never silently leak into a
 new sweep.
 
-For multi-host sweeps the :class:`ShardedResultStore` partitions results over
-N shard directories by a stable hash of the :class:`TaskKey`, so independent
-workers never contend on one directory; :meth:`ShardedResultStore.merge` /
-:meth:`~ShardedResultStore.compact` fold the shards back into a flat store
-for reporting.
+For multi-host sweeps a store opened with ``shard_count > 0`` partitions
+results over that many shard directories by a stable hash of the
+:class:`TaskKey`, so independent workers never contend on one directory; a
+flat store is the same class with ``shard_count=0``.
+:meth:`ResultStore.merge` copies a store into a flat one for reporting.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import hashlib
 import json
 import os
 import re
-import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,7 +45,7 @@ STORE_FORMAT_VERSION = 1
 #: artefacts, the distributed work queue) and are skipped by result iteration.
 RESERVED_DIRS = frozenset({"artifacts", "queue"})
 
-#: Root-level bookkeeping files that are not task results.
+#: Root-level file recording the store's layout (format version, shard count).
 MANIFEST_NAME = "manifest.json"
 
 _SANITIZE_RE = re.compile(r"[^A-Za-z0-9._-]+")
@@ -131,19 +130,69 @@ class ResultStore:
 
     Writes are atomic (write-to-temp + rename), so a killed run can never
     leave a half-written JSON file that would poison the next resume.
+
+    With ``shard_count > 0`` each :class:`TaskKey` routes to exactly one
+    ``shard-XX/`` subdirectory by a stable content hash of its identity, so
+    any number of workers — on any number of hosts sharing the store's
+    filesystem — write into disjoint directories.  :meth:`path_for` is the
+    only place the layout is decided; every other method works unchanged.
+
+    A ``manifest.json`` at the root records the format version and shard
+    count.  The first open writes it and every later open validates it: a
+    store opened with another shard count (flat included) would look for
+    every result in the wrong directory and silently re-run the whole grid.
     """
 
-    def __init__(self, root: str | os.PathLike, skip_existing: bool = True) -> None:
+    def __init__(self, root: str | os.PathLike, skip_existing: bool = True, shard_count: int = 0) -> None:
+        if shard_count < 0:
+            raise ExperimentError(f"ResultStore.shard_count must be >= 0, got {shard_count}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.skip_existing = skip_existing
+        self.shard_count = shard_count
         #: Resume accounting: how many loads were served from disk vs. computed.
         self.loaded_count = 0
         self.stored_count = 0
+        self._open_manifest()
 
     # ------------------------------------------------------------------ paths
+    def shard_of(self, key: TaskKey) -> int:
+        return key.shard_index(self.shard_count)
+
     def path_for(self, key: TaskKey, context_fingerprint: str | None = None) -> Path:
-        return self.root / key.relative_path(context_fingerprint)
+        relative = key.relative_path(context_fingerprint)
+        if self.shard_count:
+            return self.root / f"shard-{self.shard_of(key):02d}" / relative
+        return self.root / relative
+
+    # ------------------------------------------------------------------ manifest
+    @property
+    def manifest_path(self) -> Path:
+        return self.root / MANIFEST_NAME
+
+    def _open_manifest(self) -> None:
+        if not self.manifest_path.is_file():
+            self._atomic_write(
+                self.manifest_path, {"format_version": STORE_FORMAT_VERSION, "shard_count": self.shard_count}
+            )
+            return
+        stored = self.manifest()
+        if stored.get("format_version") != STORE_FORMAT_VERSION or stored.get("shard_count") != self.shard_count:
+            raise ExperimentError(
+                f"store at {self.root} was created with format version {stored.get('format_version')} "
+                f"and {stored.get('shard_count')} shards, not version {STORE_FORMAT_VERSION} with "
+                f"{self.shard_count} (0 = flat): a different layout would route task keys to the "
+                "wrong directory"
+            )
+
+    def manifest(self) -> dict:
+        try:
+            payload = json.loads(self.manifest_path.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ExperimentError(f"unreadable store manifest at {self.manifest_path}") from exc
+        if not isinstance(payload, dict):
+            raise ExperimentError(f"malformed store manifest at {self.manifest_path}")
+        return payload
 
     def _candidate_paths(self, key: TaskKey) -> list[Path]:
         """Every stored file for ``key``, regardless of context fingerprint.
@@ -271,7 +320,7 @@ class ResultStore:
         """Every stored *task result* file, in stable order.
 
         Saved artefacts (``artifacts/``), the distributed work queue
-        (``queue/``) and the shard manifest are bookkeeping, not results:
+        (``queue/``) and the manifest are bookkeeping, not results:
         counting them in :meth:`describe` or deleting them in :meth:`clear`
         would corrupt the store's non-result state.
         """
@@ -304,152 +353,32 @@ class ResultStore:
         except FileNotFoundError as exc:
             raise ExperimentError(f"no stored artifact named {name!r}") from exc
 
-    # ------------------------------------------------------------------ plumbing
-    @staticmethod
-    def _atomic_write(path: Path, payload: object) -> None:
-        blob = json.dumps(payload, indent=1, sort_keys=True).encode("utf-8")
-        atomic_write_bytes(path, blob)
-
-    def describe(self) -> str:
-        n_files = sum(1 for _ in self.completed_files())
-        return (
-            f"ResultStore({self.root}, {n_files} stored results, "
-            f"{self.loaded_count} resumed / {self.stored_count} written this run)"
-        )
-
-
-class ShardedResultStore(ResultStore):
-    """A :class:`ResultStore` partitioned over N shard directories.
-
-    Each :class:`TaskKey` routes to exactly one ``shard-XX/`` subdirectory by
-    a stable content hash of its identity, so any number of workers — on any
-    number of hosts sharing the store's filesystem — write into disjoint
-    directories without ever contending on one directory's entry list.  The
-    full :class:`ResultStore` interface (``exists`` / ``save`` / ``load`` /
-    ``load_or_run`` / ``pending``) works unchanged; only the on-disk layout
-    differs.
-
-    A ``manifest.json`` at the store root records the shard count (validated
-    on every open: mixing shard counts would route keys to the wrong
-    directory) and, after :meth:`refresh_manifest`, the set of context
-    fingerprints present.  :meth:`merge` copies every result into a flat
-    :class:`ResultStore` for reporting; :meth:`compact` folds the shards into
-    the root in place.
-    """
-
-    def __init__(
-        self, root: str | os.PathLike, shard_count: int = 8, skip_existing: bool = True
-    ) -> None:
-        if shard_count < 1:
-            raise ExperimentError("ShardedResultStore needs at least one shard")
-        super().__init__(root, skip_existing=skip_existing)
-        self.shard_count = shard_count
-        self._init_manifest()
-
-    # ------------------------------------------------------------------ layout
-    def shard_dir(self, index: int) -> Path:
-        return self.root / f"shard-{index:02d}"
-
-    def shard_of(self, key: TaskKey) -> int:
-        return key.shard_index(self.shard_count)
-
-    def path_for(self, key: TaskKey, context_fingerprint: str | None = None) -> Path:
-        return self.shard_dir(self.shard_of(key)) / key.relative_path(context_fingerprint)
-
-    # ------------------------------------------------------------------ manifest
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / MANIFEST_NAME
-
-    def _init_manifest(self) -> None:
-        if self.manifest_path.is_file():
-            stored = self.manifest()
-            if stored.get("shard_count") != self.shard_count:
-                raise ExperimentError(
-                    f"store at {self.root} was created with "
-                    f"{stored.get('shard_count')} shards, not {self.shard_count}: "
-                    "a different shard count would route task keys to the wrong directory"
-                )
-            return
-        self._atomic_write(
-            self.manifest_path,
-            {
-                "format_version": STORE_FORMAT_VERSION,
-                "shard_count": self.shard_count,
-                "context_fingerprints": [],
-            },
-        )
-
-    def manifest(self) -> dict:
-        try:
-            payload = json.loads(self.manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ExperimentError(f"unreadable shard manifest at {self.manifest_path}") from exc
-        if not isinstance(payload, dict):
-            raise ExperimentError(f"malformed shard manifest at {self.manifest_path}")
-        return payload
-
-    def refresh_manifest(self) -> dict:
-        """Rewrite the manifest with the context fingerprints currently stored."""
-        fingerprints: set[str] = set()
-        for path in self.completed_files():
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            fingerprint = payload.get("context_fingerprint") if isinstance(payload, dict) else None
-            if fingerprint:
-                fingerprints.add(fingerprint)
-        manifest = {
-            "format_version": STORE_FORMAT_VERSION,
-            "shard_count": self.shard_count,
-            "context_fingerprints": sorted(fingerprints),
-        }
-        self._atomic_write(self.manifest_path, manifest)
-        return manifest
-
     # ------------------------------------------------------------------ folding
-    def _flat_relative(self, path: Path) -> Path:
-        """The shard file's path inside a flat (unsharded) store."""
-        relative = path.relative_to(self.root)
-        if relative.parts and relative.parts[0].startswith("shard-"):
-            return Path(*relative.parts[1:])
-        return relative
-
-    def merge(self, target_root: str | os.PathLike) -> ResultStore:
+    def merge(self, target_root: str | os.PathLike) -> "ResultStore":
         """Copy every result (and artefact) into a flat store at ``target_root``.
 
         Files are copied byte-for-byte, so results load from the merged store
-        exactly as they would from the shards — same payload, same context
+        exactly as they would from this one — same payload, same context
         fingerprint.  Keys route to exactly one shard, so two shards can never
         hold the same flat path.
         """
         flat = ResultStore(target_root, skip_existing=self.skip_existing)
         for path in self.completed_files():
-            self._atomic_copy(path, flat.root / self._flat_relative(path))
+            relative = path.relative_to(self.root)
+            if self.shard_count:
+                relative = Path(*relative.parts[1:])  # drop the shard-XX/ prefix
+            self._atomic_copy(path, flat.root / relative)
         artifacts = self.root / "artifacts"
         if artifacts.is_dir():
             for path in sorted(artifacts.rglob("*.json")):
                 self._atomic_copy(path, flat.root / path.relative_to(self.root))
         return flat
 
-    def compact(self) -> ResultStore:
-        """Fold the shards into the root in place and drop the shard layout.
-
-        Returns the flat :class:`ResultStore` over the same root; this sharded
-        view is stale afterwards and must not be used again.
-        """
-        for index in range(self.shard_count):
-            shard = self.shard_dir(index)
-            if not shard.is_dir():
-                continue
-            for path in sorted(shard.rglob("*.json")):
-                destination = self.root / path.relative_to(shard)
-                destination.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(path, destination)
-            shutil.rmtree(shard)
-        self.manifest_path.unlink(missing_ok=True)
-        return ResultStore(self.root, skip_existing=self.skip_existing)
+    # ------------------------------------------------------------------ plumbing
+    @staticmethod
+    def _atomic_write(path: Path, payload: object) -> None:
+        blob = json.dumps(payload, indent=1, sort_keys=True).encode("utf-8")
+        atomic_write_bytes(path, blob)
 
     @staticmethod
     def _atomic_copy(source: Path, destination: Path) -> None:
@@ -458,8 +387,13 @@ class ShardedResultStore(ResultStore):
 
     def describe(self) -> str:
         n_files = sum(1 for _ in self.completed_files())
+        layout = f"{self.shard_count} shards, " if self.shard_count else ""
         return (
-            f"ShardedResultStore({self.root}, {self.shard_count} shards, "
-            f"{n_files} stored results, {self.loaded_count} resumed / "
-            f"{self.stored_count} written this run)"
+            f"ResultStore({self.root}, {layout}{n_files} stored results, "
+            f"{self.loaded_count} resumed / {self.stored_count} written this run)"
         )
+
+
+#: The sharded store is a :class:`ResultStore` with ``shard_count > 0``; the
+#: name stays importable for callers written against it.
+ShardedResultStore = ResultStore

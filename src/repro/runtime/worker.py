@@ -6,27 +6,26 @@ directory on a shared filesystem or a coordinator's TCP queue server::
     PYTHONPATH=src python -m repro.runtime.worker /shared/sweep/store/queue
     PYTHONPATH=src python -m repro.runtime.worker tcp://coordinator:7077
 
-The worker loops: atomically claim a task, rebuild the database from the
-task's :class:`~repro.storage.spec.DatabaseSpec` (reusing the per-process
-registry across tasks), execute the grid cell, deliver the result and ack.
-How the result travels depends on the transport: file-queue workers persist
-it into the payload's shared (possibly sharded) result store themselves,
-while TCP workers — which share **no** filesystem with the coordinator —
-upload it back inside the ack frame and the coordinator persists it locally.
-A heartbeat thread renews the claim's lease while the task runs so the
-coordinator's expiry sweep never re-queues a task that is merely slow; if
-this process is killed, the heartbeat stops with it and the lease expires.
+The worker loops: atomically claim the pending task with the lowest id,
+rebuild the database from the task's :class:`~repro.storage.spec.DatabaseSpec`
+(reusing the per-process registry across tasks), execute the grid cell,
+deliver the result and ack.  How the result travels depends on the transport:
+file-queue workers persist it into the payload's shared result store
+themselves, opened with the coordinator's layout, while TCP workers — which
+share **no** filesystem with the coordinator — upload it back inside the ack
+frame and the coordinator persists it locally.  A heartbeat thread renews the
+claim's lease while the task runs so the coordinator's expiry sweep never
+re-queues a task that is merely slow; if this process is killed, the
+heartbeat stops with it and the lease expires.
 
 The worker exits when the coordinator signals stop and no work is claimable
 (for TCP, an unreachable coordinator counts as stop), after ``--max-tasks``
 tasks, or after ``--idle-timeout`` seconds without work.
 
-``--shard N`` pins the worker's claim preference to one queue shard (its
-starvation is what triggers the coordinator's work stealing); ``--progress
-[S]`` prints a machine-readable JSON progress snapshot of the queue every S
-seconds (default 5) to stdout.  Against a secured TCP coordinator, export
-``REPRO_QUEUE_SECRET`` with the shared frame-signing secret — it is read from
-the environment only, never from argv.
+``--progress [S]`` prints a machine-readable JSON progress snapshot of the
+queue every S seconds (default 5) to stdout.  Against a secured TCP
+coordinator, export ``REPRO_QUEUE_SECRET`` with the shared frame-signing
+secret — it is read from the environment only, never from argv.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from repro.runtime.workqueue import (
 
 #: First wait of an idle worker; each further empty-handed claim doubles it up
 #: to the poll interval, and a successful claim starts over.  On the file
-#: queue, which must be polled, work handed over mid-sweep (a steal, a
+#: queue, which must be polled, work handed over mid-sweep (a retried task, a
 #: re-queued lease) is picked up in tens of milliseconds while a long-idle
 #: worker polls no more often than it always did.  The TCP queue ends a wait
 #: as soon as there is work or a stop (``wait_for_work``).
@@ -96,7 +95,6 @@ def run_worker(
     idle_timeout_s: float | None = None,
     max_tasks: int | None = None,
     lease_renew_s: float = 5.0,
-    shard: int | None = None,
     progress_interval_s: float | None = None,
 ) -> int:
     """Drain tasks from ``queue_target`` until stopped; returns the number completed."""
@@ -115,7 +113,7 @@ def run_worker(
         ).start()
     try:
         completed = _worker_loop(
-            queue, worker_id, poll_interval_s, idle_timeout_s, max_tasks, lease_renew_s, shard,
+            queue, worker_id, poll_interval_s, idle_timeout_s, max_tasks, lease_renew_s,
             execute_spec_payload, execute_spec_payload_with_identity,
         )
     finally:
@@ -132,7 +130,6 @@ def _worker_loop(
     idle_timeout_s: float | None,
     max_tasks: int | None,
     lease_renew_s: float,
-    shard: int | None,
     execute_spec_payload,
     execute_spec_payload_with_identity,
 ) -> int:
@@ -141,13 +138,13 @@ def _worker_loop(
     first_sleep_s = min(IDLE_BACKOFF_START_S, poll_interval_s)
     sleep_s = first_sleep_s
     while max_tasks is None or completed < max_tasks:
-        claim = queue.claim(worker_id, shard=shard)
+        claim = queue.claim(worker_id)
         if claim is None:
             if queue.stop_requested():
                 break
             if idle_timeout_s is not None and time.monotonic() - idle_since > idle_timeout_s:
                 break
-            queue.wait_for_work(sleep_s, shard)
+            queue.wait_for_work(sleep_s)
             sleep_s = min(2.0 * sleep_s, poll_interval_s)
             continue
         idle_since = time.monotonic()
@@ -211,9 +208,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--lease-renew", type=float, default=5.0, metavar="S",
                         help="heartbeat interval while executing; keep it well below the "
                         "coordinator's lease timeout (default 5)")
-    parser.add_argument("--shard", type=int, default=None, metavar="N",
-                        help="preferred queue shard to claim from (starvation triggers the "
-                        "coordinator's work stealing); default: claim from every shard")
     parser.add_argument("--progress", type=float, nargs="?", const=5.0, default=None,
                         metavar="S", help="print a machine-readable JSON progress snapshot "
                         "of the queue every S seconds (default 5 when the flag is given)")
@@ -225,7 +219,6 @@ def main(argv: list[str] | None = None) -> int:
         idle_timeout_s=args.idle_timeout,
         max_tasks=args.max_tasks,
         lease_renew_s=args.lease_renew,
-        shard=args.shard,
         progress_interval_s=args.progress,
     )
     return 0

@@ -1,23 +1,26 @@
 """The distributed work queue: one state machine, a directory or dicts beneath it.
 
-:class:`BucketQueue` is the queue's claim/lease/steal/ack machine, written
-once.  A task is a name that moves between *buckets*:
+:class:`BucketQueue` is the queue's claim/lease/ack machine, written once.  A
+task is a name that moves between *buckets*:
 
-* ``pending`` (the shared root pool) or ``pending/shard-XX`` (a shard
-  partition) — claimable; the coordinator enqueues each task into the shard
-  its result routes to (:meth:`~repro.runtime.result_store.TaskKey.shard_index`).
+* ``pending`` — the one pool of claimable tasks; a claim takes the lowest
+  task id, and an expired lease goes back into the same pool.
 * ``claimed`` — a worker claims a task by *moving* it out of pending; the
   claimed entry's stamp is the **lease heartbeat**, refreshed on claim and
   periodically while the worker executes.
 * ``done`` / ``failed`` — ack markers (results themselves go into the result
   store, not the queue).
-* ``hungry`` — one mark per starving shard; the stop bucket holds the stop
-  sentinel the coordinator writes when the sweep is complete.
+* the stop bucket — the stop sentinel the coordinator writes when the sweep
+  is complete.
+
+Where a task's *result* lands (a flat or sharded result store) is the store's
+decision alone (:meth:`~repro.runtime.result_store.ResultStore.path_for`); the
+queue neither knows nor cares.
 
 The machine is written against a handful of storage primitives (list a
 bucket, move a name, put/load/drop an entry, touch and read a stamp, read the
 stamping clock).  The one atomic step is the move: of several concurrent moves
-of one name exactly one wins, which makes a claim exclusive and a steal safe.
+of one name exactly one wins, which makes a claim exclusive.
 :class:`WorkQueue` implements the primitives over a directory shared by every
 host (local disk, NFS, CephFS, ...): a bucket is a subdirectory, an entry a
 file, a move an ``os.rename`` and a stamp an mtime.  The TCP transport's
@@ -26,7 +29,7 @@ one lock with ``time.monotonic`` stamps.
 
 A worker that dies (SIGKILL, OOM, host loss) simply stops touching its claim;
 once the stamp is older than the lease timeout, :meth:`BucketQueue.requeue_expired`
-moves it back into the root pool and another worker picks it up.  The file
+moves it back into the pending pool and any worker picks it up.  The file
 queue measures lease ages against the *shared filesystem's* clock
 (touch-and-stat of a probe file in the queue root), never the coordinator's
 wall clock: claim mtimes are stamped by the filesystem, so comparing them
@@ -35,18 +38,6 @@ against a possibly-skewed local ``time.time()`` would re-queue live claims
 is idempotent (results are persisted with atomic writes under
 content-addressed names), so the rare double execution after a lease expiry
 is harmless, and an ack drops any pending copy a re-queue left behind.
-
-**Shard affinity and work stealing.**  A worker started with a preferred
-shard claims from that partition first, falling back to the shared root pool
-(where expired leases are re-queued).  One that finds *nothing* claimable
-marks its shard hungry; the coordinator's :meth:`BucketQueue.rebalance` sweep
-reads fresh marks and **steals** pending tasks for the starving shard from
-the fullest other shard — moves within pending, so the exactly-once claim
-semantics (one move winner per task) are untouched, and because task results
-are deterministic in the task identity, a stolen sweep stays byte-identical
-to a serial run.  Workers with no preferred shard (the default for
-hand-started ``python -m repro.runtime.worker``) scan every shard and need no
-stealing.
 
 This module also defines the transport-agnostic queue API: the
 :class:`QueueTransport` protocol (coordinator + worker surface) both queues
@@ -72,9 +63,6 @@ from repro.runtime.result_store import TaskKey, atomic_write_bytes
 #: Bucket names, which are also the subdirectories of the file queue's layout.
 PENDING, CLAIMED, DONE, FAILED = "pending", "claimed", "done", "failed"
 
-#: Bucket of per-shard starvation marks (work-stealing signals).
-HUNGRY = "hungry"
-
 #: Bucket of the stop sentinel: the queue root itself on disk.
 STOP = ""
 
@@ -84,25 +72,7 @@ STOP_SENTINEL = "stop"
 #: Probe file the lease-expiry sweep touches to read the filesystem's clock.
 CLOCK_PROBE = ".clock-probe"
 
-#: How long a hungry mark counts as a live starvation signal.  Stale marks
-#: (a worker that moved on or died) must not keep attracting stolen work into
-#: a shard nobody drains.
-HUNGRY_TTL_S = 30.0
-
 _TASK_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
-_SHARD_DIR_RE = re.compile(r"^shard-(\d+)$")
-
-
-def shard_dir_name(shard: int) -> str:
-    """Directory name of one pending shard (mirrors the result-store layout)."""
-    return f"shard-{shard:02d}"
-
-
-def shard_bucket(shard: int) -> str:
-    """The pending bucket of one shard partition, ``pending/shard-XX``."""
-    if shard < 0:
-        raise ExperimentError(f"queue shard must be >= 0, got {shard}")
-    return f"{PENDING}/{shard_dir_name(shard)}"
 
 
 @dataclass(frozen=True)
@@ -188,7 +158,7 @@ class WorkerQueueTransport(Protocol):
     #: results to the coordinator) instead of the worker writing a shared store.
     wants_results: bool
 
-    def claim(self, worker_id: str, shard: int | None = None) -> TaskClaim | None: ...
+    def claim(self, worker_id: str) -> TaskClaim | None: ...
 
     def renew(self, claim: TaskClaim) -> None: ...
 
@@ -198,12 +168,12 @@ class WorkerQueueTransport(Protocol):
 
     def stop_requested(self) -> bool: ...
 
-    def wait_for_work(self, timeout_s: float, shard: int | None = None) -> None:
+    def wait_for_work(self, timeout_s: float) -> None:
         """An idle worker's pause between claims, ``timeout_s`` at most.
 
         A transport that sees the queue change returns as soon as a claim
-        for ``shard`` would find a task or a stop is written; one that cannot
-        (a shared directory) sleeps the interval out.
+        would find a task or a stop is written; one that cannot (a shared
+        directory) sleeps the interval out.
         """
 
 
@@ -211,11 +181,9 @@ class WorkerQueueTransport(Protocol):
 class QueueTransport(WorkerQueueTransport, Protocol):
     """The full (coordinator + worker) surface of a work-queue transport."""
 
-    def enqueue(self, task_id: str, payload: object, shard: int | None = None) -> object: ...
+    def enqueue(self, task_id: str, payload: object) -> object: ...
 
     def requeue_expired(self) -> list[str]: ...
-
-    def rebalance(self) -> list["StolenTask"]: ...
 
     def worker_done_counts(self) -> dict[str, int]: ...
 
@@ -237,8 +205,8 @@ class QueueTransport(WorkerQueueTransport, Protocol):
         """Block until a worker changed the queue's state, ``timeout_s`` at most.
 
         The coordinator's pause between polls.  A transport that sees its
-        workers' operations returns early on an ack, a failure or a starving
-        shard; one that cannot (a shared directory) sleeps the interval out.
+        workers' operations returns early on an ack or a failure; one that
+        cannot (a shared directory) sleeps the interval out.
         """
 
     def stats(self) -> "QueueStats": ...
@@ -247,34 +215,13 @@ class QueueTransport(WorkerQueueTransport, Protocol):
 
 
 @dataclass(frozen=True)
-class StolenTask:
-    """One pending task the coordinator's rebalance sweep moved between shards.
-
-    Steals only ever move between shard partitions: the shared root pool is
-    claimable by every worker already, so nothing is stolen out of (or into)
-    it.
-    """
-
-    task_id: str
-    from_shard: int
-    to_shard: int
-
-
-@dataclass(frozen=True)
 class QueueStats:
-    """Snapshot of the queue state (counts racy by nature, exact per bucket).
-
-    ``shard_pending`` breaks the pending count down per shard as
-    ``(shard, count)`` pairs — empty for unsharded queues, and only non-empty
-    shards appear.  ``describe()`` intentionally sticks to the four headline
-    counts; the progress reporter renders the shard breakdown.
-    """
+    """Snapshot of the queue state (counts racy by nature, exact per bucket)."""
 
     pending: int
     claimed: int
     done: int
     failed: int
-    shard_pending: tuple[tuple[int, int], ...] = ()
 
     def describe(self) -> str:
         return (
@@ -297,14 +244,13 @@ class BucketQueue:
     wants_results = False
 
     #: Raised under the storage's lock by what the coordinator's loop acts on
-    #: (an ack, a failure, a shard going hungry), lowered by :meth:`wait_for_change`.
+    #: (an ack or a failure), lowered by :meth:`wait_for_change`.
     _changed = False
 
-    def __init__(self, lease_timeout_s: float, hungry_ttl_s: float) -> None:
+    def __init__(self, lease_timeout_s: float) -> None:
         if lease_timeout_s <= 0:
             raise ExperimentError(f"{type(self).__name__}.lease_timeout_s must be positive")
         self.lease_timeout_s = float(lease_timeout_s)
-        self.hungry_ttl_s = float(hungry_ttl_s)
         #: Memo of parsed done markers (task id -> worker id): markers are
         #: immutable once written, so ``worker_done_counts`` only loads markers
         #: it has not seen — O(new markers) per progress poll, not O(all).
@@ -313,10 +259,6 @@ class BucketQueue:
     # ------------------------------------------------------------------ storage primitives
     def _names(self, bucket: str) -> list[str]:
         """The names in ``bucket``, sorted."""
-        raise NotImplementedError
-
-    def _shards(self) -> list[int]:
-        """The pending shard partitions present, sorted."""
         raise NotImplementedError
 
     def _move(self, source: str, target: str, name: str) -> bool:
@@ -360,47 +302,25 @@ class BucketQueue:
         """Where an entry lives on disk (``None``: in memory)."""
         return None
 
-    # ------------------------------------------------------------------ buckets
-    def _pending_buckets(self) -> list[str]:
-        return [PENDING, *(shard_bucket(shard) for shard in self._shards())]
-
-    def _candidates(self, shard: int | None) -> list[tuple[str, str]]:
-        """``(task id, bucket)`` pairs in the order a claim for ``shard`` tries them.
-
-        With a preferred shard: that partition first, then the shared root
-        pool (re-queued leases) — never other shards.  Without one: every
-        partition plus the root pool, in global task-id order.
-        """
-        if shard is None:
-            return sorted(
-                (name, bucket) for bucket in self._pending_buckets() for name in self._names(bucket)
-            )
-        return [(name, bucket) for bucket in (shard_bucket(shard), PENDING) for name in self._names(bucket)]
-
     # ------------------------------------------------------------------ coordinator
-    def enqueue(self, task_id: str, payload: object, shard: int | None = None) -> Path | None:
+    def enqueue(self, task_id: str, payload: object) -> Path | None:
         """Make one task claimable (atomic: a worker never sees a partial task).
 
-        With ``shard`` given the task lands in that shard partition and is
-        claimed preferentially by that shard's workers; without one it goes
-        into the shared root pool every worker scans.  Returns the task file
-        (``None`` in memory).
+        Returns the task file (``None`` in memory).
         """
         if not _TASK_ID_RE.match(task_id):
             raise ExperimentError(f"task id {task_id!r} is not filesystem-safe")
-        bucket = PENDING if shard is None else shard_bucket(shard)
-        self._put(bucket, task_id, payload)
+        self._put(PENDING, task_id, payload)
         self._notify()
-        return self._path(bucket, task_id)
+        return self._path(PENDING, task_id)
 
     def requeue_expired(self) -> list[str]:
         """Re-queue every claim whose lease heartbeat has gone stale.
 
         A live worker touches its claim more often than the lease timeout; a
-        claim untouched for longer belongs to a dead worker and goes back for
-        someone else — into the shared *root* pool, not its original shard:
-        the shard's own worker may be the one that died, and the root pool is
-        claimable by everyone.  An age equal to the timeout is still live.
+        claim untouched for longer belongs to a dead worker and goes back into
+        the pending pool for any worker.  An age equal to the timeout is still
+        live.
         """
         now = self._now()
         requeued = []
@@ -412,56 +332,8 @@ class BucketQueue:
             self._notify()
         return requeued
 
-    def rebalance(self) -> list[StolenTask]:
-        """Steal pending work for starving shards (the coordinator's sweep).
-
-        For every shard with a *fresh* hungry mark (a preferred-shard worker
-        recently found nothing claimable) that is still empty, move the back
-        half (rounded up) of the fullest other shard's sorted pending names
-        into it — the lowest shard index wins ties, and the back is furthest
-        from the names that shard's own worker claims next.  Each move is one
-        :meth:`_move`, so a task is claimable in exactly one place at any
-        instant; losing a race with a concurrent claim just skips that task.
-        A successful steal consumes the mark; finding nothing to steal keeps
-        it for the next sweep.
-        """
-        marks = self._names(HUNGRY)
-        if not marks:
-            return []
-        now = self._now()
-        moved: list[StolenTask] = []
-        for mark in marks:
-            match = _SHARD_DIR_RE.match(mark)
-            stamp = self._stamp(HUNGRY, mark)
-            if match is None or stamp is None:
-                continue
-            if now - stamp > self.hungry_ttl_s:
-                self._drop(HUNGRY, mark)  # stale signal: nobody is waiting
-                continue
-            hungry = int(match.group(1))
-            target = shard_bucket(hungry)
-            if self._names(target):
-                self._drop(HUNGRY, mark)  # the shard has work again
-                continue
-            backlog = {shard: self._names(shard_bucket(shard)) for shard in self._shards() if shard != hungry}
-            source = max(backlog, key=lambda shard: (len(backlog[shard]), -shard), default=None)
-            if source is None or not backlog[source]:
-                continue
-            names = backlog[source]
-            stolen = [
-                StolenTask(name, source, hungry)
-                for name in reversed(names[len(names) // 2:])
-                if self._move(shard_bucket(source), target, name)
-            ]
-            if stolen:
-                self._drop(HUNGRY, mark)
-            moved += stolen
-        if moved:
-            self._notify()
-        return moved
-
     def reset(self) -> int:
-        """Drop every task, ack marker, hungry mark and the stop sentinel.
+        """Drop every task, ack marker and the stop sentinel.
 
         A coordinator owns its queue: calling this before enqueueing
         reconciles state left behind by a crashed earlier sweep — orphaned
@@ -471,11 +343,9 @@ class BucketQueue:
         """
         removed = sum(
             self._drop(bucket, name)
-            for bucket in (*self._pending_buckets(), CLAIMED, DONE, FAILED)
+            for bucket in (PENDING, CLAIMED, DONE, FAILED)
             for name in self._names(bucket)
         )
-        for mark in self._names(HUNGRY):
-            self._drop(HUNGRY, mark)
         self._done_workers.clear()  # the markers it described are gone
         self.clear_stop()
         return removed
@@ -491,18 +361,15 @@ class BucketQueue:
         return self._stamp(STOP, STOP_SENTINEL) is not None
 
     # ------------------------------------------------------------------ worker
-    def claim(self, worker_id: str, shard: int | None = None) -> TaskClaim | None:
-        """Claim one pending task, or ``None`` when nothing is claimable.
+    def claim(self, worker_id: str) -> TaskClaim | None:
+        """Claim the pending task with the lowest id, or ``None`` when nothing is claimable.
 
-        The move into ``claimed`` is the claim: losing the race on one
-        candidate just moves on to the next (:meth:`_candidates` gives the
-        order).  A claim whose payload cannot be loaded is marked failed
-        instead of being executed.  A preferred-shard claim that finds nothing
-        marks the shard hungry, so the coordinator's :meth:`rebalance` steals
-        work over.
+        The move into ``claimed`` is the claim: losing the race on one task
+        just moves on to the next.  A claim whose payload cannot be loaded is
+        marked failed instead of being executed.
         """
-        for name, bucket in self._candidates(shard):
-            if not self._move(bucket, CLAIMED, name):
+        for name in self._names(PENDING):
+            if not self._move(PENDING, CLAIMED, name):
                 continue  # another worker won this one
             # The lease heartbeat starts at claim time.
             if not self._touch(CLAIMED, name):
@@ -515,17 +382,7 @@ class BucketQueue:
                 self._settle(FAILED, name, worker_id, error=f"unreadable payload: {exc}")
                 continue
             return TaskClaim(task_id=name, payload=payload, path=self._path(CLAIMED, name))
-        if shard is not None:
-            self._mark_hungry(shard)
         return None
-
-    def _mark_hungry(self, shard: int) -> None:
-        """Record a preferred-shard worker's empty scan (a steal-here signal)."""
-        try:
-            self._put(HUNGRY, shard_dir_name(shard))
-        except OSError:  # pragma: no cover - marker dir unwritable: stealing degrades
-            return
-        self._notify(change=True)
 
     def renew(self, claim: TaskClaim) -> None:
         """Refresh the claim's lease heartbeat (no-op if the claim was re-queued)."""
@@ -536,13 +393,12 @@ class BucketQueue:
 
         A zombie worker may ack a task whose lease was already re-queued (and
         possibly re-claimed): the result is identical either way, so the ack
-        wins and every pending copy — in the root pool or a shard — is
-        dropped rather than run a second time.  ``result`` is ignored here:
+        wins and the pending copy is dropped rather than run a second time.
+        ``result`` is ignored here:
         file-queue workers have already written the shared result store, and
         ``QueueServer.ack`` persists it before calling this.
         """
-        for bucket in self._pending_buckets():
-            self._drop(bucket, claim.task_id)
+        self._drop(PENDING, claim.task_id)
         self._settle(DONE, claim.task_id, worker_id)
 
     def fail(self, claim: TaskClaim, worker_id: str, error: str) -> None:
@@ -565,7 +421,7 @@ class BucketQueue:
 
     # ------------------------------------------------------------------ inspection
     def pending_ids(self) -> set[str]:
-        return {name for bucket in self._pending_buckets() for name in self._names(bucket)}
+        return set(self._names(PENDING))
 
     def claimed_ids(self) -> set[str]:
         return set(self._names(CLAIMED))
@@ -616,19 +472,15 @@ class BucketQueue:
         """Entry counts only: the coordinator polls this every few hundred
         milliseconds, so it must never load a marker (``failed_tasks`` does,
         and stays reserved for error reporting)."""
-        shard_pending = tuple(
-            (shard, count) for shard in self._shards() if (count := len(self._names(shard_bucket(shard))))
-        )
         return QueueStats(
-            pending=len(self._names(PENDING)) + sum(count for _, count in shard_pending),
+            pending=len(self._names(PENDING)),
             claimed=len(self._names(CLAIMED)),
             done=len(self._names(DONE)),
             failed=len(self._names(FAILED)),
-            shard_pending=shard_pending,
         )
 
     def wait_for_change(self, timeout_s: float) -> None:
-        """Return on an ack, a failure or a hungry mark, or after ``timeout_s``.
+        """Return on an ack or a failure, or after ``timeout_s``.
 
         One that arrived since the previous call returns at once: the caller
         was checking state meanwhile and may have read it before the change.
@@ -640,15 +492,15 @@ class BucketQueue:
 
         self._wait(consume, timeout_s)
 
-    def wait_for_work(self, timeout_s: float, shard: int | None = None) -> None:
-        """Return once a claim for ``shard`` would find a task or a stop is
-        written, or after ``timeout_s``.
+    def wait_for_work(self, timeout_s: float) -> None:
+        """Return once a claim would find a task or a stop is written, or
+        after ``timeout_s``.
 
         An idle worker's pause between claims.  Waiting on a condition of the
         state, not on a notification, loses nothing that landed between the
         worker's empty-handed claim and this call.
         """
-        self._wait(lambda: self.stop_requested() or bool(self._candidates(shard)), timeout_s)
+        self._wait(lambda: self.stop_requested() or bool(self._names(PENDING)), timeout_s)
 
 
 class WorkQueue(BucketQueue):
@@ -656,24 +508,11 @@ class WorkQueue(BucketQueue):
     entry a file (``<id>.task`` pickles, ``<id>.json`` markers, empty signal
     files), a move an atomic ``os.rename`` and a stamp an mtime."""
 
-    def __init__(
-        self,
-        root: str | os.PathLike,
-        lease_timeout_s: float = 60.0,
-        shard_count: int = 0,
-        hungry_ttl_s: float = HUNGRY_TTL_S,
-    ) -> None:
-        super().__init__(lease_timeout_s, hungry_ttl_s)
-        if shard_count < 0:
-            raise ExperimentError("WorkQueue.shard_count must be >= 0")
+    def __init__(self, root: str | os.PathLike, lease_timeout_s: float = 60.0) -> None:
+        super().__init__(lease_timeout_s)
         self.root = Path(root)
-        for name in (PENDING, CLAIMED, DONE, FAILED, HUNGRY):
+        for name in (PENDING, CLAIMED, DONE, FAILED):
             (self.root / name).mkdir(parents=True, exist_ok=True)
-        # Shard subdirectories are created eagerly by the coordinator (which
-        # knows the count) and *discovered* by everyone else: a worker opened
-        # with shard_count=0 still claims from whatever shard-XX/ dirs exist.
-        for shard in range(shard_count):
-            (self.root / shard_bucket(shard)).mkdir(exist_ok=True)
 
     def filesystem_now(self) -> float:
         """Now according to the clock that stamps claim mtimes.
@@ -699,7 +538,7 @@ class WorkQueue(BucketQueue):
     def _suffix(bucket: str) -> str:
         if bucket in (DONE, FAILED):
             return ".json"
-        return ".task" if bucket == CLAIMED or bucket.startswith(PENDING) else ""
+        return ".task" if bucket in (PENDING, CLAIMED) else ""
 
     def _path(self, bucket: str, name: str) -> Path:
         return self.root / bucket / f"{name}{self._suffix(bucket)}"
@@ -708,19 +547,9 @@ class WorkQueue(BucketQueue):
         suffix = self._suffix(bucket)
         return sorted(path.name.removesuffix(suffix) for path in (self.root / bucket).glob(f"*{suffix}"))
 
-    def _shards(self) -> list[int]:
-        shards = []
-        for path in (self.root / PENDING).iterdir():
-            match = _SHARD_DIR_RE.match(path.name)
-            if match is not None and path.is_dir():
-                shards.append(int(match.group(1)))
-        return sorted(shards)
-
     def _move(self, source: str, target: str, name: str) -> bool:
-        target_path = self._path(target, name)
-        target_path.parent.mkdir(exist_ok=True)  # a steal may be a shard's first task
         try:
-            os.rename(self._path(source, name), target_path)
+            os.rename(self._path(source, name), self._path(target, name))
         except FileNotFoundError:
             # Another process moved it first.  Any other OSError is a real
             # filesystem problem and must surface, not hang the sweep.
@@ -729,12 +558,11 @@ class WorkQueue(BucketQueue):
 
     def _put(self, bucket: str, name: str, value: object = None) -> None:
         path = self._path(bucket, name)
-        if bucket in (HUNGRY, STOP):
+        if bucket == STOP:
             path.touch()  # a signal: only its mtime counts
         elif bucket in (DONE, FAILED):
             atomic_write_bytes(path, json.dumps(value, indent=1, sort_keys=True).encode("utf-8"))
         else:
-            path.parent.mkdir(exist_ok=True)  # a shard partition appears with its first task
             atomic_write_bytes(path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 
     def _load(self, bucket: str, name: str) -> Any:
@@ -783,7 +611,7 @@ class WorkQueue(BucketQueue):
         would otherwise collect them forever.  Returns the files removed."""
         removed = super().reset()
         for bucket in (PENDING, CLAIMED, DONE, FAILED):
-            for orphan in (self.root / bucket).rglob("*.tmp"):
+            for orphan in (self.root / bucket).glob("*.tmp"):
                 orphan.unlink(missing_ok=True)
                 removed += 1
         return removed

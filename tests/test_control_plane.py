@@ -3,16 +3,17 @@
 Covers the PR-5 surface on both queue transports (`file://` directory queue
 and `tcp://` in-memory server):
 
-* coordinator-side work stealing (hungry-shard signalling + rebalance),
-* property tests that claim/steal/ack interleavings never duplicate or drop
-  a task (exactly-once visible completion),
+* property tests that claim/renew/requeue/ack/fail interleavings never
+  duplicate or drop a task (exactly-once visible completion) and hand tasks
+  out from one pending pool, lowest id first,
 * the HMAC frame authentication of the TCP transport, including a fuzz pass
   asserting malformed/truncated/unsigned frames error cleanly and an
   untrusted peer can never reach ``pickle.loads``,
 * the bounded retry/backoff of `NetWorkQueue` against transient socket
   errors,
 * `QueueStats`/`describe()` edge cases and lease-expiry boundary conditions,
-* a 4-worker stress sweep with stealing enabled, byte-identical to serial.
+* a 4-worker stress sweep, byte-identical to serial, and the end-of-sweep
+  progress snapshot taken once the local workers exited.
 """
 
 import json
@@ -45,7 +46,7 @@ from repro.runtime.netqueue import (
     send_frame,
 )
 from repro.runtime.parallel import ParallelExperimentRunner
-from repro.runtime.workqueue import QueueStats, QueueTransport, StolenTask, WorkQueue
+from repro.runtime.workqueue import QueueStats, QueueTransport, WorkQueue
 from repro.storage.registry import get_process_registry
 from repro.storage.spec import DatabaseSpec
 from repro.workloads import build_workload
@@ -53,141 +54,8 @@ from repro.workloads import build_workload
 TRANSPORTS = ("file", "tcp")
 
 
-@pytest.fixture(params=TRANSPORTS)
-def sharded_queue(request, tmp_path):
-    """One queue per transport with 4 shard partitions and a long lease."""
-    if request.param == "file":
-        yield WorkQueue(tmp_path / "q", lease_timeout_s=300, shard_count=4)
-    else:
-        server = QueueServer(lease_timeout_s=300)
-        yield server
-        server.close()
-
-
 # ---------------------------------------------------------------------------
-# Coordinator-side work stealing
-# ---------------------------------------------------------------------------
-
-
-class TestWorkStealing:
-    def test_hungry_shard_is_fed_from_the_fullest_shard(self, sharded_queue):
-        queue = sharded_queue
-        for index in range(4):
-            queue.enqueue(f"t-{index}", f"payload-{index}", shard=0)
-        queue.enqueue("t-4", "payload-4", shard=2)
-
-        assert queue.claim("starving", shard=1) is None  # marks shard 1 hungry
-        moved = queue.rebalance()
-        assert moved and all(isinstance(entry, StolenTask) for entry in moved)
-        # Stolen from the fullest shard (0, four tasks), not the lean one.
-        assert {entry.from_shard for entry in moved} == {0}
-        assert {entry.to_shard for entry in moved} == {1}
-        revived = queue.claim("starving", shard=1)
-        assert revived is not None and revived.task_id in {entry.task_id for entry in moved}
-
-    def test_rebalance_without_hungry_workers_is_a_noop(self, sharded_queue):
-        for index in range(4):
-            sharded_queue.enqueue(f"t-{index}", "p", shard=0)
-        assert sharded_queue.rebalance() == []
-        assert sharded_queue.stats().pending == 4
-
-    def test_rebalance_noop_when_hungry_shard_got_work_meanwhile(self, sharded_queue):
-        queue = sharded_queue
-        queue.enqueue("other-0", "p", shard=0)
-        assert queue.claim("w", shard=1) is None  # hungry...
-        queue.enqueue("late-0", "p", shard=1)  # ...but work arrived before the sweep
-        assert queue.rebalance() == []  # nothing moved, the mark is consumed
-        assert queue.rebalance() == []
-
-    def test_hungry_mark_is_consumed_by_a_successful_steal(self, sharded_queue):
-        queue = sharded_queue
-        for index in range(4):
-            queue.enqueue(f"t-{index}", "p", shard=0)
-        assert queue.claim("w", shard=1) is None
-        assert queue.rebalance()
-        # The same mark must not keep attracting work on every later sweep.
-        assert queue.rebalance() == []
-
-    def test_nothing_to_steal_keeps_waiting_without_error(self, sharded_queue):
-        assert sharded_queue.claim("w", shard=3) is None
-        assert sharded_queue.rebalance() == []
-
-    def test_stale_hungry_marker_is_ignored(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q", shard_count=4, hungry_ttl_s=0.05)
-        queue.enqueue("t-0", "p", shard=0)
-        assert queue.claim("w", shard=1) is None
-        time.sleep(0.1)  # the starving worker has long moved on (or died)
-        assert queue.rebalance() == []
-        assert queue.stats().shard_pending == ((0, 1),)
-
-    def test_stale_hungry_mark_is_ignored_on_server(self, monkeypatch):
-        server = QueueServer(lease_timeout_s=300, hungry_ttl_s=10.0)
-        try:
-            server.enqueue("t-0", "p", shard=0)
-            assert server.claim("w", shard=1) is None
-            real = time.monotonic
-            monkeypatch.setattr(netqueue.time, "monotonic", lambda: real() + 60.0)
-            assert server.rebalance() == []
-        finally:
-            monkeypatch.undo()
-            server.close()
-
-    def test_expired_lease_requeues_into_shared_pool_claimable_by_any_shard(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q", lease_timeout_s=0.05, shard_count=4)
-        queue.enqueue("t-0", "payload", shard=0)
-        assert queue.claim("doomed", shard=0) is not None
-        time.sleep(0.1)
-        assert queue.requeue_expired() == ["t-0"]
-        # Shard 3's worker finds it through the root-pool fallback: the
-        # original shard's worker may be the dead one.
-        revived = queue.claim("survivor", shard=3)
-        assert revived is not None and revived.payload == "payload"
-
-    def test_stolen_task_acks_exactly_once(self, sharded_queue):
-        queue = sharded_queue
-        for index in range(3):
-            queue.enqueue(f"t-{index}", "p", shard=0)
-        assert queue.claim("w1", shard=1) is None
-        queue.rebalance()
-        seen = []
-        for worker, shard in (("w0", 0), ("w1", 1), ("w0", 0), ("w1", 1)):
-            claim = queue.claim(worker, shard=shard)
-            if claim is not None:
-                seen.append(claim.task_id)
-                queue.ack(claim, worker)
-        assert sorted(seen) == ["t-0", "t-1", "t-2"]  # nothing lost, nothing doubled
-        assert queue.done_ids() == {"t-0", "t-1", "t-2"}
-        assert queue.stats().pending == 0
-
-    def test_unsharded_worker_scans_every_partition(self, sharded_queue):
-        queue = sharded_queue
-        queue.enqueue("a-0", "root", shard=None)
-        queue.enqueue("b-0", "sharded", shard=2)
-        got = {queue.claim("w").task_id, queue.claim("w").task_id}
-        assert got == {"a-0", "b-0"}
-        assert queue.claim("w") is None
-
-    def test_negative_shard_rejected(self, sharded_queue):
-        with pytest.raises(ExperimentError):
-            sharded_queue.enqueue("t-0", "p", shard=-1)
-        # claim must fail fast too: a hungry mark on a phantom partition would
-        # attract stolen tasks no correctly-pinned worker can ever see.
-        with pytest.raises(ExperimentError):
-            sharded_queue.claim("typo-worker", shard=-1)
-        assert sharded_queue.rebalance() == []
-
-    def test_negative_shard_rejected_over_the_wire(self):
-        server = QueueServer(lease_timeout_s=300)
-        try:
-            client = NetWorkQueue(server.url, retries=0)
-            with pytest.raises(ExperimentError, match="shard must be >= 0"):
-                client.claim("typo-worker", shard=-1)
-        finally:
-            server.close()
-
-
-# ---------------------------------------------------------------------------
-# Property: claim/steal/ack interleavings are exactly-once
+# Property: claim/renew/requeue/ack/fail interleavings are exactly-once
 # ---------------------------------------------------------------------------
 
 
@@ -205,120 +73,96 @@ def _drain_all(queue, held, acked):
         acked.append(claim.task_id)
 
 
+def _expire_every_lease(queue) -> list[str]:
+    """``requeue_expired`` with every lease past its deadline (its worker died)."""
+    queue._now = lambda: float("inf")
+    try:
+        return queue.requeue_expired()
+    finally:
+        del queue._now
+
+
 @st.composite
 def interleavings(draw):
     n_tasks = draw(st.integers(min_value=3, max_value=8))
-    shards = draw(
-        st.lists(
-            st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
-            min_size=n_tasks,
-            max_size=n_tasks,
-        )
-    )
     ops = draw(
         st.lists(
             st.one_of(
+                st.tuples(st.just("claim"), st.sampled_from(["w0", "w1", "w2"])),
                 st.tuples(
-                    st.just("claim"),
-                    st.sampled_from(["w0", "w1", "w2"]),
-                    st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+                    st.sampled_from(["renew", "ack", "fail"]),
+                    st.integers(min_value=0, max_value=10 ** 6),
                 ),
-                st.tuples(st.just("ack"), st.integers(min_value=0, max_value=10 ** 6)),
-                st.tuples(st.just("rebalance")),
+                st.tuples(st.just("requeue")),
             ),
             max_size=30,
         )
     )
-    return n_tasks, shards, ops
+    return n_tasks, ops
 
 
 class TestExactlyOnceProperty:
-    """Random claim/steal/ack interleavings: every task completes exactly once,
-    none is duplicated into two live claims, none is dropped."""
+    """Random claim/renew/requeue/ack/fail interleavings: claims come from one
+    pool, lowest id first; no task is held by two live claims; every task
+    completes exactly once."""
 
-    def _run(self, queue, n_tasks, shards, ops):
+    def _run(self, queue, n_tasks, ops):
         task_ids = [f"t-{index:02d}" for index in range(n_tasks)]
-        for task_id, shard in zip(task_ids, shards):
-            queue.enqueue(task_id, f"payload-{task_id}", shard=shard)
+        for task_id in reversed(task_ids):  # enqueue order does not decide claim order
+            queue.enqueue(task_id, f"payload-{task_id}")
+        pending = set(task_ids)
         held: dict[str, object] = {}
         acked: list[str] = []
         for op in ops:
             if op[0] == "claim":
-                claim = queue.claim(op[1], shard=op[2])
-                if claim is not None:
-                    # A pending task may be claimed by exactly one worker.
-                    assert claim.task_id not in held, "task claimed twice concurrently"
-                    assert claim.task_id not in acked, "completed task re-claimed"
-                    held[claim.task_id] = claim
-            elif op[0] == "ack" and held:
+                claim = queue.claim(op[1])
+                if not pending:
+                    assert claim is None
+                    continue
+                assert claim is not None and claim.task_id == min(pending)
+                pending.remove(claim.task_id)
+                held[claim.task_id] = claim
+            elif op[0] == "requeue":
+                # Every holder died: each expired lease is claimable again.
+                assert sorted(_expire_every_lease(queue)) == sorted(held)
+                pending.update(held)
+                held.clear()
+            elif held:
                 task_id = sorted(held)[op[1] % len(held)]
-                queue.ack(held.pop(task_id), "prop")
-                acked.append(task_id)
-            elif op[0] == "rebalance":
-                for entry in queue.rebalance():
-                    assert entry.task_id not in held, "steal duplicated a live claim"
-                    assert entry.task_id not in acked, "steal resurrected a done task"
+                if op[0] == "renew":
+                    queue.renew(held[task_id])
+                elif op[0] == "ack":
+                    queue.ack(held.pop(task_id), "prop")
+                    acked.append(task_id)
+                else:  # a failure, retried as the coordinator does
+                    queue.fail(held.pop(task_id), "prop", "boom")
+                    assert queue.failed_tasks() == {task_id: "boom"}
+                    queue.discard_failure(task_id)
+                    queue.enqueue(task_id, f"payload-{task_id}")
+                    pending.add(task_id)
+            assert queue.pending_ids() == pending and queue.claimed_ids() == set(held)
         _drain_all(queue, held, acked)
         assert sorted(acked) == task_ids, "a task was dropped or duplicated"
         assert queue.done_ids() == set(task_ids)
         stats = queue.stats()
-        assert stats.pending == 0 and stats.claimed == 0 and stats.done == n_tasks
+        assert (stats.pending, stats.claimed, stats.done, stats.failed) == (0, 0, n_tasks, 0)
 
     @settings(max_examples=25, deadline=None)
     @given(scenario=interleavings())
     def test_file_queue(self, tmp_path_factory, scenario):
-        n_tasks, shards, ops = scenario
+        n_tasks, ops = scenario
         root = tmp_path_factory.mktemp("prop") / uuid.uuid4().hex
-        self._run(WorkQueue(root, lease_timeout_s=300, shard_count=4), n_tasks, shards, ops)
+        self._run(WorkQueue(root, lease_timeout_s=300), n_tasks, ops)
 
     @settings(max_examples=25, deadline=None)
     @given(scenario=interleavings())
     def test_tcp_server(self, scenario):
-        n_tasks, shards, ops = scenario
+        n_tasks, ops = scenario
         server = QueueServer(lease_timeout_s=300)
         try:
-            self._run(server, n_tasks, shards, ops)
+            self._run(server, n_tasks, ops)
         finally:
             server.close()
-
-    def test_concurrent_claims_with_rebalance_are_exclusive(self, tmp_path):
-        """Threads hammering claims while a rebalance loop steals: every task
-        is claimed by exactly one thread."""
-        queue = WorkQueue(tmp_path / "q", lease_timeout_s=300, shard_count=4)
-        task_ids = [f"t-{index:03d}" for index in range(40)]
-        for index, task_id in enumerate(task_ids):
-            queue.enqueue(task_id, index, shard=index % 2)  # skew into shards 0/1
-
-        claimed: dict[str, list[str]] = {}
-        lock = threading.Lock()
-        stop = threading.Event()
-
-        def worker(name: str, shard: int):
-            while not stop.is_set():
-                claim = queue.claim(name, shard=shard)
-                if claim is None:
-                    time.sleep(0.001)
-                    continue
-                with lock:
-                    claimed.setdefault(claim.task_id, []).append(name)
-                queue.ack(claim, name)
-
-        threads = [
-            threading.Thread(target=worker, args=(f"w-{index}", index), daemon=True)
-            for index in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline and len(queue.done_ids()) < len(task_ids):
-            queue.rebalance()
-            time.sleep(0.002)
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert queue.done_ids() == set(task_ids)
-        doubles = {task: owners for task, owners in claimed.items() if len(owners) > 1}
-        assert not doubles, f"tasks claimed more than once: {doubles}"
 
 
 # ---------------------------------------------------------------------------
@@ -677,16 +521,6 @@ class TestQueueStatsEdgeCases:
         assert stats.describe() == "0 pending, 0 claimed, 0 done, 2 failed"
         assert plain_queue.worker_done_counts() == {}  # failures are not completions
 
-    def test_shard_breakdown_counts_root_and_partitions(self, sharded_queue):
-        queue = sharded_queue
-        queue.enqueue("root-0", "p")
-        queue.enqueue("s0-a", "p", shard=0)
-        queue.enqueue("s0-b", "p", shard=0)
-        queue.enqueue("s3-a", "p", shard=3)
-        stats = queue.stats()
-        assert stats.pending == 4
-        assert stats.shard_pending == ((0, 2), (3, 1))  # empty shards omitted
-
     def test_worker_done_counts_parses_each_marker_once(self, tmp_path, monkeypatch):
         """Done markers are immutable: a progress poll must only read markers
         it has not seen before (O(delta), not O(all) — the same discipline
@@ -846,7 +680,7 @@ class TestLeaseBoundary:
 
 
 # ---------------------------------------------------------------------------
-# Stress: 4-worker stolen sweeps stay byte-identical to serial (acceptance)
+# Stress: 4-worker sweeps stay byte-identical to serial (acceptance)
 # ---------------------------------------------------------------------------
 
 
@@ -871,15 +705,14 @@ GRID_CONFIG = ExperimentConfig(
 )
 
 
-class TestStolenSweepStress:
+class TestSweepStress:
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_four_worker_stealing_sweep_byte_identical_with_progress(
+    def test_four_worker_sweep_byte_identical_with_progress(
         self, tmp_path, transport, monkeypatch
     ):
-        """The PR's acceptance criterion: a 4-worker sweep with work stealing
-        enabled is byte-identical to serial on both transports while emitting
-        at least one valid progress snapshot (and, on tcp, running fully
-        HMAC-authenticated)."""
+        """A 4-worker sweep into a 4-shard store is byte-identical to serial
+        on both transports while emitting at least one valid progress
+        snapshot (and, on tcp, running fully HMAC-authenticated)."""
         if transport == "tcp":
             monkeypatch.setenv("REPRO_QUEUE_SECRET", "stress-secret")
         spec, workload, splits = _grid_parts()
@@ -895,7 +728,6 @@ class TestStolenSweepStress:
                 shard_count=4,
                 lease_timeout_s=30,
                 queue_url="tcp://127.0.0.1:0" if transport == "tcp" else None,
-                work_stealing=True,
                 progress_interval_s=0.25,
             ),
             progress_callback=snapshots.append,
@@ -910,7 +742,7 @@ class TestStolenSweepStress:
         expected = [
             json.dumps(r.to_dict(), sort_keys=True) for r in serial.run_grid(methods, splits)
         ]
-        assert distributed == expected  # stolen work changes placement, never bytes
+        assert distributed == expected  # which worker ran a task never changes its bytes
 
         assert snapshots, "the sweep emitted no progress snapshot"
         final = snapshots[-1]
@@ -918,7 +750,6 @@ class TestStolenSweepStress:
         assert final.done == final.total and final.remaining == 0
         json.loads(final.to_json())  # machine-readable end to end
         assert sum(final.workers.values()) == final.total
-        assert runner._distributed_stolen >= 0
         assert runner._distributed_progress is not None
         assert runner._distributed_progress.latest is not None
 
@@ -947,10 +778,36 @@ class TestStolenSweepStress:
         assert len(snapshots) == 2
         assert snapshots[1].total == 0 and snapshots[1].remaining == 0
 
-    def test_stealing_disabled_still_completes(self, tmp_path):
-        """work_stealing=False: starving workers idle but the sweep still
-        finishes through shard owners (a safety valve, not a deadlock)."""
+    def test_a_raising_final_callback_propagates_once_the_workers_exited(self, tmp_path):
+        """The end-of-sweep snapshot is taken after the stop, the reaping and
+        the close: a raising callback is a bug, not a transport failure, so it
+        leaves run_grid — and no local worker outlives it."""
         spec, workload, splits = _grid_parts()
+
+        def broken_callback(snapshot):
+            raise TypeError("dashboard bug")
+
+        runner = ParallelExperimentRunner(
+            spec,
+            workload,
+            experiment_config=GRID_CONFIG,
+            runtime_config=distributed_runtime(
+                tmp_path / "store", workers=1, shard_count=2, lease_timeout_s=30
+            ),
+            progress_callback=broken_callback,
+        )
+        with pytest.raises(TypeError, match="dashboard bug"):
+            runner.run_grid(("postgres",), splits[:1])
+        assert runner._distributed_procs
+        assert all(proc.poll() is not None for proc in runner._distributed_procs)
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_the_final_snapshot_is_exact_and_taken_after_the_workers_exited(self, tmp_path, transport):
+        """Both transports answer ``stats()`` in process after ``close()``:
+        the end-of-sweep snapshot sees every task done, none pending or
+        claimed, and no local worker still running."""
+        spec, workload, splits = _grid_parts()
+        observed = []
         runner = ParallelExperimentRunner(
             spec,
             workload,
@@ -958,19 +815,40 @@ class TestStolenSweepStress:
             runtime_config=distributed_runtime(
                 tmp_path / "store",
                 workers=2,
-                shard_count=2,
                 lease_timeout_s=30,
-                work_stealing=False,
+                queue_url="tcp://127.0.0.1:0" if transport == "tcp" else None,
+            ),
+            progress_callback=lambda snapshot: observed.append(
+                (snapshot, [proc.poll() for proc in runner._distributed_procs])
             ),
         )
-        results = runner.run_grid(("postgres",), splits[:1])
-        assert len(results) == 1
-        assert runner._distributed_stolen == 0
+        runner.run_grid(("postgres",), splits[:2])
+        assert len(observed) == 1
+        final, return_codes = observed[0]
+        assert (final.total, final.done, final.pending, final.claimed, final.failed) == (2, 2, 0, 0, 0)
+        assert final.stats_errors == 0
+        assert len(return_codes) == 2 and None not in return_codes
+
+
+class TestPollOp:
+    def test_poll_answers_only_the_stop_flag(self):
+        """Workers read ``stop`` alone; the reply carries no queue counts."""
+        server = QueueServer(lease_timeout_s=300)
+        client = NetWorkQueue(server.url, retries=0)
+        try:
+            server.enqueue("t-0", "p")
+            assert client._request({"op": "poll"}) == {"ok": True, "stop": False}
+            server.write_stop()
+            assert client._request({"op": "poll"}) == {"ok": True, "stop": True}
+            assert client.stop_requested() is True
+        finally:
+            client.close()
+            server.close()
 
 
 class TestProtocolCompliance:
     def test_transports_still_satisfy_the_queue_protocol(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q", shard_count=4)
+        queue = WorkQueue(tmp_path / "q")
         assert isinstance(queue, QueueTransport)
         server = QueueServer()
         try:

@@ -135,13 +135,17 @@ class TestShardedResultStore:
         with pytest.raises(ExperimentError):
             ShardedResultStore(tmp_path / "store", shard_count=8)
 
-    def test_refresh_manifest_records_context_fingerprints(self, tmp_path):
-        store = ShardedResultStore(tmp_path / "store", shard_count=2)
-        store.save(TaskKey("job", "s", "postgres"), _sample_result(), "ctx-a")
-        store.save(TaskKey("job", "s", "bao"), _sample_result("bao"), "ctx-b")
-        manifest = store.refresh_manifest()
-        assert manifest["shard_count"] == 2
-        assert manifest["context_fingerprints"] == ["ctx-a", "ctx-b"]
+    def test_a_store_reopened_with_another_layout_raises(self, tmp_path):
+        """Opened flat, a sharded root would miss every stored result, re-run
+        each task and write flat duplicates beside the shards."""
+        key = TaskKey("job", "random-0", "postgres")
+        ResultStore(tmp_path / "sharded", shard_count=4).save(key, _sample_result(), "ctx")
+        with pytest.raises(ExperimentError, match="4 shards"):
+            ResultStore(tmp_path / "sharded")
+        ResultStore(tmp_path / "flat").save(key, _sample_result(), "ctx")
+        with pytest.raises(ExperimentError, match="0 shards"):
+            ResultStore(tmp_path / "flat", shard_count=2)
+        assert ResultStore(tmp_path / "flat").exists(key, "ctx")
 
     def test_merge_produces_flat_store_with_identical_bytes(self, tmp_path):
         store = ShardedResultStore(tmp_path / "sharded", shard_count=4)
@@ -161,17 +165,6 @@ class TestShardedResultStore:
         assert flat.load_artifact("summary") == {"rows": 6}
         # The merged layout is flat: no shard directories.
         assert not list(flat.root.glob("shard-*"))
-
-    def test_compact_folds_shards_in_place(self, tmp_path):
-        store = ShardedResultStore(tmp_path / "store", shard_count=3)
-        keys = [TaskKey("job", "s", m, seed=i) for i, m in enumerate(("postgres", "bao", "neo"))]
-        for key in keys:
-            store.save(key, _sample_result(key.method), "ctx")
-        flat = store.compact()
-        assert not list(flat.root.glob("shard-*"))
-        assert not (flat.root / "manifest.json").exists()
-        for key in keys:
-            assert flat.load(key, "ctx").method == key.method
 
     def test_clear_preserves_artifacts_and_manifest(self, tmp_path):
         store = ShardedResultStore(tmp_path / "store", shard_count=2)
@@ -707,7 +700,7 @@ class TestWorkerIdleBackoff:
         monkeypatch.setattr(worker.time, "sleep", sleep)
         monkeypatch.setattr(worker.time, "monotonic", lambda: clock["now"])
         completed = worker._worker_loop(
-            queue, "w", poll_interval_s, None, None, 5.0, None,
+            queue, "w", poll_interval_s, None, None, 5.0,
             lambda payload: None, lambda payload: None,
         )
         assert completed == len(queue.acked)
@@ -740,22 +733,21 @@ class TestWorkerIdleBackoff:
 
 
 class TestWaitForChange:
-    """The coordinator's pause: the TCP queue ends it on an ack, a failure or
-    a hungry shard; the file queue sleeps it out."""
+    """The coordinator's pause: the TCP queue ends it on an ack or a failure;
+    the file queue sleeps it out."""
 
-    def test_queue_server_returns_on_ack_fail_and_hungry_mark(self):
+    def test_queue_server_returns_on_ack_and_fail(self):
         server = QueueServer(lease_timeout_s=30)
         try:
             started = time.monotonic()
             server.wait_for_change(0.05)  # nothing happened: the full timeout
             assert time.monotonic() - started >= 0.04
-            for act in ("ack", "fail", "hungry"):
-                server.enqueue(f"t-{act}", "payload", shard=0)
-                claim = server.claim("w", shard=0)
+            for act in ("ack", "fail"):
+                server.enqueue(f"t-{act}", "payload")
+                claim = server.claim("w")
                 timer = threading.Timer(0.05, {
                     "ack": lambda: server.ack(claim, "w"),
                     "fail": lambda: server.fail(claim, "w", "boom"),
-                    "hungry": lambda: server.claim("w", shard=1),
                 }[act])
                 timer.start()
                 started = time.monotonic()
@@ -778,9 +770,9 @@ class TestWaitForChange:
     def test_a_claim_that_finds_work_does_not_wake_the_coordinator(self):
         server = QueueServer(lease_timeout_s=30)
         try:
-            server.enqueue("t-0", "payload", shard=0)
-            assert server.claim("w", shard=0) is not None
-            assert server.claim("w") is None  # unpinned and empty-handed: no hungry mark
+            server.enqueue("t-0", "payload")
+            assert server.claim("w") is not None
+            assert server.claim("w") is None  # empty-handed: nothing the coordinator acts on
             started = time.monotonic()
             server.wait_for_change(0.05)
             assert time.monotonic() - started >= 0.04
@@ -814,7 +806,7 @@ class TestWaitForWork:
             assert not timer.is_alive()
         return elapsed
 
-    def test_queue_server_returns_on_enqueue_requeue_steal_and_stop(self):
+    def test_queue_server_returns_on_enqueue_requeue_and_stop(self):
         server = QueueServer(lease_timeout_s=0.05)
         client = NetWorkQueue(server.url, retries=0)
         try:
@@ -825,24 +817,10 @@ class TestWaitForWork:
             time.sleep(0.1)  # the lease runs out
             assert self.waited(lambda: client.wait_for_work(5.0), server.requeue_expired) < 2.0
             assert client.claim("w") is not None
-            # Shard 1 starves while shard 0 holds two tasks: a steal feeds it.
-            server.enqueue("t-1", "p", shard=0)
-            server.enqueue("t-2", "p", shard=0)
-            assert client.claim("w", shard=1) is None
-            assert self.waited(lambda: client.wait_for_work(5.0, shard=1), server.rebalance) < 2.0
-            assert client.claim("w", shard=1).task_id == "t-2"
-            assert client.claim("w", shard=1) is None
-            assert self.waited(lambda: client.wait_for_work(5.0, shard=1), server.write_stop) < 2.0
+            assert client.claim("w") is None
+            assert self.waited(lambda: client.wait_for_work(5.0), server.write_stop) < 2.0
         finally:
             client.close()
-            server.close()
-
-    def test_work_on_another_shard_does_not_end_the_wait(self):
-        server = QueueServer(lease_timeout_s=30)
-        try:
-            waited = self.waited(lambda: server.wait_for_work(0.2, shard=1), lambda: server.enqueue("t", "p", shard=0))
-            assert waited >= 0.19
-        finally:
             server.close()
 
     def test_file_queue_sleeps_the_interval_out(self, tmp_path):
@@ -929,7 +907,7 @@ class TestDistributedRunner:
         stored = list(store.completed_files())
         assert len(stored) == len(GRID_METHODS)
         assert all(p.relative_to(store.root).parts[0].startswith("shard-") for p in stored)
-        assert store.manifest()["context_fingerprints"]  # refreshed by the coordinator
+        assert store.manifest()["shard_count"] == 4
         if transport == "tcp":
             # No shared queue directory exists, and every result was persisted
             # by the coordinator from worker uploads, not by the workers.

@@ -102,17 +102,6 @@ class TestProgressSnapshotMath:
         assert snapshot.recent_throughput_per_s == 0.0
         assert snapshot.eta_s == pytest.approx(6 / (4 / 20.0))
 
-    def test_stolen_counter_and_shard_breakdown_flow_through(self):
-        clock = FakeClock()
-        stats = QueueStats(3, 0, 0, 0, shard_pending=((0, 2), (3, 1)))
-        reporter = SweepProgress(
-            ScriptedQueue([stats]), total=3, interval_s=1.0, clock=clock, stolen=lambda: 7
-        )
-        clock.advance(1.0)
-        snapshot = reporter.poll_once()
-        assert snapshot.stolen == 7 and snapshot.shard_pending == ((0, 2), (3, 1))
-        assert "7 stolen" in snapshot.describe()
-
     def test_to_dict_is_json_ready_and_stable(self):
         clock = FakeClock()
         reporter = SweepProgress(
@@ -130,33 +119,30 @@ class TestProgressSnapshotMath:
         assert set(payload) == {
             "sequence", "elapsed_s", "pending", "claimed", "done", "failed", "total",
             "remaining", "throughput_per_s", "recent_throughput_per_s", "eta_s",
-            "workers", "shard_pending", "stolen", "stats_errors",
+            "workers", "stats_errors",
         }
         assert payload["stats_errors"] == 0
 
     def test_transport_errors_in_secondary_reads_are_counted_not_silent(self):
-        # stats() succeeds but worker_done_counts()/stolen() fail with
-        # transport errors: the snapshot degrades (empty workers, stolen=0)
-        # and says so via stats_errors instead of silently reading as idle.
+        # stats() succeeds but worker_done_counts() fails with a transport
+        # error: the snapshot degrades (empty workers) and says so via
+        # stats_errors instead of silently reading as idle.
         class CountlessQueue(ScriptedQueue):
             def worker_done_counts(self):
                 raise OSError("counts endpoint unreachable")
 
-        def flaky_stolen():
-            raise OSError("coordinator gone")
-
         clock = FakeClock()
         queue = CountlessQueue([QueueStats(1, 0, 2, 0)])
-        reporter = SweepProgress(queue, total=3, interval_s=1.0, clock=clock, stolen=flaky_stolen)
+        reporter = SweepProgress(queue, total=3, interval_s=1.0, clock=clock)
         clock.advance(1.0)
         first = reporter.poll_once()
-        assert first.workers == {} and first.stolen == 0
-        assert first.stats_errors == 2  # one for counts, one for stolen
+        assert first.workers == {}
+        assert first.stats_errors == 1
         clock.advance(1.0)
         second = reporter.poll_once()
-        assert second.stats_errors == 4  # cumulative across polls
-        assert "4 stats errors" in second.describe()
-        assert second.to_dict()["stats_errors"] == 4
+        assert second.stats_errors == 2  # cumulative across polls
+        assert "2 stats errors" in second.describe()
+        assert second.to_dict()["stats_errors"] == 2
 
     def test_genuine_bugs_are_not_swallowed_by_the_poll(self):
         # An AttributeError (e.g. from a refactor renaming the counts hook's
@@ -208,6 +194,53 @@ class TestProgressSnapshotMath:
         clock.advance(1.0)
         reporter.poll_once()
         assert [snapshot.sequence for snapshot in seen] == [0, 1]
+
+
+class TestPollOrSkip:
+    """The reporter thread's poll, also the coordinator's end-of-sweep one."""
+
+    @pytest.mark.parametrize("error", [OSError("queue torn down"), ExperimentError("rejected op")])
+    def test_a_transport_failure_skips_the_snapshot_and_is_tallied(self, error):
+        class DownQueue(ScriptedQueue):
+            def stats(self):
+                self.calls += 1
+                if self.calls == 1:
+                    raise error
+                return super().stats()
+
+        clock = FakeClock()
+        seen: list[ProgressSnapshot] = []
+        reporter = SweepProgress(
+            DownQueue([QueueStats(0, 0, 1, 0)]), total=1, interval_s=1.0, clock=clock, callback=seen.append
+        )
+        clock.advance(1.0)
+        assert reporter.poll_or_skip() is None
+        assert seen == [] and reporter.latest is None
+        clock.advance(1.0)
+        snapshot = reporter.poll_or_skip()
+        assert snapshot is not None and snapshot.done == 1
+        assert snapshot.stats_errors == 1 and seen == [snapshot]
+
+    def test_an_auth_rejection_propagates(self):
+        from repro.runtime.netqueue import QueueAuthError
+
+        class MiskeyedQueue(ScriptedQueue):
+            def stats(self):
+                raise QueueAuthError("queue frame signature mismatch")
+
+        reporter = SweepProgress(MiskeyedQueue([QueueStats(0, 0, 0, 0)]), interval_s=1.0, clock=FakeClock())
+        with pytest.raises(QueueAuthError):
+            reporter.poll_or_skip()
+
+    def test_a_raising_callback_propagates(self):
+        def broken(snapshot):
+            raise TypeError("dashboard bug")
+
+        reporter = SweepProgress(
+            ScriptedQueue([QueueStats(0, 0, 1, 0)]), total=1, interval_s=1.0, clock=FakeClock(), callback=broken
+        )
+        with pytest.raises(TypeError, match="dashboard bug"):
+            reporter.poll_or_skip()
 
 
 class TestReporterThread:
@@ -284,7 +317,7 @@ class TestWorkerProgressFlag:
             payload = json.loads(line)
             assert payload["done"] == 0 and payload["total"] is None
 
-    def test_cli_wires_shard_and_progress_through(self, monkeypatch, tmp_path):
+    def test_cli_wires_progress_through(self, monkeypatch, tmp_path):
         from repro.runtime import worker as worker_module
 
         captured = {}
@@ -294,11 +327,12 @@ class TestWorkerProgressFlag:
             return 0
 
         monkeypatch.setattr(worker_module, "run_worker", fake_run_worker)
-        assert worker_module.main([str(tmp_path / "q"), "--shard", "2", "--progress"]) == 0
-        assert captured["shard"] == 2
+        assert worker_module.main([str(tmp_path / "q"), "--progress"]) == 0
         assert captured["progress_interval_s"] == DEFAULT_PROGRESS_INTERVAL_S
 
         captured.clear()
         worker_module.main([str(tmp_path / "q"), "--progress", "0.5"])
         assert captured["progress_interval_s"] == 0.5
-        assert captured["shard"] is None
+        assert "shard" not in captured
+        with pytest.raises(SystemExit):  # every worker claims from the one pool
+            worker_module.main([str(tmp_path / "q"), "--shard", "2"])

@@ -1,9 +1,10 @@
 """The work queue's one state machine over its two storages, and durable writes.
 
-``BucketQueue`` holds the claim/lease/steal/ack logic once; ``WorkQueue``
+``BucketQueue`` holds the claim/lease/ack logic once; ``WorkQueue``
 (directories) and ``QueueServer`` (in-memory dicts) only implement its storage
 primitives.  These tests pin rules both transports now share by construction
-and the primitive contract the machine relies on, parametrized over both.
+and the primitive contract the machine relies on, parametrized over both,
+plus the file queue's on-disk layout: one flat directory per bucket.
 """
 
 import os
@@ -18,7 +19,7 @@ import pytest
 from repro.runtime import result_store
 from repro.runtime.netqueue import QueueServer
 from repro.runtime.result_store import atomic_write_bytes
-from repro.runtime.workqueue import CLAIMED, PENDING, WorkQueue
+from repro.runtime.workqueue import CLAIMED, DONE, FAILED, PENDING, WorkQueue
 
 TRANSPORTS = ("file", "tcp")
 
@@ -30,7 +31,7 @@ def make_queue(request, tmp_path):
 
     def make(lease_timeout_s: float = 300.0):
         if request.param == "file":
-            return WorkQueue(tmp_path / "q", lease_timeout_s=lease_timeout_s, shard_count=4)
+            return WorkQueue(tmp_path / "q", lease_timeout_s=lease_timeout_s)
         servers.append(QueueServer(lease_timeout_s=lease_timeout_s))
         return servers[-1]
 
@@ -44,8 +45,8 @@ class TestZombieAck:
         """enqueue -> claim -> lease expiry -> requeue -> late ack: the ack
         wins and nothing is left to run the task a second time."""
         queue = make_queue(lease_timeout_s=0.05)
-        queue.enqueue("t-0", "payload", shard=1)
-        zombie = queue.claim("zombie", shard=1)
+        queue.enqueue("t-0", "payload")
+        zombie = queue.claim("zombie")
         assert zombie is not None
         time.sleep(0.1)  # the zombie never renews: its lease runs out
         assert queue.requeue_expired() == ["t-0"]
@@ -55,44 +56,79 @@ class TestZombieAck:
         assert (stats.pending, stats.claimed, stats.done) == (0, 0, 1)
         assert queue.worker_done_counts() == {"zombie": 1}
 
-    def test_ack_drops_a_copy_waiting_in_a_shard(self, make_queue):
+    def test_ack_drops_a_copy_queued_again_meanwhile(self, make_queue):
         queue = make_queue()
-        queue.enqueue("t-0", "payload", shard=1)
-        claim = queue.claim("w", shard=1)
-        queue.enqueue("t-0", "payload", shard=2)  # the same task, queued again meanwhile
+        queue.enqueue("t-0", "payload")
+        claim = queue.claim("w")
+        queue.enqueue("t-0", "payload")  # the same task, queued again meanwhile
         queue.ack(claim, "w")
         assert queue.pending_ids() == set()
-        assert queue.claim("w", shard=2) is None
+        assert queue.claim("w") is None
 
 
-class TestStealing:
-    def test_a_worker_pinned_to_a_shard_with_no_partition_is_fed(self, make_queue):
-        """A hand-started ``--shard 9`` worker on a 4-shard queue: the steal
-        creates the partition it moves the work into."""
+class TestOnePendingPool:
+    def test_tasks_are_handed_out_lowest_id_first(self, make_queue):
         queue = make_queue()
-        for index in range(4):
-            queue.enqueue(f"t-{index}", "payload", shard=0)
-        assert queue.claim("w", shard=9) is None  # marks shard 9 hungry
-        assert {(entry.from_shard, entry.to_shard) for entry in queue.rebalance()} == {(0, 9)}
-        assert queue.claim("w", shard=9) is not None
+        for task_id in ("t-2", "t-0", "t-3", "t-1"):
+            queue.enqueue(task_id, task_id)
+        claims = [queue.claim(f"w-{index % 2}") for index in range(4)]
+        assert [claim.task_id for claim in claims] == ["t-0", "t-1", "t-2", "t-3"]
+        assert queue.claim("w-0") is None
+
+    def test_a_requeued_lease_is_claimable_by_any_worker(self, make_queue):
+        queue = make_queue(lease_timeout_s=0.05)
+        queue.enqueue("t-0", "payload")
+        queue.enqueue("t-1", "payload")
+        assert queue.claim("doomed").task_id == "t-0"
+        time.sleep(0.1)  # the doomed worker never renews
+        assert queue.requeue_expired() == ["t-0"]
+        # Back in the one pool, ahead of the untouched higher id.
+        revived = queue.claim("survivor")
+        assert revived is not None and (revived.task_id, revived.payload) == ("t-0", "payload")
+        assert queue.claim("another").task_id == "t-1"
+
+    def test_expired_leases_of_several_workers_rejoin_the_pool_in_id_order(self, make_queue):
+        queue = make_queue(lease_timeout_s=0.05)
+        for task_id in ("t-0", "t-1", "t-2"):
+            queue.enqueue(task_id, task_id)
+        held = {queue.claim(worker).task_id: worker for worker in ("w-a", "w-b", "w-c")}
+        assert held == {"t-0": "w-a", "t-1": "w-b", "t-2": "w-c"}
+        time.sleep(0.1)  # every holder died
+        queue.enqueue("t-3", "t-3")
+        assert sorted(queue.requeue_expired()) == ["t-0", "t-1", "t-2"]
+        # One survivor drains the pool in id order: no task waits for its old owner.
+        assert [queue.claim("survivor").task_id for _ in range(4)] == ["t-0", "t-1", "t-2", "t-3"]
+        assert queue.claim("survivor") is None
+
+    def test_a_retried_failure_rejoins_the_pool_in_id_order(self, make_queue):
+        queue = make_queue()
+        queue.enqueue("t-0", "t-0")
+        queue.enqueue("t-1", "t-1")
+        queue.fail(queue.claim("w-a"), "w-a", "boom")
+        assert queue.failed_tasks() == {"t-0": "boom"}
+        # The coordinator's retry: drop the marker, queue the task again.
+        assert queue.discard_failure("t-0")
+        queue.enqueue("t-0", "t-0")
+        assert queue.claim("w-b").task_id == "t-0"
+        assert queue.claim("w-a").task_id == "t-1"
+        assert queue.failed_tasks() == {}
 
 
 class TestConcurrentClaims:
-    def test_racing_pinned_claims_and_steals_hand_each_task_out_once(self, make_queue):
-        """More claiming threads than cores, pinned to shards, while the
-        coordinator steals: a claim is a sequence of primitive calls, and
-        only the move's single winner may run the task."""
+    def test_racing_claims_hand_each_task_out_once(self, make_queue):
+        """More claiming threads than cores: a claim is a sequence of
+        primitive calls, and only the move's single winner may run the task."""
         queue = make_queue()
         task_ids = [f"t-{index:03d}" for index in range(60)]
         for index, task_id in enumerate(task_ids):
-            queue.enqueue(task_id, index, shard=index % 2)  # shards 2 and 3 start empty
+            queue.enqueue(task_id, index)
         claimed: dict[str, list[str]] = {}
         lock = threading.Lock()
         deadline = time.monotonic() + 30
 
-        def work(name: str, shard: int) -> None:
+        def work(name: str) -> None:
             while time.monotonic() < deadline and len(queue.done_ids()) < len(task_ids):
-                claim = queue.claim(name, shard=shard)
+                claim = queue.claim(name)
                 if claim is None:
                     time.sleep(0.001)
                     continue
@@ -101,7 +137,7 @@ class TestConcurrentClaims:
                 queue.ack(claim, name)
 
         threads = [
-            threading.Thread(target=work, args=(f"w-{index}", index % 4), daemon=True)
+            threading.Thread(target=work, args=(f"w-{index}",), daemon=True)
             for index in range((os.cpu_count() or 1) + 4)
         ]
         interval = sys.getswitchinterval()
@@ -109,11 +145,8 @@ class TestConcurrentClaims:
         try:
             for thread in threads:
                 thread.start()
-            while time.monotonic() < deadline and len(queue.done_ids()) < len(task_ids):
-                queue.rebalance()
-                time.sleep(0.002)
             for thread in threads:
-                thread.join(timeout=10)
+                thread.join(timeout=35)
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
@@ -121,6 +154,65 @@ class TestConcurrentClaims:
         assert {task: owners for task, owners in claimed.items() if len(owners) > 1} == {}
         stats = queue.stats()
         assert (stats.pending, stats.claimed, stats.done) == (0, 0, len(task_ids))
+
+    def test_racing_claims_and_expiry_sweeps_hand_each_task_out_once(self, make_queue):
+        """The coordinator sweeps expired leases while workers claim and ack:
+        a sweep never takes a live claim back, so no task runs twice."""
+        queue = make_queue()
+        task_ids = [f"t-{index:03d}" for index in range(40)]
+        for index, task_id in enumerate(task_ids):
+            queue.enqueue(task_id, index)
+        claimed: dict[str, list[str]] = {}
+        requeued: list[str] = []
+        lock = threading.Lock()
+        stop = threading.Event()
+
+        def work(name: str) -> None:
+            while not stop.is_set():
+                claim = queue.claim(name)
+                if claim is None:
+                    time.sleep(0.001)
+                    continue
+                with lock:
+                    claimed.setdefault(claim.task_id, []).append(name)
+                queue.ack(claim, name)
+
+        threads = [threading.Thread(target=work, args=(f"w-{index}",), daemon=True) for index in range(4)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and len(queue.done_ids()) < len(task_ids):
+            requeued += queue.requeue_expired()
+            time.sleep(0.002)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert requeued == []  # every lease was live
+        assert queue.done_ids() == set(task_ids)
+        assert {task: owners for task, owners in claimed.items() if len(owners) > 1} == {}
+
+
+class TestFileLayout:
+    def test_every_bucket_is_one_flat_directory(self, tmp_path):
+        """Enqueue, claim, lease expiry, ack and failure leave the four bucket
+        directories holding only their own files: no partition directories,
+        no marker directories beside them."""
+        queue = WorkQueue(tmp_path / "q", lease_timeout_s=0.05)
+        for task_id in ("t-0", "t-1", "t-2"):
+            queue.enqueue(task_id, task_id)
+        queue.claim("doomed")
+        time.sleep(0.1)
+        assert queue.requeue_expired() == ["t-0"]
+        queue.ack(queue.claim("w"), "w")
+        queue.fail(queue.claim("w"), "w", "boom")
+        queue.claim("w")
+        root = tmp_path / "q"
+        buckets = (PENDING, CLAIMED, DONE, FAILED)
+        assert sorted(path.name for path in root.iterdir() if path.is_dir()) == sorted(buckets)
+        assert not [path for path in root.glob("*/*") if path.is_dir()]
+        contents = {bucket: sorted(path.name for path in (root / bucket).iterdir()) for bucket in buckets}
+        assert contents == {PENDING: [], CLAIMED: ["t-2.task"], DONE: ["t-0.json"], FAILED: ["t-1.json"]}
 
 
 class TestStoragePrimitives:
@@ -144,13 +236,6 @@ class TestStoragePrimitives:
         with pytest.raises(KeyError):
             queue._load(CLAIMED, "ghost")
         assert not queue._drop(CLAIMED, "ghost")
-
-    def test_a_shard_partition_is_found_from_its_tasks(self, make_queue):
-        queue = make_queue()
-        queue.enqueue("t-0", "payload", shard=7)
-        assert 7 in queue._shards()
-        assert queue.pending_ids() == {"t-0"}
-        assert queue.stats().shard_pending == ((7, 1),)
 
 
 class TestDurableWrites:
