@@ -32,6 +32,11 @@
 #                            plan_digests_job_scale1.json (JOB on the perfbench
 #                            database, job_spec(1.0)); only for a change that
 #                            alters plans on purpose
+#   make golden-executions - re-record tests/golden/execution_digests.json (sha256
+#                            of the rows, simulated times, metrics, per-node rows
+#                            and errors of every JOB/ext-JOB/STACK default plan
+#                            run 1 cold + 2 hot, at scales 1.0 and 0.25); only
+#                            for a change that alters execution on purpose
 #   make golden-searches   - re-record tests/golden/lqo_search_digests.json (plan
 #                            encodings, and the plans and scored candidate
 #                            matrices of neo/balsa/rtos/leon on a fixed split);
@@ -79,7 +84,7 @@ FUZZ_CORPUS ?= $(shell mktemp -d /tmp/repro-fuzz-corpus.XXXXXX)
 # value only needs to match between coordinator and workers).
 REPRO_QUEUE_SECRET ?= local-bench-secret
 
-.PHONY: test lint typecheck docs-check bench-smoke bench-parallel bench-distributed bench-distributed-tcp bench-progress bench-executor bench-plan-serving fuzz-engines golden-plans golden-searches perfbench perfbench-compare perfbench-pairs bench example
+.PHONY: test lint typecheck docs-check bench-smoke bench-parallel bench-distributed bench-distributed-tcp bench-progress bench-executor bench-plan-serving fuzz-engines golden-plans golden-executions golden-searches perfbench perfbench-compare perfbench-pairs bench example
 
 test:
 	$(PYTHON) -m pytest -x -q --durations=15
@@ -136,6 +141,9 @@ fuzz-engines:
 
 golden-plans:
 	$(PYTHON) tools/record_plan_digests.py
+
+golden-executions:
+	$(PYTHON) tools/record_execution_digests.py
 
 golden-searches:
 	$(PYTHON) tools/record_lqo_digests.py
