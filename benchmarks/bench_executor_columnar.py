@@ -182,6 +182,15 @@ def test_columnar_engine_speedup_on_job(benchmark, result_store):
         "simulated_total_ms": sum(r.execution_time_ms for r in columnar_results),
         "byte_identical": True,
     }
+    # Simulated time is a function of the plans and the work they do, not of
+    # the host: at the committed scale it must equal the committed run's to
+    # the last digit, so a change to what the executor charges fails here
+    # instead of being recorded.
+    committed = json.loads(DEFAULT_JSON_PATH.read_text())
+    if ENGINE_BENCH_SCALE == committed["scale"]:
+        assert payload["simulated_total_ms"] == committed["simulated_total_ms"], (
+            f"simulated total drifted: {payload['simulated_total_ms']!r} != {committed['simulated_total_ms']!r}"
+        )
     result_store.save_artifact("BENCH_executor_columnar", payload)
     json_path = Path(os.environ.get("REPRO_BENCH_ENGINE_JSON") or DEFAULT_JSON_PATH)
     json_path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -192,10 +201,14 @@ def test_columnar_engine_speedup_on_job(benchmark, result_store):
         f"row best {min(row_times):.2f}s vs columnar best {min(columnar_times):.2f}s "
         f"-> {speedup_best:.2f}x (median {speedup_median:.2f}x)"
     )
-    # Gate: at the default scale 1.0 the measured speedup is ~1.8x (the
-    # committed BENCH_executor_columnar.json; ~2.2x when every repetition
-    # paid its own data pass); the floor absorbs noisy shared CI runners.
-    # When REPRO_BENCH_ENGINE_SCALE is dialed down for a quick local smoke the
-    # gap shrinks toward per-operator overhead parity, so only require
-    # "not slower".
-    assert speedup_best >= (1.5 if ENGINE_BENCH_SCALE >= 1.0 else 0.9)
+    # Gate: the columnar engine is not slower than the row reference.  At the
+    # default scale 1.0 the measured speedup is ~1.3x (the committed
+    # BENCH_executor_columnar.json); it was ~1.6-1.8x while joins expanded
+    # every match, because the columnar engine's lazy lineages saved most on
+    # the largest expansions, which both engines now count instead
+    # (docs/EXECUTOR.md, "What a join materializes and what it only counts").
+    # A noisy shared runner moves a single best-of-three by ~20%.  When
+    # REPRO_BENCH_ENGINE_SCALE is dialed down for a quick local smoke the gap
+    # shrinks toward per-operator overhead parity, so only require "not
+    # much slower" there.
+    assert speedup_best >= (1.0 if ENGINE_BENCH_SCALE >= 1.0 else 0.9)

@@ -26,6 +26,7 @@ from repro.catalog.statistics import NULL_SENTINEL
 from repro.config import PostgresConfig
 from repro.errors import ExecutionError, ExperimentError
 from repro.executor.operators import (
+    CountedJoin,
     OperatorMetrics,
     PageAccess,
     Relation,
@@ -147,7 +148,7 @@ class ExecutionEngine:
             validate_plan(plan, query.aliases)
             evaluation = Evaluation(self, query, plan)
             try:
-                relation = self._evaluate(query, plan, evaluation)
+                relation = self._evaluate(query, plan, evaluation, counts_only(query))
                 evaluation.rows = self._finalize(query, plan, relation)
             except ExecutionError as exc:
                 # Pathological plans (e.g. giant cross products) abort; the
@@ -208,7 +209,11 @@ class ExecutionEngine:
         )
 
     # ------------------------------------------------------------------ recursion
-    def _evaluate(self, query: BoundQuery, node: PlanNode, evaluation: Evaluation) -> Batch:
+    def _evaluate(
+        self, query: BoundQuery, node: PlanNode, evaluation: Evaluation, counted: bool = False
+    ) -> Batch | CountedJoin:
+        """Evaluate ``node``; ``counted`` lets its topmost inner join return a
+        :class:`CountedJoin` (the output feeds only COUNT/MIN/MAX)."""
         total_metrics, node_rows = evaluation.metrics, evaluation.node_actual_rows
         if isinstance(node, ScanNode):
             relation, metrics, access = execute_scan(self.database, node, self.batch_type)
@@ -224,13 +229,21 @@ class ExecutionEngine:
             if inner is not None:
                 # Parameterized inner index scan: the inner relation is probed
                 # per outer tuple instead of being materialized.
-                relation, metrics, access = execute_index_nestloop(self.database, query, node, left, inner)
+                relation, metrics, access = execute_index_nestloop(
+                    self.database, query, node, left, inner, counted
+                )
                 evaluation.accesses.append(access)
                 node_rows[id(node.right)] = relation.size
             else:
                 right = self._evaluate(query, node.right, evaluation)
-                join = execute_join if node.join_kind is JoinKind.INNER else execute_outer_join
-                relation, metrics = join(self.database, query, node, left, right, self.config.work_mem)
+                if node.join_kind is JoinKind.INNER:
+                    relation, metrics = execute_join(
+                        self.database, query, node, left, right, self.config.work_mem, counted
+                    )
+                else:
+                    relation, metrics = execute_outer_join(
+                        self.database, query, node, left, right, self.config.work_mem
+                    )
             total_metrics.merge(metrics)
             node_rows[id(node)] = relation.size
             return relation
@@ -243,7 +256,7 @@ class ExecutionEngine:
             return relation
         if isinstance(node, AggregateNode):
             assert node.child is not None
-            relation = self._evaluate(query, node.child, evaluation)
+            relation = self._evaluate(query, node.child, evaluation, counted)
             total_metrics.cpu_ops += relation.size
             node_rows[id(node)] = relation.size
             return relation
@@ -263,7 +276,7 @@ class ExecutionEngine:
         return relation.select(order)
 
     # -------------------------------------------------------------------- results
-    def _finalize(self, query: BoundQuery, plan: PlanNode, relation: Batch) -> list[tuple]:
+    def _finalize(self, query: BoundQuery, plan: PlanNode, relation: Batch | CountedJoin) -> list[tuple]:
         """Compute the SELECT-list output from the final relation."""
         statement = query.statement
         if statement is None:
@@ -281,22 +294,32 @@ class ExecutionEngine:
             row.append(self._scalar_aggregate(query, relation, item))
         return [tuple(row)]
 
-    def _scalar_aggregate(self, query: BoundQuery, relation: Batch, item) -> object:
-        """Evaluate one aggregate select-item over the whole relation."""
-        if item.function == "count" and item.column is None:
-            return relation.size
+    def _scalar_aggregate(self, query: BoundQuery, relation: Batch | CountedJoin, item) -> object:
+        """Evaluate one aggregate select-item over the whole relation.
+
+        Reads the column as ``(values, weights)``: a batch's tuples weigh one
+        each (``weights`` is ``None``); a :class:`CountedJoin`'s input rows
+        weigh the number of joined tuples they are part of, and a row of
+        weight 0 is not in the output at all.
+        """
         if item.column is None:
             return relation.size
         alias = item.column.alias or query.aliases[0]
         if alias not in relation.aliases or relation.size == 0:
             return None
-        values = relation.fetch(self.database, query, alias, item.column.column)
-        values = values[values != NULL_SENTINEL]
+        if isinstance(relation, CountedJoin):
+            values, weights = relation.weighted(self.database, query, alias, item.column.column)
+        else:
+            values, weights = relation.fetch(self.database, query, alias, item.column.column), None
+        present = values != NULL_SENTINEL
+        if weights is not None:
+            present &= weights > 0
+        values = values[present]
         if values.size == 0:
             return None
         data = self.database.table_data(query.table_of(alias))
         if item.function == "count":
-            return int(values.size)
+            return int(values.size) if weights is None else int(weights[present].sum())
         if item.function == "sum":
             return int(values.sum())
         if item.function == "avg":
@@ -350,6 +373,24 @@ class ExecutionEngine:
             values = relation.fetch(self.database, query, alias, item.column.column)[:size]
             columns.append(data.decode_many(item.column.column, values))
         return [tuple(col[i] for col in columns) for i in range(size)]
+
+
+#: Aggregates a :class:`CountedJoin` answers from per-row match counts.  Any
+#: other aggregate materializes the join's tuples — AVG must: a weighted float
+#: mean would not reproduce the bits of averaging the expanded tuples in order.
+COUNTED_AGGREGATES = frozenset({"count", "min", "max"})
+
+
+def counts_only(query: BoundQuery) -> bool:
+    """Whether the query's output is one row of COUNT/MIN/MAX aggregates only,
+    which its plan's topmost inner join can compute without expanding a tuple."""
+    statement = query.statement
+    return (
+        statement is not None
+        and not statement.group_by
+        and bool(statement.select_items)
+        and all(item.function in COUNTED_AGGREGATES for item in statement.select_items)
+    )
 
 
 def create_engine(

@@ -9,6 +9,12 @@ exists in exactly one place; the engines differ only in the representation
 they run on: :class:`Relation` here (per-alias row-id arrays, gathered eagerly
 at every join) or the lazy :class:`~repro.executor.columnar.ColumnarBatch`.
 
+Equi-joins match keys through :class:`KeyMatch`, which counts matches before
+it expands any: every predicate of a join is matched at once on composite
+keys, and the top join under a scalar COUNT/MIN/MAX returns a
+:class:`CountedJoin` instead of its tuples (docs/EXECUTOR.md, "What a join
+materializes and what it only counts").
+
 Every operator returns the resulting batch and an :class:`OperatorMetrics`
 record of the pool-independent work performed.  Operators never touch the
 buffer pool: the two that read heap pages also return the :data:`PageAccess`
@@ -18,7 +24,7 @@ they would make, which the engine replays once per run (docs/EXECUTOR.md,
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from operator import getitem
 from typing import TYPE_CHECKING, Union
@@ -204,36 +210,238 @@ class Relation:
         return np.nonzero(mask)[0]
 
 
+# ---------------------------------------------------------------------------
+# Key matching
+# ---------------------------------------------------------------------------
+
+#: Keys are matched by direct addressing when the right keys span at most
+#: this many values per input row: a table over that domain then costs no
+#: more than reading the inputs, and replaces a sort and two binary searches.
+DIRECT_ADDRESS_SLOTS_PER_ROW = 4
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+class KeyMatch:
+    """The equal-key pairs of two int64 key arrays, counted before any is expanded.
+
+    ``counts[i]`` is the number of right keys equal to ``left[i]`` and
+    ``total`` their sum; neither allocates a pair.  NULL keys
+    (:data:`NULL_SENTINEL`) match nothing and are never counted.  When the
+    right keys span at most :data:`DIRECT_ADDRESS_SLOTS_PER_ROW` values per
+    input row they are bucketed by direct addressing over that domain;
+    otherwise they are sorted and binary-searched.  Either way
+    :meth:`positions` expands the same pairs in the same order — by left
+    position, then ascending right position — and :meth:`right_counts` gives
+    each right row's number of matches.
+    """
+
+    __slots__ = (
+        "counts", "total", "_left", "_right", "_right_size", "_kept", "_slots", "_right_slots", "_bucket", "_order",
+        "_first",
+    )
+
+    def __init__(self, left: np.ndarray, right: np.ndarray) -> None:
+        left = np.asarray(left, dtype=np.int64)
+        right = np.asarray(right, dtype=np.int64)
+        self._right_size = right.size
+        #: Positions of the non-NULL right keys (``None``: all of them).
+        self._kept = None
+        self._slots = None
+        if left.size and right.size and right.min() == NULL_SENTINEL:  # NULL sorts below every key
+            self._kept = np.flatnonzero(right != NULL_SENTINEL)
+            right = right[self._kept]
+        self._left, self._right = left, right
+        if not left.size or not right.size:
+            self.counts, self.total = np.zeros(left.size, dtype=np.int64), 0
+            return
+        low = int(right.min())
+        width = int(right.max()) - low + 1
+        if width <= DIRECT_ADDRESS_SLOTS_PER_ROW * (left.size + right.size):
+            # Slot ``width`` is an extra, empty bucket: every left key outside
+            # the domain — a NULL one too — is clamped to it (a negative offset
+            # is a huge unsigned one).
+            self._right_slots = right - low
+            self._slots = left - low
+            np.minimum(self._slots.view(np.uint64), width, out=self._slots.view(np.uint64))
+            self._bucket = np.bincount(self._right_slots, minlength=width + 1)
+            self.counts = self._bucket[self._slots]
+        else:
+            self._order = np.argsort(right, kind="stable")
+            ordered = right[self._order]
+            self._first = np.searchsorted(ordered, left, side="left")
+            self.counts = np.searchsorted(ordered, left, side="right") - self._first
+        self.total = int(self.counts.sum())
+
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Right positions grouped by key, and each left row's offset into them."""
+        if self._slots is None:
+            return self._order, self._first
+        bucket = self._bucket
+        if bucket.max() <= 1:
+            # Unique right keys: a slot → position table is the grouping.
+            order = np.empty(bucket.size, dtype=np.int64)
+            order[self._right_slots] = np.arange(self._right.size, dtype=np.int64)
+            return order, self._slots
+        starts = np.cumsum(bucket) - bucket
+        return np.argsort(self._right_slots, kind="stable"), starts[self._slots]
+
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(left_positions, right_positions)`` of every matching pair."""
+        if not self.total:
+            return _EMPTY, _EMPTY
+        order, first = self._runs()
+        counts = self.counts
+        matched = counts.astype(bool)
+        if self.total == np.count_nonzero(matched):
+            # No left row matches twice: one gather per matching left row.
+            left_positions = np.flatnonzero(matched)
+            right_positions = order[first[left_positions]]
+        else:
+            left_positions = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+            right_positions = order[ragged_ranges(first, first + counts)]
+        if self._kept is not None:
+            right_positions = self._kept[right_positions]
+        return left_positions, right_positions
+
+    def right_counts(self) -> np.ndarray:
+        """Number of left keys equal to each right key (0 for a NULL right key)."""
+        if not self.total:
+            return np.zeros(self._right_size, dtype=np.int64)
+        if self._slots is not None:
+            counts = np.bincount(self._slots, minlength=self._bucket.size)[self._right_slots]
+        else:
+            ordered = np.sort(self._left)
+            counts = np.searchsorted(ordered, self._right, side="right") - np.searchsorted(
+                ordered, self._right, side="left"
+            )
+        if self._kept is None:
+            return counts
+        full = np.zeros(self._right_size, dtype=np.int64)
+        full[self._kept] = counts
+        return full
+
+
 def join_match_positions(
     left_values: np.ndarray, right_values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of matching pairs between two value arrays (inner equi-join).
+    """Positions of matching pairs between two key arrays (inner equi-join).
 
-    Implemented with a sort + binary search, which handles duplicates on both
-    sides and keeps everything vectorized.  Raises :class:`ExecutionError`
-    before expanding more than :data:`MAX_CROSS_PRODUCT_TUPLES` matches.
+    NULL keys match nothing.  Raises :class:`ExecutionError` before expanding
+    more than :data:`MAX_CROSS_PRODUCT_TUPLES` matches.
     """
-    left_values = np.asarray(left_values, dtype=np.int64)
-    right_values = np.asarray(right_values, dtype=np.int64)
-    if left_values.size == 0 or right_values.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    order = np.argsort(right_values, kind="stable")
-    sorted_right = right_values[order]
-    lo = np.searchsorted(sorted_right, left_values, side="left")
-    hi = np.searchsorted(sorted_right, left_values, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+    match = KeyMatch(left_values, right_values)
+    _check_cap(match.total, "equi-join")
+    return match.positions()
+
+
+def _check_cap(total: int, what: str) -> None:
     if total > MAX_CROSS_PRODUCT_TUPLES:
         raise ExecutionError(
-            f"equi-join of {total} matching tuples exceeds the executor's materialization cap"
+            f"{what} of {total} matching tuples exceeds the executor's materialization cap"
         )
-    left_positions = np.repeat(np.arange(left_values.size, dtype=np.int64), counts)
-    right_positions = order[ragged_ranges(lo, hi)]
-    return left_positions, right_positions
+
+
+#: Composite codes stay below this bound: wider domains are ranked densely first.
+_MAX_CODE = 2**62
+
+
+def _shared_slots(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Both sides' keys as offsets into the value range both sides hold, and its
+    width; -1 for a NULL key or one outside that range, ``None`` if it is empty."""
+    values = [keys[keys != NULL_SENTINEL] for keys in (left, right)]
+    if not (values[0].size and values[1].size):
+        return None
+    low = max(int(side.min()) for side in values)
+    width = min(int(side.max()) for side in values) - low + 1
+    if width <= 0:
+        return None
+    slots = []
+    for keys in (left, right):
+        offsets = keys - low
+        offsets[(offsets < 0) | (offsets >= width)] = -1  # NULL sorts below every key
+        slots.append(offsets)
+    return slots[0], slots[1], width
+
+
+def _dense_slots(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Slots renumbered by rank among the distinct valid slots of both sides."""
+    distinct = np.unique(np.concatenate([left[left >= 0], right[right >= 0]]))
+    ranked = [np.where(slots >= 0, np.searchsorted(distinct, slots), -1) for slots in (left, right)]
+    return ranked[0], ranked[1], int(distinct.size)
+
+
+def combine_keys(
+    left: np.ndarray, right: np.ndarray, more_left: np.ndarray, more_right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite keys of two key columns per side, for one :class:`KeyMatch`.
+
+    A left and a right code are equal exactly when both key pairs are equal;
+    a row with a NULL key in either column, or one no row of the other side
+    can equal, gets :data:`NULL_SENTINEL`, so it matches nothing.
+    """
+    first, second = _shared_slots(left, right), _shared_slots(more_left, more_right)
+    if first is None or second is None:
+        return np.full(left.size, NULL_SENTINEL, dtype=np.int64), np.full(right.size, NULL_SENTINEL, dtype=np.int64)
+    if first[2] * second[2] >= _MAX_CODE:
+        first, second = _dense_slots(*first[:2]), _dense_slots(*second[:2])
+    width = second[2]
+    codes = []
+    for outer, inner in zip(first[:2], second[:2]):
+        code = outer * width + inner
+        code[(outer < 0) | (inner < 0)] = NULL_SENTINEL
+        codes.append(code)
+    return codes[0], codes[1]
+
+
+def _refine(
+    left: np.ndarray, right: np.ndarray, match: KeyMatch, more: Iterable[tuple[np.ndarray, np.ndarray]],
+    metrics: OperatorMetrics,
+) -> KeyMatch:
+    """``match`` of keys ``left``/``right`` narrowed by each further key pair of
+    ``more`` in turn, on composite keys.  Each further pair charges one CPU op
+    per tuple still matching before it — the work of filtering joined tuples
+    by it — but no tuple is expanded."""
+    for more_left, more_right in more:
+        metrics.cpu_ops += match.total
+        if match.total:
+            left, right = combine_keys(left, right, more_left, more_right)
+            match = KeyMatch(left, right)
+    return match
+
+
+class CountedJoin:
+    """An inner join's output kept as its two inputs and their :class:`KeyMatch`.
+
+    The top join under a scalar COUNT/MIN/MAX returns this in place of a batch
+    (the engine decides): ``size`` is the number of joined tuples, and
+    :meth:`weighted` pairs an input column with the number of joined tuples
+    each of its rows is part of, so the aggregate reads the inputs and no
+    tuple is expanded.
+    """
+
+    __slots__ = ("left", "right", "match")
+
+    def __init__(self, left: Batch, right: Batch, match: KeyMatch) -> None:
+        self.left, self.right, self.match = left, right, match
+
+    @property
+    def size(self) -> int:
+        """Number of joined tuples."""
+        return self.match.total
+
+    @property
+    def aliases(self) -> frozenset[str]:
+        """Base-table aliases of both inputs."""
+        return self.left.aliases | self.right.aliases
+
+    def weighted(
+        self, database: Database, query: BoundQuery, alias: str, column: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``alias.column`` over the input carrying ``alias``, and per row its number of joined tuples."""
+        if alias in self.left.aliases:
+            return self.left.fetch(database, query, alias, column), self.match.counts
+        return self.right.fetch(database, query, alias, column), self.match.right_counts()
 
 
 # ---------------------------------------------------------------------------
@@ -366,87 +574,79 @@ def index_nestloop_inner(database: Database, node: JoinNode):
 
 
 def execute_index_nestloop(
-    database: Database, query: BoundQuery, node: JoinNode, left: Batch, inner: tuple
-) -> tuple[Batch, OperatorMetrics, PageAccess]:
+    database: Database, query: BoundQuery, node: JoinNode, left: Batch, inner: tuple, counted: bool = False
+) -> tuple[Batch | CountedJoin, OperatorMetrics, PageAccess]:
     """Evaluate a nested loop whose inner side is an index probe into a base table.
 
     ``inner`` is the ``(scan, index, column, probe)`` tuple
     :func:`index_nestloop_inner` resolved for ``node``.
+
+    The probe is counted first.  When it matches more tuples than the outer
+    rows and the index entries together, the same entries are probed over and
+    over: the outer rows are then matched against the probed entries, each
+    entry once, with the inner scan's filters evaluated per entry and the
+    further join predicates matched on composite keys (:class:`KeyMatch`), so
+    what a filter or predicate throws away is counted but never expanded, and
+    with ``counted`` the result is a :class:`CountedJoin` of the outer batch
+    and those entries.  A smaller probe is expanded and filtered.
     """
     inner_scan, index, _, probe = inner
-    # Every join predicate except the probe becomes a post-join filter —
-    # including a predicate at position 0 that the probe did not enforce, and
-    # predicates between two outer-side aliases.  Skipping any of them would
-    # silently drop a join condition and produce wrong rows.  A malformed plan
-    # is rejected here, before any work is done or recorded.
-    joined = left.aliases | {inner_scan.alias}
+    alias = inner_scan.alias
+    # Every join predicate except the probe also applies — including a
+    # predicate at position 0 that the probe did not enforce.  Skipping any of
+    # them would silently drop a join condition and produce wrong rows.  A
+    # malformed plan is rejected here, before any work is done or recorded.
     post_filters = [predicate for predicate in node.predicates if predicate is not probe]
     for predicate in post_filters:
-        if predicate.left_alias not in joined or predicate.right_alias not in joined:
+        if not predicate.involves(alias) or predicate.other(alias)[0] not in left.aliases:
             raise ExecutionError(
                 f"join predicate {predicate} does not connect the joined relations"
             )
     metrics = OperatorMetrics()
     metrics.tuples_in = left.size
+    metrics.cpu_ops += left.size
 
     # Outer join-key values come from the probe predicate itself: the index is
     # on ``probe``'s inner column, so probing it with any other predicate's
     # outer values would match unrelated rows.
-    outer_alias, outer_column = probe.other(inner_scan.alias)
-    outer_keys = left.fetch(database, query, outer_alias, outer_column)
-
-    probe_positions, matched_rows, index_pages = index.probe_many(outer_keys, MAX_CROSS_PRODUCT_TUPLES)
-    metrics.index_pages += index_pages
-    metrics.cpu_ops += left.size
-    # NULL outer keys must not match NULL entries in the inner index.
-    if probe_positions.size:
-        not_null = outer_keys[probe_positions] != NULL_SENTINEL
-        probe_positions = probe_positions[not_null]
-        matched_rows = matched_rows[not_null]
-
+    outer_keys = left.fetch(database, query, *probe.other(alias))
+    probed = index.probe_many(outer_keys, MAX_CROSS_PRODUCT_TUPLES)
+    metrics.index_pages += probed.index_pages
     data = database.table_data(inner_scan.table)
-    # Heap accesses for the matched inner tuples (random page reads).
-    heap_pages = min(int(matched_rows.size), data.page_count)
-    access = _heap_access(inner_scan.table, data.page_count, heap_pages, False)
+    # Heap accesses for the matched inner tuples (random page reads); the
+    # inner scan's own filters apply (and are charged) to the matched tuples.
+    access = _heap_access(inner_scan.table, data.page_count, min(probed.total, data.page_count), False)
+    metrics.cpu_ops += probed.total * len(inner_scan.filters)
 
-    # The inner scan's own filters apply (and are charged) to the matched tuples.
-    if inner_scan.filters:
-        metrics.cpu_ops += int(matched_rows.size) * len(inner_scan.filters)
-        keep = left.surviving(data, inner_scan.filters, matched_rows)
-        probe_positions = probe_positions[keep]
-        matched_rows = matched_rows[keep]
-
-    result = left.pair_with_scan(probe_positions, inner_scan.alias, matched_rows)
-
-    for predicate in post_filters:
-        result = _filter_joined(database, query, result, predicate, metrics)
-
+    if probed.total <= left.size + index.entry_count:
+        positions, rows = probed.expand()
+        if inner_scan.filters:
+            keep = left.surviving(data, inner_scan.filters, rows)
+            positions, rows = positions[keep], rows[keep]
+        result = left.pair_with_scan(positions, alias, rows)
+        for predicate in post_filters:
+            result = _filter_joined(database, query, result, predicate, metrics)
+    else:
+        rows, keys = probed.entries()
+        if inner_scan.filters:
+            # A filtered-out entry matches nothing, like a NULL key.
+            surviving = left.surviving(data, inner_scan.filters, rows)
+            keys, values = np.full(keys.size, NULL_SENTINEL, dtype=np.int64), keys
+            keys[surviving] = values[surviving]
+        match = KeyMatch(outer_keys, keys)
+        more = (
+            (left.fetch(database, query, *predicate.other(alias)), data.gather(predicate.column_for(alias), rows))
+            for predicate in post_filters
+        )
+        match = _refine(outer_keys, keys, match, more, metrics)
+        if counted:
+            result = CountedJoin(left, type(left).from_scan(alias, rows), match)
+        else:
+            positions, entries = match.positions()
+            result = left.pair_with_scan(positions, alias, rows[entries])
     metrics.tuples_out = result.size
     metrics.cpu_ops += result.size
     return result, metrics, access
-
-
-def _match_primary(
-    database: Database, query: BoundQuery, node: JoinNode, left: Batch, right: Batch
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matching ``(left, right)`` positions under the node's first predicate.
-
-    SQL semantics: NULL never equals NULL.  Both sides of a join can carry
-    NULLs (nullable foreign keys, NULL-extended tuples of an earlier outer
-    join), and the sentinel encoding would otherwise happily match them
-    against each other.
-    """
-    left_alias, left_column, right_alias, right_column = _orient_predicate(
-        node.predicates[0], left, right
-    )
-    left_values = left.fetch(database, query, left_alias, left_column)
-    right_values = right.fetch(database, query, right_alias, right_column)
-    left_pos, right_pos = join_match_positions(left_values, right_values)
-    if left_pos.size:
-        not_null = left_values[left_pos] != NULL_SENTINEL
-        left_pos = left_pos[not_null]
-        right_pos = right_pos[not_null]
-    return left_pos, right_pos
 
 
 def _filter_joined(
@@ -464,6 +664,30 @@ def _filter_joined(
     return result.select(np.nonzero(keep)[0])
 
 
+def _match_predicates(
+    database: Database, query: BoundQuery, node: JoinNode, left: Batch, right: Batch, metrics: OperatorMetrics
+) -> KeyMatch:
+    """Match two inputs on all of the node's predicates at once.
+
+    The first predicate's matches are counted and checked against the cap;
+    every further predicate narrows them on composite keys (:func:`_refine`).
+    SQL semantics: NULL never equals NULL.  Both sides of a join can carry
+    NULLs (nullable foreign keys, NULL-extended tuples of an earlier outer
+    join), and :class:`KeyMatch` never matches or counts them.
+    """
+    def keys(predicate: JoinPredicate) -> tuple[np.ndarray, np.ndarray]:
+        left_alias, left_column, right_alias, right_column = _orient_predicate(predicate, left, right)
+        return (
+            left.fetch(database, query, left_alias, left_column),
+            right.fetch(database, query, right_alias, right_column),
+        )
+
+    left_keys, right_keys = keys(node.predicates[0])
+    match = KeyMatch(left_keys, right_keys)
+    _check_cap(match.total, "equi-join")
+    return _refine(left_keys, right_keys, match, map(keys, node.predicates[1:]), metrics)
+
+
 def execute_join(
     database: Database,
     query: BoundQuery,
@@ -471,8 +695,13 @@ def execute_join(
     left: Batch,
     right: Batch,
     work_mem_bytes: int,
-) -> tuple[Batch, OperatorMetrics]:
-    """Evaluate an inner join node over already-evaluated children."""
+    counted: bool = False,
+) -> tuple[Batch | CountedJoin, OperatorMetrics]:
+    """Evaluate an inner join node over already-evaluated children.
+
+    With ``counted`` an equi-join returns a :class:`CountedJoin` instead of
+    expanding its matches.
+    """
     metrics = OperatorMetrics()
     metrics.tuples_in = left.size + right.size
 
@@ -482,15 +711,12 @@ def execute_join(
         metrics.tuples_out = result.size
         return result, metrics
 
-    left_pos, right_pos = _match_primary(database, query, node, left, right)
+    match = _match_predicates(database, query, node, left, right, metrics)
     charge_join_type(database, node, left.size, right.size, work_mem_bytes, metrics)
-    result = left.pair(right, left_pos, right_pos, null_extended=False)
-
-    # Additional predicates between the same two sides are applied as filters.
-    for predicate in node.predicates[1:]:
-        _orient_predicate(predicate, left, right)  # must connect the two inputs
-        result = _filter_joined(database, query, result, predicate, metrics)
-
+    if counted:
+        result = CountedJoin(left, right, match)
+    else:
+        result = left.pair(right, *match.positions(), null_extended=False)
     metrics.tuples_out = result.size
     metrics.cpu_ops += result.size
     return result, metrics
@@ -533,9 +759,9 @@ def execute_outer_join(
 ) -> tuple[Batch, OperatorMetrics]:
     """Evaluate a LEFT or FULL outer join over already-evaluated children.
 
-    Matching is identical to the inner join (NULL keys never match), but all
-    secondary ON predicates are applied positionally *before* NULL extension
-    — they are part of the join condition, not post-join filters — and the
+    Matching is identical to the inner join (NULL keys never match, and every
+    ON predicate is matched at once on composite keys, *before* NULL extension
+    — they are part of the join condition, not post-join filters); the
     unmatched tuples are appended as NULL-extended output afterwards.
     """
     metrics = OperatorMetrics()
@@ -544,21 +770,11 @@ def execute_outer_join(
     if not node.predicates:
         raise ExecutionError("outer join requires at least one join predicate")
 
-    left_pos, right_pos = _match_primary(database, query, node, left, right)
-
-    for predicate in node.predicates[1:]:
-        la, lc, ra, rc = _orient_predicate(predicate, left, right)
-        lvals = left.fetch(database, query, la, lc)[left_pos]
-        rvals = right.fetch(database, query, ra, rc)[right_pos]
-        keep = (lvals == rvals) & (lvals != NULL_SENTINEL)
-        metrics.cpu_ops += int(left_pos.size)
-        left_pos = left_pos[keep]
-        right_pos = right_pos[keep]
-
+    match = _match_predicates(database, query, node, left, right, metrics)
     charge_join_type(database, node, left.size, right.size, work_mem_bytes, metrics)
 
     left_pos, right_pos = null_extend_positions(
-        node.join_kind, left.size, right.size, left_pos, right_pos
+        node.join_kind, left.size, right.size, *match.positions()
     )
     result = left.pair(right, left_pos, right_pos, null_extended=True)
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.catalog.statistics import NULL_SENTINEL
 from repro.errors import ExecutionError, StorageError
 
 #: Number of index entries that fit on one simulated index page.
@@ -53,6 +54,35 @@ class IndexLookupResult:
     @property
     def count(self) -> int:
         return int(self.row_ids.size)
+
+
+@dataclass(frozen=True)
+class IndexProbe:
+    """Where each probing key's matches lie in an index, counted before any is expanded.
+
+    ``lo[i]:hi[i]`` is key ``i``'s run of entries in index order (value, then
+    row id); a NULL key's run is empty.  ``total`` is the number of matches.
+    """
+
+    row_ids: np.ndarray
+    values: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    total: int
+    index_pages: int
+
+    def expand(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(probe_positions, row_ids)`` of every match: by key position, then index order."""
+        counts = self.hi - self.lo
+        positions = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        return positions, self.row_ids[ragged_ranges(self.lo, self.hi)]
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(row_ids, values)`` of every entry some key matches, each once, in index order."""
+        starts = np.unique(self.lo[self.hi > self.lo])
+        ends = np.searchsorted(self.values, self.values[starts], side="right")
+        entries = ragged_ranges(starts, ends)
+        return self.row_ids[entries], self.values[entries]
 
 
 class OrderedIndex:
@@ -127,36 +157,27 @@ class OrderedIndex:
         leaf_pages = max(1, -(-(hi_idx - lo_idx) // INDEX_ENTRIES_PER_PAGE))
         return IndexLookupResult(row_ids=rows, index_pages=self.height + leaf_pages - 1)
 
-    def probe_many(
-        self, keys: np.ndarray, max_matches: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Vectorized index nested-loop probe.
+    def probe_many(self, keys: np.ndarray, max_matches: int | None = None) -> IndexProbe:
+        """Vectorized index nested-loop probe: every key's run of equal entries.
 
-        For every key in ``keys`` find all matching row ids.  Returns
-        ``(probe_positions, matched_row_ids, index_pages)`` where
-        ``probe_positions[i]`` is the position in ``keys`` that produced
-        ``matched_row_ids[i]``.  More than ``max_matches`` matches raise
-        :class:`~repro.errors.ExecutionError` before any is materialized.
+        A NULL key (:data:`NULL_SENTINEL`) matches nothing, not even a NULL
+        entry, and is never counted.  More than ``max_matches`` matches raise
+        :class:`~repro.errors.ExecutionError`; nothing is expanded until the
+        caller asks the returned :class:`IndexProbe`.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0 or self.entry_count == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, 0
         lo = np.searchsorted(self._sorted_values, keys, side="left")
         hi = np.searchsorted(self._sorted_values, keys, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
+        null = keys == NULL_SENTINEL
+        if null.any():
+            hi[null] = lo[null]
+        total = int((hi - lo).sum())
         if max_matches is not None and total > max_matches:
             raise ExecutionError(
                 f"index probe of {total} matching tuples exceeds the executor's materialization cap"
             )
-        probe_positions = np.repeat(np.arange(keys.size, dtype=np.int64), counts)
-        if total:
-            matched = self._row_ids[ragged_ranges(lo, hi)]
-        else:
-            matched = np.empty(0, dtype=np.int64)
-        index_pages = int(keys.size) * self.height
-        return probe_positions, matched, index_pages
+        index_pages = int(keys.size) * self.height if self.entry_count else 0
+        return IndexProbe(self._row_ids, self._sorted_values, lo, hi, total, index_pages)
 
     def sorted_row_ids(self) -> np.ndarray:
         """Row ids ordered by the indexed column (for merge joins)."""

@@ -556,7 +556,7 @@ class TestMaterializationCap:
         keys = np.zeros(self.KEYS, dtype=np.int64)
         peak = self._peak_bytes(lambda: index.probe_many(keys, max_matches=1_000))
         assert peak < self.MATCHES * 8 // 10
-        assert index.probe_many(keys[:2], max_matches=self.KEYS * 2)[1].size == self.KEYS * 2
+        assert index.probe_many(keys[:2], max_matches=self.KEYS * 2).expand()[1].size == self.KEYS * 2
 
     @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_oversized_join_is_an_aborted_run_in_both_representations(self, imdb_db, kind, monkeypatch):

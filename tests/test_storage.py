@@ -94,7 +94,7 @@ class TestOrderedIndex:
         values = rng.integers(0, 50, 300).astype(np.int64)
         index = OrderedIndex("t", "x", values)
         keys = rng.integers(0, 60, 40).astype(np.int64)
-        probe_pos, matched, _pages = index.probe_many(keys)
+        probe_pos, matched = index.probe_many(keys).expand()
         expected = [(i, j) for i, key in enumerate(keys) for j in range(300) if values[j] == key]
         got = sorted(zip(probe_pos.tolist(), matched.tolist()))
         assert got == sorted(expected)
