@@ -201,14 +201,14 @@ def test_columnar_engine_speedup_on_job(benchmark, result_store):
         f"row best {min(row_times):.2f}s vs columnar best {min(columnar_times):.2f}s "
         f"-> {speedup_best:.2f}x (median {speedup_median:.2f}x)"
     )
-    # Gate: the columnar engine is not slower than the row reference.  At the
-    # default scale 1.0 the measured speedup is ~1.3x (the committed
-    # BENCH_executor_columnar.json); it was ~1.6-1.8x while joins expanded
-    # every match, because the columnar engine's lazy lineages saved most on
-    # the largest expansions, which both engines now count instead
+    # Gate: at the default scale 1.0 the measured speedup is ~1.25-1.35x (the
+    # committed BENCH_executor_columnar.json); it was ~1.6-1.8x while joins
+    # expanded every match, because the columnar engine's lazy lineages saved
+    # most on the largest expansions, which both engines now count instead
     # (docs/EXECUTOR.md, "What a join materializes and what it only counts").
-    # A noisy shared runner moves a single best-of-three by ~20%.  When
-    # REPRO_BENCH_ENGINE_SCALE is dialed down for a quick local smoke the gap
-    # shrinks toward per-operator overhead parity, so only require "not
-    # much slower" there.
-    assert speedup_best >= (1.0 if ENGINE_BENCH_SCALE >= 1.0 else 0.9)
+    # The floor sits just under that lead, allowing for the ~20% a noisy
+    # shared runner moves a single best-of-three, so losing most of the lead
+    # still fails.  When REPRO_BENCH_ENGINE_SCALE is dialed down for a quick
+    # local smoke the gap shrinks toward per-operator overhead parity, so only
+    # require "not much slower" there.
+    assert speedup_best >= (1.1 if ENGINE_BENCH_SCALE >= 1.0 else 0.9)

@@ -322,19 +322,6 @@ class KeyMatch:
         return full
 
 
-def join_match_positions(
-    left_values: np.ndarray, right_values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of matching pairs between two key arrays (inner equi-join).
-
-    NULL keys match nothing.  Raises :class:`ExecutionError` before expanding
-    more than :data:`MAX_CROSS_PRODUCT_TUPLES` matches.
-    """
-    match = KeyMatch(left_values, right_values)
-    _check_cap(match.total, "equi-join")
-    return match.positions()
-
-
 def _check_cap(total: int, what: str) -> None:
     if total > MAX_CROSS_PRODUCT_TUPLES:
         raise ExecutionError(
@@ -588,7 +575,11 @@ def execute_index_nestloop(
     further join predicates matched on composite keys (:class:`KeyMatch`), so
     what a filter or predicate throws away is counted but never expanded, and
     with ``counted`` the result is a :class:`CountedJoin` of the outer batch
-    and those entries.  A smaller probe is expanded and filtered.
+    and those entries.  A smaller probe is expanded and filtered: matching
+    against entries first collects them and matches the keys once more, a
+    fixed cost of tens of microseconds per probe that only a large expansion
+    repays (docs/EXECUTOR.md, "What a join materializes and what it only
+    counts").
     """
     inner_scan, index, _, probe = inner
     alias = inner_scan.alias

@@ -12,7 +12,7 @@ from repro.errors import ExecutionError, PlanError
 from repro.executor import operators
 from repro.executor.engine import ExecutionEngine, create_engine
 from repro.executor.explain import explain_analyze, explain_analyze_text, explain_plan
-from repro.executor.operators import OperatorMetrics, index_nestloop_inner, join_match_positions
+from repro.executor.operators import KeyMatch, OperatorMetrics, index_nestloop_inner
 from repro.executor.timing import TimingModel
 from repro.config import ENGINE_KINDS, SIMULATION_CONFIG
 from repro.optimizer.enumeration import enumerate_join_trees, left_deep_plan_from_order
@@ -52,6 +52,14 @@ def brute_force_count(db, keyword: str, year: int) -> int:
         if keyword_id in keyword_set and movie in title_ok:
             count += 1
     return count
+
+
+def join_match_positions(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An equi-join's match as the join operators run it: counted, checked
+    against the materialization cap, then expanded."""
+    match = KeyMatch(left, right)
+    operators._check_cap(match.total, "equi-join")
+    return match.positions()
 
 
 class TestJoinMatching:

@@ -33,7 +33,7 @@ from repro.plans.physical import AggregateNode, JoinNode, JoinType, ScanNode
 from repro.sql.binder import bind_sql
 from repro.storage.index import IndexProbe, OrderedIndex, ragged_ranges
 
-from tests.test_executor import _tiny_database, oracle_tuples
+from tests.test_executor import _tiny_database, join_match_positions, oracle_tuples
 from tests.test_fuzz_engines import oracle_rows
 
 # ---------------------------------------------------------------------------
@@ -173,9 +173,9 @@ class TestKeyMatchAgainstTheParentKernel:
             with patch.object(operators, "MAX_CROSS_PRODUCT_TUPLES", cap):
                 if match.total > cap:
                     with pytest.raises(ExecutionError, match="materialization cap"):
-                        operators.join_match_positions(left, right)
+                        join_match_positions(left, right)
                 else:
-                    got = operators.join_match_positions(left, right)
+                    got = join_match_positions(left, right)
         # The parent raised on the same count plus the NULL x NULL pairs.
         try:
             parent_join_match_positions(left, right, cap)
@@ -204,7 +204,7 @@ class TestKeyMatchAgainstTheParentKernel:
         keys = np.full(1_000, NULL_SENTINEL, dtype=np.int64)
         assert KeyMatch(keys, keys).total == 0
         with patch.object(operators, "MAX_CROSS_PRODUCT_TUPLES", 0):
-            assert operators.join_match_positions(keys, keys)[0].size == 0
+            assert join_match_positions(keys, keys)[0].size == 0
         with pytest.raises(ExecutionError):
             parent_join_match_positions(keys, keys, 0)
 
@@ -280,26 +280,32 @@ class TestIndexProbeAgainstTheParentProbe:
     def test_entries_match_like_the_expanded_probe_filtered(self, pairs, data):
         """The index nested loop's two paths: outer rows matched against the
         probed entries, filtered per entry and refined on composite keys, give
-        the expanded probe's pairs after the same filter and predicates."""
+        the expanded probe's pairs after the same filter and predicates, and
+        charge the same CPU ops per further predicate."""
         (keys, values), *more = pairs
         index = OrderedIndex("t", "c", values)
         passes = np.asarray(data.draw(st.lists(st.booleans(), min_size=values.size, max_size=values.size)), bool)
-        # Expanded: filter the matched rows, then every further predicate.
+        # Expanded: filter the matched rows, then every further predicate,
+        # each charging one CPU op per pair still joined before it.
         positions, rows = parent_probe_many(index, keys, 2**62)
         keep = passes[rows]
         positions, rows = positions[keep], rows[keep]
+        charged = 0
         for outer, inner in more:
+            charged += positions.size
             keep = (outer[positions] == inner[rows]) & (outer[positions] != NULL_SENTINEL)
             positions, rows = positions[keep], rows[keep]
         # Entries: as execute_index_nestloop matches a probe too large to expand.
         entry_rows, entry_keys = index.probe_many(keys).entries()
         entry_keys = np.where(passes[entry_rows], entry_keys, NULL_SENTINEL)
+        metrics = OperatorMetrics()
         refined = operators._refine(
             keys, entry_keys, KeyMatch(keys, entry_keys),
-            [(outer, inner[entry_rows]) for outer, inner in more], OperatorMetrics(),
+            [(outer, inner[entry_rows]) for outer, inner in more], metrics,
         )
         got_positions, entries = refined.positions()
         assert [got_positions.tolist(), entry_rows[entries].tolist()] == [positions.tolist(), rows.tolist()]
+        assert metrics.cpu_ops == charged
 
 
 # ---------------------------------------------------------------------------

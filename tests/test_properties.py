@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 from repro.catalog.schema import ColumnType
 from repro.catalog.statistics import NULL_SENTINEL, analyze_column
 from repro.core.stats import bootstrap_confidence_interval, relative_difference
-from repro.executor.operators import join_match_positions
+from repro.executor.operators import KeyMatch
 from repro.ml.losses import q_error
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.index import OrderedIndex
 
 small_ints = st.integers(min_value=-50, max_value=50)
+
+
+def join_match_positions(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return KeyMatch(left, right).positions()
 
 
 class TestJoinMatchingProperties:
