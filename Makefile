@@ -6,7 +6,7 @@
 #   make typecheck         - mypy over runtime/ + executor/ (skips with a
 #                            notice when mypy is not installed; advisory in CI)
 #   make bench-smoke       - one fast benchmark as an end-to-end smoke check
-#   make bench-parallel    - process-pool sweep with resume-skip assertion, as in CI
+#   make bench-parallel    - thread-pool sweep with resume-skip assertion, as in CI
 #   make bench-distributed - work-queue sweep with a killed worker, lease
 #                            re-queue, resume and shard merge, as in CI
 #   make bench-distributed-tcp - the same crash-recovery sweep over the TCP
@@ -108,8 +108,7 @@ bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_figure3_splits.py -q
 
 bench-parallel:
-	REPRO_BENCH_WORKERS=2 REPRO_BENCH_EXECUTOR=process \
-	REPRO_BENCH_STORE=$(BENCH_PARALLEL_STORE) \
+	REPRO_BENCH_WORKERS=2 REPRO_BENCH_STORE=$(BENCH_PARALLEL_STORE) \
 	$(PYTHON) examples/parallel_experiments.py
 
 bench-distributed:

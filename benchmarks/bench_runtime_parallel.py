@@ -3,8 +3,8 @@
 Expected shape: a warm :class:`PlanCache` serves repeated planning requests at
 least 2x faster than planning from scratch (in practice orders of magnitude),
 the parallel grid produces results identical to serial execution, a resumed
-sweep recomputes nothing, process-pool dispatch ships a constant-size
-:class:`DatabaseSpec` payload — per-task pickling cost no longer grows with
+sweep recomputes nothing, a distributed task ships a constant-size
+:class:`DatabaseSpec` payload — per-task pickling cost does not grow with
 database scale — and the distributed work-queue executor stays byte-identical
 to serial while writing a sharded store that merges flat.
 """
@@ -66,10 +66,8 @@ def test_plan_cache_speedup_on_repeated_planning(benchmark, bench_scale):
 def test_parallel_grid_smoke_and_resume(benchmark, bench_scale, bench_runtime, tmp_path):
     """Fan the reduced grid out over workers, then resume it from the store.
 
-    Honours ``REPRO_BENCH_EXECUTOR``: with ``process`` the grid dispatches
-    spec payloads and workers write the store, so resume is asserted via the
-    stored files' write times (parent-side load counters only cover the
-    thread/serial executors).
+    Resume is asserted via the stored files' write times: a recompute would
+    rewrite the same paths with the same bytes.
     """
     context = job_context(bench_scale)
     split = generate_split(context.workload, SplitSampling.RANDOM, seed=0)
@@ -106,10 +104,10 @@ def test_parallel_grid_smoke_and_resume(benchmark, bench_scale, bench_runtime, t
 
 
 def test_spec_dispatch_payload_constant_in_scale(benchmark, bench_scale):
-    """Process-pool dispatch ships the spec: payload size must not grow with scale.
+    """Distributed dispatch ships the spec: payload size must not grow with scale.
 
-    The legacy path pickled the whole database per task (cost linear in table
-    bytes); spec dispatch pickles a :class:`SpecTaskPayload` of a few hundred
+    Pickling the whole database per task would cost time linear in table
+    bytes; spec dispatch pickles a :class:`SpecTaskPayload` of a few hundred
     bytes regardless of scale.  Measured here at the bench scale and at 4x.
     """
     split_ids = dict(train_ids=("1a", "2a", "3a"), test_ids=("1b", "2b"))
@@ -121,11 +119,7 @@ def test_spec_dispatch_payload_constant_in_scale(benchmark, bench_scale):
 
         for scale in (bench_scale, 4 * bench_scale):
             context = job_context(scale)
-            runner = ParallelExperimentRunner(
-                context.dispatch_source,
-                context.workload,
-                runtime_config=RuntimeConfig(workers=2, executor_kind="process"),
-            )
+            runner = ParallelExperimentRunner(context.dispatch_source, context.workload)
             assert runner.uses_spec_dispatch
             split = DatasetSplit(context.workload.name, SplitSampling.RANDOM, 0, **split_ids)
             task = runner.tasks_for(("postgres",), [split])[0]
@@ -148,33 +142,6 @@ def test_spec_dispatch_payload_constant_in_scale(benchmark, bench_scale):
     assert payload_bytes[large] == payload_bytes[small]
     # The database pickle it replaces *does* grow with scale.
     assert database_bytes[large] > database_bytes[small]
-
-
-def test_process_pool_spec_dispatch_equivalent_to_serial(benchmark, bench_scale):
-    """Spec-dispatched process-pool results stay byte-identical to serial."""
-    context = job_context(bench_scale)
-    split = generate_split(context.workload, SplitSampling.RANDOM, seed=0)
-    config = ExperimentConfig(optimizer_kwargs={"bao": {"training_passes": 1}})
-    methods = ("postgres", "bao")
-
-    def run(kind: str, workers: int) -> list:
-        runner = ParallelExperimentRunner(
-            context.dispatch_source,
-            context.workload,
-            experiment_config=config,
-            runtime_config=RuntimeConfig(workers=workers, executor_kind=kind),
-        )
-        return runner.run_grid(methods, [split])
-
-    parallel_results = benchmark.pedantic(
-        lambda: run("process", 2), iterations=1, rounds=1
-    )
-    serial_results = run("serial", 1)
-    a = [json.dumps(r.to_dict(), sort_keys=True) for r in parallel_results]
-    b = [json.dumps(r.to_dict(), sort_keys=True) for r in serial_results]
-    assert a == b
-    print()
-    print(f"process-pool grid of {len(a)} tasks byte-identical to serial at scale {bench_scale}")
 
 
 def test_distributed_workqueue_equivalent_to_serial(benchmark, bench_scale, tmp_path):

@@ -8,13 +8,11 @@ environment variables ``REPRO_BENCH_SCALE`` (database scale factor) and
 
 The end-to-end benchmarks run through the experiment runtime: tasks fan out
 over ``REPRO_BENCH_WORKERS`` workers (default 2) and results/artefacts are
-persisted into a result store.  Set ``REPRO_BENCH_EXECUTOR=process`` to fan
-out over worker processes instead of threads — databases built through the
-catalog factories then dispatch as :class:`DatabaseSpec` payloads (a few
-hundred bytes per task) rather than pickled table data.  Point
-``REPRO_BENCH_STORE`` at a directory to make sweeps resumable across
-invocations — completed (method, split, seed) tasks are then skipped on
-re-run.
+persisted into a result store.  ``REPRO_BENCH_EXECUTOR`` picks the thread
+pool (default) or ``serial``; multi-process sweeps are the distributed
+executor's (``bench_runtime_parallel.py``).  Point ``REPRO_BENCH_STORE`` at a
+directory to make sweeps resumable across invocations — completed (method,
+split, seed) tasks are then skipped on re-run.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ BENCH_FULL = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 #: Parallel workers used by the end-to-end experiment grids.
 BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
 
-#: Executor kind of the benchmark grids ("thread", "process" or "serial").
+#: Executor kind of the benchmark grids ("thread" or "serial").
 BENCH_EXECUTOR = os.environ.get("REPRO_BENCH_EXECUTOR", "thread")
 
 

@@ -7,18 +7,16 @@ Runs a reduced Figure-4-style grid twice:
 2. again — which resumes from the store and recomputes nothing (the script
    exits non-zero if any task was re-run, so CI can assert resume-skip).
 
-The database ships to workers as a :class:`DatabaseSpec` when the executor is
-a process pool (``REPRO_BENCH_EXECUTOR=process``): each worker rebuilds or
-reuses the database from its per-process registry instead of unpickling the
-table data per task.
+Multi-process sweeps run through the distributed executor instead
+(``examples/distributed_sweep.py``).
 
 Usage::
 
     PYTHONPATH=src python examples/parallel_experiments.py [store_dir]
 
 Environment: ``REPRO_BENCH_WORKERS``, ``REPRO_BENCH_EXECUTOR``
-(``thread``/``process``/``serial``), ``REPRO_BENCH_STORE`` (used when no
-``store_dir`` argument is given).
+(``thread``/``serial``), ``REPRO_BENCH_STORE`` (used when no ``store_dir``
+argument is given).
 """
 
 from __future__ import annotations
@@ -72,12 +70,6 @@ def main(store_dir: str | None = None) -> None:
         result_store=store,
     )
     tasks = runner.tasks_for(METHODS, splits)
-    if executor_kind == "process" and runner.uses_spec_dispatch:
-        import pickle
-
-        payload = len(pickle.dumps(runner.spec_payload(tasks[0])))
-        print(f"spec dispatch active: {payload} bytes pickled per task")
-
     print(f"running {len(tasks)} tasks on {workers} {executor_kind} workers "
           f"(store: {store_dir}) ...")
     start = time.perf_counter()
@@ -85,7 +77,7 @@ def main(store_dir: str | None = None) -> None:
     print(f"first sweep: {time.perf_counter() - start:.1f} s")
     print(format_table([r.summary_row() for r in results], title="Sweep results"))
 
-    # Every task must now be resumable from disk, whichever process wrote it.
+    # Every task must now be resumable from disk, whichever worker wrote it.
     pending = [
         task for task in tasks
         if not store.exists(runner.task_key(task), runner.task_fingerprint(task))

@@ -281,7 +281,7 @@ def iter_presets() -> Iterator[tuple[str, PostgresConfig]]:
 # ---------------------------------------------------------------------------
 
 #: Executor kinds accepted by :class:`RuntimeConfig`.
-EXECUTOR_KINDS = ("serial", "thread", "process", "distributed")
+EXECUTOR_KINDS = ("serial", "thread", "distributed")
 
 #: Execution-engine kinds accepted by ``ExperimentConfig.engine`` and
 #: :func:`repro.executor.engine.create_engine`.  ``"columnar"`` (the default)
@@ -301,12 +301,11 @@ class RuntimeConfig:
             Under ``"distributed"`` this is the number of *local* worker
             processes the coordinator launches; remote workers started by hand
             (``python -m repro.runtime.worker``) add capacity on top.
-        executor_kind: ``"thread"`` (default), ``"process"``, ``"serial"`` or
-            ``"distributed"``.  Thread workers share the read-only table data;
-            process workers pay a pickling cost per task but sidestep the GIL;
-            distributed execution fans tasks out through a work queue — file
-            based (hosts sharing a filesystem) or TCP (no sharing at all),
-            selected by ``queue_url``.
+        executor_kind: ``"thread"`` (default), ``"serial"`` or
+            ``"distributed"``.  Thread workers share the read-only table data
+            in this process; distributed execution fans tasks out to worker
+            processes through a work queue — file based (hosts sharing a
+            filesystem) or TCP (no sharing at all), selected by ``queue_url``.
         plan_cache_entries: capacity of the shared :class:`~repro.runtime.plan_cache.PlanCache`
             (``0`` disables plan caching).
         store_dir: directory of the resumable JSON result store; ``None``

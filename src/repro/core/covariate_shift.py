@@ -53,6 +53,10 @@ def run_covariate_shift_study(
     """Train Bao on both databases, evaluate both models on the full database."""
     experiment_config = experiment_config or ExperimentConfig()
     bao_kwargs = bao_kwargs or {}
+    # Private, empty buffer pools over the shared table data: what the study
+    # measures must not depend on what ran on these databases before it.
+    full_database = full_database.with_config(full_database.config)
+    shifted_database = shifted_database.with_config(shifted_database.config)
     train_queries = split.train_queries(workload)
     test_queries = split.test_queries(workload)
 

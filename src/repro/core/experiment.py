@@ -1,22 +1,22 @@
 """The experiment runner: train and evaluate optimizers under equal conditions.
 
-``ExperimentRunner`` is the orchestration layer behind Figures 4, 5 and 6: for
-every (method, split) combination it
+``ExperimentRunner`` runs one (method, split) cell of the grid behind Figures
+4, 5 and 6; :class:`~repro.runtime.parallel.ParallelExperimentRunner`
+schedules the cells, stores and resumes them.  A cell
 
 1. builds a fresh :class:`LQOEnvironment` on the shared database,
-2. trains the method on the split's training queries (wall-clock accounted as
-   the end-to-end training time of Figure 6),
-3. plans every test query, recording the method's inference time and the
-   DBMS's planning time, and
+2. trains the method on the split's training queries (its simulated training
+   time is the end-to-end training time of Figure 6),
+3. plans every test query, recording the method's simulated inference time
+   and the DBMS's planning time, and
 4. executes the produced plan under the hot-cache protocol (three executions,
    third one reported), recording timeouts.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from repro.config import PostgresConfig
 from repro.core.metrics import MethodRunResult, QueryTiming
@@ -26,7 +26,6 @@ from repro.lqo.base import LQOEnvironment
 from repro.lqo.registry import create_optimizer, method_info
 from repro.runtime.fingerprint import stable_hash
 from repro.runtime.plan_cache import PlanCache
-from repro.runtime.result_store import ResultStore, TaskKey
 from repro.storage.database import Database
 from repro.storage.registry import resolve_database
 from repro.storage.spec import DatabaseSpec
@@ -48,18 +47,12 @@ class ExperimentConfig:
     training_runs_per_plan: int = 1
     optimizer_kwargs: dict[str, dict] = field(default_factory=dict)
     seed: int = 0
-    #: Replace wall-clock inference/training measurements with deterministic
-    #: simulated times.  Required by the parallel runtime: wall clocks depend
-    #: on scheduling and GIL contention, simulated times do not, so results
-    #: stay byte-identical between serial and parallel execution.
-    deterministic_timing: bool = False
     #: Execution-engine kind ("columnar" or "row", see
     #: :data:`repro.config.ENGINE_KINDS`).  The engines are byte-equivalent —
     #: identical results, cardinalities and simulated timings — so this knob
     #: only trades wall-clock speed ("columnar") against the simpler oracle
-    #: implementation ("row").  Overridable via the REPRO_ENGINE environment
-    #: variable for whole-process experiments.
-    engine: str = field(default_factory=lambda: os.environ.get("REPRO_ENGINE", "columnar"))
+    #: implementation ("row").
+    engine: str = "columnar"
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, seed=seed)
@@ -83,7 +76,7 @@ class ExperimentConfig:
 
 
 class ExperimentRunner:
-    """Runs methods over dataset splits and collects the paper's timing decomposition."""
+    """Runs one method on one split and collects the paper's timing decomposition."""
 
     def __init__(
         self,
@@ -91,7 +84,6 @@ class ExperimentRunner:
         workload: Workload,
         config: PostgresConfig | None = None,
         experiment_config: ExperimentConfig | None = None,
-        result_store: ResultStore | None = None,
         plan_cache: PlanCache | None = None,
     ) -> None:
         # A DatabaseSpec is accepted everywhere a Database is: it materializes
@@ -107,9 +99,6 @@ class ExperimentRunner:
         self.workload = workload
         self.db_config = config or database.config
         self.config = experiment_config or ExperimentConfig()
-        #: Optional resumable store: completed (method, split) runs are loaded
-        #: instead of re-executed, and fresh runs are persisted on completion.
-        self.result_store = result_store
         #: Optional shared plan cache handed to every environment this runner
         #: builds (hot-cache repetitions and ablations re-plan identical
         #: queries; sharing makes those plans near-free).
@@ -124,7 +113,6 @@ class ExperimentRunner:
             training_runs_per_plan=self.config.training_runs_per_plan,
             evaluation_runs_per_plan=self.config.executions_per_query,
             seed=self.config.seed,
-            deterministic_timing=self.config.deterministic_timing,
             plan_cache=self.plan_cache,
             engine=self.config.engine,
         )
@@ -164,44 +152,9 @@ class ExperimentRunner:
         """
         return stable_hash(self.context_fingerprint() + "|" + split.fingerprint())
 
-    def task_key(self, method: str, split: DatasetSplit | str) -> TaskKey:
-        """The result-store key of one (method, split) run under this runner."""
-        split_name = split if isinstance(split, str) else split.name
-        return TaskKey(
-            workload=self.workload.name,
-            split_name=split_name,
-            method=method,
-            seed=self.config.seed,
-        )
-
     # ------------------------------------------------------------------ execution
-    def run_method(
-        self,
-        method: str,
-        split: DatasetSplit,
-        train: bool = True,
-    ) -> MethodRunResult:
-        """Train (optionally) and evaluate one method on one split.
-
-        With a result store attached, a previously completed run of the same
-        (method, split, seed) under the same configuration is loaded from disk
-        instead of re-executed, and fresh runs are persisted on completion.
-        """
-        if self.result_store is None:
-            return self._run_method_uncached(method, split, train)
-        key = self.task_key(method, split)
-        fingerprint = self.task_fingerprint(split)
-        result, _ = self.result_store.load_or_run(
-            key, lambda: self._run_method_uncached(method, split, train), fingerprint
-        )
-        return result
-
-    def _run_method_uncached(
-        self,
-        method: str,
-        split: DatasetSplit,
-        train: bool = True,
-    ) -> MethodRunResult:
+    def run_method(self, method: str, split: DatasetSplit) -> MethodRunResult:
+        """Train and evaluate one method on one split."""
         info = method_info(method)
         env = self.build_environment()
         kwargs = self.config.optimizer_kwargs.get(method, {})
@@ -210,17 +163,13 @@ class ExperimentRunner:
         train_queries = split.train_queries(self.workload)
         test_queries = split.test_queries(self.workload)
 
-        if train and optimizer.requires_training:
-            report = optimizer.fit(train_queries)
-        else:
-            report = optimizer.fit([]) if not optimizer.requires_training else None
-
+        report = optimizer.fit(train_queries if optimizer.requires_training else [])
         result = MethodRunResult(
             method=method,
             split_name=split.name,
             workload_name=self.workload.name,
-            training_time_s=report.training_time_s if report else 0.0,
-            executed_training_plans=report.executed_plans if report else 0,
+            training_time_s=report.training_time_s,
+            executed_training_plans=report.executed_plans,
         )
 
         for query in test_queries:
@@ -254,18 +203,6 @@ class ExperimentRunner:
             num_joins=query.num_joins,
             metadata=dict(planned.metadata),
         )
-
-    def run_comparison(
-        self,
-        methods: Sequence[str],
-        splits: Iterable[DatasetSplit],
-    ) -> list[MethodRunResult]:
-        """Run every method on every split (the Figure 4/5 experiment grid)."""
-        results: list[MethodRunResult] = []
-        for split in splits:
-            for method in methods:
-                results.append(self.run_method(method, split))
-        return results
 
     # ------------------------------------------------------------------ baselines
     def run_postgres_only(self, queries: Sequence[BenchmarkQuery] | None = None) -> MethodRunResult:

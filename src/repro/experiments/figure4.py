@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.config import RuntimeConfig
-from repro.core.experiment import ExperimentConfig, ExperimentRunner
+from repro.core.experiment import ExperimentConfig
 from repro.core.metrics import MethodRunResult, workload_summary
 from repro.core.report import format_table
 from repro.core.splits import DatasetSplit, SplitSampling, generate_splits
@@ -72,32 +72,23 @@ def run_for_context(
 ) -> EndToEndResult:
     """Run the end-to-end comparison over an arbitrary benchmark context.
 
-    Passing a ``runtime_config`` — at *any* worker count — opts into the
-    experiment runtime: deterministic per-task seeding and simulated
-    inference/training timing, so results are identical whether the grid runs
-    on 1 or N workers.  Without it the legacy serial runner (wall-clock
-    timing, shared environment seed) is used.  With a ``result_store``,
-    completed runs are resumed from disk instead of recomputed.
+    Every cell runs through :class:`ParallelExperimentRunner`: a seed derived
+    from the cell's identity and simulated inference and training times, so
+    the result is the same bytes on every run and on 1 or N workers.  Without
+    a ``runtime_config`` the grid runs serially in this process.  With a
+    ``result_store``, completed runs are resumed from disk instead of
+    recomputed.
     """
-    # Runners receive the context's dispatch source — the DatabaseSpec when
-    # the database came out of the catalog factories — so process-pool fan-out
-    # ships the recipe instead of pickling the table data per task.
-    runner: ExperimentRunner | ParallelExperimentRunner
-    if runtime_config is not None:
-        runner = ParallelExperimentRunner(
-            context.dispatch_source,
-            context.workload,
-            experiment_config=experiment_config or ExperimentConfig(),
-            runtime_config=runtime_config,
-            result_store=result_store,
-        )
-    else:
-        runner = ExperimentRunner(
-            context.dispatch_source,
-            context.workload,
-            experiment_config=experiment_config or ExperimentConfig(),
-            result_store=result_store,
-        )
+    # The runner receives the context's dispatch source — the DatabaseSpec
+    # when the database came out of the catalog factories — so distributed
+    # fan-out ships the recipe instead of the table data.
+    runner = ParallelExperimentRunner(
+        context.dispatch_source,
+        context.workload,
+        experiment_config=experiment_config,
+        runtime_config=runtime_config or RuntimeConfig(workers=1, executor_kind="serial"),
+        result_store=result_store,
+    )
     result = EndToEndResult(workload_name=context.workload.name)
     for sampling in samplings:
         splits = generate_splits(

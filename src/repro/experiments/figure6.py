@@ -1,9 +1,10 @@
 """Figure 6: end-to-end training time vs. combined workload runtime.
 
-Each point is one trained model on one split: the x-axis is the full
-wall-clock training time (data collection + model training + evaluation +
-artefact generation), the y-axis the summed end-to-end execution time of the
-workload's test queries.  The paper's observation: spending more time training
+Each point is one trained model on one split: the x-axis is the end-to-end
+training time, simulated from the plans the method executed, its training
+queries and its iterations (``LQOEnvironment.simulated_training_time_s``),
+the y-axis the summed end-to-end execution time of the workload's test
+queries.  The paper's observation: spending more time training
 does *not* buy better workload runtimes — the ordering is, if anything,
 inverted.
 """

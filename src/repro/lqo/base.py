@@ -9,7 +9,6 @@ paper's core requirement for its end-to-end benchmarking framework).
 from __future__ import annotations
 
 import abc
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +83,6 @@ class LQOEnvironment:
         evaluation_runs_per_plan: int = 3,
         hidden_size: int = 48,
         seed: int = 0,
-        deterministic_timing: bool = False,
         plan_cache: PlanCache | None = None,
         engine: str = "columnar",
     ) -> None:
@@ -101,11 +99,6 @@ class LQOEnvironment:
         self.training_runs_per_plan = training_runs_per_plan
         self.evaluation_runs_per_plan = evaluation_runs_per_plan
         self.seed = seed
-        #: When set, inference and training wall-clock measurements are
-        #: replaced by deterministic simulated times, so results are
-        #: byte-identical across runs and independent of scheduling — the
-        #: parallel experiment runtime requires this for reproducible fan-out.
-        self.deterministic_timing = deterministic_timing
         #: Count of plans executed against the DBMS (training-data accounting).
         self.executed_plan_count = 0
 
@@ -248,37 +241,29 @@ class BaseOptimizer(abc.ABC):
 
     # -- helpers shared by implementations --------------------------------------------
     def _timed_fit(self, body, train_queries: list[BenchmarkQuery]) -> TrainingReport:
-        """Run a training body while accounting wall-clock time and executed plans."""
+        """Run a training body; its time is simulated from the plans it executed."""
         start_plans = self.env.executed_plan_count
-        start = time.perf_counter()
-        iterations = body(train_queries)
-        elapsed = time.perf_counter() - start
+        iterations = int(body(train_queries) or 0)
         executed = self.env.executed_plan_count - start_plans
-        if self.env.deterministic_timing:
-            elapsed = self.env.simulated_training_time_s(
-                executed, len(train_queries), int(iterations or 0)
-            )
         report = TrainingReport(
             method=self.name,
-            training_time_s=elapsed,
+            training_time_s=self.env.simulated_training_time_s(
+                executed, len(train_queries), iterations
+            ),
             executed_plans=executed,
-            iterations=int(iterations or 0),
+            iterations=iterations,
         )
         self.training_report = report
         return report
 
     def _timed_inference(self, body, query: BenchmarkQuery) -> PlannedQuery:
-        """Run an inference body while measuring wall-clock inference time."""
-        start = time.perf_counter()
+        """Run an inference body; its time is simulated from the query's size."""
         plan, hints, planning_time_ms, metadata = body(query)
-        inference_ms = (time.perf_counter() - start) * 1000.0
-        if self.env.deterministic_timing:
-            inference_ms = self.env.simulated_inference_ms(query.bound, self.name)
         return PlannedQuery(
             query_id=query.query_id,
             plan=plan,
             hints=hints,
-            inference_time_ms=inference_ms,
+            inference_time_ms=self.env.simulated_inference_ms(query.bound, self.name),
             planning_time_ms=planning_time_ms,
             method=self.name,
             metadata=metadata,

@@ -33,8 +33,8 @@ scales with the hardware:
   claim-execute-ack loop run on each participating host, against either
   transport.
 * :mod:`repro.runtime.parallel` — the :class:`ParallelExperimentRunner` that
-  fans the (method × split × seed) grid over a ``concurrent.futures`` pool —
-  or, with ``executor_kind="distributed"``, over the work queue — with
+  runs the (method × split × seed) grid serially, on a thread pool or, with
+  ``executor_kind="distributed"``, over the work queue — with
   results bit-identical to serial execution.
 """
 

@@ -3,9 +3,8 @@
 The paper's headline experiments sweep a grid of (method × split × seed)
 combinations whose tasks are mutually independent: every task trains and
 evaluates one optimizer on one split under its own seeded environment.  The
-:class:`ParallelExperimentRunner` exploits that independence by dispatching
-tasks onto a :mod:`concurrent.futures` pool while guaranteeing *bit-identical*
-results to serial execution:
+:class:`ParallelExperimentRunner` runs the grid serially, on a thread pool or
+through a work queue, and every executor kind returns the same bytes:
 
 * **Task isolation** — every task runs against its own database view
   (:meth:`repro.storage.database.Database.with_config` shares the read-only
@@ -13,28 +12,22 @@ results to serial execution:
   another task's cache state.
 * **Deterministic seeding** — each task's seed is a stable digest of the task
   identity (method, split, repeat), independent of scheduling order.
-* **Deterministic timing** — tasks run with
-  ``ExperimentConfig.deterministic_timing`` enabled, replacing wall-clock
-  inference/training measurement with simulated times (execution latencies
-  were already simulated).  Nothing in a task result depends on the wall
-  clock, so thread interleaving cannot perturb it.
-
-* **Spec-based dispatch** — when the database is addressable by a
-  :class:`~repro.storage.spec.DatabaseSpec` (it was built through the catalog
-  factories, or a spec was passed directly) and the workload is rebuildable by
-  name, process-pool tasks ship only a :class:`SpecTaskPayload` of a few
-  hundred bytes.  The worker rebuilds — or, via its per-process
-  :class:`~repro.storage.registry.DatabaseRegistry`, reuses — the database
-  deterministically, so dispatch cost no longer grows with database scale.
-  Databases without a spec fall back to legacy whole-database pickling.
+* **Simulated time only** — execution latencies, planning times and the
+  methods' inference and training times are all simulated
+  (:mod:`repro.lqo.base`); nothing in a task result reads the host clock, so
+  scheduling and thread interleaving cannot perturb it.
 
 With a :class:`~repro.runtime.result_store.ResultStore` attached the grid is
 resumable: completed tasks are skipped (PostBOUND-style ``skip_existing``) and
 fresh results are persisted as they arrive.
 
-* **Distributed execution** — ``executor_kind="distributed"`` pushes the same
-  :class:`SpecTaskPayload`\\ s through a work-queue transport instead of a
-  process pool.  With the default file transport
+* **Distributed execution** — ``executor_kind="distributed"`` ships each task
+  as a :class:`SpecTaskPayload` of a few hundred bytes: the database's
+  :class:`~repro.storage.spec.DatabaseSpec` and the workload's name, which the
+  worker rebuilds — or, via its per-process
+  :class:`~repro.storage.registry.DatabaseRegistry`, reuses —
+  deterministically, so dispatch cost does not grow with database scale.
+  With the default file transport
   (:class:`~repro.runtime.workqueue.WorkQueue`) the coordinator enqueues
   claimable task files, launches ``workers`` local worker processes
   (``python -m repro.runtime.worker``), and any number of additional workers
@@ -56,7 +49,7 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Union
@@ -108,10 +101,9 @@ class ExperimentTask:
 class SpecTaskPayload:
     """Everything a worker process needs to run one grid cell, spec-sized.
 
-    The payload replaces the legacy pickle of the whole runner (database
-    included): it names the database recipe and the workload, both of which
-    the worker rebuilds deterministically.  Its pickled size is a few hundred
-    bytes regardless of database scale.
+    It names the database recipe and the workload, both of which the worker
+    rebuilds deterministically.  Its pickled size is a few hundred bytes
+    regardless of database scale.
     """
 
     spec: DatabaseSpec
@@ -169,7 +161,7 @@ def _worker_workload(payload: SpecTaskPayload, database: Database) -> Workload:
     if workload.fingerprint() != payload.workload_fingerprint:
         # The caller's workload shares a registered name but different
         # content (e.g. a hand-built subset named "job"): refusing here keeps
-        # process-pool results from silently diverging from serial/thread
+        # worker results from silently diverging from serial/thread
         # execution, which uses the caller's instance.
         raise ExperimentError(
             f"worker rebuild of workload {payload.workload_name!r} does not match the "
@@ -206,14 +198,14 @@ def _execute_payload(payload: SpecTaskPayload) -> tuple[MethodRunResult, "Parall
 
 
 def execute_spec_payload(payload: SpecTaskPayload) -> MethodRunResult:
-    """Worker-side entry point of spec-based dispatch (module level: picklable).
+    """Worker-side entry point of spec-based dispatch.
 
     The database comes out of the worker's process registry — built once on
-    the first task, reused by every later task of the same spec (and, under a
-    forking start method, inherited from the parent without any rebuild).
-    The workload is likewise rebuilt once per process and reused.  Both the
-    process-pool executor and the distributed queue worker funnel through
-    this function, so every executor kind runs tasks identically.
+    the first task, reused by every later task of the same spec.  The
+    workload is likewise rebuilt once per process and reused.  Every queue
+    worker funnels through this function, which runs the same
+    :meth:`ParallelExperimentRunner._run_or_resume` as the in-process
+    executors.
     """
     result, _ = _execute_payload(payload)
     return result
@@ -284,16 +276,12 @@ class ParallelExperimentRunner:
     ) -> None:
         #: The dispatchable recipe: either the spec passed in, or the one the
         #: database carries from its factory build.  ``None`` means the
-        #: database cannot be rebuilt remotely (legacy pickling applies).
+        #: database cannot be rebuilt remotely (serial and thread executors only).
         self.database_spec = database if isinstance(database, DatabaseSpec) else database.spec
         self.database = resolve_database(database)
         self.workload = workload
         self.db_config = config or self.database.config
-        base = experiment_config or ExperimentConfig()
-        # Deterministic timing is not optional here: without it, per-task
-        # results would embed scheduling-dependent wall clocks and the
-        # serial-equivalence guarantee (and any resume) would be meaningless.
-        self.experiment_config = replace(base, deterministic_timing=True)
+        self.experiment_config = experiment_config or ExperimentConfig()
         self.runtime_config = config = runtime_config or RuntimeConfig()
         if result_store is None and config.store_dir is not None:
             result_store = ResultStore(config.store_dir, config.skip_existing, config.shard_count)
@@ -411,7 +399,7 @@ class ParallelExperimentRunner:
     # ------------------------------------------------------------------ spec dispatch
     @property
     def uses_spec_dispatch(self) -> bool:
-        """Whether process-pool tasks ship specs instead of pickled databases.
+        """Whether tasks can ship as spec payloads (what distributed execution needs).
 
         Requires a database spec (factory-built database or spec passed to the
         constructor) and a workload rebuildable by name in the worker.
@@ -443,27 +431,11 @@ class ParallelExperimentRunner:
         kind = self.runtime_config.executor_kind
         if kind == "distributed":
             return self._run_distributed(tasks)
-        workers = min(self.runtime_config.workers, max(len(tasks), 1))
-        if workers <= 1 or kind == "serial" or len(tasks) <= 1:
+        workers = min(self.runtime_config.workers, len(tasks))
+        if kind == "serial" or workers <= 1:
             return [self._run_or_resume(task) for task in tasks]
-        with self._make_executor(kind, workers) as pool:
-            if kind == "process" and self.uses_spec_dispatch:
-                # Ship the spec, not the database: per-task pickling cost is
-                # constant in database scale.  Note that store bookkeeping
-                # (loaded/stored counters) then happens in the workers; the
-                # parent-side ResultStore counters only reflect parent loads.
-                futures = [
-                    pool.submit(execute_spec_payload, self.spec_payload(task)) for task in tasks
-                ]
-            else:
-                futures = [pool.submit(self._run_or_resume, task) for task in tasks]
-            return [future.result() for future in futures]
-
-    @staticmethod
-    def _make_executor(kind: str, workers: int) -> Executor:
-        if kind == "process":
-            return ProcessPoolExecutor(max_workers=workers)
-        return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-task")
+        with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-task") as pool:
+            return list(pool.map(self._run_or_resume, tasks))
 
     # ------------------------------------------------------------------ distributed
     def _open_coordinator_queue(
@@ -693,9 +665,5 @@ class ParallelExperimentRunner:
         methods: tuple[str, ...] | list[str],
         splits: list[DatasetSplit] | tuple[DatasetSplit, ...],
     ) -> list[MethodRunResult]:
-        """Drop-in replacement for :meth:`ExperimentRunner.run_comparison`.
-
-        Note the ordering difference: the serial runner iterates splits
-        outermost, which matches this runner's (split, method) grid order.
-        """
+        """Every method on every split, splits outermost (the Figure 4/5 grid)."""
         return self.run_grid(methods, list(splits))

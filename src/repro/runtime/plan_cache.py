@@ -107,11 +107,6 @@ class PlanCache:
         self._global_generation = 0
         self._lock = threading.Lock()
 
-    def __reduce__(self) -> tuple:
-        # A cache crosses a process boundary (a pickled runner) as an empty
-        # one of the same capacity: entries, counters and the lock are local.
-        return (PlanCache, (self.max_entries,))
-
     # ------------------------------------------------------------------ keying
     def key_for(
         self,

@@ -132,9 +132,9 @@ class PlanClient(FrameClient):
             request["config"] = config
         if self.client_id:
             request["client"] = self.client_id
-        started = time.perf_counter()
+        started = time.monotonic()
         response = self._request(request)
-        round_trip_ms = (time.perf_counter() - started) * 1000.0
+        round_trip_ms = (time.monotonic() - started) * 1000.0
         return ServedPlan(
             plan=response["plan"],
             strategy=str(response["strategy"]),

@@ -301,9 +301,9 @@ class PlanServer:
                 "retry_after_s": REJECT_RETRY_AFTER_S,
             }
         try:
-            started = time.perf_counter()
+            started = time.monotonic()
             response = self._plan_admitted(request)
-            latency_ms = (time.perf_counter() - started) * 1000.0
+            latency_ms = (time.monotonic() - started) * 1000.0
             with self._lock:
                 if response.get("ok"):
                     self._served += 1

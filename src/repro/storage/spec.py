@@ -3,7 +3,7 @@
 A spec captures everything needed to *deterministically* rebuild a database —
 the registered generator id, the scale factor, the data seed, the DBMS
 configuration and any extra generator parameters — in a value object a few
-hundred bytes in size.  It is the unit of dispatch of the process-pool
+hundred bytes in size.  It is the unit of dispatch of the distributed
 experiment runtime: instead of re-pickling the whole in-memory database for
 every task (cost growing with database scale), workers receive the spec and
 rebuild or reuse the database through their per-process

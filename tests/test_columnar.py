@@ -446,33 +446,26 @@ class TestEngineSelection:
         protocol = ExecutionProtocol(_tiny_database(), engine="row")
         assert not isinstance(protocol.engine, ColumnarExecutionEngine)
 
-    def test_experiment_config_engine_env_default(self, monkeypatch):
+    def test_experiment_config_engine_default(self):
         from repro.core.experiment import ExperimentConfig
 
         assert ExperimentConfig().engine == "columnar"
-        monkeypatch.setenv("REPRO_ENGINE", "row")
-        assert ExperimentConfig().engine == "row"
         # The engine participates in the config fingerprint (conservative:
         # stored results never silently cross engine kinds).
-        monkeypatch.delenv("REPRO_ENGINE")
         assert ExperimentConfig(engine="row").fingerprint() != ExperimentConfig(
             engine="columnar"
         ).fingerprint()
 
     def test_experiment_runner_timings_identical_across_engines(self):
         """End-to-end: the full measurement pipeline (planner, protocol,
-        deterministic timing) reports identical numbers under both engines."""
+        simulated timing) reports identical numbers under both engines."""
         from repro.core.experiment import ExperimentConfig, ExperimentRunner
 
         def run(kind: str):
             db = generate_imdb(scale=0.1, seed=3, config=SIMULATION_CONFIG)
             workload = build_job_workload(db.schema)
             runner = ExperimentRunner(
-                db,
-                workload,
-                experiment_config=ExperimentConfig(
-                    deterministic_timing=True, engine=kind
-                ),
+                db, workload, experiment_config=ExperimentConfig(engine=kind)
             )
             result = runner.run_postgres_only(workload.queries[:6])
             return [

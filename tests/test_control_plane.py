@@ -699,10 +699,7 @@ def _grid_parts(scale: float = 0.2):
     return spec, workload, splits
 
 
-GRID_CONFIG = ExperimentConfig(
-    optimizer_kwargs={"bao": {"training_passes": 1}},
-    deterministic_timing=True,
-)
+GRID_CONFIG = ExperimentConfig(optimizer_kwargs={"bao": {"training_passes": 1}})
 
 
 class TestSweepStress:

@@ -54,10 +54,7 @@ def sweep_runtime(tmp_path, transport, **overrides):
         **overrides,
     )
 
-GRID_CONFIG = ExperimentConfig(
-    optimizer_kwargs={"bao": {"training_passes": 1}},
-    deterministic_timing=True,
-)
+GRID_CONFIG = ExperimentConfig(optimizer_kwargs={"bao": {"training_passes": 1}})
 
 
 def run_result_as_json(result: MethodRunResult) -> str:

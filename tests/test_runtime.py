@@ -1,21 +1,26 @@
 """Tests for the experiment runtime: fingerprints, plan cache, result store, parallel runner."""
 
+import itertools
 import json
 import os
-import pickle
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
 
-from repro.config import RuntimeConfig, SIMULATION_CONFIG, PostgresConfig
+from repro.config import EXECUTOR_KINDS, RuntimeConfig, SIMULATION_CONFIG, PostgresConfig
+from repro.core.covariate_shift import run_covariate_shift_study
 from repro.core.experiment import ExperimentConfig, ExperimentRunner
 from repro.core.metrics import MethodRunResult, QueryTiming
 from repro.core.report import store_report, summary_rows_from_store
-from repro.core.splits import DatasetSplit, SplitSampling
+from repro.core.splits import DatasetSplit, SplitSampling, generate_split
 from repro.errors import ExperimentError
+from repro.experiments import figure4
+from repro.experiments.common import BenchmarkContext, imdb_half_database, job_context
 from repro.lqo.base import LQOEnvironment
+from repro.lqo.registry import create_optimizer
 from repro.optimizer.planner import Planner
 from repro.plans.hints import HintSet, OperatorToggles
 from repro.plans.physical import JoinType
@@ -200,12 +205,6 @@ class TestPlanCache:
         assert cache.stats.misses == 2 and cache.stats.hits == 0
         Planner(first, plan_cache=cache).plan_with_info(query)
         assert cache.stats.hits == 1
-
-    def test_a_pickled_cache_arrives_empty_with_its_capacity(self, imdb_db):
-        cache = PlanCache(max_entries=7)
-        Planner(imdb_db, plan_cache=cache).plan_with_info(bind_sql(THREE_WAY, imdb_db.schema))
-        copy = pickle.loads(pickle.dumps(cache))
-        assert len(cache) == 1 and len(copy) == 0 and copy.max_entries == 7
 
     def test_cache_scoped_by_geqo_parameters(self, imdb_db):
         from repro.optimizer.geqo import GeqoParameters
@@ -441,10 +440,7 @@ def grid_splits(job_workload):
 
 GRID_METHODS = ("postgres", "bao")
 
-GRID_CONFIG = ExperimentConfig(
-    optimizer_kwargs={"bao": {"training_passes": 1}},
-    deterministic_timing=True,
-)
+GRID_CONFIG = ExperimentConfig(optimizer_kwargs={"bao": {"training_passes": 1}})
 
 
 def make_runner(imdb_db, job_workload, workers: int, **kwargs) -> ParallelExperimentRunner:
@@ -480,14 +476,6 @@ class TestParallelRunner:
         parallel = make_runner(imdb_db, job_workload, workers=4)
         a = [run_result_as_json(r) for r in serial.run_grid(GRID_METHODS, grid_splits)]
         b = [run_result_as_json(r) for r in parallel.run_grid(GRID_METHODS, grid_splits)]
-        assert a == b
-
-    def test_process_pool_identical_to_serial(self, imdb_db, job_workload, grid_splits):
-        """Cross-process execution pickles the task context yet stays identical."""
-        process = make_runner(imdb_db, job_workload, workers=2, executor_kind="process")
-        serial = make_runner(imdb_db, job_workload, workers=1)
-        a = [run_result_as_json(r) for r in process.run_grid(("postgres",), grid_splits)]
-        b = [run_result_as_json(r) for r in serial.run_grid(("postgres",), grid_splits)]
         assert a == b
 
     def test_results_in_grid_order(self, imdb_db, job_workload, grid_splits):
@@ -541,12 +529,12 @@ class TestParallelRunner:
             runtime_config=RuntimeConfig(workers=4),
             result_store=store,
         )
-        # Recompute goes through ExperimentRunner._run_method_uncached (the
-        # store's load_or_run thunk); run_task is never on the store path, so
-        # patch the method every recompute must traverse.
+        # Recompute goes through ExperimentRunner.run_method (the store's
+        # load_or_run thunk); run_task is never on the store path, so patch
+        # the method every recompute must traverse.
         monkeypatch.setattr(
             ExperimentRunner,
-            "_run_method_uncached",
+            "run_method",
             lambda *args, **kwargs: pytest.fail("resume should skip recomputation"),
         )
         resumed = [run_result_as_json(r) for r in second.run_grid(GRID_METHODS, grid_splits)]
@@ -677,57 +665,22 @@ def _spec_grid_parts(scale: float):
 
 
 class TestSpecDispatchEquivalence:
-    """Process-pool spec dispatch must stay byte-identical to serial at any scale."""
+    """A spec payload run through the worker entry point equals the serial cell at any scale."""
 
     @pytest.mark.parametrize("scale", [0.2, 0.4])
-    def test_process_pool_spec_dispatch_identical_to_serial(self, scale):
+    def test_spec_payload_identical_to_serial(self, scale):
         spec, workload, split = _spec_grid_parts(scale)
-        process = ParallelExperimentRunner(
-            spec,
-            workload,
-            experiment_config=GRID_CONFIG,
-            runtime_config=RuntimeConfig(workers=2, executor_kind="process"),
-        )
-        assert process.uses_spec_dispatch
         serial = ParallelExperimentRunner(
             spec,
             workload,
             experiment_config=GRID_CONFIG,
-            runtime_config=RuntimeConfig(workers=1),
+            runtime_config=RuntimeConfig(workers=1, executor_kind="serial"),
         )
-        a = [run_result_as_json(r) for r in process.run_grid(GRID_METHODS, [split])]
+        assert serial.uses_spec_dispatch
+        tasks = serial.tasks_for(GRID_METHODS, [split])
+        a = [run_result_as_json(parallel.execute_spec_payload(serial.spec_payload(t))) for t in tasks]
         b = [run_result_as_json(r) for r in serial.run_grid(GRID_METHODS, [split])]
         assert a == b
-
-    def test_process_pool_spec_dispatch_resumes_from_store(self, tmp_path, monkeypatch):
-        """Workers persist results; a later sweep over the same store skips them."""
-        spec, workload, split = _spec_grid_parts(0.2)
-        store = ResultStore(tmp_path / "spec-store")
-        first = ParallelExperimentRunner(
-            spec,
-            workload,
-            experiment_config=GRID_CONFIG,
-            runtime_config=RuntimeConfig(workers=2, executor_kind="process"),
-            result_store=store,
-        )
-        original = [run_result_as_json(r) for r in first.run_grid(GRID_METHODS, [split])]
-        # The workers (not the parent store instance) wrote the files.
-        assert len(list(store.completed_files())) == len(GRID_METHODS)
-
-        second = ParallelExperimentRunner(
-            spec,
-            workload,
-            experiment_config=GRID_CONFIG,
-            runtime_config=RuntimeConfig(workers=1),
-            result_store=ResultStore(tmp_path / "spec-store"),
-        )
-        monkeypatch.setattr(
-            ExperimentRunner,
-            "_run_method_uncached",
-            lambda *args, **kwargs: pytest.fail("resume should skip execution"),
-        )
-        resumed = [run_result_as_json(r) for r in second.run_grid(GRID_METHODS, [split])]
-        assert resumed == original
 
     def test_same_store_different_scale_not_resumed(self, tmp_path):
         """The database name is scale-blind ('imdb' at 0.2 and 0.4); the spec
@@ -736,25 +689,31 @@ class TestSpecDispatchEquivalence:
         store = ResultStore(tmp_path / "scale-store")
         for scale in (0.2, 0.4):
             spec, workload, split = _spec_grid_parts(scale)
-            runner = ExperimentRunner(
+            runner = ParallelExperimentRunner(
                 spec, workload, experiment_config=GRID_CONFIG, result_store=store
             )
-            runner.run_method("postgres", split)
+            runner.run_grid(("postgres",), [split])
         assert store.loaded_count == 0 and store.stored_count == 2
+
+
+def _serial_runner(database, workload, store: ResultStore, config=None) -> ParallelExperimentRunner:
+    return ParallelExperimentRunner(
+        database,
+        workload,
+        config=config,
+        experiment_config=GRID_CONFIG,
+        runtime_config=RuntimeConfig(workers=1, executor_kind="serial"),
+        result_store=store,
+    )
 
 
 class TestSerialRunnerResume:
     def test_run_method_resumes_from_store(self, imdb_db, job_workload, grid_splits, tmp_path):
         store = ResultStore(tmp_path / "serial-store")
-        runner = ExperimentRunner(
-            imdb_db,
-            job_workload,
-            experiment_config=GRID_CONFIG,
-            result_store=store,
-        )
-        first = runner.run_method("postgres", grid_splits[0])
+        runner = _serial_runner(imdb_db, job_workload, store)
+        (first,) = runner.run_grid(("postgres",), grid_splits[:1])
         assert store.stored_count == 1 and store.loaded_count == 0
-        second = runner.run_method("postgres", grid_splits[0])
+        (second,) = runner.run_grid(("postgres",), grid_splits[:1])
         assert store.loaded_count == 1
         assert run_result_as_json(first) == run_result_as_json(second)
 
@@ -764,10 +723,8 @@ class TestSerialRunnerResume:
         """'random-0' regenerated under another seed holds different queries —
         stored results for the old membership must not be reused."""
         store = ResultStore(tmp_path / "membership-store")
-        runner = ExperimentRunner(
-            imdb_db, job_workload, experiment_config=GRID_CONFIG, result_store=store
-        )
-        runner.run_method("postgres", grid_splits[0])
+        runner = _serial_runner(imdb_db, job_workload, store)
+        runner.run_grid(("postgres",), grid_splits[:1])
         other = DatasetSplit(
             workload_name=job_workload.name,
             sampling=SplitSampling.RANDOM,
@@ -776,23 +733,19 @@ class TestSerialRunnerResume:
             test_ids=("2a",),
         )
         assert other.name == grid_splits[0].name
-        runner.run_method("postgres", other)
+        runner.run_grid(("postgres",), [other])
         assert store.loaded_count == 0 and store.stored_count == 2
 
     def test_changed_config_is_not_resumed(self, imdb_db, job_workload, grid_splits, tmp_path):
         store = ResultStore(tmp_path / "serial-store")
-        base = ExperimentRunner(
-            imdb_db, job_workload, experiment_config=GRID_CONFIG, result_store=store
-        )
-        base.run_method("postgres", grid_splits[0])
-        changed = ExperimentRunner(
+        _serial_runner(imdb_db, job_workload, store).run_grid(("postgres",), grid_splits[:1])
+        changed = _serial_runner(
             imdb_db,
             job_workload,
+            store,
             config=imdb_db.config.with_overrides(work_mem=imdb_db.config.work_mem * 2),
-            experiment_config=GRID_CONFIG,
-            result_store=store,
         )
-        changed.run_method("postgres", grid_splits[0])
+        changed.run_grid(("postgres",), grid_splits[:1])
         # The second run could not reuse the first run's file: different knobs.
         assert store.loaded_count == 0 and store.stored_count == 2
 
@@ -805,6 +758,11 @@ class TestRuntimeConfig:
             RuntimeConfig(executor_kind="fibers")
         with pytest.raises(ValueError):
             RuntimeConfig(plan_cache_entries=-1)
+
+    def test_executor_kinds_run_in_process_or_through_the_work_queue(self):
+        assert EXECUTOR_KINDS == ("serial", "thread", "distributed")
+        with pytest.raises(ValueError, match="unknown executor kind 'process'"):
+            RuntimeConfig(executor_kind="process")
 
     def test_overrides(self):
         config = RuntimeConfig().with_overrides(workers=8, executor_kind="serial")
@@ -823,8 +781,75 @@ class TestDeterministicTiming:
 
         assert run_result_as_json(one_run()) == run_result_as_json(one_run())
 
-    def test_wall_clock_mode_still_default(self):
-        assert ExperimentConfig().deterministic_timing is False
+
+class TestOneClock:
+    """Inference and training times are simulated: no host clock reaches a result,
+    so a driver returns the same bytes on every run, serially or on N workers."""
+
+    CONFIG = ExperimentConfig(optimizer_kwargs={"bao": {"training_passes": 1}})
+
+    @pytest.fixture(scope="class")
+    def context(self):
+        context = job_context(0.1)
+        subset = context.workload.subset(context.workload.query_ids()[:15])
+        return BenchmarkContext(database=context.database, workload=subset, spec=context.spec)
+
+    def figure4_bytes(self, context, runtime_config=None) -> list[str]:
+        result = figure4.run_for_context(
+            context,
+            methods=("postgres", "bao"),
+            samplings=(SplitSampling.RANDOM,),
+            experiment_config=self.CONFIG,
+            runtime_config=runtime_config,
+        )
+        return [run_result_as_json(run) for run in result.runs]
+
+    def test_figure4_default_path_ignores_the_host_clock(self, context, monkeypatch):
+        first = self.figure4_bytes(context)
+        ticks = itertools.count(0.0, 1.0)
+        with monkeypatch.context() as patched:
+            patched.setattr(time, "perf_counter", lambda: next(ticks))
+            jumped = self.figure4_bytes(context)
+        threaded = self.figure4_bytes(context, RuntimeConfig(workers=2, executor_kind="thread"))
+        assert len(first) == 2
+        assert first == jumped == threaded
+
+    def test_optimizer_times_are_the_simulated_ones(self, context, monkeypatch):
+        """With the host clock jumping 1 s per read, training and inference
+        times still equal the environment's simulated formulas exactly."""
+        runner = ExperimentRunner(context.database, context.workload, experiment_config=self.CONFIG)
+        env = runner.build_environment()
+        optimizer = create_optimizer("bao", env, training_passes=1)
+        queries = [context.workload.by_id(query_id) for query_id in context.workload.query_ids()[:6]]
+        ticks = itertools.count(0.0, 1.0)
+        monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
+        report = optimizer.fit(queries[:5])
+        planned = optimizer.plan_query(queries[5])
+        assert report.executed_plans > 0
+        assert report.training_time_s == env.simulated_training_time_s(
+            report.executed_plans, 5, report.iterations
+        )
+        assert planned.inference_time_ms == env.simulated_inference_ms(queries[5].bound, "bao")
+
+    def test_covariate_shift_study_is_repeatable(self, context):
+        split = generate_split(context.workload, SplitSampling.RANDOM, seed=0)
+        half = imdb_half_database(0.1)
+
+        def one_run() -> str:
+            study = run_covariate_shift_study(
+                context.database,
+                half,
+                context.workload,
+                split,
+                experiment_config=self.CONFIG,
+                bao_kwargs={"training_passes": 1},
+            )
+            return json.dumps(
+                [study.full_model.to_dict(), study.shifted_model.to_dict(), study.slowdown_factors],
+                sort_keys=True,
+            )
+
+        assert one_run() == one_run()
 
 
 class TestImportHygiene:

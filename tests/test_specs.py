@@ -17,8 +17,8 @@ from repro.catalog.factories import (
     registered_generators,
 )
 from repro.catalog.imdb import generate_imdb
-from repro.config import SIMULATION_CONFIG, RuntimeConfig
-from repro.core.experiment import ExperimentConfig, ExperimentRunner
+from repro.config import SIMULATION_CONFIG
+from repro.core.experiment import ExperimentRunner
 from repro.core.splits import DatasetSplit, SplitSampling
 from repro.errors import CatalogError, ExperimentError, StorageError, WorkloadError
 from repro.runtime.parallel import ParallelExperimentRunner, execute_spec_payload
@@ -279,11 +279,7 @@ class TestSpecDispatch:
 
     def test_experiment_runner_accepts_spec(self, small_imdb_spec, spec_runner_parts):
         _, workload, split = spec_runner_parts
-        runner = ExperimentRunner(
-            small_imdb_spec,
-            workload,
-            experiment_config=ExperimentConfig(deterministic_timing=True),
-        )
+        runner = ExperimentRunner(small_imdb_spec, workload)
         result = runner.run_method("postgres", split)
         assert result.method == "postgres"
 
@@ -291,11 +287,7 @@ class TestSpecDispatch:
         _, workload, split = spec_runner_parts
         sizes = {}
         for scale in (0.25, 1.0):
-            runner = ParallelExperimentRunner(
-                small_imdb_spec.with_scale(scale),
-                workload,
-                runtime_config=RuntimeConfig(workers=2, executor_kind="process"),
-            )
+            runner = ParallelExperimentRunner(small_imdb_spec.with_scale(scale), workload)
             task = runner.tasks_for(("postgres",), [split])[0]
             sizes[scale] = len(pickle.dumps(runner.spec_payload(task)))
         assert all(size < 10 * 1024 for size in sizes.values())
@@ -316,11 +308,7 @@ class TestSpecDispatch:
         replaced by the canonical rebuild in workers — it is rejected instead."""
         _, workload, split = spec_runner_parts
         lookalike = workload.subset(["1a", "1b", "2a", "2b", "3a"], name="job")
-        runner = ParallelExperimentRunner(
-            small_imdb_spec,
-            lookalike,
-            runtime_config=RuntimeConfig(workers=2, executor_kind="process"),
-        )
+        runner = ParallelExperimentRunner(small_imdb_spec, lookalike)
         assert runner.uses_spec_dispatch  # name-registered, so payloads build...
         payload = runner.spec_payload(runner.tasks_for(("postgres",), [split])[0])
         with pytest.raises(ExperimentError, match="fingerprint mismatch"):
@@ -333,12 +321,7 @@ class TestSpecDispatch:
         from repro.runtime import parallel
 
         _, workload, split = spec_runner_parts
-        runner = ParallelExperimentRunner(
-            small_imdb_spec,
-            workload,
-            experiment_config=ExperimentConfig(deterministic_timing=True),
-            runtime_config=RuntimeConfig(workers=2, executor_kind="process"),
-        )
+        runner = ParallelExperimentRunner(small_imdb_spec, workload)
         payloads = [
             runner.spec_payload(task)
             for task in runner.tasks_for(("postgres",), [split], repeats=2)
@@ -358,12 +341,7 @@ class TestSpecDispatch:
     def test_worker_rebuild_in_spawned_process_identical(self, small_imdb_spec, spec_runner_parts):
         """A cold interpreter (empty registry) rebuilds and matches exactly."""
         _, workload, split = spec_runner_parts
-        runner = ParallelExperimentRunner(
-            small_imdb_spec,
-            workload,
-            experiment_config=ExperimentConfig(deterministic_timing=True),
-            runtime_config=RuntimeConfig(workers=2, executor_kind="process"),
-        )
+        runner = ParallelExperimentRunner(small_imdb_spec, workload)
         task = runner.tasks_for(("postgres",), [split])[0]
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:

@@ -61,8 +61,10 @@ def default_config() -> LintConfig:
     """The project configuration: the invariants this repository documents.
 
     * DET audits every simulated-work path whose output feeds results —
-      ``executor/``, ``optimizer/``, ``core/``, ``plans/``, ``encoding/`` —
-      plus the runtime (where only monotonic clocks are legitimate).  The one
+      ``executor/``, ``optimizer/``, ``core/``, ``plans/``, ``encoding/``,
+      the learned optimizers and their models (``lqo/``, ``ml/``) and the
+      figure drivers (``experiments/``) — plus the runtime (where only
+      monotonic clocks are legitimate).  The one
       sanctioned wall-clock read is ``WorkQueue.filesystem_now``'s documented
       degrade-gracefully fallback when the clock-probe file is unwritable.
     * SEC allows unpickling exactly where docs say bytes are trusted or
@@ -79,6 +81,9 @@ def default_config() -> LintConfig:
             "*/repro/core/*.py",
             "*/repro/plans/*.py",
             "*/repro/encoding/*.py",
+            "*/repro/lqo/*.py",
+            "*/repro/ml/*.py",
+            "*/repro/experiments/*.py",
             "*/repro/runtime/*.py",
         ),
         det_allow=(
