@@ -159,9 +159,25 @@ class HintSet:
         )
 
     def fingerprint(self) -> str:
-        """Stable content fingerprint (see :meth:`canonical_key`)."""
-        payload = repr(self.canonical_key())
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        """Stable content fingerprint (see :meth:`canonical_key`).
+
+        Memoised under a ``_repro_*`` key (a hint set is immutable, and every
+        plan-cache key asks for it); :meth:`__getstate__` strips it, so a hint
+        set pickles to the same bytes whether or not it was ever asked.
+        """
+        try:
+            return self.__dict__["_repro_fingerprint"]
+        except KeyError:
+            payload = repr(self.canonical_key()).encode("utf-8")
+            fingerprint = self.__dict__["_repro_fingerprint"] = hashlib.sha256(payload).hexdigest()[:16]
+            return fingerprint
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_repro_fingerprint" in state:
+            state = state.copy()
+            del state["_repro_fingerprint"]
+        return state
 
     def describe(self) -> str:
         parts = []

@@ -39,10 +39,16 @@ of mtime-based leases cannot arise here by construction.
 
 Frames are pickled because task payloads are arbitrary Python objects
 (:class:`~repro.runtime.parallel.SpecTaskPayload`), exactly as the file queue
-pickles its task files.  ``pickle.loads`` on bytes from the network is remote
-code execution for whoever can write those bytes, so on any interface that is
-not strictly private, set a **shared queue secret** (``REPRO_QUEUE_SECRET``
-or ``RuntimeConfig.queue_secret``): both sides then sign every frame with
+pickles its task files.  A top-level value of a dict payload may travel
+*pre-pickled* as a :class:`Pickled` wrapper: a sender that ships the same
+value many times (the plan server's cached plans) pickles it once, and
+``recv_frame`` decodes it after the frame is verified — through the caller's
+bytes → object memo, so a receiver decodes each distinct value once.
+
+``pickle.loads`` on bytes from the network is remote code execution for
+whoever can write those bytes, so on any interface that is not strictly
+private, set a **shared queue secret** (``REPRO_QUEUE_SECRET`` or
+``RuntimeConfig.queue_secret``): both sides then sign every frame with
 HMAC-SHA256 and *verify the signature before unpickling* — an unsigned,
 tampered or wrongly-keyed frame is rejected while still opaque bytes, and the
 peer gets a plain-text ``RE`` error frame (never a pickled response).  The
@@ -120,6 +126,11 @@ QUEUE_SECRET_ENV = "REPRO_QUEUE_SECRET"
 CLIENT_RETRIES = 3
 CLIENT_BACKOFF_S = 0.2
 
+#: Distinct pre-pickled values a :class:`FrameClient` keeps decoded before it
+#: starts over, as many as a default plan cache holds: a decoded JOB plan and
+#: its bytes take ~13 KB, so a full memo is ~13 MB.
+DECODE_MEMO_MAX = 1024
+
 #: Operational messages only; never read back, so logging cannot reach a result.
 _log = logging.getLogger("repro.runtime")
 
@@ -154,6 +165,27 @@ def resolve_queue_secret(value: str | bytes | None = None) -> bytes | None:
     if not value:
         return None
     return value.encode("utf-8") if isinstance(value, str) else bytes(value)
+
+
+class Pickled:
+    """A payload value that travels as bytes it was pickled to once.
+
+    Put one as a top-level value of a dict payload; the receiving
+    :func:`recv_frame` hands back the decoded object in its place.  The
+    bytes ride inside the signed frame, so they are verified with it.
+    """
+
+    __slots__ = ("blob",)
+
+    def __init__(self, blob: bytes) -> None:
+        self.blob = blob
+
+    @classmethod
+    def of(cls, value: object) -> "Pickled":
+        return cls(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+    def __reduce__(self) -> tuple:
+        return Pickled, (self.blob,)
 
 
 def _frame_digest(secret: bytes, header: bytes, blob: bytes) -> bytes:
@@ -198,7 +230,10 @@ def send_error_frame(sock: socket.socket, message: str) -> None:
 
 
 def recv_frame(
-    sock: socket.socket, secret: bytes | None = None, deadline: float | None = None
+    sock: socket.socket,
+    secret: bytes | None = None,
+    deadline: float | None = None,
+    memo: dict[bytes, object] | None = None,
 ) -> object:
     """Receive one frame; with a ``secret``, authenticate it *before* unpickling.
 
@@ -207,6 +242,11 @@ def recv_frame(
     ``pickle.loads`` on a secret-bearing endpoint — and :class:`QueueAuthError`
     when the *peer* sent back an error frame rejecting us.  ``deadline``
     (monotonic) bounds the whole receive, recv by recv.
+
+    The :class:`Pickled` values of a verified dict payload are replaced by
+    what they decode to, looked up first in ``memo`` (bytes → object, owned
+    by the caller and cleared at ``DECODE_MEMO_MAX`` entries): identical
+    bytes then decode once and share one object.
     """
     header = _recv_exact(sock, _HEADER.size, deadline)
     magic, length = _HEADER.unpack(header)
@@ -226,8 +266,8 @@ def recv_frame(
             )
         if not hmac.compare_digest(digest, _frame_digest(secret, header, blob)):
             raise FrameAuthError("queue frame signature mismatch (wrong or stale secret)")
-        return pickle.loads(blob)
-    if magic == MAGIC:
+        payload = pickle.loads(blob)
+    elif magic == MAGIC:
         if secret is not None:
             # Authenticate-then-parse: the unsigned payload is drained (so the
             # error reply is not lost to a TCP reset over unread bytes, see
@@ -237,8 +277,21 @@ def recv_frame(
                 f"unauthenticated queue frame rejected: this endpoint requires "
                 f"HMAC-signed frames (set {QUEUE_SECRET_ENV} to the shared secret)"
             )
-        return pickle.loads(_recv_exact(sock, length, deadline))
-    raise ConnectionError(f"bad queue frame magic {magic!r}")
+        payload = pickle.loads(_recv_exact(sock, length, deadline))
+    else:
+        raise ConnectionError(f"bad queue frame magic {magic!r}")
+    if isinstance(payload, dict):
+        for key in [key for key, value in payload.items() if isinstance(value, Pickled)]:
+            blob = payload[key].blob
+            value = None if memo is None else memo.get(blob)
+            if value is None:
+                value = pickle.loads(blob)
+                if memo is not None:
+                    if len(memo) >= DECODE_MEMO_MAX:
+                        memo.clear()
+                    memo[blob] = value
+            payload[key] = value
+    return payload
 
 
 class FrameServer(socketserver.ThreadingTCPServer):
@@ -386,7 +439,8 @@ class FrameClient:
     Base of :class:`NetWorkQueue` and :class:`~repro.runtime.planclient.
     PlanClient`: the socket, the lock that keeps two callers' frames from
     interleaving on it (a worker's heartbeat thread and main loop share one
-    client), the resend rule and the retry policy (module docstring).
+    client), the resend rule and the retry policy (module docstring).  A
+    context manager: leaving the ``with`` block closes the connection.
     """
 
     def __init__(
@@ -405,6 +459,15 @@ class FrameClient:
         self.backoff_s = float(backoff_s)
         self._lock = threading.Lock()
         self._sock: socket.socket | None = None
+        #: Pre-pickled response values by their bytes (:func:`recv_frame`),
+        #: used under ``_lock`` only.
+        self._decoded: dict[bytes, object] = {}
+
+    def __enter__(self) -> "FrameClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def close(self) -> None:
         """Drop the kept connection (the next request reconnects)."""
@@ -435,7 +498,7 @@ class FrameClient:
                     sock = socket.create_connection((self.host, self.port), timeout=self.timeout_s)
                     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                     send_frame(sock, request, secret=self.secret)
-                response = recv_frame(sock, secret=self.secret)
+                response = recv_frame(sock, secret=self.secret, memo=self._decoded)
             except BaseException:
                 if sock is not None:
                     sock.close()

@@ -1,12 +1,12 @@
 """Client of the plan-serving control plane (:mod:`repro.runtime.planserver`).
 
-:class:`PlanClient` speaks the one-frame-per-connection protocol of the
-:class:`~repro.runtime.planserver.PlanServer` over the authenticated codec of
-:mod:`repro.runtime.netqueue`: with a shared secret every frame is
-HMAC-signed, responses are verified before unpickling, and a mis-keyed or
-unconfigured client fails loudly with
+:class:`PlanClient` keeps one connection to a
+:class:`~repro.runtime.planserver.PlanServer` and sends its requests over it as
+frame pairs of the authenticated codec of :mod:`repro.runtime.netqueue`: with a
+shared secret every frame is HMAC-signed, responses are verified before
+unpickling, and a mis-keyed or unconfigured client fails loudly with
 :class:`~repro.runtime.netqueue.QueueAuthError` — never by silently planning
-nothing.
+nothing.  Close it (or use it as a context manager) when done.
 
 Failure taxonomy, deliberately three-way:
 
@@ -52,6 +52,11 @@ class ServedPlan:
     ``server_latency_ms`` is the server-side request latency, and
     ``generation`` is the cache generation the plan was served under (it
     changes when the server's catalog/statistics are invalidated).
+
+    The server sends a cached plan as the bytes it pickled once, and a
+    client decodes bytes it has seen before from its memo: repeated
+    identical replies to one client share one :class:`PlanNode`.  Plans are
+    immutable, so sharing is safe; a caller must not mutate one.
     """
 
     plan: PlanNode
@@ -127,7 +132,9 @@ class PlanClient(FrameClient):
         config: PostgresConfig | None = None,
     ) -> ServedPlan:
         """Plan ``sql`` on the server; see :class:`ServedPlan` for guarantees."""
-        request: dict = {"op": "plan", "sql": sql, "hints": hints}
+        request: dict = {"op": "plan", "sql": sql}
+        if hints != NO_HINTS:  # the server's default: not pickled, sent, decoded
+            request["hints"] = hints
         if config is not None:
             request["config"] = config
         if self.client_id:

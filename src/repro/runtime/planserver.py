@@ -55,7 +55,9 @@ import sys
 import threading
 import time
 from collections import OrderedDict, deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from repro.config import PostgresConfig
 from repro.errors import (
@@ -67,7 +69,7 @@ from repro.errors import (
 )
 from repro.optimizer.planner import Planner, PlannerResult
 from repro.plans.hints import HintSet, NO_HINTS
-from repro.runtime.netqueue import FrameServer
+from repro.runtime.netqueue import FrameServer, Pickled
 from repro.runtime.plan_cache import PlanCache
 from repro.sql.binder import BoundQuery, bind_sql
 from repro.storage.database import Database
@@ -87,6 +89,9 @@ DEFAULT_LATENCY_WINDOW = 2048
 
 #: Retry hint carried by reject frames, seconds.
 REJECT_RETRY_AFTER_S = 0.05
+
+_K = TypeVar("_K")
+_V = TypeVar("_V")
 
 
 def _percentile(sorted_samples: list[float], fraction: float) -> float:
@@ -160,7 +165,8 @@ class PlanServer:
     that all share ``plan_cache``.  Requests may carry a configuration
     override: each distinct :class:`~repro.config.PostgresConfig` gets its own
     planner (planners are cheap; the cache is the shared asset), keyed by
-    config fingerprint.
+    config fingerprint and LRU-bounded like the bind memo.  They all share the
+    default planner's cache scope, so evicting one loses no cached plan.
 
     Wire protocol — signed request/response frame pairs, any number per
     connection (:class:`~repro.runtime.netqueue.FrameServer`), payloads are
@@ -168,12 +174,15 @@ class PlanServer:
 
     ``{"op": "plan", "sql": str, "hints": HintSet?, "config": PostgresConfig?,
     "client": str?}``
-        → ``{"ok": True, "plan": PlanNode, "strategy": str,
+        → ``{"ok": True, "plan": Pickled(PlanNode), "strategy": str,
         "planning_time_ms": float, "estimated_cost": float,
         "estimated_rows": float, "cache_hit": bool, "server_latency_ms":
         float, "generation": int}`` — or a reject/error dict (below).
         ``generation`` is the one the plan was looked up (and, on a miss,
-        stored) under, even if an ``invalidate`` landed meanwhile.
+        stored) under, even if an ``invalidate`` landed meanwhile.  The plan
+        is pickled once per cache key and sent as those bytes on every hit;
+        the client's ``recv_frame`` decodes it.  A missing ``hints`` is
+        ``NO_HINTS``.
     ``{"op": "stats"}``
         → ``{"ok": True, "stats": <PlanServerStats.to_dict()>}``.
     ``{"op": "invalidate"}``
@@ -215,12 +224,16 @@ class PlanServer:
         #: misses of the same key collapse into one planning pass, and the
         #: pure-Python enumerators never interleave (single-flight).
         self._plan_lock = threading.Lock()
-        #: One planner per distinct request configuration, sharing the cache.
-        self._planners: dict[str, Planner] = {}
+        #: One planner per distinct request configuration, sharing the cache;
+        #: LRU-bounded by ``plan_cache.max_entries`` (the default planner aside).
+        self._planners: OrderedDict[str, Planner] = OrderedDict()
         #: SQL text → binding, LRU-bounded by ``plan_cache.max_entries``.  Binding
         #: reads the text and this server's fixed schema, never statistics, so
         #: ``invalidate`` leaves it alone.  Shared by handler threads: read-only.
         self._bound: OrderedDict[str, BoundQuery] = OrderedDict()
+        #: Cache key → the served plan's wire bytes, bounded like ``_bound``.
+        #: The key carries the generation: ``invalidate`` retires the bytes.
+        self._pickled: OrderedDict[tuple, Pickled] = OrderedDict()
         self._inflight: dict[str, int] = {}
         self._total_inflight = 0
         self._served = 0
@@ -246,31 +259,45 @@ class PlanServer:
         """The planner serving ``config`` (the database default for ``None``)."""
         if config is None:
             return self._default_planner
-        fingerprint = config.fingerprint()
+        # Planners are stateless per call and share the cache, so a racing
+        # duplicate serves identically to the one kept.
+        return self._memoized(
+            self._planners,
+            config.fingerprint(),
+            lambda: Planner(self.database, config=config, plan_cache=self.plan_cache),
+        )
+
+    def _memoized(self, memo: OrderedDict[_K, _V], key: _K, build: Callable[[], _V]) -> _V:
+        """``memo[key]``, built by ``build()`` on a miss and kept LRU-bounded by
+        ``plan_cache.max_entries``.
+
+        ``build`` runs outside ``self._lock`` (binding and planner
+        construction walk the schema); of two racing builds the first kept
+        wins and the other is discarded.  A ``build`` that raises keeps nothing.
+        """
         with self._lock:
-            planner = self._planners.get(fingerprint)
-        if planner is not None:
-            return planner
-        # Built outside the stats lock (planner construction walks the
-        # catalog); a racing duplicate is discarded — planners are stateless
-        # per call and share the cache, so either instance serves identically.
-        planner = Planner(self.database, config=config, plan_cache=self.plan_cache)
+            value = memo.get(key)
+            if value is not None:
+                memo.move_to_end(key)
+                return value
+        value = build()
         with self._lock:
-            return self._planners.setdefault(fingerprint, planner)
+            value = memo.setdefault(key, value)
+            memo.move_to_end(key)
+            while len(memo) > self.plan_cache.max_entries:
+                memo.popitem(last=False)
+        return value
 
     def invalidate(self) -> dict[str, int]:
-        """Bump every served scope's generation (catalog/statistics changed).
+        """Bump every served scope's generation once (catalog/statistics changed).
 
         Pre-bump cache entries stop matching immediately — in-flight requests
         keyed before the bump simply miss and re-plan.  Returns the new
         generation per scope.
         """
         with self._lock:
-            planners = [self._default_planner, *self._planners.values()]
-        generations: dict[str, int] = {}
-        for planner in planners:
-            generations[planner.cache_scope] = planner.invalidate_cached_plans()
-        return generations
+            planners = {p.cache_scope: p for p in (self._default_planner, *self._planners.values())}
+        return {scope: planner.invalidate_cached_plans() for scope, planner in planners.items()}
 
     # ------------------------------------------------------------------ serving
     def _dispatch(self, request: object, peer: str) -> dict:
@@ -333,7 +360,8 @@ class PlanServer:
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}", "kind": "sql"}
         planner = self._planner_for(config)
         try:
-            result, cache_hit, generation = self._plan_single_flight(planner, query, hints)
+            key = planner.cache_key(query, hints)
+            result, cache_hit = self._plan_single_flight(planner, query, hints, key)
         except (HintError, OptimizerError) as exc:
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}", "kind": "planning"}
         if not cache_hit:
@@ -341,49 +369,38 @@ class PlanServer:
                 self._planned += 1
         return {
             "ok": True,
-            "plan": result.plan,
+            # Pickled on the key's first request only; every hit sends those bytes.
+            "plan": self._memoized(self._pickled, key, lambda: Pickled.of(result.plan)),
             "strategy": result.strategy,
             "planning_time_ms": result.planning_time_ms,
             "estimated_cost": result.estimated_cost,
             "estimated_rows": result.estimated_rows,
             "cache_hit": cache_hit,
-            "generation": generation,
+            "generation": PlanCache.key_generation(key),
         }
 
     def _bind(self, sql: str) -> BoundQuery:
         """``bind_sql`` once per distinct text; a text that fails to bind raises every time."""
-        with self._lock:
-            query = self._bound.get(sql)
-            if query is not None:
-                self._bound.move_to_end(sql)
-                return query
-        query = bind_sql(sql, self.database.schema)
-        with self._lock:
-            self._bound[sql] = query
-            while len(self._bound) > self.plan_cache.max_entries:
-                self._bound.popitem(last=False)
-        return query
+        return self._memoized(self._bound, sql, lambda: bind_sql(sql, self.database.schema))
 
     def _plan_single_flight(
-        self, planner: Planner, query: BoundQuery, hints: HintSet
-    ) -> tuple[PlannerResult, bool, int]:
-        """Plan via the shared cache: ``(result, cache hit, generation)``.
+        self, planner: Planner, query: BoundQuery, hints: HintSet, key: tuple
+    ) -> tuple[PlannerResult, bool]:
+        """Plan via the shared cache under the request's one ``key``: ``(result, cache hit)``.
 
-        One key per request: ``peek`` routes on it without touching hit/miss
-        counters and the one ``plan_with_info`` call does, under the same key,
-        the one ``get`` that accounts the request (requests == hits + misses).
-        A miss re-peeks inside the planning lock: a concurrent client may have
+        ``peek`` routes on the key without touching hit/miss counters and the
+        one ``plan_with_info`` call does, under the same key, the one ``get``
+        that accounts the request (requests == hits + misses).  A miss
+        re-peeks inside the planning lock: a concurrent client may have
         planned the key meanwhile (single-flight).  A bump after the key was
         built makes the request miss and plan under the key's pre-bump
-        generation, which it reports: never a label newer than the lookup.
+        generation, which the reply reports: never a label newer than the lookup.
         """
-        key = planner.cache_key(query, hints)
-        generation = PlanCache.key_generation(key)
         if self.plan_cache.peek(key) is not None:
-            return planner.plan_with_info(query, hints, key), True, generation
+            return planner.plan_with_info(query, hints, key), True
         with self._plan_lock:
             cache_hit = self.plan_cache.peek(key) is not None
-            return planner.plan_with_info(query, hints, key), cache_hit, generation
+            return planner.plan_with_info(query, hints, key), cache_hit
 
     # ------------------------------------------------------------ admission
     def _admit(self, client: str) -> bool:

@@ -212,13 +212,13 @@ class TestFrameAuth:
         monkeypatch.delenv("REPRO_QUEUE_SECRET", raising=False)
         server = QueueServer(secret=self.SECRET)
         try:
-            client = NetWorkQueue(server.url, secret=self.SECRET, retries=0)
-            server.enqueue("t-0", {"n": 1})
-            claim = client.claim("w")
-            assert claim is not None and claim.payload == {"n": 1}
-            client.ack(claim, "w")
-            assert client.stats().done == 1
-            assert client.worker_done_counts() == {"w": 1}
+            with NetWorkQueue(server.url, secret=self.SECRET, retries=0) as client:
+                server.enqueue("t-0", {"n": 1})
+                claim = client.claim("w")
+                assert claim is not None and claim.payload == {"n": 1}
+                client.ack(claim, "w")
+                assert client.stats().done == 1
+                assert client.worker_done_counts() == {"w": 1}
         finally:
             server.close()
 
@@ -238,8 +238,8 @@ class TestFrameAuth:
                 intruder.claim("intruder")
             monkeypatch.undo()
             # The queue is untouched: the task is still claimable by a keyed worker.
-            client = NetWorkQueue(server.url, secret=self.SECRET, retries=0)
-            assert client.claim("w").task_id == "t-0"
+            with NetWorkQueue(server.url, secret=self.SECRET, retries=0) as client:
+                assert client.claim("w").task_id == "t-0"
         finally:
             server.close()
 
@@ -272,9 +272,9 @@ class TestFrameAuth:
         QueueAuthError like claim and ack do."""
         server = QueueServer(secret=self.SECRET)
         try:
-            keyed = NetWorkQueue(server.url, secret=self.SECRET, retries=0)
             server.enqueue("t-0", "p")
-            claim = keyed.claim("w")
+            with NetWorkQueue(server.url, secret=self.SECRET, retries=0) as keyed:
+                claim = keyed.claim("w")
             mis_keyed = NetWorkQueue(server.url, secret="rotated-away", retries=0)
             with pytest.raises(QueueAuthError):
                 mis_keyed.renew(claim)
@@ -295,9 +295,9 @@ class TestFrameAuth:
         monkeypatch.setenv("REPRO_QUEUE_SECRET", "env-keyed")
         server = QueueServer()  # picks the secret up from the environment
         try:
-            client = NetWorkQueue(server.url)  # ditto
             server.enqueue("t-0", "p")
-            assert client.claim("w").task_id == "t-0"
+            with NetWorkQueue(server.url) as client:  # ditto
+                assert client.claim("w").task_id == "t-0"
         finally:
             server.close()
 
@@ -445,8 +445,8 @@ class TestClientRetries:
                 return real_connect(address, timeout=timeout)
 
             monkeypatch.setattr(netqueue.socket, "create_connection", flaky)
-            client = NetWorkQueue(server.url, retries=3, backoff_s=0.01)
-            claim = client.claim("w")
+            with NetWorkQueue(server.url, retries=3, backoff_s=0.01) as client:
+                claim = client.claim("w")
             assert claim is not None and claim.task_id == "t-0"
             assert attempts["n"] == 3  # two refusals + the success
         finally:

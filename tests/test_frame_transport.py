@@ -22,9 +22,11 @@ from repro.config import SIMULATION_CONFIG
 from repro.runtime import netqueue
 from repro.runtime.netqueue import (
     MAGIC_ERROR,
+    FrameAuthError,
     FrameClient,
     FrameServer,
     NetWorkQueue,
+    Pickled,
     QueueServer,
     recv_frame,
     resolve_queue_secret,
@@ -42,6 +44,11 @@ TWO_WAY = "SELECT COUNT(*) FROM title AS t JOIN movie_companies AS mc ON t.id = 
 
 def echo(request, peer):
     return {"ok": True, "echo": request}
+
+
+def pickled_echo(request, peer):
+    """The request comes back as a pre-pickled value."""
+    return {"ok": True, "echo": Pickled.of(request)}
 
 
 @pytest.fixture()
@@ -243,3 +250,51 @@ class TestSharedClient:
         assert mismatches == []
         assert echo_server.counters()["connections"] == 1
         queue.close()
+
+
+class TestPrePickledValues:
+    @pytest.fixture()
+    def pickled_echo_server(self):
+        server = FrameServer(("127.0.0.1", 0), pickled_echo, SECRET, name="pickled-echo-server")
+        yield server
+        server.close()
+
+    def test_identical_bytes_decode_once_and_different_bytes_separately(self, pickled_echo_server):
+        with FrameClient(pickled_echo_server.url, secret=SECRET, retries=0) as client:
+            first = client.request({"n": [1, 2]})["echo"]
+            again = client.request({"n": [1, 2]})["echo"]
+            other = client.request({"n": [3]})["echo"]
+            assert first == {"n": [1, 2]} and again is first  # one decode, one shared object
+            assert other == {"n": [3]} and other is not first
+            assert len(client._decoded) == 2
+
+    def test_the_decode_memo_stays_bounded(self, pickled_echo_server, monkeypatch):
+        monkeypatch.setattr(netqueue, "DECODE_MEMO_MAX", 3)
+        with FrameClient(pickled_echo_server.url, secret=SECRET, retries=0) as client:
+            for n in range(10):
+                assert client.request({"n": n})["echo"] == {"n": n}
+                assert 1 <= len(client._decoded) <= 3
+
+    def test_a_tampered_frame_never_reaches_pickle_loads(self, monkeypatch):
+        inner = Pickled.of({"plan": "of some query"})
+        blob = pickle.dumps({"ok": True, "plan": inner}, protocol=pickle.HIGHEST_PROTOCOL)
+        frame = bytearray(signed_frame(blob))
+        frame[6 + 32 + blob.index(inner.blob) + 4] ^= 0xFF  # a byte of the pre-pickled value
+
+        def poisoned_loads(data):
+            raise AssertionError("pickle.loads reached with a tampered frame")
+
+        monkeypatch.setattr(netqueue.pickle, "loads", poisoned_loads)
+        memo: dict = {}
+        left, right = socket.socketpair()
+        with left, right:
+            left.sendall(bytes(frame))
+            with pytest.raises(FrameAuthError, match="signature mismatch"):
+                recv_frame(right, secret=KEY, memo=memo)
+        assert memo == {}
+
+    def test_pre_pickled_values_decode_on_the_auth_off_path_too(self):
+        left, right = socket.socketpair()
+        with left, right:
+            send_frame(left, {"ok": True, "plan": Pickled.of((1, "a"))})
+            assert recv_frame(right) == {"ok": True, "plan": (1, "a")}

@@ -84,7 +84,8 @@ def server(database):
 
 @pytest.fixture()
 def client(server):
-    return PlanClient(server.url, client_id="test", secret=SECRET, retries=0)
+    with PlanClient(server.url, client_id="test", secret=SECRET, retries=0) as client:
+        yield client
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +121,8 @@ class TestServedPlans:
         second = client.plan(THREE_WAY)
         assert second.cache_hit is True
         # A *different* client shares the same server-side cache.
-        other = PlanClient(server.url, client_id="other", secret=SECRET, retries=0)
-        assert other.plan(THREE_WAY).cache_hit is True
+        with PlanClient(server.url, client_id="other", secret=SECRET, retries=0) as other:
+            assert other.plan(THREE_WAY).cache_hit is True
         stats = client.stats()
         assert stats["served"] == 3
         assert stats["planned"] == 1
@@ -163,18 +164,18 @@ class TestServingAuth:
             raise AssertionError("pickle.loads reached with an unauthenticated peer")
 
         monkeypatch.setattr(netqueue.pickle, "loads", poisoned_loads)
-        intruder = PlanClient(server.url, secret="", retries=0)
-        with pytest.raises(QueueAuthError, match="unauthenticated"):
-            intruder.plan(TWO_WAY)
+        with PlanClient(server.url, secret="", retries=0) as intruder:
+            with pytest.raises(QueueAuthError, match="unauthenticated"):
+                intruder.plan(TWO_WAY)
         monkeypatch.undo()
         # The server is unharmed and keeps serving keyed clients.
         assert client.ping()
         assert client.stats()["auth_rejects"] == 1
 
     def test_wrong_secret_rejected_loudly(self, server):
-        wrong = PlanClient(server.url, secret="not-the-secret", retries=0)
-        with pytest.raises(QueueAuthError, match="signature mismatch"):
-            wrong.plan(TWO_WAY)
+        with PlanClient(server.url, secret="not-the-secret", retries=0) as wrong:
+            with pytest.raises(QueueAuthError, match="signature mismatch"):
+                wrong.plan(TWO_WAY)
         assert server.stats().auth_rejects == 1
 
 
@@ -202,16 +203,16 @@ class TestAdmissionControl:
             first_result = {}
 
             def first_request():
-                client = PlanClient(server.url, client_id="a", secret=SECRET, retries=0)
-                first_result["plan"] = client.plan(TWO_WAY)
+                with PlanClient(server.url, client_id="a", secret=SECRET, retries=0) as client:
+                    first_result["plan"] = client.plan(TWO_WAY)
 
             thread = threading.Thread(target=first_request)
             thread.start()
             assert admitted.wait(timeout=10)
             # Slot taken: the next request is rejected explicitly, not queued.
-            rejected = PlanClient(server.url, client_id="b", secret=SECRET, retries=0)
-            with pytest.raises(PlanRejected, match="at capacity") as exc_info:
-                rejected.plan(TWO_WAY)
+            with PlanClient(server.url, client_id="b", secret=SECRET, retries=0) as rejected:
+                with pytest.raises(PlanRejected, match="at capacity") as exc_info:
+                    rejected.plan(TWO_WAY)
             assert exc_info.value.retry_after_s > 0
             release.set()
             thread.join(timeout=10)

@@ -1,5 +1,7 @@
 """Tests for physical plan nodes, plan properties and the hint mechanism."""
 
+import pickle
+
 import pytest
 
 from repro.errors import HintError, PlanError
@@ -150,6 +152,22 @@ class TestHints:
         names = [h.name for h in BAO_HINT_SETS]
         assert len(names) == len(set(names))
         assert "all_on" in names and "disable_nestloop" in names
+
+    def test_fingerprint_memo_changes_neither_pickle_nor_equality(self):
+        def forced():
+            return HintSet.from_join_order(
+                ["a", "b"], join_methods={frozenset({"a", "b"}): JoinType.HASH}, name="forced"
+            )
+
+        hints, twin = forced(), forced()
+        before = pickle.dumps(hints)
+        fingerprint = hints.fingerprint()
+        assert hints.fingerprint() is fingerprint  # computed once, then memoised
+        assert pickle.dumps(hints) == before == pickle.dumps(twin)
+        assert hints == twin
+        restored = pickle.loads(before)
+        assert "_repro_fingerprint" not in vars(restored)  # the memo never travels
+        assert restored.fingerprint() == fingerprint == twin.fingerprint()
 
     def test_describe_mentions_components(self):
         hints = HintSet.from_join_order(["a", "b"], join_methods={frozenset({"a", "b"}): JoinType.HASH})

@@ -1,19 +1,25 @@
-"""Tests of the plan server's hit path: bind memo, one cache key, its generation.
+"""Tests of the plan server's hit path: bind memo, one cache key, pickled once.
 
-A repeat request skips ``bind_sql`` (text → ``BoundQuery`` memo) and
-fingerprints once; neither shortcut may change a served byte, survive as a
-wrong answer for a text that does not bind, or outgrow the plan cache's bound.
+A repeat request skips ``bind_sql`` (text → ``BoundQuery`` memo), fingerprints
+once, is answered with the bytes its plan was pickled to on the first request,
+and is decoded once per client; no shortcut may change a served byte, survive
+as a wrong answer for a text that does not bind, or outgrow the plan cache's
+bound.  The server's per-config planners are held under the same bound.
 """
 
 import dataclasses
+import os
 import pickle
+import sys
+import threading
 
 import pytest
 
 from repro.config import SIMULATION_CONFIG
 from repro.errors import PlanServiceError
 from repro.optimizer.planner import Planner
-from repro.runtime import planserver
+from repro.plans.hints import NO_HINTS
+from repro.runtime import netqueue, planserver
 from repro.runtime.plan_cache import PlanCache
 from repro.runtime.planclient import PlanClient
 from repro.runtime.planserver import PlanServer
@@ -189,8 +195,160 @@ class TestOneKeyPerRequest:
 
 def test_stats_frame_reports_connections(server, client):
     client.ping()
-    other = PlanClient(server.url, secret=SECRET, retries=0)
-    other.ping()
-    other.close()
+    with PlanClient(server.url, secret=SECRET, retries=0) as other:
+        other.ping()
     assert client.stats()["connections"] == 2
     assert server.stats().to_dict()["connections"] == 2
+
+
+@pytest.fixture()
+def pickled_count(monkeypatch):
+    """Plans the server pickles, counted at ``Pickled`` construction."""
+    blobs: list[bytes] = []
+
+    class CountingPickled(netqueue.Pickled):
+        __slots__ = ()
+
+        def __init__(self, blob: bytes) -> None:
+            blobs.append(blob)
+            super().__init__(blob)
+
+    monkeypatch.setattr(planserver, "Pickled", CountingPickled)
+    return blobs
+
+
+class TestPickledOnce:
+    def test_hits_of_one_text_pickle_its_plan_once(self, client, database, pickled_count):
+        replies = [client.plan(THREE_WAY) for _ in range(5)]
+        assert [reply.cache_hit for reply in replies] == [False] + [True] * 4
+        assert len(pickled_count) == 1
+        assert all(reply.plan is replies[0].plan for reply in replies)  # decoded once by this client
+        assert pickle.dumps(replies[0].plan) == direct_wire_bytes(database, THREE_WAY)
+
+    def test_a_miss_and_its_hits_answer_with_the_same_bytes(self, server):
+        miss, hit = (server._dispatch({"op": "plan", "sql": THREE_WAY}, "peer") for _ in range(2))
+        assert (miss["cache_hit"], hit["cache_hit"]) == (False, True)
+        assert isinstance(miss["plan"], netqueue.Pickled) and hit["plan"] is miss["plan"]
+
+    def test_after_invalidate_the_plan_is_pickled_again_and_still_direct(
+        self, client, database, pickled_count
+    ):
+        before = client.plan(THREE_WAY)
+        client.invalidate()
+        after = client.plan(THREE_WAY)
+        assert after.cache_hit is False and after.generation == before.generation + 1
+        assert len(pickled_count) == 2  # the new generation's key has bytes of its own
+        assert pickle.dumps(after.plan) == direct_wire_bytes(database, THREE_WAY)
+        assert client.plan(THREE_WAY).cache_hit is True and len(pickled_count) == 2
+
+    def test_the_bytes_are_bounded_by_the_plan_cache(self, database, pickled_count):
+        for entries in (2, 0):
+            server = PlanServer(database, secret=SECRET, plan_cache=PlanCache(max_entries=entries))
+            try:
+                for sql in TEXTS + TEXTS:
+                    assert server._dispatch({"op": "plan", "sql": sql}, "peer")["ok"]
+                    assert len(server._pickled) <= entries
+            finally:
+                server.close()
+        # 2 entries: every text is pushed out before it comes round again; 0: nothing is kept.
+        assert len(pickled_count) == 2 * len(TEXTS) * 2
+
+    def test_no_hints_and_a_missing_hints_share_one_entry(self, server, client, monkeypatch):
+        sent: list[dict] = []
+        original = PlanClient.request
+
+        def recording_request(self, request):
+            sent.append(request)
+            return original(self, request)
+
+        monkeypatch.setattr(PlanClient, "request", recording_request)
+        assert client.plan(THREE_WAY, hints=NO_HINTS).cache_hit is False
+        assert "hints" not in sent[-1]  # the server's default is never pickled or sent
+        explicit = server._dispatch({"op": "plan", "sql": THREE_WAY, "hints": NO_HINTS}, "peer")
+        assert explicit["cache_hit"] is True
+        assert len(server.plan_cache) == 1
+
+
+class TestPlannerBound:
+    @staticmethod
+    def configs(count: int) -> list:
+        return [dataclasses.replace(SIMULATION_CONFIG, join_collapse_limit=limit) for limit in range(1, count + 1)]
+
+    def test_distinct_configs_keep_at_most_the_bound_and_evict_least_recent(self, database):
+        server = PlanServer(database, secret=SECRET, plan_cache=PlanCache(max_entries=2))
+        try:
+            configs = self.configs(5)
+            for config in configs:
+                assert server._dispatch({"op": "plan", "sql": THREE_WAY, "config": config}, "peer")["ok"]
+                assert len(server._planners) <= 2
+            assert list(server._planners) == [config.fingerprint() for config in configs[-2:]]
+            assert server._planner_for(None) is server._default_planner  # never evicted
+        finally:
+            server.close()
+
+    def test_an_evicted_config_sent_again_still_hits_the_shared_cache(self, database):
+        server = PlanServer(database, secret=SECRET, plan_cache=PlanCache(max_entries=2))
+        try:
+            first, second, third = self.configs(3)
+            request = {"op": "plan", "sql": THREE_WAY, "config": first}
+            assert server._dispatch(request, "peer")["cache_hit"] is False
+            evicted = server._planner_for(first)
+            server._planner_for(second)
+            server._planner_for(third)  # pushes the first config's planner out
+            assert first.fingerprint() not in server._planners
+            again = server._dispatch(request, "peer")
+            assert again["cache_hit"] is True and server._planner_for(first) is not evicted
+            generations = server.invalidate()
+            assert list(generations) == [server._default_planner.cache_scope]  # one scope, bumped once
+            assert server._dispatch(request, "peer")["cache_hit"] is False
+        finally:
+            server.close()
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["one-shared-client", "client-per-thread"])
+def test_concurrent_hits_stay_byte_identical(database, shared):
+    """More client threads than cores, switching often: every reply is the direct plan's bytes."""
+    threads_n, rounds = (os.cpu_count() or 1) + 2, 12
+    server = PlanServer(
+        database, secret=SECRET, max_client_inflight=threads_n, max_total_inflight=threads_n
+    )
+    clients = [
+        PlanClient(server.url, client_id=f"stress-{i}", secret=SECRET, retries=0)
+        for i in range(1 if shared else threads_n)
+    ]
+    expected = {sql: direct_wire_bytes(database, sql) for sql in TEXTS}
+    replies: list[list] = [[] for _ in range(threads_n)]
+    failures: list[BaseException] = []
+
+    def replay(index: int) -> None:
+        client = clients[0 if shared else index]
+        try:
+            for step in range(rounds * len(TEXTS)):
+                sql = TEXTS[(index + step) % len(TEXTS)]
+                replies[index].append((sql, client.plan(sql).plan))
+        except BaseException as exc:  # pragma: no cover - failure reporting
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=replay, args=(i,)) for i in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        for client in clients:
+            client.close()
+        server.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    served = [reply for per_thread in replies for reply in per_thread]
+    assert len(served) == threads_n * rounds * len(TEXTS)
+    assert all(pickle.dumps(plan) == expected[sql] for sql, plan in served)
+    cache = server.plan_cache.stats_snapshot()
+    assert cache.requests == cache.hits + cache.misses == len(served)
+    assert cache.misses == len(TEXTS)  # single-flight: each text planned once
+    if shared:  # one client decodes each distinct reply once
+        assert all(len({id(plan) for sql, plan in served if sql == text}) == 1 for text in TEXTS)
