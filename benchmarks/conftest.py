@@ -6,11 +6,11 @@ docs/ARCHITECTURE.md).  Set the
 environment variables ``REPRO_BENCH_SCALE`` (database scale factor) and
 ``REPRO_BENCH_FULL=1`` (full experiment grids) for larger runs.
 
-The end-to-end benchmarks run through the experiment runtime: tasks fan out
-over ``REPRO_BENCH_WORKERS`` workers (default 2) and results/artefacts are
-persisted into a result store.  ``REPRO_BENCH_EXECUTOR`` picks the thread
-pool (default) or ``serial``; multi-process sweeps are the distributed
-executor's (``bench_runtime_parallel.py``).  Point ``REPRO_BENCH_STORE`` at a
+The end-to-end benchmarks run through the experiment runtime and persist
+results/artefacts into a result store.  ``REPRO_BENCH_EXECUTOR`` picks the
+executor kind: ``serial`` (default) or ``distributed``, which fans the tasks
+out over ``REPRO_BENCH_WORKERS`` worker processes (default 2;
+``bench_runtime_parallel.py`` runs that executor on its own).  Point ``REPRO_BENCH_STORE`` at a
 directory to make sweeps resumable across invocations — completed (method,
 split, seed) tasks are then skipped on re-run.
 """
@@ -30,11 +30,11 @@ BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.35"))
 #: Whether to run the full experiment grids (all methods, 3 splits/sampling).
 BENCH_FULL = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 
-#: Parallel workers used by the end-to-end experiment grids.
+#: Worker processes of the end-to-end experiment grids under the distributed executor.
 BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
 
-#: Executor kind of the benchmark grids ("thread" or "serial").
-BENCH_EXECUTOR = os.environ.get("REPRO_BENCH_EXECUTOR", "thread")
+#: Executor kind of the benchmark grids ("serial" or "distributed").
+BENCH_EXECUTOR = os.environ.get("REPRO_BENCH_EXECUTOR", "serial")
 
 
 @pytest.fixture(scope="session")

@@ -2,20 +2,21 @@
 
 Runs a reduced Figure-4-style grid twice:
 
-1. fanned out over ``REPRO_BENCH_WORKERS`` workers (default 4) with results
-   persisted into a JSON result store, and
+1. on the ``REPRO_BENCH_EXECUTOR`` executor (``serial`` by default;
+   ``distributed`` fans it out over ``REPRO_BENCH_WORKERS`` worker processes,
+   default 4) with results persisted into a JSON result store, and
 2. again — which resumes from the store and recomputes nothing (the script
    exits non-zero if any task was re-run, so CI can assert resume-skip).
 
-Multi-process sweeps run through the distributed executor instead
-(``examples/distributed_sweep.py``).
+The distributed executor's crash-recovery demo is
+``examples/distributed_sweep.py``.
 
 Usage::
 
     PYTHONPATH=src python examples/parallel_experiments.py [store_dir]
 
 Environment: ``REPRO_BENCH_WORKERS``, ``REPRO_BENCH_EXECUTOR``
-(``thread``/``serial``), ``REPRO_BENCH_STORE`` (used when no ``store_dir``
+(``serial``/``distributed``), ``REPRO_BENCH_STORE`` (used when no ``store_dir``
 argument is given).
 """
 
@@ -55,7 +56,7 @@ def main(store_dir: str | None = None) -> None:
             prefix="repro-results-"
         )
     workers = int(os.environ.get("REPRO_BENCH_WORKERS", "4"))
-    executor_kind = os.environ.get("REPRO_BENCH_EXECUTOR", "thread")
+    executor_kind = os.environ.get("REPRO_BENCH_EXECUTOR", "serial")
     context = job_context(scale=0.25)
     splits = demo_splits(context.workload.name)
     store = ResultStore(store_dir)
@@ -70,7 +71,7 @@ def main(store_dir: str | None = None) -> None:
         result_store=store,
     )
     tasks = runner.tasks_for(METHODS, splits)
-    print(f"running {len(tasks)} tasks on {workers} {executor_kind} workers "
+    print(f"running {len(tasks)} tasks on the {executor_kind} executor "
           f"(store: {store_dir}) ...")
     start = time.perf_counter()
     results = runner.run_tasks(tasks)

@@ -26,7 +26,7 @@ def main() -> None:
     print()
     print(f"--- PostgreSQL plan for {query.query_id} "
           f"(planning {planned.planning_time_ms:.2f} ms, "
-          f"execution {measured.reported_ms:.2f} ms) ---")
+          f"execution {measured.reported_execution_ms:.2f} ms) ---")
     print(explain_analyze_text(planned.plan, measured.result, planned.planning_time_ms))
 
     # 3. Train Bao on a random 80/20 split and plan the same query.
@@ -38,11 +38,11 @@ def main() -> None:
     print()
     print(f"--- Bao ({report.training_time_s:.1f} s training, "
           f"chose hint set {bao_planned.metadata['chosen_arm']!r}, "
-          f"execution {bao_measured.reported_ms:.2f} ms) ---")
+          f"execution {bao_measured.reported_execution_ms:.2f} ms) ---")
     print(bao_planned.plan.pretty())
 
     print()
-    winner = "Bao" if bao_measured.reported_ms < measured.reported_ms else "PostgreSQL"
+    winner = "Bao" if bao_measured.reported_execution_ms < measured.reported_execution_ms else "PostgreSQL"
     print(f"Faster on {query.query_id}: {winner}")
 
 

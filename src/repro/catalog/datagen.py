@@ -61,16 +61,6 @@ def zipf_choice(
     return rng.choice(values, size=size, p=weights)
 
 
-def uniform_choice(
-    rng: np.random.Generator, values: Sequence[int] | np.ndarray, size: int
-) -> np.ndarray:
-    """Uniformly sample ``size`` values from a domain."""
-    values = np.asarray(values, dtype=np.int64)
-    if values.size == 0 or size <= 0:
-        return np.empty(0, dtype=np.int64)
-    return rng.choice(values, size=size)
-
-
 def primary_keys(n: int, start: int = 1) -> np.ndarray:
     """Dense primary keys ``start, start+1, ..., start+n-1``."""
     return np.arange(start, start + n, dtype=np.int64)
@@ -189,11 +179,6 @@ def dictionary_column(
         column = column.copy()
         column[mask] = NULL_SENTINEL
     return column
-
-
-def unique_name_dictionary(prefix: str, n: int) -> list[str]:
-    """A dictionary of ``n`` distinct synthetic names (``prefix_000001`` ...)."""
-    return [f"{prefix}_{i:06d}" for i in range(n)]
 
 
 def pooled_name_dictionary(prefix: str, n: int, pools: Sequence[str]) -> list[str]:

@@ -15,7 +15,7 @@ generators, so this holds by construction).
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable
 
 from repro.catalog.datagen import generate_synthetic
 from repro.catalog.imdb import generate_imdb, generate_imdb_half
@@ -23,12 +23,6 @@ from repro.catalog.stack import generate_stack
 from repro.errors import CatalogError
 from repro.storage.database import Database
 from repro.storage.spec import DatabaseSpec
-
-
-class DatabaseFactory(Protocol):
-    """A registered generator: ``(scale, seed, config, **params) -> Database``."""
-
-    def __call__(self, scale: float, seed: int, config, **params) -> Database: ...
 
 
 _FACTORIES: dict[str, Callable[..., Database]] = {}

@@ -200,14 +200,6 @@ class Schema:
     def foreign_keys(self) -> list[ForeignKey]:
         return list(self._foreign_keys)
 
-    def foreign_keys_of(self, table: str) -> list[ForeignKey]:
-        """Foreign keys in which ``table`` participates as child or parent."""
-        return [
-            fk
-            for fk in self._foreign_keys
-            if fk.child_table == table or fk.parent_table == table
-        ]
-
     def join_columns(self, left: str, right: str) -> list[tuple[str, str]]:
         """Column pairs ``(left_column, right_column)`` joinable via a foreign key."""
         pairs: list[tuple[str, str]] = []
@@ -227,13 +219,6 @@ class Schema:
         return sorted(edges)  # type: ignore[return-value]
 
     # -- convenience ----------------------------------------------------------
-    def table_index(self, name: str) -> int:
-        """Stable integer identifier of a table (used by one-hot encoders)."""
-        try:
-            return self.table_names().index(name)
-        except ValueError as exc:
-            raise CatalogError(f"schema {self.name!r} has no table {name!r}") from exc
-
     def column_index(self, table: str, column: str) -> int:
         """Stable integer identifier of a column across the whole schema."""
         offset = 0

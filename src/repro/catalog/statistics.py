@@ -49,10 +49,6 @@ class ColumnStatistics:
     histogram_bounds: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
-    def non_null_count(self) -> int:
-        return int(round(self.row_count * (1.0 - self.null_frac)))
-
-    @property
     def mcv_total_fraction(self) -> float:
         """Fraction of non-null rows covered by the MCV list."""
         return float(self.mcv_fractions.sum()) if self.mcv_fractions.size else 0.0

@@ -281,7 +281,7 @@ def iter_presets() -> Iterator[tuple[str, PostgresConfig]]:
 # ---------------------------------------------------------------------------
 
 #: Executor kinds accepted by :class:`RuntimeConfig`.
-EXECUTOR_KINDS = ("serial", "thread", "distributed")
+EXECUTOR_KINDS = ("serial", "distributed")
 
 #: Execution-engine kinds accepted by ``ExperimentConfig.engine`` and
 #: :func:`repro.executor.engine.create_engine`.  ``"columnar"`` (the default)
@@ -297,15 +297,15 @@ class RuntimeConfig:
     """Knobs of the parallel experiment runtime (``repro.runtime``).
 
     Attributes:
-        workers: number of concurrent experiment tasks; ``1`` runs serially.
-            Under ``"distributed"`` this is the number of *local* worker
-            processes the coordinator launches; remote workers started by hand
-            (``python -m repro.runtime.worker``) add capacity on top.
-        executor_kind: ``"thread"`` (default), ``"serial"`` or
-            ``"distributed"``.  Thread workers share the read-only table data
-            in this process; distributed execution fans tasks out to worker
-            processes through a work queue — file based (hosts sharing a
-            filesystem) or TCP (no sharing at all), selected by ``queue_url``.
+        workers: number of *local* worker processes a ``"distributed"``
+            coordinator launches; remote workers started by hand
+            (``python -m repro.runtime.worker``) add capacity on top.  The
+            serial executor runs one task at a time whatever this says.
+        executor_kind: ``"serial"`` (default) or ``"distributed"``.  Serial
+            runs every task in this process; distributed execution fans tasks
+            out to worker processes through a work queue — file based (hosts
+            sharing a filesystem) or TCP (no sharing at all), selected by
+            ``queue_url``.
         plan_cache_entries: capacity of the shared :class:`~repro.runtime.plan_cache.PlanCache`
             (``0`` disables plan caching).
         store_dir: directory of the resumable JSON result store; ``None``
@@ -319,11 +319,10 @@ class RuntimeConfig:
             keeps the flat single-directory layout.  The store's manifest
             pins the count: reopening it with another raises.  Only results
             are sharded — every worker claims from one pending pool.
-        queue_dir: work-queue directory of distributed execution; ``None``
-            defaults to ``<store root>/queue``.
         queue_url: transport of the distributed work queue.  ``None`` or a
             ``file://`` url uses the shared-filesystem queue (``file://<dir>``
-            overrides ``queue_dir``); ``tcp://<host>:<port>`` starts a
+            names its directory, ``None`` puts it at ``<store root>/queue``);
+            ``tcp://<host>:<port>`` starts a
             coordinator-side TCP queue server instead (port ``0`` binds an
             ephemeral port), so workers need **no** filesystem in common with
             the coordinator — they claim over the socket and upload results
@@ -350,12 +349,11 @@ class RuntimeConfig:
     """
 
     workers: int = 1
-    executor_kind: str = "thread"
+    executor_kind: str = "serial"
     plan_cache_entries: int = 1024
     store_dir: str | None = None
     skip_existing: bool = True
     shard_count: int = 0
-    queue_dir: str | None = None
     queue_url: str | None = None
     lease_timeout_s: float = 60.0
     task_retries: int = 1

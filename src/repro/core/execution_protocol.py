@@ -10,12 +10,12 @@ robustness study that justifies it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ExperimentError
-from repro.executor.engine import ExecutionEngine, create_engine
+from repro.executor.engine import ExecutionEngine, ExecutionResult, create_engine
 from repro.optimizer.planner import Planner
 from repro.plans.physical import PlanNode
 from repro.sql.binder import BoundQuery
@@ -36,6 +36,9 @@ class MeasuredQuery:
     planning_time_ms: float
     execution_times_ms: list[float]
     timed_out: bool = False
+    #: The last run's full result (rows, work profile, per-node row counts),
+    #: what ``EXPLAIN ANALYZE`` renders.
+    result: ExecutionResult | None = field(default=None, repr=False, compare=False)
 
     @property
     def reported_execution_ms(self) -> float:
@@ -99,12 +102,15 @@ class ExecutionProtocol:
         planning_time_ms: float = 0.0,
         executions: int | None = None,
         timeout_ms: float | None = None,
+        cold_start: bool | None = None,
     ) -> MeasuredQuery:
         """Execute an already-built plan ``executions`` times (``None``: the
-        default; below 1 is rejected) over one data pass, and record all runs."""
+        default; below 1 is rejected) over one data pass, and record all runs
+        up to the first that times out.  ``cold_start`` (``None``: the
+        protocol's) drops the caches before the first run."""
         count = self.executions_per_query if executions is None else executions
         runs = self.engine.runs(query, plan, count, timeout_ms)
-        if self.cold_start:
+        if self.cold_start if cold_start is None else cold_start:
             self.database.drop_caches()
         times: list[float] = []
         for result in runs:
@@ -116,6 +122,7 @@ class ExecutionProtocol:
             planning_time_ms=planning_time_ms,
             execution_times_ms=times,
             timed_out=result.timed_out,
+            result=result,
         )
 
     # ------------------------------------------------------------------ robustness

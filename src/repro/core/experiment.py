@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence, Union
 
+from repro import simclock
 from repro.config import PostgresConfig
 from repro.core.metrics import MethodRunResult, QueryTiming
 from repro.core.splits import DatasetSplit
@@ -31,18 +32,15 @@ from repro.storage.registry import resolve_database
 from repro.storage.spec import DatabaseSpec
 from repro.workloads.workload import BenchmarkQuery, Workload
 
-#: Timeout applied to evaluation executions (milliseconds); generous enough
-#: that only pathological plans hit it, mirroring the paper's handling of
-#: timed-out queries (e.g. LEON on 26b/32b).
-DEFAULT_EVALUATION_TIMEOUT_MS = 60_000.0
-
-
 @dataclass
 class ExperimentConfig:
     """Knobs of the experiment runner (sized for simulation-scale runs)."""
 
     executions_per_query: int = 3
-    evaluation_timeout_ms: float = DEFAULT_EVALUATION_TIMEOUT_MS
+    #: Timeout of evaluation executions; generous enough that only
+    #: pathological plans hit it, mirroring the paper's handling of timed-out
+    #: queries (e.g. LEON on 26b/32b).
+    evaluation_timeout_ms: float = simclock.TIMEOUT_MS
     cold_start_per_query: bool = True
     training_runs_per_plan: int = 1
     optimizer_kwargs: dict[str, dict] = field(default_factory=dict)
@@ -198,7 +196,7 @@ class ExperimentRunner:
             method=optimizer.name,
             inference_time_ms=inference_ms,
             planning_time_ms=planning_ms,
-            execution_time_ms=measured.reported_ms,
+            execution_time_ms=measured.reported_execution_ms,
             timed_out=measured.timed_out,
             num_joins=query.num_joins,
             metadata=dict(planned.metadata),

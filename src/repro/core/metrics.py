@@ -8,7 +8,6 @@ time, and treats the end-to-end sum as the primary objective (Section 8.2.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import mean
 
 import numpy as np
 
@@ -116,12 +115,6 @@ class MethodRunResult:
                 return timing
         raise KeyError(f"no timing recorded for query {query_id!r}")
 
-    def execution_times(self) -> np.ndarray:
-        return np.asarray([t.execution_time_ms for t in self.timings], dtype=float)
-
-    def end_to_end_times(self) -> np.ndarray:
-        return np.asarray([t.end_to_end_ms for t in self.timings], dtype=float)
-
     def to_dict(self) -> dict:
         """JSON-serializable form, including every per-query timing."""
         return {
@@ -162,10 +155,3 @@ class MethodRunResult:
 def workload_summary(results: list[MethodRunResult]) -> list[dict[str, object]]:
     """Summary rows for a list of method runs (Figure 4/5 table form)."""
     return [result.summary_row() for result in results]
-
-
-def mean_end_to_end_ms(results: list[MethodRunResult]) -> float:
-    """Mean total end-to-end workload time across several runs of the same method."""
-    if not results:
-        return 0.0
-    return float(mean(result.total_end_to_end_ms for result in results))

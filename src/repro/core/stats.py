@@ -94,10 +94,6 @@ class ConfidenceInterval:
     high: float
     confidence: float
 
-    @property
-    def half_width(self) -> float:
-        return (self.high - self.low) / 2.0
-
 
 def bootstrap_confidence_interval(
     values: np.ndarray,

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro import simclock
 from repro.catalog.statistics import NULL_SENTINEL
 from repro.config import PostgresConfig
 from repro.errors import ExecutionError, ExperimentError
@@ -36,7 +37,6 @@ from repro.executor.operators import (
     execute_scan,
     index_nestloop_inner,
 )
-from repro.executor.timing import TimingModel
 from repro.plans.physical import (
     AggregateNode,
     JoinKind,
@@ -116,11 +116,11 @@ class ExecutionEngine:
         self,
         database: Database,
         config: PostgresConfig | None = None,
-        timing_model: TimingModel | None = None,
+        timing_model: simclock.TimingModel | None = None,
     ) -> None:
         self.database = database
         self.config = config or database.config
-        self.timing = timing_model or TimingModel(self.config)
+        self.timing = timing_model or simclock.TimingModel(self.config)
 
     # --------------------------------------------------------------------- public
     def execute(
@@ -190,13 +190,8 @@ class ExecutionEngine:
                 metrics.seq_pages_read += access.misses
             else:
                 metrics.random_pages_read += access.misses
-        if evaluation.error is not None:
-            execution_time, timed_out = (float(timeout) if timeout and timeout > 0 else 60_000.0), True
-        else:
-            execution_time = self.timing.execution_time_ms(metrics)
-            timed_out = bool(timeout and timeout > 0 and execution_time > timeout)
-            if timed_out:
-                execution_time = float(timeout)
+        elapsed = None if evaluation.error is not None else self.timing.execution_time_ms(metrics)
+        execution_time, timed_out = simclock.run_charge_ms(elapsed, timeout)
         return ExecutionResult(
             rows=list(evaluation.rows),
             row_count=len(evaluation.rows),
@@ -397,7 +392,7 @@ def create_engine(
     database: Database,
     config: PostgresConfig | None = None,
     kind: str = "columnar",
-    timing_model: TimingModel | None = None,
+    timing_model: simclock.TimingModel | None = None,
 ) -> ExecutionEngine:
     """Build an execution engine of the requested ``kind``.
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.config import SIMULATION_CONFIG, PostgresConfig, RuntimeConfig
+from repro.config import SIMULATION_CONFIG, RuntimeConfig
 from repro.storage.database import Database
 from repro.storage.registry import get_process_registry
 from repro.storage.spec import DatabaseSpec
@@ -34,10 +34,6 @@ class BenchmarkContext:
     database: Database
     workload: Workload
     spec: DatabaseSpec | None = None
-
-    @property
-    def schema_name(self) -> str:
-        return self.database.schema.name
 
     @property
     def dispatch_source(self) -> Database | DatabaseSpec:
@@ -100,16 +96,10 @@ def imdb_half_database(scale: float | None = None, seed: int = 42) -> Database:
     return get_process_registry().get(imdb_half_spec(scale, seed))
 
 
-def framework_config() -> PostgresConfig:
-    """The configuration the paper's framework uses, scaled to the simulation."""
-    return SIMULATION_CONFIG
-
-
 def distributed_runtime(
     store_dir: str | os.PathLike,
     workers: int = 2,
     shard_count: int = 4,
-    queue_dir: str | os.PathLike | None = None,
     queue_url: str | None = None,
     lease_timeout_s: float = 60.0,
     task_retries: int = 1,
@@ -144,7 +134,6 @@ def distributed_runtime(
         executor_kind="distributed",
         store_dir=str(store_dir),
         shard_count=shard_count,
-        queue_dir=None if queue_dir is None else str(queue_dir),
         queue_url=queue_url,
         lease_timeout_s=lease_timeout_s,
         task_retries=task_retries,

@@ -2,7 +2,7 @@
 
 Each point is one trained model on one split: the x-axis is the end-to-end
 training time, simulated from the plans the method executed, its training
-queries and its iterations (``LQOEnvironment.simulated_training_time_s``),
+queries and its iterations (``repro.simclock.training_s``),
 the y-axis the summed end-to-end execution time of the workload's test
 queries.  The paper's observation: spending more time training
 does *not* buy better workload runtimes — the ordering is, if anything,

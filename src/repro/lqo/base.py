@@ -1,33 +1,37 @@
 """Common infrastructure for learned query optimizers.
 
 :class:`LQOEnvironment` bundles everything an optimizer needs to interact with
-the simulated DBMS — planner, execution engine, encoders, measurement helpers —
-so that every method trains and is evaluated under identical conditions (the
-paper's core requirement for its end-to-end benchmarking framework).
+the simulated DBMS — planner, execution engine, encoders, the measurement
+protocol — so that every method trains and is evaluated under identical
+conditions (the paper's core requirement for its end-to-end benchmarking
+framework).  Its inference and training times come from :mod:`repro.simclock`.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro import simclock
 from repro.config import PostgresConfig
 from repro.encoding.plan_encoding import PlanTreeEncoder
 from repro.encoding.query_encoding import QueryEncoder
-from repro.executor.engine import ExecutionResult, create_engine
 from repro.ml.tree_models import TreeConvolutionEncoder, TreeEncoder, TreeLSTMEncoder
 from repro.optimizer.cost_model import PlanningContext
 from repro.optimizer.planner import Planner, PlannerResult
 from repro.plans.hints import NO_HINTS, HintSet
 from repro.plans.physical import JoinNode, PlanNode, ScanNode, strip_decorations
 from repro.plans.properties import join_order_of
-from repro.runtime.fingerprint import stable_seed
 from repro.runtime.plan_cache import PlanCache
 from repro.sql.binder import BoundQuery
 from repro.storage.database import Database
 from repro.workloads.workload import BenchmarkQuery
+
+if TYPE_CHECKING:
+    from repro.core.execution_protocol import MeasuredQuery
 
 
 @dataclass
@@ -54,24 +58,6 @@ class TrainingReport:
     notes: str = ""
 
 
-@dataclass
-class MeasuredExecution:
-    """Latency measurements of one executed plan under the hot-cache protocol."""
-
-    execution_times_ms: list[float]
-    timed_out: bool
-    result: ExecutionResult
-
-    @property
-    def reported_ms(self) -> float:
-        """The paper's protocol: execute three times, report the third run."""
-        return self.execution_times_ms[-1]
-
-    @property
-    def first_run_ms(self) -> float:
-        return self.execution_times_ms[0]
-
-
 class LQOEnvironment:
     """Shared DBMS access layer for every optimizer."""
 
@@ -86,18 +72,30 @@ class LQOEnvironment:
         plan_cache: PlanCache | None = None,
         engine: str = "columnar",
     ) -> None:
+        # Imported here: the repro.core package imports the experiment runner,
+        # which builds on this module.
+        from repro.core.execution_protocol import ExecutionProtocol
+
         self.database = database
         self.config = config or database.config
         self.planner = Planner(database, self.config, plan_cache=plan_cache)
-        #: Execution engine, selected by kind (see :data:`repro.config.ENGINE_KINDS`).
-        #: Both kinds produce byte-identical results and simulated timings.
-        self.engine = create_engine(database, self.config, kind=engine)
+        #: The one measurement loop, over this planner and an engine of the
+        #: requested kind (see :data:`repro.config.ENGINE_KINDS`; both kinds
+        #: produce byte-identical results and simulated timings).  Caches are
+        #: dropped before a measurement only when its caller asks.
+        self.protocol = ExecutionProtocol(
+            database,
+            planner=self.planner,
+            engine=engine,
+            executions_per_query=evaluation_runs_per_plan,
+            cold_start=False,
+        )
+        self.engine = self.protocol.engine
         self.query_encoder = QueryEncoder(database)
         self.plan_encoder = PlanTreeEncoder(database.schema)
         self.tree_conv = TreeConvolutionEncoder(self.plan_encoder, hidden_size=hidden_size, seed=seed + 17)
         self.tree_lstm = TreeLSTMEncoder(self.plan_encoder, hidden_size=hidden_size, seed=seed + 23)
         self.training_runs_per_plan = training_runs_per_plan
-        self.evaluation_runs_per_plan = evaluation_runs_per_plan
         self.seed = seed
         #: Count of plans executed against the DBMS (training-data accounting).
         self.executed_plan_count = 0
@@ -113,24 +111,6 @@ class LQOEnvironment:
         """
         return self.planner.plan_with_info(query, hints, context=context)
 
-    def hinted_planning_time_ms(self, query: BoundQuery) -> float:
-        """Simulated planning time when an LQO hands the DBMS a fully hinted plan."""
-        return 0.4 + 0.03 * query.num_relations + 0.02 * len(query.filters)
-
-    def simulated_inference_ms(self, query: BoundQuery, method: str) -> float:
-        """Deterministic stand-in for wall-clock inference time.
-
-        Grows with query size (every LQO featurizes the query and scores
-        candidate plans) and is differentiated per method via a stable digest,
-        so the decomposition plots keep distinct per-method inference bands.
-        """
-        method_factor = 1.0 + (stable_seed(method, bits=8) / 255.0)
-        return method_factor * (0.6 + 0.15 * query.num_relations + 0.05 * len(query.filters))
-
-    def simulated_training_time_s(self, executed_plans: int, n_queries: int, iterations: int) -> float:
-        """Deterministic stand-in for wall-clock training time (Figure 6 axis)."""
-        return 0.002 * executed_plans + 0.0005 * n_queries + 0.001 * max(iterations, 0)
-
     # ------------------------------------------------------------------ execution
     def execute_plan(
         self,
@@ -139,25 +119,19 @@ class LQOEnvironment:
         runs: int | None = None,
         timeout_ms: float | None = None,
         cold_start: bool = False,
-    ) -> MeasuredExecution:
-        """Execute a plan ``runs`` times under the hot-cache protocol.
+    ) -> MeasuredQuery:
+        """Measure a plan through :attr:`protocol`, counting every run in
+        :attr:`executed_plan_count` (``runs=None``: the evaluation default).
 
-        ``cold_start`` drops the buffer pool before the first run (the
-        framework's cold-cache reset); subsequent runs re-use the warmed
-        caches, so the last run is the hot-cache measurement the paper reports.
+        ``cold_start`` drops the buffer pool before the first run; later runs
+        re-use the warmed caches, so the last run is the hot-cache
+        measurement the paper reports.
         """
-        if runs is None:
-            runs = self.evaluation_runs_per_plan
-        successive = self.engine.runs(query, plan, runs, timeout_ms)
-        if cold_start:
-            self.database.drop_caches()
-        times: list[float] = []
-        for result in successive:
-            self.executed_plan_count += 1
-            times.append(result.execution_time_ms)
-            if result.timed_out:
-                break
-        return MeasuredExecution(execution_times_ms=times, timed_out=result.timed_out, result=result)
+        measured = self.protocol.measure_plan(
+            query, plan, executions=runs, timeout_ms=timeout_ms, cold_start=cold_start
+        )
+        self.executed_plan_count += len(measured.execution_times_ms)
+        return measured
 
     def training_latency(
         self,
@@ -169,7 +143,7 @@ class LQOEnvironment:
         measured = self.execute_plan(
             query, plan, runs=self.training_runs_per_plan, timeout_ms=timeout_ms
         )
-        return measured.reported_ms, measured.timed_out
+        return measured.reported_execution_ms, measured.timed_out
 
     # ------------------------------------------------------------------ featurization
     def query_vector(self, query: BoundQuery) -> np.ndarray:
@@ -247,9 +221,7 @@ class BaseOptimizer(abc.ABC):
         executed = self.env.executed_plan_count - start_plans
         report = TrainingReport(
             method=self.name,
-            training_time_s=self.env.simulated_training_time_s(
-                executed, len(train_queries), iterations
-            ),
+            training_time_s=simclock.training_s(executed, len(train_queries), iterations),
             executed_plans=executed,
             iterations=iterations,
         )
@@ -263,7 +235,7 @@ class BaseOptimizer(abc.ABC):
             query_id=query.query_id,
             plan=plan,
             hints=hints,
-            inference_time_ms=self.env.simulated_inference_ms(query.bound, self.name),
+            inference_time_ms=simclock.inference_ms(query.bound, self.name),
             planning_time_ms=planning_time_ms,
             method=self.name,
             metadata=metadata,

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro import simclock
 from repro.lqo.base import BaseOptimizer, LQOEnvironment, PlannedQuery, TrainingReport
 from repro.ml.nn import PairwiseRanker
 from repro.optimizer.cost_model import JoinInput
@@ -256,7 +257,7 @@ class LeonOptimizer(BaseOptimizer):
         def body(q: BenchmarkQuery):
             plan = self.search_plan(q.bound)
             hints = self.env.hints_from_plan(q.bound, plan)
-            planning_time = self.env.hinted_planning_time_ms(q.bound)
+            planning_time = simclock.hinted_planning_ms(q.bound)
             return plan, hints, planning_time, {"strategy": self._strategy(q.bound)}
 
         return self._timed_inference(body, query)

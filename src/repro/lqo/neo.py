@@ -23,6 +23,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
+from repro import simclock
 from repro.lqo.base import BaseOptimizer, LQOEnvironment, PlannedQuery, TrainingReport
 from repro.ml.nn import MLPRegressor
 from repro.ml.replay import Experience, ReplayBuffer
@@ -302,7 +303,7 @@ class NeoOptimizer(BaseOptimizer):
         def body(q: BenchmarkQuery):
             plan = self.search_plan(q.bound)
             hints = self.env.hints_from_plan(q.bound, plan)
-            planning_time = self.env.hinted_planning_time_ms(q.bound)
+            planning_time = simclock.hinted_planning_ms(q.bound)
             return plan, hints, planning_time, {"nodes": plan.node_count()}
 
         return self._timed_inference(body, query)

@@ -47,10 +47,6 @@ class ReplayBuffer:
             overflow = len(self._items) - self.capacity
             self._items = self._items[overflow:]
 
-    def add_many(self, experiences: list[Experience]) -> None:
-        for experience in experiences:
-            self.add(experience)
-
     def clear(self) -> None:
         self._items.clear()
 

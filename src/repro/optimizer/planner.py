@@ -10,9 +10,9 @@ enumeration strategies, honouring the configuration knobs the paper studies:
 * hint sets (pg_hint_plan analogue) can force the entire join order, the scan
   method per relation and the join method per intermediate result.
 
-The planner also reports a simulated planning time so the benchmarking
-framework can decompose end-to-end latency exactly like the paper does
-(inference + planning + execution).
+The planner also reports a simulated planning time (:func:`repro.simclock.planning_ms`)
+so the benchmarking framework can decompose end-to-end latency exactly like
+the paper does (inference + planning + execution).
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.config import GB, PostgresConfig
+from repro import simclock
+from repro.config import PostgresConfig
 from repro.errors import OptimizerError
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost_model import CostModel, PlanningContext
@@ -29,15 +30,15 @@ from repro.optimizer.geqo import GeqoEnumerator, GeqoParameters
 from repro.plans.hints import HintSet, NO_HINTS, split_leading_for_outer
 from repro.plans.physical import AggregateNode, PlanNode, SortNode
 from repro.runtime.plan_cache import PlanCache
+from repro.simclock import (  # PlannerResult's strategy labels key the clock's planning charge
+    STRATEGY_COLLAPSED,
+    STRATEGY_DP,
+    STRATEGY_FORCED,
+    STRATEGY_GEQO,
+    STRATEGY_GREEDY,
+)
 from repro.sql.binder import BoundQuery
 from repro.storage.database import Database
-
-#: Enumeration strategy labels used in :class:`PlannerResult`.
-STRATEGY_DP = "dynamic-programming"
-STRATEGY_GEQO = "geqo"
-STRATEGY_GREEDY = "greedy"
-STRATEGY_FORCED = "forced-order"
-STRATEGY_COLLAPSED = "from-order"
 
 
 @dataclass
@@ -147,7 +148,7 @@ class Planner:
 
         strategy, core = self._plan_core(query, hints, context)
         core = self._add_decorations(query, core)
-        planning_time = self._simulated_planning_time_ms(query, strategy)
+        planning_time = simclock.planning_ms(query, strategy, self.config)
         result = PlannerResult(
             plan=core,
             planning_time_ms=planning_time,
@@ -276,26 +277,3 @@ class Planner:
                 plan.estimated_cost + plan.estimated_rows * self.config.cpu_operator_cost,
             )
         return plan
-
-    # ------------------------------------------------------------ planning time
-    def _simulated_planning_time_ms(self, query: BoundQuery, strategy: str) -> float:
-        """Deterministic simulated planning time.
-
-        Planning time grows with the number of relations; dynamic programming
-        grows faster than GEQO (which exists precisely to bound planning time)
-        and a small ``effective_cache_size`` produces the outlier planning
-        times the paper observed before raising it to 32 GB (Section 7.1).
-        """
-        n = query.num_relations
-        base = 0.4 + 0.12 * n + 0.02 * len(query.filters)
-        if strategy == STRATEGY_DP:
-            base += 0.015 * (2 ** min(n, 12)) / 100.0 * n
-        elif strategy == STRATEGY_GEQO:
-            base += 0.35 * n
-        elif strategy in (STRATEGY_GREEDY, STRATEGY_COLLAPSED):
-            base += 0.05 * n
-        elif strategy == STRATEGY_FORCED:
-            base += 0.03 * n
-        if self.config.effective_cache_size < 16 * GB and n >= 10:
-            base += 120.0 * (n - 9)
-        return base

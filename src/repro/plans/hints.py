@@ -98,11 +98,6 @@ class HintSet:
         """A HybridQO-style hint constraining only the first joined aliases."""
         return HintSet(leading=tuple(prefix), join_order_exact=False, name=name)
 
-    @staticmethod
-    def from_toggles(toggles: OperatorToggles, name: str = "") -> "HintSet":
-        """A Bao-style hint set that only switches operator families."""
-        return HintSet(toggles=toggles, name=name)
-
     # -- introspection -----------------------------------------------------------
     @property
     def is_empty(self) -> bool:

@@ -170,10 +170,6 @@ class JoinNode(PlanNode):
         assert self.left is not None and self.right is not None
         return (self.left, self.right)
 
-    @property
-    def is_cross_product(self) -> bool:
-        return not self.predicates
-
     def label(self) -> str:
         preds = _predicate_text(self.predicates)
         if self.join_kind is JoinKind.INNER:

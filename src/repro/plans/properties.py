@@ -108,21 +108,3 @@ def count_join_types(plan: PlanNode) -> dict[str, int]:
         if isinstance(node, JoinNode):
             counts[node.join_type.value] = counts.get(node.join_type.value, 0) + 1
     return counts
-
-
-def count_join_kinds(plan: PlanNode) -> dict[str, int]:
-    """Histogram of logical join kinds (Inner/Left/Full) used in the plan."""
-    counts: dict[str, int] = {}
-    for node in plan.walk():
-        if isinstance(node, JoinNode):
-            counts[node.join_kind.value] = counts.get(node.join_kind.value, 0) + 1
-    return counts
-
-
-def count_scan_types(plan: PlanNode) -> dict[str, int]:
-    """Histogram of physical scan operators used in the plan."""
-    counts: dict[str, int] = {}
-    for node in plan.walk():
-        if isinstance(node, ScanNode):
-            counts[node.scan_type.value] = counts.get(node.scan_type.value, 0) + 1
-    return counts

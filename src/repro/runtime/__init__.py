@@ -33,7 +33,7 @@ scales with the hardware:
   claim-execute-ack loop run on each participating host, against either
   transport.
 * :mod:`repro.runtime.parallel` — the :class:`ParallelExperimentRunner` that
-  runs the (method × split × seed) grid serially, on a thread pool or, with
+  runs the (method × split × seed) grid serially or, with
   ``executor_kind="distributed"``, over the work queue — with
   results bit-identical to serial execution.
 """

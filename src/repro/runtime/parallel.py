@@ -3,8 +3,8 @@
 The paper's headline experiments sweep a grid of (method × split × seed)
 combinations whose tasks are mutually independent: every task trains and
 evaluates one optimizer on one split under its own seeded environment.  The
-:class:`ParallelExperimentRunner` runs the grid serially, on a thread pool or
-through a work queue, and every executor kind returns the same bytes:
+:class:`ParallelExperimentRunner` runs the grid serially or through a work
+queue, and both executor kinds return the same bytes:
 
 * **Task isolation** — every task runs against its own database view
   (:meth:`repro.storage.database.Database.with_config` shares the read-only
@@ -49,7 +49,6 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Union
@@ -161,13 +160,13 @@ def _worker_workload(payload: SpecTaskPayload, database: Database) -> Workload:
     if workload.fingerprint() != payload.workload_fingerprint:
         # The caller's workload shares a registered name but different
         # content (e.g. a hand-built subset named "job"): refusing here keeps
-        # worker results from silently diverging from serial/thread
-        # execution, which uses the caller's instance.
+        # worker results from silently diverging from serial execution,
+        # which uses the caller's instance.
         raise ExperimentError(
             f"worker rebuild of workload {payload.workload_name!r} does not match the "
             "dispatched workload (content fingerprint mismatch); pass the canonically "
             "built workload, register the custom one under its own name, or use the "
-            "thread executor"
+            "serial executor"
         )
     return workload
 
@@ -276,7 +275,7 @@ class ParallelExperimentRunner:
     ) -> None:
         #: The dispatchable recipe: either the spec passed in, or the one the
         #: database carries from its factory build.  ``None`` means the
-        #: database cannot be rebuilt remotely (serial and thread executors only).
+        #: database cannot be rebuilt remotely (serial executor only).
         self.database_spec = database if isinstance(database, DatabaseSpec) else database.spec
         self.database = resolve_database(database)
         self.workload = workload
@@ -428,14 +427,9 @@ class ParallelExperimentRunner:
         )
 
     def run_tasks(self, tasks: list[ExperimentTask]) -> list[MethodRunResult]:
-        kind = self.runtime_config.executor_kind
-        if kind == "distributed":
+        if self.runtime_config.executor_kind == "distributed":
             return self._run_distributed(tasks)
-        workers = min(self.runtime_config.workers, len(tasks))
-        if kind == "serial" or workers <= 1:
-            return [self._run_or_resume(task) for task in tasks]
-        with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-task") as pool:
-            return list(pool.map(self._run_or_resume, tasks))
+        return [self._run_or_resume(task) for task in tasks]
 
     # ------------------------------------------------------------------ distributed
     def _open_coordinator_queue(
@@ -453,7 +447,7 @@ class ParallelExperimentRunner:
         if config.queue_url is not None:
             address = parse_queue_url(config.queue_url)
         else:
-            address = QueueAddress(scheme="file", path=config.queue_dir)
+            address = QueueAddress(scheme="file")
         if address.scheme == "tcp":
             # Imported lazily: file-transport sweeps never need the server.
             from repro.runtime.netqueue import QueueServer

@@ -194,10 +194,6 @@ class TableData:
         mask = rng.random(self.row_count) < fraction
         return self.select_rows(np.nonzero(mask)[0])
 
-    def memory_bytes(self) -> int:
-        """Approximate memory footprint of the stored columns."""
-        return int(sum(col.nbytes for col in self.columns.values()))
-
 
 def build_table_data(
     table: Table,

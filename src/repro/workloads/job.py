@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro.catalog.imdb import (
     COMPANY_TYPES,
-    COMP_CAST_TYPES,
     COUNTRY_CODES,
     GENRES,
     INFO_TYPES,
@@ -23,7 +22,6 @@ from repro.catalog.imdb import (
     LINK_TYPES,
     NAME_TOKENS,
     ROLE_TYPES,
-    TITLE_TOKENS,
 )
 from repro.catalog.schema import Schema
 from repro.workloads.workload import QueryTemplate, Workload, build_workload_from_templates
@@ -80,14 +78,6 @@ def _link(i: int) -> str:
 
 def _role(i: int) -> str:
     return ROLE_TYPES[i % len(ROLE_TYPES)]
-
-
-def _cct(i: int) -> str:
-    return COMP_CAST_TYPES[i % len(COMP_CAST_TYPES)]
-
-
-def _title_like(i: int) -> str:
-    return f"%{TITLE_TOKENS[i % len(TITLE_TOKENS)]}%"
 
 
 def _name_like(i: int) -> str:

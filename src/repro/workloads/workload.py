@@ -113,12 +113,6 @@ class Workload:
         return Workload(name or f"{self.name}-subset", self.schema, selected)
 
     # -- statistics ------------------------------------------------------------------
-    def join_count_histogram(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for query in self._queries:
-            out[query.num_joins] = out.get(query.num_joins, 0) + 1
-        return dict(sorted(out.items()))
-
     def describe(self) -> str:
         lines = [
             f"workload {self.name}: {len(self)} queries across {len(self.family_ids())} families"

@@ -138,7 +138,7 @@ class TestRuntimeConfigDefaults:
     def test_defaults(self):
         config = RuntimeConfig()
         assert config.workers == 1
-        assert config.executor_kind == "thread"
+        assert config.executor_kind == "serial"
         assert config.plan_cache_entries > 0
         assert config.store_dir is None and config.skip_existing is True
 

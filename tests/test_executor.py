@@ -13,7 +13,7 @@ from repro.executor import operators
 from repro.executor.engine import ExecutionEngine, create_engine
 from repro.executor.explain import explain_analyze, explain_analyze_text, explain_plan
 from repro.executor.operators import KeyMatch, OperatorMetrics, index_nestloop_inner
-from repro.executor.timing import TimingModel
+from repro.simclock import TimingModel
 from repro.config import ENGINE_KINDS, SIMULATION_CONFIG
 from repro.optimizer.enumeration import enumerate_join_trees, left_deep_plan_from_order
 from repro.optimizer.planner import Planner

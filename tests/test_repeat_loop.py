@@ -211,7 +211,7 @@ class TestTimeoutsAndErrors:
         assert expected[0][0][2] == timeout_ms
         assert looped_runs(engine, query, plan, 3, timeout_ms) == expected
 
-        # measure_plan / execute_plan stop after the first timed-out run.
+        # measure_plan stops after the first timed-out run; the environment counts it.
         one_run = independent_runs(engine, query, plan, 1, timeout_ms)
         protocol = ExecutionProtocol(job_db, engine=engine, cold_start=False)
         reset(engine)
@@ -341,7 +341,7 @@ class TestRunCounts:
         assert len(protocol.measure_plan(query, plan, executions=1).execution_times_ms) == 1
         env = LQOEnvironment(job_db, seed=0)
         measured = env.execute_plan(query, plan)
-        assert len(measured.execution_times_ms) == env.evaluation_runs_per_plan
+        assert len(measured.execution_times_ms) == env.protocol.executions_per_query == 3
 
 
 class TestRobustnessStudy:

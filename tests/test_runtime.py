@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import simclock
 from repro.config import EXECUTOR_KINDS, RuntimeConfig, SIMULATION_CONFIG, PostgresConfig
 from repro.core.covariate_shift import run_covariate_shift_study
 from repro.core.experiment import ExperimentConfig, ExperimentRunner
@@ -454,12 +455,12 @@ def make_runner(imdb_db, job_workload, workers: int, **kwargs) -> ParallelExperi
 
 class TestParallelRunner:
     def test_parallel_identical_to_serial_runner(self, imdb_db, job_workload, grid_splits):
-        """workers=4 must be byte-identical to serial task-by-task execution."""
-        parallel = make_runner(imdb_db, job_workload, workers=4)
-        parallel_results = parallel.run_grid(GRID_METHODS, grid_splits)
+        """The grid runner must be byte-identical to task-by-task execution."""
+        grid = make_runner(imdb_db, job_workload, workers=1)
+        grid_results = grid.run_grid(GRID_METHODS, grid_splits)
 
         serial_results = []
-        for task in parallel.tasks_for(GRID_METHODS, grid_splits):
+        for task in grid.tasks_for(GRID_METHODS, grid_splits):
             serial_runner = ExperimentRunner(
                 imdb_db.with_config(imdb_db.config),
                 job_workload,
@@ -467,16 +468,9 @@ class TestParallelRunner:
             )
             serial_results.append(serial_runner.run_method(task.method, task.split))
 
-        assert len(parallel_results) == len(serial_results) == 4
-        for got, expected in zip(parallel_results, serial_results):
+        assert len(grid_results) == len(serial_results) == 4
+        for got, expected in zip(grid_results, serial_results):
             assert run_result_as_json(got) == run_result_as_json(expected)
-
-    def test_workers_one_equals_workers_four(self, imdb_db, job_workload, grid_splits):
-        serial = make_runner(imdb_db, job_workload, workers=1)
-        parallel = make_runner(imdb_db, job_workload, workers=4)
-        a = [run_result_as_json(r) for r in serial.run_grid(GRID_METHODS, grid_splits)]
-        b = [run_result_as_json(r) for r in parallel.run_grid(GRID_METHODS, grid_splits)]
-        assert a == b
 
     def test_results_in_grid_order(self, imdb_db, job_workload, grid_splits):
         runner = make_runner(imdb_db, job_workload, workers=4)
@@ -760,9 +754,10 @@ class TestRuntimeConfig:
             RuntimeConfig(plan_cache_entries=-1)
 
     def test_executor_kinds_run_in_process_or_through_the_work_queue(self):
-        assert EXECUTOR_KINDS == ("serial", "thread", "distributed")
-        with pytest.raises(ValueError, match="unknown executor kind 'process'"):
-            RuntimeConfig(executor_kind="process")
+        assert EXECUTOR_KINDS == ("serial", "distributed")
+        for removed in ("process", "thread"):
+            with pytest.raises(ValueError, match=f"unknown executor kind '{removed}'"):
+                RuntimeConfig(executor_kind=removed)
 
     def test_overrides(self):
         config = RuntimeConfig().with_overrides(workers=8, executor_kind="serial")
@@ -784,7 +779,7 @@ class TestDeterministicTiming:
 
 class TestOneClock:
     """Inference and training times are simulated: no host clock reaches a result,
-    so a driver returns the same bytes on every run, serially or on N workers."""
+    so a driver returns the same bytes on every run."""
 
     CONFIG = ExperimentConfig(optimizer_kwargs={"bao": {"training_passes": 1}})
 
@@ -810,13 +805,12 @@ class TestOneClock:
         with monkeypatch.context() as patched:
             patched.setattr(time, "perf_counter", lambda: next(ticks))
             jumped = self.figure4_bytes(context)
-        threaded = self.figure4_bytes(context, RuntimeConfig(workers=2, executor_kind="thread"))
         assert len(first) == 2
-        assert first == jumped == threaded
+        assert first == jumped
 
     def test_optimizer_times_are_the_simulated_ones(self, context, monkeypatch):
         """With the host clock jumping 1 s per read, training and inference
-        times still equal the environment's simulated formulas exactly."""
+        times still equal the clock's simulated formulas exactly."""
         runner = ExperimentRunner(context.database, context.workload, experiment_config=self.CONFIG)
         env = runner.build_environment()
         optimizer = create_optimizer("bao", env, training_passes=1)
@@ -826,10 +820,8 @@ class TestOneClock:
         report = optimizer.fit(queries[:5])
         planned = optimizer.plan_query(queries[5])
         assert report.executed_plans > 0
-        assert report.training_time_s == env.simulated_training_time_s(
-            report.executed_plans, 5, report.iterations
-        )
-        assert planned.inference_time_ms == env.simulated_inference_ms(queries[5].bound, "bao")
+        assert report.training_time_s == simclock.training_s(report.executed_plans, 5, report.iterations)
+        assert planned.inference_time_ms == simclock.inference_ms(queries[5].bound, "bao")
 
     def test_covariate_shift_study_is_repeatable(self, context):
         split = generate_split(context.workload, SplitSampling.RANDOM, seed=0)

@@ -85,6 +85,7 @@ def default_config() -> LintConfig:
             "*/repro/ml/*.py",
             "*/repro/experiments/*.py",
             "*/repro/runtime/*.py",
+            "*/repro/simclock.py",
         ),
         det_allow=(
             # Touch-and-stat clock probe: the except-OSError fallback when the
