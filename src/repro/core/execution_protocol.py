@@ -109,8 +109,10 @@ class ExecutionProtocol:
         up to the first that times out.  ``cold_start`` (``None``: the
         protocol's) drops the caches before the first run."""
         count = self.executions_per_query if executions is None else executions
+        if cold_start is None:
+            cold_start = self.cold_start
         runs = self.engine.runs(query, plan, count, timeout_ms)
-        if self.cold_start if cold_start is None else cold_start:
+        if cold_start:
             self.database.drop_caches()
         times: list[float] = []
         for result in runs:

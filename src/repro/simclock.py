@@ -198,10 +198,9 @@ def run_charge_ms(elapsed_ms: float | None, timeout_ms: float | None) -> tuple[f
     or :data:`TIMEOUT_MS` without one.  A finished run slower than a positive
     timeout is charged the timeout.
     """
-    limited = bool(timeout_ms and timeout_ms > 0)
-    if elapsed_ms is None:
-        return (float(timeout_ms) if limited else TIMEOUT_MS), True
-    if limited and elapsed_ms > timeout_ms:
+    if timeout_ms is None or timeout_ms <= 0:
+        return (TIMEOUT_MS, True) if elapsed_ms is None else (elapsed_ms, False)
+    if elapsed_ms is None or elapsed_ms > timeout_ms:
         return float(timeout_ms), True
     return elapsed_ms, False
 
