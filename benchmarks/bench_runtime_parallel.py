@@ -2,8 +2,7 @@
 
 Expected shape: a warm :class:`PlanCache` serves repeated planning requests at
 least 2x faster than planning from scratch (in practice orders of magnitude),
-the parallel grid produces results identical to serial execution, a resumed
-sweep recomputes nothing, a distributed task ships a constant-size
+a resumed sweep recomputes nothing, a distributed task ships a constant-size
 :class:`DatabaseSpec` payload — per-task pickling cost does not grow with
 database scale — and the distributed work-queue executor stays byte-identical
 to serial while writing a sharded store that merges flat.
@@ -64,7 +63,7 @@ def test_plan_cache_speedup_on_repeated_planning(benchmark, bench_scale):
 
 
 def test_parallel_grid_smoke_and_resume(benchmark, bench_scale, bench_runtime, tmp_path):
-    """Fan the reduced grid out over workers, then resume it from the store.
+    """Run the reduced grid on the benchmark's executor kind, then resume it from the store.
 
     Resume is asserted via the stored files' write times: a recompute would
     rewrite the same paths with the same bytes.

@@ -10,9 +10,10 @@ The end-to-end benchmarks run through the experiment runtime and persist
 results/artefacts into a result store.  ``REPRO_BENCH_EXECUTOR`` picks the
 executor kind: ``serial`` (default) or ``distributed``, which fans the tasks
 out over ``REPRO_BENCH_WORKERS`` worker processes (default 2;
-``bench_runtime_parallel.py`` runs that executor on its own).  Point ``REPRO_BENCH_STORE`` at a
-directory to make sweeps resumable across invocations — completed (method,
-split, seed) tasks are then skipped on re-run.
+``bench_runtime_parallel.py`` runs that executor on its own).  Point
+``REPRO_BENCH_STORE`` at a directory to make sweeps resumable across
+invocations — completed (method, split, seed) tasks are then skipped on
+re-run.
 """
 
 from __future__ import annotations
