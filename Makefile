@@ -39,8 +39,14 @@
 #                            for a change that alters execution on purpose
 #   make golden-searches   - re-record tests/golden/lqo_search_digests.json (plan
 #                            encodings, and the plans and scored candidate
-#                            matrices of neo/balsa/rtos/leon on a fixed split);
+#                            matrices of neo/balsa/leon on a fixed split);
 #                            only for a change that alters them on purpose
+#   make golden-runs       - re-record tests/golden/run_digests.json (sha256 of
+#                            every registered method's experiment cell on a
+#                            fixed split: its inference, planning and execution
+#                            times, timeouts and training accounting); only
+#                            for a change that alters the simulated clock on
+#                            purpose
 #   make perfbench         - the repo's layered benchmark (BENCHMARK.json):
 #                            every workload, end-to-end + per-layer metrics,
 #                            written under .perfbench_out/ (perfbench/README.md)
@@ -84,7 +90,7 @@ FUZZ_CORPUS ?= $(shell mktemp -d /tmp/repro-fuzz-corpus.XXXXXX)
 # value only needs to match between coordinator and workers).
 REPRO_QUEUE_SECRET ?= local-bench-secret
 
-.PHONY: test lint typecheck docs-check bench-smoke bench-parallel bench-distributed bench-distributed-tcp bench-progress bench-executor bench-plan-serving fuzz-engines golden-plans golden-executions golden-searches perfbench perfbench-compare perfbench-pairs bench example
+.PHONY: test lint typecheck docs-check bench-smoke bench-parallel bench-distributed bench-distributed-tcp bench-progress bench-executor bench-plan-serving fuzz-engines golden-plans golden-executions golden-searches golden-runs perfbench perfbench-compare perfbench-pairs bench example
 
 test:
 	$(PYTHON) -m pytest -x -q --durations=15
@@ -146,6 +152,9 @@ golden-executions:
 
 golden-searches:
 	$(PYTHON) tools/record_lqo_digests.py
+
+golden-runs:
+	$(PYTHON) tools/record_run_digests.py
 
 perfbench:
 	$(PYTHON) -m perfbench run

@@ -3,9 +3,10 @@
 This package reproduces "Is Your Learned Query Optimizer Behaving As You
 Expect?  A Machine Learning Perspective" (Lehmann, Sulimov, Stockinger, VLDB
 2024): a PostgreSQL-style simulated DBMS substrate, the JOB/STACK workloads,
-implementations of the evaluated learned query optimizers (Neo, Bao, Balsa,
-LEON, HybridQO, plus RTOS/Lero/LOGER), and the paper's benchmarking framework
-(dataset splits, measurement protocol, timing decomposition, ablations).
+implementations of the learned query optimizers it evaluates end to end (Neo,
+Bao, Balsa, LEON, HybridQO; RTOS, Lero and LOGER are excluded there and appear
+only in Tables 1 and 2), and the paper's benchmarking framework (dataset
+splits, measurement protocol, timing decomposition, ablations).
 
 Quick start::
 

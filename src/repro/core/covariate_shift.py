@@ -86,13 +86,8 @@ def run_covariate_shift_study(
     # The shifted model plans against the *full* database at evaluation time —
     # its encoding only sees the refreshed cardinalities, which is the point.
     shifted_bao.env = evaluation_env
-    from repro.lqo.registry import method_info  # local import to avoid cycle at module load
-
-    info = method_info("bao")
     for query in test_queries:
-        shifted_result.timings.append(
-            full_runner._evaluate_query(shifted_bao, evaluation_env, query, info)
-        )
+        shifted_result.timings.append(full_runner._evaluate_query(shifted_bao, evaluation_env, query))
 
     slowdowns: dict[str, float] = {}
     for timing in shifted_result.timings:

@@ -24,7 +24,7 @@ from repro.core.metrics import MethodRunResult, QueryTiming
 from repro.core.splits import DatasetSplit
 from repro.errors import ExperimentError
 from repro.lqo.base import LQOEnvironment
-from repro.lqo.registry import create_optimizer, method_info
+from repro.lqo.registry import create_optimizer
 from repro.runtime.fingerprint import stable_hash
 from repro.runtime.plan_cache import PlanCache
 from repro.storage.database import Database
@@ -153,7 +153,6 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ execution
     def run_method(self, method: str, split: DatasetSplit) -> MethodRunResult:
         """Train and evaluate one method on one split."""
-        info = method_info(method)
         env = self.build_environment()
         kwargs = self.config.optimizer_kwargs.get(method, {})
         optimizer = create_optimizer(method, env, **kwargs)
@@ -171,10 +170,10 @@ class ExperimentRunner:
         )
 
         for query in test_queries:
-            result.timings.append(self._evaluate_query(optimizer, env, query, info))
+            result.timings.append(self._evaluate_query(optimizer, env, query))
         return result
 
-    def _evaluate_query(self, optimizer, env: LQOEnvironment, query: BenchmarkQuery, info) -> QueryTiming:
+    def _evaluate_query(self, optimizer, env: LQOEnvironment, query: BenchmarkQuery) -> QueryTiming:
         planned = optimizer.plan_query(query)
         measured = env.execute_plan(
             query.bound,
@@ -186,7 +185,7 @@ class ExperimentRunner:
         inference_ms = planned.inference_time_ms
         planning_ms = planned.planning_time_ms
         if optimizer.integrates_with_dbms:
-            # Methods running inside PostgreSQL (Bao, Lero) report their
+            # Methods running inside PostgreSQL (Bao) report their
             # inference as part of the planning time, as the paper notes for
             # Figure 4's left panel.
             planning_ms += inference_ms
@@ -214,7 +213,6 @@ class ExperimentRunner:
             split_name="full-workload",
             workload_name=self.workload.name,
         )
-        info = method_info("postgres")
         for query in queries:
-            result.timings.append(self._evaluate_query(optimizer, env, query, info))
+            result.timings.append(self._evaluate_query(optimizer, env, query))
         return result

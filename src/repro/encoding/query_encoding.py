@@ -8,7 +8,7 @@ Feature layout (sizes depend on the schema):
 * join adjacency — upper triangle of the table-level adjacency matrix,
 * filter features — per schema column: the estimated combined selectivity of
   the filters on that column (1.0 when unfiltered) and a min-max-scaled
-  literal value (RTOS-style explicit filter vectorization, Section 4.1).
+  literal value (explicit filter vectorization, Section 4.1).
 
 Using selectivities *and* scaled literals keeps the encoding closer to a
 one-to-one mapping between queries and feature vectors than selectivity-only

@@ -1,12 +1,14 @@
 """Learned query optimizers (LQOs) and the classical PostgreSQL baseline.
 
 Every optimizer implements the :class:`repro.lqo.base.BaseOptimizer` contract:
-``fit`` on a list of training queries and ``plan_query`` for inference, with
-wall-clock inference and training times recorded so the benchmarking framework
-can decompose end-to-end latency the way the paper does (inference + planning
-+ execution, Section 8.2.1).
+``fit`` on a list of training queries and ``plan_query`` for inference.  Their
+training and inference times are simulated, minted by :mod:`repro.simclock`
+from the work each call does, so the benchmarking framework can decompose
+end-to-end latency the way the paper does (inference + planning + execution,
+Section 8.2.1) and two runs give the same bytes.
 
-Implemented methods (see ``repro.lqo.registry`` for the full inventory):
+Implemented methods — the six of the paper's end-to-end evaluation, registered
+in ``repro.lqo.registry``:
 
 * :class:`PostgresBaseline` — the simulated DBMS's own cost-based optimizer,
 * :class:`BaoOptimizer` — hint-set steering (Marcus et al.),
@@ -14,10 +16,10 @@ Implemented methods (see ``repro.lqo.registry`` for the full inventory):
 * :class:`BalsaOptimizer` — Neo-style search bootstrapped from the cost model
   with timeouts and on-policy training,
 * :class:`LeonOptimizer` — learning-to-rank over enumerated candidate plans,
-* :class:`HybridQOOptimizer` — MCTS hint generation plus a learned selector,
-* :class:`RtosOptimizer`, :class:`LeroOptimizer`, :class:`LogerOptimizer` —
-  simplified implementations of the methods the paper lists but excludes from
-  its main experiments.
+* :class:`HybridQOOptimizer` — MCTS hint generation plus a learned selector.
+
+RTOS, Lero and LOGER, which the paper lists in Tables 1 and 2 but leaves out
+of its experiments (Section 8.2), are not implemented.
 """
 
 from repro.lqo.base import (
@@ -32,7 +34,6 @@ from repro.lqo.neo import NeoOptimizer
 from repro.lqo.balsa import BalsaOptimizer
 from repro.lqo.leon import LeonOptimizer
 from repro.lqo.hybridqo import HybridQOOptimizer
-from repro.lqo.others import LeroOptimizer, LogerOptimizer, RtosOptimizer
 from repro.lqo.registry import MethodInfo, available_methods, create_optimizer, method_info
 
 __all__ = [
@@ -46,9 +47,6 @@ __all__ = [
     "BalsaOptimizer",
     "LeonOptimizer",
     "HybridQOOptimizer",
-    "RtosOptimizer",
-    "LeroOptimizer",
-    "LogerOptimizer",
     "MethodInfo",
     "available_methods",
     "create_optimizer",

@@ -23,7 +23,7 @@ import numpy as np
 from repro.lqo.base import BaseOptimizer, LQOEnvironment, PlannedQuery, TrainingReport
 from repro.ml.nn import MLPRegressor
 from repro.ml.replay import Experience, ReplayBuffer
-from repro.plans.hints import BAO_HINT_SETS, HintSet
+from repro.plans.hints import BAO_HINT_SETS
 from repro.workloads.workload import BenchmarkQuery
 
 
@@ -36,14 +36,12 @@ class BaoOptimizer(BaseOptimizer):
     def __init__(
         self,
         env: LQOEnvironment,
-        arms: tuple[HintSet, ...] = BAO_HINT_SETS,
         training_passes: int = 2,
         retrain_every: int = 20,
         epsilon: float = 0.15,
         seed: int = 0,
     ) -> None:
         super().__init__(env)
-        self.arms = arms
         self.training_passes = training_passes
         self.retrain_every = retrain_every
         self.epsilon = epsilon
@@ -55,7 +53,7 @@ class BaoOptimizer(BaseOptimizer):
     def _arm_plans(self, query: BenchmarkQuery):
         """Plan the query under every arm; returns list of (arm, planner_result, vector)."""
         out = []
-        for arm in self.arms:
+        for arm in BAO_HINT_SETS:
             result = self.env.plan_with_hints(query.bound, arm)
             vector = self.env.plan_vector(result.plan)
             out.append((arm, result, vector))

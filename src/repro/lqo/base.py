@@ -19,7 +19,7 @@ from repro import simclock
 from repro.config import PostgresConfig
 from repro.encoding.plan_encoding import PlanTreeEncoder
 from repro.encoding.query_encoding import QueryEncoder
-from repro.ml.tree_models import TreeConvolutionEncoder, TreeEncoder, TreeLSTMEncoder
+from repro.ml.tree_models import TreeConvolutionEncoder
 from repro.optimizer.cost_model import PlanningContext
 from repro.optimizer.planner import Planner, PlannerResult
 from repro.plans.hints import NO_HINTS, HintSet
@@ -93,8 +93,9 @@ class LQOEnvironment:
         self.engine = self.protocol.engine
         self.query_encoder = QueryEncoder(database)
         self.plan_encoder = PlanTreeEncoder(database.schema)
+        #: The plan encoder behind :meth:`plan_vector`; a search composes each
+        #: join from the states of the subplans it already holds through it.
         self.tree_conv = TreeConvolutionEncoder(self.plan_encoder, hidden_size=hidden_size, seed=seed + 17)
-        self.tree_lstm = TreeLSTMEncoder(self.plan_encoder, hidden_size=hidden_size, seed=seed + 23)
         self.training_runs_per_plan = training_runs_per_plan
         self.seed = seed
         #: Count of plans executed against the DBMS (training-data accounting).
@@ -149,16 +150,11 @@ class LQOEnvironment:
     def query_vector(self, query: BoundQuery) -> np.ndarray:
         return self.query_encoder.encode_vector(query).astype(np.float64)
 
-    def tree_encoder(self, use_lstm: bool = False) -> TreeEncoder:
-        """The plan encoder behind :meth:`plan_vector`, for a search that
-        composes each join from the states of the subplans it already holds."""
-        return self.tree_lstm if use_lstm else self.tree_conv
+    def plan_vector(self, plan: PlanNode) -> np.ndarray:
+        return self.tree_conv.encode_plan(plan)
 
-    def plan_vector(self, plan: PlanNode, use_lstm: bool = False) -> np.ndarray:
-        return self.tree_encoder(use_lstm).encode_plan(plan)
-
-    def query_plan_vector(self, query: BoundQuery, plan: PlanNode, use_lstm: bool = False) -> np.ndarray:
-        return np.concatenate([self.query_vector(query), self.plan_vector(plan, use_lstm)])
+    def query_plan_vector(self, query: BoundQuery, plan: PlanNode) -> np.ndarray:
+        return np.concatenate([self.query_vector(query), self.plan_vector(plan)])
 
     @property
     def query_plan_vector_size(self) -> int:

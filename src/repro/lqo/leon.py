@@ -55,7 +55,7 @@ class _RankedSearch:
         self.ranker = ranker
         self.cost_model = env.planner.cost_model
         self.context = self.cost_model.planning_context()
-        self.encoder = env.tree_encoder() if ranker.is_trained else None
+        self.encoder = env.tree_conv if ranker.is_trained else None
         self.query_vector = env.query_vector(query) if ranker.is_trained else None
         self.bit_of = bit_of = {alias: 1 << i for i, alias in enumerate(query.aliases)}
         # Every join predicate beside the mask of its two aliases, in ``query.joins`` order.

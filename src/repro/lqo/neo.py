@@ -27,9 +27,9 @@ from repro import simclock
 from repro.lqo.base import BaseOptimizer, LQOEnvironment, PlannedQuery, TrainingReport
 from repro.ml.nn import MLPRegressor
 from repro.ml.replay import Experience, ReplayBuffer
-from repro.ml.tree_models import TreeEncoder
+from repro.ml.tree_models import TreeConvolutionEncoder
 from repro.optimizer.cost_model import JoinInput, PlanningContext
-from repro.plans.physical import JoinCandidate, PlanNode, ScanNode, validate_plan
+from repro.plans.physical import JoinCandidate, PlanNode, validate_plan
 from repro.sql.binder import BoundQuery, JoinPredicate
 from repro.workloads.workload import BenchmarkQuery
 
@@ -56,7 +56,7 @@ class _GreedySearch:
 
     def __init__(
         self, env: LQOEnvironment, query: BoundQuery, context: PlanningContext,
-        vector: np.ndarray | None, encoder: TreeEncoder | None,
+        vector: np.ndarray | None, encoder: TreeConvolutionEncoder | None,
     ) -> None:
         self.query = query
         self.cost_model = env.planner.cost_model
@@ -113,8 +113,6 @@ class NeoOptimizer(BaseOptimizer):
     """Value-network guided bottom-up plan search, bootstrapped from the DBMS."""
 
     name = "neo"
-    #: Whether the candidate search is restricted to left-deep trees.
-    left_deep_only = False
     #: Whether the replay buffer is restricted to the latest iteration when
     #: retraining (Balsa overrides this to be on-policy).
     on_policy = False
@@ -123,8 +121,6 @@ class NeoOptimizer(BaseOptimizer):
     #: Whether the initial experience uses cost-model estimates instead of
     #: executed latencies (Balsa's expert-free bootstrap).
     bootstrap_from_cost = False
-    #: Whether plan encodings use the Tree-LSTM composition (RTOS).
-    use_lstm_encoder = False
 
     def __init__(
         self,
@@ -144,8 +140,8 @@ class NeoOptimizer(BaseOptimizer):
         """``env.query_plan_vector`` of a plan from its query's vector — and
         from the plan's encoder state when the search that built it kept one."""
         if state is None:
-            return np.concatenate([vector, self.env.plan_vector(plan, self.use_lstm_encoder)])
-        return np.concatenate([vector, self.env.tree_encoder(self.use_lstm_encoder).readout(state)])
+            return np.concatenate([vector, self.env.plan_vector(plan)])
+        return np.concatenate([vector, self.env.tree_conv.readout(state)])
 
     def _retrain(self, seed_offset: int = 0) -> None:
         features, targets = self._buffer.training_matrix(recent_only=self.on_policy)
@@ -161,26 +157,12 @@ class NeoOptimizer(BaseOptimizer):
         self, query: BoundQuery, subplans: list[_Subplan], search: _GreedySearch
     ) -> list[tuple[JoinCandidate, int, int]]:
         """``(join, left index, right index)`` of every join the next step may take."""
-        pairs = list(combinations(range(len(subplans)), 2))
-        if self.left_deep_only:
-            # Left-deep: once a join exists it is the one tree that grows, so
-            # only pairs containing it are candidates (scan-scan pairs would
-            # start a second tree that no left-deep step can merge).
-            grown = [k for k, subplan in enumerate(subplans) if not isinstance(subplan.plan, ScanNode)]
-            if grown:
-                pairs = [pair for pair in pairs if grown[0] in pair]
+        pairs = combinations(range(len(subplans)), 2)
         linked = [(i, j, search.predicates(subplans[i], subplans[j])) for i, j in pairs]
         candidates = []
         # Pairs connected by a predicate; cross products only when there is none.
         for i, j, predicates in [link for link in linked if link[2]] or linked:
-            orientations = [(i, j), (j, i)]
-            if self.left_deep_only:
-                # The right input of a left-deep join is a base relation.
-                orientations = [
-                    (left, right) for left, right in orientations
-                    if isinstance(subplans[right].plan, ScanNode)
-                ]
-            for left_index, right_index in orientations:
+            for left_index, right_index in ((i, j), (j, i)):
                 join = search.join(subplans[left_index], subplans[right_index], predicates)
                 candidates.append((join, left_index, right_index))
         return candidates
@@ -203,7 +185,7 @@ class NeoOptimizer(BaseOptimizer):
             context = self.env.planner.cost_model.planning_context()
         encoder = None
         if self._model.is_trained:
-            encoder = self.env.tree_encoder(self.use_lstm_encoder)
+            encoder = self.env.tree_conv
             if vector is None:
                 vector = self.env.query_vector(query)
         search = _GreedySearch(self.env, query, context, vector, encoder)

@@ -1,10 +1,9 @@
-"""Registry of optimizers: construction, metadata and the Table 1 inventory."""
+"""Registry of optimizers: the methods the paper evaluates end to end, by name."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.encoding.featurizers import ENCODING_SPECS, EncodingSpec
 from repro.errors import ExperimentError
 from repro.lqo.balsa import BalsaOptimizer
 from repro.lqo.bao import BaoOptimizer
@@ -12,111 +11,38 @@ from repro.lqo.base import BaseOptimizer, LQOEnvironment
 from repro.lqo.hybridqo import HybridQOOptimizer
 from repro.lqo.leon import LeonOptimizer
 from repro.lqo.neo import NeoOptimizer
-from repro.lqo.others import LeroOptimizer, LogerOptimizer, RtosOptimizer
 from repro.lqo.postgres_baseline import PostgresBaseline
 
 
 @dataclass(frozen=True)
 class MethodInfo:
-    """Metadata about one optimizer implementation."""
+    """One registered optimizer implementation."""
 
     name: str
-    display_name: str
     cls: type[BaseOptimizer]
-    #: Whether the paper includes the method in its main end-to-end evaluation
-    #: (Section 8.2); RTOS, Lero and LOGER are excluded there.
-    in_main_evaluation: bool
-    #: Whether the method is learned (False only for the PostgreSQL baseline).
-    is_learned: bool
-    #: The Table 1 encoding specification (None for the classical baseline).
-    encoding: EncodingSpec | None
 
 
+#: The methods of the paper's end-to-end evaluation (Section 8.2), in the
+#: order its figures list them.  RTOS, Lero and LOGER are excluded there and
+#: appear only in Tables 1 and 2.
 _REGISTRY: dict[str, MethodInfo] = {
-    "postgres": MethodInfo(
-        name="postgres",
-        display_name="PostgreSQL",
-        cls=PostgresBaseline,
-        in_main_evaluation=True,
-        is_learned=False,
-        encoding=None,
-    ),
-    "neo": MethodInfo(
-        name="neo",
-        display_name="Neo",
-        cls=NeoOptimizer,
-        in_main_evaluation=True,
-        is_learned=True,
-        encoding=ENCODING_SPECS["neo"],
-    ),
-    "bao": MethodInfo(
-        name="bao",
-        display_name="Bao",
-        cls=BaoOptimizer,
-        in_main_evaluation=True,
-        is_learned=True,
-        encoding=ENCODING_SPECS["bao"],
-    ),
-    "balsa": MethodInfo(
-        name="balsa",
-        display_name="Balsa",
-        cls=BalsaOptimizer,
-        in_main_evaluation=True,
-        is_learned=True,
-        encoding=ENCODING_SPECS["balsa"],
-    ),
-    "leon": MethodInfo(
-        name="leon",
-        display_name="LEON",
-        cls=LeonOptimizer,
-        in_main_evaluation=True,
-        is_learned=True,
-        encoding=ENCODING_SPECS["leon"],
-    ),
-    "hybridqo": MethodInfo(
-        name="hybridqo",
-        display_name="HybridQO",
-        cls=HybridQOOptimizer,
-        in_main_evaluation=True,
-        is_learned=True,
-        encoding=ENCODING_SPECS["hybridqo"],
-    ),
-    "rtos": MethodInfo(
-        name="rtos",
-        display_name="RTOS",
-        cls=RtosOptimizer,
-        in_main_evaluation=False,
-        is_learned=True,
-        encoding=ENCODING_SPECS["rtos"],
-    ),
-    "lero": MethodInfo(
-        name="lero",
-        display_name="Lero",
-        cls=LeroOptimizer,
-        in_main_evaluation=False,
-        is_learned=True,
-        encoding=ENCODING_SPECS["lero"],
-    ),
-    "loger": MethodInfo(
-        name="loger",
-        display_name="LOGER",
-        cls=LogerOptimizer,
-        in_main_evaluation=False,
-        is_learned=True,
-        encoding=ENCODING_SPECS["loger"],
-    ),
+    cls.name: MethodInfo(name=cls.name, cls=cls)
+    for cls in (
+        PostgresBaseline,
+        BaoOptimizer,
+        HybridQOOptimizer,
+        NeoOptimizer,
+        BalsaOptimizer,
+        LeonOptimizer,
+    )
 }
 
 #: Order in which the paper lists the methods it evaluates end to end.
-MAIN_EVALUATION_METHODS: tuple[str, ...] = (
-    "postgres", "bao", "hybridqo", "neo", "balsa", "leon",
-)
+MAIN_EVALUATION_METHODS: tuple[str, ...] = tuple(_REGISTRY)
 
 
-def available_methods(main_evaluation_only: bool = False) -> list[str]:
+def available_methods() -> list[str]:
     """Names of the registered optimizers."""
-    if main_evaluation_only:
-        return [name for name in MAIN_EVALUATION_METHODS]
     return list(_REGISTRY)
 
 

@@ -249,7 +249,7 @@ class PairwiseRanker:
 
     Given pairs ``(better, worse)`` the model is trained with a logistic
     pairwise loss so that ``score(better) < score(worse)`` (lower is better,
-    consistent with latency).  Used by the LTR methods (Lero, LEON).
+    consistent with latency).  Used by LEON, the one LTR method run here.
     """
 
     def __init__(

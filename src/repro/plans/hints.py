@@ -1,7 +1,7 @@
 """Planner hints — the simulator's analogue of the pg_hint_plan extension.
 
-Every LQO in the paper steers PostgreSQL through hints: Neo/Balsa/LEON force a
-full join order with scan and join methods, Bao/LOGER only toggle operator
+Every LQO the paper evaluates steers PostgreSQL through hints: Neo/Balsa/LEON
+force a full join order with scan and join methods, Bao only toggles operator
 families on or off (hint *sets*), HybridQO constrains the top of the join
 order (a "leading" prefix).  :class:`HintSet` covers all three styles and the
 planner (:mod:`repro.optimizer.planner`) honours whatever subset is present.

@@ -1,7 +1,7 @@
 """Structural properties of physical plans (tree shape, join order).
 
 Used by the Section 8.7 plan-type analysis (bushy vs. left-deep) and by the
-LQO implementations that restrict their search space to left-deep trees.
+hints an LQO derives from a plan it built (its join order).
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ import pytest
 from repro.errors import PlanError
 from repro.lqo import available_methods, create_optimizer, method_info
 from repro.lqo.base import LQOEnvironment
+from repro.lqo.registry import MAIN_EVALUATION_METHODS
 from repro.plans.hints import BAO_HINT_SETS
-from repro.plans.properties import is_left_deep
 
 
 @pytest.fixture(scope="module")
@@ -26,27 +26,19 @@ def shared_env(imdb_db):
 
 
 class TestRegistry:
-    def test_all_methods_registered(self):
-        assert set(available_methods()) == {
-            "postgres", "neo", "bao", "balsa", "leon", "hybridqo", "rtos", "lero", "loger",
-        }
+    def test_the_six_methods_of_figure_4_in_its_order(self):
+        assert available_methods() == ["postgres", "bao", "hybridqo", "neo", "balsa", "leon"]
+        assert tuple(available_methods()) == MAIN_EVALUATION_METHODS
 
-    def test_main_evaluation_methods(self):
-        main = available_methods(main_evaluation_only=True)
-        assert main[0] == "postgres"
-        assert set(main) == {"postgres", "bao", "hybridqo", "neo", "balsa", "leon"}
-        for name in ("rtos", "lero", "loger"):
-            assert not method_info(name).in_main_evaluation
+    @pytest.mark.parametrize("method", available_methods())
+    def test_a_method_is_registered_under_its_class_name(self, method):
+        assert method_info(method).cls.name == method
 
     def test_method_info_unknown(self):
         from repro.errors import ExperimentError
 
         with pytest.raises(ExperimentError):
             method_info("oracle")
-
-    def test_encoding_attached_to_learned_methods(self):
-        assert method_info("postgres").encoding is None
-        assert method_info("neo").encoding is not None
 
 
 class TestEnvironment:
@@ -118,25 +110,6 @@ class TestNeoAndBalsa:
         # Cost-model bootstrap does not execute any plan.
         assert report.executed_plans == 0
 
-    def test_rtos_is_left_deep(self, shared_env, small_split, job_workload):
-        """Every JOB query, untrained (ranked by cost) and trained: the plan
-        covers the query and is left-deep.  (Scan-scan pairs used to stay
-        candidates beside a join, leaving two join subplans that no left-deep
-        step can merge: ``search_plan`` returned the first, a partial plan.)"""
-        train, test = small_split
-        untrained = create_optimizer("rtos", shared_env, training_iterations=0)
-        trained = create_optimizer("rtos", shared_env, training_iterations=0)
-        trained.fit(train)
-        assert trained._model.is_trained and not untrained._model.is_trained
-        assert len(job_workload.queries) == 113
-        for rtos in (untrained, trained):
-            for query in job_workload.queries:
-                plan = rtos.search_plan(query.bound)
-                assert plan.aliases == frozenset(query.bound.aliases), query.query_id
-                assert is_left_deep(plan), query.query_id
-        planned = trained.plan_query(test[0])
-        assert is_left_deep(planned.plan) and planned.hints.forces_join_order
-
     def test_a_search_that_ends_in_a_partial_plan_raises(self, shared_env, job_workload, monkeypatch):
         neo = create_optimizer("neo", shared_env)
         query = job_workload.by_id("2a").bound
@@ -148,7 +121,7 @@ class TestNeoAndBalsa:
             neo.search_plan(query)
 
 
-class TestLeonHybridLero:
+class TestLeonHybridQO:
     def test_leon_plans_and_is_slowest_at_inference(self, shared_env, small_split):
         train, test = small_split
         leon = create_optimizer("leon", shared_env)
@@ -166,15 +139,3 @@ class TestLeonHybridLero:
         planned = hybrid.plan_query(test[1])
         assert planned.metadata["n_candidates"] >= 1
         assert planned.plan.aliases == frozenset(test[1].bound.aliases)
-
-    def test_lero_uses_pairwise_comparator(self, shared_env, small_split):
-        train, test = small_split
-        lero = create_optimizer("lero", shared_env)
-        lero.fit(train)
-        planned = lero.plan_query(test[0])
-        assert planned.plan.aliases == frozenset(test[0].bound.aliases)
-
-    def test_loger_restricted_to_join_toggle_arms(self, shared_env):
-        loger = create_optimizer("loger", shared_env)
-        arm_names = {arm.name for arm in loger.arms}
-        assert arm_names == {"all_on", "no_nestloop", "no_mergejoin", "no_hashjoin"}

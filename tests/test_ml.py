@@ -8,7 +8,7 @@ from repro.errors import ModelError, NotTrainedError
 from repro.ml.losses import from_log_latency, log_latency, mse_loss, pairwise_accuracy, q_error
 from repro.ml.nn import MLPRegressor, PairwiseRanker
 from repro.ml.replay import Experience, ReplayBuffer
-from repro.ml.tree_models import TreeConvolutionEncoder, TreeLSTMEncoder
+from repro.ml.tree_models import TreeConvolutionEncoder
 from repro.optimizer.planner import Planner
 
 
@@ -105,13 +105,6 @@ class TestTreeEncoders:
         plan_encoder, plans = encoded_plans
         encoder = TreeConvolutionEncoder(plan_encoder, hidden_size=32, seed=1)
         assert not np.allclose(encoder.encode_plan(plans["1a"]), encoder.encode_plan(plans["2a"]))
-
-    def test_tree_lstm_fixed_size(self, encoded_plans):
-        plan_encoder, plans = encoded_plans
-        encoder = TreeLSTMEncoder(plan_encoder, hidden_size=24, seed=2)
-        vector = encoder.encode_plan(plans["17a"])
-        assert vector.shape == (encoder.output_size,)
-        assert np.isfinite(vector).all()
 
     def test_invalid_hidden_size(self, encoded_plans):
         plan_encoder, _ = encoded_plans

@@ -67,22 +67,20 @@ class TestIncrementalEncoding:
         assert sum(len(plans) for plans in golden_plans.values()) > 3000
         envs = {"imdb": LQOEnvironment(imdb_db, seed=0), "stack": LQOEnvironment(stack_db, seed=0)}
         for name, key in record_plan_digests.WORKLOADS:
-            for use_lstm in (False, True):
-                encoder = envs[key].tree_encoder(use_lstm)
-                for plan in golden_plans[name]:
-                    whole = envs[key].plan_vector(plan, use_lstm)
-                    assert whole.dtype == np.float64 and whole.shape == (encoder.output_size,)
-                    assert encoder.readout(composed(encoder, plan)).tobytes() == whole.tobytes()
+            encoder = envs[key].tree_conv
+            for plan in golden_plans[name]:
+                whole = envs[key].plan_vector(plan)
+                assert whole.dtype == np.float64 and whole.shape == (encoder.output_size,)
+                assert encoder.readout(composed(encoder, plan)).tobytes() == whole.tobytes()
 
     def test_encodings_are_the_bytes_recorded_at_the_parent(self, imdb_db, golden_plans, recorded):
         assert len(golden_plans["job"]) == recorded["encoded_plans"]
         digests = record_lqo_digests.encoding_digests(LQOEnvironment(imdb_db, seed=0), golden_plans["job"])
         assert digests == recorded["encodings"]
 
-    @pytest.mark.parametrize("use_lstm", [False, True])
-    def test_a_join_composed_from_separately_computed_child_states(self, env, job_workload, use_lstm):
+    def test_a_join_composed_from_separately_computed_child_states(self, env, job_workload):
         query = job_workload.by_id("17a").bound
-        encoder = env.tree_encoder(use_lstm)
+        encoder = env.tree_conv
         cost_model = env.planner.cost_model
         join = next(
             node for node in plan_join_nodes(env.plan_with_hints(query).plan)
@@ -95,23 +93,22 @@ class TestIncrementalEncoding:
             (join, encoder.node_state(join, left, right)),
             (mirrored, encoder.node_state(mirrored, right, left)),
         ):
-            assert encoder.readout(state).tobytes() == env.plan_vector(parent, use_lstm).tobytes()
-        assert encoder.readout(left).tobytes() == env.plan_vector(join.left, use_lstm).tobytes()
-        assert encoder.readout(right).tobytes() == env.plan_vector(join.right, use_lstm).tobytes()
+            assert encoder.readout(state).tobytes() == env.plan_vector(parent).tobytes()
+        assert encoder.readout(left).tobytes() == env.plan_vector(join.left).tobytes()
+        assert encoder.readout(right).tobytes() == env.plan_vector(join.right).tobytes()
 
     def test_encoding_leaves_nothing_on_the_plan(self, env, job_workload):
         plan = env.plan_with_hints(job_workload.by_id("6a").bound).plan
         before = pickle.dumps(plan)
         keys = {id(node): set(node.__dict__) for node in plan.walk()}
-        for use_lstm in (False, True):
-            env.plan_vector(plan, use_lstm)
-            env.tree_encoder(use_lstm).readout(composed(env.tree_encoder(use_lstm), plan))
+        env.plan_vector(plan)
+        env.tree_conv.readout(composed(env.tree_conv, plan))
         assert pickle.dumps(plan) == before
         assert {id(node): set(node.__dict__) for node in plan.walk()} == keys
 
 
 class TestSearchesScoreWhatPlanVectorWouldBuild:
-    """neo, balsa, rtos and leon on the recorded split (``tools/record_lqo_digests.py``)."""
+    """neo, balsa and leon on the recorded split (``tools/record_lqo_digests.py``)."""
 
     @pytest.mark.parametrize("method", sorted(record_lqo_digests.METHODS))
     def test_plans_and_candidate_matrices(self, imdb_db, job_workload, recorded, method, monkeypatch):
@@ -122,7 +119,7 @@ class TestSearchesScoreWhatPlanVectorWouldBuild:
         def spying_candidate_joins(self, query, subplans, context):
             candidates = candidate_joins(self, query, subplans, context)
             if self._model.is_trained:
-                whole_tree = self.env.tree_encoder(self.use_lstm_encoder).encode_plan
+                whole_tree = self.env.tree_conv.encode_plan
                 steps.append((self.env.query_vector(query), whole_tree, [join for join, _, _ in candidates]))
             return candidates
 

@@ -1,7 +1,7 @@
 """LQO searches over records: candidate joins are costed and encoded as numbers
 and built only when a search keeps them.
 
-* neo, balsa and rtos build one join node per step — ``n - 1`` per search —
+* neo and balsa build one join node per step — ``n - 1`` per search —
   and LEON exactly the candidates it keeps;
 * a candidate encodes to the bytes of the node it would build;
 * every replay-buffer row of a fit is ``query_plan_vector`` of its plan, bit
@@ -48,7 +48,7 @@ def fitted(imdb_db, job_workload, method: str, **kwargs):
 
 
 class TestNodesBuilt:
-    @pytest.mark.parametrize("method", ["neo", "balsa", "rtos"])
+    @pytest.mark.parametrize("method", ["neo", "balsa"])
     def test_a_greedy_search_builds_its_plan_and_nothing_else(self, imdb_db, job_workload, method, built_joins):
         untrained = create_optimizer(method, LQOEnvironment(imdb_db, seed=0))
         trained = fitted(imdb_db, job_workload, method, training_iterations=1)
@@ -94,12 +94,11 @@ class TestNodesBuilt:
 
 
 class TestCandidateEncoding:
-    @pytest.mark.parametrize("use_lstm", [False, True])
-    def test_a_candidate_encodes_to_the_bytes_of_its_node(self, env, job_workload, use_lstm):
+    def test_a_candidate_encodes_to_the_bytes_of_its_node(self, env, job_workload):
         query = job_workload.by_id("17a").bound
         cost_model = env.planner.cost_model
         context = cost_model.planning_context()
-        encoder = env.tree_encoder(use_lstm)
+        encoder = env.tree_conv
         for join in plan_join_nodes(env.plan_with_hints(query).plan):
             left, right = join.left, join.right
             candidate = cost_model.candidate_join(
@@ -110,11 +109,11 @@ class TestCandidateEncoding:
             best = cost_model.best_join(query, left, right, predicates=join.predicates)
             assert pickle.dumps(node) == pickle.dumps(best)
             assert env.plan_encoder.node_vector(candidate).tobytes() == env.plan_encoder.node_vector(node).tobytes()
-            assert encoder.encode_plan(candidate).tobytes() == env.plan_vector(node, use_lstm).tobytes()
+            assert encoder.encode_plan(candidate).tobytes() == env.plan_vector(node).tobytes()
 
 
 class TestReplayRows:
-    @pytest.mark.parametrize("method", ["neo", "balsa", "rtos"])
+    @pytest.mark.parametrize("method", ["neo", "balsa"])
     @pytest.mark.parametrize("train_size", [len(TRAIN_IDS), 5])
     def test_every_row_is_query_plan_vector_of_its_plan(self, imdb_db, job_workload, method, train_size, monkeypatch):
         """Nine training queries train the value model before the first
@@ -154,6 +153,6 @@ class TestReplayRows:
         assert len(bootstrap) == train_size and len(searched) == 2 * train_size
         pairs = list(zip(bootstrap, expert)) + list(zip(searched, executed[-len(searched):]))
         for experience, (query, plan) in pairs:
-            expected = env.query_plan_vector(query, plan, use_lstm=optimizer.use_lstm_encoder)
+            expected = env.query_plan_vector(query, plan)
             assert experience.features.dtype == expected.dtype
             assert experience.features.tobytes() == expected.tobytes()

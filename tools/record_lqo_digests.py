@@ -3,9 +3,10 @@
 Two things are pinned byte for byte, on the test database of
 ``tests/conftest.py`` (``imdb_db``) and one ``LQOEnvironment(seed=0)``:
 
-* ``encodings`` — per plan encoder, a sha256 over ``plan_vector`` of every
-  JOB plan under each planner variant of ``tools/record_plan_digests.py``;
-* ``searches`` — per searching method (neo, balsa, rtos, leon) trained on a
+* ``encodings`` — for the plan encoder (``tree_conv``), a sha256 over
+  ``plan_vector`` of every JOB plan under each planner variant of
+  ``tools/record_plan_digests.py``;
+* ``searches`` — per searching method (neo, balsa, leon) trained on a
   fixed split: the sha256 of every test query's pickled plan, and one sha256
   over every candidate matrix its model scored while planning them.
 
@@ -17,9 +18,7 @@ re-recorded only by a PR that changes searched plans on purpose::
 
     PYTHONPATH=src python tools/record_lqo_digests.py [--out FILE] [--only METHOD ...]
 
-``--only`` re-records the named methods and keeps the rest of the file (the
-rtos entry was recorded by the PR that made its plans cover the query: the
-parent's were partial).
+``--only`` re-records the named methods and keeps the rest of the file.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ GOLDEN_PATH = Path(__file__).resolve().parents[1] / "tests" / "golden" / "lqo_se
 METHODS: dict[str, dict] = {
     "neo": {"training_iterations": 1},
     "balsa": {"training_iterations": 1},
-    "rtos": {"training_iterations": 1},
     "leon": {},
 }
 
@@ -84,14 +82,11 @@ def variant_plans(database: Database, workload: Workload) -> Iterator[PlanNode]:
 
 
 def encoding_digests(env: LQOEnvironment, plans: list[PlanNode]) -> dict[str, str]:
-    """``{encoder: sha256 over plan_vector of every plan}``."""
-    digests = {}
-    for name, use_lstm in (("tree_conv", False), ("tree_lstm", True)):
-        sha = hashlib.sha256()
-        for plan in plans:
-            sha.update(env.plan_vector(plan, use_lstm).tobytes())
-        digests[name] = sha.hexdigest()
-    return digests
+    """``{"tree_conv": sha256 over plan_vector of every plan}``."""
+    sha = hashlib.sha256()
+    for plan in plans:
+        sha.update(env.plan_vector(plan).tobytes())
+    return {"tree_conv": sha.hexdigest()}
 
 
 @contextmanager

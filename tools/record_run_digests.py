@@ -7,14 +7,14 @@ of ``json.dumps(MethodRunResult.to_dict(), sort_keys=True)`` — every query's
 inference, planning and execution time, every timeout and the training
 accounting — next to its summary row.  The plan digests pin plans only; these
 pin the timing decomposition the figures report.  The cells go through DP,
-GEQO, greedy (HybridQO prefixes), forced and hinted planning, and Bao/Lero's
+GEQO, greedy (HybridQO prefixes), forced and hinted planning, and Bao's
 inference-into-planning fold.
 
 Recorded from the **parent** commit of any PR that moves simulated time
 around and must leave it byte-identical; re-recorded only by a PR that
 changes a formula or a constant of the clock on purpose::
 
-    PYTHONPATH=src python tools/record_run_digests.py [--out FILE]
+    make golden-runs    # or: PYTHONPATH=src python tools/record_run_digests.py [--out FILE]
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ GOLDEN_PATH = Path(__file__).resolve().parents[1] / "tests" / "golden" / "run_di
 OPTIMIZER_KWARGS: dict[str, dict] = {
     "neo": {"training_iterations": 1},
     "balsa": {"training_iterations": 1},
-    "rtos": {"training_iterations": 1},
 }
 
 
