@@ -1,5 +1,6 @@
 """Tests for the learned query optimizers and the registry."""
 
+import numpy as np
 import pytest
 
 from repro.errors import PlanError
@@ -7,6 +8,7 @@ from repro.lqo import available_methods, create_optimizer, method_info
 from repro.lqo.base import LQOEnvironment
 from repro.lqo.registry import MAIN_EVALUATION_METHODS
 from repro.plans.hints import BAO_HINT_SETS
+from repro.plans.properties import is_bushy
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +28,11 @@ def shared_env(imdb_db):
 
 
 class TestRegistry:
-    def test_the_six_methods_of_figure_4_in_its_order(self):
+    def test_all_methods_registered(self):
+        """The six methods of Figure 4, in its order."""
         assert available_methods() == ["postgres", "bao", "hybridqo", "neo", "balsa", "leon"]
+
+    def test_main_evaluation_methods(self):
         assert tuple(available_methods()) == MAIN_EVALUATION_METHODS
 
     @pytest.mark.parametrize("method", available_methods())
@@ -39,6 +44,15 @@ class TestRegistry:
 
         with pytest.raises(ExperimentError):
             method_info("oracle")
+
+    @pytest.mark.parametrize("method", ["rtos", "lero", "loger"])
+    def test_methods_the_paper_excludes_are_not_runnable(self, shared_env, method):
+        """RTOS, Lero and LOGER appear only in Tables 1 and 2 (Section 8.2)."""
+        from repro.errors import ExperimentError
+
+        assert method not in available_methods()
+        with pytest.raises(ExperimentError):
+            create_optimizer(method, shared_env)
 
 
 class TestEnvironment:
@@ -64,6 +78,15 @@ class TestEnvironment:
         vector = shared_env.query_plan_vector(query.bound, plan)
         assert vector.shape == (shared_env.query_plan_vector_size,)
 
+    def test_plan_vector_is_the_tree_convolution(self, shared_env, job_workload):
+        query = job_workload.by_id("17a")
+        plan = shared_env.plan_with_hints(query.bound).plan
+        plan_vector = shared_env.plan_vector(plan)
+        assert plan_vector.shape == (shared_env.plan_vector_size,)
+        assert (plan_vector == shared_env.tree_conv.encode_plan(plan)).all()
+        query_vector = shared_env.query_vector(query.bound)
+        assert (shared_env.query_plan_vector(query.bound, plan) == np.concatenate([query_vector, plan_vector])).all()
+
 
 class TestPostgresBaseline:
     def test_no_training_and_zero_inference(self, shared_env, small_split, job_workload):
@@ -87,6 +110,14 @@ class TestBao:
         assert planned.plan.aliases == frozenset(test[0].bound.aliases)
         assert planned.inference_time_ms > 0.0
 
+    def test_plans_every_hint_set_in_order(self, shared_env, job_workload):
+        bao = create_optimizer("bao", shared_env)
+        arm_plans = bao._arm_plans(job_workload.by_id("2a"))
+        assert [arm for arm, _, _ in arm_plans] == list(BAO_HINT_SETS)
+        for _, result, vector in arm_plans:
+            assert vector.shape == (shared_env.plan_vector_size,)
+            assert (vector == shared_env.plan_vector(result.plan)).all()
+
     def test_integrates_with_dbms_flag(self, shared_env):
         assert create_optimizer("bao", shared_env).integrates_with_dbms is True
         assert create_optimizer("neo", shared_env).integrates_with_dbms is False
@@ -109,6 +140,16 @@ class TestNeoAndBalsa:
         report = balsa.fit(train)
         # Cost-model bootstrap does not execute any plan.
         assert report.executed_plans == 0
+
+    def test_neo_search_is_not_restricted_to_left_deep(self, shared_env, job_workload):
+        """Untrained (ranked by cost), every JOB plan covers its query, and the
+        search joins two join subplans where that is cheaper: bushy plans."""
+        neo = create_optimizer("neo", shared_env)
+        assert len(job_workload.queries) == 113
+        plans = {query.query_id: neo.search_plan(query.bound) for query in job_workload.queries}
+        for query in job_workload.queries:
+            assert plans[query.query_id].aliases == frozenset(query.bound.aliases), query.query_id
+        assert any(is_bushy(plan) for plan in plans.values())
 
     def test_a_search_that_ends_in_a_partial_plan_raises(self, shared_env, job_workload, monkeypatch):
         neo = create_optimizer("neo", shared_env)

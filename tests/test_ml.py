@@ -106,6 +106,13 @@ class TestTreeEncoders:
         encoder = TreeConvolutionEncoder(plan_encoder, hidden_size=32, seed=1)
         assert not np.allclose(encoder.encode_plan(plans["1a"]), encoder.encode_plan(plans["2a"]))
 
+    def test_tree_conv_values_are_finite(self, encoded_plans):
+        plan_encoder, plans = encoded_plans
+        encoder = TreeConvolutionEncoder(plan_encoder, hidden_size=24, seed=2)
+        vector = encoder.encode_plan(plans["17a"])
+        assert vector.shape == (encoder.output_size,)
+        assert np.isfinite(vector).all()
+
     def test_invalid_hidden_size(self, encoded_plans):
         plan_encoder, _ = encoded_plans
         with pytest.raises(ModelError):
