@@ -7,13 +7,12 @@
 #                            notice when mypy is not installed; advisory in CI)
 #   make bench-smoke       - one fast benchmark as an end-to-end smoke check
 #   make bench-parallel    - serial sweep with resume-skip assertion, as in CI
-#   make bench-distributed - work-queue sweep with a killed worker, lease
-#                            re-queue, resume and shard merge, as in CI
-#   make bench-distributed-tcp - the same crash-recovery sweep over the TCP
-#                            queue transport: no shared queue/store directory,
-#                            HMAC-authenticated frames (REPRO_QUEUE_SECRET)
-#   make bench-progress    - fast-cadence progress-telemetry sweep over the
-#                            secured TCP transport (snapshot every 0.5 s)
+#   make bench-distributed - TCP work-queue sweep with HMAC-authenticated
+#                            frames (REPRO_QUEUE_SECRET), a killed worker,
+#                            lease re-queue, progress snapshot, resume and
+#                            shard merge; no shared queue/store directory, as in CI
+#   make bench-progress    - the same sweep at a fast progress-telemetry
+#                            cadence (snapshot every 0.5 s)
 #   make bench-executor    - row vs columnar engine on the full JOB workload;
 #                            asserts byte-equivalence and writes the speedup
 #                            to BENCH_executor_columnar.json
@@ -71,13 +70,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 # Store directory of the bench-parallel resume check (temp dir by default).
 BENCH_PARALLEL_STORE ?= $(shell mktemp -d /tmp/repro-store.XXXXXX)
 
-# Sharded store of the bench-distributed crash-recovery check (the merged
-# flat store lands next to it at <dir>-merged).
+# Coordinator-local sharded store of the bench-distributed crash-recovery
+# check (workers never see this path: tasks and results travel over the
+# socket; the merged flat store lands next to it at <dir>-merged).
 BENCH_DISTRIBUTED_STORE ?= $(shell mktemp -d /tmp/repro-dist.XXXXXX)
-
-# Coordinator-local store of the TCP-transport crash-recovery check (workers
-# never see this path: tasks and results travel over the socket).
-BENCH_DISTRIBUTED_TCP_STORE ?= $(shell mktemp -d /tmp/repro-dist-tcp.XXXXXX)
 
 # Store of the progress-telemetry sweep (bench-progress).
 BENCH_PROGRESS_STORE ?= $(shell mktemp -d /tmp/repro-progress.XXXXXX)
@@ -90,7 +86,7 @@ FUZZ_CORPUS ?= $(shell mktemp -d /tmp/repro-fuzz-corpus.XXXXXX)
 # value only needs to match between coordinator and workers).
 REPRO_QUEUE_SECRET ?= local-bench-secret
 
-.PHONY: test lint typecheck docs-check bench-smoke bench-parallel bench-distributed bench-distributed-tcp bench-progress bench-executor bench-plan-serving fuzz-engines golden-plans golden-executions golden-searches golden-runs perfbench perfbench-compare perfbench-pairs bench example
+.PHONY: test lint typecheck docs-check bench-smoke bench-parallel bench-distributed bench-progress bench-executor bench-plan-serving fuzz-engines golden-plans golden-executions golden-searches golden-runs perfbench perfbench-compare perfbench-pairs bench example
 
 test:
 	$(PYTHON) -m pytest -x -q --durations=15
@@ -118,17 +114,13 @@ bench-parallel:
 	$(PYTHON) examples/parallel_experiments.py
 
 bench-distributed:
-	REPRO_BENCH_WORKERS=2 REPRO_BENCH_STORE=$(BENCH_DISTRIBUTED_STORE) \
-	$(PYTHON) examples/distributed_sweep.py
-
-bench-distributed-tcp:
-	REPRO_BENCH_WORKERS=2 REPRO_BENCH_TRANSPORT=tcp \
+	REPRO_BENCH_WORKERS=2 REPRO_BENCH_PROGRESS=1 \
 	REPRO_QUEUE_SECRET=$(REPRO_QUEUE_SECRET) \
-	REPRO_BENCH_STORE=$(BENCH_DISTRIBUTED_TCP_STORE) \
+	REPRO_BENCH_STORE=$(BENCH_DISTRIBUTED_STORE) \
 	$(PYTHON) examples/distributed_sweep.py
 
 bench-progress:
-	REPRO_BENCH_WORKERS=2 REPRO_BENCH_TRANSPORT=tcp REPRO_BENCH_PROGRESS=0.5 \
+	REPRO_BENCH_WORKERS=2 REPRO_BENCH_PROGRESS=0.5 \
 	REPRO_QUEUE_SECRET=$(REPRO_QUEUE_SECRET) \
 	REPRO_BENCH_STORE=$(BENCH_PROGRESS_STORE) \
 	$(PYTHON) examples/distributed_sweep.py

@@ -2,23 +2,18 @@
 
 Exercises the full multi-host runtime on one machine:
 
-1. A coordinator fans a reduced Figure-4-style grid out through the work
-   queue onto ``REPRO_BENCH_WORKERS`` (default 2) local worker processes,
-   with live progress telemetry (a machine-readable snapshot every
-   ``REPRO_BENCH_PROGRESS`` seconds, default 2).  With
-   ``REPRO_BENCH_TRANSPORT=file`` (default) the queue is a directory on a
-   shared filesystem and the workers write the **sharded** result store
-   themselves; with
-   ``REPRO_BENCH_TRANSPORT=tcp`` the coordinator serves the queue over a
-   socket, no queue/store directory is shared at all, and workers upload
-   results back inside their ack frames.  With ``REPRO_QUEUE_SECRET`` set,
-   every TCP frame is HMAC-signed — the script then also asserts that a
-   client *without* the secret is rejected before anything is unpickled.
+1. A coordinator serves the work queue over TCP on an ephemeral local port
+   and fans a reduced Figure-4-style grid out onto ``REPRO_BENCH_WORKERS``
+   (default 2) local worker processes, with live progress telemetry (a
+   machine-readable snapshot every ``REPRO_BENCH_PROGRESS`` seconds, default
+   2).  No queue/store directory is shared: workers upload results back
+   inside their ack frames into the coordinator's **sharded** result store.
+   Every frame is HMAC-signed (with ``REPRO_QUEUE_SECRET``, or a secret the
+   sweep mints when it is unset); the script asserts that a client *without*
+   the secret is rejected before anything is unpickled.
 2. Once both workers are mid-task, one of them is SIGKILLed — its lease stops
    being renewed, the coordinator's expiry sweep re-queues its claim, and the
-   surviving worker finishes the grid.  On the file transport the queue
-   directory is then checked to hold only ``pending/``, ``claimed/``,
-   ``done/``, ``failed/`` and the worker logs.
+   surviving worker finishes the grid.
 3. The same sweep runs again: everything resumes from the store, nothing is
    recomputed (asserted via stored-file mtimes).
 4. The shards are merged into a flat store at ``<store>-merged``, every task
@@ -27,17 +22,16 @@ Exercises the full multi-host runtime on one machine:
    snapshot is saved as a store artifact (``artifacts/progress-final.json``).
 
 The script exits non-zero if any of those properties is violated, so CI can
-gate on it (the ``bench-distributed`` and ``bench-distributed-tcp`` jobs).
+gate on it (the ``bench-distributed`` job).
 
 Usage::
 
     PYTHONPATH=src python examples/distributed_sweep.py [store_dir]
 
 Environment: ``REPRO_BENCH_WORKERS`` (local workers, default 2),
-``REPRO_BENCH_TRANSPORT`` (``file``/``tcp``, default ``file``),
 ``REPRO_BENCH_PROGRESS`` (snapshot interval seconds, default 2),
-``REPRO_QUEUE_SECRET`` (tcp frame-signing secret, authentication off when
-unset), ``REPRO_BENCH_STORE`` (used when no ``store_dir`` argument is given).
+``REPRO_QUEUE_SECRET`` (frame-signing secret, minted per sweep when unset),
+``REPRO_BENCH_STORE`` (used when no ``store_dir`` argument is given).
 """
 
 from __future__ import annotations
@@ -55,7 +49,7 @@ from repro.core.experiment import ExperimentConfig
 from repro.core.report import store_report
 from repro.core.splits import DatasetSplit, SplitSampling
 from repro.experiments.common import distributed_runtime, job_context
-from repro.runtime.netqueue import NetWorkQueue, QueueAuthError, QueueServer
+from repro.runtime.netqueue import NetWorkQueue, QueueAuthError
 from repro.runtime.parallel import ParallelExperimentRunner
 
 METHODS = ("postgres", "bao")
@@ -80,31 +74,16 @@ def result_json(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
-def assert_unauthenticated_client_rejected(runner: ParallelExperimentRunner) -> bool:
-    """With a queue secret set, a secret-less client must be turned away
-    before any of its bytes are unpickled.  Returns whether the check ran
-    (it needs the sweep's TCP server to be up)."""
-    queue = runner._distributed_queue
-    if not isinstance(queue, QueueServer):
-        return False
-    intruder = NetWorkQueue(queue.url, secret="", retries=0)  # explicitly unkeyed
-    try:
-        intruder.stats()
-    except QueueAuthError as exc:
-        print(f"unauthenticated client rejected as expected: {exc}")
-        return True
-    raise AssertionError("a client without REPRO_QUEUE_SECRET was accepted by the queue server")
-
-
-def assert_one_pending_pool(queue_root: Path) -> None:
-    """The file queue's directories after a sweep: its four buckets and the
-    worker logs, with every pending task in one flat pool."""
-    found = {path.name for path in queue_root.iterdir() if path.is_dir()}
-    expected = {"pending", "claimed", "done", "failed", "workers"}
-    assert found <= expected, f"unexpected directories in {queue_root}: {sorted(found - expected)}"
-    nested = [path.name for path in (queue_root / "pending").iterdir() if path.is_dir()]
-    assert not nested, f"pending/ holds subdirectories {nested}: tasks must share one pool"
-    print(f"file queue layout: {sorted(found)}, one pending pool")
+def assert_unauthenticated_client_rejected(runner: ParallelExperimentRunner) -> None:
+    """A secret-less client must be turned away by the sweep's queue server
+    before any of its bytes are unpickled."""
+    with NetWorkQueue(runner._distributed_queue.url, secret="", retries=0) as intruder:  # unkeyed
+        try:
+            intruder.stats()
+        except QueueAuthError as exc:
+            print(f"unauthenticated client rejected as expected: {exc}")
+            return
+    raise AssertionError("a client without the queue secret was accepted by the queue server")
 
 
 def kill_one_worker_mid_sweep(
@@ -113,9 +92,8 @@ def kill_one_worker_mid_sweep(
     """Wait until every local worker holds a claim and one task is done, then
     SIGKILL one worker.  Returns whether a worker was killed.
 
-    Progress is read through the coordinator's queue transport handle
-    (``runner._distributed_queue``), which works identically for the file
-    queue (directory counts) and the TCP server (in-memory counts).
+    Progress is read through the coordinator's queue server
+    (``runner._distributed_queue``).
     """
     deadline = time.monotonic() + 600
     while time.monotonic() < deadline and coordinator.is_alive():
@@ -139,10 +117,7 @@ def main(store_dir: str | None = None) -> None:
             prefix="repro-distributed-"
         )
     workers = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
-    transport = os.environ.get("REPRO_BENCH_TRANSPORT", "file")
     progress_interval = float(os.environ.get("REPRO_BENCH_PROGRESS", "2"))
-    secured = bool(os.environ.get("REPRO_QUEUE_SECRET"))
-    assert transport in ("file", "tcp"), f"unknown REPRO_BENCH_TRANSPORT {transport!r}"
     context = job_context(scale=0.25)
     splits = demo_splits(context.workload.name)
     snapshots: list = []
@@ -156,14 +131,13 @@ def main(store_dir: str | None = None) -> None:
         context.workload,
         experiment_config=EXPERIMENT_CONFIG,
         # A short lease keeps the dead worker's re-queue snappy in the demo; a
-        # real sweep would leave the 60 s default.  The tcp transport binds an
+        # real sweep would leave the 60 s default.  The queue binds an
         # ephemeral coordinator port: workers share no directory with it.
         runtime_config=distributed_runtime(
             store_dir,
             workers=workers,
             shard_count=4,
             lease_timeout_s=3.0,
-            queue_url="tcp://127.0.0.1:0" if transport == "tcp" else None,
             progress_interval_s=progress_interval,
         ),
         progress_callback=on_progress,
@@ -171,8 +145,7 @@ def main(store_dir: str | None = None) -> None:
     store = runner.result_store
     tasks = runner.tasks_for(METHODS, splits, repeats=2)
     print(f"running {len(tasks)} tasks on {workers} queue workers "
-          f"({transport} transport{', HMAC-authenticated' if secured else ''}, "
-          f"sharded store: {store_dir}) ...")
+          f"(HMAC-authenticated TCP queue, sharded store: {store_dir}) ...")
 
     # --- sweep 1: coordinator in a thread, one worker killed mid-sweep -----
     outcome: dict[str, list] = {}
@@ -182,13 +155,13 @@ def main(store_dir: str | None = None) -> None:
     start = time.perf_counter()
     coordinator.start()
     auth_checked = False
-    if secured and transport == "tcp":
-        # While the sweep runs, an unkeyed client must bounce off the server.
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline and not auth_checked and coordinator.is_alive():
-            if runner._distributed_queue is not None:
-                auth_checked = assert_unauthenticated_client_rejected(runner)
-            time.sleep(0.05)
+    # While the sweep runs, an unkeyed client must bounce off the server.
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline and not auth_checked and coordinator.is_alive():
+        if runner._distributed_queue is not None:
+            assert_unauthenticated_client_rejected(runner)
+            auth_checked = True
+        time.sleep(0.05)
     killed = kill_one_worker_mid_sweep(runner, coordinator)
     coordinator.join(timeout=1800)
     assert not coordinator.is_alive(), "coordinator did not finish"
@@ -202,8 +175,6 @@ def main(store_dir: str | None = None) -> None:
           f"{runner._distributed_requeued} expired claim(s) re-queued; "
           f"{store.describe()}")
     assert runner._distributed_requeued >= 1, "the dead worker's claim was never re-queued"
-    if transport == "file":
-        assert_one_pending_pool(store.root / "queue")
 
     # --- progress telemetry: at least one valid machine-readable snapshot ---
     assert snapshots, "the sweep emitted no progress snapshot"
@@ -214,17 +185,15 @@ def main(store_dir: str | None = None) -> None:
     json.loads(final_snapshot.to_json())  # must round-trip as plain JSON
     store.save_artifact("progress-final", final_snapshot.to_dict())
     print(f"emitted {len(snapshots)} progress snapshot(s); final: {final_snapshot.describe()}")
-    if secured and transport == "tcp":
-        assert auth_checked, "the unauthenticated-client check never ran"
-    if transport == "tcp":
-        # No shared queue directory exists, and every result entered the store
-        # through the coordinator's upload sink, not through the workers.
-        assert not (store.root / "queue").exists(), "tcp sweep created a queue directory"
-        assert store.stored_count >= len(tasks), (
-            "coordinator-side store counters show the workers wrote the store directly"
-        )
-        print(f"tcp transport: coordinator persisted {store.stored_count} uploaded result(s); "
-              "no queue/store directory was shared with any worker")
+    assert auth_checked, "the unauthenticated-client check never ran"
+    # No shared queue directory exists, and every result entered the store
+    # through the coordinator's upload sink, not through the workers.
+    assert not (store.root / "queue").exists(), "the sweep created a queue directory"
+    assert store.stored_count >= len(tasks), (
+        "coordinator-side store counters show the workers wrote the store directly"
+    )
+    print(f"coordinator persisted {store.stored_count} uploaded result(s); "
+          "no queue/store directory was shared with any worker")
 
     # --- sweep 2: full resume, nothing recomputed --------------------------
     files_before = {path: path.stat().st_mtime_ns for path in store.completed_files()}

@@ -303,9 +303,8 @@ class RuntimeConfig:
             serial executor runs one task at a time whatever this says.
         executor_kind: ``"serial"`` (default) or ``"distributed"``.  Serial
             runs every task in this process; distributed execution fans tasks
-            out to worker processes through a work queue — file based (hosts
-            sharing a filesystem) or TCP (no sharing at all), selected by
-            ``queue_url``.
+            out to worker processes through the coordinator's TCP work queue
+            (``queue_url``).
         plan_cache_entries: capacity of the shared :class:`~repro.runtime.plan_cache.PlanCache`
             (``0`` disables plan caching).
         store_dir: directory of the resumable JSON result store; ``None``
@@ -319,14 +318,11 @@ class RuntimeConfig:
             keeps the flat single-directory layout.  The store's manifest
             pins the count: reopening it with another raises.  Only results
             are sharded — every worker claims from one pending pool.
-        queue_url: transport of the distributed work queue.  ``None`` or a
-            ``file://`` url uses the shared-filesystem queue (``file://<dir>``
-            names its directory, ``None`` puts it at ``<store root>/queue``);
-            ``tcp://<host>:<port>`` starts a
-            coordinator-side TCP queue server instead (port ``0`` binds an
-            ephemeral port), so workers need **no** filesystem in common with
-            the coordinator — they claim over the socket and upload results
-            back with their acks.
+        queue_url: ``tcp://<host>:<port>`` the coordinator serves the
+            distributed work queue on (port ``0`` binds an ephemeral port);
+            ``None`` means loopback on an ephemeral port.  Workers need **no**
+            filesystem in common with the coordinator — they claim over the
+            socket and upload results back with their acks.
         lease_timeout_s: distributed claim lease — a claimed task whose worker
             stopped heart-beating for this long is re-queued for another
             worker (dead-worker recovery).
@@ -340,12 +336,13 @@ class RuntimeConfig:
             (``None`` disables periodic polling; a final end-of-sweep
             snapshot is still taken whenever a ``progress_callback`` is
             installed on the runner).
-        queue_secret: shared HMAC secret authenticating every TCP queue frame
+        queue_secret: shared HMAC secret authenticating every queue frame
             (workers must present the same secret, usually via the
             ``REPRO_QUEUE_SECRET`` environment variable, which is also the
-            fallback when this is ``None``).  Unauthenticated or mis-signed
-            frames are rejected *before* unpickling.  Ignored by the file
-            transport (filesystem permissions are its access control).
+            fallback when this is ``None``; with neither set, each sweep mints
+            a random secret and hands it to its local workers).
+            Unauthenticated or mis-signed frames are rejected *before*
+            unpickling.  An explicit ``""`` turns authentication off.
     """
 
     workers: int = 1

@@ -111,23 +111,22 @@ def distributed_runtime(
     The sweep writes a :class:`~repro.runtime.result_store.ResultStore` with
     ``shard_count`` shard directories under ``store_dir`` (so concurrent
     writers never contend on one directory)
-    and coordinates through a work queue.  By default that queue is file based
-    at ``<store_dir>/queue`` and every worker host must mount the store's
-    filesystem; pass ``queue_url="tcp://host:port"`` (port ``0`` for an
-    ephemeral port) to serve the queue over TCP instead, in which case workers
-    share *nothing* with the coordinator and results are uploaded back over
-    the socket into the coordinator-local store.  ``workers`` local worker
-    processes are launched by the coordinator; start more with
-    ``python -m repro.runtime.worker <queue dir | tcp://...>`` on other hosts.
-    Failed tasks are retried up to ``task_retries`` times before the sweep
-    aborts.
+    and coordinates through a work queue the coordinator serves over TCP on
+    ``queue_url`` (``None``: loopback on an ephemeral port; pass
+    ``"tcp://0.0.0.0:7077"`` to let other hosts in).  Workers share *nothing*
+    with the coordinator: results are uploaded back over the socket into the
+    coordinator-local store.  ``workers`` local worker processes are launched
+    by the coordinator; start more with ``python -m repro.runtime.worker
+    tcp://...`` on other hosts.  Failed tasks are retried up to
+    ``task_retries`` times before the sweep aborts.
 
     Workers claim from one pending pool, lowest task id first.
     ``progress_interval_s`` emits a machine-readable progress snapshot every
     that many seconds (also delivered to ``ParallelExperimentRunner``'s
-    ``progress_callback``).  On an untrusted network, set ``queue_secret``
-    (or export ``REPRO_QUEUE_SECRET`` on every host): TCP frames are then
-    HMAC-signed and verified before unpickling.
+    ``progress_callback``).  Every frame is HMAC-signed and verified before
+    unpickling: with neither ``queue_secret`` nor ``REPRO_QUEUE_SECRET`` set,
+    the sweep mints a secret for its local workers; remote workers need the
+    shared one (export ``REPRO_QUEUE_SECRET`` on every host).
     """
     return RuntimeConfig(
         workers=workers,

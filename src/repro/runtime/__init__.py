@@ -11,16 +11,15 @@ scales with the hardware:
   with PostBOUND-style skip-existing semantics; with ``shard_count > 0`` it
   partitions results over N shard directories for contention-free
   multi-host writes (``merge`` copies them into a flat store).
-* :mod:`repro.runtime.workqueue` — the :class:`QueueTransport` protocol and
-  its file-based implementation, :class:`WorkQueue` (one pending pool claimed
-  lowest id first by atomic rename, lease heartbeats against the
-  filesystem's own clock, dead-worker re-queue), coordinating distributed
-  sweeps over a shared filesystem.
-* :mod:`repro.runtime.netqueue` — the TCP implementation: a coordinator-side
-  :class:`QueueServer` plus the :class:`NetWorkQueue` worker client, with
-  results uploaded back in the ack frame — no shared filesystem required —
-  and optional HMAC frame authentication (``REPRO_QUEUE_SECRET``) verified
-  before anything is unpickled.
+* :mod:`repro.runtime.workqueue` — the work queue's state machine
+  (:class:`~repro.runtime.workqueue.BucketQueue`: one pending pool claimed
+  lowest id first, monotonic lease heartbeats, dead-worker re-queue) and the
+  worker-side :class:`WorkerQueueTransport` protocol.
+* :mod:`repro.runtime.netqueue` — the queue's TCP transport: a
+  coordinator-side :class:`QueueServer` plus the :class:`NetWorkQueue` worker
+  client, with results uploaded back in the ack frame — no shared filesystem
+  required — and HMAC frame authentication (``REPRO_QUEUE_SECRET``, or a
+  secret each sweep mints) verified before anything is unpickled.
 * :mod:`repro.runtime.planserver` / :mod:`repro.runtime.planclient` — the
   plan-serving control plane: a :class:`PlanServer` answering SQL-text
   planning requests over the same authenticated frame codec, all clients
@@ -30,8 +29,7 @@ scales with the hardware:
   turns live queue stats into periodic machine-readable
   :class:`ProgressSnapshot`\\ s (throughput, ETA, per-worker counts).
 * :mod:`repro.runtime.worker` — the ``python -m repro.runtime.worker``
-  claim-execute-ack loop run on each participating host, against either
-  transport.
+  claim-execute-ack loop run on each participating host.
 * :mod:`repro.runtime.parallel` — the :class:`ParallelExperimentRunner` that
   runs the (method × split × seed) grid serially or, with
   ``executor_kind="distributed"``, over the work queue — with
@@ -56,11 +54,9 @@ from repro.runtime.result_store import ResultStore, TaskKey
 from repro.runtime.workqueue import (
     QueueAddress,
     QueueStats,
-    QueueTransport,
     ResultUpload,
     TaskClaim,
     WorkerQueueTransport,
-    WorkQueue,
     parse_queue_url,
 )
 
@@ -100,13 +96,11 @@ __all__ = [
     "QueueAuthError",
     "QueueServer",
     "QueueStats",
-    "QueueTransport",
     "ResultStore",
     "ResultUpload",
     "SweepProgress",
     "TaskClaim",
     "TaskKey",
-    "WorkQueue",
     "WorkerQueueTransport",
     "parse_queue_url",
     "resolve_queue_secret",

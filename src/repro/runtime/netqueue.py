@@ -1,15 +1,13 @@
 """TCP transport of the distributed work queue: no shared filesystem needed.
 
-The file-based :class:`~repro.runtime.workqueue.WorkQueue` assumes every
-worker mounts the coordinator's filesystem.  This module drops that
-assumption: the coordinator runs a :class:`QueueServer` — the same queue state
-machine (:class:`~repro.runtime.workqueue.BucketQueue`) over in-memory
-buckets, behind a threaded TCP server — and workers talk to it through a
-:class:`NetWorkQueue` client.  Finished results travel *back* over the socket
-as a :class:`~repro.runtime.workqueue.ResultUpload` attached to the ack
-frame, and the server persists them into the coordinator's local result
-store.  Workers therefore need no path in common with the coordinator: a
-sweep can span hosts that share nothing but a network route.
+The coordinator runs a :class:`QueueServer` — the queue state machine
+(:class:`~repro.runtime.workqueue.BucketQueue`) behind a threaded TCP
+server — and workers talk to it through a :class:`NetWorkQueue` client.
+Finished results travel *back* over the socket as a
+:class:`~repro.runtime.workqueue.ResultUpload` attached to the ack frame, and
+the server persists them into the coordinator's local result store.  Workers
+therefore need no path in common with the coordinator: a sweep can span hosts
+that share nothing but a network route.
 
 Wire protocol — a connection carries any number of request/response frame
 pairs, strictly alternating (no pipelining)::
@@ -34,25 +32,25 @@ always required).  Connect failures, and failures once a response began, spend
 connection: clients of a closed server read EOF, reconnect and are refused.
 
 Leases are tracked server-side with ``time.monotonic()``: claim, renew and
-expiry all read one clock on one host, so the cross-host clock-skew hazards
-of mtime-based leases cannot arise here by construction.
+expiry all read one clock on one host, so clock skew between hosts cannot
+age a lease.
 
 Frames are pickled because task payloads are arbitrary Python objects
-(:class:`~repro.runtime.parallel.SpecTaskPayload`), exactly as the file queue
-pickles its task files.  A top-level value of a dict payload may travel
-*pre-pickled* as a :class:`Pickled` wrapper: a sender that ships the same
-value many times (the plan server's cached plans) pickles it once, and
-``recv_frame`` decodes it after the frame is verified — through the caller's
-bytes → object memo, so a receiver decodes each distinct value once.
+(:class:`~repro.runtime.parallel.SpecTaskPayload`).  A top-level value of a
+dict payload may travel *pre-pickled* as a :class:`Pickled` wrapper: a sender
+that ships the same value many times (the plan server's cached plans) pickles
+it once, and ``recv_frame`` decodes it after the frame is verified — through
+the caller's bytes → object memo, so a receiver decodes each distinct value
+once.
 
 ``pickle.loads`` on bytes from the network is remote code execution for
-whoever can write those bytes, so on any interface that is not strictly
-private, set a **shared queue secret** (``REPRO_QUEUE_SECRET`` or
-``RuntimeConfig.queue_secret``): both sides then sign every frame with
-HMAC-SHA256 and *verify the signature before unpickling* — an unsigned,
-tampered or wrongly-keyed frame is rejected while still opaque bytes, and the
-peer gets a plain-text ``RE`` error frame (never a pickled response).  The
-HMAC authenticates and integrity-protects frames; it does **not** encrypt
+whoever can write those bytes, so frames carry a **shared queue secret**
+(``REPRO_QUEUE_SECRET`` or ``RuntimeConfig.queue_secret``; a distributed sweep
+given neither mints one per sweep and hands it to its local workers): both
+sides sign every frame with HMAC-SHA256 and *verify the signature before
+unpickling* — an unsigned, tampered or wrongly-keyed frame is rejected while
+still opaque bytes, and the peer gets a plain-text ``RE`` error frame (never
+a pickled response).  The HMAC authenticates and integrity-protects frames; it does **not** encrypt
 them (payloads are readable on the wire) and does not prevent replay — for
 confidentiality run the port through a TLS tunnel or private network.
 """
@@ -448,8 +446,6 @@ class FrameClient:
         retries: int = CLIENT_RETRIES, backoff_s: float = CLIENT_BACKOFF_S,
     ) -> None:
         address = parse_queue_url(url)
-        if address.scheme != "tcp":
-            raise ExperimentError(f"{type(self).__name__} needs a tcp:// url, got {url!r}")
         if retries < 0:
             raise ExperimentError(f"{type(self).__name__}.retries must be >= 0")
         self.host, self.port = address.host, address.port
@@ -532,16 +528,10 @@ class FrameClient:
 class QueueServer(BucketQueue):
     """Coordinator-side work queue served over TCP.
 
-    The :class:`~repro.runtime.workqueue.BucketQueue` state machine over
-    in-memory buckets: each maps task ids to ``[value, stamp]`` with
-    ``time.monotonic()`` stamps, every primitive runs under one lock, and the
-    lock's condition wakes ``wait_for_change`` and ``wait_for_work``.  The
-    coordinator calls the methods in process; workers reach the same state
-    through :class:`NetWorkQueue`.
+    The :class:`~repro.runtime.workqueue.BucketQueue` state machine behind a
+    :class:`FrameServer`.  The coordinator calls the methods in process;
+    workers reach the same state through :class:`NetWorkQueue`.
     """
-
-    #: Net workers share no filesystem: acks must carry the result.
-    wants_results = True
 
     def __init__(
         self,
@@ -553,10 +543,6 @@ class QueueServer(BucketQueue):
     ) -> None:
         super().__init__(lease_timeout_s)
         self.result_store = result_store
-        self._lock = threading.RLock()
-        self._buckets: dict[str, dict[str, list]] = {}
-        #: Notified on every state change a waiter may be waiting for.
-        self._change = threading.Condition(self._lock)
         self._server = FrameServer(
             (host, port), lambda request, peer: self._dispatch(request), secret,
             name="repro-queue-server",
@@ -581,56 +567,6 @@ class QueueServer(BucketQueue):
 
     def describe(self) -> str:
         return f"QueueServer({self.url}, {self.stats().describe()})"
-
-    # ------------------------------------------------------------------ storage primitives
-    def _names(self, bucket: str) -> list[str]:
-        with self._lock:
-            return sorted(self._buckets.get(bucket, ()))
-
-    def _move(self, source: str, target: str, name: str) -> bool:
-        with self._lock:
-            entry = self._buckets.get(source, {}).pop(name, None)
-            if entry is None:
-                return False
-            self._buckets.setdefault(target, {})[name] = entry
-            return True
-
-    def _put(self, bucket: str, name: str, value: object = None) -> None:
-        with self._lock:
-            self._buckets.setdefault(bucket, {})[name] = [value, time.monotonic()]
-
-    def _load(self, bucket: str, name: str) -> object:
-        with self._lock:
-            return self._buckets.get(bucket, {})[name][0]
-
-    def _drop(self, bucket: str, name: str) -> bool:
-        with self._lock:
-            return self._buckets.get(bucket, {}).pop(name, None) is not None
-
-    def _touch(self, bucket: str, name: str) -> bool:
-        with self._lock:
-            entry = self._buckets.get(bucket, {}).get(name)
-            if entry is not None:
-                entry[1] = time.monotonic()
-            return entry is not None
-
-    def _stamp(self, bucket: str, name: str) -> float | None:
-        with self._lock:
-            entry = self._buckets.get(bucket, {}).get(name)
-            return None if entry is None else entry[1]
-
-    def _now(self) -> float:
-        return time.monotonic()
-
-    def _wait(self, ready: Callable[[], bool], timeout_s: float) -> None:
-        with self._lock:
-            self._change.wait_for(ready, timeout_s)
-
-    def _notify(self, change: bool = False) -> None:
-        with self._lock:
-            if change:
-                self._changed = True
-            self._change.notify_all()
 
     # ------------------------------------------------------------------ wire
     def _dispatch(self, request: object) -> dict:
@@ -683,8 +619,6 @@ class NetWorkQueue(FrameClient):
     has died with the server anyway).  An *authentication* rejection never
     reads as stop: :class:`QueueAuthError` makes a mis-keyed worker fail loudly.
     """
-
-    wants_results = True
 
     def _request(self, request: dict) -> dict:
         """One request/response pair; a server-side rejection raises."""

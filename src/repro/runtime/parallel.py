@@ -27,20 +27,16 @@ fresh results are persisted as they arrive.
   worker rebuilds — or, via its per-process
   :class:`~repro.storage.registry.DatabaseRegistry`, reuses —
   deterministically, so dispatch cost does not grow with database scale.
-  With the default file transport
-  (:class:`~repro.runtime.workqueue.WorkQueue`) the coordinator enqueues
-  claimable task files, launches ``workers`` local worker processes
-  (``python -m repro.runtime.worker``), and any number of additional workers
-  on other hosts sharing the store's filesystem can drain the same queue,
-  persisting results into the shared (typically sharded) result store.  With
-  ``RuntimeConfig.queue_url = "tcp://host:port"`` the coordinator instead
-  serves the queue over a socket (:class:`~repro.runtime.netqueue.QueueServer`)
-  and workers need no filesystem in common with it: they claim over TCP and
-  upload finished results back with their acks, which the coordinator persists
-  into its local store.  Either way, dead workers' claims are re-queued after
-  a lease timeout, failed tasks are retried up to ``task_retries`` times, and
-  the coordinator assembles grid-ordered results from the store once every
-  task is acked.
+  The coordinator serves the queue over TCP
+  (:class:`~repro.runtime.netqueue.QueueServer`, on ``RuntimeConfig.queue_url``,
+  loopback on an ephemeral port by default) and launches ``workers`` local
+  worker processes (``python -m repro.runtime.worker``); workers on other
+  hosts can join through the same url.  Workers share no filesystem with the
+  coordinator: they claim over the socket and upload finished results back
+  with their acks, which the coordinator persists into its local store.  Dead
+  workers' claims are re-queued after a lease timeout, failed tasks are
+  retried up to ``task_retries`` times, and the coordinator assembles
+  grid-ordered results from the store once every task is acked.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Union
 
@@ -59,10 +55,11 @@ from repro.core.metrics import MethodRunResult
 from repro.core.splits import DatasetSplit
 from repro.errors import ExperimentError
 from repro.runtime.fingerprint import stable_seed
+from repro.runtime.netqueue import QUEUE_SECRET_ENV, QueueServer
 from repro.runtime.plan_cache import PlanCache
 from repro.runtime.progress import DEFAULT_PROGRESS_INTERVAL_S, ProgressSnapshot, SweepProgress
 from repro.runtime.result_store import ResultStore, TaskKey
-from repro.runtime.workqueue import QueueAddress, QueueTransport, WorkQueue, parse_queue_url
+from repro.runtime.workqueue import BucketQueue, parse_queue_url
 from repro.storage.database import Database
 from repro.storage.registry import get_process_registry, resolve_database
 from repro.storage.spec import DatabaseSpec
@@ -70,8 +67,12 @@ from repro.workloads import build_workload, is_registered_workload
 from repro.workloads.workload import Workload
 
 #: Longest the coordinator waits between polls of the distributed queue state
-#: (``QueueTransport.wait_for_change`` returns sooner when a worker acts).
+#: (``BucketQueue.wait_for_change`` returns sooner when a worker acts).
 COORDINATOR_POLL_S = 0.2
+
+#: Where the coordinator serves the queue when ``RuntimeConfig.queue_url`` is
+#: unset: loopback, on a port the kernel picks.
+DEFAULT_QUEUE_URL = "tcp://127.0.0.1:0"
 
 
 @dataclass(frozen=True)
@@ -111,13 +112,7 @@ class SpecTaskPayload:
     db_config: PostgresConfig
     experiment_config: ExperimentConfig
     plan_cache_entries: int
-    store_root: str | None
-    skip_existing: bool
     task: ExperimentTask
-    #: Shard count of the result store at ``store_root``; ``0`` means the flat
-    #: single-directory layout.  Part of the payload so a remote worker opens
-    #: the store with the same routing as every other writer.
-    store_shards: int = 0
 
 
 #: Per-process memo of worker-rebuilt workloads, keyed by (workload name,
@@ -174,49 +169,34 @@ def _worker_workload(payload: SpecTaskPayload, database: Database) -> Workload:
 def _execute_payload(payload: SpecTaskPayload) -> tuple[MethodRunResult, "ParallelExperimentRunner"]:
     """Run one payload in this process; returns the result and its runner."""
     database = get_process_registry().get(payload.spec)
-    workload = _worker_workload(payload, database)
-    # The store opens with the coordinator's layout (its manifest checks that).
-    store = (
-        None if payload.store_root is None
-        else ResultStore(payload.store_root, payload.skip_existing, payload.store_shards)
-    )
     runner = ParallelExperimentRunner(
         database,
-        workload,
+        _worker_workload(payload, database),
         config=payload.db_config,
         experiment_config=payload.experiment_config,
-        runtime_config=RuntimeConfig(
-            workers=1,
-            executor_kind="serial",
-            plan_cache_entries=payload.plan_cache_entries,
-        ),
-        result_store=store,
+        runtime_config=RuntimeConfig(plan_cache_entries=payload.plan_cache_entries),
     )
     runner.plan_cache = _worker_plan_cache(payload)
-    return runner._run_or_resume(payload.task), runner
+    return runner.run_task(payload.task), runner
 
 
 def execute_spec_payload(payload: SpecTaskPayload) -> MethodRunResult:
-    """Worker-side entry point of spec-based dispatch.
+    """The result a worker computes for ``payload``, run in this process.
 
-    The database comes out of the worker's process registry — built once on
-    the first task, reused by every later task of the same spec.  The
-    workload is likewise rebuilt once per process and reused.  Every queue
-    worker funnels through this function, which runs the same
-    :meth:`ParallelExperimentRunner._run_or_resume` as the in-process
-    executors.
+    The database comes out of the process registry — built once on the first
+    task, reused by every later task of the same spec.  The workload is
+    likewise rebuilt once per process and reused.
     """
-    result, _ = _execute_payload(payload)
-    return result
+    return _execute_payload(payload)[0]
 
 
 def execute_spec_payload_with_identity(payload: SpecTaskPayload) -> tuple[MethodRunResult, TaskKey, str]:
-    """Run one payload and return ``(result, task key, context fingerprint)``.
+    """The worker's entry point: run one payload and return ``(result, task
+    key, context fingerprint)``.
 
-    Used by queue transports that upload results to the coordinator
-    (``wants_results``): the worker computes the key and fingerprint from its
-    own deterministic rebuild — exactly the values a shared-store worker would
-    save under — and ships all three back in the ack frame.
+    The worker ships all three back in its ack frame; the key and fingerprint
+    come from its own deterministic rebuild, exactly what the coordinator
+    loads under.
     """
     result, runner = _execute_payload(payload)
     task = payload.task
@@ -224,7 +204,7 @@ def execute_spec_payload_with_identity(payload: SpecTaskPayload) -> tuple[Method
 
 
 def reconcile_failed_tasks(
-    queue: QueueTransport,
+    queue: BucketQueue,
     remaining: set[str],
     payloads: dict[str, object],
     retries_used: dict[str, int],
@@ -301,9 +281,9 @@ class ParallelExperimentRunner:
         #: pool, where any worker takes them (perfbench reports it as
         #: ``runtime.stolen_tasks``).
         self._distributed_stolen = 0
-        #: Coordinator-side queue transport of the most recent distributed
+        #: Coordinator-side queue server of the most recent distributed
         #: sweep (observability: live ``stats()`` for progress reporting).
-        self._distributed_queue: QueueTransport | None = None
+        self._distributed_queue: QueueServer | None = None
         #: Progress reporter of the most recent distributed sweep (``None``
         #: until one runs with progress enabled); ``.snapshots`` is the
         #: telemetry history, ``.latest`` the end-of-sweep snapshot.
@@ -412,7 +392,6 @@ class ParallelExperimentRunner:
                 "spec dispatch unavailable: the database carries no DatabaseSpec "
                 "or the workload is not registered for rebuilding"
             )
-        store = self.result_store
         return SpecTaskPayload(
             spec=self.database_spec,
             workload_name=self.workload.name,
@@ -420,10 +399,7 @@ class ParallelExperimentRunner:
             db_config=self.db_config,
             experiment_config=self.experiment_config,
             plan_cache_entries=self.runtime_config.plan_cache_entries,
-            store_root=str(store.root) if store is not None else None,
-            skip_existing=store.skip_existing if store else True,
             task=task,
-            store_shards=store.shard_count if store else 0,
         )
 
     def run_tasks(self, tasks: list[ExperimentTask]) -> list[MethodRunResult]:
@@ -432,40 +408,8 @@ class ParallelExperimentRunner:
         return [self._run_or_resume(task) for task in tasks]
 
     # ------------------------------------------------------------------ distributed
-    def _open_coordinator_queue(
-        self, store: ResultStore
-    ) -> tuple[QueueTransport, str, Path, bool]:
-        """Open the coordinator-side transport named by the runtime config.
-
-        Returns ``(queue, worker_target, log_dir, detached)``: the transport,
-        the address string handed to spawned workers, where local worker logs
-        go, and whether payloads must be *detached* from the coordinator's
-        filesystem (TCP transport: workers upload results instead of writing a
-        shared store).
-        """
-        config = self.runtime_config
-        if config.queue_url is not None:
-            address = parse_queue_url(config.queue_url)
-        else:
-            address = QueueAddress(scheme="file")
-        if address.scheme == "tcp":
-            # Imported lazily: file-transport sweeps never need the server.
-            from repro.runtime.netqueue import QueueServer
-
-            server = QueueServer(
-                host=address.host or "127.0.0.1",
-                port=address.port or 0,
-                lease_timeout_s=config.lease_timeout_s,
-                result_store=store,
-                secret=config.queue_secret,  # None falls back to REPRO_QUEUE_SECRET
-            )
-            return server, server.url, store.root / "worker-logs", True
-        queue_root = Path(address.path) if address.path is not None else store.root / "queue"
-        queue = WorkQueue(queue_root, lease_timeout_s=config.lease_timeout_s)
-        return queue, str(queue_root), queue_root / "workers", False
-
     def _run_distributed(self, tasks: list[ExperimentTask]) -> list[MethodRunResult]:
-        """Coordinate one sweep over the work queue (file or TCP transport).
+        """Coordinate one sweep over the TCP work queue.
 
         Pending tasks (not already in the store) are enqueued as claimable
         payloads, ``workers`` local worker processes are launched, and the
@@ -486,12 +430,25 @@ class ParallelExperimentRunner:
         store = self.result_store
         if store is None:
             raise ExperimentError(
-                "distributed execution requires a result store (set RuntimeConfig.store_dir; "
-                "with the file queue the workers must share its filesystem, with a tcp:// "
-                "queue_url it is coordinator-local)"
+                "distributed execution requires a result store (set RuntimeConfig.store_dir: "
+                "the coordinator persists the workers' uploaded results there)"
             )
         config = self.runtime_config
-        queue, worker_target, log_dir, detached = self._open_coordinator_queue(store)
+        address = parse_queue_url(config.queue_url or DEFAULT_QUEUE_URL)
+        secret = config.queue_secret
+        if secret is None:
+            # Never an unauthenticated pickle port: without a configured
+            # secret the sweep mints its own, which reaches the local workers
+            # through their environment.  Only an explicit "" turns it off.
+            secret = os.environ.get(QUEUE_SECRET_ENV) or os.urandom(32).hex()
+        queue = QueueServer(
+            host=address.host,
+            port=address.port,
+            lease_timeout_s=config.lease_timeout_s,
+            result_store=store,
+            secret=secret,
+        )
+        log_dir = store.root / "worker-logs"
         self._distributed_queue = queue
         self._distributed_requeued = 0
         self._distributed_stolen = 0
@@ -499,28 +456,15 @@ class ParallelExperimentRunner:
         procs: list[subprocess.Popen] = []
         reporter: SweepProgress | None = None
         try:
-            # The coordinator owns the queue: drop whatever a crashed earlier
-            # sweep left behind (orphan tasks would be pointlessly re-executed;
-            # stale ack markers and .tmp orphans accumulate forever).  Results
-            # are unaffected — they live in the store, and completed tasks are
-            # skipped below before anything is enqueued.
-            queue.reset()
-
             keyed = [(task, self.task_key(task), self.task_fingerprint(task)) for task in tasks]
-            # A sweep-unique id prefix keeps this run's ack markers apart from
-            # any earlier sweep that used the same queue directory.
+            # A sweep-unique id prefix: a straggler of an earlier sweep served
+            # on the same port cannot ack one of this sweep's tasks.
             sweep_id = os.urandom(4).hex()
             payloads: dict[str, SpecTaskPayload] = {}
             for index, (task, key, fingerprint) in enumerate(keyed):
                 if store.skip_existing and store.exists(key, fingerprint):
                     continue  # resume: already stored, never hits the queue
                 payload = self.spec_payload(task)
-                if detached:
-                    # TCP workers share no filesystem with the coordinator:
-                    # strip the store paths so they never try to open (and
-                    # create) a store of their own — the transport carries the
-                    # result back instead.
-                    payload = replace(payload, store_root=None, store_shards=0)
                 # Ids sort in grid order, the order workers claim them in.
                 task_id = f"{sweep_id}-{index:04d}"
                 payloads[task_id] = payload
@@ -528,9 +472,7 @@ class ParallelExperimentRunner:
             self._distributed_stolen = len(payloads)
 
             procs = [
-                self._spawn_worker(
-                    worker_target, index, config.lease_timeout_s, log_dir, secret=config.queue_secret
-                )
+                self._spawn_worker(queue.url, index, config.lease_timeout_s, log_dir, secret=secret)
                 for index in range(min(config.workers, len(payloads)))
             ]
             self._distributed_procs = procs
@@ -561,19 +503,19 @@ class ParallelExperimentRunner:
                     proc.kill()
                     proc.wait()
             # Close only after every local worker exited: remote workers that
-            # poll a vanished TCP server treat it as a stop request anyway.
+            # poll a vanished server treat it as a stop request anyway.
             queue.close()
             if reporter is not None:
                 # The end-of-sweep snapshot: even a sweep shorter than the
-                # interval emits at least one complete observation.  Both
-                # transports still answer ``stats()`` in process once closed,
+                # interval emits at least one complete observation.  The
+                # server still answers ``stats()`` in process once closed,
                 # and no worker is left running if the callback raises.
                 reporter.poll_or_skip()
         return [store.load(key, fingerprint) for _, key, fingerprint in keyed]
 
     def _await_queue(
         self,
-        queue: QueueTransport,
+        queue: QueueServer,
         payloads: dict[str, SpecTaskPayload],
         procs: list[subprocess.Popen],
         log_dir: Path,
@@ -606,37 +548,25 @@ class ParallelExperimentRunner:
 
     @staticmethod
     def _spawn_worker(
-        target: str | os.PathLike,
-        index: int,
-        lease_timeout_s: float,
-        log_dir: Path | None = None,
-        secret: str | None = None,
+        url: str, index: int, lease_timeout_s: float, log_dir: Path, secret: str | None = None
     ) -> subprocess.Popen:
-        """Launch one local queue worker against a queue directory or tcp:// url.
+        """Launch one local queue worker against the coordinator's tcp:// url.
 
         ``secret`` is exported as ``REPRO_QUEUE_SECRET`` — environment, never
         argv, so it cannot leak through a process listing.
         """
-        target_text = str(target)
-        if log_dir is None:
-            address = parse_queue_url(target_text)
-            if address.scheme != "file":
-                raise ExperimentError(
-                    "_spawn_worker needs an explicit log_dir for network transports"
-                )
-            log_dir = Path(address.path) / "workers"
         source_root = Path(__file__).resolve().parents[2]
         env = dict(os.environ)
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = str(source_root) + (os.pathsep + existing if existing else "")
         if secret is not None:
-            env["REPRO_QUEUE_SECRET"] = secret
+            env[QUEUE_SECRET_ENV] = secret
         log_dir.mkdir(parents=True, exist_ok=True)
         command = [
             sys.executable,
             "-m",
             "repro.runtime.worker",
-            target_text,
+            url,
             "--worker-id",
             f"local-{index}",
             "--lease-renew",

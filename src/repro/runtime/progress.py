@@ -6,9 +6,9 @@ module turns the queue's own bookkeeping into a periodic, machine-readable
 :class:`ProgressSnapshot` — tasks pending/claimed/done/failed, per-worker
 completion counts, overall and recent throughput, and an ETA — without
 adding any new coordination state: everything is derived from
-:meth:`~repro.runtime.workqueue.QueueTransport.stats` (directory counts on
-the file queue, one locked read on the TCP server) plus the per-worker ack
-counts both transports already record.
+:meth:`~repro.runtime.workqueue.BucketQueue.stats` (one locked read on the
+TCP server, in process or over the wire) plus the per-worker ack counts the
+queue already records.
 
 :class:`SweepProgress` is the reporter: it polls on a background thread every
 ``interval_s`` seconds (``RuntimeConfig.progress_interval_s`` on the
@@ -34,7 +34,7 @@ from repro.runtime.netqueue import QueueAuthError
 from repro.runtime.workqueue import QueueStats, WorkerQueueTransport
 
 #: What a progress poll may swallow (counted in ``stats_errors``): transport
-#: failures (``OSError`` covers sockets, timeouts and filesystem scans) and
+#: failures (``OSError`` covers sockets and timeouts) and
 #: queue-protocol rejections (``ExperimentError``).  Genuine bugs — an
 #: ``AttributeError`` from a refactor, a ``TypeError`` in a callback — must
 #: propagate, not read as "queue idle"; :class:`QueueAuthError` is re-raised

@@ -42,7 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports us)
 STORE_FORMAT_VERSION = 1
 
 #: Directories under a store root that never hold task results (saved
-#: artefacts, the distributed work queue) and are skipped by result iteration.
+#: artefacts; ``queue/`` is where older versions kept a directory work queue)
+#: and are skipped by result iteration.
 RESERVED_DIRS = frozenset({"artifacts", "queue"})
 
 #: Root-level file recording the store's layout (format version, shard count).
@@ -61,10 +62,10 @@ def atomic_write_bytes(path: Path, blob: bytes) -> None:
     """Write ``blob`` to ``path`` atomically and durably (write-to-temp + rename).
 
     Readers either see the previous content or the full new content, never a
-    torn mix — the invariant every store file, queue task file and ack marker
-    relies on.  The temp file is fsynced before the rename and the directory
-    after it, so a host crash cannot leave a done marker beside a torn result
-    or lose a rename already acted on.  The temp file is cleaned up on any
+    torn mix — the invariant every store file and the manifest rely on.  The
+    temp file is fsynced before the rename and the directory after it, so a
+    host crash cannot leave a torn result behind an ack the coordinator
+    already acted on, or lose a rename.  The temp file is cleaned up on any
     failure.
     """
     fd, tmp_name = tempfile.mkstemp(prefix=path.stem + ".", suffix=".tmp", dir=str(path.parent))
@@ -319,8 +320,8 @@ class ResultStore:
     def completed_files(self) -> Iterator[Path]:
         """Every stored *task result* file, in stable order.
 
-        Saved artefacts (``artifacts/``), the distributed work queue
-        (``queue/``) and the manifest are bookkeeping, not results:
+        Saved artefacts (``artifacts/``), an older version's directory work
+        queue (``queue/``) and the manifest are bookkeeping, not results:
         counting them in :meth:`describe` or deleting them in :meth:`clear`
         would corrupt the store's non-result state.
         """

@@ -1,31 +1,28 @@
 """Claim-execute-ack worker of the distributed experiment runtime.
 
-Run one of these per host (or several per host) against either a queue
-directory on a shared filesystem or a coordinator's TCP queue server::
+Run one of these per host (or several per host) against a coordinator's TCP
+queue server::
 
-    PYTHONPATH=src python -m repro.runtime.worker /shared/sweep/store/queue
-    PYTHONPATH=src python -m repro.runtime.worker tcp://coordinator:7077
+    REPRO_QUEUE_SECRET=<secret> PYTHONPATH=src python -m repro.runtime.worker tcp://coordinator:7077
 
-The worker loops: atomically claim the pending task with the lowest id,
-rebuild the database from the task's :class:`~repro.storage.spec.DatabaseSpec`
-(reusing the per-process registry across tasks), execute the grid cell,
-deliver the result and ack.  How the result travels depends on the transport:
-file-queue workers persist it into the payload's shared result store
-themselves, opened with the coordinator's layout, while TCP workers — which
-share **no** filesystem with the coordinator — upload it back inside the ack
-frame and the coordinator persists it locally.  A heartbeat thread renews the
-claim's lease while the task runs so the coordinator's expiry sweep never
-re-queues a task that is merely slow; if this process is killed, the
-heartbeat stops with it and the lease expires.
+The worker loops: claim the pending task with the lowest id, rebuild the
+database from the task's :class:`~repro.storage.spec.DatabaseSpec` (reusing
+the per-process registry across tasks), execute the grid cell and upload the
+result inside the ack frame; the coordinator persists it into its local
+store, so the worker shares **no** filesystem with it.  A heartbeat thread
+renews the claim's lease while the task runs so the coordinator's expiry
+sweep never re-queues a task that is merely slow; if this process is killed,
+the heartbeat stops with it and the lease expires.  An idle worker waits on
+the server, which answers as soon as there is work or a stop.
 
 The worker exits when the coordinator signals stop and no work is claimable
-(for TCP, an unreachable coordinator counts as stop), after ``--max-tasks``
-tasks, or after ``--idle-timeout`` seconds without work.
+(an unreachable coordinator counts as stop), after ``--max-tasks`` tasks, or
+after ``--idle-timeout`` seconds without work.
 
 ``--progress [S]`` prints a machine-readable JSON progress snapshot of the
-queue every S seconds (default 5) to stdout.  Against a secured TCP
-coordinator, export ``REPRO_QUEUE_SECRET`` with the shared frame-signing
-secret — it is read from the environment only, never from argv.
+queue every S seconds (default 5) to stdout.  Export ``REPRO_QUEUE_SECRET``
+with the coordinator's frame-signing secret — it is read from the environment
+only, never from argv.
 """
 
 from __future__ import annotations
@@ -37,23 +34,9 @@ import sys
 import threading
 import time
 
+from repro.runtime.netqueue import NetWorkQueue
 from repro.runtime.progress import SweepProgress
-from repro.runtime.workqueue import (
-    ResultUpload,
-    TaskClaim,
-    WorkerQueueTransport,
-    WorkQueue,
-    parse_queue_url,
-)
-
-
-#: First wait of an idle worker; each further empty-handed claim doubles it up
-#: to the poll interval, and a successful claim starts over.  On the file
-#: queue, which must be polled, work handed over mid-sweep (a retried task, a
-#: re-queued lease) is picked up in tens of milliseconds while a long-idle
-#: worker polls no more often than it always did.  The TCP queue ends a wait
-#: as soon as there is work or a stop (``wait_for_work``).
-IDLE_BACKOFF_START_S = 0.01
+from repro.runtime.workqueue import ResultUpload, TaskClaim, WorkerQueueTransport
 
 #: Serializes every line this process writes to stdout/stderr: the progress
 #: reporter thread and the claim loop share the streams, and two concurrent
@@ -70,17 +53,6 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def open_queue(target: str) -> WorkerQueueTransport:
-    """Open the worker-side transport for a queue directory or ``tcp://`` url."""
-    address = parse_queue_url(target)
-    if address.scheme == "tcp":
-        # Imported lazily: file-queue workers never need the socket client.
-        from repro.runtime.netqueue import NetWorkQueue
-
-        return NetWorkQueue(target)
-    return WorkQueue(address.path)
-
-
 def _heartbeat(
     queue: WorkerQueueTransport, claim: TaskClaim, stop: threading.Event, interval_s: float
 ) -> None:
@@ -89,7 +61,7 @@ def _heartbeat(
 
 
 def run_worker(
-    queue_target: str,
+    queue_url: str,
     worker_id: str | None = None,
     poll_interval_s: float = 0.2,
     idle_timeout_s: float | None = None,
@@ -97,11 +69,11 @@ def run_worker(
     lease_renew_s: float = 5.0,
     progress_interval_s: float | None = None,
 ) -> int:
-    """Drain tasks from ``queue_target`` until stopped; returns the number completed."""
+    """Drain tasks from the queue at ``queue_url`` until stopped; returns the number completed."""
     # Imported here so ``python -m repro.runtime.worker --help`` stays instant.
-    from repro.runtime.parallel import execute_spec_payload, execute_spec_payload_with_identity
+    from repro.runtime.parallel import execute_spec_payload_with_identity
 
-    queue = open_queue(str(queue_target))
+    queue = NetWorkQueue(queue_url)
     worker_id = worker_id or default_worker_id()
     reporter: SweepProgress | None = None
     if progress_interval_s is not None:
@@ -114,7 +86,7 @@ def run_worker(
     try:
         completed = _worker_loop(
             queue, worker_id, poll_interval_s, idle_timeout_s, max_tasks, lease_renew_s,
-            execute_spec_payload, execute_spec_payload_with_identity,
+            execute_spec_payload_with_identity,
         )
     finally:
         if reporter is not None:
@@ -130,13 +102,11 @@ def _worker_loop(
     idle_timeout_s: float | None,
     max_tasks: int | None,
     lease_renew_s: float,
-    execute_spec_payload,
-    execute_spec_payload_with_identity,
+    execute,
 ) -> int:
+    """Claim, ``execute`` (payload -> result, key, fingerprint) and ack until stopped."""
     completed = 0
     idle_since = time.monotonic()
-    first_sleep_s = min(IDLE_BACKOFF_START_S, poll_interval_s)
-    sleep_s = first_sleep_s
     while max_tasks is None or completed < max_tasks:
         claim = queue.claim(worker_id)
         if claim is None:
@@ -144,23 +114,17 @@ def _worker_loop(
                 break
             if idle_timeout_s is not None and time.monotonic() - idle_since > idle_timeout_s:
                 break
-            queue.wait_for_work(sleep_s)
-            sleep_s = min(2.0 * sleep_s, poll_interval_s)
+            queue.wait_for_work(poll_interval_s)
             continue
         idle_since = time.monotonic()
-        sleep_s = first_sleep_s
         stop_heartbeat = threading.Event()
         beat = threading.Thread(
             target=_heartbeat, args=(queue, claim, stop_heartbeat, lease_renew_s), daemon=True
         )
         beat.start()
         try:
-            if queue.wants_results:
-                result, key, fingerprint = execute_spec_payload_with_identity(claim.payload)
-                upload = ResultUpload(key=key, fingerprint=fingerprint, result=result.to_dict())
-            else:
-                execute_spec_payload(claim.payload)
-                upload = None
+            result, key, fingerprint = execute(claim.payload)
+            upload = ResultUpload(key=key, fingerprint=fingerprint, result=result.to_dict())
         except Exception as exc:
             stop_heartbeat.set()
             beat.join()
@@ -191,16 +155,15 @@ def _worker_loop(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runtime.worker",
-        description="Claim and execute distributed experiment tasks from a work queue "
-        "(shared directory or tcp://host:port coordinator).",
+        description="Claim and execute distributed experiment tasks from a coordinator's "
+        "tcp://host:port work queue (REPRO_QUEUE_SECRET: the shared frame-signing secret).",
     )
-    parser.add_argument("queue", help="queue directory on a shared filesystem, or the "
-                        "coordinator's tcp://host:port queue address")
+    parser.add_argument("queue", help="the coordinator's tcp://host:port queue address")
     parser.add_argument("--worker-id", default=None, help="identity written into ack markers "
                         "(default: <hostname>-<pid>)")
     parser.add_argument("--poll-interval", type=float, default=0.2, metavar="S",
-                        help="longest pause between claim attempts when idle; the pause "
-                        "starts at 10 ms and doubles up to this (default 0.2)")
+                        help="longest wait on the coordinator between claim attempts when "
+                        "idle; work or a stop ends a wait early (default 0.2)")
     parser.add_argument("--idle-timeout", type=float, default=None, metavar="S",
                         help="exit after this many idle seconds (default: wait for the stop signal)")
     parser.add_argument("--max-tasks", type=int, default=None, metavar="N",

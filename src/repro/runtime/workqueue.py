@@ -1,7 +1,7 @@
-"""The distributed work queue: one state machine, a directory or dicts beneath it.
+"""The distributed work queue: one state machine over in-memory buckets.
 
-:class:`BucketQueue` is the queue's claim/lease/ack machine, written once.  A
-task is a name that moves between *buckets*:
+:class:`BucketQueue` is the queue's claim/lease/ack machine.  A task is a name
+that moves between *buckets*:
 
 * ``pending`` — the one pool of claimable tasks; a claim takes the lowest
   task id, and an expired lease goes back into the same pool.
@@ -18,80 +18,65 @@ decision alone (:meth:`~repro.runtime.result_store.ResultStore.path_for`); the
 queue neither knows nor cares.
 
 The machine is written against a handful of storage primitives (list a
-bucket, move a name, put/load/drop an entry, touch and read a stamp, read the
-stamping clock).  The one atomic step is the move: of several concurrent moves
-of one name exactly one wins, which makes a claim exclusive.
-:class:`WorkQueue` implements the primitives over a directory shared by every
-host (local disk, NFS, CephFS, ...): a bucket is a subdirectory, an entry a
-file, a move an ``os.rename`` and a stamp an mtime.  The TCP transport's
-:class:`~repro.runtime.netqueue.QueueServer` implements them over dicts under
-one lock with ``time.monotonic`` stamps.
+bucket, move a name, put/load/drop an entry, touch and read a stamp).  Each
+bucket maps names to ``[value, stamp]``, every primitive runs under one lock,
+and the lock's condition wakes :meth:`BucketQueue.wait_for_change` and
+:meth:`BucketQueue.wait_for_work`.  The one atomic step is the move: of
+several concurrent moves of one name exactly one wins, which makes a claim
+exclusive.  Stamps are ``time.monotonic()``: claim, renew and expiry read one
+clock on one host, so clock skew between hosts cannot age a lease.
 
-A worker that dies (SIGKILL, OOM, host loss) simply stops touching its claim;
-once the stamp is older than the lease timeout, :meth:`BucketQueue.requeue_expired`
-moves it back into the pending pool and any worker picks it up.  The file
-queue measures lease ages against the *shared filesystem's* clock
-(touch-and-stat of a probe file in the queue root), never the coordinator's
-wall clock: claim mtimes are stamped by the filesystem, so comparing them
-against a possibly-skewed local ``time.time()`` would re-queue live claims
-(coordinator clock ahead) or never expire dead ones (behind).  Task execution
-is idempotent (results are persisted with atomic writes under
-content-addressed names), so the rare double execution after a lease expiry
-is harmless, and an ack drops any pending copy a re-queue left behind.
+The coordinator serves the machine over TCP
+(:class:`~repro.runtime.netqueue.QueueServer`); workers reach it through
+:class:`~repro.runtime.netqueue.NetWorkQueue`.  A worker that dies (SIGKILL,
+OOM, host loss) simply stops renewing its claim; once the stamp is older than
+the lease timeout, :meth:`BucketQueue.requeue_expired` moves it back into the
+pending pool and any worker picks it up.  Task execution is idempotent
+(results are persisted with atomic writes under content-addressed names), so
+the rare double execution after a lease expiry is harmless, and an ack drops
+any pending copy a re-queue left behind.
 
-This module also defines the transport-agnostic queue API: the
-:class:`QueueTransport` protocol (coordinator + worker surface) both queues
-implement, and the :class:`ResultUpload` frame a transport that carries
-results back to the coordinator attaches to its acks.
+This module also defines the worker-side queue surface
+(:class:`WorkerQueueTransport`, which the worker loop's test fakes implement)
+and the :class:`ResultUpload` a worker attaches to its ack.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pickle
-import re
+import threading
 import time
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Protocol, runtime_checkable
 
 from repro.errors import ExperimentError
-from repro.runtime.result_store import TaskKey, atomic_write_bytes
+from repro.runtime.result_store import TaskKey
 
-#: Bucket names, which are also the subdirectories of the file queue's layout.
+#: Bucket names.
 PENDING, CLAIMED, DONE, FAILED = "pending", "claimed", "done", "failed"
 
-#: Bucket of the stop sentinel: the queue root itself on disk.
+#: Bucket of the stop sentinel.
 STOP = ""
 
 #: Stop sentinel name.
 STOP_SENTINEL = "stop"
 
-#: Probe file the lease-expiry sweep touches to read the filesystem's clock.
-CLOCK_PROBE = ".clock-probe"
-
-_TASK_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
-
 
 @dataclass(frozen=True)
 class TaskClaim:
-    """A successfully claimed task: its id, payload and (file transport only)
-    the claimed-file path whose mtime is the lease heartbeat."""
+    """A successfully claimed task: its id and payload."""
 
     task_id: str
     payload: object
-    path: Path | None = None
 
 
 @dataclass(frozen=True)
 class ResultUpload:
     """A finished task's result, pushed back to the coordinator with the ack.
 
-    Only transports whose workers share no filesystem with the coordinator
-    (``wants_results`` is true, i.e. the TCP transport) carry these; file-queue
-    workers write the shared result store directly and ack without one.
+    Workers share no filesystem with the coordinator: the coordinator's
+    queue server persists the upload into its local result store.
     """
 
     key: TaskKey
@@ -103,60 +88,29 @@ class ResultUpload:
 class QueueAddress:
     """Parsed form of a queue url (``RuntimeConfig.queue_url``)."""
 
-    scheme: str  #: ``"file"`` or ``"tcp"``
-    path: str | None = None
-    host: str | None = None
-    port: int | None = None
+    host: str
+    port: int
 
 
-def parse_queue_url(url: str | os.PathLike) -> QueueAddress:
-    """Parse ``file:///dir``, ``tcp://host:port`` or a bare directory path."""
+def parse_queue_url(url: str) -> QueueAddress:
+    """Parse ``tcp://host:port`` (port ``0`` binds an ephemeral port)."""
     text = str(url)
-    if text.startswith("tcp://"):
-        host, sep, port_text = text[len("tcp://"):].rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            port = -1
-        if not sep or not host or not 0 <= port <= 65535:
-            raise ExperimentError(
-                f"queue url {text!r} is not of the form tcp://<host>:<port> "
-                "(port 0 binds an ephemeral port on the coordinator)"
-            )
-        return QueueAddress(scheme="tcp", host=host, port=port)
-    if text.startswith("file://"):
-        rest = text[len("file://"):]
-        if rest.startswith("/"):
-            path = rest  # file:///abs/dir — empty authority
-        else:
-            # file://<authority>/<path>: only the local host is meaningful; a
-            # remote authority silently treated as a relative path would point
-            # the coordinator at the wrong local directory.
-            authority, sep, tail = rest.partition("/")
-            if authority != "localhost" or not sep:
-                raise ExperimentError(
-                    f"queue url {text!r} names authority {authority!r}; file:// queues "
-                    "are local — use file:///abs/dir (three slashes) or file://localhost/abs/dir"
-                )
-            path = "/" + tail
-        if not path.rstrip("/"):
-            raise ExperimentError(f"queue url {text!r} names no directory")
-        return QueueAddress(scheme="file", path=path)
-    if "://" in text:
-        scheme = text.split("://", 1)[0]
+    host, sep, port_text = text.removeprefix("tcp://").rpartition(":")
+    try:
+        port = int(port_text)
+    except ValueError:
+        port = -1
+    if not text.startswith("tcp://") or not sep or not host or not 0 <= port <= 65535:
         raise ExperimentError(
-            f"unsupported queue url scheme {scheme!r} in {text!r}; expected file:// or tcp://"
+            f"queue url {text!r} is not of the form tcp://<host>:<port> "
+            "(port 0 binds an ephemeral port on the coordinator)"
         )
-    return QueueAddress(scheme="file", path=text)
+    return QueueAddress(host=host, port=port)
 
 
 @runtime_checkable
 class WorkerQueueTransport(Protocol):
     """The worker-side queue surface: what the claim-execute-ack loop needs."""
-
-    #: Whether acks must carry a :class:`ResultUpload` (the transport delivers
-    #: results to the coordinator) instead of the worker writing a shared store.
-    wants_results: bool
 
     def claim(self, worker_id: str) -> TaskClaim | None: ...
 
@@ -169,49 +123,8 @@ class WorkerQueueTransport(Protocol):
     def stop_requested(self) -> bool: ...
 
     def wait_for_work(self, timeout_s: float) -> None:
-        """An idle worker's pause between claims, ``timeout_s`` at most.
-
-        A transport that sees the queue change returns as soon as a claim
-        would find a task or a stop is written; one that cannot (a shared
-        directory) sleeps the interval out.
-        """
-
-
-@runtime_checkable
-class QueueTransport(WorkerQueueTransport, Protocol):
-    """The full (coordinator + worker) surface of a work-queue transport."""
-
-    def enqueue(self, task_id: str, payload: object) -> object: ...
-
-    def requeue_expired(self) -> list[str]: ...
-
-    def worker_done_counts(self) -> dict[str, int]: ...
-
-    def discard_failure(self, task_id: str) -> bool: ...
-
-    def reset(self) -> int: ...
-
-    def write_stop(self) -> None: ...
-
-    def clear_stop(self) -> None: ...
-
-    def done_ids(self) -> set[str]: ...
-
-    def failed_tasks(self) -> dict[str, str]: ...
-
-    def has_live_claims(self) -> bool: ...
-
-    def wait_for_change(self, timeout_s: float) -> None:
-        """Block until a worker changed the queue's state, ``timeout_s`` at most.
-
-        The coordinator's pause between polls.  A transport that sees its
-        workers' operations returns early on an ack or a failure; one that
-        cannot (a shared directory) sleeps the interval out.
-        """
-
-    def stats(self) -> "QueueStats": ...
-
-    def close(self) -> None: ...
+        """An idle worker's pause between claims, ``timeout_s`` at most: back
+        as soon as a claim would find a task or a stop is written."""
 
 
 @dataclass(frozen=True)
@@ -231,88 +144,89 @@ class QueueStats:
 
 
 class BucketQueue:
-    """The queue's state machine over the storage primitives (module docstring).
+    """The queue's state machine over in-memory buckets (module docstring).
 
-    A subclass implements the primitives — the methods below that raise
-    ``NotImplementedError`` — and everything else is shared, so the two
-    transports cannot drift apart.  Every step tolerates losing a move race:
-    the loser skips the name, exactly as a rename that raised
-    ``FileNotFoundError`` does.
+    Every step tolerates losing a move race: the loser skips the name.
     """
-
-    #: Whether acks must carry a :class:`ResultUpload`.
-    wants_results = False
-
-    #: Raised under the storage's lock by what the coordinator's loop acts on
-    #: (an ack or a failure), lowered by :meth:`wait_for_change`.
-    _changed = False
 
     def __init__(self, lease_timeout_s: float) -> None:
         if lease_timeout_s <= 0:
             raise ExperimentError(f"{type(self).__name__}.lease_timeout_s must be positive")
         self.lease_timeout_s = float(lease_timeout_s)
-        #: Memo of parsed done markers (task id -> worker id): markers are
-        #: immutable once written, so ``worker_done_counts`` only loads markers
-        #: it has not seen — O(new markers) per progress poll, not O(all).
-        self._done_workers: dict[str, str] = {}
+        self._lock = threading.RLock()
+        self._buckets: dict[str, dict[str, list]] = {}
+        #: Notified on every state change a waiter may be waiting for.
+        self._change = threading.Condition(self._lock)
+        #: Raised by what the coordinator's loop acts on (an ack or a
+        #: failure), lowered by :meth:`wait_for_change`.
+        self._changed = False
 
     # ------------------------------------------------------------------ storage primitives
     def _names(self, bucket: str) -> list[str]:
         """The names in ``bucket``, sorted."""
-        raise NotImplementedError
+        with self._lock:
+            return sorted(self._buckets.get(bucket, ()))
 
     def _move(self, source: str, target: str, name: str) -> bool:
-        """Atomically move ``name``, value and stamp, into ``target`` (made if new);
+        """Atomically move ``name``, value and stamp, into ``target``;
         ``False`` if ``source`` no longer holds it."""
-        raise NotImplementedError
+        with self._lock:
+            entry = self._buckets.get(source, {}).pop(name, None)
+            if entry is None:
+                return False
+            self._buckets.setdefault(target, {})[name] = entry
+            return True
 
     def _put(self, bucket: str, name: str, value: object = None) -> None:
-        """Store ``value`` under ``name``, replacing it, stamped now (signals store no value)."""
-        raise NotImplementedError
+        """Store ``value`` under ``name``, replacing it, stamped now."""
+        with self._lock:
+            self._buckets.setdefault(bucket, {})[name] = [value, self._now()]
 
     def _load(self, bucket: str, name: str) -> Any:
         """The value under ``name``; ``KeyError`` once it is gone."""
-        raise NotImplementedError
+        with self._lock:
+            return self._buckets.get(bucket, {})[name][0]
 
     def _drop(self, bucket: str, name: str) -> bool:
         """Remove ``name``; ``False`` if it was already gone."""
-        raise NotImplementedError
+        with self._lock:
+            return self._buckets.get(bucket, {}).pop(name, None) is not None
 
     def _touch(self, bucket: str, name: str) -> bool:
         """Stamp ``name`` now; ``False``, creating nothing, if it is gone."""
-        raise NotImplementedError
+        with self._lock:
+            entry = self._buckets.get(bucket, {}).get(name)
+            if entry is not None:
+                entry[1] = self._now()
+            return entry is not None
 
     def _stamp(self, bucket: str, name: str) -> float | None:
-        """When ``name`` was last put or touched, on :meth:`_now`'s clock; ``None`` if it is gone."""
-        raise NotImplementedError
+        """When ``name`` was last put or touched; ``None`` if it is gone."""
+        with self._lock:
+            entry = self._buckets.get(bucket, {}).get(name)
+            return None if entry is None else entry[1]
 
     def _now(self) -> float:
-        """Now on the clock that stamps entries."""
-        raise NotImplementedError
+        """Now on the clock that stamps entries (the clock seam tests override)."""
+        return time.monotonic()
 
     def _wait(self, ready: Callable[[], bool], timeout_s: float) -> None:
-        """Return once ``ready()`` (run under the storage's lock) holds, or after ``timeout_s``."""
-        raise NotImplementedError
+        """Return once ``ready()`` (run under the lock) holds, or after ``timeout_s``."""
+        with self._lock:
+            self._change.wait_for(ready, timeout_s)
 
     def _notify(self, change: bool = False) -> None:
-        """Wake :meth:`_wait`; ``change`` also raises the flag :meth:`wait_for_change`
-        lowers.  A storage nobody waits on ignores it."""
-
-    def _path(self, bucket: str, name: str) -> Path | None:
-        """Where an entry lives on disk (``None``: in memory)."""
-        return None
+        """Wake :meth:`_wait`; ``change`` also raises the flag :meth:`wait_for_change` lowers."""
+        with self._lock:
+            if change:
+                self._changed = True
+            self._change.notify_all()
 
     # ------------------------------------------------------------------ coordinator
-    def enqueue(self, task_id: str, payload: object) -> Path | None:
-        """Make one task claimable (atomic: a worker never sees a partial task).
-
-        Returns the task file (``None`` in memory).
-        """
-        if not _TASK_ID_RE.match(task_id):
-            raise ExperimentError(f"task id {task_id!r} is not filesystem-safe")
+    def enqueue(self, task_id: str, payload: object) -> None:
+        """Make one task claimable (atomic: a worker never sees a partial task)."""
         self._put(PENDING, task_id, payload)
         self._notify()
-        return self._path(PENDING, task_id)
 
     def requeue_expired(self) -> list[str]:
         """Re-queue every claim whose lease heartbeat has gone stale.
@@ -335,18 +249,13 @@ class BucketQueue:
     def reset(self) -> int:
         """Drop every task, ack marker and the stop sentinel.
 
-        A coordinator owns its queue: calling this before enqueueing
-        reconciles state left behind by a crashed earlier sweep — orphaned
-        pending/claimed tasks would otherwise be drained (and re-executed) by
-        the new sweep's workers, and done/failed markers would accumulate
-        without bound.  Returns the number of tasks and markers removed.
+        Returns the number of tasks and markers removed.
         """
         removed = sum(
             self._drop(bucket, name)
             for bucket in (PENDING, CLAIMED, DONE, FAILED)
             for name in self._names(bucket)
         )
-        self._done_workers.clear()  # the markers it described are gone
         self.clear_stop()
         return removed
 
@@ -365,8 +274,7 @@ class BucketQueue:
         """Claim the pending task with the lowest id, or ``None`` when nothing is claimable.
 
         The move into ``claimed`` is the claim: losing the race on one task
-        just moves on to the next.  A claim whose payload cannot be loaded is
-        marked failed instead of being executed.
+        just moves on to the next.
         """
         for name in self._names(PENDING):
             if not self._move(PENDING, CLAIMED, name):
@@ -378,10 +286,7 @@ class BucketQueue:
                 payload = self._load(CLAIMED, name)
             except KeyError:
                 continue  # likewise
-            except Exception as exc:  # corrupt payload: never executable
-                self._settle(FAILED, name, worker_id, error=f"unreadable payload: {exc}")
-                continue
-            return TaskClaim(task_id=name, payload=payload, path=self._path(CLAIMED, name))
+            return TaskClaim(task_id=name, payload=payload)
         return None
 
     def renew(self, claim: TaskClaim) -> None:
@@ -394,9 +299,8 @@ class BucketQueue:
         A zombie worker may ack a task whose lease was already re-queued (and
         possibly re-claimed): the result is identical either way, so the ack
         wins and the pending copy is dropped rather than run a second time.
-        ``result`` is ignored here:
-        file-queue workers have already written the shared result store, and
-        ``QueueServer.ack`` persists it before calling this.
+        ``result`` is ignored here: ``QueueServer.ack`` persists it before
+        calling this.
         """
         self._drop(PENDING, claim.task_id)
         self._settle(DONE, claim.task_id, worker_id)
@@ -435,29 +339,16 @@ class BucketQueue:
         for name in self._names(FAILED):
             try:
                 marker = self._load(FAILED, name)
-            except (KeyError, OSError, ValueError):
+            except KeyError:
                 marker = {}
             out[name] = str(marker.get("error", "unknown error"))
         return out
 
     def worker_done_counts(self) -> dict[str, int]:
-        """Completed-task counts per worker id (from the ack markers).
-
-        Unlike :meth:`stats` this *does* load markers — but each one once
-        ever (they are immutable), so a progress poll costs O(markers acked
-        since the last poll), not O(all markers).
-        """
-        counts: dict[str, int] = {}
-        for name in self._names(DONE):
-            worker = self._done_workers.get(name)
-            if worker is None:
-                try:
-                    worker = str(self._load(DONE, name).get("worker", "unknown"))
-                except (KeyError, OSError, ValueError):  # racing writer: count it next poll
-                    continue
-                self._done_workers[name] = worker
-            counts[worker] = counts.get(worker, 0) + 1
-        return counts
+        """Completed-task counts per worker id (from the ack markers, read
+        under the lock in one pass)."""
+        with self._lock:
+            return dict(Counter(self._load(DONE, name)["worker"] for name in self._names(DONE)))
 
     def has_live_claims(self) -> bool:
         """Whether any claim's lease is still being heart-beaten."""
@@ -470,14 +361,15 @@ class BucketQueue:
 
     def stats(self) -> QueueStats:
         """Entry counts only: the coordinator polls this every few hundred
-        milliseconds, so it must never load a marker (``failed_tasks`` does,
-        and stays reserved for error reporting)."""
-        return QueueStats(
-            pending=len(self._names(PENDING)),
-            claimed=len(self._names(CLAIMED)),
-            done=len(self._names(DONE)),
-            failed=len(self._names(FAILED)),
-        )
+        milliseconds, so it never loads a marker (``failed_tasks`` does, and
+        stays reserved for error reporting)."""
+        with self._lock:
+            return QueueStats(
+                pending=len(self._names(PENDING)),
+                claimed=len(self._names(CLAIMED)),
+                done=len(self._names(DONE)),
+                failed=len(self._names(FAILED)),
+            )
 
     def wait_for_change(self, timeout_s: float) -> None:
         """Return on an ack or a failure, or after ``timeout_s``.
@@ -485,12 +377,9 @@ class BucketQueue:
         One that arrived since the previous call returns at once: the caller
         was checking state meanwhile and may have read it before the change.
         """
-
-        def consume() -> bool:
-            changed, self._changed = self._changed, False
-            return changed
-
-        self._wait(consume, timeout_s)
+        with self._lock:
+            self._change.wait_for(lambda: self._changed, timeout_s)
+            self._changed = False
 
     def wait_for_work(self, timeout_s: float) -> None:
         """Return once a claim would find a task or a stop is written, or
@@ -501,123 +390,3 @@ class BucketQueue:
         worker's empty-handed claim and this call.
         """
         self._wait(lambda: self.stop_requested() or bool(self._names(PENDING)), timeout_s)
-
-
-class WorkQueue(BucketQueue):
-    """The queue over one shared directory: a bucket is a subdirectory, an
-    entry a file (``<id>.task`` pickles, ``<id>.json`` markers, empty signal
-    files), a move an atomic ``os.rename`` and a stamp an mtime."""
-
-    def __init__(self, root: str | os.PathLike, lease_timeout_s: float = 60.0) -> None:
-        super().__init__(lease_timeout_s)
-        self.root = Path(root)
-        for name in (PENDING, CLAIMED, DONE, FAILED):
-            (self.root / name).mkdir(parents=True, exist_ok=True)
-
-    def filesystem_now(self) -> float:
-        """Now according to the clock that stamps claim mtimes.
-
-        Touch-and-stat a probe file in the queue root: on a network filesystem
-        both the probe's and the claims' mtimes are assigned by the same
-        server, so lease ages computed against this value are immune to clock
-        skew between the coordinator and the filesystem (or the worker hosts).
-        Comparing claim mtimes against the coordinator's ``time.time()``
-        instead would spuriously re-queue live claims whenever the coordinator
-        ran ahead by more than the lease timeout — or never expire dead ones
-        when it ran behind.
-        """
-        probe = self.root / CLOCK_PROBE
-        try:
-            probe.touch()
-            return probe.stat().st_mtime
-        except OSError:  # pragma: no cover - probe unwritable: degrade gracefully
-            return time.time()
-
-    # ------------------------------------------------------------------ storage primitives
-    @staticmethod
-    def _suffix(bucket: str) -> str:
-        if bucket in (DONE, FAILED):
-            return ".json"
-        return ".task" if bucket in (PENDING, CLAIMED) else ""
-
-    def _path(self, bucket: str, name: str) -> Path:
-        return self.root / bucket / f"{name}{self._suffix(bucket)}"
-
-    def _names(self, bucket: str) -> list[str]:
-        suffix = self._suffix(bucket)
-        return sorted(path.name.removesuffix(suffix) for path in (self.root / bucket).glob(f"*{suffix}"))
-
-    def _move(self, source: str, target: str, name: str) -> bool:
-        try:
-            os.rename(self._path(source, name), self._path(target, name))
-        except FileNotFoundError:
-            # Another process moved it first.  Any other OSError is a real
-            # filesystem problem and must surface, not hang the sweep.
-            return False
-        return True
-
-    def _put(self, bucket: str, name: str, value: object = None) -> None:
-        path = self._path(bucket, name)
-        if bucket == STOP:
-            path.touch()  # a signal: only its mtime counts
-        elif bucket in (DONE, FAILED):
-            atomic_write_bytes(path, json.dumps(value, indent=1, sort_keys=True).encode("utf-8"))
-        else:
-            atomic_write_bytes(path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def _load(self, bucket: str, name: str) -> Any:
-        path = self._path(bucket, name)
-        try:
-            if bucket in (DONE, FAILED):
-                return json.loads(path.read_text())
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            raise KeyError(name) from None
-        # Task files are written by the coordinator into the queue directory;
-        # the shared filesystem is the file transport's trust boundary.
-        return pickle.loads(blob)
-
-    def _drop(self, bucket: str, name: str) -> bool:
-        try:
-            self._path(bucket, name).unlink()
-        except FileNotFoundError:
-            return False
-        return True
-
-    def _touch(self, bucket: str, name: str) -> bool:
-        try:
-            os.utime(self._path(bucket, name))
-        except FileNotFoundError:
-            return False
-        return True
-
-    def _stamp(self, bucket: str, name: str) -> float | None:
-        try:
-            return self._path(bucket, name).stat().st_mtime
-        except FileNotFoundError:
-            return None
-
-    def _now(self) -> float:
-        return self.filesystem_now()
-
-    def _wait(self, ready: Callable[[], bool], timeout_s: float) -> None:
-        """Sleep the interval out: a directory does not announce its renames."""
-        time.sleep(timeout_s)
-
-    # ------------------------------------------------------------------ queue
-    def reset(self) -> int:
-        """:meth:`BucketQueue.reset`, plus the ``.tmp`` orphans of crashed
-        atomic writes: nothing else removes them, so a reused queue directory
-        would otherwise collect them forever.  Returns the files removed."""
-        removed = super().reset()
-        for bucket in (PENDING, CLAIMED, DONE, FAILED):
-            for orphan in (self.root / bucket).glob("*.tmp"):
-                orphan.unlink(missing_ok=True)
-                removed += 1
-        return removed
-
-    def close(self) -> None:
-        """Nothing to release: the file transport holds no connections."""
-
-    def describe(self) -> str:
-        return f"WorkQueue({self.root}, {self.stats().describe()})"

@@ -25,5 +25,6 @@ def task_noise(rng: np.random.Generator) -> float:
 
 
 def allowlisted_probe() -> float:
-    # Mirrors WorkQueue.filesystem_now: sanctioned via the config allowlist.
+    # A wall-clock read that only the fixture's own ``det_allow`` entry
+    # sanctions; the project config allows none.
     return time.time()

@@ -152,11 +152,12 @@ class TestRuntimeConfigDefaults:
         with pytest.raises(ValueError):
             RuntimeConfig(task_retries=-1)
 
-    def test_queue_url_accepts_file_and_tcp_schemes(self):
-        assert RuntimeConfig().queue_url is None
+    def test_queue_url_accepts_only_tcp(self):
+        assert RuntimeConfig().queue_url is None  # loopback, ephemeral port
         assert RuntimeConfig(queue_url="tcp://127.0.0.1:0").queue_url == "tcp://127.0.0.1:0"
-        assert RuntimeConfig(queue_url="file:///shared/q").queue_url == "file:///shared/q"
-        assert RuntimeConfig(queue_url="/shared/q").queue_url == "/shared/q"  # bare path = file
+        for directory_queue in ("file:///shared/q", "/shared/q"):
+            with pytest.raises(ValueError):
+                RuntimeConfig(queue_url=directory_queue)
 
     def test_queue_url_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):

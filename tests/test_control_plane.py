@@ -1,7 +1,6 @@
-"""Cross-transport tests of the sweep control plane.
+"""Tests of the sweep control plane: the TCP work queue and its frames.
 
-Covers the PR-5 surface on both queue transports (`file://` directory queue
-and `tcp://` in-memory server):
+Covers:
 
 * property tests that claim/renew/requeue/ack/fail interleavings never
   duplicate or drop a task (exactly-once visible completion) and hand tasks
@@ -22,8 +21,6 @@ import socket
 import struct
 import threading
 import time
-import uuid
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,12 +43,12 @@ from repro.runtime.netqueue import (
     send_frame,
 )
 from repro.runtime.parallel import ParallelExperimentRunner
-from repro.runtime.workqueue import QueueStats, QueueTransport, WorkQueue
+from repro.runtime.workqueue import QueueStats
 from repro.storage.registry import get_process_registry
 from repro.storage.spec import DatabaseSpec
 from repro.workloads import build_workload
 
-TRANSPORTS = ("file", "tcp")
+TRANSPORTS = ("tcp",)
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +143,6 @@ class TestExactlyOnceProperty:
         assert queue.done_ids() == set(task_ids)
         stats = queue.stats()
         assert (stats.pending, stats.claimed, stats.done, stats.failed) == (0, 0, n_tasks, 0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(scenario=interleavings())
-    def test_file_queue(self, tmp_path_factory, scenario):
-        n_tasks, ops = scenario
-        root = tmp_path_factory.mktemp("prop") / uuid.uuid4().hex
-        self._run(WorkQueue(root, lease_timeout_s=300), n_tasks, ops)
 
     @settings(max_examples=25, deadline=None)
     @given(scenario=interleavings())
@@ -497,12 +487,9 @@ class TestClientRetries:
 
 @pytest.fixture(params=TRANSPORTS)
 def plain_queue(request, tmp_path):
-    if request.param == "file":
-        yield WorkQueue(tmp_path / "q", lease_timeout_s=300)
-    else:
-        server = QueueServer(lease_timeout_s=300)
-        yield server
-        server.close()
+    server = QueueServer(lease_timeout_s=300)
+    yield server
+    server.close()
 
 
 class TestQueueStatsEdgeCases:
@@ -520,31 +507,6 @@ class TestQueueStatsEdgeCases:
         assert (stats.pending, stats.claimed, stats.done, stats.failed) == (0, 0, 0, 2)
         assert stats.describe() == "0 pending, 0 claimed, 0 done, 2 failed"
         assert plain_queue.worker_done_counts() == {}  # failures are not completions
-
-    def test_worker_done_counts_parses_each_marker_once(self, tmp_path, monkeypatch):
-        """Done markers are immutable: a progress poll must only read markers
-        it has not seen before (O(delta), not O(all) — the same discipline
-        stats() follows for the failed/ directory)."""
-        queue = WorkQueue(tmp_path / "q")
-        for index in range(3):
-            queue.enqueue(f"t-{index}", "p")
-            queue.ack(queue.claim(f"w-{index % 2}"), f"w-{index % 2}")
-        assert queue.worker_done_counts() == {"w-0": 2, "w-1": 1}
-
-        reads = {"n": 0}
-        real_read_text = Path.read_text
-
-        def counting_read_text(self, *args, **kwargs):
-            reads["n"] += 1
-            return real_read_text(self, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "read_text", counting_read_text)
-        assert queue.worker_done_counts() == {"w-0": 2, "w-1": 1}
-        assert reads["n"] == 0  # everything served from the marker memo
-        queue.enqueue("t-3", "p")
-        queue.ack(queue.claim("w-1"), "w-1")
-        assert queue.worker_done_counts() == {"w-0": 2, "w-1": 2}
-        assert reads["n"] == 1  # only the new marker was parsed
 
     def test_stats_are_sane_under_concurrent_claims(self, plain_queue):
         """The progress reporter polls stats() while workers claim/ack: every
@@ -597,22 +559,6 @@ class TestQueueStatsEdgeCases:
 
 
 class TestLeaseBoundary:
-    def test_file_claim_renewed_exactly_at_the_timeout_edge_survives(self, tmp_path, monkeypatch):
-        """age == lease_timeout is *not* expired (the boundary belongs to the
-        live worker); one tick past it is."""
-        queue = WorkQueue(tmp_path / "q", lease_timeout_s=60)
-        queue.enqueue("t-0", "p")
-        claim = queue.claim("edge-worker")
-        renewed_at = claim.path.stat().st_mtime
-
-        monkeypatch.setattr(WorkQueue, "filesystem_now", lambda self: renewed_at + 60.0)
-        assert queue.requeue_expired() == []
-        assert queue.has_live_claims()
-
-        monkeypatch.setattr(WorkQueue, "filesystem_now", lambda self: renewed_at + 60.001)
-        assert not queue.has_live_claims()
-        assert queue.requeue_expired() == ["t-0"]
-
     def test_server_claim_renewed_exactly_at_the_deadline_survives(self, monkeypatch):
         clock = {"now": 1000.0}
         monkeypatch.setattr(netqueue.time, "monotonic", lambda: clock["now"])
@@ -630,24 +576,11 @@ class TestLeaseBoundary:
             monkeypatch.undo()
             server.close()
 
-    def test_renew_at_the_edge_restarts_the_lease(self, tmp_path, monkeypatch):
-        queue = WorkQueue(tmp_path / "q", lease_timeout_s=60)
-        queue.enqueue("t-0", "p")
-        claim = queue.claim("w")
-        queue.renew(claim)  # the renewal that lands exactly at the edge
-        renewed_at = claim.path.stat().st_mtime
-        monkeypatch.setattr(WorkQueue, "filesystem_now", lambda self: renewed_at + 59.9)
-        assert queue.requeue_expired() == []
-        assert queue.has_live_claims()
-
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_ack_landing_before_the_expiry_sweep_wins(self, tmp_path, transport):
         """requeue_expired racing an in-flight ack: when the ack lands first,
         the sweep must not resurrect the task — it completes exactly once."""
-        if transport == "file":
-            queue = WorkQueue(tmp_path / "q", lease_timeout_s=0.05)
-        else:
-            queue = QueueServer(lease_timeout_s=0.05)
+        queue = QueueServer(lease_timeout_s=0.05)
         try:
             queue.enqueue("t-0", "p")
             claim = queue.claim("slow-worker")
@@ -659,8 +592,7 @@ class TestLeaseBoundary:
             stats = queue.stats()
             assert (stats.pending, stats.claimed, stats.done) == (0, 0, 1)
         finally:
-            if transport == "tcp":
-                queue.close()
+            queue.close()
 
     def test_server_ack_after_requeue_completes_exactly_once(self):
         """The opposite order on the server: the zombie ack wins, the
@@ -708,10 +640,9 @@ class TestSweepStress:
         self, tmp_path, transport, monkeypatch
     ):
         """A 4-worker sweep into a 4-shard store is byte-identical to serial
-        on both transports while emitting at least one valid progress
-        snapshot (and, on tcp, running fully HMAC-authenticated)."""
-        if transport == "tcp":
-            monkeypatch.setenv("REPRO_QUEUE_SECRET", "stress-secret")
+        while emitting at least one valid progress snapshot and running fully
+        HMAC-authenticated."""
+        monkeypatch.setenv("REPRO_QUEUE_SECRET", "stress-secret")
         spec, workload, splits = _grid_parts()
         methods = ("postgres", "bao")
         snapshots = []
@@ -724,7 +655,7 @@ class TestSweepStress:
                 workers=4,
                 shard_count=4,
                 lease_timeout_s=30,
-                queue_url="tcp://127.0.0.1:0" if transport == "tcp" else None,
+                queue_url=f"{transport}://127.0.0.1:0",
                 progress_interval_s=0.25,
             ),
             progress_callback=snapshots.append,
@@ -800,7 +731,7 @@ class TestSweepStress:
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_the_final_snapshot_is_exact_and_taken_after_the_workers_exited(self, tmp_path, transport):
-        """Both transports answer ``stats()`` in process after ``close()``:
+        """The server answers ``stats()`` in process after ``close()``:
         the end-of-sweep snapshot sees every task done, none pending or
         claimed, and no local worker still running."""
         spec, workload, splits = _grid_parts()
@@ -813,7 +744,7 @@ class TestSweepStress:
                 tmp_path / "store",
                 workers=2,
                 lease_timeout_s=30,
-                queue_url="tcp://127.0.0.1:0" if transport == "tcp" else None,
+                queue_url=f"{transport}://127.0.0.1:0",
             ),
             progress_callback=lambda snapshot: observed.append(
                 (snapshot, [proc.poll() for proc in runner._distributed_procs])
@@ -842,13 +773,3 @@ class TestPollOp:
             client.close()
             server.close()
 
-
-class TestProtocolCompliance:
-    def test_transports_still_satisfy_the_queue_protocol(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        assert isinstance(queue, QueueTransport)
-        server = QueueServer()
-        try:
-            assert isinstance(server, QueueTransport)
-        finally:
-            server.close()

@@ -1,10 +1,9 @@
-"""Tests for the distributed runtime: sharded store, work queues, queue workers.
+"""Tests for the distributed runtime: sharded store, work queue, queue workers.
 
 The heavyweight end-to-end tests launch real ``python -m repro.runtime.worker``
-processes — against a queue directory on the test's tmp filesystem (the file
-transport) and against a coordinator-side TCP queue server with workers
-running out of isolated directories that share nothing with the coordinator
-(the network transport).
+processes against a coordinator-side TCP queue server, with workers running
+out of directories that share nothing with the coordinator, and kill a
+coordinator mid-sweep.
 """
 
 import json
@@ -14,7 +13,6 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,17 +23,10 @@ from repro.core.metrics import MethodRunResult, QueryTiming
 from repro.core.splits import DatasetSplit, SplitSampling
 from repro.errors import ExperimentError
 from repro.experiments.common import distributed_runtime
-from repro.runtime.netqueue import NetWorkQueue, QueueServer
+from repro.runtime.netqueue import CLIENT_BACKOFF_S, CLIENT_RETRIES, NetWorkQueue, QueueAuthError, QueueServer
 from repro.runtime.parallel import ParallelExperimentRunner, reconcile_failed_tasks
 from repro.runtime.result_store import ResultStore, ShardedResultStore, TaskKey
-from repro.runtime.workqueue import (
-    QueueTransport,
-    ResultUpload,
-    TaskClaim,
-    WorkerQueueTransport,
-    WorkQueue,
-    parse_queue_url,
-)
+from repro.runtime.workqueue import ResultUpload, WorkerQueueTransport, parse_queue_url
 from repro.storage.registry import get_process_registry
 from repro.storage.spec import DatabaseSpec
 from repro.workloads import build_workload
@@ -43,16 +34,12 @@ from repro.workloads import build_workload
 GRID_METHODS = ("postgres", "bao")
 
 #: Queue transports the end-to-end sweeps are exercised over.
-TRANSPORTS = ("file", "tcp")
+TRANSPORTS = ("tcp",)
 
 
 def sweep_runtime(tmp_path, transport, **overrides):
     """A distributed RuntimeConfig on the requested queue transport."""
-    return distributed_runtime(
-        tmp_path / "store",
-        queue_url="tcp://127.0.0.1:0" if transport == "tcp" else None,
-        **overrides,
-    )
+    return distributed_runtime(tmp_path / "store", queue_url=f"{transport}://127.0.0.1:0", **overrides)
 
 GRID_CONFIG = ExperimentConfig(optimizer_kwargs={"bao": {"training_passes": 1}})
 
@@ -228,175 +215,6 @@ class TestConcurrentWriters:
 # ---------------------------------------------------------------------------
 
 
-class TestWorkQueue:
-    def test_enqueue_claim_ack_lifecycle(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q", lease_timeout_s=30)
-        queue.enqueue("t-0", {"payload": 1})
-        queue.enqueue("t-1", {"payload": 2})
-        assert queue.pending_ids() == {"t-0", "t-1"}
-
-        claim = queue.claim("worker-a")
-        assert claim is not None and claim.task_id == "t-0"
-        assert claim.payload == {"payload": 1}
-        assert queue.claimed_ids() == {"t-0"}
-
-        queue.ack(claim, "worker-a")
-        assert queue.done_ids() == {"t-0"}
-        assert queue.claimed_ids() == set()
-        assert queue.stats().describe() == "1 pending, 0 claimed, 1 done, 0 failed"
-
-    def test_claim_is_exclusive(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        queue.enqueue("only", "task")
-        first = queue.claim("a")
-        second = queue.claim("b")
-        assert first is not None and second is None
-
-    def test_requeue_expired_returns_dead_claims(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q", lease_timeout_s=0.05)
-        queue.enqueue("t-0", "task")
-        claim = queue.claim("doomed")
-        assert claim is not None
-        time.sleep(0.1)  # lease expires: the claimer never heart-beats
-        assert queue.requeue_expired() == ["t-0"]
-        assert queue.pending_ids() == {"t-0"}
-        revived = queue.claim("survivor")
-        assert revived is not None and revived.payload == "task"
-
-    def test_renew_keeps_lease_alive(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q", lease_timeout_s=0.2)
-        queue.enqueue("t-0", "task")
-        claim = queue.claim("steady")
-        for _ in range(3):
-            time.sleep(0.1)
-            queue.renew(claim)
-        assert queue.requeue_expired() == []
-        assert queue.has_live_claims()
-
-    def test_fail_marker_carries_error(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        queue.enqueue("t-0", "task")
-        claim = queue.claim("w")
-        queue.fail(claim, "w", "ValueError: boom")
-        assert queue.failed_tasks() == {"t-0": "ValueError: boom"}
-        assert queue.claimed_ids() == set()
-
-    def test_reset_reconciles_a_reused_queue_directory(self, tmp_path):
-        """A crashed sweep's leftovers (orphan tasks, stale markers, stop
-        sentinel) must not leak into the next sweep."""
-        queue = WorkQueue(tmp_path / "q")
-        queue.enqueue("old-0", "task")
-        queue.enqueue("old-1", "task")
-        claim = queue.claim("w")
-        queue.enqueue("old-2", "task")
-        done = queue.claim("w")
-        queue.ack(done, "w")
-        queue.fail(queue.claim("w"), "w", "boom")
-        queue.write_stop()
-        assert claim is not None
-        assert queue.reset() == 3  # 1 claimed + 1 done marker + 1 failed marker
-        assert queue.pending_ids() == queue.claimed_ids() == set()
-        assert queue.done_ids() == set() and queue.failed_tasks() == {}
-        assert not queue.stop_requested()
-
-    def test_reset_removes_tmp_orphans_of_crashed_atomic_writes(self, tmp_path):
-        """`.tmp` leftovers in pending/ and done/ (a crash between mkstemp and
-        rename) used to survive reset() forever; they must be swept too."""
-        queue = WorkQueue(tmp_path / "q")
-        (queue.root / "pending" / "t-0.task.abc123.tmp").write_text("{partial")
-        (queue.root / "done" / "t-1.xyz789.tmp").write_text("{partial")
-        queue.enqueue("t-2", "task")
-        assert queue.reset() == 3  # both orphans + the pending task
-        assert not list(queue.root.rglob("*.tmp"))
-        assert queue.pending_ids() == set()
-
-    def test_stats_failed_count_never_parses_marker_files(self, tmp_path, monkeypatch):
-        """stats() is polled continuously by the coordinator: it must count
-        failed/ directory entries, not read+JSON-parse every marker (that is
-        failed_tasks()'s job, reserved for error reporting)."""
-        queue = WorkQueue(tmp_path / "q")
-        for index in range(2):
-            queue.enqueue(f"t-{index}", "task")
-            queue.fail(queue.claim("w"), "w", "boom")
-
-        def _must_not_be_called(self):
-            raise AssertionError("stats() must not parse failure markers")
-
-        monkeypatch.setattr(WorkQueue, "failed_tasks", _must_not_be_called)
-        assert queue.stats().failed == 2
-        assert queue.stats().describe() == "0 pending, 0 claimed, 0 done, 2 failed"
-
-    def test_discard_failure_clears_marker(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        queue.enqueue("t-0", "task")
-        queue.fail(queue.claim("w"), "w", "boom")
-        assert queue.discard_failure("t-0")
-        assert queue.failed_tasks() == {}
-        assert not queue.discard_failure("t-0")  # already gone
-
-    def test_stop_sentinel(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        assert not queue.stop_requested()
-        queue.write_stop()
-        assert queue.stop_requested()
-        queue.clear_stop()
-        assert not queue.stop_requested()
-
-    def test_unsafe_task_id_rejected(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        with pytest.raises(ExperimentError):
-            queue.enqueue("../escape", "task")
-
-    def test_nonpositive_lease_rejected(self, tmp_path):
-        with pytest.raises(ExperimentError):
-            WorkQueue(tmp_path / "q", lease_timeout_s=0)
-
-    def test_implements_queue_transport_protocol(self, tmp_path):
-        assert isinstance(WorkQueue(tmp_path / "q"), QueueTransport)
-        assert isinstance(WorkQueue(tmp_path / "q"), WorkerQueueTransport)
-        assert WorkQueue(tmp_path / "q").wants_results is False
-
-
-class TestLeaseClockSkew:
-    """Lease ages must come from the filesystem's clock, not the coordinator's
-    wall clock: with cross-host skew larger than the lease timeout, the old
-    `time.time()` comparison re-queued live claims or kept dead ones forever."""
-
-    def test_live_claim_survives_coordinator_clock_running_ahead(self, tmp_path, monkeypatch):
-        queue = WorkQueue(tmp_path / "q", lease_timeout_s=30)
-        queue.enqueue("t-0", "task")
-        assert queue.claim("live-worker") is not None
-        real_time = time.time
-        monkeypatch.setattr(time, "time", lambda: real_time() + 3600)
-        # Old behaviour: age = skewed_now - mtime = ~1 h > 30 s -> spurious re-queue.
-        assert queue.requeue_expired() == []
-        assert queue.claimed_ids() == {"t-0"}
-        assert queue.has_live_claims()
-
-    def test_dead_claim_expires_despite_coordinator_clock_running_behind(
-        self, tmp_path, monkeypatch
-    ):
-        queue = WorkQueue(tmp_path / "q", lease_timeout_s=5)
-        queue.enqueue("t-0", "task")
-        claim = queue.claim("doomed-worker")
-        # The worker died a minute ago by the filesystem's clock.
-        stale = queue.filesystem_now() - 60
-        os.utime(claim.path, times=(stale, stale))
-        real_time = time.time
-        monkeypatch.setattr(time, "time", lambda: real_time() - 3600)
-        # Old behaviour: age = skewed_now - mtime < 0 -> the lease never expires.
-        assert not queue.has_live_claims()
-        assert queue.requeue_expired() == ["t-0"]
-        assert queue.pending_ids() == {"t-0"}
-
-    def test_filesystem_now_tracks_claim_mtimes(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q", lease_timeout_s=30)
-        queue.enqueue("t-0", "task")
-        claim = queue.claim("w")
-        # Probe and claim are stamped by the same clock: ages are near zero.
-        assert abs(queue.filesystem_now() - claim.path.stat().st_mtime) < 5.0
-
-
 class TestTaskRetries:
     """One transient task failure must not abort a multi-hour sweep: the
     coordinator re-queues failed tasks up to RuntimeConfig.task_retries times,
@@ -404,12 +222,9 @@ class TestTaskRetries:
 
     @pytest.fixture(params=TRANSPORTS)
     def retry_queue(self, request, tmp_path):
-        if request.param == "file":
-            yield WorkQueue(tmp_path / "q")
-        else:
-            server = QueueServer(lease_timeout_s=30)
-            yield server
-            server.close()
+        server = QueueServer(lease_timeout_s=30)
+        yield server
+        server.close()
 
     @staticmethod
     def _fail_once(queue, error="TransientError: boom"):
@@ -586,8 +401,7 @@ class TestNetQueue:
 
             store.save_raw = boom
             task = runner.tasks_for(("postgres",), [split])[0]
-            payload = replace(runner.spec_payload(task), store_root=None, store_shards=0)
-            server.enqueue("t-0", payload)
+            server.enqueue("t-0", runner.spec_payload(task))
             completed = run_worker(
                 server.url, worker_id="w", idle_timeout_s=1.0, max_tasks=2, lease_renew_s=0.5
             )
@@ -606,6 +420,37 @@ class TestNetQueue:
         assert client.claim("w") is None
         assert client.stop_requested()
 
+    def test_nonpositive_lease_rejected(self):
+        with pytest.raises(ExperimentError):
+            QueueServer(lease_timeout_s=0)
+
+    def test_discard_failure_reports_whether_a_marker_was_dropped(self):
+        server = QueueServer(lease_timeout_s=30)
+        try:
+            server.enqueue("t-0", "task")
+            server.fail(server.claim("w"), "w", "boom")
+            assert server.discard_failure("t-0")
+            assert server.failed_tasks() == {}
+            assert not server.discard_failure("t-0")  # already gone
+        finally:
+            server.close()
+
+    def test_lease_ages_ignore_the_wall_clock(self, monkeypatch):
+        """Leases are stamped and aged on the monotonic clock: a wall clock
+        an hour ahead neither expires a live claim nor keeps a dead one."""
+        server = QueueServer(lease_timeout_s=0.05)
+        try:
+            server.enqueue("t-0", "task")
+            assert server.claim("live-worker") is not None
+            real_time = time.time
+            monkeypatch.setattr(time, "time", lambda: real_time() + 3600)
+            assert server.requeue_expired() == [] and server.has_live_claims()
+            monkeypatch.setattr(time, "time", lambda: real_time() - 3600)
+            time.sleep(0.1)  # the claimer never renews
+            assert server.requeue_expired() == ["t-0"]
+        finally:
+            server.close()
+
     def test_reset_clears_all_state(self):
         server = QueueServer(lease_timeout_s=30)
         try:
@@ -620,14 +465,11 @@ class TestNetQueue:
         finally:
             server.close()
 
-    def test_server_implements_queue_transport_protocol(self):
+    def test_client_implements_the_worker_transport_protocol(self):
         server = QueueServer(lease_timeout_s=30)
         try:
-            assert isinstance(server, QueueTransport)
-            assert server.wants_results is True
-            client = NetWorkQueue(server.url)
-            assert isinstance(client, WorkerQueueTransport)
-            assert client.wants_results is True
+            with NetWorkQueue(server.url) as client:
+                assert isinstance(client, WorkerQueueTransport)
         finally:
             server.close()
 
@@ -645,93 +487,32 @@ class TestNetQueue:
             server.close()
 
 
-class _ScriptedQueue:
-    """A worker transport on a fake clock: a task appears and the stop is
-    written at scripted times, and every operation is logged with its time."""
-
-    wants_results = False
-
-    def __init__(self, clock: dict, task_at: float | None, stop_at: float) -> None:
-        self.clock, self.task_at, self.stop_at = clock, task_at, stop_at
-        self.claims_at: list[float] = []
-        self.acked: list[str] = []
-
-    def claim(self, worker_id, shard=None):
-        self.claims_at.append(self.clock["now"])
-        if self.task_at is not None and self.clock["now"] >= self.task_at:
-            self.task_at = None
-            return TaskClaim("t-0", payload="payload")
-        return None
-
-    def stop_requested(self):
-        return self.clock["now"] >= self.stop_at
-
-    def wait_for_work(self, timeout_s, shard=None):
-        time.sleep(timeout_s)  # the file queue's wait, on the scripted clock
-
-    def renew(self, claim):
-        pass
-
-    def ack(self, claim, worker_id, result=None):
-        self.acked.append(claim.task_id)
-
-    def fail(self, claim, worker_id, error):  # pragma: no cover - nothing fails here
-        raise AssertionError(error)
-
-
-class TestWorkerIdleBackoff:
-    """An idle worker sleeps 10 ms, then twice as long each time up to the
-    poll interval; a claim starts it over.  It never sleeps longer than the
-    poll interval, so a stop written while it sleeps is seen within one."""
-
-    @staticmethod
-    def drain(monkeypatch, queue: _ScriptedQueue, clock: dict, poll_interval_s: float) -> list[float]:
+class TestIdleWorker:
+    def test_each_empty_claim_is_followed_by_one_wait_of_the_poll_interval(self):
+        """The worker loop does not pace itself: it hands the queue the whole
+        poll interval, and the queue ends a wait early on work or a stop."""
         from repro.runtime import worker
 
-        sleeps: list[float] = []
+        class IdleQueue:
+            def __init__(self) -> None:
+                self.waits: list[float] = []
 
-        def sleep(seconds: float) -> None:
-            sleeps.append(seconds)
-            clock["now"] += seconds
+            def claim(self, worker_id):
+                return None
 
-        monkeypatch.setattr(worker.time, "sleep", sleep)
-        monkeypatch.setattr(worker.time, "monotonic", lambda: clock["now"])
-        completed = worker._worker_loop(
-            queue, "w", poll_interval_s, None, None, 5.0,
-            lambda payload: None, lambda payload: None,
-        )
-        assert completed == len(queue.acked)
-        return sleeps
+            def stop_requested(self):
+                return len(self.waits) == 3
 
-    def test_sleep_doubles_up_to_the_poll_interval_and_a_claim_resets_it(self, monkeypatch):
-        clock = {"now": 0.0}
-        queue = _ScriptedQueue(clock, task_at=1.0, stop_at=2.0)
-        sleeps = self.drain(monkeypatch, queue, clock, poll_interval_s=0.2)
-        assert queue.acked == ["t-0"]
-        ramp = [0.01, 0.02, 0.04, 0.08, 0.16, 0.2]
-        assert sleeps[:8] == pytest.approx(ramp + [0.2, 0.2])
-        claimed = next(i for i, at in enumerate(queue.claims_at) if at >= 1.0)
-        # Every sleep before the claim is one of the ramp, the ones after it start over.
-        assert sleeps[claimed:claimed + 6] == pytest.approx(ramp)
-        assert max(sleeps) == pytest.approx(0.2)
+            def wait_for_work(self, timeout_s):
+                self.waits.append(timeout_s)
 
-    def test_stop_written_during_a_sleep_is_seen_within_the_poll_interval(self, monkeypatch):
-        for stop_at in (0.005, 0.333, 1.234, 7.0):
-            clock = {"now": 0.0}
-            queue = _ScriptedQueue(clock, task_at=None, stop_at=stop_at)
-            sleeps = self.drain(monkeypatch, queue, clock, poll_interval_s=0.2)
-            assert stop_at <= clock["now"] <= stop_at + 0.2
-            assert max(sleeps) <= 0.2
-
-    def test_poll_interval_below_the_first_sleep_caps_every_sleep(self, monkeypatch):
-        clock = {"now": 0.0}
-        queue = _ScriptedQueue(clock, task_at=None, stop_at=0.05)
-        assert set(self.drain(monkeypatch, queue, clock, poll_interval_s=0.004)) == {0.004}
+        queue = IdleQueue()
+        assert worker._worker_loop(queue, "w", 0.2, None, None, 5.0, execute=None) == 0
+        assert queue.waits == [0.2, 0.2, 0.2]
 
 
 class TestWaitForChange:
-    """The coordinator's pause: the TCP queue ends it on an ack or a failure;
-    the file queue sleeps it out."""
+    """The coordinator's pause: the queue ends it on an ack or a failure."""
 
     def test_queue_server_returns_on_ack_and_fail(self):
         server = QueueServer(lease_timeout_s=30)
@@ -776,19 +557,9 @@ class TestWaitForChange:
         finally:
             server.close()
 
-    def test_file_queue_sleeps_the_interval_out(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        queue.enqueue("t-0", {"x": 1})
-        claim = queue.claim("w")
-        queue.ack(claim, "w")
-        started = time.monotonic()
-        queue.wait_for_change(0.05)
-        assert time.monotonic() - started >= 0.04
-
-
 class TestWaitForWork:
-    """An idle worker's pause: the TCP queue ends it as soon as a claim would
-    find a task or a stop is written; the file queue sleeps it out."""
+    """An idle worker's pause: the queue ends it as soon as a claim would
+    find a task or a stop is written."""
 
     @staticmethod
     def waited(wait, act=None) -> float:
@@ -820,11 +591,6 @@ class TestWaitForWork:
             client.close()
             server.close()
 
-    def test_file_queue_sleeps_the_interval_out(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
-        queue.enqueue("t-0", {"x": 1})
-        assert self.waited(lambda: queue.wait_for_work(0.05)) >= 0.04
-
     def test_closing_an_idle_server_is_immediate(self):
         """No accept-loop poll to wait out, with or without a kept connection."""
         from repro.catalog.imdb import generate_imdb
@@ -842,29 +608,21 @@ class TestWaitForWork:
 
 
 class TestQueueUrlParsing:
-    def test_tcp_and_file_and_bare_paths(self):
+    def test_tcp_host_and_port(self):
         tcp = parse_queue_url("tcp://10.0.0.5:7077")
-        assert (tcp.scheme, tcp.host, tcp.port) == ("tcp", "10.0.0.5", 7077)
-        assert parse_queue_url("file:///shared/q").path == "/shared/q"
-        assert parse_queue_url("/shared/q").scheme == "file"
+        assert (tcp.host, tcp.port) == ("10.0.0.5", 7077)
+        assert parse_queue_url("tcp://127.0.0.1:0").port == 0  # ephemeral
 
     @pytest.mark.parametrize(
-        "url", ["tcp://", "tcp://host", "tcp://host:notaport", "tcp://host:70777", "nfs://x/y", "file://"]
+        "url",
+        [
+            "tcp://", "tcp://host", "tcp://host:notaport", "tcp://host:70777", "nfs://x/y", "file://",
+            "file:///shared/q", "/shared/q",
+        ],
     )
     def test_malformed_urls_rejected(self, url):
         with pytest.raises(ExperimentError):
             parse_queue_url(url)
-
-    def test_file_url_with_remote_authority_rejected(self):
-        """file://shared/sweep (two slashes) names host "shared", not the path
-        /shared/sweep — silently treating it as a CWD-relative path would point
-        the coordinator at the wrong local directory while remote workers drain
-        the real mount."""
-        with pytest.raises(ExperimentError, match="authority"):
-            parse_queue_url("file://shared/sweep/queue")
-
-    def test_file_url_localhost_authority_accepted(self):
-        assert parse_queue_url("file://localhost/shared/q").path == "/shared/q"
 
 
 # ---------------------------------------------------------------------------
@@ -905,65 +663,16 @@ class TestDistributedRunner:
         assert len(stored) == len(GRID_METHODS)
         assert all(p.relative_to(store.root).parts[0].startswith("shard-") for p in stored)
         assert store.manifest()["shard_count"] == 4
-        if transport == "tcp":
-            # No shared queue directory exists, and every result was persisted
-            # by the coordinator from worker uploads, not by the workers.
-            assert not (store.root / "queue").exists()
-            assert store.stored_count == len(GRID_METHODS)
-        else:
-            # File transport: the workers wrote the shared store themselves.
-            assert store.stored_count == 0
+        # No shared queue directory exists, and every result was persisted
+        # by the coordinator from worker uploads, not by the workers.
+        assert not (store.root / "queue").exists()
+        assert store.stored_count == len(GRID_METHODS)
 
         merged = store.merge(tmp_path / "merged")
         for task in runner.tasks_for(GRID_METHODS, [split]):
             key, fingerprint = runner.task_key(task), runner.task_fingerprint(task)
             assert merged.exists(key, fingerprint)
             merged.load(key, fingerprint)  # raises on fingerprint mismatch
-
-    def test_dead_worker_claim_is_requeued_and_finished(self, tmp_path):
-        """A claim whose worker died (claimed, never heart-beaten) must expire
-        and be finished by a surviving worker, byte-identical to serial."""
-        spec, workload, split = _spec_grid_parts()
-        runner = ParallelExperimentRunner(
-            spec,
-            workload,
-            experiment_config=GRID_CONFIG,
-            runtime_config=distributed_runtime(
-                tmp_path / "store", workers=1, shard_count=2, lease_timeout_s=1.0
-            ),
-        )
-        tasks = runner.tasks_for(GRID_METHODS, [split])
-        queue = WorkQueue(runner.result_store.root / "queue", lease_timeout_s=1.0)
-        for index, task in enumerate(tasks):
-            queue.enqueue(f"t-{index}", runner.spec_payload(task))
-        # Simulate a worker that claimed a task and was then SIGKILLed: the
-        # claim exists but its heartbeat never advances.
-        doomed = queue.claim("doomed-worker")
-        assert doomed is not None
-
-        proc = runner._spawn_worker(queue.root, 0, lease_timeout_s=1.0)
-        try:
-            deadline = time.monotonic() + 180
-            requeued: list[str] = []
-            while time.monotonic() < deadline:
-                requeued += queue.requeue_expired()
-                if queue.done_ids() >= {f"t-{i}" for i in range(len(tasks))}:
-                    break
-                assert not queue.failed_tasks()
-                time.sleep(0.2)
-        finally:
-            queue.write_stop()
-            proc.wait(timeout=60)
-        assert doomed.task_id in requeued  # the dead worker's lease was re-queued
-        assert queue.done_ids() >= {f"t-{i}" for i in range(len(tasks))}
-
-        serial = ParallelExperimentRunner(
-            spec, workload, experiment_config=GRID_CONFIG, runtime_config=RuntimeConfig(workers=1)
-        )
-        expected = serial.run_grid(GRID_METHODS, [split])
-        for task, reference in zip(tasks, expected):
-            stored = runner.result_store.load(runner.task_key(task), runner.task_fingerprint(task))
-            assert run_result_as_json(stored) == run_result_as_json(reference)
 
     @staticmethod
     def _spawn_isolated_worker(url: str, island: Path, index: int) -> subprocess.Popen:
@@ -1005,8 +714,7 @@ class TestDistributedRunner:
         island = tmp_path / "worker-island"
         try:
             for index, task in enumerate(tasks):
-                payload = replace(runner.spec_payload(task), store_root=None, store_shards=0)
-                server.enqueue(f"t-{index}", payload)
+                server.enqueue(f"t-{index}", runner.spec_payload(task))
             # Simulate a SIGKILLed worker: it claimed over the wire and died —
             # its lease is never renewed again.
             doomed = NetWorkQueue(server.url).claim("doomed-worker")
@@ -1066,6 +774,42 @@ class TestDistributedRunner:
         assert second._distributed_procs == []  # nothing was queued, nobody spawned
         assert second.result_store.loaded_count == len(GRID_METHODS)
 
+    @pytest.mark.parametrize(("secret", "unsigned_client"), [(None, "rejected"), ("", "accepted")])
+    def test_a_default_sweep_signs_every_frame(self, tmp_path, monkeypatch, secret, unsigned_client):
+        """With no queue_secret and no REPRO_QUEUE_SECRET the sweep mints its
+        own secret: an unsigned client is turned away while the sweep runs,
+        and the grid still equals serial.  An explicit "" turns it off."""
+        monkeypatch.delenv("REPRO_QUEUE_SECRET", raising=False)
+        spec, workload, split = _spec_grid_parts()
+        seen: list[str] = []
+
+        def probe(snapshot):
+            if seen:
+                return
+            with NetWorkQueue(runner._distributed_queue.url, secret="", retries=0) as intruder:
+                try:
+                    intruder.stats()
+                    seen.append("accepted")
+                except QueueAuthError:
+                    seen.append("rejected")
+
+        runner = ParallelExperimentRunner(
+            spec,
+            workload,
+            experiment_config=GRID_CONFIG,
+            runtime_config=distributed_runtime(
+                tmp_path / "store", workers=1, shard_count=2, progress_interval_s=0.05,
+                queue_secret=secret,
+            ),
+            progress_callback=probe,
+        )
+        distributed = [run_result_as_json(r) for r in runner.run_grid(GRID_METHODS, [split])]
+        assert seen == [unsigned_client]
+        serial = ParallelExperimentRunner(
+            spec, workload, experiment_config=GRID_CONFIG, runtime_config=RuntimeConfig(workers=1)
+        )
+        assert distributed == [run_result_as_json(r) for r in serial.run_grid(GRID_METHODS, [split])]
+
     def test_distributed_requires_result_store(self):
         spec, workload, split = _spec_grid_parts()
         runner = ParallelExperimentRunner(
@@ -1096,3 +840,102 @@ class TestDistributedRunner:
         )
         with pytest.raises(ExperimentError, match="spec dispatch"):
             runner.run_grid(("postgres",), [split])
+
+
+# ---------------------------------------------------------------------------
+# Fault injection: the coordinator dies mid-sweep
+# ---------------------------------------------------------------------------
+
+#: Repeats of the (postgres, bao) grid above the crash test runs: four tasks on
+#: two workers, so a killed coordinator always leaves work undone.
+CRASH_REPEATS = 2
+
+#: A coordinator process over that grid, into the store named by its
+#: argument; it prints its local workers' pids on every progress snapshot.
+CRASH_COORDINATOR = """
+import json, sys
+sys.path.insert(0, {tests!r})
+from test_distributed import CRASH_REPEATS, GRID_CONFIG, GRID_METHODS, _spec_grid_parts
+from repro.experiments.common import distributed_runtime
+from repro.runtime.parallel import ParallelExperimentRunner
+
+spec, workload, split = _spec_grid_parts()
+runner = ParallelExperimentRunner(
+    spec, workload, experiment_config=GRID_CONFIG,
+    runtime_config=distributed_runtime(sys.argv[1], workers=2, shard_count=2, progress_interval_s=0.1),
+    progress_callback=lambda snapshot: print(
+        json.dumps([proc.pid for proc in runner._distributed_procs]), flush=True
+    ),
+)
+runner.run_grid(GRID_METHODS, [split], repeats=CRASH_REPEATS)
+"""
+
+
+class TestCoordinatorCrash:
+    #: A request to a dead server fails after its retry budget; an orphaned
+    #: worker spends it on at most three requests (the ack of the task it was
+    #: running, an empty claim, the stop poll) after that task ends, plus one
+    #: idle wait.  The task itself is a small cell; a minute covers it with
+    #: room to spare, far below the 300 s idle timeout that would otherwise
+    #: be an orphan's only way out.
+    ORPHAN_EXIT_S = 60.0 + 3 * CLIENT_BACKOFF_S * (2 ** CLIENT_RETRIES - 1) + 0.2
+
+    def test_orphans_exit_and_a_rerun_computes_only_what_is_missing(self, tmp_path):
+        """SIGKILL a coordinator once its store holds a result: its workers
+        read the vanished server as a stop and exit, a re-run enqueues only
+        the tasks the store lacks, and the final store holds the bytes a
+        serial run writes."""
+        store_dir = tmp_path / "store"
+        tests_dir = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=str(tests_dir.parent / "src"))
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", CRASH_COORDINATOR.format(tests=str(tests_dir)), str(store_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, text=True,
+        )
+        pids: list[int] = []
+        try:
+            pids = json.loads(coordinator.stdout.readline() or "[]")
+            assert len(pids) == 2, "the coordinator never announced its workers"
+            store = ResultStore(store_dir, shard_count=2)
+            deadline = time.monotonic() + 180
+            while not list(store.completed_files()):
+                assert time.monotonic() < deadline and coordinator.poll() is None
+                time.sleep(0.01)
+            coordinator.kill()
+            coordinator.wait(timeout=30)
+            killed_at = time.monotonic()
+            logs = [store_dir / "worker-logs" / f"local-{index}.log" for index in range(2)]
+            while not all("exiting after" in log.read_text() for log in logs):
+                assert time.monotonic() - killed_at < self.ORPHAN_EXIT_S, "an orphaned worker kept running"
+                time.sleep(0.1)
+        finally:
+            coordinator.kill()
+            coordinator.wait()
+            coordinator.stdout.close()
+            for pid in pids:
+                try:
+                    os.kill(pid, 9)
+                except ProcessLookupError:
+                    pass
+
+        tasks = len(GRID_METHODS) * CRASH_REPEATS
+        stored = len(list(store.completed_files()))
+        assert 1 <= stored < tasks
+        spec, workload, split = _spec_grid_parts()
+        rerun = ParallelExperimentRunner(
+            spec, workload, experiment_config=GRID_CONFIG,
+            runtime_config=distributed_runtime(store_dir, workers=2, shard_count=2),
+        )
+        rerun.run_grid(GRID_METHODS, [split], repeats=CRASH_REPEATS)
+        assert rerun._distributed_stolen == tasks - stored  # only the gap was enqueued
+
+        serial = ParallelExperimentRunner(
+            spec, workload, experiment_config=GRID_CONFIG,
+            runtime_config=RuntimeConfig(store_dir=str(tmp_path / "serial"), shard_count=2),
+        )
+        serial.run_grid(GRID_METHODS, [split], repeats=CRASH_REPEATS)
+
+        def result_bytes(store: ResultStore) -> dict:
+            return {path.relative_to(store.root): path.read_bytes() for path in store.completed_files()}
+
+        assert result_bytes(rerun.result_store) == result_bytes(serial.result_store)

@@ -2,7 +2,7 @@
 
 The snapshot math is exercised against a scripted fake queue with a
 deterministic clock (no sleeping, no threads), the reporter thread against a
-real file queue, and the worker CLI's ``--progress`` flag end to end.
+real queue server, and the worker CLI's ``--progress`` flag end to end.
 """
 
 import json
@@ -11,7 +11,8 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.runtime.progress import DEFAULT_PROGRESS_INTERVAL_S, ProgressSnapshot, SweepProgress
-from repro.runtime.workqueue import QueueStats, WorkQueue
+from repro.runtime.netqueue import QueueServer
+from repro.runtime.workqueue import QueueStats
 
 
 class ScriptedQueue:
@@ -245,7 +246,7 @@ class TestPollOrSkip:
 
 class TestReporterThread:
     def test_background_polling_over_a_real_queue(self, tmp_path):
-        queue = WorkQueue(tmp_path / "q")
+        queue = QueueServer()
         queue.enqueue("t-0", "task")
         queue.ack(queue.claim("w"), "w")
         seen = []
@@ -261,6 +262,7 @@ class TestReporterThread:
             time.sleep(0.05)
         reporter.stop()
         reporter.stop()  # idempotent
+        queue.close()
         assert len(seen) >= 2
         assert all(snapshot.done == 1 for snapshot in seen)
         assert seen[-1].workers == {"w": 1}
@@ -302,14 +304,17 @@ class TestWorkerProgressFlag:
         (no tasks needed: the reporter reads queue state, not results)."""
         from repro.runtime.worker import run_worker
 
-        WorkQueue(tmp_path / "q")  # pre-create so the worker sees a valid layout
-        completed = run_worker(
-            str(tmp_path / "q"),
-            worker_id="idle-w",
-            poll_interval_s=0.05,
-            idle_timeout_s=0.5,
-            progress_interval_s=0.1,
-        )
+        queue = QueueServer()
+        try:
+            completed = run_worker(
+                queue.url,
+                worker_id="idle-w",
+                poll_interval_s=0.05,
+                idle_timeout_s=0.5,
+                progress_interval_s=0.1,
+            )
+        finally:
+            queue.close()
         assert completed == 0
         lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
         assert lines, "no progress snapshots were printed"

@@ -1,10 +1,8 @@
-"""The work queue's one state machine over its two storages, and durable writes.
+"""The work queue's one state machine, and the store's durable writes.
 
-``BucketQueue`` holds the claim/lease/ack logic once; ``WorkQueue``
-(directories) and ``QueueServer`` (in-memory dicts) only implement its storage
-primitives.  These tests pin rules both transports now share by construction
-and the primitive contract the machine relies on, parametrized over both,
-plus the file queue's on-disk layout: one flat directory per bucket.
+``BucketQueue`` holds the claim/lease/ack logic and its in-memory storage
+primitives; ``QueueServer`` serves it over TCP.  These tests pin the queue's
+rules and the primitive contract the machine relies on.
 """
 
 import os
@@ -19,19 +17,17 @@ import pytest
 from repro.runtime import result_store
 from repro.runtime.netqueue import QueueServer
 from repro.runtime.result_store import atomic_write_bytes
-from repro.runtime.workqueue import CLAIMED, DONE, FAILED, PENDING, WorkQueue
+from repro.runtime.workqueue import CLAIMED, PENDING
 
-TRANSPORTS = ("file", "tcp")
+TRANSPORTS = ("tcp",)
 
 
 @pytest.fixture(params=TRANSPORTS)
 def make_queue(request, tmp_path):
-    """Factory of one queue per transport, closing TCP servers afterwards."""
+    """Factory of queue servers, closing them afterwards."""
     servers = []
 
     def make(lease_timeout_s: float = 300.0):
-        if request.param == "file":
-            return WorkQueue(tmp_path / "q", lease_timeout_s=lease_timeout_s)
         servers.append(QueueServer(lease_timeout_s=lease_timeout_s))
         return servers[-1]
 
@@ -193,30 +189,8 @@ class TestConcurrentClaims:
         assert {task: owners for task, owners in claimed.items() if len(owners) > 1} == {}
 
 
-class TestFileLayout:
-    def test_every_bucket_is_one_flat_directory(self, tmp_path):
-        """Enqueue, claim, lease expiry, ack and failure leave the four bucket
-        directories holding only their own files: no partition directories,
-        no marker directories beside them."""
-        queue = WorkQueue(tmp_path / "q", lease_timeout_s=0.05)
-        for task_id in ("t-0", "t-1", "t-2"):
-            queue.enqueue(task_id, task_id)
-        queue.claim("doomed")
-        time.sleep(0.1)
-        assert queue.requeue_expired() == ["t-0"]
-        queue.ack(queue.claim("w"), "w")
-        queue.fail(queue.claim("w"), "w", "boom")
-        queue.claim("w")
-        root = tmp_path / "q"
-        buckets = (PENDING, CLAIMED, DONE, FAILED)
-        assert sorted(path.name for path in root.iterdir() if path.is_dir()) == sorted(buckets)
-        assert not [path for path in root.glob("*/*") if path.is_dir()]
-        contents = {bucket: sorted(path.name for path in (root / bucket).iterdir()) for bucket in buckets}
-        assert contents == {PENDING: [], CLAIMED: ["t-2.task"], DONE: ["t-0.json"], FAILED: ["t-1.json"]}
-
-
 class TestStoragePrimitives:
-    """The contract ``BucketQueue`` is written against, on both storages."""
+    """The contract ``BucketQueue``'s state machine is written against."""
 
     def test_of_two_moves_of_one_name_only_the_first_wins(self, make_queue):
         queue = make_queue()

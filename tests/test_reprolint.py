@@ -159,6 +159,15 @@ class TestLiveCodebase:
             assert matched, f"allowlist pattern {pattern} matches no src/ file"
             assert qualname in defined, f"allowlist entry {qualname} is defined in no {pattern} file"
 
+    def test_no_wall_clock_and_one_hmac_gated_unpickler(self):
+        """No wall-clock read is sanctioned in src/, and the one function
+        allowed to unpickle is the frame decoder SEC202 holds to verify first:
+        every unpickler in src/ is HMAC-gated by construction."""
+        config = default_config()
+        assert config.det_allow == ()
+        assert config.sec_allow == (("*/repro/runtime/netqueue.py", "recv_frame"),)
+        assert config.sec_verified_paths == ("*/repro/runtime/netqueue.py",)
+
 
 class TestCli:
     def run_cli(self, *args):

@@ -64,15 +64,14 @@ def default_config() -> LintConfig:
       ``executor/``, ``optimizer/``, ``core/``, ``plans/``, ``encoding/``,
       the learned optimizers and their models (``lqo/``, ``ml/``) and the
       figure drivers (``experiments/``) — plus the runtime (where only
-      monotonic clocks are legitimate).  The one
-      sanctioned wall-clock read is ``WorkQueue.filesystem_now``'s documented
-      degrade-gracefully fallback when the clock-probe file is unwritable.
-    * SEC allows unpickling exactly where docs say bytes are trusted or
-      verified: the file queue's task files (coordinator-written, on a
-      filesystem that is the trust boundary) and ``recv_frame`` (which
-      HMAC-verifies before unpickling — enforced structurally by SEC202).
+      monotonic clocks are legitimate).  No wall-clock read is sanctioned:
+      ``det_allow`` is empty.
+    * SEC allows unpickling in exactly one function, ``recv_frame``, which
+      HMAC-verifies before unpickling (enforced structurally by SEC202), so
+      every unpickler in ``src/`` is signature-gated by construction.
     * CONC audits the whole runtime package; the lock-owning classes today
-      are ``QueueServer``, ``SweepProgress`` and ``PlanCache``.
+      include ``BucketQueue`` (and so ``QueueServer``), ``SweepProgress``
+      and ``PlanCache``.
     """
     return LintConfig(
         det_paths=(
@@ -87,15 +86,7 @@ def default_config() -> LintConfig:
             "*/repro/runtime/*.py",
             "*/repro/simclock.py",
         ),
-        det_allow=(
-            # Touch-and-stat clock probe: the except-OSError fallback when the
-            # queue root is unwritable, documented in WorkQueue.filesystem_now.
-            ("*/repro/runtime/workqueue.py", "WorkQueue.filesystem_now"),
-        ),
         sec_allow=(
-            # Task files are written by the coordinator into the queue
-            # directory; the shared filesystem is the trust boundary.
-            ("*/repro/runtime/workqueue.py", "WorkQueue._load"),
             # The one sanctioned network unpickler; SEC202 additionally
             # proves each call is behind an authentication gate.
             ("*/repro/runtime/netqueue.py", "recv_frame"),

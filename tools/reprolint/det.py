@@ -22,10 +22,9 @@ rejected statically instead:
   ``random.Random()``, ``np.random.default_rng()``, ``np.random.RandomState()``.
   Pass the task-derived seed instead.
 
-Sanctioned exceptions (e.g. the clock-probe fallback in
-``WorkQueue.filesystem_now``) are named in the config's ``det_allow`` list —
-an allowlist entry, unlike an inline suppression, is reviewed once and
-documented centrally.
+Sanctioned exceptions are named in the config's ``det_allow`` list (empty
+for ``src/`` today) — an allowlist entry, unlike an inline suppression, is
+reviewed once and documented centrally.
 """
 
 from __future__ import annotations

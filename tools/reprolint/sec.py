@@ -1,8 +1,7 @@
 """SEC rules: every ``pickle.loads`` is allowlisted, and verified on the wire.
 
 ``pickle.loads`` on attacker-controllable bytes is remote code execution, so
-the codebase confines unpickling to two documented sites: the file queue's
-task files (the shared filesystem is the trust boundary) and the TCP frame
+the codebase confines unpickling to one documented site: the TCP frame
 decoder, which HMAC-verifies every frame *before* unpickling it.  Both
 halves of that policy are enforced statically:
 
