@@ -10,6 +10,8 @@ from repro.config import SIMULATION_CONFIG
 from repro.lqo.base import LQOEnvironment
 from repro.workloads import build_job_workload, build_stack_workload
 
+from queue_views import QUEUE_VIEWS, open_queue
+
 #: Small scale keeps the whole suite fast while preserving skew and fan-out.
 TEST_SCALE = 0.25
 
@@ -53,3 +55,18 @@ def env(imdb_db):
 def session_env(imdb_db):
     """A shared environment for read-only tests that need trained-ish models."""
     return LQOEnvironment(imdb_db, seed=0)
+
+
+@pytest.fixture(params=QUEUE_VIEWS)
+def make_queue(request):
+    """Factory of work queues seen in process or over the wire (see
+    ``queue_views``), every one closed afterwards."""
+    opened = []
+
+    def make(lease_timeout_s: float = 300.0):
+        opened.append(open_queue(request.param, lease_timeout_s))
+        return opened[-1]
+
+    yield make
+    for queue in opened:
+        queue.close()

@@ -159,6 +159,13 @@ class TestRuntimeConfigDefaults:
             with pytest.raises(ValueError):
                 RuntimeConfig(queue_url=directory_queue)
 
+    def test_queue_secret_keeps_none_apart_from_empty(self):
+        """None lets the sweep take REPRO_QUEUE_SECRET or mint a secret; only
+        an explicit "" turns frame authentication off."""
+        assert RuntimeConfig().queue_secret is None
+        assert RuntimeConfig(queue_secret="").queue_secret == ""
+        assert RuntimeConfig(queue_secret="s3cret").queue_secret == "s3cret"
+
     def test_queue_url_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
             RuntimeConfig(queue_url="http://coordinator:80")

@@ -48,6 +48,8 @@ from repro.storage.registry import get_process_registry
 from repro.storage.spec import DatabaseSpec
 from repro.workloads import build_workload
 
+from queue_views import WireQueue
+
 TRANSPORTS = ("tcp",)
 
 
@@ -72,11 +74,12 @@ def _drain_all(queue, held, acked):
 
 def _expire_every_lease(queue) -> list[str]:
     """``requeue_expired`` with every lease past its deadline (its worker died)."""
-    queue._now = lambda: float("inf")
+    server = getattr(queue, "server", queue)  # a WireQueue's sweep runs on its server
+    server._now = lambda: float("inf")
     try:
-        return queue.requeue_expired()
+        return server.requeue_expired()
     finally:
-        del queue._now
+        del server._now
 
 
 @st.composite
@@ -153,6 +156,17 @@ class TestExactlyOnceProperty:
             self._run(server, n_tasks, ops)
         finally:
             server.close()
+
+    @settings(max_examples=25, deadline=None)
+    @given(scenario=interleavings())
+    def test_wire_client(self, scenario):
+        """The same interleavings with every worker op sent over a socket."""
+        n_tasks, ops = scenario
+        queue = WireQueue(QueueServer(lease_timeout_s=300))
+        try:
+            self._run(queue, n_tasks, ops)
+        finally:
+            queue.close()
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +499,9 @@ class TestClientRetries:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(params=TRANSPORTS)
-def plain_queue(request, tmp_path):
-    server = QueueServer(lease_timeout_s=300)
-    yield server
-    server.close()
+@pytest.fixture
+def plain_queue(make_queue):
+    return make_queue()
 
 
 class TestQueueStatsEdgeCases:
@@ -576,23 +588,38 @@ class TestLeaseBoundary:
             monkeypatch.undo()
             server.close()
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_ack_landing_before_the_expiry_sweep_wins(self, tmp_path, transport):
+    def test_renew_at_the_edge_restarts_the_lease(self):
+        """A renewal landing exactly at the deadline keeps the claim and
+        starts a whole new lease from that moment."""
+        clock = {"now": 1000.0}
+        server = QueueServer(lease_timeout_s=60)
+        server._now = lambda: clock["now"]  # the queue's clock seam
+        try:
+            server.enqueue("t-0", "p")
+            claim = server.claim("w")
+            clock["now"] = 1060.0
+            server.renew(claim)  # the renewal that lands exactly at the edge
+            clock["now"] = 1119.9
+            assert server.requeue_expired() == []
+            assert server.has_live_claims()
+            clock["now"] = 1120.001
+            assert server.requeue_expired() == ["t-0"]
+        finally:
+            server.close()
+
+    def test_ack_landing_before_the_expiry_sweep_wins(self, make_queue):
         """requeue_expired racing an in-flight ack: when the ack lands first,
         the sweep must not resurrect the task — it completes exactly once."""
-        queue = QueueServer(lease_timeout_s=0.05)
-        try:
-            queue.enqueue("t-0", "p")
-            claim = queue.claim("slow-worker")
-            time.sleep(0.1)  # the lease is past its deadline, sweep imminent
-            queue.ack(claim, "slow-worker")  # ...but the ack arrives first
-            assert queue.requeue_expired() == []
-            assert queue.done_ids() == {"t-0"}
-            assert queue.claim("other") is None  # nothing to execute a second time
-            stats = queue.stats()
-            assert (stats.pending, stats.claimed, stats.done) == (0, 0, 1)
-        finally:
-            queue.close()
+        queue = make_queue(lease_timeout_s=0.05)
+        queue.enqueue("t-0", "p")
+        claim = queue.claim("slow-worker")
+        time.sleep(0.1)  # the lease is past its deadline, sweep imminent
+        queue.ack(claim, "slow-worker")  # ...but the ack arrives first
+        assert queue.requeue_expired() == []
+        assert queue.done_ids() == {"t-0"}
+        assert queue.claim("other") is None  # nothing to execute a second time
+        stats = queue.stats()
+        assert (stats.pending, stats.claimed, stats.done) == (0, 0, 1)
 
     def test_server_ack_after_requeue_completes_exactly_once(self):
         """The opposite order on the server: the zombie ack wins, the

@@ -220,11 +220,9 @@ class TestTaskRetries:
     coordinator re-queues failed tasks up to RuntimeConfig.task_retries times,
     and the final error reports the attempt count."""
 
-    @pytest.fixture(params=TRANSPORTS)
-    def retry_queue(self, request, tmp_path):
-        server = QueueServer(lease_timeout_s=30)
-        yield server
-        server.close()
+    @pytest.fixture
+    def retry_queue(self, make_queue):
+        return make_queue(lease_timeout_s=30)
 
     @staticmethod
     def _fail_once(queue, error="TransientError: boom"):
@@ -465,6 +463,44 @@ class TestNetQueue:
         finally:
             server.close()
 
+    def test_server_implements_the_worker_transport_protocol(self):
+        """The worker loop can drive the server in process as well as over a socket."""
+        server = QueueServer(lease_timeout_s=30)
+        try:
+            assert isinstance(server, WorkerQueueTransport)
+        finally:
+            server.close()
+
+    def test_an_ack_from_an_earlier_sweep_leaves_this_sweeps_task_pending(self):
+        """Task ids carry a sweep-unique prefix: a straggler still holding a
+        claim of an earlier sweep on the same server cannot complete one of
+        this sweep's tasks by acking its own."""
+        server = QueueServer(lease_timeout_s=30)
+        try:
+            server.enqueue("aaaa-0000", "old")
+            straggler = NetWorkQueue(server.url)
+            stale = straggler.claim("straggler")
+            server.reset()  # the next sweep starts on the same server
+            server.enqueue("bbbb-0000", "new")
+            straggler.ack(stale, "straggler")
+            assert server.pending_ids() == {"bbbb-0000"}
+            revived = NetWorkQueue(server.url).claim("w")
+            assert revived is not None and (revived.task_id, revived.payload) == ("bbbb-0000", "new")
+        finally:
+            server.close()
+
+    def test_a_negative_wait_returns_at_once(self):
+        """The server clamps a wait to [0, its frame deadline]: a negative
+        timeout is an immediate answer, not an error or a hang."""
+        server = QueueServer(lease_timeout_s=30)
+        try:
+            client = NetWorkQueue(server.url, retries=0)
+            started = time.monotonic()
+            assert client._request({"op": "wait", "timeout_s": -5.0})["ok"]
+            assert time.monotonic() - started < 1.0
+        finally:
+            server.close()
+
     def test_client_implements_the_worker_transport_protocol(self):
         server = QueueServer(lease_timeout_s=30)
         try:
@@ -510,6 +546,55 @@ class TestIdleWorker:
         assert worker._worker_loop(queue, "w", 0.2, None, None, 5.0, execute=None) == 0
         assert queue.waits == [0.2, 0.2, 0.2]
 
+    @staticmethod
+    def start_loop(url: str, execute) -> tuple[threading.Thread, dict]:
+        """The worker loop over the wire in a thread, with a 5 s poll interval."""
+        from repro.runtime import worker
+
+        out: dict = {}
+
+        def loop() -> None:
+            with NetWorkQueue(url, retries=0) as client:
+                out["completed"] = worker._worker_loop(client, "w", 5.0, None, None, 5.0, execute)
+
+        thread = threading.Thread(target=loop, daemon=True)
+        thread.start()
+        time.sleep(0.2)  # long enough to find the queue empty and start waiting
+        return thread, out
+
+    def test_a_stop_written_during_a_wait_ends_the_loop_at_once(self):
+        server = QueueServer(lease_timeout_s=30)
+        try:
+            thread, out = self.start_loop(server.url, execute=None)
+            assert thread.is_alive()
+            started = time.monotonic()
+            server.write_stop()
+            thread.join(timeout=10)
+            assert not thread.is_alive() and time.monotonic() - started < 2.0
+            assert out["completed"] == 0
+        finally:
+            server.close()
+
+    def test_a_task_enqueued_during_a_wait_is_run_at_once(self, tmp_path):
+        """The idle worker is woken by the enqueue, not by its poll interval,
+        and its upload lands in the coordinator's store."""
+        store = ResultStore(tmp_path / "store")
+        server = QueueServer(lease_timeout_s=30, result_store=store)
+        key = TaskKey("job", "random-0", "postgres", seed=1)
+        try:
+            thread, out = self.start_loop(server.url, execute=lambda payload: (_sample_result(), key, payload))
+            started = time.monotonic()
+            server.enqueue("t-0", "ctx")
+            while server.done_ids() != {"t-0"} and time.monotonic() - started < 10:
+                time.sleep(0.01)
+            assert time.monotonic() - started < 2.0
+            server.write_stop()
+            thread.join(timeout=10)
+            assert not thread.is_alive() and out["completed"] == 1
+            assert store.load(key, "ctx").to_dict() == _sample_result().to_dict()
+        finally:
+            server.close()
+
 
 class TestWaitForChange:
     """The coordinator's pause: the queue ends it on an ack or a failure."""
@@ -543,6 +628,29 @@ class TestWaitForChange:
             server.wait_for_change(0.05)
             assert time.monotonic() - started >= 0.04
         finally:
+            server.close()
+
+    def test_an_ack_and_a_failure_over_the_wire_wake_the_coordinator(self):
+        server = QueueServer(lease_timeout_s=30)
+        client = NetWorkQueue(server.url, retries=0)
+        try:
+            for act in ("ack", "fail"):
+                server.enqueue(f"t-{act}", "payload")
+                claim = client.claim("w")
+                timer = threading.Timer(0.05, {
+                    "ack": lambda: client.ack(claim, "w"),
+                    "fail": lambda: client.fail(claim, "w", "ValueError: boom"),
+                }[act])
+                timer.start()
+                started = time.monotonic()
+                server.wait_for_change(5.0)
+                waited = time.monotonic() - started
+                timer.join(timeout=5)
+                assert not timer.is_alive() and waited < 2.0, act
+            assert server.done_ids() == {"t-ack"}
+            assert server.failed_tasks() == {"t-fail": "ValueError: boom"}
+        finally:
+            client.close()
             server.close()
 
     def test_a_claim_that_finds_work_does_not_wake_the_coordinator(self):
@@ -591,6 +699,19 @@ class TestWaitForWork:
             client.close()
             server.close()
 
+    def test_a_client_wait_never_outlasts_its_own_socket_timeout(self):
+        """The client asks for half its socket timeout at most, so a long
+        poll interval ends in a normal answer, never in a recv timeout."""
+        server = QueueServer(lease_timeout_s=30)
+        client = NetWorkQueue(server.url, timeout_s=1.0, retries=0)
+        try:
+            elapsed = self.waited(lambda: client.wait_for_work(60.0))
+            assert 0.45 <= elapsed < 1.0
+            assert not client.stop_requested()  # the connection is still good
+        finally:
+            client.close()
+            server.close()
+
     def test_closing_an_idle_server_is_immediate(self):
         """No accept-loop poll to wait out, with or without a kept connection."""
         from repro.catalog.imdb import generate_imdb
@@ -608,6 +729,18 @@ class TestWaitForWork:
 
 
 class TestQueueUrlParsing:
+    @pytest.mark.parametrize(
+        ("url", "address"),
+        [
+            ("tcp://coordinator:1", ("coordinator", 1)),
+            ("tcp://coordinator.example:65535", ("coordinator.example", 65535)),
+            ("tcp://localhost:0", ("localhost", 0)),
+        ],
+    )
+    def test_hostnames_and_the_port_range_bounds_accepted(self, url, address):
+        parsed = parse_queue_url(url)
+        assert (parsed.host, parsed.port) == address
+
     def test_tcp_host_and_port(self):
         tcp = parse_queue_url("tcp://10.0.0.5:7077")
         assert (tcp.host, tcp.port) == ("10.0.0.5", 7077)
@@ -617,7 +750,8 @@ class TestQueueUrlParsing:
         "url",
         [
             "tcp://", "tcp://host", "tcp://host:notaport", "tcp://host:70777", "nfs://x/y", "file://",
-            "file:///shared/q", "/shared/q",
+            "file:///shared/q", "/shared/q", "tcp://:7077", "tcp://host:-1", "tcp://host:65536",
+            "tcp://host:7077/q", "TCP://host:7077",
         ],
     )
     def test_malformed_urls_rejected(self, url):
@@ -805,6 +939,49 @@ class TestDistributedRunner:
         )
         distributed = [run_result_as_json(r) for r in runner.run_grid(GRID_METHODS, [split])]
         assert seen == [unsigned_client]
+        serial = ParallelExperimentRunner(
+            spec, workload, experiment_config=GRID_CONFIG, runtime_config=RuntimeConfig(workers=1)
+        )
+        assert distributed == [run_result_as_json(r) for r in serial.run_grid(GRID_METHODS, [split])]
+
+    def test_an_environment_secret_keys_a_loopback_sweep(self, tmp_path, monkeypatch):
+        """A set REPRO_QUEUE_SECRET is the sweep's secret: a client keyed with
+        it is served and an unsigned one is not.  The default url binds
+        loopback on a real port, and the queue leaves nothing on disk beside
+        the store's results, its manifest and the worker logs."""
+        monkeypatch.setenv("REPRO_QUEUE_SECRET", "env-secret")
+        spec, workload, split = _spec_grid_parts()
+        seen: dict[str, str] = {}
+
+        def probe(snapshot):
+            if seen:
+                return
+            seen["url"] = runner._distributed_queue.url
+            for name, secret in (("keyed", "env-secret"), ("unsigned", "")):
+                with NetWorkQueue(seen["url"], secret=secret, retries=0) as client:
+                    try:
+                        client.stats()
+                        seen[name] = "accepted"
+                    except QueueAuthError:
+                        seen[name] = "rejected"
+
+        runner = ParallelExperimentRunner(
+            spec,
+            workload,
+            experiment_config=GRID_CONFIG,
+            runtime_config=distributed_runtime(
+                tmp_path / "store", workers=1, shard_count=2, progress_interval_s=0.05
+            ),
+            progress_callback=probe,
+        )
+        distributed = [run_result_as_json(r) for r in runner.run_grid(GRID_METHODS, [split])]
+        host, _, port = seen["url"].removeprefix("tcp://").rpartition(":")
+        assert host == "127.0.0.1" and int(port) > 0
+        assert (seen["keyed"], seen["unsigned"]) == ("accepted", "rejected")
+        store = runner.result_store
+        on_disk = {path for path in store.root.rglob("*") if path.is_file()}
+        logs = set((store.root / "worker-logs").iterdir())
+        assert on_disk - logs == set(store.completed_files()) | {store.root / "manifest.json"}
         serial = ParallelExperimentRunner(
             spec, workload, experiment_config=GRID_CONFIG, runtime_config=RuntimeConfig(workers=1)
         )

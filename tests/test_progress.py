@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.runtime.progress import DEFAULT_PROGRESS_INTERVAL_S, ProgressSnapshot, SweepProgress
-from repro.runtime.netqueue import QueueServer
+from repro.runtime.netqueue import NetWorkQueue, QueueServer
 from repro.runtime.workqueue import QueueStats
 
 
@@ -269,6 +269,32 @@ class TestReporterThread:
         polled = len(seen)
         time.sleep(0.15)  # a stopped reporter takes no further snapshots
         assert len(seen) == polled
+
+    def test_background_polling_over_the_wire(self):
+        """A worker's reporter sees the coordinator's queue through its
+        NetWorkQueue client: the same counts, per-worker completions included."""
+        import time
+
+        queue = QueueServer()
+        client = NetWorkQueue(queue.url, retries=0)
+        seen = []
+        try:
+            queue.enqueue("t-0", "task")
+            queue.enqueue("t-1", "task")
+            client.ack(client.claim("w"), "w")
+            reporter = SweepProgress(client, total=None, interval_s=0.05, callback=seen.append).start()
+            for _ in range(100):
+                if seen:
+                    break
+                time.sleep(0.05)
+            reporter.stop()
+        finally:
+            client.close()
+            queue.close()
+        assert seen
+        snapshot = seen[-1]
+        assert (snapshot.pending, snapshot.claimed, snapshot.done, snapshot.failed) == (1, 0, 1, 0)
+        assert snapshot.workers == {"w": 1} and snapshot.stats_errors == 0
 
     def test_failing_poll_does_not_kill_the_reporter(self):
         class FlakyQueue:

@@ -19,12 +19,14 @@ from repro.runtime.netqueue import QueueServer
 from repro.runtime.result_store import atomic_write_bytes
 from repro.runtime.workqueue import CLAIMED, PENDING
 
-TRANSPORTS = ("tcp",)
+# The state machine's rules run on both views of the queue (``make_queue``,
+# conftest): in process, and with every worker op over the wire.
 
 
-@pytest.fixture(params=TRANSPORTS)
-def make_queue(request, tmp_path):
-    """Factory of queue servers, closing them afterwards."""
+@pytest.fixture(params=("tcp",))
+def make_server(request):
+    """Factory of in-process queue servers (the storage primitives are not
+    on the wire), closing them afterwards."""
     servers = []
 
     def make(lease_timeout_s: float = 300.0):
@@ -110,6 +112,64 @@ class TestOnePendingPool:
         assert queue.failed_tasks() == {}
 
 
+class TestQueueLifecycle:
+    def test_reset_reconciles_a_reused_queue(self, make_queue):
+        """A crashed sweep's leftovers (a live claim, markers, the stop flag)
+        do not leak into the next sweep on the same server."""
+        queue = make_queue()
+        queue.enqueue("old-0", "task")
+        queue.enqueue("old-1", "task")
+        assert queue.claim("w").task_id == "old-0"
+        queue.enqueue("old-2", "task")
+        queue.ack(queue.claim("w"), "w")
+        queue.fail(queue.claim("w"), "w", "boom")
+        queue.write_stop()
+        assert queue.reset() == 3  # 1 claimed + 1 done marker + 1 failed marker
+        assert queue.pending_ids() == queue.claimed_ids() == queue.done_ids() == set()
+        assert queue.failed_tasks() == {} and queue.worker_done_counts() == {}
+        assert not queue.stop_requested()
+        queue.enqueue("new-0", "task")
+        assert queue.claim("w").task_id == "new-0"
+
+    def test_stop_is_seen_by_every_worker_until_cleared(self, make_queue):
+        queue = make_queue()
+        assert not queue.stop_requested()
+        queue.write_stop()
+        assert queue.stop_requested() and queue.stop_requested()  # a poll does not consume it
+        queue.clear_stop()
+        assert not queue.stop_requested()
+
+    def test_any_string_is_a_task_id(self, make_queue):
+        """Tasks live in dicts, not in files: an id needs no filename check."""
+        queue = make_queue()
+        task_ids = ["../escape", "a/b", "with space", "t-0"]
+        for task_id in task_ids:
+            queue.enqueue(task_id, {"id": task_id})
+        claims = [queue.claim("w") for _ in task_ids]
+        assert [(claim.task_id, claim.payload) for claim in claims] == [
+            (task_id, {"id": task_id}) for task_id in sorted(task_ids)
+        ]
+        for claim in claims:
+            queue.ack(claim, "w")
+        assert queue.done_ids() == set(task_ids)
+
+    def test_stats_never_loads_a_marker(self, make_queue, monkeypatch):
+        """The coordinator polls stats() every few hundred milliseconds: it
+        counts entries and leaves the markers to failed_tasks()."""
+        queue = make_queue()
+        for index in range(2):
+            queue.enqueue(f"t-{index}", "task")
+            queue.fail(queue.claim("w"), "w", "boom")
+        queue.enqueue("t-2", "task")
+        queue.ack(queue.claim("w"), "w")
+
+        def must_not_load(bucket, name):
+            raise AssertionError(f"stats() loaded {bucket}/{name}")
+
+        monkeypatch.setattr(getattr(queue, "server", queue), "_load", must_not_load)
+        assert queue.stats().describe() == "0 pending, 0 claimed, 1 done, 2 failed"
+
+
 class TestConcurrentClaims:
     def test_racing_claims_hand_each_task_out_once(self, make_queue):
         """More claiming threads than cores: a claim is a sequence of
@@ -189,11 +249,48 @@ class TestConcurrentClaims:
         assert {task: owners for task, owners in claimed.items() if len(owners) > 1} == {}
 
 
+    def test_progress_polls_racing_acks_see_each_completion_once(self, make_queue):
+        """The progress reporter reads worker_done_counts() and stats() while
+        workers ack: every read is one consistent pass over the markers."""
+        queue = make_queue()
+        task_ids = [f"t-{index:03d}" for index in range(40)]
+        for index, task_id in enumerate(task_ids):
+            queue.enqueue(task_id, index)
+        polls: list[tuple[int, int]] = []
+        done = threading.Event()
+
+        def work(name: str) -> None:
+            while (claim := queue.claim(name)) is not None:
+                queue.ack(claim, name)
+
+        def poll() -> None:
+            while not done.is_set():
+                counts = queue.worker_done_counts()
+                polls.append((sum(counts.values()), queue.stats().done))
+
+        poller = threading.Thread(target=poll, daemon=True)
+        workers = [threading.Thread(target=work, args=(f"w-{index}",), daemon=True) for index in range(4)]
+        poller.start()
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=30)
+        done.set()
+        poller.join(timeout=10)
+        assert not poller.is_alive() and not any(thread.is_alive() for thread in workers)
+        assert polls
+        # Completions only grow, and a count never runs ahead of the stats read after it.
+        assert all(counted <= stats_done <= len(task_ids) for counted, stats_done in polls)
+        assert [counted for counted, _ in polls] == sorted(counted for counted, _ in polls)
+        counts = queue.worker_done_counts()
+        assert sum(counts.values()) == len(task_ids) and set(counts) <= {f"w-{index}" for index in range(4)}
+
+
 class TestStoragePrimitives:
     """The contract ``BucketQueue``'s state machine is written against."""
 
-    def test_of_two_moves_of_one_name_only_the_first_wins(self, make_queue):
-        queue = make_queue()
+    def test_of_two_moves_of_one_name_only_the_first_wins(self, make_server):
+        queue = make_server()
         queue.enqueue("t-0", "payload")
         stamped = queue._stamp(PENDING, "t-0")
         assert queue._move(PENDING, CLAIMED, "t-0")
@@ -202,8 +299,8 @@ class TestStoragePrimitives:
         assert queue._stamp(CLAIMED, "t-0") == stamped  # a move carries the stamp
         assert queue._load(CLAIMED, "t-0") == "payload"
 
-    def test_a_gone_entry_is_neither_loaded_nor_touched_back_to_life(self, make_queue):
-        queue = make_queue()
+    def test_a_gone_entry_is_neither_loaded_nor_touched_back_to_life(self, make_server):
+        queue = make_server()
         assert not queue._touch(CLAIMED, "ghost")
         assert queue._stamp(CLAIMED, "ghost") is None
         assert queue._names(CLAIMED) == []
