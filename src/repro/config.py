@@ -319,8 +319,8 @@ class RuntimeConfig:
             pins the count: reopening it with another raises.  Only results
             are sharded — every worker claims from one pending pool.
         queue_url: ``tcp://<host>:<port>`` the coordinator serves the
-            distributed work queue on (port ``0`` binds an ephemeral port);
-            ``None`` means loopback on an ephemeral port.  Workers need **no**
+            distributed work queue on (port ``0``, the default on loopback,
+            binds an ephemeral port).  Workers need **no**
             filesystem in common with the coordinator — they claim over the
             socket and upload results back with their acks.
         lease_timeout_s: distributed claim lease — a claimed task whose worker
@@ -351,7 +351,7 @@ class RuntimeConfig:
     store_dir: str | None = None
     skip_existing: bool = True
     shard_count: int = 0
-    queue_url: str | None = None
+    queue_url: str = "tcp://127.0.0.1:0"
     lease_timeout_s: float = 60.0
     task_retries: int = 1
     progress_interval_s: float | None = None
@@ -374,17 +374,16 @@ class RuntimeConfig:
             raise ValueError("RuntimeConfig.task_retries must be >= 0")
         if self.progress_interval_s is not None and self.progress_interval_s <= 0:
             raise ValueError("RuntimeConfig.progress_interval_s must be positive (or None)")
-        if self.queue_url is not None:
-            # Validate with the one real parser (lazy import: repro.runtime
-            # depends on this module at class-definition time, not vice versa)
-            # so malformed urls fail at construction, not mid-sweep.
-            from repro.errors import ExperimentError
-            from repro.runtime.workqueue import parse_queue_url
+        # Validate with the one real parser (lazy import: repro.runtime
+        # depends on this module at class-definition time, not vice versa)
+        # so malformed urls fail at construction, not mid-sweep.
+        from repro.errors import ExperimentError
+        from repro.runtime.workqueue import parse_queue_url
 
-            try:
-                parse_queue_url(self.queue_url)
-            except ExperimentError as exc:
-                raise ValueError(f"invalid RuntimeConfig.queue_url: {exc}") from exc
+        try:
+            parse_queue_url(self.queue_url)
+        except ExperimentError as exc:
+            raise ValueError(f"invalid RuntimeConfig.queue_url: {exc}") from exc
 
     def with_overrides(self, **overrides: Any) -> "RuntimeConfig":
         return replace(self, **overrides)

@@ -100,7 +100,7 @@ def distributed_runtime(
     store_dir: str | os.PathLike,
     workers: int = 2,
     shard_count: int = 4,
-    queue_url: str | None = None,
+    queue_url: str = "tcp://127.0.0.1:0",
     lease_timeout_s: float = 60.0,
     task_retries: int = 1,
     progress_interval_s: float | None = None,
@@ -112,7 +112,7 @@ def distributed_runtime(
     ``shard_count`` shard directories under ``store_dir`` (so concurrent
     writers never contend on one directory)
     and coordinates through a work queue the coordinator serves over TCP on
-    ``queue_url`` (``None``: loopback on an ephemeral port; pass
+    ``queue_url`` (default: loopback on an ephemeral port; pass
     ``"tcp://0.0.0.0:7077"`` to let other hosts in).  Workers share *nothing*
     with the coordinator: results are uploaded back over the socket into the
     coordinator-local store.  ``workers`` local worker processes are launched

@@ -70,10 +70,6 @@ from repro.workloads.workload import Workload
 #: (``BucketQueue.wait_for_change`` returns sooner when a worker acts).
 COORDINATOR_POLL_S = 0.2
 
-#: Where the coordinator serves the queue when ``RuntimeConfig.queue_url`` is
-#: unset: loopback, on a port the kernel picks.
-DEFAULT_QUEUE_URL = "tcp://127.0.0.1:0"
-
 
 @dataclass(frozen=True)
 class ExperimentTask:
@@ -434,7 +430,7 @@ class ParallelExperimentRunner:
                 "the coordinator persists the workers' uploaded results there)"
             )
         config = self.runtime_config
-        address = parse_queue_url(config.queue_url or DEFAULT_QUEUE_URL)
+        address = parse_queue_url(config.queue_url)
         secret = config.queue_secret
         if secret is None:
             # Never an unauthenticated pickle port: without a configured
@@ -548,19 +544,19 @@ class ParallelExperimentRunner:
 
     @staticmethod
     def _spawn_worker(
-        url: str, index: int, lease_timeout_s: float, log_dir: Path, secret: str | None = None
+        url: str, index: int, lease_timeout_s: float, log_dir: Path, secret: str
     ) -> subprocess.Popen:
         """Launch one local queue worker against the coordinator's tcp:// url.
 
         ``secret`` is exported as ``REPRO_QUEUE_SECRET`` — environment, never
-        argv, so it cannot leak through a process listing.
+        argv, so it cannot leak through a process listing.  It replaces any
+        inherited value: ``""`` (authentication off) stays off in the worker.
         """
         source_root = Path(__file__).resolve().parents[2]
         env = dict(os.environ)
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = str(source_root) + (os.pathsep + existing if existing else "")
-        if secret is not None:
-            env[QUEUE_SECRET_ENV] = secret
+        env[QUEUE_SECRET_ENV] = secret
         log_dir.mkdir(parents=True, exist_ok=True)
         command = [
             sys.executable,

@@ -246,25 +246,9 @@ class BucketQueue:
             self._notify()
         return requeued
 
-    def reset(self) -> int:
-        """Drop every task, ack marker and the stop sentinel.
-
-        Returns the number of tasks and markers removed.
-        """
-        removed = sum(
-            self._drop(bucket, name)
-            for bucket in (PENDING, CLAIMED, DONE, FAILED)
-            for name in self._names(bucket)
-        )
-        self.clear_stop()
-        return removed
-
     def write_stop(self) -> None:
         self._put(STOP, STOP_SENTINEL)
         self._notify()
-
-    def clear_stop(self) -> None:
-        self._drop(STOP, STOP_SENTINEL)
 
     def stop_requested(self) -> bool:
         return self._stamp(STOP, STOP_SENTINEL) is not None

@@ -4,7 +4,7 @@
 ``wire``: the same server as a sweep's workers see it — every worker-side op
 (claim, renew, ack, fail, ...) travels over a socket through a
 :class:`NetWorkQueue` client, one client per calling thread, while the
-coordinator's ops (enqueue, requeue_expired, reset, ...) stay in process.
+coordinator's ops (enqueue, requeue_expired, write_stop, ...) stay in process.
 """
 
 from __future__ import annotations

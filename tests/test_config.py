@@ -153,7 +153,7 @@ class TestRuntimeConfigDefaults:
             RuntimeConfig(task_retries=-1)
 
     def test_queue_url_accepts_only_tcp(self):
-        assert RuntimeConfig().queue_url is None  # loopback, ephemeral port
+        assert RuntimeConfig().queue_url == "tcp://127.0.0.1:0"  # loopback, ephemeral port
         assert RuntimeConfig(queue_url="tcp://127.0.0.1:0").queue_url == "tcp://127.0.0.1:0"
         for directory_queue in ("file:///shared/q", "/shared/q"):
             with pytest.raises(ValueError):

@@ -449,20 +449,6 @@ class TestNetQueue:
         finally:
             server.close()
 
-    def test_reset_clears_all_state(self):
-        server = QueueServer(lease_timeout_s=30)
-        try:
-            server.enqueue("t-0", "a")
-            server.enqueue("t-1", "b")
-            claim = server.claim("w")
-            server.ack(claim, "w")
-            server.write_stop()
-            assert server.reset() == 2  # 1 pending + 1 done
-            assert server.stats().describe() == "0 pending, 0 claimed, 0 done, 0 failed"
-            assert not server.stop_requested()
-        finally:
-            server.close()
-
     def test_server_implements_the_worker_transport_protocol(self):
         """The worker loop can drive the server in process as well as over a socket."""
         server = QueueServer(lease_timeout_s=30)
@@ -473,21 +459,27 @@ class TestNetQueue:
 
     def test_an_ack_from_an_earlier_sweep_leaves_this_sweeps_task_pending(self):
         """Task ids carry a sweep-unique prefix: a straggler still holding a
-        claim of an earlier sweep on the same server cannot complete one of
-        this sweep's tasks by acking its own."""
-        server = QueueServer(lease_timeout_s=30)
+        claim of an earlier sweep cannot complete one of this sweep's tasks
+        when the next sweep's server binds the same fixed port."""
+        earlier = QueueServer(lease_timeout_s=30)
+        straggler = NetWorkQueue(earlier.url)
         try:
-            server.enqueue("aaaa-0000", "old")
-            straggler = NetWorkQueue(server.url)
+            earlier.enqueue("aaaa-0000", "old")
             stale = straggler.claim("straggler")
-            server.reset()  # the next sweep starts on the same server
-            server.enqueue("bbbb-0000", "new")
-            straggler.ack(stale, "straggler")
-            assert server.pending_ids() == {"bbbb-0000"}
-            revived = NetWorkQueue(server.url).claim("w")
-            assert revived is not None and (revived.task_id, revived.payload) == ("bbbb-0000", "new")
+            earlier.close()
+            server = QueueServer(host="127.0.0.1", port=earlier.port, lease_timeout_s=30)
+            try:
+                assert server.url == earlier.url
+                server.enqueue("bbbb-0000", "new")
+                straggler.ack(stale, "straggler")  # reconnects to the new server
+                assert server.pending_ids() == {"bbbb-0000"}
+                revived = NetWorkQueue(server.url).claim("w")
+                assert revived is not None and (revived.task_id, revived.payload) == ("bbbb-0000", "new")
+            finally:
+                server.close()
         finally:
-            server.close()
+            straggler.close()
+            earlier.close()
 
     def test_a_negative_wait_returns_at_once(self):
         """The server clamps a wait to [0, its frame deadline]: a negative
@@ -986,6 +978,21 @@ class TestDistributedRunner:
             spec, workload, experiment_config=GRID_CONFIG, runtime_config=RuntimeConfig(workers=1)
         )
         assert distributed == [run_result_as_json(r) for r in serial.run_grid(GRID_METHODS, [split])]
+
+    @pytest.mark.parametrize("secret", ["sweep-secret", ""])
+    def test_a_worker_gets_the_sweeps_secret_not_an_inherited_one(self, tmp_path, monkeypatch, secret):
+        """The sweep's secret always replaces REPRO_QUEUE_SECRET in a local
+        worker's environment: an explicit "" (authentication off) stays off
+        there too, instead of the worker signing frames the server rejects."""
+        monkeypatch.setenv("REPRO_QUEUE_SECRET", "inherited")
+        launched: list[dict] = []
+
+        def fake_popen(command, stdout, stderr, env):
+            launched.append(env)
+
+        monkeypatch.setattr(subprocess, "Popen", fake_popen)
+        ParallelExperimentRunner._spawn_worker("tcp://127.0.0.1:7077", 0, 1.0, tmp_path, secret)
+        assert [env["REPRO_QUEUE_SECRET"] for env in launched] == [secret]
 
     def test_distributed_requires_result_store(self):
         spec, workload, split = _spec_grid_parts()

@@ -113,31 +113,11 @@ class TestOnePendingPool:
 
 
 class TestQueueLifecycle:
-    def test_reset_reconciles_a_reused_queue(self, make_queue):
-        """A crashed sweep's leftovers (a live claim, markers, the stop flag)
-        do not leak into the next sweep on the same server."""
-        queue = make_queue()
-        queue.enqueue("old-0", "task")
-        queue.enqueue("old-1", "task")
-        assert queue.claim("w").task_id == "old-0"
-        queue.enqueue("old-2", "task")
-        queue.ack(queue.claim("w"), "w")
-        queue.fail(queue.claim("w"), "w", "boom")
-        queue.write_stop()
-        assert queue.reset() == 3  # 1 claimed + 1 done marker + 1 failed marker
-        assert queue.pending_ids() == queue.claimed_ids() == queue.done_ids() == set()
-        assert queue.failed_tasks() == {} and queue.worker_done_counts() == {}
-        assert not queue.stop_requested()
-        queue.enqueue("new-0", "task")
-        assert queue.claim("w").task_id == "new-0"
-
-    def test_stop_is_seen_by_every_worker_until_cleared(self, make_queue):
+    def test_a_stop_is_seen_by_every_poll(self, make_queue):
         queue = make_queue()
         assert not queue.stop_requested()
         queue.write_stop()
         assert queue.stop_requested() and queue.stop_requested()  # a poll does not consume it
-        queue.clear_stop()
-        assert not queue.stop_requested()
 
     def test_any_string_is_a_task_id(self, make_queue):
         """Tasks live in dicts, not in files: an id needs no filename check."""
