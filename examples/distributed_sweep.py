@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import sys
 import tempfile
 import threading
@@ -53,6 +54,10 @@ from repro.runtime.netqueue import NetWorkQueue, QueueAuthError
 from repro.runtime.parallel import ParallelExperimentRunner
 
 METHODS = ("postgres", "bao")
+
+#: How long a frozen worker's last frame gets to settle on the server before
+#: the kill (persisting an uploaded result is one atomic file write).
+SETTLE_S = 0.2
 
 EXPERIMENT_CONFIG = ExperimentConfig(
     optimizer_kwargs={"bao": {"training_passes": 1}},
@@ -103,6 +108,16 @@ def kill_one_worker_mid_sweep(
             stats = queue.stats()
             if stats.claimed >= len(procs) and stats.done >= 1:
                 victim = procs[0]
+                # Freeze the victim first: an ack it sent just before is still
+                # being persisted by the server, its claim still counted.  Once
+                # that settled, every worker still holding a claim (one at
+                # most each) means the frozen victim holds one to strand.
+                victim.send_signal(signal.SIGSTOP)
+                time.sleep(SETTLE_S)
+                stats = queue.stats()
+                if stats.claimed < len(procs):
+                    victim.send_signal(signal.SIGCONT)
+                    continue
                 victim.kill()  # SIGKILL: no cleanup, its lease renewals just stop
                 print(f"killed worker pid {victim.pid} mid-sweep "
                       f"({stats.done} tasks done, {stats.claimed} claims held)")
