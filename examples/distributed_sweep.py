@@ -55,7 +55,7 @@ from repro.runtime.parallel import ParallelExperimentRunner
 
 METHODS = ("postgres", "bao")
 
-#: How long a frozen worker's last frame gets to settle on the server before
+#: How long frozen workers' last frames get to settle on the server before
 #: the kill (persisting an uploaded result is one atomic file write).
 SETTLE_S = 0.2
 
@@ -107,21 +107,24 @@ def kill_one_worker_mid_sweep(
         if queue is not None and len(procs) >= 2:
             stats = queue.stats()
             if stats.claimed >= len(procs) and stats.done >= 1:
-                victim = procs[0]
-                # Freeze the victim first: an ack it sent just before is still
+                # Freeze every worker first: an ack sent just before is still
                 # being persisted by the server, its claim still counted.  Once
                 # that settled, every worker still holding a claim (one at
-                # most each) means the frozen victim holds one to strand.
-                victim.send_signal(signal.SIGSTOP)
+                # most each) means the victim holds one to strand.  Frozen
+                # workers drain no tasks while this is checked.
+                for proc in procs:
+                    proc.send_signal(signal.SIGSTOP)
                 time.sleep(SETTLE_S)
                 stats = queue.stats()
-                if stats.claimed < len(procs):
-                    victim.send_signal(signal.SIGCONT)
-                    continue
-                victim.kill()  # SIGKILL: no cleanup, its lease renewals just stop
-                print(f"killed worker pid {victim.pid} mid-sweep "
-                      f"({stats.done} tasks done, {stats.claimed} claims held)")
-                return True
+                victim = procs[0] if stats.claimed >= len(procs) else None
+                if victim is not None:
+                    victim.kill()  # SIGKILL: no cleanup, its lease renewals just stop
+                for proc in procs:
+                    proc.send_signal(signal.SIGCONT)  # a no-op on the reaped victim
+                if victim is not None:
+                    print(f"killed worker pid {victim.pid} mid-sweep "
+                          f"({stats.done} tasks done, {stats.claimed} claims held)")
+                    return True
         time.sleep(0.05)
     return False
 
