@@ -46,6 +46,9 @@
 #                            times, timeouts and training accounting); only
 #                            for a change that alters the simulated clock on
 #                            purpose
+#   make golden-check      - only the byte-identity gates: plan, execution,
+#                            LQO-search and run digests (a refactor's check
+#                            that every recorded byte still holds)
 #   make perfbench         - the repo's layered benchmark (BENCHMARK.json):
 #                            every workload, end-to-end + per-layer metrics,
 #                            written under .perfbench_out/ (perfbench/README.md)
@@ -86,7 +89,7 @@ FUZZ_CORPUS ?= $(shell mktemp -d /tmp/repro-fuzz-corpus.XXXXXX)
 # value only needs to match between coordinator and workers).
 REPRO_QUEUE_SECRET ?= local-bench-secret
 
-.PHONY: test lint typecheck docs-check bench-smoke bench-parallel bench-distributed bench-progress bench-executor bench-plan-serving fuzz-engines golden-plans golden-executions golden-searches golden-runs perfbench perfbench-compare perfbench-pairs bench example
+.PHONY: test lint typecheck docs-check bench-smoke bench-parallel bench-distributed bench-progress bench-executor bench-plan-serving fuzz-engines golden-check golden-plans golden-executions golden-searches golden-runs perfbench perfbench-compare perfbench-pairs bench example
 
 test:
 	$(PYTHON) -m pytest -x -q --durations=15
@@ -135,6 +138,12 @@ bench-plan-serving:
 fuzz-engines:
 	REPRO_FUZZ_COUNT=1000 REPRO_FUZZ_CORPUS=$(FUZZ_CORPUS) \
 	$(PYTHON) -m pytest tests/test_fuzz_engines.py -q
+
+GOLDEN_GATES = tests/test_optimizer.py::TestGoldenPlans tests/test_execution_digests.py \
+	tests/test_search_loop.py tests/test_run_digests.py
+
+golden-check:
+	$(PYTHON) -m pytest -q $(GOLDEN_GATES)
 
 golden-plans:
 	$(PYTHON) tools/record_plan_digests.py

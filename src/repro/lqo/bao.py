@@ -52,9 +52,11 @@ class BaoOptimizer(BaseOptimizer):
     # ------------------------------------------------------------------ features
     def _arm_plans(self, query: BenchmarkQuery):
         """Plan the query under every arm; returns list of (arm, planner_result, vector)."""
+        # One planning context for all arms: its memos do not depend on hints.
+        context = self.env.planner.cost_model.planning_context()
         out = []
         for arm in BAO_HINT_SETS:
-            result = self.env.plan_with_hints(query.bound, arm)
+            result = self.env.plan_with_hints(query.bound, arm, context)
             vector = self.env.plan_vector(result.plan)
             out.append((arm, result, vector))
         return out

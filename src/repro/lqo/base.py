@@ -108,7 +108,7 @@ class LQOEnvironment:
         """Plan a query through the simulated DBMS planner (optionally hinted).
 
         ``context`` is the caller's planning context for ``query`` when it
-        plans it under many hint sets that the context serves.
+        plans it many times: one context serves any hint sets.
         """
         return self.planner.plan_with_info(query, hints, context=context)
 

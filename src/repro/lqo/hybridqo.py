@@ -20,6 +20,7 @@ from repro.lqo.base import BaseOptimizer, LQOEnvironment, PlannedQuery, Training
 from repro.ml.nn import MLPRegressor
 from repro.ml.replay import Experience, ReplayBuffer
 from repro.optimizer.cost_model import PlanningContext
+from repro.optimizer.join_graph import JoinGraph
 from repro.optimizer.planner import PlannerResult
 from repro.plans.hints import NO_HINTS, HintSet
 from repro.sql.binder import BoundQuery
@@ -81,14 +82,14 @@ class HybridQOOptimizer(BaseOptimizer):
         max_len = min(self.prefix_length, len(aliases))
         root = _MCTSNode(())
         baseline = self._rollout_cost(query, (), context)
+        graph = JoinGraph(query)
 
         def expandable(node: _MCTSNode) -> list[str]:
             remaining = [a for a in aliases if a not in node.prefix]
             if not node.prefix:
                 return remaining
-            graph_connected = [
-                a for a in remaining if query.joins_between(set(node.prefix), {a})
-            ]
+            prefix = sum(graph.bit_of[a] for a in node.prefix)
+            graph_connected = [a for a in remaining if graph.predicates(prefix, graph.bit_of[a])]
             return graph_connected or remaining
 
         for _ in range(self.mcts_iterations):
@@ -137,8 +138,8 @@ class HybridQOOptimizer(BaseOptimizer):
 
     def _candidate_plans(self, query: BoundQuery) -> list[tuple[HintSet, PlannerResult]]:
         """Turn MCTS prefixes into hints and plan each candidate through the DBMS."""
-        # The query is planned some 45 times (rollouts + candidates) under
-        # hints that differ in ``leading`` alone: one context serves them all.
+        # The query is planned some 45 times (rollouts + candidates): one
+        # context serves them all.
         context = self.env.planner.cost_model.planning_context()
         candidates: list[tuple[HintSet, PlannerResult]] = [
             (NO_HINTS, self.env.plan_with_hints(query, NO_HINTS, context))

@@ -23,7 +23,8 @@ from repro import simclock
 from repro.lqo.base import BaseOptimizer, LQOEnvironment, PlannedQuery, TrainingReport
 from repro.ml.nn import PairwiseRanker
 from repro.optimizer.cost_model import JoinInput
-from repro.plans.hints import BAO_HINT_SETS
+from repro.optimizer.join_graph import JoinGraph
+from repro.plans.hints import BAO_HINT_SETS, NO_HINTS
 from repro.plans.physical import JoinCandidate, PlanNode, validate_plan
 from repro.sql.binder import BoundQuery, JoinPredicate
 from repro.workloads.workload import BenchmarkQuery
@@ -57,23 +58,19 @@ class _RankedSearch:
         self.context = self.cost_model.planning_context()
         self.encoder = env.tree_conv if ranker.is_trained else None
         self.query_vector = env.query_vector(query) if ranker.is_trained else None
-        self.bit_of = bit_of = {alias: 1 << i for i, alias in enumerate(query.aliases)}
-        # Every join predicate beside the mask of its two aliases, in ``query.joins`` order.
-        self._edges = [(bit_of.get(j.left_alias, 0) | bit_of.get(j.right_alias, 0), j) for j in query.joins]
-
-    def predicates(self, left_mask: int, right_mask: int) -> list[JoinPredicate]:
-        """``query.joins_between`` the aliases of two disjoint masks."""
-        return [j for edge_mask, j in self._edges if edge_mask & left_mask and edge_mask & right_mask]
+        self.graph = JoinGraph(query)
+        self.join_types = self.cost_model.allowed_operators(NO_HINTS, self.context).join_types
 
     def scan(self, alias: str) -> Subplan:
         scan = self.cost_model.best_scan(self.query, alias, context=self.context)
         state = None if self.encoder is None else self.encoder.node_state(scan)
-        return scan, _Held(self.bit_of[alias], self.cost_model.join_input(self.query, scan, self.context), state)
+        return scan, _Held(self.graph.bit_of[alias], self.cost_model.join_input(self.query, scan, self.context), state)
 
     def join(self, left: Subplan, right: Subplan, predicates: list[JoinPredicate]) -> Subplan:
         (left_plan, left_held), (right_plan, right_held) = left, right
         join = self.cost_model.candidate_join(
-            self.query, left_plan, right_plan, left_held.record, right_held.record, predicates, self.context
+            self.query, self.join_types, left_plan, right_plan, left_held.record, right_held.record, predicates,
+            self.context,
         )
         record = self.cost_model.joined_input(
             left_held.record, right_held.record, (join.estimated_rows, join.estimated_cost)
@@ -205,7 +202,7 @@ class LeonOptimizer(BaseOptimizer):
                 while sub:
                     other = mask ^ sub
                     if sub in table and other in table:
-                        predicates = search.predicates(sub, other)
+                        predicates = search.graph.predicates(sub, other)
                         if predicates:
                             for left in table[sub]:
                                 for right in table[other]:
@@ -226,8 +223,8 @@ class LeonOptimizer(BaseOptimizer):
             for beam in beams:
                 mask = beam[1].mask
                 links = [
-                    (alias, search.predicates(mask, bit))
-                    for alias, bit in search.bit_of.items() if not bit & mask
+                    (alias, search.graph.predicates(mask, bit))
+                    for alias, bit in search.graph.bit_of.items() if not bit & mask
                 ]
                 connected = [link for link in links if link[1]] or links
                 expansions += [search.join(beam, scans[alias], predicates) for alias, predicates in connected]

@@ -29,7 +29,9 @@ from repro.ml.nn import MLPRegressor
 from repro.ml.replay import Experience, ReplayBuffer
 from repro.ml.tree_models import TreeConvolutionEncoder
 from repro.optimizer.cost_model import JoinInput, PlanningContext
+from repro.optimizer.join_graph import JoinGraph
 from repro.plans.physical import JoinCandidate, PlanNode, validate_plan
+from repro.plans.hints import NO_HINTS
 from repro.sql.binder import BoundQuery, JoinPredicate
 from repro.workloads.workload import BenchmarkQuery
 
@@ -63,20 +65,17 @@ class _GreedySearch:
         self.context = context
         self.vector = vector
         self.encoder = encoder
-        self.bit_of = bit_of = {alias: 1 << i for i, alias in enumerate(query.aliases)}
-        # Every join predicate beside the mask of its two aliases, in ``query.joins`` order.
-        self._edges = [(bit_of.get(j.left_alias, 0) | bit_of.get(j.right_alias, 0), j) for j in query.joins]
+        self.graph = JoinGraph(query)
+        self.join_types = self.cost_model.allowed_operators(NO_HINTS, context).join_types
         #: ``(left mask, right mask) -> (candidate, its state, its scored row)``.
         self.joins: dict[tuple[int, int], tuple[JoinCandidate, Any, np.ndarray | None]] = {}
 
     def scan(self, alias: str) -> _Subplan:
         scan = self.cost_model.best_scan(self.query, alias, context=self.context)
         state = None if self.encoder is None else self.encoder.node_state(scan)
-        return _Subplan(scan, self.bit_of[alias], self.cost_model.join_input(self.query, scan, self.context), state)
-
-    def predicates(self, left: _Subplan, right: _Subplan) -> list[JoinPredicate]:
-        """``query.joins_between`` the two subplans, read off their alias masks."""
-        return [j for edge_mask, j in self._edges if edge_mask & left.mask and edge_mask & right.mask]
+        return _Subplan(
+            scan, self.graph.bit_of[alias], self.cost_model.join_input(self.query, scan, self.context), state
+        )
 
     def join(self, left: _Subplan, right: _Subplan, predicates: list[JoinPredicate]) -> JoinCandidate:
         """The cheapest join of ``left`` to ``right``, costed (and encoded) once per search."""
@@ -84,7 +83,8 @@ class _GreedySearch:
         known = self.joins.get(key)
         if known is None:
             candidate = self.cost_model.candidate_join(
-                self.query, left.plan, right.plan, left.record, right.record, predicates, self.context
+                self.query, self.join_types, left.plan, right.plan, left.record, right.record, predicates,
+                self.context,
             )
             state = row = None
             if self.encoder is not None:
@@ -158,7 +158,7 @@ class NeoOptimizer(BaseOptimizer):
     ) -> list[tuple[JoinCandidate, int, int]]:
         """``(join, left index, right index)`` of every join the next step may take."""
         pairs = combinations(range(len(subplans)), 2)
-        linked = [(i, j, search.predicates(subplans[i], subplans[j])) for i, j in pairs]
+        linked = [(i, j, search.graph.predicates(subplans[i].mask, subplans[j].mask)) for i, j in pairs]
         candidates = []
         # Pairs connected by a predicate; cross products only when there is none.
         for i, j, predicates in [link for link in linked if link[2]] or linked:
@@ -250,8 +250,8 @@ class NeoOptimizer(BaseOptimizer):
 
     def _bootstrap(self, fitted: list[tuple[BenchmarkQuery, np.ndarray, PlanningContext]]) -> None:
         """Seed the replay buffer from the expert (or the cost model, for Balsa)."""
-        for query, vector, _ in fitted:
-            result = self.env.plan_with_hints(query.bound)
+        for query, vector, context in fitted:
+            result = self.env.plan_with_hints(query.bound, context=context)
             features = self._features(vector, result.plan)
             if self.bootstrap_from_cost:
                 # Balsa: no expert demonstrations — pre-train on cost estimates.

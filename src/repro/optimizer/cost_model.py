@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from repro.config import PAGE_SIZE_BYTES, PostgresConfig
 from repro.errors import HintError, OptimizerError
@@ -53,52 +53,57 @@ class OperatorEnables:
     hashjoin: bool
     mergejoin: bool
 
-    def allowed_join_types(self) -> list[JoinType]:
-        allowed = []
-        if self.hashjoin:
-            allowed.append(JoinType.HASH)
-        if self.mergejoin:
-            allowed.append(JoinType.MERGE)
-        if self.nestloop:
-            allowed.append(JoinType.NESTED_LOOP)
-        return allowed
+    def allowed_join_types(self) -> tuple[JoinType, ...]:
+        """The enabled join types in :data:`JOIN_TYPE_ORDER`; all of them when none is."""
+        enabled = (self.hashjoin, self.mergejoin, self.nestloop)
+        return tuple(t for t, on in zip(JOIN_TYPE_ORDER, enabled) if on) or JOIN_TYPE_ORDER
+
+
+class AllowedOperators(NamedTuple):
+    """What one hint set's operator toggles and forced scan methods allow.
+
+    A :class:`PlanningContext` keeps one per distinct pair of those two hint
+    parts (:meth:`CostModel.allowed_operators`); an enumerator looks its
+    record up once per planning call and reads it for every candidate.
+    """
+
+    enables: OperatorEnables
+    #: Join types costed when no hint forces one, in :data:`JOIN_TYPE_ORDER`.
+    join_types: tuple[JoinType, ...]
+    #: Cheapest scan per alias.
+    scans: dict[str, ScanNode]
+
+    def join_types_for(self, hints: HintSet, aliases: frozenset[str]) -> tuple[JoinType, ...]:
+        """The join types costed for the join producing ``aliases``: the hint's forced one, else all allowed."""
+        forced = hints.join_method_for(aliases) if hints.join_methods else None
+        return self.join_types if forced is None else (forced,)
 
 
 @dataclass
 class PlanningContext:
     """What planning one query works out once instead of once per candidate.
 
-    What it memoises depends on the query, the statistics of the moment and
-    the two hint parts recorded below — the operator toggles and the forced
-    scan methods — but **not** on ``leading`` or ``join_methods``.  So one
-    context serves every planning call and every search step over one query
-    whose hints agree on those two parts (:meth:`serves`): the planner makes
-    one per call, an LQO search one per ``(query, search)``, HybridQO one per
-    query for all of its prefix hints.  ``BoundQuery`` is mutable, ``ANALYZE``
-    changes statistics and one ``CostModel`` serves concurrent planner
-    threads, so a context is a local of whoever created it
-    (:meth:`CostModel.planning_context`), handed down and dropped on return —
-    never stored on anything shared.
+    Independent of hints: the selectivity, row-width and index-probe memos
+    depend on the query and the statistics of the moment alone, and what
+    operator toggles and forced scans change is kept per pair of them in
+    :attr:`allowed`.  So one context serves every planning call and every
+    search step over one query, under any hint sets: the planner makes one
+    per call, Bao one per query for all of its arms, an LQO search one per
+    ``(query, search)``, HybridQO one per query for all of its prefix hints.
+    ``BoundQuery`` is mutable, ``ANALYZE`` changes statistics and one
+    ``CostModel`` serves concurrent planner threads, so a context is a local
+    of whoever created it (:meth:`CostModel.planning_context`), handed down
+    and dropped on return — never stored on anything shared.
     """
 
-    enables: OperatorEnables
-    #: Join types costed when no hint forces one, in :data:`JOIN_TYPE_ORDER`.
-    join_types: tuple[JoinType, ...]
-    #: The hint parts this context was made for.
-    toggles: OperatorToggles
-    scan_methods: Mapping[str, ScanType]
-    #: Cheapest scan per alias.
-    scans: dict[str, ScanNode] = field(default_factory=dict)
     #: Memo of ``CardinalityEstimator.join_rows``.
     join_selectivity: dict[JoinPredicate, float] = field(default_factory=dict)
     #: Tuple width in bytes per alias set (the sum of its tables' widths).
     row_width: dict[frozenset[str], float] = field(default_factory=dict)
     #: ``(table, column) -> (fixed cost per index probe, index entries)``, ``None`` without an index.
     index_probes: dict[tuple[str, str], tuple[float, float] | None] = field(default_factory=dict)
-
-    def serves(self, hints: HintSet) -> bool:
-        """Whether plans under ``hints`` may be costed with this context."""
-        return self.toggles == hints.toggles and self.scan_methods == hints.scan_methods
+    #: ``(operator toggles, forced scan methods) -> what they allow``.
+    allowed: dict[tuple[OperatorToggles, frozenset], AllowedOperators] = field(default_factory=dict)
 
 
 class JoinInput(NamedTuple):
@@ -156,11 +161,18 @@ class CostModel:
             mergejoin=pick(toggles.mergejoin, cfg.enable_mergejoin),
         )
 
-    def planning_context(self, hints: HintSet = NO_HINTS) -> PlanningContext:
-        """A fresh context for planning one query under ``hints``."""
-        enables = self.resolve_enables(hints)
-        join_types = tuple(enables.allowed_join_types()) or JOIN_TYPE_ORDER
-        return PlanningContext(enables, join_types, hints.toggles, hints.scan_methods)
+    def planning_context(self) -> PlanningContext:
+        """A fresh context for planning one query, under any hint sets."""
+        return PlanningContext()
+
+    def allowed_operators(self, hints: HintSet, context: PlanningContext) -> AllowedOperators:
+        """What ``hints``' operator toggles and forced scans allow, memoised in ``context``."""
+        key = (hints.toggles, frozenset(hints.scan_methods.items()))
+        allowed = context.allowed.get(key)
+        if allowed is None:
+            enables = self.resolve_enables(hints)
+            allowed = context.allowed[key] = AllowedOperators(enables, enables.allowed_join_types(), {})
+        return allowed
 
     # -------------------------------------------------------------------- scans
     def _table_geometry(self, query: BoundQuery, alias: str) -> tuple[float, float]:
@@ -187,10 +199,11 @@ class CostModel:
         return best, best_sel
 
     def candidate_scans(
-        self, query: BoundQuery, alias: str, hints: HintSet = NO_HINTS, context: PlanningContext | None = None
+        self, query: BoundQuery, alias: str, hints: HintSet = NO_HINTS, enables: OperatorEnables | None = None
     ) -> list[ScanNode]:
-        """All allowed scan alternatives for one alias, with estimates attached."""
-        enables = (context or self.planning_context(hints)).enables
+        """All allowed scan alternatives for one alias, with estimates attached
+        (``enables``: ``hints``' :meth:`resolve_enables`, when the caller holds it)."""
+        enables = enables or self.resolve_enables(hints)
         forced = hints.scan_method_for(alias)
         table = query.table_of(alias)
         filters = tuple(query.filters_for(alias))
@@ -271,12 +284,11 @@ class CostModel:
         self, query: BoundQuery, alias: str, hints: HintSet = NO_HINTS, context: PlanningContext | None = None
     ) -> ScanNode:
         """Cheapest allowed scan for an alias (honouring forced scan methods)."""
-        if context is None:
-            context = self.planning_context(hints)
-        scan = context.scans.get(alias)
+        allowed = self.allowed_operators(hints, context or self.planning_context())
+        scan = allowed.scans.get(alias)
         if scan is None:
-            scan = context.scans[alias] = min(
-                self.candidate_scans(query, alias, hints, context),
+            scan = allowed.scans[alias] = min(
+                self.candidate_scans(query, alias, hints, allowed.enables),
                 key=lambda n: (n.estimated_cost, _SCAN_RANK[n.scan_type]),
             )
         elif scan.alias is not alias:
@@ -309,13 +321,6 @@ class CostModel:
         equal to :meth:`join_input` of the node :meth:`join_node` builds for it."""
         rows, cost = estimates
         return self._input(rows, cost, left.width + right.width, None)
-
-    def join_types_for(
-        self, hints: HintSet, aliases: frozenset[str], context: PlanningContext
-    ) -> tuple[JoinType, ...]:
-        """The join types costed for the join producing ``aliases``: the hint's forced one, else all allowed."""
-        forced = hints.join_method_for(aliases) if hints.join_methods else None
-        return context.join_types if forced is None else (forced,)
 
     def _index_probe(
         self, scan: ScanNode, predicates: Sequence[JoinPredicate], context: PlanningContext
@@ -473,10 +478,7 @@ class CostModel:
         For callers that compare many candidate joins and keep one: cost them
         as numbers, then hand the winner's to :meth:`join_node`.
         """
-        join_types = (
-            self.join_types_for(hints, left.aliases | right.aliases, context)
-            if hints.join_methods else context.join_types
-        )
+        join_types = self.allowed_operators(hints, context).join_types_for(hints, left.aliases | right.aliases)
         return self.cheapest_join(
             query, join_types, self.join_input(query, left, context), self.join_input(query, right, context),
             predicates, JoinKind.INNER, context,
@@ -489,25 +491,26 @@ class CostModel:
         """Cheapest allowed join between two sub-plans (considering both orientations
         only for the inner/outer-sensitive operators via the caller's symmetry)."""
         if context is None:
-            context = self.planning_context(hints)
+            context = self.planning_context()
         if predicates is None:
             predicates = query.joins_between(left.aliases, right.aliases)
         join_type, estimates = self.best_join_estimates(query, left, right, hints, predicates, context)
         return self.join_node(query, join_type, left, right, predicates, estimates=estimates)
 
     def candidate_join(
-        self, query: BoundQuery, left: PlanNode, right: PlanNode, left_input: JoinInput, right_input: JoinInput,
-        predicates: Sequence[JoinPredicate], context: PlanningContext,
+        self, query: BoundQuery, join_types: Sequence[JoinType], left: PlanNode, right: PlanNode,
+        left_input: JoinInput, right_input: JoinInput, predicates: Sequence[JoinPredicate], context: PlanningContext,
     ) -> JoinCandidate:
-        """The join :meth:`best_join` would build without hints, costed from the
-        children's records and left unbuilt.
+        """The join :meth:`best_join` would build without a forced join method,
+        over ``join_types`` (its :class:`AllowedOperators`' ones), costed from
+        the children's records and left unbuilt.
 
         For searches that cost many candidate joins and keep few: they keep
         the :class:`JoinInput` of every sub-plan they hold and build the
         candidates they keep with :meth:`build_join`.
         """
         join_type, (rows, cost) = self.cheapest_join(
-            query, context.join_types, left_input, right_input, predicates, JoinKind.INNER, context
+            query, join_types, left_input, right_input, predicates, JoinKind.INNER, context
         )
         return JoinCandidate(float(rows), float(cost), join_type, left, right, tuple(predicates))
 
@@ -530,7 +533,7 @@ class CostModel:
         FULL edge fails loudly instead of silently degrading.
         """
         if context is None:
-            context = self.planning_context(hints)
+            context = self.planning_context()
         join_kind = JoinKind.LEFT if edge.join_type == "left" else JoinKind.FULL
         kind_allowed = JOIN_TYPE_ORDER if join_kind is JoinKind.LEFT else _FULL_JOIN_TYPES
         forced = hints.join_method_for(left.aliases | right.aliases)
@@ -542,7 +545,8 @@ class CostModel:
                 )
             join_types: Sequence[JoinType] = (forced,)
         else:
-            join_types = [t for t in context.join_types if t in kind_allowed] or kind_allowed
+            allowed = self.allowed_operators(hints, context).join_types
+            join_types = [t for t in allowed if t in kind_allowed] or kind_allowed
         join_type, estimates = self.cheapest_join(
             query, join_types, self.join_input(query, left, context), self.join_input(query, right, context),
             edge.predicates, join_kind, context,

@@ -1,12 +1,10 @@
-"""Join-order enumeration: dynamic programming over connected pairs, greedy
-merging and exhaustive join-tree enumeration.
+"""Join-order enumeration: dynamic programming over connected pairs and
+exhaustive join-tree enumeration.
 
 * :class:`DPEnumerator` — bottom-up dynamic programming over the connected
   subgraph / complement pairs of the join graph (DPccp), considering bushy
-  trees when the configuration allows them.
-* :func:`greedy_plan` — a cheap greedy enumerator for the queries dynamic
-  programming does not take (:meth:`DPEnumerator.accepts`) when GEQO is
-  disabled.
+  trees when the configuration allows them.  The planner hands the queries
+  it does not take (:meth:`DPEnumerator.accepts`) to GEQO, ``geqo`` on or off.
 * :func:`left_deep_plan_from_order` — builds a plan for an explicit join
   order; shared by GEQO's winner, hint handling and several LQOs.
 * :func:`enumerate_join_trees` — exhaustively enumerates all join-tree shapes
@@ -22,8 +20,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 from repro.errors import OptimizerError
 from repro.optimizer.cost_model import CostModel, JoinInput, PlanningContext
+from repro.optimizer.join_graph import JoinGraph
 from repro.plans.hints import HintSet, NO_HINTS
-from repro.plans.physical import JoinKind, JoinType, PlanNode, ScanNode
+from repro.plans.physical import JoinKind, JoinType, PlanNode
 from repro.sql.binder import BoundQuery, JoinPredicate
 
 #: Most relations :class:`DPEnumerator` takes on over a connected join graph:
@@ -33,7 +32,7 @@ DP_MAX_RELATIONS = 17
 #: Most relations it takes on over a disconnected join graph.  DP then runs
 #: over the complete graph, whose pairs do grow as 3^n / 2 (about 2.6·10^5
 #: at 12 relations, 6.4·10^7 at 17).  The planner routes larger queries to
-#: GEQO or, with GEQO disabled, to :func:`greedy_plan`.
+#: GEQO, with ``geqo`` on or off.
 DP_MAX_DISCONNECTED_RELATIONS = 12
 
 
@@ -72,65 +71,12 @@ def left_deep_plan_from_order(
     if missing:
         raise OptimizerError(f"join order references unknown aliases {sorted(missing)}")
     if context is None:
-        context = cost_model.planning_context(hints)
+        context = cost_model.planning_context()
     plan: PlanNode = cost_model.best_scan(query, order[0], hints, context)
     for alias in order[1:]:
         right = cost_model.best_scan(query, alias, hints, context)
         plan = cost_model.best_join(query, plan, right, hints, context=context)
     return plan
-
-
-def greedy_plan(
-    query: BoundQuery, cost_model: CostModel, hints: HintSet = NO_HINTS, context: PlanningContext | None = None
-) -> PlanNode:
-    """Greedy enumeration: repeatedly merge the cheapest joinable pair of sub-plans.
-
-    Produces bushy plans when beneficial.  Used for the queries dynamic
-    programming does not take when GEQO is disabled.  Candidates are
-    costed as numbers; join nodes are built for the returned plan only.
-    """
-    require_inner_only(query, "greedy_plan")
-    if context is None:
-        context = cost_model.planning_context(hints)
-    # A sub-plan is (aliases, costing record, recipe): a scan, or the
-    # (left recipe, right recipe, predicates) of a join.
-    parts: list[tuple[frozenset[str], JoinInput, object]] = []
-    for alias in query.aliases:
-        scan = cost_model.best_scan(query, alias, hints, context)
-        parts.append((scan.aliases, cost_model.join_input(query, scan, context), scan))
-    if not parts:
-        raise OptimizerError("query has no relations")
-    while len(parts) > 1:
-        pairs = [
-            (i, j, query.joins_between(parts[i][0], parts[j][0]))
-            for i, j in combinations(range(len(parts)), 2)
-        ]
-        best: tuple | None = None
-        # Pairs connected by a predicate; cross products only when there is none.
-        for i, j, predicates in [pair for pair in pairs if pair[2]] or pairs:
-            join_types = cost_model.join_types_for(hints, parts[i][0] | parts[j][0], context)
-            _join_type, estimates = cost_model.cheapest_join(
-                query, join_types, parts[i][1], parts[j][1], predicates, JoinKind.INNER, context
-            )
-            if best is None or estimates[1] < best[0][1]:
-                best = (estimates, i, j, predicates)
-        assert best is not None
-        estimates, i, j, predicates = best
-        (left_aliases, left, left_recipe), (right_aliases, right, right_recipe) = parts[i], parts[j]
-        parts = [part for k, part in enumerate(parts) if k not in (i, j)]
-        parts.append((
-            left_aliases | right_aliases,
-            cost_model.joined_input(left, right, estimates),
-            (left_recipe, right_recipe, predicates),
-        ))
-
-    def build(recipe) -> PlanNode:
-        if isinstance(recipe, ScanNode):
-            return recipe
-        left, right, predicates = recipe
-        return cost_model.best_join(query, build(left), build(right), hints, predicates, context)
-
-    return build(parts[0][2])
 
 
 def connected_pairs(adjacent: Sequence[int]) -> dict[int, list[int]]:
@@ -236,11 +182,11 @@ class DPEnumerator:
         if not self.accepts(query):
             raise OptimizerError(
                 f"dynamic programming does not take this join graph of {len(query.aliases)} relations "
-                "(DPEnumerator.accepts); use GEQO or greedy_plan"
+                "(DPEnumerator.accepts); use GEQO"
             )
         cost_model = self.cost_model
         if context is None:
-            context = cost_model.planning_context(hints)
+            context = cost_model.planning_context()
         table = self.search(query, hints, context)
 
         def build(mask: int) -> PlanNode:
@@ -270,25 +216,16 @@ class DPEnumerator:
         cost_model = self.cost_model
         cheapest_join = cost_model.cheapest_join
         join_cost_bound = cost_model.join_cost_bound
-        aliases = query.aliases
-        n = len(aliases)
-        bit_of = {alias: 1 << i for i, alias in enumerate(aliases)}
+        allowed = cost_model.allowed_operators(hints, context)
+        graph = JoinGraph(query)
+        n = len(graph.aliases)
         best: dict[int, DPEntry] = {
-            bit_of[alias]: DPEntry(
-                cost_model.join_input(query, cost_model.best_scan(query, alias, hints, context), context)
-            )
-            for alias in aliases
+            bit: DPEntry(cost_model.join_input(query, cost_model.best_scan(query, alias, hints, context), context))
+            for alias, bit in graph.bit_of.items()
         }
         inputs = {mask: entry.input for mask, entry in best.items()}
-        # Every join predicate beside the mask of the two aliases it connects
-        # (``query.joins`` order, the order predicates take inside a node).
-        edges = [(bit_of[j.left_alias] | bit_of[j.right_alias], j) for j in query.joins]
-        if query.is_connected():
-            adjacent = [0] * n
-            for join in query.joins:
-                left, right = bit_of[join.left_alias], bit_of[join.right_alias]
-                adjacent[left.bit_length() - 1] |= right
-                adjacent[right.bit_length() - 1] |= left
+        if graph.connected:
+            adjacent = graph.neighbours
         else:
             adjacent = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
         left_deep_only = not self.consider_bushy
@@ -299,18 +236,16 @@ class DPEnumerator:
         # Increasing masks: every proper subset of a mask is a smaller integer.
         for mask in sorted(pairs):
             firsts = pairs[mask]
-            inside = [edge for edge in edges if edge[0] & mask == edge[0]]
             # A forced join method depends on the subset, not on the split.
-            join_types = context.join_types
+            join_types = allowed.join_types
             if hints.join_methods:
-                members = frozenset(alias for alias in aliases if bit_of[alias] & mask)
-                join_types = cost_model.join_types_for(hints, members, context)
+                join_types = allowed.join_types_for(hints, graph.aliases_of(mask))
             # (bound, outer mask, inner mask, predicates); both orientations
             # of a pair share one predicate list.
             candidates: list[tuple[float, int, int, list[JoinPredicate]]] = []
             for first in firsts:
                 second = mask ^ first
-                predicates = [j for edge_mask, j in inside if edge_mask & first and edge_mask & second]
+                predicates = graph.predicates(first, second)
                 if predicates:
                     for outer, inner in ((first, second), (second, first)):
                         # Left-deep only: the inner input must be a base relation.
@@ -361,7 +296,7 @@ def enumerate_join_trees(
     and every yielded core shape is wrapped by the pinned outer folds in
     syntax order (the nullable side always on the right).
     """
-    context = cost_model.planning_context(hints)
+    context = cost_model.planning_context()
     if query.outer_edges:
         core_query = query.core_query()
         for core_plan in enumerate_join_trees(

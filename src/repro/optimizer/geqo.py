@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from repro.errors import OptimizerError
 from repro.optimizer.cost_model import CostModel, JoinInput, PlanningContext
 from repro.optimizer.enumeration import left_deep_plan_from_order, require_inner_only
+from repro.optimizer.join_graph import JoinGraph
 from repro.plans.hints import HintSet, NO_HINTS
 from repro.plans.physical import JoinKind, PlanNode
 from repro.runtime.fingerprint import stable_seed
@@ -113,7 +114,7 @@ class GeqoEnumerator:
             raise OptimizerError("query has no relations")
         cost_model = self.cost_model
         if context is None:
-            context = cost_model.planning_context(hints)
+            context = cost_model.planning_context()
         if len(aliases) == 1:
             return cost_model.best_scan(query, aliases[0], hints, context)
 
@@ -121,15 +122,12 @@ class GeqoEnumerator:
         # depends on its order alone: memoise every prefix costed in this
         # search, as a trie ``alias -> (prefix record, prefix mask, longer
         # prefixes)``.  Candidates are numbers; the winner alone is built.
-        bit_of = {alias: 1 << i for i, alias in enumerate(aliases)}
+        graph = JoinGraph(query)
+        allowed = cost_model.allowed_operators(hints, context)
         scan_inputs = {
             alias: cost_model.join_input(query, cost_model.best_scan(query, alias, hints, context), context)
             for alias in aliases
         }
-        # Per alias, the predicates touching it beside the mask of their two
-        # aliases, in ``query.joins`` order.
-        edges = [(bit_of.get(j.left_alias, 0) | bit_of.get(j.right_alias, 0), j) for j in query.joins]
-        edges_of = {alias: [edge for edge in edges if edge[0] & bit] for alias, bit in bit_of.items()}
         cheapest_join = cost_model.cheapest_join
         prefixes: dict = {}
 
@@ -140,14 +138,13 @@ class GeqoEnumerator:
             for alias in order:
                 known = longer.get(alias)
                 if known is None:
-                    bit = bit_of[alias]
+                    bit = graph.bit_of[alias]
                     extended = scan_inputs[alias]
                     if record is not None:
-                        predicates = [j for edge_mask, j in edges_of[alias] if edge_mask & mask]
-                        join_types = context.join_types
+                        predicates = graph.predicates(mask, bit)
+                        join_types = allowed.join_types
                         if hints.join_methods:
-                            members = frozenset(a for a in aliases if bit_of[a] & (mask | bit))
-                            join_types = cost_model.join_types_for(hints, members, context)
+                            join_types = allowed.join_types_for(hints, graph.aliases_of(mask | bit))
                         _join_type, estimates = cheapest_join(
                             query, join_types, record, extended, predicates, JoinKind.INNER, context
                         )

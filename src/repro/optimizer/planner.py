@@ -5,7 +5,8 @@ enumeration strategies, honouring the configuration knobs the paper studies:
 
 * ``join_collapse_limit = 1`` forces the join order written in the FROM list,
 * ``geqo`` / ``geqo_threshold`` switch between dynamic programming and the
-  genetic optimizer,
+  genetic optimizer; a join graph DP does not take (:meth:`DPEnumerator.accepts`)
+  goes to GEQO even with ``geqo`` off, where PostgreSQL would run DP,
 * ``enable_*`` switches and hint toggles restrict the operator families,
 * hint sets (pg_hint_plan analogue) can force the entire join order, the scan
   method per relation and the join method per intermediate result.
@@ -25,10 +26,11 @@ from repro.config import PostgresConfig
 from repro.errors import OptimizerError
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost_model import CostModel, PlanningContext
-from repro.optimizer.enumeration import DPEnumerator, greedy_plan, left_deep_plan_from_order
+from repro.optimizer.enumeration import DPEnumerator, left_deep_plan_from_order
 from repro.optimizer.geqo import GeqoEnumerator, GeqoParameters
+from repro.optimizer.join_graph import JoinGraph
 from repro.plans.hints import HintSet, NO_HINTS, split_leading_for_outer
-from repro.plans.physical import AggregateNode, PlanNode, SortNode
+from repro.plans.physical import AggregateNode, JoinKind, PlanNode, SortNode
 from repro.runtime.plan_cache import PlanCache
 from repro.simclock import (  # PlannerResult's strategy labels key the clock's planning charge
     STRATEGY_COLLAPSED,
@@ -131,9 +133,9 @@ class Planner:
         instead of fingerprinting the request a second time.
 
         ``context`` is the caller's :class:`PlanningContext` for ``query``
-        when it plans the query many times (HybridQO's prefix hints); without
-        one the same code runs on a fresh context.  One that does not serve
-        ``hints`` raises :class:`OptimizerError`.
+        when it plans the query many times, under any hint sets (Bao's arms,
+        HybridQO's prefix hints); without one the same code runs on a fresh
+        context.
         """
         hints.validate(query.aliases)
         n = query.num_relations
@@ -167,12 +169,7 @@ class Planner:
         # it brought one): the query object, the statistics and this planner
         # are all shared and mutable.
         if context is None:
-            context = self.cost_model.planning_context(hints)
-        elif not context.serves(hints):
-            raise OptimizerError(
-                "planning context was made for other operator toggles or scan methods "
-                f"than hint set {hints.name or '<anonymous>'!r} carries"
-            )
+            context = self.cost_model.planning_context()
         if n == 1:
             return STRATEGY_DP, self.cost_model.best_scan(query, query.aliases[0], hints, context)
 
@@ -193,13 +190,8 @@ class Planner:
             plan = left_deep_plan_from_order(query, self.cost_model, order, hints, context)
             return STRATEGY_COLLAPSED, plan
 
-        if self.config.geqo_enabled_for(n):
+        if self.config.geqo_enabled_for(n) or not self._dp.accepts(query):
             return STRATEGY_GEQO, self._geqo.plan(query, hints, context)
-
-        if not self._dp.accepts(query):
-            # GEQO is disabled but exhaustive DP over this many relations is
-            # impractical in pure Python; fall back to the greedy enumerator.
-            return STRATEGY_GREEDY, greedy_plan(query, self.cost_model, hints, context)
 
         return STRATEGY_DP, self._dp.plan(query, hints, context)
 
@@ -217,7 +209,7 @@ class Planner:
         outer_order = [edge.nullable_alias for edge in query.outer_edges]
         core_hints = split_leading_for_outer(hints, query.core_aliases, outer_order)
         # The core keeps the aliases, filters and inner predicates of its
-        # query, and ``core_hints`` differs in ``leading`` only: same context.
+        # query: same context.
         strategy, plan = self._plan_core(query.core_query(), core_hints, context)
         for edge in query.outer_edges:
             right = self.cost_model.best_scan(query, edge.nullable_alias, hints, context)
@@ -227,24 +219,32 @@ class Planner:
     def _plan_with_leading_prefix(self, query: BoundQuery, hints: HintSet, context: PlanningContext) -> PlanNode:
         """Honour a HybridQO-style prefix hint, then extend greedily."""
         cost_model = self.cost_model
+        allowed = cost_model.allowed_operators(hints, context)
+        graph = JoinGraph(query)
         prefix = list(hints.leading)
         plan = left_deep_plan_from_order(query, cost_model, prefix, hints, context)
-        remaining = [alias for alias in query.aliases if alias not in prefix]
+        mask = sum(graph.bit_of[alias] for alias in plan.aliases)
+        remaining = {
+            alias: cost_model.best_scan(query, alias, hints, context) for alias in query.aliases if alias not in prefix
+        }
         while remaining:
-            links = [(alias, query.joins_between(plan.aliases, (alias,))) for alias in remaining]
+            links = [(alias, graph.predicates(mask, graph.bit_of[alias])) for alias in remaining]
             # Candidates are costed as numbers; only the step's winner is built.
+            left = cost_model.join_input(query, plan, context)
             best: tuple | None = None
             for alias, predicates in [link for link in links if link[1]] or links:
-                right = cost_model.best_scan(query, alias, hints, context)
-                join_type, estimates = cost_model.best_join_estimates(
-                    query, plan, right, hints, predicates, context
+                right = remaining[alias]
+                join_type, estimates = cost_model.cheapest_join(
+                    query, allowed.join_types_for(hints, plan.aliases | right.aliases), left,
+                    cost_model.join_input(query, right, context), predicates, JoinKind.INNER, context,
                 )
                 if best is None or estimates[1] < best[4][1]:
                     best = (alias, join_type, right, predicates, estimates)
             assert best is not None
             alias, join_type, right, predicates, estimates = best
             plan = cost_model.join_node(query, join_type, plan, right, predicates, estimates=estimates)
-            remaining.remove(alias)
+            mask |= graph.bit_of[alias]
+            del remaining[alias]
         return plan
 
     # -------------------------------------------------------------- decorations

@@ -27,7 +27,7 @@ from repro.optimizer.enumeration import (
     DPEnumerator,
     connected_pairs,
 )
-from repro.optimizer.planner import STRATEGY_DP, STRATEGY_GREEDY, Planner
+from repro.optimizer.planner import STRATEGY_DP, STRATEGY_GEQO, Planner
 from repro.plans.hints import NO_HINTS, HintSet, OperatorToggles
 from repro.plans.physical import JoinKind
 from repro.runtime.plan_cache import PlanCache
@@ -70,6 +70,7 @@ def submask_walk_search(
     """The DP table by the exhaustive walk: every subset, every split, every candidate costed."""
     cost_model = enumerator.cost_model
     cheapest_join = cost_model.cheapest_join
+    allowed = cost_model.allowed_operators(hints, context)
     aliases = query.aliases
     n = len(aliases)
     bit_of = {alias: 1 << i for i, alias in enumerate(aliases)}
@@ -109,10 +110,10 @@ def submask_walk_search(
                 splits.append((sub, mask ^ sub))
             sub = (sub - 1) & mask
         inside = [edge for edge in edges if edge[0] & mask == edge[0]]
-        join_types = context.join_types
+        join_types = allowed.join_types
         if hints.join_methods:
             members = frozenset(alias for alias in aliases if bit_of[alias] & mask)
-            join_types = cost_model.join_types_for(hints, members, context)
+            join_types = allowed.join_types_for(hints, members)
         winner: tuple | None = None
         # First pass: splits joined by a predicate (one list for both orientations).
         crossing: dict[int, list[JoinPredicate]] = {}
@@ -257,8 +258,8 @@ class TestSameTableAsTheSubmaskWalk:
         hints = _hints(query, case)
         model = CostModel(imdb_db, CONFIGS[case["config"]])
         enumerator = DPEnumerator(model, consider_bushy=case["bushy"])
-        expected = submask_walk_search(enumerator, query, hints, model.planning_context(hints))
-        searched = enumerator.search(query, hints, model.planning_context(hints))
+        expected = submask_walk_search(enumerator, query, hints, model.planning_context())
+        searched = enumerator.search(query, hints, model.planning_context())
         assert _exact(searched) == _exact(expected), case
         assert (1 << len(query.aliases)) - 1 in searched
 
@@ -325,7 +326,7 @@ class TestCostBound:
         query = _bind(imdb_db, case)
         model = CostModel(imdb_db, CONFIGS[case["config"]])
         hints = _hints(query, case)
-        context = model.planning_context(hints)
+        context = model.planning_context()
         table = DPEnumerator(model, consider_bushy=case["bushy"]).search(query, hints, context)
         bit_of = {alias: 1 << i for i, alias in enumerate(query.aliases)}
         edges = [(bit_of[j.left_alias] | bit_of[j.right_alias], j) for j in query.joins]
@@ -378,7 +379,8 @@ class TestCandidateCount:
 
 
 class TestRouting:
-    """Which queries DP takes: connected graphs up to 17 relations, disconnected ones up to 12."""
+    """Which queries DP takes: connected graphs up to 17 relations, disconnected ones up to 12;
+    GEQO plans the others, ``geqo`` on or off."""
 
     @staticmethod
     def _query(imdb_db, n: int, connected: bool) -> BoundQuery:
@@ -399,10 +401,10 @@ class TestRouting:
         for query in big:
             assert planner.plan_with_info(query.bound).strategy == STRATEGY_DP, query.query_id
 
-    def test_a_large_disconnected_query_goes_greedy(self, imdb_db):
+    def test_a_large_disconnected_query_goes_to_geqo(self, imdb_db):
         planner = Planner(imdb_db, SIMULATION_CONFIG.with_overrides(geqo=False), plan_cache=PlanCache())
         query = self._query(imdb_db, DP_MAX_DISCONNECTED_RELATIONS + 1, False)
-        assert planner.plan_with_info(query).strategy == STRATEGY_GREEDY
+        assert planner.plan_with_info(query).strategy == STRATEGY_GEQO
 
 
 class TestCostConstants:

@@ -18,7 +18,6 @@ from repro.optimizer.cost_model import CostModel
 from repro.optimizer.enumeration import (
     DPEnumerator,
     enumerate_join_trees,
-    greedy_plan,
     left_deep_plan_from_order,
 )
 from repro.optimizer.geqo import GeqoEnumerator, GeqoParameters
@@ -185,12 +184,6 @@ class TestEnumeration:
         plan = DPEnumerator(model, consider_bushy=False).plan(q)
         assert is_left_deep(plan)
 
-    def test_greedy_plan_covers_all_aliases(self, imdb_db, queries):
-        model = CostModel(imdb_db)
-        q = queries["five"]
-        plan = greedy_plan(q, model)
-        assert plan.aliases == frozenset(q.aliases)
-
     def test_enumerate_join_trees_shapes_and_coverage(self, imdb_db, queries):
         model = CostModel(imdb_db)
         q = queries["three"]
@@ -261,16 +254,16 @@ class TestPlannerProperties:
 
     N_RANDOM_GRAPHS = 12
 
-    def test_dp_cost_never_worse_than_greedy(self, imdb_db):
-        """DP is exhaustive over a superset of greedy's search space."""
+    def test_dp_cost_never_worse_than_any_join_tree(self, imdb_db):
+        """DP is exhaustive over every join tree without cross products."""
         rng = Random(0)
         model = CostModel(imdb_db)
         for trial in range(self.N_RANDOM_GRAPHS):
             sql = random_join_query(imdb_db.schema, rng, rng.randint(3, 6))
             query = bind_sql(sql, imdb_db.schema, name=f"prop-{trial}")
             dp_cost = DPEnumerator(model).plan(query).estimated_cost
-            greedy_cost = greedy_plan(query, model).estimated_cost
-            assert dp_cost <= greedy_cost * (1 + 1e-9), sql
+            tree_cost = min(plan.estimated_cost for plan in enumerate_join_trees(query, model))
+            assert dp_cost <= tree_cost * (1 + 1e-9), sql
 
     def test_dp_cost_never_worse_than_random_left_deep_orders(self, imdb_db):
         rng = Random(0)
@@ -462,7 +455,7 @@ class TestCostTies:
         predicates = q.joins_between({"t"}, {"mk"})
         for join_type in JoinType:
             forced = HintSet(join_methods={frozenset({"t", "mk"}): join_type})
-            estimates = model.best_join_estimates(q, left, right, forced, predicates, model.planning_context(forced))
+            estimates = model.best_join_estimates(q, left, right, forced, predicates, model.planning_context())
             assert estimates[0] is join_type and estimates[1][1] == 0.0
         assert model.best_join(q, left, right).join_type is JoinType.HASH
         no_hash = HintSet(toggles=OperatorToggles(hashjoin=False))
@@ -510,13 +503,6 @@ class TestPlanOverNumbers:
                 assert built == len(plan_join_nodes(result.plan)), (query.query_id, result.strategy)
                 strategies.add(result.strategy)
         assert strategies == {STRATEGY_DP, STRATEGY_GEQO}
-        # DP takes every JOB query with GEQO off; greedy plans the largest ones directly.
-        model = CostModel(imdb_db)
-        for query in job_workload:
-            if query.num_relations >= 14:
-                built = 0
-                plan = greedy_plan(query.bound, model)
-                assert built == len(plan_join_nodes(plan)), query.query_id
 
     def test_a_node_and_its_record_cost_every_join_alike(self, imdb_db, job_workload):
         """Every join of every returned plan: the node's estimates are what
@@ -547,7 +533,6 @@ class TestPlanOverNumbers:
         enumerators = {
             "dp": DPEnumerator(model).plan,
             "geqo": GeqoEnumerator(model).plan,
-            "greedy": lambda query, hints: greedy_plan(query, model, hints),
         }
         for name, plan in enumerators.items():
             free = plan_join_nodes(plan(q, NO_HINTS))
@@ -570,7 +555,7 @@ class TestPlanOverNumbers:
             if result.strategy != STRATEGY_DP:
                 continue
             bound = query.bound
-            context = model.planning_context(hints)
+            context = model.planning_context()
             table = dp.search(bound, hints, context)
             bit_of = {alias: 1 << i for i, alias in enumerate(bound.aliases)}
 

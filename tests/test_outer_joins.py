@@ -31,7 +31,6 @@ from repro.optimizer.cost_model import CostModel
 from repro.optimizer.enumeration import (
     DPEnumerator,
     enumerate_join_trees,
-    greedy_plan,
     left_deep_plan_from_order,
 )
 from repro.optimizer.geqo import GeqoEnumerator
@@ -200,8 +199,6 @@ class TestReorderability:
         cost_model = CostModel(db)
         with pytest.raises(OptimizerError, match="only enumerates inner joins"):
             DPEnumerator(cost_model).plan(query)
-        with pytest.raises(OptimizerError, match="only enumerates inner joins"):
-            greedy_plan(query, cost_model)
         with pytest.raises(OptimizerError, match="only enumerates inner joins"):
             left_deep_plan_from_order(query, cost_model, ["p", "c", "l"])
         with pytest.raises(OptimizerError, match="only enumerates inner joins"):

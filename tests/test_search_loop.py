@@ -6,9 +6,9 @@ Three contracts, each pinned byte for byte:
   whole-tree encoding (and those are the bytes recorded at the parent commit),
 * a search that keeps a state beside each subplan scores the candidate matrix
   ``plan_vector`` per candidate would build and returns the recorded plans,
-* a planning context shared across HybridQO's prefix hints yields the plans a
-  fresh context per call yields — and one made for other toggles or scan
-  methods is refused.
+* a planning context shared across hint sets — HybridQO's prefix hints,
+  Bao's arms, toggles and forced scans alike — yields the plans a fresh
+  context per call yields.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.errors import OptimizerError
 from repro.lqo import create_optimizer
 from repro.lqo.base import LQOEnvironment
 from repro.lqo.leon import _RankedSearch
 from repro.lqo.neo import NeoOptimizer
 from repro.optimizer.planner import Planner
-from repro.plans.hints import HintSet, OperatorToggles
+from repro.plans.hints import BAO_HINT_SETS, NO_HINTS, HintSet, OperatorToggles
 from repro.plans.physical import JoinNode, PlanNode, ScanType, plan_join_nodes, strip_decorations
 from repro.runtime.plan_cache import PlanCache
 from repro.workloads import build_workload
@@ -140,24 +139,50 @@ class TestSearchesScoreWhatPlanVectorWouldBuild:
 
 
 class TestSharedPlanningContext:
-    def test_a_context_made_for_other_hints_is_refused(self, imdb_db, job_workload):
-        planner = Planner(imdb_db, plan_cache=PlanCache())
-        query = job_workload.by_id("2a").bound
-        no_nestloop = HintSet(toggles=OperatorToggles(nestloop=False))
-        forced_scan = HintSet(scan_methods={query.aliases[0]: ScanType.SEQ})
-        prefix = HintSet.from_leading_prefix(query.aliases[:2])
-        plain = planner.cost_model.planning_context()
-        for made_for, asked in (
-            (plain, no_nestloop), (plain, forced_scan),
-            (planner.cost_model.planning_context(no_nestloop), prefix),
-            (planner.cost_model.planning_context(forced_scan), no_nestloop),
-        ):
-            with pytest.raises(OptimizerError, match="planning context"):
-                planner.plan_with_info(query, asked, context=made_for)
-        # ``leading`` and ``join_methods`` are not what a context memoises.
-        assert planner.plan_with_info(query, prefix, context=plain).plan.aliases == frozenset(query.aliases)
-        toggled = planner.cost_model.planning_context(no_nestloop)
-        assert planner.plan_with_info(query, no_nestloop, context=toggled).strategy
+    QUERY_IDS = ("2a", "17a", "29a")
+
+    def test_one_context_plans_every_hint_set_as_a_fresh_one_does(self, imdb_db, job_workload):
+        planner = Planner(imdb_db)
+        for query_id in self.QUERY_IDS:
+            query = job_workload.by_id(query_id).bound
+            hint_sets = (
+                NO_HINTS,
+                *BAO_HINT_SETS,
+                HintSet(scan_methods={query.aliases[0]: ScanType.SEQ, query.aliases[-1]: ScanType.INDEX}),
+                HintSet(toggles=OperatorToggles(nestloop=False)),
+                HintSet.from_leading_prefix(query.aliases[:2]),
+                HintSet.from_leading_prefix(query.aliases[-1:-4:-1]),
+            )
+            context = planner.cost_model.planning_context()
+            for hints in hint_sets:
+                planner.plan_cache = PlanCache()  # NO_HINTS and all_on share a cache key
+                shared = planner.plan_with_info(query, hints, context=context)
+                fresh = Planner(imdb_db, plan_cache=PlanCache()).plan_with_info(query, hints)
+                assert pickle.dumps(shared.plan) == pickle.dumps(fresh.plan), (query_id, hints.describe())
+                assert shared.strategy == fresh.strategy
+            assert len(context.allowed) == len({(h.toggles, frozenset(h.scan_methods.items())) for h in hint_sets})
+
+    def test_bao_plans_its_arms_on_one_context_as_on_six_fresh_ones(self, imdb_db, job_workload, monkeypatch):
+        contexts: list[object] = []
+        plan_with_info = Planner.plan_with_info
+
+        def spy(self, query, hints=NO_HINTS, cache_key=None, context=None):
+            contexts.append(context)
+            return plan_with_info(self, query, hints, cache_key, context)
+
+        monkeypatch.setattr(Planner, "plan_with_info", spy)
+        bao = create_optimizer("bao", LQOEnvironment(imdb_db, seed=0))
+        for query_id in self.QUERY_IDS:
+            query = job_workload.by_id(query_id)
+            contexts.clear()
+            shared = [(arm.name, pickle.dumps(result.plan)) for arm, result, _ in bao._arm_plans(query)]
+            assert len(contexts) == len(BAO_HINT_SETS) and contexts[0] is not None
+            assert all(context is contexts[0] for context in contexts)
+            fresh = [
+                (arm.name, pickle.dumps(Planner(imdb_db, plan_cache=PlanCache()).plan_with_info(query.bound, arm).plan))
+                for arm in BAO_HINT_SETS
+            ]
+            assert shared == fresh, query_id
 
     def test_shared_and_fresh_contexts_plan_every_hybridqo_hint_alike(self, imdb_db, job_workload, monkeypatch):
         planned: list[tuple[object, HintSet, bool, bytes]] = []

@@ -19,6 +19,7 @@ from repro.lqo import create_optimizer
 from repro.lqo.base import LQOEnvironment
 from repro.lqo.leon import _RankedSearch
 from repro.optimizer.cost_model import CostModel
+from repro.plans.hints import NO_HINTS
 from repro.plans.physical import JoinNode, plan_join_nodes
 
 TRAIN_IDS = ("1a", "1b", "2a", "2b", "3a", "6a", "6b", "17a", "32a")
@@ -102,7 +103,8 @@ class TestCandidateEncoding:
         for join in plan_join_nodes(env.plan_with_hints(query).plan):
             left, right = join.left, join.right
             candidate = cost_model.candidate_join(
-                query, left, right, cost_model.join_input(query, left, context),
+                query, cost_model.allowed_operators(NO_HINTS, context).join_types, left, right,
+                cost_model.join_input(query, left, context),
                 cost_model.join_input(query, right, context), join.predicates, context,
             )
             node = cost_model.build_join(query, candidate)
