@@ -333,11 +333,13 @@ class ExecutionEngine:
         for col in statement.group_by:
             alias = col.alias or query.aliases[0]
             group_columns.append(relation.fetch(self.database, query, alias, col.column))
-        stacked = np.stack(group_columns, axis=1)
-        _, inverse = np.unique(stacked, axis=0, return_inverse=True)
+        # One stable sort: groups in ascending key order (lexicographic over the
+        # GROUP BY columns), each group's positions ascending.
+        order = np.lexsort(group_columns[::-1])
+        keys = np.stack([values[order] for values in group_columns])
+        starts = np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)) + 1
         rows = []
-        for group_index in np.unique(inverse):
-            positions = np.nonzero(inverse == group_index)[0]
+        for positions in np.split(order, starts):
             sub_relation = relation.select(positions)
             key = []
             for col, values in zip(statement.group_by, group_columns):

@@ -9,96 +9,27 @@ thousands of sub-plans are scored per query (Section 8.2.2).  The same
 characteristic shows up here: LEON's inference walks a DP lattice (or a wide
 beam for very large queries) and scores every candidate with the ranker, so it
 is by far the slowest method at inference time, while its executed plans are
-often competitive.
+often competitive.  Both walk the query's inner-join core on the shared
+:class:`~repro.lqo.search.JoinSearch` state, which folds the outer-join
+edges, in syntax order, onto the plan the ranker picks; the random join
+orders among its training candidates are orders of the core, folded alike.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
 from repro import simclock
 from repro.lqo.base import BaseOptimizer, LQOEnvironment, PlannedQuery, TrainingReport
+from repro.lqo.search import JoinSearch, Subplan
 from repro.ml.nn import PairwiseRanker
-from repro.optimizer.cost_model import JoinInput
-from repro.optimizer.join_graph import JoinGraph
-from repro.plans.hints import BAO_HINT_SETS, NO_HINTS
-from repro.plans.physical import JoinCandidate, PlanNode, validate_plan
-from repro.sql.binder import BoundQuery, JoinPredicate
+from repro.optimizer.enumeration import fold_outer_edges, left_deep_plan_from_order
+from repro.plans.hints import BAO_HINT_SETS
+from repro.plans.physical import PlanNode
+from repro.sql.binder import BoundQuery
 from repro.workloads.workload import BenchmarkQuery
-
-
-class _Held(NamedTuple):
-    """What a search keeps beside a subplan."""
-
-    #: One bit per alias of ``query.aliases`` it covers.
-    mask: int
-    record: JoinInput
-    #: Its encoder state; ``None`` while the ranker is untrained and ranks by cost.
-    state: object
-
-
-#: A subplan a search holds — a built plan, or a candidate join it has costed
-#: but not built — with what it keeps beside it.
-Subplan = tuple[PlanNode | JoinCandidate, _Held]
-
-
-class _RankedSearch:
-    """What one search over one query works out once: a planning context, the
-    query's encoding and, beside every subplan, that subplan's alias mask,
-    join-input record and encoder state — so a candidate join costs and
-    encodes one new node, as a record.  Only the candidates it keeps are built."""
-
-    def __init__(self, env: LQOEnvironment, ranker: PairwiseRanker, query: BoundQuery) -> None:
-        self.query = query
-        self.ranker = ranker
-        self.cost_model = env.planner.cost_model
-        self.context = self.cost_model.planning_context()
-        self.encoder = env.tree_conv if ranker.is_trained else None
-        self.query_vector = env.query_vector(query) if ranker.is_trained else None
-        self.graph = JoinGraph(query)
-        self.join_types = self.cost_model.allowed_operators(NO_HINTS, self.context).join_types
-
-    def scan(self, alias: str) -> Subplan:
-        scan = self.cost_model.best_scan(self.query, alias, context=self.context)
-        state = None if self.encoder is None else self.encoder.node_state(scan)
-        return scan, _Held(self.graph.bit_of[alias], self.cost_model.join_input(self.query, scan, self.context), state)
-
-    def join(self, left: Subplan, right: Subplan, predicates: list[JoinPredicate]) -> Subplan:
-        (left_plan, left_held), (right_plan, right_held) = left, right
-        join = self.cost_model.candidate_join(
-            self.query, self.join_types, left_plan, right_plan, left_held.record, right_held.record, predicates,
-            self.context,
-        )
-        record = self.cost_model.joined_input(
-            left_held.record, right_held.record, (join.estimated_rows, join.estimated_cost)
-        )
-        state = None if self.encoder is None else self.encoder.node_state(join, left_held.state, right_held.state)
-        return join, _Held(left_held.mask | right_held.mask, record, state)
-
-    def scores(self, candidates: list[Subplan]) -> np.ndarray:
-        """Rank candidates: learned score when trained, else cost estimates."""
-        if self.encoder is None:
-            return np.asarray([plan.estimated_cost for plan, _ in candidates])
-        matrix = np.vstack(
-            [np.concatenate([self.query_vector, self.encoder.readout(held.state)]) for _, held in candidates]
-        )
-        return self.ranker.score(matrix)
-
-    def top(self, candidates: list[Subplan], keep: int) -> list[Subplan]:
-        """The ``keep`` best-ranked candidates, built."""
-        kept = []
-        for i in np.argsort(self.scores(candidates))[:keep]:
-            plan, held = candidates[i]
-            if isinstance(plan, JoinCandidate):
-                plan = self.cost_model.build_join(self.query, plan)
-            kept.append((plan, held))
-        return kept
-
-    def best(self, candidates: list[Subplan]) -> PlanNode:
-        return candidates[int(np.argmin(self.scores(candidates)))][0]
 
 
 class LeonOptimizer(BaseOptimizer):
@@ -130,9 +61,8 @@ class LeonOptimizer(BaseOptimizer):
 
     # ------------------------------------------------------------------ training
     def _candidate_plans_for_training(self, query: BenchmarkQuery) -> list[PlanNode]:
-        """Diverse candidate plans: the DBMS plan, hint-set plans and random orders."""
-        from repro.optimizer.enumeration import left_deep_plan_from_order
-
+        """Diverse candidate plans: the DBMS plan, hint-set plans and random orders
+        (of the inner-join core, with the outer-join edges folded on)."""
         plans: list[PlanNode] = []
         seen: set[str] = set()
 
@@ -145,13 +75,14 @@ class LeonOptimizer(BaseOptimizer):
         add(self.env.plan_with_hints(query.bound).plan)
         for arm in BAO_HINT_SETS[1:4]:
             add(self.env.plan_with_hints(query.bound, arm).plan)
-        aliases = list(query.bound.aliases)
+        core = query.bound.core_query()
         cost_model = self.env.planner.cost_model
         context = cost_model.planning_context()
         for _ in range(2):
-            order = list(aliases)
+            order = list(core.aliases)
             self._rng.shuffle(order)
-            add(left_deep_plan_from_order(query.bound, cost_model, order, context=context))
+            plan = left_deep_plan_from_order(core, cost_model, order, context=context)
+            add(fold_outer_edges(query.bound, plan, cost_model, context))
         return plans
 
     def fit(self, train_queries: list[BenchmarkQuery]) -> TrainingReport:
@@ -185,12 +116,24 @@ class LeonOptimizer(BaseOptimizer):
         return self._timed_fit(body, train_queries)
 
     # ------------------------------------------------------------------ inference
-    def _dp_enumerate(self, query: BoundQuery, search: _RankedSearch) -> PlanNode | None:
+    def _scores(self, search: JoinSearch, candidates: list[Subplan]) -> np.ndarray:
+        """Rank candidates: learned score when trained, else cost estimates."""
+        if search.encoder is None:
+            return np.asarray([subplan.plan.estimated_cost for subplan in candidates])
+        return self._ranker.score(np.vstack([search.row(subplan) for subplan in candidates]))
+
+    def _top(self, search: JoinSearch, candidates: list[Subplan], keep: int) -> list[Subplan]:
+        """The ``keep`` best-ranked candidates, built."""
+        return [search.build(candidates[i]) for i in np.argsort(self._scores(search, candidates))[:keep]]
+
+    def _best(self, search: JoinSearch, candidates: list[Subplan]) -> Subplan:
+        return candidates[int(np.argmin(self._scores(search, candidates)))]
+
+    def _dp_enumerate(self, search: JoinSearch) -> Subplan | None:
         """DP over connected subsets keeping the top-k ranked candidates per class."""
-        aliases = list(query.aliases)
-        n = len(aliases)
+        n = len(search.core.aliases)
         table: dict[int, list[Subplan]] = {
-            1 << i: [search.scan(alias)] for i, alias in enumerate(aliases)
+            1 << i: [search.scan(alias)] for i, alias in enumerate(search.core.aliases)
         }
         for size in range(2, n + 1):
             for combo in combinations(range(n), size):
@@ -209,46 +152,46 @@ class LeonOptimizer(BaseOptimizer):
                                     candidates.append(search.join(left, right, predicates))
                     sub = (sub - 1) & mask
                 if candidates:
-                    table[mask] = search.top(candidates, self.candidates_per_class)
+                    table[mask] = self._top(search, candidates, self.candidates_per_class)
         finalists = table.get((1 << n) - 1)
-        return search.best(finalists) if finalists else None
+        return self._best(search, finalists) if finalists else None
 
-    def _beam_search(self, query: BoundQuery, search: _RankedSearch) -> PlanNode | None:
+    def _beam_search(self, search: JoinSearch) -> Subplan | None:
         """Ranked beam search over left-deep orders for very large queries."""
-        aliases = list(query.aliases)
+        aliases = search.core.aliases
         scans = {alias: search.scan(alias) for alias in aliases}
-        beams = search.top(list(scans.values()), self.beam_width)
+        beams = self._top(search, list(scans.values()), self.beam_width)
         for _ in range(len(aliases) - 1):
             expansions: list[Subplan] = []
             for beam in beams:
-                mask = beam[1].mask
                 links = [
-                    (alias, search.graph.predicates(mask, bit))
-                    for alias, bit in search.graph.bit_of.items() if not bit & mask
+                    (alias, search.graph.predicates(beam.mask, bit))
+                    for alias, bit in search.graph.bit_of.items() if not bit & beam.mask
                 ]
                 connected = [link for link in links if link[1]] or links
                 expansions += [search.join(beam, scans[alias], predicates) for alias, predicates in connected]
             if not expansions:
                 break
-            beams = search.top(expansions, self.beam_width)
+            beams = self._top(search, expansions, self.beam_width)
         everything = (1 << len(aliases)) - 1
-        complete = [beam for beam in beams if beam[1].mask == everything]
-        return search.best(complete) if complete else None
+        complete = [beam for beam in beams if beam.mask == everything]
+        return self._best(search, complete) if complete else None
 
     def _strategy(self, query: BoundQuery) -> str:
-        return "ranked-dp" if query.num_relations <= self.max_dp_relations else "ranked-beam"
+        """The search over the query's inner-join core: DP up to ``max_dp_relations``, else a beam."""
+        return "ranked-dp" if len(query.core_aliases) <= self.max_dp_relations else "ranked-beam"
 
     def search_plan(self, query: BoundQuery) -> PlanNode:
-        """Ranked DP for small queries, a ranked beam for large ones."""
-        search = _RankedSearch(self.env, self._ranker, query)
+        """Ranked DP for small queries, a ranked beam for large ones, over the
+        query's inner-join core; the outer-join edges are folded on its plan."""
+        search = JoinSearch(self.env, query, self._ranker.is_trained)
         if self._strategy(query) == "ranked-dp":
-            plan = self._dp_enumerate(query, search)
+            found = self._dp_enumerate(search)
         else:
-            plan = self._beam_search(query, search)
-        if plan is None:
-            plan = self.env.plan_with_hints(query).plan
-        validate_plan(plan, query.aliases)
-        return plan
+            found = self._beam_search(search)
+        if found is None:
+            return self.env.plan_with_hints(query).plan
+        return search.complete(found)[0]
 
     def plan_query(self, query: BenchmarkQuery) -> PlannedQuery:
         def body(q: BenchmarkQuery):

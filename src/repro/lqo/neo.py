@@ -4,7 +4,10 @@ Neo (Marcus et al., VLDB 2019) trains a neural network that, given the query
 encoding and the encoding of a (partial) plan, predicts the latency of the
 best complete plan containing it.  Plans are constructed bottom-up: starting
 from one sub-plan per relation, the search greedily applies the join whose
-resulting partial plan has the lowest predicted value.  Training bootstraps
+resulting partial plan has the lowest predicted value.  The search runs over
+the query's inner-join core on the shared :class:`~repro.lqo.search.JoinSearch`
+state and folds the outer-join edges, in syntax order, onto the plan it
+builds; training rows describe that folded plan.  Training bootstraps
 from the expert (PostgreSQL's plans and their measured latencies) and then
 iterates: plan the training queries with the current model, execute the plans,
 add the observations to the replay buffer, retrain.
@@ -19,94 +22,19 @@ sub-plans.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
 from repro import simclock
 from repro.lqo.base import BaseOptimizer, LQOEnvironment, PlannedQuery, TrainingReport
+from repro.lqo.search import JoinSearch, Subplan
 from repro.ml.nn import MLPRegressor
 from repro.ml.replay import Experience, ReplayBuffer
-from repro.ml.tree_models import TreeConvolutionEncoder
-from repro.optimizer.cost_model import JoinInput, PlanningContext
-from repro.optimizer.join_graph import JoinGraph
-from repro.plans.physical import JoinCandidate, PlanNode, validate_plan
-from repro.plans.hints import NO_HINTS
-from repro.sql.binder import BoundQuery, JoinPredicate
+from repro.optimizer.cost_model import PlanningContext
+from repro.plans.physical import PlanNode
+from repro.sql.binder import BoundQuery
 from repro.workloads.workload import BenchmarkQuery
-
-
-class _Subplan(NamedTuple):
-    """A subplan a search holds, beside what costing and encoding a join with it reads."""
-
-    plan: PlanNode
-    #: One bit per alias of ``query.aliases`` it covers.
-    mask: int
-    record: JoinInput
-    #: Its encoder state; ``None`` while the value model is untrained.
-    state: Any
-
-
-class _GreedySearch:
-    """One search over one query.
-
-    Every candidate join it costs and encodes is kept by the alias masks of
-    its two inputs.  A subplan covers its mask for the rest of the search,
-    so a step costs and encodes only the joins with the subplan the step
-    before built.
-    """
-
-    def __init__(
-        self, env: LQOEnvironment, query: BoundQuery, context: PlanningContext,
-        vector: np.ndarray | None, encoder: TreeConvolutionEncoder | None,
-    ) -> None:
-        self.query = query
-        self.cost_model = env.planner.cost_model
-        self.context = context
-        self.vector = vector
-        self.encoder = encoder
-        self.graph = JoinGraph(query)
-        self.join_types = self.cost_model.allowed_operators(NO_HINTS, context).join_types
-        #: ``(left mask, right mask) -> (candidate, its state, its scored row)``.
-        self.joins: dict[tuple[int, int], tuple[JoinCandidate, Any, np.ndarray | None]] = {}
-
-    def scan(self, alias: str) -> _Subplan:
-        scan = self.cost_model.best_scan(self.query, alias, context=self.context)
-        state = None if self.encoder is None else self.encoder.node_state(scan)
-        return _Subplan(
-            scan, self.graph.bit_of[alias], self.cost_model.join_input(self.query, scan, self.context), state
-        )
-
-    def join(self, left: _Subplan, right: _Subplan, predicates: list[JoinPredicate]) -> JoinCandidate:
-        """The cheapest join of ``left`` to ``right``, costed (and encoded) once per search."""
-        key = (left.mask, right.mask)
-        known = self.joins.get(key)
-        if known is None:
-            candidate = self.cost_model.candidate_join(
-                self.query, self.join_types, left.plan, right.plan, left.record, right.record, predicates,
-                self.context,
-            )
-            state = row = None
-            if self.encoder is not None:
-                state = self.encoder.node_state(candidate, left.state, right.state)
-                row = np.concatenate([self.vector, self.encoder.readout(state)])
-            known = self.joins[key] = (candidate, state, row)
-        return known[0]
-
-    def row(self, left: _Subplan, right: _Subplan) -> np.ndarray:
-        """The value model's input for the join of ``left`` to ``right``: query vector, then plan vector."""
-        return self.joins[left.mask, right.mask][2]
-
-    def joined(self, left: _Subplan, right: _Subplan) -> _Subplan:
-        """The subplan a step keeps: the join of ``left`` to ``right`` built, beside its record and state."""
-        join, state, _ = self.joins[left.mask, right.mask]
-        estimates = (join.estimated_rows, join.estimated_cost)
-        return _Subplan(
-            self.cost_model.build_join(self.query, join),
-            left.mask | right.mask,
-            self.cost_model.joined_input(left.record, right.record, estimates),
-            state,
-        )
 
 
 class NeoOptimizer(BaseOptimizer):
@@ -154,55 +82,57 @@ class NeoOptimizer(BaseOptimizer):
 
     # ------------------------------------------------------------------- search
     def _candidate_joins(
-        self, query: BoundQuery, subplans: list[_Subplan], search: _GreedySearch
-    ) -> list[tuple[JoinCandidate, int, int]]:
-        """``(join, left index, right index)`` of every join the next step may take."""
+        self, subplans: list[Subplan], search: JoinSearch, joins: dict
+    ) -> list[tuple[Subplan, np.ndarray | None, int, int]]:
+        """``(join, its value-model row, left index, right index)`` of every join the next step may take.
+
+        ``joins`` keeps every join the search has costed and encoded, with
+        its value-model row, by the masks of its two inputs: a subplan covers
+        its mask for the rest of the search, so a step costs and encodes only
+        the joins with the subplan the step before built.
+        """
         pairs = combinations(range(len(subplans)), 2)
         linked = [(i, j, search.graph.predicates(subplans[i].mask, subplans[j].mask)) for i, j in pairs]
         candidates = []
         # Pairs connected by a predicate; cross products only when there is none.
         for i, j, predicates in [link for link in linked if link[2]] or linked:
             for left_index, right_index in ((i, j), (j, i)):
-                join = search.join(subplans[left_index], subplans[right_index], predicates)
-                candidates.append((join, left_index, right_index))
+                left, right = subplans[left_index], subplans[right_index]
+                known = joins.get((left.mask, right.mask))
+                if known is None:
+                    join = search.join(left, right, predicates)
+                    known = joins[left.mask, right.mask] = (join, None if search.encoder is None else search.row(join))
+                candidates.append((*known, left_index, right_index))
         return candidates
 
     def search_plan(self, query: BoundQuery) -> PlanNode:
         """Greedy bottom-up construction guided by the value network."""
-        return self._search(query).plan
+        return self._search(query)[0]
 
     def _search(
         self, query: BoundQuery, vector: np.ndarray | None = None, context: PlanningContext | None = None
-    ) -> _Subplan:
+    ) -> tuple[PlanNode, Any]:
         """:meth:`search_plan`, returning the plan beside its encoder state.
 
         ``vector`` and ``context`` are the query's vector and planning
         context when the caller searches the query many times (a fit).
-        Candidates are costed and encoded as records; a step builds one
-        node, its winner's.
+        The search runs over the query's inner-join core; candidates are
+        costed and encoded as records, a step builds one node, its
+        winner's, and the outer-join edges are folded on the core plan.
         """
-        if context is None:
-            context = self.env.planner.cost_model.planning_context()
-        encoder = None
-        if self._model.is_trained:
-            encoder = self.env.tree_conv
-            if vector is None:
-                vector = self.env.query_vector(query)
-        search = _GreedySearch(self.env, query, context, vector, encoder)
-        subplans = [search.scan(alias) for alias in query.aliases]
+        search = JoinSearch(self.env, query, self._model.is_trained, context, vector)
+        joins: dict[tuple[int, int], tuple[Subplan, np.ndarray | None]] = {}
+        subplans = [search.scan(alias) for alias in search.core.aliases]
         while len(subplans) > 1:
-            candidates = self._candidate_joins(query, subplans, search)
-            pairs = [(subplans[i], subplans[j]) for _, i, j in candidates]
-            if encoder is not None:
-                scores = self._model.predict(np.vstack([search.row(left, right) for left, right in pairs]))
+            candidates = self._candidate_joins(subplans, search, joins)
+            if search.encoder is not None:
+                scores = self._model.predict(np.vstack([row for _, row, _, _ in candidates]))
             else:
-                scores = np.asarray([join.estimated_cost for join, _, _ in candidates])
-            best = int(np.argmin(scores))
-            _, left_index, right_index = candidates[best]
+                scores = np.asarray([join.plan.estimated_cost for join, _, _, _ in candidates])
+            join, _, left_index, right_index = candidates[int(np.argmin(scores))]
             kept = [k for k in range(len(subplans)) if k not in (left_index, right_index)]
-            subplans = [subplans[k] for k in kept] + [search.joined(*pairs[best])]
-        validate_plan(subplans[0].plan, query.aliases)
-        return subplans[0]
+            subplans = [subplans[k] for k in kept] + [search.build(join)]
+        return search.complete(subplans[0])
 
     # -------------------------------------------------------------------- timeouts
     def _training_timeout(self, query: BenchmarkQuery) -> float | None:
@@ -227,9 +157,9 @@ class NeoOptimizer(BaseOptimizer):
             self._retrain(seed_offset=0)
             for iteration in range(1, self.training_iterations + 1):
                 for query, vector, context in fitted:
-                    searched = self._search(query.bound, vector, context)
+                    plan, state = self._search(query.bound, vector, context)
                     latency, timed_out = self.env.training_latency(
-                        query.bound, searched.plan, timeout_ms=self._training_timeout(query)
+                        query.bound, plan, timeout_ms=self._training_timeout(query)
                     )
                     best = self._timeout_reference.get(query.query_id)
                     if not timed_out and (best is None or latency < best):
@@ -237,7 +167,7 @@ class NeoOptimizer(BaseOptimizer):
                     self._buffer.add(
                         Experience(
                             query_id=query.query_id,
-                            features=self._features(vector, searched.plan, searched.state),
+                            features=self._features(vector, plan, state),
                             latency_ms=latency,
                             iteration=iteration,
                             timed_out=timed_out,

@@ -7,6 +7,9 @@ exhaustive join-tree enumeration.
   it does not take (:meth:`DPEnumerator.accepts`) to GEQO, ``geqo`` on or off.
 * :func:`left_deep_plan_from_order` — builds a plan for an explicit join
   order; shared by GEQO's winner, hint handling and several LQOs.
+* :func:`fold_outer_edges` — folds a query's outer-join edges onto a plan of
+  its inner-join core; the one fold of the planner, the exhaustive
+  enumeration and the learned searches.
 * :func:`enumerate_join_trees` — exhaustively enumerates all join-tree shapes
   of a (small) query; used by the Section 8.7 bushy-vs-left-deep study.
 """
@@ -20,7 +23,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from repro.errors import OptimizerError
 from repro.optimizer.cost_model import CostModel, JoinInput, PlanningContext
-from repro.optimizer.join_graph import JoinGraph
+from repro.optimizer.join_graph import JoinGraph, require_inner_only
 from repro.plans.hints import HintSet, NO_HINTS
 from repro.plans.physical import JoinKind, JoinType, PlanNode
 from repro.sql.binder import BoundQuery, JoinPredicate
@@ -34,21 +37,6 @@ DP_MAX_RELATIONS = 17
 #: at 12 relations, 6.4·10^7 at 17).  The planner routes larger queries to
 #: GEQO, with ``geqo`` on or off.
 DP_MAX_DISCONNECTED_RELATIONS = 12
-
-
-def require_inner_only(query: BoundQuery, caller: str) -> None:
-    """Reject queries with outer-join edges in inner-only enumerators.
-
-    Outer edges pin their operand order, so the raw enumerators would
-    silently mistreat their predicates as reorderable inner joins; callers
-    must enumerate ``query.core_query()`` and fold the edges afterwards (as
-    the planner and :func:`enumerate_join_trees` do).
-    """
-    if query.outer_edges:
-        raise OptimizerError(
-            f"{caller} only enumerates inner joins; plan the core query and "
-            "fold the outer-join edges in syntax order instead"
-        )
 
 
 def left_deep_plan_from_order(
@@ -76,6 +64,23 @@ def left_deep_plan_from_order(
     for alias in order[1:]:
         right = cost_model.best_scan(query, alias, hints, context)
         plan = cost_model.best_join(query, plan, right, hints, context=context)
+    return plan
+
+
+def fold_outer_edges(
+    query: BoundQuery, plan: PlanNode, cost_model: CostModel, context: PlanningContext,
+    hints: HintSet = NO_HINTS,
+) -> PlanNode:
+    """Fold ``query``'s outer-join edges onto ``plan``, a plan of ``query.core_query()``.
+
+    Outer-join edges pin their operand order, so they never enter an
+    enumeration or a search: each edge is folded on top in syntax order,
+    with the nullable side as a fresh scan on the right.  An inner-only
+    query has no edges, and its plan comes back as it is.
+    """
+    for edge in query.outer_edges:
+        right = cost_model.best_scan(query, edge.nullable_alias, hints, context)
+        plan = cost_model.best_outer_join(query, edge, plan, right, hints, context)
     return plan
 
 
@@ -293,20 +298,14 @@ def enumerate_join_trees(
     and bushy trees — exactly the space analysed in Section 8.7.
 
     Outer-join edges never reorder: only the inner-join core is enumerated,
-    and every yielded core shape is wrapped by the pinned outer folds in
-    syntax order (the nullable side always on the right).
+    and every yielded core shape is folded by :func:`fold_outer_edges`.
     """
     context = cost_model.planning_context()
     if query.outer_edges:
-        core_query = query.core_query()
         for core_plan in enumerate_join_trees(
-            core_query, cost_model, hints, max_relations, allow_cross_products
+            query.core_query(), cost_model, hints, max_relations, allow_cross_products
         ):
-            plan = core_plan
-            for edge in query.outer_edges:
-                right = cost_model.best_scan(query, edge.nullable_alias, hints, context)
-                plan = cost_model.best_outer_join(query, edge, plan, right, hints, context)
-            yield plan
+            yield fold_outer_edges(query, core_plan, cost_model, context, hints)
         return
 
     aliases = list(query.aliases)

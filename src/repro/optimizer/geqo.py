@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from repro.errors import OptimizerError
 from repro.optimizer.cost_model import CostModel, JoinInput, PlanningContext
-from repro.optimizer.enumeration import left_deep_plan_from_order, require_inner_only
-from repro.optimizer.join_graph import JoinGraph
+from repro.optimizer.enumeration import left_deep_plan_from_order
+from repro.optimizer.join_graph import JoinGraph, require_inner_only
 from repro.plans.hints import HintSet, NO_HINTS
 from repro.plans.physical import JoinKind, PlanNode
 from repro.runtime.fingerprint import stable_seed

@@ -26,7 +26,7 @@ from repro.config import PostgresConfig
 from repro.errors import OptimizerError
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost_model import CostModel, PlanningContext
-from repro.optimizer.enumeration import DPEnumerator, left_deep_plan_from_order
+from repro.optimizer.enumeration import DPEnumerator, fold_outer_edges, left_deep_plan_from_order
 from repro.optimizer.geqo import GeqoEnumerator, GeqoParameters
 from repro.optimizer.join_graph import JoinGraph
 from repro.plans.hints import HintSet, NO_HINTS, split_leading_for_outer
@@ -174,7 +174,15 @@ class Planner:
             return STRATEGY_DP, self.cost_model.best_scan(query, query.aliases[0], hints, context)
 
         if query.outer_edges:
-            return self._plan_with_outer_edges(query, hints, context)
+            # Outer-join edges pin their operand order: plan the freely
+            # reorderable core by the dispatch below, then fold the edges.
+            # Hints that would force a reordering across an edge raise
+            # :class:`HintError`.  The core keeps the aliases, filters and
+            # inner predicates of its query: same context.
+            outer_order = [edge.nullable_alias for edge in query.outer_edges]
+            core_hints = split_leading_for_outer(hints, query.core_aliases, outer_order)
+            strategy, plan = self._plan_core(query.core_query(), core_hints, context)
+            return strategy, fold_outer_edges(query, plan, self.cost_model, context, hints)
 
         if hints.forces_join_order and len(hints.leading) == n:
             # ``best_join`` honours the hint's per-join methods.
@@ -194,27 +202,6 @@ class Planner:
             return STRATEGY_GEQO, self._geqo.plan(query, hints, context)
 
         return STRATEGY_DP, self._dp.plan(query, hints, context)
-
-    def _plan_with_outer_edges(
-        self, query: BoundQuery, hints: HintSet, context: PlanningContext
-    ) -> tuple[str, PlanNode]:
-        """Plan the freely reorderable inner core, then fold the outer edges.
-
-        Outer-join edges pin their operand order, so they never enter the
-        enumerators: the inner-join core is planned by the regular strategy
-        dispatch, and each edge is folded on top in syntax order with the
-        nullable side as a fresh scan on the right.  Hints that would force
-        a reordering across an outer edge raise :class:`HintError`.
-        """
-        outer_order = [edge.nullable_alias for edge in query.outer_edges]
-        core_hints = split_leading_for_outer(hints, query.core_aliases, outer_order)
-        # The core keeps the aliases, filters and inner predicates of its
-        # query: same context.
-        strategy, plan = self._plan_core(query.core_query(), core_hints, context)
-        for edge in query.outer_edges:
-            right = self.cost_model.best_scan(query, edge.nullable_alias, hints, context)
-            plan = self.cost_model.best_outer_join(query, edge, plan, right, hints, context)
-        return strategy, plan
 
     def _plan_with_leading_prefix(self, query: BoundQuery, hints: HintSet, context: PlanningContext) -> PlanNode:
         """Honour a HybridQO-style prefix hint, then extend greedily."""

@@ -34,6 +34,7 @@ from repro.optimizer.enumeration import (
     left_deep_plan_from_order,
 )
 from repro.optimizer.geqo import GeqoEnumerator
+from repro.optimizer.join_graph import JoinGraph
 from repro.optimizer.planner import Planner
 from repro.plans.hints import HintSet
 from repro.plans.physical import AggregateNode, JoinKind, JoinNode, JoinType, ScanNode, SortNode
@@ -203,6 +204,9 @@ class TestReorderability:
             left_deep_plan_from_order(query, cost_model, ["p", "c", "l"])
         with pytest.raises(OptimizerError, match="only enumerates inner joins"):
             GeqoEnumerator(cost_model).plan(query)
+        with pytest.raises(OptimizerError, match="only enumerates inner joins"):
+            JoinGraph(query)
+        assert JoinGraph(query.core_query()).aliases == query.core_aliases
 
     def test_every_enumerated_shape_pins_the_outer_edges(self):
         db = _tiny_database()

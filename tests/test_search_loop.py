@@ -1,11 +1,13 @@
 """The LQO search loop: one planning context per search, one encoding per plan node.
 
-Three contracts, each pinned byte for byte:
+Four contracts, each pinned byte for byte:
 
 * an encoder state composed node by node reads out to the bytes of the
   whole-tree encoding (and those are the bytes recorded at the parent commit),
 * a search that keeps a state beside each subplan scores the candidate matrix
   ``plan_vector`` per candidate would build and returns the recorded plans,
+* the searches of an outer-join query plan its inner-join core and fold
+  the outer edges (the recorded random split),
 * a planning context shared across hint sets — HybridQO's prefix hints,
   Bao's arms, toggles and forced scans alike — yields the plans a fresh
   context per call yields.
@@ -23,7 +25,7 @@ import pytest
 
 from repro.lqo import create_optimizer
 from repro.lqo.base import LQOEnvironment
-from repro.lqo.leon import _RankedSearch
+from repro.lqo.leon import LeonOptimizer
 from repro.lqo.neo import NeoOptimizer
 from repro.optimizer.planner import Planner
 from repro.plans.hints import BAO_HINT_SETS, NO_HINTS, HintSet, OperatorToggles
@@ -113,22 +115,23 @@ class TestSearchesScoreWhatPlanVectorWouldBuild:
     def test_plans_and_candidate_matrices(self, imdb_db, job_workload, recorded, method, monkeypatch):
         #: Per scoring step: the query's vector, the whole-tree encoder, the candidates.
         steps: list[tuple[np.ndarray, object, list[PlanNode]]] = []
-        candidate_joins, scores = NeoOptimizer._candidate_joins, _RankedSearch.scores
+        candidate_joins, scores = NeoOptimizer._candidate_joins, LeonOptimizer._scores
 
-        def spying_candidate_joins(self, query, subplans, context):
-            candidates = candidate_joins(self, query, subplans, context)
+        def spying_candidate_joins(self, subplans, search, joins):
+            candidates = candidate_joins(self, subplans, search, joins)
             if self._model.is_trained:
                 whole_tree = self.env.tree_conv.encode_plan
-                steps.append((self.env.query_vector(query), whole_tree, [join for join, _, _ in candidates]))
+                steps.append((self.env.query_vector(search.query), whole_tree, [join.plan for join, *_ in candidates]))
             return candidates
 
-        def spying_scores(self, candidates):
-            if self.encoder is not None:
-                steps.append((self.query_vector, self.encoder.encode_plan, [plan for plan, _ in candidates]))
-            return scores(self, candidates)
+        def spying_scores(self, search, candidates):
+            if search.encoder is not None:
+                plans = [subplan.plan for subplan in candidates]
+                steps.append((self.env.query_vector(search.query), self.env.tree_conv.encode_plan, plans))
+            return scores(self, search, candidates)
 
         monkeypatch.setattr(NeoOptimizer, "_candidate_joins", spying_candidate_joins)
-        monkeypatch.setattr(_RankedSearch, "scores", spying_scores)
+        monkeypatch.setattr(LeonOptimizer, "_scores", spying_scores)
         with record_lqo_digests.scored_matrices() as matrices:
             digest = record_lqo_digests.search_digest(imdb_db, job_workload, method)
         assert digest == recorded["searches"][method]
@@ -136,6 +139,23 @@ class TestSearchesScoreWhatPlanVectorWouldBuild:
         for (query_vector, whole_tree, plans), matrix in zip(steps, matrices):
             expected = np.vstack([np.concatenate([query_vector, whole_tree(plan)]) for plan in plans])
             assert expected.tobytes() == matrix.tobytes()
+
+
+class TestOuterJoinSearches:
+    """neo, balsa, leon and hybridqo on the recorded random split, tested on its outer-join queries."""
+
+    @pytest.mark.parametrize("method", sorted(record_lqo_digests.RANDOM_METHODS))
+    def test_plans_and_scored_matrices_are_the_recorded_bytes(self, imdb_db, recorded, method):
+        workload = build_workload("random", imdb_db.schema)
+        section = recorded["random"]
+        train, test = record_lqo_digests.RANDOM_TRAIN_IDS, record_lqo_digests.RANDOM_TEST_IDS
+        assert (section["train"], section["test"]) == (list(train), list(test))
+        assert [query.query_id for query in workload.queries if query.bound.outer_edges] == list(test)
+        digest = record_lqo_digests.search_digest(
+            imdb_db, workload, method, record_lqo_digests.RANDOM_METHODS[method], train, test
+        )
+        assert digest == section["searches"][method]
+        assert digest["matrices"] >= len(test)
 
 
 class TestSharedPlanningContext:

@@ -17,7 +17,7 @@ import pytest
 
 from repro.lqo import create_optimizer
 from repro.lqo.base import LQOEnvironment
-from repro.lqo.leon import _RankedSearch
+from repro.lqo.leon import LeonOptimizer
 from repro.optimizer.cost_model import CostModel
 from repro.plans.hints import NO_HINTS
 from repro.plans.physical import JoinNode, plan_join_nodes
@@ -65,11 +65,11 @@ class TestNodesBuilt:
     def test_leon_builds_exactly_the_candidates_it_keeps(self, imdb_db, job_workload, built_joins, monkeypatch):
         kept: list[JoinNode] = []
         costed: list[object] = []
-        top, candidate_join = _RankedSearch.top, CostModel.candidate_join
+        top, candidate_join = LeonOptimizer._top, CostModel.candidate_join
 
-        def spying_top(self, candidates, keep):
-            result = top(self, candidates, keep)
-            kept.extend(plan for plan, _ in result if isinstance(plan, JoinNode))
+        def spying_top(self, search, candidates, keep):
+            result = top(self, search, candidates, keep)
+            kept.extend(subplan.plan for subplan in result if isinstance(subplan.plan, JoinNode))
             return result
 
         def spying_candidate_join(self, *args, **kwargs):
@@ -79,7 +79,7 @@ class TestNodesBuilt:
 
         untrained = create_optimizer("leon", LQOEnvironment(imdb_db, seed=0))
         trained = fitted(imdb_db, job_workload, "leon")
-        monkeypatch.setattr(_RankedSearch, "top", spying_top)
+        monkeypatch.setattr(LeonOptimizer, "_top", spying_top)
         monkeypatch.setattr(CostModel, "candidate_join", spying_candidate_join)
         strategies = set()
         for optimizer in (untrained, trained):
