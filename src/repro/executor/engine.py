@@ -224,11 +224,10 @@ class ExecutionEngine:
             if inner is not None:
                 # Parameterized inner index scan: the inner relation is probed
                 # per outer tuple instead of being materialized.
-                relation, metrics, access = execute_index_nestloop(
+                relation, node_rows[id(node.right)], metrics, access = execute_index_nestloop(
                     self.database, query, node, left, inner, counted
                 )
                 evaluation.accesses.append(access)
-                node_rows[id(node.right)] = relation.size
             else:
                 right = self._evaluate(query, node.right, evaluation)
                 if node.join_kind is JoinKind.INNER:

@@ -562,11 +562,14 @@ def index_nestloop_inner(database: Database, node: JoinNode):
 
 def execute_index_nestloop(
     database: Database, query: BoundQuery, node: JoinNode, left: Batch, inner: tuple, counted: bool = False
-) -> tuple[Batch | CountedJoin, OperatorMetrics, PageAccess]:
+) -> tuple[Batch | CountedJoin, int, OperatorMetrics, PageAccess]:
     """Evaluate a nested loop whose inner side is an index probe into a base table.
 
     ``inner`` is the ``(scan, index, column, probe)`` tuple
-    :func:`index_nestloop_inner` resolved for ``node``.
+    :func:`index_nestloop_inner` resolved for ``node``.  Returns the join's
+    result, the rows the inner index scan emits over all loops (the probe's
+    matches that pass the scan's own filters: EXPLAIN ANALYZE's rows × loops),
+    its metrics and the heap access.
 
     The probe is counted first.  When it matches more tuples than the outer
     rows and the index entries together, the same entries are probed over and
@@ -609,11 +612,13 @@ def execute_index_nestloop(
     access = _heap_access(inner_scan.table, data.page_count, min(probed.total, data.page_count), False)
     metrics.cpu_ops += probed.total * len(inner_scan.filters)
 
+    scanned = probed.total
     if probed.total <= left.size + index.entry_count:
         positions, rows = probed.expand()
         if inner_scan.filters:
             keep = left.surviving(data, inner_scan.filters, rows)
             positions, rows = positions[keep], rows[keep]
+            scanned = int(rows.size)
         result = left.pair_with_scan(positions, alias, rows)
         for predicate in post_filters:
             result = _filter_joined(database, query, result, predicate, metrics)
@@ -625,6 +630,7 @@ def execute_index_nestloop(
             keys, values = np.full(keys.size, NULL_SENTINEL, dtype=np.int64), keys
             keys[surviving] = values[surviving]
         match = KeyMatch(outer_keys, keys)
+        scanned = int(match.total)
         more = (
             (left.fetch(database, query, *predicate.other(alias)), data.gather(predicate.column_for(alias), rows))
             for predicate in post_filters
@@ -637,7 +643,7 @@ def execute_index_nestloop(
             result = left.pair_with_scan(positions, alias, rows[entries])
     metrics.tuples_out = result.size
     metrics.cpu_ops += result.size
-    return result, metrics, access
+    return result, scanned, metrics, access
 
 
 def _filter_joined(
