@@ -49,10 +49,6 @@ def rows_of(env: LQOEnvironment, query, plan) -> list:
     return sorted(result.rows, key=repr)
 
 
-def test_the_six_methods_are_all_checked():
-    assert set(MAIN_EVALUATION_METHODS) == {"postgres", "bao", "hybridqo", "neo", "balsa", "leon"}
-
-
 @pytest.mark.parametrize("method", MAIN_EVALUATION_METHODS)
 def test_every_method_plans_every_outer_join_query_as_the_native_plan_runs(random_setup, method):
     database, inner, outer, native = random_setup

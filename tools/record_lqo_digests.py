@@ -68,8 +68,8 @@ METHODS: dict[str, dict] = {
 TRAIN_IDS = ("1a", "1b", "2a", "2b", "3a", "6a", "6b", "17a", "32a")
 TEST_IDS = ("1c", "2c", "6c", "4b", "10a", "17b", "20a", "29a", "33c")
 
-#: The methods recorded on the random workload, and their constructor arguments.
-RANDOM_METHODS: dict[str, dict] = {**METHODS, "hybridqo": {}}
+#: The methods recorded on the random workload (HybridQO with its defaults).
+RANDOM_METHODS = (*METHODS, "hybridqo")
 #: Its split: four inner-join and four outer-join training queries (eight
 #: experiences: every model, Balsa's on-policy one too, is trained before the
 #: test queries are planned), and every outer-join query as a test query.
@@ -128,18 +128,14 @@ def scored_matrices() -> Iterator[list[np.ndarray]]:
 
 
 def search_digest(
-    database: Database, workload: Workload, method: str, kwargs: dict | None = None,
+    database: Database, workload: Workload, method: str,
     train_ids: tuple[str, ...] = TRAIN_IDS, test_ids: tuple[str, ...] = TEST_IDS,
 ) -> dict:
-    """``{"plans": {query id: sha256 of the pickled plan}, "scored": sha256, "matrices": n}``.
-
-    ``kwargs`` defaults to the method's :data:`METHODS` entry.
-    """
+    """``{"plans": {query id: sha256 of the pickled plan}, "scored": sha256, "matrices": n}``."""
     # Training latencies read the shared buffer pool: start every method cold,
     # so a digest does not depend on what ran on the database before.
     database.drop_caches()
-    kwargs = METHODS[method] if kwargs is None else kwargs
-    optimizer = create_optimizer(method, LQOEnvironment(database, seed=0), **kwargs)
+    optimizer = create_optimizer(method, LQOEnvironment(database, seed=0), **METHODS.get(method, {}))
     optimizer.fit([workload.by_id(query_id) for query_id in train_ids])
     plans = {}
     with scored_matrices() as matrices:
@@ -181,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         if method in METHODS:
             document["searches"][method] = search_digest(database, workload, method)
         random_section["searches"][method] = search_digest(
-            database, random_workload, method, RANDOM_METHODS[method], RANDOM_TRAIN_IDS, RANDOM_TEST_IDS
+            database, random_workload, method, RANDOM_TRAIN_IDS, RANDOM_TEST_IDS
         )
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
