@@ -128,6 +128,6 @@ class BaoOptimizer(BaseOptimizer):
                 "predicted_ms": float(np.exp(predictions[best])) if self._model.is_trained else None,
                 "strategy": result.strategy,
             }
-            return result.plan, arm, result.planning_time_ms, metadata
+            return result.plan, result.planning_time_ms, metadata
 
         return self._timed_inference(body, query)

@@ -23,8 +23,7 @@ from repro.ml.tree_models import TreeConvolutionEncoder
 from repro.optimizer.cost_model import PlanningContext
 from repro.optimizer.planner import Planner, PlannerResult
 from repro.plans.hints import NO_HINTS, HintSet
-from repro.plans.physical import JoinNode, PlanNode, ScanNode, strip_decorations
-from repro.plans.properties import join_order_of
+from repro.plans.physical import PlanNode
 from repro.runtime.plan_cache import PlanCache
 from repro.sql.binder import BoundQuery
 from repro.storage.database import Database
@@ -40,7 +39,6 @@ class PlannedQuery:
 
     query_id: str
     plan: PlanNode
-    hints: HintSet
     inference_time_ms: float
     planning_time_ms: float
     method: str
@@ -164,25 +162,6 @@ class LQOEnvironment:
     def plan_vector_size(self) -> int:
         return self.tree_conv.output_size
 
-    # ------------------------------------------------------------------- hints
-    def hints_from_plan(self, query: BoundQuery, plan: PlanNode) -> HintSet:
-        """Derive a pg_hint_plan-style hint set that pins down a produced plan."""
-        core = strip_decorations(plan)
-        scan_methods = {}
-        join_methods = {}
-        for node in core.walk():
-            if isinstance(node, ScanNode):
-                scan_methods[node.alias] = node.scan_type
-            elif isinstance(node, JoinNode):
-                join_methods[frozenset(node.aliases)] = node.join_type
-        return HintSet(
-            leading=join_order_of(core),
-            join_order_exact=True,
-            join_methods=join_methods,
-            scan_methods=scan_methods,
-            name="lqo-plan",
-        )
-
 
 class BaseOptimizer(abc.ABC):
     """Contract every (learned) optimizer implements."""
@@ -207,7 +186,7 @@ class BaseOptimizer(abc.ABC):
     # -- inference ---------------------------------------------------------------
     @abc.abstractmethod
     def plan_query(self, query: BenchmarkQuery) -> PlannedQuery:
-        """Produce the plan (and hint set) this method would execute for ``query``."""
+        """Produce the plan this method would execute for ``query``."""
 
     # -- helpers shared by implementations --------------------------------------------
     def _timed_fit(self, body, train_queries: list[BenchmarkQuery]) -> TrainingReport:
@@ -226,11 +205,10 @@ class BaseOptimizer(abc.ABC):
 
     def _timed_inference(self, body, query: BenchmarkQuery) -> PlannedQuery:
         """Run an inference body; its time is simulated from the query's size."""
-        plan, hints, planning_time_ms, metadata = body(query)
+        plan, planning_time_ms, metadata = body(query)
         return PlannedQuery(
             query_id=query.query_id,
             plan=plan,
-            hints=hints,
             inference_time_ms=simclock.inference_ms(query.bound, self.name),
             planning_time_ms=planning_time_ms,
             method=self.name,

@@ -198,7 +198,7 @@ class HybridQOOptimizer(BaseOptimizer):
                 scores = np.asarray([result.plan.estimated_cost for _, result in candidates])
             best = int(np.argmin(scores))
             hints, result = candidates[best]
-            return result.plan, hints, result.planning_time_ms, {
+            return result.plan, result.planning_time_ms, {
                 "chosen_hint": hints.name or "postgres",
                 "n_candidates": len(candidates),
             }

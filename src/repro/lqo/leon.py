@@ -196,8 +196,7 @@ class LeonOptimizer(BaseOptimizer):
     def plan_query(self, query: BenchmarkQuery) -> PlannedQuery:
         def body(q: BenchmarkQuery):
             plan = self.search_plan(q.bound)
-            hints = self.env.hints_from_plan(q.bound, plan)
             planning_time = simclock.hinted_planning_ms(q.bound)
-            return plan, hints, planning_time, {"strategy": self._strategy(q.bound)}
+            return plan, planning_time, {"strategy": self._strategy(q.bound)}
 
         return self._timed_inference(body, query)

@@ -36,7 +36,6 @@ class PostgresBaseline(BaseOptimizer):
         return PlannedQuery(
             query_id=query.query_id,
             plan=result.plan,
-            hints=NO_HINTS,
             inference_time_ms=0.0,
             planning_time_ms=result.planning_time_ms,
             method=self.name,

@@ -12,9 +12,10 @@ scales with the hardware:
   partitions results over N shard directories for contention-free
   multi-host writes (``merge`` copies them into a flat store).
 * :mod:`repro.runtime.workqueue` — the work queue's state machine
-  (:class:`~repro.runtime.workqueue.BucketQueue`: one pending pool claimed
-  lowest id first, monotonic lease heartbeats, dead-worker re-queue) and the
-  worker-side :class:`WorkerQueueTransport` protocol.
+  (:class:`~repro.runtime.workqueue.BucketQueue`: every operation one step
+  under one lock; one pending pool claimed lowest id first, monotonic lease
+  heartbeats, dead-worker re-queue) and the worker-side
+  :class:`WorkerQueueTransport` protocol.
 * :mod:`repro.runtime.netqueue` — the queue's TCP transport: a
   coordinator-side :class:`QueueServer` plus the :class:`NetWorkQueue` worker
   client, with results uploaded back in the ack frame — no shared filesystem

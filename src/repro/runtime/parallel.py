@@ -206,9 +206,9 @@ def reconcile_failed_tasks(
     retries_used: dict[str, int],
     task_retries: int,
 ) -> list[str]:
-    """Apply the bounded-retry policy to this poll round's failure markers.
+    """Apply the bounded-retry policy to this poll round's failed tasks.
 
-    Failed tasks still within their budget are re-queued (marker discarded,
+    Failed tasks still within their budget are re-queued (failure discarded,
     payload enqueued again) and returned; one permanent (transient) failure
     must not abort a multi-hour sweep.  A task that has already been retried
     ``task_retries`` times raises instead, and the error reports how many

@@ -73,24 +73,25 @@ def run_worker(
     # Imported here so ``python -m repro.runtime.worker --help`` stays instant.
     from repro.runtime.parallel import execute_spec_payload_with_identity
 
-    queue = NetWorkQueue(queue_url)
     worker_id = worker_id or default_worker_id()
-    reporter: SweepProgress | None = None
-    if progress_interval_s is not None:
-        reporter = SweepProgress(
-            queue,
-            total=None,  # a worker cannot know the sweep's size, only its state
-            interval_s=progress_interval_s,
-            callback=lambda snapshot: _emit(snapshot.to_json()),
-        ).start()
-    try:
-        completed = _worker_loop(
-            queue, worker_id, poll_interval_s, idle_timeout_s, max_tasks, lease_renew_s,
-            execute_spec_payload_with_identity,
-        )
-    finally:
-        if reporter is not None:
-            reporter.stop()
+    # Leaving the block closes the client, after the reporter (which polls it) has stopped.
+    with NetWorkQueue(queue_url) as queue:
+        reporter: SweepProgress | None = None
+        if progress_interval_s is not None:
+            reporter = SweepProgress(
+                queue,
+                total=None,  # a worker cannot know the sweep's size, only its state
+                interval_s=progress_interval_s,
+                callback=lambda snapshot: _emit(snapshot.to_json()),
+            ).start()
+        try:
+            completed = _worker_loop(
+                queue, worker_id, poll_interval_s, idle_timeout_s, max_tasks, lease_renew_s,
+                execute_spec_payload_with_identity,
+            )
+        finally:
+            if reporter is not None:
+                reporter.stop()
     _emit(f"[{worker_id}] exiting after {completed} task(s)")
     return completed
 
@@ -139,7 +140,7 @@ def _worker_loop(
             # The coordinator rejected the ack (e.g. its result store is
             # unwritable).  Dying here would take every worker down one by one
             # with a misleading "all workers exited" sweep error; a failure
-            # marker carries the real cause to the coordinator instead, whose
+            # report carries the real cause to the coordinator instead, whose
             # retry budget turns a persistent rejection into a sweep abort.
             try:
                 queue.fail(claim, worker_id, f"ack rejected: {type(exc).__name__}: {exc}")
@@ -159,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         "tcp://host:port work queue (REPRO_QUEUE_SECRET: the shared frame-signing secret).",
     )
     parser.add_argument("queue", help="the coordinator's tcp://host:port queue address")
-    parser.add_argument("--worker-id", default=None, help="identity written into ack markers "
+    parser.add_argument("--worker-id", default=None, help="identity recorded with each ack "
                         "(default: <hostname>-<pid>)")
     parser.add_argument("--poll-interval", type=float, default=0.2, metavar="S",
                         help="longest wait on the coordinator between claim attempts when "

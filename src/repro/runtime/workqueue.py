@@ -1,36 +1,36 @@
-"""The distributed work queue: one state machine over in-memory buckets.
+"""The distributed work queue: one state machine in one process's memory.
 
-:class:`BucketQueue` is the queue's claim/lease/ack machine.  A task is a name
-that moves between *buckets*:
+:class:`BucketQueue` is the queue's claim/lease/ack machine.  Its whole state
+is five fields:
 
-* ``pending`` — the one pool of claimable tasks; a claim takes the lowest
-  task id, and an expired lease goes back into the same pool.
-* ``claimed`` — a worker claims a task by *moving* it out of pending; the
-  claimed entry's stamp is the **lease heartbeat**, refreshed on claim and
-  periodically while the worker executes.
-* ``done`` / ``failed`` — ack markers (results themselves go into the result
-  store, not the queue).
-* the stop bucket — the stop sentinel the coordinator writes when the sweep
-  is complete.
+* ``_pending`` — the one pool of claimable tasks (payload by task id); a claim
+  takes the lowest task id, and an expired lease goes back into the same pool.
+* ``_claimed`` — ``[payload, lease stamp]`` by task id; the stamp is the
+  **lease heartbeat**, set on claim and refreshed periodically while the
+  worker executes.
+* ``_done`` / ``_failed`` — the acking worker, or the error message, by task
+  id (results themselves go into the result store, not the queue).
+* ``_stopped`` — set when the coordinator writes the stop: the sweep is
+  complete.
 
 Where a task's *result* lands (a flat or sharded result store) is the store's
 decision alone (:meth:`~repro.runtime.result_store.ResultStore.path_for`); the
 queue neither knows nor cares.
 
-The machine is written against a handful of storage primitives (list a
-bucket, move a name, put/load/drop an entry, touch and read a stamp).  Each
-bucket maps names to ``[value, stamp]``, every primitive runs under one lock,
-and the lock's condition wakes :meth:`BucketQueue.wait_for_change` and
-:meth:`BucketQueue.wait_for_work`.  The one atomic step is the move: of
-several concurrent moves of one name exactly one wins, which makes a claim
-exclusive.  Stamps are ``time.monotonic()``: claim, renew and expiry read one
-clock on one host, so clock skew between hosts cannot age a lease.
+Every public operation is one step: it holds the queue's one (reentrant) lock
+from its first read to its last write and notifies the lock's condition
+itself, which wakes :meth:`BucketQueue.wait_for_change` and
+:meth:`BucketQueue.wait_for_work`.  A claim pops its task from ``_pending``
+and records it in ``_claimed`` inside one step, so two claims can never take
+the same task and no step ever sees another half done.  Stamps are
+``time.monotonic()``: claim, renew and expiry read one clock on one host, so
+clock skew between hosts cannot age a lease.
 
 The coordinator serves the machine over TCP
 (:class:`~repro.runtime.netqueue.QueueServer`); workers reach it through
 :class:`~repro.runtime.netqueue.NetWorkQueue`.  A worker that dies (SIGKILL,
 OOM, host loss) simply stops renewing its claim; once the stamp is older than
-the lease timeout, :meth:`BucketQueue.requeue_expired` moves it back into the
+the lease timeout, :meth:`BucketQueue.requeue_expired` puts it back into the
 pending pool and any worker picks it up.  Task execution is idempotent
 (results are persisted with atomic writes under content-addressed names), so
 the rare double execution after a lease expiry is harmless, and an ack drops
@@ -46,22 +46,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from repro.errors import ExperimentError
 from repro.runtime.result_store import TaskKey
-
-#: Bucket names.
-PENDING, CLAIMED, DONE, FAILED = "pending", "claimed", "done", "failed"
-
-#: Bucket of the stop sentinel.
-STOP = ""
-
-#: Stop sentinel name.
-STOP_SENTINEL = "stop"
-
 
 @dataclass(frozen=True)
 class TaskClaim:
@@ -129,7 +118,7 @@ class WorkerQueueTransport(Protocol):
 
 @dataclass(frozen=True)
 class QueueStats:
-    """Snapshot of the queue state (counts racy by nature, exact per bucket)."""
+    """Snapshot of the queue state: all four counts read in one locked step."""
 
     pending: int
     claimed: int
@@ -144,138 +133,85 @@ class QueueStats:
 
 
 class BucketQueue:
-    """The queue's state machine over in-memory buckets (module docstring).
-
-    Every step tolerates losing a move race: the loser skips the name.
-    """
+    """The queue's state machine (module docstring): one lock, one step per operation."""
 
     def __init__(self, lease_timeout_s: float) -> None:
         if lease_timeout_s <= 0:
             raise ExperimentError(f"{type(self).__name__}.lease_timeout_s must be positive")
         self.lease_timeout_s = float(lease_timeout_s)
         self._lock = threading.RLock()
-        self._buckets: dict[str, dict[str, list]] = {}
         #: Notified on every state change a waiter may be waiting for.
         self._change = threading.Condition(self._lock)
+        self._pending: dict[str, object] = {}  # payload by task id
+        self._claimed: dict[str, list] = {}  # [payload, lease stamp] by task id
+        self._done: dict[str, str] = {}  # acking worker by task id
+        self._failed: dict[str, str] = {}  # error message by task id
+        self._stopped = False
         #: Raised by what the coordinator's loop acts on (an ack or a
         #: failure), lowered by :meth:`wait_for_change`.
         self._changed = False
 
-    # ------------------------------------------------------------------ storage primitives
-    def _names(self, bucket: str) -> list[str]:
-        """The names in ``bucket``, sorted."""
-        with self._lock:
-            return sorted(self._buckets.get(bucket, ()))
-
-    def _move(self, source: str, target: str, name: str) -> bool:
-        """Atomically move ``name``, value and stamp, into ``target``;
-        ``False`` if ``source`` no longer holds it."""
-        with self._lock:
-            entry = self._buckets.get(source, {}).pop(name, None)
-            if entry is None:
-                return False
-            self._buckets.setdefault(target, {})[name] = entry
-            return True
-
-    def _put(self, bucket: str, name: str, value: object = None) -> None:
-        """Store ``value`` under ``name``, replacing it, stamped now."""
-        with self._lock:
-            self._buckets.setdefault(bucket, {})[name] = [value, self._now()]
-
-    def _load(self, bucket: str, name: str) -> Any:
-        """The value under ``name``; ``KeyError`` once it is gone."""
-        with self._lock:
-            return self._buckets.get(bucket, {})[name][0]
-
-    def _drop(self, bucket: str, name: str) -> bool:
-        """Remove ``name``; ``False`` if it was already gone."""
-        with self._lock:
-            return self._buckets.get(bucket, {}).pop(name, None) is not None
-
-    def _touch(self, bucket: str, name: str) -> bool:
-        """Stamp ``name`` now; ``False``, creating nothing, if it is gone."""
-        with self._lock:
-            entry = self._buckets.get(bucket, {}).get(name)
-            if entry is not None:
-                entry[1] = self._now()
-            return entry is not None
-
-    def _stamp(self, bucket: str, name: str) -> float | None:
-        """When ``name`` was last put or touched; ``None`` if it is gone."""
-        with self._lock:
-            entry = self._buckets.get(bucket, {}).get(name)
-            return None if entry is None else entry[1]
-
     def _now(self) -> float:
-        """Now on the clock that stamps entries (the clock seam tests override)."""
+        """Now on the clock that stamps leases (the clock seam tests override)."""
         return time.monotonic()
-
-    def _wait(self, ready: Callable[[], bool], timeout_s: float) -> None:
-        """Return once ``ready()`` (run under the lock) holds, or after ``timeout_s``."""
-        with self._lock:
-            self._change.wait_for(ready, timeout_s)
-
-    def _notify(self, change: bool = False) -> None:
-        """Wake :meth:`_wait`; ``change`` also raises the flag :meth:`wait_for_change` lowers."""
-        with self._lock:
-            if change:
-                self._changed = True
-            self._change.notify_all()
 
     # ------------------------------------------------------------------ coordinator
     def enqueue(self, task_id: str, payload: object) -> None:
-        """Make one task claimable (atomic: a worker never sees a partial task)."""
-        self._put(PENDING, task_id, payload)
-        self._notify()
+        """Make one task claimable."""
+        with self._lock:
+            self._pending[task_id] = payload
+            self._change.notify_all()
 
     def requeue_expired(self) -> list[str]:
         """Re-queue every claim whose lease heartbeat has gone stale.
 
-        A live worker touches its claim more often than the lease timeout; a
-        claim untouched for longer belongs to a dead worker and goes back into
-        the pending pool for any worker.  An age equal to the timeout is still
-        live.
+        A live worker renews its claim more often than the lease timeout; a
+        claim not renewed for longer belongs to a dead worker and goes back
+        into the pending pool for any worker.  An age equal to the timeout is
+        still live.
         """
-        now = self._now()
-        requeued = []
-        for name in self._names(CLAIMED):
-            stamp = self._stamp(CLAIMED, name)  # None: acked or re-queued under us
-            if stamp is not None and now - stamp > self.lease_timeout_s and self._move(CLAIMED, PENDING, name):
-                requeued.append(name)
-        if requeued:
-            self._notify()
-        return requeued
+        with self._lock:
+            now = self._now()
+            requeued = sorted(
+                task_id
+                for task_id, (_, stamp) in self._claimed.items()
+                if now - stamp > self.lease_timeout_s
+            )
+            for task_id in requeued:
+                self._pending[task_id] = self._claimed.pop(task_id)[0]
+            if requeued:
+                self._change.notify_all()
+            return requeued
 
     def write_stop(self) -> None:
-        self._put(STOP, STOP_SENTINEL)
-        self._notify()
+        with self._lock:
+            self._stopped = True
+            self._change.notify_all()
 
     def stop_requested(self) -> bool:
-        return self._stamp(STOP, STOP_SENTINEL) is not None
+        with self._lock:
+            return self._stopped
 
     # ------------------------------------------------------------------ worker
     def claim(self, worker_id: str) -> TaskClaim | None:
         """Claim the pending task with the lowest id, or ``None`` when nothing is claimable.
 
-        The move into ``claimed`` is the claim: losing the race on one task
-        just moves on to the next.
+        The lease heartbeat starts at claim time.
         """
-        for name in self._names(PENDING):
-            if not self._move(PENDING, CLAIMED, name):
-                continue  # another worker won this one
-            # The lease heartbeat starts at claim time.
-            if not self._touch(CLAIMED, name):
-                continue  # re-queued out from under us before we could start
-            try:
-                payload = self._load(CLAIMED, name)
-            except KeyError:
-                continue  # likewise
-            return TaskClaim(task_id=name, payload=payload)
-        return None
+        with self._lock:
+            if not self._pending:
+                return None
+            task_id = min(self._pending)
+            payload = self._pending.pop(task_id)
+            self._claimed[task_id] = [payload, self._now()]
+            return TaskClaim(task_id=task_id, payload=payload)
 
     def renew(self, claim: TaskClaim) -> None:
         """Refresh the claim's lease heartbeat (no-op if the claim was re-queued)."""
-        self._touch(CLAIMED, claim.task_id)
+        with self._lock:
+            entry = self._claimed.get(claim.task_id)
+            if entry is not None:
+                entry[1] = self._now()
 
     def ack(self, claim: TaskClaim, worker_id: str, result: ResultUpload | None = None) -> None:
         """Mark a claim as completed and release it.
@@ -286,73 +222,70 @@ class BucketQueue:
         ``result`` is ignored here: ``QueueServer.ack`` persists it before
         calling this.
         """
-        self._drop(PENDING, claim.task_id)
-        self._settle(DONE, claim.task_id, worker_id)
+        with self._lock:
+            self._pending.pop(claim.task_id, None)
+            self._done[claim.task_id] = worker_id
+            self._release(claim.task_id)
 
     def fail(self, claim: TaskClaim, worker_id: str, error: str) -> None:
         """Mark a claim as failed (re-queueing is the coordinator's call: it
         retries a failed task up to ``RuntimeConfig.task_retries`` times)."""
-        self._settle(FAILED, claim.task_id, worker_id, error=error)
+        with self._lock:
+            self._failed[claim.task_id] = error
+            self._release(claim.task_id)
 
-    def _settle(self, bucket: str, task_id: str, worker_id: str, error: str | None = None) -> None:
-        """Write the task's ``done``/``failed`` marker, release its claim, wake the coordinator."""
-        marker = {"task_id": task_id, "worker": worker_id, "status": bucket}
-        if error is not None:
-            marker["error"] = error
-        self._put(bucket, task_id, marker)
-        self._drop(CLAIMED, task_id)
-        self._notify(change=True)
+    def _release(self, task_id: str) -> None:
+        """Drop the task's claim and wake the coordinator (called by ``ack``
+        and ``fail`` inside their step; the lock is reentrant)."""
+        with self._lock:
+            self._claimed.pop(task_id, None)
+            self._changed = True
+            self._change.notify_all()
 
     def discard_failure(self, task_id: str) -> bool:
-        """Drop a task's failure marker (the coordinator is about to retry it)."""
-        return self._drop(FAILED, task_id)
+        """Drop a task's failure (the coordinator is about to retry it)."""
+        with self._lock:
+            return self._failed.pop(task_id, None) is not None
 
     # ------------------------------------------------------------------ inspection
     def pending_ids(self) -> set[str]:
-        return set(self._names(PENDING))
+        with self._lock:
+            return set(self._pending)
 
     def claimed_ids(self) -> set[str]:
-        return set(self._names(CLAIMED))
+        with self._lock:
+            return set(self._claimed)
 
     def done_ids(self) -> set[str]:
-        return set(self._names(DONE))
+        with self._lock:
+            return set(self._done)
 
     def failed_tasks(self) -> dict[str, str]:
         """Failed task ids mapped to their error messages."""
-        out: dict[str, str] = {}
-        for name in self._names(FAILED):
-            try:
-                marker = self._load(FAILED, name)
-            except KeyError:
-                marker = {}
-            out[name] = str(marker.get("error", "unknown error"))
-        return out
+        with self._lock:
+            return dict(self._failed)
 
     def worker_done_counts(self) -> dict[str, int]:
-        """Completed-task counts per worker id (from the ack markers, read
-        under the lock in one pass)."""
+        """Completed-task counts per worker id."""
         with self._lock:
-            return dict(Counter(self._load(DONE, name)["worker"] for name in self._names(DONE)))
+            return dict(Counter(self._done.values()))
 
     def has_live_claims(self) -> bool:
         """Whether any claim's lease is still being heart-beaten."""
-        now = self._now()
-        for name in self._names(CLAIMED):
-            stamp = self._stamp(CLAIMED, name)
-            if stamp is not None and now - stamp <= self.lease_timeout_s:
-                return True
-        return False
+        with self._lock:
+            now = self._now()
+            return any(now - stamp <= self.lease_timeout_s for _, stamp in self._claimed.values())
 
     def stats(self) -> QueueStats:
         """Entry counts only: the coordinator polls this every few hundred
-        milliseconds, so it never loads a marker (``failed_tasks`` does, and
-        stays reserved for error reporting)."""
+        milliseconds, so it copies nothing (``failed_tasks`` copies the
+        messages, and stays reserved for error reporting)."""
         with self._lock:
             return QueueStats(
-                pending=len(self._names(PENDING)),
-                claimed=len(self._names(CLAIMED)),
-                done=len(self._names(DONE)),
-                failed=len(self._names(FAILED)),
+                pending=len(self._pending),
+                claimed=len(self._claimed),
+                done=len(self._done),
+                failed=len(self._failed),
             )
 
     def wait_for_change(self, timeout_s: float) -> None:
@@ -373,4 +306,5 @@ class BucketQueue:
         state, not on a notification, loses nothing that landed between the
         worker's empty-handed claim and this call.
         """
-        self._wait(lambda: self.stop_requested() or bool(self._names(PENDING)), timeout_s)
+        with self._lock:
+            self._change.wait_for(lambda: self._stopped or bool(self._pending), timeout_s)

@@ -56,15 +56,6 @@ class TestRegistry:
 
 
 class TestEnvironment:
-    def test_hints_from_plan_roundtrip(self, shared_env, job_workload):
-        query = job_workload.by_id("2a")
-        plan = shared_env.plan_with_hints(query.bound).plan
-        hints = shared_env.hints_from_plan(query.bound, plan)
-        hints.validate(query.bound.aliases)
-        assert set(hints.leading) == set(query.bound.aliases)
-        forced = shared_env.plan_with_hints(query.bound, hints)
-        assert forced.plan.aliases == plan.aliases
-
     def test_execute_plan_hot_cache_protocol(self, shared_env, job_workload):
         query = job_workload.by_id("1a")
         plan = shared_env.plan_with_hints(query.bound).plan
@@ -132,7 +123,6 @@ class TestNeoAndBalsa:
         for query in test:
             planned = neo.plan_query(query)
             assert planned.plan.aliases == frozenset(query.bound.aliases)
-            assert planned.hints.forces_join_order
 
     def test_balsa_bootstrap_uses_cost_not_execution(self, shared_env, small_split):
         train, _ = small_split

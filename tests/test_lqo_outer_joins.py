@@ -3,9 +3,8 @@
 On ``job_spec(0.1)`` and the registered ``random`` workload, each of the six
 methods fits a split holding inner- and outer-join queries and then plans
 all 16 outer-join queries.  Every plan keeps one LEFT/FULL join per outer
-edge, folded in syntax order over an inner-join core; its
-``hints_from_plan`` is a hint set the planner takes; and it executes to the
-rows of the native plan.  The learned searches plan the core and fold the
+edge, folded in syntax order over an inner-join core, and it executes to
+the rows of the native plan.  The learned searches plan the core and fold the
 edges (``JoinSearch``), so their training rows describe the folded plan.
 """
 
@@ -17,8 +16,6 @@ from repro.experiments.common import job_spec
 from repro.lqo import create_optimizer
 from repro.lqo.base import LQOEnvironment
 from repro.lqo.registry import MAIN_EVALUATION_METHODS
-from repro.optimizer.planner import Planner
-from repro.runtime.plan_cache import PlanCache
 from repro.workloads import build_workload
 from tests.test_outer_joins import assert_outer_folds_pinned
 
@@ -55,12 +52,9 @@ def test_every_method_plans_every_outer_join_query_as_the_native_plan_runs(rando
     env = LQOEnvironment(database, seed=0)
     optimizer = create_optimizer(method, env)
     optimizer.fit(inner[:TRAIN_INNER] + outer[:TRAIN_OUTER])
-    planner = Planner(database, plan_cache=PlanCache())
     for query in outer:
         plan = optimizer.plan_query(query).plan
         assert_outer_folds_pinned(plan, query.bound)
-        hints = env.hints_from_plan(query.bound, plan)
-        assert_outer_folds_pinned(planner.plan(query.bound, hints), query.bound)
         assert rows_of(env, query.bound, plan) == native[query.query_id], (method, query.query_id)
 
 

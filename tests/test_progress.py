@@ -348,6 +348,28 @@ class TestWorkerProgressFlag:
             payload = json.loads(line)
             assert payload["done"] == 0 and payload["total"] is None
 
+    def test_worker_closes_its_queue_client(self, monkeypatch):
+        """A worker that finds the sweep already stopped exits and leaves no
+        connection to the coordinator open behind it."""
+        from repro.runtime import worker as worker_module
+
+        clients = []
+
+        class RecordedClient(NetWorkQueue):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                clients.append(self)
+
+        monkeypatch.setattr(worker_module, "NetWorkQueue", RecordedClient)
+        queue = QueueServer()
+        queue.write_stop()
+        try:
+            assert worker_module.run_worker(queue.url, worker_id="w", progress_interval_s=0.1) == 0
+        finally:
+            queue.close()
+        assert len(clients) == 1
+        assert clients[0]._sock is None  # the kept connection was closed
+
     def test_cli_wires_progress_through(self, monkeypatch, tmp_path):
         from repro.runtime import worker as worker_module
 

@@ -1,8 +1,7 @@
 """The work queue's one state machine, and the store's durable writes.
 
-``BucketQueue`` holds the claim/lease/ack logic and its in-memory storage
-primitives; ``QueueServer`` serves it over TCP.  These tests pin the queue's
-rules and the primitive contract the machine relies on.
+``BucketQueue`` holds the claim/lease/ack logic as plain state behind one
+lock; ``QueueServer`` serves it over TCP.  These tests pin the queue's rules.
 """
 
 import os
@@ -15,27 +14,10 @@ from pathlib import Path
 import pytest
 
 from repro.runtime import result_store
-from repro.runtime.netqueue import QueueServer
 from repro.runtime.result_store import atomic_write_bytes
-from repro.runtime.workqueue import CLAIMED, PENDING
 
 # The state machine's rules run on both views of the queue (``make_queue``,
 # conftest): in process, and with every worker op over the wire.
-
-
-@pytest.fixture(params=("tcp",))
-def make_server(request):
-    """Factory of in-process queue servers (the storage primitives are not
-    on the wire), closing them afterwards."""
-    servers = []
-
-    def make(lease_timeout_s: float = 300.0):
-        servers.append(QueueServer(lease_timeout_s=lease_timeout_s))
-        return servers[-1]
-
-    yield make
-    for server in servers:
-        server.close()
 
 
 class TestZombieAck:
@@ -135,7 +117,7 @@ class TestQueueLifecycle:
 
     def test_stats_never_loads_a_marker(self, make_queue, monkeypatch):
         """The coordinator polls stats() every few hundred milliseconds: it
-        counts entries and leaves the markers to failed_tasks()."""
+        counts entries and leaves the failure messages to failed_tasks()."""
         queue = make_queue()
         for index in range(2):
             queue.enqueue(f"t-{index}", "task")
@@ -143,17 +125,17 @@ class TestQueueLifecycle:
         queue.enqueue("t-2", "task")
         queue.ack(queue.claim("w"), "w")
 
-        def must_not_load(bucket, name):
-            raise AssertionError(f"stats() loaded {bucket}/{name}")
+        def must_not_read():
+            raise AssertionError("stats() read the failure messages")
 
-        monkeypatch.setattr(getattr(queue, "server", queue), "_load", must_not_load)
+        monkeypatch.setattr(getattr(queue, "server", queue), "failed_tasks", must_not_read)
         assert queue.stats().describe() == "0 pending, 0 claimed, 1 done, 2 failed"
 
 
 class TestConcurrentClaims:
     def test_racing_claims_hand_each_task_out_once(self, make_queue):
-        """More claiming threads than cores: a claim is a sequence of
-        primitive calls, and only the move's single winner may run the task."""
+        """More claiming threads than cores: each task goes to exactly one
+        claim, however the threads interleave."""
         queue = make_queue()
         task_ids = [f"t-{index:03d}" for index in range(60)]
         for index, task_id in enumerate(task_ids):
@@ -264,29 +246,6 @@ class TestConcurrentClaims:
         assert [counted for counted, _ in polls] == sorted(counted for counted, _ in polls)
         counts = queue.worker_done_counts()
         assert sum(counts.values()) == len(task_ids) and set(counts) <= {f"w-{index}" for index in range(4)}
-
-
-class TestStoragePrimitives:
-    """The contract ``BucketQueue``'s state machine is written against."""
-
-    def test_of_two_moves_of_one_name_only_the_first_wins(self, make_server):
-        queue = make_server()
-        queue.enqueue("t-0", "payload")
-        stamped = queue._stamp(PENDING, "t-0")
-        assert queue._move(PENDING, CLAIMED, "t-0")
-        assert not queue._move(PENDING, CLAIMED, "t-0")
-        assert queue._names(CLAIMED) == ["t-0"] and queue._names(PENDING) == []
-        assert queue._stamp(CLAIMED, "t-0") == stamped  # a move carries the stamp
-        assert queue._load(CLAIMED, "t-0") == "payload"
-
-    def test_a_gone_entry_is_neither_loaded_nor_touched_back_to_life(self, make_server):
-        queue = make_server()
-        assert not queue._touch(CLAIMED, "ghost")
-        assert queue._stamp(CLAIMED, "ghost") is None
-        assert queue._names(CLAIMED) == []
-        with pytest.raises(KeyError):
-            queue._load(CLAIMED, "ghost")
-        assert not queue._drop(CLAIMED, "ghost")
 
 
 class TestDurableWrites:
