@@ -248,6 +248,41 @@ class TestConcurrentClaims:
         assert sum(counts.values()) == len(task_ids) and set(counts) <= {f"w-{index}" for index in range(4)}
 
 
+class TestClaimRecord:
+    """What one claim records, and that a released claim stays released."""
+
+    def test_a_claim_takes_the_task_once_and_starts_its_lease(self, make_queue, monkeypatch):
+        queue = make_queue(lease_timeout_s=60)
+        clock = {"now": 1000.0}
+        monkeypatch.setattr(getattr(queue, "server", queue), "_now", lambda: clock["now"])
+        queue.enqueue("t-0", "payload")
+        clock["now"] = 1010.0
+        claim = queue.claim("w-a")
+        assert (claim.task_id, claim.payload) == ("t-0", "payload")
+        assert queue.claim("w-b") is None
+        assert queue.claimed_ids() == {"t-0"} and queue.pending_ids() == set()
+        clock["now"] = 1070.0  # the lease is as old as the timeout: still live
+        assert queue.requeue_expired() == []
+        clock["now"] = 1070.001
+        assert queue.requeue_expired() == ["t-0"]
+        assert queue.claimed_ids() == set() and queue.pending_ids() == {"t-0"}
+
+    def test_a_released_claim_is_not_renewed_back_to_life(self, make_queue):
+        queue = make_queue(lease_timeout_s=0.05)
+        for task_id in ("t-0", "t-1", "t-2"):
+            queue.enqueue(task_id, task_id)
+        acked, failed, zombie = (queue.claim(worker) for worker in ("w-a", "w-b", "w-c"))
+        queue.ack(acked, "w-a")
+        queue.fail(failed, "w-b", "boom")
+        time.sleep(0.1)  # the zombie never renews: its lease runs out
+        assert queue.requeue_expired() == [zombie.task_id]
+        for claim in (acked, failed, zombie):
+            queue.renew(claim)
+        assert queue.claimed_ids() == set() and not queue.has_live_claims()
+        assert queue.pending_ids() == {zombie.task_id}
+        assert queue.stats().describe() == "1 pending, 0 claimed, 1 done, 1 failed"
+
+
 class TestDurableWrites:
     def test_file_is_synced_before_the_rename_and_the_directory_after(self, tmp_path, monkeypatch):
         calls = []
