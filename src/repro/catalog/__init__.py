@@ -12,7 +12,7 @@ Two concrete schemas are provided:
 * :mod:`repro.catalog.stack` — a StackExchange-style schema used by the STACK
   workload.
 
-Every generator is also registered in :mod:`repro.catalog.factories`, which
+Every generator is also listed in :mod:`repro.catalog.factories`, which
 lets a :class:`~repro.storage.spec.DatabaseSpec` (generator id + scale + seed
 + configuration) rebuild the database deterministically in any process — the
 basis of the runtime's spec-based dispatch.
@@ -28,22 +28,15 @@ from repro.catalog.schema import (
 )
 from repro.catalog.statistics import ColumnStatistics, TableStatistics, analyze_table
 
-_FACTORY_EXPORTS = (
-    "build_from_spec",
-    "database_factory",
-    "register_database_factory",
-    "registered_generators",
-)
-
 
 def __getattr__(name: str):
-    # The factory registry is exported lazily: importing it eagerly would
-    # close an import cycle (storage.table_data -> catalog.schema -> this
-    # package -> factories -> imdb -> storage.database -> storage.table_data).
-    if name in _FACTORY_EXPORTS:
-        from repro.catalog import factories
+    # build_from_spec is exported lazily: importing the factories eagerly
+    # would close an import cycle (storage.table_data -> catalog.schema ->
+    # this package -> factories -> imdb -> storage.database -> storage.table_data).
+    if name == "build_from_spec":
+        from repro.catalog.factories import build_from_spec
 
-        return getattr(factories, name)
+        return build_from_spec
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -58,7 +51,4 @@ __all__ = [
     "TableStatistics",
     "analyze_table",
     "build_from_spec",
-    "database_factory",
-    "register_database_factory",
-    "registered_generators",
 ]

@@ -45,7 +45,6 @@ class PostgresConfig:
     geqo: bool = True
     geqo_threshold: int = 12
     join_collapse_limit: int = 8
-    from_collapse_limit: int = 8
 
     # --- working memory ---------------------------------------------------
     work_mem: int = 4 * MB
@@ -81,10 +80,6 @@ class PostgresConfig:
     autovacuum: bool = True
     #: Whether the planner allows bushy join trees (PostgreSQL does).
     enable_bushy_plans: bool = True
-    #: Whether the executor strictly follows planner hints.  When ``False``
-    #: the engine models PostgreSQL's "dynamic optimization" behaviour and may
-    #: silently replace a hinted operator that is clearly infeasible.
-    strict_hints: bool = True
     #: Amount of physical RAM of the simulated host (Table 2, first row).
     host_ram: int = 64 * GB
 
@@ -305,13 +300,9 @@ class RuntimeConfig:
             runs every task in this process; distributed execution fans tasks
             out to worker processes through the coordinator's TCP work queue
             (``queue_url``).
-        plan_cache_entries: capacity of the shared :class:`~repro.runtime.plan_cache.PlanCache`
-            (``0`` disables plan caching).
-        store_dir: directory of the resumable JSON result store; ``None``
-            disables persistence.
-        skip_existing: when a result store is configured, completed (method,
-            split, seed) tasks found in the store are loaded instead of re-run
-            (PostBOUND-style resume semantics).
+        store_dir: directory of the resumable JSON result store: completed
+            (method, split, seed) tasks found there are loaded instead of
+            re-run.  ``None`` disables persistence.
         shard_count: with ``store_dir`` set, a value > 0 partitions the
             :class:`~repro.runtime.result_store.ResultStore` over that many
             shard directories (contention-free multi-host writes); ``0``
@@ -347,9 +338,7 @@ class RuntimeConfig:
 
     workers: int = 1
     executor_kind: str = "serial"
-    plan_cache_entries: int = 1024
     store_dir: str | None = None
-    skip_existing: bool = True
     shard_count: int = 0
     queue_url: str = "tcp://127.0.0.1:0"
     lease_timeout_s: float = 60.0
@@ -364,8 +353,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"unknown executor kind {self.executor_kind!r}; expected one of {EXECUTOR_KINDS}"
             )
-        if self.plan_cache_entries < 0:
-            raise ValueError("RuntimeConfig.plan_cache_entries must be >= 0")
         if self.shard_count < 0:
             raise ValueError("RuntimeConfig.shard_count must be >= 0")
         if self.lease_timeout_s <= 0:

@@ -282,47 +282,77 @@ class ExecutionEngine:
 
         if statement.group_by:
             return self._grouped_aggregates(query, relation, statement)
+        # The scalar case: one group of every row, in input order.
+        columns = self._aggregate_columns(
+            query, relation, statement.select_items, np.zeros(1, dtype=np.intp), [relation.size]
+        )
+        return [tuple(column[0] for column in columns)]
 
-        row = []
-        for item in statement.select_items:
-            row.append(self._scalar_aggregate(query, relation, item))
-        return [tuple(row)]
+    def _aggregate_columns(
+        self,
+        query: BoundQuery,
+        relation: Batch | CountedJoin,
+        items,
+        starts: np.ndarray,
+        sizes: list[int],
+    ) -> list[list[object]]:
+        """Every aggregate item over every group, one reduction per item.
 
-    def _scalar_aggregate(self, query: BoundQuery, relation: Batch | CountedJoin, item) -> object:
-        """Evaluate one aggregate select-item over the whole relation.
-
-        Reads the column as ``(values, weights)``: a batch's tuples weigh one
-        each (``weights`` is ``None``); a :class:`CountedJoin`'s input rows
-        weigh the number of joined tuples they are part of, and a row of
-        weight 0 is not in the output at all.
+        Group ``g`` is the rows ``starts[g]:starts[g + 1]`` of a column and
+        holds ``sizes[g]`` tuples (what ``COUNT(*)`` returns).  A column
+        reads as ``(values, weights)``: a batch's tuples weigh one each
+        (``weights`` is ``None``); a :class:`CountedJoin`'s input rows weigh
+        the number of joined tuples they are part of, and a row of weight 0 is
+        not in the output at all.  A group whose column holds no non-NULL
+        value aggregates to ``None``, COUNT included.  SUM and AVG add in
+        int64 and AVG divides after, which keeps the bits of ``values.mean()``
+        while a group's sum stays below 2**53.
         """
-        if item.column is None:
-            return relation.size
-        alias = item.column.alias or query.aliases[0]
-        if alias not in relation.aliases or relation.size == 0:
-            return None
-        if isinstance(relation, CountedJoin):
-            values, weights = relation.weighted(self.database, query, alias, item.column.column)
-        else:
-            values, weights = relation.fetch(self.database, query, alias, item.column.column), None
-        present = values != NULL_SENTINEL
-        if weights is not None:
-            present &= weights > 0
-        values = values[present]
-        if values.size == 0:
-            return None
-        data = self.database.table_data(query.table_of(alias))
-        if item.function == "count":
-            return int(values.size) if weights is None else int(weights[present].sum())
-        if item.function == "sum":
-            return int(values.sum())
-        if item.function == "avg":
-            return float(values.mean())
-        if item.function == "min":
-            return data.decode(item.column.column, int(values.min()))
-        if item.function == "max":
-            return data.decode(item.column.column, int(values.max()))
-        raise ExecutionError(f"unsupported aggregate {item.function!r}")
+        columns: list[list[object]] = []
+        for item in items:
+            if item.column is None:
+                columns.append([int(size) for size in sizes])
+                continue
+            alias = item.column.alias or query.aliases[0]
+            if alias not in relation.aliases or relation.size == 0:
+                columns.append([None] * len(sizes))
+                continue
+            column = item.column.column
+            if isinstance(relation, CountedJoin):
+                values, weights = relation.weighted(self.database, query, alias, column)
+            else:
+                values, weights = relation.fetch(self.database, query, alias, column), None
+            missing = values == NULL_SENTINEL
+            if weights is not None:
+                missing |= weights <= 0
+            else:
+                weights = np.broadcast_to(np.int64(1), values.shape)
+            if not missing.any():
+                missing = None
+
+            def reduce(ufunc: np.ufunc, array: np.ndarray, fill: int) -> list[int]:
+                """``ufunc`` over each group of ``array``, its missing rows read as ``fill``."""
+                if missing is not None:
+                    array = np.where(missing, fill, array)
+                return ufunc.reduceat(array, starts, dtype=np.int64).tolist()
+
+            counts = reduce(np.add, weights, 0)
+            data = self.database.table_data(query.table_of(alias))
+            if item.function == "count":
+                results = counts
+            elif item.function == "sum":
+                results = reduce(np.add, values, 0)
+            elif item.function == "avg":
+                sums = reduce(np.add, values, 0)
+                results = [total / count if count else None for total, count in zip(sums, counts)]
+            elif item.function == "min":
+                results = data.decode_many(column, reduce(np.minimum, values, np.iinfo(np.int64).max))
+            elif item.function == "max":
+                results = data.decode_many(column, reduce(np.maximum, values, np.iinfo(np.int64).min))
+            else:
+                raise ExecutionError(f"unsupported aggregate {item.function!r}")
+            columns.append([result if count else None for result, count in zip(results, counts)])
+        return columns
 
     def _grouped_aggregates(self, query: BoundQuery, relation: Batch, statement) -> list[tuple]:
         """Evaluate GROUP BY output: one row per distinct group-key combination."""
@@ -335,23 +365,34 @@ class ExecutionEngine:
         # One stable sort: groups in ascending key order (lexicographic over the
         # GROUP BY columns), each group's positions ascending.
         order = np.lexsort(group_columns[::-1])
-        keys = np.stack([values[order] for values in group_columns])
-        starts = np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)) + 1
-        rows = []
-        for positions in np.split(order, starts):
-            sub_relation = relation.select(positions)
-            key = []
-            for col, values in zip(statement.group_by, group_columns):
-                alias = col.alias or query.aliases[0]
-                data = self.database.table_data(query.table_of(alias))
-                key.append(data.decode(col.column, int(values[positions[0]])))
-            aggregates = [
-                self._scalar_aggregate(query, sub_relation, item)
-                for item in statement.select_items
-                if item.function
-            ]
-            rows.append(tuple(key) + tuple(aggregates))
-        return rows
+        keys = [values[order] for values in group_columns]
+        first = np.zeros(relation.size, dtype=bool)
+        first[0] = True
+        for sorted_keys in keys:
+            first[1:] |= sorted_keys[1:] != sorted_keys[:-1]
+        starts = np.flatnonzero(first)
+        key_columns = [
+            self.database.table_data(query.table_of(col.alias or query.aliases[0])).decode_many(
+                col.column, group_keys[starts]
+            )
+            for col, group_keys in zip(statement.group_by, keys)
+        ]
+        items = [item for item in statement.select_items if item.function]
+        aggregates: list[list[object]] = [[] for _ in items]
+        # Whole groups about AGGREGATE_SLICE_ROWS rows at a time: on a
+        # multi-million-row input, fresh full-size temporaries cost more in
+        # page faults than the reductions themselves.
+        bounds = starts.tolist() + [relation.size]
+        cuts = np.searchsorted(starts, np.arange(0, relation.size, AGGREGATE_SLICE_ROWS), side="right") - 1
+        cuts = np.unique(cuts).tolist() + [len(starts)]
+        for first_group, end_group in zip(cuts, cuts[1:]):
+            lo, hi = bounds[first_group], bounds[end_group]
+            slice_starts = starts[first_group:end_group] - lo
+            sizes = np.diff(slice_starts, append=hi - lo).tolist()
+            part = self._aggregate_columns(query, relation.select(order[lo:hi]), items, slice_starts, sizes)
+            for column, values in zip(aggregates, part):
+                column.extend(values)
+        return list(zip(*key_columns, *aggregates))
 
     def _project_rows(self, query: BoundQuery, relation: Batch, statement) -> list[tuple]:
         """Decode the SELECT list for a plain (non-aggregate) projection."""
@@ -370,6 +411,10 @@ class ExecutionEngine:
             columns.append(data.decode_many(item.column.column, values))
         return [tuple(col[i] for col in columns) for i in range(size)]
 
+
+#: Rows of a grouped input aggregated per slice (whole groups, so a slice can
+#: run longer): slice-sized temporaries stay in cache and reuse freed memory.
+AGGREGATE_SLICE_ROWS = 1 << 16
 
 #: Aggregates a :class:`CountedJoin` answers from per-row match counts.  Any
 #: other aggregate materializes the join's tuples — AVG must: a weighted float

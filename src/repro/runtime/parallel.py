@@ -41,10 +41,10 @@ fresh results are persisted as they arrive.
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Union
@@ -61,7 +61,7 @@ from repro.runtime.progress import DEFAULT_PROGRESS_INTERVAL_S, ProgressSnapshot
 from repro.runtime.result_store import ResultStore, TaskKey
 from repro.runtime.workqueue import BucketQueue, parse_queue_url
 from repro.storage.database import Database
-from repro.storage.registry import get_process_registry, resolve_database
+from repro.storage.registry import MAX_DATABASES, get_process_registry, resolve_database
 from repro.storage.spec import DatabaseSpec
 from repro.workloads import build_workload, is_registered_workload
 from repro.workloads.workload import Workload
@@ -107,83 +107,48 @@ class SpecTaskPayload:
     workload_fingerprint: str
     db_config: PostgresConfig
     experiment_config: ExperimentConfig
-    plan_cache_entries: int
     task: ExperimentTask
 
 
-#: Per-process memo of worker-rebuilt workloads, keyed by (workload name,
-#: database-spec fingerprint): an N-task grid rebinds the workload once per
-#: worker process instead of once per task, mirroring the database registry.
-_WORKER_WORKLOADS: dict[tuple[str, str], Workload] = {}
-#: Per-process plan caches, keyed by (database-spec fingerprint, capacity):
-#: every task a worker runs on one database plans through one cache, so a
-#: cell re-plans nothing an earlier cell of the process planned.  Planning is
-#: a pure function of the cache key, so a hit changes no result byte.
-_WORKER_PLAN_CACHES: dict[tuple[str, int], PlanCache] = {}
-_WORKER_LOCK = threading.Lock()
-#: Entries either memo holds before it starts over.
-_WORKER_MEMO_MAX = 32
+#: This process's one plan cache: every task a worker runs plans through it,
+#: so a cell re-plans nothing an earlier cell of the process planned.  Every
+#: cache key carries the database scope, so one cache serves every spec, and
+#: planning is a pure function of the key, so a hit changes no result byte.
+_WORKER_PLAN_CACHE = PlanCache()
 
 
-def _worker_plan_cache(payload: SpecTaskPayload) -> PlanCache:
-    """This process's plan cache for the payload's database."""
-    key = (payload.spec.fingerprint(), payload.plan_cache_entries)
-    with _WORKER_LOCK:
-        cache = _WORKER_PLAN_CACHES.get(key)
-        if cache is None:
-            if len(_WORKER_PLAN_CACHES) >= _WORKER_MEMO_MAX:
-                _WORKER_PLAN_CACHES.clear()
-            cache = _WORKER_PLAN_CACHES[key] = PlanCache(payload.plan_cache_entries)
-        return cache
+@functools.lru_cache(maxsize=MAX_DATABASES)
+def _rebuilt_workload(name: str, spec: DatabaseSpec) -> Workload:
+    """Workload ``name`` bound to the spec's database, rebuilt once per process."""
+    return build_workload(name, get_process_registry().get(spec).schema)
 
 
-def _worker_workload(payload: SpecTaskPayload, database: Database) -> Workload:
-    """Rebuild (or reuse) and validate the payload's workload in this process."""
-    key = (payload.workload_name, payload.spec.fingerprint())
-    with _WORKER_LOCK:
-        workload = _WORKER_WORKLOADS.get(key)
-    if workload is None:
-        workload = build_workload(payload.workload_name, database.schema)
-        with _WORKER_LOCK:
-            if len(_WORKER_WORKLOADS) >= _WORKER_MEMO_MAX:
-                _WORKER_WORKLOADS.clear()
-            workload = _WORKER_WORKLOADS.setdefault(key, workload)
+def _execute_payload(payload: SpecTaskPayload) -> tuple[MethodRunResult, "ParallelExperimentRunner"]:
+    """Run one payload in this process; returns the result and its runner.
+
+    The database comes out of the process registry and the workload out of
+    the process memo — both built on the first task, reused by every later
+    task of the same spec.
+    """
+    workload = _rebuilt_workload(payload.workload_name, payload.spec)
     if workload.fingerprint() != payload.workload_fingerprint:
-        # The caller's workload shares a registered name but different
+        # The caller's workload shares a rebuildable name but different
         # content (e.g. a hand-built subset named "job"): refusing here keeps
         # worker results from silently diverging from serial execution,
         # which uses the caller's instance.
         raise ExperimentError(
             f"worker rebuild of workload {payload.workload_name!r} does not match the "
             "dispatched workload (content fingerprint mismatch); pass the canonically "
-            "built workload, register the custom one under its own name, or use the "
-            "serial executor"
+            "built workload, give the custom one its own name, or use the serial executor"
         )
-    return workload
-
-
-def _execute_payload(payload: SpecTaskPayload) -> tuple[MethodRunResult, "ParallelExperimentRunner"]:
-    """Run one payload in this process; returns the result and its runner."""
-    database = get_process_registry().get(payload.spec)
     runner = ParallelExperimentRunner(
-        database,
-        _worker_workload(payload, database),
+        get_process_registry().get(payload.spec),
+        workload,
         config=payload.db_config,
         experiment_config=payload.experiment_config,
-        runtime_config=RuntimeConfig(plan_cache_entries=payload.plan_cache_entries),
     )
-    runner.plan_cache = _worker_plan_cache(payload)
+    runner.plan_cache = _WORKER_PLAN_CACHE
     return runner.run_task(payload.task), runner
-
-
-def execute_spec_payload(payload: SpecTaskPayload) -> MethodRunResult:
-    """The result a worker computes for ``payload``, run in this process.
-
-    The database comes out of the process registry — built once on the first
-    task, reused by every later task of the same spec.  The workload is
-    likewise rebuilt once per process and reused.
-    """
-    return _execute_payload(payload)[0]
 
 
 def execute_spec_payload_with_identity(payload: SpecTaskPayload) -> tuple[MethodRunResult, TaskKey, str]:
@@ -259,12 +224,12 @@ class ParallelExperimentRunner:
         self.experiment_config = experiment_config or ExperimentConfig()
         self.runtime_config = config = runtime_config or RuntimeConfig()
         if result_store is None and config.store_dir is not None:
-            result_store = ResultStore(config.store_dir, config.skip_existing, config.shard_count)
+            result_store = ResultStore(config.store_dir, shard_count=config.shard_count)
         self.result_store = result_store
         #: The one plan cache every task this runner runs in-process plans
-        #: through.  A zero capacity genuinely disables caching (``put()`` is
-        #: a no-op); ``None`` would fall back to one default cache per planner.
-        self.plan_cache = PlanCache(self.runtime_config.plan_cache_entries)
+        #: through.  Assigning a ``PlanCache(0)`` disables caching (``put()``
+        #: is a no-op).
+        self.plan_cache = PlanCache()
         #: Called with every :class:`ProgressSnapshot` a distributed sweep's
         #: reporter takes (periodic plus the final end-of-sweep snapshot).
         self.progress_callback = progress_callback
@@ -386,7 +351,7 @@ class ParallelExperimentRunner:
         if not self.uses_spec_dispatch:
             raise ExperimentError(
                 "spec dispatch unavailable: the database carries no DatabaseSpec "
-                "or the workload is not registered for rebuilding"
+                "or the workload cannot be rebuilt by name"
             )
         return SpecTaskPayload(
             spec=self.database_spec,
@@ -394,7 +359,6 @@ class ParallelExperimentRunner:
             workload_fingerprint=self.workload.fingerprint(),
             db_config=self.db_config,
             experiment_config=self.experiment_config,
-            plan_cache_entries=self.runtime_config.plan_cache_entries,
             task=task,
         )
 
@@ -421,7 +385,7 @@ class ParallelExperimentRunner:
             raise ExperimentError(
                 "distributed execution requires spec dispatch: build the database "
                 "through the catalog factories (or pass a DatabaseSpec) and use a "
-                "workload registered for rebuilding"
+                "workload rebuildable by name (repro.workloads.WORKLOADS)"
             )
         store = self.result_store
         if store is None:

@@ -19,9 +19,7 @@ from repro.storage.database import Database
 from repro.storage.spec import DatabaseSpec
 from repro.storage.registry import (
     DatabaseRegistry,
-    RegistryStats,
     get_process_registry,
-    reset_process_registry,
     resolve_database,
 )
 
@@ -33,8 +31,6 @@ __all__ = [
     "Database",
     "DatabaseSpec",
     "DatabaseRegistry",
-    "RegistryStats",
     "get_process_registry",
-    "reset_process_registry",
     "resolve_database",
 ]

@@ -1,99 +1,51 @@
-"""Per-process registry of materialized databases, keyed by spec fingerprint.
+"""Per-process memo of materialized databases, keyed by spec fingerprint.
 
-The registry is the receiving end of spec-based dispatch: a worker process
-handed a :class:`~repro.storage.spec.DatabaseSpec` asks its process-local
-registry for the database and gets either the already-materialized instance
-(zero-copy reuse — every task of a grid shares one build) or a freshly built
-one.  Concurrent requests for the same spec are serialized per fingerprint, so
-a database is built *at most once* per process no matter how many threads race
-on it, while different specs build concurrently.
+The memo is the receiving end of spec-based dispatch: a worker process handed
+a :class:`~repro.storage.spec.DatabaseSpec` asks its process registry for the
+database and gets either the instance it already built (every task of a grid
+shares one build) or a freshly built one.  One lock guards the memo and is
+held across a build, so a spec is built *at most once* per process however
+many threads ask for it.  No caller builds two specs at once, so serializing
+builds costs nothing.
 
-Capacity is bounded: least-recently-used databases are evicted once
-``max_entries`` distinct specs have been materialized, which keeps multi-scale
-sweeps (e.g. the covariate-shift study building IMDB and IMDB-50% at several
-scales) from accumulating every instance ever touched.
+The memo keeps the :data:`MAX_DATABASES` most recently used databases, which
+keeps multi-scale sweeps (e.g. the covariate-shift study building IMDB and
+IMDB-50% at several scales) from accumulating every instance ever touched.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from repro.errors import StorageError
 from repro.storage.spec import DatabaseSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
 
-#: Environment knob for the process registry capacity.
-REGISTRY_ENTRIES_ENV = "REPRO_DB_REGISTRY_ENTRIES"
-
-#: Default number of distinct materialized databases kept per process.
-DEFAULT_REGISTRY_ENTRIES = 8
-
-
-@dataclass
-class RegistryStats:
-    """Build/reuse accounting of one registry."""
-
-    hits: int = 0
-    builds: int = 0
-    evictions: int = 0
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.builds
-
-    def describe(self) -> str:
-        return f"{self.requests} requests: {self.hits} reused, {self.builds} built, {self.evictions} evicted"
+#: Distinct materialized databases one registry keeps.
+MAX_DATABASES = 8
 
 
 class DatabaseRegistry:
-    """Spec-fingerprint -> :class:`Database` cache with build-once locking."""
+    """Spec-fingerprint -> :class:`Database` LRU, each spec built once."""
 
-    def __init__(self, max_entries: int = DEFAULT_REGISTRY_ENTRIES) -> None:
-        if max_entries < 1:
-            raise StorageError("DatabaseRegistry needs room for at least one database")
-        self.max_entries = max_entries
-        self.stats = RegistryStats()
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, Database]" = OrderedDict()
-        #: One lock per in-flight fingerprint so concurrent get() calls for the
-        #: same spec build once while different specs build in parallel.
-        self._building: dict[str, threading.Lock] = {}
 
-    # ------------------------------------------------------------------ access
     def get(self, spec: DatabaseSpec) -> "Database":
         """The materialized database for ``spec`` (built on first request)."""
         fingerprint = spec.fingerprint()
         with self._lock:
-            cached = self._entries.get(fingerprint)
-            if cached is not None:
+            database = self._entries.get(fingerprint)
+            if database is not None:
                 self._entries.move_to_end(fingerprint)
-                self.stats.hits += 1
-                return cached
-            build_lock = self._building.setdefault(fingerprint, threading.Lock())
-        with build_lock:
-            # Double-check: the thread that held the lock first has built it.
-            with self._lock:
-                cached = self._entries.get(fingerprint)
-                if cached is not None:
-                    self._entries.move_to_end(fingerprint)
-                    self.stats.hits += 1
-                    return cached
-            database = spec.build()
-            database.spec = spec
-            with self._lock:
-                self.stats.builds += 1
-                self._entries[fingerprint] = database
-                self._entries.move_to_end(fingerprint)
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    self.stats.evictions += 1
-                self._building.pop(fingerprint, None)
+                return database
+            database = self._entries[fingerprint] = spec.build()
+            while len(self._entries) > MAX_DATABASES:
+                self._entries.popitem(last=False)
             return database
 
     def contains(self, spec: DatabaseSpec) -> bool:
@@ -104,52 +56,19 @@ class DatabaseRegistry:
         with self._lock:
             return len(self._entries)
 
-    def clear(self) -> int:
-        """Drop every materialized database; returns the number removed."""
-        with self._lock:
-            removed = len(self._entries)
-            self._entries.clear()
-            return removed
 
-    def describe(self) -> str:
-        with self._lock:
-            held = len(self._entries)
-        return f"DatabaseRegistry({held}/{self.max_entries} held, {self.stats.describe()})"
-
-
-# ---------------------------------------------------------------------------
-# The per-process singleton used by spec-based dispatch.
-# ---------------------------------------------------------------------------
-
-_PROCESS_REGISTRY: DatabaseRegistry | None = None
-_PROCESS_REGISTRY_LOCK = threading.Lock()
+#: The registry spec-based dispatch resolves through.  A spawned worker starts
+#: with an empty one and builds on first use.
+_PROCESS_REGISTRY = DatabaseRegistry()
 
 
 def get_process_registry() -> DatabaseRegistry:
-    """The process-wide registry (created lazily, capacity from the environment).
-
-    Forked worker processes inherit the parent's registry contents — already
-    materialized databases are reused via copy-on-write without rebuild or
-    pickling; spawned workers start empty and build on first use.
-    """
-    global _PROCESS_REGISTRY
-    if _PROCESS_REGISTRY is None:
-        with _PROCESS_REGISTRY_LOCK:
-            if _PROCESS_REGISTRY is None:
-                capacity = int(os.environ.get(REGISTRY_ENTRIES_ENV, DEFAULT_REGISTRY_ENTRIES))
-                _PROCESS_REGISTRY = DatabaseRegistry(max_entries=max(capacity, 1))
+    """This process's database registry."""
     return _PROCESS_REGISTRY
-
-
-def reset_process_registry() -> None:
-    """Drop the process registry (tests and long-lived sessions only)."""
-    global _PROCESS_REGISTRY
-    with _PROCESS_REGISTRY_LOCK:
-        _PROCESS_REGISTRY = None
 
 
 def resolve_database(source: Union["Database", DatabaseSpec]) -> "Database":
     """Materialize ``source`` if it is a spec; pass databases through."""
     if isinstance(source, DatabaseSpec):
-        return get_process_registry().get(source)
+        return _PROCESS_REGISTRY.get(source)
     return source

@@ -6,8 +6,8 @@ family structure (e.g. JOB's ``1a``/``1b``/``1c``/``1d`` variants of base
 query 1) is what the paper's three dataset-split strategies operate on
 (Section 7.2), so it is a first-class concept here.
 
-Workloads are rebuildable by name: :func:`build_workload` maps a registered
-workload id (``"job"``, ``"stack"``, ``"ext_job"``) plus a schema back to the
+Workloads are rebuildable by name: :func:`build_workload` maps a workload id
+from :data:`WORKLOADS` (``"job"``, ``"stack"``, ``"ext_job"``) plus a schema back to the
 bound workload.  The parallel runtime uses this to ship only the workload
 *name* to worker processes — the worker rebinds the queries against the
 schema of its spec-rebuilt database instead of unpickling hundreds of bound
@@ -32,13 +32,13 @@ from repro.workloads.random_gen import (
 
 
 def _build_default_random_workload(schema: Schema) -> Workload:
-    """The registered ``"random"`` workload: fixed count/seed so by-name
+    """The ``"random"`` workload: fixed count/seed so by-name
     rebuilds in worker processes fingerprint identically."""
     return build_random_workload(schema, count=32, seed=2024, name="random")
 
 
-#: Registered workload builders: workload name -> ``builder(schema)``.
-_WORKLOAD_FACTORIES: dict[str, Callable[[Schema], Workload]] = {
+#: Workload name (its ``Workload.name``) -> ``builder(schema)``.
+WORKLOADS: dict[str, Callable[[Schema], Workload]] = {
     "job": build_job_workload,
     "stack": build_stack_workload,
     "ext_job": build_ext_job_workload,
@@ -46,33 +46,18 @@ _WORKLOAD_FACTORIES: dict[str, Callable[[Schema], Workload]] = {
 }
 
 
-def register_workload_factory(
-    name: str, builder: Callable[[Schema], Workload], overwrite: bool = False
-) -> None:
-    """Register a workload builder under ``name`` (its ``Workload.name``)."""
-    if not overwrite and name in _WORKLOAD_FACTORIES:
-        raise WorkloadError(f"workload factory {name!r} is already registered")
-    _WORKLOAD_FACTORIES[name] = builder
-
-
-def registered_workloads() -> list[str]:
-    """Sorted names of every registered workload builder."""
-    return sorted(_WORKLOAD_FACTORIES)
-
-
 def build_workload(name: str, schema: Schema) -> Workload:
-    """Rebuild the workload registered under ``name`` against ``schema``."""
+    """Rebuild the workload named ``name`` against ``schema``."""
     try:
-        builder = _WORKLOAD_FACTORIES[name]
+        builder = WORKLOADS[name]
     except KeyError as exc:
-        raise WorkloadError(
-            f"unknown workload {name!r}; registered: {registered_workloads()}"
-        ) from exc
+        raise WorkloadError(f"unknown workload {name!r}; known: {sorted(WORKLOADS)}") from exc
     return builder(schema)
 
 
 def is_registered_workload(name: str) -> bool:
-    return name in _WORKLOAD_FACTORIES
+    """Whether a worker can rebuild the workload ``name`` by name."""
+    return name in WORKLOADS
 
 
 __all__ = [
@@ -89,6 +74,5 @@ __all__ = [
     "build_random_workload",
     "build_workload",
     "is_registered_workload",
-    "register_workload_factory",
-    "registered_workloads",
+    "WORKLOADS",
 ]

@@ -139,8 +139,7 @@ class TestRuntimeConfigDefaults:
         config = RuntimeConfig()
         assert config.workers == 1
         assert config.executor_kind == "serial"
-        assert config.plan_cache_entries > 0
-        assert config.store_dir is None and config.skip_existing is True
+        assert config.store_dir is None and config.shard_count == 0
 
     def test_rejects_unknown_executor(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.statistics import NULL_SENTINEL
+from repro.executor import engine as engine_module
 from repro.executor.engine import create_engine
 from repro.optimizer.planner import Planner
 from repro.sql.ast import render_sql
@@ -154,7 +155,7 @@ def _oracle_aggregate(db, query, assignments: list[dict], item) -> object:
     ]
     if not codes:
         # The engines return NULL here even for COUNT(column): an all-NULL
-        # column aggregates to None in this dialect (see _scalar_aggregate).
+        # column aggregates to None in this dialect (see _aggregate_columns).
         return None
     data = db.table_data(query.table_of(alias))
     if item.function == "count":
@@ -283,6 +284,41 @@ class TestDifferentialFuzz:
         )
         # The distribution must actually exercise the outer-join paths.
         assert outer_seen >= FUZZ_COUNT // 5
+
+
+#: The NULL-aggregate rules on hand-written inputs: the grouped query has a
+#: NULL group key (children without a parent) whose outer-joined parent
+#: column is all NULL, so every aggregate but COUNT(*) of that group is None.
+NULL_AGGREGATE_SQL = (
+    "SELECT c.parent_id, COUNT(*), COUNT(p.score), SUM(p.score), AVG(p.score), "
+    "MIN(p.score), MAX(p.score) FROM child AS c LEFT JOIN parent AS p "
+    "ON c.parent_id = p.id GROUP BY c.parent_id",
+    "SELECT c.kind, COUNT(*), COUNT(c.parent_id), SUM(c.parent_id), AVG(c.parent_id), "
+    "MIN(c.parent_id), MAX(c.parent_id) FROM child AS c GROUP BY c.kind",
+    "SELECT COUNT(*), COUNT(p.score), SUM(p.score), AVG(p.score), MIN(p.score), "
+    "MAX(p.score) FROM child AS c LEFT JOIN parent AS p ON c.parent_id = p.id "
+    "WHERE c.parent_id IS NULL",
+)
+
+
+class TestNullAggregates:
+    @pytest.mark.parametrize("index", range(len(NULL_AGGREGATE_SQL)))
+    def test_null_groups_agree_across_engines_and_oracle(self, index):
+        _check_one(index, NULL_AGGREGATE_SQL[index])
+
+    @pytest.mark.parametrize("slice_rows", [1, 3])
+    def test_slices_of_whole_groups_agree_with_the_oracle(self, slice_rows, monkeypatch):
+        monkeypatch.setattr(engine_module, "AGGREGATE_SLICE_ROWS", slice_rows)
+        for index, sql in enumerate(NULL_AGGREGATE_SQL):
+            _check_one(index, sql)
+
+    def test_the_grouped_input_has_an_all_null_null_keyed_group(self):
+        db = _tiny_database()
+        rows = oracle_rows(db, bind_query(parse_select(NULL_AGGREGATE_SQL[0]), db.schema))
+        null_group = [row for row in rows if row[0] is None]
+        assert len(null_group) == 1 and null_group[0][1] > 0
+        assert null_group[0][2:] == (None,) * 5
+        assert any(row[2] is not None for row in rows)
 
 
 class TestRoundTripProperty:

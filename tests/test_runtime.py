@@ -219,10 +219,14 @@ class TestPlanCache:
         assert cache.stats.misses == 2 and cache.stats.hits == 0
 
     def test_runtime_zero_cache_entries_disables_caching(self, imdb_db, job_workload, grid_splits):
-        runner = make_runner(imdb_db, job_workload, workers=1, plan_cache_entries=0)
+        runner = make_runner(imdb_db, job_workload, workers=1)
+        runner.plan_cache = PlanCache(0)
         task = runner.tasks_for(("postgres",), grid_splits[:1])[0]
         env = runner._task_runner(task).build_environment()
-        assert env.planner.plan_cache.max_entries == 0
+        assert env.planner.plan_cache is runner.plan_cache
+        runner.run_task(task)
+        assert len(runner.plan_cache) == 0 and runner.plan_cache.stats.hits == 0
+        assert runner.plan_cache.stats.misses > 0
 
     def test_cached_plan_identical_to_fresh_plan(self, imdb_db):
         query = bind_sql(THREE_WAY, imdb_db.schema)
@@ -628,8 +632,8 @@ class TestOnePlanCachePerRunner:
         assert len(planned) == len(split.train_ids)
         assert after.hits - before.hits == len(planned) and after.misses == before.misses
 
-    def test_a_worker_process_keeps_one_cache_per_database(self, monkeypatch):
-        monkeypatch.setattr(parallel, "_WORKER_PLAN_CACHES", {})
+    def test_a_worker_process_keeps_one_cache(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_WORKER_PLAN_CACHE", PlanCache())
         spec, workload, split = _spec_grid_parts(0.2)
         runner = ParallelExperimentRunner(spec, workload, experiment_config=GRID_CONFIG)
         first, second = (runner.spec_payload(task) for task in runner.tasks_for(("postgres",), [split], repeats=2))
@@ -638,9 +642,13 @@ class TestOnePlanCachePerRunner:
         assert cache.stats.misses == len(split.test_ids) and cache.stats.hits == 0
         _, second_runner = parallel._execute_payload(second)
         assert second_runner.plan_cache is cache and cache.stats.hits == len(split.test_ids)
-        other_spec = parallel._worker_plan_cache(replace(first, spec=spec.with_seed(8)))
-        disabled = parallel._worker_plan_cache(replace(first, plan_cache_entries=0))
-        assert len({id(cache), id(other_spec), id(disabled)}) == 3 and disabled.max_entries == 0
+        # A second spec plans through the same cache: its keys carry the
+        # database scope, so it misses once per query, then hits.
+        other = replace(first, spec=spec.with_seed(8))
+        _, other_runner = parallel._execute_payload(other)
+        assert other_runner.plan_cache is cache and cache.stats.misses == 2 * len(split.test_ids)
+        parallel._execute_payload(replace(other, task=second.task))
+        assert cache.stats.hits == 2 * len(split.test_ids)
 
 
 def _spec_grid_parts(scale: float):
@@ -672,7 +680,10 @@ class TestSpecDispatchEquivalence:
         )
         assert serial.uses_spec_dispatch
         tasks = serial.tasks_for(GRID_METHODS, [split])
-        a = [run_result_as_json(parallel.execute_spec_payload(serial.spec_payload(t))) for t in tasks]
+        a = [
+            run_result_as_json(parallel.execute_spec_payload_with_identity(serial.spec_payload(t))[0])
+            for t in tasks
+        ]
         b = [run_result_as_json(r) for r in serial.run_grid(GRID_METHODS, [split])]
         assert a == b
 
@@ -750,8 +761,9 @@ class TestRuntimeConfig:
             RuntimeConfig(workers=0)
         with pytest.raises(ValueError):
             RuntimeConfig(executor_kind="fibers")
-        with pytest.raises(ValueError):
-            RuntimeConfig(plan_cache_entries=-1)
+        for removed in ("plan_cache_entries", "skip_existing"):
+            with pytest.raises(TypeError):
+                RuntimeConfig(**{removed: 0})
 
     def test_executor_kinds_run_in_process_or_through_the_work_queue(self):
         assert EXECUTOR_KINDS == ("serial", "distributed")

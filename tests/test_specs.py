@@ -10,21 +10,22 @@ import numpy as np
 import pytest
 
 from repro.catalog.datagen import generate_synthetic
-from repro.catalog.factories import (
-    build_from_spec,
-    database_factory,
-    register_database_factory,
-    registered_generators,
-)
+from repro.catalog import factories
+from repro.catalog.factories import build_from_spec
 from repro.catalog.imdb import generate_imdb
 from repro.config import SIMULATION_CONFIG
 from repro.core.experiment import ExperimentRunner
 from repro.core.splits import DatasetSplit, SplitSampling
 from repro.errors import CatalogError, ExperimentError, StorageError, WorkloadError
-from repro.runtime.parallel import ParallelExperimentRunner, execute_spec_payload
-from repro.storage.registry import DatabaseRegistry, get_process_registry, resolve_database
+from repro.runtime.parallel import ParallelExperimentRunner, execute_spec_payload_with_identity
+from repro.storage.registry import (
+    MAX_DATABASES,
+    DatabaseRegistry,
+    get_process_registry,
+    resolve_database,
+)
 from repro.storage.spec import DatabaseSpec
-from repro.workloads import build_workload, is_registered_workload, registered_workloads
+from repro.workloads import WORKLOADS, build_workload, is_registered_workload
 
 SYNTH = DatabaseSpec.create("synthetic", scale=0.2, seed=5, config=SIMULATION_CONFIG)
 
@@ -32,6 +33,11 @@ SYNTH = DatabaseSpec.create("synthetic", scale=0.2, seed=5, config=SIMULATION_CO
 def _fingerprint_in_child(spec: DatabaseSpec) -> str:
     """Module-level so a spawn-started interpreter can import and run it."""
     return spec.fingerprint()
+
+
+def _result_in_child(payload):
+    """The worker entry point's result alone, run in a spawn-started interpreter."""
+    return execute_spec_payload_with_identity(payload)[0]
 
 
 def _build_digest_in_child(spec: DatabaseSpec) -> str:
@@ -108,18 +114,13 @@ class TestDatabaseSpec:
 
 class TestFactories:
     def test_bundled_generators_registered(self):
-        assert {"imdb", "imdb-half", "stack", "synthetic"} <= set(registered_generators())
+        assert set(factories.GENERATORS) == {"imdb", "imdb-half", "stack", "synthetic"}
 
     def test_unknown_generator_raises(self):
-        with pytest.raises(CatalogError):
-            database_factory("no-such-db")
-        with pytest.raises(CatalogError):
+        with pytest.raises(CatalogError, match="no-such-db"):
             DatabaseSpec.create("no-such-db").build()
-
-    def test_duplicate_registration_rejected_unless_overwritten(self):
         with pytest.raises(CatalogError):
-            register_database_factory("synthetic", generate_synthetic)
-        register_database_factory("synthetic", generate_synthetic, overwrite=True)
+            get_process_registry().get(DatabaseSpec.create("no-such-db"))
 
     def test_built_database_carries_its_spec(self):
         database = build_from_spec(SYNTH)
@@ -146,36 +147,39 @@ class TestFactories:
 # ---------------------------------------------------------------------------
 
 
+def _stub_database(scale, seed, config, **params):
+    """A stand-in build: the registry stores whatever the generator returns."""
+    return type("StubDatabase", (), {})()
+
+
 class TestDatabaseRegistry:
     def test_build_once_then_reuse(self):
-        registry = DatabaseRegistry(max_entries=4)
+        registry = DatabaseRegistry()
         first = registry.get(SYNTH)
         second = registry.get(SYNTH)
         assert first is second
-        assert registry.stats.builds == 1 and registry.stats.hits == 1
         assert len(registry) == 1
 
     def test_distinct_specs_distinct_instances(self):
-        registry = DatabaseRegistry(max_entries=4)
+        registry = DatabaseRegistry()
         a = registry.get(SYNTH)
         b = registry.get(SYNTH.with_seed(6))
         assert a is not b
-        assert registry.stats.builds == 2
+        assert len(registry) == 2
 
-    def test_lru_eviction(self):
-        registry = DatabaseRegistry(max_entries=2)
-        registry.get(SYNTH)
-        registry.get(SYNTH.with_seed(6))
-        registry.get(SYNTH)  # refresh SYNTH so seed=6 is the LRU entry
-        registry.get(SYNTH.with_seed(7))  # evicts seed=6
-        assert registry.stats.evictions == 1
-        assert registry.contains(SYNTH) and not registry.contains(SYNTH.with_seed(6))
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setitem(factories.GENERATORS, "stub", _stub_database)
+        registry = DatabaseRegistry()
+        specs = [DatabaseSpec.create("stub", seed=seed) for seed in range(MAX_DATABASES + 1)]
+        built = [registry.get(spec) for spec in specs[:MAX_DATABASES]]
+        assert len(registry) == MAX_DATABASES == 8
+        assert registry.get(specs[0]) is built[0]  # refresh: seed 1 is now the LRU entry
+        registry.get(specs[MAX_DATABASES])  # evicts seed 1
+        assert len(registry) == MAX_DATABASES
+        assert registry.contains(specs[0]) and not registry.contains(specs[1])
+        assert registry.get(specs[1]) is not built[1]  # rebuilt after eviction
 
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(StorageError):
-            DatabaseRegistry(max_entries=0)
-
-    def test_concurrent_access_builds_once(self):
+    def test_concurrent_access_builds_once(self, monkeypatch):
         """Many threads racing on the same spec must trigger exactly one build."""
         builds: list[int] = []
         build_lock = threading.Lock()
@@ -185,8 +189,8 @@ class TestDatabaseRegistry:
                 builds.append(1)
             return generate_synthetic(scale=scale, seed=seed, config=config, **params)
 
-        register_database_factory("counting-synthetic", counting_factory, overwrite=True)
-        registry = DatabaseRegistry(max_entries=2)
+        monkeypatch.setitem(factories.GENERATORS, "counting-synthetic", counting_factory)
+        registry = DatabaseRegistry()
         spec = DatabaseSpec.create("counting-synthetic", scale=0.2, seed=1)
         barrier = threading.Barrier(8)
         results: list[object] = []
@@ -201,18 +205,8 @@ class TestDatabaseRegistry:
         for thread in threads:
             thread.join()
         assert len(builds) == 1
-        assert len({id(db) for db in results}) == 1
-        assert registry.stats.builds == 1 and registry.stats.hits == 7
-
-    def test_concurrent_distinct_specs_build_in_parallel(self):
-        registry = DatabaseRegistry(max_entries=4)
-        specs = [SYNTH.with_seed(seed) for seed in (21, 22, 23)]
-        threads = [threading.Thread(target=registry.get, args=(s,)) for s in specs]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert registry.stats.builds == 3 and len(registry) == 3
+        assert len(results) == 8 and len({id(db) for db in results}) == 1
+        assert len(registry) == 1
 
     def test_resolve_database_passthrough_and_spec(self):
         database = generate_synthetic(scale=0.2, seed=5)
@@ -230,7 +224,7 @@ class TestDatabaseRegistry:
 
 class TestWorkloadFactories:
     def test_bundled_workloads_registered(self):
-        assert {"job", "stack", "ext_job"} <= set(registered_workloads())
+        assert set(WORKLOADS) == {"job", "stack", "ext_job", "random"}
         assert is_registered_workload("job") and not is_registered_workload("nope")
 
     def test_build_workload_by_name(self, imdb_db):
@@ -312,7 +306,7 @@ class TestSpecDispatch:
         assert runner.uses_spec_dispatch  # name-registered, so payloads build...
         payload = runner.spec_payload(runner.tasks_for(("postgres",), [split])[0])
         with pytest.raises(ExperimentError, match="fingerprint mismatch"):
-            execute_spec_payload(payload)  # ...but the worker-side guard refuses
+            execute_spec_payload_with_identity(payload)  # ...but the worker-side guard refuses
 
     def test_worker_workload_rebuilt_once_per_process(
         self, small_imdb_spec, spec_runner_parts, monkeypatch
@@ -326,7 +320,7 @@ class TestSpecDispatch:
             runner.spec_payload(task)
             for task in runner.tasks_for(("postgres",), [split], repeats=2)
         ]
-        parallel._WORKER_WORKLOADS.clear()
+        parallel._rebuilt_workload.cache_clear()
         rebuilds: list[int] = []
         real_build = parallel.build_workload
         monkeypatch.setattr(
@@ -335,7 +329,7 @@ class TestSpecDispatch:
             lambda *args: rebuilds.append(1) or real_build(*args),
         )
         for payload in payloads:  # run worker entry point in-process
-            parallel.execute_spec_payload(payload)
+            parallel.execute_spec_payload_with_identity(payload)
         assert len(rebuilds) == 1
 
     def test_worker_rebuild_in_spawned_process_identical(self, small_imdb_spec, spec_runner_parts):
@@ -345,5 +339,5 @@ class TestSpecDispatch:
         task = runner.tasks_for(("postgres",), [split])[0]
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-            remote = pool.submit(execute_spec_payload, runner.spec_payload(task)).result()
+            remote = pool.submit(_result_in_child, runner.spec_payload(task)).result()
         assert _json(remote) == _json(runner.run_task(task))
