@@ -178,7 +178,12 @@ def analyze_column(
             min_value=None,
             max_value=None,
         )
-    uniques, counts = np.unique(non_null, return_counts=True)
+    # One sort serves every statistic: its runs are the distinct values and
+    # their counts, its ends the min and max.
+    ordered = np.sort(non_null)
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    uniques = ordered[starts]
+    counts = np.diff(np.append(starts, ordered.size))
     n_distinct = int(uniques.size)
 
     # Most common values: only keep values that are genuinely "common", i.e.
@@ -190,19 +195,15 @@ def analyze_column(
     mcv_values = uniques[keep].astype(float)
     mcv_fractions = counts[keep].astype(float) / float(non_null.size)
 
-    # Equi-depth histogram over values not covered by the MCV list.
-    if mcv_values.size:
-        rest_mask = ~np.isin(non_null, uniques[keep])
-        rest = non_null[rest_mask]
-    else:
-        rest = non_null
+    # Equi-depth histogram over values not covered by the MCV list: the
+    # other runs, repeated by their counts, are already sorted.
+    rest_runs = np.ones(n_distinct, dtype=bool)
+    rest_runs[keep] = False
+    rest = np.repeat(uniques[rest_runs], counts[rest_runs]).astype(float)
     if rest.size >= histogram_buckets:
-        quantiles = np.linspace(0.0, 1.0, histogram_buckets + 1)
-        bounds = np.quantile(rest.astype(float), quantiles)
-    elif rest.size > 0:
-        bounds = np.sort(rest.astype(float))
+        bounds = np.quantile(rest, np.linspace(0.0, 1.0, histogram_buckets + 1))
     else:
-        bounds = np.empty(0)
+        bounds = rest
 
     return ColumnStatistics(
         column=name,
@@ -210,8 +211,8 @@ def analyze_column(
         row_count=row_count,
         null_frac=null_frac,
         n_distinct=n_distinct,
-        min_value=float(non_null.min()),
-        max_value=float(non_null.max()),
+        min_value=float(ordered[0]),
+        max_value=float(ordered[-1]),
         mcv_values=mcv_values,
         mcv_fractions=mcv_fractions,
         histogram_bounds=np.asarray(bounds, dtype=float),

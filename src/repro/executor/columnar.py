@@ -44,8 +44,11 @@ class _Lineage:
     ``base`` is the row-id array the alias's scan produced.  ``chain`` is a
     tuple of position arrays: ``chain[0]`` indexes into ``base``, ``chain[1]``
     indexes into ``chain[0]``, and so on.  The materialized row ids are
-    ``base[chain[0][chain[1][...]]]`` — composed right to left so every
-    intermediate array already has the (small) final size.  ``null_extended``
+    ``base[chain[0][chain[1][...]]]``.  Re-indexing is associative, so
+    :meth:`materialize` composes from whichever end gathers fewer entries:
+    right to left every gather is as long as the last array (cheap when the
+    chain shrinks), left to right each is as long as its own array (cheap
+    when a join fans out).  ``null_extended``
     says some chain element may hold the virtual ``NULL_ROW_ID`` positions an
     outer join records; composition then goes through
     :func:`~repro.executor.operators.take_rows`, so they propagate instead of
@@ -65,12 +68,23 @@ class _Lineage:
         return _Lineage(self.base, self.chain + (positions,), self.null_extended or null_extended)
 
     def materialize(self) -> np.ndarray:
-        """Compose the indirection chain into concrete base-table row ids."""
-        if not self.chain:
+        """Compose the indirection chain into concrete base-table row ids.
+
+        Left to right when the chain's summed lengths are below
+        ``len(chain) * len(chain[-1])``, right to left otherwise; both give
+        the same array, since ``take_rows`` keeps ``NULL_ROW_ID`` absorbing.
+        """
+        chain = self.chain
+        if not chain:
             return self.base
         take = take_rows if self.null_extended else getitem
-        acc = self.chain[-1]
-        for positions in reversed(self.chain[:-1]):
+        if sum(len(positions) for positions in chain) < len(chain) * len(chain[-1]):
+            acc = self.base
+            for positions in chain:
+                acc = take(acc, positions)
+            return acc
+        acc = chain[-1]
+        for positions in reversed(chain[:-1]):
             acc = take(positions, acc)
         return take(self.base, acc)
 

@@ -67,11 +67,7 @@ class BaoOptimizer(BaseOptimizer):
         return self._model.predict(vectors)
 
     def _retrain(self, seed_offset: int = 0) -> None:
-        features, targets = self._buffer.training_matrix()
-        if len(targets) < 8:
-            return
-        self._model = MLPRegressor(input_size=self.env.plan_vector_size, seed=1 + seed_offset)
-        self._model.fit(features, targets, epochs=40, seed=seed_offset)
+        self._model = self._buffer.refit(self._model, 1 + seed_offset, seed_offset, epochs=40)
 
     # ------------------------------------------------------------------ training
     def fit(self, train_queries: list[BenchmarkQuery]) -> TrainingReport:

@@ -157,13 +157,7 @@ class HybridQOOptimizer(BaseOptimizer):
 
     # ------------------------------------------------------------------ training
     def _retrain(self, seed_offset: int = 0) -> None:
-        features, targets = self._buffer.training_matrix()
-        if len(targets) < 8:
-            return
-        self._model = MLPRegressor(
-            input_size=self.env.query_plan_vector_size, seed=self.seed + 11 + seed_offset
-        )
-        self._model.fit(features, targets, epochs=40, seed=self.seed + seed_offset)
+        self._model = self._buffer.refit(self._model, self.seed + 11 + seed_offset, self.seed + seed_offset, epochs=40)
 
     def fit(self, train_queries: list[BenchmarkQuery]) -> TrainingReport:
         def body(queries: list[BenchmarkQuery]) -> int:

@@ -72,13 +72,9 @@ class NeoOptimizer(BaseOptimizer):
         return np.concatenate([vector, self.env.tree_conv.readout(state)])
 
     def _retrain(self, seed_offset: int = 0) -> None:
-        features, targets = self._buffer.training_matrix(recent_only=self.on_policy)
-        if len(targets) < 8:
-            return
-        self._model = MLPRegressor(
-            input_size=self.env.query_plan_vector_size, seed=self.seed + 3 + seed_offset
+        self._model = self._buffer.refit(
+            self._model, self.seed + 3 + seed_offset, self.seed + seed_offset, epochs=50, recent_only=self.on_policy
         )
-        self._model.fit(features, targets, epochs=50, seed=self.seed + seed_offset)
 
     # ------------------------------------------------------------------- search
     def _candidate_joins(

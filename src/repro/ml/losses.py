@@ -1,4 +1,5 @@
-"""Loss and evaluation metrics shared by the learned optimizers."""
+"""Metrics for judging a trained model's predictions (the models' training
+losses live with their fit methods in :mod:`repro.ml.nn`)."""
 
 from __future__ import annotations
 
@@ -35,12 +36,3 @@ def pairwise_accuracy(scores_better: np.ndarray, scores_worse: np.ndarray) -> fl
         return 0.0
     return float(np.mean(scores_better < scores_worse))
 
-
-def log_latency(latency_ms: float, floor_ms: float = 0.01) -> float:
-    """Log-transform a latency target (the regression target every LQO uses)."""
-    return float(np.log(max(latency_ms, floor_ms)))
-
-
-def from_log_latency(value: float) -> float:
-    """Inverse of :func:`log_latency`."""
-    return float(np.exp(value))

@@ -1,14 +1,18 @@
 """Pure-numpy neural networks: an MLP regressor and a pairwise ranker.
 
 Both models share the same fully-connected backbone with ReLU activations,
-inverted dropout, Adam updates and early stopping on a fixed validation split
-— the training hygiene Section 5.1 of the paper recommends (fixed holdout
-rather than rolling/cross-validated model selection).
+inverted dropout and Adam updates, and one training policy,
+:meth:`_MLPCore.train`: early stopping on a fixed validation split — the
+training hygiene Section 5.1 of the paper recommends (fixed holdout rather
+than rolling/cross-validated model selection).  A model supplies only its
+loss: squared error for :class:`MLPRegressor`, pairwise logistic for
+:class:`PairwiseRanker`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -127,13 +131,66 @@ class _MLPCore:
             self.weights[i] = snapshot[i].copy()
             self.biases[i] = snapshot[n + i].copy()
 
+    # -- the training policy ---------------------------------------------------------
+    def train(
+        self,
+        n: int,
+        loss: Callable[[np.ndarray, bool], float],
+        epochs: int,
+        batch_size: int,
+        validation_fraction: float,
+        patience: int,
+        seed: int,
+    ) -> TrainingHistory:
+        """Train on ``n`` rows under the one policy every model shares.
 
-class MLPRegressor:
-    """An MLP trained with MSE on (feature, target) pairs.
+        ``loss(rows, training)`` is the caller's mean loss over the row
+        indices ``rows``; with ``training`` set it also back-propagates that
+        loss through :meth:`backward`.  A fixed holdout of
+        ``validation_fraction`` of the rows is drawn once (none under 5 rows:
+        the epoch's training loss then stands in for the validation loss);
+        each epoch visits the other rows in a fresh permutation, in
+        mini-batches whose losses are added in batch order.  Training stops
+        after ``patience`` epochs without a 1e-6 improvement of the
+        validation loss, and the best epoch's weights are restored.
+        """
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(n)
+        n_val = max(1, int(n * validation_fraction)) if n >= 5 else 0
+        val_idx, train_idx = order[:n_val], order[n_val:]
 
-    Targets are typically log latencies; :meth:`predict` returns the raw model
-    output (callers decide whether to exponentiate).
-    """
+        history = TrainingHistory()
+        best_val = np.inf
+        best_snapshot = self.snapshot()
+        bad_epochs = 0
+        for epoch in range(epochs):
+            rows = train_idx[rng.permutation(len(train_idx))]
+            starts = range(0, len(rows), batch_size)
+            epoch_loss = 0.0
+            for start in starts:
+                epoch_loss += loss(rows[start:start + batch_size], True)
+            history.train_losses.append(epoch_loss / max(len(starts), 1))
+
+            val_loss = loss(val_idx, False) if n_val else history.train_losses[-1]
+            history.validation_losses.append(val_loss)
+
+            if val_loss < best_val - 1e-6:
+                best_val = val_loss
+                best_snapshot = self.snapshot()
+                history.best_epoch = epoch
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs >= patience:
+                    history.stopped_early = True
+                    break
+
+        self.restore(best_snapshot)
+        return history
+
+
+class _Network:
+    """What both models share: the backbone, its training state and inference."""
 
     def __init__(
         self,
@@ -158,6 +215,27 @@ class MLPRegressor:
     def is_trained(self) -> bool:
         return self._trained
 
+    def _train(self, n: int, loss: Callable[[np.ndarray, bool], float], *policy) -> TrainingHistory:
+        self.history = self._core.train(n, loss, *policy)
+        self._trained = True
+        return self.history
+
+    def _outputs(self, features: np.ndarray) -> np.ndarray:
+        """One output per row of ``features`` (a 1-D array is one row)."""
+        if not self._trained:
+            raise NotTrainedError(f"{type(self).__name__} used before it was trained")
+        features = np.asarray(features, dtype=np.float64)
+        out, _ = self._core.forward(features.reshape(1, -1) if features.ndim == 1 else features)
+        return out.reshape(-1)
+
+
+class MLPRegressor(_Network):
+    """An MLP trained with MSE on (feature, target) pairs.
+
+    Targets are typically log latencies; :meth:`predict` returns the raw model
+    output (callers decide whether to exponentiate).
+    """
+
     def fit(
         self,
         features: np.ndarray,
@@ -168,108 +246,38 @@ class MLPRegressor:
         patience: int = 8,
         seed: int = 0,
     ) -> TrainingHistory:
-        """Train with mini-batch Adam, early-stopping on a fixed validation split."""
+        """Train on squared error under :meth:`_MLPCore.train`'s policy."""
         features = np.asarray(features, dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
         if features.ndim != 2 or features.shape[0] != targets.shape[0]:
             raise ModelError("features and targets have incompatible shapes")
-        n = features.shape[0]
-        if n == 0:
+        if features.shape[0] == 0:
             raise ModelError("cannot train on an empty dataset")
+        core = self._core
 
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(n)
-        n_val = max(1, int(n * validation_fraction)) if n >= 5 else 0
-        val_idx = order[:n_val]
-        train_idx = order[n_val:] if n_val else order
-        x_train, y_train = features[train_idx], targets[train_idx]
-        x_val, y_val = features[val_idx], targets[val_idx]
+        def squared_error(rows: np.ndarray, training: bool) -> float:
+            pred, cache = core.forward(features[rows], training)
+            diff = pred - targets[rows]
+            if training:
+                core.backward(cache, (2.0 / len(rows)) * diff)
+            return float(np.mean(diff**2))
 
-        history = TrainingHistory()
-        best_val = np.inf
-        best_snapshot = self._core.snapshot()
-        bad_epochs = 0
-
-        for epoch in range(epochs):
-            perm = rng.permutation(len(x_train))
-            epoch_loss = 0.0
-            batches = 0
-            for start in range(0, len(x_train), batch_size):
-                idx = perm[start:start + batch_size]
-                xb, yb = x_train[idx], y_train[idx]
-                pred, cache = self._core.forward(xb, training=True)
-                diff = pred - yb
-                loss = float(np.mean(diff**2))
-                grad = (2.0 / len(xb)) * diff
-                self._core.backward(cache, grad)
-                epoch_loss += loss
-                batches += 1
-            history.train_losses.append(epoch_loss / max(batches, 1))
-
-            if n_val:
-                val_pred, _ = self._core.forward(x_val, training=False)
-                val_loss = float(np.mean((val_pred - y_val) ** 2))
-            else:
-                val_loss = history.train_losses[-1]
-            history.validation_losses.append(val_loss)
-
-            if val_loss < best_val - 1e-6:
-                best_val = val_loss
-                best_snapshot = self._core.snapshot()
-                history.best_epoch = epoch
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs >= patience:
-                    history.stopped_early = True
-                    break
-
-        self._core.restore(best_snapshot)
-        self._trained = True
-        self.history = history
-        return history
+        return self._train(
+            features.shape[0], squared_error, epochs, batch_size, validation_fraction, patience, seed
+        )
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        if not self._trained:
-            raise NotTrainedError("MLPRegressor.predict called before fit")
-        features = np.asarray(features, dtype=np.float64)
-        single = features.ndim == 1
-        if single:
-            features = features.reshape(1, -1)
-        out, _ = self._core.forward(features, training=False)
-        out = out.reshape(-1)
-        return out[0:1] if single else out
-
-    def predict_one(self, features: np.ndarray) -> float:
-        return float(self.predict(np.asarray(features).reshape(1, -1))[0])
+        """The model's raw output per row."""
+        return self._outputs(features)
 
 
-class PairwiseRanker:
+class PairwiseRanker(_Network):
     """A learning-to-rank model: scores plans, trained on ordered pairs.
 
     Given pairs ``(better, worse)`` the model is trained with a logistic
     pairwise loss so that ``score(better) < score(worse)`` (lower is better,
     consistent with latency).  Used by LEON, the one LTR method run here.
     """
-
-    def __init__(
-        self,
-        input_size: int,
-        hidden_sizes: tuple[int, ...] = (64, 32),
-        seed: int = 0,
-        dropout: float = 0.1,
-        learning_rate: float = 1e-3,
-        weight_decay: float = 1e-5,
-    ) -> None:
-        self._core = _MLPCore(
-            input_size, hidden_sizes, 1, seed, dropout, learning_rate, weight_decay
-        )
-        self._trained = False
-        self.history = TrainingHistory()
-
-    @property
-    def is_trained(self) -> bool:
-        return self._trained
 
     def fit_pairs(
         self,
@@ -286,76 +294,24 @@ class PairwiseRanker:
         worse = np.asarray(worse, dtype=np.float64)
         if better.shape != worse.shape or better.ndim != 2:
             raise ModelError("better/worse feature matrices must have identical 2-D shapes")
-        n = better.shape[0]
-        if n == 0:
+        if better.shape[0] == 0:
             raise ModelError("cannot train a ranker on zero pairs")
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(n)
-        n_val = max(1, int(n * validation_fraction)) if n >= 5 else 0
-        val_idx, train_idx = order[:n_val], order[n_val:] if n_val else order
+        core = self._core
 
-        history = TrainingHistory()
-        best_val = np.inf
-        best_snapshot = self._core.snapshot()
-        bad_epochs = 0
-
-        def pair_loss_and_grad(b_rows, w_rows, training):
-            scores_b, cache_b = self._core.forward(b_rows, training=training)
-            scores_w, cache_w = self._core.forward(w_rows, training=training)
+        def pairwise_logistic(rows: np.ndarray, training: bool) -> float:
+            scores_b, cache_b = core.forward(better[rows], training)
+            scores_w, cache_w = core.forward(worse[rows], training)
             margin = scores_b - scores_w  # want negative
-            loss = float(np.mean(np.log1p(np.exp(margin))))
-            sigma = 1.0 / (1.0 + np.exp(-margin))
-            grad = sigma / len(b_rows)
-            return loss, (cache_b, grad), (cache_w, -grad)
+            if training:
+                grad = (1.0 / (1.0 + np.exp(-margin))) / len(rows)
+                core.backward(cache_b, grad)
+                core.backward(cache_w, -grad)
+            return float(np.mean(np.log1p(np.exp(margin))))
 
-        for epoch in range(epochs):
-            perm = rng.permutation(len(train_idx))
-            epoch_loss, batches = 0.0, 0
-            for start in range(0, len(train_idx), batch_size):
-                idx = train_idx[perm[start:start + batch_size]]
-                loss, (cache_b, grad_b), (cache_w, grad_w) = pair_loss_and_grad(
-                    better[idx], worse[idx], training=True
-                )
-                self._core.backward(cache_b, grad_b)
-                self._core.backward(cache_w, grad_w)
-                epoch_loss += loss
-                batches += 1
-            history.train_losses.append(epoch_loss / max(batches, 1))
-
-            if n_val:
-                val_loss, _, _ = pair_loss_and_grad(better[val_idx], worse[val_idx], False)
-            else:
-                val_loss = history.train_losses[-1]
-            history.validation_losses.append(val_loss)
-
-            if val_loss < best_val - 1e-6:
-                best_val = val_loss
-                best_snapshot = self._core.snapshot()
-                history.best_epoch = epoch
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs >= patience:
-                    history.stopped_early = True
-                    break
-
-        self._core.restore(best_snapshot)
-        self._trained = True
-        self.history = history
-        return history
+        return self._train(
+            better.shape[0], pairwise_logistic, epochs, batch_size, validation_fraction, patience, seed
+        )
 
     def score(self, features: np.ndarray) -> np.ndarray:
         """Lower scores mean "predicted faster"."""
-        if not self._trained:
-            raise NotTrainedError("PairwiseRanker.score called before fit_pairs")
-        features = np.asarray(features, dtype=np.float64)
-        single = features.ndim == 1
-        if single:
-            features = features.reshape(1, -1)
-        out, _ = self._core.forward(features, training=False)
-        out = out.reshape(-1)
-        return out[0:1] if single else out
-
-    def prefer(self, features_a: np.ndarray, features_b: np.ndarray) -> bool:
-        """True when plan A is predicted to be faster than plan B."""
-        return float(self.score(features_a)[0]) <= float(self.score(features_b)[0])
+        return self._outputs(features)

@@ -12,6 +12,8 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.ml.nn import MLPRegressor
+
 
 @dataclass
 class Experience:
@@ -53,12 +55,8 @@ class ReplayBuffer:
     def latest_iteration(self) -> int:
         return max((e.iteration for e in self._items), default=0)
 
-    def training_matrix(
-        self,
-        recent_only: bool = False,
-        log_target: bool = True,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stack experiences into (features, targets) arrays.
+    def training_matrix(self, recent_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Stack experiences into (features, log-latency targets) arrays.
 
         ``recent_only`` restricts to the latest iteration (Balsa-style
         on-policy training); otherwise the full buffer is used (Neo-style).
@@ -71,8 +69,24 @@ class ReplayBuffer:
             return np.empty((0, 0)), np.empty(0)
         features = np.vstack([e.features for e in items])
         latencies = np.asarray([max(e.latency_ms, 0.01) for e in items], dtype=float)
-        targets = np.log(latencies) if log_target else latencies
-        return features, targets
+        return features, np.log(latencies)
+
+    def refit(
+        self, model: MLPRegressor, seed: int, fit_seed: int, epochs: int, recent_only: bool = False
+    ) -> MLPRegressor:
+        """The one retrain rule of the regression-based optimizers.
+
+        A fresh :class:`MLPRegressor` of ``model``'s input size (seeded
+        ``seed``) fit on :meth:`training_matrix` for ``epochs`` epochs
+        (seeded ``fit_seed``); ``model`` itself while the buffer holds fewer
+        than 8 rows.
+        """
+        features, targets = self.training_matrix(recent_only)
+        if len(targets) < 8:
+            return model
+        fresh = MLPRegressor(input_size=model.input_size, seed=seed)
+        fresh.fit(features, targets, epochs=epochs, seed=fit_seed)
+        return fresh
 
     def per_query_best(self) -> dict[str, float]:
         """Best (lowest) observed latency per query id — used for Balsa's timeouts."""

@@ -5,8 +5,8 @@ import pytest
 
 from repro.encoding.plan_encoding import PlanTreeEncoder
 from repro.errors import ModelError, NotTrainedError
-from repro.ml.losses import from_log_latency, log_latency, mse_loss, pairwise_accuracy, q_error
-from repro.ml.nn import MLPRegressor, PairwiseRanker
+from repro.ml.losses import mse_loss, pairwise_accuracy, q_error
+from repro.ml.nn import MLPRegressor, PairwiseRanker, _MLPCore
 from repro.ml.replay import Experience, ReplayBuffer
 from repro.ml.tree_models import TreeConvolutionEncoder
 from repro.optimizer.planner import Planner
@@ -43,13 +43,13 @@ class TestMLPRegressor:
         with pytest.raises(ModelError):
             MLPRegressor(input_size=0)
 
-    def test_predict_one_matches_predict(self):
+    def test_one_row_predicts_like_a_one_row_matrix(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(100, 5))
-        y = x.sum(axis=1)
         model = MLPRegressor(input_size=5, seed=4, dropout=0.0)
-        model.fit(x, y, epochs=40)
-        assert model.predict_one(x[0]) == pytest.approx(float(model.predict(x[:1])[0]))
+        model.fit(x, x.sum(axis=1), epochs=40)
+        assert model.predict(x[0]).tobytes() == model.predict(x[:1]).tobytes()
+        assert model.predict(x[0]).shape == (1,)
 
 
 class TestPairwiseRanker:
@@ -62,15 +62,16 @@ class TestPairwiseRanker:
         accuracy = pairwise_accuracy(ranker.score(fast[:100]), ranker.score(slow[:100]))
         assert accuracy > 0.85
 
-    def test_prefer_consistent_with_score(self):
+    def test_score_and_predict_share_one_inference_path(self):
         rng = np.random.default_rng(7)
-        fast = rng.normal(loc=0.0, size=(200, 4))
-        slow = rng.normal(loc=2.0, size=(200, 4))
+        fast = rng.normal(loc=0.0, size=(40, 4))
+        slow = rng.normal(loc=2.0, size=(40, 4))
         ranker = PairwiseRanker(input_size=4, seed=8, dropout=0.0)
-        ranker.fit_pairs(fast, slow, epochs=60)
-        assert ranker.prefer(fast[0], slow[0]) == (
-            float(ranker.score(fast[0:1])[0]) <= float(ranker.score(slow[0:1])[0])
-        )
+        ranker.fit_pairs(fast, slow, epochs=5)
+        regressor = MLPRegressor(input_size=4, seed=8, dropout=0.0)
+        regressor.fit(fast, np.zeros(40), epochs=5)
+        regressor._core = ranker._core
+        assert regressor.predict(fast).tobytes() == ranker.score(fast).tobytes()
 
     def test_score_before_training_raises(self):
         ranker = PairwiseRanker(input_size=4)
@@ -81,6 +82,87 @@ class TestPairwiseRanker:
         ranker = PairwiseRanker(input_size=4)
         with pytest.raises(ModelError):
             ranker.fit_pairs(np.zeros((3, 4)), np.zeros((4, 4)))
+
+
+def _fit(kind, n, seed=0, signal=True, learning_rate=1e-3, **policy):
+    """Fit a small model of ``kind`` on ``n`` rows (``signal=False``: targets
+    are noise); returns the model, its history, its outputs on the rows and
+    its own loss of given rows under the fitted weights."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 4))
+    if kind == "regressor":
+        y = x.sum(axis=1) if signal else rng.normal(size=n)
+        model = MLPRegressor(input_size=4, hidden_sizes=(16,), seed=seed, learning_rate=learning_rate)
+        history = model.fit(x, y, seed=seed, **policy)
+
+        def loss(rows):
+            return float(np.mean((model.predict(x[rows]) - y[rows]) ** 2))
+
+        return model, history, model.predict(x), loss
+    worse = x + 1.0 if signal else rng.normal(size=(n, 4))
+    model = PairwiseRanker(input_size=4, hidden_sizes=(16,), seed=seed, learning_rate=learning_rate)
+    history = model.fit_pairs(x, worse, seed=seed, **policy)
+
+    def loss(rows):
+        return float(np.mean(np.log1p(np.exp(model.score(x[rows]) - model.score(worse[rows])))))
+
+    return model, history, model.score(x), loss
+
+
+@pytest.mark.parametrize("kind", ["regressor", "ranker"])
+class TestTrainingPolicy:
+    """The one policy of ``_MLPCore.train``, checked through both models."""
+
+    @staticmethod
+    def _forward_rows(monkeypatch):
+        seen = []
+        forward = _MLPCore.forward
+
+        def spy(self, x, training=False):
+            seen.append((len(x), training))
+            return forward(self, x, training)
+
+        monkeypatch.setattr(_MLPCore, "forward", spy)
+        return seen
+
+    def test_fixed_holdout_of_the_validation_fraction(self, kind, monkeypatch):
+        seen = self._forward_rows(monkeypatch)
+        _fit(kind, 50, epochs=3, batch_size=64, validation_fraction=0.2)
+        per_pass = 1 if kind == "regressor" else 2
+        # Each epoch: one batch of the 40 training rows, then the 10 held out.
+        assert seen[: 6 * per_pass] == ([(40, True)] * per_pass + [(10, False)] * per_pass) * 3
+
+    def test_under_five_rows_validates_on_the_training_loss(self, kind, monkeypatch):
+        seen = self._forward_rows(monkeypatch)
+        _, history, _, _ = _fit(kind, 4, epochs=6, batch_size=2)
+        assert history.validation_losses == history.train_losses
+        assert len(history.train_losses) >= 1
+        assert all(training for _, training in seen[: 2 * len(history.train_losses)])
+        assert {rows for rows, _ in seen[: 2 * len(history.train_losses)]} == {2}
+
+    def test_stops_after_patience_epochs_without_improvement(self, kind):
+        # No learning: the first epoch's validation loss is never beaten.
+        _, history, _, _ = _fit(kind, 40, learning_rate=0.0, epochs=50, patience=4)
+        assert history.best_epoch == 0
+        assert history.epochs_run == 5
+        assert history.stopped_early
+        assert len(set(history.validation_losses)) == 1
+
+    def test_restores_the_best_epochs_weights(self, kind):
+        n, seed = 60, 2
+        _, history, _, loss = _fit(kind, n, seed=seed, signal=False, learning_rate=3e-2, epochs=60, patience=6)
+        assert history.best_epoch < history.epochs_run - 1  # a later epoch was worse
+        holdout = np.random.default_rng(seed).permutation(n)[: int(n * 0.2)]
+        assert loss(holdout) == pytest.approx(history.validation_losses[history.best_epoch], rel=1e-12)
+        assert history.validation_losses[history.best_epoch] == min(history.validation_losses)
+
+    def test_equal_seeds_give_equal_histories_and_outputs(self, kind):
+        _, first, outputs, _ = _fit(kind, 30, seed=5, epochs=12)
+        _, second, again, _ = _fit(kind, 30, seed=5, epochs=12)
+        assert first == second
+        assert outputs.tobytes() == again.tobytes()
+        _, other, _, _ = _fit(kind, 30, seed=6, epochs=12)
+        assert other != first
 
 
 class TestTreeEncoders:
@@ -124,9 +206,6 @@ class TestLossesAndReplay:
         assert q_error(np.array([10.0]), np.array([100.0]))[0] == pytest.approx(10.0)
         assert q_error(np.array([100.0]), np.array([10.0]))[0] == pytest.approx(10.0)
 
-    def test_log_latency_roundtrip(self):
-        assert from_log_latency(log_latency(123.0)) == pytest.approx(123.0)
-
     def test_mse_validation(self):
         with pytest.raises(ValueError):
             mse_loss(np.zeros(3), np.zeros(4))
@@ -147,6 +226,27 @@ class TestLossesAndReplay:
         assert targets[0] == pytest.approx(np.log(20.0))
         features_all, _ = buffer.training_matrix(recent_only=False)
         assert features_all.shape == (2, 1)
+
+    def test_refit_keeps_the_model_under_eight_rows(self):
+        buffer = ReplayBuffer()
+        for i in range(7):
+            buffer.add(Experience(f"q{i}", np.full(3, float(i)), 10.0 + i))
+        model = MLPRegressor(input_size=3)
+        assert buffer.refit(model, seed=1, fit_seed=2, epochs=5) is model
+
+    def test_refit_fits_a_fresh_regressor_on_the_buffer(self):
+        buffer = ReplayBuffer()
+        rng = np.random.default_rng(0)
+        for i in range(20):
+            buffer.add(Experience(f"q{i}", rng.normal(size=3), 10.0 + i, iteration=i % 2))
+        model = MLPRegressor(input_size=3)
+        fresh = buffer.refit(model, seed=1, fit_seed=2, epochs=5, recent_only=True)
+        assert fresh is not model and fresh.is_trained and fresh.input_size == 3
+        features, targets = buffer.training_matrix(recent_only=True)
+        expected = MLPRegressor(input_size=3, seed=1)
+        expected.fit(features, targets, epochs=5, seed=2)
+        assert fresh.history == expected.history
+        assert fresh.predict(features).tobytes() == expected.predict(features).tobytes()
 
     def test_per_query_best_ignores_timeouts(self):
         buffer = ReplayBuffer()
