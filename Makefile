@@ -5,7 +5,10 @@
 #                            (+ advisory format check), as in CI
 #   make typecheck         - mypy over runtime/ + executor/ (skips with a
 #                            notice when mypy is not installed; advisory in CI)
-#   make bench-smoke       - one fast benchmark as an end-to-end smoke check
+#   make figures           - every figure and table of the paper at scale 0.35
+#                            (python -m repro.experiments): prints each table
+#                            and writes rows, summaries and simulated totals
+#                            to BENCH_figures.json (host seconds kept apart)
 #   make bench-parallel    - serial sweep with resume-skip assertion, as in CI
 #   make bench-distributed - TCP work-queue sweep with HMAC-authenticated
 #                            frames (REPRO_QUEUE_SECRET), a killed worker,
@@ -60,11 +63,11 @@
 #                            change B (git revisions, checked out as temporary
 #                            worktrees, or checkout directories): per-metric
 #                            medians, pairs won and the compare verdict
-#   make bench             - every benchmark at reduced scale
+#   make bench             - every benchmark (engines, runtime, plan serving)
 #   make docs-check        - markdown link check over README + docs/, as in CI
 #   make example           - the parallel+resume runtime demo
 #
-# Benchmarks honour REPRO_BENCH_SCALE / REPRO_BENCH_FULL / REPRO_BENCH_WORKERS /
+# Benchmarks honour REPRO_BENCH_SCALE / REPRO_BENCH_WORKERS /
 # REPRO_BENCH_EXECUTOR / REPRO_BENCH_STORE (see benchmarks/conftest.py).
 
 PYTHON ?= python
@@ -89,7 +92,7 @@ FUZZ_CORPUS ?= $(shell mktemp -d /tmp/repro-fuzz-corpus.XXXXXX)
 # value only needs to match between coordinator and workers).
 REPRO_QUEUE_SECRET ?= local-bench-secret
 
-.PHONY: test lint typecheck docs-check bench-smoke bench-parallel bench-distributed bench-progress bench-executor bench-plan-serving fuzz-engines golden-check golden-plans golden-executions golden-searches golden-runs perfbench perfbench-compare perfbench-pairs bench example
+.PHONY: test lint typecheck docs-check figures bench-parallel bench-distributed bench-progress bench-executor bench-plan-serving fuzz-engines golden-check golden-plans golden-executions golden-searches golden-runs perfbench perfbench-compare perfbench-pairs bench example
 
 test:
 	$(PYTHON) -m pytest -x -q --durations=15
@@ -109,8 +112,10 @@ typecheck:
 docs-check:
 	$(PYTHON) tools/check_docs_links.py
 
-bench-smoke:
-	$(PYTHON) -m pytest benchmarks/bench_figure3_splits.py -q
+# BLAS pinned to one thread: the learned models' bytes depend on the thread count.
+figures:
+	OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 \
+	$(PYTHON) -m repro.experiments --scale 0.35 --out BENCH_figures.json
 
 bench-parallel:
 	REPRO_BENCH_STORE=$(BENCH_PARALLEL_STORE) \

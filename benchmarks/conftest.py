@@ -1,12 +1,11 @@
 """Benchmark harness configuration.
 
-Every benchmark regenerates one table or figure of the paper at a reduced,
-laptop-friendly scale (the experiment index is the "Paper ↔ code crosswalk" of
-docs/ARCHITECTURE.md).  Set the
-environment variables ``REPRO_BENCH_SCALE`` (database scale factor) and
-``REPRO_BENCH_FULL=1`` (full experiment grids) for larger runs.
+The benchmarks here time the execution engines, the experiment runtime and
+the plan server; the paper's figures and tables are ``python -m
+repro.experiments`` (``make figures``), checked by ``tests/test_figures.py``.
+``REPRO_BENCH_SCALE`` sets the database scale factor.
 
-The end-to-end benchmarks run through the experiment runtime and persist
+The runtime benchmarks run through the experiment runtime and persist
 results/artefacts into a result store.  ``REPRO_BENCH_EXECUTOR`` picks the
 executor kind: ``serial`` (default) or ``distributed``, which fans the tasks
 out over ``REPRO_BENCH_WORKERS`` worker processes (default 2;
@@ -28,9 +27,6 @@ from repro.runtime.result_store import ResultStore
 #: Reduced database scale used by default so the whole suite finishes quickly.
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.35"))
 
-#: Whether to run the full experiment grids (all methods, 3 splits/sampling).
-BENCH_FULL = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
-
 #: Worker processes of the end-to-end experiment grids under the distributed executor.
 BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
 
@@ -41,11 +37,6 @@ BENCH_EXECUTOR = os.environ.get("REPRO_BENCH_EXECUTOR", "serial")
 @pytest.fixture(scope="session")
 def bench_scale() -> float:
     return BENCH_SCALE
-
-
-@pytest.fixture(scope="session")
-def bench_full() -> bool:
-    return BENCH_FULL
 
 
 @pytest.fixture(scope="session")

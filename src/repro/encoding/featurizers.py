@@ -4,7 +4,8 @@ Each :class:`EncodingSpec` records which encoding components a learned query
 optimizer uses (query-level adjacency matrix, numerical/text attribute
 handling, plan-level join/scan/table identifiers), how encodings are
 aggregated, which ML model family consumes them and how the method is tested.
-The specs are data: only Table 1 (:mod:`repro.experiments.table1`) reads them.
+The specs are data: only Table 1 (the ``table1`` entry of
+:data:`repro.experiments.figures.FIGURES`) reads them.
 They describe the published methods, RTOS, Lero and LOGER included, not the
 feature pipelines of the implementations in :mod:`repro.lqo`, which all encode
 plans with the one tree convolution of :mod:`repro.ml.tree_models`.

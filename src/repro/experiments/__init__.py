@@ -1,10 +1,12 @@
 """Experiment drivers: one module per table and figure of the paper.
 
-Every module exposes a ``run(...)`` function returning structured results and
-a ``main()`` that prints the corresponding table/series in plain text.  The
-mapping to the paper is the "Paper ↔ code crosswalk" of docs/ARCHITECTURE.md;
-each benchmark under ``benchmarks/`` states the paper's reported shape beside
-what it asserts.
+:mod:`repro.experiments.figures` holds the ``FIGURES`` table (one entry per
+figure, table and section study: title, ``run`` and row function) and the
+runner behind ``python -m repro.experiments [ids...] --scale --workers
+--out``.  The driver modules keep the logic the entries call.  The mapping to
+the paper is the "Paper ↔ code crosswalk" of docs/ARCHITECTURE.md.  The
+table is not imported here: importing ``repro.experiments.common`` stays
+light.
 """
 
 from repro.experiments import common

@@ -7,8 +7,7 @@ configuration) and materialized through the per-process
 Drivers therefore share one instance per recipe within a process, and the
 parallel runtime can ship the spec — not the data — when fanning tasks out to
 worker processes.  The default scale keeps a full figure-4-style run in the
-minutes range; pass a larger ``scale`` (or set the ``REPRO_SCALE`` environment
-variable) for bigger databases.
+minutes range; pass a larger ``scale`` for bigger databases.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from repro.storage.spec import DatabaseSpec
 from repro.workloads import build_job_workload, build_stack_workload
 from repro.workloads.workload import Workload
 
-#: Default database scale used by the experiment drivers and benchmarks.
-DEFAULT_SCALE = float(os.environ.get("REPRO_SCALE", "0.5"))
+#: Default database scale of the figures (``python -m repro.experiments``).
+DEFAULT_SCALE = 0.35
 
 
 @dataclass

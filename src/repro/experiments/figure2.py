@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.experiment import ExperimentConfig, ExperimentRunner
-from repro.core.report import format_table
 from repro.core.stats import RegressionResult, linear_regression_r2
 from repro.experiments.common import job_context
 
@@ -24,9 +23,6 @@ class Figure2Result:
 
     points: list[dict[str, object]]
     regression: RegressionResult
-
-    def rows(self) -> list[dict[str, object]]:
-        return self.points
 
 
 def run(scale: float | None = None, query_ids: list[str] | None = None) -> Figure2Result:
@@ -54,27 +50,3 @@ def run(scale: float | None = None, query_ids: list[str] | None = None) -> Figur
         np.asarray([p["execution_time_ms"] for p in points], dtype=float),
     )
     return Figure2Result(points=points, regression=regression)
-
-
-def main(scale: float | None = None) -> str:
-    result = run(scale)
-    lines = [
-        format_table(
-            result.points,
-            columns=["query_id", "num_joins", "execution_time_ms"],
-            title="Figure 2: execution time per number of joins (PostgreSQL on JOB)",
-        ),
-        "",
-        f"linear regression: slope={result.regression.slope:.3f} "
-        f"intercept={result.regression.intercept:.3f} "
-        f"R^2={result.regression.r_squared:.3f} (n={result.regression.n})",
-        "Expected shape (paper): R^2 near or below zero — join count is a poor proxy "
-        "for execution time.",
-    ]
-    output = "\n".join(lines)
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

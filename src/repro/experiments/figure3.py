@@ -2,27 +2,28 @@
 
 from __future__ import annotations
 
-from repro.core.report import format_table
 from repro.core.splits import DatasetSplit, SplitSampling, generate_split
 from repro.experiments.common import job_context
+from repro.workloads.workload import Workload
 
 
-def run(scale: float | None = None, seed: int = 0) -> dict[str, DatasetSplit]:
-    """Generate one split per sampling strategy over the JOB workload."""
-    context = job_context(scale)
-    return {
-        sampling.value: generate_split(context.workload, sampling, seed=seed)
+def run(scale: float | None = None, seed: int = 0) -> tuple[Workload, dict[str, DatasetSplit]]:
+    """The JOB workload and one split of it per sampling strategy."""
+    workload = job_context(scale).workload
+    return workload, {
+        sampling.value: generate_split(workload, sampling, seed=seed)
         for sampling in SplitSampling
     }
 
 
-def assignment_rows(splits: dict[str, DatasetSplit]) -> list[dict[str, object]]:
+def assignment_rows(
+    workload: Workload, splits: dict[str, DatasetSplit]
+) -> list[dict[str, object]]:
     """Summary rows: per sampling, how many queries/families land in train vs test."""
     rows = []
-    context = job_context()
-    families = context.workload.families()
+    families = workload.families()
     for name, split in splits.items():
-        test_families = {context.workload.by_id(qid).family for qid in split.test_ids}
+        test_families = {workload.by_id(qid).family for qid in split.test_ids}
         fully_held_out = [
             fam for fam in test_families
             if all(q.query_id in split.test_ids for q in families[fam])
@@ -37,23 +38,3 @@ def assignment_rows(splits: dict[str, DatasetSplit]) -> list[dict[str, object]]:
             }
         )
     return rows
-
-
-def main(scale: float | None = None) -> str:
-    splits = run(scale)
-    lines = [
-        format_table(
-            assignment_rows(splits),
-            title="Figure 3: dataset split sampling types (JOB)",
-        )
-    ]
-    for name, split in splits.items():
-        lines.append("")
-        lines.append(f"{name}: test set = {', '.join(split.test_ids)}")
-    output = "\n".join(lines)
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

@@ -1,5 +1,7 @@
-"""Figure 4: end-to-end comparison of LQOs vs. PostgreSQL on JOB.
+"""Figures 4 and 5: end-to-end comparison of LQOs vs. PostgreSQL.
 
+Figure 4 runs the JOB workload, Figure 5 the STACK workload (whose queries
+join fewer tables, so LEON's inference is an order of magnitude faster).
 For every sampling strategy (leave-one-out, random, base-query) and every
 train/test split, each method is trained on the training queries and evaluated
 on the test queries; the figure reports, per method and split, the summed
@@ -18,9 +20,8 @@ from dataclasses import dataclass, field
 from repro.config import RuntimeConfig
 from repro.core.experiment import ExperimentConfig
 from repro.core.metrics import MethodRunResult, workload_summary
-from repro.core.report import format_table
 from repro.core.splits import DatasetSplit, SplitSampling, generate_splits
-from repro.experiments.common import BenchmarkContext, job_context
+from repro.experiments.common import BenchmarkContext
 from repro.lqo.registry import MAIN_EVALUATION_METHODS
 from repro.runtime.parallel import ParallelExperimentRunner
 from repro.runtime.result_store import ResultStore
@@ -98,41 +99,3 @@ def run_for_context(
         result.runs.extend(runner.run_comparison(methods, splits))
     return result
 
-
-def run(
-    scale: float | None = None,
-    methods: tuple[str, ...] = MAIN_EVALUATION_METHODS,
-    splits_per_sampling: int = DEFAULT_SPLITS_PER_SAMPLING,
-    experiment_config: ExperimentConfig | None = None,
-    runtime_config: RuntimeConfig | None = None,
-    result_store: ResultStore | None = None,
-) -> EndToEndResult:
-    """Figure 4: the end-to-end comparison on the JOB workload."""
-    return run_for_context(
-        job_context(scale),
-        methods=methods,
-        splits_per_sampling=splits_per_sampling,
-        experiment_config=experiment_config,
-        runtime_config=runtime_config,
-        result_store=result_store,
-    )
-
-
-def main(scale: float | None = None, methods: tuple[str, ...] = MAIN_EVALUATION_METHODS) -> str:
-    result = run(scale, methods=methods)
-    lines = [
-        format_table(
-            result.rows(),
-            title="Figure 4: per-method timing decomposition on JOB test sets",
-        ),
-        "",
-        "best end-to-end method per split: "
-        + ", ".join(f"{split}={method}" for split, method in result.best_method_per_split().items()),
-    ]
-    output = "\n".join(lines)
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.execution_protocol import ExecutionProtocol, RobustnessMeasurement
-from repro.core.report import format_table
 from repro.experiments.common import job_context
 
 
@@ -42,29 +41,3 @@ def run(
     )
     aggregated = ExecutionProtocol.aggregate_robustness(measurements, max_k=max_k)
     return Figure7Result(measurements=measurements, aggregated=aggregated)
-
-
-def main(scale: float | None = None, executions: int = 50) -> str:
-    result = run(scale, executions=executions)
-    rows = [
-        {"k": k, **{key: round(value, 4) for key, value in stats.items()}}
-        for k, stats in result.aggregated.items()
-    ]
-    lines = [
-        format_table(
-            rows,
-            title="Figure 7: normalized execution-time difference between successive runs",
-        ),
-        "",
-        f"mean drop 1st -> 2nd execution: {result.mean_drop(1) * 100:.1f}%",
-        f"mean drop 2nd -> 3rd execution: {result.mean_drop(2) * 100:.1f}%",
-        "Expected shape (paper): a double-digit percentage drop at k=1, ~1% at k=2, "
-        "then fluctuations without a trend.",
-    ]
-    output = "\n".join(lines)
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

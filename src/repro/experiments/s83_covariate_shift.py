@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.core.covariate_shift import CovariateShiftResult, run_covariate_shift_study
 from repro.core.experiment import ExperimentConfig
-from repro.core.report import format_table
 from repro.core.splits import SplitSampling, generate_split
 from repro.experiments.common import imdb_half_database, job_context
 
@@ -48,27 +47,3 @@ def rows(result: CovariateShiftResult) -> list[dict[str, object]]:
             }
         )
     return sorted(out, key=lambda r: -(r["slowdown_factor"] or 0.0))
-
-
-def main(scale: float | None = None) -> str:
-    result = run(scale)
-    lines = [
-        format_table(
-            rows(result),
-            title="Section 8.3: covariate shift — Bao-Full vs Bao-50 on the full IMDB",
-        ),
-        "",
-        "largest regressions: "
-        + ", ".join(f"{qid} ({factor:.1f}x)" for qid, factor in result.top_regressions(3)),
-        "largest improvements: "
-        + ", ".join(f"{qid} ({factor:.2f}x)" for qid, factor in result.top_improvements(3)),
-        "Expected shape (paper): a handful of queries several times slower under the "
-        "shifted model (e.g. 31c at 24x), a few slightly faster (e.g. 7c at 1.9x).",
-    ]
-    output = "\n".join(lines)
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

@@ -9,7 +9,6 @@ toolkit is not a free simplification.
 from __future__ import annotations
 
 from repro.core.ablations import AblationStudyResult, scan_type_ablation
-from repro.core.report import format_table
 from repro.experiments.common import job_context
 
 
@@ -36,28 +35,3 @@ def rows(result: AblationStudyResult) -> list[dict[str, object]]:
         }
         for outcome in sorted(result.outcomes, key=lambda o: -abs(o.difference_ms))
     ]
-
-
-def main(scale: float | None = None) -> str:
-    result = run(scale)
-    affected = result.affected_queries(threshold_ms=0.25)
-    significant = result.significant_queries(threshold_ms=0.25)
-    lines = [
-        format_table(rows(result)[:30], title="Section 8.4: disabling bitmap and tid scans"),
-        "",
-        f"queries with |difference| > 0.25 ms: {len(affected)} "
-        f"(statistically significant: {len(significant)})",
-        "top speedups from disabling: "
-        + ", ".join(f"{o.query_id} ({o.speedup_factor:.1f}x)" for o in result.top_speedups(3)),
-        "top slowdowns from disabling: "
-        + ", ".join(f"{o.query_id} ({o.slowdown_factor:.1f}x)" for o in result.top_slowdowns(3)),
-        "Expected shape (paper): both directions occur, sometimes within the same family "
-        "(28a speeds up 5.5x while 28b slows down 1.9x).",
-    ]
-    output = "\n".join(lines)
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

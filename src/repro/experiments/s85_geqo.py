@@ -9,7 +9,6 @@ so an LQO that merely *steers* PostgreSQL should leave GEQO enabled.
 from __future__ import annotations
 
 from repro.core.ablations import AblationStudyResult, geqo_ablation
-from repro.core.report import format_table
 from repro.experiments.common import job_context
 
 
@@ -36,26 +35,3 @@ def rows(result: AblationStudyResult) -> list[dict[str, object]]:
         }
         for outcome in sorted(result.outcomes, key=lambda o: -abs(o.difference_ms))
     ]
-
-
-def main(scale: float | None = None) -> str:
-    result = run(scale)
-    significant = result.significant_queries(threshold_ms=0.25)
-    lines = [
-        format_table(rows(result)[:30], title="Section 8.5: disabling the genetic query optimizer"),
-        "",
-        f"statistically significant changes: {len(significant)} queries",
-        "top speedups from disabling GEQO: "
-        + ", ".join(f"{o.query_id} ({o.speedup_factor:.1f}x)" for o in result.top_speedups(3)),
-        "top slowdowns from disabling GEQO: "
-        + ", ".join(f"{o.query_id} ({o.slowdown_factor:.1f}x)" for o in result.top_slowdowns(3)),
-        "Expected shape (paper): a handful of significant queries; disabling GEQO helps some "
-        "(30a: 1.6x) and hurts others (24b: 9.9x slower).",
-    ]
-    output = "\n".join(lines)
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

@@ -14,7 +14,6 @@ plans from an LQO's search space lowers its chance of finding the best plan.
 from __future__ import annotations
 
 from repro.core.ablations import PlanShapeStudyResult, plan_shape_analysis
-from repro.core.report import format_key_values, format_table
 from repro.experiments.common import job_context
 
 
@@ -49,25 +48,3 @@ def summary(result: PlanShapeStudyResult) -> dict[str, object]:
     if result.fast_tail_test is not None:
         out["fast_tail_p_value"] = round(result.fast_tail_test.p_value, 4)
     return out
-
-
-def main(scale: float | None = None) -> str:
-    result = run(scale)
-    shape_rows = [
-        {"shape": shape, "plans": count} for shape, count in sorted(result.shape_counts().items())
-    ]
-    lines = [
-        format_table(shape_rows, title="Section 8.7: enumerated plan shapes (JOB, <= 5 joins)"),
-        "",
-        format_key_values(summary(result), title="bushy vs left-deep comparison"),
-        "",
-        "Expected shape (paper): means comparable (two-sided p > 0.05), bushy significantly "
-        "better among the fastest plans (one-sided p < 0.05).",
-    ]
-    output = "\n".join(lines)
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

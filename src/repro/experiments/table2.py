@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.config import PRESET_TITLES, format_bytes, iter_presets
-from repro.core.report import format_table
 
 #: The configuration parameters Table 2 compares, in the paper's order.
 TABLE2_PARAMETERS = (
@@ -41,20 +40,3 @@ def run() -> list[dict[str, object]]:
             row[PRESET_TITLES[name]] = value
         rows.append(row)
     return rows
-
-
-def deviations() -> dict[str, dict[str, tuple[object, object]]]:
-    """Per-preset deviations from PostgreSQL defaults (the paper's bold marks)."""
-    return {name: config.diff_from_default() for name, config in iter_presets()}
-
-
-def main() -> str:
-    output = format_table(
-        run(), title="Table 2: PostgreSQL configurations (database tuning parameters)"
-    )
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

@@ -273,8 +273,8 @@ class TestNetQueue:
         a shared-store save would have written it."""
         store = ResultStore(tmp_path / "store")
         server = QueueServer(lease_timeout_s=30, result_store=store)
+        client = NetWorkQueue(server.url)
         try:
-            client = NetWorkQueue(server.url)
             server.enqueue("t-0", {"n": 0})
             server.enqueue("t-1", {"n": 1})
             claim = client.claim("worker-a")
@@ -307,12 +307,13 @@ class TestNetQueue:
             server.write_stop()
             assert client.stop_requested()
         finally:
+            client.close()
             server.close()
 
     def test_claim_is_exclusive_and_expired_lease_is_requeued(self):
         server = QueueServer(lease_timeout_s=0.05)
+        client = NetWorkQueue(server.url)
         try:
-            client = NetWorkQueue(server.url)
             server.enqueue("only", "task")
             first = client.claim("a")
             assert first is not None
@@ -323,12 +324,13 @@ class TestNetQueue:
             revived = client.claim("b")
             assert revived is not None and revived.payload == "task"
         finally:
+            client.close()
             server.close()
 
     def test_renew_keeps_server_side_lease_alive(self):
         server = QueueServer(lease_timeout_s=0.2)
+        client = NetWorkQueue(server.url)
         try:
-            client = NetWorkQueue(server.url)
             server.enqueue("t-0", "task")
             claim = client.claim("steady")
             for _ in range(3):
@@ -337,6 +339,7 @@ class TestNetQueue:
             assert server.requeue_expired() == []
             assert server.has_live_claims()
         finally:
+            client.close()
             server.close()
 
     def test_zombie_ack_after_requeue_wins(self, tmp_path):
@@ -344,8 +347,8 @@ class TestNetQueue:
         re-queued: the (identical) result wins and the duplicate is dropped."""
         store = ResultStore(tmp_path / "store")
         server = QueueServer(lease_timeout_s=0.05, result_store=store)
+        client = NetWorkQueue(server.url)
         try:
-            client = NetWorkQueue(server.url)
             server.enqueue("t-0", "task")
             zombie = client.claim("zombie")
             time.sleep(0.1)
@@ -356,6 +359,7 @@ class TestNetQueue:
             assert server.pending_ids() == set()  # duplicate dropped
             assert store.exists(key, "ctx")
         finally:
+            client.close()
             server.close()
 
     def test_ack_rejected_by_server_raises_and_task_stays_undone(self, tmp_path):
@@ -369,12 +373,12 @@ class TestNetQueue:
                 raise RuntimeError("disk full")
 
             store.save_raw = boom
-            client = NetWorkQueue(server.url)
-            server.enqueue("t-0", "task")
-            claim = client.claim("w")
-            upload = ResultUpload(TaskKey("job", "s", "postgres"), "ctx", {})
-            with pytest.raises(ExperimentError, match="disk full"):
-                client.ack(claim, "w", upload)
+            with NetWorkQueue(server.url) as client:
+                server.enqueue("t-0", "task")
+                claim = client.claim("w")
+                upload = ResultUpload(TaskKey("job", "s", "postgres"), "ctx", {})
+                with pytest.raises(ExperimentError, match="disk full"):
+                    client.ack(claim, "w", upload)
             assert server.done_ids() == set()
         finally:
             server.close()
@@ -473,7 +477,8 @@ class TestNetQueue:
                 server.enqueue("bbbb-0000", "new")
                 straggler.ack(stale, "straggler")  # reconnects to the new server
                 assert server.pending_ids() == {"bbbb-0000"}
-                revived = NetWorkQueue(server.url).claim("w")
+                with NetWorkQueue(server.url) as client:
+                    revived = client.claim("w")
                 assert revived is not None and (revived.task_id, revived.payload) == ("bbbb-0000", "new")
             finally:
                 server.close()
@@ -485,12 +490,13 @@ class TestNetQueue:
         """The server clamps a wait to [0, its frame deadline]: a negative
         timeout is an immediate answer, not an error or a hang."""
         server = QueueServer(lease_timeout_s=30)
+        client = NetWorkQueue(server.url, retries=0)
         try:
-            client = NetWorkQueue(server.url, retries=0)
             started = time.monotonic()
             assert client._request({"op": "wait", "timeout_s": -5.0})["ok"]
             assert time.monotonic() - started < 1.0
         finally:
+            client.close()
             server.close()
 
     def test_client_implements_the_worker_transport_protocol(self):
@@ -507,11 +513,12 @@ class TestNetQueue:
 
     def test_unknown_op_is_rejected_not_hung(self):
         server = QueueServer(lease_timeout_s=30)
+        client = NetWorkQueue(server.url)
         try:
-            client = NetWorkQueue(server.url)
             with pytest.raises(ExperimentError, match="unknown queue op"):
                 client._request({"op": "frobnicate"})
         finally:
+            client.close()
             server.close()
 
 
@@ -843,7 +850,8 @@ class TestDistributedRunner:
                 server.enqueue(f"t-{index}", runner.spec_payload(task))
             # Simulate a SIGKILLed worker: it claimed over the wire and died —
             # its lease is never renewed again.
-            doomed = NetWorkQueue(server.url).claim("doomed-worker")
+            with NetWorkQueue(server.url) as client:
+                doomed = client.claim("doomed-worker")
             assert doomed is not None
 
             proc = self._spawn_isolated_worker(server.url, island, 0)

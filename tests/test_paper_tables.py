@@ -1,7 +1,7 @@
 """Tables 1 and 2 are data the paper prints: their rendered bytes are pinned.
 
-Each digest is the sha256 of the table exactly as its driver's ``main()``
-renders it (``format_table`` over ``run()`` with the table's title).  A change
+Each digest is the sha256 of the table exactly as the figure runner prints it
+(``format_table`` over the ``FIGURES`` entry's rows with its title).  A change
 that alters either table on purpose re-records the digest here, with a reason.
 """
 
@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from repro.experiments import table1, table2
+from repro.experiments.figures import run_figures
 
 TABLE_DIGESTS = {
     "table1": "86c2f9a6fc43a199a808beb593411cce713050749fcba7656ad6c16e29be6451",
@@ -19,9 +19,8 @@ TABLE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("driver", [table1, table2], ids=["table1", "table2"])
-def test_table_is_the_bytes_recorded(driver, capsys):
-    rendered = driver.main()
-    assert capsys.readouterr().out == rendered + "\n"
-    name = driver.__name__.rsplit(".", 1)[-1]
+@pytest.mark.parametrize("name", ["table1", "table2"])
+def test_table_is_the_bytes_recorded(name, capsys):
+    run_figures([name])
+    rendered = capsys.readouterr().out.removesuffix("\n")
     assert hashlib.sha256(rendered.encode("utf-8")).hexdigest() == TABLE_DIGESTS[name]
