@@ -16,15 +16,6 @@
 #                            shard merge; no shared queue/store directory, as in CI
 #   make bench-progress    - the same sweep at a fast progress-telemetry
 #                            cadence (snapshot every 0.5 s)
-#   make bench-executor    - row vs columnar engine on the full JOB workload;
-#                            asserts byte-equivalence and writes the speedup
-#                            to BENCH_executor_columnar.json
-#   make bench-plan-serving - concurrent clients replaying random SQL against
-#                            the keyed PlanServer; asserts byte-identical
-#                            plans, a rejected unauthenticated client and the
-#                            post-invalidate hit-rate drop, and writes
-#                            qps/p50/p95/p99/hit-rate to BENCH_plan_serving.json
-#                            (+ BENCH_plan_serving_stats.json server snapshot)
 #   make fuzz-engines      - 1000 seeded random queries through the row
 #                            engine, the columnar engine and a brute-force
 #                            oracle; failing queries land in FUZZ_CORPUS
@@ -63,12 +54,12 @@
 #                            change B (git revisions, checked out as temporary
 #                            worktrees, or checkout directories): per-metric
 #                            medians, pairs won and the compare verdict
-#   make bench             - every benchmark (engines, runtime, plan serving)
 #   make docs-check        - markdown link check over README + docs/, as in CI
 #   make example           - the parallel+resume runtime demo
 #
-# Benchmarks honour REPRO_BENCH_SCALE / REPRO_BENCH_WORKERS /
-# REPRO_BENCH_EXECUTOR / REPRO_BENCH_STORE (see benchmarks/conftest.py).
+# The sweep demos (bench-parallel, bench-distributed, bench-progress, example)
+# honour REPRO_BENCH_STORE / REPRO_BENCH_WORKERS / REPRO_BENCH_EXECUTOR /
+# REPRO_BENCH_PROGRESS (see examples/).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
@@ -92,7 +83,7 @@ FUZZ_CORPUS ?= $(shell mktemp -d /tmp/repro-fuzz-corpus.XXXXXX)
 # value only needs to match between coordinator and workers).
 REPRO_QUEUE_SECRET ?= local-bench-secret
 
-.PHONY: test lint typecheck docs-check figures bench-parallel bench-distributed bench-progress bench-executor bench-plan-serving fuzz-engines golden-check golden-plans golden-executions golden-searches golden-runs perfbench perfbench-compare perfbench-pairs bench example
+.PHONY: test lint typecheck docs-check figures bench-parallel bench-distributed bench-progress fuzz-engines golden-check golden-plans golden-executions golden-searches golden-runs perfbench perfbench-compare perfbench-pairs example
 
 test:
 	$(PYTHON) -m pytest -x -q --durations=15
@@ -133,13 +124,6 @@ bench-progress:
 	REPRO_BENCH_STORE=$(BENCH_PROGRESS_STORE) \
 	$(PYTHON) examples/distributed_sweep.py
 
-bench-executor:
-	$(PYTHON) -m pytest benchmarks/bench_executor_columnar.py -q -s
-
-bench-plan-serving:
-	REPRO_QUEUE_SECRET=$(REPRO_QUEUE_SECRET) \
-	$(PYTHON) -m pytest benchmarks/bench_plan_serving.py -q -s
-
 fuzz-engines:
 	REPRO_FUZZ_COUNT=1000 REPRO_FUZZ_CORPUS=$(FUZZ_CORPUS) \
 	$(PYTHON) -m pytest tests/test_fuzz_engines.py -q
@@ -171,9 +155,6 @@ perfbench-compare:
 N ?= 5
 perfbench-pairs:
 	$(PYTHON) tools/perfbench_pairs.py $(A) $(B) --workload $(W) --pairs $(N)
-
-bench:
-	$(PYTHON) -m pytest benchmarks -q
 
 example:
 	$(PYTHON) examples/parallel_experiments.py

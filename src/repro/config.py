@@ -252,20 +252,6 @@ PRESET_TITLES: Mapping[str, str] = {
 }
 
 
-def get_preset(name: str) -> PostgresConfig:
-    """Look up a named preset from Table 2.
-
-    Raises:
-        KeyError: if ``name`` is not one of :data:`CONFIG_PRESETS`.
-    """
-    try:
-        return CONFIG_PRESETS[name]
-    except KeyError as exc:  # pragma: no cover - trivial
-        raise KeyError(
-            f"unknown config preset {name!r}; available: {sorted(CONFIG_PRESETS)}"
-        ) from exc
-
-
 def iter_presets() -> Iterator[tuple[str, PostgresConfig]]:
     """Iterate over ``(name, config)`` pairs in Table 2 column order."""
     return iter(CONFIG_PRESETS.items())
@@ -278,7 +264,7 @@ def iter_presets() -> Iterator[tuple[str, PostgresConfig]]:
 #: Executor kinds accepted by :class:`RuntimeConfig`.
 EXECUTOR_KINDS = ("serial", "distributed")
 
-#: Execution-engine kinds accepted by ``ExperimentConfig.engine`` and
+#: Execution-engine kinds accepted by
 #: :func:`repro.executor.engine.create_engine`.  ``"columnar"`` (the default)
 #: evaluates plans over late-materialized column batches; ``"row"`` is the
 #: original per-alias row-id engine, kept as the correctness oracle the

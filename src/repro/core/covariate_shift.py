@@ -48,11 +48,13 @@ def run_covariate_shift_study(
     workload: Workload,
     split: DatasetSplit,
     experiment_config: ExperimentConfig | None = None,
-    bao_kwargs: dict | None = None,
 ) -> CovariateShiftResult:
-    """Train Bao on both databases, evaluate both models on the full database."""
+    """Train Bao on both databases, evaluate both models on the full database.
+
+    Both models are built from ``experiment_config.optimizer_kwargs["bao"]``,
+    so they differ only in the database they were trained on.
+    """
     experiment_config = experiment_config or ExperimentConfig()
-    bao_kwargs = bao_kwargs or {}
     # Private, empty buffer pools over the shared table data: what the study
     # measures must not depend on what ran on these databases before it.
     full_database = full_database.with_config(full_database.config)
@@ -72,7 +74,7 @@ def run_covariate_shift_study(
         evaluation_runs_per_plan=experiment_config.executions_per_query,
         seed=experiment_config.seed,
     )
-    shifted_bao = BaoOptimizer(shifted_env, **bao_kwargs)
+    shifted_bao = BaoOptimizer(shifted_env, **experiment_config.optimizer_kwargs.get("bao", {}))
     shifted_report = shifted_bao.fit(train_queries)
 
     evaluation_env = full_runner.build_environment()

@@ -73,7 +73,7 @@ class ExecutionProtocol:
         self,
         database: "Database | DatabaseSpec",
         planner: Planner | None = None,
-        engine: ExecutionEngine | str | None = None,
+        engine: ExecutionEngine | None = None,
         executions_per_query: int = DEFAULT_EXECUTIONS,
         cold_start: bool = True,
     ) -> None:
@@ -82,15 +82,9 @@ class ExecutionProtocol:
         database = resolve_database(database)
         self.database = database
         self.planner = planner or Planner(database)
-        # ``engine`` accepts a ready-made engine instance or a kind string
-        # from ENGINE_KINDS ("columnar"/"row"); the default is the columnar
-        # engine, which is byte-equivalent to the row oracle but faster.
-        if engine is None or isinstance(engine, str):
-            self.engine = create_engine(
-                database, self.planner.config, kind=engine or "columnar"
-            )
-        else:
-            self.engine = engine
+        # The default is the columnar engine; a caller may hand in any
+        # engine instance, the row oracle included.
+        self.engine = engine or create_engine(database, self.planner.config)
         self.executions_per_query = executions_per_query
         self.cold_start = cold_start
 

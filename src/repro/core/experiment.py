@@ -45,12 +45,6 @@ class ExperimentConfig:
     training_runs_per_plan: int = 1
     optimizer_kwargs: dict[str, dict] = field(default_factory=dict)
     seed: int = 0
-    #: Execution-engine kind ("columnar" or "row", see
-    #: :data:`repro.config.ENGINE_KINDS`).  The engines are byte-equivalent —
-    #: identical results, cardinalities and simulated timings — so this knob
-    #: only trades wall-clock speed ("columnar") against the simpler oracle
-    #: implementation ("row").
-    engine: str = "columnar"
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, seed=seed)
@@ -112,7 +106,6 @@ class ExperimentRunner:
             evaluation_runs_per_plan=self.config.executions_per_query,
             seed=self.config.seed,
             plan_cache=self.plan_cache,
-            engine=self.config.engine,
         )
 
     def context_fingerprint(self) -> str:

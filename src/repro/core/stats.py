@@ -120,13 +120,6 @@ def bootstrap_confidence_interval(
     )
 
 
-def relative_difference(before: float, after: float) -> float:
-    """Signed relative difference ``(before - after) / before`` (Figure 7's metric)."""
-    if before == 0:
-        return 0.0
-    return (before - after) / before
-
-
 def slowdown_factor(new_ms: float, reference_ms: float) -> float:
     """How many times slower ``new_ms`` is than ``reference_ms`` (≥ 1 means slower)."""
     return float(new_ms / max(reference_ms, 1e-9))

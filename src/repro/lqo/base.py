@@ -68,7 +68,6 @@ class LQOEnvironment:
         hidden_size: int = 48,
         seed: int = 0,
         plan_cache: PlanCache | None = None,
-        engine: str = "columnar",
     ) -> None:
         # Imported here: the repro.core package imports the experiment runner,
         # which builds on this module.
@@ -77,14 +76,12 @@ class LQOEnvironment:
         self.database = database
         self.config = config or database.config
         self.planner = Planner(database, self.config, plan_cache=plan_cache)
-        #: The one measurement loop, over this planner and an engine of the
-        #: requested kind (see :data:`repro.config.ENGINE_KINDS`; both kinds
-        #: produce byte-identical results and simulated timings).  Caches are
-        #: dropped before a measurement only when its caller asks.
+        #: The one measurement loop, over this planner and the columnar
+        #: engine.  Caches are dropped before a measurement only when its
+        #: caller asks.
         self.protocol = ExecutionProtocol(
             database,
             planner=self.planner,
-            engine=engine,
             executions_per_query=evaluation_runs_per_plan,
             cold_start=False,
         )

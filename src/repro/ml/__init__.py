@@ -10,15 +10,12 @@ heads).  This package provides the equivalents without a DL framework:
   logistic),
 * :mod:`repro.ml.tree_models` — the tree-convolution plan encoder, with
   fixed random composition weights feeding the trainable MLP head,
-* :mod:`repro.ml.losses` — metrics for judging a trained model (MSE,
-  Q-error, pairwise accuracy); no model trains through them,
 * :mod:`repro.ml.replay` — the experience buffer used by the RL-flavoured
   methods, and its one retrain rule (:meth:`ReplayBuffer.refit`).
 """
 
 from repro.ml.nn import MLPRegressor, PairwiseRanker, TrainingHistory
 from repro.ml.tree_models import TreeConvolutionEncoder
-from repro.ml.losses import mse_loss, q_error, pairwise_accuracy
 from repro.ml.replay import Experience, ReplayBuffer
 
 __all__ = [
@@ -26,9 +23,6 @@ __all__ = [
     "PairwiseRanker",
     "TrainingHistory",
     "TreeConvolutionEncoder",
-    "mse_loss",
-    "q_error",
-    "pairwise_accuracy",
     "Experience",
     "ReplayBuffer",
 ]

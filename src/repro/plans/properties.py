@@ -99,12 +99,3 @@ def join_order_of(plan: PlanNode) -> tuple[str, ...]:
 
     visit(core)
     return tuple(order)
-
-
-def count_join_types(plan: PlanNode) -> dict[str, int]:
-    """Histogram of physical join operators used in the plan."""
-    counts: dict[str, int] = {}
-    for node in plan.walk():
-        if isinstance(node, JoinNode):
-            counts[node.join_type.value] = counts.get(node.join_type.value, 0) + 1
-    return counts

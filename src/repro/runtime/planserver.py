@@ -6,8 +6,8 @@ Planner` in process.  This module turns planning into a *service*: a
 HMAC-authenticated frame codec the distributed work queue uses
 (:mod:`repro.runtime.netqueue`), plans through the existing planner stack,
 and answers with the physical plan plus cost, strategy and cache metadata.
-Many clients — LQO training loops, ablation sweeps, the load harness in
-``benchmarks/bench_plan_serving.py`` — then share **one cross-request
+Many clients — LQO training loops, ablation sweeps, perfbench's
+``serve_replay`` and ``serve_miss`` workloads — then share **one cross-request
 :class:`~repro.runtime.plan_cache.PlanCache`**, so a query planned for any
 client is a cache hit for every other client with the same
 (query, configuration, hints) fingerprints.

@@ -32,9 +32,11 @@ from repro.catalog.stack import generate_stack
 from repro.catalog.schema import Column, Index, Schema, Table
 from repro.catalog.statistics import NULL_SENTINEL
 from repro.config import ENGINE_KINDS, SIMULATION_CONFIG
+from repro.core.execution_protocol import ExecutionProtocol
 from repro.errors import ExecutionError
 from repro.executor.columnar import ColumnarExecutionEngine
 from repro.executor.engine import ExecutionEngine, create_engine
+from repro.lqo.base import LQOEnvironment
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.enumeration import enumerate_join_trees
 from repro.optimizer.planner import Planner
@@ -277,38 +279,62 @@ class TestEdgeCases:
 
 WORKLOAD_SCALE = 0.2
 
+#: LEFT/FULL outer joins and GROUP BY over the IMDB schema, which JOB (inner
+#: joins only) does not exercise on the IMDB data.
+IMDB_OUTER_GROUPED_SQLS = (
+    "SELECT COUNT(*) FROM title AS t LEFT JOIN movie_keyword AS mk ON t.id = mk.movie_id",
+    "SELECT COUNT(*), COUNT(k.id) FROM movie_keyword AS mk "
+    "FULL OUTER JOIN keyword AS k ON mk.keyword_id = k.id",
+    "SELECT t.kind_id, COUNT(*), MIN(t.production_year) FROM title AS t "
+    "JOIN movie_keyword AS mk ON t.id = mk.movie_id "
+    "LEFT JOIN keyword AS k ON mk.keyword_id = k.id "
+    "GROUP BY t.kind_id",
+)
+
+
+def workload_sample(build_workload):
+    """Every 7th query of a workload: a deterministic sample that keeps the
+    suite fast while touching many query shapes; the execution digests
+    (tests/test_execution_digests.py) cover every JOB, ext-JOB and STACK
+    query on both engines."""
+    return lambda schema: [query.bound for query in build_workload(schema).queries[::7]]
+
+
+def imdb_outer_grouped(schema):
+    return [bind_sql(sql, schema, name=f"outer_grouped_{i}") for i, sql in enumerate(IMDB_OUTER_GROUPED_SQLS)]
+
 
 class TestWorkloadEquivalence:
     @pytest.mark.parametrize(
-        "generate,build_workload,seed",
+        "generate,build_queries,seed",
         [
-            (generate_imdb, build_job_workload, 7),
-            (generate_stack, build_stack_workload, 11),
+            (generate_imdb, workload_sample(build_job_workload), 7),
+            (generate_stack, workload_sample(build_stack_workload), 11),
+            (generate_imdb, imdb_outer_grouped, 7),
         ],
-        ids=["imdb-job", "stack"],
+        ids=["imdb-job", "stack", "imdb-outer-grouped"],
     )
-    def test_planner_plans_are_equivalent(self, generate, build_workload, seed):
+    def test_planner_plans_are_equivalent(self, generate, build_queries, seed):
+        """Each query runs one cold and two hot times on each engine; every run
+        agrees byte for byte and returns rows."""
         db_row = generate(scale=WORKLOAD_SCALE, seed=seed, config=SIMULATION_CONFIG)
         db_col = generate(scale=WORKLOAD_SCALE, seed=seed, config=SIMULATION_CONFIG)
         engine_row = create_engine(db_row, kind="row")
         engine_col = create_engine(db_col, kind="columnar")
         planner_row = Planner(db_row)
         planner_col = Planner(db_col)
-        workload = build_workload(db_row.schema)
-        workload_col = build_workload(db_col.schema)
-        # A deterministic sample keeps the suite fast while touching many
-        # query shapes; the benchmark harness covers the full workload.
-        sample = list(range(0, len(workload.queries), 7))
-        for position in sample:
-            query_row = workload.queries[position]
-            query_col = workload_col.queries[position]
-            plan_row = planner_row.plan(query_row.bound)
-            plan_col = planner_col.plan(query_col.bound)
-            result_row = engine_row.execute(query_row.bound, plan_row)
-            result_col = engine_col.execute(query_col.bound, plan_col)
-            assert_results_equal(
-                result_row, result_col, plan_row, plan_col, context=query_row.query_id
-            )
+        for query_row, query_col in zip(build_queries(db_row.schema), build_queries(db_col.schema)):
+            plan_row = planner_row.plan(query_row)
+            plan_col = planner_col.plan(query_col)
+            db_row.drop_caches()
+            db_col.drop_caches()
+            runs_row = list(engine_row.runs(query_row, plan_row, 3))
+            runs_col = list(engine_col.runs(query_col, plan_col, 3))
+            for run, (result_row, result_col) in enumerate(zip(runs_row, runs_col)):
+                assert_results_equal(
+                    result_row, result_col, plan_row, plan_col, context=f"{query_row.name} (run {run})"
+                )
+            assert runs_row[-1].row_count > 0, query_row.name
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +443,8 @@ class TestEngineSelection:
         assert not isinstance(row, ColumnarExecutionEngine)
         assert create_engine(db).kind == "columnar"
         assert row.kind == "row"
+        # Every experiment measures on the columnar engine.
+        assert ExecutionProtocol(db).engine.kind == LQOEnvironment(db).engine.kind == "columnar"
 
     def test_columnar_engine_is_the_row_engine_on_another_representation(self):
         """Charge parity by construction: no operator or plan-walk override to drift."""
@@ -427,56 +455,3 @@ class TestEngineSelection:
         db = _tiny_database()
         with pytest.raises(ExecutionError, match="unknown engine kind"):
             create_engine(db, kind="gpu")
-
-    def test_environment_engine_selection(self):
-        from repro.lqo.base import LQOEnvironment
-
-        db = _tiny_database()
-        assert isinstance(LQOEnvironment(db).engine, ColumnarExecutionEngine)
-        assert not isinstance(
-            LQOEnvironment(_tiny_database(), engine="row").engine, ColumnarExecutionEngine
-        )
-
-    def test_execution_protocol_engine_selection(self):
-        from repro.core.execution_protocol import ExecutionProtocol
-
-        assert isinstance(
-            ExecutionProtocol(_tiny_database()).engine, ColumnarExecutionEngine
-        )
-        protocol = ExecutionProtocol(_tiny_database(), engine="row")
-        assert not isinstance(protocol.engine, ColumnarExecutionEngine)
-
-    def test_experiment_config_engine_default(self):
-        from repro.core.experiment import ExperimentConfig
-
-        assert ExperimentConfig().engine == "columnar"
-        # The engine participates in the config fingerprint (conservative:
-        # stored results never silently cross engine kinds).
-        assert ExperimentConfig(engine="row").fingerprint() != ExperimentConfig(
-            engine="columnar"
-        ).fingerprint()
-
-    def test_experiment_runner_timings_identical_across_engines(self):
-        """End-to-end: the full measurement pipeline (planner, protocol,
-        simulated timing) reports identical numbers under both engines."""
-        from repro.core.experiment import ExperimentConfig, ExperimentRunner
-
-        def run(kind: str):
-            db = generate_imdb(scale=0.1, seed=3, config=SIMULATION_CONFIG)
-            workload = build_job_workload(db.schema)
-            runner = ExperimentRunner(
-                db, workload, experiment_config=ExperimentConfig(engine=kind)
-            )
-            result = runner.run_postgres_only(workload.queries[:6])
-            return [
-                (
-                    t.query_id,
-                    t.inference_time_ms,
-                    t.planning_time_ms,
-                    t.execution_time_ms,
-                    t.timed_out,
-                )
-                for t in result.timings
-            ]
-
-        assert run("row") == run("columnar")

@@ -17,7 +17,6 @@ from repro.config import (
     PostgresConfig,
     RuntimeConfig,
     format_bytes,
-    get_preset,
     iter_presets,
 )
 
@@ -65,14 +64,6 @@ class TestPresets:
         assert BAO_CONFIG.shared_buffers == 4 * GB
         assert BALSA_LEON_CONFIG.shared_buffers == 32 * GB
         assert LOGER_CONFIG.shared_buffers == 64 * GB
-
-    def test_get_preset_roundtrip(self):
-        for name, config in iter_presets():
-            assert get_preset(name) is config
-
-    def test_get_preset_unknown_raises(self):
-        with pytest.raises(KeyError):
-            get_preset("mysql")
 
 
 class TestBehaviour:

@@ -13,7 +13,6 @@ from repro.core.stats import (
     bootstrap_confidence_interval,
     linear_regression_r2,
     mann_whitney_u_test,
-    relative_difference,
 )
 from repro.errors import SplitError
 
@@ -164,10 +163,6 @@ class TestMetricsAndStats:
         values = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         ci = bootstrap_confidence_interval(values, seed=1)
         assert ci.low <= ci.mean <= ci.high
-
-    def test_relative_difference(self):
-        assert relative_difference(10.0, 8.0) == pytest.approx(0.2)
-        assert relative_difference(0.0, 5.0) == 0.0
 
 
 class TestReport:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.encoding.plan_encoding import PlanTreeEncoder
 from repro.errors import ModelError, NotTrainedError
-from repro.ml.losses import mse_loss, pairwise_accuracy, q_error
 from repro.ml.nn import MLPRegressor, PairwiseRanker, _MLPCore
 from repro.ml.replay import Experience, ReplayBuffer
 from repro.ml.tree_models import TreeConvolutionEncoder
@@ -20,7 +19,7 @@ class TestMLPRegressor:
         model = MLPRegressor(input_size=6, hidden_sizes=(32,), seed=1, dropout=0.0)
         model.fit(x, y, epochs=120, seed=1)
         preds = model.predict(x[:50])
-        assert mse_loss(preds, y[:50]) < np.var(y) * 0.2
+        assert np.mean((preds - y[:50]) ** 2) < np.var(y) * 0.2
 
     def test_predict_before_fit_raises(self):
         model = MLPRegressor(input_size=4)
@@ -59,8 +58,7 @@ class TestPairwiseRanker:
         slow = rng.normal(loc=1.5, size=(300, 6))
         ranker = PairwiseRanker(input_size=6, seed=6, dropout=0.0)
         ranker.fit_pairs(fast, slow, epochs=80)
-        accuracy = pairwise_accuracy(ranker.score(fast[:100]), ranker.score(slow[:100]))
-        assert accuracy > 0.85
+        assert np.mean(ranker.score(fast[:100]) < ranker.score(slow[:100])) > 0.85
 
     def test_score_and_predict_share_one_inference_path(self):
         rng = np.random.default_rng(7)
@@ -202,14 +200,6 @@ class TestTreeEncoders:
 
 
 class TestLossesAndReplay:
-    def test_q_error_symmetric(self):
-        assert q_error(np.array([10.0]), np.array([100.0]))[0] == pytest.approx(10.0)
-        assert q_error(np.array([100.0]), np.array([10.0]))[0] == pytest.approx(10.0)
-
-    def test_mse_validation(self):
-        with pytest.raises(ValueError):
-            mse_loss(np.zeros(3), np.zeros(4))
-
     def test_replay_buffer_capacity(self):
         buffer = ReplayBuffer(capacity=5)
         for i in range(8):

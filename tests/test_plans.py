@@ -19,7 +19,6 @@ from repro.plans.physical import (
 from repro.plans.properties import (
     PlanShape,
     classify_plan_shape,
-    count_join_types,
     is_bushy,
     is_left_deep,
     join_order_of,
@@ -111,10 +110,6 @@ class TestPlanProperties:
     def test_join_order(self):
         plan = join(join(scan("a"), scan("b")), scan("c"), la="a", ra="c")
         assert join_order_of(plan) == ("a", "b", "c")
-
-    def test_count_join_types(self):
-        plan = join(join(scan("a"), scan("b")), scan("c"), la="a", ra="c")
-        assert count_join_types(plan) == {"Hash Join": 2}
 
 
 class TestHints:

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from repro.catalog.schema import ColumnType
 from repro.catalog.statistics import NULL_SENTINEL, analyze_column
-from repro.core.stats import bootstrap_confidence_interval, relative_difference
+from repro.core.stats import bootstrap_confidence_interval
 from repro.executor.operators import KeyMatch
-from repro.ml.losses import q_error
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.index import OrderedIndex
 
@@ -128,19 +127,6 @@ class TestStatsProperties:
         ci = bootstrap_confidence_interval(np.asarray(values), n_resamples=200, seed=1)
         assert ci.low <= ci.mean + 1e-9
         assert ci.mean <= ci.high + 1e-9
-
-    @given(st.floats(min_value=0.01, max_value=1e4), st.floats(min_value=0.01, max_value=1e4))
-    @settings(max_examples=50, deadline=None)
-    def test_q_error_at_least_one_and_symmetric(self, a, b):
-        err = float(q_error(np.array([a]), np.array([b]))[0])
-        assert err >= 1.0
-        assert err == float(q_error(np.array([b]), np.array([a]))[0])
-
-    @given(st.floats(min_value=0.1, max_value=100.0), st.floats(min_value=0.1, max_value=100.0))
-    @settings(max_examples=30, deadline=None)
-    def test_relative_difference_antisymmetric_in_sign(self, before, after):
-        diff = relative_difference(before, after)
-        assert (diff > 0) == (after < before) or diff == 0
 
 
 class TestSplitProperties:

@@ -835,25 +835,29 @@ class TestOneClock:
         assert report.training_time_s == simclock.training_s(report.executed_plans, 5, report.iterations)
         assert planned.inference_time_ms == simclock.inference_ms(queries[5].bound, "bao")
 
-    def test_covariate_shift_study_is_repeatable(self, context):
+    def covariate_shift_study(self, context):
         split = generate_split(context.workload, SplitSampling.RANDOM, seed=0)
-        half = imdb_half_database(0.1)
+        return run_covariate_shift_study(
+            context.database, imdb_half_database(0.1), context.workload, split, experiment_config=self.CONFIG
+        )
 
-        def one_run() -> str:
-            study = run_covariate_shift_study(
-                context.database,
-                half,
-                context.workload,
-                split,
-                experiment_config=self.CONFIG,
-                bao_kwargs={"training_passes": 1},
-            )
+    @pytest.fixture(scope="class")
+    def study(self, context):
+        return self.covariate_shift_study(context)
+
+    def test_covariate_shift_study_is_repeatable(self, context, study):
+        def as_json(result) -> str:
             return json.dumps(
-                [study.full_model.to_dict(), study.shifted_model.to_dict(), study.slowdown_factors],
+                [result.full_model.to_dict(), result.shifted_model.to_dict(), result.slowdown_factors],
                 sort_keys=True,
             )
 
-        assert one_run() == one_run()
+        assert as_json(study) == as_json(self.covariate_shift_study(context))
+
+    def test_covariate_shift_trains_both_models_alike(self, study):
+        """Bao-Full and Bao-50 take the same ``optimizer_kwargs["bao"]``, so one
+        training pass each executes the same number of plans."""
+        assert study.full_model.executed_training_plans == study.shifted_model.executed_training_plans > 0
 
 
 class TestImportHygiene:
