@@ -84,6 +84,11 @@ class ExecutionProtocol:
         self.planner = planner or Planner(database)
         # The default is the columnar engine; a caller may hand in any
         # engine instance, the row oracle included.
+        if engine is not None and not isinstance(engine, ExecutionEngine):
+            raise ExperimentError(
+                f"engine must be an ExecutionEngine, got {engine!r}; "
+                "build one with repro.executor.engine.create_engine"
+            )
         self.engine = engine or create_engine(database, self.planner.config)
         self.executions_per_query = executions_per_query
         self.cold_start = cold_start

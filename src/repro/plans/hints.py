@@ -130,9 +130,6 @@ class HintSet:
         if self.forces_join_order and len(set(self.leading)) != len(self.leading):
             raise HintError("forced join order repeats an alias")
 
-    def with_name(self, name: str) -> "HintSet":
-        return replace(self, name=name)
-
     def canonical_key(self) -> tuple:
         """Hashable, order-independent key over the planning-relevant content.
 

@@ -33,7 +33,7 @@ from repro.catalog.schema import Column, Index, Schema, Table
 from repro.catalog.statistics import NULL_SENTINEL
 from repro.config import ENGINE_KINDS, SIMULATION_CONFIG
 from repro.core.execution_protocol import ExecutionProtocol
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ExperimentError
 from repro.executor.columnar import ColumnarExecutionEngine
 from repro.executor.engine import ExecutionEngine, create_engine
 from repro.lqo.base import LQOEnvironment
@@ -455,3 +455,31 @@ class TestEngineSelection:
         db = _tiny_database()
         with pytest.raises(ExecutionError, match="unknown engine kind"):
             create_engine(db, kind="gpu")
+
+    def test_execution_protocol_rejects_engine_kind_strings(self):
+        """The protocol takes an engine instance; a kind string fails at
+        construction instead of at the first measurement."""
+        with pytest.raises(ExperimentError, match="create_engine"):
+            ExecutionProtocol(_tiny_database(), engine="row")
+
+    def test_execution_protocol_measures_alike_on_the_row_oracle(self):
+        """The protocol over a row engine instance reports what the default
+        protocol reports: every run's simulated time and timeout flag, the
+        last run's rows, and the successive-execution study."""
+
+        def measure(kind):
+            db = generate_imdb(scale=0.1, seed=3, config=SIMULATION_CONFIG)
+            engine = create_engine(db, kind=kind) if kind else None
+            protocol = ExecutionProtocol(db, engine=engine)
+            workload = build_job_workload(db.schema)
+            measured = []
+            for query in workload.queries[:6]:
+                run = protocol.measure_plan(query.bound, protocol.planner.plan(query.bound))
+                measured.append((run.query_id, run.execution_times_ms, run.timed_out, run.result.rows))
+            study = protocol.robustness_study(workload, executions=4, query_ids=workload.query_ids()[:3])
+            return protocol.engine.kind, measured, [m.execution_times_ms for m in study]
+
+        row_kind, *row = measure("row")
+        default_kind, *default = measure(None)
+        assert (row_kind, default_kind) == ("row", "columnar")
+        assert row == default

@@ -7,6 +7,7 @@ from repro.config import (
     BAO_CONFIG,
     CONFIG_PRESETS,
     DEFAULT_CONFIG,
+    PRESET_TITLES,
     GB,
     JOB_LEIS_CONFIG,
     LERO_CONFIG,
@@ -58,6 +59,12 @@ class TestPresets:
         assert LOGER_CONFIG.max_parallel_workers == 1
         assert LERO_CONFIG.max_parallel_workers == 0
         assert BALSA_LEON_CONFIG.max_worker_processes == 8
+
+    def test_presets_iterate_in_table2_column_order_with_titles(self):
+        names = [name for name, _ in iter_presets()]
+        assert names == list(CONFIG_PRESETS) == list(PRESET_TITLES)
+        assert [config for _, config in iter_presets()] == list(CONFIG_PRESETS.values())
+        assert len(set(PRESET_TITLES.values())) == len(PRESET_TITLES)
 
     def test_memory_settings_match_table2(self):
         assert JOB_LEIS_CONFIG.work_mem == 2 * GB

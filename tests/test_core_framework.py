@@ -1,12 +1,20 @@
 """Tests for the benchmarking framework: splits, protocol, runner, stats, ablations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core.ablations import geqo_ablation, plan_shape_analysis, scan_type_ablation
+from repro.core.ablations import (
+    AblationStudyResult,
+    QueryAblationOutcome,
+    geqo_ablation,
+    plan_shape_analysis,
+    scan_type_ablation,
+)
 from repro.core.execution_protocol import ExecutionProtocol
 from repro.core.experiment import ExperimentConfig, ExperimentRunner
-from repro.core.metrics import QueryTiming
+from repro.core.metrics import MethodRunResult, QueryTiming
 from repro.core.report import bullet_list, format_key_values, format_table, to_markdown
 from repro.core.splits import DatasetSplit, SplitSampling, generate_split, generate_splits
 from repro.core.stats import (
@@ -126,6 +134,21 @@ class TestExperimentRunner:
         assert all(t.inference_time_ms == 0.0 for t in result.timings)
         assert all(t.planning_time_ms > 0.5 for t in result.timings)
 
+    def test_config_fingerprint_covers_every_knob_but_the_seed(self):
+        base = ExperimentConfig(optimizer_kwargs={"bao": {"training_passes": 1, "hidden_size": 8}})
+        assert base.with_seed(7).fingerprint() == base.fingerprint()
+        reordered = ExperimentConfig(optimizer_kwargs={"bao": {"hidden_size": 8, "training_passes": 1}})
+        assert reordered.fingerprint() == base.fingerprint()
+        changed = [
+            replace(base, executions_per_query=5),
+            replace(base, evaluation_timeout_ms=base.evaluation_timeout_ms / 2),
+            replace(base, cold_start_per_query=False),
+            replace(base, training_runs_per_plan=2),
+            replace(base, optimizer_kwargs={"bao": {"training_passes": 2, "hidden_size": 8}}),
+        ]
+        fingerprints = {config.fingerprint() for config in changed}
+        assert len(fingerprints) == len(changed) and base.fingerprint() not in fingerprints
+
     def test_summary_rows(self, runner, tiny_split):
         result = runner.run_method("postgres", tiny_split)
         row = result.summary_row()
@@ -139,6 +162,21 @@ class TestMetricsAndStats:
         timing = QueryTiming("q", "m", inference_time_ms=1.0, planning_time_ms=2.0, execution_time_ms=3.0)
         assert timing.end_to_end_ms == 6.0
         assert timing.pre_execution_ms == 3.0
+
+    def test_method_run_result_aggregates(self):
+        timings = [
+            QueryTiming("1a", "m", inference_time_ms=1.0, planning_time_ms=2.0, execution_time_ms=10.0),
+            QueryTiming("1b", "m", inference_time_ms=0.5, planning_time_ms=1.0, execution_time_ms=40.0, timed_out=True),
+        ]
+        result = MethodRunResult("m", "split", "job", timings=timings)
+        assert result.total_inference_ms == 1.5
+        assert result.total_planning_ms == 3.0
+        assert result.total_execution_ms == 50.0
+        assert result.total_end_to_end_ms == 54.5
+        assert result.timed_out_queries == ["1b"]
+        assert result.timing_for("1b") is timings[1]
+        with pytest.raises(KeyError, match="2a"):
+            result.timing_for("2a")
 
     def test_mann_whitney_detects_difference(self):
         rng = np.random.default_rng(0)
@@ -189,6 +227,34 @@ class TestAblations:
     @pytest.fixture(scope="class")
     def small_query_ids(self):
         return ["1a", "2a", "3a", "4a", "32a"]
+
+    @staticmethod
+    def outcome(query_id: str, baseline_ms: float, ablated_ms: float, p_value: float = 0.5):
+        return QueryAblationOutcome(query_id, baseline_ms, ablated_ms, [], [], p_value)
+
+    def test_outcome_factors(self):
+        faster = self.outcome("1a", baseline_ms=10.0, ablated_ms=4.0)
+        assert faster.difference_ms == -6.0
+        assert faster.speedup_factor == 2.5 and faster.slowdown_factor == 0.4
+        # A zero time is guarded rather than divided by.
+        assert self.outcome("1b", 0.0, 1.0).slowdown_factor == pytest.approx(1e9)
+        assert self.outcome("1c", 1.0, 0.0).speedup_factor == pytest.approx(1e9)
+
+    def test_affected_significant_and_extremes(self):
+        result = AblationStudyResult(
+            "scan",
+            [
+                self.outcome("1a", 10.0, 10.1, p_value=0.001),  # below the threshold
+                self.outcome("2a", 10.0, 5.0, p_value=0.001),  # 2x faster, significant
+                self.outcome("3a", 10.0, 30.0, p_value=0.2),  # 3x slower, not significant
+                self.outcome("4a", 10.0, 12.0, p_value=0.01),  # 1.2x slower, significant
+            ],
+        )
+        assert [o.query_id for o in result.affected_queries()] == ["2a", "3a", "4a"]
+        assert [o.query_id for o in result.affected_queries(threshold_ms=3.0)] == ["2a", "3a"]
+        assert [o.query_id for o in result.significant_queries()] == ["2a", "4a"]
+        assert [o.query_id for o in result.top_speedups(k=2)] == ["2a", "1a"]
+        assert [o.query_id for o in result.top_slowdowns(k=2)] == ["3a", "4a"]
 
     def test_scan_type_ablation_runs(self, imdb_db, job_workload, small_query_ids):
         result = scan_type_ablation(

@@ -207,6 +207,18 @@ class TestLossesAndReplay:
         assert len(buffer) == 5
         assert [e.query_id for e in buffer][0] == "q3"
 
+    def test_latest_iteration_survives_eviction(self):
+        buffer = ReplayBuffer(capacity=3)
+        assert buffer.latest_iteration() == 0
+        for iteration in (2, 5, 1):
+            buffer.add(Experience(f"q{iteration}", np.zeros(1), 1.0, iteration=iteration))
+        # The newest experience need not carry the highest iteration.
+        assert buffer.latest_iteration() == 5
+        buffer.add(Experience("q0", np.zeros(1), 1.0, iteration=0))
+        buffer.add(Experience("q3", np.zeros(1), 1.0, iteration=3))
+        # Iterations 2 and 5 were evicted, oldest first.
+        assert buffer.latest_iteration() == 3
+
     def test_training_matrix_recent_only(self):
         buffer = ReplayBuffer()
         buffer.add(Experience("a", np.array([1.0]), 10.0, iteration=0))

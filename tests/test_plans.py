@@ -7,10 +7,12 @@ import pytest
 from repro.errors import HintError, PlanError
 from repro.plans.hints import BAO_HINT_SETS, NO_HINTS, HintSet, OperatorToggles
 from repro.plans.physical import (
+    AggregateNode,
     JoinNode,
     JoinType,
     ScanNode,
     ScanType,
+    SortNode,
     plan_depth,
     plan_join_nodes,
     plan_scan_nodes,
@@ -21,6 +23,8 @@ from repro.plans.properties import (
     classify_plan_shape,
     is_bushy,
     is_left_deep,
+    is_right_deep,
+    is_zigzag,
     join_order_of,
 )
 from repro.sql.binder import JoinPredicate
@@ -103,6 +107,23 @@ class TestPlanProperties:
     def test_right_deep_classification(self):
         plan = join(scan("c"), join(scan("a"), scan("b")), la="c", ra="a")
         assert classify_plan_shape(plan) is PlanShape.RIGHT_DEEP
+
+    def test_zigzag_classification(self):
+        # Linear, but the base relation is the inner join's right child and
+        # the outer join's left child.
+        inner = join(join(scan("a"), scan("b")), scan("c"), la="a", ra="c")
+        plan = join(scan("d"), inner, la="d", ra="a")
+        assert not is_left_deep(plan) and not is_right_deep(plan)
+        assert is_zigzag(plan) and not is_bushy(plan)
+        assert classify_plan_shape(plan) is PlanShape.ZIGZAG
+
+    def test_shape_looks_through_sort_and_aggregate(self):
+        sorted_b = SortNode(child=scan("b"), sort_keys=(("b", "id"),))
+        core = join(join(scan("a"), sorted_b), scan("c"), la="a", ra="c")
+        plan = AggregateNode(child=SortNode(child=core), aggregates=("COUNT(*)",))
+        assert is_left_deep(plan)
+        assert classify_plan_shape(plan) is PlanShape.LEFT_DEEP
+        assert join_order_of(plan) == ("a", "b", "c")
 
     def test_single_relation(self):
         assert classify_plan_shape(scan("a")) is PlanShape.SINGLE_RELATION

@@ -859,6 +859,19 @@ class TestOneClock:
         training pass each executes the same number of plans."""
         assert study.full_model.executed_training_plans == study.shifted_model.executed_training_plans > 0
 
+    def test_covariate_shift_ranks_slowdowns_against_bao_full(self, study):
+        """Each test query's factor is Bao-50's execution time over Bao-Full's;
+        regressions list the largest factors first, improvements only those
+        below 1, smallest first."""
+        full = {t.query_id: t.execution_time_ms for t in study.full_model.timings}
+        shifted = {t.query_id: t.execution_time_ms for t in study.shifted_model.timings}
+        assert set(study.slowdown_factors) == set(full) == set(shifted)
+        for query_id, factor in study.slowdown_factors.items():
+            assert factor == shifted[query_id] / max(full[query_id], 1e-6)
+        by_factor = sorted(study.slowdown_factors.items(), key=lambda item: item[1])
+        assert study.top_regressions(3) == by_factor[::-1][:3]
+        assert study.top_improvements(3) == [item for item in by_factor[:3] if item[1] < 1.0]
+
 
 class TestImportHygiene:
     """A worker, a coordinator and a plan server reach their first operation
