@@ -16,11 +16,13 @@
 #                            shard merge; no shared queue/store directory, as in CI
 #   make bench-progress    - the same sweep at a fast progress-telemetry
 #                            cadence (snapshot every 0.5 s)
-#   make fuzz-engines      - 1000 seeded random queries through the row
-#                            engine, the columnar engine and a brute-force
-#                            oracle; failing queries land in FUZZ_CORPUS
+#   make fuzz-engines      - 1000 seeded inner-join queries (tests/sqlgen.py)
+#                            through the row engine, the columnar engine and a
+#                            brute-force oracle; failing queries land in
+#                            FUZZ_CORPUS, or in a fresh /tmp/repro-fuzz-corpus.*
+#                            made only when one fails
 #   make golden-plans      - re-record tests/golden/plan_digests.json (sha256 of
-#                            every pickled JOB/ext-JOB/STACK/random plan under
+#                            every pickled JOB/ext-JOB/STACK plan under
 #                            each hint/config variant) and
 #                            plan_digests_job_scale1.json (JOB on the perfbench
 #                            database, job_spec(1.0)); only for a change that
@@ -59,25 +61,34 @@
 #
 # The sweep demos (bench-parallel, bench-distributed, bench-progress, example)
 # honour REPRO_BENCH_STORE / REPRO_BENCH_WORKERS / REPRO_BENCH_EXECUTOR /
-# REPRO_BENCH_PROGRESS (see examples/).
+# REPRO_BENCH_PROGRESS (see examples/).  The bench-* recipes store into
+# BENCH_*_STORE when it is set and kept; else into a fresh /tmp/repro-*
+# directory that a passing run removes again (a failing run leaves it).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-# Store directory of the bench-parallel resume check (temp dir by default).
-BENCH_PARALLEL_STORE ?= $(shell mktemp -d /tmp/repro-store.XXXXXX)
-
-# Coordinator-local sharded store of the bench-distributed crash-recovery
-# check (workers never see this path: tasks and results travel over the
-# socket; the merged flat store lands next to it at <dir>-merged).
-BENCH_DISTRIBUTED_STORE ?= $(shell mktemp -d /tmp/repro-dist.XXXXXX)
-
-# Store of the progress-telemetry sweep (bench-progress).
-BENCH_PROGRESS_STORE ?= $(shell mktemp -d /tmp/repro-progress.XXXXXX)
+# Store directories of the bench-parallel resume check, the bench-distributed
+# crash-recovery check (coordinator-local and sharded: workers never see it;
+# the merged flat store lands next to it at <dir>-merged) and the
+# bench-progress sweep.  Empty: see with_store below.
+BENCH_PARALLEL_STORE ?=
+BENCH_DISTRIBUTED_STORE ?=
+BENCH_PROGRESS_STORE ?=
 
 # Failing-query corpus of the differential fuzz run (fuzz-engines); one JSON
-# file per diverging query, empty on success.
-FUZZ_CORPUS ?= $(shell mktemp -d /tmp/repro-fuzz-corpus.XXXXXX)
+# file per diverging query.  Empty: a fresh temp directory, made only when a
+# query fails (tests/test_fuzz_engines.py).
+FUZZ_CORPUS ?=
+
+# $(call with_store,<store dir or empty>,<temp prefix>,<command>): run
+# <command> with REPRO_BENCH_STORE set to the given directory, or to a fresh
+# /tmp/<temp prefix>.* directory that a passing run removes again, with the
+# <dir>-merged store examples/distributed_sweep.py writes next to it.
+with_store = store='$(1)'; made=; \
+	if [ -z "$$store" ]; then store=$$(mktemp -d /tmp/$(2).XXXXXX) || exit 1; made=1; fi; \
+	REPRO_BENCH_STORE="$$store" $(3) || exit 1; \
+	if [ -n "$$made" ]; then rm -rf "$$store" "$$store-merged"; fi
 
 # Shared HMAC secret of the authenticated TCP sweeps (override to taste; the
 # value only needs to match between coordinator and workers).
@@ -109,23 +120,18 @@ figures:
 	$(PYTHON) -m repro.experiments --scale 0.35 --out BENCH_figures.json
 
 bench-parallel:
-	REPRO_BENCH_STORE=$(BENCH_PARALLEL_STORE) \
-	$(PYTHON) examples/parallel_experiments.py
+	$(call with_store,$(BENCH_PARALLEL_STORE),repro-store,$(PYTHON) examples/parallel_experiments.py)
 
 bench-distributed:
-	REPRO_BENCH_WORKERS=2 REPRO_BENCH_PROGRESS=1 \
-	REPRO_QUEUE_SECRET=$(REPRO_QUEUE_SECRET) \
-	REPRO_BENCH_STORE=$(BENCH_DISTRIBUTED_STORE) \
-	$(PYTHON) examples/distributed_sweep.py
+	$(call with_store,$(BENCH_DISTRIBUTED_STORE),repro-dist,REPRO_BENCH_WORKERS=2 REPRO_BENCH_PROGRESS=1 \
+	REPRO_QUEUE_SECRET=$(REPRO_QUEUE_SECRET) $(PYTHON) examples/distributed_sweep.py)
 
 bench-progress:
-	REPRO_BENCH_WORKERS=2 REPRO_BENCH_PROGRESS=0.5 \
-	REPRO_QUEUE_SECRET=$(REPRO_QUEUE_SECRET) \
-	REPRO_BENCH_STORE=$(BENCH_PROGRESS_STORE) \
-	$(PYTHON) examples/distributed_sweep.py
+	$(call with_store,$(BENCH_PROGRESS_STORE),repro-progress,REPRO_BENCH_WORKERS=2 REPRO_BENCH_PROGRESS=0.5 \
+	REPRO_QUEUE_SECRET=$(REPRO_QUEUE_SECRET) $(PYTHON) examples/distributed_sweep.py)
 
 fuzz-engines:
-	REPRO_FUZZ_COUNT=1000 REPRO_FUZZ_CORPUS=$(FUZZ_CORPUS) \
+	REPRO_FUZZ_COUNT=1000 REPRO_FUZZ_CORPUS='$(FUZZ_CORPUS)' \
 	$(PYTHON) -m pytest tests/test_fuzz_engines.py -q
 
 GOLDEN_GATES = tests/test_optimizer.py::TestGoldenPlans tests/test_execution_digests.py \

@@ -26,13 +26,11 @@ host machine performs:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from operator import getitem
 
 import numpy as np
 
 from repro.errors import ExecutionError
 from repro.executor.engine import ExecutionEngine
-from repro.executor.operators import gather_rows, take_rows
 from repro.optimizer.cardinality import evaluate_filter_mask
 from repro.sql.binder import BoundQuery, FilterPredicate
 from repro.storage.database import Database
@@ -48,45 +46,38 @@ class _Lineage:
     :meth:`materialize` composes from whichever end gathers fewer entries:
     right to left every gather is as long as the last array (cheap when the
     chain shrinks), left to right each is as long as its own array (cheap
-    when a join fans out).  ``null_extended``
-    says some chain element may hold the virtual ``NULL_ROW_ID`` positions an
-    outer join records; composition then goes through
-    :func:`~repro.executor.operators.take_rows`, so they propagate instead of
-    wrapping around to the last element.  Inner-only plans leave it clear and
-    index directly, without a ``positions < 0`` scan per re-index.
+    when a join fans out).
     """
 
-    __slots__ = ("base", "chain", "null_extended")
+    __slots__ = ("base", "chain")
 
-    def __init__(self, base: np.ndarray, chain: tuple[np.ndarray, ...] = (), null_extended: bool = False) -> None:
+    def __init__(self, base: np.ndarray, chain: tuple[np.ndarray, ...] = ()) -> None:
         self.base = base
         self.chain = chain
-        self.null_extended = null_extended
 
-    def extend(self, positions: np.ndarray, null_extended: bool) -> "_Lineage":
+    def extend(self, positions: np.ndarray) -> "_Lineage":
         """Lineage after selecting ``positions`` from the current tuples."""
-        return _Lineage(self.base, self.chain + (positions,), self.null_extended or null_extended)
+        return _Lineage(self.base, self.chain + (positions,))
 
     def materialize(self) -> np.ndarray:
         """Compose the indirection chain into concrete base-table row ids.
 
         Left to right when the chain's summed lengths are below
         ``len(chain) * len(chain[-1])``, right to left otherwise; both give
-        the same array, since ``take_rows`` keeps ``NULL_ROW_ID`` absorbing.
+        the same array.
         """
         chain = self.chain
         if not chain:
             return self.base
-        take = take_rows if self.null_extended else getitem
         if sum(len(positions) for positions in chain) < len(chain) * len(chain[-1]):
             acc = self.base
             for positions in chain:
-                acc = take(acc, positions)
+                acc = acc[positions]
             return acc
         acc = chain[-1]
         for positions in reversed(chain[:-1]):
-            acc = take(positions, acc)
-        return take(self.base, acc)
+            acc = positions[acc]
+        return self.base[acc]
 
 
 class ColumnarBatch:
@@ -134,7 +125,7 @@ class ColumnarBatch:
         self._materialized[alias] = materialized
         return materialized
 
-    def _extended(self, alias: str, positions: np.ndarray, null_extended: bool) -> _Lineage:
+    def _extended(self, alias: str, positions: np.ndarray) -> _Lineage:
         """Lineage of ``alias`` after selecting ``positions``.
 
         When this batch already materialized the alias (someone fetched one of
@@ -144,13 +135,13 @@ class ColumnarBatch:
         """
         materialized = self._materialized.get(alias)
         if materialized is not None:
-            return _Lineage(materialized, (positions,), null_extended)
-        return self._lineages[alias].extend(positions, null_extended)
+            return _Lineage(materialized, (positions,))
+        return self._lineages[alias].extend(positions)
 
     def select(self, positions: np.ndarray) -> "ColumnarBatch":
         """Keep only the tuples at ``positions`` — O(aliases), no gathers."""
         positions = np.asarray(positions, dtype=np.int64)
-        lineages = {alias: self._extended(alias, positions, False) for alias in self._lineages}
+        lineages = {alias: self._extended(alias, positions) for alias in self._lineages}
         return ColumnarBatch(lineages, int(positions.size))
 
     def fetch(
@@ -158,7 +149,7 @@ class ColumnarBatch:
     ) -> np.ndarray:
         """Column values of ``alias.column`` for every tuple of this batch."""
         data = database.table_data(query.table_of(alias))
-        return gather_rows(data, column, self.row_ids(alias))
+        return data.gather(column, self.row_ids(alias))
 
     # -- representation methods (mirroring Relation) --------------------------
     @staticmethod
@@ -167,17 +158,14 @@ class ColumnarBatch:
         row_ids = np.asarray(row_ids, dtype=np.int64)
         return ColumnarBatch({alias: _Lineage(row_ids)}, int(row_ids.size))
 
-    def pair(
-        self, right: "ColumnarBatch", left_pos: np.ndarray, right_pos: np.ndarray, null_extended: bool = True
-    ) -> "ColumnarBatch":
+    def pair(self, right: "ColumnarBatch", left_pos: np.ndarray, right_pos: np.ndarray) -> "ColumnarBatch":
         """Batch pairing ``self[left_pos[i]]`` with ``right[right_pos[i]]``.
 
-        Lazy: only records the position arrays in each side's lineage, flagged
-        as possibly holding ``NULL_ROW_ID`` unless ``null_extended=False``.
+        Lazy: only records the position arrays in each side's lineage.
         """
-        lineages = {alias: self._extended(alias, left_pos, null_extended) for alias in self._lineages}
+        lineages = {alias: self._extended(alias, left_pos) for alias in self._lineages}
         for alias in right._lineages:
-            lineages[alias] = right._extended(alias, right_pos, null_extended)
+            lineages[alias] = right._extended(alias, right_pos)
         return ColumnarBatch(lineages, int(left_pos.size))
 
     def pair_with_scan(
@@ -188,7 +176,7 @@ class ColumnarBatch:
         The index nested loop's inner side: freshly probed row ids start a
         lineage of their own, with no indirection to compose later.
         """
-        lineages = {existing: self._extended(existing, positions, False) for existing in self._lineages}
+        lineages = {existing: self._extended(existing, positions) for existing in self._lineages}
         lineages[alias] = _Lineage(np.asarray(row_ids, dtype=np.int64))
         return ColumnarBatch(lineages, int(positions.size))
 

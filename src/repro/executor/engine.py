@@ -33,13 +33,11 @@ from repro.executor.operators import (
     Relation,
     execute_index_nestloop,
     execute_join,
-    execute_outer_join,
     execute_scan,
     index_nestloop_inner,
 )
 from repro.plans.physical import (
     AggregateNode,
-    JoinKind,
     JoinNode,
     PlanNode,
     ScanNode,
@@ -207,7 +205,7 @@ class ExecutionEngine:
     def _evaluate(
         self, query: BoundQuery, node: PlanNode, evaluation: Evaluation, counted: bool = False
     ) -> Batch | CountedJoin:
-        """Evaluate ``node``; ``counted`` lets its topmost inner join return a
+        """Evaluate ``node``; ``counted`` lets its topmost join return a
         :class:`CountedJoin` (the output feeds only COUNT/MIN/MAX)."""
         total_metrics, node_rows = evaluation.metrics, evaluation.node_actual_rows
         if isinstance(node, ScanNode):
@@ -230,14 +228,9 @@ class ExecutionEngine:
                 evaluation.accesses.append(access)
             else:
                 right = self._evaluate(query, node.right, evaluation)
-                if node.join_kind is JoinKind.INNER:
-                    relation, metrics = execute_join(
-                        self.database, query, node, left, right, self.config.work_mem, counted
-                    )
-                else:
-                    relation, metrics = execute_outer_join(
-                        self.database, query, node, left, right, self.config.work_mem
-                    )
+                relation, metrics = execute_join(
+                    self.database, query, node, left, right, self.config.work_mem, counted
+                )
             total_metrics.merge(metrics)
             node_rows[id(node)] = relation.size
             return relation
@@ -424,7 +417,7 @@ COUNTED_AGGREGATES = frozenset({"count", "min", "max"})
 
 def counts_only(query: BoundQuery) -> bool:
     """Whether the query's output is one row of COUNT/MIN/MAX aggregates only,
-    which its plan's topmost inner join can compute without expanding a tuple."""
+    which its plan's topmost join can compute without expanding a tuple."""
     statement = query.statement
     return (
         statement is not None

@@ -1,6 +1,6 @@
 """Vectorized physical operators and their work accounting.
 
-The four operators — scan, join, outer join, index nested loop — are written
+The three operators — scan, join, index nested loop — are written
 **once**, against the surface both intermediate-result representations share:
 ``size``, ``aliases``, ``fetch``, ``select`` plus the four representation
 methods ``from_scan``, ``pair``, ``pair_with_scan`` and ``surviving``.  Every
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from operator import getitem
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -34,7 +33,7 @@ import numpy as np
 from repro.catalog.statistics import NULL_SENTINEL
 from repro.errors import ExecutionError
 from repro.optimizer.cardinality import evaluate_filter_mask
-from repro.plans.physical import JoinKind, JoinNode, JoinType, ScanNode, ScanType
+from repro.plans.physical import JoinNode, JoinType, ScanNode, ScanType
 from repro.sql.binder import BoundQuery, FilterPredicate, JoinPredicate
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.database import Database
@@ -46,50 +45,8 @@ if TYPE_CHECKING:
     #: Either intermediate-result representation (annotation only).
     Batch = Union["Relation", "ColumnarBatch"]
 
-#: Virtual row id of a NULL-extended outer-join tuple.  Distinct from any
-#: stored row: fetching it yields :data:`NULL_SENTINEL` for every column, so
-#: NULL-extended output is never conflated with stored NULLs at the storage
-#: layer (no sentinel is ever written into a table).
-NULL_ROW_ID = -1
-
 #: One heap access an operator would make: ``(relation, n_pages, sequential)``.
 PageAccess = tuple[str, int, bool]
-
-
-def gather_rows(data, column: str, row_ids: np.ndarray) -> np.ndarray:
-    """Column codes for ``row_ids``, mapping :data:`NULL_ROW_ID` to the sentinel.
-
-    Every fetch of intermediate-result columns must go through this helper:
-    raw numpy indexing (``TableData.gather``) would silently wrap the virtual
-    row id -1 to the *last* stored row.
-    """
-    row_ids = np.asarray(row_ids, dtype=np.int64)
-    extended = row_ids < 0
-    if not extended.any():
-        return data.gather(column, row_ids)
-    out = np.full(row_ids.size, NULL_SENTINEL, dtype=np.int64)
-    real = ~extended
-    if real.any():
-        out[real] = data.gather(column, row_ids[real])
-    return out
-
-
-def take_rows(values: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """``values[positions]`` with negative positions propagating NULL_ROW_ID.
-
-    Used wherever row-id arrays are re-indexed by join/select positions, so a
-    NULL-extended tuple stays NULL-extended through later operators instead
-    of wrapping around to the last element.
-    """
-    positions = np.asarray(positions, dtype=np.int64)
-    extended = positions < 0
-    if not extended.any():
-        return values[positions]
-    out = np.full(positions.size, NULL_ROW_ID, dtype=np.int64)
-    real = ~extended
-    if real.any():
-        out[real] = values[positions[real]]
-    return out
 
 
 @dataclass
@@ -147,15 +104,13 @@ class Relation:
         """Base-table aliases whose rows this relation carries."""
         return frozenset(self.rows)
 
-    def _taken(self, positions: np.ndarray, null_extended: bool) -> dict[str, np.ndarray]:
-        """Every alias's row ids at ``positions``; these index directly, without
-        :func:`take_rows`' scan, unless they may hold :data:`NULL_ROW_ID`."""
-        take = take_rows if null_extended else getitem
-        return {alias: take(ids, positions) for alias, ids in self.rows.items()}
+    def _taken(self, positions: np.ndarray) -> dict[str, np.ndarray]:
+        """Every alias's row ids at ``positions``."""
+        return {alias: ids[positions] for alias, ids in self.rows.items()}
 
     def select(self, positions: np.ndarray) -> "Relation":
         """Keep only the tuples at ``positions`` (positional indices)."""
-        return Relation(rows=self._taken(positions, False))
+        return Relation(rows=self._taken(positions))
 
     def fetch(
         self, database: Database, query: BoundQuery, alias: str, column: str
@@ -164,7 +119,7 @@ class Relation:
         if alias not in self.rows:
             raise ExecutionError(f"relation does not contain alias {alias!r}")
         data = database.table_data(query.table_of(alias))
-        return gather_rows(data, column, self.rows[alias])
+        return data.gather(column, self.rows[alias])
 
     # -- representation methods (mirrored by ColumnarBatch) ------------------
     @staticmethod
@@ -172,16 +127,12 @@ class Relation:
         """Single-alias relation over the row ids a scan produced."""
         return Relation(rows={alias: np.asarray(row_ids, dtype=np.int64)})
 
-    def pair(
-        self, right: "Relation", left_pos: np.ndarray, right_pos: np.ndarray, null_extended: bool = True
-    ) -> "Relation":
+    def pair(self, right: "Relation", left_pos: np.ndarray, right_pos: np.ndarray) -> "Relation":
         """Relation pairing ``self[left_pos[i]]`` with ``right[right_pos[i]]``.
 
-        Eager: every carried alias's row ids are gathered here.  Positions may
-        hold :data:`NULL_ROW_ID` (an outer join's) unless ``null_extended=False``.
+        Eager: every carried alias's row ids are gathered here.
         """
-        left = self._taken(left_pos, null_extended)
-        return Relation(rows={**left, **right._taken(right_pos, null_extended)})
+        return Relation(rows={**self._taken(left_pos), **right._taken(right_pos)})
 
     def pair_with_scan(self, positions: np.ndarray, alias: str, row_ids: np.ndarray) -> "Relation":
         """Relation pairing ``self[positions[i]]`` with base row ``row_ids[i]`` of ``alias``.
@@ -189,7 +140,7 @@ class Relation:
         The index nested loop's inner side: freshly probed row ids that need
         no re-indexing, unlike a :meth:`pair` with ``from_scan(alias, row_ids)``.
         """
-        rows = self._taken(positions, False)
+        rows = self._taken(positions)
         rows[alias] = np.asarray(row_ids, dtype=np.int64)
         return Relation(rows=rows)
 
@@ -544,10 +495,6 @@ def index_nestloop_inner(database: Database, node: JoinNode):
     """
     if node.join_type is not JoinType.NESTED_LOOP:
         return None
-    if node.join_kind is not JoinKind.INNER:
-        # Outer joins always go through the shared materialized join path so
-        # NULL extension happens in one place.
-        return None
     inner = node.right
     if not isinstance(inner, ScanNode):
         return None
@@ -600,7 +547,7 @@ def execute_index_nestloop(
     metrics.tuples_in = left.size
     metrics.cpu_ops += left.size
 
-    # Outer join-key values come from the probe predicate itself: the index is
+    # The outer side's join-key values come from the probe predicate itself: the index is
     # on ``probe``'s inner column, so probing it with any other predicate's
     # outer values would match unrelated rows.
     outer_keys = left.fetch(database, query, *probe.other(alias))
@@ -669,8 +616,8 @@ def _match_predicates(
     The first predicate's matches are counted and checked against the cap;
     every further predicate narrows them on composite keys (:func:`_refine`).
     SQL semantics: NULL never equals NULL.  Both sides of a join can carry
-    NULLs (nullable foreign keys, NULL-extended tuples of an earlier outer
-    join), and :class:`KeyMatch` never matches or counts them.
+    stored NULLs (nullable foreign keys), and :class:`KeyMatch` never matches
+    or counts them.
     """
     def keys(predicate: JoinPredicate) -> tuple[np.ndarray, np.ndarray]:
         left_alias, left_column, right_alias, right_column = _orient_predicate(predicate, left, right)
@@ -694,7 +641,7 @@ def execute_join(
     work_mem_bytes: int,
     counted: bool = False,
 ) -> tuple[Batch | CountedJoin, OperatorMetrics]:
-    """Evaluate an inner join node over already-evaluated children.
+    """Evaluate a join node over already-evaluated children.
 
     With ``counted`` an equi-join returns a :class:`CountedJoin` instead of
     expanding its matches.
@@ -703,7 +650,7 @@ def execute_join(
     metrics.tuples_in = left.size + right.size
 
     if not node.predicates:
-        result = left.pair(right, *cross_product_positions(left.size, right.size), null_extended=False)
+        result = left.pair(right, *cross_product_positions(left.size, right.size))
         metrics.cpu_ops += max(left.size * right.size, 1)
         metrics.tuples_out = result.size
         return result, metrics
@@ -713,68 +660,7 @@ def execute_join(
     if counted:
         result = CountedJoin(left, right, match)
     else:
-        result = left.pair(right, *match.positions(), null_extended=False)
-    metrics.tuples_out = result.size
-    metrics.cpu_ops += result.size
-    return result, metrics
-
-
-def null_extend_positions(
-    join_kind: JoinKind,
-    left_size: int,
-    right_size: int,
-    left_pos: np.ndarray,
-    right_pos: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Extend matched join positions with NULL-extended unmatched tuples.
-
-    Output order is deterministic and purely positional: matched pairs first
-    (in match order), then unmatched left tuples ascending paired with
-    :data:`NULL_ROW_ID`, then — for FULL joins — unmatched right tuples
-    ascending with NULL_ROW_ID on the left.  Both engines share this helper
-    verbatim, which is what keeps their row order byte-identical.
-    """
-    if join_kind is JoinKind.INNER:
-        return left_pos, right_pos
-    unmatched_left = np.setdiff1d(np.arange(left_size, dtype=np.int64), left_pos)
-    lefts = [left_pos, unmatched_left]
-    rights = [right_pos, np.full(unmatched_left.size, NULL_ROW_ID, dtype=np.int64)]
-    if join_kind is JoinKind.FULL:
-        unmatched_right = np.setdiff1d(np.arange(right_size, dtype=np.int64), right_pos)
-        lefts.append(np.full(unmatched_right.size, NULL_ROW_ID, dtype=np.int64))
-        rights.append(unmatched_right)
-    return np.concatenate(lefts), np.concatenate(rights)
-
-
-def execute_outer_join(
-    database: Database,
-    query: BoundQuery,
-    node: JoinNode,
-    left: Batch,
-    right: Batch,
-    work_mem_bytes: int,
-) -> tuple[Batch, OperatorMetrics]:
-    """Evaluate a LEFT or FULL outer join over already-evaluated children.
-
-    Matching is identical to the inner join (NULL keys never match, and every
-    ON predicate is matched at once on composite keys, *before* NULL extension
-    — they are part of the join condition, not post-join filters); the
-    unmatched tuples are appended as NULL-extended output afterwards.
-    """
-    metrics = OperatorMetrics()
-    metrics.tuples_in = left.size + right.size
-
-    if not node.predicates:
-        raise ExecutionError("outer join requires at least one join predicate")
-
-    match = _match_predicates(database, query, node, left, right, metrics)
-    charge_join_type(database, node, left.size, right.size, work_mem_bytes, metrics)
-
-    left_pos, right_pos = null_extend_positions(
-        node.join_kind, left.size, right.size, *match.positions()
-    )
-    result = left.pair(right, left_pos, right_pos, null_extended=True)
-
+        result = left.pair(right, *match.positions())
     metrics.tuples_out = result.size
     metrics.cpu_ops += result.size
     return result, metrics

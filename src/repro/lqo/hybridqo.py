@@ -7,9 +7,7 @@ its target, each prefix is turned into a hint and handed to the DBMS to obtain
 a candidate plan, and a learned latency model picks the candidate to execute.
 Because only the prefix is constrained, the DBMS still optimizes the rest of
 the join order — which is why HybridQO tends to stay close to PostgreSQL and
-occasionally beats it (Figures 4 and 5).  The search expands prefixes over
-the query's inner-join core only: outer-join edges keep their syntax-order
-fold, which the planner applies to every candidate plan.
+occasionally beats it (Figures 4 and 5).
 """
 
 from __future__ import annotations
@@ -79,14 +77,12 @@ class HybridQOOptimizer(BaseOptimizer):
         return float(result.plan.estimated_cost)
 
     def _candidate_prefixes(self, query: BoundQuery, context: PlanningContext) -> list[tuple[str, ...]]:
-        """Run MCTS over join-order prefixes of the query's inner-join core and
-        return the most visited ones (a prefix never names an outer-join alias)."""
-        core = query.core_query()
-        aliases = list(core.aliases)
+        """Run MCTS over join-order prefixes and return the most visited ones."""
+        aliases = list(query.aliases)
         max_len = min(self.prefix_length, len(aliases))
         root = _MCTSNode(())
         baseline = self._rollout_cost(query, (), context)
-        graph = JoinGraph(core)
+        graph = JoinGraph(query)
 
         def expandable(node: _MCTSNode) -> list[str]:
             remaining = [a for a in aliases if a not in node.prefix]

@@ -9,10 +9,8 @@ thousands of sub-plans are scored per query (Section 8.2.2).  The same
 characteristic shows up here: LEON's inference walks a DP lattice (or a wide
 beam for very large queries) and scores every candidate with the ranker, so it
 is by far the slowest method at inference time, while its executed plans are
-often competitive.  Both walk the query's inner-join core on the shared
-:class:`~repro.lqo.search.JoinSearch` state, which folds the outer-join
-edges, in syntax order, onto the plan the ranker picks; the random join
-orders among its training candidates are orders of the core, folded alike.
+often competitive.  Both walk the shared :class:`~repro.lqo.search.JoinSearch`
+state.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from repro import simclock
 from repro.lqo.base import BaseOptimizer, LQOEnvironment, PlannedQuery, TrainingReport
 from repro.lqo.search import JoinSearch, Subplan
 from repro.ml.nn import PairwiseRanker
-from repro.optimizer.enumeration import fold_outer_edges, left_deep_plan_from_order
+from repro.optimizer.enumeration import left_deep_plan_from_order
 from repro.plans.hints import BAO_HINT_SETS
 from repro.plans.physical import PlanNode
 from repro.sql.binder import BoundQuery
@@ -61,8 +59,7 @@ class LeonOptimizer(BaseOptimizer):
 
     # ------------------------------------------------------------------ training
     def _candidate_plans_for_training(self, query: BenchmarkQuery) -> list[PlanNode]:
-        """Diverse candidate plans: the DBMS plan, hint-set plans and random orders
-        (of the inner-join core, with the outer-join edges folded on)."""
+        """Diverse candidate plans: the DBMS plan, hint-set plans and random orders."""
         plans: list[PlanNode] = []
         seen: set[str] = set()
 
@@ -75,14 +72,12 @@ class LeonOptimizer(BaseOptimizer):
         add(self.env.plan_with_hints(query.bound).plan)
         for arm in BAO_HINT_SETS[1:4]:
             add(self.env.plan_with_hints(query.bound, arm).plan)
-        core = query.bound.core_query()
         cost_model = self.env.planner.cost_model
         context = cost_model.planning_context()
         for _ in range(2):
-            order = list(core.aliases)
+            order = list(query.bound.aliases)
             self._rng.shuffle(order)
-            plan = left_deep_plan_from_order(core, cost_model, order, context=context)
-            add(fold_outer_edges(query.bound, plan, cost_model, context))
+            add(left_deep_plan_from_order(query.bound, cost_model, order, context=context))
         return plans
 
     def fit(self, train_queries: list[BenchmarkQuery]) -> TrainingReport:
@@ -131,9 +126,9 @@ class LeonOptimizer(BaseOptimizer):
 
     def _dp_enumerate(self, search: JoinSearch) -> Subplan | None:
         """DP over connected subsets keeping the top-k ranked candidates per class."""
-        n = len(search.core.aliases)
+        n = len(search.query.aliases)
         table: dict[int, list[Subplan]] = {
-            1 << i: [search.scan(alias)] for i, alias in enumerate(search.core.aliases)
+            1 << i: [search.scan(alias)] for i, alias in enumerate(search.query.aliases)
         }
         for size in range(2, n + 1):
             for combo in combinations(range(n), size):
@@ -158,7 +153,7 @@ class LeonOptimizer(BaseOptimizer):
 
     def _beam_search(self, search: JoinSearch) -> Subplan | None:
         """Ranked beam search over left-deep orders for very large queries."""
-        aliases = search.core.aliases
+        aliases = search.query.aliases
         scans = {alias: search.scan(alias) for alias in aliases}
         beams = self._top(search, list(scans.values()), self.beam_width)
         for _ in range(len(aliases) - 1):
@@ -178,12 +173,11 @@ class LeonOptimizer(BaseOptimizer):
         return self._best(search, complete) if complete else None
 
     def _strategy(self, query: BoundQuery) -> str:
-        """The search over the query's inner-join core: DP up to ``max_dp_relations``, else a beam."""
-        return "ranked-dp" if len(query.core_aliases) <= self.max_dp_relations else "ranked-beam"
+        """The search: DP up to ``max_dp_relations``, else a beam."""
+        return "ranked-dp" if query.num_relations <= self.max_dp_relations else "ranked-beam"
 
     def search_plan(self, query: BoundQuery) -> PlanNode:
-        """Ranked DP for small queries, a ranked beam for large ones, over the
-        query's inner-join core; the outer-join edges are folded on its plan."""
+        """Ranked DP for small queries, a ranked beam for large ones."""
         search = JoinSearch(self.env, query, self._ranker.is_trained)
         if self._strategy(query) == "ranked-dp":
             found = self._dp_enumerate(search)

@@ -4,10 +4,8 @@ Neo (Marcus et al., VLDB 2019) trains a neural network that, given the query
 encoding and the encoding of a (partial) plan, predicts the latency of the
 best complete plan containing it.  Plans are constructed bottom-up: starting
 from one sub-plan per relation, the search greedily applies the join whose
-resulting partial plan has the lowest predicted value.  The search runs over
-the query's inner-join core on the shared :class:`~repro.lqo.search.JoinSearch`
-state and folds the outer-join edges, in syntax order, onto the plan it
-builds; training rows describe that folded plan.  Training bootstraps
+resulting partial plan has the lowest predicted value, on the shared
+:class:`~repro.lqo.search.JoinSearch` state.  Training bootstraps
 from the expert (PostgreSQL's plans and their measured latencies) and then
 iterates: plan the training queries with the current model, execute the plans,
 add the observations to the replay buffer, retrain.
@@ -112,13 +110,12 @@ class NeoOptimizer(BaseOptimizer):
 
         ``vector`` and ``context`` are the query's vector and planning
         context when the caller searches the query many times (a fit).
-        The search runs over the query's inner-join core; candidates are
-        costed and encoded as records, a step builds one node, its
-        winner's, and the outer-join edges are folded on the core plan.
+        Candidates are costed and encoded as records, and a step builds
+        one node, its winner's.
         """
         search = JoinSearch(self.env, query, self._model.is_trained, context, vector)
         joins: dict[tuple[int, int], tuple[Subplan, np.ndarray | None]] = {}
-        subplans = [search.scan(alias) for alias in search.core.aliases]
+        subplans = [search.scan(alias) for alias in search.query.aliases]
         while len(subplans) > 1:
             candidates = self._candidate_joins(subplans, search, joins)
             if search.encoder is not None:

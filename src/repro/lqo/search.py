@@ -1,10 +1,5 @@
 """The search state every learned join-order search plans with (Neo, Balsa, LEON).
 
-A :class:`JoinSearch` searches a query's inner-join core
-(:meth:`BoundQuery.core_query`, the query itself when it has no outer joins)
-and hands the core plan it settles on to
-:func:`~repro.optimizer.enumeration.fold_outer_edges`, as the planner does:
-outer-join edges never enter a search, so a search cannot reorder across one.
 Beside every subplan it keeps the alias mask, the :class:`JoinInput` record
 and the encoder state, so a candidate join is costed and encoded as one new
 node, from records, and built only when the search keeps it.  What a method
@@ -20,7 +15,6 @@ import numpy as np
 
 from repro.lqo.base import LQOEnvironment
 from repro.optimizer.cost_model import JoinInput, PlanningContext
-from repro.optimizer.enumeration import fold_outer_edges
 from repro.optimizer.join_graph import JoinGraph
 from repro.plans.hints import NO_HINTS
 from repro.plans.physical import JoinCandidate, PlanNode, validate_plan
@@ -32,7 +26,7 @@ class Subplan(NamedTuple):
 
     #: A built plan, or a candidate join costed but not built.
     plan: PlanNode | JoinCandidate
-    #: One bit per alias of the core's ``aliases`` it covers.
+    #: One bit per alias of the query's ``aliases`` it covers.
     mask: int
     record: JoinInput
     #: Its encoder state; ``None`` while the method's model is untrained.
@@ -40,7 +34,7 @@ class Subplan(NamedTuple):
 
 
 class JoinSearch:
-    """One search over one query's inner-join core.
+    """One search over one query.
 
     Candidates are encoded only when the method's model is ``trained``, with
     ``vector`` (the query's; made here when not given).  ``context`` is the
@@ -52,10 +46,9 @@ class JoinSearch:
         context: PlanningContext | None = None, vector: np.ndarray | None = None,
     ) -> None:
         self.query = query
-        self.core = query.core_query()
         self.cost_model = env.planner.cost_model
         self.context = context if context is not None else self.cost_model.planning_context()
-        self.graph = JoinGraph(self.core)
+        self.graph = JoinGraph(query)
         self.join_types = self.cost_model.allowed_operators(NO_HINTS, self.context).join_types
         self.encoder = env.tree_conv if trained else None
         self.vector = None
@@ -63,14 +56,14 @@ class JoinSearch:
             self.vector = vector if vector is not None else env.query_vector(query)
 
     def scan(self, alias: str) -> Subplan:
-        scan = self.cost_model.best_scan(self.core, alias, context=self.context)
+        scan = self.cost_model.best_scan(self.query, alias, context=self.context)
         state = None if self.encoder is None else self.encoder.node_state(scan)
-        return Subplan(scan, self.graph.bit_of[alias], self.cost_model.join_input(self.core, scan, self.context), state)
+        return Subplan(scan, self.graph.bit_of[alias], self.cost_model.join_input(self.query, scan, self.context), state)
 
     def join(self, left: Subplan, right: Subplan, predicates: list[JoinPredicate]) -> Subplan:
         """The cheapest join of ``left`` to ``right`` (both built), costed and encoded, not built."""
         join = self.cost_model.candidate_join(
-            self.core, self.join_types, left.plan, right.plan, left.record, right.record, predicates, self.context,
+            self.query, self.join_types, left.plan, right.plan, left.record, right.record, predicates, self.context,
         )
         record = self.cost_model.joined_input(left.record, right.record, (join.estimated_rows, join.estimated_cost))
         state = None if self.encoder is None else self.encoder.node_state(join, left.state, right.state)
@@ -83,26 +76,11 @@ class JoinSearch:
     def build(self, subplan: Subplan) -> Subplan:
         """``subplan`` with its candidate join, if it holds one, built."""
         if isinstance(subplan.plan, JoinCandidate):
-            return subplan._replace(plan=self.cost_model.build_join(self.core, subplan.plan))
+            return subplan._replace(plan=self.cost_model.build_join(self.query, subplan.plan))
         return subplan
 
-    def complete(self, core: Subplan) -> tuple[PlanNode, Any]:
-        """The executed plan of a core subplan covering the core, and its encoder state.
-
-        The query's outer-join edges are folded on in syntax order; the
-        state of each folded join is composed on the core's, so it reads out
-        as the whole folded plan encodes.
-        """
-        core = self.build(core)
-        plan = fold_outer_edges(self.query, core.plan, self.cost_model, self.context)
-        validate_plan(plan, self.query.aliases)
-        state = core.state
-        if state is not None:
-            folds = []
-            node = plan
-            while node is not core.plan:
-                folds.append(node)
-                node = node.left
-            for node in reversed(folds):
-                state = self.encoder.node_state(node, state, self.encoder.node_state(node.right))
-        return plan, state
+    def complete(self, subplan: Subplan) -> tuple[PlanNode, Any]:
+        """The executed plan of a subplan covering the query, and its encoder state."""
+        subplan = self.build(subplan)
+        validate_plan(subplan.plan, self.query.aliases)
+        return subplan.plan, subplan.state

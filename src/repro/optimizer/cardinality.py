@@ -173,20 +173,6 @@ class CardinalityEstimator:
             rows *= selectivity
         return max(rows, MIN_ROWS)
 
-    @staticmethod
-    def outer_join_rows(join_kind: str, left_rows: float, right_rows: float, inner: float) -> float:
-        """Estimated output rows of a LEFT or FULL outer join.
-
-        The inner-match estimate ``inner`` (:meth:`join_rows`) is extended by
-        the unmatched probe rows (both sides for FULL), mirroring PostgreSQL's
-        calc_joinrel_size lower bounds: a LEFT join emits at least
-        ``left_rows`` rows.
-        """
-        rows = inner + max(left_rows - inner, 0.0)
-        if join_kind == "full":
-            rows += max(right_rows - inner, 0.0)
-        return max(rows, MIN_ROWS)
-
     # ------------------------------------------------------------------- truth
     def true_base_rows(self, query: BoundQuery, alias: str) -> int:
         """Exact filtered cardinality of a base relation (used by ablations).

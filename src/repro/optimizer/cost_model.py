@@ -14,17 +14,15 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 from repro.config import PAGE_SIZE_BYTES, PostgresConfig
-from repro.errors import HintError, OptimizerError
+from repro.errors import OptimizerError
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.plans.hints import HintSet, NO_HINTS, OperatorToggles
-from repro.plans.physical import JoinCandidate, JoinKind, JoinNode, JoinType, PlanNode, ScanNode, ScanType
-from repro.sql.binder import BoundQuery, FilterPredicate, JoinPredicate, OuterJoinEdge
+from repro.plans.physical import JoinCandidate, JoinNode, JoinType, PlanNode, ScanNode, ScanType
+from repro.sql.binder import BoundQuery, FilterPredicate, JoinPredicate
 from repro.storage.database import Database
 
 #: Deterministic ordering of join types for tie-breaking.
 JOIN_TYPE_ORDER: tuple[JoinType, ...] = (JoinType.HASH, JoinType.MERGE, JoinType.NESTED_LOOP)
-#: FULL joins have no nested-loop implementation (as in PostgreSQL).
-_FULL_JOIN_TYPES: tuple[JoinType, ...] = (JoinType.HASH, JoinType.MERGE)
 
 #: Deterministic ordering of scan types for tie-breaking.
 SCAN_TYPE_ORDER: tuple[ScanType, ...] = (
@@ -38,7 +36,6 @@ _SCAN_RANK = {scan_type: rank for rank, scan_type in enumerate(SCAN_TYPE_ORDER)}
 # Enum members as module constants: ``JoinType.HASH`` is an attribute lookup
 # on the enum class, and the join formula runs once per candidate join.
 _HASH, _MERGE, _NESTED_LOOP = JoinType.HASH, JoinType.MERGE, JoinType.NESTED_LOOP
-_INNER = JoinKind.INNER
 
 
 @dataclass(frozen=True)
@@ -350,27 +347,21 @@ class CostModel:
 
     def cheapest_join(
         self, query: BoundQuery, join_types: Sequence[JoinType], left: JoinInput, right: JoinInput,
-        predicates: Sequence[JoinPredicate], join_kind: JoinKind, context: PlanningContext,
+        predicates: Sequence[JoinPredicate], context: PlanningContext,
     ) -> tuple[JoinType, tuple[float, float]]:
         """``(join type, (output rows, total cost))`` of the cheapest of ``join_types``.
 
         The one join cost formula.  Costs include the input costs.  All types
         share one ``join_rows`` estimate; ``join_types`` must be in
         :data:`JOIN_TYPE_ORDER`, so that on a cost tie the earlier type wins.
-        For LEFT/FULL kinds the inner-match estimate is extended by the
-        NULL-extended unmatched rows, each costing one ``cpu_tuple_cost``.
         """
         cfg = self.config
         cpu_operator_cost = cfg.cpu_operator_cost
         cpu_tuple_cost = cfg.cpu_tuple_cost
         left_rows, left_cost, _, left_sort_cost, left_scan = left
         right_rows, right_cost, right_width, right_sort_cost, right_scan = right
-        matched = self.estimator.join_rows(query, left_rows, right_rows, predicates, context.join_selectivity)
+        rows = self.estimator.join_rows(query, left_rows, right_rows, predicates, context.join_selectivity)
         cross_penalty = 0.0 if predicates else left_rows * right_rows * cpu_operator_cost
-        rows = matched  # the inner-match estimate
-        outer = join_kind is not _INNER
-        if outer:
-            rows = self.estimator.outer_join_rows(join_kind.value.lower(), left_rows, right_rows, matched)
 
         best_type: JoinType | None = None
         best_cost = math.inf
@@ -382,7 +373,7 @@ class CostModel:
                     + right_cost
                     + right_rows * cpu_operator_cost * 1.5  # build
                     + left_rows * cpu_operator_cost  # probe
-                    + matched * cpu_tuple_cost
+                    + rows * cpu_tuple_cost
                     + cross_penalty
                 )
                 if inner_bytes > cfg.work_mem:
@@ -399,7 +390,7 @@ class CostModel:
                     + left_sort_cost
                     + right_sort_cost
                     + (left_rows + right_rows) * cpu_operator_cost
-                    + matched * cpu_tuple_cost
+                    + rows * cpu_tuple_cost
                     + cross_penalty
                 )
             elif join_type is _NESTED_LOOP:
@@ -407,7 +398,7 @@ class CostModel:
                 if probe is not None:
                     fixed_probe_cost, index_entries = probe
                     probe_cost = fixed_probe_cost + max(right_rows / index_entries, 1.0) * cpu_tuple_cost
-                    cost = left_cost + left_rows * probe_cost + matched * cpu_tuple_cost
+                    cost = left_cost + left_rows * probe_cost + rows * cpu_tuple_cost
                 else:
                     # Materialized nested loop: the inner is evaluated once and
                     # re-scanned from memory for every outer tuple.
@@ -415,20 +406,18 @@ class CostModel:
                         left_cost
                         + right_cost
                         + left_rows * right_rows * cpu_operator_cost
-                        + matched * cpu_tuple_cost
+                        + rows * cpu_tuple_cost
                     )
                 cost += cross_penalty
             else:
                 raise OptimizerError(f"unknown join type {join_type!r}")
-            if outer:
-                cost += max(rows - matched, 0.0) * cpu_tuple_cost
             if best_type is None or cost < best_cost:
                 best_type, best_cost = join_type, cost
         assert best_type is not None
         return best_type, (rows, best_cost)
 
     def join_cost_bound(self, left: JoinInput, right: JoinInput) -> float:
-        """A lower bound on the cost :meth:`cheapest_join` gives any inner join of ``left`` to ``right``.
+        """A lower bound on the cost :meth:`cheapest_join` gives any join of ``left`` to ``right``.
 
         Every join type costs ``left.cost + right.cost`` plus terms that are
         never negative, except the index nested loop into a scan, which pays
@@ -449,7 +438,6 @@ class CostModel:
         left: PlanNode,
         right: PlanNode,
         predicates: Sequence[JoinPredicate] | None = None,
-        join_kind: JoinKind = JoinKind.INNER,
         estimates: tuple[float, float] | None = None,
     ) -> JoinNode:
         """Build a join node of a specific type with estimates attached.
@@ -464,10 +452,10 @@ class CostModel:
             context = self.planning_context()
             estimates = self.cheapest_join(
                 query, (join_type,), self.join_input(query, left, context),
-                self.join_input(query, right, context), predicates, join_kind, context,
+                self.join_input(query, right, context), predicates, context,
             )[1]
         rows, cost = estimates
-        return JoinNode(float(rows), float(cost), join_type, left, right, tuple(predicates), join_kind)
+        return JoinNode(float(rows), float(cost), join_type, left, right, tuple(predicates))
 
     def best_join_estimates(
         self, query: BoundQuery, left: PlanNode, right: PlanNode, hints: HintSet,
@@ -481,7 +469,7 @@ class CostModel:
         join_types = self.allowed_operators(hints, context).join_types_for(hints, left.aliases | right.aliases)
         return self.cheapest_join(
             query, join_types, self.join_input(query, left, context), self.join_input(query, right, context),
-            predicates, JoinKind.INNER, context,
+            predicates, context,
         )
 
     def best_join(
@@ -510,7 +498,7 @@ class CostModel:
         candidates they keep with :meth:`build_join`.
         """
         join_type, (rows, cost) = self.cheapest_join(
-            query, join_types, left_input, right_input, predicates, JoinKind.INNER, context
+            query, join_types, left_input, right_input, predicates, context
         )
         return JoinCandidate(float(rows), float(cost), join_type, left, right, tuple(predicates))
 
@@ -520,38 +508,6 @@ class CostModel:
             query, candidate.join_type, candidate.left, candidate.right, candidate.predicates,
             estimates=(candidate.estimated_rows, candidate.estimated_cost),
         )
-
-    def best_outer_join(
-        self, query: BoundQuery, edge: OuterJoinEdge, left: PlanNode, right: PlanNode,
-        hints: HintSet = NO_HINTS, context: PlanningContext | None = None,
-    ) -> JoinNode:
-        """Cheapest allowed outer join folding ``edge`` onto ``left``.
-
-        ``right`` must be the scan of the edge's nullable alias; the operand
-        order is pinned by the edge, never commuted.  FULL joins only support
-        HASH and MERGE (as in PostgreSQL); a hint forcing NESTED_LOOP on a
-        FULL edge fails loudly instead of silently degrading.
-        """
-        if context is None:
-            context = self.planning_context()
-        join_kind = JoinKind.LEFT if edge.join_type == "left" else JoinKind.FULL
-        kind_allowed = JOIN_TYPE_ORDER if join_kind is JoinKind.LEFT else _FULL_JOIN_TYPES
-        forced = hints.join_method_for(left.aliases | right.aliases)
-        if forced is not None:
-            if forced not in kind_allowed:
-                raise HintError(
-                    f"join method {forced.value!r} is not supported for "
-                    f"{join_kind.value.upper()} JOIN {edge.nullable_alias!r}"
-                )
-            join_types: Sequence[JoinType] = (forced,)
-        else:
-            allowed = self.allowed_operators(hints, context).join_types
-            join_types = [t for t in allowed if t in kind_allowed] or kind_allowed
-        join_type, estimates = self.cheapest_join(
-            query, join_types, self.join_input(query, left, context), self.join_input(query, right, context),
-            edge.predicates, join_kind, context,
-        )
-        return self.join_node(query, join_type, left, right, edge.predicates, join_kind, estimates)
 
 
 def _is_sorted_on_join_key(scan: ScanNode, predicates: Sequence[JoinPredicate]) -> bool:

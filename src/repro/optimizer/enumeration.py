@@ -7,9 +7,6 @@ exhaustive join-tree enumeration.
   it does not take (:meth:`DPEnumerator.accepts`) to GEQO, ``geqo`` on or off.
 * :func:`left_deep_plan_from_order` — builds a plan for an explicit join
   order; shared by GEQO's winner, hint handling and several LQOs.
-* :func:`fold_outer_edges` — folds a query's outer-join edges onto a plan of
-  its inner-join core; the one fold of the planner, the exhaustive
-  enumeration and the learned searches.
 * :func:`enumerate_join_trees` — exhaustively enumerates all join-tree shapes
   of a (small) query; used by the Section 8.7 bushy-vs-left-deep study.
 """
@@ -23,9 +20,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 from repro.errors import OptimizerError
 from repro.optimizer.cost_model import CostModel, JoinInput, PlanningContext
-from repro.optimizer.join_graph import JoinGraph, require_inner_only
+from repro.optimizer.join_graph import JoinGraph
 from repro.plans.hints import HintSet, NO_HINTS
-from repro.plans.physical import JoinKind, JoinType, PlanNode
+from repro.plans.physical import JoinType, PlanNode
 from repro.sql.binder import BoundQuery, JoinPredicate
 
 #: Most relations :class:`DPEnumerator` takes on over a connected join graph:
@@ -52,7 +49,6 @@ def left_deep_plan_from_order(
     forces them.  Cross products are allowed (they simply cost a lot), which
     lets GEQO evaluate arbitrary permutations.
     """
-    require_inner_only(query, "left_deep_plan_from_order")
     if not order:
         raise OptimizerError("cannot build a plan for an empty join order")
     missing = set(order) - set(query.aliases)
@@ -64,23 +60,6 @@ def left_deep_plan_from_order(
     for alias in order[1:]:
         right = cost_model.best_scan(query, alias, hints, context)
         plan = cost_model.best_join(query, plan, right, hints, context=context)
-    return plan
-
-
-def fold_outer_edges(
-    query: BoundQuery, plan: PlanNode, cost_model: CostModel, context: PlanningContext,
-    hints: HintSet = NO_HINTS,
-) -> PlanNode:
-    """Fold ``query``'s outer-join edges onto ``plan``, a plan of ``query.core_query()``.
-
-    Outer-join edges pin their operand order, so they never enter an
-    enumeration or a search: each edge is folded on top in syntax order,
-    with the nullable side as a fresh scan on the right.  An inner-only
-    query has no edges, and its plan comes back as it is.
-    """
-    for edge in query.outer_edges:
-        right = cost_model.best_scan(query, edge.nullable_alias, hints, context)
-        plan = cost_model.best_outer_join(query, edge, plan, right, hints, context)
     return plan
 
 
@@ -183,7 +162,6 @@ class DPEnumerator:
         self, query: BoundQuery, hints: HintSet = NO_HINTS, context: PlanningContext | None = None
     ) -> PlanNode:
         """Return the cheapest plan found by dynamic programming."""
-        require_inner_only(query, "DPEnumerator")
         if not self.accepts(query):
             raise OptimizerError(
                 f"dynamic programming does not take this join graph of {len(query.aliases)} relations "
@@ -234,7 +212,6 @@ class DPEnumerator:
         else:
             adjacent = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
         left_deep_only = not self.consider_bushy
-        inner_join = JoinKind.INNER
         by_bound = itemgetter(0)
 
         pairs = connected_pairs(adjacent)
@@ -272,7 +249,7 @@ class DPEnumerator:
                 if bound > best_cost:
                     break
                 join_type, estimates = cheapest_join(
-                    query, join_types, inputs[outer], inputs[inner], predicates, inner_join, context
+                    query, join_types, inputs[outer], inputs[inner], predicates, context
                 )
                 cost = estimates[1]
                 if cost < best_cost or (cost == best_cost and outer > best_outer):
@@ -296,18 +273,8 @@ def enumerate_join_trees(
     Every yielded plan covers all relations; scan and join methods are picked
     by the cost model per node.  Shapes include left-deep, right-deep, zigzag
     and bushy trees — exactly the space analysed in Section 8.7.
-
-    Outer-join edges never reorder: only the inner-join core is enumerated,
-    and every yielded core shape is folded by :func:`fold_outer_edges`.
     """
     context = cost_model.planning_context()
-    if query.outer_edges:
-        for core_plan in enumerate_join_trees(
-            query.core_query(), cost_model, hints, max_relations, allow_cross_products
-        ):
-            yield fold_outer_edges(query, core_plan, cost_model, context, hints)
-        return
-
     aliases = list(query.aliases)
     n = len(aliases)
     if n > max_relations:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from repro.errors import OptimizerError
 from repro.optimizer.cost_model import CostModel, JoinInput, PlanningContext
 from repro.optimizer.enumeration import left_deep_plan_from_order
-from repro.optimizer.join_graph import JoinGraph, require_inner_only
+from repro.optimizer.join_graph import JoinGraph
 from repro.plans.hints import HintSet, NO_HINTS
-from repro.plans.physical import JoinKind, PlanNode
+from repro.plans.physical import PlanNode
 from repro.runtime.fingerprint import stable_seed
 from repro.sql.binder import BoundQuery
 
@@ -108,7 +108,6 @@ class GeqoEnumerator:
         self, query: BoundQuery, hints: HintSet = NO_HINTS, context: PlanningContext | None = None
     ) -> PlanNode:
         """Run the genetic search and return the best plan found."""
-        require_inner_only(query, "GeqoEnumerator")
         aliases = list(query.aliases)
         if not aliases:
             raise OptimizerError("query has no relations")
@@ -146,7 +145,7 @@ class GeqoEnumerator:
                         if hints.join_methods:
                             join_types = allowed.join_types_for(hints, graph.aliases_of(mask | bit))
                         _join_type, estimates = cheapest_join(
-                            query, join_types, record, extended, predicates, JoinKind.INNER, context
+                            query, join_types, record, extended, predicates, context
                         )
                         extended = cost_model.joined_input(record, extended, estimates)
                     known = longer[alias] = (extended, mask | bit, {})

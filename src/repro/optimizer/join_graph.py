@@ -1,29 +1,12 @@
 """The join graph of one query as bitmasks (bit ``i``: ``query.aliases[i]``), read by
-every enumerator and search.  Built from the query being enumerated — an inner-join
-query or the core of an outer-join one (:meth:`BoundQuery.core_query`), never a query
-that still has outer-join edges — and never stored on the query or on anything planner
-threads share.  :meth:`BoundQuery.joins_between` and its kin stay the set-based reference.
+every enumerator and search.  Built from the query being enumerated and never stored
+on the query or on anything planner threads share.  :meth:`BoundQuery.joins_between`
+and its kin stay the set-based reference.
 """
 
 from __future__ import annotations
 
-from repro.errors import OptimizerError
 from repro.sql.binder import BoundQuery, JoinPredicate
-
-
-def require_inner_only(query: BoundQuery, caller: str) -> None:
-    """Reject queries with outer-join edges in inner-only enumerators.
-
-    Outer edges pin their operand order, so an enumerator would silently
-    mistreat their predicates as reorderable inner joins; callers must
-    enumerate ``query.core_query()`` and fold the edges afterwards
-    (:func:`repro.optimizer.enumeration.fold_outer_edges`).
-    """
-    if query.outer_edges:
-        raise OptimizerError(
-            f"{caller} only enumerates inner joins; plan the core query and "
-            "fold the outer-join edges in syntax order instead"
-        )
 
 
 class JoinGraph:
@@ -32,7 +15,6 @@ class JoinGraph:
     __slots__ = ("aliases", "bit_of", "edges", "neighbours", "_touching")
 
     def __init__(self, query: BoundQuery) -> None:
-        require_inner_only(query, "JoinGraph")
         self.aliases = aliases = query.aliases
         self.bit_of = bit_of = {alias: 1 << i for i, alias in enumerate(aliases)}
         #: Every join predicate beside the mask of the two aliases it connects,

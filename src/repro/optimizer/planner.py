@@ -26,11 +26,11 @@ from repro.config import PostgresConfig
 from repro.errors import OptimizerError
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost_model import CostModel, PlanningContext
-from repro.optimizer.enumeration import DPEnumerator, fold_outer_edges, left_deep_plan_from_order
+from repro.optimizer.enumeration import DPEnumerator, left_deep_plan_from_order
 from repro.optimizer.geqo import GeqoEnumerator, GeqoParameters
 from repro.optimizer.join_graph import JoinGraph
-from repro.plans.hints import HintSet, NO_HINTS, split_leading_for_outer
-from repro.plans.physical import AggregateNode, JoinKind, PlanNode, SortNode
+from repro.plans.hints import HintSet, NO_HINTS
+from repro.plans.physical import AggregateNode, PlanNode, SortNode
 from repro.runtime.plan_cache import PlanCache
 from repro.simclock import (  # PlannerResult's strategy labels key the clock's planning charge
     STRATEGY_COLLAPSED,
@@ -173,17 +173,6 @@ class Planner:
         if n == 1:
             return STRATEGY_DP, self.cost_model.best_scan(query, query.aliases[0], hints, context)
 
-        if query.outer_edges:
-            # Outer-join edges pin their operand order: plan the freely
-            # reorderable core by the dispatch below, then fold the edges.
-            # Hints that would force a reordering across an edge raise
-            # :class:`HintError`.  The core keeps the aliases, filters and
-            # inner predicates of its query: same context.
-            outer_order = [edge.nullable_alias for edge in query.outer_edges]
-            core_hints = split_leading_for_outer(hints, query.core_aliases, outer_order)
-            strategy, plan = self._plan_core(query.core_query(), core_hints, context)
-            return strategy, fold_outer_edges(query, plan, self.cost_model, context, hints)
-
         if hints.forces_join_order and len(hints.leading) == n:
             # ``best_join`` honours the hint's per-join methods.
             plan = left_deep_plan_from_order(query, self.cost_model, hints.leading, hints, context)
@@ -223,7 +212,7 @@ class Planner:
                 right = remaining[alias]
                 join_type, estimates = cost_model.cheapest_join(
                     query, allowed.join_types_for(hints, plan.aliases | right.aliases), left,
-                    cost_model.join_input(query, right, context), predicates, JoinKind.INNER, context,
+                    cost_model.join_input(query, right, context), predicates, context,
                 )
                 if best is None or estimates[1] < best[4][1]:
                     best = (alias, join_type, right, predicates, estimates)

@@ -10,7 +10,6 @@ optimizers (:mod:`repro.lqo`).
 
 from repro.plans.physical import (
     AggregateNode,
-    JoinKind,
     JoinNode,
     JoinType,
     PlanNode,
@@ -33,7 +32,6 @@ from repro.plans.hints import HintSet, OperatorToggles, BAO_HINT_SETS, BAO_ARM_N
 
 __all__ = [
     "AggregateNode",
-    "JoinKind",
     "JoinNode",
     "JoinType",
     "PlanNode",

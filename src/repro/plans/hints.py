@@ -10,7 +10,7 @@ planner (:mod:`repro.optimizer.planner`) honours whatever subset is present.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import HintError
@@ -185,47 +185,6 @@ class HintSet:
         if self.toggles.active_overrides():
             parts.append(self.toggles.describe())
         return "; ".join(parts) or "empty hint set"
-
-
-def split_leading_for_outer(
-    hints: HintSet,
-    core_aliases: Iterable[str],
-    outer_order: Sequence[str],
-) -> HintSet:
-    """Validate a hint's join order against pinned outer-join edges.
-
-    Outer-join edges fix their fold position, so a forced order must keep
-    the core (inner-island) aliases first — in any order — followed by the
-    outer aliases in exact syntax order; alternatively it may name only the
-    core aliases.  A leading *prefix* may only name core aliases.  Returns
-    the hint set to use when planning the inner core (leading trimmed to
-    the core aliases); raises :class:`HintError` on any order that would
-    reorder across an outer-join edge, rather than silently degrading.
-    """
-    if not hints.leading:
-        return hints
-    core = set(core_aliases)
-    outer = list(outer_order)
-    label = hints.name or "<anonymous>"
-    if hints.join_order_exact:
-        k = len(core)
-        if len(hints.leading) == k + len(outer):
-            head, tail = hints.leading[:k], list(hints.leading[k:])
-            if set(head) == core and tail == outer:
-                return replace(hints, leading=head)
-        elif len(hints.leading) == k and set(hints.leading) == core:
-            return hints
-        raise HintError(
-            f"hint set {label!r} forces a join order across an outer-join edge: "
-            f"outer aliases {outer} must come last, in syntax order"
-        )
-    illegal = sorted(set(hints.leading) - core)
-    if illegal:
-        raise HintError(
-            f"leading prefix of hint set {label!r} names outer-join aliases "
-            f"{illegal}; only inner-join (core) aliases may be reordered"
-        )
-    return hints
 
 
 #: The empty hint set (PostgreSQL plans freely).

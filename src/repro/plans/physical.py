@@ -33,19 +33,6 @@ class JoinType(enum.Enum):
     MERGE = "Merge Join"
 
 
-class JoinKind(enum.Enum):
-    """Logical join kinds: inner, or NULL-extending outer variants.
-
-    Outer kinds pin the operand order of their join node — the right child
-    is always the nullable side for LEFT, and FULL additionally NULL-extends
-    the left side.  The optimizer never commutes across a non-INNER node.
-    """
-
-    INNER = "Inner"
-    LEFT = "Left"
-    FULL = "Full"
-
-
 @dataclass(frozen=True)
 class PlanNode:
     """Base class for physical plan nodes."""
@@ -143,15 +130,10 @@ class JoinNode(PlanNode):
     left: PlanNode | None = None
     right: PlanNode | None = None
     predicates: tuple[JoinPredicate, ...] = ()
-    #: Logical kind: INNER joins reorder freely, LEFT/FULL NULL-extend
-    #: unmatched rows and pin their operand order.
-    join_kind: JoinKind = JoinKind.INNER
 
     def __post_init__(self) -> None:
         if self.left is None or self.right is None:
             raise PlanError("join node requires both children")
-        if self.join_kind is not JoinKind.INNER and not self.predicates:
-            raise PlanError(f"{self.join_kind.value} join requires at least one predicate")
         left, right = self.left.aliases, self.right.aliases
         if not left.isdisjoint(right):
             raise PlanError(f"join children share aliases {sorted(left & right)}")
@@ -171,20 +153,11 @@ class JoinNode(PlanNode):
         return (self.left, self.right)
 
     def label(self) -> str:
-        preds = _predicate_text(self.predicates)
-        if self.join_kind is JoinKind.INNER:
-            operator = self.join_type.value
-        elif self.join_type is JoinType.NESTED_LOOP:
-            # PostgreSQL style: "Nested Loop Left Join" but "Hash Left Join".
-            operator = f"{self.join_type.value} {self.join_kind.value} Join"
-        else:
-            base = self.join_type.value.removesuffix(" Join")
-            operator = f"{base} {self.join_kind.value} Join"
-        return f"{operator} on {preds}"
+        return f"{self.join_type.value} on {_predicate_text(self.predicates)}"
 
 
 class JoinCandidate(NamedTuple):
-    """An inner join of two built sub-plans, costed but not built.
+    """A join of two built sub-plans, costed but not built.
 
     What a search compares candidate joins by: its fields read like those of
     :class:`JoinNode`, so plan encoders encode both alike, and

@@ -52,23 +52,12 @@ def canonical_query_text(query: BoundQuery) -> str:
             "=".join(
                 sorted((f"{j.left_alias}.{j.left_column}", f"{j.right_alias}.{j.right_column}"))
             )
-            for j in query.inner_joins
+            for j in query.joins
         )
     )
     filters = ",".join(sorted(str(f) for f in query.filters))
     statement = str(query.statement) if query.statement is not None else ""
-    text = f"schema:{query.schema.name}|from:{relations}|where:{joins}|filters:{filters}|stmt:{statement}"
-    if query.outer_edges:
-        # Outer edges are order-sensitive (the fold order is observable in
-        # the output), so they render in syntax order — only the predicate
-        # list inside one edge is sorted.
-        edges = ";".join(
-            f"{edge.join_type}:{edge.nullable_alias}:"
-            + ",".join(sorted(str(p) for p in edge.predicates))
-            for edge in query.outer_edges
-        )
-        text += f"|outer:{edges}"
-    return text
+    return f"schema:{query.schema.name}|from:{relations}|where:{joins}|filters:{filters}|stmt:{statement}"
 
 
 def query_fingerprint(query: BoundQuery) -> str:

@@ -1,36 +1,28 @@
 """SQL frontend: lexer, parser, AST and binder for the benchmark query dialect.
 
-The dialect covers what JOB, Ext-JOB, STACK and the random workload
-generator need:
+The dialect covers what JOB, Ext-JOB and STACK need:
 
 * ``SELECT`` lists with ``MIN`` / ``MAX`` / ``COUNT`` / ``SUM`` / ``AVG``
   aggregates and plain column references,
-* comma-separated ``FROM`` lists with ``AS`` aliases, *or* an explicit join
-  chain ``FROM t0 [INNER] JOIN t1 ON a = b [AND c = d]
-  LEFT [OUTER] JOIN t2 ON ... FULL [OUTER] JOIN t3 ON ...`` — the two FROM
-  forms cannot be mixed in one statement, and ``ON`` conditions must be
-  equi-joins between column references,
+* comma-separated ``FROM`` lists with ``AS`` aliases, *or* an explicit inner
+  join chain ``FROM t0 [INNER] JOIN t1 ON a = b [AND c = d] JOIN t2 ON ...``
+  — the two FROM forms cannot be mixed in one statement, and ``ON``
+  conditions must be equi-joins between column references,
 * ``WHERE`` conjunctions of equi-join predicates and single-table filters
   (``=``, ``!=``, ``<``, ``<=``, ``>``, ``>=``, ``IN``, ``BETWEEN``, ``LIKE``,
   ``NOT LIKE``, ``IS [NOT] NULL``),
 * optional ``GROUP BY``, ``ORDER BY`` and ``LIMIT`` (used by Ext-JOB).
 
-Outer-join semantics follow the executor's documented dialect rule
-(``docs/EXECUTOR.md``): WHERE filters are scan-level — they apply to each
-relation *before* any join, so an ``IS NULL`` filter sees only stored NULLs,
-never NULL-extended join output.  The binder rejects inner joins (explicit or
-WHERE-form) against aliases made nullable by an earlier outer clause.
+Outer joins (``LEFT`` / ``RIGHT`` / ``FULL [OUTER] JOIN``) are not part of
+the dialect: the parser rejects them by name.
 
 Parsing produces a :class:`repro.sql.ast.SelectStatement`; binding against a
 :class:`repro.catalog.Schema` produces a
 :class:`repro.sql.binder.BoundQuery`, the structure every optimizer in the
-repository consumes.  Outer-join clauses additionally surface as
-:class:`repro.sql.binder.OuterJoinEdge` entries in ``BoundQuery.outer_edges``
-(syntax order), which pin the optimizer's fold order.
+repository consumes.
 """
 
 from repro.sql.ast import (
-    JOIN_TYPES,
     AggregateItem,
     BetweenFilter,
     ColumnRef,
@@ -51,12 +43,10 @@ from repro.sql.binder import (
     BoundRelation,
     FilterPredicate,
     JoinPredicate,
-    OuterJoinEdge,
     bind_query,
 )
 
 __all__ = [
-    "JOIN_TYPES",
     "AggregateItem",
     "BetweenFilter",
     "ColumnRef",
@@ -77,6 +67,5 @@ __all__ = [
     "BoundRelation",
     "FilterPredicate",
     "JoinPredicate",
-    "OuterJoinEdge",
     "bind_query",
 ]

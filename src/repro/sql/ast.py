@@ -54,29 +54,12 @@ class AggregateItem:
         return rendered
 
 
-#: Logical join kinds of the dialect (``right`` joins are normalized away by
-#: the parser: ``A RIGHT JOIN B`` is not part of the grammar).
-JOIN_TYPES = ("inner", "left", "full")
-
-
 @dataclass(frozen=True)
 class JoinCondition:
-    """An equi-join condition ``left = right`` between two column references.
-
-    ``join_type`` records the logical join the condition belongs to:
-    ``"inner"`` for comma-form/``JOIN ... ON`` conditions, ``"left"`` /
-    ``"full"`` for conditions of an outer-join clause.  The field is excluded
-    from ``repr`` so that inner-only statements keep their historical
-    rendering (which participates in query fingerprints).
-    """
+    """An equi-join condition ``left = right`` between two column references."""
 
     left: ColumnRef
     right: ColumnRef
-    join_type: str = field(default="inner", repr=False)
-
-    def __post_init__(self) -> None:
-        if self.join_type not in JOIN_TYPES:
-            raise ValueError(f"unknown join type {self.join_type!r}")
 
     def __str__(self) -> str:
         return f"{self.left} = {self.right}"
@@ -84,28 +67,24 @@ class JoinCondition:
 
 @dataclass(frozen=True)
 class JoinClause:
-    """An explicit ``[LEFT|FULL] JOIN table ON cond [AND cond]*`` clause.
+    """An explicit ``[INNER] JOIN table ON cond [AND cond]*`` clause.
 
-    The clause introduces ``table`` into the FROM list; every condition's
-    ``join_type`` matches the clause's.  The flat ``SelectStatement.joins``
-    list still holds all conditions (clause conditions included) so that
-    consumers of the conjunctive representation keep working unchanged.
+    The clause introduces ``table`` into the FROM list.  The flat
+    ``SelectStatement.joins`` list still holds all conditions (clause
+    conditions included) so that consumers of the conjunctive representation
+    keep working unchanged.
     """
 
-    join_type: str
     table: TableRef
     conditions: tuple[JoinCondition, ...]
 
     def __post_init__(self) -> None:
-        if self.join_type not in JOIN_TYPES:
-            raise ValueError(f"unknown join type {self.join_type!r}")
         if not self.conditions:
             raise ValueError("explicit JOIN clause requires at least one ON condition")
 
     def __str__(self) -> str:
-        keyword = "JOIN" if self.join_type == "inner" else f"{self.join_type.upper()} JOIN"
         conditions = " AND ".join(str(c) for c in self.conditions)
-        return f"{keyword} {self.table} ON {conditions}"
+        return f"JOIN {self.table} ON {conditions}"
 
 
 Literal = Union[int, float, str, None]
@@ -200,8 +179,8 @@ class SelectStatement:
     order_by: list[OrderItem] = field(default_factory=list)
     limit: int | None = None
     #: Explicit ``JOIN ... ON`` clauses, in syntax order.  Empty for the
-    #: comma-form FROM list.  Excluded from ``repr`` so inner-only statements
-    #: keep their historical rendering (which participates in fingerprints).
+    #: comma-form FROM list.  Excluded from ``repr``, which query
+    #: fingerprints read: the flat ``joins`` list holds every clause condition.
     join_clauses: list[JoinClause] = field(default_factory=list, repr=False)
 
     @property

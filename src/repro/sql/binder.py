@@ -41,19 +41,12 @@ class BoundRelation:
 
 @dataclass(frozen=True)
 class JoinPredicate:
-    """An equi-join predicate ``left_alias.left_column = right_alias.right_column``.
-
-    ``join_type`` is ``"inner"`` for comma-form/INNER JOIN predicates and
-    ``"left"`` / ``"full"`` for predicates belonging to an outer-join clause
-    (those are additionally grouped into :class:`OuterJoinEdge` instances on
-    the bound query, normalized so ``right_alias`` is the nullable side).
-    """
+    """An equi-join predicate ``left_alias.left_column = right_alias.right_column``."""
 
     left_alias: str
     left_column: str
     right_alias: str
     right_column: str
-    join_type: str = "inner"
 
     def aliases(self) -> tuple[str, str]:
         return (self.left_alias, self.right_alias)
@@ -81,33 +74,6 @@ class JoinPredicate:
             f"{self.left_alias}.{self.left_column} = "
             f"{self.right_alias}.{self.right_column}"
         )
-
-
-@dataclass(frozen=True)
-class OuterJoinEdge:
-    """One outer-join clause after binding.
-
-    ``nullable_alias`` is the relation the clause introduces: its columns are
-    NULL-extended for unmatched probe-side rows (for FULL joins the probe
-    side is NULL-extended for unmatched build rows as well).  Predicates are
-    normalized so ``right_alias`` is always the nullable alias.  Outer edges
-    pin operand order — the optimizer folds them onto the freely reorderable
-    inner-join core in syntax order, never across them.
-    """
-
-    join_type: str  # "left" or "full"
-    nullable_alias: str
-    predicates: tuple[JoinPredicate, ...]
-
-    def __post_init__(self) -> None:
-        if self.join_type not in ("left", "full"):
-            raise BindingError(f"unsupported outer join type {self.join_type!r}")
-        if not self.predicates:
-            raise BindingError("outer-join edge requires at least one predicate")
-
-    def __str__(self) -> str:
-        rendered = " AND ".join(str(p) for p in self.predicates)
-        return f"{self.join_type.upper()} JOIN {self.nullable_alias} ON {rendered}"
 
 
 @dataclass(frozen=True)
@@ -154,8 +120,6 @@ class BoundQuery:
     filters: list[FilterPredicate]
     statement: SelectStatement | None = None
     name: str = ""
-    #: Outer-join clauses in syntax (fold) order; empty for inner-only queries.
-    outer_edges: list[OuterJoinEdge] = field(default_factory=list)
 
     _alias_to_table: dict[str, str] = field(default_factory=dict, repr=False)
 
@@ -185,41 +149,6 @@ class BoundQuery:
 
     def filters_for(self, alias: str) -> list[FilterPredicate]:
         return [f for f in self.filters if f.alias == alias]
-
-    # -- outer joins -------------------------------------------------------------
-    @property
-    def has_outer_joins(self) -> bool:
-        return bool(self.outer_edges)
-
-    @property
-    def inner_joins(self) -> list[JoinPredicate]:
-        """Join predicates of the freely reorderable inner-join core."""
-        return [j for j in self.joins if j.join_type == "inner"]
-
-    @property
-    def core_aliases(self) -> list[str]:
-        """Aliases not introduced by an outer-join clause (FROM order)."""
-        outer = {edge.nullable_alias for edge in self.outer_edges}
-        return [a for a in self.aliases if a not in outer]
-
-    def core_query(self) -> BoundQuery:
-        """The inner-join island the optimizer may reorder freely.
-
-        Outer-join edges are folded onto the core's plan afterwards, in
-        syntax order.  Returns ``self`` for inner-only queries, so all
-        pre-outer-join call sites see the identical object.
-        """
-        if not self.outer_edges:
-            return self
-        core = set(self.core_aliases)
-        return BoundQuery(
-            schema=self.schema,
-            relations=[r for r in self.relations if r.alias in core],
-            joins=list(self.inner_joins),
-            filters=[f for f in self.filters if f.alias in core],
-            statement=None,
-            name=f"{self.name}#core" if self.name else "#core",
-        )
 
     def joins_between(self, left_aliases: Iterable[str], right_aliases: Iterable[str]) -> list[JoinPredicate]:
         """Join predicates connecting a set of aliases to another set."""
@@ -343,15 +272,12 @@ def bind_query(
 
     joins: list[JoinPredicate] = []
     filters: list[FilterPredicate] = []
-    outer_edges: list[OuterJoinEdge] = []
-    nullable: set[str] = set()
     clause_condition_ids: set[int] = set()
 
     if statement.join_clauses:
         introduced = [statement.from_tables[0].alias]
         for clause in statement.join_clauses:
             new_alias = clause.table.alias
-            predicates: list[JoinPredicate] = []
             for condition in clause.conditions:
                 clause_condition_ids.add(id(condition))
                 left_alias, left_column = _resolve_column(condition.left, alias_to_table, schema)
@@ -375,55 +301,25 @@ def bind_query(
                         f"ON condition {condition} references alias {left_alias!r} "
                         "before it is introduced"
                     )
-                predicates.append(
+                joins.append(
                     JoinPredicate(
                         left_alias=left_alias,
                         left_column=left_column,
                         right_alias=right_alias,
                         right_column=right_column,
-                        join_type=clause.join_type,
                     )
                 )
-            if clause.join_type == "inner":
-                for predicate in predicates:
-                    if predicate.left_alias in nullable:
-                        raise BindingError(
-                            f"inner join against nullable alias "
-                            f"{predicate.left_alias!r} after an outer join is "
-                            "not supported; reorder the clauses"
-                        )
-            else:
-                outer_edges.append(
-                    OuterJoinEdge(
-                        join_type=clause.join_type,
-                        nullable_alias=new_alias,
-                        predicates=tuple(predicates),
-                    )
-                )
-                nullable.add(new_alias)
-                if clause.join_type == "full":
-                    nullable.update(introduced)
-            joins.extend(predicates)
             introduced.append(new_alias)
 
     for join in statement.joins:
         if id(join) in clause_condition_ids:
             continue
-        if join.join_type != "inner":
-            raise BindingError(
-                "outer-join conditions must appear in an explicit JOIN clause"
-            )
         left_alias, left_column = _resolve_column(join.left, alias_to_table, schema)
         right_alias, right_column = _resolve_column(join.right, alias_to_table, schema)
         if left_alias == right_alias:
             # A same-alias equality such as ``t.id = t.id`` is a degenerate
             # filter; keep it as an always-true filter rather than a join.
             continue
-        if left_alias in nullable or right_alias in nullable:
-            raise BindingError(
-                f"WHERE join condition {join} references a nullable outer-join "
-                "alias; move it into the ON clause"
-            )
         joins.append(
             JoinPredicate(
                 left_alias=left_alias,
@@ -468,7 +364,6 @@ def bind_query(
         filters=filters,
         statement=statement,
         name=name,
-        outer_edges=outer_edges,
     )
 
 

@@ -11,7 +11,7 @@ KEYWORDS = {
     "select", "from", "where", "and", "or", "as", "in", "not", "like",
     "between", "is", "null", "group", "order", "by", "asc", "desc", "limit",
     "min", "max", "count", "sum", "avg", "distinct",
-    "join", "inner", "left", "full", "outer", "on",
+    "join", "inner", "left", "right", "full", "on",
 }
 
 

@@ -15,8 +15,6 @@ be mixed in one statement:
     from_clause := table (',' table)*                   -- comma form
                | table join_clause+                     -- explicit form
     join_clause := [INNER] JOIN table ON on_cond (AND on_cond)*
-               | LEFT [OUTER] JOIN table ON on_cond (AND on_cond)*
-               | FULL [OUTER] JOIN table ON on_cond (AND on_cond)*
     on_cond   := colref '=' colref                      -- equi-join only
     item      := agg '(' (colref | '*') ')' [AS name] | colref
     table     := identifier [AS] [identifier]
@@ -26,6 +24,9 @@ be mixed in one statement:
                | colref BETWEEN literal AND literal
                | colref [NOT] LIKE string
                | colref IS [NOT] NULL
+
+``LEFT``, ``RIGHT`` and ``FULL [OUTER] JOIN`` raise :class:`SQLSyntaxError`:
+the dialect has inner joins only.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ from repro.sql.ast import (
 from repro.sql.lexer import Token, TokenType, tokenize
 
 _AGG_FUNCTIONS = {"min", "max", "count", "sum", "avg"}
+#: Keywords that start a join clause; the outer ones are rejected by name.
+_OUTER_JOIN_KEYWORDS = ("left", "right", "full")
+_JOIN_KEYWORDS = ("join", "inner") + _OUTER_JOIN_KEYWORDS
 
 
 class _Parser:
@@ -187,33 +191,26 @@ class _Parser:
 
     def _at_join_clause(self) -> bool:
         token = self.current
-        return token.ttype is TokenType.KEYWORD and token.value in (
-            "join",
-            "inner",
-            "left",
-            "full",
-        )
+        return token.ttype is TokenType.KEYWORD and token.value in _JOIN_KEYWORDS
 
     def _parse_join_clause(self) -> JoinClause:
-        if self.accept_keyword("inner"):
-            join_type = "inner"
-        elif self.accept_keyword("left"):
-            join_type = "left"
-            self.accept_keyword("outer")
-        elif self.accept_keyword("full"):
-            join_type = "full"
-            self.accept_keyword("outer")
-        else:
-            join_type = "inner"
+        token = self.current
+        if token.value in _OUTER_JOIN_KEYWORDS:
+            raise SQLSyntaxError(
+                f"outer joins are not supported: {token.value.upper()} JOIN at "
+                f"position {token.position}; only [INNER] JOIN ... ON is",
+                position=token.position,
+            )
+        self.accept_keyword("inner")
         self.expect_keyword("join")
         table = self._parse_table_ref()
         self.expect_keyword("on")
-        conditions = [self._parse_on_condition(join_type)]
+        conditions = [self._parse_on_condition()]
         while self.accept_keyword("and"):
-            conditions.append(self._parse_on_condition(join_type))
-        return JoinClause(join_type=join_type, table=table, conditions=tuple(conditions))
+            conditions.append(self._parse_on_condition())
+        return JoinClause(table=table, conditions=tuple(conditions))
 
-    def _parse_on_condition(self, join_type: str) -> JoinCondition:
+    def _parse_on_condition(self) -> JoinCondition:
         left = self._parse_column_ref()
         operator = self.expect(TokenType.OPERATOR)
         if operator.value != "=":
@@ -226,7 +223,7 @@ class _Parser:
                 position=self.current.position,
             )
         right = self._parse_column_ref()
-        return JoinCondition(left=left, right=right, join_type=join_type)
+        return JoinCondition(left=left, right=right)
 
     def _parse_table_ref(self) -> TableRef:
         table = self.expect(TokenType.IDENTIFIER).value

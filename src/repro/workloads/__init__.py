@@ -22,27 +22,12 @@ from repro.workloads.workload import BenchmarkQuery, Workload
 from repro.workloads.job import build_job_workload, JOB_FAMILY_SIZES
 from repro.workloads.stack import build_stack_workload
 from repro.workloads.ext_job import build_ext_job_workload
-from repro.workloads.random_gen import (
-    AggregateSamplerConfig,
-    JoinSamplerConfig,
-    PredicateSamplerConfig,
-    RandomSqlGenerator,
-    build_random_workload,
-)
-
-
-def _build_default_random_workload(schema: Schema) -> Workload:
-    """The ``"random"`` workload: fixed count/seed so by-name
-    rebuilds in worker processes fingerprint identically."""
-    return build_random_workload(schema, count=32, seed=2024, name="random")
-
 
 #: Workload name (its ``Workload.name``) -> ``builder(schema)``.
 WORKLOADS: dict[str, Callable[[Schema], Workload]] = {
     "job": build_job_workload,
     "stack": build_stack_workload,
     "ext_job": build_ext_job_workload,
-    "random": _build_default_random_workload,
 }
 
 
@@ -61,17 +46,12 @@ def is_registered_workload(name: str) -> bool:
 
 
 __all__ = [
-    "AggregateSamplerConfig",
     "BenchmarkQuery",
-    "JoinSamplerConfig",
-    "PredicateSamplerConfig",
-    "RandomSqlGenerator",
     "Workload",
     "build_job_workload",
     "JOB_FAMILY_SIZES",
     "build_stack_workload",
     "build_ext_job_workload",
-    "build_random_workload",
     "build_workload",
     "is_registered_workload",
     "WORKLOADS",

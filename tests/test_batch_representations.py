@@ -6,7 +6,7 @@ their own way (``from_scan``, ``pair``, ``pair_with_scan``, ``surviving``).
 The engine-level suites compare whole executions; these properties pin the
 methods themselves, on inputs the planner rarely produces: unsorted and
 duplicated ``row_ids``, empty sets, a predicate that empties the survivors
-mid-way, NULL-extended positions.
+mid-way.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.catalog.schema import Column, Table
 from repro.catalog.statistics import NULL_SENTINEL
 from repro.executor.columnar import ColumnarBatch
-from repro.executor.operators import NULL_ROW_ID, Relation
+from repro.executor.operators import Relation
 from repro.sql.binder import FilterPredicate
 from repro.storage.table_data import TableData
 
@@ -104,17 +104,13 @@ class TestSurviving:
 def pairing_inputs(draw):
     """A two-alias outer side (as pairing positions over two scans) plus an index probe."""
     row_id = st.integers(min_value=0, max_value=50)
-    base_a = draw(st.lists(row_id, max_size=12))
-    base_b = draw(st.lists(row_id, max_size=12))
+    base_a = draw(st.lists(row_id, min_size=1, max_size=12))
+    base_b = draw(st.lists(row_id, min_size=1, max_size=12))
     outer_size = draw(st.integers(min_value=0, max_value=15))
 
     def positions_into(base: list[int], size: int) -> np.ndarray:
-        # NULL_ROW_ID marks a tuple an earlier outer join NULL-extended.
-        choices = [NULL_ROW_ID] + list(range(len(base)))
-        return np.asarray(
-            draw(st.lists(st.sampled_from(choices), min_size=size, max_size=size)),
-            dtype=np.int64,
-        )
+        position = st.integers(min_value=0, max_value=len(base) - 1)
+        return np.asarray(draw(st.lists(position, min_size=size, max_size=size)), dtype=np.int64)
 
     left_pos = positions_into(base_a, outer_size)
     right_pos = positions_into(base_b, outer_size)

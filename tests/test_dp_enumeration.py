@@ -29,7 +29,6 @@ from repro.optimizer.enumeration import (
 )
 from repro.optimizer.planner import STRATEGY_DP, STRATEGY_GEQO, Planner
 from repro.plans.hints import NO_HINTS, HintSet, OperatorToggles
-from repro.plans.physical import JoinKind
 from repro.runtime.plan_cache import PlanCache
 from repro.sql.binder import BoundQuery, JoinPredicate, bind_sql
 from repro.workloads import build_workload
@@ -99,7 +98,6 @@ def submask_walk_search(
     full_mask = (1 << n) - 1
     fully_connected = connected(full_mask)
     left_deep_only = not enumerator.consider_bushy
-    inner = JoinKind.INNER
     for mask in range(3, full_mask + 1):
         if mask & (mask - 1) == 0 or (fully_connected and not connected(mask)):
             continue
@@ -128,7 +126,7 @@ def submask_walk_search(
             if not predicates:
                 continue
             join_type, estimates = cheapest_join(
-                query, join_types, inputs[sub], inputs[other], predicates, inner, context
+                query, join_types, inputs[sub], inputs[other], predicates, context
             )
             if winner is None or estimates[1] < winner[1][1]:
                 winner = (join_type, estimates, sub, other, predicates)
@@ -138,7 +136,7 @@ def submask_walk_search(
                 if left_deep_only and sub.bit_count() != 1 and other.bit_count() != 1:
                     continue
                 join_type, estimates = cheapest_join(
-                    query, join_types, inputs[sub], inputs[other], [], inner, context
+                    query, join_types, inputs[sub], inputs[other], [], context
                 )
                 if winner is None or estimates[1] < winner[1][1]:
                     winner = (join_type, estimates, sub, other, [])
@@ -342,7 +340,7 @@ class TestCostBound:
                     for candidate in {tuple(predicates), ()}:
                         for join_type in JOIN_TYPE_ORDER:
                             _, (_, cost) = model.cheapest_join(
-                                query, (join_type,), left, right, candidate, JoinKind.INNER, context
+                                query, (join_type,), left, right, candidate, context
                             )
                             assert bound <= cost, (join_type, sub, other)
                             checked += 1

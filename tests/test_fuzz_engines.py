@@ -1,15 +1,15 @@
-"""Cross-engine differential fuzzing with the seeded RandomSqlGenerator.
+"""Cross-engine differential fuzzing with the seeded inner-join SQL generator.
 
-Every generated query — outer joins, GROUP BY, NULL-heavy filters — runs
-through three independent evaluators:
+Every generated query (``tests/sqlgen.py``: joins in both FROM forms,
+aggregates, GROUP BY, NULL-heavy filters) runs through three independent
+evaluators:
 
 * the **row** engine (the correctness oracle of the engine pair),
 * the **columnar** engine (byte-identical results, metrics and timings), and
-* a **brute-force Python oracle** in this file: per-alias filtered row lists,
-  an exhaustive nested-loop inner core, then the outer-join edges folded in
-  syntax order with SQL NULL semantics (NULL never matches; unmatched tuples
-  NULL-extend), finishing with the same aggregate/GROUP BY decoration rules
-  the engines implement.
+* a **brute-force Python oracle** in this file: per-alias filtered row lists
+  joined by an exhaustive nested loop with SQL NULL semantics (NULL never
+  matches), finishing with the same aggregate/GROUP BY decoration rules the
+  engines implement.
 
 The row/columnar comparison is exact (row order, metrics, simulated time);
 the oracle comparison is order-insensitive (the oracle enumerates in its own
@@ -22,13 +22,16 @@ Knobs (all environment variables):
   stays fast; ``make fuzz-engines`` raises it to 1000).
 * ``REPRO_FUZZ_SEED`` — generator seed (default 2024).
 * ``REPRO_FUZZ_CORPUS`` — directory to write one JSON file per failing query
-  into; CI uploads it as the failure artifact.
+  into; CI uploads it as the failure artifact.  Unset, a run with failing
+  queries writes them into a fresh ``repro-fuzz-corpus.*`` temp directory.
+  A passing run makes no directory.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -42,7 +45,7 @@ from repro.optimizer.planner import Planner
 from repro.sql.ast import render_sql
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_select
-from repro.workloads import JoinSamplerConfig, PredicateSamplerConfig, RandomSqlGenerator
+from tests.sqlgen import RandomSqlGenerator
 from tests.test_executor import _oracle_filter_ok, _tiny_database
 
 FUZZ_COUNT = int(os.environ.get("REPRO_FUZZ_COUNT", "40"))
@@ -51,23 +54,15 @@ CORPUS_DIR = os.environ.get("REPRO_FUZZ_CORPUS", "")
 
 
 def make_generator(schema) -> RandomSqlGenerator:
-    """The fuzz distribution: join-heavy and NULL-heavy."""
-    return RandomSqlGenerator(
-        schema,
-        seed=FUZZ_SEED,
-        joins=JoinSamplerConfig(min_joins=0, max_joins=4, outer_fraction=0.45, full_fraction=0.3),
-        predicates=PredicateSamplerConfig(max_filters=2, null_fraction=0.4),
-    )
+    return RandomSqlGenerator(schema, seed=FUZZ_SEED)
 
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-def _code(db, query, alias: str, column: str, row: int | None) -> int:
-    """Stored code of ``alias.column`` in ``row``; NULL-extended rows are NULL."""
-    if row is None:
-        return NULL_SENTINEL
+def _code(db, query, alias: str, column: str, row: int) -> int:
+    """Stored code of ``alias.column`` in ``row``."""
     return int(db.table_data(query.table_of(alias)).column(column)[row])
 
 
@@ -81,64 +76,32 @@ def _filtered_rows(db, query, alias: str) -> list[int]:
     ]
 
 
-def _join_matches(db, query, assignment: dict, row: int, predicates) -> bool:
-    """Whether ``row`` of the edge's nullable alias joins ``assignment``."""
-    for predicate in predicates:
-        left = _code(db, query, predicate.left_alias, predicate.left_column,
-                     assignment[predicate.left_alias])
-        right = _code(db, query, predicate.right_alias, predicate.right_column, row)
-        if left == NULL_SENTINEL or right == NULL_SENTINEL or left != right:
-            return False
-    return True
+def _joins(db, query, assignment: dict, row: int, predicate) -> bool:
+    """Whether ``row`` of the predicate's right alias joins ``assignment``."""
+    left = _code(db, query, predicate.left_alias, predicate.left_column, assignment[predicate.left_alias])
+    right = _code(db, query, predicate.right_alias, predicate.right_column, row)
+    return left != NULL_SENTINEL and right != NULL_SENTINEL and left == right
 
 
 def oracle_assignments(db, query) -> list[dict]:
-    """All result tuples as alias -> row-or-None mappings.
+    """All result tuples as alias -> row mappings.
 
-    The inner core is an exhaustive filtered nested loop; the outer edges
-    then fold in syntax order, NULL-extending unmatched tuples (and, for
-    FULL joins, unmatched rows of the nullable side).
+    Folded one alias at a time in FROM order.  Every join predicate has its
+    later introduced alias on the right (the binder normalizes ``ON``
+    conditions so, and the generator writes WHERE joins so), which lets each
+    step check exactly the predicates that become bound — a pruned nested
+    loop instead of a full cross product.
     """
-    filtered = {alias: _filtered_rows(db, query, alias) for alias in query.aliases}
-
-    # Inner core, folded one alias at a time in FROM order.  The binder
-    # normalizes every inner-join predicate so its right alias is the later
-    # introduced one, which lets each step check exactly the predicates that
-    # become bound — a pruned nested loop instead of a full cross product.
-    introduced: list[str] = []
     assignments: list[dict] = [{}]
-    for alias in query.core_aliases:
-        arriving = [j for j in query.inner_joins if j.right_alias == alias]
+    for alias in query.aliases:
+        arriving = [j for j in query.joins if j.right_alias == alias]
+        rows = _filtered_rows(db, query, alias)
         assignments = [
             {**assignment, alias: row}
             for assignment in assignments
-            for row in filtered[alias]
-            if all(_join_matches(db, query, assignment, row, [j]) for j in arriving)
+            for row in rows
+            if all(_joins(db, query, assignment, row, j) for j in arriving)
         ]
-        introduced.append(alias)
-
-    for edge in query.outer_edges:
-        folded: list[dict] = []
-        matched_right: set[int] = set()
-        for assignment in assignments:
-            matches = [
-                row
-                for row in filtered[edge.nullable_alias]
-                if _join_matches(db, query, assignment, row, edge.predicates)
-            ]
-            if matches:
-                matched_right.update(matches)
-                folded.extend({**assignment, edge.nullable_alias: row} for row in matches)
-            else:
-                folded.append({**assignment, edge.nullable_alias: None})
-        if edge.join_type == "full":
-            folded.extend(
-                {**{alias: None for alias in introduced}, edge.nullable_alias: row}
-                for row in filtered[edge.nullable_alias]
-                if row not in matched_right
-            )
-        introduced.append(edge.nullable_alias)
-        assignments = folded
     return assignments
 
 
@@ -213,14 +176,14 @@ def oracle_rows(db, query) -> list[tuple]:
 # The fuzz loop
 # ---------------------------------------------------------------------------
 
-def _record_failure(corpus: Path | None, index: int, sql: str, reason: str) -> None:
-    if corpus is None:
-        return
+def _record_failures(failures: list[tuple[int, str, str]]) -> Path:
+    """Write one JSON file per failing query into the corpus directory, made here."""
+    corpus = Path(CORPUS_DIR) if CORPUS_DIR else Path(tempfile.mkdtemp(prefix="repro-fuzz-corpus."))
     corpus.mkdir(parents=True, exist_ok=True)
-    payload = {"index": index, "seed": FUZZ_SEED, "sql": sql, "reason": reason}
-    (corpus / f"query_{index}.json").write_text(
-        json.dumps(payload, indent=2), encoding="utf-8"
-    )
+    for index, sql, reason in failures:
+        payload = {"index": index, "seed": FUZZ_SEED, "sql": sql, "reason": reason}
+        (corpus / f"query_{index}.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    return corpus
 
 
 def _check_one(index: int, sql: str) -> None:
@@ -266,37 +229,37 @@ class TestDifferentialFuzz:
     def test_seeded_queries_agree_across_engines_and_oracle(self):
         db = _tiny_database()
         generator = make_generator(db.schema)
-        corpus = Path(CORPUS_DIR) if CORPUS_DIR else None
         failures = []
-        outer_seen = 0
+        multi_join = grouped = 0
         for index in range(FUZZ_COUNT):
             sql = generator.sql(index)
-            if "JOIN" in sql and ("LEFT" in sql or "FULL" in sql):
-                outer_seen += 1
+            statement = parse_select(sql)
+            multi_join += len(statement.joins) >= 2
+            grouped += bool(statement.group_by)
             try:
                 _check_one(index, sql)
             except AssertionError as exc:
                 failures.append((index, sql, str(exc)))
-                _record_failure(corpus, index, sql, str(exc))
         assert not failures, (
-            f"{len(failures)}/{FUZZ_COUNT} queries diverged; first: "
-            f"{failures[0][1]!r}: {failures[0][2]}"
+            f"{len(failures)}/{FUZZ_COUNT} queries diverged (corpus: {_record_failures(failures)}); "
+            f"first: {failures[0][1]!r}: {failures[0][2]}"
         )
-        # The distribution must actually exercise the outer-join paths.
-        assert outer_seen >= FUZZ_COUNT // 5
+        # The distribution must reach multi-join and grouped queries.
+        assert multi_join >= FUZZ_COUNT // 5 and grouped >= FUZZ_COUNT // 5
 
 
-#: The NULL-aggregate rules on hand-written inputs: the grouped query has a
-#: NULL group key (children without a parent) whose outer-joined parent
-#: column is all NULL, so every aggregate but COUNT(*) of that group is None.
+#: The NULL-aggregate rules on hand-written inputs: the grouped join has a
+#: NULL group key (children without a parent) and aggregates that key, so
+#: every aggregate but COUNT(*) of that group is None; the last input
+#: aggregates a column its filter keeps NULL in every joined tuple.
 NULL_AGGREGATE_SQL = (
-    "SELECT c.parent_id, COUNT(*), COUNT(p.score), SUM(p.score), AVG(p.score), "
-    "MIN(p.score), MAX(p.score) FROM child AS c LEFT JOIN parent AS p "
-    "ON c.parent_id = p.id GROUP BY c.parent_id",
+    "SELECT c.parent_id, COUNT(*), COUNT(c.parent_id), SUM(c.parent_id), AVG(c.parent_id), "
+    "MIN(c.parent_id), MAX(c.parent_id) FROM child AS c JOIN link AS l "
+    "ON c.id = l.id GROUP BY c.parent_id",
     "SELECT c.kind, COUNT(*), COUNT(c.parent_id), SUM(c.parent_id), AVG(c.parent_id), "
     "MIN(c.parent_id), MAX(c.parent_id) FROM child AS c GROUP BY c.kind",
-    "SELECT COUNT(*), COUNT(p.score), SUM(p.score), AVG(p.score), MIN(p.score), "
-    "MAX(p.score) FROM child AS c LEFT JOIN parent AS p ON c.parent_id = p.id "
+    "SELECT COUNT(*), COUNT(c.parent_id), SUM(c.parent_id), AVG(c.parent_id), MIN(c.parent_id), "
+    "MAX(c.parent_id) FROM child AS c JOIN parent AS p ON c.kind = p.category "
     "WHERE c.parent_id IS NULL",
 )
 

@@ -1,8 +1,6 @@
 """JoinGraph against the set-based BoundQuery methods it stands for in the enumerators.
 
-Over every JOB, ext-JOB, STACK and inner-join default random query, and the
-inner-join core of each outer-join one (:class:`JoinGraph` refuses a query
-with outer-join edges): for every disjoint pair of alias masks —
+Over every JOB, ext-JOB and STACK query: for every disjoint pair of alias masks —
 sampled above six relations — :meth:`JoinGraph.predicates` returns the very
 ``JoinPredicate`` objects :meth:`BoundQuery.joins_between` returns, in the
 same order; neighbour masks are :meth:`BoundQuery.alias_adjacency` and
@@ -29,11 +27,10 @@ SAMPLED_PAIRS = 400
 @pytest.fixture(scope="module")
 def queries(imdb_db, stack_db) -> list[BoundQuery]:
     bound = []
-    for workload, database in (("job", imdb_db), ("ext_job", imdb_db), ("stack", stack_db), ("random", imdb_db)):
+    for workload, database in (("job", imdb_db), ("ext_job", imdb_db), ("stack", stack_db)):
         for query in build_workload(workload, database.schema).queries:
-            bound.append(query.bound.core_query())
-    assert sum(query.name.endswith("#core") for query in bound) == 16
-    assert len(bound) == 113 + 24 + 112 + 32
+            bound.append(query.bound)
+    assert len(bound) == 113 + 24 + 112
     return bound
 
 

@@ -408,7 +408,7 @@ class TestGoldenPlans:
         document = json.loads(record_plan_digests.GOLDEN_PATH.read_text(encoding="utf-8"))
         assert document["pickle_protocol"] == record_plan_digests.PICKLE_PROTOCOL
         recorded = document["digests"]
-        assert sum(len(entry) for entry in recorded.values()) > 3000
+        assert sum(len(entry) for entry in recorded.values()) == (113 + 24 + 112) * 11
         self._assert_unchanged(recorded, record_plan_digests.plan_digests({"imdb": imdb_db, "stack": stack_db}))
 
     def test_job_plans_at_the_benchmark_scale_match_the_recording(self):

@@ -14,8 +14,7 @@ Covers:
 * ``PlanCache`` under thread hammering: no lost counter updates, requests
   always equal hits + misses, and a generation bump never serves a pre-bump
   entry,
-* the ``BoundQuery`` fingerprint-memo pickle-hygiene regression,
-* sampler-config validation of the random SQL generator.
+* the ``BoundQuery`` fingerprint-memo pickle-hygiene regression.
 """
 
 import dataclasses
@@ -26,7 +25,7 @@ import threading
 import pytest
 
 from repro.config import SIMULATION_CONFIG
-from repro.errors import PlanRejected, PlanServiceError, WorkloadError
+from repro.errors import PlanRejected, PlanServiceError
 from repro.optimizer.planner import Planner
 from repro.plans.hints import HintSet
 from repro.runtime import netqueue
@@ -38,12 +37,6 @@ from repro.runtime.planserver import PlanServer, PlanServerStats, main as planse
 from repro.sql.binder import bind_sql
 from repro.storage.registry import get_process_registry
 from repro.storage.spec import DatabaseSpec
-from repro.workloads.random_gen import (
-    AggregateSamplerConfig,
-    JoinSamplerConfig,
-    PredicateSamplerConfig,
-    RandomSqlGenerator,
-)
 
 SECRET = "plan-serving-test-secret"
 
@@ -452,52 +445,3 @@ class TestFingerprintMemoHygiene:
         planner_a = Planner(database, plan_cache=PlanCache())
         planner_b = Planner(database, plan_cache=PlanCache())
         assert pickle.dumps(planner_a.plan(bound)) == pickle.dumps(planner_b.plan(restored))
-
-
-# ---------------------------------------------------------------------------
-# Random-generator sampler validation (satellite)
-# ---------------------------------------------------------------------------
-
-
-class TestSamplerConfigValidation:
-    def test_join_fractions_must_be_probabilities(self):
-        with pytest.raises(WorkloadError, match="outer_fraction"):
-            JoinSamplerConfig(outer_fraction=1.7)
-        with pytest.raises(WorkloadError, match="outer_fraction"):
-            JoinSamplerConfig(outer_fraction=-0.1)
-        with pytest.raises(WorkloadError, match="full_fraction"):
-            JoinSamplerConfig(full_fraction=2.0)
-        # Boundaries are inclusive: always/never are legitimate distributions.
-        JoinSamplerConfig(outer_fraction=0.0, full_fraction=1.0)
-
-    def test_predicate_config_rejects_bad_values(self):
-        with pytest.raises(WorkloadError, match="max_filters"):
-            PredicateSamplerConfig(max_filters=-1)
-        with pytest.raises(WorkloadError, match="null_fraction"):
-            PredicateSamplerConfig(null_fraction=1.5)
-        with pytest.raises(WorkloadError, match="comparison_ops"):
-            PredicateSamplerConfig(comparison_ops=())
-        with pytest.raises(WorkloadError, match="literal_range"):
-            PredicateSamplerConfig(literal_range=(10, 3))
-        PredicateSamplerConfig(max_filters=0, comparison_ops=())  # no filters: ops unused
-
-    def test_aggregate_config_rejects_bad_values(self):
-        with pytest.raises(WorkloadError, match="group_by_fraction"):
-            AggregateSamplerConfig(group_by_fraction=-0.5)
-        with pytest.raises(WorkloadError, match="max_aggregates"):
-            AggregateSamplerConfig(max_aggregates=-2)
-        with pytest.raises(WorkloadError, match="functions"):
-            AggregateSamplerConfig(functions=())
-        AggregateSamplerConfig(max_aggregates=0, functions=())  # no aggregates: fns unused
-
-    def test_valid_configs_still_generate(self, database):
-        generator = RandomSqlGenerator(
-            database.schema,
-            seed=7,
-            joins=JoinSamplerConfig(outer_fraction=0.0, full_fraction=0.0),
-            predicates=PredicateSamplerConfig(max_filters=1),
-            aggregates=AggregateSamplerConfig(group_by_fraction=1.0),
-        )
-        sql = generator.sql(0)
-        assert sql.startswith("SELECT")
-        assert bind_sql(sql, database.schema) is not None

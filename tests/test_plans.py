@@ -109,8 +109,8 @@ class TestPlanProperties:
         assert classify_plan_shape(plan) is PlanShape.RIGHT_DEEP
 
     def test_zigzag_classification(self):
-        # Linear, but the base relation is the inner join's right child and
-        # the outer join's left child.
+        # Linear, but the base relation is the lower join's right child and
+        # the upper join's left child.
         inner = join(join(scan("a"), scan("b")), scan("c"), la="a", ra="c")
         plan = join(scan("d"), inner, la="d", ra="a")
         assert not is_left_deep(plan) and not is_right_deep(plan)

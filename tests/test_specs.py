@@ -224,16 +224,17 @@ class TestDatabaseRegistry:
 
 class TestWorkloadFactories:
     def test_bundled_workloads_registered(self):
-        assert set(WORKLOADS) == {"job", "stack", "ext_job", "random"}
+        assert set(WORKLOADS) == {"job", "stack", "ext_job"}
         assert is_registered_workload("job") and not is_registered_workload("nope")
 
     def test_build_workload_by_name(self, imdb_db):
         workload = build_workload("job", imdb_db.schema)
         assert workload.name == "job" and len(workload) > 0
 
-    def test_unknown_workload_raises(self, imdb_db):
+    @pytest.mark.parametrize("name", ["no-such-workload", "random"])
+    def test_unknown_workload_raises(self, imdb_db, name):
         with pytest.raises(WorkloadError):
-            build_workload("no-such-workload", imdb_db.schema)
+            build_workload(name, imdb_db.schema)
 
 
 # ---------------------------------------------------------------------------

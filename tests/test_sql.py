@@ -182,102 +182,6 @@ class TestBinder:
         query = bind_query(stmt, schema_only)
         assert query.num_joins == 0
 
-
-class TestOuterJoinParsing:
-    SQL = (
-        "SELECT COUNT(*) FROM title AS t "
-        "LEFT JOIN movie_keyword AS mk ON t.id = mk.movie_id "
-        "FULL OUTER JOIN keyword AS k ON mk.keyword_id = k.id"
-    )
-
-    def test_join_clauses_carry_type_and_conditions(self):
-        stmt = parse_select(self.SQL)
-        assert [clause.join_type for clause in stmt.join_clauses] == ["left", "full"]
-        assert [clause.table.alias for clause in stmt.join_clauses] == ["mk", "k"]
-        # The flat joins list sees every ON condition with its join type.
-        assert [j.join_type for j in stmt.joins] == ["left", "full"]
-
-    def test_inner_join_keyword_forms(self):
-        plain = parse_select("SELECT COUNT(*) FROM title AS t JOIN movie_keyword AS mk ON t.id = mk.movie_id")
-        spelled = parse_select(
-            "SELECT COUNT(*) FROM title AS t INNER JOIN movie_keyword AS mk ON t.id = mk.movie_id"
-        )
-        assert plain == spelled
-        assert plain.join_clauses[0].join_type == "inner"
-
-    def test_to_sql_round_trips_and_canonicalizes(self):
-        stmt = parse_select(self.SQL)
-        rendered = stmt.to_sql()
-        # Canonical form drops the optional OUTER keyword.
-        assert "LEFT JOIN movie_keyword AS mk" in rendered
-        assert "FULL JOIN keyword AS k" in rendered
-        assert parse_select(rendered) == stmt
-
-    def test_mixing_comma_and_explicit_joins_is_rejected(self):
-        with pytest.raises(SQLSyntaxError, match="cannot mix"):
-            parse_select(
-                "SELECT COUNT(*) FROM title AS t, movie_keyword AS mk "
-                "LEFT JOIN keyword AS k ON mk.keyword_id = k.id"
-            )
-        with pytest.raises(SQLSyntaxError, match="cannot mix"):
-            parse_select(
-                "SELECT COUNT(*) FROM title AS t "
-                "LEFT JOIN movie_keyword AS mk ON t.id = mk.movie_id, keyword AS k"
-            )
-
-    def test_non_equi_on_condition_is_rejected(self):
-        with pytest.raises(SQLSyntaxError, match="equi-join"):
-            parse_select(
-                "SELECT COUNT(*) FROM title AS t LEFT JOIN movie_keyword AS mk ON t.id > mk.movie_id"
-            )
-        with pytest.raises(SQLSyntaxError, match="column references"):
-            parse_select(
-                "SELECT COUNT(*) FROM title AS t LEFT JOIN movie_keyword AS mk ON t.id = 5"
-            )
-
-
-class TestOuterJoinBinding:
-    SQL = TestOuterJoinParsing.SQL
-
-    def test_outer_edges_and_core_query(self, schema_only):
-        query = bind_sql(self.SQL, schema_only)
-        assert query.has_outer_joins
-        assert [str(edge) for edge in query.outer_edges] == [
-            "LEFT JOIN mk ON t.id = mk.movie_id",
-            "FULL JOIN k ON mk.keyword_id = k.id",
-        ]
-        assert query.core_aliases == ["t"]
-        core = query.core_query()
-        assert core.aliases == ["t"]
-        assert core.outer_edges == []
-        assert not core.has_outer_joins
-
-    def test_inner_only_query_core_is_self(self, schema_only):
-        query = bind_sql(
-            "SELECT COUNT(*) FROM title AS t, movie_keyword AS mk WHERE t.id = mk.movie_id",
-            schema_only,
-        )
-        assert query.core_query() is query
-        assert query.inner_joins == query.joins
-
-    def test_inner_join_after_outer_on_nullable_alias_rejected(self, schema_only):
-        with pytest.raises(BindingError, match="reorder the clauses"):
-            bind_sql(
-                "SELECT COUNT(*) FROM title AS t "
-                "LEFT JOIN movie_keyword AS mk ON t.id = mk.movie_id "
-                "JOIN keyword AS k ON mk.keyword_id = k.id",
-                schema_only,
-            )
-
-    def test_where_join_touching_nullable_alias_rejected(self, schema_only):
-        with pytest.raises(BindingError, match="nullable outer-join alias"):
-            bind_sql(
-                "SELECT COUNT(*) FROM title AS t "
-                "LEFT JOIN movie_keyword AS mk ON t.id = mk.movie_id "
-                "WHERE mk.movie_id = t.id",
-                schema_only,
-            )
-
     def test_on_condition_must_reference_the_joined_table(self, schema_only):
         with pytest.raises(BindingError, match="must reference the joined table"):
             bind_sql(
@@ -287,9 +191,60 @@ class TestOuterJoinBinding:
                 schema_only,
             )
 
-    def test_scan_filter_on_nullable_alias_is_allowed(self, schema_only):
-        query = bind_sql(
-            self.SQL + " WHERE mk.keyword_id IS NULL",
-            schema_only,
+
+class TestExplicitJoinParsing:
+    SQL = (
+        "SELECT COUNT(*) FROM title AS t "
+        "JOIN movie_keyword AS mk ON t.id = mk.movie_id "
+        "INNER JOIN keyword AS k ON mk.keyword_id = k.id"
+    )
+
+    def test_join_clauses_carry_their_conditions(self):
+        stmt = parse_select(self.SQL)
+        assert [clause.table.alias for clause in stmt.join_clauses] == ["mk", "k"]
+        # The flat joins list sees every ON condition.
+        assert stmt.joins == [c for clause in stmt.join_clauses for c in clause.conditions]
+
+    def test_inner_join_keyword_forms(self):
+        plain = parse_select("SELECT COUNT(*) FROM title AS t JOIN movie_keyword AS mk ON t.id = mk.movie_id")
+        spelled = parse_select(
+            "SELECT COUNT(*) FROM title AS t INNER JOIN movie_keyword AS mk ON t.id = mk.movie_id"
         )
-        assert [str(f) for f in query.filters_for("mk")] == ["mk.keyword_id is_null"]
+        assert plain == spelled
+
+    def test_to_sql_round_trips_and_canonicalizes(self):
+        stmt = parse_select(self.SQL)
+        rendered = stmt.to_sql()
+        # Canonical form drops the optional INNER keyword.
+        assert "FROM title AS t JOIN movie_keyword AS mk ON t.id = mk.movie_id JOIN keyword AS k" in rendered
+        assert "INNER" not in rendered
+        assert parse_select(rendered) == stmt
+
+    def test_mixing_comma_and_explicit_joins_is_rejected(self):
+        with pytest.raises(SQLSyntaxError, match="cannot mix"):
+            parse_select(
+                "SELECT COUNT(*) FROM title AS t, movie_keyword AS mk "
+                "JOIN keyword AS k ON mk.keyword_id = k.id"
+            )
+        with pytest.raises(SQLSyntaxError, match="cannot mix"):
+            parse_select(
+                "SELECT COUNT(*) FROM title AS t "
+                "JOIN movie_keyword AS mk ON t.id = mk.movie_id, keyword AS k"
+            )
+
+    def test_non_equi_on_condition_is_rejected(self):
+        with pytest.raises(SQLSyntaxError, match="equi-join"):
+            parse_select(
+                "SELECT COUNT(*) FROM title AS t JOIN movie_keyword AS mk ON t.id > mk.movie_id"
+            )
+        with pytest.raises(SQLSyntaxError, match="column references"):
+            parse_select(
+                "SELECT COUNT(*) FROM title AS t JOIN movie_keyword AS mk ON t.id = 5"
+            )
+
+    @pytest.mark.parametrize("keyword", ["LEFT", "RIGHT OUTER", "FULL OUTER"])
+    def test_outer_joins_are_rejected_by_name(self, keyword):
+        sql = f"SELECT COUNT(*) FROM title AS t {keyword} JOIN movie_keyword AS mk ON t.id = mk.movie_id"
+        with pytest.raises(SQLSyntaxError, match=f"outer joins are not supported: {keyword.split()[0]} JOIN") as info:
+            parse_select(sql)
+        assert info.value.position == sql.index(keyword)
