@@ -8,10 +8,7 @@ Two things are pinned byte for byte, on the test database of
   ``tools/record_plan_digests.py``;
 * ``searches`` — per searching method (neo, balsa, leon) trained on a
   fixed JOB split: the sha256 of every test query's pickled plan, and one
-  sha256 over every candidate matrix its model scored while planning them;
-* ``random`` — the same for the methods whose searches meet outer-join
-  edges (neo, balsa, leon, hybridqo) on a split of the registered random
-  workload, tested on its 16 outer-join queries.
+  sha256 over every candidate matrix its model scored while planning them.
 
 The file is recorded from the **parent** commit of any PR that reworks the
 search loop or the encoders and must leave them byte-identical — it reads
@@ -46,7 +43,7 @@ from repro.ml.nn import MLPRegressor, PairwiseRanker
 from repro.optimizer.planner import Planner
 from repro.plans.physical import PlanNode
 from repro.storage.database import Database
-from repro.workloads import build_job_workload, build_workload
+from repro.workloads import build_job_workload
 from repro.workloads.workload import Workload
 
 try:  # ``python tools/record_lqo_digests.py`` puts tools/ itself on the path
@@ -67,20 +64,6 @@ METHODS: dict[str, dict] = {
 #: queries from 4 to 17 relations, so LEON takes both its DP and its beam.
 TRAIN_IDS = ("1a", "1b", "2a", "2b", "3a", "6a", "6b", "17a", "32a")
 TEST_IDS = ("1c", "2c", "6c", "4b", "10a", "17b", "20a", "29a", "33c")
-
-#: The methods recorded on the random workload (HybridQO with its defaults).
-RANDOM_METHODS = (*METHODS, "hybridqo")
-#: Its split: four inner-join and four outer-join training queries (eight
-#: experiences: every model, Balsa's on-policy one too, is trained before the
-#: test queries are planned), and every outer-join query as a test query.
-RANDOM_TRAIN_IDS = (
-    "rand_2024_4", "rand_2024_17", "rand_2024_28", "rand_2024_29",
-    "rand_2024_5", "rand_2024_6", "rand_2024_14", "rand_2024_19",
-)
-RANDOM_TEST_IDS = tuple(
-    f"rand_2024_{i}" for i in (5, 6, 7, 8, 10, 11, 12, 14, 15, 16, 19, 20, 22, 23, 24, 30)
-)
-
 
 def variant_plans(database: Database, workload: Workload) -> Iterator[PlanNode]:
     """Every plan of ``workload`` under every recorded planner variant that plans."""
@@ -127,19 +110,16 @@ def scored_matrices() -> Iterator[list[np.ndarray]]:
         PairwiseRanker.score = originals[PairwiseRanker]
 
 
-def search_digest(
-    database: Database, workload: Workload, method: str,
-    train_ids: tuple[str, ...] = TRAIN_IDS, test_ids: tuple[str, ...] = TEST_IDS,
-) -> dict:
+def search_digest(database: Database, workload: Workload, method: str) -> dict:
     """``{"plans": {query id: sha256 of the pickled plan}, "scored": sha256, "matrices": n}``."""
     # Training latencies read the shared buffer pool: start every method cold,
     # so a digest does not depend on what ran on the database before.
     database.drop_caches()
-    optimizer = create_optimizer(method, LQOEnvironment(database, seed=0), **METHODS.get(method, {}))
-    optimizer.fit([workload.by_id(query_id) for query_id in train_ids])
+    optimizer = create_optimizer(method, LQOEnvironment(database, seed=0), **METHODS[method])
+    optimizer.fit([workload.by_id(query_id) for query_id in TRAIN_IDS])
     plans = {}
     with scored_matrices() as matrices:
-        for query_id in test_ids:
+        for query_id in TEST_IDS:
             plan = optimizer.plan_query(workload.by_id(query_id)).plan
             plans[query_id] = hashlib.sha256(pickle.dumps(plan, protocol=PICKLE_PROTOCOL)).hexdigest()
     sha = hashlib.sha256()
@@ -152,11 +132,10 @@ def search_digest(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=GOLDEN_PATH)
-    parser.add_argument("--only", nargs="+", choices=sorted(RANDOM_METHODS), default=None)
+    parser.add_argument("--only", nargs="+", choices=sorted(METHODS), default=None)
     args = parser.parse_args(argv)
     database = generate_imdb(config=SIMULATION_CONFIG, **IMDB_ARGS)
     workload = build_job_workload(database.schema)
-    random_workload = build_workload("random", database.schema)
     if args.only:
         document = json.loads(args.out.read_text(encoding="utf-8"))
     else:
@@ -170,19 +149,12 @@ def main(argv: list[str] | None = None) -> int:
             "encodings": encoding_digests(LQOEnvironment(database, seed=0), plans),
             "searches": {},
         }
-    random_section = document.setdefault(
-        "random", {"train": list(RANDOM_TRAIN_IDS), "test": list(RANDOM_TEST_IDS), "searches": {}}
-    )
-    for method in args.only or RANDOM_METHODS:
-        if method in METHODS:
-            document["searches"][method] = search_digest(database, workload, method)
-        random_section["searches"][method] = search_digest(
-            database, random_workload, method, RANDOM_TRAIN_IDS, RANDOM_TEST_IDS
-        )
+    for method in args.only or METHODS:
+        document["searches"][method] = search_digest(database, workload, method)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     print(
-        f"recorded {len(document['searches'])} JOB and {len(random_section['searches'])} random searches "
+        f"recorded {len(document['searches'])} JOB searches "
         f"and {document['encoded_plans']} encoded plans in {args.out}"
     )
     return 0

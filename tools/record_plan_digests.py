@@ -1,11 +1,11 @@
 """Record the golden plan digests checked by ``tests/test_optimizer.py``.
 
 A digest is ``sha256(pickle.dumps(plan))`` together with the planner's
-simulated ``planning_time_ms`` and ``strategy``.  Every JOB, ext-JOB, STACK
-and ``"random"`` query is planned under each variant of :func:`variants`: no
-hints, every Bao arm, a forced join order, a leading-prefix hint,
+simulated ``planning_time_ms`` and ``strategy``.  Every JOB, ext-JOB and
+STACK query is planned under each variant of :func:`variants`: no hints,
+every Bao arm, a forced join order, a leading-prefix hint,
 ``join_collapse_limit=1`` and ``geqo=off`` — which together reach DP, GEQO,
-greedy, forced-order, from-order and the outer-join fold.
+greedy, forced-order and from-order planning.
 
 A second file pins the JOB plans under the same variants on ``job_spec(1.0)``,
 the database perfbench's ``job_cold_path`` and ``serve_miss`` plan on, whose
@@ -51,7 +51,7 @@ IMDB_ARGS = {"scale": 0.25, "seed": 7}
 STACK_ARGS = {"scale": 0.25, "seed": 11}
 
 #: ``(workload name, database key)`` in recording order.
-WORKLOADS = (("job", "imdb"), ("ext_job", "imdb"), ("random", "imdb"), ("stack", "stack"))
+WORKLOADS = (("job", "imdb"), ("ext_job", "imdb"), ("stack", "stack"))
 
 #: Scale of the benchmark database (``job_spec``: the JOB drivers' IMDB seed).
 BENCH_SCALE = 1.0
@@ -76,12 +76,10 @@ def variants(query: BoundQuery) -> Iterator[tuple[str, dict, HintSet]]:
     yield "no_hints", {}, NO_HINTS
     for arm in BAO_HINT_SETS:
         yield f"bao:{arm.name}", {}, arm
-    # Outer-join aliases may only trail the core, in syntax order.
-    core = list(query.core_aliases)
-    order = core[::-1] + [edge.nullable_alias for edge in query.outer_edges]
+    order = query.aliases[::-1]
     join_methods = {frozenset(order[:2]): JoinType.MERGE} if len(order) > 1 else {}
     yield "forced_order", {}, HintSet.from_join_order(order, join_methods=join_methods)
-    yield "leading_prefix", {}, HintSet.from_leading_prefix(core[-2:])
+    yield "leading_prefix", {}, HintSet.from_leading_prefix(query.aliases[-2:])
     yield "join_collapse_limit=1", {"join_collapse_limit": 1}, NO_HINTS
     yield "geqo=off", {"geqo": False}, NO_HINTS
 
