@@ -9,6 +9,7 @@ from repro.lqo.base import LQOEnvironment
 from repro.lqo.registry import MAIN_EVALUATION_METHODS
 from repro.plans.hints import BAO_HINT_SETS
 from repro.plans.properties import is_bushy
+from repro.workloads import build_ext_job_workload
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +171,22 @@ class TestLeonHybridQO:
         planned = hybrid.plan_query(test[1])
         assert planned.metadata["n_candidates"] >= 1
         assert planned.plan.aliases == frozenset(test[1].bound.aliases)
+
+
+class TestPlansRunAsTheNativePlan:
+    """Every method, fitted on a small JOB split, plans one query of each
+    ext-JOB family (GROUP BY, ORDER BY) to a plan that returns the native
+    plan's rows."""
+
+    @pytest.mark.parametrize("method", MAIN_EVALUATION_METHODS)
+    def test_every_method_returns_the_native_rows(self, imdb_db, small_split, method):
+        env = LQOEnvironment(imdb_db, seed=0)
+        optimizer = create_optimizer(method, env)
+        optimizer.fit(small_split[0][:4])
+        for query in build_ext_job_workload(imdb_db.schema).queries[::4]:
+            native = env.engine.execute(query.bound, env.plan_with_hints(query.bound).plan)
+            planned = env.engine.execute(query.bound, optimizer.plan_query(query).plan)
+            assert native.error is None and planned.error is None, (method, query.query_id)
+            assert native.row_count > 0
+            assert sorted(planned.rows, key=repr) == sorted(native.rows, key=repr), (method, query.query_id)
+

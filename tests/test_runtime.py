@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -104,6 +105,18 @@ class TestFingerprints:
         a = bind_sql(THREE_WAY, imdb_db.schema, name="first")
         b = bind_sql(THREE_WAY, imdb_db.schema, name="second")
         assert query_fingerprint(a) == query_fingerprint(b)
+
+    def test_both_from_forms_of_a_query_fingerprint_and_plan_alike(self, imdb_db):
+        comma = bind_sql(THREE_WAY, imdb_db.schema)
+        explicit = bind_sql(
+            "SELECT COUNT(*) FROM title AS t JOIN movie_keyword AS mk ON t.id = mk.movie_id "
+            "JOIN keyword AS k ON mk.keyword_id = k.id "
+            "WHERE k.keyword = 'sequel' AND t.production_year > 2000",
+            imdb_db.schema,
+        )
+        assert query_fingerprint(comma) == query_fingerprint(explicit)
+        plans = [Planner(imdb_db, plan_cache=PlanCache()).plan(query) for query in (comma, explicit)]
+        assert pickle.dumps(plans[0]) == pickle.dumps(plans[1])
 
     def test_query_fingerprint_sensitive_to_literals(self, imdb_db):
         a = bind_sql(THREE_WAY, imdb_db.schema)
