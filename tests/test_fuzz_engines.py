@@ -14,7 +14,11 @@ evaluators:
 The row/columnar comparison is exact (row order, metrics, simulated time);
 the oracle comparison is order-insensitive (the oracle enumerates in its own
 order).  ``parse(render_sql(q)) == q`` is additionally checked for every
-generated query, pinning the SQL layer's round-trip property.
+generated query, pinning the SQL layer's round-trip property.  The
+generator's own contract (query ``i`` independent of rendering order, connected
+binding in both FROM forms on every schema, NULL tests on nullable columns
+only) is checked too, and its queries run on both engines over the IMDB and
+STACK data.
 
 Knobs (all environment variables):
 
@@ -39,13 +43,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.statistics import NULL_SENTINEL
+from repro.config import ENGINE_KINDS
 from repro.executor import engine as engine_module
 from repro.executor.engine import create_engine
 from repro.optimizer.planner import Planner
 from repro.sql.ast import render_sql
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_select
-from tests.sqlgen import RandomSqlGenerator
+from tests.sqlgen import MAX_AGGREGATES, MAX_JOINS, RandomSqlGenerator
+from tests.test_columnar import assert_results_equal
 from tests.test_executor import _oracle_filter_ok, _tiny_database
 
 FUZZ_COUNT = int(os.environ.get("REPRO_FUZZ_COUNT", "40"))
@@ -292,6 +298,90 @@ class TestRoundTripProperty:
         generator = make_generator(schema)
         statement = parse_select(generator.sql(index))
         assert parse_select(render_sql(statement)) == statement
+
+
+#: Queries per generator-property check: enough to reach every sampled form.
+GENERATOR_SAMPLE = 150
+
+
+@pytest.fixture(params=["tiny", "imdb", "stack"])
+def generator_schema(request):
+    if request.param == "tiny":
+        return _tiny_database().schema
+    return request.getfixturevalue(f"{request.param}_db").schema
+
+
+class TestGenerator:
+    def test_query_i_is_the_same_in_any_rendering_order(self):
+        schema = _tiny_database().schema
+        forward = [make_generator(schema).sql(index) for index in range(20)]
+        generator = make_generator(schema)
+        backward = [generator.sql(index) for index in reversed(range(20))][::-1]
+        assert forward == backward
+        assert len(set(forward)) == len(forward)
+        reseeded = RandomSqlGenerator(schema, seed=FUZZ_SEED + 1)
+        assert sum(reseeded.sql(index) != sql for index, sql in enumerate(forward)) > 15
+
+    def test_every_query_binds_connected_in_both_from_forms(self, generator_schema):
+        generator = make_generator(generator_schema)
+        explicit = comma = 0
+        for index in range(GENERATOR_SAMPLE):
+            statement = parse_select(generator.sql(index))
+            query = bind_query(statement, generator_schema, name=f"gen_{index}")
+            assert query.is_connected(), generator.sql(index)
+            assert query.num_relations <= MAX_JOINS + 1
+            assert query.num_joins == query.num_relations - 1
+            explicit += bool(statement.join_clauses)
+            comma += query.num_joins > 0 and not statement.join_clauses
+        assert explicit and comma
+
+    def test_null_tests_only_touch_nullable_columns(self, generator_schema):
+        generator = make_generator(generator_schema)
+        null_tests = 0
+        for index in range(GENERATOR_SAMPLE):
+            query = bind_query(parse_select(generator.sql(index)), generator_schema)
+            for predicate in query.filters:
+                if predicate.op in ("is_null", "is_not_null"):
+                    null_tests += 1
+                    table = generator_schema.table(query.table_of(predicate.alias))
+                    assert table.column(predicate.column).nullable, str(predicate)
+        assert null_tests >= GENERATOR_SAMPLE // 10
+
+    def test_grouped_queries_select_their_key_then_count_star(self):
+        generator = make_generator(_tiny_database().schema)
+        grouped = 0
+        for index in range(GENERATOR_SAMPLE):
+            statement = parse_select(generator.sql(index))
+            aggregates = statement.select_items
+            if statement.group_by:
+                grouped += 1
+                key, *aggregates = aggregates
+                assert key.function is None and key.column == statement.group_by[0]
+            assert aggregates[0].function == "count" and aggregates[0].column is None
+            assert all(item.function for item in aggregates) and len(aggregates) <= MAX_AGGREGATES + 1
+        assert grouped >= GENERATOR_SAMPLE // 5
+
+
+class TestBenchmarkSchemas:
+    """The generator's queries over the IMDB and STACK data, on both engines."""
+
+    @pytest.mark.parametrize("database", ["imdb_db", "stack_db"])
+    def test_generated_queries_agree_across_engines(self, database, request):
+        db = request.getfixturevalue(database)
+        generator = make_generator(db.schema)
+        planner = Planner(db)
+        returned_rows = 0
+        for index in range(12):
+            query = bind_query(parse_select(generator.sql(index)), db.schema, name=f"gen_{index}")
+            plan = planner.plan(query)
+            results = []
+            for kind in ENGINE_KINDS:
+                db.drop_caches()
+                results.append(create_engine(db, kind=kind).execute(query, plan))
+            db.drop_caches()
+            assert_results_equal(*results, plan, plan, context=generator.sql(index))
+            returned_rows += results[0].succeeded and results[0].row_count > 0
+        assert returned_rows >= 8
 
 
 if __name__ == "__main__":

@@ -191,6 +191,29 @@ class TestBinder:
                 schema_only,
             )
 
+    def test_on_conditions_bind_with_the_joined_alias_on_the_right(self, schema_only):
+        """Whichever side an ON condition names the joined table on, and however
+        many conditions a clause has, the bound join has that alias on the right."""
+        query = bind_sql(
+            "SELECT COUNT(*) FROM title AS t "
+            "JOIN movie_keyword AS mk ON mk.movie_id = t.id "
+            "JOIN movie_info AS mi ON t.id = mi.movie_id AND mi.movie_id = mk.movie_id",
+            schema_only,
+        )
+        assert [(j.left_alias, j.right_alias) for j in query.joins] == [("t", "mk"), ("t", "mi"), ("mk", "mi")]
+        assert [(j.left_column, j.right_column) for j in query.joins] == [
+            ("id", "movie_id"), ("id", "movie_id"), ("movie_id", "movie_id"),
+        ]
+
+    def test_on_condition_naming_a_later_table_is_rejected(self, schema_only):
+        with pytest.raises(BindingError, match="references alias 'k' before it is introduced"):
+            bind_sql(
+                "SELECT COUNT(*) FROM title AS t "
+                "JOIN movie_keyword AS mk ON mk.keyword_id = k.id "
+                "JOIN keyword AS k ON t.id = mk.movie_id",
+                schema_only,
+            )
+
 
 class TestExplicitJoinParsing:
     SQL = (
@@ -248,3 +271,12 @@ class TestExplicitJoinParsing:
         with pytest.raises(SQLSyntaxError, match=f"outer joins are not supported: {keyword.split()[0]} JOIN") as info:
             parse_select(sql)
         assert info.value.position == sql.index(keyword)
+
+    def test_an_outer_join_after_an_inner_one_is_rejected_at_its_keyword(self):
+        sql = (
+            "SELECT COUNT(*) FROM title AS t JOIN movie_keyword AS mk ON t.id = mk.movie_id "
+            "left outer join keyword AS k ON mk.keyword_id = k.id"
+        )
+        with pytest.raises(SQLSyntaxError, match="outer joins are not supported: LEFT JOIN") as info:
+            parse_select(sql)
+        assert info.value.position == sql.index("left")
