@@ -62,8 +62,9 @@
 # The sweep demos (bench-parallel, bench-distributed, bench-progress, example)
 # honour REPRO_BENCH_STORE / REPRO_BENCH_WORKERS / REPRO_BENCH_EXECUTOR /
 # REPRO_BENCH_PROGRESS (see examples/).  The bench-* recipes store into
-# BENCH_*_STORE when it is set and kept; else into a fresh /tmp/repro-*
-# directory that a passing run removes again (a failing run leaves it).
+# BENCH_*_STORE when it is set, and keep it; else the example makes a fresh
+# /tmp/repro-* directory that a passing run removes again (a failing run
+# leaves it).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
@@ -71,7 +72,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 # Store directories of the bench-parallel resume check, the bench-distributed
 # crash-recovery check (coordinator-local and sharded: workers never see it;
 # the merged flat store lands next to it at <dir>-merged) and the
-# bench-progress sweep.  Empty: see with_store below.
+# bench-progress sweep.  Empty: a temp directory the example makes itself.
 BENCH_PARALLEL_STORE ?=
 BENCH_DISTRIBUTED_STORE ?=
 BENCH_PROGRESS_STORE ?=
@@ -80,15 +81,6 @@ BENCH_PROGRESS_STORE ?=
 # file per diverging query.  Empty: a fresh temp directory, made only when a
 # query fails (tests/test_fuzz_engines.py).
 FUZZ_CORPUS ?=
-
-# $(call with_store,<store dir or empty>,<temp prefix>,<command>): run
-# <command> with REPRO_BENCH_STORE set to the given directory, or to a fresh
-# /tmp/<temp prefix>.* directory that a passing run removes again, with the
-# <dir>-merged store examples/distributed_sweep.py writes next to it.
-with_store = store='$(1)'; made=; \
-	if [ -z "$$store" ]; then store=$$(mktemp -d /tmp/$(2).XXXXXX) || exit 1; made=1; fi; \
-	REPRO_BENCH_STORE="$$store" $(3) || exit 1; \
-	if [ -n "$$made" ]; then rm -rf "$$store" "$$store-merged"; fi
 
 # Shared HMAC secret of the authenticated TCP sweeps (override to taste; the
 # value only needs to match between coordinator and workers).
@@ -120,18 +112,23 @@ figures:
 	$(PYTHON) -m repro.experiments --scale 0.35 --out BENCH_figures.json
 
 bench-parallel:
-	$(call with_store,$(BENCH_PARALLEL_STORE),repro-store,$(PYTHON) examples/parallel_experiments.py)
+	REPRO_BENCH_STORE=$(BENCH_PARALLEL_STORE) \
+	$(PYTHON) examples/parallel_experiments.py
 
 bench-distributed:
-	$(call with_store,$(BENCH_DISTRIBUTED_STORE),repro-dist,REPRO_BENCH_WORKERS=2 REPRO_BENCH_PROGRESS=1 \
-	REPRO_QUEUE_SECRET=$(REPRO_QUEUE_SECRET) $(PYTHON) examples/distributed_sweep.py)
+	REPRO_BENCH_WORKERS=2 REPRO_BENCH_PROGRESS=1 \
+	REPRO_QUEUE_SECRET=$(REPRO_QUEUE_SECRET) \
+	REPRO_BENCH_STORE=$(BENCH_DISTRIBUTED_STORE) \
+	$(PYTHON) examples/distributed_sweep.py
 
 bench-progress:
-	$(call with_store,$(BENCH_PROGRESS_STORE),repro-progress,REPRO_BENCH_WORKERS=2 REPRO_BENCH_PROGRESS=0.5 \
-	REPRO_QUEUE_SECRET=$(REPRO_QUEUE_SECRET) $(PYTHON) examples/distributed_sweep.py)
+	REPRO_BENCH_WORKERS=2 REPRO_BENCH_PROGRESS=0.5 \
+	REPRO_QUEUE_SECRET=$(REPRO_QUEUE_SECRET) \
+	REPRO_BENCH_STORE=$(BENCH_PROGRESS_STORE) \
+	$(PYTHON) examples/distributed_sweep.py
 
 fuzz-engines:
-	REPRO_FUZZ_COUNT=1000 REPRO_FUZZ_CORPUS='$(FUZZ_CORPUS)' \
+	REPRO_FUZZ_COUNT=1000 REPRO_FUZZ_CORPUS=$(FUZZ_CORPUS) \
 	$(PYTHON) -m pytest tests/test_fuzz_engines.py -q
 
 GOLDEN_GATES = tests/test_optimizer.py::TestGoldenPlans tests/test_execution_digests.py \

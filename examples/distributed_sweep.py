@@ -31,13 +31,15 @@ Usage::
 Environment: ``REPRO_BENCH_WORKERS`` (local workers, default 2),
 ``REPRO_BENCH_PROGRESS`` (snapshot interval seconds, default 2),
 ``REPRO_QUEUE_SECRET`` (frame-signing secret, minted per sweep when unset),
-``REPRO_BENCH_STORE`` (used when no ``store_dir`` argument is given).
+``REPRO_BENCH_STORE`` (used when no ``store_dir`` argument is given;
+with neither, a temp directory that a passing run removes again).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import sys
 import tempfile
@@ -129,11 +131,25 @@ def kill_one_worker_mid_sweep(
     return False
 
 
+def merged_store_dir(store_dir: str) -> str:
+    """Where the sweep merges its shards: ``<store>-merged``, next to the store."""
+    return str(Path(store_dir).with_name(Path(store_dir).name + "-merged"))
+
+
 def main(store_dir: str | None = None) -> None:
-    if store_dir is None:
-        store_dir = os.environ.get("REPRO_BENCH_STORE") or tempfile.mkdtemp(
-            prefix="repro-distributed-"
-        )
+    store_dir = store_dir or os.environ.get("REPRO_BENCH_STORE")
+    if store_dir:
+        sweep(store_dir)
+        return
+    # A store this run makes for itself goes again after a passing sweep; a
+    # failing one (an assertion raised) leaves it for inspection.
+    store_dir = tempfile.mkdtemp(prefix="repro-distributed-")
+    sweep(store_dir)
+    shutil.rmtree(store_dir)
+    shutil.rmtree(merged_store_dir(store_dir))
+
+
+def sweep(store_dir: str) -> None:
     workers = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
     progress_interval = float(os.environ.get("REPRO_BENCH_PROGRESS", "2"))
     context = job_context(scale=0.25)
@@ -224,7 +240,7 @@ def main(store_dir: str | None = None) -> None:
     assert [result_json(r) for r in rerun] == [result_json(r) for r in results]
 
     # --- merge + serial equivalence ----------------------------------------
-    merged_dir = str(Path(store_dir).with_name(Path(store_dir).name + "-merged"))
+    merged_dir = merged_store_dir(store_dir)
     merged = store.merge(merged_dir)
     print(f"merged {len(files_before)} results from {store.manifest()['shard_count']} shards "
           f"into {merged_dir}")

@@ -17,12 +17,14 @@ Usage::
 
 Environment: ``REPRO_BENCH_WORKERS``, ``REPRO_BENCH_EXECUTOR``
 (``serial``/``distributed``), ``REPRO_BENCH_STORE`` (used when no ``store_dir``
-argument is given).
+argument is given; with neither, a temp directory that a passing run removes
+again).
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import sys
 import tempfile
 import time
@@ -51,10 +53,18 @@ def demo_splits(workload_name: str) -> list[DatasetSplit]:
 
 
 def main(store_dir: str | None = None) -> None:
-    if store_dir is None:
-        store_dir = os.environ.get("REPRO_BENCH_STORE") or tempfile.mkdtemp(
-            prefix="repro-results-"
-        )
+    store_dir = store_dir or os.environ.get("REPRO_BENCH_STORE")
+    if store_dir:
+        sweep(store_dir)
+        return
+    # A store this run makes for itself goes again after a passing sweep; a
+    # failing one (an assertion raised) leaves it for inspection.
+    store_dir = tempfile.mkdtemp(prefix="repro-results-")
+    sweep(store_dir)
+    shutil.rmtree(store_dir)
+
+
+def sweep(store_dir: str) -> None:
     workers = int(os.environ.get("REPRO_BENCH_WORKERS", "4"))
     executor_kind = os.environ.get("REPRO_BENCH_EXECUTOR", "serial")
     context = job_context(scale=0.25)

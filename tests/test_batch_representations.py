@@ -104,11 +104,14 @@ class TestSurviving:
 def pairing_inputs(draw):
     """A two-alias outer side (as pairing positions over two scans) plus an index probe."""
     row_id = st.integers(min_value=0, max_value=50)
-    base_a = draw(st.lists(row_id, min_size=1, max_size=12))
-    base_b = draw(st.lists(row_id, min_size=1, max_size=12))
-    outer_size = draw(st.integers(min_value=0, max_value=15))
+    base_a = draw(st.lists(row_id, max_size=12))
+    base_b = draw(st.lists(row_id, max_size=12))
+    # An empty scan pairs at zero positions.
+    outer_size = draw(st.integers(min_value=0, max_value=15)) if base_a and base_b else 0
 
     def positions_into(base: list[int], size: int) -> np.ndarray:
+        if not size:
+            return np.empty(0, dtype=np.int64)
         position = st.integers(min_value=0, max_value=len(base) - 1)
         return np.asarray(draw(st.lists(position, min_size=size, max_size=size)), dtype=np.int64)
 

@@ -8,7 +8,8 @@ nullable) this suite checks:
   ``join_collapse_limit = 1``, an exact join-order hint and a leading-prefix
   hint each plan one grouped three-way join whose keys are NULL on both sides;
   both engines return the brute-force oracle's rows, byte-identically.
-* **Stored NULL keys** — a NULL key never joins, and the column aggregates skip
+* **Stored NULL keys** — a NULL key never joins, under each join method forced
+  onto keys that are NULL on both sides too, and the column aggregates skip
   stored NULLs while ``COUNT(*)`` counts their rows.  Expectations are computed
   from the stored codes with numpy, independent of every engine and oracle.
 * **Hints** — every exact join order is honoured and returns the same rows;
@@ -29,7 +30,7 @@ from repro.errors import HintError
 from repro.executor.engine import create_engine
 from repro.optimizer.planner import Planner
 from repro.plans.hints import NO_HINTS, HintSet
-from repro.plans.physical import JoinType
+from repro.plans.physical import JoinType, plan_join_nodes
 from repro.plans.properties import join_order_of
 from repro.simclock import (
     STRATEGY_COLLAPSED,
@@ -111,6 +112,22 @@ class TestStoredNullKeys:
         # IS NULL keeps only rows whose key then matches nothing; IS NOT NULL
         # keeps every row that can match, so the join is unchanged.
         assert run_both(sql)[1].rows == [(matched if negated else 0,)]
+
+    @pytest.mark.parametrize("join_type", list(JoinType), ids=lambda join_type: join_type.name.lower())
+    def test_no_join_method_matches_null_to_null(self, join_type):
+        db = _tiny_database()
+        child_keys = db.table_data("child").column("parent_id")
+        link_keys = db.table_data("link").column("parent_id")
+        assert (child_keys == NULL_SENTINEL).any() and (link_keys == NULL_SENTINEL).any()
+        stored_child = child_keys[child_keys != NULL_SENTINEL]
+        stored_link = link_keys[link_keys != NULL_SENTINEL]
+        matched = int((stored_child[:, None] == stored_link[None, :]).sum())
+        planned, result = run_both(
+            "SELECT COUNT(*) FROM child AS c JOIN link AS l ON c.parent_id = l.parent_id",
+            hints=HintSet(join_methods={frozenset({"c", "l"}): join_type}),
+        )
+        assert [node.join_type for node in plan_join_nodes(planned.plan)] == [join_type]
+        assert result.rows == [(matched,)]
 
     def test_column_aggregates_skip_stored_nulls_and_count_star_keeps_them(self):
         db = _tiny_database()

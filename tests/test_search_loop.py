@@ -1,11 +1,13 @@
 """The LQO search loop: one planning context per search, one encoding per plan node.
 
-Three contracts, each pinned byte for byte:
+Four contracts, each pinned byte for byte:
 
 * an encoder state composed node by node reads out to the bytes of the
   whole-tree encoding (and those are the bytes recorded at the parent commit),
 * a search that keeps a state beside each subplan scores the candidate matrix
   ``plan_vector`` per candidate would build and returns the recorded plans,
+* a join a search costs from its children's records and then builds is the
+  node ``CostModel.best_join`` builds from those children,
 * a planning context shared across hint sets — HybridQO's prefix hints,
   Bao's arms, toggles and forced scans alike — yields the plans a fresh
   context per call yields.
@@ -25,6 +27,7 @@ from repro.lqo import create_optimizer
 from repro.lqo.base import LQOEnvironment
 from repro.lqo.leon import LeonOptimizer
 from repro.lqo.neo import NeoOptimizer
+from repro.lqo.search import JoinSearch
 from repro.optimizer.planner import Planner
 from repro.plans.hints import BAO_HINT_SETS, NO_HINTS, HintSet, OperatorToggles
 from repro.plans.physical import JoinNode, PlanNode, ScanType, plan_join_nodes, strip_decorations
@@ -137,6 +140,41 @@ class TestSearchesScoreWhatPlanVectorWouldBuild:
         for (query_vector, whole_tree, plans), matrix in zip(steps, matrices):
             expected = np.vstack([np.concatenate([query_vector, whole_tree(plan)]) for plan in plans])
             assert expected.tobytes() == matrix.tobytes()
+
+
+class TestSearchBuildsWhatBestJoinBuilds:
+    @pytest.mark.parametrize(
+        "name, key", record_plan_digests.WORKLOADS, ids=[name for name, _ in record_plan_digests.WORKLOADS]
+    )
+    def test_every_step_of_a_left_deep_walk(self, imdb_db, stack_db, name, key):
+        """Each join is built from the candidate ``JoinSearch.join`` costs; its
+        record is the one ``join_input`` makes from the built node."""
+        database = {"imdb": imdb_db, "stack": stack_db}[key]
+        env = LQOEnvironment(database, seed=0)
+        cost_model = env.planner.cost_model
+        joins = 0
+        for query in build_workload(name, database.schema).queries:
+            search = JoinSearch(env, query.bound, trained=False)
+            assert search.graph.connected, query.query_id
+            scans = [search.scan(alias) for alias in search.query.aliases]
+            built = scans[0]
+            # Left-deep: join the first scan that shares a predicate with what is built.
+            for _ in scans[1:]:
+                scan, predicates = next(
+                    (scan, predicates) for scan in scans
+                    if not scan.mask & built.mask and (predicates := search.graph.predicates(built.mask, scan.mask))
+                )
+                joined = search.build(search.join(built, scan, predicates))
+                expected = cost_model.best_join(
+                    query.bound, built.plan, scan.plan, predicates=predicates, context=search.context
+                )
+                assert pickle.dumps(joined.plan) == pickle.dumps(expected), query.query_id
+                assert joined.record == cost_model.join_input(query.bound, joined.plan, search.context)
+                built = joined
+                joins += 1
+            plan, state = search.complete(built)
+            assert state is None and plan is built.plan
+        assert joins == sum(query.bound.num_relations - 1 for query in build_workload(name, database.schema).queries)
 
 
 class TestSharedPlanningContext:
