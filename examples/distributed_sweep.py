@@ -86,7 +86,7 @@ def assert_unauthenticated_client_rejected(runner: ParallelExperimentRunner) -> 
     before any of its bytes are unpickled."""
     with NetWorkQueue(runner._distributed_queue.url, secret="", retries=0) as intruder:  # unkeyed
         try:
-            intruder.stats()
+            intruder.stop_requested()
         except QueueAuthError as exc:
             print(f"unauthenticated client rejected as expected: {exc}")
             return

@@ -310,7 +310,7 @@ class RuntimeConfig:
         progress_interval_s: emit a machine-readable
             :class:`~repro.runtime.progress.ProgressSnapshot` from the
             coordinator every this many seconds during a distributed sweep
-            (``None`` disables periodic polling; a final end-of-sweep
+            (``None`` disables periodic snapshots; a final end-of-sweep
             snapshot is still taken whenever a ``progress_callback`` is
             installed on the runner).
         queue_secret: shared HMAC secret authenticating every queue frame

@@ -120,9 +120,9 @@ def distributed_runtime(
     ``task_retries`` times before the sweep aborts.
 
     Workers claim from one pending pool, lowest task id first.
-    ``progress_interval_s`` emits a machine-readable progress snapshot every
-    that many seconds (also delivered to ``ParallelExperimentRunner``'s
-    ``progress_callback``).  Every frame is HMAC-signed and verified before
+    ``progress_interval_s`` hands ``ParallelExperimentRunner``'s
+    ``progress_callback`` a machine-readable progress snapshot every that
+    many seconds.  Every frame is HMAC-signed and verified before
     unpickling: with neither ``queue_secret`` nor ``REPRO_QUEUE_SECRET`` set,
     the sweep mints a secret for its local workers; remote workers need the
     shared one (export ``REPRO_QUEUE_SECRET`` on every host).

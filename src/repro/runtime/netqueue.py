@@ -73,7 +73,6 @@ from repro.errors import ExperimentError
 from repro.runtime.result_store import ResultStore
 from repro.runtime.workqueue import (
     BucketQueue,
-    QueueStats,
     ResultUpload,
     TaskClaim,
     parse_queue_url,
@@ -601,10 +600,6 @@ class QueueServer(BucketQueue):
             timeout_s = max(0.0, min(float(request.get("timeout_s", 0.0)), SERVER_TIMEOUT_S))
             self.wait_for_work(timeout_s)
             return {"ok": True}
-        if op == "stats":
-            return {"ok": True, "stats": self.stats()}
-        if op == "worker_counts":
-            return {"ok": True, "workers": self.worker_done_counts()}
         return {"ok": False, "error": f"unknown queue op {op!r}"}
 
 
@@ -672,10 +667,3 @@ class NetWorkQueue(FrameClient):
             self._request(request)
         except OSError:
             pass  # server gone: the next claim and stop_requested() end the loop
-
-    def stats(self) -> QueueStats:
-        return self._request({"op": "stats"})["stats"]
-
-    def worker_done_counts(self) -> dict[str, int]:
-        response = self._request({"op": "worker_counts"})
-        return {str(worker): int(count) for worker, count in response.get("workers", {}).items()}

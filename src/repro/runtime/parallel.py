@@ -36,7 +36,8 @@ fresh results are persisted as they arrive.
   with their acks, which the coordinator persists into its local store.  Dead
   workers' claims are re-queued after a lease timeout, failed tasks are
   retried up to ``task_retries`` times, and the coordinator assembles
-  grid-ordered results from the store once every task is acked.
+  grid-ordered results from the store once every task is acked.  While it
+  waits, it hands ``progress_callback`` a progress snapshot of its queue.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import functools
 import os
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Union
@@ -57,7 +59,7 @@ from repro.errors import ExperimentError
 from repro.runtime.fingerprint import stable_seed
 from repro.runtime.netqueue import QUEUE_SECRET_ENV, QueueServer
 from repro.runtime.plan_cache import PlanCache
-from repro.runtime.progress import DEFAULT_PROGRESS_INTERVAL_S, ProgressSnapshot, SweepProgress
+from repro.runtime.progress import ProgressSnapshot, next_snapshot
 from repro.runtime.result_store import ResultStore, TaskKey
 from repro.runtime.workqueue import BucketQueue, parse_queue_url
 from repro.storage.database import Database
@@ -202,7 +204,12 @@ def reconcile_failed_tasks(
 
 
 class ParallelExperimentRunner:
-    """Runs the experiment grid concurrently with serial-identical results."""
+    """Runs the experiment grid concurrently with serial-identical results.
+
+    ``progress_callback`` runs on the coordinator's thread, inside the loop
+    that waits for a distributed sweep's acks: a slow callback delays the
+    re-queue of expired leases and the retry of failed tasks.
+    """
 
     def __init__(
         self,
@@ -230,8 +237,8 @@ class ParallelExperimentRunner:
         #: through.  Assigning a ``PlanCache(0)`` disables caching (``put()``
         #: is a no-op).
         self.plan_cache = PlanCache()
-        #: Called with every :class:`ProgressSnapshot` a distributed sweep's
-        #: reporter takes (periodic plus the final end-of-sweep snapshot).
+        #: Called with every :class:`ProgressSnapshot` a distributed sweep
+        #: takes (periodic plus the final end-of-sweep snapshot).
         self.progress_callback = progress_callback
         #: Local worker processes of the most recent distributed sweep
         #: (observability: lets callers and the crash-recovery demo reach them).
@@ -243,12 +250,8 @@ class ParallelExperimentRunner:
         #: ``runtime.stolen_tasks``).
         self._distributed_stolen = 0
         #: Coordinator-side queue server of the most recent distributed
-        #: sweep (observability: live ``stats()`` for progress reporting).
+        #: sweep (observability: its url and live ``stats()``).
         self._distributed_queue: QueueServer | None = None
-        #: Progress reporter of the most recent distributed sweep (``None``
-        #: until one runs with progress enabled); ``.snapshots`` is the
-        #: telemetry history, ``.latest`` the end-of-sweep snapshot.
-        self._distributed_progress: SweepProgress | None = None
 
     # ------------------------------------------------------------------ grid
     def tasks_for(
@@ -412,9 +415,8 @@ class ParallelExperimentRunner:
         self._distributed_queue = queue
         self._distributed_requeued = 0
         self._distributed_stolen = 0
-        self._distributed_progress = None
         procs: list[subprocess.Popen] = []
-        reporter: SweepProgress | None = None
+        report_progress: Callable[[], None] | None = None
         try:
             keyed = [(task, self.task_key(task), self.task_fingerprint(task)) for task in tasks]
             # A sweep-unique id prefix: a straggler of an earlier sweep served
@@ -436,25 +438,10 @@ class ParallelExperimentRunner:
                 for index in range(min(config.workers, len(payloads)))
             ]
             self._distributed_procs = procs
-            if config.progress_interval_s is not None or self.progress_callback is not None:
-                reporter = SweepProgress(
-                    queue,
-                    total=len(payloads),
-                    interval_s=config.progress_interval_s or DEFAULT_PROGRESS_INTERVAL_S,
-                    callback=self.progress_callback,
-                )
-                self._distributed_progress = reporter
-                if payloads and config.progress_interval_s is not None:
-                    # None means no *periodic* polling (as documented on
-                    # RuntimeConfig): a callback alone still receives the
-                    # final end-of-sweep snapshot below.  A fully-resumed
-                    # sweep (nothing enqueued) skips the thread too but still
-                    # emits its final done==total==0 completion snapshot.
-                    reporter.start()
-            self._await_queue(queue, payloads, procs, log_dir)
+            if self.progress_callback is not None:
+                report_progress = self._progress_reporter(queue, len(payloads), self.progress_callback)
+            self._await_queue(queue, payloads, procs, log_dir, report_progress)
         finally:
-            if reporter is not None:
-                reporter.stop()
             queue.write_stop()
             for proc in procs:
                 try:
@@ -465,13 +452,33 @@ class ParallelExperimentRunner:
             # Close only after every local worker exited: remote workers that
             # poll a vanished server treat it as a stop request anyway.
             queue.close()
-            if reporter is not None:
-                # The end-of-sweep snapshot: even a sweep shorter than the
-                # interval emits at least one complete observation.  The
-                # server still answers ``stats()`` in process once closed,
-                # and no worker is left running if the callback raises.
-                reporter.poll_or_skip()
+            if report_progress is not None:
+                # The end-of-sweep snapshot, on success and on failure, also of
+                # a fully resumed sweep.  The closed server still answers in
+                # process, and no worker is left running if the callback raises.
+                report_progress()
         return [store.load(key, fingerprint) for _, key, fingerprint in keyed]
+
+    @staticmethod
+    def _progress_reporter(
+        queue: QueueServer, total: int, callback: Callable[[ProgressSnapshot], None]
+    ) -> Callable[[], None]:
+        """A closure that hands ``callback`` the sweep's next snapshot, read
+        in process with no queue lock held while it runs.  ``elapsed_s``
+        counts from this call, made once the last local worker was spawned."""
+        started_at = time.monotonic()
+        previous: ProgressSnapshot | None = None
+
+        def report() -> None:
+            nonlocal previous
+            # Counts first: the stats read after them never show fewer done.
+            workers = queue.worker_done_counts()
+            previous = next_snapshot(
+                queue.stats(), workers, total, time.monotonic() - started_at, previous
+            )
+            callback(previous)
+
+        return report
 
     def _await_queue(
         self,
@@ -479,7 +486,16 @@ class ParallelExperimentRunner:
         payloads: dict[str, SpecTaskPayload],
         procs: list[subprocess.Popen],
         log_dir: Path,
+        report_progress: Callable[[], None] | None,
     ) -> None:
+        """Wait until every task in ``payloads`` is acked, calling
+        ``report_progress`` every ``progress_interval_s`` seconds (if set).
+
+        A wait between rounds ends on an ack or a failure, after
+        ``COORDINATOR_POLL_S``, or when the next snapshot is due.
+        """
+        interval = self.runtime_config.progress_interval_s or float("inf")
+        due = time.monotonic() + interval
         remaining = set(payloads)
         retries_used: dict[str, int] = {}
         while remaining:
@@ -504,7 +520,12 @@ class ParallelExperimentRunner:
                     f"{codes}) with {len(remaining)} task(s) unfinished; worker logs are "
                     f"under {log_dir}"
                 )
-            queue.wait_for_change(COORDINATOR_POLL_S)
+            now = time.monotonic()
+            if report_progress is not None and now >= due:
+                report_progress()
+                now = time.monotonic()
+                due = now + interval
+            queue.wait_for_change(min(COORDINATOR_POLL_S, due - now))
 
     @staticmethod
     def _spawn_worker(

@@ -17,12 +17,10 @@ the server, which answers as soon as there is work or a stop.
 
 The worker exits when the coordinator signals stop and no work is claimable
 (an unreachable coordinator counts as stop), after ``--max-tasks`` tasks, or
-after ``--idle-timeout`` seconds without work.
-
-``--progress [S]`` prints a machine-readable JSON progress snapshot of the
-queue every S seconds (default 5) to stdout.  Export ``REPRO_QUEUE_SECRET``
-with the coordinator's frame-signing secret — it is read from the environment
-only, never from argv.
+after ``--idle-timeout`` seconds without work.  Sweep progress is the
+coordinator's to report (``RuntimeConfig.progress_interval_s``).  Export
+``REPRO_QUEUE_SECRET`` with the coordinator's frame-signing secret — it is
+read from the environment only, never from argv.
 """
 
 from __future__ import annotations
@@ -35,18 +33,7 @@ import threading
 import time
 
 from repro.runtime.netqueue import NetWorkQueue
-from repro.runtime.progress import SweepProgress
 from repro.runtime.workqueue import ResultUpload, TaskClaim, WorkerQueueTransport
-
-#: Serializes every line this process writes to stdout/stderr: the progress
-#: reporter thread and the claim loop share the streams, and two concurrent
-#: ``print``s can tear a JSON snapshot line mid-write otherwise.
-_PRINT_LOCK = threading.Lock()
-
-
-def _emit(line: str, stream=None) -> None:
-    with _PRINT_LOCK:
-        print(line, file=stream if stream is not None else sys.stdout, flush=True)
 
 
 def default_worker_id() -> str:
@@ -67,32 +54,18 @@ def run_worker(
     idle_timeout_s: float | None = None,
     max_tasks: int | None = None,
     lease_renew_s: float = 5.0,
-    progress_interval_s: float | None = None,
 ) -> int:
     """Drain tasks from the queue at ``queue_url`` until stopped; returns the number completed."""
     # Imported here so ``python -m repro.runtime.worker --help`` stays instant.
     from repro.runtime.parallel import execute_spec_payload_with_identity
 
     worker_id = worker_id or default_worker_id()
-    # Leaving the block closes the client, after the reporter (which polls it) has stopped.
-    with NetWorkQueue(queue_url) as queue:
-        reporter: SweepProgress | None = None
-        if progress_interval_s is not None:
-            reporter = SweepProgress(
-                queue,
-                total=None,  # a worker cannot know the sweep's size, only its state
-                interval_s=progress_interval_s,
-                callback=lambda snapshot: _emit(snapshot.to_json()),
-            ).start()
-        try:
-            completed = _worker_loop(
-                queue, worker_id, poll_interval_s, idle_timeout_s, max_tasks, lease_renew_s,
-                execute_spec_payload_with_identity,
-            )
-        finally:
-            if reporter is not None:
-                reporter.stop()
-    _emit(f"[{worker_id}] exiting after {completed} task(s)")
+    with NetWorkQueue(queue_url) as queue:  # leaving the block closes the client
+        completed = _worker_loop(
+            queue, worker_id, poll_interval_s, idle_timeout_s, max_tasks, lease_renew_s,
+            execute_spec_payload_with_identity,
+        )
+    print(f"[{worker_id}] exiting after {completed} task(s)", flush=True)
     return completed
 
 
@@ -130,7 +103,7 @@ def _worker_loop(
             stop_heartbeat.set()
             beat.join()
             queue.fail(claim, worker_id, f"{type(exc).__name__}: {exc}")
-            _emit(f"[{worker_id}] FAILED {claim.task_id}: {exc}", stream=sys.stderr)
+            print(f"[{worker_id}] FAILED {claim.task_id}: {exc}", file=sys.stderr, flush=True)
             continue
         stop_heartbeat.set()
         beat.join()
@@ -146,10 +119,10 @@ def _worker_loop(
                 queue.fail(claim, worker_id, f"ack rejected: {type(exc).__name__}: {exc}")
             except Exception:  # pragma: no cover - transport also down
                 pass
-            _emit(f"[{worker_id}] ACK REJECTED {claim.task_id}: {exc}", stream=sys.stderr)
+            print(f"[{worker_id}] ACK REJECTED {claim.task_id}: {exc}", file=sys.stderr, flush=True)
             continue
         completed += 1
-        _emit(f"[{worker_id}] completed {claim.task_id}")
+        print(f"[{worker_id}] completed {claim.task_id}", flush=True)
     return completed
 
 
@@ -172,9 +145,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--lease-renew", type=float, default=5.0, metavar="S",
                         help="heartbeat interval while executing; keep it well below the "
                         "coordinator's lease timeout (default 5)")
-    parser.add_argument("--progress", type=float, nargs="?", const=5.0, default=None,
-                        metavar="S", help="print a machine-readable JSON progress snapshot "
-                        "of the queue every S seconds (default 5 when the flag is given)")
     args = parser.parse_args(argv)
     run_worker(
         args.queue,
@@ -183,7 +153,6 @@ def main(argv: list[str] | None = None) -> int:
         idle_timeout_s=args.idle_timeout,
         max_tasks=args.max_tasks,
         lease_renew_s=args.lease_renew,
-        progress_interval_s=args.progress,
     )
     return 0
 

@@ -277,9 +277,9 @@ class BucketQueue:
             return any(now - stamp <= self.lease_timeout_s for _, stamp in self._claimed.values())
 
     def stats(self) -> QueueStats:
-        """Entry counts only: the coordinator polls this every few hundred
-        milliseconds, so it copies nothing (``failed_tasks`` copies the
-        messages, and stays reserved for error reporting)."""
+        """Entry counts only: the coordinator reads this for every progress
+        snapshot, so it copies nothing (``failed_tasks`` copies the messages,
+        and stays reserved for error reporting)."""
         with self._lock:
             return QueueStats(
                 pending=len(self._pending),

@@ -45,10 +45,9 @@ class AggregateItem:
     output_name: str | None = None
 
     def __str__(self) -> str:
-        if self.function is None:
-            return str(self.column)
-        target = "*" if self.column is None else str(self.column)
-        rendered = f"{self.function.upper()}({target})"
+        rendered = "*" if self.column is None else str(self.column)
+        if self.function is not None:
+            rendered = f"{self.function.upper()}({rendered})"
         if self.output_name:
             rendered += f" AS {self.output_name}"
         return rendered
@@ -228,8 +227,3 @@ def _render_literal(value: Literal) -> str:
         escaped = value.replace("'", "''")
         return f"'{escaped}'"
     return str(value)
-
-
-def render_sql(statement: SelectStatement) -> str:
-    """Functional alias of :meth:`SelectStatement.to_sql`."""
-    return statement.to_sql()

@@ -157,7 +157,7 @@ class QueryTemplate:
             return f"{self.family}_{index}"
         return f"{self.family}{letters[index]}"
 
-    def render_sql(self, index: int) -> str:
+    def variant_sql(self, index: int) -> str:
         if not 0 <= index < self.n_variants:
             raise WorkloadError(
                 f"template {self.family} has {self.n_variants} variants, asked for {index}"
@@ -181,7 +181,7 @@ class QueryTemplate:
         """Parse, bind and wrap every variant of this template."""
         queries = []
         for index in range(self.n_variants):
-            sql = self.render_sql(index)
+            sql = self.variant_sql(index)
             query_id = self.variant_id(index)
             statement = parse_select(sql)
             bound = bind_query(statement, schema, name=query_id)

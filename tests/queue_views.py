@@ -17,7 +17,7 @@ QUEUE_VIEWS = ("tcp", "wire")
 
 #: The ops a worker sends over the wire (``NetWorkQueue``'s surface).
 WORKER_OPS = frozenset(
-    {"claim", "renew", "ack", "fail", "stop_requested", "wait_for_work", "stats", "worker_done_counts"}
+    {"claim", "renew", "ack", "fail", "stop_requested", "wait_for_work"}
 )
 
 

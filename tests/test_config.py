@@ -149,6 +149,15 @@ class TestRuntimeConfigDefaults:
         with pytest.raises(ValueError):
             RuntimeConfig(task_retries=-1)
 
+    def test_progress_interval_defaults_to_none_and_rejects_nonpositive(self):
+        """The one place a sweep's snapshot interval is set: None means only
+        the final snapshot, and a zero or negative interval never starts."""
+        assert RuntimeConfig().progress_interval_s is None
+        assert RuntimeConfig(progress_interval_s=0.05).progress_interval_s == 0.05
+        for interval in (0, -1.0):
+            with pytest.raises(ValueError, match="progress_interval_s"):
+                RuntimeConfig(progress_interval_s=interval)
+
     def test_queue_url_accepts_only_tcp(self):
         assert RuntimeConfig().queue_url == "tcp://127.0.0.1:0"  # loopback, ephemeral port
         assert RuntimeConfig(queue_url="tcp://127.0.0.1:0").queue_url == "tcp://127.0.0.1:0"

@@ -11,8 +11,9 @@ Covers:
 * the bounded retry/backoff of `NetWorkQueue` against transient socket
   errors,
 * `QueueStats`/`describe()` edge cases and lease-expiry boundary conditions,
-* a 4-worker stress sweep, byte-identical to serial, and the end-of-sweep
-  progress snapshot taken once the local workers exited.
+* a 4-worker stress sweep, byte-identical to serial, the progress
+  snapshots the coordinator's own loop takes, and the end-of-sweep snapshot
+  taken once the local workers exited.
 """
 
 import json
@@ -221,8 +222,8 @@ class TestFrameAuth:
                 claim = client.claim("w")
                 assert claim is not None and claim.payload == {"n": 1}
                 client.ack(claim, "w")
-                assert client.stats().done == 1
-                assert client.worker_done_counts() == {"w": 1}
+                assert server.stats().done == 1
+                assert server.worker_done_counts() == {"w": 1}
         finally:
             server.close()
 
@@ -266,7 +267,7 @@ class TestFrameAuth:
         try:
             wrong = NetWorkQueue(server.url, secret="not-the-secret", retries=0)
             with pytest.raises(QueueAuthError, match="signature mismatch"):
-                wrong.stats()
+                wrong.stop_requested()
         finally:
             server.close()
 
@@ -291,7 +292,7 @@ class TestFrameAuth:
         try:
             signed = NetWorkQueue(server.url, secret=self.SECRET, retries=0)
             with pytest.raises(QueueAuthError, match="no queue secret"):
-                signed.stats()
+                signed.stop_requested()
         finally:
             server.close()
 
@@ -310,7 +311,7 @@ class TestFrameAuth:
         plain-text error frame (never a pickled response)."""
         server = QueueServer(secret=self.SECRET)
         try:
-            frame = bytearray(_frame_bytes({"op": "stats"}, secret=resolve_queue_secret(self.SECRET)))
+            frame = bytearray(_frame_bytes({"op": "poll"}, secret=resolve_queue_secret(self.SECRET)))
             frame[-1] ^= 0xFF
             with socket.create_connection((server.host, server.port), timeout=5) as sock:
                 sock.sendall(bytes(frame))
@@ -521,7 +522,7 @@ class TestQueueStatsEdgeCases:
         assert plain_queue.worker_done_counts() == {}  # failures are not completions
 
     def test_stats_are_sane_under_concurrent_claims(self, plain_queue):
-        """The progress reporter polls stats() while workers claim/ack: every
+        """The coordinator reads stats() while workers claim/ack: every
         observation must be internally consistent (no negative or impossible
         counts), and the final state must be exact."""
         total = 30
@@ -705,8 +706,40 @@ class TestSweepStress:
         assert final.done == final.total and final.remaining == 0
         json.loads(final.to_json())  # machine-readable end to end
         assert sum(final.workers.values()) == final.total
-        assert runner._distributed_progress is not None
-        assert runner._distributed_progress.latest is not None
+
+    def test_every_callback_runs_on_the_coordinators_thread(self, tmp_path):
+        """Periodic and final snapshots come from the coordinator's wait loop:
+        every callback runs on the main thread and no progress thread exists."""
+        spec, workload, splits = _grid_parts()
+        seen = []
+
+        def on_progress(snapshot):
+            seen.append((
+                snapshot,
+                threading.current_thread() is threading.main_thread(),
+                sorted(thread.name for thread in threading.enumerate()),
+            ))
+
+        runner = ParallelExperimentRunner(
+            spec,
+            workload,
+            experiment_config=GRID_CONFIG,
+            runtime_config=distributed_runtime(
+                tmp_path / "store", workers=1, shard_count=2, lease_timeout_s=30,
+                progress_interval_s=0.05,
+            ),
+            progress_callback=on_progress,
+        )
+        runner.run_grid(("postgres",), splits[:2])
+        assert len(seen) >= 2, "no periodic snapshot before the final one"
+        assert all(on_main for _, on_main, _ in seen)
+        assert not any("repro-sweep-progress" in names for _, _, names in seen)
+        snapshots = [snapshot for snapshot, _, _ in seen]
+        assert [s.sequence for s in snapshots] == list(range(len(snapshots)))
+        assert snapshots[0].elapsed_s >= 0.05  # the first falls due one interval after the spawn
+        elapsed = [s.elapsed_s for s in snapshots]
+        assert elapsed == sorted(elapsed)
+        assert (snapshots[-1].done, snapshots[-1].total) == (2, 2)
 
     def test_callback_without_interval_gets_only_the_final_snapshot(self, tmp_path):
         """progress_interval_s=None disables *periodic* polling (as documented
@@ -732,6 +765,33 @@ class TestSweepStress:
         runner.run_grid(("postgres",), splits[:1])
         assert len(snapshots) == 2
         assert snapshots[1].total == 0 and snapshots[1].remaining == 0
+
+    def test_a_failed_sweep_still_delivers_its_final_snapshot(self, tmp_path):
+        """The end-of-sweep snapshot is taken on failure too: a sweep whose
+        one task fails for good raises, and the callback has seen that task
+        failed, after the worker exited."""
+        spec, workload, splits = _grid_parts()
+        # Shares the registered name but not the content: the worker's rebuild
+        # refuses it, so the task fails on every attempt.
+        lookalike = workload.subset(["1a", "1b", "2a", "2b", "3a"], name="job")
+        observed = []
+        runner = ParallelExperimentRunner(
+            spec,
+            lookalike,
+            experiment_config=GRID_CONFIG,
+            runtime_config=distributed_runtime(
+                tmp_path / "store", workers=1, shard_count=2, lease_timeout_s=30, task_retries=0
+            ),
+            progress_callback=lambda snapshot: observed.append(
+                (snapshot, [proc.poll() for proc in runner._distributed_procs])
+            ),
+        )
+        with pytest.raises(ExperimentError, match="failed permanently"):
+            runner.run_grid(("postgres",), splits[:1])
+        assert len(observed) == 1
+        final, return_codes = observed[0]
+        assert (final.total, final.done, final.failed, final.claimed) == (1, 0, 1, 0)
+        assert return_codes and None not in return_codes
 
     def test_a_raising_final_callback_propagates_once_the_workers_exited(self, tmp_path):
         """The end-of-sweep snapshot is taken after the stop, the reaping and
@@ -781,7 +841,6 @@ class TestSweepStress:
         assert len(observed) == 1
         final, return_codes = observed[0]
         assert (final.total, final.done, final.pending, final.claimed, final.failed) == (2, 2, 0, 0, 0)
-        assert final.stats_errors == 0
         assert len(return_codes) == 2 and None not in return_codes
 
 

@@ -26,7 +26,7 @@ from repro.experiments.common import distributed_runtime
 from repro.runtime.netqueue import CLIENT_BACKOFF_S, CLIENT_RETRIES, NetWorkQueue, QueueAuthError, QueueServer
 from repro.runtime.parallel import ParallelExperimentRunner, reconcile_failed_tasks
 from repro.runtime.result_store import ResultStore, ShardedResultStore, TaskKey
-from repro.runtime.workqueue import ResultUpload, WorkerQueueTransport, parse_queue_url
+from repro.runtime.workqueue import ResultUpload, TaskClaim, WorkerQueueTransport, parse_queue_url
 from repro.storage.registry import get_process_registry
 from repro.storage.spec import DatabaseSpec
 from repro.workloads import build_workload
@@ -515,8 +515,11 @@ class TestNetQueue:
         server = QueueServer(lease_timeout_s=30)
         client = NetWorkQueue(server.url)
         try:
-            with pytest.raises(ExperimentError, match="unknown queue op"):
-                client._request({"op": "frobnicate"})
+            # The wire serves the worker's ops only: queue counts stay in the
+            # coordinator's process.
+            for op in ("frobnicate", "stats"):
+                with pytest.raises(ExperimentError, match="unknown queue op"):
+                    client._request({"op": op})
         finally:
             client.close()
             server.close()
@@ -593,6 +596,89 @@ class TestIdleWorker:
             assert store.load(key, "ctx").to_dict() == _sample_result().to_dict()
         finally:
             server.close()
+
+
+class TestWorkerProcess:
+    def test_worker_closes_its_queue_client(self, monkeypatch):
+        """A worker that finds the sweep already stopped exits and leaves no
+        connection to the coordinator open behind it."""
+        from repro.runtime import worker as worker_module
+
+        clients = []
+
+        class RecordedClient(NetWorkQueue):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                clients.append(self)
+
+        monkeypatch.setattr(worker_module, "NetWorkQueue", RecordedClient)
+        queue = QueueServer()
+        queue.write_stop()
+        try:
+            assert worker_module.run_worker(queue.url, worker_id="w") == 0
+        finally:
+            queue.close()
+        assert len(clients) == 1
+        assert clients[0]._sock is None  # the kept connection was closed
+
+    def test_cli_wires_its_options_through(self, monkeypatch, capsys):
+        from repro.runtime import worker as worker_module
+
+        captured = {}
+
+        def fake_run_worker(queue_target, **kwargs):
+            captured.update(kwargs, queue_target=queue_target)
+            return 0
+
+        monkeypatch.setattr(worker_module, "run_worker", fake_run_worker)
+        argv = ["tcp://127.0.0.1:7077", "--worker-id", "w-1", "--poll-interval", "0.5",
+                "--idle-timeout", "3", "--max-tasks", "4", "--lease-renew", "2"]
+        assert worker_module.main(argv) == 0
+        assert captured == {
+            "queue_target": "tcp://127.0.0.1:7077", "worker_id": "w-1", "poll_interval_s": 0.5,
+            "idle_timeout_s": 3.0, "max_tasks": 4, "lease_renew_s": 2.0,
+        }
+        # Every worker claims from the one pool, and progress is the coordinator's.
+        for option in ("--shard", "--progress"):
+            with pytest.raises(SystemExit):
+                worker_module.main(["tcp://127.0.0.1:7077", option, "2"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_the_claim_loop_reports_each_task_on_its_stream(self, capsys):
+        """One whole line per task: completions on stdout, failures on stderr."""
+        from repro.runtime import worker
+
+        class OneShotQueue:
+            def __init__(self):
+                self.pending = ["t-0", "t-1"]
+                self.reports = []
+
+            def claim(self, worker_id):
+                return TaskClaim(self.pending.pop(0), payload=None) if self.pending else None
+
+            def renew(self, claim):
+                pass
+
+            def ack(self, claim, worker_id, result=None):
+                self.reports.append(("ack", claim.task_id))
+
+            def fail(self, claim, worker_id, error):
+                self.reports.append(("fail", claim.task_id, error))
+
+            def stop_requested(self):
+                return True
+
+        def execute(payload):
+            if len(queue.reports) == 1:
+                raise RuntimeError("boom")
+            return _sample_result(), TaskKey("job", "s", "postgres", 0), "fingerprint"
+
+        queue = OneShotQueue()
+        assert worker._worker_loop(queue, "w", 0.2, None, None, 5.0, execute) == 1
+        assert queue.reports == [("ack", "t-0"), ("fail", "t-1", "RuntimeError: boom")]
+        out, err = capsys.readouterr()
+        assert out == "[w] completed t-0\n"
+        assert err == "[w] FAILED t-1: boom\n"
 
 
 class TestWaitForChange:
@@ -922,7 +1008,7 @@ class TestDistributedRunner:
                 return
             with NetWorkQueue(runner._distributed_queue.url, secret="", retries=0) as intruder:
                 try:
-                    intruder.stats()
+                    intruder.stop_requested()
                     seen.append("accepted")
                 except QueueAuthError:
                     seen.append("rejected")
@@ -960,7 +1046,7 @@ class TestDistributedRunner:
             for name, secret in (("keyed", "env-secret"), ("unsigned", "")):
                 with NetWorkQueue(seen["url"], secret=secret, retries=0) as client:
                     try:
-                        client.stats()
+                        client.stop_requested()
                         seen[name] = "accepted"
                     except QueueAuthError:
                         seen[name] = "rejected"

@@ -173,7 +173,7 @@ class TestRestartAndClose:
         assert worker.claim("w") is None
         assert worker.stop_requested() is True
         with pytest.raises(OSError):
-            worker.stats()
+            worker._request({"op": "poll"})
 
 
 class TestBadFramesOnAnEstablishedConnection:

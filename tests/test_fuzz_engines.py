@@ -13,7 +13,7 @@ evaluators:
 
 The row/columnar comparison is exact (row order, metrics, simulated time);
 the oracle comparison is order-insensitive (the oracle enumerates in its own
-order).  ``parse(render_sql(q)) == q`` is additionally checked for every
+order).  ``parse(q.to_sql()) == q`` is additionally checked for every
 generated query, pinning the SQL layer's round-trip property.  The corpus
 must reach multi-join and GROUP BY queries and both FROM forms, and the
 generator's queries also run on both engines over the IMDB and STACK data.
@@ -45,7 +45,6 @@ from repro.config import ENGINE_KINDS
 from repro.executor import engine as engine_module
 from repro.executor.engine import create_engine
 from repro.optimizer.planner import Planner
-from repro.sql.ast import render_sql
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_select
 from tests.sqlgen import RandomSqlGenerator
@@ -193,7 +192,7 @@ def _record_failures(failures: list[tuple[int, str, str]]) -> Path:
 def _check_one(index: int, sql: str) -> None:
     """Run one generated query through all three evaluators."""
     statement = parse_select(sql)
-    assert parse_select(render_sql(statement)) == statement, "SQL round-trip drifted"
+    assert parse_select(statement.to_sql()) == statement, "SQL round-trip drifted"
 
     db_row, db_col = _tiny_database(), _tiny_database()
     q_row = bind_query(parse_select(sql), db_row.schema, name=f"fuzz_{index}_r")
@@ -299,7 +298,7 @@ class TestRoundTripProperty:
         schema = _tiny_database().schema
         generator = make_generator(schema)
         statement = parse_select(generator.sql(index))
-        assert parse_select(render_sql(statement)) == statement
+        assert parse_select(statement.to_sql()) == statement
 
 
 class TestBenchmarkSchemas:

@@ -1,37 +1,87 @@
-"""Tests for the sweep progress reporter (`repro.runtime.progress`).
+"""Tests for sweep progress telemetry (`repro.runtime.progress`).
 
-The snapshot math is exercised against a scripted fake queue with a
-deterministic clock (no sleeping, no threads), the reporter thread against a
-real queue server, and the worker CLI's ``--progress`` flag end to end.
+The snapshot arithmetic is exercised on :func:`next_snapshot` with explicit
+clock readings, and the coordinator's wait loop
+(``ParallelExperimentRunner._await_queue``) against a scripted queue whose
+waits advance a fake clock: no sleeping and no worker processes.
 """
 
 import json
+import threading
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro.config import RuntimeConfig
 from repro.errors import ExperimentError
-from repro.runtime.progress import DEFAULT_PROGRESS_INTERVAL_S, ProgressSnapshot, SweepProgress
-from repro.runtime.netqueue import NetWorkQueue, QueueServer
-from repro.runtime.workqueue import QueueStats
+from repro.runtime import parallel
+from repro.runtime.parallel import COORDINATOR_POLL_S, ParallelExperimentRunner
+from repro.runtime.progress import ProgressSnapshot, next_snapshot
+from repro.runtime.workqueue import BucketQueue, QueueStats
 
 
-class ScriptedQueue:
-    """A queue whose ``stats()`` replays a scripted sequence of snapshots."""
+def chain(readings, total):
+    """Snapshots of ``(elapsed_s, stats, workers)`` readings, each after the last."""
+    snapshots: list[ProgressSnapshot] = []
+    for elapsed_s, stats, workers in readings:
+        previous = snapshots[-1] if snapshots else None
+        snapshots.append(next_snapshot(stats, workers, total, elapsed_s, previous))
+    return snapshots
 
-    def __init__(self, stats_script, worker_script=None):
-        self.stats_script = list(stats_script)
-        self.worker_script = list(worker_script or [])
-        self.calls = 0
 
-    def stats(self) -> QueueStats:
-        index = min(self.calls, len(self.stats_script) - 1)
-        self.calls += 1
-        return self.stats_script[index]
+class TestNextSnapshot:
+    def test_throughput_eta_and_deltas(self):
+        first, second, third = chain(
+            [
+                (10.0, QueueStats(pending=8, claimed=2, done=0, failed=0), {}),
+                (20.0, QueueStats(pending=4, claimed=2, done=4, failed=0), {"w-0": 2, "w-1": 2}),
+                (30.0, QueueStats(pending=0, claimed=0, done=10, failed=0), {"w-0": 5, "w-1": 5}),
+            ],
+            total=10,
+        )
+        assert first.sequence == 0 and first.done == 0 and first.remaining == 10
+        assert first.throughput_per_s == 0.0
+        assert first.eta_s is None  # no completions yet: no defensible estimate
 
-    def worker_done_counts(self):
-        if not self.worker_script:
-            return {}
-        return self.worker_script[min(self.calls - 1, len(self.worker_script) - 1)]
+        assert second.sequence == 1
+        assert second.done == 4 and second.remaining == 6
+        assert second.throughput_per_s == pytest.approx(4 / 20.0)
+        assert second.recent_throughput_per_s == pytest.approx(4 / 10.0)
+        # ETA prefers the recent rate: 6 remaining at 0.4/s.
+        assert second.eta_s == pytest.approx(15.0)
+        assert second.workers == {"w-0": 2, "w-1": 2}
+
+        assert third.sequence == 2
+        assert third.done == third.total == 10
+        assert third.remaining == 0 and third.eta_s == 0.0
+
+    def test_a_fully_resumed_sweep_reads_complete(self):
+        """Nothing enqueued: the one snapshot is done, with no rate and no ETA to guess."""
+        (snapshot,) = chain([(0.0, QueueStats(0, 0, 0, 0), {})], total=0)
+        assert (snapshot.total, snapshot.remaining, snapshot.eta_s) == (0, 0, 0.0)
+        assert snapshot.throughput_per_s == snapshot.recent_throughput_per_s == 0.0
+        assert snapshot.describe().startswith("[0/0] | 0 pending")
+        assert "eta 0s" in snapshot.describe()
+
+    def test_eta_falls_back_to_overall_rate_when_window_is_idle(self):
+        idle = QueueStats(6, 0, 4, 0)  # no progress this window
+        _, snapshot = chain([(10.0, idle, {}), (20.0, idle, {})], total=10)
+        assert snapshot.recent_throughput_per_s == 0.0
+        assert snapshot.eta_s == pytest.approx(6 / (4 / 20.0))
+
+    def test_to_dict_is_json_ready_and_stable(self):
+        (snapshot,) = chain([(2.0, QueueStats(1, 2, 3, 4), {"b": 1, "a": 2})], total=10)
+        payload = json.loads(snapshot.to_json())
+        assert payload["pending"] == 1 and payload["claimed"] == 2
+        assert payload["done"] == 3 and payload["failed"] == 4
+        assert payload["total"] == 10 and payload["remaining"] == 7
+        assert payload["workers"] == {"a": 2, "b": 1}
+        assert set(payload) == {
+            "sequence", "elapsed_s", "pending", "claimed", "done", "failed", "total",
+            "remaining", "throughput_per_s", "recent_throughput_per_s", "eta_s", "workers",
+        }
+        assert "workers a:2, b:1" in snapshot.describe()
 
 
 class FakeClock:
@@ -41,351 +91,133 @@ class FakeClock:
     def __call__(self):
         return self.now
 
-    def advance(self, seconds):
-        self.now += seconds
+
+class ScriptedQueue:
+    """The coordinator's view of a queue whose every task is acked at ``done_at``.
+
+    ``wait_for_change`` records its timeout and advances the clock by it, as
+    a wait that no ack cut short would.
+    """
+
+    def __init__(self, clock, task_ids, done_at, live_claims=True):
+        self.clock, self.task_ids, self.done_at = clock, set(task_ids), done_at
+        self.live_claims = live_claims
+        self.expired: list[list[str]] = []
+        self.waits: list[float] = []
+
+    def done_ids(self):
+        return set(self.task_ids) if self.clock.now >= self.done_at else set()
+
+    def failed_tasks(self):
+        return {}
+
+    def requeue_expired(self):
+        return self.expired.pop(0) if self.expired else []
+
+    def has_live_claims(self):
+        return self.live_claims
+
+    def wait_for_change(self, timeout_s):
+        self.waits.append(timeout_s)
+        self.clock.now += timeout_s
 
 
-class TestProgressSnapshotMath:
-    def test_throughput_eta_and_deltas(self):
+def await_queue(monkeypatch, queue, clock, progress_interval_s, report=None, procs=()):
+    """``_await_queue`` of a runner with the given interval, on the fake clock."""
+    monkeypatch.setattr(parallel, "time", SimpleNamespace(monotonic=clock))
+    runner = SimpleNamespace(
+        runtime_config=RuntimeConfig(progress_interval_s=progress_interval_s),
+        _distributed_requeued=0,
+    )
+    payloads = {task_id: "payload" for task_id in queue.task_ids}
+    ParallelExperimentRunner._await_queue(runner, queue, payloads, list(procs), Path("logs"), report)
+    return runner
+
+
+class TestProgressReporter:
+    """The closure the coordinator calls for each snapshot, on a real queue."""
+
+    def test_snapshots_chain_from_the_reporters_creation(self, monkeypatch):
         clock = FakeClock()
-        queue = ScriptedQueue(
-            [
-                QueueStats(pending=8, claimed=2, done=0, failed=0),
-                QueueStats(pending=4, claimed=2, done=4, failed=0),
-                QueueStats(pending=0, claimed=0, done=10, failed=0),
-            ],
-            worker_script=[{}, {"w-0": 2, "w-1": 2}, {"w-0": 5, "w-1": 5}],
-        )
-        reporter = SweepProgress(queue, total=10, interval_s=1.0, clock=clock)
-
-        clock.advance(10.0)
-        first = reporter.poll_once()
-        assert first.sequence == 0 and first.done == 0 and first.remaining == 10
-        assert first.throughput_per_s == 0.0
-        assert first.eta_s is None  # no completions yet: no defensible estimate
-
-        clock.advance(10.0)
-        second = reporter.poll_once()
-        assert second.done == 4 and second.remaining == 6
-        assert second.throughput_per_s == pytest.approx(4 / 20.0)
-        assert second.recent_throughput_per_s == pytest.approx(4 / 10.0)
-        # ETA prefers the recent rate: 6 remaining at 0.4/s.
-        assert second.eta_s == pytest.approx(15.0)
-        assert second.workers == {"w-0": 2, "w-1": 2}
-
-        clock.advance(10.0)
-        third = reporter.poll_once()
-        assert third.done == third.total == 10
-        assert third.remaining == 0 and third.eta_s == 0.0
-        assert len(reporter.snapshots) == 3 and reporter.latest is third
-
-    def test_unknown_total_has_no_eta(self):
-        clock = FakeClock()
-        reporter = SweepProgress(
-            ScriptedQueue([QueueStats(1, 1, 3, 0)]), total=None, interval_s=1.0, clock=clock
-        )
-        clock.advance(5.0)
-        snapshot = reporter.poll_once()
-        assert snapshot.total is None and snapshot.remaining is None and snapshot.eta_s is None
-        assert snapshot.throughput_per_s == pytest.approx(3 / 5.0)
-        assert "[3 done]" in snapshot.describe() and "eta --" in snapshot.describe()
-
-    def test_eta_falls_back_to_overall_rate_when_window_is_idle(self):
-        clock = FakeClock()
-        queue = ScriptedQueue(
-            [QueueStats(6, 0, 4, 0), QueueStats(6, 0, 4, 0)]  # no progress this window
-        )
-        reporter = SweepProgress(queue, total=10, interval_s=1.0, clock=clock)
-        clock.advance(10.0)
-        reporter.poll_once()
-        clock.advance(10.0)
-        snapshot = reporter.poll_once()
-        assert snapshot.recent_throughput_per_s == 0.0
-        assert snapshot.eta_s == pytest.approx(6 / (4 / 20.0))
-
-    def test_to_dict_is_json_ready_and_stable(self):
-        clock = FakeClock()
-        reporter = SweepProgress(
-            ScriptedQueue([QueueStats(1, 2, 3, 4)], worker_script=[{"b": 1, "a": 2}]),
-            total=10,
-            interval_s=1.0,
-            clock=clock,
-        )
-        clock.advance(2.0)
-        payload = json.loads(reporter.poll_once().to_json())
-        assert payload["pending"] == 1 and payload["claimed"] == 2
-        assert payload["done"] == 3 and payload["failed"] == 4
-        assert payload["total"] == 10 and payload["remaining"] == 7
-        assert payload["workers"] == {"a": 2, "b": 1}
-        assert set(payload) == {
-            "sequence", "elapsed_s", "pending", "claimed", "done", "failed", "total",
-            "remaining", "throughput_per_s", "recent_throughput_per_s", "eta_s",
-            "workers", "stats_errors",
-        }
-        assert payload["stats_errors"] == 0
-
-    def test_transport_errors_in_secondary_reads_are_counted_not_silent(self):
-        # stats() succeeds but worker_done_counts() fails with a transport
-        # error: the snapshot degrades (empty workers) and says so via
-        # stats_errors instead of silently reading as idle.
-        class CountlessQueue(ScriptedQueue):
-            def worker_done_counts(self):
-                raise OSError("counts endpoint unreachable")
-
-        clock = FakeClock()
-        queue = CountlessQueue([QueueStats(1, 0, 2, 0)])
-        reporter = SweepProgress(queue, total=3, interval_s=1.0, clock=clock)
-        clock.advance(1.0)
-        first = reporter.poll_once()
-        assert first.workers == {}
-        assert first.stats_errors == 1
-        clock.advance(1.0)
-        second = reporter.poll_once()
-        assert second.stats_errors == 2  # cumulative across polls
-        assert "2 stats errors" in second.describe()
-        assert second.to_dict()["stats_errors"] == 2
-
-    def test_genuine_bugs_are_not_swallowed_by_the_poll(self):
-        # An AttributeError (e.g. from a refactor renaming the counts hook's
-        # internals) is a bug, not a transport failure: it must propagate.
-        class BrokenQueue(ScriptedQueue):
-            def worker_done_counts(self):
-                raise AttributeError("'NoneType' object has no attribute 'items'")
-
-        clock = FakeClock()
-        reporter = SweepProgress(BrokenQueue([QueueStats(0, 0, 0, 0)]), interval_s=1.0, clock=clock)
-        clock.advance(1.0)
-        with pytest.raises(AttributeError):
-            reporter.poll_once()
-
-    def test_auth_rejection_stays_loud_in_secondary_reads(self):
-        # QueueAuthError subclasses ExperimentError, but a mis-keyed reporter
-        # must never degrade quietly into "no workers".
-        from repro.runtime.netqueue import QueueAuthError
-
-        class MiskeyedQueue(ScriptedQueue):
-            def worker_done_counts(self):
-                raise QueueAuthError("queue frame signature mismatch")
-
-        clock = FakeClock()
-        reporter = SweepProgress(MiskeyedQueue([QueueStats(0, 0, 0, 0)]), interval_s=1.0, clock=clock)
-        clock.advance(1.0)
-        with pytest.raises(QueueAuthError):
-            reporter.poll_once()
-
-    def test_invalid_parameters_rejected(self):
-        queue = ScriptedQueue([QueueStats(0, 0, 0, 0)])
-        with pytest.raises(ExperimentError):
-            SweepProgress(queue, interval_s=0)
-        with pytest.raises(ExperimentError):
-            SweepProgress(queue, total=-1)
-
-    def test_callback_receives_every_snapshot(self):
-        clock = FakeClock()
+        monkeypatch.setattr(parallel, "time", SimpleNamespace(monotonic=clock))
+        queue = BucketQueue(lease_timeout_s=60)
+        for task_id in ("t-0", "t-1"):
+            queue.enqueue(task_id, "payload")
         seen: list[ProgressSnapshot] = []
-        reporter = SweepProgress(
-            ScriptedQueue([QueueStats(0, 0, 1, 0)]),
-            total=1,
-            interval_s=1.0,
-            clock=clock,
-            callback=seen.append,
-        )
-        clock.advance(1.0)
-        reporter.poll_once()
-        clock.advance(1.0)
-        reporter.poll_once()
-        assert [snapshot.sequence for snapshot in seen] == [0, 1]
+        # Made once the last worker was spawned: elapsed_s counts from here.
+        report = ParallelExperimentRunner._progress_reporter(queue, 2, seen.append)
+        clock.now += 0.5
+        report()
+        queue.ack(queue.claim("w-0"), "w-0")
+        clock.now += 1.0
+        report()
+        assert [(s.sequence, s.elapsed_s, s.done, s.pending) for s in seen] == [
+            (0, 0.5, 0, 2), (1, 1.5, 1, 1)
+        ]
+        assert seen[1].workers == {"w-0": 1} and seen[1].recent_throughput_per_s == 1.0
+
+    def test_the_callback_runs_with_no_queue_lock_held(self):
+        """A slow callback delays the coordinator, never the workers: another
+        thread reads (and acks on) the queue while the callback runs."""
+        queue = BucketQueue(lease_timeout_s=60)
+        queue.enqueue("t-0", "payload")
+        finished = []
+
+        def worker_meanwhile():
+            queue.ack(queue.claim("w"), "w")
+            finished.append(queue.stats().done)
+
+        def callback(snapshot):
+            other = threading.Thread(target=worker_meanwhile)
+            other.start()
+            other.join(timeout=10)
+            assert not other.is_alive(), "the queue's lock was held during the callback"
+
+        ParallelExperimentRunner._progress_reporter(queue, 1, callback)()
+        assert finished == [1]
 
 
-class TestPollOrSkip:
-    """The reporter thread's poll, also the coordinator's end-of-sweep one."""
-
-    @pytest.mark.parametrize("error", [OSError("queue torn down"), ExperimentError("rejected op")])
-    def test_a_transport_failure_skips_the_snapshot_and_is_tallied(self, error):
-        class DownQueue(ScriptedQueue):
-            def stats(self):
-                self.calls += 1
-                if self.calls == 1:
-                    raise error
-                return super().stats()
-
+class TestCoordinatorLoop:
+    def test_snapshots_fall_due_every_interval_and_cut_the_wait(self, monkeypatch):
         clock = FakeClock()
-        seen: list[ProgressSnapshot] = []
-        reporter = SweepProgress(
-            DownQueue([QueueStats(0, 0, 1, 0)]), total=1, interval_s=1.0, clock=clock, callback=seen.append
-        )
-        clock.advance(1.0)
-        assert reporter.poll_or_skip() is None
-        assert seen == [] and reporter.latest is None
-        clock.advance(1.0)
-        snapshot = reporter.poll_or_skip()
-        assert snapshot is not None and snapshot.done == 1
-        assert snapshot.stats_errors == 1 and seen == [snapshot]
+        queue = ScriptedQueue(clock, ["t-0"], done_at=101.7)
+        reported: list[float] = []
+        await_queue(monkeypatch, queue, clock, 0.5, report=lambda: reported.append(clock.now))
+        assert reported == pytest.approx([100.5, 101.0, 101.5])
+        # No wait outlasts the coordinator's poll bound or runs past a due snapshot.
+        assert all(0 < wait <= COORDINATOR_POLL_S for wait in queue.waits)
+        assert queue.waits[:3] == pytest.approx([COORDINATOR_POLL_S, COORDINATOR_POLL_S, 0.1])
 
-    def test_an_auth_rejection_propagates(self):
-        from repro.runtime.netqueue import QueueAuthError
+    def test_no_interval_means_no_periodic_snapshot(self, monkeypatch):
+        clock = FakeClock()
+        queue = ScriptedQueue(clock, ["t-0"], done_at=101.0)
+        reported: list[float] = []
+        await_queue(monkeypatch, queue, clock, None, report=lambda: reported.append(clock.now))
+        assert reported == []
+        assert queue.waits == [COORDINATOR_POLL_S] * len(queue.waits)
 
-        class MiskeyedQueue(ScriptedQueue):
-            def stats(self):
-                raise QueueAuthError("queue frame signature mismatch")
+    def test_a_raising_callback_leaves_the_loop(self, monkeypatch):
+        clock = FakeClock()
+        queue = ScriptedQueue(clock, ["t-0"], done_at=110.0)
 
-        reporter = SweepProgress(MiskeyedQueue([QueueStats(0, 0, 0, 0)]), interval_s=1.0, clock=FakeClock())
-        with pytest.raises(QueueAuthError):
-            reporter.poll_or_skip()
-
-    def test_a_raising_callback_propagates(self):
-        def broken(snapshot):
+        def broken():
             raise TypeError("dashboard bug")
 
-        reporter = SweepProgress(
-            ScriptedQueue([QueueStats(0, 0, 1, 0)]), total=1, interval_s=1.0, clock=FakeClock(), callback=broken
-        )
         with pytest.raises(TypeError, match="dashboard bug"):
-            reporter.poll_or_skip()
+            await_queue(monkeypatch, queue, clock, 0.5, report=broken)
+        assert clock.now == pytest.approx(100.5)  # the first due snapshot, not the sweep's end
 
+    def test_expired_leases_are_requeued_and_counted(self, monkeypatch):
+        clock = FakeClock()
+        queue = ScriptedQueue(clock, ["t-0", "t-1"], done_at=100.5)
+        queue.expired = [["t-0"], [], ["t-1"]]
+        runner = await_queue(monkeypatch, queue, clock, None)
+        assert runner._distributed_requeued == 2
 
-class TestReporterThread:
-    def test_background_polling_over_a_real_queue(self, tmp_path):
-        queue = QueueServer()
-        queue.enqueue("t-0", "task")
-        queue.ack(queue.claim("w"), "w")
-        seen = []
-        reporter = SweepProgress(queue, total=1, interval_s=0.05, callback=seen.append)
-        reporter.start()
-        reporter.start()  # idempotent
-        deadline = 100
-        import time
-
-        for _ in range(deadline):
-            if len(seen) >= 2:
-                break
-            time.sleep(0.05)
-        reporter.stop()
-        reporter.stop()  # idempotent
-        queue.close()
-        assert len(seen) >= 2
-        assert all(snapshot.done == 1 for snapshot in seen)
-        assert seen[-1].workers == {"w": 1}
-        polled = len(seen)
-        time.sleep(0.15)  # a stopped reporter takes no further snapshots
-        assert len(seen) == polled
-
-    def test_background_polling_over_the_wire(self):
-        """A worker's reporter sees the coordinator's queue through its
-        NetWorkQueue client: the same counts, per-worker completions included."""
-        import time
-
-        queue = QueueServer()
-        client = NetWorkQueue(queue.url, retries=0)
-        seen = []
-        try:
-            queue.enqueue("t-0", "task")
-            queue.enqueue("t-1", "task")
-            client.ack(client.claim("w"), "w")
-            reporter = SweepProgress(client, total=None, interval_s=0.05, callback=seen.append).start()
-            for _ in range(100):
-                if seen:
-                    break
-                time.sleep(0.05)
-            reporter.stop()
-        finally:
-            client.close()
-            queue.close()
-        assert seen
-        snapshot = seen[-1]
-        assert (snapshot.pending, snapshot.claimed, snapshot.done, snapshot.failed) == (1, 0, 1, 0)
-        assert snapshot.workers == {"w": 1} and snapshot.stats_errors == 0
-
-    def test_failing_poll_does_not_kill_the_reporter(self):
-        class FlakyQueue:
-            def __init__(self):
-                self.calls = 0
-
-            def stats(self):
-                self.calls += 1
-                if self.calls % 2:
-                    raise OSError("transient")
-                return QueueStats(0, 0, 1, 0)
-
-        queue = FlakyQueue()
-        reporter = SweepProgress(queue, total=1, interval_s=0.02)
-        reporter.start()
-        import time
-
-        for _ in range(100):
-            if reporter.latest is not None:
-                break
-            time.sleep(0.02)
-        reporter.stop()
-        assert reporter.latest is not None  # survived the failing polls in between
-        assert queue.calls >= 2
-        # The swallowed transport errors are visible, not silent: the first
-        # stats() call raised, so every later snapshot counts it.
-        assert reporter.latest.stats_errors >= 1
-
-
-class TestWorkerProgressFlag:
-    def test_idle_worker_emits_json_snapshots(self, tmp_path, capsys):
-        """`--progress` on an idle worker prints parseable JSON snapshot lines
-        (no tasks needed: the reporter reads queue state, not results)."""
-        from repro.runtime.worker import run_worker
-
-        queue = QueueServer()
-        try:
-            completed = run_worker(
-                queue.url,
-                worker_id="idle-w",
-                poll_interval_s=0.05,
-                idle_timeout_s=0.5,
-                progress_interval_s=0.1,
-            )
-        finally:
-            queue.close()
-        assert completed == 0
-        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
-        assert lines, "no progress snapshots were printed"
-        for line in lines:
-            payload = json.loads(line)
-            assert payload["done"] == 0 and payload["total"] is None
-
-    def test_worker_closes_its_queue_client(self, monkeypatch):
-        """A worker that finds the sweep already stopped exits and leaves no
-        connection to the coordinator open behind it."""
-        from repro.runtime import worker as worker_module
-
-        clients = []
-
-        class RecordedClient(NetWorkQueue):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                clients.append(self)
-
-        monkeypatch.setattr(worker_module, "NetWorkQueue", RecordedClient)
-        queue = QueueServer()
-        queue.write_stop()
-        try:
-            assert worker_module.run_worker(queue.url, worker_id="w", progress_interval_s=0.1) == 0
-        finally:
-            queue.close()
-        assert len(clients) == 1
-        assert clients[0]._sock is None  # the kept connection was closed
-
-    def test_cli_wires_progress_through(self, monkeypatch, tmp_path):
-        from repro.runtime import worker as worker_module
-
-        captured = {}
-
-        def fake_run_worker(queue_target, **kwargs):
-            captured.update(kwargs, queue_target=queue_target)
-            return 0
-
-        monkeypatch.setattr(worker_module, "run_worker", fake_run_worker)
-        assert worker_module.main([str(tmp_path / "q"), "--progress"]) == 0
-        assert captured["progress_interval_s"] == DEFAULT_PROGRESS_INTERVAL_S
-
-        captured.clear()
-        worker_module.main([str(tmp_path / "q"), "--progress", "0.5"])
-        assert captured["progress_interval_s"] == 0.5
-        assert "shard" not in captured
-        with pytest.raises(SystemExit):  # every worker claims from the one pool
-            worker_module.main([str(tmp_path / "q"), "--shard", "2"])
+    def test_exited_workers_with_no_live_claim_end_the_sweep(self, monkeypatch):
+        clock = FakeClock()
+        queue = ScriptedQueue(clock, ["t-0", "t-1"], done_at=float("inf"), live_claims=False)
+        exited = [SimpleNamespace(returncode=code, poll=lambda code=code: code) for code in (1, -9)]
+        with pytest.raises(ExperimentError, match=r"all 2 local .* codes \[1, -9\]\) with 2 task"):
+            await_queue(monkeypatch, queue, clock, 0.5, procs=exited)
+        assert queue.waits == []  # surfaced on the first round, not after a wait

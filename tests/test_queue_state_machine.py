@@ -212,7 +212,7 @@ class TestConcurrentClaims:
 
 
     def test_progress_polls_racing_acks_see_each_completion_once(self, make_queue):
-        """The progress reporter reads worker_done_counts() and stats() while
+        """The coordinator reads worker_done_counts() and stats() while
         workers ack: every read is one consistent pass over the markers."""
         queue = make_queue()
         task_ids = [f"t-{index:03d}" for index in range(40)]

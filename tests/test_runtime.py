@@ -1,13 +1,16 @@
 """Tests for the experiment runtime: fingerprints, plan cache, result store, parallel runner."""
 
+import importlib
 import itertools
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -917,3 +920,47 @@ class TestImportHygiene:
         before, after = done.stdout.splitlines()
         assert before == "[]"
         assert after == "['scipy.stats']"
+
+    def test_the_planner_loads_no_queue_transport_and_each_runtime_module_imports_alone(self):
+        """``repro.runtime`` re-exports nothing, so planning (planner ->
+        plan_cache -> the package) loads neither the TCP queue nor progress,
+        and no runtime module needs another imported first."""
+        script = (
+            "import importlib, pkgutil, sys\n"
+            "import repro.optimizer.planner\n"
+            "loaded = ('repro.runtime.netqueue', 'repro.runtime.progress', 'socketserver', 'hmac')\n"
+            "print(sorted(m for m in loaded if m in sys.modules))\n"
+            "import repro.runtime\n"
+            "names = [m.name for m in pkgutil.iter_modules(repro.runtime.__path__)]\n"
+            "for name in names:\n"
+            "    for module in [m for m in sys.modules if m == 'repro' or m.startswith('repro.')]:\n"
+            "        del sys.modules[module]\n"
+            "    importlib.import_module('repro.runtime.' + name)\n"
+            "print(len(names))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        loaded, count = done.stdout.splitlines()
+        assert loaded == "[]"
+        assert int(count) >= 10
+
+    def test_every_import_in_the_docs_resolves(self):
+        """The README's and docs' snippets import each name from the module
+        that defines it, and that module still has it."""
+        root = Path(__file__).resolve().parents[1]
+        pattern = re.compile(r"^from (repro[\w.]*) import (.+)$", re.MULTILINE)
+        imports = [
+            (doc.name, module, name.strip())
+            for doc in [root / "README.md", *sorted((root / "docs").glob("*.md"))]
+            for module, names in pattern.findall(doc.read_text(encoding="utf-8"))
+            for name in names.split(",")
+        ]
+        assert len(imports) >= 7
+        missing = [
+            entry for entry in imports
+            if not hasattr(importlib.import_module(entry[1]), entry[2])
+        ]
+        assert missing == []

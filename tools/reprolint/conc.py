@@ -1,7 +1,7 @@
 """CONC rules: lock-owning classes guard their shared ``self._*`` state.
 
-The runtime's coordinator threads, heartbeats, progress reporters and the
-TCP queue's handler threads all share objects whose classes announce their
+The runtime's coordinator threads, heartbeats and the TCP queue's handler
+threads all share objects whose classes announce their
 concurrency story by creating a ``self._lock``.  That announcement is the
 contract the CONC family enforces: once a class constructs a
 ``threading.Lock`` / ``RLock`` attribute,
@@ -29,8 +29,8 @@ standard container mutators (``self._d.pop(...)``, ``self._s.add(...)``,
 the mutator list — events carry their own synchronization.
 
 A guard is any enclosing ``with`` whose context expression mentions an
-identifier containing ``lock`` (``self._lock``, a module-level
-``_PRINT_LOCK``); the rules check guardedness, not *which* lock — one lock
+identifier containing ``lock`` (``self._lock``, or a module-level lock); the
+rules check guardedness, not *which* lock — one lock
 per class is the codebase's convention.
 """
 

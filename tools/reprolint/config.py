@@ -70,8 +70,7 @@ def default_config() -> LintConfig:
       HMAC-verifies before unpickling (enforced structurally by SEC202), so
       every unpickler in ``src/`` is signature-gated by construction.
     * CONC audits the whole runtime package; the lock-owning classes today
-      include ``BucketQueue`` (and so ``QueueServer``), ``SweepProgress``
-      and ``PlanCache``.
+      include ``BucketQueue`` (and so ``QueueServer``) and ``PlanCache``.
     """
     return LintConfig(
         det_paths=(
