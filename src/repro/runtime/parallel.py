@@ -494,7 +494,9 @@ class ParallelExperimentRunner:
         A wait between rounds ends on an ack or a failure, after
         ``COORDINATOR_POLL_S``, or when the next snapshot is due.
         """
-        interval = self.runtime_config.progress_interval_s or float("inf")
+        # Snapshots fall due only with both a reporter and an interval; with
+        # either missing ``due`` stays infinite and every wait is the poll bound.
+        interval = (report_progress and self.runtime_config.progress_interval_s) or float("inf")
         due = time.monotonic() + interval
         remaining = set(payloads)
         retries_used: dict[str, int] = {}
@@ -521,7 +523,8 @@ class ParallelExperimentRunner:
                     f"under {log_dir}"
                 )
             now = time.monotonic()
-            if report_progress is not None and now >= due:
+            if now >= due:
+                assert report_progress is not None  # a finite due implies a reporter
                 report_progress()
                 now = time.monotonic()
                 due = now + interval

@@ -118,6 +118,8 @@ class ScriptedQueue:
         return self.live_claims
 
     def wait_for_change(self, timeout_s):
+        # A real wait of <= 0 s returns at once: the coordinator would spin.
+        assert timeout_s > 0, f"wait_for_change({timeout_s}) would not wait"
         self.waits.append(timeout_s)
         self.clock.now += timeout_s
 
@@ -188,13 +190,17 @@ class TestCoordinatorLoop:
         assert all(0 < wait <= COORDINATOR_POLL_S for wait in queue.waits)
         assert queue.waits[:3] == pytest.approx([COORDINATOR_POLL_S, COORDINATOR_POLL_S, 0.1])
 
-    def test_no_interval_means_no_periodic_snapshot(self, monkeypatch):
+    @pytest.mark.parametrize("interval, with_reporter", [(None, True), (0.5, False)])
+    def test_no_interval_means_no_periodic_snapshot(self, monkeypatch, interval, with_reporter):
+        """Without an interval, or with one but no reporter, every wait is the
+        full poll bound: the loop never spins on a snapshot that is past due."""
         clock = FakeClock()
         queue = ScriptedQueue(clock, ["t-0"], done_at=101.0)
         reported: list[float] = []
-        await_queue(monkeypatch, queue, clock, None, report=lambda: reported.append(clock.now))
+        report = (lambda: reported.append(clock.now)) if with_reporter else None
+        await_queue(monkeypatch, queue, clock, interval, report=report)
         assert reported == []
-        assert queue.waits == [COORDINATOR_POLL_S] * len(queue.waits)
+        assert queue.waits == [COORDINATOR_POLL_S] * 5
 
     def test_a_raising_callback_leaves_the_loop(self, monkeypatch):
         clock = FakeClock()
