@@ -4,10 +4,11 @@ Exercises the full multi-host runtime on one machine:
 
 1. A coordinator serves the work queue over TCP on an ephemeral local port
    and fans a reduced Figure-4-style grid out onto ``REPRO_BENCH_WORKERS``
-   (default 2) local worker processes, with live progress telemetry (a
-   machine-readable snapshot every ``REPRO_BENCH_PROGRESS`` seconds, default
-   2).  No queue/store directory is shared: workers upload results back
-   inside their ack frames into the coordinator's **sharded** result store.
+   (default 2) local worker processes forked from it, with live progress
+   telemetry (a machine-readable snapshot every ``REPRO_BENCH_PROGRESS``
+   seconds, default 2).  No queue/store directory is shared: workers upload
+   results back inside their ack frames into the coordinator's **sharded**
+   result store.
    Every frame is HMAC-signed (with ``REPRO_QUEUE_SECRET``, or a secret the
    sweep mints when it is unset); the script asserts that a client *without*
    the secret is rejected before anything is unpickled.

@@ -279,7 +279,7 @@ class RuntimeConfig:
 
     Attributes:
         workers: number of *local* worker processes a ``"distributed"``
-            coordinator launches; remote workers started by hand
+            coordinator forks from itself; remote workers started by hand
             (``python -m repro.runtime.worker``) add capacity on top.  The
             serial executor runs one task at a time whatever this says.
         executor_kind: ``"serial"`` (default) or ``"distributed"``.  Serial

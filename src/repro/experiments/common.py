@@ -114,8 +114,8 @@ def distributed_runtime(
     ``queue_url`` (default: loopback on an ephemeral port; pass
     ``"tcp://0.0.0.0:7077"`` to let other hosts in).  Workers share *nothing*
     with the coordinator: results are uploaded back over the socket into the
-    coordinator-local store.  ``workers`` local worker processes are launched
-    by the coordinator; start more with ``python -m repro.runtime.worker
+    coordinator-local store.  ``workers`` local worker processes are forked
+    from the coordinator; start more with ``python -m repro.runtime.worker
     tcp://...`` on other hosts.  Failed tasks are retried up to
     ``task_retries`` times before the sweep aborts.
 

@@ -29,15 +29,18 @@ fresh results are persisted as they arrive.
   deterministically, so dispatch cost does not grow with database scale.
   The coordinator serves the queue over TCP
   (:class:`~repro.runtime.netqueue.QueueServer`, on ``RuntimeConfig.queue_url``,
-  loopback on an ephemeral port by default) and launches ``workers`` local
-  worker processes (``python -m repro.runtime.worker``); workers on other
-  hosts can join through the same url.  Workers share no filesystem with the
-  coordinator: they claim over the socket and upload finished results back
-  with their acks, which the coordinator persists into its local store.  Dead
-  workers' claims are re-queued after a lease timeout, failed tasks are
-  retried up to ``task_retries`` times, and the coordinator assembles
-  grid-ordered results from the store once every task is acked.  While it
-  waits, it hands ``progress_callback`` a progress snapshot of its queue.
+  loopback on an ephemeral port by default) and forks ``workers`` local
+  workers from itself (:class:`ForkedWorker`): they start with its imported
+  modules and the databases of its process registry, so they neither import
+  nor rebuild.  Workers on other hosts join through the same url with
+  ``python -m repro.runtime.worker`` and rebuild what they need.  Every
+  worker, local or remote, runs the same claim/execute/ack loop over the
+  socket and uploads finished results with its acks, which the coordinator
+  persists into its local store.  Dead workers' claims are re-queued after a
+  lease timeout, failed tasks are retried up to ``task_retries`` times, and
+  the coordinator assembles grid-ordered results from the store once every
+  task is acked.  While it waits, it hands ``progress_callback`` a progress
+  snapshot of its queue.
 """
 
 from __future__ import annotations
@@ -46,10 +49,11 @@ import functools
 import os
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, NoReturn, Union
 
 from repro.config import PostgresConfig, RuntimeConfig
 from repro.core.experiment import ExperimentConfig, ExperimentRunner
@@ -203,6 +207,124 @@ def reconcile_failed_tasks(
     return retried
 
 
+class ForkedWorker:
+    """Handle on one forked local worker, built on ``os.waitpid`` and ``os.kill``.
+
+    It has the part of the ``Popen`` interface that callers of
+    ``ParallelExperimentRunner._distributed_procs`` use: ``pid``,
+    ``returncode`` (``-N`` after death by signal ``N``), :meth:`poll`,
+    :meth:`wait`, :meth:`kill` and :meth:`send_signal`.  A lock makes one
+    thread's poll and another's agree on the exit status.
+    """
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        self.returncode: int | None = None
+        self._lock = threading.Lock()
+
+    def poll(self) -> int | None:
+        """The exit code if the worker has exited, else ``None`` (never blocks)."""
+        with self._lock:
+            if self.returncode is None:
+                try:
+                    pid, status = os.waitpid(self.pid, os.WNOHANG)
+                except ChildProcessError:  # reaped outside this handle: gone, status lost
+                    pid, status = self.pid, 0
+                if pid:
+                    self.returncode = os.waitstatus_to_exitcode(status)
+            return self.returncode
+
+    def wait(self, timeout: float | None = None) -> int:
+        """Wait for the worker to exit; raises ``subprocess.TimeoutExpired`` after ``timeout``."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        delay = 0.0005
+        while (code := self.poll()) is None:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise subprocess.TimeoutExpired(f"local worker {self.pid}", timeout)
+            time.sleep(delay)
+            delay = min(2 * delay, 0.01)
+        return code
+
+    def send_signal(self, signum: int) -> None:
+        """Signal the worker; a no-op once it was reaped (its pid may be reused)."""
+        if self.poll() is None:
+            os.kill(self.pid, signum)
+
+    def kill(self) -> None:
+        import signal
+
+        self.send_signal(signal.SIGKILL)
+
+
+def _close_fds(fds: list[int]) -> None:
+    """Close and forget every descriptor in ``fds``."""
+    while fds:
+        os.close(fds.pop())
+
+
+def _run_forked_worker(
+    url_fd: int,
+    parent_fds: list[int],
+    index: int,
+    lease_timeout_s: float,
+    log_path: Path,
+    secret: str,
+) -> NoReturn:
+    """The body of a forked local worker; it ends the process, never returns.
+
+    It closes the url pipes of its siblings (their EOF is the coordinator's
+    alone), writes its output to ``log_path``, reads the queue url from
+    ``url_fd`` and runs the claim/execute/ack loop.  EOF before any url means
+    the coordinator gave up before its queue served: exit without connecting.
+    ``os._exit`` skips the coordinator's ``atexit`` hooks and ``finally``
+    blocks, which are not this process's to run: 0 after the loop, 1 after
+    a traceback in the log.
+    """
+    code = 1
+    try:
+        for fd in parent_fds:
+            os.close(fd)
+        log = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        os.dup2(log, 1)
+        os.dup2(log, 2)
+        os.close(log)
+        # Fresh streams on the log: the inherited ones may be a test
+        # harness's capture objects, or hold a buffer lock of another thread.
+        sys.stdout = open(1, "w", buffering=1, encoding="utf-8", closefd=False)
+        sys.stderr = open(2, "w", buffering=1, encoding="utf-8", closefd=False)
+        with open(url_fd, "rb") as pipe:
+            url = pipe.read().decode()
+        if url:
+            # Replaces any inherited value: "" (authentication off) stays off.
+            os.environ[QUEUE_SECRET_ENV] = secret
+            from repro.runtime.worker import run_worker
+
+            run_worker(
+                url,
+                worker_id=f"local-{index}",
+                # Heartbeat several times per lease so a live-but-slow
+                # worker's claims are never mistaken for a dead worker's.
+                lease_renew_s=max(lease_timeout_s / 4.0, 0.05),
+                # Orphan bound: if the coordinator dies without writing the
+                # stop, its workers must not poll forever.  A live sweep never
+                # idles a worker this long: re-queued work appears within one
+                # lease timeout.
+                idle_timeout_s=max(10.0 * lease_timeout_s, 300.0),
+            )
+        code = 0
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+        raise  # into the finally below, which ends the process with code 1
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
 class ParallelExperimentRunner:
     """Runs the experiment grid concurrently with serial-identical results.
 
@@ -242,7 +364,7 @@ class ParallelExperimentRunner:
         self.progress_callback = progress_callback
         #: Local worker processes of the most recent distributed sweep
         #: (observability: lets callers and the crash-recovery demo reach them).
-        self._distributed_procs: list[subprocess.Popen] = []
+        self._distributed_procs: list[ForkedWorker] = []
         #: Number of expired claims the most recent distributed sweep re-queued.
         self._distributed_requeued = 0
         #: Tasks the most recent distributed sweep put into the shared pending
@@ -374,13 +496,12 @@ class ParallelExperimentRunner:
     def _run_distributed(self, tasks: list[ExperimentTask]) -> list[MethodRunResult]:
         """Coordinate one sweep over the TCP work queue.
 
-        Pending tasks (not already in the store) are enqueued as claimable
-        payloads, ``workers`` local worker processes are launched, and the
-        coordinator polls the queue — re-queuing expired leases of dead
-        workers and retrying failed tasks within ``task_retries`` — until
-        every enqueued task is acked.  Results are then assembled from the
-        store in grid order, so the output is identical to every other
-        executor kind.
+        Pending tasks (not already in the store) become claimable payloads,
+        ``workers`` local workers are forked, and the coordinator polls the
+        queue — re-queuing expired leases of dead workers and retrying failed
+        tasks within ``task_retries`` — until every enqueued task is acked.
+        Results are then assembled from the store in grid order, so the
+        output is identical to every other executor kind.
         """
         if not tasks:
             return []
@@ -401,57 +522,75 @@ class ParallelExperimentRunner:
         secret = config.queue_secret
         if secret is None:
             # Never an unauthenticated pickle port: without a configured
-            # secret the sweep mints its own, which reaches the local workers
-            # through their environment.  Only an explicit "" turns it off.
+            # secret the sweep mints its own, which the local workers inherit
+            # in memory.  Only an explicit "" turns it off.
             secret = os.environ.get(QUEUE_SECRET_ENV) or os.urandom(32).hex()
-        queue = QueueServer(
-            host=address.host,
-            port=address.port,
-            lease_timeout_s=config.lease_timeout_s,
-            result_store=store,
-            secret=secret,
-        )
         log_dir = store.root / "worker-logs"
-        self._distributed_queue = queue
+        self._distributed_queue = None
         self._distributed_requeued = 0
-        self._distributed_stolen = 0
-        procs: list[subprocess.Popen] = []
+        procs: list[ForkedWorker] = []
+        self._distributed_procs = procs
+        keyed = [(task, self.task_key(task), self.task_fingerprint(task)) for task in tasks]
+        # A sweep-unique id prefix: a straggler of an earlier sweep served on
+        # the same port cannot ack one of this sweep's tasks.
+        sweep_id = os.urandom(4).hex()
+        payloads: dict[str, SpecTaskPayload] = {
+            # Ids sort in grid order, the order workers claim them in.
+            f"{sweep_id}-{index:04d}": self.spec_payload(task)
+            for index, (task, key, fingerprint) in enumerate(keyed)
+            # Resume: a stored task never hits the queue.
+            if not (store.skip_existing and store.exists(key, fingerprint))
+        }
+        self._distributed_stolen = len(payloads)
+        queue: QueueServer | None = None
+        url_fds: list[int] = []  # write ends of the local workers' url pipes
         report_progress: Callable[[], None] | None = None
         try:
-            keyed = [(task, self.task_key(task), self.task_fingerprint(task)) for task in tasks]
-            # A sweep-unique id prefix: a straggler of an earlier sweep served
-            # on the same port cannot ack one of this sweep's tasks.
-            sweep_id = os.urandom(4).hex()
-            payloads: dict[str, SpecTaskPayload] = {}
-            for index, (task, key, fingerprint) in enumerate(keyed):
-                if store.skip_existing and store.exists(key, fingerprint):
-                    continue  # resume: already stored, never hits the queue
-                payload = self.spec_payload(task)
-                # Ids sort in grid order, the order workers claim them in.
-                task_id = f"{sweep_id}-{index:04d}"
-                payloads[task_id] = payload
+            workers = min(config.workers, len(payloads))
+            if workers and get_process_registry().contains(self.database_spec):
+                # Bound once here, the workload reaches every fork with the database.
+                _rebuilt_workload(self.workload.name, self.database_spec)
+            # Fork before the queue server exists: its accept thread is not
+            # running yet, so the coordinator has no thread of its own at the
+            # fork.  The children wait on their pipes for the url.
+            for index in range(workers):
+                proc, url_fd = self._spawn_worker(index, config.lease_timeout_s, log_dir, secret, url_fds)
+                procs.append(proc)
+                url_fds.append(url_fd)
+            queue = QueueServer(
+                host=address.host,
+                port=address.port,
+                lease_timeout_s=config.lease_timeout_s,
+                result_store=store,
+                secret=secret,
+            )
+            self._distributed_queue = queue
+            for task_id, payload in payloads.items():
                 queue.enqueue(task_id, payload)
-            self._distributed_stolen = len(payloads)
-
-            procs = [
-                self._spawn_worker(queue.url, index, config.lease_timeout_s, log_dir, secret=secret)
-                for index in range(min(config.workers, len(payloads)))
-            ]
-            self._distributed_procs = procs
+            for url_fd in url_fds:
+                try:
+                    os.write(url_fd, queue.url.encode())
+                except BrokenPipeError:
+                    pass  # that worker already died: the wait below reports it
+            _close_fds(url_fds)
             if self.progress_callback is not None:
                 report_progress = self._progress_reporter(queue, len(payloads), self.progress_callback)
             self._await_queue(queue, payloads, procs, log_dir, report_progress)
         finally:
-            queue.write_stop()
+            # EOF on a pipe not yet written: that worker exits without connecting.
+            _close_fds(url_fds)
+            if queue is not None:
+                queue.write_stop()
             for proc in procs:
                 try:
                     proc.wait(timeout=60)
                 except subprocess.TimeoutExpired:  # pragma: no cover - defensive
                     proc.kill()
                     proc.wait()
-            # Close only after every local worker exited: remote workers that
-            # poll a vanished server treat it as a stop request anyway.
-            queue.close()
+            if queue is not None:
+                # Close only after every local worker exited: remote workers
+                # that poll a vanished server treat it as a stop request anyway.
+                queue.close()
             if report_progress is not None:
                 # The end-of-sweep snapshot, on success and on failure, also of
                 # a fully resumed sweep.  The closed server still answers in
@@ -484,7 +623,7 @@ class ParallelExperimentRunner:
         self,
         queue: QueueServer,
         payloads: dict[str, SpecTaskPayload],
-        procs: list[subprocess.Popen],
+        procs: list[ForkedWorker],
         log_dir: Path,
         report_progress: Callable[[], None] | None,
     ) -> None:
@@ -532,40 +671,33 @@ class ParallelExperimentRunner:
 
     @staticmethod
     def _spawn_worker(
-        url: str, index: int, lease_timeout_s: float, log_dir: Path, secret: str
-    ) -> subprocess.Popen:
-        """Launch one local queue worker against the coordinator's tcp:// url.
+        index: int, lease_timeout_s: float, log_dir: Path, secret: str, parent_fds: list[int]
+    ) -> tuple[ForkedWorker, int]:
+        """Fork local queue worker ``index``; returns its handle and the write
+        end of the pipe it reads the queue's url from.
 
-        ``secret`` is exported as ``REPRO_QUEUE_SECRET`` — environment, never
-        argv, so it cannot leak through a process listing.  It replaces any
-        inherited value: ``""`` (authentication off) stays off in the worker.
+        The child runs :func:`_run_forked_worker` and logs to
+        ``log_dir/local-{index}.log``.  ``parent_fds`` are the pipe ends of
+        the workers forked before it, which the child closes.  ``secret``
+        reaches the child in memory, as ``REPRO_QUEUE_SECRET`` in its own
+        ``os.environ``: never argv, never a file.
         """
-        source_root = Path(__file__).resolve().parents[2]
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = str(source_root) + (os.pathsep + existing if existing else "")
-        env[QUEUE_SECRET_ENV] = secret
         log_dir.mkdir(parents=True, exist_ok=True)
-        command = [
-            sys.executable,
-            "-m",
-            "repro.runtime.worker",
-            url,
-            "--worker-id",
-            f"local-{index}",
-            "--lease-renew",
-            # Heartbeat several times per lease so a live-but-slow worker's
-            # claims are never mistaken for a dead worker's.
-            str(max(lease_timeout_s / 4.0, 0.05)),
-            "--idle-timeout",
-            # Orphan bound: if this coordinator dies without writing the stop
-            # sentinel, its workers must not poll forever.  A live sweep never
-            # idles a worker anywhere near this long — re-queued work appears
-            # within one lease timeout.
-            str(max(10.0 * lease_timeout_s, 300.0)),
-        ]
-        with open(log_dir / f"local-{index}.log", "ab") as log:
-            return subprocess.Popen(command, stdout=log, stderr=subprocess.STDOUT, env=env)
+        log_path = log_dir / f"local-{index}.log"
+        url_fd, write_fd = os.pipe()
+        child_closes = [*parent_fds, write_fd]
+        # Unflushed output would otherwise be written twice, once by each process.
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            pid = os.fork()
+        except BaseException:
+            _close_fds([url_fd, write_fd])
+            raise
+        if pid == 0:
+            _run_forked_worker(url_fd, child_closes, index, lease_timeout_s, log_path, secret)
+        os.close(url_fd)
+        return ForkedWorker(pid), write_fd
 
     # ------------------------------------------------------------------ parity
     def run_comparison(

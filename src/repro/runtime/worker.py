@@ -1,13 +1,15 @@
 """Claim-execute-ack worker of the distributed experiment runtime.
 
-Run one of these per host (or several per host) against a coordinator's TCP
-queue server::
+A coordinator's local workers are forks of the coordinator that call
+:func:`run_worker` directly.  Workers on other hosts run this module against
+the coordinator's TCP queue server (one or several per host)::
 
     REPRO_QUEUE_SECRET=<secret> PYTHONPATH=src python -m repro.runtime.worker tcp://coordinator:7077
 
-The worker loops: claim the pending task with the lowest id, rebuild the
-database from the task's :class:`~repro.storage.spec.DatabaseSpec` (reusing
-the per-process registry across tasks), execute the grid cell and upload the
+The worker loops: claim the pending task with the lowest id, take the
+database of the task's :class:`~repro.storage.spec.DatabaseSpec` from the
+per-process registry (a fork inherits the coordinator's; a started worker
+builds it on its first task), execute the grid cell and upload the
 result inside the ack frame; the coordinator persists it into its local
 store, so the worker shares **no** filesystem with it.  A heartbeat thread
 renews the claim's lease while the task runs so the coordinator's expiry
@@ -15,12 +17,13 @@ sweep never re-queues a task that is merely slow; if this process is killed,
 the heartbeat stops with it and the lease expires.  An idle worker waits on
 the server, which answers as soon as there is work or a stop.
 
-The worker exits when the coordinator signals stop and no work is claimable
-(an unreachable coordinator counts as stop), after ``--max-tasks`` tasks, or
-after ``--idle-timeout`` seconds without work.  Sweep progress is the
-coordinator's to report (``RuntimeConfig.progress_interval_s``).  Export
-``REPRO_QUEUE_SECRET`` with the coordinator's frame-signing secret — it is
-read from the environment only, never from argv.
+The worker exits once the coordinator signals stop, after the task it holds
+(no claim succeeds after a stop; an unreachable coordinator counts as stop),
+after ``--max-tasks`` tasks, or after ``--idle-timeout`` seconds without
+work.  Sweep progress is the coordinator's to report
+(``RuntimeConfig.progress_interval_s``).  Export ``REPRO_QUEUE_SECRET`` with
+the coordinator's frame-signing secret — it is read from the environment
+only, never from argv.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ is five fields:
 * ``_done`` / ``_failed`` — the acking worker, or the error message, by task
   id (results themselves go into the result store, not the queue).
 * ``_stopped`` — set when the coordinator writes the stop: the sweep is
-  complete.
+  over, complete or aborted, and no claim takes a task from then on.
 
 Where a task's *result* lands (a flat or sharded result store) is the store's
 decision alone (:meth:`~repro.runtime.result_store.ResultStore.path_for`); the
@@ -194,12 +194,15 @@ class BucketQueue:
 
     # ------------------------------------------------------------------ worker
     def claim(self, worker_id: str) -> TaskClaim | None:
-        """Claim the pending task with the lowest id, or ``None`` when nothing is claimable.
+        """Claim the pending task with the lowest id, or ``None`` when nothing is
+        claimable or the stop is written.
 
-        The lease heartbeat starts at claim time.
+        The lease heartbeat starts at claim time.  After a stop a worker finishes
+        the task it holds and leaves: an aborted sweep runs none of the tasks
+        still pending.
         """
         with self._lock:
-            if not self._pending:
+            if self._stopped or not self._pending:
                 return None
             task_id = min(self._pending)
             payload = self._pending.pop(task_id)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.catalog.imdb import generate_imdb, imdb_schema
@@ -70,3 +72,27 @@ def make_queue(request):
     yield make
     for queue in opened:
         queue.close()
+
+
+@pytest.fixture()
+def slow_tasks(monkeypatch):
+    """``slow_tasks(seconds)``: every distributed task run after the call
+    first sleeps that long.
+
+    Local sweep workers fork from the test's process, so they inherit the
+    patch.  A test that acts while a sweep runs (at its first progress
+    snapshot, say) holds the sweep open with it: a forked worker otherwise
+    finishes a small grid within one progress interval.
+    """
+    from repro.runtime import parallel
+
+    execute = parallel.execute_spec_payload_with_identity
+
+    def hold(seconds: float) -> None:
+        def held(payload):
+            time.sleep(seconds)
+            return execute(payload)
+
+        monkeypatch.setattr(parallel, "execute_spec_payload_with_identity", held)
+
+    return hold

@@ -707,10 +707,11 @@ class TestSweepStress:
         json.loads(final.to_json())  # machine-readable end to end
         assert sum(final.workers.values()) == final.total
 
-    def test_every_callback_runs_on_the_coordinators_thread(self, tmp_path):
+    def test_every_callback_runs_on_the_coordinators_thread(self, tmp_path, slow_tasks):
         """Periodic and final snapshots come from the coordinator's wait loop:
         every callback runs on the main thread and no progress thread exists."""
         spec, workload, splits = _grid_parts()
+        slow_tasks(0.2)  # the sweep outlasts several progress intervals
         seen = []
 
         def on_progress(snapshot):
@@ -792,6 +793,36 @@ class TestSweepStress:
         final, return_codes = observed[0]
         assert (final.total, final.done, final.failed, final.claimed) == (1, 0, 1, 0)
         assert return_codes and None not in return_codes
+
+    def test_an_aborted_sweep_runs_no_pending_task(self, tmp_path, slow_tasks):
+        """A callback that raises at the first snapshot aborts the sweep: the
+        stop ends every claim, so the worker finishes the task it holds and
+        leaves the rest of the grid unrun."""
+        spec, workload, splits = _grid_parts()
+        slow_tasks(0.5)  # no cell is done at the first snapshot
+        seen = []
+
+        def abort_at_first(snapshot):
+            seen.append(snapshot)
+            if len(seen) == 1:
+                raise TypeError("dashboard bug")
+
+        runner = ParallelExperimentRunner(
+            spec,
+            workload,
+            experiment_config=GRID_CONFIG,
+            runtime_config=distributed_runtime(
+                tmp_path / "store", workers=1, shard_count=2, lease_timeout_s=30,
+                progress_interval_s=0.05,
+            ),
+            progress_callback=abort_at_first,
+        )
+        with pytest.raises(TypeError, match="dashboard bug"):
+            runner.run_grid(("postgres", "bao"), splits)
+        first, final = seen
+        assert (first.total, first.done) == (6, 0)
+        assert final.done < 6 and final.claimed == 0
+        assert len(list(runner.result_store.completed_files())) == final.done
 
     def test_a_raising_final_callback_propagates_once_the_workers_exited(self, tmp_path):
         """The end-of-sweep snapshot is taken after the stop, the reaping and

@@ -995,11 +995,14 @@ class TestDistributedRunner:
         assert second.result_store.loaded_count == len(GRID_METHODS)
 
     @pytest.mark.parametrize(("secret", "unsigned_client"), [(None, "rejected"), ("", "accepted")])
-    def test_a_default_sweep_signs_every_frame(self, tmp_path, monkeypatch, secret, unsigned_client):
+    def test_a_default_sweep_signs_every_frame(
+        self, tmp_path, monkeypatch, slow_tasks, secret, unsigned_client
+    ):
         """With no queue_secret and no REPRO_QUEUE_SECRET the sweep mints its
         own secret: an unsigned client is turned away while the sweep runs,
         and the grid still equals serial.  An explicit "" turns it off."""
         monkeypatch.delenv("REPRO_QUEUE_SECRET", raising=False)
+        slow_tasks(0.3)  # the probe at the first snapshot finds the server up
         spec, workload, split = _spec_grid_parts()
         seen: list[str] = []
 
@@ -1030,12 +1033,13 @@ class TestDistributedRunner:
         )
         assert distributed == [run_result_as_json(r) for r in serial.run_grid(GRID_METHODS, [split])]
 
-    def test_an_environment_secret_keys_a_loopback_sweep(self, tmp_path, monkeypatch):
+    def test_an_environment_secret_keys_a_loopback_sweep(self, tmp_path, monkeypatch, slow_tasks):
         """A set REPRO_QUEUE_SECRET is the sweep's secret: a client keyed with
         it is served and an unsigned one is not.  The default url binds
         loopback on a real port, and the queue leaves nothing on disk beside
         the store's results, its manifest and the worker logs."""
         monkeypatch.setenv("REPRO_QUEUE_SECRET", "env-secret")
+        slow_tasks(0.3)  # the probe at the first snapshot finds the server up
         spec, workload, split = _spec_grid_parts()
         seen: dict[str, str] = {}
 
@@ -1076,17 +1080,25 @@ class TestDistributedRunner:
     @pytest.mark.parametrize("secret", ["sweep-secret", ""])
     def test_a_worker_gets_the_sweeps_secret_not_an_inherited_one(self, tmp_path, monkeypatch, secret):
         """The sweep's secret always replaces REPRO_QUEUE_SECRET in a local
-        worker's environment: an explicit "" (authentication off) stays off
-        there too, instead of the worker signing frames the server rejects."""
+        worker: an explicit "" (authentication off) stays off there too.  A
+        worker keyed with the inherited value would have its frames rejected
+        and exit, and the sweep would fail instead of equalling serial."""
         monkeypatch.setenv("REPRO_QUEUE_SECRET", "inherited")
-        launched: list[dict] = []
-
-        def fake_popen(command, stdout, stderr, env):
-            launched.append(env)
-
-        monkeypatch.setattr(subprocess, "Popen", fake_popen)
-        ParallelExperimentRunner._spawn_worker("tcp://127.0.0.1:7077", 0, 1.0, tmp_path, secret)
-        assert [env["REPRO_QUEUE_SECRET"] for env in launched] == [secret]
+        spec, workload, split = _spec_grid_parts()
+        runner = ParallelExperimentRunner(
+            spec,
+            workload,
+            experiment_config=GRID_CONFIG,
+            runtime_config=distributed_runtime(
+                tmp_path / "store", workers=1, shard_count=2, queue_secret=secret
+            ),
+        )
+        distributed = [run_result_as_json(r) for r in runner.run_grid(GRID_METHODS, [split])]
+        serial = ParallelExperimentRunner(
+            spec, workload, experiment_config=GRID_CONFIG, runtime_config=RuntimeConfig(workers=1)
+        )
+        assert distributed == [run_result_as_json(r) for r in serial.run_grid(GRID_METHODS, [split])]
+        assert [proc.returncode for proc in runner._distributed_procs] == [0]
 
     def test_distributed_requires_result_store(self):
         spec, workload, split = _spec_grid_parts()
@@ -1120,6 +1132,79 @@ class TestDistributedRunner:
             runner.run_grid(("postgres",), [split])
 
 
+class TestForkedWorkers:
+    """Local workers fork from the coordinator: before any thread of its
+    own, never back into its code, and reaped through their handles."""
+
+    def test_a_raising_worker_exits_1_with_its_traceback_logged(self, tmp_path, monkeypatch):
+        from repro.runtime import worker as worker_module
+
+        def broken_worker(*args, **kwargs):
+            raise RuntimeError("worker loop broke")
+
+        monkeypatch.setattr(worker_module, "run_worker", broken_worker)
+        spec, workload, split = _spec_grid_parts()
+        runner = ParallelExperimentRunner(
+            spec,
+            workload,
+            experiment_config=GRID_CONFIG,
+            runtime_config=distributed_runtime(tmp_path / "store", workers=2, task_retries=0),
+        )
+        reached = tmp_path / "reached"
+        with pytest.raises(ExperimentError, match=r"all 2 local distributed workers exited \(return codes \[1, 1\]\)"):
+            runner.run_grid(GRID_METHODS, [split])
+        # A child that returned into this code would append its own pid here.
+        with open(reached, "a") as marker:
+            marker.write(f"{os.getpid()}\n")
+        assert reached.read_text().split() == [str(os.getpid())]
+        for index in range(2):
+            log = (tmp_path / "store" / "worker-logs" / f"local-{index}.log").read_text()
+            assert "Traceback" in log and "RuntimeError: worker loop broke" in log
+
+    def test_workers_fork_before_the_coordinator_starts_a_thread(self, tmp_path, monkeypatch):
+        fork = os.fork
+        counts: list[int] = []
+
+        def recording_fork():
+            counts.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        spec, workload, split = _spec_grid_parts()
+        runner = ParallelExperimentRunner(
+            spec,
+            workload,
+            experiment_config=GRID_CONFIG,
+            runtime_config=distributed_runtime(tmp_path / "store", workers=2),
+        )
+        at_entry = threading.active_count()
+        runner.run_grid(GRID_METHODS, [split])
+        assert counts == [at_entry, at_entry]
+
+    def test_a_handle_polls_waits_and_kills_like_popen(self, tmp_path):
+        """A worker whose url never comes blocks on its pipe: it is there to
+        be killed, and reads -9 after.  One whose pipe closes unwritten exits
+        0 without connecting."""
+        proc, url_fd = ParallelExperimentRunner._spawn_worker(0, 1.0, tmp_path, "s", [])
+        try:
+            assert proc.poll() is None and proc.returncode is None
+            with pytest.raises(subprocess.TimeoutExpired):
+                proc.wait(timeout=0.05)
+            proc.kill()
+            assert proc.wait(timeout=10) == -9
+            assert proc.poll() == proc.returncode == -9
+            proc.send_signal(9)  # reaped: a no-op, never a stray signal
+        finally:
+            os.close(url_fd)
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        proc, url_fd = ParallelExperimentRunner._spawn_worker(1, 1.0, tmp_path, "s", [])
+        os.close(url_fd)
+        assert proc.wait(timeout=10) == 0
+        assert (tmp_path / "local-1.log").read_text() == ""
+
+
 # ---------------------------------------------------------------------------
 # Fault injection: the coordinator dies mid-sweep
 # ---------------------------------------------------------------------------
@@ -1131,12 +1216,18 @@ CRASH_REPEATS = 2
 #: A coordinator process over that grid, into the store named by its
 #: argument; it prints its local workers' pids on every progress snapshot.
 CRASH_COORDINATOR = """
-import json, sys
+import json, sys, time
 sys.path.insert(0, {tests!r})
 from test_distributed import CRASH_REPEATS, GRID_CONFIG, GRID_METHODS, _spec_grid_parts
 from repro.experiments.common import distributed_runtime
 from repro.runtime.parallel import ParallelExperimentRunner
 
+from repro.runtime import parallel
+
+# Held tasks (the forked workers inherit the patch): the first result lands
+# well before the last, so a kill at the first one leaves work undone.
+execute = parallel.execute_spec_payload_with_identity
+parallel.execute_spec_payload_with_identity = lambda payload: time.sleep(1.0) or execute(payload)
 spec, workload, split = _spec_grid_parts()
 runner = ParallelExperimentRunner(
     spec, workload, experiment_config=GRID_CONFIG,

@@ -101,6 +101,18 @@ class TestQueueLifecycle:
         queue.write_stop()
         assert queue.stop_requested() and queue.stop_requested()  # a poll does not consume it
 
+    def test_a_stop_ends_every_claim(self, make_queue):
+        """An aborted sweep runs no pending task: after the stop a claim finds
+        nothing, while the claim already held can still be acked."""
+        queue = make_queue()
+        queue.enqueue("t-0", "t-0")
+        queue.enqueue("t-1", "t-1")
+        held = queue.claim("w")
+        queue.write_stop()
+        assert queue.claim("w") is None
+        queue.ack(held, "w")
+        assert queue.done_ids() == {"t-0"} and queue.pending_ids() == {"t-1"}
+
     def test_any_string_is_a_task_id(self, make_queue):
         """Tasks live in dicts, not in files: an id needs no filename check."""
         queue = make_queue()
