@@ -11,9 +11,10 @@
 #                            to BENCH_figures.json (host seconds kept apart)
 #   make bench-parallel    - serial sweep with resume-skip assertion, as in CI
 #   make bench-distributed - TCP work-queue sweep with HMAC-authenticated
-#                            frames (REPRO_QUEUE_SECRET), a killed worker,
-#                            lease re-queue, progress snapshot, resume and
-#                            shard merge; no shared queue/store directory, as in CI
+#                            frames (a secret the sweep mints), a killed
+#                            worker whose claim is re-queued when it is
+#                            reaped, progress snapshot, resume and shard
+#                            merge; no shared queue/store directory, as in CI
 #   make bench-progress    - the same sweep at a fast progress-telemetry
 #                            cadence (snapshot every 0.5 s)
 #   make fuzz-engines      - 1000 seeded inner-join queries (tests/sqlgen.py)
@@ -82,10 +83,6 @@ BENCH_PROGRESS_STORE ?=
 # query fails (tests/test_fuzz_engines.py).
 FUZZ_CORPUS ?=
 
-# Shared HMAC secret of the authenticated TCP sweeps (override to taste; the
-# value only needs to match between coordinator and workers).
-REPRO_QUEUE_SECRET ?= local-bench-secret
-
 .PHONY: test lint typecheck docs-check figures bench-parallel bench-distributed bench-progress fuzz-engines golden-check golden-plans golden-executions golden-searches golden-runs perfbench perfbench-compare perfbench-pairs example
 
 test:
@@ -117,13 +114,11 @@ bench-parallel:
 
 bench-distributed:
 	REPRO_BENCH_WORKERS=2 REPRO_BENCH_PROGRESS=1 \
-	REPRO_QUEUE_SECRET=$(REPRO_QUEUE_SECRET) \
 	REPRO_BENCH_STORE=$(BENCH_DISTRIBUTED_STORE) \
 	$(PYTHON) examples/distributed_sweep.py
 
 bench-progress:
 	REPRO_BENCH_WORKERS=2 REPRO_BENCH_PROGRESS=0.5 \
-	REPRO_QUEUE_SECRET=$(REPRO_QUEUE_SECRET) \
 	REPRO_BENCH_STORE=$(BENCH_PROGRESS_STORE) \
 	$(PYTHON) examples/distributed_sweep.py
 

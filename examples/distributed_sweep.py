@@ -1,6 +1,6 @@
 """Distributed experiment sweep with a killed worker, resume and store merge.
 
-Exercises the full multi-host runtime on one machine:
+Exercises the whole distributed runtime:
 
 1. A coordinator serves the work queue over TCP on an ephemeral local port
    and fans a reduced Figure-4-style grid out onto ``REPRO_BENCH_WORKERS``
@@ -9,12 +9,12 @@ Exercises the full multi-host runtime on one machine:
    seconds, default 2).  No queue/store directory is shared: workers upload
    results back inside their ack frames into the coordinator's **sharded**
    result store.
-   Every frame is HMAC-signed (with ``REPRO_QUEUE_SECRET``, or a secret the
-   sweep mints when it is unset); the script asserts that a client *without*
+   Every frame is HMAC-signed with a secret the sweep mints and its forked
+   workers inherit in memory; the script asserts that a client *without*
    the secret is rejected before anything is unpickled.
-2. Once both workers are mid-task, one of them is SIGKILLed — its lease stops
-   being renewed, the coordinator's expiry sweep re-queues its claim, and the
-   surviving worker finishes the grid.
+2. Once both workers are mid-task, one of them is SIGKILLed — the
+   coordinator reaps it, re-queues its claim, and the surviving worker
+   finishes the grid.
 3. The same sweep runs again: everything resumes from the store, nothing is
    recomputed (asserted via stored-file mtimes).
 4. The shards are merged into a flat store at ``<store>-merged``, every task
@@ -31,7 +31,6 @@ Usage::
 
 Environment: ``REPRO_BENCH_WORKERS`` (local workers, default 2),
 ``REPRO_BENCH_PROGRESS`` (snapshot interval seconds, default 2),
-``REPRO_QUEUE_SECRET`` (frame-signing secret, minted per sweep when unset),
 ``REPRO_BENCH_STORE`` (used when no ``store_dir`` argument is given;
 with neither, a temp directory that a passing run removes again).
 """
@@ -121,7 +120,7 @@ def kill_one_worker_mid_sweep(
                 stats = queue.stats()
                 victim = procs[0] if stats.claimed >= len(procs) else None
                 if victim is not None:
-                    victim.kill()  # SIGKILL: no cleanup, its lease renewals just stop
+                    victim.kill()  # SIGKILL: no cleanup; the coordinator reaps it
                 for proc in procs:
                     proc.send_signal(signal.SIGCONT)  # a no-op on the reaped victim
                 if victim is not None:
@@ -165,14 +164,12 @@ def sweep(store_dir: str) -> None:
         context.dispatch_source,
         context.workload,
         experiment_config=EXPERIMENT_CONFIG,
-        # A short lease keeps the dead worker's re-queue snappy in the demo; a
-        # real sweep would leave the 60 s default.  The queue binds an
-        # ephemeral coordinator port: workers share no directory with it.
+        # The queue binds an ephemeral coordinator port: workers share no
+        # directory with it.
         runtime_config=distributed_runtime(
             store_dir,
             workers=workers,
             shard_count=4,
-            lease_timeout_s=3.0,
             progress_interval_s=progress_interval,
         ),
         progress_callback=on_progress,
@@ -207,7 +204,7 @@ def sweep(store_dir: str) -> None:
         "(was the store already populated? the crash demo needs a fresh store dir)"
     )
     print(f"first sweep survived the kill in {time.perf_counter() - start:.1f} s; "
-          f"{runner._distributed_requeued} expired claim(s) re-queued; "
+          f"{runner._distributed_requeued} dead worker claim(s) re-queued; "
           f"{store.describe()}")
     assert runner._distributed_requeued >= 1, "the dead worker's claim was never re-queued"
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from repro.errors import CatalogError
 
@@ -166,10 +166,6 @@ class Schema:
 
     def table_names(self) -> list[str]:
         return sorted(self._tables)
-
-    @property
-    def tables(self) -> Mapping[str, Table]:
-        return dict(self._tables)
 
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and name in self._tables

@@ -278,10 +278,9 @@ class RuntimeConfig:
     """Knobs of the parallel experiment runtime (``repro.runtime``).
 
     Attributes:
-        workers: number of *local* worker processes a ``"distributed"``
-            coordinator forks from itself; remote workers started by hand
-            (``python -m repro.runtime.worker``) add capacity on top.  The
-            serial executor runs one task at a time whatever this says.
+        workers: number of worker processes a ``"distributed"`` coordinator
+            forks from itself, the sweep's only workers.  The serial
+            executor runs one task at a time whatever this says.
         executor_kind: ``"serial"`` (default) or ``"distributed"``.  Serial
             runs every task in this process; distributed execution fans tasks
             out to worker processes through the coordinator's TCP work queue
@@ -291,18 +290,15 @@ class RuntimeConfig:
             re-run.  ``None`` disables persistence.
         shard_count: with ``store_dir`` set, a value > 0 partitions the
             :class:`~repro.runtime.result_store.ResultStore` over that many
-            shard directories (contention-free multi-host writes); ``0``
-            keeps the flat single-directory layout.  The store's manifest
-            pins the count: reopening it with another raises.  Only results
-            are sharded — every worker claims from one pending pool.
+            shard directories; ``0`` keeps the flat single-directory
+            layout.  The store's manifest pins the count: reopening it with
+            another raises.  Only results are sharded — every worker claims
+            from one pending pool.
         queue_url: ``tcp://<host>:<port>`` the coordinator serves the
             distributed work queue on (port ``0``, the default on loopback,
-            binds an ephemeral port).  Workers need **no**
-            filesystem in common with the coordinator — they claim over the
-            socket and upload results back with their acks.
-        lease_timeout_s: distributed claim lease — a claimed task whose worker
-            stopped heart-beating for this long is re-queued for another
-            worker (dead-worker recovery).
+            binds an ephemeral port).  Its forked workers claim over the
+            socket and upload results back with their acks; the coordinator
+            re-queues a worker's claims when it reaps the worker.
         task_retries: how many times the distributed coordinator re-queues a
             *failed* task (transient errors: OOM-killed imports, flaky I/O)
             before the sweep is aborted; the final error reports the attempt
@@ -313,13 +309,12 @@ class RuntimeConfig:
             (``None`` disables periodic snapshots; a final end-of-sweep
             snapshot is still taken whenever a ``progress_callback`` is
             installed on the runner).
-        queue_secret: shared HMAC secret authenticating every queue frame
-            (workers must present the same secret, usually via the
-            ``REPRO_QUEUE_SECRET`` environment variable, which is also the
-            fallback when this is ``None``; with neither set, each sweep mints
-            a random secret and hands it to its local workers).
-            Unauthenticated or mis-signed frames are rejected *before*
-            unpickling.  An explicit ``""`` turns authentication off.
+        queue_secret: HMAC secret authenticating every queue frame; ``None``
+            (the default) makes each sweep mint a random one.  Either way
+            the forked workers inherit it in memory, never through the
+            environment.  Unauthenticated or mis-signed frames are rejected
+            *before* unpickling.  An explicit ``""`` turns authentication
+            off.
     """
 
     workers: int = 1
@@ -327,7 +322,6 @@ class RuntimeConfig:
     store_dir: str | None = None
     shard_count: int = 0
     queue_url: str = "tcp://127.0.0.1:0"
-    lease_timeout_s: float = 60.0
     task_retries: int = 1
     progress_interval_s: float | None = None
     queue_secret: str | None = None
@@ -341,8 +335,6 @@ class RuntimeConfig:
             )
         if self.shard_count < 0:
             raise ValueError("RuntimeConfig.shard_count must be >= 0")
-        if self.lease_timeout_s <= 0:
-            raise ValueError("RuntimeConfig.lease_timeout_s must be positive")
         if self.task_retries < 0:
             raise ValueError("RuntimeConfig.task_retries must be >= 0")
         if self.progress_interval_s is not None and self.progress_interval_s <= 0:

@@ -100,32 +100,27 @@ def distributed_runtime(
     workers: int = 2,
     shard_count: int = 4,
     queue_url: str = "tcp://127.0.0.1:0",
-    lease_timeout_s: float = 60.0,
     task_retries: int = 1,
     progress_interval_s: float | None = None,
     queue_secret: str | None = None,
 ) -> RuntimeConfig:
-    """Runtime configuration of a multi-host distributed sweep.
+    """Runtime configuration of a distributed sweep on this host.
 
     The sweep writes a :class:`~repro.runtime.result_store.ResultStore` with
-    ``shard_count`` shard directories under ``store_dir`` (so concurrent
-    writers never contend on one directory)
-    and coordinates through a work queue the coordinator serves over TCP on
-    ``queue_url`` (default: loopback on an ephemeral port; pass
-    ``"tcp://0.0.0.0:7077"`` to let other hosts in).  Workers share *nothing*
-    with the coordinator: results are uploaded back over the socket into the
-    coordinator-local store.  ``workers`` local worker processes are forked
-    from the coordinator; start more with ``python -m repro.runtime.worker
-    tcp://...`` on other hosts.  Failed tasks are retried up to
-    ``task_retries`` times before the sweep aborts.
+    ``shard_count`` shard directories under ``store_dir`` and coordinates
+    through a work queue the coordinator serves over TCP on ``queue_url``
+    (default: loopback on an ephemeral port).  ``workers`` worker processes
+    are forked from the coordinator; they upload results back over the
+    socket, and the coordinator writes them into its store.  A worker that
+    dies has its claims re-queued once the coordinator reaps it.  Failed
+    tasks are retried up to ``task_retries`` times before the sweep aborts.
 
     Workers claim from one pending pool, lowest task id first.
     ``progress_interval_s`` hands ``ParallelExperimentRunner``'s
     ``progress_callback`` a machine-readable progress snapshot every that
     many seconds.  Every frame is HMAC-signed and verified before
-    unpickling: with neither ``queue_secret`` nor ``REPRO_QUEUE_SECRET`` set,
-    the sweep mints a secret for its local workers; remote workers need the
-    shared one (export ``REPRO_QUEUE_SECRET`` on every host).
+    unpickling, with ``queue_secret`` or, when it is ``None``, a secret the
+    sweep mints and its forked workers inherit in memory.
     """
     return RuntimeConfig(
         workers=workers,
@@ -133,7 +128,6 @@ def distributed_runtime(
         store_dir=str(store_dir),
         shard_count=shard_count,
         queue_url=queue_url,
-        lease_timeout_s=lease_timeout_s,
         task_retries=task_retries,
         progress_interval_s=progress_interval_s,
         queue_secret=queue_secret,

@@ -10,17 +10,18 @@ module that defines it.
   results, wired into :class:`repro.optimizer.planner.Planner`.
 * :mod:`repro.runtime.result_store` — a resumable JSON ``ResultStore`` with
   PostBOUND-style skip-existing semantics; with ``shard_count > 0`` it
-  partitions results over N shard directories for contention-free
-  multi-host writes (``merge`` copies them into a flat store).
+  partitions results over N shard directories (``merge`` copies them into
+  a flat store).
 * :mod:`repro.runtime.workqueue` — the work queue's state machine
   (``BucketQueue``: every operation one step under one lock; one pending
-  pool claimed lowest id first, monotonic lease heartbeats, dead-worker
-  re-queue) and the worker-side ``WorkerQueueTransport`` protocol.
+  pool claimed lowest id first; each claim records its worker, so a reaped
+  worker's claims are re-queued) and the worker-side
+  ``WorkerQueueTransport`` protocol.
 * :mod:`repro.runtime.netqueue` — the queue's TCP transport: a
   coordinator-side ``QueueServer`` plus the ``NetWorkQueue`` worker client,
-  with results uploaded back in the ack frame — no shared filesystem
-  required — and HMAC frame authentication (``REPRO_QUEUE_SECRET``, or a
-  secret each sweep mints) verified before anything is unpickled.
+  with results uploaded back in the ack frame into the coordinator's store,
+  and HMAC frame authentication (a secret each sweep mints, or
+  ``RuntimeConfig.queue_secret``) verified before anything is unpickled.
 * :mod:`repro.runtime.planserver` / :mod:`repro.runtime.planclient` — the
   plan-serving control plane: a ``PlanServer`` answering SQL-text planning
   requests over the same authenticated frame codec, all clients sharing one
@@ -29,10 +30,9 @@ module that defines it.
 * :mod:`repro.runtime.progress` — the machine-readable ``ProgressSnapshot``
   (throughput, ETA, per-worker counts) a distributed sweep's coordinator
   builds from its in-process queue, periodically and at the end.
-* :mod:`repro.runtime.worker` — the ``python -m repro.runtime.worker``
-  claim-execute-ack loop run on each participating host.
 * :mod:`repro.runtime.parallel` — the ``ParallelExperimentRunner`` that runs
   the (method × split × seed) grid serially or, with
-  ``executor_kind="distributed"``, over the work queue — with results
-  bit-identical to serial execution.
+  ``executor_kind="distributed"``, over the work queue on workers forked
+  from the coordinator (their claim-execute-ack loop lives there too) —
+  with results bit-identical to serial execution.
 """

@@ -5,9 +5,9 @@ The coordinator runs a :class:`QueueServer` — the queue state machine
 server — and workers talk to it through a :class:`NetWorkQueue` client.
 Finished results travel *back* over the socket as a
 :class:`~repro.runtime.workqueue.ResultUpload` attached to the ack frame, and
-the server persists them into the coordinator's local result store.  Workers
-therefore need no path in common with the coordinator: a sweep can span hosts
-that share nothing but a network route.
+the server persists them into the coordinator's local result store, its one
+writer.  The workers are the coordinator's own forks on the same host; the
+socket is only their way to the queue in its memory.
 
 Wire protocol — a connection carries any number of request/response frame
 pairs, strictly alternating (no pipelining)::
@@ -31,10 +31,6 @@ always required).  Connect failures, and failures once a response began, spend
 ``retries`` with backoff.  :meth:`FrameServer.close` also shuts down every live
 connection: clients of a closed server read EOF, reconnect and are refused.
 
-Leases are tracked server-side with ``time.monotonic()``: claim, renew and
-expiry all read one clock on one host, so clock skew between hosts cannot
-age a lease.
-
 Frames are pickled because task payloads are arbitrary Python objects
 (:class:`~repro.runtime.parallel.SpecTaskPayload`).  A top-level value of a
 dict payload may travel *pre-pickled* as a :class:`Pickled` wrapper: a sender
@@ -45,8 +41,9 @@ once.
 
 ``pickle.loads`` on bytes from the network is remote code execution for
 whoever can write those bytes, so frames carry a **shared queue secret**
-(``REPRO_QUEUE_SECRET`` or ``RuntimeConfig.queue_secret``; a distributed sweep
-given neither mints one per sweep and hands it to its local workers): both
+(``RuntimeConfig.queue_secret``, which a distributed sweep mints when it is
+unset and hands its forked workers in memory; the plan server reads
+``REPRO_QUEUE_SECRET``): both
 sides sign every frame with HMAC-SHA256 and *verify the signature before
 unpickling* — an unsigned, tampered or wrongly-keyed frame is rejected while
 still opaque bytes, and the peer gets a plain-text ``RE`` error frame (never
@@ -106,7 +103,7 @@ MAX_ERROR_BYTES = 4096
 MAX_AUTH_DRAIN_BYTES = 1024 * 1024
 
 #: Server-side deadline for a connection's next complete frame: a peer that
-#: trickles bytes, stalls mid-frame or sits idle releases its handler thread —
+#: trickles bytes, stalls mid-frame or sits idle frees its handler thread —
 #: and the buffer it accumulated — after this long, not at the sweep's end.  A
 #: deadline, not a per-recv timeout: a byte every few seconds does not reset it.
 SERVER_TIMEOUT_S = 30.0
@@ -258,8 +255,8 @@ def recv_frame(
         blob = _recv_exact(sock, length, deadline)
         if secret is None:
             raise FrameAuthError(
-                "peer sent a signed queue frame but no queue secret is configured here; "
-                f"set {QUEUE_SECRET_ENV} to the shared secret"
+                "peer sent a signed queue frame but no queue secret is configured here "
+                f"({QUEUE_SECRET_ENV} for a plan server, queue_secret for a sweep)"
             )
         if not hmac.compare_digest(digest, _frame_digest(secret, header, blob)):
             raise FrameAuthError("queue frame signature mismatch (wrong or stale secret)")
@@ -271,8 +268,8 @@ def recv_frame(
             # MAX_AUTH_DRAIN_BYTES) but never unpickled.
             _recv_exact(sock, min(length, MAX_AUTH_DRAIN_BYTES), deadline)
             raise FrameAuthError(
-                f"unauthenticated queue frame rejected: this endpoint requires "
-                f"HMAC-signed frames (set {QUEUE_SECRET_ENV} to the shared secret)"
+                "unauthenticated queue frame rejected: this endpoint requires HMAC-signed "
+                f"frames (the plan server's {QUEUE_SECRET_ENV}, or a sweep's queue_secret)"
             )
         payload = pickle.loads(_recv_exact(sock, length, deadline))
     else:
@@ -435,8 +432,8 @@ class FrameClient:
 
     Base of :class:`NetWorkQueue` and :class:`~repro.runtime.planclient.
     PlanClient`: the socket, the lock that keeps two callers' frames from
-    interleaving on it (a worker's heartbeat thread and main loop share one
-    client), the resend rule and the retry policy (module docstring).  A
+    interleaving on it (a plan client may be shared by threads), the resend
+    rule and the retry policy (module docstring).  A
     context manager: leaving the ``with`` block closes the connection.
     """
 
@@ -536,11 +533,10 @@ class QueueServer(BucketQueue):
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        lease_timeout_s: float = 60.0,
         result_store: ResultStore | None = None,
         secret: str | bytes | None = None,
     ) -> None:
-        super().__init__(lease_timeout_s)
+        super().__init__()
         self.result_store = result_store
         self._server = FrameServer(
             (host, port), lambda request, peer: self._dispatch(request), secret,
@@ -549,7 +545,7 @@ class QueueServer(BucketQueue):
         self.host, self.port, self.url = self._server.host, self._server.port, self._server.url
 
     def close(self) -> None:
-        """Stop serving, drop every worker connection, release the socket (idempotent)."""
+        """Stop serving, drop every worker connection, close the socket (idempotent)."""
         self._server.close()
 
     def ack(self, claim: TaskClaim, worker_id: str, result: ResultUpload | None = None) -> None:
@@ -557,8 +553,8 @@ class QueueServer(BucketQueue):
 
         Persist first: a "done" task whose result was lost would make the
         coordinator's final store load fail.  Store writes are atomic, and
-        double uploads after a lease expiry rewrite the same bytes, so no lock
-        is needed around the filesystem write.
+        double uploads after a re-queue rewrite the same bytes, so no lock is
+        needed around the filesystem write.
         """
         if result is not None and self.result_store is not None:
             self.result_store.save_raw(result.key, result.result, result.fingerprint)
@@ -581,9 +577,6 @@ class QueueServer(BucketQueue):
             if claim is None:
                 return {"ok": True, "task_id": None, "payload": None}
             return {"ok": True, "task_id": claim.task_id, "payload": claim.payload}
-        if op == "renew":
-            self.renew(named)
-            return {"ok": True}
         if op == "ack":
             result = request.get("result")
             if result is not None and not isinstance(result, ResultUpload):
@@ -610,8 +603,8 @@ class NetWorkQueue(FrameClient):
     surface.  Only once :meth:`FrameClient.request`'s retry budget is spent
     is the coordinator treated as gone — then ``claim`` returns ``None`` and
     ``stop_requested`` returns ``True``, so orphaned workers drain out
-    instead of erroring or polling forever (any half-finished task's lease
-    has died with the server anyway).  An *authentication* rejection never
+    instead of erroring or polling forever (a half-finished task's claim
+    died with the server anyway).  An *authentication* rejection never
     reads as stop: :class:`QueueAuthError` makes a mis-keyed worker fail loudly.
     """
 
@@ -632,14 +625,6 @@ class NetWorkQueue(FrameClient):
             return None
         return TaskClaim(task_id=response["task_id"], payload=response["payload"])
 
-    def renew(self, claim: TaskClaim) -> None:
-        try:
-            self._request({"op": "renew", "task_id": claim.task_id})
-        except QueueAuthError:
-            raise  # rotated/mis-keyed secret: fail loudly, like claim and ack
-        except (OSError, ExperimentError):
-            pass  # a missed heartbeat at worst expires the lease
-
     def ack(self, claim: TaskClaim, worker_id: str, result: ResultUpload | None = None) -> None:
         self._report({"op": "ack", "task_id": claim.task_id, "worker_id": worker_id, "result": result})
 
@@ -650,7 +635,7 @@ class NetWorkQueue(FrameClient):
         try:
             self._request(request)
         except OSError:
-            pass  # server gone: the lease expires and someone else re-runs it
+            pass  # server gone: the sweep is over, a re-run redoes what the store lacks
 
     def stop_requested(self) -> bool:
         try:

@@ -29,18 +29,16 @@ fresh results are persisted as they arrive.
   deterministically, so dispatch cost does not grow with database scale.
   The coordinator serves the queue over TCP
   (:class:`~repro.runtime.netqueue.QueueServer`, on ``RuntimeConfig.queue_url``,
-  loopback on an ephemeral port by default) and forks ``workers`` local
-  workers from itself (:class:`ForkedWorker`): they start with its imported
-  modules and the databases of its process registry, so they neither import
-  nor rebuild.  Workers on other hosts join through the same url with
-  ``python -m repro.runtime.worker`` and rebuild what they need.  Every
-  worker, local or remote, runs the same claim/execute/ack loop over the
-  socket and uploads finished results with its acks, which the coordinator
-  persists into its local store.  Dead workers' claims are re-queued after a
-  lease timeout, failed tasks are retried up to ``task_retries`` times, and
-  the coordinator assembles grid-ordered results from the store once every
-  task is acked.  While it waits, it hands ``progress_callback`` a progress
-  snapshot of its queue.
+  loopback on an ephemeral port by default) and forks ``workers`` workers
+  from itself (:class:`ForkedWorker`), the sweep's only workers: they start
+  with its imported modules and the databases of its process registry, so
+  they neither import nor rebuild.  Each runs the claim/execute/ack loop
+  (:func:`_worker_loop`) over the socket and uploads finished results with
+  its acks, which the coordinator persists into its store.  The coordinator
+  re-queues a worker's claims as soon as it reaps the worker, retries failed
+  tasks up to ``task_retries`` times, and assembles grid-ordered results
+  from the store once every task is acked.  While it waits, it hands
+  ``progress_callback`` a progress snapshot of its queue.
 """
 
 from __future__ import annotations
@@ -61,11 +59,11 @@ from repro.core.metrics import MethodRunResult
 from repro.core.splits import DatasetSplit
 from repro.errors import ExperimentError
 from repro.runtime.fingerprint import stable_seed
-from repro.runtime.netqueue import QUEUE_SECRET_ENV, QueueServer
+from repro.runtime.netqueue import NetWorkQueue, QueueServer
 from repro.runtime.plan_cache import PlanCache
 from repro.runtime.progress import ProgressSnapshot, next_snapshot
 from repro.runtime.result_store import ResultStore, TaskKey
-from repro.runtime.workqueue import BucketQueue, parse_queue_url
+from repro.runtime.workqueue import BucketQueue, ResultUpload, WorkerQueueTransport, parse_queue_url
 from repro.storage.database import Database
 from repro.storage.registry import MAX_DATABASES, get_process_registry, resolve_database
 from repro.storage.spec import DatabaseSpec
@@ -75,6 +73,16 @@ from repro.workloads.workload import Workload
 #: Longest the coordinator waits between polls of the distributed queue state
 #: (``BucketQueue.wait_for_change`` returns sooner when a worker acts).
 COORDINATOR_POLL_S = 0.2
+
+#: Longest an idle worker waits on the queue between claims (the server
+#: answers sooner when there is work or a stop).
+WORKER_WAIT_S = 0.2
+
+#: Orphan bound: a worker that finds no work for this long exits.  A
+#: coordinator that dies takes its server with it, which its workers read as
+#: a stop; this bound covers one that stops answering without dying.  A live
+#: sweep never idles a worker this long.
+ORPHAN_IDLE_S = 600.0
 
 
 @dataclass(frozen=True)
@@ -262,20 +270,68 @@ def _close_fds(fds: list[int]) -> None:
         os.close(fds.pop())
 
 
+def _worker_id(index: int) -> str:
+    """The queue identity of forked worker ``index``."""
+    return f"local-{index}"
+
+
+def _worker_loop(
+    queue: WorkerQueueTransport,
+    worker_id: str,
+    execute: Callable[..., tuple[MethodRunResult, TaskKey, str | None]],
+) -> int:
+    """Claim, ``execute`` (payload -> result, key, fingerprint) and ack until
+    the stop is written, the coordinator is unreachable or ``ORPHAN_IDLE_S``
+    pass without work; returns the number of tasks completed."""
+    completed = 0
+    idle_since = time.monotonic()
+    while True:
+        claim = queue.claim(worker_id)
+        if claim is None:
+            if queue.stop_requested() or time.monotonic() - idle_since > ORPHAN_IDLE_S:
+                return completed
+            queue.wait_for_work(WORKER_WAIT_S)
+            continue
+        idle_since = time.monotonic()
+        try:
+            result, key, fingerprint = execute(claim.payload)
+            upload = ResultUpload(key=key, fingerprint=fingerprint, result=result.to_dict())
+        except Exception as exc:
+            queue.fail(claim, worker_id, f"{type(exc).__name__}: {exc}")
+            print(f"[{worker_id}] FAILED {claim.task_id}: {exc}", file=sys.stderr, flush=True)
+            continue
+        try:
+            queue.ack(claim, worker_id, upload)
+        except Exception as exc:
+            # The coordinator rejected the ack (e.g. its result store is
+            # unwritable).  Dying here would take every worker down one by one
+            # with a misleading "all workers exited" sweep error; a failure
+            # report carries the real cause to the coordinator instead, whose
+            # retry budget turns a persistent rejection into a sweep abort.
+            try:
+                queue.fail(claim, worker_id, f"ack rejected: {type(exc).__name__}: {exc}")
+            except Exception:  # pragma: no cover - transport also down
+                pass
+            print(f"[{worker_id}] ACK REJECTED {claim.task_id}: {exc}", file=sys.stderr, flush=True)
+            continue
+        completed += 1
+        print(f"[{worker_id}] completed {claim.task_id}", flush=True)
+
+
 def _run_forked_worker(
     url_fd: int,
     parent_fds: list[int],
     index: int,
-    lease_timeout_s: float,
     log_path: Path,
     secret: str,
 ) -> NoReturn:
-    """The body of a forked local worker; it ends the process, never returns.
+    """The body of a forked worker; it ends the process, never returns.
 
     It closes the url pipes of its siblings (their EOF is the coordinator's
     alone), writes its output to ``log_path``, reads the queue url from
-    ``url_fd`` and runs the claim/execute/ack loop.  EOF before any url means
-    the coordinator gave up before its queue served: exit without connecting.
+    ``url_fd`` and runs :func:`_worker_loop` keyed with the sweep's
+    ``secret`` (``""``: authentication off).  EOF before any url means the
+    coordinator gave up before its queue served: exit without connecting.
     ``os._exit`` skips the coordinator's ``atexit`` hooks and ``finally``
     blocks, which are not this process's to run: 0 after the loop, 1 after
     a traceback in the log.
@@ -295,22 +351,10 @@ def _run_forked_worker(
         with open(url_fd, "rb") as pipe:
             url = pipe.read().decode()
         if url:
-            # Replaces any inherited value: "" (authentication off) stays off.
-            os.environ[QUEUE_SECRET_ENV] = secret
-            from repro.runtime.worker import run_worker
-
-            run_worker(
-                url,
-                worker_id=f"local-{index}",
-                # Heartbeat several times per lease so a live-but-slow
-                # worker's claims are never mistaken for a dead worker's.
-                lease_renew_s=max(lease_timeout_s / 4.0, 0.05),
-                # Orphan bound: if the coordinator dies without writing the
-                # stop, its workers must not poll forever.  A live sweep never
-                # idles a worker this long: re-queued work appears within one
-                # lease timeout.
-                idle_timeout_s=max(10.0 * lease_timeout_s, 300.0),
-            )
+            worker_id = _worker_id(index)
+            with NetWorkQueue(url, secret=secret) as queue:  # leaving the block closes the client
+                completed = _worker_loop(queue, worker_id, execute_spec_payload_with_identity)
+            print(f"[{worker_id}] exiting after {completed} task(s)", flush=True)
         code = 0
     except BaseException:
         import traceback
@@ -330,7 +374,7 @@ class ParallelExperimentRunner:
 
     ``progress_callback`` runs on the coordinator's thread, inside the loop
     that waits for a distributed sweep's acks: a slow callback delays the
-    re-queue of expired leases and the retry of failed tasks.
+    re-queue of a dead worker's claims and the retry of failed tasks.
     """
 
     def __init__(
@@ -345,7 +389,7 @@ class ParallelExperimentRunner:
     ) -> None:
         #: The dispatchable recipe: either the spec passed in, or the one the
         #: database carries from its factory build.  ``None`` means the
-        #: database cannot be rebuilt remotely (serial executor only).
+        #: database cannot be rebuilt in a worker (serial executor only).
         self.database_spec = database if isinstance(database, DatabaseSpec) else database.spec
         self.database = resolve_database(database)
         self.workload = workload
@@ -362,10 +406,11 @@ class ParallelExperimentRunner:
         #: Called with every :class:`ProgressSnapshot` a distributed sweep
         #: takes (periodic plus the final end-of-sweep snapshot).
         self.progress_callback = progress_callback
-        #: Local worker processes of the most recent distributed sweep
+        #: Forked worker processes of the most recent distributed sweep
         #: (observability: lets callers and the crash-recovery demo reach them).
         self._distributed_procs: list[ForkedWorker] = []
-        #: Number of expired claims the most recent distributed sweep re-queued.
+        #: Number of claims the most recent distributed sweep re-queued
+        #: because no live forked worker held them.
         self._distributed_requeued = 0
         #: Tasks the most recent distributed sweep put into the shared pending
         #: pool, where any worker takes them (perfbench reports it as
@@ -497,9 +542,9 @@ class ParallelExperimentRunner:
         """Coordinate one sweep over the TCP work queue.
 
         Pending tasks (not already in the store) become claimable payloads,
-        ``workers`` local workers are forked, and the coordinator polls the
-        queue — re-queuing expired leases of dead workers and retrying failed
-        tasks within ``task_retries`` — until every enqueued task is acked.
+        ``workers`` workers are forked, and the coordinator polls the queue —
+        re-queuing the claims of reaped workers and retrying failed tasks
+        within ``task_retries`` — until every enqueued task is acked.
         Results are then assembled from the store in grid order, so the
         output is identical to every other executor kind.
         """
@@ -519,12 +564,10 @@ class ParallelExperimentRunner:
             )
         config = self.runtime_config
         address = parse_queue_url(config.queue_url)
-        secret = config.queue_secret
-        if secret is None:
-            # Never an unauthenticated pickle port: without a configured
-            # secret the sweep mints its own, which the local workers inherit
-            # in memory.  Only an explicit "" turns it off.
-            secret = os.environ.get(QUEUE_SECRET_ENV) or os.urandom(32).hex()
+        # Never an unauthenticated pickle port: without a configured secret
+        # the sweep mints its own, which the forked workers inherit in
+        # memory.  Only an explicit "" turns it off.
+        secret = config.queue_secret if config.queue_secret is not None else os.urandom(32).hex()
         log_dir = store.root / "worker-logs"
         self._distributed_queue = None
         self._distributed_requeued = 0
@@ -554,16 +597,10 @@ class ParallelExperimentRunner:
             # running yet, so the coordinator has no thread of its own at the
             # fork.  The children wait on their pipes for the url.
             for index in range(workers):
-                proc, url_fd = self._spawn_worker(index, config.lease_timeout_s, log_dir, secret, url_fds)
+                proc, url_fd = self._spawn_worker(index, log_dir, secret, url_fds)
                 procs.append(proc)
                 url_fds.append(url_fd)
-            queue = QueueServer(
-                host=address.host,
-                port=address.port,
-                lease_timeout_s=config.lease_timeout_s,
-                result_store=store,
-                secret=secret,
-            )
+            queue = QueueServer(host=address.host, port=address.port, result_store=store, secret=secret)
             self._distributed_queue = queue
             for task_id, payload in payloads.items():
                 queue.enqueue(task_id, payload)
@@ -588,8 +625,8 @@ class ParallelExperimentRunner:
                     proc.kill()
                     proc.wait()
             if queue is not None:
-                # Close only after every local worker exited: remote workers
-                # that poll a vanished server treat it as a stop request anyway.
+                # After every worker exited: one that held a claim at the stop
+                # still acked it.
                 queue.close()
             if report_progress is not None:
                 # The end-of-sweep snapshot, on success and on failure, also of
@@ -630,7 +667,9 @@ class ParallelExperimentRunner:
         """Wait until every task in ``payloads`` is acked, calling
         ``report_progress`` every ``progress_interval_s`` seconds (if set).
 
-        A wait between rounds ends on an ack or a failure, after
+        Each round re-queues every claim not held by a live forked worker:
+        a reaped worker's at once, and one under any other id too.  A wait
+        between rounds ends on an ack or a failure, after
         ``COORDINATOR_POLL_S``, or when the next snapshot is due.
         """
         # Snapshots fall due only with both a reporter and an interval; with
@@ -640,21 +679,19 @@ class ParallelExperimentRunner:
         remaining = set(payloads)
         retries_used: dict[str, int] = {}
         while remaining:
+            # The workers before the queue: every ack of a worker seen
+            # exited here is already among the done ids read next.
+            live = {_worker_id(index) for index, proc in enumerate(procs) if proc.poll() is None}
             remaining -= queue.done_ids()
             if not remaining:
                 return
             reconcile_failed_tasks(
                 queue, remaining, payloads, retries_used, self.runtime_config.task_retries
             )
-            self._distributed_requeued += len(queue.requeue_expired())
-            if (
-                procs
-                and all(proc.poll() is not None for proc in procs)
-                and not queue.has_live_claims()
-            ):
-                # Every local worker exited and nobody (local or remote) holds
-                # a live lease: without intervention the sweep can never
-                # finish, so surface it instead of polling forever.
+            self._distributed_requeued += len(queue.requeue_orphaned(live))
+            if procs and not live:
+                # Every worker exited: the sweep can never finish, so surface
+                # it instead of polling forever.
                 codes = [proc.returncode for proc in procs]
                 raise ExperimentError(
                     f"all {len(procs)} local distributed workers exited (return codes "
@@ -671,19 +708,19 @@ class ParallelExperimentRunner:
 
     @staticmethod
     def _spawn_worker(
-        index: int, lease_timeout_s: float, log_dir: Path, secret: str, parent_fds: list[int]
+        index: int, log_dir: Path, secret: str, parent_fds: list[int]
     ) -> tuple[ForkedWorker, int]:
-        """Fork local queue worker ``index``; returns its handle and the write
-        end of the pipe it reads the queue's url from.
+        """Fork queue worker ``index``; returns its handle and the write end
+        of the pipe it reads the queue's url from.
 
         The child runs :func:`_run_forked_worker` and logs to
         ``log_dir/local-{index}.log``.  ``parent_fds`` are the pipe ends of
         the workers forked before it, which the child closes.  ``secret``
-        reaches the child in memory, as ``REPRO_QUEUE_SECRET`` in its own
-        ``os.environ``: never argv, never a file.
+        reaches the child in the memory it inherits: never argv, never a
+        file, never the environment.
         """
         log_dir.mkdir(parents=True, exist_ok=True)
-        log_path = log_dir / f"local-{index}.log"
+        log_path = log_dir / f"{_worker_id(index)}.log"
         url_fd, write_fd = os.pipe()
         child_closes = [*parent_fds, write_fd]
         # Unflushed output would otherwise be written twice, once by each process.
@@ -695,7 +732,7 @@ class ParallelExperimentRunner:
             _close_fds([url_fd, write_fd])
             raise
         if pid == 0:
-            _run_forked_worker(url_fd, child_closes, index, lease_timeout_s, log_path, secret)
+            _run_forked_worker(url_fd, child_closes, index, log_path, secret)
         os.close(url_fd)
         return ForkedWorker(pid), write_fd
 

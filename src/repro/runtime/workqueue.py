@@ -1,13 +1,12 @@
 """The distributed work queue: one state machine in one process's memory.
 
-:class:`BucketQueue` is the queue's claim/lease/ack machine.  Its whole state
-is five fields:
+:class:`BucketQueue` is the queue's claim/ack machine.  Its whole state is
+five fields:
 
 * ``_pending`` — the one pool of claimable tasks (payload by task id); a claim
-  takes the lowest task id, and an expired lease goes back into the same pool.
-* ``_claimed`` — ``[payload, lease stamp]`` by task id; the stamp is the
-  **lease heartbeat**, set on claim and refreshed periodically while the
-  worker executes.
+  takes the lowest task id, and a dead worker's claim goes back into the same
+  pool.
+* ``_claimed`` — ``(payload, worker id)`` by task id: who holds each claim.
 * ``_done`` / ``_failed`` — the acking worker, or the error message, by task
   id (results themselves go into the result store, not the queue).
 * ``_stopped`` — set when the coordinator writes the stop: the sweep is
@@ -22,19 +21,17 @@ from its first read to its last write and notifies the lock's condition
 itself, which wakes :meth:`BucketQueue.wait_for_change` and
 :meth:`BucketQueue.wait_for_work`.  A claim pops its task from ``_pending``
 and records it in ``_claimed`` inside one step, so two claims can never take
-the same task and no step ever sees another half done.  Stamps are
-``time.monotonic()``: claim, renew and expiry read one clock on one host, so
-clock skew between hosts cannot age a lease.
+the same task and no step ever sees another half done.
 
 The coordinator serves the machine over TCP
-(:class:`~repro.runtime.netqueue.QueueServer`); workers reach it through
-:class:`~repro.runtime.netqueue.NetWorkQueue`.  A worker that dies (SIGKILL,
-OOM, host loss) simply stops renewing its claim; once the stamp is older than
-the lease timeout, :meth:`BucketQueue.requeue_expired` puts it back into the
-pending pool and any worker picks it up.  Task execution is idempotent
-(results are persisted with atomic writes under content-addressed names), so
-the rare double execution after a lease expiry is harmless, and an ack drops
-any pending copy a re-queue left behind.
+(:class:`~repro.runtime.netqueue.QueueServer`) to the workers it forked;
+they reach it through :class:`~repro.runtime.netqueue.NetWorkQueue`.  The
+coordinator sees a worker die (SIGKILL, OOM) when it reaps the process, and
+:meth:`BucketQueue.requeue_orphaned` puts every claim not held by a live
+worker back into the pending pool for any worker to pick up.  Task execution
+is idempotent (results are persisted with atomic writes under
+content-addressed names), so the rare double execution after a re-queue is
+harmless, and an ack drops any pending copy a re-queue left behind.
 
 This module also defines the worker-side queue surface
 (:class:`WorkerQueueTransport`, which the worker loop's test fakes implement)
@@ -44,7 +41,6 @@ and the :class:`ResultUpload` a worker attaches to its ack.
 from __future__ import annotations
 
 import threading
-import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
@@ -103,8 +99,6 @@ class WorkerQueueTransport(Protocol):
 
     def claim(self, worker_id: str) -> TaskClaim | None: ...
 
-    def renew(self, claim: TaskClaim) -> None: ...
-
     def ack(self, claim: TaskClaim, worker_id: str, result: ResultUpload | None = None) -> None: ...
 
     def fail(self, claim: TaskClaim, worker_id: str, error: str) -> None: ...
@@ -135,25 +129,18 @@ class QueueStats:
 class BucketQueue:
     """The queue's state machine (module docstring): one lock, one step per operation."""
 
-    def __init__(self, lease_timeout_s: float) -> None:
-        if lease_timeout_s <= 0:
-            raise ExperimentError(f"{type(self).__name__}.lease_timeout_s must be positive")
-        self.lease_timeout_s = float(lease_timeout_s)
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         #: Notified on every state change a waiter may be waiting for.
         self._change = threading.Condition(self._lock)
         self._pending: dict[str, object] = {}  # payload by task id
-        self._claimed: dict[str, list] = {}  # [payload, lease stamp] by task id
+        self._claimed: dict[str, tuple[object, str]] = {}  # (payload, worker id) by task id
         self._done: dict[str, str] = {}  # acking worker by task id
         self._failed: dict[str, str] = {}  # error message by task id
         self._stopped = False
         #: Raised by what the coordinator's loop acts on (an ack or a
         #: failure), lowered by :meth:`wait_for_change`.
         self._changed = False
-
-    def _now(self) -> float:
-        """Now on the clock that stamps leases (the clock seam tests override)."""
-        return time.monotonic()
 
     # ------------------------------------------------------------------ coordinator
     def enqueue(self, task_id: str, payload: object) -> None:
@@ -162,20 +149,19 @@ class BucketQueue:
             self._pending[task_id] = payload
             self._change.notify_all()
 
-    def requeue_expired(self) -> list[str]:
-        """Re-queue every claim whose lease heartbeat has gone stale.
+    def requeue_orphaned(self, live_workers: set[str]) -> list[str]:
+        """Re-queue every claim not held by one of ``live_workers``; returns
+        the re-queued task ids in id order.
 
-        A live worker renews its claim more often than the lease timeout; a
-        claim not renewed for longer belongs to a dead worker and goes back
-        into the pending pool for any worker.  An age equal to the timeout is
-        still live.
+        A claim whose worker died goes back into the pending pool for any
+        worker.  So does one held under any other id: nobody the coordinator
+        can see finishing it would otherwise hold the sweep open for good.
         """
         with self._lock:
-            now = self._now()
             requeued = sorted(
                 task_id
-                for task_id, (_, stamp) in self._claimed.items()
-                if now - stamp > self.lease_timeout_s
+                for task_id, (_, worker_id) in self._claimed.items()
+                if worker_id not in live_workers
             )
             for task_id in requeued:
                 self._pending[task_id] = self._claimed.pop(task_id)[0]
@@ -194,50 +180,43 @@ class BucketQueue:
 
     # ------------------------------------------------------------------ worker
     def claim(self, worker_id: str) -> TaskClaim | None:
-        """Claim the pending task with the lowest id, or ``None`` when nothing is
-        claimable or the stop is written.
+        """Claim the pending task with the lowest id for ``worker_id``, or
+        ``None`` when nothing is claimable or the stop is written.
 
-        The lease heartbeat starts at claim time.  After a stop a worker finishes
-        the task it holds and leaves: an aborted sweep runs none of the tasks
-        still pending.
+        After a stop a worker finishes the task it holds and leaves: an
+        aborted sweep runs none of the tasks still pending.
         """
         with self._lock:
             if self._stopped or not self._pending:
                 return None
             task_id = min(self._pending)
             payload = self._pending.pop(task_id)
-            self._claimed[task_id] = [payload, self._now()]
+            self._claimed[task_id] = (payload, worker_id)
             return TaskClaim(task_id=task_id, payload=payload)
 
-    def renew(self, claim: TaskClaim) -> None:
-        """Refresh the claim's lease heartbeat (no-op if the claim was re-queued)."""
-        with self._lock:
-            entry = self._claimed.get(claim.task_id)
-            if entry is not None:
-                entry[1] = self._now()
-
     def ack(self, claim: TaskClaim, worker_id: str, result: ResultUpload | None = None) -> None:
-        """Mark a claim as completed and release it.
+        """Mark a claim as completed and drop it.
 
-        A zombie worker may ack a task whose lease was already re-queued (and
-        possibly re-claimed): the result is identical either way, so the ack
-        wins and the pending copy is dropped rather than run a second time.
+        An ack may land after its claim was re-queued (and possibly
+        re-claimed): the worker was killed while the server persisted its
+        upload.  The result is identical either way, so the ack wins and the
+        pending copy is dropped rather than run a second time.
         ``result`` is ignored here: ``QueueServer.ack`` persists it before
         calling this.
         """
         with self._lock:
             self._pending.pop(claim.task_id, None)
             self._done[claim.task_id] = worker_id
-            self._release(claim.task_id)
+            self._drop_claim(claim.task_id)
 
     def fail(self, claim: TaskClaim, worker_id: str, error: str) -> None:
         """Mark a claim as failed (re-queueing is the coordinator's call: it
         retries a failed task up to ``RuntimeConfig.task_retries`` times)."""
         with self._lock:
             self._failed[claim.task_id] = error
-            self._release(claim.task_id)
+            self._drop_claim(claim.task_id)
 
-    def _release(self, task_id: str) -> None:
+    def _drop_claim(self, task_id: str) -> None:
         """Drop the task's claim and wake the coordinator (called by ``ack``
         and ``fail`` inside their step; the lock is reentrant)."""
         with self._lock:
@@ -272,12 +251,6 @@ class BucketQueue:
         """Completed-task counts per worker id."""
         with self._lock:
             return dict(Counter(self._done.values()))
-
-    def has_live_claims(self) -> bool:
-        """Whether any claim's lease is still being heart-beaten."""
-        with self._lock:
-            now = self._now()
-            return any(now - stamp <= self.lease_timeout_s for _, stamp in self._claimed.values())
 
     def stats(self) -> QueueStats:
         """Entry counts only: the coordinator reads this for every progress

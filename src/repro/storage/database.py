@@ -102,9 +102,6 @@ class Database:
     def total_rows(self) -> int:
         return sum(data.row_count for data in self._tables.values())
 
-    def total_pages(self) -> int:
-        return sum(data.page_count for data in self._tables.values())
-
     # -- configuration & cache management ----------------------------------------
     def with_config(self, config: PostgresConfig) -> "Database":
         """Return a database sharing data but using a different configuration.

@@ -57,9 +57,9 @@ class DatabaseRegistry:
             return len(self._entries)
 
 
-#: The registry spec-based dispatch resolves through.  A local sweep worker
-#: forked from the coordinator inherits its entries; a started one
-#: (``python -m repro.runtime.worker``) begins empty and builds on first use.
+#: The registry spec-based dispatch resolves through.  A sweep worker, forked
+#: from the coordinator, inherits its entries and builds any other spec on
+#: first use.
 _PROCESS_REGISTRY = DatabaseRegistry()
 
 

@@ -101,10 +101,6 @@ class TableData:
         """Names of every materialized column, in storage order."""
         return list(self.columns)
 
-    def dictionary(self, name: str) -> list[str]:
-        """Return the string dictionary of a text column (empty for numerics)."""
-        return self.dictionaries.get(name, [])
-
     def decode(self, name: str, code: int) -> object:
         """Decode a stored code back to its user-facing value."""
         if code == NULL_SENTINEL:

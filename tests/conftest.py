@@ -65,8 +65,8 @@ def make_queue(request):
     ``queue_views``), every one closed afterwards."""
     opened = []
 
-    def make(lease_timeout_s: float = 300.0):
-        opened.append(open_queue(request.param, lease_timeout_s))
+    def make():
+        opened.append(open_queue(request.param))
         return opened[-1]
 
     yield make

@@ -2,9 +2,9 @@
 
 ``tcp``: a :class:`QueueServer` called in process, as the coordinator calls it.
 ``wire``: the same server as a sweep's workers see it — every worker-side op
-(claim, renew, ack, fail, ...) travels over a socket through a
+(claim, ack, fail, ...) travels over a socket through a
 :class:`NetWorkQueue` client, one client per calling thread, while the
-coordinator's ops (enqueue, requeue_expired, write_stop, ...) stay in process.
+coordinator's ops (enqueue, requeue_orphaned, write_stop, ...) stay in process.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ QUEUE_VIEWS = ("tcp", "wire")
 
 #: The ops a worker sends over the wire (``NetWorkQueue``'s surface).
 WORKER_OPS = frozenset(
-    {"claim", "renew", "ack", "fail", "stop_requested", "wait_for_work"}
+    {"claim", "ack", "fail", "stop_requested", "wait_for_work"}
 )
 
 
@@ -49,7 +49,7 @@ class WireQueue:
         self.server.close()
 
 
-def open_queue(view: str, lease_timeout_s: float = 300.0) -> QueueServer | WireQueue:
+def open_queue(view: str) -> QueueServer | WireQueue:
     """A fresh queue server seen through ``view`` (one of :data:`QUEUE_VIEWS`)."""
-    server = QueueServer(lease_timeout_s=lease_timeout_s)
+    server = QueueServer()
     return server if view == "tcp" else WireQueue(server)

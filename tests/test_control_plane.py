@@ -2,15 +2,16 @@
 
 Covers:
 
-* property tests that claim/renew/requeue/ack/fail interleavings never
-  duplicate or drop a task (exactly-once visible completion) and hand tasks
-  out from one pending pool, lowest id first,
+* property tests that claim/requeue/ack/fail interleavings never duplicate
+  or drop a task (exactly-once visible completion), hand tasks out from one
+  pending pool, lowest id first, and re-queue exactly the claims of workers
+  that are gone,
 * the HMAC frame authentication of the TCP transport, including a fuzz pass
   asserting malformed/truncated/unsigned frames error cleanly and an
   untrusted peer can never reach ``pickle.loads``,
 * the bounded retry/backoff of `NetWorkQueue` against transient socket
   errors,
-* `QueueStats`/`describe()` edge cases and lease-expiry boundary conditions,
+* `QueueStats`/`describe()` edge cases,
 * a 4-worker stress sweep, byte-identical to serial, the progress
   snapshots the coordinator's own loop takes, and the end-of-sweep snapshot
   taken once the local workers exited.
@@ -21,7 +22,6 @@ import random
 import socket
 import struct
 import threading
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -55,7 +55,7 @@ TRANSPORTS = ("tcp",)
 
 
 # ---------------------------------------------------------------------------
-# Property: claim/renew/requeue/ack/fail interleavings are exactly-once
+# Property: claim/requeue/ack/fail interleavings are exactly-once
 # ---------------------------------------------------------------------------
 
 
@@ -73,14 +73,7 @@ def _drain_all(queue, held, acked):
         acked.append(claim.task_id)
 
 
-def _expire_every_lease(queue) -> list[str]:
-    """``requeue_expired`` with every lease past its deadline (its worker died)."""
-    server = getattr(queue, "server", queue)  # a WireQueue's sweep runs on its server
-    server._now = lambda: float("inf")
-    try:
-        return server.requeue_expired()
-    finally:
-        del server._now
+WORKERS = ("w0", "w1", "w2")
 
 
 @st.composite
@@ -89,12 +82,12 @@ def interleavings(draw):
     ops = draw(
         st.lists(
             st.one_of(
-                st.tuples(st.just("claim"), st.sampled_from(["w0", "w1", "w2"])),
+                st.tuples(st.just("claim"), st.sampled_from(WORKERS)),
                 st.tuples(
-                    st.sampled_from(["renew", "ack", "fail"]),
+                    st.sampled_from(["ack", "fail"]),
                     st.integers(min_value=0, max_value=10 ** 6),
                 ),
-                st.tuples(st.just("requeue")),
+                st.tuples(st.just("requeue"), st.frozensets(st.sampled_from(WORKERS))),
             ),
             max_size=30,
         )
@@ -103,8 +96,9 @@ def interleavings(draw):
 
 
 class TestExactlyOnceProperty:
-    """Random claim/renew/requeue/ack/fail interleavings: claims come from one
-    pool, lowest id first; no task is held by two live claims; every task
+    """Random claim/requeue/ack/fail interleavings: claims come from one pool,
+    lowest id first; a sweep re-queues exactly the claims of the workers it
+    is not told are live; no task is held by two claims; every task
     completes exactly once."""
 
     def _run(self, queue, n_tasks, ops):
@@ -113,6 +107,7 @@ class TestExactlyOnceProperty:
             queue.enqueue(task_id, f"payload-{task_id}")
         pending = set(task_ids)
         held: dict[str, object] = {}
+        holders: dict[str, str] = {}  # worker by held task id
         acked: list[str] = []
         for op in ops:
             if op[0] == "claim":
@@ -123,16 +118,18 @@ class TestExactlyOnceProperty:
                 assert claim is not None and claim.task_id == min(pending)
                 pending.remove(claim.task_id)
                 held[claim.task_id] = claim
+                holders[claim.task_id] = op[1]
             elif op[0] == "requeue":
-                # Every holder died: each expired lease is claimable again.
-                assert sorted(_expire_every_lease(queue)) == sorted(held)
-                pending.update(held)
-                held.clear()
+                # The workers outside op[1] were reaped: their claims are claimable again.
+                orphaned = sorted(task for task, worker in holders.items() if worker not in op[1])
+                assert queue.requeue_orphaned(set(op[1])) == orphaned
+                for task_id in orphaned:
+                    del held[task_id], holders[task_id]
+                pending.update(orphaned)
             elif held:
                 task_id = sorted(held)[op[1] % len(held)]
-                if op[0] == "renew":
-                    queue.renew(held[task_id])
-                elif op[0] == "ack":
+                del holders[task_id]
+                if op[0] == "ack":
                     queue.ack(held.pop(task_id), "prop")
                     acked.append(task_id)
                 else:  # a failure, retried as the coordinator does
@@ -152,7 +149,7 @@ class TestExactlyOnceProperty:
     @given(scenario=interleavings())
     def test_tcp_server(self, scenario):
         n_tasks, ops = scenario
-        server = QueueServer(lease_timeout_s=300)
+        server = QueueServer()
         try:
             self._run(server, n_tasks, ops)
         finally:
@@ -163,7 +160,7 @@ class TestExactlyOnceProperty:
     def test_wire_client(self, scenario):
         """The same interleavings with every worker op sent over a socket."""
         n_tasks, ops = scenario
-        queue = WireQueue(QueueServer(lease_timeout_s=300))
+        queue = WireQueue(QueueServer())
         try:
             self._run(queue, n_tasks, ops)
         finally:
@@ -271,18 +268,22 @@ class TestFrameAuth:
         finally:
             server.close()
 
-    def test_renew_surfaces_auth_rejection_instead_of_swallowing_it(self):
-        """A rotated/mis-keyed secret mid-task must not silently stop the
-        heartbeat (the lease would expire and the task re-run): renew raises
-        QueueAuthError like claim and ack do."""
+    def test_ack_and_fail_surface_auth_rejection_instead_of_swallowing_it(self):
+        """A worker's reports swallow a dead connection (the sweep is over),
+        never a mis-keyed secret: ack and fail raise QueueAuthError like claim,
+        and the task stays claimed instead of reading as settled."""
         server = QueueServer(secret=self.SECRET)
         try:
             server.enqueue("t-0", "p")
             with NetWorkQueue(server.url, secret=self.SECRET, retries=0) as keyed:
                 claim = keyed.claim("w")
-            mis_keyed = NetWorkQueue(server.url, secret="rotated-away", retries=0)
-            with pytest.raises(QueueAuthError):
-                mis_keyed.renew(claim)
+            with NetWorkQueue(server.url, secret="rotated-away", retries=0) as mis_keyed:
+                with pytest.raises(QueueAuthError):
+                    mis_keyed.ack(claim, "w")
+                with pytest.raises(QueueAuthError):
+                    mis_keyed.fail(claim, "w", "boom")
+            assert server.claimed_ids() == {"t-0"}
+            assert server.done_ids() == set() and server.failed_tasks() == {}
         finally:
             server.close()
 
@@ -567,79 +568,6 @@ class TestQueueStatsEdgeCases:
 
 
 # ---------------------------------------------------------------------------
-# Lease-expiry boundary conditions (satellite)
-# ---------------------------------------------------------------------------
-
-
-class TestLeaseBoundary:
-    def test_server_claim_renewed_exactly_at_the_deadline_survives(self, monkeypatch):
-        clock = {"now": 1000.0}
-        monkeypatch.setattr(netqueue.time, "monotonic", lambda: clock["now"])
-        server = QueueServer(lease_timeout_s=60)
-        try:
-            server.enqueue("t-0", "p")
-            assert server.claim("edge-worker") is not None  # deadline = 1060
-            clock["now"] = 1060.0
-            assert server.requeue_expired() == []
-            assert server.has_live_claims()
-            clock["now"] = 1060.000001
-            assert not server.has_live_claims()
-            assert server.requeue_expired() == ["t-0"]
-        finally:
-            monkeypatch.undo()
-            server.close()
-
-    def test_renew_at_the_edge_restarts_the_lease(self):
-        """A renewal landing exactly at the deadline keeps the claim and
-        starts a whole new lease from that moment."""
-        clock = {"now": 1000.0}
-        server = QueueServer(lease_timeout_s=60)
-        server._now = lambda: clock["now"]  # the queue's clock seam
-        try:
-            server.enqueue("t-0", "p")
-            claim = server.claim("w")
-            clock["now"] = 1060.0
-            server.renew(claim)  # the renewal that lands exactly at the edge
-            clock["now"] = 1119.9
-            assert server.requeue_expired() == []
-            assert server.has_live_claims()
-            clock["now"] = 1120.001
-            assert server.requeue_expired() == ["t-0"]
-        finally:
-            server.close()
-
-    def test_ack_landing_before_the_expiry_sweep_wins(self, make_queue):
-        """requeue_expired racing an in-flight ack: when the ack lands first,
-        the sweep must not resurrect the task — it completes exactly once."""
-        queue = make_queue(lease_timeout_s=0.05)
-        queue.enqueue("t-0", "p")
-        claim = queue.claim("slow-worker")
-        time.sleep(0.1)  # the lease is past its deadline, sweep imminent
-        queue.ack(claim, "slow-worker")  # ...but the ack arrives first
-        assert queue.requeue_expired() == []
-        assert queue.done_ids() == {"t-0"}
-        assert queue.claim("other") is None  # nothing to execute a second time
-        stats = queue.stats()
-        assert (stats.pending, stats.claimed, stats.done) == (0, 0, 1)
-
-    def test_server_ack_after_requeue_completes_exactly_once(self):
-        """The opposite order on the server: the zombie ack wins, the
-        re-queued duplicate is dropped, and no second execution is visible."""
-        server = QueueServer(lease_timeout_s=0.05)
-        try:
-            server.enqueue("t-0", "p")
-            zombie = server.claim("zombie")
-            time.sleep(0.1)
-            assert server.requeue_expired() == ["t-0"]
-            server.ack(zombie, "zombie")
-            assert server.done_ids() == {"t-0"}
-            assert server.claim("other") is None
-            assert server.worker_done_counts() == {"zombie": 1}
-        finally:
-            server.close()
-
-
-# ---------------------------------------------------------------------------
 # Stress: 4-worker sweeps stay byte-identical to serial (acceptance)
 # ---------------------------------------------------------------------------
 
@@ -664,13 +592,10 @@ GRID_CONFIG = ExperimentConfig(optimizer_kwargs={"bao": {"training_passes": 1}})
 
 class TestSweepStress:
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_four_worker_sweep_byte_identical_with_progress(
-        self, tmp_path, transport, monkeypatch
-    ):
+    def test_four_worker_sweep_byte_identical_with_progress(self, tmp_path, transport):
         """A 4-worker sweep into a 4-shard store is byte-identical to serial
         while emitting at least one valid progress snapshot and running fully
-        HMAC-authenticated."""
-        monkeypatch.setenv("REPRO_QUEUE_SECRET", "stress-secret")
+        HMAC-authenticated (with the secret the sweep mints)."""
         spec, workload, splits = _grid_parts()
         methods = ("postgres", "bao")
         snapshots = []
@@ -682,7 +607,6 @@ class TestSweepStress:
                 tmp_path / "store",
                 workers=4,
                 shard_count=4,
-                lease_timeout_s=30,
                 queue_url=f"{transport}://127.0.0.1:0",
                 progress_interval_s=0.25,
             ),
@@ -726,7 +650,7 @@ class TestSweepStress:
             workload,
             experiment_config=GRID_CONFIG,
             runtime_config=distributed_runtime(
-                tmp_path / "store", workers=1, shard_count=2, lease_timeout_s=30,
+                tmp_path / "store", workers=1, shard_count=2,
                 progress_interval_s=0.05,
             ),
             progress_callback=on_progress,
@@ -753,7 +677,7 @@ class TestSweepStress:
             workload,
             experiment_config=GRID_CONFIG,
             runtime_config=distributed_runtime(
-                tmp_path / "store", workers=1, shard_count=2, lease_timeout_s=30
+                tmp_path / "store", workers=1, shard_count=2
             ),
             progress_callback=snapshots.append,
         )
@@ -781,7 +705,7 @@ class TestSweepStress:
             lookalike,
             experiment_config=GRID_CONFIG,
             runtime_config=distributed_runtime(
-                tmp_path / "store", workers=1, shard_count=2, lease_timeout_s=30, task_retries=0
+                tmp_path / "store", workers=1, shard_count=2, task_retries=0
             ),
             progress_callback=lambda snapshot: observed.append(
                 (snapshot, [proc.poll() for proc in runner._distributed_procs])
@@ -812,7 +736,7 @@ class TestSweepStress:
             workload,
             experiment_config=GRID_CONFIG,
             runtime_config=distributed_runtime(
-                tmp_path / "store", workers=1, shard_count=2, lease_timeout_s=30,
+                tmp_path / "store", workers=1, shard_count=2,
                 progress_interval_s=0.05,
             ),
             progress_callback=abort_at_first,
@@ -838,7 +762,7 @@ class TestSweepStress:
             workload,
             experiment_config=GRID_CONFIG,
             runtime_config=distributed_runtime(
-                tmp_path / "store", workers=1, shard_count=2, lease_timeout_s=30
+                tmp_path / "store", workers=1, shard_count=2
             ),
             progress_callback=broken_callback,
         )
@@ -861,7 +785,6 @@ class TestSweepStress:
             runtime_config=distributed_runtime(
                 tmp_path / "store",
                 workers=2,
-                lease_timeout_s=30,
                 queue_url=f"{transport}://127.0.0.1:0",
             ),
             progress_callback=lambda snapshot: observed.append(
@@ -878,7 +801,7 @@ class TestSweepStress:
 class TestPollOp:
     def test_poll_answers_only_the_stop_flag(self):
         """Workers read ``stop`` alone; the reply carries no queue counts."""
-        server = QueueServer(lease_timeout_s=300)
+        server = QueueServer()
         client = NetWorkQueue(server.url, retries=0)
         try:
             server.enqueue("t-0", "p")

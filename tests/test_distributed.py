@@ -1,9 +1,8 @@
 """Tests for the distributed runtime: sharded store, work queue, queue workers.
 
-The heavyweight end-to-end tests launch real ``python -m repro.runtime.worker``
-processes against a coordinator-side TCP queue server, with workers running
-out of directories that share nothing with the coordinator, and kill a
-coordinator mid-sweep.
+The heavyweight end-to-end tests fork real workers from a coordinator that
+serves its queue over TCP, kill a worker mid-task and kill a coordinator
+mid-sweep.
 """
 
 import json
@@ -14,6 +13,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,6 +24,7 @@ from repro.core.splits import DatasetSplit, SplitSampling
 from repro.errors import ExperimentError
 from repro.experiments.common import distributed_runtime
 from repro.runtime.netqueue import CLIENT_BACKOFF_S, CLIENT_RETRIES, NetWorkQueue, QueueAuthError, QueueServer
+from repro.runtime import parallel
 from repro.runtime.parallel import ParallelExperimentRunner, reconcile_failed_tasks
 from repro.runtime.result_store import ResultStore, ShardedResultStore, TaskKey
 from repro.runtime.workqueue import ResultUpload, TaskClaim, WorkerQueueTransport, parse_queue_url
@@ -222,7 +223,7 @@ class TestTaskRetries:
 
     @pytest.fixture
     def retry_queue(self, make_queue):
-        return make_queue(lease_timeout_s=30)
+        return make_queue()
 
     @staticmethod
     def _fail_once(queue, error="TransientError: boom"):
@@ -268,11 +269,11 @@ class TestTaskRetries:
 
 class TestNetQueue:
     def test_lifecycle_persists_uploaded_results_coordinator_side(self, tmp_path):
-        """enqueue -> claim -> renew -> ack-with-result over a real socket; the
+        """enqueue -> claim -> ack-with-result over a real socket; the
         uploaded result must land in the coordinator's local store exactly as
         a shared-store save would have written it."""
         store = ResultStore(tmp_path / "store")
-        server = QueueServer(lease_timeout_s=30, result_store=store)
+        server = QueueServer(result_store=store)
         client = NetWorkQueue(server.url)
         try:
             server.enqueue("t-0", {"n": 0})
@@ -281,7 +282,6 @@ class TestNetQueue:
             assert claim is not None and claim.task_id == "t-0"
             assert claim.payload == {"n": 0}
             assert server.stats().describe() == "1 pending, 1 claimed, 0 done, 0 failed"
-            client.renew(claim)
 
             key = TaskKey("job", "random-0", "postgres", seed=1)
             result = _sample_result()
@@ -310,49 +310,50 @@ class TestNetQueue:
             client.close()
             server.close()
 
-    def test_claim_is_exclusive_and_expired_lease_is_requeued(self):
-        server = QueueServer(lease_timeout_s=0.05)
+    def test_claim_is_exclusive_and_a_reaped_claimers_task_is_requeued(self):
+        server = QueueServer()
         client = NetWorkQueue(server.url)
         try:
             server.enqueue("only", "task")
             first = client.claim("a")
             assert first is not None
             assert client.claim("b") is None  # exclusive
-            time.sleep(0.1)  # the claimer never renews: lease expires
-            assert server.requeue_expired() == ["only"]
-            assert not server.has_live_claims()
+            assert server.requeue_orphaned({"a", "b"}) == []
+            assert server.requeue_orphaned({"b"}) == ["only"]  # "a" was reaped
+            assert server.claimed_ids() == set()
             revived = client.claim("b")
             assert revived is not None and revived.payload == "task"
         finally:
             client.close()
             server.close()
 
-    def test_renew_keeps_server_side_lease_alive(self):
-        server = QueueServer(lease_timeout_s=0.2)
-        client = NetWorkQueue(server.url)
+    def test_a_renew_frame_is_rejected_and_leaves_its_claim_alone(self):
+        """The wire has no ``renew`` op: a worker's claim lasts while the
+        worker lives, so there is nothing to renew.  The frame is refused
+        loudly and changes nothing."""
+        server = QueueServer()
         try:
             server.enqueue("t-0", "task")
-            claim = client.claim("steady")
-            for _ in range(3):
-                time.sleep(0.1)
-                client.renew(claim)
-            assert server.requeue_expired() == []
-            assert server.has_live_claims()
+            with NetWorkQueue(server.url, retries=0) as client:
+                claim = client.claim("w")
+                with pytest.raises(ExperimentError, match="unknown queue op 'renew'"):
+                    client._request({"op": "renew", "task_id": claim.task_id, "worker_id": "w"})
+            assert server.claimed_ids() == {"t-0"}
+            assert server.requeue_orphaned({"w"}) == []  # still w's, however long it runs
         finally:
-            client.close()
             server.close()
 
     def test_zombie_ack_after_requeue_wins(self, tmp_path):
-        """A worker that outlives its lease may ack a task that was already
-        re-queued: the (identical) result wins and the duplicate is dropped."""
+        """An ack may land after the coordinator re-queued its task (the
+        worker died while the server persisted its upload): the (identical)
+        result wins and the duplicate is dropped."""
         store = ResultStore(tmp_path / "store")
-        server = QueueServer(lease_timeout_s=0.05, result_store=store)
+        server = QueueServer(result_store=store)
         client = NetWorkQueue(server.url)
         try:
             server.enqueue("t-0", "task")
             zombie = client.claim("zombie")
-            time.sleep(0.1)
-            assert server.requeue_expired() == ["t-0"]  # back in pending
+            assert server.requeue_orphaned(set()) == ["t-0"]  # back in pending
             key = TaskKey("job", "s", "postgres")
             client.ack(zombie, "zombie", ResultUpload(key, "ctx", _sample_result().to_dict()))
             assert server.done_ids() == {"t-0"}
@@ -367,7 +368,7 @@ class TestNetQueue:
         caller (not be swallowed like a dead connection) and must not mark the
         task done — its result never reached disk."""
         store = ResultStore(tmp_path / "store")
-        server = QueueServer(lease_timeout_s=30, result_store=store)
+        server = QueueServer(result_store=store)
         try:
             def boom(*args, **kwargs):
                 raise RuntimeError("disk full")
@@ -386,8 +387,6 @@ class TestNetQueue:
     def test_worker_loop_converts_ack_rejection_into_failure_marker(self, tmp_path):
         """An ack rejection must not kill the worker process: the loop files a
         failure marker carrying the real cause and keeps draining."""
-        from repro.runtime.worker import run_worker
-
         spec, workload, split = _spec_grid_parts()
         runner = ParallelExperimentRunner(
             spec,
@@ -396,7 +395,13 @@ class TestNetQueue:
             runtime_config=sweep_runtime(tmp_path, "tcp", workers=1, shard_count=2),
         )
         store = runner.result_store
-        server = QueueServer(lease_timeout_s=30, result_store=store)
+        server = QueueServer(result_store=store)
+
+        class StopAfterFailure(NetWorkQueue):
+            def fail(self, claim, worker_id, error):
+                super().fail(claim, worker_id, error)
+                server.write_stop()  # the coordinator's retry budget is spent
+
         try:
             def boom(*args, **kwargs):
                 raise RuntimeError("disk full")
@@ -404,9 +409,10 @@ class TestNetQueue:
             store.save_raw = boom
             task = runner.tasks_for(("postgres",), [split])[0]
             server.enqueue("t-0", runner.spec_payload(task))
-            completed = run_worker(
-                server.url, worker_id="w", idle_timeout_s=1.0, max_tasks=2, lease_renew_s=0.5
-            )
+            with StopAfterFailure(server.url) as client:
+                completed = parallel._worker_loop(
+                    client, "w", parallel.execute_spec_payload_with_identity
+                )
             assert completed == 0  # the task executed but was never acked
             assert "ack rejected" in server.failed_tasks().get("t-0", "")
             assert "disk full" in server.failed_tasks()["t-0"]
@@ -415,19 +421,15 @@ class TestNetQueue:
             server.close()
 
     def test_dead_server_reads_as_stop(self):
-        server = QueueServer(lease_timeout_s=5)
+        server = QueueServer()
         url = server.url
         server.close()
         client = NetWorkQueue(url, timeout_s=2.0)
         assert client.claim("w") is None
         assert client.stop_requested()
 
-    def test_nonpositive_lease_rejected(self):
-        with pytest.raises(ExperimentError):
-            QueueServer(lease_timeout_s=0)
-
     def test_discard_failure_reports_whether_a_marker_was_dropped(self):
-        server = QueueServer(lease_timeout_s=30)
+        server = QueueServer()
         try:
             server.enqueue("t-0", "task")
             server.fail(server.claim("w"), "w", "boom")
@@ -437,25 +439,9 @@ class TestNetQueue:
         finally:
             server.close()
 
-    def test_lease_ages_ignore_the_wall_clock(self, monkeypatch):
-        """Leases are stamped and aged on the monotonic clock: a wall clock
-        an hour ahead neither expires a live claim nor keeps a dead one."""
-        server = QueueServer(lease_timeout_s=0.05)
-        try:
-            server.enqueue("t-0", "task")
-            assert server.claim("live-worker") is not None
-            real_time = time.time
-            monkeypatch.setattr(time, "time", lambda: real_time() + 3600)
-            assert server.requeue_expired() == [] and server.has_live_claims()
-            monkeypatch.setattr(time, "time", lambda: real_time() - 3600)
-            time.sleep(0.1)  # the claimer never renews
-            assert server.requeue_expired() == ["t-0"]
-        finally:
-            server.close()
-
     def test_server_implements_the_worker_transport_protocol(self):
         """The worker loop can drive the server in process as well as over a socket."""
-        server = QueueServer(lease_timeout_s=30)
+        server = QueueServer()
         try:
             assert isinstance(server, WorkerQueueTransport)
         finally:
@@ -465,13 +451,13 @@ class TestNetQueue:
         """Task ids carry a sweep-unique prefix: a straggler still holding a
         claim of an earlier sweep cannot complete one of this sweep's tasks
         when the next sweep's server binds the same fixed port."""
-        earlier = QueueServer(lease_timeout_s=30)
+        earlier = QueueServer()
         straggler = NetWorkQueue(earlier.url)
         try:
             earlier.enqueue("aaaa-0000", "old")
             stale = straggler.claim("straggler")
             earlier.close()
-            server = QueueServer(host="127.0.0.1", port=earlier.port, lease_timeout_s=30)
+            server = QueueServer(host="127.0.0.1", port=earlier.port)
             try:
                 assert server.url == earlier.url
                 server.enqueue("bbbb-0000", "new")
@@ -489,7 +475,7 @@ class TestNetQueue:
     def test_a_negative_wait_returns_at_once(self):
         """The server clamps a wait to [0, its frame deadline]: a negative
         timeout is an immediate answer, not an error or a hang."""
-        server = QueueServer(lease_timeout_s=30)
+        server = QueueServer()
         client = NetWorkQueue(server.url, retries=0)
         try:
             started = time.monotonic()
@@ -500,7 +486,7 @@ class TestNetQueue:
             server.close()
 
     def test_client_implements_the_worker_transport_protocol(self):
-        server = QueueServer(lease_timeout_s=30)
+        server = QueueServer()
         try:
             with NetWorkQueue(server.url) as client:
                 assert isinstance(client, WorkerQueueTransport)
@@ -512,7 +498,7 @@ class TestNetQueue:
             NetWorkQueue("file:///tmp/queue")
 
     def test_unknown_op_is_rejected_not_hung(self):
-        server = QueueServer(lease_timeout_s=30)
+        server = QueueServer()
         client = NetWorkQueue(server.url)
         try:
             # The wire serves the worker's ops only: queue counts stay in the
@@ -529,7 +515,6 @@ class TestIdleWorker:
     def test_each_empty_claim_is_followed_by_one_wait_of_the_poll_interval(self):
         """The worker loop does not pace itself: it hands the queue the whole
         poll interval, and the queue ends a wait early on work or a stop."""
-        from repro.runtime import worker
 
         class IdleQueue:
             def __init__(self) -> None:
@@ -545,29 +530,79 @@ class TestIdleWorker:
                 self.waits.append(timeout_s)
 
         queue = IdleQueue()
-        assert worker._worker_loop(queue, "w", 0.2, None, None, 5.0, execute=None) == 0
-        assert queue.waits == [0.2, 0.2, 0.2]
+        assert parallel._worker_loop(queue, "w", execute=None) == 0
+        assert queue.waits == [parallel.WORKER_WAIT_S] * 3
+
+    class SilentCoordinator:
+        """A queue that answers but never stops: the coordinator hung.  Each
+        wait moves the fake clock on by its timeout; a task is handed out
+        once the clock reaches ``task_at``."""
+
+        def __init__(self, clock: list[float], task_at: float = float("inf")) -> None:
+            self.clock, self.task_at, self.acked = clock, task_at, []
+
+        def claim(self, worker_id):
+            if self.clock[0] < self.task_at:
+                return None
+            self.task_at = float("inf")
+            return TaskClaim("t-0", payload="ctx")
+
+        def ack(self, claim, worker_id, result=None):
+            self.acked.append(claim.task_id)
+
+        def stop_requested(self):
+            return False
+
+        def wait_for_work(self, timeout_s):
+            self.clock[0] += timeout_s
 
     @staticmethod
-    def start_loop(url: str, execute) -> tuple[threading.Thread, dict]:
-        """The worker loop over the wire in a thread, with a 5 s poll interval."""
-        from repro.runtime import worker
+    def fake_clock(monkeypatch) -> list[float]:
+        clock = [1000.0]
+        monkeypatch.setattr(parallel, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+        return clock
 
+    def test_a_worker_whose_coordinator_never_stops_leaves_after_the_orphan_bound(self, monkeypatch):
+        """No stop and no work for ``ORPHAN_IDLE_S`` (600 s): the worker exits
+        on its own, one wait after the bound passed."""
+        assert parallel.ORPHAN_IDLE_S == 600.0
+        clock = self.fake_clock(monkeypatch)
+        queue = self.SilentCoordinator(clock)
+        assert parallel._worker_loop(queue, "w", execute=None) == 0
+        idle = clock[0] - 1000.0
+        assert parallel.ORPHAN_IDLE_S < idle <= parallel.ORPHAN_IDLE_S + parallel.WORKER_WAIT_S + 1e-6
+
+    def test_the_orphan_bound_counts_from_the_last_task(self, monkeypatch, capsys):
+        """A task handed out at 500 s restarts the idle count: the worker
+        leaves 600 s after it, not 600 s after it started."""
+        clock = self.fake_clock(monkeypatch)
+        queue = self.SilentCoordinator(clock, task_at=1500.0)
+        key = TaskKey("job", "s", "postgres", 0)
+        assert parallel._worker_loop(queue, "w", lambda payload: (_sample_result(), key, payload)) == 1
+        assert queue.acked == ["t-0"]
+        idle = clock[0] - 1500.0
+        assert parallel.ORPHAN_IDLE_S < idle <= parallel.ORPHAN_IDLE_S + parallel.WORKER_WAIT_S + 1e-6
+        assert capsys.readouterr().out == "[w] completed t-0\n"
+
+    @staticmethod
+    def start_loop(monkeypatch, url: str, execute) -> tuple[threading.Thread, dict]:
+        """The worker loop over the wire in a thread, with a 5 s poll interval."""
+        monkeypatch.setattr(parallel, "WORKER_WAIT_S", 5.0)
         out: dict = {}
 
         def loop() -> None:
             with NetWorkQueue(url, retries=0) as client:
-                out["completed"] = worker._worker_loop(client, "w", 5.0, None, None, 5.0, execute)
+                out["completed"] = parallel._worker_loop(client, "w", execute)
 
         thread = threading.Thread(target=loop, daemon=True)
         thread.start()
         time.sleep(0.2)  # long enough to find the queue empty and start waiting
         return thread, out
 
-    def test_a_stop_written_during_a_wait_ends_the_loop_at_once(self):
-        server = QueueServer(lease_timeout_s=30)
+    def test_a_stop_written_during_a_wait_ends_the_loop_at_once(self, monkeypatch):
+        server = QueueServer()
         try:
-            thread, out = self.start_loop(server.url, execute=None)
+            thread, out = self.start_loop(monkeypatch, server.url, execute=None)
             assert thread.is_alive()
             started = time.monotonic()
             server.write_stop()
@@ -577,14 +612,16 @@ class TestIdleWorker:
         finally:
             server.close()
 
-    def test_a_task_enqueued_during_a_wait_is_run_at_once(self, tmp_path):
+    def test_a_task_enqueued_during_a_wait_is_run_at_once(self, tmp_path, monkeypatch):
         """The idle worker is woken by the enqueue, not by its poll interval,
         and its upload lands in the coordinator's store."""
         store = ResultStore(tmp_path / "store")
-        server = QueueServer(lease_timeout_s=30, result_store=store)
+        server = QueueServer(result_store=store)
         key = TaskKey("job", "random-0", "postgres", seed=1)
         try:
-            thread, out = self.start_loop(server.url, execute=lambda payload: (_sample_result(), key, payload))
+            thread, out = self.start_loop(
+                monkeypatch, server.url, execute=lambda payload: (_sample_result(), key, payload)
+            )
             started = time.monotonic()
             server.enqueue("t-0", "ctx")
             while server.done_ids() != {"t-0"} and time.monotonic() - started < 10:
@@ -599,54 +636,8 @@ class TestIdleWorker:
 
 
 class TestWorkerProcess:
-    def test_worker_closes_its_queue_client(self, monkeypatch):
-        """A worker that finds the sweep already stopped exits and leaves no
-        connection to the coordinator open behind it."""
-        from repro.runtime import worker as worker_module
-
-        clients = []
-
-        class RecordedClient(NetWorkQueue):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                clients.append(self)
-
-        monkeypatch.setattr(worker_module, "NetWorkQueue", RecordedClient)
-        queue = QueueServer()
-        queue.write_stop()
-        try:
-            assert worker_module.run_worker(queue.url, worker_id="w") == 0
-        finally:
-            queue.close()
-        assert len(clients) == 1
-        assert clients[0]._sock is None  # the kept connection was closed
-
-    def test_cli_wires_its_options_through(self, monkeypatch, capsys):
-        from repro.runtime import worker as worker_module
-
-        captured = {}
-
-        def fake_run_worker(queue_target, **kwargs):
-            captured.update(kwargs, queue_target=queue_target)
-            return 0
-
-        monkeypatch.setattr(worker_module, "run_worker", fake_run_worker)
-        argv = ["tcp://127.0.0.1:7077", "--worker-id", "w-1", "--poll-interval", "0.5",
-                "--idle-timeout", "3", "--max-tasks", "4", "--lease-renew", "2"]
-        assert worker_module.main(argv) == 0
-        assert captured == {
-            "queue_target": "tcp://127.0.0.1:7077", "worker_id": "w-1", "poll_interval_s": 0.5,
-            "idle_timeout_s": 3.0, "max_tasks": 4, "lease_renew_s": 2.0,
-        }
-        # Every worker claims from the one pool, and progress is the coordinator's.
-        for option in ("--shard", "--progress"):
-            with pytest.raises(SystemExit):
-                worker_module.main(["tcp://127.0.0.1:7077", option, "2"])
-        assert "unrecognized arguments" in capsys.readouterr().err
-
     def test_the_claim_loop_reports_each_task_on_its_stream(self, capsys):
         """One whole line per task: completions on stdout, failures on stderr."""
-        from repro.runtime import worker
 
         class OneShotQueue:
             def __init__(self):
@@ -655,9 +646,6 @@ class TestWorkerProcess:
 
             def claim(self, worker_id):
                 return TaskClaim(self.pending.pop(0), payload=None) if self.pending else None
-
-            def renew(self, claim):
-                pass
 
             def ack(self, claim, worker_id, result=None):
                 self.reports.append(("ack", claim.task_id))
@@ -674,7 +662,7 @@ class TestWorkerProcess:
             return _sample_result(), TaskKey("job", "s", "postgres", 0), "fingerprint"
 
         queue = OneShotQueue()
-        assert worker._worker_loop(queue, "w", 0.2, None, None, 5.0, execute) == 1
+        assert parallel._worker_loop(queue, "w", execute) == 1
         assert queue.reports == [("ack", "t-0"), ("fail", "t-1", "RuntimeError: boom")]
         out, err = capsys.readouterr()
         assert out == "[w] completed t-0\n"
@@ -685,7 +673,7 @@ class TestWaitForChange:
     """The coordinator's pause: the queue ends it on an ack or a failure."""
 
     def test_queue_server_returns_on_ack_and_fail(self):
-        server = QueueServer(lease_timeout_s=30)
+        server = QueueServer()
         try:
             started = time.monotonic()
             server.wait_for_change(0.05)  # nothing happened: the full timeout
@@ -716,7 +704,7 @@ class TestWaitForChange:
             server.close()
 
     def test_an_ack_and_a_failure_over_the_wire_wake_the_coordinator(self):
-        server = QueueServer(lease_timeout_s=30)
+        server = QueueServer()
         client = NetWorkQueue(server.url, retries=0)
         try:
             for act in ("ack", "fail"):
@@ -739,7 +727,7 @@ class TestWaitForChange:
             server.close()
 
     def test_a_claim_that_finds_work_does_not_wake_the_coordinator(self):
-        server = QueueServer(lease_timeout_s=30)
+        server = QueueServer()
         try:
             server.enqueue("t-0", "payload")
             assert server.claim("w") is not None
@@ -768,15 +756,15 @@ class TestWaitForWork:
         return elapsed
 
     def test_queue_server_returns_on_enqueue_requeue_and_stop(self):
-        server = QueueServer(lease_timeout_s=0.05)
+        server = QueueServer()
         client = NetWorkQueue(server.url, retries=0)
         try:
             assert self.waited(lambda: client.wait_for_work(0.1)) >= 0.09  # nothing to claim
             assert self.waited(lambda: client.wait_for_work(5.0), lambda: server.enqueue("t-0", "p")) < 2.0
             assert self.waited(lambda: client.wait_for_work(5.0)) < 1.0  # work already there
             assert client.claim("w") is not None
-            time.sleep(0.1)  # the lease runs out
-            assert self.waited(lambda: client.wait_for_work(5.0), server.requeue_expired) < 2.0
+            # "w" was reaped: its claim goes back and wakes the waiter.
+            assert self.waited(lambda: client.wait_for_work(5.0), lambda: server.requeue_orphaned(set())) < 2.0
             assert client.claim("w") is not None
             assert client.claim("w") is None
             assert self.waited(lambda: client.wait_for_work(5.0), server.write_stop) < 2.0
@@ -787,7 +775,7 @@ class TestWaitForWork:
     def test_a_client_wait_never_outlasts_its_own_socket_timeout(self):
         """The client asks for half its socket timeout at most, so a long
         poll interval ends in a normal answer, never in a recv timeout."""
-        server = QueueServer(lease_timeout_s=30)
+        server = QueueServer()
         client = NetWorkQueue(server.url, timeout_s=1.0, retries=0)
         try:
             elapsed = self.waited(lambda: client.wait_for_work(60.0))
@@ -861,9 +849,7 @@ class TestDistributedRunner:
             spec,
             workload,
             experiment_config=GRID_CONFIG,
-            runtime_config=sweep_runtime(
-                tmp_path, transport, workers=2, shard_count=4, lease_timeout_s=30
-            ),
+            runtime_config=sweep_runtime(tmp_path, transport, workers=2, shard_count=4),
         )
         distributed = [run_result_as_json(r) for r in runner.run_grid(GRID_METHODS, [split])]
 
@@ -893,84 +879,6 @@ class TestDistributedRunner:
             assert merged.exists(key, fingerprint)
             merged.load(key, fingerprint)  # raises on fingerprint mismatch
 
-    @staticmethod
-    def _spawn_isolated_worker(url: str, island: Path, index: int) -> subprocess.Popen:
-        """A real worker process whose only link to the coordinator is the TCP
-        url: it runs from (and temps into) its own island directory and is
-        given no path the coordinator ever reads or writes."""
-        island.mkdir(parents=True, exist_ok=True)
-        source_root = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(source_root)
-        env["TMPDIR"] = str(island)
-        command = [
-            sys.executable, "-m", "repro.runtime.worker", url,
-            "--worker-id", f"island-{index}", "--lease-renew", "0.25",
-        ]
-        with open(island / "worker.log", "ab") as log:
-            return subprocess.Popen(
-                command, stdout=log, stderr=subprocess.STDOUT, env=env, cwd=str(island)
-            )
-
-    def test_tcp_sweep_with_isolated_workers_survives_dead_worker(self, tmp_path):
-        """TCP transport end to end with zero filesystem sharing: a worker in
-        an isolated island directory drains the queue over the socket, a
-        SIGKILLed worker's claim (claimed, never renewed) is re-queued
-        server-side, every result is persisted coordinator-locally from the
-        upload frames, and the grid is byte-identical to serial."""
-        spec, workload, split = _spec_grid_parts()
-        runner = ParallelExperimentRunner(
-            spec,
-            workload,
-            experiment_config=GRID_CONFIG,
-            runtime_config=sweep_runtime(tmp_path, "tcp", workers=1, shard_count=2),
-        )
-        store = runner.result_store
-        tasks = runner.tasks_for(GRID_METHODS, [split])
-        want = {f"t-{index}" for index in range(len(tasks))}
-        server = QueueServer(lease_timeout_s=1.0, result_store=store)
-        proc = None
-        island = tmp_path / "worker-island"
-        try:
-            for index, task in enumerate(tasks):
-                server.enqueue(f"t-{index}", runner.spec_payload(task))
-            # Simulate a SIGKILLed worker: it claimed over the wire and died —
-            # its lease is never renewed again.
-            with NetWorkQueue(server.url) as client:
-                doomed = client.claim("doomed-worker")
-            assert doomed is not None
-
-            proc = self._spawn_isolated_worker(server.url, island, 0)
-            deadline = time.monotonic() + 180
-            requeued: list[str] = []
-            while time.monotonic() < deadline:
-                requeued += server.requeue_expired()
-                if server.done_ids() >= want:
-                    break
-                assert not server.failed_tasks()
-                time.sleep(0.2)
-        finally:
-            server.write_stop()
-            if proc is not None:
-                proc.wait(timeout=60)
-            server.close()
-        assert doomed.task_id in requeued  # the dead worker's lease was re-queued
-        assert server.done_ids() >= want
-        # The island shares nothing with the coordinator: no store, no queue
-        # files ever appear there — only the worker's own log.
-        assert not list(island.rglob("*.json"))
-        assert not list(island.rglob("*.task"))
-        # Every result reached the store through the coordinator's sink.
-        assert store.stored_count >= len(tasks)
-
-        serial = ParallelExperimentRunner(
-            spec, workload, experiment_config=GRID_CONFIG, runtime_config=RuntimeConfig(workers=1)
-        )
-        expected = serial.run_grid(GRID_METHODS, [split])
-        for task, reference in zip(tasks, expected):
-            stored = store.load(runner.task_key(task), runner.task_fingerprint(task))
-            assert run_result_as_json(stored) == run_result_as_json(reference)
-
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_distributed_resume_skips_completed_tasks(self, tmp_path, transport):
         """A second distributed sweep over a fully-populated store enqueues
@@ -998,23 +906,28 @@ class TestDistributedRunner:
     def test_a_default_sweep_signs_every_frame(
         self, tmp_path, monkeypatch, slow_tasks, secret, unsigned_client
     ):
-        """With no queue_secret and no REPRO_QUEUE_SECRET the sweep mints its
-        own secret: an unsigned client is turned away while the sweep runs,
-        and the grid still equals serial.  An explicit "" turns it off."""
-        monkeypatch.delenv("REPRO_QUEUE_SECRET", raising=False)
+        """With no queue_secret the sweep mints its own secret: an unsigned
+        client is turned away while the sweep runs, and the grid still equals
+        serial.  An explicit "" turns it off.  REPRO_QUEUE_SECRET keys nothing:
+        a client keyed with it is turned away either way.  The default url
+        binds loopback on a real port, and the queue leaves nothing on disk
+        beside the store's results, its manifest and the worker logs."""
+        monkeypatch.setenv("REPRO_QUEUE_SECRET", "env-secret")
         slow_tasks(0.3)  # the probe at the first snapshot finds the server up
         spec, workload, split = _spec_grid_parts()
-        seen: list[str] = []
+        seen: dict[str, str] = {}
 
         def probe(snapshot):
             if seen:
                 return
-            with NetWorkQueue(runner._distributed_queue.url, secret="", retries=0) as intruder:
-                try:
-                    intruder.stop_requested()
-                    seen.append("accepted")
-                except QueueAuthError:
-                    seen.append("rejected")
+            seen["url"] = runner._distributed_queue.url
+            for name, key in (("unsigned", ""), ("env-keyed", "env-secret")):
+                with NetWorkQueue(seen["url"], secret=key, retries=0) as client:
+                    try:
+                        client.stop_requested()
+                        seen[name] = "accepted"
+                    except QueueAuthError:
+                        seen[name] = "rejected"
 
         runner = ParallelExperimentRunner(
             spec,
@@ -1027,47 +940,9 @@ class TestDistributedRunner:
             progress_callback=probe,
         )
         distributed = [run_result_as_json(r) for r in runner.run_grid(GRID_METHODS, [split])]
-        assert seen == [unsigned_client]
-        serial = ParallelExperimentRunner(
-            spec, workload, experiment_config=GRID_CONFIG, runtime_config=RuntimeConfig(workers=1)
-        )
-        assert distributed == [run_result_as_json(r) for r in serial.run_grid(GRID_METHODS, [split])]
-
-    def test_an_environment_secret_keys_a_loopback_sweep(self, tmp_path, monkeypatch, slow_tasks):
-        """A set REPRO_QUEUE_SECRET is the sweep's secret: a client keyed with
-        it is served and an unsigned one is not.  The default url binds
-        loopback on a real port, and the queue leaves nothing on disk beside
-        the store's results, its manifest and the worker logs."""
-        monkeypatch.setenv("REPRO_QUEUE_SECRET", "env-secret")
-        slow_tasks(0.3)  # the probe at the first snapshot finds the server up
-        spec, workload, split = _spec_grid_parts()
-        seen: dict[str, str] = {}
-
-        def probe(snapshot):
-            if seen:
-                return
-            seen["url"] = runner._distributed_queue.url
-            for name, secret in (("keyed", "env-secret"), ("unsigned", "")):
-                with NetWorkQueue(seen["url"], secret=secret, retries=0) as client:
-                    try:
-                        client.stop_requested()
-                        seen[name] = "accepted"
-                    except QueueAuthError:
-                        seen[name] = "rejected"
-
-        runner = ParallelExperimentRunner(
-            spec,
-            workload,
-            experiment_config=GRID_CONFIG,
-            runtime_config=distributed_runtime(
-                tmp_path / "store", workers=1, shard_count=2, progress_interval_s=0.05
-            ),
-            progress_callback=probe,
-        )
-        distributed = [run_result_as_json(r) for r in runner.run_grid(GRID_METHODS, [split])]
+        assert (seen["unsigned"], seen["env-keyed"]) == (unsigned_client, "rejected")
         host, _, port = seen["url"].removeprefix("tcp://").rpartition(":")
         assert host == "127.0.0.1" and int(port) > 0
-        assert (seen["keyed"], seen["unsigned"]) == ("accepted", "rejected")
         store = runner.result_store
         on_disk = {path for path in store.root.rglob("*") if path.is_file()}
         logs = set((store.root / "worker-logs").iterdir())
@@ -1079,10 +954,11 @@ class TestDistributedRunner:
 
     @pytest.mark.parametrize("secret", ["sweep-secret", ""])
     def test_a_worker_gets_the_sweeps_secret_not_an_inherited_one(self, tmp_path, monkeypatch, secret):
-        """The sweep's secret always replaces REPRO_QUEUE_SECRET in a local
-        worker: an explicit "" (authentication off) stays off there too.  A
-        worker keyed with the inherited value would have its frames rejected
-        and exit, and the sweep would fail instead of equalling serial."""
+        """A forked worker is keyed with the sweep's secret, never with an
+        inherited REPRO_QUEUE_SECRET: an explicit "" (authentication off)
+        stays off there too.  A worker keyed with the inherited value would
+        have its frames rejected and exit, and the sweep would fail instead
+        of equalling serial."""
         monkeypatch.setenv("REPRO_QUEUE_SECRET", "inherited")
         spec, workload, split = _spec_grid_parts()
         runner = ParallelExperimentRunner(
@@ -1136,13 +1012,143 @@ class TestForkedWorkers:
     """Local workers fork from the coordinator: before any thread of its
     own, never back into its code, and reaped through their handles."""
 
-    def test_a_raising_worker_exits_1_with_its_traceback_logged(self, tmp_path, monkeypatch):
-        from repro.runtime import worker as worker_module
+    def test_a_killed_workers_claim_is_requeued_when_it_is_reaped(self, tmp_path, slow_tasks):
+        """SIGKILL one of two workers while both hold a claim: the coordinator
+        re-queues the dead worker's claim as soon as it reaps it, with no
+        timeout to wait out, and the survivor finishes the grid with the
+        serial bytes."""
+        slow_tasks(1.0)  # both workers are still mid-task at an early snapshot
+        spec, workload, split = _spec_grid_parts()
+        killed: list[int] = []
 
-        def broken_worker(*args, **kwargs):
+        def kill_a_claimer(snapshot):
+            if not killed and snapshot.claimed == 2:  # one claim per worker
+                victim = runner._distributed_procs[0]
+                victim.kill()
+                killed.append(victim.pid)
+
+        runner = ParallelExperimentRunner(
+            spec,
+            workload,
+            experiment_config=GRID_CONFIG,
+            runtime_config=distributed_runtime(
+                tmp_path / "store", workers=2, shard_count=2, progress_interval_s=0.05
+            ),
+            progress_callback=kill_a_claimer,
+        )
+        started = time.monotonic()
+        distributed = [run_result_as_json(r) for r in runner.run_grid(GRID_METHODS, [split])]
+        elapsed = time.monotonic() - started
+        assert killed, "never saw both workers hold a claim"
+        assert runner._distributed_requeued == 1
+        assert [proc.returncode for proc in runner._distributed_procs] == [-9, 0]
+        assert elapsed < 10.0
+        serial = ParallelExperimentRunner(
+            spec, workload, experiment_config=GRID_CONFIG, runtime_config=RuntimeConfig(workers=1)
+        )
+        assert distributed == [run_result_as_json(r) for r in serial.run_grid(GRID_METHODS, [split])]
+
+    @staticmethod
+    def serial_grid(spec, workload, split) -> list[str]:
+        serial = ParallelExperimentRunner(
+            spec, workload, experiment_config=GRID_CONFIG, runtime_config=RuntimeConfig(workers=1)
+        )
+        return [run_result_as_json(r) for r in serial.run_grid(GRID_METHODS, [split])]
+
+    def test_a_live_workers_long_task_is_never_requeued(self, tmp_path, slow_tasks):
+        """No timeout stands in for a worker's death: tasks that each outlast
+        several coordinator rounds stay with their live workers and run once."""
+        slow_tasks(5 * parallel.COORDINATOR_POLL_S)
+        spec, workload, split = _spec_grid_parts()
+        claimed: list[int] = []
+        runner = ParallelExperimentRunner(
+            spec,
+            workload,
+            experiment_config=GRID_CONFIG,
+            runtime_config=distributed_runtime(
+                tmp_path / "store", workers=2, shard_count=2, progress_interval_s=0.05
+            ),
+            progress_callback=lambda snapshot: claimed.append(snapshot.claimed),
+        )
+        distributed = [run_result_as_json(r) for r in runner.run_grid(GRID_METHODS, [split])]
+        assert claimed.count(2) >= 3, "the two tasks never ran side by side for long"
+        assert runner._distributed_requeued == 0
+        assert sum(runner._distributed_queue.worker_done_counts().values()) == len(distributed)
+        assert [proc.returncode for proc in runner._distributed_procs] == [0, 0]
+        assert distributed == self.serial_grid(spec, workload, split)
+
+    def test_a_claim_under_a_foreign_worker_id_does_not_hold_the_sweep(self, tmp_path, slow_tasks):
+        """A hand-made client keyed with the sweep's secret claims a task and
+        never acks it.  It is no forked worker, so the next round re-queues
+        its claim and a worker of the sweep runs the task."""
+        slow_tasks(0.3)  # the first snapshot finds a task still pending
+        spec, workload, split = _spec_grid_parts()
+        taken: list[str] = []
+
+        def claim_by_hand(snapshot):
+            # A raise aborts the sweep: a regression fails here instead of hanging.
+            assert snapshot.elapsed_s < 10.0, "the hand-made claim holds the sweep open"
+            if taken:
+                return
+            with NetWorkQueue(runner._distributed_queue.url, secret="hand-made", retries=0) as client:
+                claim = client.claim("hand-made-client")
+            assert claim is not None
+            taken.append(claim.task_id)
+
+        runner = ParallelExperimentRunner(
+            spec,
+            workload,
+            experiment_config=GRID_CONFIG,
+            runtime_config=distributed_runtime(
+                tmp_path / "store", workers=1, shard_count=2, progress_interval_s=0.05,
+                queue_secret="hand-made",
+            ),
+            progress_callback=claim_by_hand,
+        )
+        distributed = [run_result_as_json(r) for r in runner.run_grid(GRID_METHODS, [split])]
+        assert len(taken) == 1
+        assert runner._distributed_requeued == 1
+        assert runner._distributed_queue.worker_done_counts() == {"local-0": len(distributed)}
+        assert distributed == self.serial_grid(spec, workload, split)
+
+    def test_a_forked_worker_keeps_the_secret_out_of_its_environment(
+        self, tmp_path, monkeypatch
+    ):
+        """The secret reaches a worker's client in memory: the worker's
+        ``os.environ`` never holds ``REPRO_QUEUE_SECRET``, so nothing the
+        task starts can read it, and neither does the coordinator's."""
+        monkeypatch.delenv("REPRO_QUEUE_SECRET", raising=False)
+        seen = tmp_path / "environment-seen"
+        execute = parallel.execute_spec_payload_with_identity
+
+        def recording(payload):
+            with open(seen, "a", encoding="utf-8") as out:
+                out.write(f"{os.getpid()} {os.environ.get('REPRO_QUEUE_SECRET')}\n")
+            return execute(payload)
+
+        monkeypatch.setattr(parallel, "execute_spec_payload_with_identity", recording)
+        spec, workload, split = _spec_grid_parts()
+        runner = ParallelExperimentRunner(
+            spec,
+            workload,
+            experiment_config=GRID_CONFIG,
+            runtime_config=distributed_runtime(
+                tmp_path / "store", workers=1, shard_count=2, queue_secret="sweep-secret"
+            ),
+        )
+        distributed = [run_result_as_json(r) for r in runner.run_grid(GRID_METHODS, [split])]
+        lines = seen.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(distributed)
+        assert {line.split()[0] for line in lines} == {str(runner._distributed_procs[0].pid)}
+        assert {line.split()[1] for line in lines} == {"None"}
+        assert "REPRO_QUEUE_SECRET" not in os.environ
+        assert distributed == self.serial_grid(spec, workload, split)
+
+    def test_a_raising_worker_exits_1_with_its_traceback_logged(self, tmp_path, monkeypatch):
+        def broken_loop(*args, **kwargs):
             raise RuntimeError("worker loop broke")
 
-        monkeypatch.setattr(worker_module, "run_worker", broken_worker)
+        monkeypatch.setattr(parallel, "_worker_loop", broken_loop)
         spec, workload, split = _spec_grid_parts()
         runner = ParallelExperimentRunner(
             spec,
@@ -1185,7 +1191,7 @@ class TestForkedWorkers:
         """A worker whose url never comes blocks on its pipe: it is there to
         be killed, and reads -9 after.  One whose pipe closes unwritten exits
         0 without connecting."""
-        proc, url_fd = ParallelExperimentRunner._spawn_worker(0, 1.0, tmp_path, "s", [])
+        proc, url_fd = ParallelExperimentRunner._spawn_worker(0, tmp_path, "s", [])
         try:
             assert proc.poll() is None and proc.returncode is None
             with pytest.raises(subprocess.TimeoutExpired):
@@ -1199,7 +1205,7 @@ class TestForkedWorkers:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-        proc, url_fd = ParallelExperimentRunner._spawn_worker(1, 1.0, tmp_path, "s", [])
+        proc, url_fd = ParallelExperimentRunner._spawn_worker(1, tmp_path, "s", [])
         os.close(url_fd)
         assert proc.wait(timeout=10) == 0
         assert (tmp_path / "local-1.log").read_text() == ""
@@ -1245,8 +1251,8 @@ class TestCoordinatorCrash:
     #: worker spends it on at most three requests (the ack of the task it was
     #: running, an empty claim, the stop poll) after that task ends, plus one
     #: idle wait.  The task itself is a small cell; a minute covers it with
-    #: room to spare, far below the 300 s idle timeout that would otherwise
-    #: be an orphan's only way out.
+    #: room to spare, far below the 600 s orphan bound (``ORPHAN_IDLE_S``)
+    #: that would otherwise be an orphan's only way out.
     ORPHAN_EXIT_S = 60.0 + 3 * CLIENT_BACKOFF_S * (2 ** CLIENT_RETRIES - 1) + 0.2
 
     def test_orphans_exit_and_a_rerun_computes_only_what_is_missing(self, tmp_path):

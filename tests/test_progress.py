@@ -99,10 +99,10 @@ class ScriptedQueue:
     a wait that no ack cut short would.
     """
 
-    def __init__(self, clock, task_ids, done_at, live_claims=True):
+    def __init__(self, clock, task_ids, done_at):
         self.clock, self.task_ids, self.done_at = clock, set(task_ids), done_at
-        self.live_claims = live_claims
-        self.expired: list[list[str]] = []
+        self.orphaned: list[list[str]] = []
+        self.live: list[set[str]] = []  # the live workers of each sweep for orphans
         self.waits: list[float] = []
 
     def done_ids(self):
@@ -111,11 +111,9 @@ class ScriptedQueue:
     def failed_tasks(self):
         return {}
 
-    def requeue_expired(self):
-        return self.expired.pop(0) if self.expired else []
-
-    def has_live_claims(self):
-        return self.live_claims
+    def requeue_orphaned(self, live_workers):
+        self.live.append(live_workers)
+        return self.orphaned.pop(0) if self.orphaned else []
 
     def wait_for_change(self, timeout_s):
         # A real wait of <= 0 s returns at once: the coordinator would spin.
@@ -142,7 +140,7 @@ class TestProgressReporter:
     def test_snapshots_chain_from_the_reporters_creation(self, monkeypatch):
         clock = FakeClock()
         monkeypatch.setattr(parallel, "time", SimpleNamespace(monotonic=clock))
-        queue = BucketQueue(lease_timeout_s=60)
+        queue = BucketQueue()
         for task_id in ("t-0", "t-1"):
             queue.enqueue(task_id, "payload")
         seen: list[ProgressSnapshot] = []
@@ -161,7 +159,7 @@ class TestProgressReporter:
     def test_the_callback_runs_with_no_queue_lock_held(self):
         """A slow callback delays the coordinator, never the workers: another
         thread reads (and acks on) the queue while the callback runs."""
-        queue = BucketQueue(lease_timeout_s=60)
+        queue = BucketQueue()
         queue.enqueue("t-0", "payload")
         finished = []
 
@@ -213,16 +211,19 @@ class TestCoordinatorLoop:
             await_queue(monkeypatch, queue, clock, 0.5, report=broken)
         assert clock.now == pytest.approx(100.5)  # the first due snapshot, not the sweep's end
 
-    def test_expired_leases_are_requeued_and_counted(self, monkeypatch):
+    def test_orphaned_claims_are_requeued_and_counted(self, monkeypatch):
+        """Every round re-queues the claims no live forked worker holds."""
         clock = FakeClock()
         queue = ScriptedQueue(clock, ["t-0", "t-1"], done_at=100.5)
-        queue.expired = [["t-0"], [], ["t-1"]]
-        runner = await_queue(monkeypatch, queue, clock, None)
+        queue.orphaned = [["t-0"], [], ["t-1"]]
+        procs = [SimpleNamespace(poll=lambda: None), SimpleNamespace(poll=lambda: -9)]
+        runner = await_queue(monkeypatch, queue, clock, None, procs=procs)
         assert runner._distributed_requeued == 2
+        assert queue.live and all(live == {"local-0"} for live in queue.live)
 
-    def test_exited_workers_with_no_live_claim_end_the_sweep(self, monkeypatch):
+    def test_exited_workers_end_the_sweep(self, monkeypatch):
         clock = FakeClock()
-        queue = ScriptedQueue(clock, ["t-0", "t-1"], done_at=float("inf"), live_claims=False)
+        queue = ScriptedQueue(clock, ["t-0", "t-1"], done_at=float("inf"))
         exited = [SimpleNamespace(returncode=code, poll=lambda code=code: code) for code in (1, -9)]
         with pytest.raises(ExperimentError, match=r"all 2 local .* codes \[1, -9\]\) with 2 task"):
             await_queue(monkeypatch, queue, clock, 0.5, procs=exited)

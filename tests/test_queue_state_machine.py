@@ -1,7 +1,7 @@
 """The work queue's one state machine, and the store's durable writes.
 
-``BucketQueue`` holds the claim/lease/ack logic as plain state behind one
-lock; ``QueueServer`` serves it over TCP.  These tests pin the queue's rules.
+``BucketQueue`` holds the claim/ack logic as plain state behind one lock;
+``QueueServer`` serves it over TCP.  These tests pin the queue's rules.
 """
 
 import os
@@ -22,19 +22,49 @@ from repro.runtime.result_store import atomic_write_bytes
 
 class TestZombieAck:
     def test_late_ack_of_a_requeued_task_drops_the_pending_copy(self, make_queue):
-        """enqueue -> claim -> lease expiry -> requeue -> late ack: the ack
-        wins and nothing is left to run the task a second time."""
-        queue = make_queue(lease_timeout_s=0.05)
+        """enqueue -> claim -> the claimer is reaped -> requeue -> late ack
+        (it landed while the worker died): the ack wins and nothing is left
+        to run the task a second time."""
+        queue = make_queue()
         queue.enqueue("t-0", "payload")
         zombie = queue.claim("zombie")
         assert zombie is not None
-        time.sleep(0.1)  # the zombie never renews: its lease runs out
-        assert queue.requeue_expired() == ["t-0"]
+        assert queue.requeue_orphaned({"other"}) == ["t-0"]
         queue.ack(zombie, "zombie")
         assert queue.claim("other") is None
         stats = queue.stats()
         assert (stats.pending, stats.claimed, stats.done) == (0, 0, 1)
         assert queue.worker_done_counts() == {"zombie": 1}
+
+    def test_an_ack_landing_before_the_orphan_sweep_wins(self, make_queue):
+        """The worker acks, then dies before the coordinator's next round:
+        the sweep finds nothing to re-queue, and the task completes once."""
+        queue = make_queue()
+        queue.enqueue("t-0", "payload")
+        claim = queue.claim("doomed")
+        queue.ack(claim, "doomed")
+        assert queue.requeue_orphaned(set()) == []  # "doomed" was reaped after its ack
+        assert queue.done_ids() == {"t-0"}
+        assert queue.claim("other") is None  # nothing to execute a second time
+        stats = queue.stats()
+        assert (stats.pending, stats.claimed, stats.done) == (0, 0, 1)
+
+    def test_a_late_ack_and_the_reclaimers_ack_complete_the_task_once(self, make_queue):
+        """A dead worker's ack lands after its task was re-queued and claimed
+        again: both acks land, and the task still reads as one completion."""
+        queue = make_queue()
+        queue.enqueue("t-0", "payload")
+        zombie = queue.claim("zombie")
+        assert queue.requeue_orphaned({"survivor"}) == ["t-0"]
+        again = queue.claim("survivor")
+        assert again is not None and again.task_id == "t-0"
+        queue.ack(zombie, "zombie")
+        queue.ack(again, "survivor")
+        assert queue.done_ids() == {"t-0"}
+        assert sum(queue.worker_done_counts().values()) == 1
+        assert queue.requeue_orphaned(set()) == [] and queue.claim("survivor") is None
+        stats = queue.stats()
+        assert (stats.pending, stats.claimed, stats.done) == (0, 0, 1)
 
     def test_ack_drops_a_copy_queued_again_meanwhile(self, make_queue):
         queue = make_queue()
@@ -55,27 +85,25 @@ class TestOnePendingPool:
         assert [claim.task_id for claim in claims] == ["t-0", "t-1", "t-2", "t-3"]
         assert queue.claim("w-0") is None
 
-    def test_a_requeued_lease_is_claimable_by_any_worker(self, make_queue):
-        queue = make_queue(lease_timeout_s=0.05)
+    def test_a_requeued_claim_is_claimable_by_any_worker(self, make_queue):
+        queue = make_queue()
         queue.enqueue("t-0", "payload")
         queue.enqueue("t-1", "payload")
         assert queue.claim("doomed").task_id == "t-0"
-        time.sleep(0.1)  # the doomed worker never renews
-        assert queue.requeue_expired() == ["t-0"]
+        assert queue.requeue_orphaned({"survivor", "another"}) == ["t-0"]  # doomed was reaped
         # Back in the one pool, ahead of the untouched higher id.
         revived = queue.claim("survivor")
         assert revived is not None and (revived.task_id, revived.payload) == ("t-0", "payload")
         assert queue.claim("another").task_id == "t-1"
 
-    def test_expired_leases_of_several_workers_rejoin_the_pool_in_id_order(self, make_queue):
-        queue = make_queue(lease_timeout_s=0.05)
+    def test_claims_of_several_dead_workers_rejoin_the_pool_in_id_order(self, make_queue):
+        queue = make_queue()
         for task_id in ("t-0", "t-1", "t-2"):
             queue.enqueue(task_id, task_id)
         held = {queue.claim(worker).task_id: worker for worker in ("w-a", "w-b", "w-c")}
         assert held == {"t-0": "w-a", "t-1": "w-b", "t-2": "w-c"}
-        time.sleep(0.1)  # every holder died
         queue.enqueue("t-3", "t-3")
-        assert sorted(queue.requeue_expired()) == ["t-0", "t-1", "t-2"]
+        assert queue.requeue_orphaned({"survivor"}) == ["t-0", "t-1", "t-2"]  # every holder died
         # One survivor drains the pool in id order: no task waits for its old owner.
         assert [queue.claim("survivor").task_id for _ in range(4)] == ["t-0", "t-1", "t-2", "t-3"]
         assert queue.claim("survivor") is None
@@ -185,9 +213,10 @@ class TestConcurrentClaims:
         stats = queue.stats()
         assert (stats.pending, stats.claimed, stats.done) == (0, 0, len(task_ids))
 
-    def test_racing_claims_and_expiry_sweeps_hand_each_task_out_once(self, make_queue):
-        """The coordinator sweeps expired leases while workers claim and ack:
-        a sweep never takes a live claim back, so no task runs twice."""
+    def test_racing_claims_and_orphan_sweeps_hand_each_task_out_once(self, make_queue):
+        """The coordinator sweeps for orphaned claims while workers claim and
+        ack: a sweep never takes a live worker's claim back, so no task runs
+        twice."""
         queue = make_queue()
         task_ids = [f"t-{index:03d}" for index in range(40)]
         for index, task_id in enumerate(task_ids):
@@ -207,18 +236,19 @@ class TestConcurrentClaims:
                     claimed.setdefault(claim.task_id, []).append(name)
                 queue.ack(claim, name)
 
-        threads = [threading.Thread(target=work, args=(f"w-{index}",), daemon=True) for index in range(4)]
+        names = [f"w-{index}" for index in range(4)]
+        threads = [threading.Thread(target=work, args=(name,), daemon=True) for name in names]
         for thread in threads:
             thread.start()
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline and len(queue.done_ids()) < len(task_ids):
-            requeued += queue.requeue_expired()
+            requeued += queue.requeue_orphaned(set(names))
             time.sleep(0.002)
         stop.set()
         for thread in threads:
             thread.join(timeout=10)
         assert not any(thread.is_alive() for thread in threads)
-        assert requeued == []  # every lease was live
+        assert requeued == []  # every claimer was live
         assert queue.done_ids() == set(task_ids)
         assert {task: owners for task, owners in claimed.items() if len(owners) > 1} == {}
 
@@ -261,36 +291,35 @@ class TestConcurrentClaims:
 
 
 class TestClaimRecord:
-    """What one claim records, and that a released claim stays released."""
+    """What one claim records, and that a settled claim stays settled."""
 
-    def test_a_claim_takes_the_task_once_and_starts_its_lease(self, make_queue, monkeypatch):
-        queue = make_queue(lease_timeout_s=60)
-        clock = {"now": 1000.0}
-        monkeypatch.setattr(getattr(queue, "server", queue), "_now", lambda: clock["now"])
+    def test_a_claim_records_its_worker(self, make_queue):
+        """A claim is its worker's until that worker is gone, and a re-queued
+        task is the next claimer's: the dead worker's id no longer matters."""
+        queue = make_queue()
         queue.enqueue("t-0", "payload")
-        clock["now"] = 1010.0
         claim = queue.claim("w-a")
         assert (claim.task_id, claim.payload) == ("t-0", "payload")
         assert queue.claim("w-b") is None
         assert queue.claimed_ids() == {"t-0"} and queue.pending_ids() == set()
-        clock["now"] = 1070.0  # the lease is as old as the timeout: still live
-        assert queue.requeue_expired() == []
-        clock["now"] = 1070.001
-        assert queue.requeue_expired() == ["t-0"]
+        assert queue.requeue_orphaned({"w-a"}) == []  # its worker is live
+        assert queue.requeue_orphaned({"w-b"}) == ["t-0"]  # w-a was reaped
         assert queue.claimed_ids() == set() and queue.pending_ids() == {"t-0"}
+        assert queue.claim("w-b").task_id == "t-0"
+        assert queue.requeue_orphaned({"w-b"}) == []
 
-    def test_a_released_claim_is_not_renewed_back_to_life(self, make_queue):
-        queue = make_queue(lease_timeout_s=0.05)
+    def test_an_acked_or_failed_claim_is_never_requeued(self, make_queue):
+        """A sweep after an ack or a failure leaves the task settled: it only
+        takes back claims still held."""
+        queue = make_queue()
         for task_id in ("t-0", "t-1", "t-2"):
             queue.enqueue(task_id, task_id)
         acked, failed, zombie = (queue.claim(worker) for worker in ("w-a", "w-b", "w-c"))
         queue.ack(acked, "w-a")
         queue.fail(failed, "w-b", "boom")
-        time.sleep(0.1)  # the zombie never renews: its lease runs out
-        assert queue.requeue_expired() == [zombie.task_id]
-        for claim in (acked, failed, zombie):
-            queue.renew(claim)
-        assert queue.claimed_ids() == set() and not queue.has_live_claims()
+        assert queue.requeue_orphaned(set()) == [zombie.task_id]  # every worker is gone
+        assert queue.requeue_orphaned(set()) == []
+        assert queue.claimed_ids() == set() and queue.done_ids() == {acked.task_id}
         assert queue.pending_ids() == {zombie.task_id}
         assert queue.stats().describe() == "1 pending, 0 claimed, 1 done, 1 failed"
 

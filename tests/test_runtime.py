@@ -1,5 +1,6 @@
 """Tests for the experiment runtime: fingerprints, plan cache, result store, parallel runner."""
 
+import ast
 import importlib
 import itertools
 import json
@@ -777,7 +778,7 @@ class TestRuntimeConfig:
             RuntimeConfig(workers=0)
         with pytest.raises(ValueError):
             RuntimeConfig(executor_kind="fibers")
-        for removed in ("plan_cache_entries", "skip_existing"):
+        for removed in ("plan_cache_entries", "skip_existing", "lease_timeout_s"):
             with pytest.raises(TypeError):
                 RuntimeConfig(**{removed: 0})
 
@@ -790,6 +791,50 @@ class TestRuntimeConfig:
     def test_overrides(self):
         config = RuntimeConfig().with_overrides(workers=8, executor_kind="serial")
         assert config.workers == 8 and config.executor_kind == "serial"
+
+
+class TestThreadStartingSites:
+    """The queue server's accept loop is the one thread ``src/`` starts by
+    name (its handler threads are ``socketserver``'s): neither a sweep
+    worker nor its coordinator starts one."""
+
+    @staticmethod
+    def thread_starts(root: Path) -> list[tuple[str, str | None]]:
+        """Every ``Thread(...)`` or ``Timer(...)`` call under ``root``, as
+        (module path, innermost enclosing class or ``None``)."""
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owners: dict[int, str] = {}
+            for cls in ast.walk(tree):  # outer classes first: an inner one overwrites
+                if isinstance(cls, ast.ClassDef):
+                    owners.update((id(node), cls.name) for node in ast.walk(cls))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name in ("Thread", "Timer"):
+                        found.append((path.relative_to(root).as_posix(), owners.get(id(node))))
+        return found
+
+    def test_the_frame_servers_accept_loop_is_the_only_thread_started(self):
+        root = Path(parallel.__file__).resolve().parents[1]
+        assert self.thread_starts(root) == [("runtime/netqueue.py", "FrameServer")]
+
+    def test_no_lease_heartbeat_or_standalone_worker_is_left(self):
+        """A dead worker is found by reaping it, so ``src/`` names no lease,
+        heartbeat or renewal and no ``repro.runtime.worker`` entry point
+        (word-bounded: the IMDB info type "release dates" is data)."""
+        pattern = re.compile(r"\blease|heartbeat|\brenew|repro\.runtime\.worker\b", re.IGNORECASE)
+        root = Path(parallel.__file__).resolve().parents[1]
+        hits = [
+            f"{path.relative_to(root).as_posix()}:{number}: {line.strip()}"
+            for path in sorted(root.rglob("*.py"))
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if pattern.search(line)
+        ]
+        assert hits == []
+        assert not (root / "runtime" / "worker.py").exists()
 
 
 class TestDeterministicTiming:
@@ -898,7 +943,7 @@ class TestImportHygiene:
     def test_runtime_entry_points_import_neither_scipy_stats_nor_networkx(self):
         script = (
             "import sys\n"
-            "import repro.runtime.worker, repro.runtime.parallel, repro.runtime.planserver\n"
+            "import repro.runtime.parallel, repro.runtime.planserver\n"
             "print(sorted(m for m in sys.modules if m == 'networkx' or m.startswith('scipy')))\n"
             "from repro.core.stats import mann_whitney_u_test\n"
             "assert mann_whitney_u_test([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]).p_value < 1.0\n"
@@ -945,7 +990,7 @@ class TestImportHygiene:
         assert done.returncode == 0, done.stderr
         loaded, count = done.stdout.splitlines()
         assert loaded == "[]"
-        assert int(count) >= 10
+        assert int(count) >= 9
 
     def test_every_import_in_the_docs_resolves(self):
         """The README's and docs' snippets import each name from the module

@@ -1,6 +1,6 @@
 """CONC rules: lock-owning classes guard their shared ``self._*`` state.
 
-The runtime's coordinator threads, heartbeats and the TCP queue's handler
+The runtime's coordinator threads and the TCP queue's handler
 threads all share objects whose classes announce their
 concurrency story by creating a ``self._lock``.  That announcement is the
 contract the CONC family enforces: once a class constructs a

@@ -9,7 +9,7 @@ way only a cross-transport equivalence test can catch at runtime — so it is
 rejected statically instead:
 
 * **DET101** ``time.time()`` / ``time.time_ns()``.  Monotonic clocks
-  (``time.monotonic``, ``time.perf_counter``) stay legal: they drive leases,
+  (``time.monotonic``, ``time.perf_counter``) stay legal: they drive deadlines,
   timeouts and *measured* timing mode, none of which feed deterministic
   results.
 * **DET102** ``datetime.now()`` / ``utcnow()`` / ``today()`` and
