@@ -10,13 +10,13 @@
 #                            and writes rows, summaries and simulated totals
 #                            to BENCH_figures.json (host seconds kept apart)
 #   make bench-parallel    - serial sweep with resume-skip assertion, as in CI
-#   make bench-distributed - TCP work-queue sweep with HMAC-authenticated
-#                            frames (a secret the sweep mints), a killed
-#                            worker whose claim is re-queued when it is
-#                            reaped, progress snapshot, resume and shard
-#                            merge; no shared queue/store directory, as in CI
-#   make bench-progress    - the same sweep at a fast progress-telemetry
-#                            cadence (snapshot every 0.5 s)
+#   make bench-distributed - sweep on 2 forked workers fed over their pipes:
+#                            a worker killed while it holds a task (its
+#                            task is re-queued when its pipe reports EOF),
+#                            progress snapshots, resume, shard merge and
+#                            byte-equality with serial, as in CI
+#   make bench-progress    - the same sweep at a faster progress-telemetry
+#                            cadence (snapshot every 5 ms)
 #   make fuzz-engines      - 1000 seeded inner-join queries (tests/sqlgen.py)
 #                            through the row engine, the columnar engine and a
 #                            brute-force oracle; failing queries land in
@@ -113,12 +113,12 @@ bench-parallel:
 	$(PYTHON) examples/parallel_experiments.py
 
 bench-distributed:
-	REPRO_BENCH_WORKERS=2 REPRO_BENCH_PROGRESS=1 \
+	REPRO_BENCH_WORKERS=2 REPRO_BENCH_PROGRESS=0.02 \
 	REPRO_BENCH_STORE=$(BENCH_DISTRIBUTED_STORE) \
 	$(PYTHON) examples/distributed_sweep.py
 
 bench-progress:
-	REPRO_BENCH_WORKERS=2 REPRO_BENCH_PROGRESS=0.5 \
+	REPRO_BENCH_WORKERS=2 REPRO_BENCH_PROGRESS=0.005 \
 	REPRO_BENCH_STORE=$(BENCH_PROGRESS_STORE) \
 	$(PYTHON) examples/distributed_sweep.py
 

@@ -2,19 +2,16 @@
 
 Exercises the whole distributed runtime:
 
-1. A coordinator serves the work queue over TCP on an ephemeral local port
-   and fans a reduced Figure-4-style grid out onto ``REPRO_BENCH_WORKERS``
-   (default 2) local worker processes forked from it, with live progress
-   telemetry (a machine-readable snapshot every ``REPRO_BENCH_PROGRESS``
-   seconds, default 2).  No queue/store directory is shared: workers upload
-   results back inside their ack frames into the coordinator's **sharded**
-   result store.
-   Every frame is HMAC-signed with a secret the sweep mints and its forked
-   workers inherit in memory; the script asserts that a client *without*
-   the secret is rejected before anything is unpickled.
-2. Once both workers are mid-task, one of them is SIGKILLed — the
-   coordinator reaps it, re-queues its claim, and the surviving worker
-   finishes the grid.
+1. A coordinator fans a reduced Figure-4-style grid out onto
+   ``REPRO_BENCH_WORKERS`` (default 2) local worker processes forked from
+   it, with live progress telemetry (a machine-readable snapshot every
+   ``REPRO_BENCH_PROGRESS`` seconds, default 0.02).  Each worker gets its tasks
+   over its own pipe and sends the results back over it; the coordinator
+   writes them into its **sharded** result store.  No socket is opened and
+   no directory is shared with a worker.
+2. Once every worker holds a task and one task is done, the progress
+   callback SIGKILLs a worker: its pipe reports EOF, the coordinator
+   re-queues its task, and the surviving worker finishes the grid.
 3. The same sweep runs again: everything resumes from the store, nothing is
    recomputed (asserted via stored-file mtimes).
 4. The shards are merged into a flat store at ``<store>-merged``, every task
@@ -30,7 +27,7 @@ Usage::
     PYTHONPATH=src python examples/distributed_sweep.py [store_dir]
 
 Environment: ``REPRO_BENCH_WORKERS`` (local workers, default 2),
-``REPRO_BENCH_PROGRESS`` (snapshot interval seconds, default 2),
+``REPRO_BENCH_PROGRESS`` (snapshot interval seconds, default 0.02),
 ``REPRO_BENCH_STORE`` (used when no ``store_dir`` argument is given;
 with neither, a temp directory that a passing run removes again).
 """
@@ -40,10 +37,8 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import signal
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -52,14 +47,9 @@ from repro.core.experiment import ExperimentConfig
 from repro.core.report import store_report
 from repro.core.splits import DatasetSplit, SplitSampling
 from repro.experiments.common import distributed_runtime, job_context
-from repro.runtime.netqueue import NetWorkQueue, QueueAuthError
 from repro.runtime.parallel import ParallelExperimentRunner
 
 METHODS = ("postgres", "bao")
-
-#: How long frozen workers' last frames get to settle on the server before
-#: the kill (persisting an uploaded result is one atomic file write).
-SETTLE_S = 0.2
 
 EXPERIMENT_CONFIG = ExperimentConfig(
     optimizer_kwargs={"bao": {"training_passes": 1}},
@@ -79,56 +69,6 @@ def demo_splits(workload_name: str) -> list[DatasetSplit]:
 
 def result_json(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True)
-
-
-def assert_unauthenticated_client_rejected(runner: ParallelExperimentRunner) -> None:
-    """A secret-less client must be turned away by the sweep's queue server
-    before any of its bytes are unpickled."""
-    with NetWorkQueue(runner._distributed_queue.url, secret="", retries=0) as intruder:  # unkeyed
-        try:
-            intruder.stop_requested()
-        except QueueAuthError as exc:
-            print(f"unauthenticated client rejected as expected: {exc}")
-            return
-    raise AssertionError("a client without the queue secret was accepted by the queue server")
-
-
-def kill_one_worker_mid_sweep(
-    runner: ParallelExperimentRunner, coordinator: threading.Thread
-) -> bool:
-    """Wait until every local worker holds a claim and one task is done, then
-    SIGKILL one worker.  Returns whether a worker was killed.
-
-    Progress is read through the coordinator's queue server
-    (``runner._distributed_queue``).
-    """
-    deadline = time.monotonic() + 600
-    while time.monotonic() < deadline and coordinator.is_alive():
-        queue = runner._distributed_queue
-        procs = [p for p in runner._distributed_procs if p.poll() is None]
-        if queue is not None and len(procs) >= 2:
-            stats = queue.stats()
-            if stats.claimed >= len(procs) and stats.done >= 1:
-                # Freeze every worker first: an ack sent just before is still
-                # being persisted by the server, its claim still counted.  Once
-                # that settled, every worker still holding a claim (one at
-                # most each) means the victim holds one to strand.  Frozen
-                # workers drain no tasks while this is checked.
-                for proc in procs:
-                    proc.send_signal(signal.SIGSTOP)
-                time.sleep(SETTLE_S)
-                stats = queue.stats()
-                victim = procs[0] if stats.claimed >= len(procs) else None
-                if victim is not None:
-                    victim.kill()  # SIGKILL: no cleanup; the coordinator reaps it
-                for proc in procs:
-                    proc.send_signal(signal.SIGCONT)  # a no-op on the reaped victim
-                if victim is not None:
-                    print(f"killed worker pid {victim.pid} mid-sweep "
-                          f"({stats.done} tasks done, {stats.claimed} claims held)")
-                    return True
-        time.sleep(0.05)
-    return False
 
 
 def merged_store_dir(store_dir: str) -> str:
@@ -151,21 +91,30 @@ def main(store_dir: str | None = None) -> None:
 
 def sweep(store_dir: str) -> None:
     workers = int(os.environ.get("REPRO_BENCH_WORKERS", "2"))
-    progress_interval = float(os.environ.get("REPRO_BENCH_PROGRESS", "2"))
+    progress_interval = float(os.environ.get("REPRO_BENCH_PROGRESS", "0.02"))
     context = job_context(scale=0.25)
     splits = demo_splits(context.workload.name)
     snapshots: list = []
+    killed: list[int] = []
 
     def on_progress(snapshot) -> None:
+        """Print each snapshot; kill one worker once every worker holds a
+        task and one task is done.  The callback runs in the coordinator's
+        loop, so the counts are the coordinator's own at that moment."""
         snapshots.append(snapshot)
         print(f"progress {snapshot.describe()}")
+        live = [proc for proc in runner._distributed_procs if proc.poll() is None]
+        if not killed and len(live) >= 2 and snapshot.claimed >= len(live) and snapshot.done >= 1:
+            victim = live[0]
+            victim.kill()  # SIGKILL: no cleanup; its pipe reports EOF
+            killed.append(victim.pid)
+            print(f"killed worker pid {victim.pid} mid-sweep "
+                  f"({snapshot.done} tasks done, {snapshot.claimed} held)")
 
     runner = ParallelExperimentRunner(
         context.dispatch_source,
         context.workload,
         experiment_config=EXPERIMENT_CONFIG,
-        # The queue binds an ephemeral coordinator port: workers share no
-        # directory with it.
         runtime_config=distributed_runtime(
             store_dir,
             workers=workers,
@@ -176,37 +125,20 @@ def sweep(store_dir: str) -> None:
     )
     store = runner.result_store
     tasks = runner.tasks_for(METHODS, splits, repeats=2)
-    print(f"running {len(tasks)} tasks on {workers} queue workers "
-          f"(HMAC-authenticated TCP queue, sharded store: {store_dir}) ...")
+    print(f"running {len(tasks)} tasks on {workers} forked workers "
+          f"(one pipe each, sharded store: {store_dir}) ...")
 
-    # --- sweep 1: coordinator in a thread, one worker killed mid-sweep -----
-    outcome: dict[str, list] = {}
-    coordinator = threading.Thread(
-        target=lambda: outcome.setdefault("results", runner.run_tasks(tasks)), daemon=True
-    )
+    # --- sweep 1: one worker killed mid-sweep ------------------------------
     start = time.perf_counter()
-    coordinator.start()
-    auth_checked = False
-    # While the sweep runs, an unkeyed client must bounce off the server.
-    deadline = time.monotonic() + 60
-    while time.monotonic() < deadline and not auth_checked and coordinator.is_alive():
-        if runner._distributed_queue is not None:
-            assert_unauthenticated_client_rejected(runner)
-            auth_checked = True
-        time.sleep(0.05)
-    killed = kill_one_worker_mid_sweep(runner, coordinator)
-    coordinator.join(timeout=1800)
-    assert not coordinator.is_alive(), "coordinator did not finish"
-    assert "results" in outcome, "sweep produced no results"
-    results = outcome["results"]
+    results = runner.run_tasks(tasks)
     assert killed, (
-        "never caught both workers busy, so nothing was killed "
+        "never caught every worker busy, so nothing was killed "
         "(was the store already populated? the crash demo needs a fresh store dir)"
     )
     print(f"first sweep survived the kill in {time.perf_counter() - start:.1f} s; "
-          f"{runner._distributed_requeued} dead worker claim(s) re-queued; "
+          f"{runner._distributed_requeued} dead worker task(s) re-queued; "
           f"{store.describe()}")
-    assert runner._distributed_requeued >= 1, "the dead worker's claim was never re-queued"
+    assert runner._distributed_requeued >= 1, "the dead worker's task was never re-queued"
 
     # --- progress telemetry: at least one valid machine-readable snapshot ---
     assert snapshots, "the sweep emitted no progress snapshot"
@@ -217,15 +149,10 @@ def sweep(store_dir: str) -> None:
     json.loads(final_snapshot.to_json())  # must round-trip as plain JSON
     store.save_artifact("progress-final", final_snapshot.to_dict())
     print(f"emitted {len(snapshots)} progress snapshot(s); final: {final_snapshot.describe()}")
-    assert auth_checked, "the unauthenticated-client check never ran"
-    # No shared queue directory exists, and every result entered the store
-    # through the coordinator's upload sink, not through the workers.
-    assert not (store.root / "queue").exists(), "the sweep created a queue directory"
-    assert store.stored_count >= len(tasks), (
-        "coordinator-side store counters show the workers wrote the store directly"
-    )
-    print(f"coordinator persisted {store.stored_count} uploaded result(s); "
-          "no queue/store directory was shared with any worker")
+    # Every result entered the store through the coordinator, which read
+    # none of them back.
+    assert (store.stored_count, store.loaded_count) == (len(tasks), 0), store.describe()
+    print(f"coordinator persisted {store.stored_count} result(s) its workers sent")
 
     # --- sweep 2: full resume, nothing recomputed --------------------------
     files_before = {path: path.stat().st_mtime_ns for path in store.completed_files()}

@@ -206,14 +206,6 @@ class Schema:
                 pairs.append((fk.parent_column, fk.child_column))
         return pairs
 
-    def join_graph_edges(self) -> list[tuple[str, str]]:
-        """Undirected table-level edges implied by the foreign keys."""
-        edges = set()
-        for fk in self._foreign_keys:
-            edge = tuple(sorted((fk.child_table, fk.parent_table)))
-            edges.add(edge)
-        return sorted(edges)  # type: ignore[return-value]
-
     # -- convenience ----------------------------------------------------------
     def column_index(self, table: str, column: str) -> int:
         """Stable integer identifier of a column across the whole schema."""

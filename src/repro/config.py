@@ -18,6 +18,8 @@ import hashlib
 from dataclasses import dataclass, fields, replace
 from typing import Any, Iterator, Mapping
 
+from repro.errors import ExperimentError
+
 KB = 1024
 MB = 1024 * KB
 GB = 1024 * MB
@@ -97,16 +99,6 @@ class PostgresConfig:
     def shared_buffer_pages(self) -> int:
         """Number of 8 KB pages the buffer pool can hold."""
         return max(1, self.shared_buffers // PAGE_SIZE_BYTES)
-
-    @property
-    def effective_cache_pages(self) -> int:
-        """Number of pages assumed cached by the OS + PostgreSQL combined."""
-        return max(1, self.effective_cache_size // PAGE_SIZE_BYTES)
-
-    @property
-    def work_mem_tuples(self) -> int:
-        """Rough number of 100-byte tuples that fit into ``work_mem``."""
-        return max(1, self.work_mem // 100)
 
     def with_overrides(self, **overrides: Any) -> "PostgresConfig":
         """Return a copy of this configuration with selected knobs replaced."""
@@ -261,6 +253,22 @@ def iter_presets() -> Iterator[tuple[str, PostgresConfig]]:
 # Experiment runtime configuration (parallel fan-out, caching, result store).
 # ---------------------------------------------------------------------------
 
+def parse_tcp_url(url: str) -> tuple[str, int]:
+    """``(host, port)`` of a ``tcp://host:port`` url (port ``0``: an ephemeral port)."""
+    text = str(url)
+    host, sep, port_text = text.removeprefix("tcp://").rpartition(":")
+    try:
+        port = int(port_text)
+    except ValueError:
+        port = -1
+    if not text.startswith("tcp://") or not sep or not host or not 0 <= port <= 65535:
+        raise ExperimentError(
+            f"url {text!r} is not of the form tcp://<host>:<port> "
+            "(port 0 binds an ephemeral port)"
+        )
+    return host, port
+
+
 #: Executor kinds accepted by :class:`RuntimeConfig`.
 EXECUTOR_KINDS = ("serial", "distributed")
 
@@ -283,8 +291,8 @@ class RuntimeConfig:
             executor runs one task at a time whatever this says.
         executor_kind: ``"serial"`` (default) or ``"distributed"``.  Serial
             runs every task in this process; distributed execution fans tasks
-            out to worker processes through the coordinator's TCP work queue
-            (``queue_url``).
+            out to worker processes forked from the coordinator, one pipe
+            each.
         store_dir: directory of the resumable JSON result store: completed
             (method, split, seed) tasks found there are loaded instead of
             re-run.  ``None`` disables persistence.
@@ -292,29 +300,23 @@ class RuntimeConfig:
             :class:`~repro.runtime.result_store.ResultStore` over that many
             shard directories; ``0`` keeps the flat single-directory
             layout.  The store's manifest pins the count: reopening it with
-            another raises.  Only results are sharded — every worker claims
-            from one pending pool.
-        queue_url: ``tcp://<host>:<port>`` the coordinator serves the
-            distributed work queue on (port ``0``, the default on loopback,
-            binds an ephemeral port).  Its forked workers claim over the
-            socket and upload results back with their acks; the coordinator
-            re-queues a worker's claims when it reaps the worker.
-        task_retries: how many times the distributed coordinator re-queues a
+            another raises.  Only results are sharded: the coordinator sends
+            its forks the cells in grid order whatever the layout.
+        queue_url: a ``tcp://<host>:<port>`` url, validated at construction
+            and ignored by the sweep, whose tasks and results cross its
+            forks' pipes.  It stays only for callers that still pass it.
+        task_retries: how many times the distributed coordinator re-sends a
             *failed* task (transient errors: OOM-killed imports, flaky I/O)
             before the sweep is aborted; the final error reports the attempt
-            count.  ``0`` fails the sweep on the first failure marker.
+            count.  ``0`` fails the sweep on the first failure.
         progress_interval_s: emit a machine-readable
             :class:`~repro.runtime.progress.ProgressSnapshot` from the
             coordinator every this many seconds during a distributed sweep
             (``None`` disables periodic snapshots; a final end-of-sweep
             snapshot is still taken whenever a ``progress_callback`` is
             installed on the runner).
-        queue_secret: HMAC secret authenticating every queue frame; ``None``
-            (the default) makes each sweep mint a random one.  Either way
-            the forked workers inherit it in memory, never through the
-            environment.  Unauthenticated or mis-signed frames are rejected
-            *before* unpickling.  An explicit ``""`` turns authentication
-            off.
+        queue_secret: ignored by the sweep, which sends nothing over a
+            network; it stays only for callers that still pass it.
     """
 
     workers: int = 1
@@ -339,14 +341,8 @@ class RuntimeConfig:
             raise ValueError("RuntimeConfig.task_retries must be >= 0")
         if self.progress_interval_s is not None and self.progress_interval_s <= 0:
             raise ValueError("RuntimeConfig.progress_interval_s must be positive (or None)")
-        # Validate with the one real parser (lazy import: repro.runtime
-        # depends on this module at class-definition time, not vice versa)
-        # so malformed urls fail at construction, not mid-sweep.
-        from repro.errors import ExperimentError
-        from repro.runtime.workqueue import parse_queue_url
-
         try:
-            parse_queue_url(self.queue_url)
+            parse_tcp_url(self.queue_url)
         except ExperimentError as exc:
             raise ValueError(f"invalid RuntimeConfig.queue_url: {exc}") from exc
 

@@ -30,11 +30,6 @@ class QueryTiming:
         """Inference + planning + execution (the paper's primary objective)."""
         return self.inference_time_ms + self.planning_time_ms + self.execution_time_ms
 
-    @property
-    def pre_execution_ms(self) -> float:
-        """Inference + planning — what Figure 4's left panel shows."""
-        return self.inference_time_ms + self.planning_time_ms
-
     def to_dict(self) -> dict:
         """JSON-serializable form (inverse of :meth:`from_dict`)."""
         return {

@@ -148,6 +148,3 @@ class PlanTreeEncoder:
         depth = np.asarray([matrix.shape[0] / 32.0], dtype=np.float32)
         return np.concatenate([max_pool, mean_pool, depth]).astype(np.float32)
 
-    @property
-    def pooled_size(self) -> int:
-        return 2 * self.node_feature_size + 1

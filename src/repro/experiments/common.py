@@ -107,20 +107,16 @@ def distributed_runtime(
     """Runtime configuration of a distributed sweep on this host.
 
     The sweep writes a :class:`~repro.runtime.result_store.ResultStore` with
-    ``shard_count`` shard directories under ``store_dir`` and coordinates
-    through a work queue the coordinator serves over TCP on ``queue_url``
-    (default: loopback on an ephemeral port).  ``workers`` worker processes
-    are forked from the coordinator; they upload results back over the
-    socket, and the coordinator writes them into its store.  A worker that
-    dies has its claims re-queued once the coordinator reaps it.  Failed
-    tasks are retried up to ``task_retries`` times before the sweep aborts.
-
-    Workers claim from one pending pool, lowest task id first.
+    ``shard_count`` shard directories under ``store_dir`` and forks
+    ``workers`` worker processes from the coordinator.  The coordinator
+    sends each fork one task at a time over the fork's pipe, in grid order,
+    and writes the results the forks send back into its store.  A fork
+    that dies has its task re-sent to another.  Failed tasks are re-sent up
+    to ``task_retries`` times before the sweep aborts.
     ``progress_interval_s`` hands ``ParallelExperimentRunner``'s
     ``progress_callback`` a machine-readable progress snapshot every that
-    many seconds.  Every frame is HMAC-signed and verified before
-    unpickling, with ``queue_secret`` or, when it is ``None``, a secret the
-    sweep mints and its forked workers inherit in memory.
+    many seconds.  ``queue_url`` and ``queue_secret`` are validated and
+    ignored: the sweep opens no socket.
     """
     return RuntimeConfig(
         workers=workers,

@@ -87,14 +87,3 @@ class ReplayBuffer:
         fresh = MLPRegressor(input_size=model.input_size, seed=seed)
         fresh.fit(features, targets, epochs=epochs, seed=fit_seed)
         return fresh
-
-    def per_query_best(self) -> dict[str, float]:
-        """Best (lowest) observed latency per query id — used for Balsa's timeouts."""
-        best: dict[str, float] = {}
-        for experience in self._items:
-            if experience.timed_out:
-                continue
-            current = best.get(experience.query_id)
-            if current is None or experience.latency_ms < current:
-                best[experience.query_id] = experience.latency_ms
-        return best

@@ -53,10 +53,6 @@ class PlannerResult:
     estimated_cost: float
     estimated_rows: float
 
-    @property
-    def used_geqo(self) -> bool:
-        return self.strategy == STRATEGY_GEQO
-
 
 class Planner:
     """Cost-based planner honouring configuration knobs and hints."""

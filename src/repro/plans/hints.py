@@ -100,15 +100,6 @@ class HintSet:
 
     # -- introspection -----------------------------------------------------------
     @property
-    def is_empty(self) -> bool:
-        return (
-            not self.leading
-            and not self.join_methods
-            and not self.scan_methods
-            and not self.toggles.active_overrides()
-        )
-
-    @property
     def forces_join_order(self) -> bool:
         return bool(self.leading) and self.join_order_exact
 

@@ -1,13 +1,10 @@
-"""TCP transport of the distributed work queue: no shared filesystem needed.
+"""The authenticated TCP frame transport under the plan server.
 
-The coordinator runs a :class:`QueueServer` — the queue state machine
-(:class:`~repro.runtime.workqueue.BucketQueue`) behind a threaded TCP
-server — and workers talk to it through a :class:`NetWorkQueue` client.
-Finished results travel *back* over the socket as a
-:class:`~repro.runtime.workqueue.ResultUpload` attached to the ack frame, and
-the server persists them into the coordinator's local result store, its one
-writer.  The workers are the coordinator's own forks on the same host; the
-socket is only their way to the queue in its memory.
+The plan server (:mod:`repro.runtime.planserver`) answers SQL-text planning
+requests over it, and its clients (:mod:`repro.runtime.planclient`) reach it
+through a :class:`FrameClient`.  Sweeps do not use it: a distributed sweep's
+tasks and results cross the pipes of its forked workers
+(:mod:`repro.runtime.parallel`).
 
 Wire protocol — a connection carries any number of request/response frame
 pairs, strictly alternating (no pipelining)::
@@ -17,8 +14,7 @@ pairs, strictly alternating (no pipelining)::
               | HMAC-SHA256(secret, header + payload) (32 bytes) | pickle(payload)
     error:    MAGIC b"RE" | length (4 bytes, big endian) | utf-8 message
 
-Connection lifetime (:class:`FrameServer` / :class:`FrameClient`, the one
-transport under the work queue and the plan server): the server answers frames
+Connection lifetime (:class:`FrameServer` / :class:`FrameClient`): the server answers frames
 on a connection until the peer hangs up, a frame fails authentication (``RE``
 frame, then close — nothing more is read from that peer), a verified frame
 cannot be unpickled (signed ``kind: "protocol"`` error, then close) or
@@ -31,8 +27,8 @@ always required).  Connect failures, and failures once a response began, spend
 ``retries`` with backoff.  :meth:`FrameServer.close` also shuts down every live
 connection: clients of a closed server read EOF, reconnect and are refused.
 
-Frames are pickled because task payloads are arbitrary Python objects
-(:class:`~repro.runtime.parallel.SpecTaskPayload`).  A top-level value of a
+Frames are pickled because their payloads are arbitrary Python objects
+(plans, hint sets).  A top-level value of a
 dict payload may travel *pre-pickled* as a :class:`Pickled` wrapper: a sender
 that ships the same value many times (the plan server's cached plans) pickles
 it once, and ``recv_frame`` decodes it after the frame is verified — through
@@ -40,10 +36,8 @@ the caller's bytes → object memo, so a receiver decodes each distinct value
 once.
 
 ``pickle.loads`` on bytes from the network is remote code execution for
-whoever can write those bytes, so frames carry a **shared queue secret**
-(``RuntimeConfig.queue_secret``, which a distributed sweep mints when it is
-unset and hands its forked workers in memory; the plan server reads
-``REPRO_QUEUE_SECRET``): both
+whoever can write those bytes, so frames carry a **shared secret** (the
+plan server's ``secret`` argument, else ``REPRO_QUEUE_SECRET``): both
 sides sign every frame with HMAC-SHA256 and *verify the signature before
 unpickling* — an unsigned, tampered or wrongly-keyed frame is rejected while
 still opaque bytes, and the peer gets a plain-text ``RE`` error frame (never
@@ -66,14 +60,8 @@ import threading
 import time
 from collections.abc import Callable
 
+from repro.config import parse_tcp_url
 from repro.errors import ExperimentError
-from repro.runtime.result_store import ResultStore
-from repro.runtime.workqueue import (
-    BucketQueue,
-    ResultUpload,
-    TaskClaim,
-    parse_queue_url,
-)
 
 #: Frame header: magic + payload length.
 MAGIC = b"RQ"
@@ -95,7 +83,7 @@ MAX_ERROR_BYTES = 4096
 
 #: How much of a rejected *unsigned* frame's payload is drained before the
 #: connection is dropped.  Draining lets the error frame reach a
-#: legitimate-but-misconfigured worker — closing with unread bytes in the
+#: legitimate-but-misconfigured client — closing with unread bytes in the
 #: receive queue makes the TCP stack RST and discard our just-written reply —
 #: while the bound keeps an unsigned frame from feeding us 64 MB pre-auth.
 #: (A *signed* frame must be read in full before its MAC can be checked; the
@@ -141,9 +129,9 @@ class FrameAuthError(ConnectionError):
 class QueueAuthError(ExperimentError):
     """The peer rejected our frames as unauthenticated/mis-keyed.
 
-    Deliberately *not* an :class:`OSError`: a worker whose secret does not
-    match the coordinator must fail loudly, not read the rejection as a
-    finished sweep and exit 0.
+    Deliberately *not* an :class:`OSError`: a client whose secret does not
+    match the server's must fail loudly, not spend its retry budget on a
+    rejection that no retry can fix.
     """
 
 
@@ -256,7 +244,7 @@ def recv_frame(
         if secret is None:
             raise FrameAuthError(
                 "peer sent a signed queue frame but no queue secret is configured here "
-                f"({QUEUE_SECRET_ENV} for a plan server, queue_secret for a sweep)"
+                f"(the server's secret, else {QUEUE_SECRET_ENV})"
             )
         if not hmac.compare_digest(digest, _frame_digest(secret, header, blob)):
             raise FrameAuthError("queue frame signature mismatch (wrong or stale secret)")
@@ -269,7 +257,7 @@ def recv_frame(
             _recv_exact(sock, min(length, MAX_AUTH_DRAIN_BYTES), deadline)
             raise FrameAuthError(
                 "unauthenticated queue frame rejected: this endpoint requires HMAC-signed "
-                f"frames (the plan server's {QUEUE_SECRET_ENV}, or a sweep's queue_secret)"
+                f"frames (the server's secret, else {QUEUE_SECRET_ENV})"
             )
         payload = pickle.loads(_recv_exact(sock, length, deadline))
     else:
@@ -430,8 +418,7 @@ class FrameServer(socketserver.ThreadingTCPServer):
 class FrameClient:
     """One kept connection to a :class:`FrameServer`, shared by its callers.
 
-    Base of :class:`NetWorkQueue` and :class:`~repro.runtime.planclient.
-    PlanClient`: the socket, the lock that keeps two callers' frames from
+    Base of :class:`~repro.runtime.planclient.PlanClient`: the socket, the lock that keeps two callers' frames from
     interleaving on it (a plan client may be shared by threads), the resend
     rule and the retry policy (module docstring).  A
     context manager: leaving the ``with`` block closes the connection.
@@ -441,10 +428,9 @@ class FrameClient:
         self, url: str, timeout_s: float = CLIENT_TIMEOUT_S, secret: str | bytes | None = None,
         retries: int = CLIENT_RETRIES, backoff_s: float = CLIENT_BACKOFF_S,
     ) -> None:
-        address = parse_queue_url(url)
+        self.host, self.port = parse_tcp_url(url)
         if retries < 0:
             raise ExperimentError(f"{type(self).__name__}.retries must be >= 0")
-        self.host, self.port = address.host, address.port
         self.timeout_s = timeout_s
         self.secret = resolve_queue_secret(secret)
         self.retries = int(retries)
@@ -519,136 +505,3 @@ class FrameClient:
 
     def describe(self) -> str:
         return f"{type(self).__name__}(tcp://{self.host}:{self.port})"
-
-
-class QueueServer(BucketQueue):
-    """Coordinator-side work queue served over TCP.
-
-    The :class:`~repro.runtime.workqueue.BucketQueue` state machine behind a
-    :class:`FrameServer`.  The coordinator calls the methods in process;
-    workers reach the same state through :class:`NetWorkQueue`.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        result_store: ResultStore | None = None,
-        secret: str | bytes | None = None,
-    ) -> None:
-        super().__init__()
-        self.result_store = result_store
-        self._server = FrameServer(
-            (host, port), lambda request, peer: self._dispatch(request), secret,
-            name="repro-queue-server",
-        )
-        self.host, self.port, self.url = self._server.host, self._server.port, self._server.url
-
-    def close(self) -> None:
-        """Stop serving, drop every worker connection, close the socket (idempotent)."""
-        self._server.close()
-
-    def ack(self, claim: TaskClaim, worker_id: str, result: ResultUpload | None = None) -> None:
-        """Persist the uploaded result, then mark the task done.
-
-        Persist first: a "done" task whose result was lost would make the
-        coordinator's final store load fail.  Store writes are atomic, and
-        double uploads after a re-queue rewrite the same bytes, so no lock is
-        needed around the filesystem write.
-        """
-        if result is not None and self.result_store is not None:
-            self.result_store.save_raw(result.key, result.result, result.fingerprint)
-        super().ack(claim, worker_id)
-
-    def describe(self) -> str:
-        return f"QueueServer({self.url}, {self.stats().describe()})"
-
-    # ------------------------------------------------------------------ wire
-    def _dispatch(self, request: object) -> dict:
-        if not isinstance(request, dict) or "op" not in request:
-            return {"ok": False, "error": "malformed queue request"}
-        op = request["op"]
-        # Wire callers name the task by id; the methods below are the ones the
-        # in-process coordinator calls with the claim itself.
-        named = TaskClaim(str(request.get("task_id", "")), payload=None)
-        worker_id = str(request.get("worker_id", "unknown"))
-        if op == "claim":
-            claim = self.claim(worker_id)
-            if claim is None:
-                return {"ok": True, "task_id": None, "payload": None}
-            return {"ok": True, "task_id": claim.task_id, "payload": claim.payload}
-        if op == "ack":
-            result = request.get("result")
-            if result is not None and not isinstance(result, ResultUpload):
-                return {"ok": False, "error": "ack result must be a ResultUpload"}
-            self.ack(named, worker_id, result)
-            return {"ok": True}
-        if op == "fail":
-            self.fail(named, worker_id, str(request.get("error", "unknown error")))
-            return {"ok": True}
-        if op == "poll":
-            return {"ok": True, "stop": self.stop_requested()}
-        if op == "wait":
-            # Bounded like any frame: a handler thread never waits past the server's deadline.
-            timeout_s = max(0.0, min(float(request.get("timeout_s", 0.0)), SERVER_TIMEOUT_S))
-            self.wait_for_work(timeout_s)
-            return {"ok": True}
-        return {"ok": False, "error": f"unknown queue op {op!r}"}
-
-
-class NetWorkQueue(FrameClient):
-    """Worker-side client of a :class:`QueueServer` over one kept connection.
-
-    Implements the :class:`~repro.runtime.workqueue.WorkerQueueTransport`
-    surface.  Only once :meth:`FrameClient.request`'s retry budget is spent
-    is the coordinator treated as gone — then ``claim`` returns ``None`` and
-    ``stop_requested`` returns ``True``, so orphaned workers drain out
-    instead of erroring or polling forever (a half-finished task's claim
-    died with the server anyway).  An *authentication* rejection never
-    reads as stop: :class:`QueueAuthError` makes a mis-keyed worker fail loudly.
-    """
-
-    def _request(self, request: dict) -> dict:
-        """One request/response pair; a server-side rejection raises."""
-        response = self.request(request)
-        if not isinstance(response, dict) or not response.get("ok"):
-            error = response.get("error", "malformed response") if isinstance(response, dict) else response
-            raise ExperimentError(f"queue server at {self.host}:{self.port} rejected {request.get('op')!r}: {error}")
-        return response
-
-    def claim(self, worker_id: str) -> TaskClaim | None:
-        try:
-            response = self._request({"op": "claim", "worker_id": worker_id})
-        except OSError:
-            return None  # server gone; stop_requested() tells the loop to exit
-        if response["task_id"] is None:
-            return None
-        return TaskClaim(task_id=response["task_id"], payload=response["payload"])
-
-    def ack(self, claim: TaskClaim, worker_id: str, result: ResultUpload | None = None) -> None:
-        self._report({"op": "ack", "task_id": claim.task_id, "worker_id": worker_id, "result": result})
-
-    def fail(self, claim: TaskClaim, worker_id: str, error: str) -> None:
-        self._report({"op": "fail", "task_id": claim.task_id, "worker_id": worker_id, "error": error})
-
-    def _report(self, request: dict) -> None:
-        try:
-            self._request(request)
-        except OSError:
-            pass  # server gone: the sweep is over, a re-run redoes what the store lacks
-
-    def stop_requested(self) -> bool:
-        try:
-            return bool(self._request({"op": "poll"})["stop"])
-        except OSError:
-            return True  # unreachable coordinator == sweep over for this worker
-
-    def wait_for_work(self, timeout_s: float) -> None:
-        """:meth:`QueueServer.wait_for_work` on the coordinator: back as soon as
-        there is work or a stop, not after a fixed sleep."""
-        # Half the socket timeout at most, so the answer always beats the recv timeout.
-        request = {"op": "wait", "timeout_s": min(timeout_s, 0.5 * self.timeout_s)}
-        try:
-            self._request(request)
-        except OSError:
-            pass  # server gone: the next claim and stop_requested() end the loop

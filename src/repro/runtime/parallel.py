@@ -27,18 +27,18 @@ fresh results are persisted as they arrive.
   worker rebuilds — or, via its per-process
   :class:`~repro.storage.registry.DatabaseRegistry`, reuses —
   deterministically, so dispatch cost does not grow with database scale.
-  The coordinator serves the queue over TCP
-  (:class:`~repro.runtime.netqueue.QueueServer`, on ``RuntimeConfig.queue_url``,
-  loopback on an ephemeral port by default) and forks ``workers`` workers
-  from itself (:class:`ForkedWorker`), the sweep's only workers: they start
-  with its imported modules and the databases of its process registry, so
-  they neither import nor rebuild.  Each runs the claim/execute/ack loop
-  (:func:`_worker_loop`) over the socket and uploads finished results with
-  its acks, which the coordinator persists into its store.  The coordinator
-  re-queues a worker's claims as soon as it reaps the worker, retries failed
-  tasks up to ``task_retries`` times, and assembles grid-ordered results
-  from the store once every task is acked.  While it waits, it hands
-  ``progress_callback`` a progress snapshot of its queue.
+  The coordinator forks ``workers`` workers from itself
+  (:class:`ForkedWorker`), the sweep's only workers: they start with its
+  imported modules and the databases of its process registry, so they
+  neither import nor rebuild.  Each fork shares one ``multiprocessing.Pipe``
+  with the coordinator and nothing else.  The coordinator sends an idle fork
+  the next payload in grid order, and the fork answers with a
+  :class:`~repro.runtime.workqueue.ResultUpload` or its error text
+  (:func:`_serve_payloads`).  The coordinator saves each upload into its
+  store as it arrives, re-queues the payload of a fork whose end reports
+  EOF, re-sends a failed payload up to ``task_retries`` times, and, while it
+  waits, hands ``progress_callback`` snapshots of its own counters.  It
+  opens no socket and starts no thread.
 """
 
 from __future__ import annotations
@@ -47,9 +47,12 @@ import functools
 import os
 import subprocess
 import sys
-import threading
 import time
-from dataclasses import dataclass
+from bisect import insort
+from collections import Counter
+from dataclasses import dataclass, field
+from multiprocessing import Pipe
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import Callable, NoReturn, Union
 
@@ -59,28 +62,19 @@ from repro.core.metrics import MethodRunResult
 from repro.core.splits import DatasetSplit
 from repro.errors import ExperimentError
 from repro.runtime.fingerprint import stable_seed
-from repro.runtime.netqueue import NetWorkQueue, QueueServer
 from repro.runtime.plan_cache import PlanCache
 from repro.runtime.progress import ProgressSnapshot, next_snapshot
 from repro.runtime.result_store import ResultStore, TaskKey
-from repro.runtime.workqueue import BucketQueue, ResultUpload, WorkerQueueTransport, parse_queue_url
+from repro.runtime.workqueue import ResultUpload
 from repro.storage.database import Database
 from repro.storage.registry import MAX_DATABASES, get_process_registry, resolve_database
 from repro.storage.spec import DatabaseSpec
 from repro.workloads import build_workload, is_registered_workload
 from repro.workloads.workload import Workload
 
-#: Longest the coordinator waits between polls of the distributed queue state
-#: (``BucketQueue.wait_for_change`` returns sooner when a worker acts).
-COORDINATOR_POLL_S = 0.2
-
-#: Longest an idle worker waits on the queue between claims (the server
-#: answers sooner when there is work or a stop).
-WORKER_WAIT_S = 0.2
-
-#: Orphan bound: a worker that finds no work for this long exits.  A
-#: coordinator that dies takes its server with it, which its workers read as
-#: a stop; this bound covers one that stops answering without dying.  A live
+#: Orphan bound: a worker that receives nothing for this long exits.  A
+#: coordinator that dies closes its end of every pipe, which its workers read
+#: as EOF; this bound covers one that stops sending without dying.  A live
 #: sweep never idles a worker this long.
 ORPHAN_IDLE_S = 600.0
 
@@ -178,69 +172,29 @@ def execute_spec_payload_with_identity(payload: SpecTaskPayload) -> tuple[Method
     return result, runner.task_key(task), runner.task_fingerprint(task)
 
 
-def reconcile_failed_tasks(
-    queue: BucketQueue,
-    remaining: set[str],
-    payloads: dict[str, object],
-    retries_used: dict[str, int],
-    task_retries: int,
-) -> list[str]:
-    """Apply the bounded-retry policy to this poll round's failed tasks.
-
-    Failed tasks still within their budget are re-queued (failure discarded,
-    payload enqueued again) and returned; one permanent (transient) failure
-    must not abort a multi-hour sweep.  A task that has already been retried
-    ``task_retries`` times raises instead, and the error reports how many
-    attempts were made.
-    """
-    failed = {tid: msg for tid, msg in queue.failed_tasks().items() if tid in remaining}
-    if not failed:
-        return []
-    exhausted = {
-        tid: msg for tid, msg in failed.items() if retries_used.get(tid, 0) >= task_retries
-    }
-    if exhausted:
-        task_id, message = sorted(exhausted.items())[0]
-        attempts = retries_used.get(task_id, 0) + 1
-        raise ExperimentError(
-            f"{len(exhausted)} distributed task(s) failed permanently; first ({task_id}) "
-            f"failed after {attempts} attempt(s): {message}"
-        )
-    retried: list[str] = []
-    for task_id in sorted(failed):
-        retries_used[task_id] = retries_used.get(task_id, 0) + 1
-        queue.discard_failure(task_id)
-        queue.enqueue(task_id, payloads[task_id])
-        retried.append(task_id)
-    return retried
-
-
 class ForkedWorker:
     """Handle on one forked local worker, built on ``os.waitpid`` and ``os.kill``.
 
     It has the part of the ``Popen`` interface that callers of
     ``ParallelExperimentRunner._distributed_procs`` use: ``pid``,
     ``returncode`` (``-N`` after death by signal ``N``), :meth:`poll`,
-    :meth:`wait`, :meth:`kill` and :meth:`send_signal`.  A lock makes one
-    thread's poll and another's agree on the exit status.
+    :meth:`wait`, :meth:`kill` and :meth:`send_signal`.
     """
 
     def __init__(self, pid: int) -> None:
         self.pid = pid
         self.returncode: int | None = None
-        self._lock = threading.Lock()
 
     def poll(self) -> int | None:
         """The exit code if the worker has exited, else ``None`` (never blocks)."""
-        with self._lock:
-            if self.returncode is None:
-                try:
-                    pid, status = os.waitpid(self.pid, os.WNOHANG)
-                except ChildProcessError:  # reaped outside this handle: gone, status lost
-                    pid, status = self.pid, 0
-                if pid:
-                    self.returncode = os.waitstatus_to_exitcode(status)
-            return self.returncode
+        if self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+            except ChildProcessError:  # reaped outside this handle: gone, status lost
+                pid, status = self.pid, 0
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
 
     def wait(self, timeout: float | None = None) -> int:
         """Wait for the worker to exit; raises ``subprocess.TimeoutExpired`` after ``timeout``."""
@@ -264,82 +218,58 @@ class ForkedWorker:
         self.send_signal(signal.SIGKILL)
 
 
-def _close_fds(fds: list[int]) -> None:
-    """Close and forget every descriptor in ``fds``."""
-    while fds:
-        os.close(fds.pop())
-
-
 def _worker_id(index: int) -> str:
-    """The queue identity of forked worker ``index``."""
+    """The name of forked worker ``index`` in logs and progress snapshots."""
     return f"local-{index}"
 
 
-def _worker_loop(
-    queue: WorkerQueueTransport,
-    worker_id: str,
-    execute: Callable[..., tuple[MethodRunResult, TaskKey, str | None]],
-) -> int:
-    """Claim, ``execute`` (payload -> result, key, fingerprint) and ack until
-    the stop is written, the coordinator is unreachable or ``ORPHAN_IDLE_S``
-    pass without work; returns the number of tasks completed."""
+def _serve_payloads(conn: Connection, worker_id: str) -> int:
+    """Answer the payloads the coordinator sends on ``conn``; returns how
+    many were answered with a result.
+
+    Each payload is answered with its :class:`ResultUpload`, or with the
+    text of the exception it raised.  The loop ends when the coordinator
+    closes its end (EOF), when an answer cannot reach it, or when
+    ``ORPHAN_IDLE_S`` pass with nothing received.
+    """
     completed = 0
-    idle_since = time.monotonic()
-    while True:
-        claim = queue.claim(worker_id)
-        if claim is None:
-            if queue.stop_requested() or time.monotonic() - idle_since > ORPHAN_IDLE_S:
-                return completed
-            queue.wait_for_work(WORKER_WAIT_S)
-            continue
-        idle_since = time.monotonic()
+    while conn.poll(ORPHAN_IDLE_S):
         try:
-            result, key, fingerprint = execute(claim.payload)
-            upload = ResultUpload(key=key, fingerprint=fingerprint, result=result.to_dict())
-        except Exception as exc:
-            queue.fail(claim, worker_id, f"{type(exc).__name__}: {exc}")
-            print(f"[{worker_id}] FAILED {claim.task_id}: {exc}", file=sys.stderr, flush=True)
-            continue
+            payload = conn.recv()
+        except (EOFError, OSError):
+            break
         try:
-            queue.ack(claim, worker_id, upload)
+            result, key, fingerprint = execute_spec_payload_with_identity(payload)
+            answer: ResultUpload | str = ResultUpload(key=key, fingerprint=fingerprint, result=result.to_dict())
         except Exception as exc:
-            # The coordinator rejected the ack (e.g. its result store is
-            # unwritable).  Dying here would take every worker down one by one
-            # with a misleading "all workers exited" sweep error; a failure
-            # report carries the real cause to the coordinator instead, whose
-            # retry budget turns a persistent rejection into a sweep abort.
-            try:
-                queue.fail(claim, worker_id, f"ack rejected: {type(exc).__name__}: {exc}")
-            except Exception:  # pragma: no cover - transport also down
-                pass
-            print(f"[{worker_id}] ACK REJECTED {claim.task_id}: {exc}", file=sys.stderr, flush=True)
-            continue
-        completed += 1
-        print(f"[{worker_id}] completed {claim.task_id}", flush=True)
+            answer = f"{type(exc).__name__}: {exc}"
+            print(f"[{worker_id}] FAILED {payload.task.describe()}: {exc}", file=sys.stderr, flush=True)
+        try:
+            conn.send(answer)
+        except OSError:
+            break  # the coordinator is gone: nobody is left to take the answer
+        if isinstance(answer, ResultUpload):
+            completed += 1
+            print(f"[{worker_id}] completed {payload.task.describe()}", flush=True)
+    return completed
 
 
 def _run_forked_worker(
-    url_fd: int,
-    parent_fds: list[int],
-    index: int,
-    log_path: Path,
-    secret: str,
+    conn: Connection, inherited: list[Connection], index: int, log_path: Path
 ) -> NoReturn:
     """The body of a forked worker; it ends the process, never returns.
 
-    It closes the url pipes of its siblings (their EOF is the coordinator's
-    alone), writes its output to ``log_path``, reads the queue url from
-    ``url_fd`` and runs :func:`_worker_loop` keyed with the sweep's
-    ``secret`` (``""``: authentication off).  EOF before any url means the
-    coordinator gave up before its queue served: exit without connecting.
-    ``os._exit`` skips the coordinator's ``atexit`` hooks and ``finally``
-    blocks, which are not this process's to run: 0 after the loop, 1 after
-    a traceback in the log.
+    It closes ``inherited``, the coordinator's ends of its own pipe and of
+    its elder siblings' (so the coordinator's death reads as EOF on every
+    fork's end), writes its output to ``log_path`` and runs
+    :func:`_serve_payloads` on ``conn``.  ``os._exit`` skips the
+    coordinator's ``atexit`` hooks and ``finally`` blocks, which are not
+    this process's to run: 0 after the loop, 1 after a traceback in the log.
     """
     code = 1
     try:
-        for fd in parent_fds:
-            os.close(fd)
+        for other in inherited:
+            other.close()
         log = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         os.dup2(log, 1)
         os.dup2(log, 2)
@@ -348,13 +278,9 @@ def _run_forked_worker(
         # harness's capture objects, or hold a buffer lock of another thread.
         sys.stdout = open(1, "w", buffering=1, encoding="utf-8", closefd=False)
         sys.stderr = open(2, "w", buffering=1, encoding="utf-8", closefd=False)
-        with open(url_fd, "rb") as pipe:
-            url = pipe.read().decode()
-        if url:
-            worker_id = _worker_id(index)
-            with NetWorkQueue(url, secret=secret) as queue:  # leaving the block closes the client
-                completed = _worker_loop(queue, worker_id, execute_spec_payload_with_identity)
-            print(f"[{worker_id}] exiting after {completed} task(s)", flush=True)
+        worker_id = _worker_id(index)
+        completed = _serve_payloads(conn, worker_id)
+        print(f"[{worker_id}] exiting after {completed} task(s)", flush=True)
         code = 0
     except BaseException:
         import traceback
@@ -369,12 +295,54 @@ def _run_forked_worker(
             os._exit(code)
 
 
+@dataclass
+class _Sweep:
+    """The coordinator's record of one distributed sweep, cells by grid index.
+
+    A cell to run is ``pending`` until it is sent, then ``held`` by the fork
+    it was sent to until that fork answers: with a result, or with an error
+    that sends it back to ``pending`` or, after ``task_retries`` re-sends,
+    into ``failed``.  A fork that dies gives its held cell back to
+    ``pending``.  Every progress snapshot is read from these counters.
+    """
+
+    #: The payload of every cell the sweep runs (the store lacked its result).
+    payloads: dict[int, SpecTaskPayload] = field(default_factory=dict)
+    pending: list[int] = field(default_factory=list)
+    #: The cell each busy fork holds, by the coordinator's end of its pipe.
+    held: dict[Connection, int] = field(default_factory=dict)
+    #: Every cell's result: loaded from the store on resume, else as received.
+    results: dict[int, MethodRunResult] = field(default_factory=dict)
+    #: Failed attempts by cell, and the last error of every cell that ran out of them.
+    failures: Counter[int] = field(default_factory=Counter)
+    failed: dict[int, str] = field(default_factory=dict)
+    #: Cells each fork completed, by worker id.
+    done_by: Counter[str] = field(default_factory=Counter)
+    started_at: float = 0.0
+    last: ProgressSnapshot | None = None
+
+    def snapshot(self) -> ProgressSnapshot:
+        """The next progress snapshot; ``elapsed_s`` counts from ``started_at``."""
+        self.last = next_snapshot(
+            pending=len(self.pending),
+            claimed=len(self.held),
+            done=sum(self.done_by.values()),
+            failed=len(self.failed),
+            workers=dict(self.done_by),
+            total=len(self.payloads),
+            elapsed_s=time.monotonic() - self.started_at,
+            previous=self.last,
+        )
+        return self.last
+
+
 class ParallelExperimentRunner:
     """Runs the experiment grid concurrently with serial-identical results.
 
     ``progress_callback`` runs on the coordinator's thread, inside the loop
-    that waits for a distributed sweep's acks: a slow callback delays the
-    re-queue of a dead worker's claims and the retry of failed tasks.
+    that waits for a distributed sweep's answers: a slow callback delays
+    the next payload to an idle fork, the re-queue of a dead fork's cell
+    and the retry of failed tasks.
     """
 
     def __init__(
@@ -409,16 +377,13 @@ class ParallelExperimentRunner:
         #: Forked worker processes of the most recent distributed sweep
         #: (observability: lets callers and the crash-recovery demo reach them).
         self._distributed_procs: list[ForkedWorker] = []
-        #: Number of claims the most recent distributed sweep re-queued
-        #: because no live forked worker held them.
+        #: Number of cells the most recent distributed sweep re-queued
+        #: because the fork holding them died.
         self._distributed_requeued = 0
-        #: Tasks the most recent distributed sweep put into the shared pending
-        #: pool, where any worker takes them (perfbench reports it as
+        #: Cells the most recent distributed sweep sent to its forks, each
+        #: to whichever fork was idle first (perfbench reports it as
         #: ``runtime.stolen_tasks``).
         self._distributed_stolen = 0
-        #: Coordinator-side queue server of the most recent distributed
-        #: sweep (observability: its url and live ``stats()``).
-        self._distributed_queue: QueueServer | None = None
 
     # ------------------------------------------------------------------ grid
     def tasks_for(
@@ -539,14 +504,12 @@ class ParallelExperimentRunner:
 
     # ------------------------------------------------------------------ distributed
     def _run_distributed(self, tasks: list[ExperimentTask]) -> list[MethodRunResult]:
-        """Coordinate one sweep over the TCP work queue.
+        """Coordinate one sweep over the pipes of ``workers`` forks.
 
-        Pending tasks (not already in the store) become claimable payloads,
-        ``workers`` workers are forked, and the coordinator polls the queue —
-        re-queuing the claims of reaped workers and retrying failed tasks
-        within ``task_retries`` — until every enqueued task is acked.
-        Results are then assembled from the store in grid order, so the
-        output is identical to every other executor kind.
+        Cells the store already holds are loaded from it; the others are
+        sent to the forks, and their results are saved into the store as
+        they arrive (:meth:`_feed_forks`).  Results are returned in grid
+        order, so the output is identical to every other executor kind.
         """
         if not tasks:
             return []
@@ -560,181 +523,158 @@ class ParallelExperimentRunner:
         if store is None:
             raise ExperimentError(
                 "distributed execution requires a result store (set RuntimeConfig.store_dir: "
-                "the coordinator persists the workers' uploaded results there)"
+                "the coordinator persists the workers' results there)"
             )
-        config = self.runtime_config
-        address = parse_queue_url(config.queue_url)
-        # Never an unauthenticated pickle port: without a configured secret
-        # the sweep mints its own, which the forked workers inherit in
-        # memory.  Only an explicit "" turns it off.
-        secret = config.queue_secret if config.queue_secret is not None else os.urandom(32).hex()
         log_dir = store.root / "worker-logs"
-        self._distributed_queue = None
+        sweep = _Sweep()
+        for index, task in enumerate(tasks):
+            key, fingerprint = self.task_key(task), self.task_fingerprint(task)
+            if store.skip_existing and store.exists(key, fingerprint):
+                sweep.results[index] = store.load(key, fingerprint)  # resumed: never sent
+            else:
+                sweep.payloads[index] = self.spec_payload(task)
+        sweep.pending = list(sweep.payloads)  # grid order, the order the forks get them in
+        self._distributed_stolen = len(sweep.payloads)
         self._distributed_requeued = 0
         procs: list[ForkedWorker] = []
         self._distributed_procs = procs
-        keyed = [(task, self.task_key(task), self.task_fingerprint(task)) for task in tasks]
-        # A sweep-unique id prefix: a straggler of an earlier sweep served on
-        # the same port cannot ack one of this sweep's tasks.
-        sweep_id = os.urandom(4).hex()
-        payloads: dict[str, SpecTaskPayload] = {
-            # Ids sort in grid order, the order workers claim them in.
-            f"{sweep_id}-{index:04d}": self.spec_payload(task)
-            for index, (task, key, fingerprint) in enumerate(keyed)
-            # Resume: a stored task never hits the queue.
-            if not (store.skip_existing and store.exists(key, fingerprint))
-        }
-        self._distributed_stolen = len(payloads)
-        queue: QueueServer | None = None
-        url_fds: list[int] = []  # write ends of the local workers' url pipes
-        report_progress: Callable[[], None] | None = None
+        # The coordinator's end of each live fork's pipe, with the fork's index.
+        conns: dict[Connection, int] = {}
         try:
-            workers = min(config.workers, len(payloads))
+            workers = min(self.runtime_config.workers, len(sweep.payloads))
             if workers and get_process_registry().contains(self.database_spec):
                 # Bound once here, the workload reaches every fork with the database.
                 _rebuilt_workload(self.workload.name, self.database_spec)
-            # Fork before the queue server exists: its accept thread is not
-            # running yet, so the coordinator has no thread of its own at the
-            # fork.  The children wait on their pipes for the url.
             for index in range(workers):
-                proc, url_fd = self._spawn_worker(index, log_dir, secret, url_fds)
+                proc, conn = self._spawn_worker(index, log_dir, list(conns))
                 procs.append(proc)
-                url_fds.append(url_fd)
-            queue = QueueServer(host=address.host, port=address.port, result_store=store, secret=secret)
-            self._distributed_queue = queue
-            for task_id, payload in payloads.items():
-                queue.enqueue(task_id, payload)
-            for url_fd in url_fds:
-                try:
-                    os.write(url_fd, queue.url.encode())
-                except BrokenPipeError:
-                    pass  # that worker already died: the wait below reports it
-            _close_fds(url_fds)
-            if self.progress_callback is not None:
-                report_progress = self._progress_reporter(queue, len(payloads), self.progress_callback)
-            self._await_queue(queue, payloads, procs, log_dir, report_progress)
+                conns[conn] = index
+            sweep.started_at = time.monotonic()
+            self._feed_forks(sweep, conns, log_dir)
         finally:
-            # EOF on a pipe not yet written: that worker exits without connecting.
-            _close_fds(url_fds)
-            if queue is not None:
-                queue.write_stop()
+            # A fork still holding a cell is killed (the sweep aborted: its
+            # answer has nowhere to go), and its cell counts as pending again.
+            for conn, index in sweep.held.items():
+                procs[conns[conn]].kill()
+                insort(sweep.pending, index)
+            sweep.held.clear()
+            for conn in conns:
+                conn.close()  # EOF: an idle fork leaves its loop and exits
             for proc in procs:
                 try:
                     proc.wait(timeout=60)
                 except subprocess.TimeoutExpired:  # pragma: no cover - defensive
                     proc.kill()
                     proc.wait()
-            if queue is not None:
-                # After every worker exited: one that held a claim at the stop
-                # still acked it.
-                queue.close()
-            if report_progress is not None:
-                # The end-of-sweep snapshot, on success and on failure, also of
-                # a fully resumed sweep.  The closed server still answers in
-                # process, and no worker is left running if the callback raises.
-                report_progress()
-        return [store.load(key, fingerprint) for _, key, fingerprint in keyed]
+            if self.progress_callback is not None:
+                # The end-of-sweep snapshot, on success and on failure, also
+                # of a fully resumed sweep, taken once every fork has exited.
+                self.progress_callback(sweep.snapshot())
+        return [sweep.results[index] for index in range(len(tasks))]
 
-    @staticmethod
-    def _progress_reporter(
-        queue: QueueServer, total: int, callback: Callable[[ProgressSnapshot], None]
-    ) -> Callable[[], None]:
-        """A closure that hands ``callback`` the sweep's next snapshot, read
-        in process with no queue lock held while it runs.  ``elapsed_s``
-        counts from this call, made once the last local worker was spawned."""
-        started_at = time.monotonic()
-        previous: ProgressSnapshot | None = None
+    def _feed_forks(self, sweep: _Sweep, conns: dict[Connection, int], log_dir: Path) -> None:
+        """Send each idle fork the next pending cell and take the answers,
+        until every cell is done.
 
-        def report() -> None:
-            nonlocal previous
-            # Counts first: the stats read after them never show fewer done.
-            workers = queue.worker_done_counts()
-            previous = next_snapshot(
-                queue.stats(), workers, total, time.monotonic() - started_at, previous
-            )
-            callback(previous)
-
-        return report
-
-    def _await_queue(
-        self,
-        queue: QueueServer,
-        payloads: dict[str, SpecTaskPayload],
-        procs: list[ForkedWorker],
-        log_dir: Path,
-        report_progress: Callable[[], None] | None,
-    ) -> None:
-        """Wait until every task in ``payloads`` is acked, calling
-        ``report_progress`` every ``progress_interval_s`` seconds (if set).
-
-        Each round re-queues every claim not held by a live forked worker:
-        a reaped worker's at once, and one under any other id too.  A wait
-        between rounds ends on an ack or a failure, after
-        ``COORDINATOR_POLL_S``, or when the next snapshot is due.
+        A wait ends when a fork answers or its end reports EOF, or when the
+        next snapshot is due: every ``progress_interval_s`` seconds with a
+        ``progress_callback``, else never.  A snapshot is taken when a wait
+        runs out, so one held off by answers is taken at the next quiet
+        moment.
         """
-        # Snapshots fall due only with both a reporter and an interval; with
-        # either missing ``due`` stays infinite and every wait is the poll bound.
-        interval = (report_progress and self.runtime_config.progress_interval_s) or float("inf")
-        due = time.monotonic() + interval
-        remaining = set(payloads)
-        retries_used: dict[str, int] = {}
-        while remaining:
-            # The workers before the queue: every ack of a worker seen
-            # exited here is already among the done ids read next.
-            live = {_worker_id(index) for index, proc in enumerate(procs) if proc.poll() is None}
-            remaining -= queue.done_ids()
-            if not remaining:
-                return
-            reconcile_failed_tasks(
-                queue, remaining, payloads, retries_used, self.runtime_config.task_retries
-            )
-            self._distributed_requeued += len(queue.requeue_orphaned(live))
-            if procs and not live:
-                # Every worker exited: the sweep can never finish, so surface
-                # it instead of polling forever.
-                codes = [proc.returncode for proc in procs]
+        interval = self.runtime_config.progress_interval_s if self.progress_callback else None
+        due = None if interval is None else time.monotonic() + interval
+        while sweep.pending or sweep.held:
+            for conn in [conn for conn in conns if conn not in sweep.held]:
+                if not sweep.pending:
+                    break
+                index = sweep.pending.pop(0)
+                try:
+                    conn.send(sweep.payloads[index])
+                except OSError:  # that fork is gone: the wait below reads its EOF
+                    insort(sweep.pending, index)
+                    continue
+                sweep.held[conn] = index
+            if not conns:
+                # Every fork exited: the sweep can never finish, so surface
+                # it instead of waiting forever.
+                codes = [proc.wait() for proc in self._distributed_procs]
                 raise ExperimentError(
-                    f"all {len(procs)} local distributed workers exited (return codes "
-                    f"{codes}) with {len(remaining)} task(s) unfinished; worker logs are "
+                    f"all {len(codes)} local distributed workers exited (return codes "
+                    f"{codes}) with {len(sweep.pending)} task(s) unfinished; worker logs are "
                     f"under {log_dir}"
                 )
-            now = time.monotonic()
-            if now >= due:
-                assert report_progress is not None  # a finite due implies a reporter
-                report_progress()
-                now = time.monotonic()
-                due = now + interval
-            queue.wait_for_change(min(COORDINATOR_POLL_S, due - now))
+            timeout = None if due is None else max(due - time.monotonic(), 0.0)
+            ready = wait(list(conns), timeout)
+            for conn in ready:
+                self._take_answer(sweep, conns, conn)
+            if sweep.failed:
+                raise ExperimentError(
+                    f"{len(sweep.failed)} distributed task(s) failed permanently: "
+                    + "; ".join(
+                        f"{sweep.payloads[index].task.describe()} after "
+                        f"{sweep.failures[index]} attempt(s): {error}"
+                        for index, error in sorted(sweep.failed.items())
+                    )
+                )
+            if not ready:
+                # The wait ran out at the due time, and no answer waits
+                # unread: the snapshot's held cells are all still running.
+                self.progress_callback(sweep.snapshot())
+                due = time.monotonic() + interval
+
+    def _take_answer(self, sweep: _Sweep, conns: dict[Connection, int], conn: Connection) -> None:
+        """Take what ``conn``'s fork sent: a result is saved and kept, an
+        error re-queues its cell within ``task_retries``, and EOF (the fork
+        died) re-queues the cell it held."""
+        try:
+            answer = conn.recv()
+        except (EOFError, OSError):
+            del conns[conn]
+            conn.close()
+            if conn in sweep.held:
+                insort(sweep.pending, sweep.held.pop(conn))
+                self._distributed_requeued += 1
+            return
+        index = sweep.held.pop(conn)
+        if isinstance(answer, ResultUpload):
+            self.result_store.save_raw(answer.key, answer.result, answer.fingerprint)
+            sweep.results[index] = MethodRunResult.from_dict(answer.result)
+            sweep.done_by[_worker_id(conns[conn])] += 1
+            return
+        sweep.failures[index] += 1
+        if sweep.failures[index] > self.runtime_config.task_retries:
+            sweep.failed[index] = answer
+        else:
+            insort(sweep.pending, index)
 
     @staticmethod
     def _spawn_worker(
-        index: int, log_dir: Path, secret: str, parent_fds: list[int]
-    ) -> tuple[ForkedWorker, int]:
-        """Fork queue worker ``index``; returns its handle and the write end
-        of the pipe it reads the queue's url from.
+        index: int, log_dir: Path, inherited: list[Connection]
+    ) -> tuple[ForkedWorker, Connection]:
+        """Fork worker ``index``; returns its handle and the coordinator's
+        end of its pipe.
 
         The child runs :func:`_run_forked_worker` and logs to
-        ``log_dir/local-{index}.log``.  ``parent_fds`` are the pipe ends of
-        the workers forked before it, which the child closes.  ``secret``
-        reaches the child in the memory it inherits: never argv, never a
-        file, never the environment.
+        ``log_dir/local-{index}.log``.  ``inherited`` are the coordinator's
+        ends of the workers forked before it, which the child closes.
         """
         log_dir.mkdir(parents=True, exist_ok=True)
         log_path = log_dir / f"{_worker_id(index)}.log"
-        url_fd, write_fd = os.pipe()
-        child_closes = [*parent_fds, write_fd]
+        ours, theirs = Pipe()
         # Unflushed output would otherwise be written twice, once by each process.
         sys.stdout.flush()
         sys.stderr.flush()
         try:
             pid = os.fork()
         except BaseException:
-            _close_fds([url_fd, write_fd])
+            ours.close()
+            theirs.close()
             raise
         if pid == 0:
-            _run_forked_worker(url_fd, child_closes, index, log_path, secret)
-        os.close(url_fd)
-        return ForkedWorker(pid), write_fd
+            _run_forked_worker(theirs, [*inherited, ours], index, log_path)
+        theirs.close()
+        return ForkedWorker(pid), ours
 
     # ------------------------------------------------------------------ parity
     def run_comparison(

@@ -1,18 +1,15 @@
 """Progress telemetry for distributed sweeps.
 
-A multi-hour sweep coordinated through a work queue used to be a black box:
-the only signals were worker log lines and the final result store.  This
-module turns the queue's own bookkeeping into a machine-readable
-:class:`ProgressSnapshot` — tasks pending/claimed/done/failed, per-worker
-completion counts, overall and recent throughput, and an ETA — without
-adding any new coordination state: everything is derived from
-:meth:`~repro.runtime.workqueue.BucketQueue.stats` plus the per-worker ack
-counts the queue already records.
+A multi-hour sweep used to be a black box: the only signals were worker log
+lines and the final result store.  This module turns the coordinator's own
+bookkeeping into a machine-readable :class:`ProgressSnapshot` — cells
+pending/claimed/done/failed, per-worker completion counts, overall and
+recent throughput, and an ETA — without adding any new coordination state.
 
-The coordinator's own wait loop
-(:meth:`~repro.runtime.parallel.ParallelExperimentRunner._await_queue`) reads
-its in-process queue every ``RuntimeConfig.progress_interval_s`` seconds and
-once more at the end of the sweep, builds each snapshot with
+The coordinator's wait loop
+(:meth:`~repro.runtime.parallel.ParallelExperimentRunner._feed_forks`) reads
+its counters every ``RuntimeConfig.progress_interval_s`` seconds and once
+more at the end of the sweep, builds each snapshot with
 :func:`next_snapshot` and hands it to the runner's ``progress_callback``.
 """
 
@@ -21,14 +18,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.runtime.workqueue import QueueStats
-
 
 @dataclass(frozen=True)
 class ProgressSnapshot:
-    """One observation of a sweep's queue state, with derived rates.
+    """One observation of a sweep's state, with derived rates.
 
-    ``total`` is the number of tasks the sweep enqueued.  Throughputs are
+    ``total`` is the number of cells the sweep sends to its forks (the
+    cells its store already held are not counted).  Throughputs are
     completed tasks per second: ``throughput_per_s`` since the last local
     worker was spawned, ``recent_throughput_per_s`` since the previous
     snapshot (the ETA uses the recent rate when it is positive — it adapts to
@@ -89,26 +85,33 @@ class ProgressSnapshot:
 
 
 def next_snapshot(
-    stats: QueueStats,
+    *,
+    pending: int,
+    claimed: int,
+    done: int,
+    failed: int,
     workers: dict[str, int],
     total: int,
     elapsed_s: float,
     previous: ProgressSnapshot | None = None,
 ) -> ProgressSnapshot:
-    """The snapshot that follows ``previous`` (``None``: the sweep's first).
+    """The snapshot of these counts that follows ``previous`` (``None``: the
+    sweep's first).
 
-    ``elapsed_s`` is the clock reading: seconds since the sweep's last local
-    worker was spawned.  The recent rate covers the window since
-    ``previous``; the first snapshot's recent rate is the overall one.
+    ``claimed`` counts the cells the forks hold, ``done`` and ``workers`` the
+    cells they completed.  ``elapsed_s`` is the clock reading: seconds since
+    the sweep's last local worker was spawned.  The recent rate covers the
+    window since ``previous``; the first snapshot's recent rate is the
+    overall one.
     """
     elapsed = max(elapsed_s, 1e-9)
-    overall = stats.done / elapsed
+    overall = done / elapsed
     if previous is None:
         recent = overall
     else:
         window = max(elapsed - previous.elapsed_s, 1e-9)
-        recent = max(stats.done - previous.done, 0) / window
-    remaining = max(total - stats.done, 0)
+        recent = max(done - previous.done, 0) / window
+    remaining = max(total - done, 0)
     if remaining == 0:
         eta: float | None = 0.0
     else:
@@ -117,10 +120,10 @@ def next_snapshot(
     return ProgressSnapshot(
         sequence=0 if previous is None else previous.sequence + 1,
         elapsed_s=elapsed,
-        pending=stats.pending,
-        claimed=stats.claimed,
-        done=stats.done,
-        failed=stats.failed,
+        pending=pending,
+        claimed=claimed,
+        done=done,
+        failed=failed,
         total=total,
         throughput_per_s=overall,
         recent_throughput_per_s=recent,

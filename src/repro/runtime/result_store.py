@@ -244,9 +244,9 @@ class ResultStore:
     ) -> Path:
         """Persist an already-serialized result dict.
 
-        This is the coordinator-side sink of the TCP transport's result
-        uploads: the worker ships ``result.to_dict()`` over the wire and the
-        coordinator writes it verbatim, producing byte-for-byte the file the
+        This is the coordinator-side sink of a sweep's result uploads: the
+        worker sends ``result.to_dict()`` over its pipe and the coordinator
+        writes it verbatim, producing byte-for-byte the file the
         worker's own ``save`` would have written into a shared store (no
         deserialize/re-serialize round trip to drift through).
         """

@@ -124,11 +124,6 @@ class Database:
         """Empty the buffer pool — the framework's "cold cache" reset."""
         self.buffer_pool.invalidate()
 
-    def warm_table(self, name: str) -> None:
-        """Pre-load a table's heap pages into the buffer pool."""
-        data = self.table_data(name)
-        self.buffer_pool.warm(name, data.page_count)
-
     # -- derived databases ---------------------------------------------------------
     def sample_copy(
         self,

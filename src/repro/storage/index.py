@@ -183,5 +183,3 @@ class OrderedIndex:
         """Row ids ordered by the indexed column (for merge joins)."""
         return self._row_ids.copy()
 
-    def sorted_values(self) -> np.ndarray:
-        return self._sorted_values.copy()

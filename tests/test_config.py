@@ -19,7 +19,9 @@ from repro.config import (
     RuntimeConfig,
     format_bytes,
     iter_presets,
+    parse_tcp_url,
 )
+from repro.errors import ExperimentError
 
 
 class TestDefaults:
@@ -35,7 +37,6 @@ class TestDefaults:
 
     def test_page_geometry(self):
         assert DEFAULT_CONFIG.shared_buffer_pages == (128 * MB) // PAGE_SIZE_BYTES
-        assert DEFAULT_CONFIG.effective_cache_pages > DEFAULT_CONFIG.shared_buffer_pages
 
 
 class TestPresets:
@@ -105,9 +106,6 @@ class TestFormatBytes:
     def test_format(self, value, expected):
         assert format_bytes(value) == expected
 
-    def test_work_mem_tuples_positive(self):
-        assert PostgresConfig().work_mem_tuples > 0
-
 
 class TestFingerprints:
     def test_equal_configs_equal_fingerprints(self):
@@ -166,8 +164,7 @@ class TestRuntimeConfigDefaults:
                 RuntimeConfig(queue_url=directory_queue)
 
     def test_queue_secret_keeps_none_apart_from_empty(self):
-        """None lets the sweep mint a secret; only an explicit "" turns frame
-        authentication off."""
+        """The sweep ignores the field; it keeps what its callers pass."""
         assert RuntimeConfig().queue_secret is None
         assert RuntimeConfig(queue_secret="").queue_secret == ""
         assert RuntimeConfig(queue_secret="s3cret").queue_secret == "s3cret"
@@ -181,3 +178,32 @@ class TestRuntimeConfigDefaults:
         # far as run_grid before failing.
         with pytest.raises(ValueError):
             RuntimeConfig(queue_url="tcp://coordinator")
+
+
+class TestTcpUrlParsing:
+    """The one parser of ``tcp://host:port`` urls (plan clients, and the
+    validation of ``RuntimeConfig.queue_url``)."""
+
+    @pytest.mark.parametrize(
+        ("url", "address"),
+        [
+            ("tcp://coordinator:1", ("coordinator", 1)),
+            ("tcp://coordinator.example:65535", ("coordinator.example", 65535)),
+            ("tcp://10.0.0.5:7077", ("10.0.0.5", 7077)),
+            ("tcp://127.0.0.1:0", ("127.0.0.1", 0)),  # ephemeral
+        ],
+    )
+    def test_hostnames_and_the_port_range_bounds_accepted(self, url, address):
+        assert parse_tcp_url(url) == address
+
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "tcp://", "tcp://host", "tcp://host:notaport", "tcp://host:70777", "nfs://x/y", "file://",
+            "file:///shared/q", "/shared/q", "tcp://:7077", "tcp://host:-1", "tcp://host:65536",
+            "tcp://host:7077/q", "TCP://host:7077",
+        ],
+    )
+    def test_malformed_urls_rejected(self, url):
+        with pytest.raises(ExperimentError):
+            parse_tcp_url(url)

@@ -1,17 +1,14 @@
-"""Tests of the sweep control plane: the TCP work queue and its frames.
+"""Tests of the frame codec and of sweeps seen from the progress callback.
 
 Covers:
 
-* property tests that claim/requeue/ack/fail interleavings never duplicate
-  or drop a task (exactly-once visible completion), hand tasks out from one
-  pending pool, lowest id first, and re-queue exactly the claims of workers
-  that are gone,
 * the HMAC frame authentication of the TCP transport, including a fuzz pass
   asserting malformed/truncated/unsigned frames error cleanly and an
   untrusted peer can never reach ``pickle.loads``,
-* the bounded retry/backoff of `NetWorkQueue` against transient socket
+* the codec's round trip of every payload shape, open and signed, and a
+  ``FrameServer``/``FrameClient`` pair end to end,
+* the bounded retry/backoff of ``FrameClient`` against transient socket
   errors,
-* `QueueStats`/`describe()` edge cases,
 * a 4-worker stress sweep, byte-identical to serial, the progress
   snapshots the coordinator's own loop takes, and the end-of-sweep snapshot
   taken once the local workers exited.
@@ -24,8 +21,6 @@ import struct
 import threading
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.config import SIMULATION_CONFIG, RuntimeConfig
 from repro.core.experiment import ExperimentConfig
@@ -36,135 +31,27 @@ from repro.runtime import netqueue
 from repro.runtime.netqueue import (
     MAGIC_ERROR,
     FrameAuthError,
-    NetWorkQueue,
+    FrameClient,
+    FrameServer,
     QueueAuthError,
-    QueueServer,
     recv_frame,
     resolve_queue_secret,
     send_frame,
 )
 from repro.runtime.parallel import ParallelExperimentRunner
-from repro.runtime.workqueue import QueueStats
+from repro.runtime.result_store import TaskKey
 from repro.storage.registry import get_process_registry
 from repro.storage.spec import DatabaseSpec
 from repro.workloads import build_workload
 
-from queue_views import WireQueue
 
-TRANSPORTS = ("tcp",)
-
-
-# ---------------------------------------------------------------------------
-# Property: claim/requeue/ack/fail interleavings are exactly-once
-# ---------------------------------------------------------------------------
+def echo(request, peer):
+    return {"ok": True, "echo": request}
 
 
-def _drain_all(queue, held, acked):
-    """Ack everything held, then claim+ack until the queue is empty."""
-    for task_id, claim in sorted(held.items()):
-        queue.ack(claim, "drain")
-        acked.append(task_id)
-    held.clear()
-    while True:
-        claim = queue.claim("drain")
-        if claim is None:
-            return
-        queue.ack(claim, "drain")
-        acked.append(claim.task_id)
-
-
-WORKERS = ("w0", "w1", "w2")
-
-
-@st.composite
-def interleavings(draw):
-    n_tasks = draw(st.integers(min_value=3, max_value=8))
-    ops = draw(
-        st.lists(
-            st.one_of(
-                st.tuples(st.just("claim"), st.sampled_from(WORKERS)),
-                st.tuples(
-                    st.sampled_from(["ack", "fail"]),
-                    st.integers(min_value=0, max_value=10 ** 6),
-                ),
-                st.tuples(st.just("requeue"), st.frozensets(st.sampled_from(WORKERS))),
-            ),
-            max_size=30,
-        )
-    )
-    return n_tasks, ops
-
-
-class TestExactlyOnceProperty:
-    """Random claim/requeue/ack/fail interleavings: claims come from one pool,
-    lowest id first; a sweep re-queues exactly the claims of the workers it
-    is not told are live; no task is held by two claims; every task
-    completes exactly once."""
-
-    def _run(self, queue, n_tasks, ops):
-        task_ids = [f"t-{index:02d}" for index in range(n_tasks)]
-        for task_id in reversed(task_ids):  # enqueue order does not decide claim order
-            queue.enqueue(task_id, f"payload-{task_id}")
-        pending = set(task_ids)
-        held: dict[str, object] = {}
-        holders: dict[str, str] = {}  # worker by held task id
-        acked: list[str] = []
-        for op in ops:
-            if op[0] == "claim":
-                claim = queue.claim(op[1])
-                if not pending:
-                    assert claim is None
-                    continue
-                assert claim is not None and claim.task_id == min(pending)
-                pending.remove(claim.task_id)
-                held[claim.task_id] = claim
-                holders[claim.task_id] = op[1]
-            elif op[0] == "requeue":
-                # The workers outside op[1] were reaped: their claims are claimable again.
-                orphaned = sorted(task for task, worker in holders.items() if worker not in op[1])
-                assert queue.requeue_orphaned(set(op[1])) == orphaned
-                for task_id in orphaned:
-                    del held[task_id], holders[task_id]
-                pending.update(orphaned)
-            elif held:
-                task_id = sorted(held)[op[1] % len(held)]
-                del holders[task_id]
-                if op[0] == "ack":
-                    queue.ack(held.pop(task_id), "prop")
-                    acked.append(task_id)
-                else:  # a failure, retried as the coordinator does
-                    queue.fail(held.pop(task_id), "prop", "boom")
-                    assert queue.failed_tasks() == {task_id: "boom"}
-                    queue.discard_failure(task_id)
-                    queue.enqueue(task_id, f"payload-{task_id}")
-                    pending.add(task_id)
-            assert queue.pending_ids() == pending and queue.claimed_ids() == set(held)
-        _drain_all(queue, held, acked)
-        assert sorted(acked) == task_ids, "a task was dropped or duplicated"
-        assert queue.done_ids() == set(task_ids)
-        stats = queue.stats()
-        assert (stats.pending, stats.claimed, stats.done, stats.failed) == (0, 0, n_tasks, 0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(scenario=interleavings())
-    def test_tcp_server(self, scenario):
-        n_tasks, ops = scenario
-        server = QueueServer()
-        try:
-            self._run(server, n_tasks, ops)
-        finally:
-            server.close()
-
-    @settings(max_examples=25, deadline=None)
-    @given(scenario=interleavings())
-    def test_wire_client(self, scenario):
-        """The same interleavings with every worker op sent over a socket."""
-        n_tasks, ops = scenario
-        queue = WireQueue(QueueServer())
-        try:
-            self._run(queue, n_tasks, ops)
-        finally:
-            queue.close()
+def echo_server(secret: str | None = None) -> FrameServer:
+    """A frame server on a loopback port answering each request with itself."""
+    return FrameServer(("127.0.0.1", 0), echo, secret, name="echo-server")
 
 
 # ---------------------------------------------------------------------------
@@ -210,38 +97,24 @@ class TestFrameAuth:
         monkeypatch.setenv("REPRO_QUEUE_SECRET", "")
         assert resolve_queue_secret(None) is None
 
-    def test_secured_roundtrip_end_to_end(self, monkeypatch):
-        monkeypatch.delenv("REPRO_QUEUE_SECRET", raising=False)
-        server = QueueServer(secret=self.SECRET)
-        try:
-            with NetWorkQueue(server.url, secret=self.SECRET, retries=0) as client:
-                server.enqueue("t-0", {"n": 1})
-                claim = client.claim("w")
-                assert claim is not None and claim.payload == {"n": 1}
-                client.ack(claim, "w")
-                assert server.stats().done == 1
-                assert server.worker_done_counts() == {"w": 1}
-        finally:
-            server.close()
-
     def test_unauthenticated_client_rejected_before_unpickling(self, monkeypatch):
         """With a secret set, an unsigned frame must be rejected while still
-        opaque bytes: `pickle.loads` in the transport is never reached."""
-        server = QueueServer(secret=self.SECRET)
+        opaque bytes: `pickle.loads` in the transport is never reached, and
+        a keyed client is served afterwards."""
+        server = echo_server(self.SECRET)
         try:
-            server.enqueue("t-0", "payload")
 
             def poisoned_loads(blob):
                 raise AssertionError("pickle.loads reached with an unauthenticated peer")
 
             monkeypatch.setattr(netqueue.pickle, "loads", poisoned_loads)
-            intruder = NetWorkQueue(server.url, secret="", retries=0)
-            with pytest.raises(QueueAuthError, match="unauthenticated"):
-                intruder.claim("intruder")
+            with FrameClient(server.url, secret="", retries=0) as intruder:
+                with pytest.raises(QueueAuthError, match="unauthenticated"):
+                    intruder.request({"op": "ping"})
             monkeypatch.undo()
-            # The queue is untouched: the task is still claimable by a keyed worker.
-            with NetWorkQueue(server.url, secret=self.SECRET, retries=0) as client:
-                assert client.claim("w").task_id == "t-0"
+            with FrameClient(server.url, secret=self.SECRET, retries=0) as client:
+                assert client.request({"n": 1})["echo"] == {"n": 1}
+            assert server.counters()["auth_rejects"] == 1
         finally:
             server.close()
 
@@ -249,70 +122,50 @@ class TestFrameAuth:
         """The server drains a rejected frame's payload (bounded) before
         closing, so the error frame survives the round trip even when the
         unsigned request carries a hefty payload — the mis-keyed client gets
-        QueueAuthError, never a silent connection reset read as 'sweep over'."""
-        server = QueueServer(secret=self.SECRET)
+        QueueAuthError, never a silent connection reset."""
+        server = echo_server(self.SECRET)
         try:
-            intruder = NetWorkQueue(server.url, secret="", retries=0)
-            bulky = {"op": "ack", "padding": b"x" * (256 * 1024)}
-            with pytest.raises(QueueAuthError, match="unauthenticated"):
-                intruder._request(bulky)
+            with FrameClient(server.url, secret="", retries=0) as intruder:
+                with pytest.raises(QueueAuthError, match="unauthenticated"):
+                    intruder.request({"op": "ping", "padding": b"x" * (256 * 1024)})
         finally:
             server.close()
 
     def test_wrong_secret_rejected_loudly(self):
-        server = QueueServer(secret=self.SECRET)
+        server = echo_server(self.SECRET)
         try:
-            wrong = NetWorkQueue(server.url, secret="not-the-secret", retries=0)
-            with pytest.raises(QueueAuthError, match="signature mismatch"):
-                wrong.stop_requested()
-        finally:
-            server.close()
-
-    def test_ack_and_fail_surface_auth_rejection_instead_of_swallowing_it(self):
-        """A worker's reports swallow a dead connection (the sweep is over),
-        never a mis-keyed secret: ack and fail raise QueueAuthError like claim,
-        and the task stays claimed instead of reading as settled."""
-        server = QueueServer(secret=self.SECRET)
-        try:
-            server.enqueue("t-0", "p")
-            with NetWorkQueue(server.url, secret=self.SECRET, retries=0) as keyed:
-                claim = keyed.claim("w")
-            with NetWorkQueue(server.url, secret="rotated-away", retries=0) as mis_keyed:
-                with pytest.raises(QueueAuthError):
-                    mis_keyed.ack(claim, "w")
-                with pytest.raises(QueueAuthError):
-                    mis_keyed.fail(claim, "w", "boom")
-            assert server.claimed_ids() == {"t-0"}
-            assert server.done_ids() == set() and server.failed_tasks() == {}
+            with FrameClient(server.url, secret="not-the-secret", retries=0) as wrong:
+                with pytest.raises(QueueAuthError, match="signature mismatch"):
+                    wrong.request({"op": "ping"})
         finally:
             server.close()
 
     def test_signed_client_against_open_server_fails_loudly(self, monkeypatch):
         monkeypatch.delenv("REPRO_QUEUE_SECRET", raising=False)
-        server = QueueServer()
+        server = echo_server()
         try:
-            signed = NetWorkQueue(server.url, secret=self.SECRET, retries=0)
-            with pytest.raises(QueueAuthError, match="no queue secret"):
-                signed.stop_requested()
+            with FrameClient(server.url, secret=self.SECRET, retries=0) as signed:
+                with pytest.raises(QueueAuthError, match="no queue secret"):
+                    signed.request({"op": "ping"})
         finally:
             server.close()
 
     def test_env_variable_keys_both_sides(self, monkeypatch):
         monkeypatch.setenv("REPRO_QUEUE_SECRET", "env-keyed")
-        server = QueueServer()  # picks the secret up from the environment
+        server = echo_server()  # picks the secret up from the environment
         try:
-            server.enqueue("t-0", "p")
-            with NetWorkQueue(server.url) as client:  # ditto
-                assert client.claim("w").task_id == "t-0"
+            with FrameClient(server.url) as client:  # ditto
+                assert client.request("hello")["echo"] == "hello"
+            assert server.secret == b"env-keyed"
         finally:
             server.close()
 
     def test_tampered_signed_frame_answered_with_error_frame(self):
         """Flipping one payload byte of a correctly-keyed frame must produce a
         plain-text error frame (never a pickled response)."""
-        server = QueueServer(secret=self.SECRET)
+        server = echo_server(self.SECRET)
         try:
-            frame = bytearray(_frame_bytes({"op": "poll"}, secret=resolve_queue_secret(self.SECRET)))
+            frame = bytearray(_frame_bytes({"op": "ping"}, secret=resolve_queue_secret(self.SECRET)))
             frame[-1] ^= 0xFF
             with socket.create_connection((server.host, server.port), timeout=5) as sock:
                 sock.sendall(bytes(frame))
@@ -330,6 +183,126 @@ class TestFrameAuth:
         assert magic == MAGIC_ERROR and sock.sent[6:] == b"go away"
         with pytest.raises(QueueAuthError, match="go away"):
             recv_frame(_ByteSock(sock.sent))
+
+
+#: Payloads of every shape a frame carries: scalars, containers, the plan
+#: server's request dicts and a value of a repro class.
+ROUND_TRIP_PAYLOADS = [
+    None,
+    -7,
+    3.5,
+    "text with ünïcode",
+    b"\x00\xffbytes",
+    ("tuple", 1, None),
+    [1, [2, [3, []]]],
+    {"op": "plan", "sql": "SELECT COUNT(*) FROM title AS t", "hints": None},
+    frozenset({"a", "b"}),
+    TaskKey("job", "random-0", "postgres", seed=3),
+]
+
+
+class TestFrameRoundTrip:
+    @pytest.mark.parametrize("secret", [None, b"round-trip-secret"], ids=["open", "signed"])
+    @pytest.mark.parametrize("payload", ROUND_TRIP_PAYLOADS, ids=lambda payload: type(payload).__name__)
+    def test_a_frame_decodes_to_what_was_sent(self, payload, secret):
+        frame = _frame_bytes(payload, secret=secret)
+        sock = _ByteSock(frame)
+        assert recv_frame(sock, secret=secret) == payload
+        assert sock.offset == len(frame)  # exactly one frame consumed
+
+    def test_frames_on_one_stream_decode_one_at_a_time(self):
+        stream = b"".join(_frame_bytes(payload, secret=b"k") for payload in ROUND_TRIP_PAYLOADS)
+        sock = _ByteSock(stream)
+        assert [recv_frame(sock, secret=b"k") for _ in ROUND_TRIP_PAYLOADS] == ROUND_TRIP_PAYLOADS
+        assert sock.offset == len(stream)
+
+    def test_a_signed_frame_is_the_open_one_plus_a_digest(self):
+        open_frame = _frame_bytes({"op": "ping"})
+        signed = _frame_bytes({"op": "ping"}, secret=b"k")
+        assert (open_frame[:2], signed[:2]) == (netqueue.MAGIC, netqueue.MAGIC_SIGNED)
+        assert open_frame[2:6] == signed[2:6]  # the length counts the payload only
+        assert len(signed) == len(open_frame) + netqueue.DIGEST_SIZE
+        assert signed[6 + netqueue.DIGEST_SIZE:] == open_frame[6:]
+
+    def test_an_oversized_payload_is_refused_before_anything_is_sent(self, monkeypatch):
+        monkeypatch.setattr(netqueue, "MAX_FRAME_BYTES", 64)
+        sock = _ByteSock(b"")
+        with pytest.raises(ExperimentError, match="exceeds 64"):
+            send_frame(sock, "x" * 100)
+        assert sock.sent == b""
+
+    def test_a_long_error_message_is_cut_to_the_bound(self):
+        sock = _ByteSock(b"")
+        netqueue.send_error_frame(sock, "é" * netqueue.MAX_ERROR_BYTES)
+        assert len(sock.sent) == 6 + netqueue.MAX_ERROR_BYTES
+        with pytest.raises(QueueAuthError):
+            recv_frame(_ByteSock(sock.sent))
+
+
+class TestFrameServerEndToEnd:
+    SECRET = "end-to-end-secret"
+
+    def test_a_secured_round_trip_keeps_one_connection(self):
+        """Every value of a keyed client comes back intact over one kept
+        connection, and the server counts no rejection or error."""
+        server = echo_server(self.SECRET)
+        try:
+            with FrameClient(server.url, secret=self.SECRET, retries=0) as client:
+                for payload in ROUND_TRIP_PAYLOADS:
+                    assert client.request(payload) == {"ok": True, "echo": payload}
+            assert server.counters() == {"connections": 1, "auth_rejects": 0, "errors": 0}
+        finally:
+            server.close()
+
+    def test_every_request_of_a_mis_keyed_client_raises(self):
+        """A rejection is never swallowed: each request raises, and each is
+        one more rejection on the server."""
+        server = echo_server(self.SECRET)
+        try:
+            with FrameClient(server.url, secret="stale-secret", retries=0) as client:
+                for _ in range(3):
+                    with pytest.raises(QueueAuthError, match="signature mismatch"):
+                        client.request({"op": "ping"})
+            assert server.counters()["auth_rejects"] == 3
+        finally:
+            server.close()
+
+    def test_a_raising_dispatch_is_answered_and_the_connection_kept(self):
+        def dispatch(request, peer):
+            if request == "bad":
+                raise ValueError("cannot answer that")
+            return {"ok": True, "peer": peer}
+
+        server = FrameServer(("127.0.0.1", 0), dispatch, self.SECRET, name="raising-server")
+        try:
+            with FrameClient(server.url, secret=self.SECRET, retries=0) as client:
+                assert client.request("bad") == {"ok": False, "error": "ValueError: cannot answer that"}
+                assert client.request("good") == {"ok": True, "peer": "127.0.0.1"}
+            assert server.counters()["connections"] == 1
+        finally:
+            server.close()
+
+    def test_a_wildcard_server_is_reached_on_the_loopback_url(self):
+        server = FrameServer(("0.0.0.0", 0), echo, self.SECRET, name="wildcard-server")
+        try:
+            assert server.url == f"tcp://127.0.0.1:{server.port}"
+            with FrameClient(server.url, secret=self.SECRET, retries=0) as client:
+                assert client.request("hi")["echo"] == "hi"
+                assert client.describe() == f"FrameClient(tcp://127.0.0.1:{server.port})"
+        finally:
+            server.close()
+
+    def test_close_is_idempotent(self):
+        server = echo_server(self.SECRET)
+        server.close()
+        server.close()
+        with pytest.raises(OSError):
+            socket.create_connection((server.host, server.port), timeout=1).close()
+
+    @pytest.mark.parametrize("url", ["file:///shared/q", "tcp://host", "tcp://host:70777", "127.0.0.1:7077"])
+    def test_a_client_refuses_a_url_that_is_not_tcp(self, url):
+        with pytest.raises(ExperimentError, match="tcp://<host>:<port>"):
+            FrameClient(url)
 
 
 class TestFrameCodecFuzz:
@@ -432,33 +405,31 @@ class TestFrameCodecFuzz:
 
 
 # ---------------------------------------------------------------------------
-# Client retry/backoff (satellite: coordinator restart must not kill workers)
+# Client retry/backoff: a server restart must not read as a dead server
 # ---------------------------------------------------------------------------
 
 
 class TestClientRetries:
     def test_transient_connection_refused_is_retried(self, monkeypatch):
-        server = QueueServer()
+        server = echo_server()
         try:
-            server.enqueue("t-0", "payload")
             real_connect = socket.create_connection
             attempts = {"n": 0}
 
             def flaky(address, timeout=None):
                 attempts["n"] += 1
                 if attempts["n"] <= 2:
-                    raise ConnectionRefusedError("coordinator restarting")
+                    raise ConnectionRefusedError("server restarting")
                 return real_connect(address, timeout=timeout)
 
             monkeypatch.setattr(netqueue.socket, "create_connection", flaky)
-            with NetWorkQueue(server.url, retries=3, backoff_s=0.01) as client:
-                claim = client.claim("w")
-            assert claim is not None and claim.task_id == "t-0"
+            with FrameClient(server.url, secret="", retries=3, backoff_s=0.01) as client:
+                assert client.request("t-0")["echo"] == "t-0"
             assert attempts["n"] == 3  # two refusals + the success
         finally:
             server.close()
 
-    def test_exhausted_retries_then_reads_as_stop(self, monkeypatch):
+    def test_exhausted_retries_raise_the_connection_error(self, monkeypatch):
         attempts = {"n": 0}
 
         def always_refused(address, timeout=None):
@@ -466,15 +437,13 @@ class TestClientRetries:
             raise ConnectionRefusedError("gone for good")
 
         monkeypatch.setattr(netqueue.socket, "create_connection", always_refused)
-        client = NetWorkQueue("tcp://127.0.0.1:1", retries=2, backoff_s=0.01)
-        assert client.claim("w") is None
+        client = FrameClient("tcp://127.0.0.1:1", retries=2, backoff_s=0.01)
+        with pytest.raises(ConnectionRefusedError, match="gone for good"):
+            client.request("t-0")
         assert attempts["n"] == 3  # initial + 2 retries, bounded
-        attempts["n"] = 0
-        assert client.stop_requested() is True
-        assert attempts["n"] == 3
 
     def test_auth_rejection_is_not_retried(self, monkeypatch):
-        server = QueueServer(secret="the-secret")
+        server = echo_server("the-secret")
         try:
             real_connect = socket.create_connection
             attempts = {"n": 0}
@@ -484,87 +453,16 @@ class TestClientRetries:
                 return real_connect(address, timeout=timeout)
 
             monkeypatch.setattr(netqueue.socket, "create_connection", counting)
-            intruder = NetWorkQueue(server.url, secret="", retries=5, backoff_s=0.01)
-            with pytest.raises(QueueAuthError):
-                intruder.claim("w")
+            with FrameClient(server.url, secret="", retries=5, backoff_s=0.01) as intruder:
+                with pytest.raises(QueueAuthError):
+                    intruder.request("t-0")
             assert attempts["n"] == 1  # retrying cannot fix a missing secret
         finally:
             server.close()
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ExperimentError):
-            NetWorkQueue("tcp://127.0.0.1:1", retries=-1)
-
-
-# ---------------------------------------------------------------------------
-# QueueStats / describe edge cases (satellite)
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def plain_queue(make_queue):
-    return make_queue()
-
-
-class TestQueueStatsEdgeCases:
-    def test_empty_queue(self, plain_queue):
-        stats = plain_queue.stats()
-        assert stats == QueueStats(pending=0, claimed=0, done=0, failed=0)
-        assert stats.describe() == "0 pending, 0 claimed, 0 done, 0 failed"
-        assert plain_queue.worker_done_counts() == {}
-
-    def test_failed_only_queue(self, plain_queue):
-        for index in range(2):
-            plain_queue.enqueue(f"t-{index}", "p")
-            plain_queue.fail(plain_queue.claim("w"), "w", "boom")
-        stats = plain_queue.stats()
-        assert (stats.pending, stats.claimed, stats.done, stats.failed) == (0, 0, 0, 2)
-        assert stats.describe() == "0 pending, 0 claimed, 0 done, 2 failed"
-        assert plain_queue.worker_done_counts() == {}  # failures are not completions
-
-    def test_stats_are_sane_under_concurrent_claims(self, plain_queue):
-        """The coordinator reads stats() while workers claim/ack: every
-        observation must be internally consistent (no negative or impossible
-        counts), and the final state must be exact."""
-        total = 30
-        for index in range(total):
-            plain_queue.enqueue(f"t-{index:02d}", index)
-
-        errors: list[str] = []
-        stop = threading.Event()
-
-        def churn(name: str):
-            while not stop.is_set():
-                claim = plain_queue.claim(name)
-                if claim is None:
-                    return
-                plain_queue.ack(claim, name)
-
-        def observe():
-            while not stop.is_set():
-                stats = plain_queue.stats()
-                counts = (stats.pending, stats.claimed, stats.done, stats.failed)
-                if any(value < 0 for value in counts):
-                    errors.append(f"negative count in {counts}")
-                if stats.done > total:
-                    errors.append(f"done overshot: {counts}")
-                described = stats.describe()
-                if f"{stats.done} done" not in described:
-                    errors.append(f"describe out of sync: {described}")
-
-        workers = [threading.Thread(target=churn, args=(f"w-{i}",)) for i in range(3)]
-        observer = threading.Thread(target=observe, daemon=True)
-        observer.start()
-        for thread in workers:
-            thread.start()
-        for thread in workers:
-            thread.join(timeout=60)
-        stop.set()
-        observer.join(timeout=10)
-        assert not errors, errors[:3]
-        final = plain_queue.stats()
-        assert (final.pending, final.claimed, final.done) == (0, 0, total)
-        assert sum(plain_queue.worker_done_counts().values()) == total
+            FrameClient("tcp://127.0.0.1:1", retries=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +489,9 @@ GRID_CONFIG = ExperimentConfig(optimizer_kwargs={"bao": {"training_passes": 1}})
 
 
 class TestSweepStress:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_four_worker_sweep_byte_identical_with_progress(self, tmp_path, transport):
+    def test_four_worker_sweep_byte_identical_with_progress(self, tmp_path):
         """A 4-worker sweep into a 4-shard store is byte-identical to serial
-        while emitting at least one valid progress snapshot and running fully
-        HMAC-authenticated (with the secret the sweep mints)."""
+        while emitting at least one valid progress snapshot."""
         spec, workload, splits = _grid_parts()
         methods = ("postgres", "bao")
         snapshots = []
@@ -607,7 +503,6 @@ class TestSweepStress:
                 tmp_path / "store",
                 workers=4,
                 shard_count=4,
-                queue_url=f"{transport}://127.0.0.1:0",
                 progress_interval_s=0.25,
             ),
             progress_callback=snapshots.append,
@@ -633,7 +528,7 @@ class TestSweepStress:
 
     def test_every_callback_runs_on_the_coordinators_thread(self, tmp_path, slow_tasks):
         """Periodic and final snapshots come from the coordinator's wait loop:
-        every callback runs on the main thread and no progress thread exists."""
+        every callback runs on the main thread, the only thread there is."""
         spec, workload, splits = _grid_parts()
         slow_tasks(0.2)  # the sweep outlasts several progress intervals
         seen = []
@@ -642,7 +537,7 @@ class TestSweepStress:
             seen.append((
                 snapshot,
                 threading.current_thread() is threading.main_thread(),
-                sorted(thread.name for thread in threading.enumerate()),
+                threading.active_count(),
             ))
 
         runner = ParallelExperimentRunner(
@@ -658,7 +553,7 @@ class TestSweepStress:
         runner.run_grid(("postgres",), splits[:2])
         assert len(seen) >= 2, "no periodic snapshot before the final one"
         assert all(on_main for _, on_main, _ in seen)
-        assert not any("repro-sweep-progress" in names for _, _, names in seen)
+        assert {count for _, _, count in seen} == {1}
         snapshots = [snapshot for snapshot, _, _ in seen]
         assert [s.sequence for s in snapshots] == list(range(len(snapshots)))
         assert snapshots[0].elapsed_s >= 0.05  # the first falls due one interval after the spawn
@@ -685,7 +580,7 @@ class TestSweepStress:
         assert len(snapshots) == 1
         assert snapshots[0].done == snapshots[0].total == 1
 
-        # A fully-resumed re-run (nothing enqueued) still emits its final
+        # A fully-resumed re-run (nothing sent) still emits its final
         # completion snapshot — a dashboard must see the sweep finish.
         runner.run_grid(("postgres",), splits[:1])
         assert len(snapshots) == 2
@@ -720,8 +615,8 @@ class TestSweepStress:
 
     def test_an_aborted_sweep_runs_no_pending_task(self, tmp_path, slow_tasks):
         """A callback that raises at the first snapshot aborts the sweep: the
-        stop ends every claim, so the worker finishes the task it holds and
-        leaves the rest of the grid unrun."""
+        coordinator sends no further cell and kills the fork still holding
+        one, so the rest of the grid stays unrun and counts as pending."""
         spec, workload, splits = _grid_parts()
         slow_tasks(0.5)  # no cell is done at the first snapshot
         seen = []
@@ -745,13 +640,14 @@ class TestSweepStress:
             runner.run_grid(("postgres", "bao"), splits)
         first, final = seen
         assert (first.total, first.done) == (6, 0)
-        assert final.done < 6 and final.claimed == 0
+        assert final.done < 6 and final.claimed == 0 and final.pending == 6 - final.done
+        assert runner._distributed_procs[0].returncode == -9
         assert len(list(runner.result_store.completed_files())) == final.done
 
     def test_a_raising_final_callback_propagates_once_the_workers_exited(self, tmp_path):
-        """The end-of-sweep snapshot is taken after the stop, the reaping and
-        the close: a raising callback is a bug, not a transport failure, so it
-        leaves run_grid — and no local worker outlives it."""
+        """The end-of-sweep snapshot is taken once every fork was reaped: a
+        raising callback is a bug, not a worker failure, so it leaves
+        run_grid — and no local worker outlives it."""
         spec, workload, splits = _grid_parts()
 
         def broken_callback(snapshot):
@@ -771,22 +667,17 @@ class TestSweepStress:
         assert runner._distributed_procs
         assert all(proc.poll() is not None for proc in runner._distributed_procs)
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_the_final_snapshot_is_exact_and_taken_after_the_workers_exited(self, tmp_path, transport):
-        """The server answers ``stats()`` in process after ``close()``:
-        the end-of-sweep snapshot sees every task done, none pending or
-        claimed, and no local worker still running."""
+    def test_the_final_snapshot_is_exact_and_taken_after_the_workers_exited(self, tmp_path):
+        """The end-of-sweep snapshot reads the coordinator's counters once
+        the forks exited: every task done, none pending or claimed, and no
+        local worker still running."""
         spec, workload, splits = _grid_parts()
         observed = []
         runner = ParallelExperimentRunner(
             spec,
             workload,
             experiment_config=GRID_CONFIG,
-            runtime_config=distributed_runtime(
-                tmp_path / "store",
-                workers=2,
-                queue_url=f"{transport}://127.0.0.1:0",
-            ),
+            runtime_config=distributed_runtime(tmp_path / "store", workers=2),
             progress_callback=lambda snapshot: observed.append(
                 (snapshot, [proc.poll() for proc in runner._distributed_procs])
             ),
@@ -796,20 +687,3 @@ class TestSweepStress:
         final, return_codes = observed[0]
         assert (final.total, final.done, final.pending, final.claimed, final.failed) == (2, 2, 0, 0, 0)
         assert len(return_codes) == 2 and None not in return_codes
-
-
-class TestPollOp:
-    def test_poll_answers_only_the_stop_flag(self):
-        """Workers read ``stop`` alone; the reply carries no queue counts."""
-        server = QueueServer()
-        client = NetWorkQueue(server.url, retries=0)
-        try:
-            server.enqueue("t-0", "p")
-            assert client._request({"op": "poll"}) == {"ok": True, "stop": False}
-            server.write_stop()
-            assert client._request({"op": "poll"}) == {"ok": True, "stop": True}
-            assert client.stop_requested() is True
-        finally:
-            client.close()
-            server.close()
-

@@ -161,7 +161,6 @@ class TestMetricsAndStats:
     def test_query_timing_end_to_end(self):
         timing = QueryTiming("q", "m", inference_time_ms=1.0, planning_time_ms=2.0, execution_time_ms=3.0)
         assert timing.end_to_end_ms == 6.0
-        assert timing.pre_execution_ms == 3.0
 
     def test_method_run_result_aggregates(self):
         timings = [

@@ -25,9 +25,7 @@ from repro.runtime.netqueue import (
     FrameAuthError,
     FrameClient,
     FrameServer,
-    NetWorkQueue,
     Pickled,
-    QueueServer,
     recv_frame,
     resolve_queue_secret,
     send_frame,
@@ -161,19 +159,18 @@ class TestRestartAndClose:
                 server.close()
         assert not thread.is_alive() and restarted
 
-    def test_close_drops_live_connections_and_the_worker_reads_it_as_stop(self):
-        server = QueueServer(secret=SECRET)
-        worker = NetWorkQueue(server.url, secret=SECRET, retries=1, backoff_s=0.01)
-        assert worker.stop_requested() is False  # connection established and kept
+    def test_close_drops_live_connections_and_refuses_the_next_request(self):
+        server = FrameServer(("127.0.0.1", 0), echo, SECRET, name="echo-server")
+        client = FrameClient(server.url, secret=SECRET, retries=1, backoff_s=0.01)
+        assert client.request("kept")["echo"] == "kept"  # connection established and kept
         with socket.create_connection((server.host, server.port), timeout=5) as idle:
-            send_frame(idle, {"op": "poll"}, secret=KEY)  # accepted and served, now idle
+            send_frame(idle, {"op": "ping"}, secret=KEY)  # accepted and served, now idle
             assert recv_frame(idle, secret=KEY)["ok"] is True
             server.close()
             assert read_until_closed(idle) == b""  # not left to the idle deadline
-        assert worker.claim("w") is None
-        assert worker.stop_requested() is True
         with pytest.raises(OSError):
-            worker._request({"op": "poll"})
+            client.request("after the close")
+        client.close()
 
 
 class TestBadFramesOnAnEstablishedConnection:
@@ -199,11 +196,16 @@ class TestBadFramesOnAnEstablishedConnection:
             b"crepro.runtime.netqueue\nNoSuchClass\n.",  # AttributeError
         ],
     )
-    @pytest.mark.parametrize("kind", ["plan", "queue"])
+    @pytest.mark.parametrize("kind", ["plan", "echo"])
     def test_verified_but_unloadable_frame_is_answered_counted_and_dropped(
         self, kind, blob, database, caplog
     ):
-        server = PlanServer(database, secret=SECRET) if kind == "plan" else QueueServer(secret=SECRET)
+        if kind == "plan":
+            server = PlanServer(database, secret=SECRET)
+            counters = server._server.counters
+        else:
+            server = FrameServer(("127.0.0.1", 0), echo, SECRET, name="echo-server")
+            counters = server.counters
         try:
             with caplog.at_level(logging.WARNING, logger="repro.runtime"):
                 with socket.create_connection((server.host, server.port), timeout=5) as sock:
@@ -215,24 +217,24 @@ class TestBadFramesOnAnEstablishedConnection:
             assert "unloadable frame" in caplog.text
             if kind == "plan":
                 assert server.stats().errors == 1
-            assert server._server.counters()["errors"] == 1
+            assert counters()["errors"] == 1
         finally:
             server.close()
 
 
 class TestSharedClient:
     def test_concurrent_callers_never_interleave_frames(self, echo_server):
-        """A worker's heartbeat ``renew`` and its main loop's ``ack`` share one
-        client: every caller must get the response to *its* request."""
-        queue = NetWorkQueue(echo_server.url, secret=SECRET, retries=0)
+        """Threads sharing one plan client share its one connection: every
+        caller must get the response to *its* request."""
+        client = FrameClient(echo_server.url, secret=SECRET, retries=0)
         threads_n, requests_n = 8, 150
         mismatches: list[tuple] = []
 
         def caller(index: int) -> None:
             for step in range(requests_n):
                 # Sizes differ per thread, so interleaved frames cannot line up.
-                request = {"op": "renew", "task_id": f"{index}-{step}", "pad": "x" * (index * 37)}
-                response = queue._request(request)
+                request = {"op": "plan", "id": f"{index}-{step}", "pad": "x" * (index * 37)}
+                response = client.request(request)
                 if response["echo"] != request:
                     mismatches.append((index, step))
 
@@ -249,7 +251,7 @@ class TestSharedClient:
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
         assert echo_server.counters()["connections"] == 1
-        queue.close()
+        client.close()
 
 
 class TestPrePickledValues:

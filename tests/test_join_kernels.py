@@ -81,7 +81,7 @@ def parent_match_then_filter(pairs, cap):
 
 def parent_probe_many(index: OrderedIndex, keys, cap):
     """The previous ``probe_many`` followed by the index nested loop's NULL drop."""
-    values, row_ids = index.sorted_values(), index.sorted_row_ids()
+    values, row_ids = index._sorted_values, index.sorted_row_ids()
     lo = np.searchsorted(values, keys, side="left")
     hi = np.searchsorted(values, keys, side="right")
     counts = hi - lo

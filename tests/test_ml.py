@@ -250,9 +250,3 @@ class TestLossesAndReplay:
         assert fresh.history == expected.history
         assert fresh.predict(features).tobytes() == expected.predict(features).tobytes()
 
-    def test_per_query_best_ignores_timeouts(self):
-        buffer = ReplayBuffer()
-        buffer.add(Experience("a", np.zeros(1), 5.0))
-        buffer.add(Experience("a", np.zeros(1), 2.0))
-        buffer.add(Experience("a", np.zeros(1), 1.0, timed_out=True))
-        assert buffer.per_query_best() == {"a": 2.0}

@@ -135,7 +135,6 @@ class TestPlanProperties:
 
 class TestHints:
     def test_empty_hint_set(self):
-        assert NO_HINTS.is_empty
         assert not NO_HINTS.forces_join_order
 
     def test_from_join_order(self):

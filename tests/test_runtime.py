@@ -794,7 +794,7 @@ class TestRuntimeConfig:
 
 
 class TestThreadStartingSites:
-    """The queue server's accept loop is the one thread ``src/`` starts by
+    """The plan server's accept loop is the one thread ``src/`` starts by
     name (its handler threads are ``socketserver``'s): neither a sweep
     worker nor its coordinator starts one."""
 
@@ -954,7 +954,7 @@ class TestImportHygiene:
             "database = generate_imdb(scale=0.02, seed=1, config=SIMULATION_CONFIG)\n"
             "query = next(q.bound for q in build_job_workload(database.schema) if q.num_relations == 17)\n"
             "assert query.is_connected()\n"
-            "assert Planner(database).plan_with_info(query).used_geqo\n"
+            "assert Planner(database).plan_with_info(query).strategy == 'geqo'\n"
             "print(sorted(m for m in ('scipy.stats', 'networkx') if m in sys.modules))\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -965,6 +965,21 @@ class TestImportHygiene:
         before, after = done.stdout.splitlines()
         assert before == "[]"
         assert after == "['scipy.stats']"
+
+    def test_a_sweep_loads_no_tcp_transport(self):
+        """The distributed sweep feeds its forks over pipes: importing its
+        runner loads neither ``socketserver`` nor the frame transport."""
+        script = (
+            "import sys\n"
+            "import repro.runtime.parallel\n"
+            "print(sorted(m for m in ('socketserver', 'repro.runtime.netqueue') if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_the_planner_loads_no_queue_transport_and_each_runtime_module_imports_alone(self):
         """``repro.runtime`` re-exports nothing, so planning (planner ->

@@ -173,7 +173,7 @@ class TestDatabase:
         assert half.table_data("keyword").row_count == imdb_db.table_data("keyword").row_count
 
     def test_drop_caches_empties_pool(self, imdb_db):
-        imdb_db.warm_table("title")
+        imdb_db.buffer_pool.warm("title", imdb_db.table_data("title").page_count)
         assert imdb_db.buffer_pool.resident_pages > 0
         imdb_db.drop_caches()
         assert imdb_db.buffer_pool.resident_pages == 0

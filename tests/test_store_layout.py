@@ -9,12 +9,16 @@ by side, parametrized over flat (0) and sharded (4).
 """
 
 import json
+import os
+import stat
+from pathlib import Path
 
 import pytest
 
 from repro.config import RuntimeConfig
 from repro.core.metrics import MethodRunResult, QueryTiming
 from repro.errors import ExperimentError
+from repro.runtime import result_store
 from repro.runtime.parallel import ParallelExperimentRunner
 from repro.runtime.result_store import (
     MANIFEST_NAME,
@@ -22,6 +26,7 @@ from repro.runtime.result_store import (
     ResultStore,
     ShardedResultStore,
     TaskKey,
+    atomic_write_bytes,
 )
 
 LAYOUTS = (0, 4)
@@ -179,3 +184,32 @@ class TestRunnerStore:
         assert runner(4).result_store.manifest()["shard_count"] == 4
         with pytest.raises(ExperimentError, match="4 shards"):
             runner(0)
+
+
+class TestDurableWrites:
+    def test_file_is_synced_before_the_rename_and_the_directory_after(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+            real_fsync(fd)
+
+        def replace(source, target):
+            calls.append(f"replace {Path(target).name}")
+            real_replace(source, target)
+
+        monkeypatch.setattr(result_store.os, "fsync", fsync)
+        monkeypatch.setattr(result_store.os, "replace", replace)
+        atomic_write_bytes(tmp_path / "r.json", b"{}")
+        assert calls == ["fsync file", "replace r.json", "fsync dir"]
+        assert (tmp_path / "r.json").read_bytes() == b"{}"
+
+    def test_a_failed_sync_publishes_nothing(self, tmp_path, monkeypatch):
+        def fsync(fd):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(result_store.os, "fsync", fsync)
+        with pytest.raises(OSError, match="disk gone"):
+            atomic_write_bytes(tmp_path / "r.json", b"{}")
+        assert list(tmp_path.iterdir()) == []

@@ -156,7 +156,7 @@ class TestPlanEncoder:
         for qid in ("1a", "17a", "29a"):
             plan = planner.plan(job_workload.by_id(qid).bound)
             sizes.add(encoder.pooled_vector(plan).shape)
-        assert sizes == {(encoder.pooled_size,)}
+        assert sizes == {(2 * encoder.node_feature_size + 1,)}
 
     def test_different_plans_encode_differently(self, imdb_db, job_workload):
         from repro.optimizer.enumeration import left_deep_plan_from_order
